@@ -5,7 +5,7 @@ GOLANGCI ?= golangci-lint
 COVER_FLOOR ?= 75
 COVER_PKGS = ./setcontain/... ./internal/stats/...
 
-.PHONY: all build vet test bench bench-baseline bench-compare fuzz-smoke lint cover check linkcheck vet-examples serve snapshot-smoke crash-smoke scatter-smoke clean
+.PHONY: all build vet test bench bench-baseline bench-compare bench-ci fuzz-smoke lint cover check linkcheck vet-examples api-surface serve snapshot-smoke crash-smoke scatter-smoke clean
 
 all: check
 
@@ -57,6 +57,16 @@ bench-compare:
 	$(GO) run ./cmd/benchjson -compare -threshold $(BENCH_TOLERANCE) \
 		-filter '^Benchmark(Subset|Equality|Superset|ExprPlanner|ExprStream|ExprLimit|ExprCSE)' BENCH_PR3.json bench-new.json
 
+# The CI bench-smoke job's per-SHA artifact: the same tier-1 set and
+# min-of-count methodology as the checked-in baseline, at a CI-sized
+# iteration count, so the artifact is directly comparable with
+# `benchjson -compare`. Derived from TIER1_BENCH so the job cannot drift
+# from the gate again. Two steps, not a pipe: a failing or non-compiling
+# benchmark must fail the target whatever shell make runs.
+bench-ci:
+	$(GO) test -run '^$$' -bench '$(TIER1_BENCH)' -benchtime=100x -count=3 -benchmem . > bench-ci.txt
+	$(GO) run ./cmd/benchjson < bench-ci.txt > bench-ci.json
+
 # Short coverage-guided runs of every fuzz target (go allows one -fuzz
 # target per invocation): the expression-grammar round-trip fuzzer, the
 # WAL replay/record fuzzers, and the vbyte codec fuzzers. The CI fuzz
@@ -82,6 +92,13 @@ linkcheck:
 # them explicitly so a drifting API fails the docs job, not a reader.
 vet-examples:
 	$(GO) vet ./examples/...
+
+# Regenerate docs/API.txt: every exported declaration of setcontain and
+# setcontain/serve plus the package's non-test line count. The file is
+# checked in so a PR that grows the surface shows it in its diff; the
+# CI docs job regenerates it and fails when it is stale.
+api-surface:
+	./scripts/api-surface.sh > docs/API.txt
 
 # Serve a demo dataset locally (see cmd/setcontaind -help for flags).
 serve:
@@ -120,7 +137,7 @@ cover:
 # bench-compare output, coverage profiles, locally built CLI binaries,
 # and the cached fuzzing corpus.
 clean:
-	rm -f bench-new.json bench-new.txt coverage.out bench-output.txt
+	rm -f bench-new.json bench-new.txt bench-ci.json bench-ci.txt coverage.out bench-output.txt
 	rm -f oifbench oifquery setcontaind setgen benchjson
 	$(GO) clean -fuzzcache
 

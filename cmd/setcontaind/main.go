@@ -46,8 +46,9 @@
 //	setcontaind -addr :8081 -snapshot shards/shard-000.snap
 //
 // Endpoints: POST /query (batch, NDJSON answers), GET /query?q=…,
-// GET /stream?q=… (flushed chunks), GET /stats, GET /healthz, the
-// mutation surface POST /admin/{insert,delete,merge,snapshot,checkpoint},
+// GET /stream?q=… (the same, flushed per chunk), GET /stats,
+// GET /healthz, the mutation surface
+// POST /admin/{insert,delete,merge,snapshot,checkpoint},
 // and the shard wire protocol /shard/{info,supports,query,insert,delete,
 // merge,snapshot}. Try it:
 //

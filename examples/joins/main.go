@@ -6,7 +6,8 @@
 //     for every bundle (outer), find the baskets (inner) whose item set
 //     contains it.
 //   - "Baskets with bread and milk but no candles, drawn entirely from
-//     groceries" is a composite predicate: AllOf + NoneOf + Within.
+//     groceries" is a composite predicate: a boolean expression over
+//     subset, superset and NOT subset leaves.
 package main
 
 import (
@@ -88,17 +89,18 @@ func main() {
 		bestBundle, bestSet, bestCount)
 
 	// Composite predicate: baskets with items 3 AND 7, without item 0,
-	// drawn entirely from the 100 most popular products.
+	// drawn entirely from the 100 most popular products — a boolean
+	// expression over the three primitive predicates, cost-planned.
 	within := make([]setcontain.Item, 100)
 	for i := range within {
 		within[i] = setcontain.Item(i)
 	}
-	q := setcontain.Composite{
-		AllOf:  []setcontain.Item{3, 7},
-		NoneOf: []setcontain.Item{0},
-		Within: within,
-	}
-	ids, err := idx.Query(q)
+	q := setcontain.And(
+		setcontain.ExprOf(setcontain.SubsetQuery([]setcontain.Item{3, 7})),
+		setcontain.ExprOf(setcontain.SupersetQuery(within)),
+		setcontain.Not(setcontain.ExprOf(setcontain.SubsetQuery([]setcontain.Item{0}))),
+	)
+	ids, err := idx.EvalExpr(q)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -87,23 +87,14 @@ func main() {
 	}
 	show(q, ids)
 
-	// Large answers can be consumed as a stream instead of a slice: here
-	// the single-item subset of {a} — the most frequent item — iterated
-	// lazily and abandoned after the first three ids.
-	seq, err := idx.SubsetSeq([]setcontain.Item{a})
+	// A large answer need not be computed in full: a limit stops the
+	// evaluation early. Here the single-item subset of {a} — the most
+	// frequent item — cut off after its first three ids.
+	first, err := idx.EvalExprLimit(setcontain.ExprOf(setcontain.SubsetQuery([]setcontain.Item{a})), 3)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("\nstreaming subset{%s}:", coll.Label(a))
-	taken := 0
-	for id := range seq {
-		fmt.Printf(" %d", id)
-		if taken++; taken == 3 {
-			fmt.Printf(" ...")
-			break
-		}
-	}
-	fmt.Println()
+	fmt.Printf("\nfirst ids of subset{%s}: %v ...\n", coll.Label(a), first)
 
 	st := idx.CacheStats()
 	fmt.Printf("\nindex: %s; page reads: %d (seq %d, near %d, random %d)\n",

@@ -85,8 +85,10 @@ func main() {
 	fmt.Println("GET /query?q=subset{0+5}:")
 	printResults(resp)
 
-	// Huge answers stream in flushed chunks: subset{0} (the hottest
-	// item) matches thousands of records, delivered 256 ids per line.
+	// Huge answers stream in flushed chunks: /stream is /query with a
+	// flush after every line, admitted through the same micro-batcher.
+	// subset{0} (the hottest item) matches thousands of records,
+	// delivered 256 ids per line.
 	resp, err = http.Get(base + "/stream?q=subset{0}")
 	if err != nil {
 		log.Fatal(err)

@@ -97,8 +97,9 @@ func main() {
 	fmt.Printf("sessions exactly equal to %v: %d\n", name(q), len(exact))
 
 	// Funnel report: for each area, how many sessions never left it?
-	// One equality query per area, executed as a batch across the
-	// store's pooled readers.
+	// One equality query per area, fanned out across the store's pooled
+	// readers (at most GOMAXPROCS at a time); answers come back in query
+	// order, each a non-nil slice, and the first failure cancels the rest.
 	batch := make([]setcontain.Query, len(areas))
 	for it := range batch {
 		batch[it] = setcontain.EqualityQuery([]setcontain.Item{setcontain.Item(it)})

@@ -73,7 +73,7 @@ func RunPlanner(cfg Config, rounds int) (PlannerResult, error) {
 	}
 
 	// Split the domain by support into hot and cold halves; the profile
-	// is computed once, exactly as Store.ExecExpr caches it.
+	// is computed once, exactly as Store caches it (Store.Supports).
 	prof := idx.Supports()
 	order := make([]setcontain.Item, 0, len(prof.PerItem))
 	for it, n := range prof.PerItem {

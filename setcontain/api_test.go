@@ -96,34 +96,6 @@ func TestQueryEvalMatchesMethods(t *testing.T) {
 	}
 }
 
-func TestSeqVariantsMatchSlices(t *testing.T) {
-	c := sampleCollection(t)
-	for kind, ix := range buildAll(t, c) {
-		items := []Item{0, 3}
-		want, err := ix.Subset(items)
-		if err != nil {
-			t.Fatalf("%v: %v", kind, err)
-		}
-		seq, err := ix.SubsetSeq(items)
-		if err != nil {
-			t.Fatalf("%v: %v", kind, err)
-		}
-		if got := slices.Collect(seq); !slices.Equal(got, want) {
-			t.Errorf("%v: SubsetSeq = %v, want %v", kind, got, want)
-		}
-		// Early abandonment is allowed and re-iteration yields the same
-		// prefix (the sequence is replayable).
-		var first Item
-		for id := range seq {
-			first = id
-			break
-		}
-		if len(want) > 0 && first != want[0] {
-			t.Errorf("%v: first streamed id %d, want %d", kind, first, want[0])
-		}
-	}
-}
-
 func TestEngineCapabilities(t *testing.T) {
 	c := sampleCollection(t)
 	idxs := buildAll(t, c)

@@ -33,12 +33,13 @@
 //	q := setcontain.Query{Pred: setcontain.PredicateSubset, Items: items}
 //	ids, err := q.Eval(idx)
 //
-// The …Seq variants (SubsetSeq, EvalSeq, …) return the answer as a lazy
-// iter.Seq[uint32] for callers that stream rather than materialize, and
-// the Append… variants write answers into a caller-owned slice on the
-// zero-allocation hot path. Query.String and ParseQuery round-trip the
-// textual form ("subset{3 17 29}") the CLIs and the serve package's
-// wire format use.
+// The Append… variants write answers into a caller-owned slice on the
+// zero-allocation hot path (a caller that wants an iterator ranges over
+// slices.Values of the answer). Query.String and ParseQuery round-trip
+// the textual form ("subset{3 17 29}") the CLIs and the serve package's
+// wire format use. An Expr combines queries with And, Or and Not — a
+// Query is its one-leaf case — and Index.EvalExpr answers one with
+// cost-planned evaluation.
 //
 // # Concurrency
 //
@@ -50,10 +51,16 @@
 //
 //	st := setcontain.NewStore(idx, 0)
 //	ids, err := st.Exec(ctx, q)
+//	ids, err = st.ExecExprLimitAppend(ctx, ids[:0], expr, 10)
 //
-// Store.ExecBatchAppend additionally answers many queries on one pooled
-// reader — the fan-in form the setcontain/serve package's micro-batcher
-// dispatches through.
+// Every Store form — Exec, ExecAppend, ExecExprAppend,
+// ExecExprLimitAppend, ExecBatch, ExecBatchAppend — is a thin adapter
+// over one request core: a request that is one plain leaf with no limit
+// runs straight on the pooled reader, anything else is planned once,
+// pushed down to every shard of a sharded index, and counted in
+// ExprStats. ExecBatchAppend answers many requests on one pooled reader,
+// evaluating plan subtrees they share once — the fan-in form the
+// setcontain/serve package's micro-batcher dispatches through.
 //
 // # Durability and mutation
 //

@@ -114,27 +114,3 @@ func ExampleStore_ExecBatchAppend() {
 	// subset{3} [1 2 3 4]
 	// superset{2 3} [2 4]
 }
-
-// ExampleMergeSeqs interleaves ascending id streams in global order —
-// the lazy form of the sharded engine's k-way merge.
-func ExampleMergeSeqs() {
-	a := func(yield func(uint32) bool) {
-		for _, id := range []uint32{1, 4, 9} {
-			if !yield(id) {
-				return
-			}
-		}
-	}
-	b := func(yield func(uint32) bool) {
-		for _, id := range []uint32{2, 3, 10} {
-			if !yield(id) {
-				return
-			}
-		}
-	}
-	for id := range setcontain.MergeSeqs(a, b) {
-		fmt.Print(id, " ")
-	}
-	// Output:
-	// 1 2 3 4 9 10
-}

@@ -1,6 +1,7 @@
 package setcontain
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 )
@@ -20,7 +21,7 @@ import (
 // unites, and NOT complements against the universe of live record ids
 // (the answer of subset{} — the empty query matches every record, with
 // tombstoned ids already masked). Evaluation orders are planned
-// cost-based by PlanExpr / Store.ExecExpr; Expr.Eval is the naive
+// cost-based by PlanExpr / Store.ExecExprAppend; Expr.Eval is the naive
 // left-to-right reference.
 type Expr struct {
 	// Op is the node type; the zero value (OpLeaf) makes the zero Expr
@@ -98,8 +99,8 @@ func nary(op ExprOp, kids []*Expr) *Expr {
 }
 
 // AsQuery returns the leaf's query when the expression is the one-leaf
-// degenerate case; callers use it to route plain queries through the
-// original single-predicate paths (the serve package's batcher does).
+// degenerate case; the Store's request core uses it to run plain
+// queries straight on the reader, unplanned.
 func (e *Expr) AsQuery() (Query, bool) {
 	if e != nil && e.Op == OpLeaf {
 		return e.Leaf, true
@@ -122,13 +123,16 @@ func (e *Expr) Leaves() int {
 	return n
 }
 
+// errNilExpr is what every entry point reports for a nil *Expr.
+var errNilExpr = errors.New("setcontain: nil expression")
+
 // validate checks structural invariants: known ops and predicates,
 // correct child counts. Every evaluation entry point calls it once at
 // the root, so malformed hand-built trees fail fast with a clear error
 // instead of misbehaving mid-evaluation.
 func (e *Expr) validate() error {
 	if e == nil {
-		return fmt.Errorf("setcontain: nil expression")
+		return errNilExpr
 	}
 	switch e.Op {
 	case OpLeaf:

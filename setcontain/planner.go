@@ -454,7 +454,8 @@ func (ev *exprEval) evalNode(n *PlanNode) (ids []uint32, owned bool, err error) 
 // same set algebra the planner uses. This is the planner's reference
 // (the property tests hold the planned answer byte-identical to it) and
 // the left-to-right baseline oifbench's planner experiment measures
-// against. Use Index.EvalExpr or Store.ExecExpr for planned evaluation.
+// against. Use Index.EvalExpr or Store.ExecExprAppend for planned
+// evaluation.
 func (e *Expr) Eval(t Queryable) ([]uint32, error) {
 	if err := e.validate(); err != nil {
 		return nil, err
@@ -464,10 +465,7 @@ func (e *Expr) Eval(t Queryable) ([]uint32, error) {
 	if err != nil {
 		return nil, err
 	}
-	if ids == nil {
-		ids = []uint32{}
-	}
-	return ids, nil
+	return orEmpty(ids), nil
 }
 
 type naiveEval struct {
@@ -563,16 +561,9 @@ func (ix *Index) PlanExpr(e *Expr) (*ExprPlan, error) {
 // EvalExpr answers a boolean expression with planned evaluation:
 // cost-ordered AND children, short-circuiting, galloping set algebra.
 // The profile is rebuilt per call — interactive convenience; hot loops
-// should plan once via PlanExpr (Store.ExecExpr caches the profile per
-// index generation).
-func (ix *Index) EvalExpr(e *Expr) ([]uint32, error) {
-	plan, err := ix.PlanExpr(e)
-	if err != nil {
-		return nil, err
-	}
-	ids, _, err := plan.Eval(ix)
-	return ids, err
-}
+// should plan once via PlanExpr (Store caches the profile per index
+// generation).
+func (ix *Index) EvalExpr(e *Expr) ([]uint32, error) { return ix.EvalExprLimit(e, 0) }
 
 // EvalExprLimit answers the first n ids of the expression's answer with
 // limit-driven early exit (see Evaluator.EvalLimitAppend); n <= 0 means
@@ -586,8 +577,5 @@ func (ix *Index) EvalExprLimit(e *Expr, n int) ([]uint32, error) {
 	if err != nil {
 		return nil, err
 	}
-	if ids == nil {
-		ids = []uint32{}
-	}
-	return ids, nil
+	return orEmpty(ids), nil
 }

@@ -277,9 +277,6 @@ func TestErrUnknownPredicateUnified(t *testing.T) {
 	if _, err := bad.EvalAppend(nil, inv.Engine()); err != ErrUnknownPredicate {
 		t.Errorf("EvalAppend(fallback): %v, want bare ErrUnknownPredicate", err)
 	}
-	if _, err := bad.EvalSeq(ix); err != ErrUnknownPredicate {
-		t.Errorf("EvalSeq: %v, want bare ErrUnknownPredicate", err)
-	}
 	badExpr := And(ExprOf(bad), ExprOf(SubsetQuery(nil)))
 	if _, err := ix.PlanExpr(badExpr); err != ErrUnknownPredicate {
 		t.Errorf("PlanExpr: %v, want bare ErrUnknownPredicate", err)
@@ -288,8 +285,11 @@ func TestErrUnknownPredicateUnified(t *testing.T) {
 		t.Errorf("Expr.Eval: %v, want bare ErrUnknownPredicate", err)
 	}
 	s := NewStore(ix, 0)
-	if _, err := s.ExecExpr(context.Background(), badExpr); !errors.Is(err, ErrUnknownPredicate) {
-		t.Errorf("ExecExpr: %v, want ErrUnknownPredicate", err)
+	if _, err := s.ExecExprAppend(context.Background(), nil, badExpr); !errors.Is(err, ErrUnknownPredicate) {
+		t.Errorf("ExecExprAppend: %v, want ErrUnknownPredicate", err)
+	}
+	if _, err := s.ExecExprAppend(context.Background(), nil, nil); err == nil {
+		t.Error("ExecExprAppend(nil expr): no error")
 	}
 }
 
@@ -311,16 +311,16 @@ func TestStoreExecExpr(t *testing.T) {
 			t.Fatalf("%v: %v", kind, err)
 		}
 		s := NewStore(ix, 0)
-		got, err := s.ExecExpr(ctx, e)
+		got, err := s.ExecExprAppend(ctx, nil, e)
 		if err != nil {
-			t.Fatalf("%v: ExecExpr: %v", kind, err)
+			t.Fatalf("%v: ExecExprAppend: %v", kind, err)
 		}
 		direct, err := ix.EvalExpr(e)
 		if err != nil {
 			t.Fatalf("%v: EvalExpr: %v", kind, err)
 		}
 		if !reflect.DeepEqual(got, direct) {
-			t.Fatalf("%v: ExecExpr and EvalExpr diverge (%d vs %d ids)", kind, len(got), len(direct))
+			t.Fatalf("%v: ExecExprAppend and EvalExpr diverge (%d vs %d ids)", kind, len(got), len(direct))
 		}
 		if want == nil {
 			want = got
@@ -331,26 +331,13 @@ func TestStoreExecExpr(t *testing.T) {
 			t.Fatalf("%v: ExprStats = %+v after one expression", kind, st)
 		}
 
-		// Seq form agrees with the slice form.
-		seq, err := s.ExecExprSeq(ctx, e)
-		if err != nil {
-			t.Fatalf("%v: ExecExprSeq: %v", kind, err)
-		}
-		var seqIDs []uint32
-		for id := range seq {
-			seqIDs = append(seqIDs, id)
-		}
-		if len(seqIDs) != len(want) {
-			t.Fatalf("%v: seq yielded %d ids, want %d", kind, len(seqIDs), len(want))
-		}
-
 		// One-leaf degenerate case: same answer as Exec, not counted as
 		// a planned expression (counters unchanged from before).
 		preLeaf := s.ExprStats()
 		leaf := ExprOf(SubsetQuery([]Item{1, 2}))
-		viaExpr, err := s.ExecExpr(ctx, leaf)
+		viaExpr, err := s.ExecExprAppend(ctx, nil, leaf)
 		if err != nil {
-			t.Fatalf("%v: one-leaf ExecExpr: %v", kind, err)
+			t.Fatalf("%v: one-leaf ExecExprAppend: %v", kind, err)
 		}
 		viaExec, err := s.Exec(ctx, SubsetQuery([]Item{1, 2}))
 		if err != nil {
@@ -366,8 +353,8 @@ func TestStoreExecExpr(t *testing.T) {
 		// A cancelled context refuses evaluation.
 		cctx, cancel := context.WithCancel(ctx)
 		cancel()
-		if _, err := s.ExecExpr(cctx, e); !errors.Is(err, context.Canceled) {
-			t.Fatalf("%v: cancelled ExecExpr: %v", kind, err)
+		if _, err := s.ExecExprAppend(cctx, nil, e); !errors.Is(err, context.Canceled) {
+			t.Fatalf("%v: cancelled ExecExprAppend: %v", kind, err)
 		}
 	}
 }

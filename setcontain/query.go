@@ -3,7 +3,6 @@ package setcontain
 import (
 	"errors"
 	"fmt"
-	"iter"
 	"strings"
 )
 
@@ -23,8 +22,8 @@ const (
 )
 
 // ErrUnknownPredicate reports an invalid Predicate value. Every
-// evaluation path — Eval, EvalAppend, EvalSeq, and the expression
-// planner — returns exactly this sentinel (never wrapped twice) for a
+// evaluation path — Eval, EvalAppend, and the expression planner —
+// returns exactly this sentinel (never wrapped twice) for a
 // query whose Pred is not one of the three containment relations, so
 // callers can test errors.Is(err, ErrUnknownPredicate) uniformly.
 var ErrUnknownPredicate = errors.New("setcontain: unknown predicate")
@@ -132,7 +131,8 @@ type AppendQueryable interface {
 // and returning the extended slice. With a target implementing
 // AppendQueryable (an OIF Index, Engine, or Reader) and warm caches the
 // call performs no allocations beyond growing dst; other targets answer
-// through Eval and copy. An invalid predicate returns the bare
+// through Eval and copy. When nothing matched, dst itself comes back
+// (nil stays nil). An invalid predicate returns the bare
 // ErrUnknownPredicate sentinel on both paths.
 func (q Query) EvalAppend(dst []uint32, t Queryable) ([]uint32, error) {
 	if !q.Pred.known() {
@@ -152,58 +152,10 @@ func (q Query) EvalAppend(dst []uint32, t Queryable) ([]uint32, error) {
 	if err != nil {
 		return nil, err
 	}
-	return append(dst, ids...), nil
-}
-
-// EvalSeq answers the query as a lazy sequence; see Index.SubsetSeq for
-// the streaming contract. The error covers evaluation up front: a
-// non-nil sequence never fails mid-iteration, yields ascending unique
-// record ids, may be ranged over at most once, and may be abandoned
-// early at no cost. An invalid predicate returns the bare
-// ErrUnknownPredicate sentinel.
-func (q Query) EvalSeq(t Queryable) (iter.Seq[uint32], error) {
-	return seqOf(q.Eval(t))
-}
-
-// seqOf adapts a slice answer (and its error) to the iterator form.
-func seqOf(ids []uint32, err error) (iter.Seq[uint32], error) {
-	if err != nil {
-		return nil, err
+	if cap(dst) == 0 && len(ids) > 0 {
+		// No backing array to preserve: the engine's fresh answer slice
+		// is the result, no copy.
+		return ids, nil
 	}
-	return func(yield func(uint32) bool) {
-		for _, id := range ids {
-			if !yield(id) {
-				return
-			}
-		}
-	}, nil
-}
-
-// SubsetSeq returns the Subset answer as an iter.Seq, for callers that
-// stream large answer sets instead of holding the whole id slice:
-//
-//	seq, err := idx.SubsetSeq(qs)
-//	for id := range seq { ... }
-//
-// The contract: the error covers evaluation up front, so a non-nil
-// sequence never fails mid-iteration; it yields record ids ascending
-// and without duplicates; it is single-use (range over it at most
-// once); and iteration may be abandoned early at no cost. The current
-// engines compute the full answer before the sequence yields (their
-// final sort/remap steps need it); the iterator surface frees callers
-// from that detail and is the contract future incremental engines
-// stream through. The slice forms remain as the materializing
-// convenience.
-func (ix *Index) SubsetSeq(qs []Item) (iter.Seq[uint32], error) {
-	return seqOf(ix.eng.Subset(qs))
-}
-
-// EqualitySeq streams the Equality answer; see SubsetSeq.
-func (ix *Index) EqualitySeq(qs []Item) (iter.Seq[uint32], error) {
-	return seqOf(ix.eng.Equality(qs))
-}
-
-// SupersetSeq streams the Superset answer; see SubsetSeq.
-func (ix *Index) SupersetSeq(qs []Item) (iter.Seq[uint32], error) {
-	return seqOf(ix.eng.Superset(qs))
+	return append(dst, ids...), nil
 }

@@ -1,8 +1,6 @@
 package setcontain
 
 import (
-	"iter"
-
 	"repro/internal/core"
 	"repro/internal/storage"
 )
@@ -44,43 +42,22 @@ func (r *Reader) Eval(q Query) ([]uint32, error) { return q.Eval(r) }
 // zero-allocation form when the backend supports it (OIF), otherwise a
 // plain call plus copy. See Index.AppendSubset for the append contract.
 func (r *Reader) AppendSubset(dst []uint32, qs []Item) ([]uint32, error) {
-	if ar, ok := r.r.(AppendQueryable); ok {
-		return ar.AppendSubset(dst, qs)
-	}
-	ids, err := r.r.Subset(qs)
-	if err != nil {
-		return nil, err
-	}
-	return append(dst, ids...), nil
+	return SubsetQuery(qs).EvalAppend(dst, r.r)
 }
 
 // AppendEquality appends the Equality answer to dst; see AppendSubset.
 func (r *Reader) AppendEquality(dst []uint32, qs []Item) ([]uint32, error) {
-	if ar, ok := r.r.(AppendQueryable); ok {
-		return ar.AppendEquality(dst, qs)
-	}
-	ids, err := r.r.Equality(qs)
-	if err != nil {
-		return nil, err
-	}
-	return append(dst, ids...), nil
+	return EqualityQuery(qs).EvalAppend(dst, r.r)
 }
 
 // AppendSuperset appends the Superset answer to dst; see AppendSubset.
 func (r *Reader) AppendSuperset(dst []uint32, qs []Item) ([]uint32, error) {
-	if ar, ok := r.r.(AppendQueryable); ok {
-		return ar.AppendSuperset(dst, qs)
-	}
-	ids, err := r.r.Superset(qs)
-	if err != nil {
-		return nil, err
-	}
-	return append(dst, ids...), nil
+	return SupersetQuery(qs).EvalAppend(dst, r.r)
 }
 
 // EvalAppend answers a first-class Query in append form.
 func (r *Reader) EvalAppend(dst []uint32, q Query) ([]uint32, error) {
-	return q.EvalAppend(dst, r)
+	return q.EvalAppend(dst, r.r)
 }
 
 // DecodedCacheStats reports this reader's private decoded-block cache
@@ -93,21 +70,6 @@ func (r *Reader) DecodedCacheStats() DecodedCacheStats {
 		return decodedStatsOf(ds.DecodedStats())
 	}
 	return DecodedCacheStats{}
-}
-
-// SubsetSeq streams the Subset answer; see Index.SubsetSeq.
-func (r *Reader) SubsetSeq(qs []Item) (iter.Seq[uint32], error) {
-	return seqOf(r.r.Subset(qs))
-}
-
-// EqualitySeq streams the Equality answer; see Index.EqualitySeq.
-func (r *Reader) EqualitySeq(qs []Item) (iter.Seq[uint32], error) {
-	return seqOf(r.r.Equality(qs))
-}
-
-// SupersetSeq streams the Superset answer; see Index.SupersetSeq.
-func (r *Reader) SupersetSeq(qs []Item) (iter.Seq[uint32], error) {
-	return seqOf(r.r.Superset(qs))
 }
 
 // CacheStats returns this reader's private access statistics.

@@ -4,16 +4,15 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"iter"
 	"runtime"
 	"sync"
 )
 
 // The scatter-gather executor is the one fan-out/merge engine behind
-// every sharded execution path — Store.Exec*, ExecExpr*, the limit
-// pushdown, and the engine-level predicate calls. It is transport
-// agnostic: the per-shard callback may hit an in-process engine, an
-// in-process ShardClient, or a remote HTTP shard; the executor only
+// every sharded execution path — the Store's request core (limit
+// pushdown included) and the engine-level predicate calls. It is
+// transport agnostic: the per-shard callback may hit an in-process
+// engine, an in-process ShardClient, or a remote HTTP shard; it only
 // owns the concurrency (one goroutine per shard — shards have
 // independent readers/connections, so one in-flight call per shard is
 // safe), sibling cancellation on first failure, error aggregation into
@@ -46,84 +45,89 @@ type shardCall func(ctx context.Context, shard int) ([]uint32, error)
 // caller's own ctx was canceled, that ctx error is returned unwrapped
 // (the caller asked to stop — no shard is at fault).
 func scatterGather(ctx context.Context, part Partitioner, call shardCall) ([]uint32, error) {
-	locals, err := scatterLocals(ctx, part.NumShards(), call)
-	if err != nil {
+	n := part.NumShards()
+	locals := make([][]uint32, n)
+	errs := fanOut(ctx, n, n, func(cctx context.Context, s int) (err error) {
+		locals[s], err = call(cctx, s)
+		return err
+	})
+	if err := gatherErr(ctx, errs); err != nil {
 		return nil, err
 	}
 	return mergeLocals(part, locals), nil
 }
 
-// scatterLocals is scatterGather without the merge: the per-shard
-// answers in shard order, for callers that post-process locals
-// themselves (the limit pushdown truncates after merging; snapshot
-// assembly wants raw frames).
-func scatterLocals(ctx context.Context, n int, call shardCall) ([][]uint32, error) {
+// fanOut runs f for every index in [0, n) on at most bound goroutines
+// (see forEachBounded) under a context that the first failure cancels,
+// and returns the per-index errors for gatherErr / firstCause to
+// reduce. It is the one cancelable fan-out: scatterGather uses it with
+// a goroutine per shard, Store.ExecBatch bounded by GOMAXPROCS.
+func fanOut(ctx context.Context, n, bound int, f func(ctx context.Context, i int) error) []error {
 	if n == 1 {
-		// One shard: no goroutine, no derived context, direct call.
-		local, err := call(ctx, 0)
-		if err != nil {
-			return nil, gatherErr(ctx, []error{err})
-		}
-		return [][]uint32{local}, nil
+		// One task: no goroutine, no derived context, direct call.
+		return []error{f(ctx, 0)}
 	}
 	// Always derive a cancelable context, even from context.Background:
-	// the first shard failure must reach the siblings (a blocked remote
-	// call on a healthy shard would otherwise outlive a dead one).
+	// the first failure must reach the siblings (a blocked remote call
+	// on a healthy shard would otherwise outlive a dead one).
 	cctx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	locals := make([][]uint32, n)
-	errs := make([]error, n)
-	var wg sync.WaitGroup
-	for s := 0; s < n; s++ {
-		wg.Add(1)
-		go func(s int) {
-			defer wg.Done()
-			locals[s], errs[s] = call(cctx, s)
-			if errs[s] != nil {
-				cancel()
-			}
-		}(s)
-	}
-	wg.Wait()
-	if err := gatherErr(ctx, errs); err != nil {
-		return nil, err
-	}
-	return locals, nil
+	return forEachBounded(n, bound, func(i int) error {
+		err := f(cctx, i)
+		if err != nil {
+			cancel()
+		}
+		return err
+	})
 }
 
 // gatherErr reduces per-shard errors to the one the caller should see:
 // the caller's own cancellation verbatim, else the first shard error
 // that is not a sibling-cancellation casualty, wrapped in ShardError.
 func gatherErr(ctx context.Context, errs []error) error {
+	s, err := firstCause(ctx, errs)
+	if s < 0 {
+		return err
+	}
+	return &ShardError{Shard: s, Err: err}
+}
+
+// firstCause reduces the per-task errors of a fan-out whose first
+// failure cancels its siblings to the one the caller should see, and
+// the task it came from: (-1, nil) when every task succeeded, else
+// (-1, ctx.Err()) when the caller's own ctx was canceled (the caller
+// asked to stop — no task is at fault), else the first error that is
+// not itself a sibling-cancellation casualty.
+func firstCause(ctx context.Context, errs []error) (int, error) {
 	first := -1
-	for s, err := range errs {
+	for i, err := range errs {
 		if err == nil {
 			continue
 		}
 		if first < 0 {
-			first = s
+			first = i
 		}
 		if !errors.Is(err, context.Canceled) {
-			first = s
+			first = i
 			break
 		}
 	}
 	if first < 0 {
-		return nil
+		return -1, nil
 	}
 	if err := ctx.Err(); err != nil {
-		return err
+		return -1, err
 	}
-	return &ShardError{Shard: first, Err: errs[first]}
+	return first, errs[first]
 }
 
-// forEachShard runs f for every shard index concurrently, bounded by at
-// most `bound` goroutines (<= 0 selects GOMAXPROCS), and returns the
-// per-shard errors. It is the bounded fan-out loop behind parallel
-// shard builds, merges, and snapshot encode/decode — control-plane
-// work, where a goroutine per shard times cores is too many. The query
-// path uses scatterGather, whose fan-out is one goroutine per shard.
-func forEachShard(n, bound int, f func(s int) error) []error {
+// forEachBounded runs f for every index in [0, n) concurrently, bounded
+// by at most `bound` goroutines (<= 0 selects GOMAXPROCS), and returns
+// the per-index errors. Used bare it is the fan-out loop behind
+// parallel shard builds, merges, and snapshot encode/decode —
+// control-plane work every shard must finish; the query paths add
+// sibling cancellation through fanOut.
+func forEachBounded(n, bound int, f func(i int) error) []error {
 	if bound <= 0 {
 		bound = runtime.GOMAXPROCS(0)
 	}
@@ -197,57 +201,4 @@ func mergeLocals(part Partitioner, locals [][]uint32) []uint32 {
 		}
 	}
 	return out
-}
-
-// MergeSeqs interleaves already-ascending id sequences into one
-// ascending sequence, consuming each input lazily (via iter.Pull) — the
-// streaming form of the k-way interleave the scatter-gather executor
-// performs directly (mergeLocals). Inputs must yield comparable ids
-// from the same id space: per-shard *local* answers need the
-// partitioner's global mapping applied first. Nil sequences are
-// skipped, and abandoning the merged sequence early stops every input.
-func MergeSeqs(seqs ...iter.Seq[uint32]) iter.Seq[uint32] {
-	return func(yield func(uint32) bool) {
-		type head struct {
-			v    uint32
-			next func() (uint32, bool)
-			stop func()
-		}
-		heads := make([]head, 0, len(seqs))
-		defer func() {
-			for _, h := range heads {
-				h.stop()
-			}
-		}()
-		for _, s := range seqs {
-			if s == nil {
-				continue
-			}
-			next, stop := iter.Pull(s)
-			v, ok := next()
-			if !ok {
-				stop()
-				continue
-			}
-			heads = append(heads, head{v: v, next: next, stop: stop})
-		}
-		for len(heads) > 0 {
-			mi := 0
-			for i := 1; i < len(heads); i++ {
-				if heads[i].v < heads[mi].v {
-					mi = i
-				}
-			}
-			if !yield(heads[mi].v) {
-				return
-			}
-			if v, ok := heads[mi].next(); ok {
-				heads[mi].v = v
-			} else {
-				heads[mi].stop()
-				heads[mi] = heads[len(heads)-1]
-				heads = heads[:len(heads)-1]
-			}
-		}
-	}
 }

@@ -3,7 +3,6 @@ package setcontain
 import (
 	"context"
 	"errors"
-	"iter"
 	"math/rand"
 	"runtime"
 	"slices"
@@ -31,44 +30,6 @@ func checkGoroutines(t *testing.T, base int) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-}
-
-// TestMergeSeqsEdges pins the degenerate shapes the random TestMergeSeqs
-// rarely draws: no inputs, one input, every input empty, and immediate
-// abandonment — each must terminate cleanly and leak nothing.
-func TestMergeSeqsEdges(t *testing.T) {
-	base := runtime.NumGoroutine()
-
-	if got := slices.Collect(MergeSeqs()); len(got) != 0 {
-		t.Fatalf("MergeSeqs() yielded %v", got)
-	}
-	one := []uint32{3, 17, 29}
-	if got := slices.Collect(MergeSeqs(seqOfSlice(one))); !slices.Equal(got, one) {
-		t.Fatalf("single-input merge: %v, want %v", got, one)
-	}
-	empties := MergeSeqs(seqOfSlice(nil), seqOfSlice([]uint32{}), nil)
-	if got := slices.Collect(empties); len(got) != 0 {
-		t.Fatalf("all-empty merge yielded %v", got)
-	}
-
-	// Abandon at every prefix length, including before the first yield;
-	// each input's pull iterator must be stopped, not left suspended.
-	inputs := [][]uint32{{1, 4, 7}, {2, 5, 8}, {3, 6, 9}}
-	for stop := 0; stop <= 9; stop++ {
-		var prefix []uint32
-		for id := range MergeSeqs(seqOfSlice(inputs[0]), seqOfSlice(inputs[1]), seqOfSlice(inputs[2])) {
-			if len(prefix) == stop {
-				break
-			}
-			prefix = append(prefix, id)
-		}
-		for i, id := range prefix {
-			if id != uint32(i+1) {
-				t.Fatalf("stop=%d: prefix %v not the merged prefix", stop, prefix)
-			}
-		}
-	}
-	checkGoroutines(t, base)
 }
 
 // TestMergeLocalsEdges: the eager k-way interleave must reproduce the
@@ -204,37 +165,5 @@ func TestScatterGatherMergesThroughPartitioner(t *testing.T) {
 		if !slices.Equal(got, want) {
 			t.Fatalf("scheme %d: merged %v, want 1..30", part.Scheme(), got)
 		}
-	}
-}
-
-// TestMergeSeqsMatchesMergeLocals ties the lazy and eager merges
-// together: mapping each shard's locals to globals and MergeSeqs-ing
-// them must equal mergeLocals on the raw locals.
-func TestMergeSeqsMatchesMergeLocals(t *testing.T) {
-	rng := rand.New(rand.NewSource(99))
-	part := NewRoundRobinPartitioner(4)
-	locals := make([][]uint32, 4)
-	for g := uint32(1); g <= 300; g++ {
-		if rng.Intn(2) == 0 {
-			continue
-		}
-		s, local := part.Locate(g)
-		locals[s] = append(locals[s], local)
-	}
-	seqs := make([]iter.Seq[uint32], 4)
-	for s := range seqs {
-		shard, ids := s, locals[s]
-		seqs[s] = func(yield func(uint32) bool) {
-			for _, local := range ids {
-				if !yield(part.GlobalOf(shard, local)) {
-					return
-				}
-			}
-		}
-	}
-	lazy := slices.Collect(MergeSeqs(seqs...))
-	eager := mergeLocals(part, locals)
-	if !slices.Equal(lazy, eager) && !(len(lazy) == 0 && len(eager) == 0) {
-		t.Fatalf("lazy merge %v != eager merge %v", lazy, eager)
 	}
 }

@@ -77,28 +77,14 @@ func (c Config) Filled() Config {
 	return c
 }
 
-// waiter carries one query through the batcher: the request fields its
-// submitter fills, and the result fields the dispatcher publishes
-// before signalling done. A non-nil expr routes the waiter through the
-// expression batch path (shared-subtree caching, optional limit)
-// instead of the single-predicate one. Waiters recycle through a
-// sync.Pool, so the warm path submits and completes queries without
-// allocating.
+// waiter carries one request through the batcher: the submitter fills
+// item, the dispatcher copies it into its arena and publishes the
+// answered item (Out/Err set) back before signalling done. Waiters
+// recycle through a sync.Pool, so the warm path submits and completes
+// queries without allocating.
 type waiter struct {
-	ctx   context.Context
-	q     setcontain.Query
-	expr  *setcontain.Expr
-	limit int
-	dst   []uint32
-
-	out  []uint32
-	err  error
+	item setcontain.BatchItem
 	done chan struct{} // capacity 1; recycled with the waiter
-}
-
-func (w *waiter) reset() {
-	w.ctx, w.q, w.expr, w.limit = nil, setcontain.Query{}, nil, 0
-	w.dst, w.out, w.err = nil, nil, nil
 }
 
 // Batcher coalesces concurrent queries into micro-batches dispatched
@@ -162,79 +148,60 @@ func (b *Batcher) Close() {
 // the batcher closed) while a dispatcher may still be writing into dst
 // — the buffer is forfeited and must not be reused.
 func (b *Batcher) Do(ctx context.Context, dst []uint32, q setcontain.Query) ([]uint32, error) {
-	if err := ctx.Err(); err != nil {
-		return dst, err
-	}
-	if b.closed.Load() {
-		return dst, ErrClosed
-	}
-	w := b.getWaiter()
-	w.ctx, w.q, w.dst = ctx, q, dst
-	return b.submit(ctx, w, dst)
+	return b.submit(setcontain.BatchItem{Ctx: ctx, Query: q, Dst: dst})
 }
 
-// DoExpr submits one boolean expression with the same coalescing,
-// admission control, and buffer contract as Do. A one-leaf expression
-// rides the single-predicate batch path; multi-leaf expressions join
-// the same micro-batches through Store.ExecExprBatchAppend, where
-// subtrees shared across the batch evaluate once on the shared warm
-// reader (the cross-query subexpression cache).
-func (b *Batcher) DoExpr(ctx context.Context, dst []uint32, e *setcontain.Expr) ([]uint32, error) {
-	return b.DoExprLimit(ctx, dst, e, 0)
-}
-
-// DoExprLimit submits one boolean expression whose answer is truncated
+// DoExprLimit submits one boolean expression with the same coalescing,
+// admission control, and buffer contract as Do; its answer is truncated
 // to its first `limit` ids with early-exit evaluation (0 means no
-// limit, negative returns setcontain.ErrNegativeLimit); otherwise
-// exactly DoExpr.
+// limit, negative returns setcontain.ErrNegativeLimit). Expressions
+// join the same micro-batches as plain queries: Store.ExecBatchAppend
+// runs one-leaf unlimited ones straight on the shared warm reader and
+// plans the rest together, evaluating subtrees shared across the batch
+// once (the cross-query subexpression cache).
 func (b *Batcher) DoExprLimit(ctx context.Context, dst []uint32, e *setcontain.Expr, limit int) ([]uint32, error) {
 	if limit < 0 {
 		return dst, setcontain.ErrNegativeLimit
 	}
-	if limit == 0 {
-		if q, ok := e.AsQuery(); ok {
-			return b.Do(ctx, dst, q)
-		}
+	if e == nil {
+		// A BatchItem without an Expr means "answer Query".
+		return dst, errors.New("serve: nil expression")
 	}
+	return b.submit(setcontain.BatchItem{Ctx: ctx, Expr: e, Limit: limit, Dst: dst})
+}
+
+// submit admits one request and blocks for its result — the admission
+// and completion halves shared by Do and DoExprLimit.
+func (b *Batcher) submit(item setcontain.BatchItem) ([]uint32, error) {
+	ctx, dst := item.Ctx, item.Dst
 	if err := ctx.Err(); err != nil {
 		return dst, err
 	}
 	if b.closed.Load() {
 		return dst, ErrClosed
 	}
-	w := b.getWaiter()
-	w.ctx, w.expr, w.limit, w.dst = ctx, e, limit, dst
-	return b.submit(ctx, w, dst)
-}
-
-func (b *Batcher) getWaiter() *waiter {
 	w, _ := b.waiters.Get().(*waiter)
 	if w == nil {
 		w = &waiter{done: make(chan struct{}, 1)}
 	}
-	return w
-}
-
-// submit enqueues an already-filled waiter and blocks for its result —
-// the admission and completion halves shared by Do and DoExprLimit.
-func (b *Batcher) submit(ctx context.Context, w *waiter, dst []uint32) ([]uint32, error) {
+	w.item = item
 	select {
 	case b.reqCh <- w:
 	default:
-		w.reset()
+		w.item = setcontain.BatchItem{}
 		b.waiters.Put(w)
 		b.rejected.Add(1)
 		return dst, ErrSaturated
 	}
 	select {
 	case <-w.done:
-		out, err := w.out, w.err
+		out, err := w.item.Out, w.item.Err
 		if out == nil {
 			// Failed item: the dispatcher never extended dst, so hand
 			// the caller's buffer back with the error.
 			out = dst
 		}
-		w.reset()
+		w.item = setcontain.BatchItem{}
 		b.waiters.Put(w)
 		return out, err
 	case <-ctx.Done():
@@ -254,7 +221,6 @@ func (b *Batcher) run() {
 	defer b.wg.Done()
 	batch := make([]*waiter, 0, b.cfg.MaxBatch)
 	items := make([]setcontain.BatchItem, b.cfg.MaxBatch)
-	eitems := make([]setcontain.ExprBatchItem, b.cfg.MaxBatch)
 	timer := time.NewTimer(time.Hour)
 	if !timer.Stop() {
 		<-timer.C
@@ -268,7 +234,7 @@ func (b *Batcher) run() {
 			batch = append(batch, w)
 		}
 		batch = b.fill(batch, timer)
-		b.exec(batch, items, eitems)
+		b.exec(batch, items)
 		batch = batch[:0]
 	}
 }
@@ -313,62 +279,29 @@ func (b *Batcher) fill(batch []*waiter, timer *time.Timer) []*waiter {
 	return batch
 }
 
-// exec partitions the batch into plain queries and expressions,
-// dispatches each part through its batch entry point
-// (Store.ExecBatchAppend / Store.ExecExprBatchAppend — the latter
-// evaluates subtrees shared across the batch once), and publishes each
-// waiter's result. items and eitems are the dispatcher's reusable
-// arenas.
-func (b *Batcher) exec(batch []*waiter, items []setcontain.BatchItem, eitems []setcontain.ExprBatchItem) {
+// exec dispatches the batch through Store.ExecBatchAppend — one call,
+// one warm reader, subtrees shared across the batch evaluated once —
+// and publishes each waiter's result. items is the dispatcher's
+// reusable arena.
+func (b *Batcher) exec(batch []*waiter, items []setcontain.BatchItem) {
 	n := len(batch)
 	if n == 0 {
 		return
 	}
-	nq, ne := 0, 0
-	for _, w := range batch {
-		if w.expr != nil {
-			eitems[ne] = setcontain.ExprBatchItem{Ctx: w.ctx, Expr: w.expr, Limit: w.limit, Dst: w.dst}
-			ne++
+	for i, w := range batch {
+		items[i] = w.item
+	}
+	processed, err := b.store.ExecBatchAppend(b.ctx, items[:n])
+	if err != nil && b.closed.Load() {
+		err = ErrClosed
+	}
+	for i, w := range batch {
+		if i < processed {
+			w.item = items[i]
 		} else {
-			items[nq] = setcontain.BatchItem{Ctx: w.ctx, Query: w.q, Dst: w.dst}
-			nq++
+			w.item.Err = err
 		}
-	}
-	var qProcessed, eProcessed int
-	var qErr, eErr error
-	if nq > 0 {
-		qProcessed, qErr = b.store.ExecBatchAppend(b.ctx, items[:nq])
-	}
-	if ne > 0 {
-		eProcessed, eErr = b.store.ExecExprBatchAppend(b.ctx, eitems[:ne])
-	}
-	if b.closed.Load() {
-		if qErr != nil {
-			qErr = ErrClosed
-		}
-		if eErr != nil {
-			eErr = ErrClosed
-		}
-	}
-	iq, ie := 0, 0
-	for _, w := range batch {
-		if w.expr != nil {
-			if ie < eProcessed {
-				w.out, w.err = eitems[ie].Out, eitems[ie].Err
-			} else {
-				w.out, w.err = nil, eErr
-			}
-			eitems[ie] = setcontain.ExprBatchItem{} // drop buffer references
-			ie++
-		} else {
-			if iq < qProcessed {
-				w.out, w.err = items[iq].Out, items[iq].Err
-			} else {
-				w.out, w.err = nil, qErr
-			}
-			items[iq] = setcontain.BatchItem{} // drop buffer references
-			iq++
-		}
+		items[i] = setcontain.BatchItem{} // drop buffer references
 		select {
 		case w.done <- struct{}{}:
 		default:
@@ -384,7 +317,7 @@ func (b *Batcher) drain() {
 	for {
 		select {
 		case w := <-b.reqCh:
-			w.out, w.err = nil, ErrClosed
+			w.item.Err = ErrClosed
 			select {
 			case w.done <- struct{}{}:
 			default:

@@ -13,7 +13,7 @@
 //
 //	POST /query    — batch of queries in, NDJSON answer chunks out
 //	GET  /query    — single query via ?q=subset{3 17} (setcontain.ParseExpr)
-//	GET  /stream   — one query streamed chunk-by-chunk with flushes
+//	GET  /stream   — GET /query with a flush after every chunk
 //	GET  /stats    — batcher histogram, store cache counters, shard and
 //	                 expression-planner accounting
 //	GET  /healthz  — liveness plus index identity and mutation state
@@ -22,14 +22,16 @@
 // setcontain.ParseExpr grammar — GET ?q= accepts the full form
 // (`?q=subset{1 2} and not superset{3}`, URL-encoded), and a POST spec
 // carries either the structured {"pred","items"} pair or the same text
-// under {"expr"}. A plain predicate is the one-leaf degenerate
-// expression and behaves exactly as before: it rides the micro-batch
-// path. Multi-leaf expressions dispatch on a pooled reader through the
-// store's cost-based planner, which orders AND legs rarest-first and
-// short-circuits the rest when an intermediate empties; /stats reports
-// that accounting under "planner". A query string that fails to parse
-// answers 400 with a JSON body carrying the error and the byte offset
-// of the failing token.
+// under {"expr"}. Every query, whatever its shape or endpoint, is
+// submitted through Batcher.DoExprLimit and rides the same micro-batch
+// into Store.ExecBatchAppend. There a plain predicate — the one-leaf
+// expression with no limit — runs straight on the batch's pooled
+// reader; everything else goes through the store's cost-based planner,
+// which orders AND legs rarest-first, short-circuits the rest when an
+// intermediate empties, and evaluates subtrees shared across the batch
+// once; /stats reports that accounting under "planner". A query string
+// that fails to parse answers 400 with a JSON body carrying the error
+// and the byte offset of the failing token.
 //
 // The /admin endpoints mutate the live collection (serialized by an
 // internal lock; queries keep flowing on the store's pooled readers):
@@ -53,11 +55,12 @@
 // -snapshot` loads at boot — a warm daemon restarts without rebuilding
 // from the raw dataset.
 //
-// Answers stream as NDJSON chunks backed by the iter.Seq variants, so a
-// huge answer set never materializes in the response path. Admission is
-// bounded: when Config.MaxPending queries are already queued, new ones
-// are refused with ErrSaturated (HTTP 429) instead of growing an
-// unbounded backlog, and every request's context deadline propagates
-// into the Store's interrupt hook, so a disconnected or expired client
-// stops its query mid-scan.
+// Answers stream as NDJSON chunks of at most Config.ChunkIDs ids, so a
+// huge answer set is never encoded as one JSON document; /stream
+// additionally flushes each chunk to the client as it is written.
+// Admission is bounded: when Config.MaxPending queries are already
+// queued, new ones are refused with ErrSaturated (HTTP 429) instead of
+// growing an unbounded backlog, and every request's context deadline
+// propagates into the Store's interrupt hook, so a disconnected or
+// expired client stops its query mid-scan.
 package serve

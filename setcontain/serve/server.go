@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"iter"
 	"net/http"
 	"strconv"
 	"sync"
@@ -216,23 +215,62 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		writeQueryError(w, err, status)
 		return
 	}
-	ctx := r.Context()
+	s.answer(r.Context(), w, qs, nil)
+}
+
+// handleStream is GET /query with a flush after every NDJSON chunk, so
+// a client consumes an arbitrarily large answer incrementally. The
+// query goes through the batcher like any other (admission control and
+// micro-batching included), and a client that disconnects cancels the
+// request context, which interrupts the Store execution between
+// list-block reads and stops the chunk loop once streaming has begun.
+func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
+	if r.Method != http.MethodGet {
+		http.Error(w, "serve: GET only", http.StatusMethodNotAllowed)
+		return
+	}
+	qs, err := parseRequest(r)
+	if err != nil {
+		writeQueryError(w, err, http.StatusBadRequest)
+		return
+	}
+	flusher, _ := w.(http.Flusher)
+	switch err := s.answer(r.Context(), w, qs, flusher); {
+	case err == nil:
+		s.streamsServed.Add(1)
+	case !errors.Is(err, ErrSaturated):
+		s.streamsAborted.Add(1)
+	}
+}
+
+// answer submits the parsed queries to the batcher one by one and
+// streams each answer as NDJSON chunks in query order, flushing every
+// chunk when flusher is non-nil. It returns nil once every query was
+// answered in full, else the first error that kept one from being: the
+// client's (ctx ended or a write failed — the response stops there),
+// ErrSaturated before the first byte (the request is refused with 429),
+// or a query's own (reported on its final line; the rest still run).
+func (s *Server) answer(ctx context.Context, w http.ResponseWriter, qs []exprReq, flusher http.Flusher) error {
 	enc := json.NewEncoder(w)
 	started := false
+	start := func() {
+		if !started {
+			started = true
+			w.Header().Set("Content-Type", "application/x-ndjson")
+		}
+	}
+	var failed error
 	for i, q := range qs {
 		// Buffer ownership follows DoExprLimit's contract: a non-nil out
 		// is ours to recycle, a nil out is forfeited to a live dispatcher.
 		out, err := s.batcher.DoExprLimit(ctx, s.getBuf(), q.expr, q.limit)
 		switch {
 		case err == nil:
-			if !started {
-				started = true
-				w.Header().Set("Content-Type", "application/x-ndjson")
-			}
-			werr := s.writeIDs(ctx, enc, i, out)
+			start()
+			werr := s.writeIDs(ctx, enc, flusher, i, out)
 			s.putBuf(out)
 			if werr != nil {
-				return // client gone; remaining queries were never admitted
+				return werr // client gone; remaining queries were never admitted
 			}
 		case errors.Is(err, ErrSaturated) && !started:
 			// Nothing written yet: refuse the whole request so the
@@ -240,29 +278,31 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			w.Header().Set("Retry-After", "1")
 			http.Error(w, err.Error(), http.StatusTooManyRequests)
 			s.putBuf(out)
-			return
+			return err
 		case ctx.Err() != nil:
 			// Client disconnected or deadline passed; the buffer may
 			// still be owned by a dispatcher — forfeited.
-			return
+			return ctx.Err()
 		default:
-			if !started {
-				started = true
-				w.Header().Set("Content-Type", "application/x-ndjson")
-			}
+			start()
 			if werr := enc.Encode(Result{Query: i, Done: true, Error: err.Error()}); werr != nil {
-				return
+				return werr
 			}
 			if out != nil {
 				s.putBuf(out)
 			}
+			if failed == nil {
+				failed = err
+			}
 		}
 	}
+	return failed
 }
 
 // writeIDs streams one query's materialized answer as NDJSON chunks of
-// at most cfg.ChunkIDs ids, honouring ctx between chunks.
-func (s *Server) writeIDs(ctx context.Context, enc *json.Encoder, query int, ids []uint32) error {
+// at most cfg.ChunkIDs ids, honouring ctx between chunks and flushing
+// each chunk when flusher is non-nil.
+func (s *Server) writeIDs(ctx context.Context, enc *json.Encoder, flusher http.Flusher, query int, ids []uint32) error {
 	chunk := s.cfg.ChunkIDs
 	total := len(ids)
 	for len(ids) > chunk {
@@ -272,99 +312,15 @@ func (s *Server) writeIDs(ctx context.Context, enc *json.Encoder, query int, ids
 		if err := enc.Encode(Result{Query: query, IDs: ids[:chunk], More: true}); err != nil {
 			return err
 		}
+		if flusher != nil {
+			flusher.Flush()
+		}
 		ids = ids[chunk:]
 	}
 	if err := ctx.Err(); err != nil {
 		return err
 	}
 	return enc.Encode(Result{Query: query, IDs: ids, Done: true, Count: total})
-}
-
-// handleStream answers one ?q= query — a single predicate or a full
-// boolean expression — through the Store's iter.Seq streaming variant,
-// flushing each NDJSON chunk as it forms: the
-// response path holds at most one chunk of ids as JSON, so the client
-// can consume arbitrarily large answers incrementally. (The current
-// engines still compute the full answer slice before the sequence
-// yields — see Index.SubsetSeq for that contract; the handler inherits
-// engine-side streaming the day an engine provides it.) A client that
-// disconnects cancels the request context, which interrupts the Store
-// execution between list-block reads while the query is running and
-// stops the chunk loop once streaming has begun.
-func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		http.Error(w, "serve: GET only", http.StatusMethodNotAllowed)
-		return
-	}
-	limit, err := parseLimit(r)
-	if err != nil {
-		writeQueryError(w, err, http.StatusBadRequest)
-		return
-	}
-	expr, err := setcontain.ParseExpr(r.URL.Query().Get("q"))
-	if err != nil {
-		writeQueryError(w, err, http.StatusBadRequest)
-		return
-	}
-	ctx := r.Context()
-	var seq iter.Seq[uint32]
-	if limit > 0 {
-		seq, err = s.store.ExecExprLimitSeq(ctx, expr, limit)
-	} else {
-		seq, err = s.store.ExecExprSeq(ctx, expr)
-	}
-	if err != nil {
-		if ctx.Err() != nil {
-			s.streamsAborted.Add(1)
-			return
-		}
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	flusher, _ := w.(http.Flusher)
-	if err := s.streamSeq(ctx, w, flusher, seq); err != nil {
-		s.streamsAborted.Add(1)
-		return
-	}
-	s.streamsServed.Add(1)
-}
-
-// streamSeq consumes seq in cfg.ChunkIDs-sized chunks, encoding and
-// flushing each as an NDJSON line.
-func (s *Server) streamSeq(ctx context.Context, w http.ResponseWriter, flusher http.Flusher, seq iter.Seq[uint32]) error {
-	enc := json.NewEncoder(w)
-	buf := make([]uint32, 0, s.cfg.ChunkIDs)
-	count := 0
-	var werr error
-	flush := func(more bool) bool {
-		if werr = ctx.Err(); werr != nil {
-			return false
-		}
-		res := Result{IDs: buf, More: more}
-		if !more {
-			res.Done, res.Count = true, count
-		}
-		if werr = enc.Encode(res); werr != nil {
-			return false
-		}
-		if flusher != nil {
-			flusher.Flush()
-		}
-		buf = buf[:0]
-		return true
-	}
-	for id := range seq {
-		buf = append(buf, id)
-		count++
-		if len(buf) == cap(buf) && !flush(true) {
-			return werr
-		}
-	}
-	if !flush(false) {
-		return werr
-	}
-	return nil
 }
 
 // handleStats reports the serving-side counters; see StatsResponse.

@@ -326,9 +326,9 @@ func TestServerStreamClientDisconnect(t *testing.T) {
 }
 
 // TestServerSaturation429 parks the dispatcher, fills the admission
-// queue, and checks a fresh request is refused with 429 and a
-// Retry-After header — then releases the gate and checks the queued
-// request completes.
+// queue, and checks a fresh request — POST /query or GET /stream — is
+// refused with 429 and a Retry-After header, then releases the gate
+// and checks the queued request completes.
 func TestServerSaturation429(t *testing.T) {
 	c, _, srv, ts := newTestServer(t, serve.Config{
 		MaxBatch:    1,
@@ -372,18 +372,43 @@ func TestServerSaturation429(t *testing.T) {
 		return srv.Batcher().Stats().Pending == 1
 	})
 
-	// The queue is full: the next request must shed with 429.
-	resp, err := post(queries[2])
-	if err != nil {
+	// The queue is full: the next request must shed with 429 before its
+	// first response byte — on /query and on /stream alike, which is
+	// admitted through the same batcher.
+	for _, shed := range []struct {
+		name string
+		do   func() (*http.Response, error)
+	}{
+		{"POST /query", func() (*http.Response, error) { return post(queries[2]) }},
+		{"GET /stream", func() (*http.Response, error) {
+			return http.Get(ts.URL + "/stream?q=" + strings.ReplaceAll(queries[2].String(), " ", "+"))
+		}},
+	} {
+		resp, err := shed.do()
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusTooManyRequests {
+			t.Fatalf("%s: status %d, want 429", shed.name, resp.StatusCode)
+		}
+		if resp.Header.Get("Retry-After") == "" {
+			t.Errorf("%s: 429 without Retry-After", shed.name)
+		}
+		if bytes.Contains(body, []byte(`"query"`)) {
+			t.Errorf("%s: 429 body carries result lines: %q", shed.name, body)
+		}
+	}
+	// A shed stream is neither served nor aborted.
+	rec := httptest.NewRecorder()
+	srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/stats", nil))
+	var st serve.StatsResponse
+	if err := json.NewDecoder(rec.Body).Decode(&st); err != nil {
 		t.Fatal(err)
 	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusTooManyRequests {
-		t.Fatalf("status %d, want 429", resp.StatusCode)
-	}
-	if resp.Header.Get("Retry-After") == "" {
-		t.Error("429 without Retry-After")
+	if st.Streams.Served != 0 || st.Streams.Aborted != 0 {
+		t.Errorf("shed stream counted: %+v", st.Streams)
 	}
 
 	close(gate.gate)

@@ -133,7 +133,7 @@ func (s *Server) handleShardQuery(w http.ResponseWriter, r *http.Request) {
 	switch {
 	case err == nil:
 		w.Header().Set("Content-Type", "application/x-ndjson")
-		werr := s.writeIDs(ctx, json.NewEncoder(w), 0, out)
+		werr := s.writeIDs(ctx, json.NewEncoder(w), nil, 0, out)
 		s.putBuf(out)
 		_ = werr // client gone mid-answer; nothing more to do
 	case errors.Is(err, ErrSaturated):

@@ -260,7 +260,7 @@ func TestSaveLoadPublicAPI(t *testing.T) {
 	if err := ix.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := LoadIndex(&buf, Options{})
+	loaded, err := Open(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -296,7 +296,7 @@ func TestSaveLoadPublicAPI(t *testing.T) {
 		t.Fatalf("IF reload kind = %v", invBack.Kind())
 	}
 	// Garbage input fails cleanly.
-	if _, err := LoadIndex(bytes.NewReader([]byte("junk")), Options{}); err == nil {
+	if _, err := Open(bytes.NewReader([]byte("junk"))); err == nil {
 		t.Fatal("junk snapshot accepted")
 	}
 }

@@ -127,10 +127,10 @@ func (c *inprocClient) Session(cachePages int) (ShardSession, error) {
 	return &inprocSession{c: c, r: r}, nil
 }
 
-// profile returns the client's cached planning profile, recomputing it
+// Supports returns the client's cached planning profile, recomputing it
 // after a mutation dropped it. Sessions plan pushed-down expressions
 // against it; staleness only skews cost estimates, never answers.
-func (c *inprocClient) profile() *SupportProfile {
+func (c *inprocClient) Supports() *SupportProfile {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.prof == nil {
@@ -177,9 +177,11 @@ func (c *inprocClient) Snapshot(_ context.Context, w io.Writer) error { return c
 
 func (c *inprocClient) Close() error { return nil }
 
-// inprocSession answers on an isolated reader; pushed-down expressions
-// are planned locally against the client's cached supports, exactly
-// like a remote shard daemon plans against its own.
+// inprocSession answers on an isolated reader through the same request
+// core as Store (BatchItem.prepare/exec): pushed-down expressions are
+// planned locally against the client's cached supports, exactly like a
+// remote shard daemon plans against its own. The coordinator's
+// SetInterrupt hook, not ctx, interrupts a running evaluation.
 type inprocSession struct {
 	c    *inprocClient
 	r    *Reader
@@ -197,14 +199,15 @@ func (s *inprocSession) AppendExpr(ctx context.Context, dst []uint32, expr *Expr
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	if q, ok := expr.AsQuery(); ok && limit == 0 {
-		return s.r.EvalAppend(dst, q)
+	if expr == nil {
+		return nil, errNilExpr
 	}
-	plan, err := PlanExpr(expr, s.c.profile())
-	if err != nil {
-		return nil, err
+	it := BatchItem{Expr: expr, Limit: limit, Dst: dst}
+	it.prepare(s.c)
+	if it.Err != nil {
+		return nil, it.Err
 	}
-	ids, _, err := s.eval.EvalLimitAppend(dst, plan, s.r, limit)
+	ids, _, err := it.exec(ctx, s.r, &s.eval, nil)
 	return ids, err
 }
 
@@ -287,6 +290,19 @@ func (e *clientEngine) session() (ShardSession, error) {
 	return e.sess, nil
 }
 
+// dropSession retires the engine-level session after a mutation: a
+// session may answer from the snapshot it opened on (the in-process one
+// does), and Engine promises the next query sees the mutation.
+func (e *clientEngine) dropSession() {
+	e.mu.Lock()
+	sess := e.sess
+	e.sess = nil
+	e.mu.Unlock()
+	if sess != nil {
+		sess.Close() // best effort: the replacement opens on next use
+	}
+}
+
 func (e *clientEngine) eval(q Query) ([]uint32, error) {
 	sess, err := e.session()
 	if err != nil {
@@ -306,6 +322,7 @@ func (e *clientEngine) Insert(set []Item) (uint32, error) {
 	}
 	e.info.Records++
 	e.info.Pending++
+	e.dropSession()
 	return id, nil
 }
 
@@ -314,6 +331,7 @@ func (e *clientEngine) Delete(local uint32) error {
 		return err
 	}
 	e.info.Deleted++
+	e.dropSession()
 	return nil
 }
 
@@ -330,6 +348,7 @@ func (e *clientEngine) MergeDelta() error {
 		return err
 	}
 	e.info = info
+	e.dropSession()
 	return nil
 }
 

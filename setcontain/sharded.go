@@ -116,7 +116,7 @@ func buildShardedWith(ds *dataset.Dataset, opts Options, part Partitioner) (Engi
 		plans:  make([]ShardPlan, n),
 		domain: ds.DomainSize(),
 	}
-	errs := forEachShard(n, par, func(s int) error {
+	errs := forEachBounded(n, par, func(s int) error {
 		shardEng, plan, err := buildShard(subs[s], colls[s], opts)
 		if err != nil {
 			return err
@@ -318,7 +318,7 @@ func (e *shardedEngine) Deleted() int {
 // MergeDelta folds every shard's pending inserts and tombstones in
 // parallel.
 func (e *shardedEngine) MergeDelta() error {
-	return errors.Join(forEachShard(len(e.shards), 0, func(s int) error {
+	return errors.Join(forEachBounded(len(e.shards), 0, func(s int) error {
 		return e.shards[s].MergeDelta()
 	})...)
 }

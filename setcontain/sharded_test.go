@@ -5,7 +5,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"iter"
 	"math/rand"
 	"slices"
 	"sync"
@@ -401,54 +400,6 @@ func TestShardedInsertFailureKeepsRouting(t *testing.T) {
 		}
 		if !slices.Equal(got, want) && !(len(got) == 0 && len(want) == 0) {
 			t.Fatalf("%s: answers diverged after injected failure: %v vs %v", q, got, want)
-		}
-	}
-}
-
-// TestMergeSeqs checks the k-way merge against a sort-based reference,
-// including empty, nil, and abandoned-early iteration.
-func TestMergeSeqs(t *testing.T) {
-	rng := rand.New(rand.NewSource(61))
-	for trial := 0; trial < 100; trial++ {
-		k := 1 + rng.Intn(6)
-		var all []uint32
-		seqs := make([]iter.Seq[uint32], 0, k+1)
-		for s := 0; s < k; s++ {
-			n := rng.Intn(20)
-			ids := make([]uint32, n)
-			for i := range ids {
-				ids[i] = uint32(rng.Intn(1000))
-			}
-			slices.Sort(ids)
-			all = append(all, ids...)
-			seqs = append(seqs, seqOfSlice(ids))
-		}
-		seqs = append(seqs, nil) // nil inputs are skipped
-		slices.Sort(all)
-		if got := slices.Collect(MergeSeqs(seqs...)); !slices.Equal(got, all) && len(all) > 0 {
-			t.Fatalf("trial %d: merged %v, want %v", trial, got, all)
-		}
-		// Abandoning early must not deadlock or over-consume.
-		limit := rng.Intn(len(all) + 1)
-		var prefix []uint32
-		for id := range MergeSeqs(seqs...) {
-			if len(prefix) == limit {
-				break
-			}
-			prefix = append(prefix, id)
-		}
-		if !slices.Equal(prefix, all[:len(prefix)]) {
-			t.Fatalf("trial %d: prefix %v diverges from %v", trial, prefix, all)
-		}
-	}
-}
-
-func seqOfSlice(ids []uint32) iter.Seq[uint32] {
-	return func(yield func(uint32) bool) {
-		for _, id := range ids {
-			if !yield(id) {
-				return
-			}
 		}
 	}
 }

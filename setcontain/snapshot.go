@@ -154,7 +154,7 @@ func (e *shardedEngine) Save(w io.Writer) error {
 func (e *shardedEngine) saveShardedPayload(w io.Writer) error {
 	n := len(e.shards)
 	bufs := make([]bytes.Buffer, n)
-	errs := forEachShard(n, 0, func(s int) error {
+	errs := forEachBounded(n, 0, func(s int) error {
 		return e.shards[s].Save(&bufs[s])
 	})
 	for s, err := range errs {
@@ -287,7 +287,7 @@ func loadShardedPayload(r io.Reader, o Options) (Engine, error) {
 	}
 
 	shards := make([]Engine, n)
-	errs := forEachShard(n, 0, func(s int) error {
+	errs := forEachBounded(n, 0, func(s int) error {
 		eng, err := openEngine(bytes.NewReader(frames[s]), o, true)
 		if err != nil {
 			return err

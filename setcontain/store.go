@@ -2,9 +2,8 @@ package setcontain
 
 import (
 	"context"
+	"errors"
 	"fmt"
-	"iter"
-	"runtime"
 	"sync"
 	"sync/atomic"
 )
@@ -15,7 +14,9 @@ import (
 // call borrows an isolated reader (cache and statistics included) and
 // returns it when done.
 //
-// Exec and ExecBatch honour context cancellation: the borrowed reader's
+// Every Exec* form is a thin adapter over one request core (Store.run),
+// so the forms differ only in how the request and its answer are
+// spelled. All of them honour context cancellation: the borrowed reader's
 // buffer pool checks ctx.Err between list-block reads, so even a query
 // scanning a long inverted list stops promptly, returning ctx.Err().
 // Over a Sharded index each pooled reader carries one isolated reader
@@ -81,17 +82,17 @@ type storeReader struct {
 	eval Evaluator
 
 	// Cancellation state consulted by hook: batch spans a whole
-	// Exec/ExecBatchAppend call, item narrows to the query currently
-	// executing. hook is created once per storeReader and reused, so
-	// arming cancellation on the hot path allocates nothing.
+	// Store.run call, item narrows to the request currently executing.
+	// hook is created once per storeReader and reused, so arming
+	// cancellation on the hot path allocates nothing.
 	batch context.Context
 	item  context.Context
 	hook  func() error
 }
 
 // arm installs the reader's reusable interrupt hook scoped to batch
-// (and initially item = batch); ExecBatchAppend narrows item per query.
-// disarm clears the hook and drops the context references.
+// (and initially item = batch); Store.run narrows item per request, and
+// release clears the hook again.
 func (e *storeReader) arm(batch context.Context) {
 	if e.hook == nil {
 		e.hook = func() error {
@@ -103,11 +104,6 @@ func (e *storeReader) arm(batch context.Context) {
 	}
 	e.batch, e.item = batch, batch
 	e.r.setInterrupt(e.hook)
-}
-
-func (e *storeReader) disarm() {
-	e.r.setInterrupt(nil)
-	e.batch, e.item = nil, nil
 }
 
 // NewStore returns a store over ix whose pooled readers each carry a
@@ -216,7 +212,8 @@ func (s *Store) acquire() (*storeReader, error) {
 }
 
 func (s *Store) release(e *storeReader) {
-	e.disarm()
+	e.r.setInterrupt(nil)
+	e.batch, e.item = nil, nil
 	s.accumulate(e)
 	if e.gen == s.gen.Load() {
 		s.readers.Put(e)
@@ -286,161 +283,115 @@ func (s *Store) Stats() StoreStats {
 	}
 }
 
-// Exec answers q on a pooled reader. It is safe for any number of
-// concurrent callers. Cancellation of ctx is checked before the query
-// and between list-block reads during it; the returned error is then
-// ctx.Err() (context.Canceled or context.DeadlineExceeded).
-func (s *Store) Exec(ctx context.Context, q Query) ([]uint32, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	e, err := s.acquire()
-	if err != nil {
-		return nil, err
-	}
-	defer s.release(e)
-	if ctx.Done() != nil {
-		e.arm(ctx)
-	}
-	return q.Eval(e.r)
-}
+// ErrNegativeLimit reports a negative first-n limit; the serving layer
+// maps it to a 400.
+var ErrNegativeLimit = errors.New("setcontain: negative limit")
 
-// ExecAppend answers q on a pooled reader, appending the answer to dst
-// and returning the extended slice — the zero-allocation serving form:
-// with an OIF engine, warm caches, and a dst with capacity to spare, a
-// steady-state call performs no heap allocations at all. The dst slice
-// is owned by the caller throughout; pooled readers never retain it.
-// Cancellation behaves exactly like Exec.
-func (s *Store) ExecAppend(ctx context.Context, dst []uint32, q Query) ([]uint32, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	e, err := s.acquire()
-	if err != nil {
-		return nil, err
-	}
-	defer s.release(e)
-	if ctx.Done() != nil {
-		e.arm(ctx)
-	}
-	return e.r.EvalAppend(dst, q)
-}
-
-// ExecSeq answers q as a lazy sequence; the query itself runs eagerly
-// under ctx like Exec, iteration is then cancellation-free.
-func (s *Store) ExecSeq(ctx context.Context, q Query) (iter.Seq[uint32], error) {
-	return seqOf(s.Exec(ctx, q))
-}
-
-// ExecBatch answers the queries concurrently across pooled readers
-// (bounded by GOMAXPROCS) and returns the answers in query order. The
-// first error cancels the remaining queries and is returned; results
-// are nil in that case. A cancelled ctx aborts the whole batch with
-// ctx.Err().
-func (s *Store) ExecBatch(ctx context.Context, qs []Query) ([][]uint32, error) {
-	if len(qs) == 0 {
-		return nil, ctx.Err()
-	}
-	out := make([][]uint32, len(qs))
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(qs) {
-		workers = len(qs)
-	}
-	if workers <= 1 {
-		for i, q := range qs {
-			ids, err := s.Exec(ctx, q)
-			if err != nil {
-				return nil, err
-			}
-			out[i] = ids
-		}
-		return out, nil
-	}
-
-	bctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	var (
-		wg       sync.WaitGroup
-		next     atomic.Int64
-		errOnce  sync.Once
-		firstErr error
-	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(qs) || bctx.Err() != nil {
-					return
-				}
-				ids, err := s.Exec(bctx, qs[i])
-				if err != nil {
-					errOnce.Do(func() {
-						firstErr = err
-						cancel()
-					})
-					return
-				}
-				out[i] = ids
-			}
-		}()
-	}
-	wg.Wait()
-	if firstErr != nil {
-		// Report the caller's cancellation as such, not as the internal
-		// batch cancel it triggered in sibling workers.
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		return nil, firstErr
-	}
-	return out, nil
-}
-
-// BatchItem is one query of an ExecBatchAppend call: the query, its
+// BatchItem is one request of an ExecBatchAppend call: a containment
+// query or a boolean expression, an optional first-n limit, the
 // caller-owned append target, and (after the call) its answer or error.
 type BatchItem struct {
 	// Ctx optionally scopes this item alone: a cancelled or expired
 	// per-item context fails the item with its error without disturbing
 	// the rest of the batch. Nil means the batch context governs.
 	Ctx context.Context
-	// Query is the containment query to answer.
+	// Query is the containment query to answer, unless Expr is set.
 	Query Query
-	// Dst is the append target; the answer is appended to it, and the
-	// extended slice is returned in Out. The caller owns Dst throughout.
+	// Expr, when non-nil, is the boolean expression to answer instead.
+	Expr *Expr
+	// Limit truncates the answer to its first Limit ids with early-exit
+	// evaluation; 0 means the full answer, negative fails the item with
+	// ErrNegativeLimit.
+	Limit int
+	// Dst is the append target; the caller owns it throughout.
 	Dst []uint32
-	// Out receives the extended Dst slice on success, nil on error.
+	// Out receives the extended Dst slice on success — Dst itself when
+	// nothing matched — and nil on error.
 	Out []uint32
-	// Err receives this item's error: nil, the per-item context's
-	// error, or the engine's query error.
+	// Err receives this item's error.
 	Err error
+
+	// plan is the core's leaf-vs-tree decision (see prepare): nil runs
+	// the item as one plain query, straight on the reader.
+	plan *ExprPlan
 }
 
-// ExecBatchAppend answers the items sequentially on a single pooled
-// reader — the arena-friendly fan-in entry point the serve package's
-// micro-batcher dispatches through. Where ExecBatch spreads a batch
-// across readers for parallelism, ExecBatchAppend deliberately shares
-// one: the reader is acquired once, every query reuses its scratch
-// arenas and warm page/decoded caches (hot lists decode once per batch,
-// not once per query), and answers append into the caller-owned Dst
-// slices, so a steady-state batch over a warm OIF store performs no
-// heap allocations at all.
-//
-// Per-item results land in items[i].Out / items[i].Err; a failed item
-// does not disturb its batchmates. The returned count is how many items
-// were processed: it is len(items) unless the batch context ctx is
-// cancelled mid-batch, in which case processing stops, the remaining
-// items are left untouched, and ctx's error is returned. A non-nil
-// item Ctx additionally scopes that item alone — its deadline reaches
-// the reader's interrupt hook, so even an item mid-way through a long
-// list scan stops promptly with items[i].Err = item ctx's error.
-func (s *Store) ExecBatchAppend(ctx context.Context, items []BatchItem) (int, error) {
+// asLeaf returns the item as a plain containment query when it is one
+// (a bare Query or a one-leaf expression, with no limit): the request
+// shape the engines answer directly, so it skips the planner.
+func (it *BatchItem) asLeaf() (Query, bool) {
+	if it.Limit != 0 {
+		return Query{}, false
+	}
+	if it.Expr == nil {
+		return it.Query, true
+	}
+	return it.Expr.AsQuery()
+}
+
+// expr returns the item's request in expression form.
+func (it *BatchItem) expr() *Expr {
+	if it.Expr == nil {
+		return ExprOf(it.Query)
+	}
+	return it.Expr
+}
+
+// supporter is where the core gets the profile it plans against: the
+// Store's generation-cached one, or a shard client's.
+type supporter interface {
+	Supports() *SupportProfile
+}
+
+// prepare is the core's single decision point: it clears the item's
+// results, rejects a negative limit, and plans everything that is not
+// one plain leaf (it.plan stays nil for those).
+func (it *BatchItem) prepare(sup supporter) {
+	it.Out, it.Err, it.plan = nil, nil, nil
+	if it.Limit < 0 {
+		it.Err = ErrNegativeLimit
+		return
+	}
+	if _, leaf := it.asLeaf(); !leaf {
+		it.plan, it.Err = PlanExpr(it.expr(), sup.Supports())
+	}
+}
+
+// exec answers one prepared item on r: the leaf fast path, the sharded
+// scatter (whole plans pushed down to every shard), or planned
+// evaluation through evr with the batch's subexpression cache. The
+// stats are zero unless a plan ran here.
+func (it *BatchItem) exec(ctx context.Context, r *Reader, evr *Evaluator, cse *cseState) ([]uint32, ExprEvalStats, error) {
+	if it.plan == nil {
+		q, _ := it.asLeaf()
+		ids, err := r.EvalAppend(it.Dst, q)
+		return ids, ExprEvalStats{}, err
+	}
+	if sr, ok := r.r.(*shardedReader); ok {
+		return execSharded(ctx, it.Dst, it.expr(), it.plan, sr, it.Limit)
+	}
+	return evr.run(it.Dst, it.plan, r, cse, it.Limit)
+}
+
+// run is the one execution path above the engine; every public Exec*
+// form (and, through prepare/exec, the in-process shard session) is an
+// adapter over it. The items are answered in order on a single pooled
+// reader: each is prepared (leaf or plan), the reader's interrupt hook
+// is armed once and narrowed per item, and planned evaluations are
+// recorded in ExprStats. With share set, plan subtrees repeated across
+// the items evaluate once. The count and error are ExecBatchAppend's.
+func (s *Store) run(ctx context.Context, items []BatchItem, share bool) (int, error) {
 	if err := ctx.Err(); err != nil {
 		return 0, err
 	}
-	if len(items) == 0 {
-		return 0, nil
+	planned := false
+	for i := range items {
+		items[i].prepare(s)
+		planned = planned || items[i].plan != nil
+	}
+	var cse *cseState
+	if share && planned {
+		cse = collectCSE(items)
 	}
 	e, err := s.acquire()
 	if err != nil {
@@ -448,21 +399,25 @@ func (s *Store) ExecBatchAppend(ctx context.Context, items []BatchItem) (int, er
 	}
 	defer s.release(e)
 	// The reader's single reusable interrupt hook serves the whole
-	// batch: it consults the batch context plus whichever item is
-	// currently executing, so cancellation support costs two pointer
-	// reads per page access and no per-item closures.
+	// call: it consults ctx plus whichever item is currently executing,
+	// so cancellation support costs two pointer reads per page access
+	// and no per-item closures.
 	armed := false
+	n := len(items)
 	for i := range items {
-		if err := ctx.Err(); err != nil {
-			return i, err
+		if err = ctx.Err(); err != nil {
+			n = i
+			break
 		}
 		it := &items[i]
+		if it.Err != nil {
+			continue // prepare already failed the item
+		}
 		ictx := it.Ctx
 		if ictx == nil {
 			ictx = ctx
 		}
-		if err := ictx.Err(); err != nil {
-			it.Out, it.Err = nil, err
+		if it.Err = ictx.Err(); it.Err != nil {
 			continue
 		}
 		if !armed && (ictx.Done() != nil || ctx.Done() != nil) {
@@ -472,7 +427,135 @@ func (s *Store) ExecBatchAppend(ctx context.Context, items []BatchItem) (int, er
 		if armed {
 			e.item = ictx
 		}
-		it.Out, it.Err = e.r.EvalAppend(it.Dst, it.Query)
+		var st ExprEvalStats
+		it.Out, st, it.Err = it.exec(ictx, e.r, &e.eval, cse)
+		if it.plan != nil && it.Err == nil {
+			s.noteExprEval(st)
+		}
 	}
-	return len(items), nil
+	// Fold the cache counters even when ctx cut the batch short: the
+	// hits before the cancel were real work saved.
+	s.noteCSE(cse)
+	return n, err
+}
+
+// one runs a single request through the core.
+func (s *Store) one(ctx context.Context, it BatchItem) ([]uint32, error) {
+	items := [1]BatchItem{it}
+	if _, err := s.run(ctx, items[:], false); err != nil {
+		return nil, err
+	}
+	return items[0].Out, items[0].Err
+}
+
+// orEmpty is the plain forms' half of the empty-answer rule: append
+// forms return dst itself when nothing matched (nil stays nil), plain
+// forms a non-nil empty slice.
+func orEmpty(ids []uint32) []uint32 {
+	if ids == nil {
+		return []uint32{}
+	}
+	return ids
+}
+
+// Exec answers q on a pooled reader and returns the ascending ids, a
+// non-nil empty slice when nothing matched. It is safe for any number
+// of concurrent callers. Cancellation of ctx is checked before the
+// query and between list-block reads during it; the returned error is
+// then ctx.Err() (context.Canceled or context.DeadlineExceeded).
+func (s *Store) Exec(ctx context.Context, q Query) ([]uint32, error) {
+	ids, err := s.ExecAppend(ctx, nil, q)
+	if err != nil {
+		return nil, err
+	}
+	return orEmpty(ids), nil
+}
+
+// ExecAppend answers q on a pooled reader, appending the answer to dst
+// and returning the extended slice (dst itself when nothing matched) —
+// the zero-allocation serving form: with an OIF engine, warm caches,
+// and a dst with capacity to spare, a steady-state call performs no
+// heap allocations at all. The dst slice is owned by the caller
+// throughout; pooled readers never retain it. Cancellation behaves
+// exactly like Exec.
+func (s *Store) ExecAppend(ctx context.Context, dst []uint32, q Query) ([]uint32, error) {
+	return s.one(ctx, BatchItem{Query: q, Dst: dst})
+}
+
+// ExecExprAppend answers a boolean expression on a pooled reader,
+// appending the answer to dst. A one-leaf expression is ExecAppend —
+// identical behaviour and cost, and not counted in ExprStats. Anything
+// else is planned: leaves evaluate through the reader's zero-allocation
+// Append path (streaming into the accumulated candidate set where the
+// engine supports it), intermediates recycle inside the reader's
+// persistent evaluator, and over a sharded index the whole plan is
+// pushed down to every shard in parallel. Cancellation behaves like
+// Exec, across every shard.
+func (s *Store) ExecExprAppend(ctx context.Context, dst []uint32, expr *Expr) ([]uint32, error) {
+	return s.ExecExprLimitAppend(ctx, dst, expr, 0)
+}
+
+// ExecExprLimitAppend appends the first n ids of the expression's
+// answer — exactly the prefix of what ExecExprAppend would append —
+// stopping the evaluation as soon as n ids are produced: on
+// cursor-capable engines (the inverted file) postings past the stop
+// point are never decoded, and over a sharded index each shard
+// evaluates under the same per-shard limit before the k-way merge
+// truncates globally. n == 0 means no limit; a negative n returns
+// ErrNegativeLimit. With n > 0 even a one-leaf expression is planned —
+// the limit machinery itself is the fast path.
+func (s *Store) ExecExprLimitAppend(ctx context.Context, dst []uint32, expr *Expr, n int) ([]uint32, error) {
+	if expr == nil {
+		return nil, errNilExpr
+	}
+	return s.one(ctx, BatchItem{Expr: expr, Limit: n, Dst: dst})
+}
+
+// ExecBatch answers the queries concurrently across pooled readers
+// (bounded by GOMAXPROCS) and returns the answers in query order, each
+// as Exec would. The first error cancels the remaining queries and is
+// returned; results are nil in that case. A cancelled ctx aborts the
+// whole batch with ctx.Err().
+func (s *Store) ExecBatch(ctx context.Context, qs []Query) ([][]uint32, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	out := make([][]uint32, len(qs))
+	errs := fanOut(ctx, len(qs), 0, func(cctx context.Context, i int) (err error) {
+		out[i], err = s.Exec(cctx, qs[i])
+		return err
+	})
+	if _, err := firstCause(ctx, errs); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// ExecBatchAppend answers the items sequentially on a single pooled
+// reader — the arena-friendly fan-in entry point the serve package's
+// micro-batcher dispatches through. Where ExecBatch spreads a batch
+// across readers for parallelism, ExecBatchAppend deliberately shares
+// one: every item reuses its scratch arenas and warm page/decoded
+// caches (hot lists decode once per batch, not once per query), and
+// answers append into the caller-owned Dst slices, so a steady-state
+// batch of plain queries over a warm OIF store allocates nothing.
+//
+// Items that are one plain leaf with no limit run straight on the
+// reader. The rest are planned together with common-subexpression
+// elimination: plan subtrees whose canonical form repeats across the
+// batch (a hot `subset` leg, a common filter conjunction) evaluate
+// once and later occurrences reuse the cached answer; ExprStats
+// reports the hits, misses and saved leaves. Over a sharded index each
+// planned item fans out to the shards individually — the cache applies
+// to single-engine stores.
+//
+// Per-item results land in items[i].Out / items[i].Err; a failed item
+// does not disturb its batchmates. The returned count is how many items
+// were processed: len(items) unless ctx is cancelled mid-batch, in
+// which case processing stops, the remaining items carry no answer, and
+// ctx's error is returned. A non-nil item Ctx additionally scopes that
+// item alone — it reaches the reader's interrupt hook, so even an item
+// mid-way through a long list scan stops promptly with its ctx's error.
+func (s *Store) ExecBatchAppend(ctx context.Context, items []BatchItem) (int, error) {
+	return s.run(ctx, items, true)
 }

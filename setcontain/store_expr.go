@@ -2,25 +2,15 @@ package setcontain
 
 import (
 	"context"
-	"errors"
-	"iter"
 	"sync"
 	"sync/atomic"
 )
 
-// The Store's expression surface: ExecExpr/ExecExprAppend/ExecExprSeq
-// plan boolean expressions against a support profile cached per store
-// generation, evaluate them on the same pooled readers (ctx interrupts
-// included) as the single-predicate Exec family, and — over a sharded
-// index — push the whole plan down to every shard in parallel, merging
-// the per-shard answers with the round-robin k-way interleave. The
-// limit family (ExecExprLimit and friends) additionally stops the
-// evaluation after the first n ids, and ExecExprBatchAppend evaluates a
-// micro-batch on one warm reader with shared subtrees computed once.
-
-// ErrNegativeLimit reports a negative limit passed to the ExecExprLimit
-// family; the serving layer maps it to a 400.
-var ErrNegativeLimit = errors.New("setcontain: negative limit")
+// What the Store's request core (store.go) plans against and reports
+// to: the support profile cached per store generation, the cumulative
+// planner counters, and the sharded branch that pushes a whole plan
+// down to every shard in parallel and merges the per-shard answers
+// with the partitioner's k-way interleave.
 
 // exprState is the Store's expression-planning state: the support
 // profile cache, keyed by store generation so mutations invalidate it
@@ -61,10 +51,9 @@ func (s *Store) Supports() *SupportProfile {
 // executed through the planned path, containment leaves actually
 // evaluated (and how many of those streamed instead of materializing),
 // leaves the empty-intermediate short-circuit skipped, and the batch
-// subexpression cache's hit/miss/saved-leaf counters. One-leaf
-// expressions route through the plain Exec path and are not counted
-// here (except through the limit and batch entry points, which always
-// plan).
+// subexpression cache's hit/miss/saved-leaf counters. Requests that are
+// one plain leaf with no limit skip the planner and are not counted
+// here, whichever entry point they arrive through.
 type ExprStats struct {
 	Expressions     int64
 	EvaluatedLeaves int64
@@ -104,116 +93,7 @@ func (s *Store) noteCSE(c *cseState) {
 	s.expr.cseSavedLeaves.Add(int64(c.savedLeaves))
 }
 
-// ExecExpr answers a boolean expression on a pooled reader with planned
-// evaluation. A one-leaf expression degenerates to Exec — identical
-// behaviour and cost to the single-predicate path. Cancellation behaves
-// like Exec: ctx is checked before evaluation and between list-block
-// reads, across every shard of a sharded index.
-func (s *Store) ExecExpr(ctx context.Context, expr *Expr) ([]uint32, error) {
-	if q, ok := expr.AsQuery(); ok {
-		return s.Exec(ctx, q)
-	}
-	return s.ExecExprAppend(ctx, nil, expr)
-}
-
-// ExecExprAppend answers a boolean expression on a pooled reader,
-// appending the answer to dst — the serving form of ExecExpr. Leaves
-// evaluate through the reader's zero-allocation Append path (streaming
-// into the accumulated candidate set where the engine supports it) and
-// intermediates recycle inside the reader's persistent evaluator; only
-// the final answer is copied into dst.
-func (s *Store) ExecExprAppend(ctx context.Context, dst []uint32, expr *Expr) ([]uint32, error) {
-	if q, ok := expr.AsQuery(); ok {
-		return s.ExecAppend(ctx, dst, q)
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	plan, err := PlanExpr(expr, s.Supports())
-	if err != nil {
-		return nil, err
-	}
-	e, err := s.acquire()
-	if err != nil {
-		return nil, err
-	}
-	defer s.release(e)
-	if ctx.Done() != nil {
-		e.arm(ctx)
-	}
-	if sr, ok := e.r.r.(*shardedReader); ok {
-		return s.execExprSharded(ctx, dst, expr, plan, sr, 0)
-	}
-	ids, st, err := e.eval.EvalAppend(dst, plan, e.r)
-	if err != nil {
-		return nil, err
-	}
-	s.noteExprEval(st)
-	return ids, nil
-}
-
-// ExecExprLimit answers the first n ids of the expression's answer —
-// exactly the prefix of what ExecExpr would return — stopping the
-// evaluation as soon as n ids are produced: on cursor-capable engines
-// (the inverted file) postings past the stop point are never decoded,
-// and over a sharded index each shard evaluates under the same
-// per-shard limit before the k-way merge truncates globally. n == 0
-// means no limit; a negative n returns ErrNegativeLimit.
-func (s *Store) ExecExprLimit(ctx context.Context, expr *Expr, n int) ([]uint32, error) {
-	ids, err := s.ExecExprLimitAppend(ctx, nil, expr, n)
-	if err != nil {
-		return nil, err
-	}
-	if ids == nil {
-		ids = []uint32{}
-	}
-	return ids, nil
-}
-
-// ExecExprLimitAppend is the append form of ExecExprLimit. Unlike
-// ExecExprAppend, one-leaf expressions do not degenerate to the plain
-// Exec path — the limit machinery itself is the fast path.
-func (s *Store) ExecExprLimitAppend(ctx context.Context, dst []uint32, expr *Expr, n int) ([]uint32, error) {
-	if n < 0 {
-		return nil, ErrNegativeLimit
-	}
-	if n == 0 {
-		return s.ExecExprAppend(ctx, dst, expr)
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	plan, err := PlanExpr(expr, s.Supports())
-	if err != nil {
-		return nil, err
-	}
-	e, err := s.acquire()
-	if err != nil {
-		return nil, err
-	}
-	defer s.release(e)
-	if ctx.Done() != nil {
-		e.arm(ctx)
-	}
-	if sr, ok := e.r.r.(*shardedReader); ok {
-		return s.execExprSharded(ctx, dst, expr, plan, sr, n)
-	}
-	ids, st, err := e.eval.EvalLimitAppend(dst, plan, e.r, n)
-	if err != nil {
-		return nil, err
-	}
-	s.noteExprEval(st)
-	return ids, nil
-}
-
-// ExecExprLimitSeq answers the first n ids as a lazy sequence; the
-// evaluation itself runs eagerly under ctx like ExecExprLimit,
-// iteration is then cancellation-free.
-func (s *Store) ExecExprLimitSeq(ctx context.Context, expr *Expr, n int) (iter.Seq[uint32], error) {
-	return seqOf(s.ExecExprLimit(ctx, expr, n))
-}
-
-// execExprSharded evaluates the expression against every shard through
+// execSharded evaluates the expression against every shard through
 // the scatter-gather executor and k-way merges the local answers into
 // global id order. The boolean algebra distributes over the partition —
 // the shards hold disjoint record sets, so each shard's local answer
@@ -230,30 +110,24 @@ func (s *Store) ExecExprLimitSeq(ctx context.Context, expr *Expr, n int) (iter.S
 // subsequence, so the global first n ids are always contained in the
 // union of the shards' local first n — then the merged answer is
 // truncated.
-func (s *Store) execExprSharded(ctx context.Context, dst []uint32, expr *Expr, plan *ExprPlan, sr *shardedReader, n int) ([]uint32, error) {
+func execSharded(ctx context.Context, dst []uint32, expr *Expr, plan *ExprPlan, sr *shardedReader, n int) ([]uint32, ExprEvalStats, error) {
 	stats := make([]ExprEvalStats, len(sr.shards))
 	ids, err := scatterGather(ctx, sr.part, func(cctx context.Context, shard int) ([]uint32, error) {
 		rd := sr.shards[shard]
 		if pe, ok := rd.r.(exprAppender); ok {
 			return pe.AppendExpr(cctx, nil, expr, n)
 		}
-		if n > 0 {
-			local, st, err := plan.EvalLimitAppend(nil, rd, n)
-			stats[shard] = st
-			return local, err
-		}
-		local, st, err := plan.EvalAppend(nil, rd)
+		local, st, err := plan.EvalLimitAppend(nil, rd, n)
 		stats[shard] = st
 		return local, err
 	})
 	if err != nil {
-		return nil, err
+		return nil, ExprEvalStats{}, err
 	}
 	if n > 0 && len(ids) > n {
 		ids = ids[:n]
 	}
-	s.noteExprEval(sumShardStats(stats))
-	return append(dst, ids...), nil
+	return append(dst, ids...), sumShardStats(stats), nil
 }
 
 // sumShardStats folds per-shard evaluation stats into one expression's
@@ -267,115 +141,4 @@ func sumShardStats(stats []ExprEvalStats) ExprEvalStats {
 		total.SkippedLeaves += st.SkippedLeaves
 	}
 	return total
-}
-
-// ExecExprSeq answers a boolean expression as a lazy sequence; the
-// evaluation itself runs eagerly under ctx like ExecExpr, iteration is
-// then cancellation-free. The sequence follows the SubsetSeq contract:
-// ascending unique ids, single-use, abandonable.
-func (s *Store) ExecExprSeq(ctx context.Context, expr *Expr) (iter.Seq[uint32], error) {
-	return seqOf(s.ExecExpr(ctx, expr))
-}
-
-// ExprBatchItem is one expression of an ExecExprBatchAppend call: the
-// expression, an optional first-n limit, its caller-owned append
-// target, and (after the call) its answer or error.
-type ExprBatchItem struct {
-	// Ctx optionally scopes this item alone, exactly like
-	// BatchItem.Ctx. Nil means the batch context governs.
-	Ctx context.Context
-	// Expr is the boolean expression to answer.
-	Expr *Expr
-	// Limit truncates the answer to its first Limit ids; 0 means the
-	// full answer, negative fails the item with ErrNegativeLimit.
-	Limit int
-	// Dst is the append target; the caller owns it throughout.
-	Dst []uint32
-	// Out receives the extended Dst slice on success, nil on error.
-	Out []uint32
-	// Err receives this item's error.
-	Err error
-}
-
-// ExecExprBatchAppend answers the expressions sequentially on a single
-// pooled reader — the expression counterpart of ExecBatchAppend, and
-// the entry point behind the serve package's micro-batcher. Beyond the
-// shared warm reader, the batch gets common-subexpression elimination:
-// plan subtrees whose canonical form repeats across the batch (a hot
-// `subset` leg shared by several queries, a common filter conjunction)
-// evaluate once, and every later occurrence reuses the cached answer.
-// The hit/miss/saved-leaf counters surface through ExprStats.
-//
-// Per-item results land in items[i].Out / items[i].Err; the return
-// contract (processed count, batch ctx) is ExecBatchAppend's. Over a
-// sharded index each item fans out to the shards individually — the
-// cache applies to single-engine stores, where one reader's arenas and
-// caches serve the whole batch.
-func (s *Store) ExecExprBatchAppend(ctx context.Context, items []ExprBatchItem) (int, error) {
-	if err := ctx.Err(); err != nil {
-		return 0, err
-	}
-	if len(items) == 0 {
-		return 0, nil
-	}
-	prof := s.Supports()
-	plans := make([]*ExprPlan, len(items))
-	for i := range items {
-		it := &items[i]
-		it.Out, it.Err = nil, nil
-		if it.Limit < 0 {
-			it.Err = ErrNegativeLimit
-			continue
-		}
-		plan, err := PlanExpr(it.Expr, prof)
-		if err != nil {
-			it.Err = err
-			continue
-		}
-		plans[i] = plan
-	}
-	cse := collectCSE(plans)
-	e, err := s.acquire()
-	if err != nil {
-		return 0, err
-	}
-	defer s.release(e)
-	armed := false
-	for i := range items {
-		if err := ctx.Err(); err != nil {
-			return i, err
-		}
-		it := &items[i]
-		if plans[i] == nil {
-			continue // planning already failed the item
-		}
-		ictx := it.Ctx
-		if ictx == nil {
-			ictx = ctx
-		}
-		if err := ictx.Err(); err != nil {
-			it.Err = err
-			continue
-		}
-		if !armed && (ictx.Done() != nil || ctx.Done() != nil) {
-			armed = true
-			e.arm(ctx)
-		}
-		if armed {
-			e.item = ictx
-		}
-		if sr, ok := e.r.r.(*shardedReader); ok {
-			it.Out, it.Err = s.execExprSharded(ictx, it.Dst, it.Expr, plans[i], sr, it.Limit)
-			continue
-		}
-		ids, st, err := e.eval.evalCSE(it.Dst, plans[i], e.r, cse, it.Limit)
-		if err != nil {
-			it.Err = err
-			continue
-		}
-		it.Out = ids
-		s.noteExprEval(st)
-	}
-	s.noteCSE(cse)
-	return len(items), nil
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -107,8 +108,10 @@ func TestStoreExecBatch(t *testing.T) {
 	}
 }
 
-// TestStoreExecCancelled checks an already-cancelled context aborts both
-// Exec and ExecBatch with context.Canceled.
+// TestStoreExecCancelled checks an already-cancelled context aborts
+// Exec, ExecBatch and ExecBatchAppend with context.Canceled — at one,
+// two and four Ps, because ExecBatch's fan-out width follows GOMAXPROCS
+// and a single-core run once hid a silently empty answer.
 func TestStoreExecCancelled(t *testing.T) {
 	c := sampleCollection(t)
 	ix, err := New(c, WithPageSize(512), WithBlockPostings(8))
@@ -118,11 +121,90 @@ func TestStoreExecCancelled(t *testing.T) {
 	store := NewStore(ix, 4)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := store.Exec(ctx, SubsetQuery([]Item{1})); !errors.Is(err, context.Canceled) {
-		t.Errorf("Exec on cancelled ctx: got %v, want context.Canceled", err)
+	for _, procs := range []int{1, 2, 4} {
+		t.Run(fmt.Sprintf("GOMAXPROCS=%d", procs), func(t *testing.T) {
+			prev := runtime.GOMAXPROCS(procs)
+			t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+			if _, err := store.Exec(ctx, SubsetQuery([]Item{1})); !errors.Is(err, context.Canceled) {
+				t.Errorf("Exec on cancelled ctx: got %v, want context.Canceled", err)
+			}
+			if out, err := store.ExecBatch(ctx, storeWorkload(10, 83)); !errors.Is(err, context.Canceled) || out != nil {
+				t.Errorf("ExecBatch on cancelled ctx: got %v, %v, want nil, context.Canceled", out, err)
+			}
+			items := []BatchItem{{Query: SubsetQuery([]Item{1})}, {Expr: And(ExprOf(SubsetQuery([]Item{1})), ExprOf(SubsetQuery([]Item{2})))}}
+			if n, err := store.ExecBatchAppend(ctx, items); n != 0 || !errors.Is(err, context.Canceled) {
+				t.Errorf("ExecBatchAppend on cancelled ctx: got %d, %v, want 0, context.Canceled", n, err)
+			}
+		})
 	}
-	if _, err := store.ExecBatch(ctx, storeWorkload(10, 83)); !errors.Is(err, context.Canceled) {
-		t.Errorf("ExecBatch on cancelled ctx: got %v, want context.Canceled", err)
+}
+
+// TestStoreEmptyAnswerShape pins the one empty-answer rule across every
+// kind and entry point: the plain forms (Exec, ExecBatch) return a
+// non-nil empty slice, the append forms return dst itself — nil stays
+// nil, a caller's buffer comes back as it went in.
+func TestStoreEmptyAnswerShape(t *testing.T) {
+	c := sampleCollection(t)
+	// No record holds all 40 items, so nothing matches any of these.
+	all := make([]Item, 40)
+	for i := range all {
+		all[i] = Item(i)
+	}
+	leaf := SubsetQuery(all)
+	tree := And(ExprOf(leaf), ExprOf(SubsetQuery([]Item{1})))
+	ctx := context.Background()
+	for kind, ix := range buildAll(t, c) {
+		t.Run(kind.String(), func(t *testing.T) {
+			store := NewStore(ix, 4)
+			plain := func(name string, ids []uint32, err error) {
+				t.Helper()
+				if err != nil || ids == nil || len(ids) != 0 {
+					t.Errorf("%s: got %v, %v, want a non-nil empty slice", name, ids, err)
+				}
+			}
+			ids, err := store.Exec(ctx, leaf)
+			plain("Exec", ids, err)
+			batch, err := store.ExecBatch(ctx, []Query{leaf, leaf})
+			if err != nil || len(batch) != 2 {
+				t.Fatalf("ExecBatch: %v, %v", batch, err)
+			}
+			plain("ExecBatch[0]", batch[0], nil)
+			plain("ExecBatch[1]", batch[1], nil)
+
+			buf := make([]uint32, 2, 8)
+			for _, dst := range [][]uint32{nil, buf} {
+				appended := func(name string, ids []uint32, err error) {
+					t.Helper()
+					switch {
+					case err != nil:
+						t.Errorf("%s: %v", name, err)
+					case dst == nil && ids != nil:
+						t.Errorf("%s(nil dst): got %v, want nil", name, ids)
+					case dst != nil && (len(ids) != len(dst) || &ids[0] != &dst[0]):
+						t.Errorf("%s: got %v, want dst itself", name, ids)
+					}
+				}
+				ids, err := store.ExecAppend(ctx, dst, leaf)
+				appended("ExecAppend", ids, err)
+				ids, err = store.ExecExprAppend(ctx, dst, ExprOf(leaf))
+				appended("ExecExprAppend(leaf)", ids, err)
+				ids, err = store.ExecExprAppend(ctx, dst, tree)
+				appended("ExecExprAppend(tree)", ids, err)
+				ids, err = store.ExecExprLimitAppend(ctx, dst, tree, 3)
+				appended("ExecExprLimitAppend", ids, err)
+				items := []BatchItem{
+					{Query: leaf, Dst: dst},
+					{Expr: tree, Dst: dst},
+					{Expr: tree, Limit: 3, Dst: dst},
+				}
+				if _, err := store.ExecBatchAppend(ctx, items); err != nil {
+					t.Fatal(err)
+				}
+				for i := range items {
+					appended(fmt.Sprintf("ExecBatchAppend[%d]", i), items[i].Out, items[i].Err)
+				}
+			}
+		})
 	}
 }
 

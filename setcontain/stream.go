@@ -18,7 +18,7 @@ import (
 //   - Lazy leaf cursors: on an inverted file a subset leaf decodes its
 //     postings on demand (subsetCursorer); a limit-bounded evaluation
 //     that stops after n ids never touches the bytes it didn't reach.
-//   - Cross-query subexpression caching: ExecExprBatchAppend
+//   - Cross-query subexpression caching: Store.ExecBatchAppend
 //     canonicalizes plan subtrees across one micro-batch and evaluates
 //     each distinct shared subtree once (cseState).
 //
@@ -59,14 +59,11 @@ func NewEvaluator(mode EvalMode) *Evaluator { return &Evaluator{Mode: mode} }
 
 // Eval answers the planned expression against t; see ExprPlan.Eval.
 func (evr *Evaluator) Eval(p *ExprPlan, t Queryable) ([]uint32, ExprEvalStats, error) {
-	ids, st, err := evr.EvalAppend(nil, p, t)
+	ids, st, err := evr.run(nil, p, t, nil, 0)
 	if err != nil {
 		return nil, st, err
 	}
-	if ids == nil {
-		ids = []uint32{}
-	}
-	return ids, st, nil
+	return orEmpty(ids), st, nil
 }
 
 // EvalAppend answers the planned expression against t, appending to
@@ -74,23 +71,7 @@ func (evr *Evaluator) Eval(p *ExprPlan, t Queryable) ([]uint32, ExprEvalStats, e
 // evaluator's free list, which persists across calls — the reuse that
 // makes steady-state evaluation allocation-free.
 func (evr *Evaluator) EvalAppend(dst []uint32, p *ExprPlan, t Queryable) ([]uint32, ExprEvalStats, error) {
-	ev := evr.newEval(t)
-	ids, owned, err := ev.eval(p.Root)
-	if err != nil {
-		return nil, ev.stats, err
-	}
-	if cap(dst) == 0 && owned {
-		// No backing array to preserve: hand the result buffer out
-		// directly (it leaves the free list, which simply grows a fresh
-		// one next time).
-		if ids == nil {
-			ids = []uint32{}
-		}
-		return ids, ev.stats, nil
-	}
-	out := append(dst, ids...)
-	ev.put(ids, owned)
-	return out, ev.stats, nil
+	return evr.run(dst, p, t, nil, 0)
 }
 
 // EvalLimitAppend answers the first `limit` ids of the planned
@@ -105,25 +86,48 @@ func (evr *Evaluator) EvalAppend(dst []uint32, p *ExprPlan, t Queryable) ([]uint
 // The result is exactly the first `limit` ids of the unlimited answer
 // (ascending, unique).
 func (evr *Evaluator) EvalLimitAppend(dst []uint32, p *ExprPlan, t Queryable, limit int) ([]uint32, ExprEvalStats, error) {
-	if limit <= 0 {
-		return evr.EvalAppend(dst, p, t)
-	}
+	return evr.run(dst, p, t, nil, limit)
+}
+
+// run is the one evaluation behind every entry point: the plan against
+// t, appended to dst (dst itself when nothing matched), cursor-driven
+// when limit > 0, and sharing the subtrees a batch's cse marks (they
+// materialize through the cache even under a limit, so batchmates reuse
+// them).
+func (evr *Evaluator) run(dst []uint32, p *ExprPlan, t Queryable, cse *cseState, limit int) ([]uint32, ExprEvalStats, error) {
 	ev := evr.newEval(t)
-	cur, err := ev.cursor(p.Root)
-	if err != nil {
-		return nil, ev.stats, err
-	}
-	for n := 0; n < limit; n++ {
-		id, ok, err := cur.Next()
+	ev.cse = cse
+	if limit > 0 {
+		cur, err := ev.cursor(p.Root)
 		if err != nil {
 			return nil, ev.stats, err
 		}
-		if !ok {
-			break
+		for n := 0; n < limit; n++ {
+			id, ok, err := cur.Next()
+			if err != nil {
+				return nil, ev.stats, err
+			}
+			if !ok {
+				break
+			}
+			dst = append(dst, id)
 		}
-		dst = append(dst, id)
+		return dst, ev.stats, nil
 	}
-	return dst, ev.stats, nil
+	ids, owned, err := ev.eval(p.Root)
+	if err != nil {
+		return nil, ev.stats, err
+	}
+	if cap(dst) == 0 && owned && len(ids) > 0 {
+		// No backing array to preserve: hand the result buffer out
+		// directly (it leaves the free list, which simply grows a fresh
+		// one next time). Un-owned results — the universe, a batch's
+		// cached subtree — are shared and always copied.
+		return ids, ev.stats, nil
+	}
+	out := append(dst, ids...)
+	ev.put(ids, owned)
+	return out, ev.stats, nil
 }
 
 // newEval starts one evaluation against t, discovering t's streaming
@@ -342,10 +346,10 @@ func planCanon(n *PlanNode, b *strings.Builder) {
 	b.WriteByte(')')
 }
 
-// collectCSE scans the batch's plans and returns the shared-subtree
-// cache, or nil when no subtree repeats (the common case costs one tree
-// walk and no per-node overhead during evaluation).
-func collectCSE(plans []*ExprPlan) *cseState {
+// collectCSE scans the batch's planned items and returns the
+// shared-subtree cache, or nil when no subtree repeats (the common case
+// costs one tree walk and no per-node overhead during evaluation).
+func collectCSE(items []BatchItem) *cseState {
 	count := make(map[string]int)
 	keyOf := make(map[*PlanNode]string)
 	var walk func(n *PlanNode)
@@ -359,8 +363,8 @@ func collectCSE(plans []*ExprPlan) *cseState {
 			walk(k)
 		}
 	}
-	for _, p := range plans {
-		if p != nil {
+	for i := range items {
+		if p := items[i].plan; p != nil {
 			walk(p.Root)
 		}
 	}
@@ -374,38 +378,4 @@ func collectCSE(plans []*ExprPlan) *cseState {
 		return nil
 	}
 	return &cseState{keys: shared, cache: make(map[string][]uint32)}
-}
-
-// evalCSE evaluates one batch item's plan against t with the batch's
-// shared subexpression cache; a positive limit runs the cursor-driven
-// early exit (shared subtrees still materialize through the cache, so
-// batchmates reuse them). The answer is always copied into dst: cached
-// slices must stay private to the batch.
-func (evr *Evaluator) evalCSE(dst []uint32, p *ExprPlan, t Queryable, cse *cseState, limit int) ([]uint32, ExprEvalStats, error) {
-	ev := evr.newEval(t)
-	ev.cse = cse
-	if limit > 0 {
-		cur, err := ev.cursor(p.Root)
-		if err != nil {
-			return nil, ev.stats, err
-		}
-		for n := 0; n < limit; n++ {
-			id, ok, err := cur.Next()
-			if err != nil {
-				return nil, ev.stats, err
-			}
-			if !ok {
-				break
-			}
-			dst = append(dst, id)
-		}
-		return dst, ev.stats, nil
-	}
-	ids, owned, err := ev.eval(p.Root)
-	if err != nil {
-		return nil, ev.stats, err
-	}
-	out := append(dst, ids...)
-	ev.put(ids, owned)
-	return out, ev.stats, nil
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -146,9 +147,9 @@ func TestExprLimitFirstN(t *testing.T) {
 }
 
 // TestStoreExecExprLimit exercises the Store's limit surface: the
-// sharded fan-out's per-shard limit pushdown stays first-n exact, the
-// Seq form agrees, a negative limit is refused with the sentinel, and
-// limit 0 means unlimited.
+// sharded fan-out's per-shard limit pushdown stays first-n exact, a
+// negative limit is refused with the sentinel, and limit 0 means
+// unlimited.
 func TestStoreExecExprLimit(t *testing.T) {
 	c := sampleCollection(t)
 	ctx := context.Background()
@@ -162,38 +163,27 @@ func TestStoreExecExprLimit(t *testing.T) {
 			t.Fatalf("%v: %v", kind, err)
 		}
 		s := NewStore(ix, 0)
-		full, err := s.ExecExpr(ctx, e)
+		full, err := s.ExecExprAppend(ctx, nil, e)
 		if err != nil {
-			t.Fatalf("%v: ExecExpr: %v", kind, err)
+			t.Fatalf("%v: ExecExprAppend: %v", kind, err)
 		}
 		if len(full) == 0 {
 			t.Fatalf("%v: workload answered no ids; test needs a wide answer", kind)
 		}
 		for _, n := range []int{0, 1, 5, len(full), len(full) + 9} {
-			got, err := s.ExecExprLimit(ctx, e, n)
+			got, err := s.ExecExprLimitAppend(ctx, nil, e, n)
 			if err != nil {
-				t.Fatalf("%v: ExecExprLimit(%d): %v", kind, n, err)
+				t.Fatalf("%v: ExecExprLimitAppend(%d): %v", kind, n, err)
 			}
 			want := full
 			if n > 0 && n < len(full) {
 				want = full[:n]
 			}
 			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("%v: ExecExprLimit(%d): got %d ids, want %d", kind, n, len(got), len(want))
+				t.Fatalf("%v: ExecExprLimitAppend(%d): got %d ids, want %d", kind, n, len(got), len(want))
 			}
 		}
-		seq, err := s.ExecExprLimitSeq(ctx, e, 4)
-		if err != nil {
-			t.Fatalf("%v: ExecExprLimitSeq: %v", kind, err)
-		}
-		var seqIDs []uint32
-		for id := range seq {
-			seqIDs = append(seqIDs, id)
-		}
-		if !reflect.DeepEqual(seqIDs, full[:4]) {
-			t.Fatalf("%v: ExecExprLimitSeq: got %v, want %v", kind, seqIDs, full[:4])
-		}
-		if _, err := s.ExecExprLimit(ctx, e, -1); !errors.Is(err, ErrNegativeLimit) {
+		if _, err := s.ExecExprLimitAppend(ctx, nil, e, -1); !errors.Is(err, ErrNegativeLimit) {
 			t.Fatalf("%v: negative limit: %v, want ErrNegativeLimit", kind, err)
 		}
 	}
@@ -266,12 +256,15 @@ func TestStorePlanOrderTracksMerge(t *testing.T) {
 	}
 }
 
-// TestExecExprBatchCSE pins the cross-query subexpression cache: a
-// micro-batch whose expressions share a hot subtree evaluates that
-// subtree once, serves the rest from cache, counts hits/misses/saved
-// leaves deterministically, and answers exactly what per-expression
-// execution answers — limited items included.
-func TestExecExprBatchCSE(t *testing.T) {
+// TestExecBatchAppendCSE pins the cross-query subexpression cache on a
+// mixed micro-batch: plain-leaf items (a bare Query, a one-leaf Expr)
+// bypass the planner and its counters, tree items sharing a hot subtree
+// evaluate it once and serve the rest from cache with deterministic
+// hit/miss/saved-leaf counts, and every item answers exactly what
+// single-request execution answers — limited items included. A batch
+// context cancelled mid-way returns (i, ctx.Err()) and still folds the
+// counters gathered before the cancel.
+func TestExecBatchAppendCSE(t *testing.T) {
 	c := sampleCollection(t)
 	ctx := context.Background()
 	ix, err := Build(c, Options{Kind: OIF, PageSize: 512})
@@ -279,7 +272,7 @@ func TestExecExprBatchCSE(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := NewStore(ix, 0)
-	// Every expression shares the subtree (subset{1} and subset{2});
+	// Every tree shares the subtree (subset{1} and subset{2});
 	// collectCSE keys it (and its leaves) as shared across the batch.
 	shared := "(subset{1} and subset{2})"
 	exprTexts := []string{
@@ -288,57 +281,66 @@ func TestExecExprBatchCSE(t *testing.T) {
 		shared + " or equality{5}",
 		shared + " or subset{6 7}",
 	}
-	items := make([]ExprBatchItem, len(exprTexts))
-	want := make([][]uint32, len(exprTexts))
-	for i, txt := range exprTexts {
+	const trees = 4
+	items := make([]BatchItem, 0, trees+2)
+	want := make([][]uint32, 0, trees+2)
+	for _, txt := range exprTexts {
 		e, err := ParseExpr(txt)
 		if err != nil {
 			t.Fatal(err)
 		}
-		items[i] = ExprBatchItem{Expr: e}
-		if want[i], err = s.ExecExpr(ctx, e); err != nil {
-			t.Fatalf("ExecExpr %q: %v", txt, err)
+		items = append(items, BatchItem{Expr: e})
+		ids, err := s.ExecExprAppend(ctx, nil, e)
+		if err != nil {
+			t.Fatalf("ExecExprAppend %q: %v", txt, err)
 		}
+		want = append(want, ids)
 	}
-	// One limited item on top: the cursor path must coexist with CSE.
+	// One limited tree: the cursor path must coexist with CSE.
 	items[3].Limit = 2
 	if len(want[3]) > 2 {
 		want[3] = want[3][:2]
 	}
+	// Two plain leaves riding the same batch, spelled both ways. They
+	// repeat the shared subtree's leaf, yet must neither feed the cache
+	// nor count as expressions.
+	leaf := SubsetQuery([]Item{1})
+	leafWant, err := s.Exec(ctx, leaf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	items = append(items, BatchItem{Query: leaf}, BatchItem{Expr: ExprOf(leaf)})
+	want = append(want, leafWant, leafWant)
+
 	pre := s.ExprStats()
-	n, err := s.ExecExprBatchAppend(ctx, items)
+	n, err := s.ExecBatchAppend(ctx, items)
 	if err != nil || n != len(items) {
-		t.Fatalf("ExecExprBatchAppend: n=%d err=%v", n, err)
+		t.Fatalf("ExecBatchAppend: n=%d err=%v", n, err)
 	}
 	for i := range items {
 		if items[i].Err != nil {
 			t.Fatalf("item %d: %v", i, items[i].Err)
 		}
-		if !reflect.DeepEqual(items[i].Out, want[i]) {
+		if !slices.Equal(items[i].Out, want[i]) {
 			t.Fatalf("item %d: got %d ids, want %d", i, len(items[i].Out), len(want[i]))
 		}
 	}
 	st := s.ExprStats()
+	if got := st.Expressions - pre.Expressions; got != trees {
+		t.Fatalf("batch counted %d planned expressions, want %d (leaf items bypass the planner)", got, trees)
+	}
 	misses := st.CSEMisses - pre.CSEMisses
 	hits := st.CSEHits - pre.CSEHits
 	saved := st.CSESavedLeaves - pre.CSESavedLeaves
-	if misses == 0 || hits == 0 {
-		t.Fatalf("no cache traffic: hits=%d misses=%d", hits, misses)
-	}
-	// The shared AND subtree misses once and hits on the three other
-	// expressions; its leaves may be keyed too, but a hit on the parent
-	// means the leaves underneath are never consulted.
-	if hits < 3 {
-		t.Fatalf("shared subtree hit %d times, want >= 3", hits)
-	}
-	if saved < 3 {
-		t.Fatalf("saved %d leaf evaluations, want >= 3", saved)
+	// The shared AND subtree and its two leaves miss once, evaluating
+	// under the first tree; the three other trees hit the parent, which
+	// means the leaves underneath are never consulted again: exactly 3
+	// misses, 3 hits, and 2 leaves saved per hit.
+	if misses != 3 || hits != 3 || saved != 6 {
+		t.Fatalf("cache traffic hits=%d misses=%d saved=%d, want 3/3/6", hits, misses, saved)
 	}
 	// A second identical batch starts a fresh cache: same counts again.
-	for i := range items {
-		items[i].Out, items[i].Dst, items[i].Err = nil, nil, nil
-	}
-	if _, err := s.ExecExprBatchAppend(ctx, items); err != nil {
+	if _, err := s.ExecBatchAppend(ctx, items); err != nil {
 		t.Fatal(err)
 	}
 	st2 := s.ExprStats()
@@ -346,12 +348,61 @@ func TestExecExprBatchCSE(t *testing.T) {
 		t.Fatalf("second batch counted hits=%d misses=%d, want %d/%d",
 			st2.CSEHits-st.CSEHits, st2.CSEMisses-st.CSEMisses, hits, misses)
 	}
-	// Negative limit surfaces per item, failing the whole call's item.
+
+	// Cancel the batch context while item 1 runs: item 1's own context
+	// trips the wire as the core consults it, so items 0 and 1 complete
+	// and the check before item 2 sees the cancellation.
+	var tripped bool
+	items[1].Ctx = tripwire{Context: ctx, tripped: &tripped, trigger: true}
+	n, err = s.ExecBatchAppend(tripwire{Context: ctx, tripped: &tripped}, items)
+	items[1].Ctx = nil
+	if n != 2 || !errors.Is(err, context.Canceled) {
+		t.Fatalf("mid-batch cancel: n=%d err=%v, want 2, context.Canceled", n, err)
+	}
+	for i := range items {
+		if i < 2 && (items[i].Err != nil || !slices.Equal(items[i].Out, want[i])) {
+			t.Fatalf("item %d before the cancel: err=%v, %d ids, want %d", i, items[i].Err, len(items[i].Out), len(want[i]))
+		}
+		if i >= 2 && (items[i].Out != nil || items[i].Err != nil) {
+			t.Fatalf("unprocessed item %d carries out=%v err=%v", i, items[i].Out, items[i].Err)
+		}
+	}
+	st3 := s.ExprStats()
+	if m, h := st3.CSEMisses-st2.CSEMisses, st3.CSEHits-st2.CSEHits; m != 3 || h != 1 {
+		t.Fatalf("cut batch folded hits=%d misses=%d, want 1/3 (items 0 and 1 ran)", h, m)
+	}
+
+	// Negative limit surfaces per item, leaving its batchmates alone.
 	items[0].Limit = -1
-	if _, err := s.ExecExprBatchAppend(ctx, items); err != nil {
+	if _, err := s.ExecBatchAppend(ctx, items); err != nil {
 		t.Fatal(err)
 	}
 	if !errors.Is(items[0].Err, ErrNegativeLimit) {
 		t.Fatalf("negative-limit item error = %v, want ErrNegativeLimit", items[0].Err)
 	}
+	if items[1].Err != nil || !slices.Equal(items[1].Out, want[1]) {
+		t.Fatalf("batchmate of the failed item: err=%v, %d ids, want %d", items[1].Err, len(items[1].Out), len(want[1]))
+	}
+}
+
+// tripwire is a deterministic mid-batch cancellation: the context with
+// trigger set trips the shared flag when its Err is consulted (and
+// reports nil itself), after which its flag-sharing siblings report
+// context.Canceled. Done stays nil, so no interrupt hook is armed and
+// only the core's own per-item checks consult it.
+type tripwire struct {
+	context.Context
+	tripped *bool
+	trigger bool
+}
+
+func (c tripwire) Err() error {
+	if c.trigger {
+		*c.tripped = true
+		return nil
+	}
+	if *c.tripped {
+		return context.Canceled
+	}
+	return nil
 }

@@ -1,39 +1,50 @@
 // Transport equivalence is the payoff property of the shard transport
-// abstraction: the same collection served through four different
-// stacks — one engine, a sharded engine, in-process ShardClients, and
-// remote HTTP shard daemons — must answer every query, expression, and
-// limited expression with byte-identical id slices, through pending
-// inserts and deletes, after the delta merge, and under cancellation.
+// abstraction and of the single request core above it: the same
+// collection served through four different stacks — one engine, a
+// sharded engine, in-process ShardClients, and remote HTTP shard
+// daemons — and asked through every public entry point must answer
+// every query, expression, and limited expression exactly like the
+// brute-force oracle, through pending inserts and deletes, after the
+// delta merge, and under cancellation.
 // This file lives in the external test package so it can stand real
 // daemons up with setcontain/serve without an import cycle.
 package setcontain_test
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"math/rand"
+	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"slices"
 	"strings"
 	"sync"
 	"testing"
 
 	"repro/internal/dataset"
+	"repro/internal/naive"
 	"repro/setcontain"
 	"repro/setcontain/serve"
 )
 
-// transportVariant is one way of serving the shared collection.
+// transportVariant is one way of serving the shared collection: the
+// index, the store over it, and a serve.Server over both for the
+// entry points that live in the serving layer.
 type transportVariant struct {
 	name  string
+	idx   *setcontain.Index
 	store *setcontain.Store
+	srv   *serve.Server
+	url   string
 }
 
 // buildTransportVariants stands up the four stacks over identical data.
 // Each variant gets its own engines — mutations must not alias across
 // variants — and the HTTP one gets a live httptest daemon per shard.
-func buildTransportVariants(t *testing.T, sets [][]setcontain.Item, domain, shards int) []transportVariant {
+func buildTransportVariants(t *testing.T, sets [][]setcontain.Item, domain, shards int) []*transportVariant {
 	t.Helper()
 	build := func(kind setcontain.Kind) *setcontain.Index {
 		c := setcontain.NewCollection(domain)
@@ -49,41 +60,231 @@ func buildTransportVariants(t *testing.T, sets [][]setcontain.Item, domain, shar
 		}
 		return idx
 	}
-
-	single := build(setcontain.OIF)
-	sharded := build(setcontain.Sharded)
-
-	inprocBase := build(setcontain.Sharded)
-	inprocClients := make([]setcontain.ShardClient, 0, shards)
-	for _, eng := range setcontain.ShardEngines(inprocBase.Engine()) {
-		inprocClients = append(inprocClients, setcontain.InprocShard(eng))
-	}
-	inproc, err := setcontain.ShardedOverClients(context.Background(), inprocClients)
-	if err != nil {
-		t.Fatalf("inproc coordinator: %v", err)
-	}
-
-	httpBase := build(setcontain.Sharded)
-	httpClients := make([]setcontain.ShardClient, 0, shards)
-	for _, eng := range setcontain.ShardEngines(httpBase.Engine()) {
-		sidx := setcontain.IndexOver(eng)
-		sv := serve.NewServer(sidx, setcontain.NewStore(sidx, 8), serve.Config{})
+	// serveOver fronts idx with a daemon; the small chunk size makes
+	// multi-chunk (and, on /stream, multi-flush) answers routine.
+	serveOver := func(idx *setcontain.Index) (*setcontain.Store, *serve.Server, string) {
+		store := setcontain.NewStore(idx, 8)
+		sv := serve.NewServer(idx, store, serve.Config{ChunkIDs: 16})
 		ts := httptest.NewServer(sv.Handler())
 		t.Cleanup(ts.Close)
 		t.Cleanup(sv.Close)
-		httpClients = append(httpClients, setcontain.NewRemoteShard(ts.URL, nil))
+		return store, sv, ts.URL
 	}
-	remote, err := setcontain.ShardedOverClients(context.Background(), httpClients)
-	if err != nil {
-		t.Fatalf("http coordinator: %v", err)
+	overClients := func(base *setcontain.Index, client func(eng setcontain.Engine) setcontain.ShardClient) *setcontain.Index {
+		var clients []setcontain.ShardClient
+		for _, eng := range setcontain.ShardEngines(base.Engine()) {
+			clients = append(clients, client(eng))
+		}
+		idx, err := setcontain.ShardedOverClients(context.Background(), clients)
+		if err != nil {
+			t.Fatalf("coordinator: %v", err)
+		}
+		return idx
 	}
 
-	return []transportVariant{
-		{"single", setcontain.NewStore(single, 8)},
-		{"sharded", setcontain.NewStore(sharded, 8)},
-		{"inproc", setcontain.NewStore(inproc, 8)},
-		{"http", setcontain.NewStore(remote, 8)},
+	var variants []*transportVariant
+	for _, v := range []struct {
+		name string
+		idx  *setcontain.Index
+	}{
+		{"single", build(setcontain.OIF)},
+		{"sharded", build(setcontain.Sharded)},
+		{"inproc", overClients(build(setcontain.Sharded), setcontain.InprocShard)},
+		{"http", overClients(build(setcontain.Sharded), func(eng setcontain.Engine) setcontain.ShardClient {
+			_, _, url := serveOver(setcontain.IndexOver(eng))
+			return setcontain.NewRemoteShard(url, nil)
+		})},
+	} {
+		store, sv, url := serveOver(v.idx)
+		variants = append(variants, &transportVariant{v.name, v.idx, store, sv, url})
 	}
+	return variants
+}
+
+// transportOp is one request of the equivalence workload: an expression
+// (a plain query is its one-leaf case) and a first-n limit, 0 = all.
+type transportOp struct {
+	expr  *setcontain.Expr
+	limit int
+}
+
+// naiveOracle is the brute-force reference every entry point of every
+// variant is held to: internal/naive over a mirror of the records, the
+// tombstoned ids masked, expressions through the naive left-to-right
+// Expr.Eval.
+type naiveOracle struct {
+	d    *dataset.Dataset
+	dead map[uint32]bool
+}
+
+func (o *naiveOracle) live(ids []uint32) ([]uint32, error) {
+	return slices.DeleteFunc(ids, func(id uint32) bool { return o.dead[id] }), nil
+}
+
+func (o *naiveOracle) Subset(qs []setcontain.Item) ([]uint32, error) {
+	return o.live(naive.Subset(o.d, qs))
+}
+
+func (o *naiveOracle) Equality(qs []setcontain.Item) ([]uint32, error) {
+	return o.live(naive.Equality(o.d, qs))
+}
+
+func (o *naiveOracle) Superset(qs []setcontain.Item) ([]uint32, error) {
+	return o.live(naive.Superset(o.d, qs))
+}
+
+func (o *naiveOracle) answer(t *testing.T, op transportOp) []uint32 {
+	t.Helper()
+	ids, err := op.expr.Eval(o)
+	if err != nil {
+		t.Fatalf("oracle %s: %v", op.expr, err)
+	}
+	if op.limit > 0 && len(ids) > op.limit {
+		ids = ids[:op.limit]
+	}
+	return ids
+}
+
+// entryPoint is one public way of asking a variant a question — one
+// column of the equivalence table. accepts says which ops it can
+// express (the Query forms take plain leaves only); run answers the
+// accepted ops in order.
+type entryPoint struct {
+	name    string
+	accepts func(op transportOp) bool
+	run     func(ctx context.Context, v *transportVariant, ops []transportOp) ([][]uint32, error)
+}
+
+func anyOp(transportOp) bool          { return true }
+func unlimitedOp(op transportOp) bool { return op.limit == 0 }
+func leafOp(op transportOp) bool {
+	_, leaf := op.expr.AsQuery()
+	return leaf && op.limit == 0
+}
+
+// perOp lifts a one-request entry point to a column.
+func perOp(one func(ctx context.Context, v *transportVariant, op transportOp) ([]uint32, error)) func(context.Context, *transportVariant, []transportOp) ([][]uint32, error) {
+	return func(ctx context.Context, v *transportVariant, ops []transportOp) ([][]uint32, error) {
+		out := make([][]uint32, len(ops))
+		for i, op := range ops {
+			ids, err := one(ctx, v, op)
+			if err != nil {
+				return nil, fmt.Errorf("op %d (%s limit %d): %w", i, op.expr, op.limit, err)
+			}
+			out[i] = ids
+		}
+		return out, nil
+	}
+}
+
+// perQuery lifts a one-Query entry point to a column over leaf ops.
+func perQuery(one func(ctx context.Context, v *transportVariant, q setcontain.Query) ([]uint32, error)) func(context.Context, *transportVariant, []transportOp) ([][]uint32, error) {
+	return perOp(func(ctx context.Context, v *transportVariant, op transportOp) ([]uint32, error) {
+		q, _ := op.expr.AsQuery()
+		return one(ctx, v, q)
+	})
+}
+
+// entryPoints lists every surviving public execution form.
+var entryPoints = []entryPoint{
+	{"Index.Eval", leafOp, perQuery(func(ctx context.Context, v *transportVariant, q setcontain.Query) ([]uint32, error) {
+		if err := ctx.Err(); err != nil {
+			return nil, err // the engine level takes no context
+		}
+		return v.idx.Eval(q)
+	})},
+	{"Reader.EvalAppend", leafOp, func(ctx context.Context, v *transportVariant, ops []transportOp) ([][]uint32, error) {
+		if err := ctx.Err(); err != nil {
+			return nil, err // the engine level takes no context
+		}
+		// One reader for the stage: it snapshots the state it opens on.
+		r, err := v.idx.NewReader(8)
+		if err != nil {
+			return nil, err
+		}
+		return perQuery(func(_ context.Context, _ *transportVariant, q setcontain.Query) ([]uint32, error) {
+			return r.EvalAppend(nil, q)
+		})(ctx, v, ops)
+	}},
+	{"Store.Exec", leafOp, perQuery(func(ctx context.Context, v *transportVariant, q setcontain.Query) ([]uint32, error) {
+		return v.store.Exec(ctx, q)
+	})},
+	{"Store.ExecAppend", leafOp, perQuery(func(ctx context.Context, v *transportVariant, q setcontain.Query) ([]uint32, error) {
+		return v.store.ExecAppend(ctx, nil, q)
+	})},
+	{"Store.ExecExprAppend", unlimitedOp, perOp(func(ctx context.Context, v *transportVariant, op transportOp) ([]uint32, error) {
+		return v.store.ExecExprAppend(ctx, nil, op.expr)
+	})},
+	{"Store.ExecExprLimitAppend", anyOp, perOp(func(ctx context.Context, v *transportVariant, op transportOp) ([]uint32, error) {
+		return v.store.ExecExprLimitAppend(ctx, nil, op.expr, op.limit)
+	})},
+	{"Store.ExecBatch", leafOp, func(ctx context.Context, v *transportVariant, ops []transportOp) ([][]uint32, error) {
+		qs := make([]setcontain.Query, len(ops))
+		for i, op := range ops {
+			qs[i], _ = op.expr.AsQuery()
+		}
+		return v.store.ExecBatch(ctx, qs)
+	}},
+	// One batch carrying the whole mix: plain leaves (spelled as Query
+	// and as one-leaf Expr alternately), trees, and limited items.
+	{"Store.ExecBatchAppend", anyOp, func(ctx context.Context, v *transportVariant, ops []transportOp) ([][]uint32, error) {
+		items := make([]setcontain.BatchItem, len(ops))
+		for i, op := range ops {
+			items[i] = setcontain.BatchItem{Expr: op.expr, Limit: op.limit}
+			if q, leaf := op.expr.AsQuery(); leaf && i%2 == 0 {
+				items[i] = setcontain.BatchItem{Query: q, Limit: op.limit}
+			}
+		}
+		if n, err := v.store.ExecBatchAppend(ctx, items); err != nil {
+			return nil, fmt.Errorf("after %d items: %w", n, err)
+		}
+		out := make([][]uint32, len(ops))
+		for i := range items {
+			if items[i].Err != nil {
+				return nil, fmt.Errorf("item %d (%s limit %d): %w", i, ops[i].expr, ops[i].limit, items[i].Err)
+			}
+			out[i] = items[i].Out
+		}
+		return out, nil
+	}},
+	{"Batcher.Do", leafOp, perQuery(func(ctx context.Context, v *transportVariant, q setcontain.Query) ([]uint32, error) {
+		return v.srv.Batcher().Do(ctx, nil, q)
+	})},
+	{"Batcher.DoExprLimit", anyOp, perOp(func(ctx context.Context, v *transportVariant, op transportOp) ([]uint32, error) {
+		return v.srv.Batcher().DoExprLimit(ctx, nil, op.expr, op.limit)
+	})},
+	{"GET /stream", anyOp, perOp(func(ctx context.Context, v *transportVariant, op transportOp) ([]uint32, error) {
+		target := fmt.Sprintf("%s/stream?q=%s&limit=%d", v.url, url.QueryEscape(op.expr.String()), op.limit)
+		req, err := http.NewRequestWithContext(ctx, http.MethodGet, target, nil)
+		if err != nil {
+			return nil, err
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			return nil, err
+		}
+		defer resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			return nil, fmt.Errorf("status %s", resp.Status)
+		}
+		var ids []uint32
+		for dec := json.NewDecoder(resp.Body); ; {
+			var line serve.Result
+			if err := dec.Decode(&line); err != nil {
+				return nil, fmt.Errorf("stream ended before its final line: %w", err)
+			}
+			if line.Error != "" {
+				return nil, errors.New(line.Error)
+			}
+			ids = append(ids, line.IDs...)
+			if line.Done {
+				if line.Count != len(ids) {
+					return nil, fmt.Errorf("final count %d, streamed %d ids", line.Count, len(ids))
+				}
+				return ids, nil
+			}
+		}
+	})},
 }
 
 // randomExprText draws a boolean expression over Zipf-skewed leaves in
@@ -110,9 +311,11 @@ func randomExprText(rng *rand.Rand, z *dataset.Zipf) string {
 	}
 }
 
-// TestTransportEquivalence is the property test: remote == in-process
-// clients == sharded engine == single engine, byte-identical, with
-// pending inserts and deletes, after the merge, and canceled cleanly.
+// TestTransportEquivalence is the property test: every public entry
+// point of every stack — remote shards, in-process clients, sharded
+// engine, single engine — answers every query, expression, and limited
+// expression exactly like the brute-force oracle, with pending inserts
+// and deletes, after the merge, and canceled cleanly.
 func TestTransportEquivalence(t *testing.T) {
 	const (
 		domain  = 48
@@ -121,71 +324,59 @@ func TestTransportEquivalence(t *testing.T) {
 	)
 	rng := rand.New(rand.NewSource(7))
 	z := dataset.NewZipf(domain, 0.9)
+	oracle := &naiveOracle{d: dataset.New(domain), dead: map[uint32]bool{}}
 	sets := make([][]setcontain.Item, records)
 	for i := range sets {
 		sets[i] = z.SampleDistinct(rng, 1+rng.Intn(6))
+		if _, err := oracle.d.Add(sets[i]); err != nil {
+			t.Fatal(err)
+		}
 	}
 	variants := buildTransportVariants(t, sets, domain, shards)
 
-	queries := make([]setcontain.Query, 60)
+	var ops []transportOp
 	preds := []setcontain.Predicate{setcontain.PredicateSubset, setcontain.PredicateEquality, setcontain.PredicateSuperset}
-	for i := range queries {
-		queries[i] = setcontain.Query{
+	for i := 0; i < 30; i++ {
+		ops = append(ops, transportOp{expr: setcontain.ExprOf(setcontain.Query{
 			Pred:  preds[rng.Intn(len(preds))],
 			Items: z.SampleDistinct(rng, 1+rng.Intn(5)),
-		}
+		})})
 	}
-	type exprCase struct {
-		expr  *setcontain.Expr
-		limit int
-	}
-	exprs := make([]exprCase, 25)
-	for i := range exprs {
+	for i := 0; i < 20; i++ {
 		text := randomExprText(rng, z)
 		e, err := setcontain.ParseExpr(text)
 		if err != nil {
 			t.Fatalf("generated unparseable expr %q: %v", text, err)
 		}
-		exprs[i] = exprCase{expr: e, limit: rng.Intn(12)} // 0 = unlimited
+		ops = append(ops, transportOp{expr: e, limit: rng.Intn(12)}) // 0 = unlimited
 	}
 
 	ctx := context.Background()
 	compare := func(stage string) {
 		t.Helper()
-		for qi, q := range queries {
-			want, err := variants[0].store.Exec(ctx, q)
-			if err != nil {
-				t.Fatalf("%s: %s query %d (%s): %v", stage, variants[0].name, qi, q, err)
-			}
-			for _, v := range variants[1:] {
-				got, err := v.store.Exec(ctx, q)
-				if err != nil {
-					t.Fatalf("%s: %s query %d (%s): %v", stage, v.name, qi, q, err)
-				}
-				if !slices.Equal(got, want) && !(len(got) == 0 && len(want) == 0) {
-					t.Fatalf("%s: %s query %d (%s): %v, single says %v", stage, v.name, qi, q, got, want)
-				}
-			}
+		want := make([][]uint32, len(ops))
+		for i, op := range ops {
+			want[i] = oracle.answer(t, op)
 		}
-		for ei, ec := range exprs {
-			want, err := variants[0].store.ExecExprLimit(ctx, ec.expr, ec.limit)
-			if ec.limit == 0 {
-				want, err = variants[0].store.ExecExpr(ctx, ec.expr)
-			}
-			if err != nil {
-				t.Fatalf("%s: %s expr %d (%s): %v", stage, variants[0].name, ei, ec.expr, err)
-			}
-			for _, v := range variants[1:] {
-				got, err := v.store.ExecExprLimit(ctx, ec.expr, ec.limit)
-				if ec.limit == 0 {
-					got, err = v.store.ExecExpr(ctx, ec.expr)
+		for _, v := range variants {
+			for _, ep := range entryPoints {
+				var accepted []int
+				var asked []transportOp
+				for i, op := range ops {
+					if ep.accepts(op) {
+						accepted = append(accepted, i)
+						asked = append(asked, op)
+					}
 				}
+				got, err := ep.run(ctx, v, asked)
 				if err != nil {
-					t.Fatalf("%s: %s expr %d (%s): %v", stage, v.name, ei, ec.expr, err)
+					t.Fatalf("%s: %s %s: %v", stage, v.name, ep.name, err)
 				}
-				if !slices.Equal(got, want) && !(len(got) == 0 && len(want) == 0) {
-					t.Fatalf("%s: %s expr %d (%s) limit %d: %v, single says %v",
-						stage, v.name, ei, ec.expr, ec.limit, got, want)
+				for k, i := range accepted {
+					if !slices.Equal(got[k], want[i]) {
+						t.Fatalf("%s: %s %s (%s limit %d): %v, oracle says %v",
+							stage, v.name, ep.name, ops[i].expr, ops[i].limit, got[k], want[i])
+					}
 				}
 			}
 		}
@@ -195,23 +386,27 @@ func TestTransportEquivalence(t *testing.T) {
 	// Mutations travel through every transport's own store; ids must
 	// match across variants because they share one global id space.
 	extra := make([][]setcontain.Item, 20)
+	var wantIDs []uint32
 	for i := range extra {
 		extra[i] = z.SampleDistinct(rng, 1+rng.Intn(6))
+		id, err := oracle.d.Add(extra[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantIDs = append(wantIDs, id)
 	}
-	var wantIDs []uint32
-	for vi, v := range variants {
+	doomed := []uint32{5, 17, uint32(records + 3)}
+	for _, id := range doomed {
+		oracle.dead[id] = true
+	}
+	for _, v := range variants {
 		ids, err := v.store.InsertSets(extra)
 		if err != nil {
 			t.Fatalf("%s: inserts: %v", v.name, err)
 		}
-		if vi == 0 {
-			wantIDs = ids
-		} else if !slices.Equal(ids, wantIDs) {
-			t.Fatalf("%s: insert ids %v, single got %v", v.name, ids, wantIDs)
+		if !slices.Equal(ids, wantIDs) {
+			t.Fatalf("%s: insert ids %v, want %v", v.name, ids, wantIDs)
 		}
-	}
-	doomed := []uint32{5, 17, uint32(records + 3)}
-	for _, v := range variants {
 		if err := v.store.DeleteIDs(doomed); err != nil {
 			t.Fatalf("%s: deletes: %v", v.name, err)
 		}
@@ -225,16 +420,22 @@ func TestTransportEquivalence(t *testing.T) {
 	}
 	compare("merged")
 
-	// A canceled context must stop every transport with the caller's own
-	// context error, never a transport artifact.
+	// A canceled context must stop every entry point of every transport
+	// with the caller's own context error, never a transport artifact
+	// and never a silently partial answer.
 	canceled, cancel := context.WithCancel(ctx)
 	cancel()
 	for _, v := range variants {
-		if _, err := v.store.Exec(canceled, queries[0]); !errors.Is(err, context.Canceled) {
-			t.Errorf("%s: canceled Exec: %v, want context.Canceled", v.name, err)
-		}
-		if _, err := v.store.ExecExpr(canceled, exprs[0].expr); !errors.Is(err, context.Canceled) {
-			t.Errorf("%s: canceled ExecExpr: %v, want context.Canceled", v.name, err)
+		for _, ep := range entryPoints {
+			var asked []transportOp
+			for _, op := range ops {
+				if ep.accepts(op) {
+					asked = append(asked, op)
+				}
+			}
+			if _, err := ep.run(canceled, v, asked); !errors.Is(err, context.Canceled) {
+				t.Errorf("%s: canceled %s: %v, want context.Canceled", v.name, ep.name, err)
+			}
 		}
 	}
 }

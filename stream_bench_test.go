@@ -163,7 +163,7 @@ func BenchmarkExprLimit(b *testing.B) {
 
 // BenchmarkExprCSE measures the cross-query subexpression cache: a
 // micro-batch of eight ORs sharing one hot AND subtree, answered as one
-// ExecExprBatchAppend (the shared subtree evaluated once, seven cache
+// Store.ExecBatchAppend (the shared subtree evaluated once, seven cache
 // hits) versus one ExecExprAppend per expression (the subtree
 // re-evaluated every time). OR keeps the unshared legs cheap, so the
 // shared work dominates and the batched/separate ratio is the cache's
@@ -183,7 +183,7 @@ func BenchmarkExprCSE(b *testing.B) {
 	}
 	ctx := context.Background()
 	b.Run("batched", func(b *testing.B) {
-		items := make([]setcontain.ExprBatchItem, len(exprs))
+		items := make([]setcontain.BatchItem, len(exprs))
 		dsts := make([][]uint32, len(exprs))
 		for i := range dsts {
 			dsts[i] = make([]uint32, 0, 4096)
@@ -192,9 +192,9 @@ func BenchmarkExprCSE(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			for j := range items {
-				items[j] = setcontain.ExprBatchItem{Expr: exprs[j], Dst: dsts[j][:0]}
+				items[j] = setcontain.BatchItem{Expr: exprs[j], Dst: dsts[j][:0]}
 			}
-			if _, err := store.ExecExprBatchAppend(ctx, items); err != nil {
+			if _, err := store.ExecBatchAppend(ctx, items); err != nil {
 				b.Fatal(err)
 			}
 			for j := range items {
