@@ -5,7 +5,7 @@ GOLANGCI ?= golangci-lint
 COVER_FLOOR ?= 75
 COVER_PKGS = ./setcontain/... ./internal/stats/...
 
-.PHONY: all build vet test bench bench-baseline bench-compare bench-ci fuzz-smoke lint cover check linkcheck vet-examples api-surface serve snapshot-smoke crash-smoke scatter-smoke clean
+.PHONY: all build vet test bench bench-baseline bench-compare bench-ci bench-module-check fuzz-smoke lint cover check linkcheck vet-examples api-surface serve snapshot-smoke crash-smoke scatter-smoke clean
 
 all: check
 
@@ -67,14 +67,24 @@ bench-ci:
 	$(GO) test -run '^$$' -bench '$(TIER1_BENCH)' -benchtime=100x -count=3 -benchmem . > bench-ci.txt
 	$(GO) run ./cmd/benchjson < bench-ci.txt > bench-ci.json
 
+# The repository benchmark (benchmark/, its own module) compiles against
+# the public API and is frozen against PRs that change other code, so a
+# change that breaks its build must fail here, not in the pipeline.
+bench-module-check:
+	$(GO) vet -C benchmark ./...
+	$(GO) test -C benchmark ./...
+
 # Short coverage-guided runs of every fuzz target (go allows one -fuzz
 # target per invocation): the expression-grammar round-trip fuzzer, the
-# WAL replay/record fuzzers, and the vbyte codec fuzzers. The CI fuzz
-# job uses the same invocations; corpus findings land in testdata and
-# fail `make test` thereafter.
+# remote shard client's NDJSON answer reader, the WAL replay/record
+# fuzzers, and the vbyte codec fuzzers. The CI fuzz job uses the same
+# invocations; corpus findings land in testdata and fail `make test`
+# thereafter. The answer-stream inputs run to kilobytes, so minimizing
+# each new one is capped — it would otherwise eat the whole smoke.
 FUZZ_TIME ?= 10s
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseExpr$$' -fuzztime $(FUZZ_TIME) ./setcontain
+	$(GO) test -run '^$$' -fuzz '^FuzzRemoteAnswerStream$$' -fuzztime $(FUZZ_TIME) -fuzzminimizetime 1s ./setcontain
 	$(GO) test -run '^$$' -fuzz '^FuzzReplaySegment$$' -fuzztime $(FUZZ_TIME) ./internal/wal
 	$(GO) test -run '^$$' -fuzz '^FuzzRecordDecode$$' -fuzztime $(FUZZ_TIME) ./internal/wal
 	$(GO) test -run '^$$' -fuzz '^FuzzUint32$$' -fuzztime $(FUZZ_TIME) ./internal/vbyte
@@ -93,8 +103,9 @@ linkcheck:
 vet-examples:
 	$(GO) vet ./examples/...
 
-# Regenerate docs/API.txt: every exported declaration of setcontain and
-# setcontain/serve plus the package's non-test line count. The file is
+# Regenerate docs/API.txt: every exported declaration of setcontain,
+# setcontain/serve and the wire bodies serve aliases (internal/wire),
+# plus their non-test line count. The file is
 # checked in so a PR that grows the surface shows it in its diff; the
 # CI docs job regenerates it and fails when it is stale.
 api-surface:

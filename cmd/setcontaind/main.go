@@ -30,7 +30,9 @@
 //
 // The daemon also runs distributed. A shard daemon holds one slice of a
 // round-robin partition; a coordinator fans queries out to shard
-// daemons over the /shard/* wire protocol and merges their answers:
+// daemons as an ordinary client of their public API — /healthz, POST
+// /query, /admin/* — plus GET /shard/supports for its planner, and
+// merges their answers:
 //
 //	setcontaind -addr :8081 -synthetic 100000 -shard-of 0 -shard-count 2 -index oif
 //	setcontaind -addr :8082 -synthetic 100000 -shard-of 1 -shard-count 2 -index oif
@@ -48,9 +50,9 @@
 // Endpoints: POST /query (batch, NDJSON answers), GET /query?q=…,
 // GET /stream?q=… (the same, flushed per chunk), GET /stats,
 // GET /healthz, the mutation surface
-// POST /admin/{insert,delete,merge,snapshot,checkpoint},
-// and the shard wire protocol /shard/{info,supports,query,insert,delete,
-// merge,snapshot}. Try it:
+// POST /admin/{insert,delete,merge,snapshot,checkpoint}, and
+// GET /shard/supports (the per-item support table a coordinator's
+// planner sums across shards). Try it:
 //
 //	curl -sg 'localhost:8080/query?q=subset{3+17}'
 //	curl -s -d '{"queries":[{"pred":"superset","items":[1,2,3]}]}' localhost:8080/query
@@ -79,6 +81,16 @@ import (
 	"repro/internal/wal"
 	"repro/setcontain"
 	"repro/setcontain/serve"
+)
+
+// Slow or idle connections cost bounded resources: a client gets
+// readHeaderTimeout to send its request headers and an idle keep-alive
+// connection is closed after idleTimeout. There is deliberately no
+// whole-request read or write timeout — snapshots and long answers
+// stream legitimately.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
 )
 
 func main() {
@@ -260,7 +272,12 @@ func main() {
 	})
 	defer sv.Close()
 
-	hs := &http.Server{Addr: *addr, Handler: sv.Handler()}
+	hs := &http.Server{
+		Addr:              *addr,
+		Handler:           sv.Handler(),
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	// Shutdown closes the listener (ListenAndServe returns immediately)
@@ -277,7 +294,7 @@ func main() {
 		}
 	}()
 
-	log.Printf("serving on %s (POST /query, GET /query?q=…, /stream, /stats, /healthz, /admin/*)", *addr)
+	log.Printf("serving on %s (POST /query, GET /query?q=…, /stream, /stats, /healthz, /admin/*, /shard/supports)", *addr)
 	if err := hs.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
 		log.Fatalf("setcontaind: %v", err)
 	}

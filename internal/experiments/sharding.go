@@ -43,8 +43,9 @@ type ShardingResult struct {
 // transport selects how the coordinator reaches its shards: "engine"
 // (or "") queries the sharded engine directly, "inproc" routes through
 // the ShardClient layer with in-process clients, and "http" serves
-// every shard from its own HTTP daemon and fans out over the /shard/*
-// wire protocol — the cost ladder of the transport abstraction.
+// every shard from its own HTTP daemon and fans out to them as an HTTP
+// client of their public API — the cost ladder of the transport
+// abstraction.
 func RunSharding(cfg Config, maxShards, workers int, transport string) (ShardingResult, error) {
 	cfg.fill()
 	if maxShards <= 0 {

@@ -2,7 +2,9 @@
 # api-surface.sh — print the public surface of setcontain and
 # setcontain/serve: every exported declaration as `go doc -all` lists it
 # (doc comments stripped), the exported function+method count per
-# package, and the non-test line count of setcontain/. `make
+# package, and the non-test line count of setcontain/. internal/wire is
+# listed and counted with them: serve re-exports its JSON bodies as
+# aliases, and `go doc` hides an alias's struct fields. `make
 # api-surface` writes the output to docs/API.txt, which is checked in
 # so a PR that grows the surface shows it in its diff; the CI docs job
 # fails when the file is stale.
@@ -10,7 +12,7 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
-for pkg in ./setcontain ./setcontain/serve; do
+for pkg in ./setcontain ./setcontain/serve ./internal/wire; do
     echo "== $pkg"
     # Declarations start at column 0 after the first section header;
     # doc text is indented four spaces, struct-field comments are
@@ -23,4 +25,4 @@ for pkg in ./setcontain ./setcontain/serve; do
         END { printf "-- %d exported functions and methods\n\n", funcs }'
 done
 echo "== size"
-echo "setcontain/ non-test lines: $(cat $(ls setcontain/*.go setcontain/serve/*.go | grep -v _test.go) | wc -l | tr -d ' ')"
+echo "setcontain/ + internal/wire non-test lines: $(cat $(ls setcontain/*.go setcontain/serve/*.go internal/wire/*.go | grep -v _test.go) | wc -l | tr -d ' ')"

@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # scatter-smoke: prove the distributed serving path end-to-end. Start
 # two shard daemons (each holding its round-robin slice of the same
-# synthetic dataset) and a coordinator fanning out to them over the
-# /shard/* wire protocol, drive mixed query/expression/limit traffic
+# synthetic dataset) and a coordinator fanning out to them as an
+# ordinary client of their public API (/healthz, POST /query, /admin/*,
+# plus GET /shard/supports), drive mixed query/expression/limit traffic
 # through the coordinator and a single-node daemon, and require
 # byte-identical answers — before mutations, with pending inserts and a
 # delete, and after the delta merge. Then kill -9 one shard daemon and

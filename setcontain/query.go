@@ -102,6 +102,16 @@ type Queryable interface {
 	Superset(qs []Item) ([]uint32, error)
 }
 
+// predicates is one (dst, Query) primitive spelled as the Queryable
+// method set, for the private engines and readers whose three
+// predicates differ only in the Query they build: the sharded fan-outs
+// and the shard-client adapters embed it.
+type predicates func(dst []uint32, q Query) ([]uint32, error)
+
+func (p predicates) Subset(qs []Item) ([]uint32, error)   { return p(nil, SubsetQuery(qs)) }
+func (p predicates) Equality(qs []Item) ([]uint32, error) { return p(nil, EqualityQuery(qs)) }
+func (p predicates) Superset(qs []Item) ([]uint32, error) { return p(nil, SupersetQuery(qs)) }
+
 // Eval answers the query against t. This is the single dispatch point
 // from predicates to engine methods.
 func (q Query) Eval(t Queryable) ([]uint32, error) {

@@ -11,21 +11,25 @@ import (
 	"strings"
 	"sync"
 	"time"
+
+	"repro/internal/wire"
 )
 
-// The remote shard client speaks the compact HTTP/NDJSON shard protocol
-// served by setcontain/serve's /shard/* handler group (which defines
-// the wire fields; the unexported mirror structs here must match them):
+// The remote shard client is an ordinary client of the daemon's public
+// HTTP API (setcontain/serve); the bodies are declared once, in
+// internal/wire, for both ends:
 //
-//	GET  /shard/info      -> {"kind","records","domain","pending_inserts","deleted"}
-//	GET  /shard/supports  -> {"domain","supports":[...]}
-//	POST /shard/query     {"q":"<expr text>","limit":n}
-//	                      -> NDJSON result lines {"ids":[...],"more":true}* {"done":true,"count":n}
-//	POST /shard/insert    {"set":[...]}     -> {"id":n}
-//	POST /shard/delete    {"id":n}          -> {"deleted":1}
-//	POST /shard/merge     -> mutation-state JSON
-//	POST /shard/snapshot  -> binary snapshot container
+//	Info               GET  /healthz         -> wire.HealthResponse
+//	AppendQuery/Expr   POST /query           one {"expr","limit"} spec
+//	                                         -> NDJSON wire.Result lines
+//	Insert             POST /admin/insert    one set -> its shard-local id
+//	Delete             POST /admin/delete    one shard-local id
+//	MergeDelta         POST /admin/merge
+//	Snapshot           POST /admin/snapshot  -> binary snapshot container
+//	ItemSupports       GET  /shard/supports  -> wire.ShardSupportsResponse
 //
+// Only the last is shard-specific: a coordinator's planner needs the
+// exact per-item support table, which no client-facing answer carries.
 // Queries travel in the setcontain.ParseExpr grammar (Query.String and
 // Expr.String render it), so the daemon's parser is the single wire
 // authority, and answers stream back as ascending shard-local ids.
@@ -62,55 +66,19 @@ func ConnectShards(ctx context.Context, urls []string) (*Index, error) {
 	return ShardedOverClients(ctx, clients)
 }
 
-// Wire mirrors of the serve package's shard protocol bodies (setcontain
-// cannot import serve — serve imports setcontain).
-type (
-	shardInfoWire struct {
-		Kind    string `json:"kind"`
-		Records int    `json:"records"`
-		Domain  int    `json:"domain"`
-		Pending int    `json:"pending_inserts"`
-		Deleted int    `json:"deleted"`
-	}
-	shardSupportsWire struct {
-		Domain   int     `json:"domain"`
-		Supports []int64 `json:"supports"`
-	}
-	shardQueryWire struct {
-		Q     string `json:"q"`
-		Limit int    `json:"limit,omitempty"`
-	}
-	shardInsertWire struct {
-		Set []Item `json:"set"`
-	}
-	shardInsertedWire struct {
-		ID uint32 `json:"id"`
-	}
-	shardDeleteWire struct {
-		ID uint32 `json:"id"`
-	}
-	shardResultWire struct {
-		IDs   []uint32 `json:"ids"`
-		More  bool     `json:"more"`
-		Done  bool     `json:"done"`
-		Count int      `json:"count"`
-		Error string   `json:"error"`
-	}
-)
-
 type remoteClient struct {
 	base string
 	hc   *http.Client
 }
 
 func (c *remoteClient) Info(ctx context.Context) (ShardInfo, error) {
-	var w shardInfoWire
-	if err := c.do(ctx, http.MethodGet, "/shard/info", nil, &w); err != nil {
+	var w wire.HealthResponse
+	if err := c.do(ctx, http.MethodGet, "/healthz", nil, &w); err != nil {
 		return ShardInfo{}, err
 	}
 	kind, err := ParseKind(w.Kind)
 	if err != nil {
-		return ShardInfo{}, fmt.Errorf("setcontain: shard %s: %w", c.base, err)
+		return ShardInfo{}, c.attribute(err)
 	}
 	return ShardInfo{
 		Kind:    kind,
@@ -129,48 +97,37 @@ func (c *remoteClient) Session(int) (ShardSession, error) {
 }
 
 func (c *remoteClient) ItemSupports(ctx context.Context) ([]int64, error) {
-	var w shardSupportsWire
+	var w wire.ShardSupportsResponse
 	if err := c.do(ctx, http.MethodGet, "/shard/supports", nil, &w); err != nil {
 		return nil, err
 	}
 	if len(w.Supports) != w.Domain {
-		return nil, fmt.Errorf("setcontain: shard %s: supports table has %d entries, domain is %d",
-			c.base, len(w.Supports), w.Domain)
+		return nil, c.attribute(fmt.Errorf("supports table has %d entries, domain is %d", len(w.Supports), w.Domain))
 	}
 	return w.Supports, nil
 }
 
 func (c *remoteClient) Insert(ctx context.Context, set []Item) (uint32, error) {
-	var w shardInsertedWire
-	if err := c.do(ctx, http.MethodPost, "/shard/insert", shardInsertWire{Set: set}, &w); err != nil {
+	var w wire.InsertResponse
+	if err := c.do(ctx, http.MethodPost, "/admin/insert", wire.InsertRequest{Sets: [][]Item{set}}, &w); err != nil {
 		return 0, err
 	}
-	return w.ID, nil
+	if len(w.IDs) != 1 {
+		return 0, c.attribute(fmt.Errorf("insert of one set answered %d ids", len(w.IDs)))
+	}
+	return w.IDs[0], nil
 }
 
 func (c *remoteClient) Delete(ctx context.Context, local uint32) error {
-	return c.do(ctx, http.MethodPost, "/shard/delete", shardDeleteWire{ID: local}, nil)
+	return c.do(ctx, http.MethodPost, "/admin/delete", wire.DeleteRequest{IDs: []uint32{local}}, io.Discard)
 }
 
 func (c *remoteClient) MergeDelta(ctx context.Context) error {
-	return c.do(ctx, http.MethodPost, "/shard/merge", nil, nil)
+	return c.do(ctx, http.MethodPost, "/admin/merge", nil, io.Discard)
 }
 
 func (c *remoteClient) Snapshot(ctx context.Context, w io.Writer) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+"/shard/snapshot", nil)
-	if err != nil {
-		return err
-	}
-	resp, err := c.hc.Do(req)
-	if err != nil {
-		return fmt.Errorf("setcontain: shard %s: %w", c.base, err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return c.httpError(resp)
-	}
-	_, err = io.Copy(w, resp.Body)
-	return err
+	return c.do(ctx, http.MethodPost, "/admin/snapshot", nil, w)
 }
 
 func (c *remoteClient) Close() error {
@@ -178,55 +135,68 @@ func (c *remoteClient) Close() error {
 	return nil
 }
 
-// do runs one JSON round-trip: in (nil for an empty body) marshalled as
-// the request, out (nil to discard) decoded from a 200 response.
-func (c *remoteClient) do(ctx context.Context, method, path string, in, out any) error {
+// attribute names the shard in err, whatever failed on the way to it.
+func (c *remoteClient) attribute(err error) error {
+	return fmt.Errorf("setcontain: shard %s: %w", c.base, err)
+}
+
+// send is the one request builder: in (nil for an empty body) goes out
+// as the JSON request, and a non-200 answer comes back as the shard's
+// own message — the JSON {"error": …} body where the daemon wrote one,
+// the plain-text body otherwise. The caller closes the response body.
+func (c *remoteClient) send(ctx context.Context, method, path string, in any) (*http.Response, error) {
 	var body io.Reader
 	if in != nil {
 		b, err := json.Marshal(in)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		body = bytes.NewReader(b)
 	}
 	req, err := http.NewRequestWithContext(ctx, method, c.base+path, body)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if in != nil {
 		req.Header.Set("Content-Type", "application/json")
 	}
 	resp, err := c.hc.Do(req)
 	if err != nil {
-		return fmt.Errorf("setcontain: shard %s: %w", c.base, err)
+		return nil, err
+	}
+	if resp.StatusCode == http.StatusOK {
+		return resp, nil
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return c.httpError(resp)
-	}
-	if out == nil {
-		_, err = io.Copy(io.Discard, resp.Body)
-		return err
-	}
-	return json.NewDecoder(resp.Body).Decode(out)
-}
-
-// httpError turns a non-200 response into an error carrying the shard's
-// own message: the JSON {"error": …} body where the daemon wrote one,
-// the plain-text body otherwise.
-func (c *remoteClient) httpError(resp *http.Response) error {
-	b, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
+	b, _ := io.ReadAll(io.LimitReader(resp.Body, 4096)) // best effort: the status alone still reports
 	msg := strings.TrimSpace(string(b))
-	var je struct {
-		Error string `json:"error"`
-	}
+	var je wire.QueryErrorResponse // every JSON error body carries "error"
 	if json.Unmarshal(b, &je) == nil && je.Error != "" {
 		msg = je.Error
 	}
 	if msg == "" {
 		msg = resp.Status
 	}
-	return fmt.Errorf("setcontain: shard %s: %s (HTTP %d)", c.base, msg, resp.StatusCode)
+	return nil, fmt.Errorf("%s (HTTP %d)", msg, resp.StatusCode)
+}
+
+// do runs one control-plane round-trip through send. out receives the
+// 200 body: an io.Writer the raw bytes, anything else the decoded JSON.
+func (c *remoteClient) do(ctx context.Context, method, path string, in, out any) error {
+	resp, err := c.send(ctx, method, path, in)
+	if err != nil {
+		return c.attribute(err)
+	}
+	defer resp.Body.Close()
+	if w, raw := out.(io.Writer); raw {
+		_, err = io.Copy(w, resp.Body)
+	} else {
+		err = json.NewDecoder(resp.Body).Decode(out)
+	}
+	if err != nil {
+		return c.attribute(err)
+	}
+	return nil
 }
 
 // remoteSession is the data plane: one streaming query at a time, with
@@ -260,18 +230,24 @@ func (s *remoteSession) AppendQuery(ctx context.Context, dst []uint32, q Query) 
 	if !q.Pred.known() {
 		return nil, ErrUnknownPredicate
 	}
-	return s.appendWire(ctx, dst, q.String(), 0)
+	return s.appendWire(ctx, dst, wire.QuerySpec{Expr: q.String()})
 }
 
+// AppendExpr validates before touching the wire, so both transports
+// return the same sentinels (see inprocSession.AppendExpr).
 func (s *remoteSession) AppendExpr(ctx context.Context, dst []uint32, expr *Expr, limit int) ([]uint32, error) {
-	return s.appendWire(ctx, dst, expr.String(), limit)
+	if expr == nil {
+		return nil, errNilExpr
+	}
+	if limit < 0 {
+		return nil, ErrNegativeLimit
+	}
+	return s.appendWire(ctx, dst, wire.QuerySpec{Expr: expr.String(), Limit: limit})
 }
 
-// appendWire posts one textual query and appends the streamed NDJSON
-// answer chunks to dst. The final line's count must match what was
-// received — a short stream (daemon died mid-answer) fails rather than
-// silently truncating.
-func (s *remoteSession) appendWire(ctx context.Context, dst []uint32, q string, limit int) ([]uint32, error) {
+// appendWire posts one query spec and appends the streamed answer to
+// dst.
+func (s *remoteSession) appendWire(ctx context.Context, dst []uint32, spec wire.QuerySpec) ([]uint32, error) {
 	if err := s.check(); err != nil {
 		return nil, err
 	}
@@ -280,53 +256,58 @@ func (s *remoteSession) appendWire(ctx context.Context, dst []uint32, q string, 
 	}
 	cctx, stop := s.watch(ctx)
 	defer stop()
-	body, err := json.Marshal(shardQueryWire{Q: q, Limit: limit})
-	if err != nil {
-		return nil, err
-	}
-	req, err := http.NewRequestWithContext(cctx, http.MethodPost, s.c.base+"/shard/query", bytes.NewReader(body))
-	if err != nil {
-		return nil, err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := s.c.hc.Do(req)
+	resp, err := s.c.send(cctx, http.MethodPost, "/query", wire.QueryRequest{Queries: []wire.QuerySpec{spec}})
 	if err != nil {
 		return nil, s.failure(ctx, err)
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, s.c.httpError(resp)
+	ids, err := readAnswer(dst, resp.Body, s.check)
+	if err != nil {
+		return nil, s.failure(ctx, err)
 	}
-	dec := json.NewDecoder(resp.Body)
+	return ids, nil
+}
+
+// readAnswer appends the NDJSON answer of a one-query request to dst,
+// consulting check between lines. It returns the complete answer or an
+// error, never a prefix: the stream must reach a final line whose count
+// matches what was received (a daemon that died mid-answer fails the
+// call), every line must belong to query 0 (the only one sent), and an
+// error line — how the daemon reports a query that failed executing —
+// fails the call with the daemon's message.
+func readAnswer(dst []uint32, body io.Reader, check func() error) ([]uint32, error) {
+	dec := json.NewDecoder(body)
 	base := len(dst)
 	for {
-		var line shardResultWire
+		var line wire.Result
 		if err := dec.Decode(&line); err != nil {
 			if errors.Is(err, io.EOF) {
-				return nil, s.failure(ctx, fmt.Errorf("setcontain: shard %s: answer stream ended before its final line", s.c.base))
+				return nil, errors.New("answer stream ended before its final line")
 			}
-			return nil, s.failure(ctx, err)
+			return nil, err
+		}
+		if line.Query != 0 {
+			return nil, fmt.Errorf("answer line for query %d of a one-query request", line.Query)
 		}
 		if line.Error != "" {
-			return nil, fmt.Errorf("setcontain: shard %s: %s", s.c.base, line.Error)
+			return nil, errors.New(line.Error)
 		}
 		dst = append(dst, line.IDs...)
 		if line.Done {
 			if got := len(dst) - base; got != line.Count {
-				return nil, fmt.Errorf("setcontain: shard %s: answer carries %d ids, final line says %d",
-					s.c.base, got, line.Count)
+				return nil, fmt.Errorf("answer carries %d ids, final line says %d", got, line.Count)
 			}
 			return dst, nil
 		}
-		if err := s.check(); err != nil {
+		if err := check(); err != nil {
 			return nil, err
 		}
 	}
 }
 
-// failure maps a transport error to what the caller should see: the
+// failure maps a failed call to what the caller should see: the
 // interrupt hook's error (the Store ctx that tripped the watchdog), the
-// caller's own ctx error, then the transport error itself.
+// caller's own ctx error, then the failure itself, naming the shard.
 func (s *remoteSession) failure(ctx context.Context, err error) error {
 	if herr := s.check(); herr != nil {
 		return herr
@@ -334,7 +315,7 @@ func (s *remoteSession) failure(ctx context.Context, err error) error {
 	if cerr := ctx.Err(); cerr != nil {
 		return cerr
 	}
-	return fmt.Errorf("setcontain: shard %s: %w", s.c.base, err)
+	return s.c.attribute(err)
 }
 
 // watch converts the poll-style interrupt hook into context

@@ -50,6 +50,13 @@
 // inserts are already durable), and the index of the first
 // unacknowledged set.
 //
+// A coordinator (setcontain.ConnectShards) reaches a shard daemon
+// through these same routes — /healthz for identity, POST /query with
+// one spec per call, /admin/* for mutations and snapshots — so its
+// traffic batches, saturates and is logged like any client's. GET
+// /shard/supports, the exact per-item support table its planner sums
+// across shards, is the only route of its own.
+//
 // Each mutation refreshes the store, so answers served after the
 // response reflect it. The snapshot body is what `setcontaind
 // -snapshot` loads at boot — a warm daemon restarts without rebuilding

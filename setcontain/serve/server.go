@@ -85,7 +85,8 @@ func (s *Server) Close() { s.batcher.Close() }
 // Handler returns the route mux:
 //
 //	POST /query, GET /query?q=…, GET /stream?q=…, GET /stats, GET /healthz
-//	POST /admin/insert, /admin/delete, /admin/merge, /admin/snapshot
+//	POST /admin/insert, /admin/delete, /admin/merge, /admin/snapshot, /admin/checkpoint
+//	GET  /shard/supports — the one route only a coordinator uses (see shard.go)
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/query", s.handleQuery)
@@ -97,13 +98,7 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("/admin/merge", s.handleMerge)
 	mux.HandleFunc("/admin/snapshot", s.handleSnapshot)
 	mux.HandleFunc("/admin/checkpoint", s.handleCheckpoint)
-	mux.HandleFunc("/shard/info", s.handleShardInfo)
 	mux.HandleFunc("/shard/supports", s.handleShardSupports)
-	mux.HandleFunc("/shard/query", s.handleShardQuery)
-	mux.HandleFunc("/shard/insert", s.handleShardInsert)
-	mux.HandleFunc("/shard/delete", s.handleShardDelete)
-	mux.HandleFunc("/shard/merge", s.handleMerge)
-	mux.HandleFunc("/shard/snapshot", s.handleSnapshot)
 	return mux
 }
 
@@ -165,7 +160,7 @@ func parseRequest(r *http.Request) ([]exprReq, error) {
 			if spec.Limit < 0 {
 				return nil, fmt.Errorf("serve: query %d: %w", i, setcontain.ErrNegativeLimit)
 			}
-			e, err := spec.Parse()
+			e, err := parseSpec(spec)
 			if err != nil {
 				return nil, fmt.Errorf("serve: query %d: %w", i, err)
 			}

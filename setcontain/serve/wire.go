@@ -3,6 +3,7 @@ package serve
 import (
 	"fmt"
 
+	"repro/internal/wire"
 	"repro/setcontain"
 )
 
@@ -12,54 +13,49 @@ import (
 // in the setcontain.ParseExpr grammar — so setcontain.ParsePredicate /
 // setcontain.ParseExpr are the single parsing authority on both the
 // library and wire paths.
+//
+// The bodies a coordinator's remote shard client also reads or writes
+// are declared once, in internal/wire (setcontain cannot import this
+// package); the aliases keep their names here. Fields: see that package.
+type (
+	// QueryRequest is the POST /query body.
+	QueryRequest = wire.QueryRequest
+	// QuerySpec is one query of a QueryRequest.
+	QuerySpec = wire.QuerySpec
+	// QueryErrorResponse is the JSON body of a 400 answer to a query.
+	QueryErrorResponse = wire.QueryErrorResponse
+	// Result is one NDJSON line of a /query or /stream answer.
+	Result = wire.Result
+	// HealthResponse is the GET /healthz body.
+	HealthResponse = wire.HealthResponse
+	// WALHealthJSON is the /healthz write-ahead-log summary.
+	WALHealthJSON = wire.WALHealthJSON
+	// InsertRequest is the POST /admin/insert body.
+	InsertRequest = wire.InsertRequest
+	// InsertResponse is the POST /admin/insert answer.
+	InsertResponse = wire.InsertResponse
+	// DeleteRequest is the POST /admin/delete body.
+	DeleteRequest = wire.DeleteRequest
+	// ShardSupportsResponse is the GET /shard/supports body.
+	ShardSupportsResponse = wire.ShardSupportsResponse
+)
 
-// QueryRequest is the POST /query body: the queries to answer, in
-// order. Answers stream back as Result lines keyed by query index.
-type QueryRequest struct {
-	Queries []QuerySpec `json:"queries"`
-}
-
-// QuerySpec is one query on the wire: either a single containment
-// predicate — a predicate name ("subset", "equality", or "superset",
-// as Predicate.String spells them) plus the query items — or a boolean
-// expression in Expr, the textual setcontain.ParseExpr grammar
-// ("subset{1 2} and not superset{3}"). Setting Expr alongside Pred is
-// an error: one spec is one query, spelled one way.
-type QuerySpec struct {
-	Pred  string            `json:"pred,omitempty"`
-	Items []setcontain.Item `json:"items,omitempty"`
-	Expr  string            `json:"expr,omitempty"`
-	// Limit caps the answer to its first Limit ids (ascending). Zero or
-	// absent means the full answer; a negative limit is rejected (400).
-	Limit int `json:"limit,omitempty"`
-}
-
-// Query converts the spec to a setcontain.Query, validating the
-// predicate name. Specs carrying an expression don't fit a single
-// query; use Parse.
-func (qs QuerySpec) Query() (setcontain.Query, error) {
-	pred, err := setcontain.ParsePredicate(qs.Pred)
-	if err != nil {
-		return setcontain.Query{}, fmt.Errorf("serve: %w", err)
-	}
-	return setcontain.Query{Pred: pred, Items: qs.Items}, nil
-}
-
-// Parse converts the spec to an expression tree: Expr through
+// parseSpec converts a spec to an expression tree: Expr through
 // setcontain.ParseExpr (errors keep their *setcontain.ParseError
-// offset), a Pred/Items pair as the one-leaf degenerate expression.
-func (qs QuerySpec) Parse() (*setcontain.Expr, error) {
+// offset), a Pred/Items pair — its predicate name validated — as the
+// one-leaf degenerate expression.
+func parseSpec(qs QuerySpec) (*setcontain.Expr, error) {
 	if qs.Expr != "" {
 		if qs.Pred != "" || len(qs.Items) != 0 {
 			return nil, fmt.Errorf("serve: spec sets both expr and pred/items")
 		}
 		return setcontain.ParseExpr(qs.Expr)
 	}
-	q, err := qs.Query()
+	pred, err := setcontain.ParsePredicate(qs.Pred)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("serve: %w", err)
 	}
-	return setcontain.ExprOf(q), nil
+	return setcontain.ExprOf(setcontain.Query{Pred: pred, Items: qs.Items}), nil
 }
 
 // SpecOf renders a setcontain.Query as its wire spec.
@@ -77,73 +73,6 @@ func SpecOfExpr(e *setcontain.Expr) QuerySpec {
 	return QuerySpec{Expr: e.String()}
 }
 
-// QueryErrorResponse is the JSON body of a 400 answer to a query whose
-// textual form failed to parse. Offset is the byte position of the
-// failing token inside the query string (present exactly when the
-// failure was a positioned *setcontain.ParseError), so clients can
-// point at the error instead of re-lexing the message.
-type QueryErrorResponse struct {
-	Error  string `json:"error"`
-	Offset *int   `json:"offset,omitempty"`
-}
-
-// Result is one NDJSON response line. A query's answer arrives as zero
-// or more chunk lines (More true) followed by one final line (Done
-// true) carrying the total count — so clients consume arbitrarily large
-// answers without either side materializing them. Error lines are
-// final lines with Error set.
-type Result struct {
-	// Query is the index of the answered query in the request.
-	Query int `json:"query"`
-	// IDs is this chunk's slice of the ascending answer ids.
-	IDs []uint32 `json:"ids,omitempty"`
-	// More marks a non-final chunk: further lines follow for this query.
-	More bool `json:"more,omitempty"`
-	// Done marks the query's final line.
-	Done bool `json:"done,omitempty"`
-	// Count is the total ids answered; meaningful on the final line
-	// (always present there, including 0 for an empty answer) and 0 on
-	// chunk lines.
-	Count int `json:"count"`
-	// Error is the query's error, set on the final line when it failed.
-	Error string `json:"error,omitempty"`
-}
-
-// HealthResponse is the GET /healthz body.
-type HealthResponse struct {
-	OK      bool   `json:"ok"`
-	Kind    string `json:"kind"`            // engine kind serving the index
-	Records int    `json:"records"`         // indexed records (tombstoned slots included)
-	Domain  int    `json:"domain"`          // vocabulary size
-	Pending int    `json:"pending_inserts"` // unmerged inserts
-	Deleted int    `json:"deleted"`         // tombstoned records
-	// WAL summarizes the write-ahead log when one is attached: absent
-	// means the daemon serves the plain in-memory mutation path.
-	WAL *WALHealthJSON `json:"wal,omitempty"`
-}
-
-// WALHealthJSON is the /healthz WAL summary. A Wedged log means a log
-// append or fsync failed: mutations are refused (503) until the process
-// restarts and recovers, while queries keep being served.
-type WALHealthJSON struct {
-	LastLSN       uint64 `json:"last_lsn"`
-	CheckpointLSN uint64 `json:"checkpoint_lsn"`
-	Segments      int    `json:"segments"`
-	Wedged        bool   `json:"wedged,omitempty"`
-}
-
-// InsertRequest is the POST /admin/insert body: one or more record sets
-// to add to the live index's delta.
-type InsertRequest struct {
-	Sets [][]setcontain.Item `json:"sets"`
-}
-
-// InsertResponse reports the ids assigned to the inserted records, in
-// request order.
-type InsertResponse struct {
-	IDs []uint32 `json:"ids"`
-}
-
 // InsertErrorResponse is the POST /admin/insert error body (status 400
 // or 503). A mid-batch failure leaves the earlier inserts applied —
 // with a write-ahead log attached they are already durably acknowledged
@@ -156,11 +85,6 @@ type InsertErrorResponse struct {
 	Error     string   `json:"error"`
 	IDs       []uint32 `json:"ids"`
 	FailedSet int      `json:"failed_set"`
-}
-
-// DeleteRequest is the POST /admin/delete body: record ids to tombstone.
-type DeleteRequest struct {
-	IDs []uint32 `json:"ids"`
 }
 
 // DeleteResponse reports how many records the request tombstoned.

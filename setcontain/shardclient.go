@@ -13,9 +13,9 @@ import (
 // a coordinator talks to its shards only through ShardClient (control
 // plane) and ShardSession (data plane), so the same scatter-gather
 // executor drives local engines and remote daemons interchangeably.
-// InprocShard wraps a local Engine; NewRemoteShard (remote.go) speaks
-// the HTTP/NDJSON shard protocol served by setcontain/serve's /shard/*
-// handlers. ShardedOverClients assembles the client-backed shards into
+// InprocShard wraps a local Engine; NewRemoteShard (remote.go) is an
+// ordinary HTTP client of a setcontain/serve daemon's public API.
+// ShardedOverClients assembles the client-backed shards into
 // an ordinary sharded Index, so Store, serve, and snapshots work over
 // remote shards unchanged.
 
@@ -242,7 +242,9 @@ func ShardedOverClients(ctx context.Context, clients []ShardClient) (*Index, err
 			return nil, fmt.Errorf("setcontain: shard %d domain %d != shard 0 domain %d",
 				i, info.Domain, domain)
 		}
-		engines[i] = &clientEngine{c: c, info: info}
+		ce := &clientEngine{c: c, info: info}
+		ce.predicates = ce.query
+		engines[i] = ce
 	}
 	eng, err := shardedOf(engines)
 	if err != nil {
@@ -262,6 +264,8 @@ var errClientPool = fmt.Errorf("setcontain: client-backed shard has no local buf
 // mutations (and refreshed from the shard on MergeDelta) to avoid a
 // roundtrip per accessor.
 type clientEngine struct {
+	predicates // Subset/Equality/Superset over query
+
 	c    ShardClient
 	info ShardInfo
 
@@ -303,17 +307,14 @@ func (e *clientEngine) dropSession() {
 	}
 }
 
-func (e *clientEngine) eval(q Query) ([]uint32, error) {
+// query answers q on the engine-level session, appending to dst.
+func (e *clientEngine) query(dst []uint32, q Query) ([]uint32, error) {
 	sess, err := e.session()
 	if err != nil {
 		return nil, err
 	}
-	return sess.AppendQuery(context.Background(), nil, q)
+	return sess.AppendQuery(context.Background(), dst, q)
 }
-
-func (e *clientEngine) Subset(qs []Item) ([]uint32, error)   { return e.eval(SubsetQuery(qs)) }
-func (e *clientEngine) Equality(qs []Item) ([]uint32, error) { return e.eval(EqualityQuery(qs)) }
-func (e *clientEngine) Superset(qs []Item) ([]uint32, error) { return e.eval(SupersetQuery(qs)) }
 
 func (e *clientEngine) Insert(set []Item) (uint32, error) {
 	id, err := e.c.Insert(context.Background(), set)
@@ -359,7 +360,10 @@ func (e *clientEngine) NewReader(cachePages int) (*Reader, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Reader{r: &clientReader{sess: sess}}, nil
+	answer := func(dst []uint32, q Query) ([]uint32, error) {
+		return sess.AppendQuery(context.Background(), dst, q)
+	}
+	return &Reader{r: &clientReader{answer, sess}}, nil
 }
 
 func (e *clientEngine) Save(w io.Writer) error { return e.c.Snapshot(context.Background(), w) }
@@ -407,33 +411,23 @@ func (e *clientEngine) Unwrap() any { return e.c }
 // propagates interrupts to the session (there is no local pool to hook)
 // and accepts whole-expression pushdown.
 type clientReader struct {
+	predicates // Subset/Equality/Superset, straight onto sess.AppendQuery
+
 	sess ShardSession
 }
 
-func (r *clientReader) Subset(qs []Item) ([]uint32, error) {
-	return r.sess.AppendQuery(context.Background(), nil, SubsetQuery(qs))
-}
-
-func (r *clientReader) Equality(qs []Item) ([]uint32, error) {
-	return r.sess.AppendQuery(context.Background(), nil, EqualityQuery(qs))
-}
-
-func (r *clientReader) Superset(qs []Item) ([]uint32, error) {
-	return r.sess.AppendQuery(context.Background(), nil, SupersetQuery(qs))
-}
-
-// AppendSubset implements AppendQueryable straight onto the session's
-// append form; likewise AppendEquality and AppendSuperset.
+// AppendSubset implements AppendQueryable on the same primitive;
+// likewise AppendEquality and AppendSuperset.
 func (r *clientReader) AppendSubset(dst []uint32, qs []Item) ([]uint32, error) {
-	return r.sess.AppendQuery(context.Background(), dst, SubsetQuery(qs))
+	return r.predicates(dst, SubsetQuery(qs))
 }
 
 func (r *clientReader) AppendEquality(dst []uint32, qs []Item) ([]uint32, error) {
-	return r.sess.AppendQuery(context.Background(), dst, EqualityQuery(qs))
+	return r.predicates(dst, EqualityQuery(qs))
 }
 
 func (r *clientReader) AppendSuperset(dst []uint32, qs []Item) ([]uint32, error) {
-	return r.sess.AppendQuery(context.Background(), dst, SupersetQuery(qs))
+	return r.predicates(dst, SupersetQuery(qs))
 }
 
 // AppendExpr implements the exprAppender pushdown capability.

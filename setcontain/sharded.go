@@ -45,6 +45,8 @@ type ShardPlan struct {
 }
 
 type shardedEngine struct {
+	predicates // Subset/Equality/Superset: gatherOver the shards
+
 	shards []Engine
 	part   Partitioner
 	plans  []ShardPlan
@@ -110,20 +112,16 @@ func buildShardedWith(ds *dataset.Dataset, opts Options, part Partitioner) (Engi
 		colls[s].Add(r.Set)
 	}
 
-	eng := &shardedEngine{
-		shards: make([]Engine, n),
-		part:   part,
-		plans:  make([]ShardPlan, n),
-		domain: ds.DomainSize(),
-	}
+	shards := make([]Engine, n)
+	plans := make([]ShardPlan, n)
 	errs := forEachBounded(n, par, func(s int) error {
 		shardEng, plan, err := buildShard(subs[s], colls[s], opts)
 		if err != nil {
 			return err
 		}
 		plan.Shard = s
-		eng.shards[s] = shardEng
-		eng.plans[s] = plan
+		shards[s] = shardEng
+		plans[s] = plan
 		return nil
 	})
 	for s, err := range errs {
@@ -131,8 +129,7 @@ func buildShardedWith(ds *dataset.Dataset, opts Options, part Partitioner) (Engi
 			return nil, fmt.Errorf("setcontain: shard %d: %w", s, err)
 		}
 	}
-	eng.nextID = uint32(ds.Len())
-	return eng, nil
+	return newShardedEngine(part, shards, plans, ds.DomainSize()), nil
 }
 
 // buildShard plans and builds one shard's inner engine from its profiled
@@ -192,17 +189,20 @@ func shardedWith(part Partitioner, shards []Engine) (Engine, error) {
 		return nil, fmt.Errorf("setcontain: partitioner expects %d shards, got %d",
 			part.NumShards(), len(shards))
 	}
-	eng := &shardedEngine{
-		shards: shards,
-		part:   part,
-		plans:  make([]ShardPlan, len(shards)),
-		domain: shards[0].DomainSize(),
-	}
+	plans := make([]ShardPlan, len(shards))
 	for s, sh := range shards {
-		eng.plans[s] = ShardPlan{Shard: s, Kind: sh.Kind(), Records: sh.NumRecords()}
+		plans[s] = ShardPlan{Shard: s, Kind: sh.Kind(), Records: sh.NumRecords()}
 	}
-	eng.nextID = uint32(eng.NumRecords())
-	return eng, nil
+	return newShardedEngine(part, shards, plans, shards[0].DomainSize()), nil
+}
+
+// newShardedEngine assembles the engine over shards holding part's
+// split in shard order; the partition counter resumes after the records
+// they already hold.
+func newShardedEngine(part Partitioner, shards []Engine, plans []ShardPlan, domain int) *shardedEngine {
+	e := &shardedEngine{predicates: gatherOver(part, shards), shards: shards, part: part, plans: plans, domain: domain}
+	e.nextID = uint32(e.NumRecords())
+	return e
 }
 
 // ShardPlans returns the per-shard planning decisions of a sharded
@@ -255,23 +255,21 @@ func (e *shardedEngine) ItemSupports() []int64 {
 	return supports
 }
 
-// gather scatters query over the shards (no cancellation signal at the
-// engine level — Store readers carry that) and merges to global order.
-func (e *shardedEngine) gather(query func(shard int) ([]uint32, error)) ([]uint32, error) {
-	return scatterGather(context.Background(), e.part,
-		func(_ context.Context, s int) ([]uint32, error) { return query(s) })
-}
-
-func (e *shardedEngine) Subset(qs []Item) ([]uint32, error) {
-	return e.gather(func(s int) ([]uint32, error) { return e.shards[s].Subset(qs) })
-}
-
-func (e *shardedEngine) Equality(qs []Item) ([]uint32, error) {
-	return e.gather(func(s int) ([]uint32, error) { return e.shards[s].Equality(qs) })
-}
-
-func (e *shardedEngine) Superset(qs []Item) ([]uint32, error) {
-	return e.gather(func(s int) ([]uint32, error) { return e.shards[s].Superset(qs) })
+// gatherOver is the one (dst, Query) primitive behind the sharded
+// engine's and the sharded reader's predicates: q scattered over the
+// shard handles and merged to global order. There is no cancellation
+// signal at this level — Store readers carry that through the interrupt
+// hooks setInterrupt installs — so the Queryable surface stays
+// context-free.
+func gatherOver[T Queryable](part Partitioner, shards []T) predicates {
+	return func(dst []uint32, q Query) ([]uint32, error) {
+		ids, err := scatterGather(context.Background(), part,
+			func(_ context.Context, s int) ([]uint32, error) { return q.Eval(shards[s]) })
+		if err != nil || dst == nil {
+			return ids, err
+		}
+		return append(dst, ids...), nil
+	}
 }
 
 // Insert routes the record to the shard the partitioner assigns its
@@ -337,15 +335,15 @@ func (e *shardedEngine) PendingInserts() int {
 // parallel fan-out, global-order merge — and propagates interrupts to
 // every shard pool, which is how Store cancellation reaches all shards.
 func (e *shardedEngine) NewReader(cachePages int) (*Reader, error) {
-	sr := &shardedReader{shards: make([]*Reader, len(e.shards)), part: e.part}
+	readers := make([]*Reader, len(e.shards))
 	for s, sh := range e.shards {
 		r, err := sh.NewReader(cachePages)
 		if err != nil {
 			return nil, err
 		}
-		sr.shards[s] = r
+		readers[s] = r
 	}
-	return &Reader{r: sr}, nil
+	return &Reader{r: &shardedReader{predicates: gatherOver(e.part, readers), shards: readers, part: e.part}}, nil
 }
 
 func (e *shardedEngine) Space() SpaceInfo {
@@ -399,29 +397,10 @@ func (e *shardedEngine) Pool() *storage.BufferPool { return e.shards[0].Pool() }
 // shardedReader is the engineReader behind a sharded Reader: isolated
 // per-shard readers queried with the same scatter-gather as the engine.
 type shardedReader struct {
+	predicates // Subset/Equality/Superset: gatherOver the shard readers
+
 	shards []*Reader
 	part   Partitioner
-}
-
-// gather mirrors shardedEngine.gather on the reader's shard handles.
-// Cancellation flows through the interrupt hooks installed by
-// setInterrupt rather than the context, so the engine-level Queryable
-// surface stays context-free.
-func (r *shardedReader) gather(query func(shard int) ([]uint32, error)) ([]uint32, error) {
-	return scatterGather(context.Background(), r.part,
-		func(_ context.Context, s int) ([]uint32, error) { return query(s) })
-}
-
-func (r *shardedReader) Subset(qs []Item) ([]uint32, error) {
-	return r.gather(func(s int) ([]uint32, error) { return r.shards[s].Subset(qs) })
-}
-
-func (r *shardedReader) Equality(qs []Item) ([]uint32, error) {
-	return r.gather(func(s int) ([]uint32, error) { return r.shards[s].Equality(qs) })
-}
-
-func (r *shardedReader) Superset(qs []Item) ([]uint32, error) {
-	return r.gather(func(s int) ([]uint32, error) { return r.shards[s].Superset(qs) })
 }
 
 func (r *shardedReader) Stats() storage.AccessStats {

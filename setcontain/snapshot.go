@@ -304,9 +304,7 @@ func loadShardedPayload(r io.Reader, o Options) (Engine, error) {
 			return nil, fmt.Errorf("shard %d: %w", s, err)
 		}
 	}
-	eng := &shardedEngine{shards: shards, part: part, plans: m.plans, domain: m.domain}
-	eng.nextID = uint32(eng.NumRecords())
-	return eng, nil
+	return newShardedEngine(part, shards, m.plans, m.domain), nil
 }
 
 // SplitSnapshot reads a sharded snapshot container from r and emits

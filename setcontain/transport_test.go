@@ -11,10 +11,12 @@
 package setcontain_test
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -39,6 +41,9 @@ type transportVariant struct {
 	store *setcontain.Store
 	srv   *serve.Server
 	url   string
+	// clients are the variant's shard clients, for the stacks built over
+	// ShardedOverClients (nil otherwise).
+	clients []setcontain.ShardClient
 }
 
 // buildTransportVariants stands up the four stacks over identical data.
@@ -70,34 +75,29 @@ func buildTransportVariants(t *testing.T, sets [][]setcontain.Item, domain, shar
 		t.Cleanup(sv.Close)
 		return store, sv, ts.URL
 	}
-	overClients := func(base *setcontain.Index, client func(eng setcontain.Engine) setcontain.ShardClient) *setcontain.Index {
+	var variants []*transportVariant
+	add := func(name string, idx *setcontain.Index, clients []setcontain.ShardClient) {
+		store, sv, url := serveOver(idx)
+		variants = append(variants, &transportVariant{name, idx, store, sv, url, clients})
+	}
+	addOverClients := func(name string, client func(eng setcontain.Engine) setcontain.ShardClient) {
 		var clients []setcontain.ShardClient
-		for _, eng := range setcontain.ShardEngines(base.Engine()) {
+		for _, eng := range setcontain.ShardEngines(build(setcontain.Sharded).Engine()) {
 			clients = append(clients, client(eng))
 		}
 		idx, err := setcontain.ShardedOverClients(context.Background(), clients)
 		if err != nil {
 			t.Fatalf("coordinator: %v", err)
 		}
-		return idx
+		add(name, idx, clients)
 	}
-
-	var variants []*transportVariant
-	for _, v := range []struct {
-		name string
-		idx  *setcontain.Index
-	}{
-		{"single", build(setcontain.OIF)},
-		{"sharded", build(setcontain.Sharded)},
-		{"inproc", overClients(build(setcontain.Sharded), setcontain.InprocShard)},
-		{"http", overClients(build(setcontain.Sharded), func(eng setcontain.Engine) setcontain.ShardClient {
-			_, _, url := serveOver(setcontain.IndexOver(eng))
-			return setcontain.NewRemoteShard(url, nil)
-		})},
-	} {
-		store, sv, url := serveOver(v.idx)
-		variants = append(variants, &transportVariant{v.name, v.idx, store, sv, url})
-	}
+	add("single", build(setcontain.OIF), nil)
+	add("sharded", build(setcontain.Sharded), nil)
+	addOverClients("inproc", setcontain.InprocShard)
+	addOverClients("http", func(eng setcontain.Engine) setcontain.ShardClient {
+		_, _, url := serveOver(setcontain.IndexOver(eng))
+		return setcontain.NewRemoteShard(url, nil)
+	})
 	return variants
 }
 
@@ -383,6 +383,26 @@ func TestTransportEquivalence(t *testing.T) {
 	}
 	compare("built")
 
+	// A request a session must refuse is refused with the same sentinel
+	// on both client transports, before anything crosses a wire.
+	_, errNilExpr := variants[0].store.ExecExprAppend(ctx, nil, nil)
+	for _, v := range variants {
+		if v.clients == nil {
+			continue
+		}
+		sess, err := v.clients[0].Session(8)
+		if err != nil {
+			t.Fatalf("%s: session: %v", v.name, err)
+		}
+		if _, err := sess.AppendExpr(ctx, nil, nil, 0); errNilExpr == nil || !errors.Is(err, errNilExpr) {
+			t.Errorf("%s: AppendExpr(nil expr): %v, want %v", v.name, err, errNilExpr)
+		}
+		if _, err := sess.AppendExpr(ctx, nil, ops[0].expr, -1); !errors.Is(err, setcontain.ErrNegativeLimit) {
+			t.Errorf("%s: AppendExpr(limit -1): %v, want ErrNegativeLimit", v.name, err)
+		}
+		sess.Close()
+	}
+
 	// Mutations travel through every transport's own store; ids must
 	// match across variants because they share one global id space.
 	extra := make([][]setcontain.Item, 20)
@@ -566,3 +586,190 @@ func TestTransportPartialFailure(t *testing.T) {
 		t.Fatalf("dead shard misattributed: %v names shard %d, shard 1 died", err, se.Shard)
 	}
 }
+
+// TestTransportPublicRoutesOnly pins the one-wire property: a
+// coordinator is an ordinary client of a shard daemon. Every ShardClient
+// and ShardSession method, and Store traffic through ShardedOverClients,
+// is driven against a daemon whose handler records the paths it serves;
+// all of them must be public routes plus /shard/supports, and the
+// retired shard-only twins must be gone.
+func TestTransportPublicRoutesOnly(t *testing.T) {
+	const domain = 16
+	c := setcontain.NewCollection(domain)
+	for i := 0; i < 60; i++ {
+		if _, err := c.Add([]setcontain.Item{uint32(i % domain), uint32((i * 7) % domain)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	shard, err := setcontain.New(c, setcontain.WithKind(setcontain.OIF), setcontain.WithPageSize(512))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sv := serve.NewServer(shard, setcontain.NewStore(shard, 8), serve.Config{ChunkIDs: 4})
+	var mu sync.Mutex
+	hit := map[string]bool{}
+	daemon := sv.Handler()
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		mu.Lock()
+		hit[r.URL.Path] = true
+		mu.Unlock()
+		daemon.ServeHTTP(w, r)
+	}))
+	t.Cleanup(ts.Close)
+	t.Cleanup(sv.Close)
+
+	ctx := context.Background()
+	must := func(what string, err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+	}
+	client := setcontain.NewRemoteShard(ts.URL, nil)
+	info, err := client.Info(ctx)
+	must("Info", err)
+	if info.Kind != setcontain.OIF || info.Records != 60 || info.Domain != domain {
+		t.Fatalf("Info: %+v, want the OIF shard's 60 records over %d items", info, domain)
+	}
+	sup, err := client.ItemSupports(ctx)
+	must("ItemSupports", err)
+	if len(sup) != domain {
+		t.Fatalf("ItemSupports: %d entries, want %d", len(sup), domain)
+	}
+	id, err := client.Insert(ctx, []setcontain.Item{1, 2, 3})
+	must("Insert", err)
+	if id != 61 {
+		t.Fatalf("Insert: shard-local id %d, want 61", id)
+	}
+	must("Delete", client.Delete(ctx, id))
+	must("MergeDelta", client.MergeDelta(ctx))
+	var snap bytes.Buffer
+	must("Snapshot", client.Snapshot(ctx, &snap))
+	if _, err := setcontain.Open(&snap); err != nil {
+		t.Fatalf("Snapshot: body does not restore: %v", err)
+	}
+	sess, err := client.Session(0)
+	must("Session", err)
+	sess.SetInterrupt(func() error { return nil })
+	q := setcontain.SubsetQuery([]setcontain.Item{1})
+	want, err := shard.Eval(q)
+	must("oracle", err)
+	got, err := sess.AppendQuery(ctx, nil, q)
+	must("AppendQuery", err)
+	if !slices.Equal(got, want) || len(want) <= 4 {
+		t.Fatalf("AppendQuery: %v, want the multi-chunk answer %v", got, want)
+	}
+	got, err = sess.AppendExpr(ctx, nil, setcontain.ExprOf(q), 3)
+	must("AppendExpr", err)
+	if !slices.Equal(got, want[:3]) {
+		t.Fatalf("AppendExpr limit 3: %v, want %v", got, want[:3])
+	}
+	sess.ResetStats()
+	_ = sess.Stats()
+	must("session Close", sess.Close())
+
+	coord, err := setcontain.ShardedOverClients(ctx, []setcontain.ShardClient{client})
+	must("ShardedOverClients", err)
+	store := setcontain.NewStore(coord, 8)
+	if ids, err := store.Exec(ctx, q); err != nil || !slices.Equal(ids, want) {
+		t.Fatalf("Store.Exec: %v, %v, want %v", ids, err, want)
+	}
+	expr, err := setcontain.ParseExpr("subset{1} and not superset{1 8}")
+	must("ParseExpr", err)
+	if _, err := store.ExecExprAppend(ctx, nil, expr); err != nil {
+		t.Fatalf("Store.ExecExprAppend: %v", err)
+	}
+	if ids, err := store.ExecExprLimitAppend(ctx, nil, expr, 2); err != nil || len(ids) > 2 {
+		t.Fatalf("Store.ExecExprLimitAppend: %v, %v, want at most 2 ids", ids, err)
+	}
+	must("client Close", client.Close())
+
+	public := []string{"/healthz", "/query", "/admin/insert", "/admin/delete", "/admin/merge", "/admin/snapshot", "/shard/supports"}
+	mu.Lock()
+	for path := range hit {
+		if !slices.Contains(public, path) {
+			t.Errorf("coordinator traffic hit %s, outside the daemon's public routes %v", path, public)
+		}
+	}
+	for _, path := range public {
+		if !hit[path] {
+			t.Errorf("no ShardClient/ShardSession method reached %s", path)
+		}
+	}
+	mu.Unlock()
+	for _, path := range []string{"/shard/info", "/shard/query", "/shard/insert", "/shard/delete", "/shard/merge", "/shard/snapshot"} {
+		resp, err := http.Post(ts.URL+path, "application/json", strings.NewReader("{}"))
+		must(path, err)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound {
+			t.Errorf("POST %s: status %d, want 404 (the shard-only twin protocol is retired)", path, resp.StatusCode)
+		}
+	}
+}
+
+// answerOracle is the fuzz target's independent reading of a /query
+// response to a one-query request: the ids of a well-formed stream
+// (every line for query 0, no error line, a final line whose count
+// matches), or ok false for anything else.
+func answerOracle(body []byte) (ids []uint32, ok bool) {
+	for dec := json.NewDecoder(bytes.NewReader(body)); ; {
+		var line serve.Result
+		if dec.Decode(&line) != nil || line.Query != 0 || line.Error != "" {
+			return nil, false
+		}
+		ids = append(ids, line.IDs...)
+		if line.Done {
+			return ids, line.Count == len(ids)
+		}
+	}
+}
+
+// FuzzRemoteAnswerStream serves arbitrary bytes as the daemon's /query
+// response body to a remote session: the call must return an error or
+// exactly the complete answer — never panic, never a silent prefix.
+func FuzzRemoteAnswerStream(f *testing.F) {
+	for _, seed := range []string{
+		`{"query":0,"ids":[1,2],"more":true,"count":0}` + "\n" + `{"query":0,"ids":[5],"done":true,"count":3}` + "\n",
+		`{"query":0,"done":true,"count":0}` + "\n",
+		`{"query":0,"ids":[1,2],"more":true,"count":0}` + "\n",                                                           // truncated after a more line
+		`{"query":0,"ids":[1,2],"more":true,"count":0}` + "\n" + `{"query":0,"ids":[5],"do`,                              // truncated mid-line
+		`{"query":0,"ids":[1,2],"done":true,"count":3}` + "\n",                                                           // count mismatch
+		`{"query":0,"ids":[1],"more":true,"count":0}` + "\n" + `{"query":0,"done":true,"count":0,"error":"boom"}` + "\n", // error line
+		`{"query":1,"ids":[1,2],"done":true,"count":2}` + "\n",                                                           // wrong query index
+		`{"query":0,"ids":[` + strings.Repeat("7,", 1<<13) + `7],"done":true,"count":8193}` + "\n",                       // oversized line
+		`{"query":0,"ids":[-1],"done":true,"count":1}` + "\n",
+		"null\n[]\n",
+		"",
+	} {
+		f.Add([]byte(seed))
+	}
+	var body []byte
+	client := setcontain.NewRemoteShard("http://shard.invalid", &http.Client{
+		Transport: roundTripFunc(func(*http.Request) (*http.Response, error) {
+			return &http.Response{StatusCode: http.StatusOK, Body: io.NopCloser(bytes.NewReader(body))}, nil
+		}),
+	})
+	sess, err := client.Session(0)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		body = data
+		prefix := []uint32{42}
+		got, err := sess.AppendQuery(context.Background(), prefix, setcontain.SubsetQuery(nil))
+		want, ok := answerOracle(data)
+		switch {
+		case !ok && err == nil:
+			t.Fatalf("malformed stream answered %v without an error", got)
+		case ok && err != nil:
+			t.Fatalf("well-formed stream of %d ids failed: %v", len(want), err)
+		case ok && !slices.Equal(got, append(prefix, want...)):
+			t.Fatalf("answer %v, stream carries %v after dst %v", got, want, prefix)
+		}
+	})
+}
+
+// roundTripFunc is an http.RoundTripper that answers in-process.
+type roundTripFunc func(*http.Request) (*http.Response, error)
+
+func (f roundTripFunc) RoundTrip(r *http.Request) (*http.Response, error) { return f(r) }
