@@ -76,15 +76,17 @@ bench-module-check:
 
 # Short coverage-guided runs of every fuzz target (go allows one -fuzz
 # target per invocation): the expression-grammar round-trip fuzzer, the
-# remote shard client's NDJSON answer reader, the WAL replay/record
-# fuzzers, and the vbyte codec fuzzers. The CI fuzz job uses the same
-# invocations; corpus findings land in testdata and fail `make test`
-# thereafter. The answer-stream inputs run to kilobytes, so minimizing
-# each new one is capped — it would otherwise eat the whole smoke.
+# remote shard client's NDJSON answer reader, the snapshot container
+# reader, the WAL replay/record fuzzers, and the vbyte codec fuzzers. The
+# CI fuzz job uses the same invocations; corpus findings land in testdata
+# and fail `make test` thereafter. The answer-stream and snapshot inputs
+# run to kilobytes, so minimizing each new one is capped — it would
+# otherwise eat the whole smoke.
 FUZZ_TIME ?= 10s
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseExpr$$' -fuzztime $(FUZZ_TIME) ./setcontain
 	$(GO) test -run '^$$' -fuzz '^FuzzRemoteAnswerStream$$' -fuzztime $(FUZZ_TIME) -fuzzminimizetime 1s ./setcontain
+	$(GO) test -run '^$$' -fuzz '^FuzzOpenSnapshot$$' -fuzztime $(FUZZ_TIME) -fuzzminimizetime 1s ./setcontain
 	$(GO) test -run '^$$' -fuzz '^FuzzReplaySegment$$' -fuzztime $(FUZZ_TIME) ./internal/wal
 	$(GO) test -run '^$$' -fuzz '^FuzzRecordDecode$$' -fuzztime $(FUZZ_TIME) ./internal/wal
 	$(GO) test -run '^$$' -fuzz '^FuzzUint32$$' -fuzztime $(FUZZ_TIME) ./internal/vbyte
@@ -105,9 +107,10 @@ vet-examples:
 
 # Regenerate docs/API.txt: every exported declaration of setcontain,
 # setcontain/serve and the wire bodies serve aliases (internal/wire),
-# plus their non-test line count. The file is
-# checked in so a PR that grows the surface shows it in its diff; the
-# CI docs job regenerates it and fails when it is stale.
+# plus their non-test line count and that of the index layer below the
+# engine. The file is checked in so a PR that grows the surface — or
+# either layer — shows it in its diff; the CI docs job regenerates it
+# and fails when it is stale.
 api-surface:
 	./scripts/api-surface.sh > docs/API.txt
 

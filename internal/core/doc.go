@@ -15,7 +15,8 @@
 //   - the metadata table / region coalescing (§3.3): metadata.go
 //   - the Range of Interest and the three query algorithms (§4):
 //     query.go and scan.go
-//   - updates via the in-memory delta and the §4.4 merge: update.go
+//   - updates (§4.4): the pending delta and tombstones live in
+//     internal/overlay; update.go holds the OIF's merge, a full rebuild
 //   - snapshots: persist.go
 //
 // Beyond the paper, the query path adds a skew-aware decoded-block

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/btree"
 	"repro/internal/dataset"
+	"repro/internal/overlay"
 	"repro/internal/sequence"
 	"repro/internal/stats"
 	"repro/internal/storage"
@@ -80,17 +81,10 @@ type Index struct {
 	keyBytes     int64
 	listPostings []int64 // per rank, postings stored in its list
 
-	delta []dataset.Record // §4.4 memory-resident delta, original-id space
-
-	// dead is the tombstone set: sorted original-space ids of deleted
-	// records, masked out of every answer. The slice is immutable once
-	// attached — Delete installs a fresh copy — so Reader clones can
-	// share it safely. deadDirty records that some tombstoned postings
-	// are still physically present (on disk or in the delta) and will be
-	// folded out by the next MergeDelta; the ids themselves stay
-	// tombstoned forever, because record ids are never reused.
-	dead      []uint32
-	deadDirty bool
+	// ov is the §4.4 update overlay in original-id space: the pending
+	// delta every query consults and the tombstones masked out of every
+	// answer, until MergeDelta folds them in.
+	ov overlay.Overlay
 
 	// Per-instance query runtime, attached lazily by ensureRuntime and
 	// never shared between an Index and its Reader clones.
@@ -233,11 +227,8 @@ func (ix *Index) Pool() *storage.BufferPool { return ix.tree.Pool() }
 // Order exposes the item order (examples and tests use it).
 func (ix *Index) Order() *sequence.Order { return ix.ord }
 
-// Metadata exposes the metadata table (read-only).
-func (ix *Index) Metadata() *Metadata { return ix.meta }
-
 // NumRecords returns the number of indexed records including the delta.
-func (ix *Index) NumRecords() int { return ix.numRecords + len(ix.delta) }
+func (ix *Index) NumRecords() int { return ix.numRecords + ix.ov.Len() }
 
 // DomainSize returns |I|.
 func (ix *Index) DomainSize() int { return ix.domainSize }
@@ -276,33 +267,26 @@ func (ix *Index) origID(newID uint32) uint32 { return uint32(ix.re.OrigIndex(new
 // to dst (whose existing contents are untouched — only the appended
 // region is sorted), masking tombstoned records and adding matching
 // delta records.
-func (ix *Index) mapToOriginal(dst, newIDs []uint32, q []sequence.Rank, pred deltaPred) []uint32 {
+func (ix *Index) mapToOriginal(dst, newIDs []uint32, q []sequence.Rank, pred overlay.Pred) []uint32 {
 	start := len(dst)
-	dst = slices.Grow(dst, len(newIDs))
-	if len(ix.dead) == 0 {
-		for _, id := range newIDs {
-			dst = append(dst, ix.origID(id))
-		}
-	} else {
-		for _, id := range newIDs {
-			if oid := ix.origID(id); !ix.isDead(oid) {
-				dst = append(dst, oid)
-			}
-		}
+	dst = ix.appendOriginal(dst, newIDs)
+	if ix.ov.Len() > 0 {
+		dst = ix.ov.AppendMatches(dst, ix.ord.Set(q), pred)
 	}
-	dst = ix.appendDelta(dst, q, pred)
 	slices.Sort(dst[start:])
 	return dst
 }
 
-// isDead reports whether the original-space id is tombstoned.
-func (ix *Index) isDead(id uint32) bool {
-	_, ok := slices.BinarySearch(ix.dead, id)
-	return ok
+// appendOriginal appends the original ids of newIDs to dst, minus the
+// tombstoned ones, in newIDs' order.
+func (ix *Index) appendOriginal(dst, newIDs []uint32) []uint32 {
+	start := len(dst)
+	dst = slices.Grow(dst, len(newIDs))
+	for _, id := range newIDs {
+		dst = append(dst, ix.origID(id))
+	}
+	return dst[:start+len(ix.ov.Mask(dst[start:]))]
 }
-
-// Deleted returns the number of tombstoned records.
-func (ix *Index) Deleted() int { return len(ix.dead) }
 
 // prepRanks canonicalises a query set into the arena: validated,
 // converted to ranks, sorted ascending, deduplicated. The returned slice

@@ -7,7 +7,7 @@ import (
 	"io"
 
 	"repro/internal/btree"
-	"repro/internal/dataset"
+	"repro/internal/overlay"
 	"repro/internal/sequence"
 	"repro/internal/snapio"
 	"repro/internal/storage"
@@ -43,7 +43,7 @@ func (ix *Index) Save(w io.Writer) error {
 		return err
 	}
 	flags := uint32(0)
-	if ix.deadDirty {
+	if ix.ov.Dirty() {
 		flags |= snapFlagDeadDirty
 	}
 	for _, v := range []uint32{
@@ -56,28 +56,16 @@ func (ix *Index) Save(w io.Writer) error {
 			return err
 		}
 	}
-	// Item order.
-	if err := snapio.WriteU32Slice(cw, ix.ord.Items()); err != nil {
-		return err
-	}
-	// Metadata regions.
+	// Item order, metadata regions, reordering.
 	regions := make([]uint32, 0, 3*len(ix.meta.Regions))
 	for _, reg := range ix.meta.Regions {
 		regions = append(regions, reg.L, reg.U, reg.U1)
 	}
-	if err := snapio.WriteU32Slice(cw, regions); err != nil {
-		return err
-	}
-	// Reordering.
 	flat, off, origIndex := ix.re.Parts()
-	if err := snapio.WriteU32Slice(cw, flat); err != nil {
-		return err
-	}
-	if err := snapio.WriteU32Slice(cw, off); err != nil {
-		return err
-	}
-	if err := snapio.WriteU32Slice(cw, origIndex); err != nil {
-		return err
+	for _, section := range [][]uint32{ix.ord.Items(), regions, flat, off, origIndex} {
+		if err := snapio.WriteU32Slice(cw, section); err != nil {
+			return err
+		}
 	}
 	// Space accounting.
 	for _, v := range []int64{ix.blocks, ix.postingBytes, ix.keyBytes} {
@@ -92,20 +80,11 @@ func (ix *Index) Save(w io.Writer) error {
 	if err := snapio.WriteU32Slice(cw, lp); err != nil {
 		return err
 	}
-	// Pending delta.
-	if err := snapio.WriteU64(cw, uint64(len(ix.delta))); err != nil {
+	// Pending delta, then tombstones.
+	if err := ix.ov.WriteRecords(cw); err != nil {
 		return err
 	}
-	for _, r := range ix.delta {
-		if err := snapio.WriteU32(cw, r.ID); err != nil {
-			return err
-		}
-		if err := snapio.WriteU32Slice(cw, r.Set); err != nil {
-			return err
-		}
-	}
-	// Tombstones.
-	if err := snapio.WriteU32Slice(cw, ix.dead); err != nil {
+	if err := ix.ov.WriteTombstones(cw); err != nil {
 		return err
 	}
 	// Raw pages. Flush the pool first so the pager is current.
@@ -212,28 +191,12 @@ func Load(r io.Reader) (*Index, error) {
 	for i, v := range lp {
 		listPostings[i] = int64(v)
 	}
-	nDelta, err := snapio.ReadU64(cr)
-	if err != nil || nDelta > snapio.MaxSliceLen {
-		return nil, fmt.Errorf("%w: delta count", ErrBadSnapshot)
+	var ov overlay.Overlay
+	if err := ov.ReadRecords(cr); err != nil {
+		return nil, fmt.Errorf("%w: delta: %v", ErrBadSnapshot, err)
 	}
-	delta := make([]dataset.Record, 0, nDelta)
-	for i := uint64(0); i < nDelta; i++ {
-		id, err := snapio.ReadU32(cr)
-		if err != nil {
-			return nil, fmt.Errorf("%w: delta record", ErrBadSnapshot)
-		}
-		set, err := snapio.ReadU32Slice(cr)
-		if err != nil {
-			return nil, fmt.Errorf("%w: delta set", ErrBadSnapshot)
-		}
-		delta = append(delta, dataset.Record{ID: id, Set: set})
-	}
-	dead, err := snapio.ReadU32Slice(cr)
-	if err != nil {
-		return nil, fmt.Errorf("%w: tombstones", ErrBadSnapshot)
-	}
-	if len(dead) == 0 {
-		dead = nil
+	if err := ov.ReadTombstones(cr, flags&snapFlagDeadDirty != 0); err != nil {
+		return nil, fmt.Errorf("%w: tombstones: %v", ErrBadSnapshot, err)
 	}
 
 	nPages, err := snapio.ReadU64(cr)
@@ -279,8 +242,6 @@ func Load(r io.Reader) (*Index, error) {
 		postingBytes: space[1],
 		keyBytes:     space[2],
 		listPostings: listPostings,
-		delta:        delta,
-		dead:         dead,
-		deadDirty:    flags&snapFlagDeadDirty != 0,
+		ov:           ov,
 	}, nil
 }

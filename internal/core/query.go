@@ -4,6 +4,7 @@ import (
 	"slices"
 
 	"repro/internal/dataset"
+	"repro/internal/overlay"
 	"repro/internal/sequence"
 	"repro/internal/vbyte"
 )
@@ -44,7 +45,7 @@ func (ix *Index) AppendSubset(dst []uint32, qs []dataset.Item) ([]uint32, error)
 			all = append(all, id)
 		}
 		ar.aux = all
-		return ix.mapToOriginal(dst, all, nil, predContainsAll), nil
+		return ix.mapToOriginal(dst, all, nil, overlay.ContainsAll), nil
 	}
 	if n == 1 {
 		ids, err := ix.collectWholeList(ar.aux[:0], q[0])
@@ -58,7 +59,7 @@ func (ix *Index) AppendSubset(dst []uint32, qs []dataset.Item) ([]uint32, error)
 			ids = append(ids, id)
 		}
 		ar.aux = ids
-		return ix.mapToOriginal(dst, ids, q, predContainsAll), nil
+		return ix.mapToOriginal(dst, ids, q, overlay.ContainsAll), nil
 	}
 
 	// RoI_sub (Def. 2): lower bound is the full run of ranks up to the
@@ -112,13 +113,26 @@ func (ix *Index) AppendSubset(dst []uint32, qs []dataset.Item) ([]uint32, error)
 		}
 	}
 	if len(cands) == 0 {
-		return ix.mapToOriginal(dst, nil, q, predContainsAll), nil
+		return ix.mapToOriginal(dst, nil, q, overlay.ContainsAll), nil
 	}
 
-	// The smallest item: candidates inside its metadata region contain it
-	// by construction; candidates beyond the region's end cannot contain
-	// it (Theorem 1); the rest must appear in its (shortened) list.
-	reg := ix.meta.Regions[q[0]]
+	result, err := ix.filterBySmallest(q[0], cands)
+	if err != nil {
+		return nil, err
+	}
+	return ix.mapToOriginal(dst, result, q, overlay.ContainsAll), nil
+}
+
+// filterBySmallest keeps the candidates (sorted new ids) whose records
+// contain rank r, for r the query's smallest rank, by Theorem 1 — valid
+// for arbitrary candidate ids, not just list-derived ones: ids inside
+// r's metadata region have smallest rank r (contain it by construction),
+// ids beyond the region have smallest rank > r (cannot contain it), and
+// ids before it must carry a posting in r's (shortened) list. The result
+// lives in the arena's aux buffer.
+func (ix *Index) filterBySmallest(r sequence.Rank, cands []uint32) ([]uint32, error) {
+	ar := ix.arena
+	reg := ix.meta.Regions[r]
 	confirmed, toCheck := ar.aux2[:0], ar.aux[:0]
 	for _, id := range cands {
 		switch {
@@ -131,14 +145,14 @@ func (ix *Index) AppendSubset(dst []uint32, qs []dataset.Item) ([]uint32, error)
 		}
 	}
 	ar.aux2, ar.aux = confirmed, toCheck
-	checked, err := ix.filterByList(q[0], toCheck)
+	checked, err := ix.filterByList(r, toCheck)
 	if err != nil {
 		return nil, err
 	}
 	// toCheck ids all precede region ids, so concatenation stays sorted.
 	result := append(checked, confirmed...)
 	ar.aux = result
-	return ix.mapToOriginal(dst, result, q, predContainsAll), nil
+	return result, nil
 }
 
 // AppendSubsetWithin appends Subset(qs) ∩ cands to dst: the members of
@@ -183,56 +197,18 @@ func (ix *Index) AppendSubsetWithin(dst []uint32, qs []dataset.Item, cands []uin
 	}
 
 	if n > 0 && len(w) > 0 {
-		// The smallest item, by Theorem 1 — valid for arbitrary candidate
-		// ids, not just list-derived ones: ids inside q[0]'s metadata
-		// region have smallest rank q[0] (contain it by construction), ids
-		// beyond the region have smallest rank > q[0] (cannot contain it),
-		// and ids before it must carry a posting in q[0]'s list.
-		reg := ix.meta.Regions[q[0]]
-		confirmed, toCheck := ar.aux2[:0], ar.aux[:0]
-		for _, id := range w {
-			switch {
-			case reg.ContainsID(id):
-				confirmed = append(confirmed, id)
-			case !reg.Empty() && id > reg.U:
-				// discard
-			default:
-				toCheck = append(toCheck, id)
-			}
-		}
-		ar.aux2, ar.aux = confirmed, toCheck
-		checked, err := ix.filterByList(q[0], toCheck)
-		if err != nil {
+		if w, err = ix.filterBySmallest(q[0], w); err != nil {
 			return nil, err
 		}
-		// toCheck ids all precede region ids, so concatenation stays sorted.
-		w = append(checked, confirmed...)
-		ar.aux = w
 	}
 
 	// Back to original ids with the tombstone mask, then the delta —
 	// restricted to records present in cands, unlike mapToOriginal's
 	// unconditional delta sweep.
 	start := len(dst)
-	dst = slices.Grow(dst, len(w))
-	for _, id := range w {
-		if oid := ix.origID(id); len(ix.dead) == 0 || !ix.isDead(oid) {
-			dst = append(dst, oid)
-		}
-	}
-	if len(ix.delta) > 0 {
-		items := ix.ord.Set(q)
-		for _, r := range ix.delta {
-			if len(ix.dead) > 0 && ix.isDead(r.ID) {
-				continue
-			}
-			if !r.ContainsAll(items) {
-				continue
-			}
-			if _, ok := slices.BinarySearch(cands, r.ID); ok {
-				dst = append(dst, r.ID)
-			}
-		}
+	dst = ix.appendOriginal(dst, w)
+	if ix.ov.Len() > 0 {
+		dst = ix.ov.AppendMatchesWithin(dst, ix.ord.Set(q), cands)
 	}
 	slices.Sort(dst[start:])
 	return dst, nil
@@ -259,11 +235,11 @@ func (ix *Index) AppendEquality(dst []uint32, qs []dataset.Item) ([]uint32, erro
 			ids = append(ids, id)
 		}
 		ar.aux = ids
-		return ix.mapToOriginal(dst, ids, q, predEqual), nil
+		return ix.mapToOriginal(dst, ids, q, overlay.Equal), nil
 	}
 	reg := ix.meta.Regions[q[0]]
 	if reg.Empty() {
-		return ix.mapToOriginal(dst, nil, q, predEqual), nil
+		return ix.mapToOriginal(dst, nil, q, overlay.Equal), nil
 	}
 	if n == 1 {
 		// All answers are the cardinality-1 prefix of the region; the
@@ -273,7 +249,7 @@ func (ix *Index) AppendEquality(dst []uint32, qs []dataset.Item) ([]uint32, erro
 			ids = append(ids, id)
 		}
 		ar.aux = ids
-		return ix.mapToOriginal(dst, ids, q, predEqual), nil
+		return ix.mapToOriginal(dst, ids, q, overlay.Equal), nil
 	}
 
 	// RoI_eq is the single point qs (Def. 3). Scan the least frequent
@@ -312,7 +288,7 @@ func (ix *Index) AppendEquality(dst []uint32, qs []dataset.Item) ([]uint32, erro
 	}
 	// No access to q[0]'s list: membership in its metadata region plus
 	// length n plus containment of q[1..n-1] pins the set to exactly qs.
-	return ix.mapToOriginal(dst, cands, q, predEqual), nil
+	return ix.mapToOriginal(dst, cands, q, overlay.Equal), nil
 }
 
 // Superset returns the ids of records t with t.s ⊆ qs (Algorithm 2).
@@ -456,7 +432,7 @@ func (ix *Index) AppendSuperset(dst []uint32, qs []dataset.Item) ([]uint32, erro
 	}
 	ar.scands, ar.merged = cands, spare
 	ar.aux = results
-	return ix.mapToOriginal(dst, results, q, predSubsetOf), nil
+	return ix.mapToOriginal(dst, results, q, overlay.SubsetOf), nil
 }
 
 // collectWholeList appends every posting id in rank's list to dst,

@@ -23,8 +23,7 @@ func (ix *Index) NewReader(poolPages int) (*Reader, error) {
 	}
 	clone := *ix
 	clone.tree = view
-	// Freeze the delta at its current extent; the parent appends only.
-	clone.delta = ix.delta[:len(ix.delta):len(ix.delta)]
+	clone.ov = ix.ov.View()
 	// The clone must not share mutable query state with the parent:
 	// drop the copied arena and decoded-cache pointers so ensureRuntime
 	// attaches fresh, reader-private instances (sized by the same

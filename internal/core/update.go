@@ -1,98 +1,29 @@
 package core
 
-import (
-	"fmt"
-	"slices"
-	"sort"
+import "repro/internal/dataset"
 
-	"repro/internal/dataset"
-	"repro/internal/sequence"
-)
-
-// Updates (§4.4). New records accumulate in a memory-resident delta that
-// queries consult alongside the disk index; MergeDelta folds them in.
-// Unlike the IF — which merely appends postings — the OIF must re-sort
-// the whole database to assign fresh ids, which is why the paper reports
-// OIF updates costing ~3-5x an IF update. MergeDelta therefore performs a
-// full rebuild from the index's own sequence arena plus the delta.
-
-type deltaPred int
-
-const (
-	predContainsAll deltaPred = iota // record ⊇ query
-	predEqual                        // record = query
-	predSubsetOf                     // record ⊆ query
-)
-
-// appendDelta adds matching delta-record ids (original-id space).
-func (ix *Index) appendDelta(ids []uint32, q []sequence.Rank, pred deltaPred) []uint32 {
-	if len(ix.delta) == 0 {
-		return ids
-	}
-	items := ix.ord.Set(q)
-	for _, r := range ix.delta {
-		if len(ix.dead) > 0 && ix.isDead(r.ID) {
-			continue
-		}
-		var ok bool
-		switch pred {
-		case predContainsAll:
-			ok = r.ContainsAll(items)
-		case predEqual:
-			ok = r.EqualSet(items)
-		default:
-			ok = r.SubsetOf(items)
-		}
-		if ok {
-			ids = append(ids, r.ID)
-		}
-	}
-	return ids
-}
+// Updates (§4.4). New records and tombstones accumulate in the index's
+// overlay (internal/overlay), which queries consult alongside the disk
+// index; MergeDelta folds them in. Unlike the IF — which merely appends
+// postings — the OIF must re-sort the whole database to assign fresh
+// ids, which is why the paper reports OIF updates costing ~3-5x an IF
+// update. MergeDelta therefore performs a full rebuild from the index's
+// own sequence arena plus the delta.
 
 // Insert adds a record to the delta and returns its (original-space) id.
 func (ix *Index) Insert(set []dataset.Item) (uint32, error) {
-	cp := append([]dataset.Item(nil), set...)
-	sort.Slice(cp, func(i, j int) bool { return cp[i] < cp[j] })
-	dedup := cp[:0]
-	for i, v := range cp {
-		if int(v) >= ix.domainSize {
-			return 0, fmt.Errorf("core: item %d outside domain %d", v, ix.domainSize)
-		}
-		if i == 0 || v != dedup[len(dedup)-1] {
-			dedup = append(dedup, v)
-		}
-	}
-	id := uint32(ix.NumRecords() + 1)
-	ix.delta = append(ix.delta, dataset.Record{ID: id, Set: dedup})
-	return id, nil
+	return ix.ov.Insert(set, ix.domainSize, ix.numRecords)
 }
 
 // DeltaLen returns the number of unmerged inserted records.
-func (ix *Index) DeltaLen() int { return len(ix.delta) }
+func (ix *Index) DeltaLen() int { return ix.ov.Len() }
 
-// Delete tombstones the record with the given original-space id: it
-// vanishes from every answer immediately, its postings are physically
-// removed by the next MergeDelta, and its id is never reused (the slot
-// persists as an empty record). Deleting a pending delta record works
-// the same way. Deleting an unknown or already-deleted id is an error.
-func (ix *Index) Delete(id uint32) error {
-	if id == 0 || int(id) > ix.NumRecords() {
-		return fmt.Errorf("core: delete of unknown record %d (have %d)", id, ix.NumRecords())
-	}
-	i, found := slices.BinarySearch(ix.dead, id)
-	if found {
-		return fmt.Errorf("core: record %d already deleted", id)
-	}
-	// Copy-on-write keeps the slice immutable for live Reader clones.
-	dead := make([]uint32, 0, len(ix.dead)+1)
-	dead = append(dead, ix.dead[:i]...)
-	dead = append(dead, id)
-	dead = append(dead, ix.dead[i:]...)
-	ix.dead = dead
-	ix.deadDirty = true
-	return nil
-}
+// Delete tombstones the record with the given original-space id, merged
+// or pending; see overlay.Overlay.Delete.
+func (ix *Index) Delete(id uint32) error { return ix.ov.Delete(id, ix.numRecords) }
+
+// Deleted returns the number of tombstoned records.
+func (ix *Index) Deleted() int { return ix.ov.Deleted() }
 
 // MergeDelta rebuilds the index over the union of the indexed records and
 // the delta: supports are recounted (the order may shift), records are
@@ -102,7 +33,7 @@ func (ix *Index) Delete(id uint32) error {
 // keeps its id; the tombstone set itself carries over (masking the empty
 // slots), as do the decoded-block cache's cumulative statistics.
 func (ix *Index) MergeDelta() error {
-	if len(ix.delta) == 0 && !ix.deadDirty {
+	if ix.ov.Len() == 0 && !ix.ov.Dirty() {
 		return nil
 	}
 	// Reconstruct the source dataset in original-id order from the
@@ -111,7 +42,7 @@ func (ix *Index) MergeDelta() error {
 	d := dataset.New(ix.domainSize)
 	sets := make([][]dataset.Item, ix.numRecords)
 	for newID := uint32(1); newID <= uint32(ix.numRecords); newID++ {
-		if oid := ix.origID(newID); len(ix.dead) > 0 && ix.isDead(oid) {
+		if ix.ov.Dead(ix.origID(newID)) {
 			continue
 		}
 		sets[ix.re.OrigIndex(newID)] = ix.ord.Set(ix.re.SF(newID))
@@ -121,9 +52,9 @@ func (ix *Index) MergeDelta() error {
 			return err
 		}
 	}
-	for _, r := range ix.delta {
+	for _, r := range ix.ov.Pending() {
 		set := r.Set
-		if len(ix.dead) > 0 && ix.isDead(r.ID) {
+		if ix.ov.Dead(r.ID) {
 			set = nil
 		}
 		if _, err := d.Add(set); err != nil {
@@ -134,7 +65,8 @@ func (ix *Index) MergeDelta() error {
 	if err != nil {
 		return err
 	}
-	rebuilt.dead = ix.dead
+	rebuilt.ov = ix.ov
+	rebuilt.ov.Merged()
 	oldCache := ix.dcache
 	*ix = *rebuilt
 	// The rebuild re-attaches a fresh decoded cache; carry the counters

@@ -9,7 +9,7 @@ package dataset
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // Item is a vocabulary element, identified by a dense uint32 in
@@ -53,36 +53,34 @@ func (d *Dataset) Records() []Record { return d.records }
 // ErrItemOutOfDomain reports a set item outside the vocabulary.
 var ErrItemOutOfDomain = errors.New("dataset: item outside domain")
 
+// Canonical returns the canonical form of an item set — a sorted,
+// duplicate-free copy (the caller's slice is untouched) — or an error
+// wrapping ErrItemOutOfDomain when an item falls outside
+// [0, domainSize). Every record and every IF/UBT query set enters the
+// system through it; the OIF query path canonicalises in rank space
+// instead (core.prepRanks).
+func Canonical(set []Item, domainSize int) ([]Item, error) {
+	cp := append(make([]Item, 0, len(set)), set...)
+	slices.Sort(cp)
+	cp = slices.Compact(cp)
+	if n := len(cp); n > 0 && int(cp[n-1]) >= domainSize {
+		return nil, fmt.Errorf("%w: item %d, domain %d", ErrItemOutOfDomain, cp[n-1], domainSize)
+	}
+	return cp, nil
+}
+
 // Add appends a record with the given set and returns its id. The set is
-// copied, sorted and deduplicated; empty sets are allowed (the paper's
+// canonicalised (see Canonical); empty sets are allowed (the paper's
 // order places the empty set first, and our OIF indexes it in a dedicated
 // metadata region).
 func (d *Dataset) Add(set []Item) (uint32, error) {
-	cp := make([]Item, len(set))
-	copy(cp, set)
-	sort.Slice(cp, func(i, j int) bool { return cp[i] < cp[j] })
-	cp = dedupSorted(cp)
-	for _, it := range cp {
-		if int(it) >= d.domainSize {
-			return 0, fmt.Errorf("%w: item %d, domain %d", ErrItemOutOfDomain, it, d.domainSize)
-		}
+	cp, err := Canonical(set, d.domainSize)
+	if err != nil {
+		return 0, err
 	}
 	id := uint32(len(d.records) + 1)
 	d.records = append(d.records, Record{ID: id, Set: cp})
 	return id, nil
-}
-
-func dedupSorted(s []Item) []Item {
-	if len(s) < 2 {
-		return s
-	}
-	out := s[:1]
-	for _, v := range s[1:] {
-		if v != out[len(out)-1] {
-			out = append(out, v)
-		}
-	}
-	return out
 }
 
 // SetLabels attaches human-readable item labels (len must be DomainSize).
@@ -144,8 +142,8 @@ func (d *Dataset) ComputeStats() Stats {
 
 // Contains reports whether record r's set contains item it.
 func (r Record) Contains(it Item) bool {
-	i := sort.Search(len(r.Set), func(i int) bool { return r.Set[i] >= it })
-	return i < len(r.Set) && r.Set[i] == it
+	_, ok := slices.BinarySearch(r.Set, it)
+	return ok
 }
 
 // ContainsAll reports whether r's set is a superset of qs (qs must be

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -137,8 +138,8 @@ func TestRecordPredicatesAgainstMaps(t *testing.T) {
 }
 
 func normalize(s []Item) []Item {
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
-	return dedupSorted(s)
+	slices.Sort(s)
+	return slices.Compact(s)
 }
 
 func TestZipfProbabilities(t *testing.T) {

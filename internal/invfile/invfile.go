@@ -12,21 +12,20 @@
 package invfile
 
 import (
-	"errors"
-	"fmt"
 	"slices"
 	"sort"
 
 	"repro/internal/dataset"
 	"repro/internal/liststore"
+	"repro/internal/overlay"
 	"repro/internal/storage"
 	"repro/internal/vbyte"
 )
 
 // Index is a built inverted file. It additionally supports the batch
-// update scheme of §4.4: inserts accumulate in a memory-resident delta
-// inverted file that queries consult, until MergeDelta folds them into the
-// disk lists.
+// update scheme of §4.4: inserts and tombstones accumulate in the
+// overlay (internal/overlay) that queries consult, until MergeDelta
+// folds them into the disk lists.
 type Index struct {
 	store      *liststore.Store
 	domainSize int
@@ -35,22 +34,7 @@ type Index struct {
 	lastID     []uint32 // per item: last record id in its disk list
 	counts     []int64  // per item: postings in its disk list
 
-	// dead is the tombstone set: sorted ids of deleted records, masked
-	// out of every answer. The slice is immutable once attached (Delete
-	// installs a fresh copy), so Reader clones share it safely.
-	// deadDirty marks tombstoned postings still physically present,
-	// folded out by the next MergeDelta; the ids stay tombstoned forever
-	// because record ids are never reused.
-	dead      []uint32
-	deadDirty bool
-
-	delta deltaFile
-}
-
-// deltaFile is the §4.4 memory-resident inverted file holding records
-// inserted since the last batch merge.
-type deltaFile struct {
-	records []dataset.Record // ids continue the main sequence
+	ov overlay.Overlay // pending delta + tombstones; delta ids continue the main sequence
 }
 
 // BuildOptions configures Build.
@@ -76,12 +60,6 @@ func (o *BuildOptions) fill() {
 func Build(d *dataset.Dataset, opts BuildOptions) (*Index, error) {
 	opts.fill()
 	pool := storage.NewBufferPool(storage.NewMemPager(opts.PageSize), opts.BuildPoolPages)
-	return BuildOn(d, pool)
-}
-
-// BuildOn constructs the inverted file in the provided (empty) pool, which
-// lets callers choose the pager backend.
-func BuildOn(d *dataset.Dataset, pool *storage.BufferPool) (*Index, error) {
 	domain := d.DomainSize()
 	store, err := liststore.New(pool, domain)
 	if err != nil {
@@ -131,7 +109,7 @@ func (ix *Index) SetPool(pool *storage.BufferPool) error { return ix.store.SetPo
 func (ix *Index) Pool() *storage.BufferPool { return ix.store.Pool() }
 
 // NumRecords returns the number of indexed records including the delta.
-func (ix *Index) NumRecords() int { return ix.numRecords + len(ix.delta.records) }
+func (ix *Index) NumRecords() int { return ix.numRecords + ix.ov.Len() }
 
 // DomainSize returns |I|.
 func (ix *Index) DomainSize() int { return ix.domainSize }
@@ -150,106 +128,42 @@ func (ix *Index) ItemSupports() []int64 {
 	return append([]int64(nil), ix.counts...)
 }
 
-// prepQuery validates and canonicalises a query set: sorted ascending,
-// deduplicated, all items in-domain.
-func (ix *Index) prepQuery(qs []dataset.Item) ([]dataset.Item, error) {
-	q := make([]dataset.Item, len(qs))
-	copy(q, qs)
-	sort.Slice(q, func(i, j int) bool { return q[i] < q[j] })
-	out := q[:0]
-	for i, v := range q {
-		if int(v) >= ix.domainSize {
-			return nil, fmt.Errorf("invfile: query item %d outside domain %d", v, ix.domainSize)
-		}
-		if i == 0 || v != out[len(out)-1] {
-			out = append(out, v)
-		}
-	}
-	return out, nil
-}
-
-// readPostings fetches and decodes item's whole disk list.
-func (ix *Index) readPostings(item dataset.Item) ([]vbyte.Posting, error) {
-	raw, err := ix.store.ReadList(uint32(item))
-	if err != nil {
-		return nil, err
-	}
-	if len(raw) == 0 {
-		return nil, nil
-	}
-	return vbyte.DecodePostings(raw, 0, make([]vbyte.Posting, 0, ix.counts[item]))
-}
-
 // Subset returns ids of records containing every item of qs, ascending.
 func (ix *Index) Subset(qs []dataset.Item) ([]uint32, error) {
-	q, err := ix.prepQuery(qs)
+	q, err := dataset.Canonical(qs, ix.domainSize)
 	if err != nil {
 		return nil, err
 	}
 	if len(q) == 0 {
-		return ix.mergeDeltaIDs(ix.allIDs(), q, predSubset), nil
+		return ix.finish(ix.allIDs(), q, overlay.ContainsAll), nil
 	}
 	lists, err := ix.readAll(q)
 	if err != nil {
 		return nil, err
 	}
-	// Intersect smallest-first to shrink candidates early.
-	sort.Slice(lists, func(i, j int) bool { return len(lists[i]) < len(lists[j]) })
-	var cands []uint32
-	for i, l := range lists {
-		if i == 0 {
-			cands = make([]uint32, 0, len(l))
-			for _, p := range l {
-				cands = append(cands, p.ID)
-			}
-			continue
-		}
-		cands = intersectIDs(cands, l)
-		if len(cands) == 0 {
-			break
-		}
-	}
-	return ix.mergeDeltaIDs(cands, q, predSubset), nil
+	return ix.finish(intersectLists(lists, 0), q, overlay.ContainsAll), nil
 }
 
 // Equality returns ids of records whose set equals qs, ascending.
 func (ix *Index) Equality(qs []dataset.Item) ([]uint32, error) {
-	q, err := ix.prepQuery(qs)
+	q, err := dataset.Canonical(qs, ix.domainSize)
 	if err != nil {
 		return nil, err
 	}
 	if len(q) == 0 {
 		out := append([]uint32(nil), ix.emptyIDs...)
-		return ix.mergeDeltaIDs(out, q, predEqual), nil
+		return ix.finish(out, q, overlay.Equal), nil
 	}
 	lists, err := ix.readAll(q)
 	if err != nil {
 		return nil, err
 	}
-	n := uint32(len(q))
-	sort.Slice(lists, func(i, j int) bool { return len(lists[i]) < len(lists[j]) })
-	var cands []uint32
-	for i, l := range lists {
-		if i == 0 {
-			cands = make([]uint32, 0, 16)
-			for _, p := range l {
-				if p.Length == n {
-					cands = append(cands, p.ID)
-				}
-			}
-			continue
-		}
-		cands = intersectIDs(cands, l)
-		if len(cands) == 0 {
-			break
-		}
-	}
-	return ix.mergeDeltaIDs(cands, q, predEqual), nil
+	return ix.finish(intersectLists(lists, uint32(len(q))), q, overlay.Equal), nil
 }
 
 // Superset returns ids of records whose set is contained in qs, ascending.
 func (ix *Index) Superset(qs []dataset.Item) ([]uint32, error) {
-	q, err := ix.prepQuery(qs)
+	q, err := dataset.Canonical(qs, ix.domainSize)
 	if err != nil {
 		return nil, err
 	}
@@ -257,39 +171,11 @@ func (ix *Index) Superset(qs []dataset.Item) ([]uint32, error) {
 	if err != nil {
 		return nil, err
 	}
-	// K-way merge over the sorted lists, counting occurrences per id; a
-	// record qualifies when its occurrence count equals its length (§2).
-	idx := make([]int, len(lists))
-	results := append([]uint32(nil), ix.emptyIDs...)
-	for {
-		min := uint32(0)
-		found := false
-		for i, l := range lists {
-			if idx[i] < len(l) {
-				if !found || l[idx[i]].ID < min {
-					min = l[idx[i]].ID
-					found = true
-				}
-			}
-		}
-		if !found {
-			break
-		}
-		count := uint32(0)
-		length := uint32(0)
-		for i, l := range lists {
-			if idx[i] < len(l) && l[idx[i]].ID == min {
-				count++
-				length = l[idx[i]].Length
-				idx[i]++
-			}
-		}
-		if count == length {
-			results = append(results, min)
-		}
-	}
-	sort.Slice(results, func(i, j int) bool { return results[i] < results[j] })
-	return ix.mergeDeltaIDs(results, q, predSubsetOf), nil
+	// Union with occurrence counting (§2); the empty-set records qualify
+	// outright and interleave with the list-derived ids.
+	results := vbyte.AppendCovered(slices.Clone(ix.emptyIDs), lists)
+	slices.Sort(results)
+	return ix.finish(results, q, overlay.SubsetOf), nil
 }
 
 // SubsetCursor returns a cursor streaming Subset(qs)'s answer ids in
@@ -301,7 +187,7 @@ func (ix *Index) Superset(qs []dataset.Item) ([]uint32, error) {
 // wider lists are only probed forward to each candidate. The cursor is
 // single-use and tied to this index's current delta/tombstone snapshot.
 func (ix *Index) SubsetCursor(qs []dataset.Item) (*SubsetCursor, error) {
-	q, err := ix.prepQuery(qs)
+	q, err := dataset.Canonical(qs, ix.domainSize)
 	if err != nil {
 		return nil, err
 	}
@@ -341,7 +227,7 @@ type SubsetCursor struct {
 	legs []cursorLeg
 	disk bool   // disk-list intersection still live
 	all  uint32 // next id for the empty-query sweep
-	di   int    // next delta record to consider
+	di   int    // next delta position to consider
 	err  error
 }
 
@@ -396,7 +282,7 @@ func (c *SubsetCursor) Next() (uint32, bool, error) {
 		for c.all <= uint32(c.ix.numRecords) {
 			id := c.all
 			c.all++
-			if len(c.ix.dead) == 0 || !c.ix.isDead(id) {
+			if !c.ix.ov.Dead(id) {
 				return id, true, nil
 			}
 		}
@@ -413,17 +299,9 @@ func (c *SubsetCursor) Next() (uint32, bool, error) {
 	}
 	// Delta phase: delta ids ascend and all exceed disk ids, so the
 	// global order is preserved across the phase switch.
-	for c.di < len(c.ix.delta.records) {
-		r := c.ix.delta.records[c.di]
-		c.di++
-		if len(c.ix.dead) > 0 && c.ix.isDead(r.ID) {
-			continue
-		}
-		if r.ContainsAll(c.q) {
-			return r.ID, true, nil
-		}
-	}
-	return 0, false, nil
+	id, next, ok := c.ix.ov.NextContaining(c.di, c.q)
+	c.di = next
+	return id, ok, nil
 }
 
 // nextDisk advances the leg intersection to its next common id.
@@ -459,23 +337,48 @@ func (c *SubsetCursor) nextDisk() (uint32, bool, error) {
 		if _, err := c.legs[0].step(); err != nil {
 			return 0, false, err
 		}
-		if len(c.ix.dead) == 0 || !c.ix.isDead(cand) {
+		if !c.ix.ov.Dead(cand) {
 			return cand, true, nil
 		}
 	}
 	return 0, false, nil
 }
 
+// readAll fetches and decodes the whole disk list of every item of q —
+// the IF's defining cost: each involved list is read in full.
 func (ix *Index) readAll(q []dataset.Item) ([][]vbyte.Posting, error) {
-	lists := make([][]vbyte.Posting, 0, len(q))
-	for _, it := range q {
-		l, err := ix.readPostings(it)
+	lists := make([][]vbyte.Posting, len(q))
+	for i, it := range q {
+		raw, err := ix.store.ReadList(uint32(it))
 		if err != nil {
 			return nil, err
 		}
-		lists = append(lists, l)
+		lists[i], err = vbyte.DecodePostings(raw, 0, make([]vbyte.Posting, 0, ix.counts[it]))
+		if err != nil {
+			return nil, err
+		}
 	}
 	return lists, nil
+}
+
+// intersectLists returns the ids present in every list, intersecting
+// smallest-first to shrink the candidates early. A non-zero length keeps
+// only records of that cardinality — equality's length filter (§2).
+func intersectLists(lists [][]vbyte.Posting, length uint32) []uint32 {
+	sort.Slice(lists, func(i, j int) bool { return len(lists[i]) < len(lists[j]) })
+	cands := make([]uint32, 0, len(lists[0]))
+	for _, p := range lists[0] {
+		if length == 0 || p.Length == length {
+			cands = append(cands, p.ID)
+		}
+	}
+	for _, l := range lists[1:] {
+		if len(cands) == 0 {
+			break
+		}
+		cands = intersectIDs(cands, l)
+	}
+	return cands
 }
 
 func intersectIDs(cands []uint32, l []vbyte.Posting) []uint32 {
@@ -504,102 +407,30 @@ func (ix *Index) allIDs() []uint32 {
 	return out
 }
 
-// Delta handling ------------------------------------------------------
+// Updates (§4.4) ------------------------------------------------------
 
-type deltaPred int
-
-const (
-	predSubset deltaPred = iota
-	predEqual
-	predSubsetOf
-)
-
-// mergeDeltaIDs finishes an answer: it masks tombstoned ids out of the
+// finish completes an answer: it masks tombstoned ids out of the
 // disk-side results, then appends matching delta-record ids (both
 // ascending; delta ids are all larger than disk ids).
-func (ix *Index) mergeDeltaIDs(ids []uint32, q []dataset.Item, pred deltaPred) []uint32 {
-	if len(ix.dead) > 0 {
-		kept := ids[:0]
-		for _, id := range ids {
-			if !ix.isDead(id) {
-				kept = append(kept, id)
-			}
-		}
-		ids = kept
-	}
-	for _, r := range ix.delta.records {
-		if len(ix.dead) > 0 && ix.isDead(r.ID) {
-			continue
-		}
-		var ok bool
-		switch pred {
-		case predSubset:
-			ok = r.ContainsAll(q)
-		case predEqual:
-			ok = r.EqualSet(q)
-		default:
-			ok = r.SubsetOf(q)
-		}
-		if ok {
-			ids = append(ids, r.ID)
-		}
-	}
-	return ids
+func (ix *Index) finish(ids []uint32, q []dataset.Item, pred overlay.Pred) []uint32 {
+	return ix.ov.AppendMatches(ix.ov.Mask(ids), q, pred)
 }
 
 // Insert adds a record to the memory-resident delta (§4.4) and returns
 // its id. The set is copied, sorted, and deduplicated.
 func (ix *Index) Insert(set []dataset.Item) (uint32, error) {
-	cp := append([]dataset.Item(nil), set...)
-	sort.Slice(cp, func(i, j int) bool { return cp[i] < cp[j] })
-	dedup := cp[:0]
-	for i, v := range cp {
-		if int(v) >= ix.domainSize {
-			return 0, fmt.Errorf("invfile: item %d outside domain %d", v, ix.domainSize)
-		}
-		if i == 0 || v != dedup[len(dedup)-1] {
-			dedup = append(dedup, v)
-		}
-	}
-	id := uint32(ix.NumRecords() + 1)
-	ix.delta.records = append(ix.delta.records, dataset.Record{ID: id, Set: dedup})
-	return id, nil
+	return ix.ov.Insert(set, ix.domainSize, ix.numRecords)
 }
 
 // DeltaLen returns the number of unmerged inserted records.
-func (ix *Index) DeltaLen() int { return len(ix.delta.records) }
-
-// isDead reports whether id is tombstoned.
-func (ix *Index) isDead(id uint32) bool {
-	_, ok := slices.BinarySearch(ix.dead, id)
-	return ok
-}
+func (ix *Index) DeltaLen() int { return ix.ov.Len() }
 
 // Deleted returns the number of tombstoned records.
-func (ix *Index) Deleted() int { return len(ix.dead) }
+func (ix *Index) Deleted() int { return ix.ov.Deleted() }
 
-// Delete tombstones the record with the given id: it vanishes from every
-// answer immediately, its postings are physically removed by the next
-// MergeDelta, and its id is never reused. Deleting a pending delta
-// record works the same way. Deleting an unknown or already-deleted id
-// is an error.
-func (ix *Index) Delete(id uint32) error {
-	if id == 0 || int(id) > ix.NumRecords() {
-		return fmt.Errorf("invfile: delete of unknown record %d (have %d)", id, ix.NumRecords())
-	}
-	i, found := slices.BinarySearch(ix.dead, id)
-	if found {
-		return fmt.Errorf("invfile: record %d already deleted", id)
-	}
-	// Copy-on-write keeps the slice immutable for live Reader clones.
-	dead := make([]uint32, 0, len(ix.dead)+1)
-	dead = append(dead, ix.dead[:i]...)
-	dead = append(dead, id)
-	dead = append(dead, ix.dead[i:]...)
-	ix.dead = dead
-	ix.deadDirty = true
-	return nil
-}
+// Delete tombstones the record with the given id, merged or pending; see
+// overlay.Overlay.Delete.
+func (ix *Index) Delete(id uint32) error { return ix.ov.Delete(id, ix.numRecords) }
 
 // MergeDelta folds the delta into the disk lists: each list is read once,
 // the new postings are appended (ids are monotonically larger, so this is
@@ -616,7 +447,8 @@ func (ix *Index) Delete(id uint32) error {
 // exactly as it was, and live Reader clones (which share the previous
 // counts/lastID/emptyIDs backing arrays) never observe a write.
 func (ix *Index) MergeDelta() error {
-	if len(ix.delta.records) == 0 && !ix.deadDirty {
+	dirty := ix.ov.Dirty()
+	if ix.ov.Len() == 0 && !dirty {
 		return nil
 	}
 	oldPool := ix.store.Pool()
@@ -633,12 +465,12 @@ func (ix *Index) MergeDelta() error {
 	extra := make([][]vbyte.Posting, ix.domainSize)
 	emptyIDs := make([]uint32, 0, len(ix.emptyIDs))
 	for _, id := range ix.emptyIDs {
-		if !ix.deadDirty || !ix.isDead(id) {
+		if !ix.ov.Dead(id) {
 			emptyIDs = append(emptyIDs, id)
 		}
 	}
-	for _, r := range ix.delta.records {
-		if len(ix.dead) > 0 && ix.isDead(r.ID) {
+	for _, r := range ix.ov.Pending() {
+		if ix.ov.Dead(r.ID) {
 			continue
 		}
 		if len(r.Set) == 0 {
@@ -658,14 +490,14 @@ func (ix *Index) MergeDelta() error {
 		if err != nil {
 			return err
 		}
-		if ix.deadDirty && len(raw) > 0 {
+		if dirty && len(raw) > 0 {
 			ps, err := vbyte.DecodePostings(raw, 0, make([]vbyte.Posting, 0, counts[item]))
 			if err != nil {
 				return err
 			}
 			kept := ps[:0]
 			for _, p := range ps {
-				if !ix.isDead(p.ID) {
+				if !ix.ov.Dead(p.ID) {
 					kept = append(kept, p)
 				}
 			}
@@ -697,18 +529,14 @@ func (ix *Index) MergeDelta() error {
 	if err := w.Close(); err != nil {
 		return err
 	}
-	ix.numRecords += len(ix.delta.records)
-	ix.delta.records = nil
+	ix.numRecords += ix.ov.Len()
+	ix.ov.Merged()
 	ix.emptyIDs = emptyIDs
 	ix.lastID = lastID
 	ix.counts = counts
-	ix.deadDirty = false
 	ix.store = newStore
 	return nil
 }
-
-// Errors shared with tests.
-var ErrClosed = errors.New("invfile: index closed")
 
 // NewReader returns an independent query handle over the same lists with
 // its own buffer pool; see core.Index.NewReader for the concurrency
@@ -721,7 +549,7 @@ func (ix *Index) NewReader(poolPages int) (*Reader, error) {
 	}
 	clone := *ix
 	clone.store = view
-	clone.delta.records = ix.delta.records[:len(ix.delta.records):len(ix.delta.records)]
+	clone.ov = ix.ov.View()
 	return &Reader{ix: &clone, pool: pool}, nil
 }
 

@@ -6,8 +6,8 @@ import (
 	"fmt"
 	"io"
 
-	"repro/internal/dataset"
 	"repro/internal/liststore"
+	"repro/internal/overlay"
 	"repro/internal/snapio"
 	"repro/internal/storage"
 )
@@ -37,7 +37,7 @@ func (ix *Index) Save(w io.Writer) error {
 		return err
 	}
 	flags := uint32(0)
-	if ix.deadDirty {
+	if ix.ov.Dirty() {
 		flags |= snapFlagDeadDirty
 	}
 	pageSize := ix.store.Pool().PageSize()
@@ -57,20 +57,12 @@ func (ix *Index) Save(w io.Writer) error {
 			return err
 		}
 	}
-	if err := snapio.WriteU32Slice(cw, ix.dead); err != nil {
+	// Tombstones, then the pending delta.
+	if err := ix.ov.WriteTombstones(cw); err != nil {
 		return err
 	}
-	// Pending delta.
-	if err := snapio.WriteU64(cw, uint64(len(ix.delta.records))); err != nil {
+	if err := ix.ov.WriteRecords(cw); err != nil {
 		return err
-	}
-	for _, r := range ix.delta.records {
-		if err := snapio.WriteU32(cw, r.ID); err != nil {
-			return err
-		}
-		if err := snapio.WriteU32Slice(cw, r.Set); err != nil {
-			return err
-		}
 	}
 	// Disk lists, one length-framed blob per item.
 	for item := 0; item < ix.domainSize; item++ {
@@ -115,9 +107,6 @@ func Load(r io.Reader) (*Index, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%w: empty ids: %v", ErrBadSnapshot, err)
 	}
-	if len(emptyIDs) == 0 {
-		emptyIDs = nil
-	}
 	lastID, err := snapio.ReadU32Slice(cr)
 	if err != nil || len(lastID) != domainSize {
 		return nil, fmt.Errorf("%w: vocabulary", ErrBadSnapshot)
@@ -130,28 +119,12 @@ func Load(r io.Reader) (*Index, error) {
 		}
 		counts[i] = int64(v)
 	}
-	dead, err := snapio.ReadU32Slice(cr)
-	if err != nil {
+	var ov overlay.Overlay
+	if err := ov.ReadTombstones(cr, flags&snapFlagDeadDirty != 0); err != nil {
 		return nil, fmt.Errorf("%w: tombstones: %v", ErrBadSnapshot, err)
 	}
-	if len(dead) == 0 {
-		dead = nil
-	}
-	nDelta, err := snapio.ReadU64(cr)
-	if err != nil || nDelta > snapio.MaxSliceLen {
-		return nil, fmt.Errorf("%w: delta count", ErrBadSnapshot)
-	}
-	delta := make([]dataset.Record, 0, nDelta)
-	for i := uint64(0); i < nDelta; i++ {
-		id, err := snapio.ReadU32(cr)
-		if err != nil {
-			return nil, fmt.Errorf("%w: delta record", ErrBadSnapshot)
-		}
-		set, err := snapio.ReadU32Slice(cr)
-		if err != nil {
-			return nil, fmt.Errorf("%w: delta set", ErrBadSnapshot)
-		}
-		delta = append(delta, dataset.Record{ID: id, Set: set})
+	if err := ov.ReadRecords(cr); err != nil {
+		return nil, fmt.Errorf("%w: delta: %v", ErrBadSnapshot, err)
 	}
 	pool := storage.NewBufferPool(storage.NewMemPager(pageSize), 1024)
 	store, err := liststore.New(pool, domainSize)
@@ -177,16 +150,13 @@ func Load(r io.Reader) (*Index, error) {
 	if err := cr.VerifyTrailer(); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadSnapshot, err)
 	}
-	ix := &Index{
+	return &Index{
 		store:      store,
 		domainSize: domainSize,
 		numRecords: numRecords,
 		emptyIDs:   emptyIDs,
 		lastID:     lastID,
 		counts:     counts,
-		dead:       dead,
-		deadDirty:  flags&snapFlagDeadDirty != 0,
-	}
-	ix.delta.records = delta
-	return ix, nil
+		ov:         ov,
+	}, nil
 }

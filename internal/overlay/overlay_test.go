@@ -1,0 +1,280 @@
+package overlay
+
+import (
+	"bytes"
+	"errors"
+	"io"
+	"slices"
+	"sync"
+	"testing"
+
+	"repro/internal/dataset"
+)
+
+const (
+	testDomain = 10
+	testMerged = 100 // records the imaginary disk structures hold
+)
+
+// fixture is an overlay over testMerged merged records with pending
+// records 101..105 — {1 2}, {2 3 4}, {}, {1 2}, {5} — and tombstones on
+// two merged ids and on pending record 104.
+func fixture(t *testing.T) *Overlay {
+	t.Helper()
+	var o Overlay
+	for _, set := range [][]dataset.Item{{2, 1}, {4, 3, 2, 3}, {}, {1, 2}, {5}} {
+		if _, err := o.Insert(set, testDomain, testMerged); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, id := range []uint32{40, 7, 104} {
+		if err := o.Delete(id, testMerged); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return &o
+}
+
+func TestOverlay(t *testing.T) {
+	t.Run("insert and delete", func(t *testing.T) {
+		var o Overlay
+		steps := []struct {
+			name    string
+			insert  []dataset.Item // nil: the step is a delete
+			delete  uint32
+			wantID  uint32
+			wantSet []dataset.Item
+			wantErr bool
+			domain  bool // the error must be dataset.ErrItemOutOfDomain
+		}{
+			{name: "first id follows the merged records", insert: []dataset.Item{3, 1, 3, 2}, wantID: 101, wantSet: []dataset.Item{1, 2, 3}},
+			{name: "empty set", insert: []dataset.Item{}, wantID: 102, wantSet: []dataset.Item{}},
+			{name: "out of domain", insert: []dataset.Item{1, testDomain}, wantErr: true, domain: true},
+			{name: "refused insert consumed no id", insert: []dataset.Item{9}, wantID: 103, wantSet: []dataset.Item{9}},
+			{name: "delete id 0", delete: 0, wantErr: true},
+			{name: "delete past the delta", delete: 104, wantErr: true},
+			{name: "delete merged", delete: 50},
+			{name: "delete merged, lower id", delete: 3},
+			{name: "delete pending", delete: 102},
+			{name: "repeated delete", delete: 50, wantErr: true},
+			{name: "repeated delete of pending", delete: 102, wantErr: true},
+			{name: "ids are never reused", insert: []dataset.Item{0}, wantID: 104, wantSet: []dataset.Item{0}},
+		}
+		for _, s := range steps {
+			if s.insert == nil {
+				if err := o.Delete(s.delete, testMerged); (err != nil) != s.wantErr {
+					t.Fatalf("%s: Delete(%d) = %v, want error %v", s.name, s.delete, err, s.wantErr)
+				}
+				continue
+			}
+			arg := slices.Clone(s.insert)
+			id, err := o.Insert(arg, testDomain, testMerged)
+			if (err != nil) != s.wantErr || (s.domain && !errors.Is(err, dataset.ErrItemOutOfDomain)) {
+				t.Fatalf("%s: Insert = %d, %v", s.name, id, err)
+			}
+			if !slices.Equal(arg, s.insert) {
+				t.Fatalf("%s: Insert reordered the caller's slice: %v", s.name, arg)
+			}
+			if err != nil {
+				continue
+			}
+			if last := o.Pending()[o.Len()-1]; id != s.wantID || last.ID != id || !slices.Equal(last.Set, s.wantSet) {
+				t.Fatalf("%s: id %d, stored %v; want id %d, set %v", s.name, id, last, s.wantID, s.wantSet)
+			}
+		}
+		if o.Len() != 4 || o.Deleted() != 3 || !o.Dirty() {
+			t.Fatalf("%d pending, %d deleted, dirty %v; want 4, 3, true", o.Len(), o.Deleted(), o.Dirty())
+		}
+		for id, want := range map[uint32]bool{3: true, 50: true, 102: true, 4: false, 101: false, 0: false} {
+			if o.Dead(id) != want {
+				t.Errorf("Dead(%d) = %v, want %v", id, !want, want)
+			}
+		}
+	})
+
+	t.Run("match sweeps skip tombstoned pending records", func(t *testing.T) {
+		o := fixture(t)
+		sweeps := []struct {
+			pred Pred
+			q    []dataset.Item
+			want []uint32
+		}{
+			{ContainsAll, nil, []uint32{101, 102, 103, 105}},
+			{ContainsAll, []dataset.Item{2}, []uint32{101, 102}},
+			{ContainsAll, []dataset.Item{1, 2}, []uint32{101}}, // 104 = {1 2} is tombstoned
+			{ContainsAll, []dataset.Item{9}, nil},
+			{Equal, []dataset.Item{1, 2}, []uint32{101}},
+			{Equal, nil, []uint32{103}},
+			{Equal, []dataset.Item{2}, nil},
+			{SubsetOf, []dataset.Item{1, 2, 5}, []uint32{101, 103, 105}},
+			{SubsetOf, nil, []uint32{103}},
+			{SubsetOf, []dataset.Item{1, 2, 3, 4}, []uint32{101, 102, 103}},
+		}
+		for _, s := range sweeps {
+			got := o.AppendMatches([]uint32{9}, s.q, s.pred)
+			if got[0] != 9 || !slices.Equal(got[1:], s.want) {
+				t.Errorf("AppendMatches(pred %d, %v) = %v, want [9]+%v", s.pred, s.q, got, s.want)
+			}
+			if s.pred != ContainsAll {
+				continue
+			}
+			// The lazy sweep yields the same ids one at a time.
+			var lazy []uint32
+			for from := 0; ; {
+				id, next, ok := o.NextContaining(from, s.q)
+				if !ok {
+					break
+				}
+				lazy, from = append(lazy, id), next
+			}
+			if !slices.Equal(lazy, s.want) {
+				t.Errorf("NextContaining sweep over %v = %v, want %v", s.q, lazy, s.want)
+			}
+		}
+		// The candidate-restricted form: only ids the caller already holds.
+		cands := []uint32{7, 50, 102, 104, 105}
+		if got := o.AppendMatchesWithin(nil, nil, cands); !slices.Equal(got, []uint32{102, 105}) {
+			t.Errorf("AppendMatchesWithin(all, %v) = %v, want [102 105]", cands, got)
+		}
+		if got := o.AppendMatchesWithin(nil, []dataset.Item{2}, cands); !slices.Equal(got, []uint32{102}) {
+			t.Errorf("AppendMatchesWithin({2}, %v) = %v, want [102]", cands, got)
+		}
+		if got := o.AppendMatchesWithin(nil, nil, nil); len(got) != 0 {
+			t.Errorf("AppendMatchesWithin with no candidates = %v", got)
+		}
+	})
+
+	t.Run("mask", func(t *testing.T) {
+		o := fixture(t)
+		ids := []uint32{1, 7, 8, 40, 41, 100}
+		got := o.Mask(ids)
+		if !slices.Equal(got, []uint32{1, 8, 41, 100}) || &got[0] != &ids[0] {
+			t.Errorf("Mask = %v (in place: %v), want [1 8 41 100] in place", got, &got[0] == &ids[0])
+		}
+		var empty Overlay
+		ids = []uint32{1, 7, 40}
+		if got := empty.Mask(ids); !slices.Equal(got, []uint32{1, 7, 40}) {
+			t.Errorf("Mask without tombstones = %v", got)
+		}
+	})
+
+	t.Run("view is frozen under a concurrent writer", func(t *testing.T) {
+		o := fixture(t)
+		view := o.View()
+		want := view.AppendMatches(nil, nil, ContainsAll)
+		var wg sync.WaitGroup
+		wg.Add(1)
+		go func() { // the writer keeps inserting and deleting, pending and merged
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				id, err := o.Insert([]dataset.Item{1, 2}, testDomain, testMerged)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				victim := id
+				if i == 0 {
+					victim = 101 // a record the view holds
+				}
+				if err := o.Delete(victim, testMerged); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+		for i := 0; i < 200; i++ {
+			if got := view.AppendMatches(nil, nil, ContainsAll); !slices.Equal(got, want) {
+				t.Fatalf("view changed under the writer: %v, was %v", got, want)
+			}
+			if view.Dead(101) || !view.Dead(104) || view.Len() != 5 || view.Deleted() != 3 {
+				t.Fatalf("view saw a later delete or insert: %d pending, %d deleted", view.Len(), view.Deleted())
+			}
+			if got := view.Mask([]uint32{6, 7, 96}); !slices.Equal(got, []uint32{6, 96}) {
+				t.Fatalf("view mask moved: %v", got)
+			}
+		}
+		wg.Wait()
+		if o.Len() != 205 || o.Deleted() != 203 {
+			t.Fatalf("writer ended with %d pending, %d deleted", o.Len(), o.Deleted())
+		}
+	})
+
+	t.Run("reset after merge", func(t *testing.T) {
+		o := fixture(t)
+		view := o.View()
+		o.Merged()
+		if o.Len() != 0 || o.Dirty() || o.Deleted() != 3 || !o.Dead(104) {
+			t.Fatalf("after Merged: %d pending, dirty %v, %d deleted", o.Len(), o.Dirty(), o.Deleted())
+		}
+		if view.Len() != 5 {
+			t.Fatalf("Merged reached into a view: %d pending", view.Len())
+		}
+		// The merge moved the five pending records to disk: ids go on.
+		if id, err := o.Insert(nil, testDomain, testMerged+5); err != nil || id != 106 {
+			t.Fatalf("insert after merge = %d, %v; want 106", id, err)
+		}
+		if err := o.Delete(105, testMerged+5); err != nil || !o.Dirty() {
+			t.Fatalf("delete after merge: %v, dirty %v", err, o.Dirty())
+		}
+	})
+
+	t.Run("section codec", func(t *testing.T) {
+		for _, tc := range []struct {
+			name string
+			o    *Overlay
+		}{{"pending and tombstones", fixture(t)}, {"empty sections", &Overlay{}}} {
+			var recs, dead bytes.Buffer
+			if err := tc.o.WriteRecords(&recs); err != nil {
+				t.Fatal(err)
+			}
+			if err := tc.o.WriteTombstones(&dead); err != nil {
+				t.Fatal(err)
+			}
+			var back Overlay
+			// Either order: the two formats disagree on it.
+			if err := back.ReadTombstones(bytes.NewReader(dead.Bytes()), tc.o.Dirty()); err != nil {
+				t.Fatal(err)
+			}
+			if err := back.ReadRecords(bytes.NewReader(recs.Bytes())); err != nil {
+				t.Fatal(err)
+			}
+			if back.Len() != tc.o.Len() || back.Deleted() != tc.o.Deleted() || back.Dirty() != tc.o.Dirty() {
+				t.Fatalf("%s: decoded %d/%d/%v, want %d/%d/%v", tc.name,
+					back.Len(), back.Deleted(), back.Dirty(), tc.o.Len(), tc.o.Deleted(), tc.o.Dirty())
+			}
+			for i, r := range tc.o.Pending() {
+				if b := back.Pending()[i]; b.ID != r.ID || !slices.Equal(b.Set, r.Set) || back.Dead(r.ID) != tc.o.Dead(r.ID) {
+					t.Fatalf("%s: record %d decoded as %v, want %v", tc.name, i, b, r)
+				}
+			}
+			var recs2, dead2 bytes.Buffer
+			if err := errors.Join(back.WriteRecords(&recs2), back.WriteTombstones(&dead2)); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(recs2.Bytes(), recs.Bytes()) || !bytes.Equal(dead2.Bytes(), dead.Bytes()) {
+				t.Fatalf("%s: re-encoding differs", tc.name)
+			}
+			// A section cut short is an error, never a short overlay.
+			for cut := 0; cut < recs.Len(); cut++ {
+				if err := new(Overlay).ReadRecords(bytes.NewReader(recs.Bytes()[:cut])); err == nil {
+					t.Fatalf("%s: records section truncated to %d bytes decoded", tc.name, cut)
+				}
+			}
+			for cut := 0; cut < dead.Len(); cut++ {
+				if err := new(Overlay).ReadTombstones(bytes.NewReader(dead.Bytes()[:cut]), false); err == nil {
+					t.Fatalf("%s: tombstone section truncated to %d bytes decoded", tc.name, cut)
+				}
+			}
+		}
+		// A count past the bound is refused before anything is read.
+		huge := bytes.NewReader([]byte{0, 0, 0, 0, 1, 0, 0, 0})
+		if err := new(Overlay).ReadRecords(io.MultiReader(huge, neverEnds{})); err == nil {
+			t.Fatal("a 2^32-record section was accepted")
+		}
+	})
+}
+
+// neverEnds would keep a decoder that trusted a huge count busy forever.
+type neverEnds struct{}
+
+func (neverEnds) Read(p []byte) (int, error) { clear(p); return len(p), nil }

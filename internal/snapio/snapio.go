@@ -9,6 +9,7 @@
 package snapio
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -23,6 +24,12 @@ var ErrCorrupt = errors.New("snapio: snapshot CRC mismatch")
 // MaxSliceLen bounds slice headers so a corrupt stream cannot force a
 // huge allocation before the CRC check has a chance to fail.
 const MaxSliceLen = 1 << 31
+
+// allocStep is the most a length header is trusted for up front: a
+// slice or byte block up to this size is allocated exactly, a larger one
+// starts here and grows only as its bytes actually arrive, so a corrupt
+// header inside the MaxSliceLen bound costs one step, not gigabytes.
+const allocStep = 1 << 22
 
 // Writer accumulates a CRC32 (IEEE) over everything written through it.
 type Writer struct {
@@ -151,20 +158,16 @@ func ReadU32Slice(r io.Reader) ([]uint32, error) {
 	if n > MaxSliceLen {
 		return nil, fmt.Errorf("snapio: slice of %d elements exceeds bound", n)
 	}
-	out := make([]uint32, n)
+	out := make([]uint32, 0, min(n, allocStep))
 	var buf [4 * 1024]byte
-	for i := uint64(0); i < n; {
-		chunk := n - i
-		if chunk > 1024 {
-			chunk = 1024
-		}
+	for uint64(len(out)) < n {
+		chunk := min(n-uint64(len(out)), 1024)
 		if _, err := io.ReadFull(r, buf[:chunk*4]); err != nil {
 			return nil, err
 		}
 		for j := uint64(0); j < chunk; j++ {
-			out[i+j] = binary.LittleEndian.Uint32(buf[j*4:])
+			out = append(out, binary.LittleEndian.Uint32(buf[j*4:]))
 		}
-		i += chunk
 	}
 	return out, nil
 }
@@ -188,9 +191,16 @@ func ReadBytes(r io.Reader) ([]byte, error) {
 	if n > MaxSliceLen {
 		return nil, fmt.Errorf("snapio: byte block of %d exceeds bound", n)
 	}
-	out := make([]byte, n)
-	if _, err := io.ReadFull(r, out); err != nil {
+	if n <= allocStep {
+		out := make([]byte, n)
+		if _, err := io.ReadFull(r, out); err != nil {
+			return nil, err
+		}
+		return out, nil
+	}
+	var buf bytes.Buffer
+	if _, err := io.CopyN(&buf, r, int64(n)); err != nil {
 		return nil, err
 	}
-	return out, nil
+	return buf.Bytes(), nil
 }

@@ -10,8 +10,7 @@ package ubtree
 
 import (
 	"encoding/binary"
-	"errors"
-	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/btree"
@@ -160,21 +159,6 @@ func (ix *Index) ItemSupports() []int64 {
 // Blocks returns the number of B-tree entries.
 func (ix *Index) Blocks() int64 { return ix.blocks }
 
-func (ix *Index) prepQuery(qs []dataset.Item) ([]dataset.Item, error) {
-	q := append([]dataset.Item(nil), qs...)
-	sort.Slice(q, func(i, j int) bool { return q[i] < q[j] })
-	out := q[:0]
-	for i, v := range q {
-		if int(v) >= ix.domainSize {
-			return nil, fmt.Errorf("ubtree: item %d outside domain %d", v, ix.domainSize)
-		}
-		if i == 0 || v != out[len(out)-1] {
-			out = append(out, v)
-		}
-	}
-	return out, nil
-}
-
 // scanList decodes item's entire list by walking its blocks.
 func (ix *Index) scanList(item dataset.Item) ([]vbyte.Posting, error) {
 	cur, err := ix.tree.Seek(blockKey(item, 0), btree.BytewiseCompare)
@@ -218,21 +202,28 @@ func (ix *Index) filterByListRange(item dataset.Item, cands []uint32) ([]uint32,
 		if err != nil {
 			return nil, err
 		}
-		j := 0
-		for i < len(cands) && cands[i] <= lastID {
-			for j < len(buf) && buf[j].ID < cands[i] {
-				j++
-			}
-			if j < len(buf) && buf[j].ID == cands[i] {
-				out = append(out, cands[i])
-			}
-			i++
-		}
+		i, out = matchBlock(buf, lastID, cands, i, out)
 		if err := cur.Next(); err != nil {
 			return nil, err
 		}
 	}
 	return out, nil
+}
+
+// matchBlock appends to out the candidates from cands[i:] that one
+// decoded block (ids ascending, the last being lastID) can cover and does
+// hold, and returns the index of the first candidate beyond the block.
+func matchBlock(buf []vbyte.Posting, lastID uint32, cands []uint32, i int, out []uint32) (int, []uint32) {
+	j := 0
+	for ; i < len(cands) && cands[i] <= lastID; i++ {
+		for j < len(buf) && buf[j].ID < cands[i] {
+			j++
+		}
+		if j < len(buf) && buf[j].ID == cands[i] {
+			out = append(out, cands[i])
+		}
+	}
+	return i, out
 }
 
 // filterByListProbes keeps candidates via per-candidate id seeks. The
@@ -258,16 +249,7 @@ func (ix *Index) filterByListProbes(item dataset.Item, cands []uint32) ([]uint32
 		if err != nil {
 			return nil, err
 		}
-		j := 0
-		for i < len(cands) && cands[i] <= lastID {
-			for j < len(buf) && buf[j].ID < cands[i] {
-				j++
-			}
-			if j < len(buf) && buf[j].ID == cands[i] {
-				out = append(out, cands[i])
-			}
-			i++
-		}
+		i, out = matchBlock(buf, lastID, cands, i, out)
 	}
 	return out, nil
 }
@@ -282,7 +264,7 @@ func (ix *Index) byCount(q []dataset.Item) []dataset.Item {
 
 // Subset returns ids of records containing all of qs, ascending.
 func (ix *Index) Subset(qs []dataset.Item) ([]uint32, error) {
-	q, err := ix.prepQuery(qs)
+	q, err := dataset.Canonical(qs, ix.domainSize)
 	if err != nil {
 		return nil, err
 	}
@@ -318,7 +300,7 @@ func (ix *Index) Subset(qs []dataset.Item) ([]uint32, error) {
 
 // Equality returns ids of records whose set equals qs, ascending.
 func (ix *Index) Equality(qs []dataset.Item) ([]uint32, error) {
-	q, err := ix.prepQuery(qs)
+	q, err := dataset.Canonical(qs, ix.domainSize)
 	if err != nil {
 		return nil, err
 	}
@@ -352,7 +334,7 @@ func (ix *Index) Equality(qs []dataset.Item) ([]uint32, error) {
 // ordering the whole of every list must be scanned (the paper: "the
 // unordered B-tree does not have any advantage ... for superset queries").
 func (ix *Index) Superset(qs []dataset.Item) ([]uint32, error) {
-	q, err := ix.prepQuery(qs)
+	q, err := dataset.Canonical(qs, ix.domainSize)
 	if err != nil {
 		return nil, err
 	}
@@ -363,38 +345,11 @@ func (ix *Index) Superset(qs []dataset.Item) ([]uint32, error) {
 			return nil, err
 		}
 	}
-	idx := make([]int, len(lists))
-	results := append([]uint32(nil), ix.emptyIDs...)
-	for {
-		min := uint32(0)
-		found := false
-		for i, l := range lists {
-			if idx[i] < len(l) && (!found || l[idx[i]].ID < min) {
-				min = l[idx[i]].ID
-				found = true
-			}
-		}
-		if !found {
-			break
-		}
-		var count, length uint32
-		for i, l := range lists {
-			if idx[i] < len(l) && l[idx[i]].ID == min {
-				count++
-				length = l[idx[i]].Length
-				idx[i]++
-			}
-		}
-		if count == length {
-			results = append(results, min)
-		}
-	}
-	sort.Slice(results, func(i, j int) bool { return results[i] < results[j] })
+	// Union with occurrence counting (§2), as in the inverted file.
+	results := vbyte.AppendCovered(slices.Clone(ix.emptyIDs), lists)
+	slices.Sort(results)
 	return results, nil
 }
-
-// ErrUnsupported is reserved for future use.
-var ErrUnsupported = errors.New("ubtree: unsupported operation")
 
 // NewReader returns an independent query handle over the same tree pages
 // with its own buffer pool; see core.Index.NewReader for the contract.

@@ -119,3 +119,35 @@ func PostingsLen(postings []Posting, prev uint32) int {
 	}
 	return n
 }
+
+// AppendCovered appends to dst, ascending, the ids of the records every
+// one of whose items has a posting among lists: a k-way merge over the
+// id-sorted lists that counts each id's occurrences and qualifies it when
+// the count equals its recorded length. This is the inverted file's
+// superset evaluation (§2, "union with occurrence counting"), shared by
+// every index that reads whole lists; lists is not modified.
+func AppendCovered(dst []uint32, lists [][]Posting) []uint32 {
+	idx := make([]int, len(lists))
+	for {
+		next, found := uint32(0), false
+		for i, l := range lists {
+			if idx[i] < len(l) && (!found || l[idx[i]].ID < next) {
+				next, found = l[idx[i]].ID, true
+			}
+		}
+		if !found {
+			return dst
+		}
+		var count, length uint32
+		for i, l := range lists {
+			if idx[i] < len(l) && l[idx[i]].ID == next {
+				count++
+				length = l[idx[i]].Length
+				idx[i]++
+			}
+		}
+		if count == length {
+			dst = append(dst, next)
+		}
+	}
+}

@@ -4,10 +4,13 @@
 # (doc comments stripped), the exported function+method count per
 # package, and the non-test line count of setcontain/. internal/wire is
 # listed and counted with them: serve re-exports its JSON bodies as
-# aliases, and `go doc` hides an alias's struct fields. `make
-# api-surface` writes the output to docs/API.txt, which is checked in
-# so a PR that grows the surface shows it in its diff; the CI docs job
-# fails when the file is stale.
+# aliases, and `go doc` hides an alias's struct fields. A second size
+# line counts the index layer below the engine (the three index
+# packages, their dataset model and the shared update overlay), which has
+# no exported surface to list but whose growth or shrinkage a PR should
+# show just the same. `make api-surface` writes the output to
+# docs/API.txt, which is checked in so a PR that grows either shows it
+# in its diff; the CI docs job fails when the file is stale.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -25,4 +28,9 @@ for pkg in ./setcontain ./setcontain/serve ./internal/wire; do
         END { printf "-- %d exported functions and methods\n\n", funcs }'
 done
 echo "== size"
-echo "setcontain/ + internal/wire non-test lines: $(cat $(ls setcontain/*.go setcontain/serve/*.go internal/wire/*.go | grep -v _test.go) | wc -l | tr -d ' ')"
+# lines DIR... prints the non-test Go line count of the directories.
+lines() {
+    for dir in "$@"; do ls "$dir"/*.go; done | grep -v _test.go | xargs cat | wc -l | tr -d ' '
+}
+echo "setcontain/ + internal/wire non-test lines: $(lines setcontain setcontain/serve internal/wire)"
+echo "index layer (internal/core, invfile, ubtree, dataset, overlay) non-test lines: $(lines internal/core internal/invfile internal/ubtree internal/dataset internal/overlay)"

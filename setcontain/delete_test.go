@@ -6,6 +6,8 @@ import (
 	"slices"
 	"sync"
 	"testing"
+
+	"repro/internal/dataset"
 )
 
 // deleteKinds are the engines with delete support.
@@ -188,14 +190,29 @@ func TestDeleteDeltaRecordAndNoIDReuse(t *testing.T) {
 	}
 }
 
-// TestDeleteValidation: unknown ids, double deletes, and the UBT
-// ablation's capability error.
+// TestDeleteValidation: unknown ids, double deletes, the typed
+// out-of-domain refusal on every insert path (and the IF/UBT query
+// paths, which share the canonicaliser), and the UBT ablation's
+// capability error.
 func TestDeleteValidation(t *testing.T) {
 	c := sampleCollection(t)
+	alien := []Item{1, Item(c.DomainSize())}
+	if _, err := c.Add(alien); !errors.Is(err, dataset.ErrItemOutOfDomain) {
+		t.Errorf("Collection.Add(out of domain): got %v, want ErrItemOutOfDomain", err)
+	}
 	for _, tc := range deleteKinds {
 		ix, err := New(c, tc.opts...)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if _, err := ix.Insert(alien); !errors.Is(err, dataset.ErrItemOutOfDomain) {
+			t.Errorf("%s: Insert(out of domain): got %v, want ErrItemOutOfDomain", tc.name, err)
+		}
+		if ix.PendingInserts() != 0 {
+			t.Errorf("%s: refused insert left %d pending", tc.name, ix.PendingInserts())
+		}
+		if _, err := ix.Subset(alien); tc.name == "IF" && !errors.Is(err, dataset.ErrItemOutOfDomain) {
+			t.Errorf("%s: Subset(out of domain): got %v, want ErrItemOutOfDomain", tc.name, err)
 		}
 		if err := ix.Delete(0); err == nil {
 			t.Errorf("%s: Delete(0) succeeded", tc.name)
@@ -216,6 +233,9 @@ func TestDeleteValidation(t *testing.T) {
 	}
 	if err := ub.Delete(1); !errors.Is(err, ErrNoUpdates) {
 		t.Errorf("UBT Delete: got %v, want ErrNoUpdates", err)
+	}
+	if _, err := ub.Superset(alien); !errors.Is(err, dataset.ErrItemOutOfDomain) {
+		t.Errorf("UBT Superset(out of domain): got %v, want ErrItemOutOfDomain", err)
 	}
 }
 

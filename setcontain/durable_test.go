@@ -539,6 +539,11 @@ func TestDurableRejectsOversizedInsert(t *testing.T) {
 	if _, err := d.InsertSets([][]Item{{3, 4}}); err != nil {
 		t.Fatalf("insert after size rejection: %v", err)
 	}
+	// The other typed refusal, an out-of-domain item, comes from the
+	// engine before the log sees anything.
+	if _, err := d.InsertSets([][]Item{{Item(coll.DomainSize())}}); !errors.Is(err, dataset.ErrItemOutOfDomain) {
+		t.Fatalf("out-of-domain insert = %v, want dataset.ErrItemOutOfDomain", err)
+	}
 	if err := d.Close(); err != nil {
 		t.Fatal(err)
 	}

@@ -114,9 +114,9 @@ func Kinds() []Kind { return []Kind{OIF, InvertedFile, UnorderedBTree, Sharded} 
 func EngineOf(backend any) (Engine, error) {
 	switch ix := backend.(type) {
 	case *core.Index:
-		return &oifEngine{baseEngine{b: ix, kind: OIF}}, nil
+		return &oifEngine{updatableEngine{baseEngine{b: ix, kind: OIF}, ix}}, nil
 	case *invfile.Index:
-		return &invEngine{baseEngine{b: ix, kind: InvertedFile}}, nil
+		return &invEngine{updatableEngine{baseEngine{b: ix, kind: InvertedFile}, ix}}, nil
 	case *ubtree.Index:
 		return &ubtEngine{baseEngine{b: ix, kind: UnorderedBTree}}, nil
 	case []Engine:
@@ -161,9 +161,10 @@ func (e *baseEngine) ResetStats()       { e.b.Pool().ResetStats() }
 func (e *baseEngine) SetPool(pool *storage.BufferPool) error { return e.b.SetPool(pool) }
 func (e *baseEngine) Pool() *storage.BufferPool              { return e.b.Pool() }
 
-// pagedSpace is the footprint of a backend whose persistent state is
-// exactly its pager's pages.
-func (e *baseEngine) pagedSpace() SpaceInfo {
+// Space is the footprint of a backend whose persistent state is exactly
+// its pager's pages (the OIF and UBT trees; the inverted file overrides
+// it with its list pages).
+func (e *baseEngine) Space() SpaceInfo {
 	pool := e.b.Pool()
 	pages := pool.Pager().NumPages()
 	return SpaceInfo{Pages: pages, Bytes: pages * int64(pool.PageSize())}
@@ -173,6 +174,15 @@ func (e *baseEngine) pagedSpace() SpaceInfo {
 // the given page count over the same pager.
 func attachCache(b backend, pages int) error {
 	return b.SetPool(storage.NewBufferPool(b.Pool().Pager(), pages))
+}
+
+// attach gives a freshly built or restored backend its query cache and
+// its Engine adapter.
+func attach(b backend, opts Options) (Engine, error) {
+	if err := attachCache(b, opts.CachePages); err != nil {
+		return nil, err
+	}
+	return EngineOf(b)
 }
 
 // capabilityError wraps a capability sentinel with the engine kind, so
@@ -195,31 +205,9 @@ func (e *capabilityError) Error() string {
 
 func (e *capabilityError) Unwrap() error { return e.sentinel }
 
-// capErr returns kind's wrapped form of a capability sentinel.
-func capErr(kind Kind, sentinel error) error {
-	return &capabilityError{kind: kind, sentinel: sentinel}
-}
-
-// mergeAndRepool runs a backend's delta merge and re-attaches a fresh
-// cache of the previous capacity: the merge swaps the page file, so the
-// old pool's frames cannot carry over. Its statistics do — the new pool
-// is seeded with the pre-merge counters, keeping CacheStats cumulative
-// across merges.
-func mergeAndRepool(b backend, merge func() error) error {
-	capacity := b.Pool().Capacity()
-	pre := b.Pool().Stats()
-	if err := merge(); err != nil {
-		return err
-	}
-	if err := attachCache(b, capacity); err != nil {
-		return err
-	}
-	b.Pool().AddStats(pre)
-	return nil
-}
-
-// wrapReader applies the default cache size and boxes a backend reader.
-func wrapReader(cachePages int, open func(int) (engineReader, error)) (*Reader, error) {
+// newReader applies the default cache size and boxes the reader a
+// backend's NewReader opens.
+func newReader[R engineReader](cachePages int, open func(int) (R, error)) (*Reader, error) {
 	if cachePages <= 0 {
 		cachePages = storage.DefaultPoolPages
 	}
@@ -240,10 +228,61 @@ func cacheStatsOf(s storage.AccessStats) CacheStats {
 	}
 }
 
+// --- Updatable backends (OIF, inverted file) ---------------------------
+
+// updatable is the §4.4 update and snapshot surface the OIF and the
+// inverted file expose identically: both hold one overlay of pending
+// inserts and tombstones (internal/overlay) and differ only in what
+// their MergeDelta does with it.
+type updatable interface {
+	Insert(set []Item) (uint32, error)
+	Delete(id uint32) error
+	Deleted() int
+	MergeDelta() error
+	DeltaLen() int
+	Save(w io.Writer) error
+}
+
+// updatableEngine spells the Engine update and snapshot methods once
+// for both adapters: Insert, Delete and Deleted are the backend's own,
+// promoted from the embedded interface (the same index as baseEngine's
+// b); MergeDelta and Save wrap the backend's.
+type updatableEngine struct {
+	baseEngine
+	updatable
+}
+
+func (e *updatableEngine) PendingInserts() int { return e.DeltaLen() }
+
+// MergeDelta runs the backend's delta merge and re-attaches a fresh
+// cache of the previous capacity: the merge swaps the page file, so the
+// old pool's frames cannot carry over. Its statistics do — the new pool
+// is seeded with the pre-merge counters, keeping CacheStats cumulative
+// across merges.
+func (e *updatableEngine) MergeDelta() error {
+	capacity := e.b.Pool().Capacity()
+	pre := e.b.Pool().Stats()
+	if err := e.updatable.MergeDelta(); err != nil {
+		return err
+	}
+	if err := attachCache(e.b, capacity); err != nil {
+		return err
+	}
+	e.b.Pool().AddStats(pre)
+	return nil
+}
+
+// Save writes the self-describing engine container (see Open): the
+// header names the kind, the payload is the backend's own versioned
+// snapshot stream.
+func (e *updatableEngine) Save(w io.Writer) error {
+	return saveContainer(w, e.kind, e.b.Pool().Capacity(), e.updatable.Save)
+}
+
 // --- OIF ----------------------------------------------------------------
 
 type oifEngine struct {
-	baseEngine
+	updatableEngine
 }
 
 func (e *oifEngine) ix() *core.Index { return e.b.(*core.Index) }
@@ -258,37 +297,11 @@ func buildOIFEngine(ds *dataset.Dataset, opts Options) (Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	return attachOIF(ix, opts)
+	return attach(ix, opts)
 }
-
-func attachOIF(ix *core.Index, opts Options) (Engine, error) {
-	if err := attachCache(ix, opts.CachePages); err != nil {
-		return nil, err
-	}
-	return &oifEngine{baseEngine{b: ix, kind: OIF}}, nil
-}
-
-func (e *oifEngine) Insert(set []Item) (uint32, error) { return e.ix().Insert(set) }
-func (e *oifEngine) Delete(id uint32) error            { return e.ix().Delete(id) }
-func (e *oifEngine) Deleted() int                      { return e.ix().Deleted() }
-func (e *oifEngine) MergeDelta() error                 { return mergeAndRepool(e.b, e.ix().MergeDelta) }
-func (e *oifEngine) PendingInserts() int               { return e.ix().DeltaLen() }
 
 func (e *oifEngine) NewReader(cachePages int) (*Reader, error) {
-	return wrapReader(cachePages, func(pages int) (engineReader, error) {
-		return e.ix().NewReader(pages)
-	})
-}
-
-// Save writes the self-describing engine container (see Open): the
-// header names the kind, the payload is the OIF's own snapshot stream.
-func (e *oifEngine) Save(w io.Writer) error {
-	return saveContainer(w, OIF, e.b.Pool().Capacity(), e.ix().Save)
-}
-
-func (e *oifEngine) Space() SpaceInfo {
-	s := e.ix().Space()
-	return SpaceInfo{Pages: s.TreePages, Bytes: s.TreeBytes}
+	return newReader(cachePages, e.ix().NewReader)
 }
 
 // AppendSubset implements AppendQueryable on the OIF's zero-allocation
@@ -320,7 +333,7 @@ func (e *oifEngine) DecodedStats() DecodedCacheStats {
 // --- Inverted file ------------------------------------------------------
 
 type invEngine struct {
-	baseEngine
+	updatableEngine
 }
 
 func (e *invEngine) ix() *invfile.Index { return e.b.(*invfile.Index) }
@@ -330,28 +343,11 @@ func buildInvEngine(ds *dataset.Dataset, opts Options) (Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := attachCache(ix, opts.CachePages); err != nil {
-		return nil, err
-	}
-	return &invEngine{baseEngine{b: ix, kind: InvertedFile}}, nil
+	return attach(ix, opts)
 }
-
-func (e *invEngine) Insert(set []Item) (uint32, error) { return e.ix().Insert(set) }
-func (e *invEngine) Delete(id uint32) error            { return e.ix().Delete(id) }
-func (e *invEngine) Deleted() int                      { return e.ix().Deleted() }
-func (e *invEngine) MergeDelta() error                 { return mergeAndRepool(e.b, e.ix().MergeDelta) }
-func (e *invEngine) PendingInserts() int               { return e.ix().DeltaLen() }
 
 func (e *invEngine) NewReader(cachePages int) (*Reader, error) {
-	return wrapReader(cachePages, func(pages int) (engineReader, error) {
-		return e.ix().NewReader(pages)
-	})
-}
-
-// Save writes the self-describing engine container (see Open) with the
-// inverted file's versioned snapshot as payload.
-func (e *invEngine) Save(w io.Writer) error {
-	return saveContainer(w, InvertedFile, e.b.Pool().Capacity(), e.ix().Save)
+	return newReader(cachePages, e.ix().NewReader)
 }
 
 func (e *invEngine) Space() SpaceInfo {
@@ -371,8 +367,6 @@ type ubtEngine struct {
 	baseEngine
 }
 
-func (e *ubtEngine) ix() *ubtree.Index { return e.b.(*ubtree.Index) }
-
 func buildUBTEngine(ds *dataset.Dataset, opts Options) (Engine, error) {
 	ix, err := ubtree.Build(ds, ubtree.Options{
 		PageSize:      opts.PageSize,
@@ -381,24 +375,19 @@ func buildUBTEngine(ds *dataset.Dataset, opts Options) (Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := attachCache(ix, opts.CachePages); err != nil {
-		return nil, err
-	}
-	return &ubtEngine{baseEngine{b: ix, kind: UnorderedBTree}}, nil
+	return attach(ix, opts)
 }
 
-func (e *ubtEngine) Insert([]Item) (uint32, error) { return 0, capErr(UnorderedBTree, ErrNoUpdates) }
-func (e *ubtEngine) Delete(uint32) error           { return capErr(UnorderedBTree, ErrNoUpdates) }
-func (e *ubtEngine) Deleted() int                  { return 0 }
-func (e *ubtEngine) MergeDelta() error             { return capErr(UnorderedBTree, ErrNoUpdates) }
-func (e *ubtEngine) PendingInserts() int           { return 0 }
+func (e *ubtEngine) Insert([]Item) (uint32, error) {
+	return 0, &capabilityError{UnorderedBTree, ErrNoUpdates}
+}
+func (e *ubtEngine) Delete(uint32) error { return &capabilityError{UnorderedBTree, ErrNoUpdates} }
+func (e *ubtEngine) Deleted() int        { return 0 }
+func (e *ubtEngine) MergeDelta() error   { return &capabilityError{UnorderedBTree, ErrNoUpdates} }
+func (e *ubtEngine) PendingInserts() int { return 0 }
 
 func (e *ubtEngine) NewReader(cachePages int) (*Reader, error) {
-	return wrapReader(cachePages, func(pages int) (engineReader, error) {
-		return e.ix().NewReader(pages)
-	})
+	return newReader(cachePages, e.b.(*ubtree.Index).NewReader)
 }
 
-func (e *ubtEngine) Save(io.Writer) error { return capErr(UnorderedBTree, ErrNoSnapshots) }
-
-func (e *ubtEngine) Space() SpaceInfo { return e.pagedSpace() }
+func (e *ubtEngine) Save(io.Writer) error { return &capabilityError{UnorderedBTree, ErrNoSnapshots} }

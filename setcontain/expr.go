@@ -334,10 +334,17 @@ func (t token) describe() string {
 }
 
 type exprParser struct {
-	in  string
-	pos int
-	tok token
+	in    string
+	pos   int
+	tok   token
+	depth int // live parseUnary frames: the expression's own plus one per enclosing "(" or "not"
 }
+
+// maxExprDepth caps how deeply "(" and "not" may nest. The parser
+// recurses once per level — each re-enters parseUnary — so the 8 MB of
+// "(" a request body may carry would otherwise overflow the goroutine
+// stack: a fatal error no recover can catch.
+const maxExprDepth = 512
 
 func (p *exprParser) errf(off int, format string, args ...any) error {
 	return &ParseError{Input: p.in, Offset: off, Msg: fmt.Sprintf(format, args...)}
@@ -428,6 +435,10 @@ func (p *exprParser) parseAnd() (*Expr, error) {
 }
 
 func (p *exprParser) parseUnary() (*Expr, error) {
+	if p.depth++; p.depth > maxExprDepth+1 {
+		return nil, p.errf(p.tok.off, "nesting deeper than %d levels", maxExprDepth)
+	}
+	defer func() { p.depth-- }()
 	if p.keyword("not") {
 		p.next()
 		e, err := p.parseUnary()

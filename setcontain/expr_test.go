@@ -84,6 +84,18 @@ func TestParseExprOffsets(t *testing.T) {
 		{"subset{1} subset{2}", 10},
 		{"not", 3},
 		{"subset{1} or (not)", 17},
+		// Nesting is capped (maxExprDepth): one level too many fails at
+		// the first token of the too-deep level instead of recursing, and
+		// so does the 8 MB request body that used to overflow the stack.
+		{nested("(", maxExprDepth+1), maxExprDepth + 1},
+		{nested("not ", maxExprDepth+1), 4 * (maxExprDepth + 1)},
+		{nested("(", 4_000_000), maxExprDepth + 1},
+		{nested("not ", 2_000_000), 4 * (maxExprDepth + 1)},
+	}
+	for _, open := range []string{"(", "not "} {
+		if _, err := ParseExpr(nested(open, maxExprDepth)); err != nil {
+			t.Errorf("%d levels of %q must parse: %v", maxExprDepth, open, err)
+		}
 	}
 	for _, c := range cases {
 		_, err := ParseExpr(c.in)
@@ -107,6 +119,15 @@ func TestParseExprOffsets(t *testing.T) {
 			t.Errorf("ParseExpr(%q): message %q lacks the offset form", c.in, err)
 		}
 	}
+}
+
+// nested wraps a leaf in depth levels of "(" ... ")" or "not ".
+func nested(open string, depth int) string {
+	s := strings.Repeat(open, depth) + "subset{1}"
+	if open == "(" {
+		s += strings.Repeat(")", depth)
+	}
+	return s
 }
 
 // TestParseQueryOffsets pins that the plain-query parser carries the
@@ -196,6 +217,8 @@ func FuzzParseExpr(f *testing.F) {
 		"SUBSET {007} OR superset{4294967295}",
 		"subset{1} and (subset{2",
 		"between{1}",
+		nested("(", maxExprDepth), nested("(", maxExprDepth+1), nested("(", 100_000),
+		nested("not ", maxExprDepth), nested("not ", maxExprDepth+1), nested("not ", 100_000),
 	} {
 		f.Add(seed)
 	}

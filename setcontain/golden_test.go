@@ -1,0 +1,276 @@
+package setcontain
+
+import (
+	"bytes"
+	"os"
+	"path/filepath"
+	"slices"
+	"testing"
+
+	"repro/internal/dataset"
+	"repro/internal/naive"
+	"repro/internal/snapio"
+)
+
+// The golden snapshots under testdata/snapshots pin the on-disk formats
+// (SCSNAP01 container, OIFSNAP2, IFSNAP01, the sharded manifest) across
+// versions of the code: they were written by the code of PR 14, the
+// commit before this test existed, and every later build must open
+// them, answer from them like the oracle, and re-save them byte for
+// byte. A running OpenDurable directory holds checkpoints in exactly
+// these formats. Regenerate (only when a format version is deliberately
+// bumped) with
+// SETCONTAIN_WRITE_GOLDEN=1 go test -run TestGoldenSnapshots ./setcontain.
+var goldenKinds = []struct {
+	name string
+	opts []Option
+}{
+	{"oif", []Option{WithKind(OIF), WithPageSize(512), WithBlockPostings(8)}},
+	{"if", []Option{WithKind(InvertedFile), WithPageSize(512)}},
+	{"sharded2", []Option{WithKind(Sharded), WithShards(2), WithPageSize(512), WithBlockPostings(8)}},
+}
+
+const (
+	goldenDomain = 16
+	goldenBase   = 90 // records indexed by the build
+	goldenEarly  = 5  // inserted, then merged with one early delete
+	goldenLate   = 9  // inserted after the merge: the pending section
+)
+
+// goldenDeletes are the tombstones: id 4 is folded out by the merge, the
+// rest are set afterwards (merged base records, a merged early insert,
+// and one still-pending insert), leaving the dead-dirty flag set.
+var (
+	goldenEarlyDelete = uint32(4)
+	goldenLateDeletes = []uint32{1, 37, goldenBase, goldenBase + 2, goldenBase + goldenEarly + 4}
+)
+
+// goldenSet is record i's item set (0-based): skewed towards low items
+// like the paper's data, formulaic so no RNG stream is part of the pin.
+// Every seventh record is empty, the regions the OIF metadata treats
+// specially.
+func goldenSet(i int) []Item {
+	var set []Item
+	if i%7 == 6 {
+		return set
+	}
+	for it := 0; it < goldenDomain; it++ {
+		if (i*(it+1)+it*it)%(it+3) < 2 {
+			set = append(set, Item(it))
+		}
+	}
+	return set
+}
+
+func goldenPath(name string) string {
+	return filepath.Join("testdata", "snapshots", name+".snap")
+}
+
+// buildGolden replays the golden mutation history on a fresh index.
+func buildGolden(t *testing.T, opts []Option) *Index {
+	t.Helper()
+	c := NewCollection(goldenDomain)
+	for i := 0; i < goldenBase; i++ {
+		if _, err := c.Add(goldenSet(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ix, err := New(c, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	insert := func(from, n int) {
+		for i := from; i < from+n; i++ {
+			if _, err := ix.Insert(goldenSet(i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	insert(goldenBase, goldenEarly)
+	if err := ix.Delete(goldenEarlyDelete); err != nil {
+		t.Fatal(err)
+	}
+	if err := ix.MergeDelta(); err != nil {
+		t.Fatal(err)
+	}
+	insert(goldenBase+goldenEarly, goldenLate)
+	for _, id := range goldenLateDeletes {
+		if err := ix.Delete(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return ix
+}
+
+// goldenOracle answers q over the records the golden state holds: every
+// record ever added, minus the tombstoned ids.
+func goldenOracle(d *dataset.Dataset, dead []uint32, q Query) []uint32 {
+	var ids []uint32
+	switch q.Pred {
+	case PredicateSubset:
+		ids = naive.Subset(d, q.Items)
+	case PredicateEquality:
+		ids = naive.Equality(d, q.Items)
+	default:
+		ids = naive.Superset(d, q.Items)
+	}
+	return slices.DeleteFunc(ids, func(id uint32) bool { return slices.Contains(dead, id) })
+}
+
+func TestGoldenSnapshots(t *testing.T) {
+	if os.Getenv("SETCONTAIN_WRITE_GOLDEN") != "" {
+		for _, k := range goldenKinds {
+			var buf bytes.Buffer
+			if err := buildGolden(t, k.opts).Save(&buf); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.MkdirAll(filepath.Dir(goldenPath(k.name)), 0o755); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(goldenPath(k.name), buf.Bytes(), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+
+	total := goldenBase + goldenEarly + goldenLate
+	d := dataset.New(goldenDomain)
+	for i := 0; i < total; i++ {
+		if _, err := d.Add(goldenSet(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	dead := append([]uint32{goldenEarlyDelete}, goldenLateDeletes...)
+
+	// Every predicate over the empty set, every single item, and a
+	// spread of pairs, triples and wide sets (superset answers need the
+	// latter to be non-trivial).
+	var queries []Query
+	for _, pred := range []Predicate{PredicateSubset, PredicateEquality, PredicateSuperset} {
+		queries = append(queries, Query{Pred: pred})
+		for a := 0; a < goldenDomain; a++ {
+			queries = append(queries,
+				Query{Pred: pred, Items: []Item{Item(a)}},
+				Query{Pred: pred, Items: []Item{0, Item(a)}},
+				Query{Pred: pred, Items: []Item{Item(a), Item((a + 1) % goldenDomain), Item((a + 5) % goldenDomain)}},
+				Query{Pred: pred, Items: goldenSet(a * 6)})
+		}
+		queries = append(queries, Query{Pred: pred, Items: []Item{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15}})
+	}
+
+	for _, k := range goldenKinds {
+		t.Run(k.name, func(t *testing.T) {
+			golden, err := os.ReadFile(goldenPath(k.name))
+			if err != nil {
+				t.Fatal(err)
+			}
+			ix, err := Open(bytes.NewReader(golden))
+			if err != nil {
+				t.Fatalf("Open: %v", err)
+			}
+			if ix.NumRecords() != total || ix.PendingInserts() != goldenLate || ix.Deleted() != len(dead) {
+				t.Fatalf("shape %d records / %d pending / %d deleted, want %d / %d / %d",
+					ix.NumRecords(), ix.PendingInserts(), ix.Deleted(), total, goldenLate, len(dead))
+			}
+			check := func(stage string) {
+				t.Helper()
+				nonEmpty := 0
+				for _, q := range queries {
+					got, err := ix.Eval(q)
+					if err != nil {
+						t.Fatalf("%s %s: %v", stage, q, err)
+					}
+					want := goldenOracle(d, dead, q)
+					if !slices.Equal(got, want) {
+						t.Fatalf("%s %s: got %v, want %v", stage, q, got, want)
+					}
+					if len(want) > 0 {
+						nonEmpty++
+					}
+				}
+				if nonEmpty < len(queries)/3 {
+					t.Fatalf("%s: only %d of %d queries have answers; the pin is too weak", stage, nonEmpty, len(queries))
+				}
+			}
+			check("restored")
+
+			var resaved bytes.Buffer
+			if err := ix.Save(&resaved); err != nil {
+				t.Fatalf("Save: %v", err)
+			}
+			if !bytes.Equal(resaved.Bytes(), golden) {
+				t.Fatalf("Save(Open(golden)) differs from golden: %d vs %d bytes, first difference at offset %d",
+					resaved.Len(), len(golden), firstDiff(resaved.Bytes(), golden))
+			}
+
+			// The restored dead-dirty flag and pending section drive a
+			// real merge; answers must not move.
+			if err := ix.MergeDelta(); err != nil {
+				t.Fatalf("MergeDelta: %v", err)
+			}
+			if ix.PendingInserts() != 0 || ix.Deleted() != len(dead) {
+				t.Fatalf("after merge: %d pending / %d deleted", ix.PendingInserts(), ix.Deleted())
+			}
+			check("merged")
+		})
+	}
+}
+
+func firstDiff(a, b []byte) int {
+	n := min(len(a), len(b))
+	for i := 0; i < n; i++ {
+		if a[i] != b[i] {
+			return i
+		}
+	}
+	return n
+}
+
+// FuzzOpenSnapshot feeds Open arbitrary bytes: the answer is an error or
+// an index, never a panic, and never an allocation sized by a length
+// word the stream does not back with bytes. The seeds are the goldens
+// plus the corruptions a torn or bit-rotted checkpoint shows first: a
+// cut inside the pending-records section, a cut inside the tombstone
+// section, and a length word with a high bit flipped (a count that passes
+// the snapio.MaxSliceLen bound but promises gigabytes).
+func FuzzOpenSnapshot(f *testing.F) {
+	// The single-engine goldens hold the sections verbatim; find them by
+	// their encoded content: the first pending record (id, then its
+	// length-prefixed set) and the sorted tombstone list.
+	var records, tombstones bytes.Buffer
+	first := goldenBase + goldenEarly
+	snapio.WriteU32(&records, uint32(first+1))
+	snapio.WriteU32Slice(&records, goldenSet(first))
+	dead := append([]uint32{goldenEarlyDelete}, goldenLateDeletes...)
+	slices.Sort(dead)
+	snapio.WriteU32Slice(&tombstones, dead)
+
+	for _, k := range goldenKinds {
+		golden, err := os.ReadFile(goldenPath(k.name))
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(golden)
+		if k.name == "sharded2" {
+			continue // shard-local ids; the nested frames are the formats above
+		}
+		rec, tomb := bytes.Index(golden, records.Bytes()), bytes.Index(golden, tombstones.Bytes())
+		if rec < 0 || tomb < 0 {
+			f.Fatalf("%s: sections not found (records %d, tombstones %d)", k.name, rec, tomb)
+		}
+		f.Add(golden[:rec+records.Len()/2])
+		f.Add(golden[:tomb+tombstones.Len()/2])
+		flipped := slices.Clone(golden)
+		flipped[tomb+3] ^= 0x40 // the count's fourth byte: 6 becomes 2^30+6
+		f.Add(flipped)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		ix, err := Open(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		if ix.PendingInserts() > ix.NumRecords() || ix.PendingInserts() < 0 {
+			t.Fatalf("opened an index with %d pending of %d records", ix.PendingInserts(), ix.NumRecords())
+		}
+	})
+}

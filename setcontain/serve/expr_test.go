@@ -169,6 +169,22 @@ func TestServerExprErrors(t *testing.T) {
 			t.Fatalf("offset %v, want 6 (%s)", body.Offset, body.Error)
 		}
 	})
+	t.Run("POST stack bomb", func(t *testing.T) {
+		// 4 000 000 nested parentheses fit under maxRequestBytes; they used
+		// to overflow the parser's stack and kill the process. Now: a
+		// positioned 400, and the daemon answers the next request.
+		const depth = 4_000_000
+		bomb := strings.Repeat("(", depth) + "subset{1}" + strings.Repeat(")", depth)
+		body := decode(t, post(t, `{"queries":[{"expr":"`+bomb+`"}]}`))
+		if body.Offset == nil || *body.Offset <= 0 || *body.Offset >= depth {
+			t.Fatalf("offset %v, want inside the run of parentheses", body.Offset)
+		}
+		resp := h.get(t, "/query", "subset{0}")
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("next request: status %d", resp.StatusCode)
+		}
+	})
 	t.Run("POST expr and pred", func(t *testing.T) {
 		body := decode(t, post(t, `{"queries":[{"pred":"subset","items":[1],"expr":"subset{1}"}]}`))
 		if body.Offset != nil {

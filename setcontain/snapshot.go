@@ -119,16 +119,13 @@ func openEngine(r io.Reader, o Options, nested bool) (Engine, error) {
 		if err != nil {
 			return nil, err
 		}
-		return attachOIF(ix, o)
+		return attach(ix, o)
 	case InvertedFile:
 		ix, err := invfile.Load(r)
 		if err != nil {
 			return nil, err
 		}
-		if err := attachCache(ix, o.CachePages); err != nil {
-			return nil, err
-		}
-		return &invEngine{baseEngine{b: ix, kind: InvertedFile}}, nil
+		return attach(ix, o)
 	case Sharded:
 		if nested {
 			return nil, fmt.Errorf("%w: nested sharded container", ErrBadSnapshot)
