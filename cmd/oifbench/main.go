@@ -10,29 +10,66 @@
 //
 // At -scale 1 the synthetic sweeps use the paper's full |D| (up to 50M
 // records); the default 0.01 preserves every comparison's shape on a
-// laptop. See EXPERIMENTS.md for recorded runs.
+// laptop. docs/BENCHMARKS.md places these figures beside the repository
+// benchmark (benchmark/), which measures everything above the indexes.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 	"time"
 
 	"repro/internal/experiments"
 	"repro/internal/workload"
-	"repro/setcontain"
 )
+
+// experimentTable is every value -experiment accepts, in the order the
+// flag help and the unknown-name error list them; "all" runs the others
+// in that order.
+var experimentTable = []struct {
+	name string
+	run  func(experiments.Config) error
+}{
+	{"all", experiments.RunAll},
+	{"fig7", discard(experiments.RunFig7)},
+	{"fig8", synthetic(workload.Subset)},
+	{"fig9", synthetic(workload.Equality)},
+	{"fig10", synthetic(workload.Superset)},
+	{"space", discard(experiments.RunSpace)},
+	{"ordering", discard(experiments.RunOrdering)},
+	{"summary", discard(experiments.RunSummary)},
+	{"ablations", discard(experiments.RunAblations)},
+}
+
+// discard adapts a runner that also returns its (already printed)
+// result to the table's shape.
+func discard[T any](run func(experiments.Config) (T, error)) func(experiments.Config) error {
+	return func(cfg experiments.Config) error {
+		_, err := run(cfg)
+		return err
+	}
+}
+
+func synthetic(kind workload.Kind) func(experiments.Config) error {
+	return func(cfg experiments.Config) error {
+		_, err := experiments.RunSyntheticFigure(cfg, kind)
+		return err
+	}
+}
+
+func experimentNames() string {
+	names := make([]string, len(experimentTable))
+	for i, e := range experimentTable {
+		names[i] = e.name
+	}
+	return strings.Join(names, ", ")
+}
 
 func main() {
 	var (
-		experiment = flag.String("experiment", "all", "one of: all (= every paper artefact: fig7-fig10, space, ordering, summary, ablations), concurrency (extra-paper Store sweep), sharding (Sharded engine scale-out sweep), serve (HTTP serving-layer load sweep), restore (snapshot save/load round-trip timing), recovery (WAL ack latency per fsync policy + crash-replay timing), or planner (boolean-expression planner vs naive left-to-right baseline)")
-		engine     = flag.String("engine", "oif", "engine for -experiment concurrency: oif, if, ubt, or sharded")
-		workers    = flag.Int("workers", 8, "max goroutines for -experiment concurrency (swept 1,2,4,...), the -experiment sharding query load, and the -experiment serve client sweep")
-		addr       = flag.String("addr", "", "for -experiment serve: a live setcontaind base URL (empty starts an in-process server)")
-		shards     = flag.Int("shards", 8, "max shard count for -experiment sharding (swept 1,2,4,...)")
-		transport  = flag.String("transport", "engine", "for -experiment sharding: engine (direct), inproc (ShardClient layer), or http (per-shard HTTP daemons)")
-		rounds     = flag.Int("rounds", 5, "workload repetitions for -experiment planner")
+		experiment = flag.String("experiment", "all", "one of: "+experimentNames()+" (all = every other one, in that order)")
 		scale      = flag.Float64("scale", 0.01, "fraction of the paper's synthetic |D| (1.0 = paper scale)")
 		realScale  = flag.Float64("realscale", 0.1, "fraction of the real-dataset twins' record counts")
 		queries    = flag.Int("queries", 10, "queries per size and type (the paper uses 10)")
@@ -42,6 +79,17 @@ func main() {
 		poolPages  = flag.Int("poolpages", 8, "query cache size in pages (8 x 4 KB = the paper's 32 KB)")
 	)
 	flag.Parse()
+
+	var run func(experiments.Config) error
+	for _, e := range experimentTable {
+		if e.name == *experiment {
+			run = e.run
+		}
+	}
+	if run == nil {
+		fmt.Fprintf(os.Stderr, "oifbench: unknown experiment %q (one of: %s)\n", *experiment, experimentNames())
+		os.Exit(2)
+	}
 
 	cfg := experiments.DefaultConfig(os.Stdout)
 	cfg.Scale = *scale
@@ -53,50 +101,7 @@ func main() {
 	cfg.PoolPages = *poolPages
 
 	start := time.Now()
-	var err error
-	switch *experiment {
-	case "all":
-		err = experiments.RunAll(cfg)
-	case "fig7":
-		_, err = experiments.RunFig7(cfg)
-	case "fig8":
-		_, err = experiments.RunSyntheticFigure(cfg, workload.Subset)
-	case "fig9":
-		_, err = experiments.RunSyntheticFigure(cfg, workload.Equality)
-	case "fig10":
-		_, err = experiments.RunSyntheticFigure(cfg, workload.Superset)
-	case "space":
-		_, err = experiments.RunSpace(cfg)
-	case "ordering":
-		_, err = experiments.RunOrdering(cfg)
-	case "summary":
-		_, err = experiments.RunSummary(cfg)
-	case "ablations":
-		_, err = experiments.RunAblations(cfg)
-	case "concurrency":
-		var kind setcontain.Kind
-		kind, err = setcontain.ParseKind(*engine)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "oifbench: %v\n", err)
-			os.Exit(2)
-		}
-		_, err = experiments.RunConcurrency(cfg, kind, *workers)
-	case "sharding":
-		_, err = experiments.RunSharding(cfg, *shards, *workers, *transport)
-	case "serve":
-		_, err = experiments.RunServe(cfg, *workers, *addr)
-	case "restore":
-		_, err = experiments.RunRestore(cfg)
-	case "recovery":
-		_, err = experiments.RunRecovery(cfg)
-	case "planner":
-		_, err = experiments.RunPlanner(cfg, *rounds)
-	default:
-		fmt.Fprintf(os.Stderr, "oifbench: unknown experiment %q\n", *experiment)
-		flag.Usage()
-		os.Exit(2)
-	}
-	if err != nil {
+	if err := run(cfg); err != nil {
 		fmt.Fprintf(os.Stderr, "oifbench: %v\n", err)
 		os.Exit(1)
 	}

@@ -58,8 +58,9 @@
 //	curl -s -d '{"queries":[{"pred":"superset","items":[1,2,3]}]}' localhost:8080/query
 //	curl -s -X POST localhost:8080/admin/snapshot -o idx.snap
 //
-// Load-test a running instance with
-// `oifbench -experiment serve -addr http://localhost:8080`.
+// The serving path is measured by the repository benchmark, which
+// stands up its own daemon over loopback:
+// `bash benchmark/run.sh --workload http_single`.
 package main
 
 import (

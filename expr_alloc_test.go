@@ -1,0 +1,81 @@
+//go:build !race
+
+package repro
+
+// Allocation ceilings on the warm expression paths, over the same
+// fixtures as the micro-benchmarks beside this file. allocs/op is the
+// one signal of theirs that no benchmark/ workload carries, so it is a
+// test. Built only without -race: the detector's instrumentation
+// allocates. The two non-trivial ceilings are what the last checked-in
+// go test -bench baseline recorded; go1.24 measures 22 and 435 here.
+
+import (
+	"testing"
+
+	"repro/setcontain"
+)
+
+func TestExprAllocCeilings(t *testing.T) {
+	// Each case returns its number of distinct ops and a function that
+	// runs op i on warm, reused buffers.
+	cases := []struct {
+		name    string
+		ceiling float64
+		setup   func(t *testing.T) (int, func(i int) error)
+	}{
+		{"ExprStream/streaming", 0, func(t *testing.T) (int, func(int) error) {
+			idx, plans := exprStreamFixture(t)
+			ev := setcontain.NewEvaluator(setcontain.EvalAuto)
+			dst := make([]uint32, 0, 4096)
+			return len(plans), func(i int) (err error) {
+				dst, _, err = ev.EvalAppend(dst[:0], plans[i], idx)
+				return err
+			}
+		}},
+		{"ExprPlanner/planned", 1, func(t *testing.T) (int, func(int) error) {
+			idx, _, plans := exprBenchFixture(t)
+			dst := make([]uint32, 0, 1024)
+			return len(plans), func(i int) (err error) {
+				dst, _, err = plans[i].EvalAppend(dst[:0], idx)
+				return err
+			}
+		}},
+		{"ExprLimit/limit10", 25, func(t *testing.T) (int, func(int) error) {
+			idx, plans := exprLimitFixture(t)
+			ev := setcontain.NewEvaluator(setcontain.EvalAuto)
+			dst := make([]uint32, 0, 4096)
+			return len(plans), func(i int) (err error) {
+				dst, _, err = ev.EvalLimitAppend(dst[:0], plans[i], idx, 10)
+				return err
+			}
+		}},
+		{"ExprCSE/batched", 436, func(t *testing.T) (int, func(int) error) {
+			batch := exprCSEBatch(exprCSEFixture(t))
+			return 1, func(int) error { return batch() }
+		}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			n, op := c.setup(t)
+			i := 0
+			next := func() {
+				if err := op(i % n); err != nil {
+					t.Fatal(err)
+				}
+				i++
+			}
+			// Warm: two passes bring the page cache, the evaluator's free
+			// list and the answer buffers to their high-water marks.
+			for i < 2*n {
+				next()
+			}
+			// 128 runs: two passes of the 64-op workloads, and enough
+			// batches that a pool emptied by a collection averages out.
+			allocs := testing.AllocsPerRun(128, next)
+			t.Logf("%.0f allocs per warm op, ceiling %.0f", allocs, c.ceiling)
+			if allocs > c.ceiling {
+				t.Error("over the ceiling (it is a ratchet: lowering it is welcome, raising it needs a reason)")
+			}
+		})
+	}
+}

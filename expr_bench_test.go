@@ -6,15 +6,13 @@ package repro
 // written widest-leaf-first — a subset leaf on a hot item, then a
 // subset leaf on three cold items whose conjunction is usually empty —
 // so "naive" pays the hot list every time while "planned" reorders and
-// short-circuits it away. The planned/naive ratio is the artifact the
-// planner PR gates on.
+// short-circuits it away. The planned/naive ratio is what the planner
+// buys.
 
 import (
 	"math/rand"
-	"sort"
 	"testing"
 
-	"repro/internal/dataset"
 	"repro/setcontain"
 )
 
@@ -22,33 +20,11 @@ import (
 // AND workload, planned once against the index's support profile (the
 // Store caches that profile per generation; planning per query would
 // re-sort the domain every time and measure the wrong thing).
-func exprBenchFixture(b *testing.B) (*setcontain.Index, []*setcontain.Expr, []*setcontain.ExprPlan) {
-	b.Helper()
-	cfg := benchCfg()
-	d, err := dataset.GenerateSynthetic(cfg.SyntheticDefaults())
-	if err != nil {
-		b.Fatal(err)
-	}
-	idx, err := setcontain.New(setcontain.WrapDataset(d),
-		setcontain.WithKind(setcontain.OIF),
-		setcontain.WithCachePages(hotPoolPages),
-	)
-	if err != nil {
-		b.Fatal(err)
-	}
+func exprBenchFixture(tb testing.TB) (*setcontain.Index, []*setcontain.Expr, []*setcontain.ExprPlan) {
+	tb.Helper()
+	idx, hot, cold := streamBenchIndex(tb, setcontain.OIF)
 	prof := idx.Supports()
-	var order []setcontain.Item
-	for it, n := range prof.PerItem {
-		if n > 0 {
-			order = append(order, setcontain.Item(it))
-		}
-	}
-	if len(order) < 8 {
-		b.Skip("domain too small at this scale")
-	}
-	sort.Slice(order, func(i, j int) bool { return prof.Support(order[i]) > prof.Support(order[j]) })
-	hot, cold := order[:len(order)/10+1], order[len(order)*3/4:]
-
+	var err error
 	rng := rand.New(rand.NewSource(42))
 	exprs := make([]*setcontain.Expr, 64)
 	plans := make([]*setcontain.ExprPlan, len(exprs))
@@ -63,7 +39,7 @@ func exprBenchFixture(b *testing.B) (*setcontain.Index, []*setcontain.Expr, []*s
 			}))
 		exprs[i] = setcontain.And(wide, rare)
 		if plans[i], err = setcontain.PlanExpr(exprs[i], prof); err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 	}
 	return idx, exprs, plans

@@ -1,23 +1,36 @@
 package repro
 
-// CPU hot-path benchmarks. Unlike benchWorkload — which drops the cache
-// to measure the paper's disk page accesses — these run with a buffer
-// pool large enough to hold the whole index, so after a warm-up pass
-// every page request is a hit and the numbers isolate pure CPU cost:
-// vbyte decoding, B-tree cursor walks, and candidate merging. They are
-// the before/after yardstick for the zero-allocation query path work
-// (README "CPU performance"); allocs/op comes from -benchmem or
-// b.ReportAllocs, and the decoded-cache hit rate is reported when the
-// engine exposes one.
+// CPU hot-path benchmarks. Unlike the paper protocol of
+// internal/experiments — which drops the cache to count disk page
+// accesses — these run with a buffer pool large enough to hold the whole
+// index, so after a warm-up pass every page request is a hit and the
+// numbers isolate pure CPU cost: vbyte decoding, B-tree cursor walks, and
+// candidate merging. They are what a developer points pprof at, not a
+// gate: timing is judged by benchmark/ (docs/BENCHMARKS.md) and
+// allocations by TestStoreExecAppendZeroAllocs and TestExprAllocCeilings.
+// allocs/op comes from -benchmem or b.ReportAllocs, and the decoded-cache
+// hit rate is reported when the engine exposes one.
 
 import (
 	"fmt"
+	"io"
 	"testing"
 
 	"repro/internal/dataset"
+	"repro/internal/experiments"
 	"repro/internal/workload"
 	"repro/setcontain"
 )
+
+// benchCfg is the shared scale for the root benches: big enough for
+// multi-page lists, small enough for quick runs.
+func benchCfg() experiments.Config {
+	cfg := experiments.DefaultConfig(io.Discard)
+	cfg.Scale = 0.005 // default synthetic |D| = 50 000 records
+	cfg.RealScale = 0.05
+	cfg.QueriesPerSize = 10
+	return cfg
+}
 
 // hotPoolPages comfortably exceeds the ~0.5 MB index the default-scale
 // synthetic dataset builds, so steady-state queries never touch the pager.

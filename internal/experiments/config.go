@@ -10,7 +10,7 @@
 // default — 8 pages of 4 KB) whose cache misses are the reported "disk
 // page accesses". CPU time is measured wall time over the in-memory
 // pager; I/O time is modelled from the sequential/random miss counts by
-// storage.DiskModel (see DESIGN.md for the substitution rationale).
+// storage.DiskModel (see docs/BENCHMARKS.md for the substitution rationale).
 package experiments
 
 import (

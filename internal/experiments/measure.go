@@ -36,37 +36,14 @@ func AsQuery(q workload.Query) (setcontain.Query, error) {
 	return setcontain.Query{Pred: pred, Items: q.Items}, nil
 }
 
-// MixedQueries draws the standard mixed workload — queriesPerKind
-// queries of the given size for each of subset, equality, and superset
-// — in the public Query form. It is the load the concurrency and
-// sharding sweeps (and the root Store benchmarks) replay.
-func MixedQueries(gen *workload.Generator, size, queriesPerKind int) ([]setcontain.Query, error) {
-	var out []setcontain.Query
-	for _, k := range []workload.Kind{workload.Subset, workload.Equality, workload.Superset} {
-		for _, q := range gen.Queries(k, size, queriesPerKind) {
-			pq, err := AsQuery(q)
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, pq)
-		}
-	}
-	return out, nil
-}
-
-// RunQuery dispatches one workload query against an index through the
+// runQuery dispatches one workload query against an index through the
 // public Query type — the same single-dispatch path the API exposes.
-func RunQuery(ix ContainmentIndex, q workload.Query) ([]uint32, error) {
+func runQuery(ix ContainmentIndex, q workload.Query) ([]uint32, error) {
 	pq, err := AsQuery(q)
 	if err != nil {
 		return nil, err
 	}
 	return pq.Eval(ix)
-}
-
-// runQuery is the internal alias used by the measurement loop.
-func runQuery(ix ContainmentIndex, q workload.Query) ([]uint32, error) {
-	return RunQuery(ix, q)
 }
 
 // MeasureWorkload runs every query against ix and returns per-query

@@ -10,8 +10,9 @@ import "time"
 //
 // The defaults approximate a 7200 rpm SATA disk of the paper's era:
 // ~8 ms average positioning, ~35 MB/s effective sequential transfer
-// (≈0.11 ms per 4 KB page). The conclusions drawn in EXPERIMENTS.md are
-// about shapes and ratios, which are insensitive to the exact constants.
+// (≈0.11 ms per 4 KB page). The conclusions drawn from it (docs/BENCHMARKS.md,
+// "The paper's figures") are about shapes and ratios, which are
+// insensitive to the exact constants.
 type DiskModel struct {
 	// RandomLatency is charged per far (full-seek) page miss.
 	RandomLatency time.Duration

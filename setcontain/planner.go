@@ -453,8 +453,8 @@ func (ev *exprEval) evalNode(n *PlanNode) (ids []uint32, owned bool, err error) 
 // exactly as written, every leaf runs, and answers combine with the
 // same set algebra the planner uses. This is the planner's reference
 // (the property tests hold the planned answer byte-identical to it) and
-// the left-to-right baseline oifbench's planner experiment measures
-// against. Use Index.EvalExpr or Store.ExecExprAppend for planned
+// the left-to-right baseline BenchmarkExprPlanner's "naive" side runs.
+// Use Index.EvalExpr or Store.ExecExprAppend for planned
 // evaluation.
 func (e *Expr) Eval(t Queryable) ([]uint32, error) {
 	if err := e.validate(); err != nil {

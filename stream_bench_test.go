@@ -1,9 +1,8 @@
 package repro
 
-// Streaming-execution benchmarks: the three artifacts the streaming PR
-// gates on. BenchmarkExprStream holds the streaming evaluator (AND-leg
-// candidate pushdown through a persistent free list) to zero steady-
-// state allocations against the materializing baseline.
+// Streaming-execution benchmarks. BenchmarkExprStream runs the
+// streaming evaluator (AND-leg candidate pushdown through a persistent
+// free list) against the materializing baseline.
 // BenchmarkExprLimit measures LIMIT-driven early exit on an
 // inverted-file index, where lazy posting cursors abandon the undecoded
 // list tails after the first ids. BenchmarkExprCSE measures the
@@ -23,19 +22,19 @@ import (
 // streamBenchIndex builds a warm index of the given kind over the
 // shared synthetic scale and splits its domain into hot and cold items
 // by support.
-func streamBenchIndex(b *testing.B, kind setcontain.Kind) (*setcontain.Index, []setcontain.Item, []setcontain.Item) {
-	b.Helper()
+func streamBenchIndex(tb testing.TB, kind setcontain.Kind) (*setcontain.Index, []setcontain.Item, []setcontain.Item) {
+	tb.Helper()
 	cfg := benchCfg()
 	d, err := dataset.GenerateSynthetic(cfg.SyntheticDefaults())
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	idx, err := setcontain.New(setcontain.WrapDataset(d),
 		setcontain.WithKind(kind),
 		setcontain.WithCachePages(hotPoolPages),
 	)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	prof := idx.Supports()
 	var order []setcontain.Item
@@ -45,10 +44,33 @@ func streamBenchIndex(b *testing.B, kind setcontain.Kind) (*setcontain.Index, []
 		}
 	}
 	if len(order) < 8 {
-		b.Skip("domain too small at this scale")
+		tb.Skip("domain too small at this scale")
 	}
 	sort.Slice(order, func(i, j int) bool { return prof.Support(order[i]) > prof.Support(order[j]) })
 	return idx, order[:len(order)/10+1], order[len(order)*3/4:]
+}
+
+// exprStreamFixture is BenchmarkExprStream's workload: a warm OIF and
+// 64 planned ANDs of two hot subset leaves.
+func exprStreamFixture(tb testing.TB) (*setcontain.Index, []*setcontain.ExprPlan) {
+	tb.Helper()
+	idx, hot, _ := streamBenchIndex(tb, setcontain.OIF)
+	rng := rand.New(rand.NewSource(43))
+	plans := make([]*setcontain.ExprPlan, 64)
+	prof := idx.Supports()
+	var err error
+	for i := range plans {
+		a := hot[rng.Intn(len(hot))]
+		c := hot[rng.Intn(len(hot)/2)]
+		e := setcontain.And(
+			setcontain.ExprOf(setcontain.SubsetQuery([]setcontain.Item{a})),
+			setcontain.ExprOf(setcontain.SubsetQuery([]setcontain.Item{c})),
+		)
+		if plans[i], err = setcontain.PlanExpr(e, prof); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return idx, plans
 }
 
 // BenchmarkExprStream compares the streaming evaluator to the
@@ -58,25 +80,10 @@ func streamBenchIndex(b *testing.B, kind setcontain.Kind) (*setcontain.Index, []
 // and intersects, the streaming path pushes the accumulator down as
 // candidates and only confirms those. Both sub-benchmarks reuse one
 // evaluator and one answer buffer — the streaming side's steady state
-// must allocate nothing.
+// must allocate nothing (TestExprAllocCeilings holds it to that).
 func BenchmarkExprStream(b *testing.B) {
-	idx, hot, _ := streamBenchIndex(b, setcontain.OIF)
-	rng := rand.New(rand.NewSource(43))
-	exprs := make([]*setcontain.Expr, 64)
-	plans := make([]*setcontain.ExprPlan, len(exprs))
-	prof := idx.Supports()
+	idx, plans := exprStreamFixture(b)
 	var err error
-	for i := range exprs {
-		a := hot[rng.Intn(len(hot))]
-		c := hot[rng.Intn(len(hot)/2)]
-		exprs[i] = setcontain.And(
-			setcontain.ExprOf(setcontain.SubsetQuery([]setcontain.Item{a})),
-			setcontain.ExprOf(setcontain.SubsetQuery([]setcontain.Item{c})),
-		)
-		if plans[i], err = setcontain.PlanExpr(exprs[i], prof); err != nil {
-			b.Fatal(err)
-		}
-	}
 	for _, mode := range []struct {
 		name string
 		mode setcontain.EvalMode
@@ -113,29 +120,36 @@ func BenchmarkExprStream(b *testing.B) {
 	}
 }
 
-// BenchmarkExprLimit measures LIMIT-driven early exit: an OR of hot
-// subset leaves on an inverted-file index, answered limited (first 10
-// ids through lazy posting cursors and the streaming union) and
-// unlimited (every hot list decoded and merged). The limited/unlimited
-// ratio is the early-exit artifact this PR gates on.
-func BenchmarkExprLimit(b *testing.B) {
-	idx, hot, _ := streamBenchIndex(b, setcontain.InvertedFile)
+// exprLimitFixture is BenchmarkExprLimit's workload: a warm inverted
+// file and 64 planned ORs of three hot subset leaves.
+func exprLimitFixture(tb testing.TB) (*setcontain.Index, []*setcontain.ExprPlan) {
+	tb.Helper()
+	idx, hot, _ := streamBenchIndex(tb, setcontain.InvertedFile)
 	rng := rand.New(rand.NewSource(44))
-	exprs := make([]*setcontain.Expr, 64)
-	plans := make([]*setcontain.ExprPlan, len(exprs))
+	plans := make([]*setcontain.ExprPlan, 64)
 	prof := idx.Supports()
 	var err error
-	for i := range exprs {
+	for i := range plans {
 		kids := make([]*setcontain.Expr, 3)
 		for j := range kids {
 			kids[j] = setcontain.ExprOf(setcontain.SubsetQuery(
 				[]setcontain.Item{hot[rng.Intn(len(hot))]}))
 		}
-		exprs[i] = setcontain.Or(kids...)
-		if plans[i], err = setcontain.PlanExpr(exprs[i], prof); err != nil {
-			b.Fatal(err)
+		if plans[i], err = setcontain.PlanExpr(setcontain.Or(kids...), prof); err != nil {
+			tb.Fatal(err)
 		}
 	}
+	return idx, plans
+}
+
+// BenchmarkExprLimit measures LIMIT-driven early exit: an OR of hot
+// subset leaves on an inverted-file index, answered limited (first 10
+// ids through lazy posting cursors and the streaming union) and
+// unlimited (every hot list decoded and merged). The limited/unlimited
+// ratio is what early exit buys.
+func BenchmarkExprLimit(b *testing.B) {
+	idx, plans := exprLimitFixture(b)
+	var err error
 	ev := setcontain.NewEvaluator(setcontain.EvalAuto)
 	dst := make([]uint32, 0, 4096)
 	for _, p := range plans {
@@ -161,16 +175,11 @@ func BenchmarkExprLimit(b *testing.B) {
 	})
 }
 
-// BenchmarkExprCSE measures the cross-query subexpression cache: a
-// micro-batch of eight ORs sharing one hot AND subtree, answered as one
-// Store.ExecBatchAppend (the shared subtree evaluated once, seven cache
-// hits) versus one ExecExprAppend per expression (the subtree
-// re-evaluated every time). OR keeps the unshared legs cheap, so the
-// shared work dominates and the batched/separate ratio is the cache's
-// win.
-func BenchmarkExprCSE(b *testing.B) {
-	idx, hot, cold := streamBenchIndex(b, setcontain.OIF)
-	store := setcontain.NewStore(idx, 0)
+// exprCSEFixture is BenchmarkExprCSE's workload: a Store over a warm
+// OIF and eight ORs sharing one hot AND subtree.
+func exprCSEFixture(tb testing.TB) (*setcontain.Store, []*setcontain.Expr) {
+	tb.Helper()
+	idx, hot, cold := streamBenchIndex(tb, setcontain.OIF)
 	shared := setcontain.And(
 		setcontain.ExprOf(setcontain.SubsetQuery([]setcontain.Item{hot[0]})),
 		setcontain.ExprOf(setcontain.SubsetQuery([]setcontain.Item{hot[1]})),
@@ -181,27 +190,51 @@ func BenchmarkExprCSE(b *testing.B) {
 		exprs[i] = setcontain.Or(shared, setcontain.ExprOf(setcontain.SubsetQuery(
 			[]setcontain.Item{cold[rng.Intn(len(cold))]})))
 	}
+	return setcontain.NewStore(idx, 0), exprs
+}
+
+// exprCSEBatch returns the "batched" side's unit of work: exprs as one
+// Store.ExecBatchAppend, each answer buffer reused by the next call.
+func exprCSEBatch(store *setcontain.Store, exprs []*setcontain.Expr) func() error {
+	items := make([]setcontain.BatchItem, len(exprs))
+	dsts := make([][]uint32, len(exprs))
+	for i := range dsts {
+		dsts[i] = make([]uint32, 0, 4096)
+	}
+	return func() error {
+		for j := range items {
+			items[j] = setcontain.BatchItem{Expr: exprs[j], Dst: dsts[j][:0]}
+		}
+		if _, err := store.ExecBatchAppend(context.Background(), items); err != nil {
+			return err
+		}
+		for j := range items {
+			if items[j].Err != nil {
+				return items[j].Err
+			}
+			dsts[j] = items[j].Out
+		}
+		return nil
+	}
+}
+
+// BenchmarkExprCSE measures the cross-query subexpression cache: a
+// micro-batch of eight ORs sharing one hot AND subtree, answered as one
+// Store.ExecBatchAppend (the shared subtree evaluated once, seven cache
+// hits) versus one ExecExprAppend per expression (the subtree
+// re-evaluated every time). OR keeps the unshared legs cheap, so the
+// shared work dominates and the batched/separate ratio is the cache's
+// win.
+func BenchmarkExprCSE(b *testing.B) {
+	store, exprs := exprCSEFixture(b)
 	ctx := context.Background()
 	b.Run("batched", func(b *testing.B) {
-		items := make([]setcontain.BatchItem, len(exprs))
-		dsts := make([][]uint32, len(exprs))
-		for i := range dsts {
-			dsts[i] = make([]uint32, 0, 4096)
-		}
+		batch := exprCSEBatch(store, exprs)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			for j := range items {
-				items[j] = setcontain.BatchItem{Expr: exprs[j], Dst: dsts[j][:0]}
-			}
-			if _, err := store.ExecBatchAppend(ctx, items); err != nil {
+			if err := batch(); err != nil {
 				b.Fatal(err)
-			}
-			for j := range items {
-				if items[j].Err != nil {
-					b.Fatal(items[j].Err)
-				}
-				dsts[j] = items[j].Out
 			}
 		}
 	})
