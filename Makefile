@@ -5,7 +5,7 @@ GOLANGCI ?= golangci-lint
 COVER_FLOOR ?= 75
 COVER_PKGS = ./setcontain/... ./internal/stats/...
 
-.PHONY: all build vet test bench bench-module-check fuzz-smoke lint cover check linkcheck vet-examples api-surface serve snapshot-smoke crash-smoke scatter-smoke clean
+.PHONY: all build vet test alloc-check bench bench-module-check fuzz-smoke lint cover check linkcheck vet-examples api-surface serve snapshot-smoke crash-smoke scatter-smoke clean
 
 all: check
 
@@ -17,6 +17,12 @@ vet:
 
 test:
 	$(GO) test -race ./...
+
+# The allocation gates — TestBatcherZeroAllocs, TestStoreExecAppendZeroAllocs,
+# TestExprAllocCeilings — skip or are compiled out under the race
+# detector, so `make test` never runs them; this does, without -race.
+alloc-check:
+	$(GO) test -run 'ZeroAllocs|AllocCeilings' . ./setcontain/...
 
 # Run every benchmark once, across all packages, without re-running unit
 # tests: the CI bench-smoke job's one step, proving every Benchmark*
@@ -38,7 +44,8 @@ bench-module-check:
 # Short coverage-guided runs of every fuzz target (go allows one -fuzz
 # target per invocation): the expression-grammar round-trip fuzzer, the
 # remote shard client's NDJSON answer reader, the snapshot container
-# reader, the WAL replay/record fuzzers, and the vbyte codec fuzzers. The
+# reader, the POST /query body through the serve handler, the WAL
+# replay/record fuzzers, and the vbyte codec fuzzers. The
 # CI fuzz job uses the same invocations; corpus findings land in testdata
 # and fail `make test` thereafter. The answer-stream and snapshot inputs
 # run to kilobytes, so minimizing each new one is capped — it would
@@ -48,6 +55,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseExpr$$' -fuzztime $(FUZZ_TIME) ./setcontain
 	$(GO) test -run '^$$' -fuzz '^FuzzRemoteAnswerStream$$' -fuzztime $(FUZZ_TIME) -fuzzminimizetime 1s ./setcontain
 	$(GO) test -run '^$$' -fuzz '^FuzzOpenSnapshot$$' -fuzztime $(FUZZ_TIME) -fuzzminimizetime 1s ./setcontain
+	$(GO) test -run '^$$' -fuzz '^FuzzQueryRequest$$' -fuzztime $(FUZZ_TIME) ./setcontain/serve
 	$(GO) test -run '^$$' -fuzz '^FuzzReplaySegment$$' -fuzztime $(FUZZ_TIME) ./internal/wal
 	$(GO) test -run '^$$' -fuzz '^FuzzRecordDecode$$' -fuzztime $(FUZZ_TIME) ./internal/wal
 	$(GO) test -run '^$$' -fuzz '^FuzzUint32$$' -fuzztime $(FUZZ_TIME) ./internal/vbyte

@@ -79,7 +79,7 @@ func (o *Order) DomainSize() int { return len(o.rankOf) }
 // Rank returns the rank of item it.
 func (o *Order) Rank(it dataset.Item) (Rank, error) {
 	if int(it) >= len(o.rankOf) {
-		return 0, fmt.Errorf("sequence: item %d outside domain %d", it, len(o.rankOf))
+		return 0, fmt.Errorf("sequence: %w: item %d, domain %d", dataset.ErrItemOutOfDomain, it, len(o.rankOf))
 	}
 	return o.rankOf[it], nil
 }

@@ -6,7 +6,6 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/setcontain"
 )
@@ -21,16 +20,11 @@ var ErrSaturated = errors.New("serve: query queue saturated")
 var ErrClosed = errors.New("serve: batcher closed")
 
 // Config tunes the serving layer. The zero value selects the documented
-// defaults; Filled returns a copy with them applied.
+// defaults.
 type Config struct {
 	// MaxBatch caps the queries coalesced into one dispatch through
 	// Store.ExecBatchAppend (default 64).
 	MaxBatch int
-	// MaxLinger bounds how long a dispatcher waits for more queries to
-	// join a non-full batch (default 500µs). Zero keeps the default;
-	// negative disables lingering — batches then form only from queries
-	// already queued.
-	MaxLinger time.Duration
 	// MaxPending bounds queued-but-undispatched queries; beyond it Do
 	// fails fast with ErrSaturated (default 4×MaxBatch).
 	MaxPending int
@@ -50,20 +44,11 @@ type Config struct {
 	Durable *setcontain.Durable
 }
 
-// DefaultConfig is the zero Config with every default applied.
-func DefaultConfig() Config { return Config{}.Filled() }
-
-// Filled returns the config with unset fields replaced by their
+// filled returns the config with unset fields replaced by their
 // documented defaults.
-func (c Config) Filled() Config {
+func (c Config) filled() Config {
 	if c.MaxBatch <= 0 {
 		c.MaxBatch = 64
-	}
-	if c.MaxLinger == 0 {
-		c.MaxLinger = 500 * time.Microsecond
-	}
-	if c.MaxLinger < 0 {
-		c.MaxLinger = 0
 	}
 	if c.MaxPending <= 0 {
 		c.MaxPending = 4 * c.MaxBatch
@@ -111,7 +96,7 @@ type Batcher struct {
 // NewBatcher starts cfg.Dispatchers dispatcher goroutines over store.
 // Close releases them.
 func NewBatcher(store *setcontain.Store, cfg Config) *Batcher {
-	cfg = cfg.Filled()
+	cfg = cfg.filled()
 	b := &Batcher{
 		store: store,
 		cfg:   cfg,
@@ -221,10 +206,6 @@ func (b *Batcher) run() {
 	defer b.wg.Done()
 	batch := make([]*waiter, 0, b.cfg.MaxBatch)
 	items := make([]setcontain.BatchItem, b.cfg.MaxBatch)
-	timer := time.NewTimer(time.Hour)
-	if !timer.Stop() {
-		<-timer.C
-	}
 	for {
 		select {
 		case <-b.ctx.Done():
@@ -233,47 +214,36 @@ func (b *Batcher) run() {
 		case w := <-b.reqCh:
 			batch = append(batch, w)
 		}
-		batch = b.fill(batch, timer)
+		batch = b.fill(batch)
 		b.exec(batch, items)
 		batch = batch[:0]
 	}
 }
 
-// fill gathers more queued queries into batch: everything immediately
-// available, then — if the batch is still short and lingering is on —
-// whatever arrives within MaxLinger.
-func (b *Batcher) fill(batch []*waiter, timer *time.Timer) []*waiter {
-	limit := b.cfg.MaxBatch
-	for len(batch) < limit {
+// fill gathers the queries already queued into batch and never waits
+// for one: a batch is what piled up while the dispatchers were busy, so
+// batching follows load and an idle batcher answers a lone query at
+// once. A short batch yields the processor once and looks again — when
+// the CPUs rather than the dispatchers are the bottleneck, that is what
+// lets already-runnable submitters enqueue.
+func (b *Batcher) fill(batch []*waiter) []*waiter {
+	batch = b.takeQueued(batch)
+	if len(batch) < b.cfg.MaxBatch {
+		runtime.Gosched()
+		batch = b.takeQueued(batch)
+	}
+	return batch
+}
+
+// takeQueued moves queued queries into batch, up to MaxBatch, without
+// blocking.
+func (b *Batcher) takeQueued(batch []*waiter) []*waiter {
+	for len(batch) < b.cfg.MaxBatch {
 		select {
 		case w := <-b.reqCh:
 			batch = append(batch, w)
-			continue
 		default:
-		}
-		break
-	}
-	if len(batch) >= limit || b.cfg.MaxLinger <= 0 {
-		return batch
-	}
-	timer.Reset(b.cfg.MaxLinger)
-	for len(batch) < limit {
-		select {
-		case w := <-b.reqCh:
-			batch = append(batch, w)
-		case <-timer.C:
-			return batch // timer already drained
-		case <-b.ctx.Done():
-			break
-		}
-		if b.ctx.Err() != nil {
-			break
-		}
-	}
-	if !timer.Stop() {
-		select {
-		case <-timer.C:
-		default:
+			return batch
 		}
 	}
 	return batch
@@ -295,6 +265,10 @@ func (b *Batcher) exec(batch []*waiter, items []setcontain.BatchItem) {
 	if err != nil && b.closed.Load() {
 		err = ErrClosed
 	}
+	// Count before publishing: once a Do returns, Stats shows its batch.
+	b.queries.Add(int64(n))
+	b.batches.Add(1)
+	b.hist[n-1].Add(1)
 	for i, w := range batch {
 		if i < processed {
 			w.item = items[i]
@@ -307,9 +281,6 @@ func (b *Batcher) exec(batch []*waiter, items []setcontain.BatchItem) {
 		default:
 		}
 	}
-	b.queries.Add(int64(n))
-	b.batches.Add(1)
-	b.hist[n-1].Add(1)
 }
 
 // drain fails every still-queued query with ErrClosed after Close.
@@ -330,7 +301,7 @@ func (b *Batcher) drain() {
 
 // BatcherStats is a snapshot of the batcher's dispatch behaviour; the
 // batch-size histogram is how a load test verifies coalescing actually
-// engages (a mean above 1 under concurrent traffic).
+// engages (a mean above 1 once clients outnumber free dispatchers).
 type BatcherStats struct {
 	// Queries is the total queries dispatched (admitted and executed).
 	Queries int64

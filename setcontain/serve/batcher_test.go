@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -115,57 +117,81 @@ func TestBatcherAnswersMatchStore(t *testing.T) {
 	}
 }
 
-// TestBatcherCoalesces drives concurrent clients into a single
-// dispatcher and checks micro-batching actually engages: the dispatch
-// histogram must record batches above size one.
+// TestBatcherCoalesces pins the batching rule itself — a batch is what
+// is already waiting — with no clock in it. It parks the sole dispatcher
+// on a gate, queues k queries behind it, releases it, and reads the
+// dispatch histogram: the k must have gone out as one batch of
+// min(k, MaxBatch) plus the remainder. The converse: sequential queries
+// on an idle batcher find nothing waiting and dispatch one by one.
 func TestBatcherCoalesces(t *testing.T) {
 	c, _, store := newTestStore(t)
-	b := serve.NewBatcher(store, serve.Config{
-		MaxBatch:    16,
-		MaxLinger:   2 * time.Millisecond,
-		Dispatchers: 1,
-	})
-	defer b.Close()
+	queries := serveQueries(t, c, 12)
+	const maxBatch = 8
 
-	queries := serveQueries(t, c, 24)
-	const clients = 16
-	const rounds = 20
-	var wg sync.WaitGroup
-	for w := 0; w < clients; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			var buf []uint32
-			for r := 0; r < rounds; r++ {
-				q := queries[(w*rounds+r)%len(queries)]
-				out, err := b.Do(context.Background(), buf[:0], q)
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				buf = out
+	// yieldUntil waits for an event by yielding, never by sleeping; the
+	// iteration cap only turns a hang into a failure.
+	yieldUntil := func(t *testing.T, what string, cond func() bool) {
+		t.Helper()
+		for i := 0; !cond(); i++ {
+			if i == 1<<24 {
+				t.Fatalf("gave up waiting for %s", what)
 			}
-		}(w)
-	}
-	wg.Wait()
-
-	st := b.Stats()
-	if st.Queries != clients*rounds {
-		t.Fatalf("dispatched %d queries, want %d", st.Queries, clients*rounds)
-	}
-	if st.MeanBatch() <= 1 {
-		t.Errorf("mean batch size %.2f with %d concurrent clients, want > 1 (hist %v)",
-			st.MeanBatch(), clients, st.BatchSizes)
-	}
-	multi := int64(0)
-	for i, n := range st.BatchSizes {
-		if i > 0 {
-			multi += n
+			runtime.Gosched()
 		}
 	}
-	if multi == 0 {
-		t.Errorf("no batch larger than one query recorded: hist %v", st.BatchSizes)
+
+	for _, tc := range []struct {
+		name string
+		k    int
+		want []int64 // want[i] batches of i+1; the gated query went alone
+	}{
+		{"short", 5, []int64{1, 0, 0, 0, 1, 0, 0, 0}},
+		{"full", maxBatch, []int64{1, 0, 0, 0, 0, 0, 0, 1}},
+		{"overfull", maxBatch + 3, []int64{1, 0, 1, 0, 0, 0, 0, 1}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			b := serve.NewBatcher(store, serve.Config{MaxBatch: maxBatch, Dispatchers: 1})
+			defer b.Close()
+
+			gate := newBlockingCtx()
+			var wg sync.WaitGroup
+			do := func(ctx context.Context, q setcontain.Query) {
+				defer wg.Done()
+				if _, err := b.Do(ctx, nil, q); err != nil {
+					t.Error(err)
+				}
+			}
+			wg.Add(1)
+			go do(gate, queries[0])
+			yieldUntil(t, "dispatcher to park on the gate", func() bool { return gate.calls.Load() >= 2 })
+			for i := 0; i < tc.k; i++ {
+				wg.Add(1)
+				go do(context.Background(), queries[1+i])
+			}
+			yieldUntil(t, "queries to queue", func() bool { return b.Stats().Pending == tc.k })
+			close(gate.gate)
+			wg.Wait()
+
+			if got := b.Stats().BatchSizes; !slices.Equal(got, tc.want) {
+				t.Errorf("%d queries queued behind a parked dispatcher (MaxBatch %d): batch sizes %v, want %v",
+					tc.k, maxBatch, got, tc.want)
+			}
+		})
 	}
+
+	t.Run("idle", func(t *testing.T) {
+		b := serve.NewBatcher(store, serve.Config{MaxBatch: maxBatch})
+		defer b.Close()
+		for _, q := range queries {
+			if _, err := b.Do(context.Background(), nil, q); err != nil {
+				t.Fatal(err)
+			}
+		}
+		want := []int64{int64(len(queries)), 0, 0, 0, 0, 0, 0, 0}
+		if got := b.Stats().BatchSizes; !slices.Equal(got, want) {
+			t.Errorf("%d sequential queries on an idle batcher: batch sizes %v, want %v", len(queries), got, want)
+		}
+	})
 }
 
 // blockingCtx is a context whose Err blocks from its second call until
@@ -216,7 +242,6 @@ func TestBatcherSaturation(t *testing.T) {
 		MaxBatch:    1,
 		MaxPending:  1,
 		Dispatchers: 1,
-		MaxLinger:   -1,
 	})
 	defer b.Close()
 
@@ -355,7 +380,6 @@ func TestBatcherZeroAllocs(t *testing.T) {
 	store := setcontain.NewStore(idx, 2048)
 	b := serve.NewBatcher(store, serve.Config{
 		Dispatchers: 1,
-		MaxLinger:   -1, // dispatch immediately: the test is sequential
 	})
 	defer b.Close()
 

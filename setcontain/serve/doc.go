@@ -2,12 +2,15 @@
 // query service — the serving layer behind cmd/setcontaind.
 //
 // The centrepiece is the Batcher: concurrent incoming queries coalesce
-// into micro-batches (bounded by Config.MaxBatch, gathered for at most
-// Config.MaxLinger) that dispatch through Store.ExecBatchAppend, so
-// fan-in traffic shares pooled readers, warm caches, and scratch arenas
-// instead of each request paying its own. This is exactly where the
-// paper's skew argument pays off at the serving tier: the hottest
-// inverted lists decode once per batch rather than once per query.
+// into micro-batches (bounded by Config.MaxBatch) that dispatch through
+// Store.ExecBatchAppend, so fan-in traffic shares pooled readers, warm
+// caches, and scratch arenas instead of each request paying its own. A
+// batch is whatever is already queued when a dispatcher comes free —
+// no query is ever held back to wait for company — so an idle server
+// answers a lone query at once and batches grow exactly as load does.
+// This is where the paper's skew argument pays off at the serving tier:
+// under load the hottest inverted lists decode once per batch rather
+// than once per query.
 //
 // A Server wraps the batcher with HTTP handlers:
 //

@@ -58,7 +58,7 @@ type Server struct {
 // the server uses idx only for identity ( /healthz, shard plans) and
 // routes every query through store. Close stops the dispatchers.
 func NewServer(idx *setcontain.Index, store *setcontain.Store, cfg Config) *Server {
-	cfg = cfg.Filled()
+	cfg = cfg.filled()
 	var mut setcontain.Mutator = store
 	if cfg.Durable != nil {
 		mut = cfg.Durable

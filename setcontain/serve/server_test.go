@@ -334,7 +334,6 @@ func TestServerSaturation429(t *testing.T) {
 		MaxBatch:    1,
 		MaxPending:  1,
 		Dispatchers: 1,
-		MaxLinger:   -1,
 	})
 	queries := serveQueries(t, c, 3)
 

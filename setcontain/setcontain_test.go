@@ -7,6 +7,8 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
+
+	"repro/internal/dataset"
 )
 
 func buildAll(t *testing.T, c *Collection) map[Kind]*Index {
@@ -42,6 +44,17 @@ func sampleCollection(t *testing.T) *Collection {
 func TestAllKindsAgree(t *testing.T) {
 	c := sampleCollection(t)
 	idxs := buildAll(t, c)
+	preds := []string{"subset", "equality", "superset"}
+	eval := func(ix *Index, pred string, qs []Item) ([]uint32, error) {
+		switch pred {
+		case "subset":
+			return ix.Subset(qs)
+		case "equality":
+			return ix.Equality(qs)
+		default:
+			return ix.Superset(qs)
+		}
+	}
 	rng := rand.New(rand.NewSource(72))
 	for trial := 0; trial < 200; trial++ {
 		k := 1 + rng.Intn(5)
@@ -53,19 +66,10 @@ func TestAllKindsAgree(t *testing.T) {
 			name string
 			ids  []uint32
 		}
-		for _, pred := range []string{"subset", "equality", "superset"} {
+		for _, pred := range preds {
 			var results []result
 			for kind, ix := range idxs {
-				var ids []uint32
-				var err error
-				switch pred {
-				case "subset":
-					ids, err = ix.Subset(qs)
-				case "equality":
-					ids, err = ix.Equality(qs)
-				default:
-					ids, err = ix.Superset(qs)
-				}
+				ids, err := eval(ix, pred, qs)
 				if err != nil {
 					t.Fatalf("%v %s: %v", kind, pred, err)
 				}
@@ -83,6 +87,16 @@ func TestAllKindsAgree(t *testing.T) {
 							results[0].name, results[i].name)
 					}
 				}
+			}
+		}
+	}
+
+	// The kinds also agree on refusing an item outside the vocabulary.
+	alien := []Item{1, Item(c.DomainSize())}
+	for kind, ix := range idxs {
+		for _, pred := range preds {
+			if _, err := eval(ix, pred, alien); !errors.Is(err, dataset.ErrItemOutOfDomain) {
+				t.Errorf("%v %s(%v): got %v, want dataset.ErrItemOutOfDomain", kind, pred, alien, err)
 			}
 		}
 	}
