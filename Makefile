@@ -19,10 +19,11 @@ test:
 	$(GO) test -race ./...
 
 # The allocation gates — TestBatcherZeroAllocs, TestStoreExecAppendZeroAllocs,
-# TestExprAllocCeilings — skip or are compiled out under the race
-# detector, so `make test` never runs them; this does, without -race.
+# TestOverlayMatchesZeroAllocs, TestExprAllocCeilings — skip or are
+# compiled out under the race detector, so `make test` never runs them;
+# this does, without -race.
 alloc-check:
-	$(GO) test -run 'ZeroAllocs|AllocCeilings' . ./setcontain/...
+	$(GO) test -run 'ZeroAllocs|AllocCeilings' . ./setcontain/... ./internal/overlay
 
 # Run every benchmark once, across all packages, without re-running unit
 # tests: the CI bench-smoke job's one step, proving every Benchmark*

@@ -192,7 +192,7 @@ func Load(r io.Reader) (*Index, error) {
 		listPostings[i] = int64(v)
 	}
 	var ov overlay.Overlay
-	if err := ov.ReadRecords(cr); err != nil {
+	if err := ov.ReadRecords(cr, domainSize, numRecords); err != nil {
 		return nil, fmt.Errorf("%w: delta: %v", ErrBadSnapshot, err)
 	}
 	if err := ov.ReadTombstones(cr, flags&snapFlagDeadDirty != 0); err != nil {

@@ -11,8 +11,10 @@ import (
 // own pool of the given capacity can run queries in parallel with the
 // parent and with other readers.
 //
-// The reader shares the parent's delta and tombstone snapshots: inserts
-// and deletes made on the parent after NewReader are invisible to the
+// The reader shares the parent's pending records, their posting lists
+// and the tombstones as they stand now (overlay.Overlay.View: the
+// storage is shared, the lengths are the reader's own): inserts and
+// deletes made on the parent after NewReader are invisible to the
 // reader (create a fresh reader after MergeDelta). Readers must not
 // Insert, Delete, MergeDelta, Save, or SetPool.
 func (ix *Index) NewReader(poolPages int) (*Reader, error) {

@@ -123,7 +123,7 @@ func Load(r io.Reader) (*Index, error) {
 	if err := ov.ReadTombstones(cr, flags&snapFlagDeadDirty != 0); err != nil {
 		return nil, fmt.Errorf("%w: tombstones: %v", ErrBadSnapshot, err)
 	}
-	if err := ov.ReadRecords(cr); err != nil {
+	if err := ov.ReadRecords(cr, domainSize, numRecords); err != nil {
 		return nil, fmt.Errorf("%w: delta: %v", ErrBadSnapshot, err)
 	}
 	pool := storage.NewBufferPool(storage.NewMemPager(pageSize), 1024)

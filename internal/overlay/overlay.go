@@ -9,9 +9,15 @@
 // for the OIF, a list append for the IF, which is the 3-5x update-cost
 // gap the paper reports.
 //
-// The delta is a linear record scan paid by every query while inserts
-// are pending, not the memory-resident inverted file the paper sketches;
-// making it sublinear is a change to this package alone.
+// The delta is the memory-resident inverted file the paper sketches:
+// beside the pending records the overlay keeps, per item, the ascending
+// positions of the pending records that hold it. A subset or equality
+// query walks only the shortest list among its items and verifies each
+// candidate against the record; a superset query walks the lists of its
+// own items. The lists are derived state — appended to by Insert,
+// dropped by Merged, rebuilt by ReadRecords, never serialised — so what
+// a query pays while inserts are pending follows its rarest item, not
+// the merge interval the operator chose.
 package overlay
 
 import (
@@ -38,12 +44,17 @@ const (
 // disk structures — is passed in by the index rather than kept twice.
 //
 // An Overlay belongs to one writer. View gives a parallel reader a copy
-// that later Inserts and Deletes never disturb: pending is append-only
-// between merges, and Delete replaces the tombstone slice instead of
-// editing it.
+// that later Inserts and Deletes never disturb: pending and every
+// posting list are append-only between merges, and Delete replaces the
+// tombstone slice instead of editing it.
 type Overlay struct {
 	pending []dataset.Record // the delta, ids ascending
 	dead    []uint32         // tombstoned ids, sorted; immutable once attached
+	// lists[item] holds the ascending pending positions of the records
+	// containing item, empties those of the empty sets (which no list
+	// reaches). lists is nil until the first non-empty set arrives.
+	lists   [][]uint32
+	empties []uint32
 	// dirty records that some tombstoned postings are still physically
 	// present (on disk or in pending) for the next merge to fold out.
 	// The ids themselves stay tombstoned forever: ids are never reused.
@@ -58,8 +69,25 @@ func (o *Overlay) Insert(set []dataset.Item, domainSize, merged int) (uint32, er
 		return 0, err
 	}
 	id := uint32(merged + len(o.pending) + 1)
-	o.pending = append(o.pending, dataset.Record{ID: id, Set: cp})
+	o.add(dataset.Record{ID: id, Set: cp}, domainSize)
 	return id, nil
+}
+
+// add appends r, whose set is canonical over domainSize items, to the
+// delta and posts its position on the list of every item it holds.
+func (o *Overlay) add(r dataset.Record, domainSize int) {
+	pos := uint32(len(o.pending))
+	o.pending = append(o.pending, r)
+	if len(r.Set) == 0 {
+		o.empties = append(o.empties, pos)
+		return
+	}
+	if o.lists == nil {
+		o.lists = make([][]uint32, domainSize)
+	}
+	for _, it := range r.Set {
+		o.lists[it] = append(o.lists[it], pos)
+	}
 }
 
 // Delete tombstones id, merged or pending: it vanishes from every answer
@@ -103,26 +131,83 @@ func (o *Overlay) Pending() []dataset.Record { return o.pending }
 // Dirty reports whether a merge has tombstoned postings to fold out.
 func (o *Overlay) Dirty() bool { return o.dirty }
 
+// list returns item's posting list, nil when no pending record holds it.
+func (o *Overlay) list(item dataset.Item) []uint32 {
+	if int(item) >= len(o.lists) {
+		return nil
+	}
+	return o.lists[item]
+}
+
+// candidates returns, ascending, the n pending positions whose records
+// can contain q: the shortest posting list among q's items. Every
+// record contains the empty set; then list is nil and the candidates
+// are the positions 0..n-1 themselves (see pos).
+func (o *Overlay) candidates(q []dataset.Item) (list []uint32, n int) {
+	if len(q) == 0 {
+		return nil, len(o.pending)
+	}
+	list = o.list(q[0])
+	for _, it := range q[1:] {
+		if l := o.list(it); len(l) < len(list) {
+			list = l
+		}
+	}
+	return list, len(list)
+}
+
+// pos returns the i-th position of a candidates sequence.
+func pos(list []uint32, i int) int {
+	if list == nil {
+		return i
+	}
+	return int(list[i])
+}
+
 // AppendMatches appends, ascending, the ids of the live pending records
 // related by pred to the canonical query set q.
 func (o *Overlay) AppendMatches(dst []uint32, q []dataset.Item, pred Pred) []uint32 {
-	for _, r := range o.pending {
-		if o.Dead(r.ID) {
-			continue
-		}
+	if pred == SubsetOf {
+		return o.appendSubsetsOf(dst, q)
+	}
+	list, n := o.candidates(q)
+	if pred == Equal && len(q) == 0 {
+		list, n = o.empties, len(o.empties)
+	}
+	for i := 0; i < n; i++ {
+		r := o.pending[pos(list, i)]
 		var ok bool
-		switch pred {
-		case ContainsAll:
-			ok = r.ContainsAll(q)
-		case Equal:
+		if pred == Equal {
 			ok = r.EqualSet(q)
-		default:
-			ok = r.SubsetOf(q)
+		} else {
+			ok = r.ContainsAll(q)
 		}
-		if ok {
+		if ok && !o.Dead(r.ID) {
 			dst = append(dst, r.ID)
 		}
 	}
+	return dst
+}
+
+// appendSubsetsOf is AppendMatches(SubsetOf). A non-empty subset of q
+// has its smallest item in q, so it is met exactly once, on that item's
+// list; the empty sets are on none. The lists are visited in item order,
+// hence the sort.
+func (o *Overlay) appendSubsetsOf(dst []uint32, q []dataset.Item) []uint32 {
+	start := len(dst)
+	for _, p := range o.empties {
+		if id := o.pending[p].ID; !o.Dead(id) {
+			dst = append(dst, id)
+		}
+	}
+	for _, it := range q {
+		for _, p := range o.list(it) {
+			if r := o.pending[p]; r.Set[0] == it && r.SubsetOf(q) && !o.Dead(r.ID) {
+				dst = append(dst, r.ID)
+			}
+		}
+	}
+	slices.Sort(dst[start:])
 	return dst
 }
 
@@ -130,8 +215,10 @@ func (o *Overlay) AppendMatches(dst []uint32, q []dataset.Item, pred Pred) []uin
 // ids present in cands (sorted ascending) — the delta half of a
 // candidate-restricted subset probe.
 func (o *Overlay) AppendMatchesWithin(dst []uint32, q []dataset.Item, cands []uint32) []uint32 {
-	for _, r := range o.pending {
-		if o.Dead(r.ID) || !r.ContainsAll(q) {
+	list, n := o.candidates(q)
+	for i := 0; i < n; i++ {
+		r := o.pending[pos(list, i)]
+		if !r.ContainsAll(q) || o.Dead(r.ID) {
 			continue
 		}
 		if _, ok := slices.BinarySearch(cands, r.ID); ok {
@@ -145,11 +232,17 @@ func (o *Overlay) AppendMatchesWithin(dst []uint32, q []dataset.Item, cands []ui
 // from: it returns the id of the first live record there or later that
 // contains q, and the position to resume from; ok is false once the
 // delta is exhausted. A cursor that stops early pays only for the
-// records it visited.
+// candidates it visited, plus a binary search for its place among them.
 func (o *Overlay) NextContaining(from int, q []dataset.Item) (id uint32, next int, ok bool) {
-	for i := from; i < len(o.pending); i++ {
-		if r := o.pending[i]; !o.Dead(r.ID) && r.ContainsAll(q) {
-			return r.ID, i + 1, true
+	list, n := o.candidates(q)
+	i := from
+	if list != nil {
+		i, _ = slices.BinarySearch(list, uint32(from))
+	}
+	for ; i < n; i++ {
+		p := pos(list, i)
+		if r := o.pending[p]; r.ContainsAll(q) && !o.Dead(r.ID) {
+			return r.ID, p + 1, true
 		}
 	}
 	return 0, len(o.pending), false
@@ -175,18 +268,23 @@ func (o *Overlay) mask(ids []uint32) []uint32 {
 }
 
 // View returns the overlay frozen at its current extent, for a reader
-// running in parallel with the writer. The capacity cap makes an append
-// through the view reallocate instead of writing into shared storage.
+// running in parallel with the writer. The writer only ever appends past
+// the lengths the view holds — of pending, of empties, and of each
+// posting list, whose headers the view therefore owns a copy of — so
+// the view reads nothing the writer writes. A view is for reading; the
+// capacity cap only makes a stray append to its records reallocate
+// instead of writing into shared storage.
 func (o *Overlay) View() Overlay {
 	v := *o
 	v.pending = o.pending[:len(o.pending):len(o.pending)]
+	v.lists = slices.Clone(o.lists)
 	return v
 }
 
 // Merged resets the overlay after a batch merge folded every pending
 // record and every tombstoned posting into the disk structures. The
 // tombstones stay: they mask the id slots the merge left empty.
-func (o *Overlay) Merged() { o.pending, o.dirty = nil, false }
+func (o *Overlay) Merged() { o.pending, o.lists, o.empties, o.dirty = nil, nil, nil, false }
 
 // WriteRecords writes the pending-records snapshot section: a u64 count,
 // then each record's id and length-prefixed item set.
@@ -205,8 +303,12 @@ func (o *Overlay) WriteRecords(w io.Writer) error {
 	return nil
 }
 
-// ReadRecords replaces the delta with a section written by WriteRecords.
-func (o *Overlay) ReadRecords(r io.Reader) error {
+// ReadRecords replaces the delta with a section written by WriteRecords
+// over domainSize items and merged disk-side records, rebuilding the
+// posting lists. It refuses what Insert could not have produced — an id
+// out of sequence, a set that is not strictly ascending or leaves the
+// domain — because the lists and the next merge index by both.
+func (o *Overlay) ReadRecords(r io.Reader, domainSize, merged int) error {
 	n, err := snapio.ReadU64(r)
 	if err != nil {
 		return err
@@ -217,7 +319,8 @@ func (o *Overlay) ReadRecords(r io.Reader) error {
 	// The count is untrusted until the stream's CRC is verified: reserve
 	// a bounded amount and let real records grow the slice.
 	o.pending = make([]dataset.Record, 0, min(n, 1<<16))
-	for ; n > 0; n-- {
+	o.lists, o.empties = nil, nil
+	for i := uint64(0); i < n; i++ {
 		id, err := snapio.ReadU32(r)
 		if err != nil {
 			return err
@@ -226,7 +329,15 @@ func (o *Overlay) ReadRecords(r io.Reader) error {
 		if err != nil {
 			return err
 		}
-		o.pending = append(o.pending, dataset.Record{ID: id, Set: set})
+		if want := uint64(merged) + i + 1; uint64(id) != want {
+			return fmt.Errorf("overlay: pending record %d has id %d, want %d", i, id, want)
+		}
+		for j, it := range set {
+			if int(it) >= domainSize || j > 0 && it <= set[j-1] {
+				return fmt.Errorf("overlay: pending record %d is not a canonical set over %d items", id, domainSize)
+			}
+		}
+		o.add(dataset.Record{ID: id, Set: set}, domainSize)
 	}
 	return nil
 }

@@ -1,0 +1,57 @@
+//go:build !race
+
+package overlay
+
+// Built only without -race (the detector's instrumentation allocates);
+// `make alloc-check` is what runs it in CI.
+
+import "testing"
+
+// TestOverlayMatchesZeroAllocs is the allocation ratchet of the delta's
+// query side: over a non-empty delta with tombstones, and into a dst
+// with capacity, no sweep touches the heap — the superset form sorts in
+// place.
+func TestOverlayMatchesZeroAllocs(t *testing.T) {
+	const n = 1200
+	o, queries := benchDelta(t, n)
+	dst := make([]uint32, 0, n)
+	cands := make([]uint32, 0, n)
+	for _, r := range o.Pending() {
+		if r.ID%3 != 0 {
+			cands = append(cands, r.ID)
+		}
+	}
+	sweeps := []struct {
+		name string
+		run  func(i int)
+	}{
+		{"subset", func(i int) { dst = o.AppendMatches(dst[:0], queries[ContainsAll][i], ContainsAll) }},
+		{"equality", func(i int) { dst = o.AppendMatches(dst[:0], queries[Equal][i], Equal) }},
+		{"superset", func(i int) { dst = o.AppendMatches(dst[:0], queries[SubsetOf][i], SubsetOf) }},
+		{"within", func(i int) { dst = o.AppendMatchesWithin(dst[:0], queries[ContainsAll][i], cands) }},
+		{"cursor", func(i int) {
+			dst = dst[:0]
+			for from := 0; ; {
+				id, next, ok := o.NextContaining(from, queries[ContainsAll][i])
+				if !ok {
+					break
+				}
+				dst, from = append(dst, id), next
+			}
+		}},
+	}
+	for _, s := range sweeps {
+		i, matched := 0, 0
+		allocs := testing.AllocsPerRun(len(queries[Equal]), func() {
+			s.run(i % len(queries[Equal]))
+			matched += len(dst)
+			i++
+		})
+		if allocs != 0 {
+			t.Errorf("%s: %.2f allocs per sweep, want 0", s.name, allocs)
+		}
+		if matched == 0 {
+			t.Errorf("%s: no query matched anything; the ratchet measures nothing", s.name)
+		}
+	}
+}

@@ -3,7 +3,9 @@ package overlay
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
+	"math/rand"
 	"slices"
 	"sync"
 	"testing"
@@ -161,7 +163,20 @@ func TestOverlay(t *testing.T) {
 	t.Run("view is frozen under a concurrent writer", func(t *testing.T) {
 		o := fixture(t)
 		view := o.View()
-		want := view.AppendMatches(nil, nil, ContainsAll)
+		// The writer below posts to the lists of items 1 and 2, which
+		// every one of these sweeps but the last walks in the view.
+		type sweep struct {
+			pred Pred
+			q    []dataset.Item
+		}
+		sweeps := []sweep{
+			{ContainsAll, nil}, {ContainsAll, []dataset.Item{2}}, {ContainsAll, []dataset.Item{1, 2}},
+			{Equal, []dataset.Item{1, 2}}, {SubsetOf, []dataset.Item{1, 2, 5}}, {SubsetOf, []dataset.Item{5}},
+		}
+		var want [][]uint32
+		for _, s := range sweeps {
+			want = append(want, linearAppendMatches(&view, nil, s.q, s.pred))
+		}
 		var wg sync.WaitGroup
 		wg.Add(1)
 		go func() { // the writer keeps inserting and deleting, pending and merged
@@ -183,8 +198,16 @@ func TestOverlay(t *testing.T) {
 			}
 		}()
 		for i := 0; i < 200; i++ {
-			if got := view.AppendMatches(nil, nil, ContainsAll); !slices.Equal(got, want) {
-				t.Fatalf("view changed under the writer: %v, was %v", got, want)
+			for j, s := range sweeps {
+				if got := view.AppendMatches(nil, s.q, s.pred); !slices.Equal(got, want[j]) {
+					t.Fatalf("view changed under the writer: pred %d over %v = %v, was %v", s.pred, s.q, got, want[j])
+				}
+			}
+			if got := view.AppendMatchesWithin(nil, []dataset.Item{2}, []uint32{101, 102, 104, 150}); !slices.Equal(got, []uint32{101, 102}) {
+				t.Fatalf("view's candidate probe moved: %v", got)
+			}
+			if id, next, ok := view.NextContaining(1, []dataset.Item{1, 2}); ok || next != 5 {
+				t.Fatalf("view's cursor saw a later insert: id %d, next %d", id, next)
 			}
 			if view.Dead(101) || !view.Dead(104) || view.Len() != 5 || view.Deleted() != 3 {
 				t.Fatalf("view saw a later delete or insert: %d pending, %d deleted", view.Len(), view.Deleted())
@@ -235,7 +258,7 @@ func TestOverlay(t *testing.T) {
 			if err := back.ReadTombstones(bytes.NewReader(dead.Bytes()), tc.o.Dirty()); err != nil {
 				t.Fatal(err)
 			}
-			if err := back.ReadRecords(bytes.NewReader(recs.Bytes())); err != nil {
+			if err := back.ReadRecords(bytes.NewReader(recs.Bytes()), testDomain, testMerged); err != nil {
 				t.Fatal(err)
 			}
 			if back.Len() != tc.o.Len() || back.Deleted() != tc.o.Deleted() || back.Dirty() != tc.o.Dirty() {
@@ -256,7 +279,7 @@ func TestOverlay(t *testing.T) {
 			}
 			// A section cut short is an error, never a short overlay.
 			for cut := 0; cut < recs.Len(); cut++ {
-				if err := new(Overlay).ReadRecords(bytes.NewReader(recs.Bytes()[:cut])); err == nil {
+				if err := new(Overlay).ReadRecords(bytes.NewReader(recs.Bytes()[:cut]), testDomain, testMerged); err == nil {
 					t.Fatalf("%s: records section truncated to %d bytes decoded", tc.name, cut)
 				}
 			}
@@ -268,10 +291,247 @@ func TestOverlay(t *testing.T) {
 		}
 		// A count past the bound is refused before anything is read.
 		huge := bytes.NewReader([]byte{0, 0, 0, 0, 1, 0, 0, 0})
-		if err := new(Overlay).ReadRecords(io.MultiReader(huge, neverEnds{})); err == nil {
+		if err := new(Overlay).ReadRecords(io.MultiReader(huge, neverEnds{}), testDomain, testMerged); err == nil {
 			t.Fatal("a 2^32-record section was accepted")
 		}
+		// Records Insert could not have produced are refused: the posting
+		// lists and the next merge index by their items and ids.
+		for name, hostile := range map[string][]dataset.Record{
+			"item outside the domain": {{ID: 101, Set: []dataset.Item{1, testDomain}}},
+			"unsorted set":            {{ID: 101, Set: []dataset.Item{1}}, {ID: 102, Set: []dataset.Item{2, 1}}},
+			"repeated item":           {{ID: 101, Set: []dataset.Item{1, 1}}},
+			"id out of sequence":      {{ID: 101, Set: []dataset.Item{1}}, {ID: 103, Set: []dataset.Item{2}}},
+			"id of a merged record":   {{ID: testMerged, Set: []dataset.Item{1}}},
+		} {
+			var sec bytes.Buffer
+			if err := (&Overlay{pending: hostile}).WriteRecords(&sec); err != nil {
+				t.Fatal(err)
+			}
+			if err := new(Overlay).ReadRecords(&sec, testDomain, testMerged); err == nil {
+				t.Errorf("a records section with an %s was accepted", name)
+			}
+		}
 	})
+}
+
+// The linear sweeps the posting lists replaced, kept as the oracle the
+// differential test and the benchmark hold the lists against.
+
+func linearAppendMatches(o *Overlay, dst []uint32, q []dataset.Item, pred Pred) []uint32 {
+	for _, r := range o.pending {
+		if o.Dead(r.ID) {
+			continue
+		}
+		var ok bool
+		switch pred {
+		case ContainsAll:
+			ok = r.ContainsAll(q)
+		case Equal:
+			ok = r.EqualSet(q)
+		default:
+			ok = r.SubsetOf(q)
+		}
+		if ok {
+			dst = append(dst, r.ID)
+		}
+	}
+	return dst
+}
+
+func linearAppendMatchesWithin(o *Overlay, dst []uint32, q []dataset.Item, cands []uint32) []uint32 {
+	for _, r := range o.pending {
+		if o.Dead(r.ID) || !r.ContainsAll(q) {
+			continue
+		}
+		if _, ok := slices.BinarySearch(cands, r.ID); ok {
+			dst = append(dst, r.ID)
+		}
+	}
+	return dst
+}
+
+func linearNextContaining(o *Overlay, from int, q []dataset.Item) (id uint32, next int, ok bool) {
+	for i := from; i < len(o.pending); i++ {
+		if r := o.pending[i]; !o.Dead(r.ID) && r.ContainsAll(q) {
+			return r.ID, i + 1, true
+		}
+	}
+	return 0, len(o.pending), false
+}
+
+// TestOverlayAgainstLinearSweep replays a seeded random history —
+// inserts (empty and repeated sets among them), deletes of merged and
+// pending ids, merges, snapshot round trips — and after every step holds
+// each sweep of the overlay, and of a view of it, against the linear
+// oracle: id for id, ascending.
+func TestOverlayAgainstLinearSweep(t *testing.T) {
+	const (
+		domain = 24
+		used   = 20 // items from here up are never inserted: no list
+	)
+	rng := rand.New(rand.NewSource(19))
+	zipf := dataset.NewZipf(used, 0.8)
+	randomSet := func(k int) []dataset.Item {
+		set := zipf.SampleDistinct(rng, k)
+		slices.Sort(set)
+		return set
+	}
+	check := func(step int, o *Overlay, merged int) {
+		t.Helper()
+		if !slices.IsSorted(o.dead) {
+			t.Fatalf("step %d: tombstones unsorted", step)
+		}
+		for _, k := range []int{0, 1, 2, 8} {
+			qs := [][]dataset.Item{randomSet(k)}
+			if k > 0 {
+				unlisted := slices.Clone(qs[0])
+				unlisted[k-1] = dataset.Item(used + rng.Intn(domain-used))
+				qs = append(qs, unlisted)
+				if n := o.Len(); n > 0 { // a pending record's own items: equality and subset hits
+					set := o.Pending()[rng.Intn(n)].Set
+					qs = append(qs, set[:min(k, len(set))])
+				}
+			}
+			for _, q := range qs {
+				for _, pred := range []Pred{ContainsAll, Equal, SubsetOf} {
+					got, want := o.AppendMatches([]uint32{9}, q, pred), linearAppendMatches(o, []uint32{9}, q, pred)
+					if !slices.Equal(got, want) {
+						t.Fatalf("step %d: AppendMatches(pred %d, %v) = %v, oracle %v", step, pred, q, got, want)
+					}
+				}
+				var cands []uint32
+				for id := 1; id <= merged+o.Len()+2; id++ {
+					if rng.Intn(3) == 0 {
+						cands = append(cands, uint32(id))
+					}
+				}
+				if got, want := o.AppendMatchesWithin(nil, q, cands), linearAppendMatchesWithin(o, nil, q, cands); !slices.Equal(got, want) {
+					t.Fatalf("step %d: AppendMatchesWithin(%v, %v) = %v, oracle %v", step, q, cands, got, want)
+				}
+				for from := 0; from <= o.Len()+1; from++ {
+					id, next, ok := o.NextContaining(from, q)
+					wid, wnext, wok := linearNextContaining(o, from, q)
+					if id != wid || next != wnext || ok != wok {
+						t.Fatalf("step %d: NextContaining(%d, %v) = %d, %d, %v; oracle %d, %d, %v", step, from, q, id, next, ok, wid, wnext, wok)
+					}
+				}
+			}
+		}
+	}
+
+	var o Overlay
+	merged := 50
+	check(-1, &o, merged)
+	for step := 0; step < 400; step++ {
+		switch op := rng.Intn(20); {
+		case op < 11:
+			set := randomSet(rng.Intn(6))
+			if n := o.Len(); n > 0 && rng.Intn(4) == 0 {
+				set = o.Pending()[rng.Intn(n)].Set // a duplicate
+			}
+			if _, err := o.Insert(set, domain, merged); err != nil {
+				t.Fatal(err)
+			}
+		case op < 16:
+			id := uint32(1 + rng.Intn(merged+o.Len()))
+			if err := o.Delete(id, merged); err != nil && !o.Dead(id) {
+				t.Fatal(err)
+			}
+		case op < 17:
+			merged += o.Len()
+			o.Merged()
+		default:
+			var recs, dead bytes.Buffer
+			if err := errors.Join(o.WriteRecords(&recs), o.WriteTombstones(&dead)); err != nil {
+				t.Fatal(err)
+			}
+			var back Overlay
+			if err := errors.Join(back.ReadRecords(&recs, domain, merged), back.ReadTombstones(&dead, o.Dirty())); err != nil {
+				t.Fatal(err)
+			}
+			o = back
+		}
+		check(step, &o, merged)
+		if step%16 == 0 {
+			view := o.View()
+			for i := 0; i < 3; i++ { // the writer moves on; the view must not
+				if _, err := o.Insert(randomSet(1+rng.Intn(3)), domain, merged); err != nil {
+					t.Fatal(err)
+				}
+			}
+			check(step, &view, merged)
+		}
+	}
+}
+
+// benchDelta is the delta BenchmarkOverlayMatches and the allocation
+// test run over: n pending Zipf(0.8) sets of 2–20 of 2 000 items, every
+// eighth tombstoned, and per predicate a pool of queries that have
+// answers — a few items of a pending record, a whole record, a record
+// widened by ten more items. A larger delta extends a smaller one and
+// is asked the same queries, so timings at two sizes compare.
+func benchDelta(tb testing.TB, n int) (*Overlay, map[Pred][][]dataset.Item) {
+	tb.Helper()
+	const (
+		domain = 2000
+		merged = 100000
+	)
+	rng := rand.New(rand.NewSource(1))
+	zipf := dataset.NewZipf(domain, 0.8)
+	var o Overlay
+	for i := 0; i < n; i++ {
+		id, err := o.Insert(zipf.SampleDistinct(rng, 2+rng.Intn(19)), domain, merged)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		if i%8 == 7 {
+			if err := o.Delete(id, merged); err != nil {
+				tb.Fatal(err)
+			}
+		}
+	}
+	queries := map[Pred][][]dataset.Item{}
+	rng = rand.New(rand.NewSource(2))
+	for i := 0; i < 64; i++ {
+		set := o.Pending()[rng.Intn(min(n, 4800))].Set
+		few := slices.Clone(set)
+		rng.Shuffle(len(few), func(i, j int) { few[i], few[j] = few[j], few[i] })
+		few = few[:min(len(few), 2+rng.Intn(2))]
+		slices.Sort(few)
+		wide := append(zipf.SampleDistinct(rng, 10), set...)
+		slices.Sort(wide)
+		queries[ContainsAll] = append(queries[ContainsAll], few)
+		queries[Equal] = append(queries[Equal], set)
+		queries[SubsetOf] = append(queries[SubsetOf], slices.Compact(wide))
+	}
+	return &o, queries
+}
+
+// BenchmarkOverlayMatches times the three sweeps over the posting lists
+// beside the linear oracle, at the delta benchmark/'s durable_rw
+// preloads and at four times that. The shortest list still grows with
+// the delta; the claim is the ratio to the sweep.
+func BenchmarkOverlayMatches(b *testing.B) {
+	impls := []struct {
+		name string
+		f    func(*Overlay, []uint32, []dataset.Item, Pred) []uint32
+	}{{"lists", (*Overlay).AppendMatches}, {"linear", linearAppendMatches}}
+	for _, n := range []int{4800, 19200} {
+		o, queries := benchDelta(b, n)
+		for pred, name := range []string{"subset", "equality", "superset"} {
+			qs := queries[Pred(pred)]
+			for _, impl := range impls {
+				b.Run(fmt.Sprintf("pending=%d/%s/%s", n, name, impl.name), func(b *testing.B) {
+					b.ReportAllocs()
+					dst := make([]uint32, 0, n)
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						dst = impl.f(o, dst[:0], qs[i%len(qs)], Pred(pred))
+					}
+				})
+			}
+		}
+	}
 }
 
 // neverEnds would keep a decoder that trusted a huge count busy forever.

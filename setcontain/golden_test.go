@@ -2,12 +2,17 @@ package setcontain
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"slices"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/dataset"
+	"repro/internal/invfile"
 	"repro/internal/naive"
 	"repro/internal/snapio"
 )
@@ -226,21 +231,88 @@ func firstDiff(a, b []byte) int {
 	return n
 }
 
+// goldenFirstPending is the first pending record as the single-engine
+// goldens hold it — its id, then its length-prefixed set — which is how
+// the tests below find the pending-records section.
+func goldenFirstPending() []byte {
+	var rec bytes.Buffer
+	first := goldenBase + goldenEarly
+	snapio.WriteU32(&rec, uint32(first+1))
+	snapio.WriteU32Slice(&rec, goldenSet(first))
+	return rec.Bytes()
+}
+
+// resealed returns a copy of a single-engine golden with edit applied
+// and the payload's CRC trailer recomputed over the result.
+func resealed(golden []byte, edit func(b []byte)) []byte {
+	const header = len(containerMagic) + 4*4 + 4 // the container header and its own CRC
+	b := slices.Clone(golden)
+	edit(b)
+	binary.LittleEndian.PutUint32(b[len(b)-4:], crc32.ChecksumIEEE(b[header:len(b)-4]))
+	return b
+}
+
+// hostilePending returns copies of a single-engine golden whose first
+// pending record, at offset rec, is one no Insert could have produced.
+// They are resealed, so no checksum stands between the record and the
+// code that indexes by its items and its id.
+func hostilePending(golden []byte, rec int) map[string][]byte {
+	items := rec + 4 + 8 // past the record's id and its set's length word
+	last := items + 4*(len(goldenSet(goldenBase+goldenEarly))-1)
+	return map[string][]byte{
+		"item outside the domain": resealed(golden, func(b []byte) {
+			binary.LittleEndian.PutUint32(b[last:], goldenDomain) // still ascending
+		}),
+		"unsorted set": resealed(golden, func(b []byte) {
+			first, second := binary.LittleEndian.Uint32(b[items:]), binary.LittleEndian.Uint32(b[items+4:])
+			binary.LittleEndian.PutUint32(b[items:], second)
+			binary.LittleEndian.PutUint32(b[items+4:], first)
+		}),
+		"id out of sequence": resealed(golden, func(b []byte) {
+			binary.LittleEndian.PutUint32(b[rec:], goldenBase+goldenEarly+2)
+		}),
+	}
+}
+
+// TestOpenRefusesHostilePending: a container whose checksums are all in
+// order but whose pending section carries an out-of-domain item, an
+// unsorted set or a non-consecutive id is a bad snapshot like any other
+// malformed section — not an index that panics at its next merge.
+func TestOpenRefusesHostilePending(t *testing.T) {
+	for name, bad := range map[string]error{"oif": core.ErrBadSnapshot, "if": invfile.ErrBadSnapshot} {
+		golden, err := os.ReadFile(goldenPath(name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(resealed(golden, func([]byte) {}), golden) {
+			t.Fatalf("%s: resealing the untouched golden changes it", name)
+		}
+		rec := bytes.Index(golden, goldenFirstPending())
+		if rec < 0 {
+			t.Fatalf("%s: pending section not found", name)
+		}
+		for what, snap := range hostilePending(golden, rec) {
+			if _, err := Open(bytes.NewReader(snap)); !errors.Is(err, bad) {
+				t.Errorf("%s, %s: Open = %v, want %v", name, what, err, bad)
+			}
+		}
+	}
+}
+
 // FuzzOpenSnapshot feeds Open arbitrary bytes: the answer is an error or
 // an index, never a panic, and never an allocation sized by a length
 // word the stream does not back with bytes. The seeds are the goldens
-// plus the corruptions a torn or bit-rotted checkpoint shows first: a
+// plus the corruptions a torn or bit-rotted checkpoint shows first — a
 // cut inside the pending-records section, a cut inside the tombstone
 // section, and a length word with a high bit flipped (a count that passes
-// the snapio.MaxSliceLen bound but promises gigabytes).
+// the snapio.MaxSliceLen bound but promises gigabytes) — and one a
+// checksum cannot catch: a resealed out-of-domain pending item.
 func FuzzOpenSnapshot(f *testing.F) {
 	// The single-engine goldens hold the sections verbatim; find them by
-	// their encoded content: the first pending record (id, then its
-	// length-prefixed set) and the sorted tombstone list.
-	var records, tombstones bytes.Buffer
-	first := goldenBase + goldenEarly
-	snapio.WriteU32(&records, uint32(first+1))
-	snapio.WriteU32Slice(&records, goldenSet(first))
+	// their encoded content: the first pending record and the sorted
+	// tombstone list.
+	records := bytes.NewBuffer(goldenFirstPending())
+	var tombstones bytes.Buffer
 	dead := append([]uint32{goldenEarlyDelete}, goldenLateDeletes...)
 	slices.Sort(dead)
 	snapio.WriteU32Slice(&tombstones, dead)
@@ -263,6 +335,7 @@ func FuzzOpenSnapshot(f *testing.F) {
 		flipped := slices.Clone(golden)
 		flipped[tomb+3] ^= 0x40 // the count's fourth byte: 6 becomes 2^30+6
 		f.Add(flipped)
+		f.Add(hostilePending(golden, rec)["item outside the domain"])
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		ix, err := Open(bytes.NewReader(data))
