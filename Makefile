@@ -101,11 +101,12 @@ snapshot-smoke:
 crash-smoke:
 	./scripts/crash-smoke.sh
 
-# Distribution end-to-end: two shard daemons plus a coordinator versus a
-# single-node daemon on the same dataset — mixed query/expr/limit
-# traffic must digest-compare identical (built, pending, merged), and
-# killing one shard must surface a clean error naming it. The CI matrix
-# runs this.
+# Distribution end-to-end: two shard daemons plus a coordinator, a
+# daemon holding the same two shards in process, and a single-node
+# daemon on the same dataset — mixed query/expr/limit traffic must
+# digest-compare identical across all three (built, pending, merged),
+# and killing one shard must surface a clean error naming it. The CI
+# matrix runs this.
 scatter-smoke:
 	./scripts/scatter-smoke.sh
 

@@ -25,7 +25,7 @@ func TestExprAllocCeilings(t *testing.T) {
 	}{
 		{"ExprStream/streaming", 0, func(t *testing.T) (int, func(int) error) {
 			idx, plans := exprStreamFixture(t)
-			ev := setcontain.NewEvaluator(setcontain.EvalAuto)
+			var ev setcontain.Evaluator
 			dst := make([]uint32, 0, 4096)
 			return len(plans), func(i int) (err error) {
 				dst, _, err = ev.EvalAppend(dst[:0], plans[i], idx)
@@ -42,7 +42,7 @@ func TestExprAllocCeilings(t *testing.T) {
 		}},
 		{"ExprLimit/limit10", 25, func(t *testing.T) (int, func(int) error) {
 			idx, plans := exprLimitFixture(t)
-			ev := setcontain.NewEvaluator(setcontain.EvalAuto)
+			var ev setcontain.Evaluator
 			dst := make([]uint32, 0, 4096)
 			return len(plans), func(i int) (err error) {
 				dst, _, err = ev.EvalLimitAppend(dst[:0], plans[i], idx, 10)

@@ -4,9 +4,12 @@
 # synthetic dataset) and a coordinator fanning out to them as an
 # ordinary client of their public API (/healthz, POST /query, /admin/*,
 # plus GET /shard/supports), drive mixed query/expression/limit traffic
-# through the coordinator and a single-node daemon, and require
-# byte-identical answers — before mutations, with pending inserts and a
-# delete, and after the delta merge. Then kill -9 one shard daemon and
+# through the coordinator, a single-node daemon and a daemon holding the
+# same two shards in process (-index sharded -shards 2: the code the
+# coordinator runs, over the other transport, so a divergence between
+# those two localises to the transport), and require byte-identical
+# answers — before mutations, with pending inserts and a delete, and
+# after the delta merge. Then kill -9 one shard daemon and
 # require the coordinator to answer with a clean partial-failure error
 # naming the dead shard. Exercised by `make scatter-smoke` and the CI
 # matrix.
@@ -18,6 +21,7 @@ single_port=18840
 shard0_port=18841
 shard1_port=18842
 coord_port=18843
+local_port=18844
 pids=()
 cleanup() {
     for pid in "${pids[@]:-}"; do
@@ -53,20 +57,23 @@ start_daemon() { # args: log-name, daemon flags...
     disown $!
 }
 
-echo "scatter-smoke: starting single-node reference, two shard daemons, coordinator"
+echo "scatter-smoke: starting single-node reference, in-process sharded daemon, two shard daemons, coordinator"
 start_daemon single -addr "127.0.0.1:$single_port" "${data_flags[@]}" -index oif
+start_daemon local -addr "127.0.0.1:$local_port" "${data_flags[@]}" -index sharded -shards 2
 start_daemon shard0 -addr "127.0.0.1:$shard0_port" "${data_flags[@]}" -shard-of 0 -shard-count 2 -index oif
 start_daemon shard1 -addr "127.0.0.1:$shard1_port" "${data_flags[@]}" -shard-of 1 -shard-count 2 -index oif
 wait_healthy $single_port "$tmp/single.log"
+wait_healthy $local_port "$tmp/local.log"
 wait_healthy $shard0_port "$tmp/shard0.log"
 wait_healthy $shard1_port "$tmp/shard1.log"
 start_daemon coord -addr "127.0.0.1:$coord_port" \
     -coordinator "http://127.0.0.1:$shard0_port,http://127.0.0.1:$shard1_port"
 wait_healthy $coord_port "$tmp/coord.log"
-shard1_pid=${pids[2]}
+shard1_pid=${pids[3]}
 
 single="http://127.0.0.1:$single_port"
 coord="http://127.0.0.1:$coord_port"
+local_sharded="http://127.0.0.1:$local_port"
 
 # Mixed traffic: plain predicates, boolean expressions, and limits.
 # (+ encodes a space in the query string; -g keeps curl from globbing
@@ -86,10 +93,12 @@ compare_all() {
     for q in "${queries[@]}"; do
         a=$(curl -sfg "$single/$q")
         b=$(curl -sfg "$coord/$q")
-        if [ "$a" != "$b" ]; then
+        c=$(curl -sfg "$local_sharded/$q")
+        if [ "$a" != "$b" ] || [ "$a" != "$c" ]; then
             echo "scatter-smoke: $stage: answers diverged for $q" >&2
-            echo "  single:      $a" >&2
-            echo "  coordinator: $b" >&2
+            echo "  single:             $a" >&2
+            echo "  coordinator:        $b" >&2
+            echo "  in-process sharded: $c" >&2
             exit 1
         fi
     done
@@ -99,21 +108,25 @@ compare_all() {
 
 compare_all "built"
 
-# Mutations through both front doors: the assigned global ids must
+# Mutations through all three front doors: the assigned global ids must
 # match, and answers must stay identical while the delta is pending and
 # after the merge folds it in.
 ids_single=$(curl -sf -d '{"sets":[[3,17,42],[1,2,3],[17]]}' "$single/admin/insert")
-ids_coord=$(curl -sf -d '{"sets":[[3,17,42],[1,2,3],[17]]}' "$coord/admin/insert")
-if [ "$ids_single" != "$ids_coord" ]; then
-    echo "scatter-smoke: insert ids diverged: single $ids_single, coordinator $ids_coord" >&2
-    exit 1
-fi
-curl -sf -d '{"ids":[5,17]}' "$single/admin/delete" >/dev/null
-curl -sf -d '{"ids":[5,17]}' "$coord/admin/delete" >/dev/null
+for front in "$coord" "$local_sharded"; do
+    ids=$(curl -sf -d '{"sets":[[3,17,42],[1,2,3],[17]]}' "$front/admin/insert")
+    if [ "$ids_single" != "$ids" ]; then
+        echo "scatter-smoke: insert ids diverged: single $ids_single, $front $ids" >&2
+        exit 1
+    fi
+done
+for front in "$single" "$coord" "$local_sharded"; do
+    curl -sf -d '{"ids":[5,17]}' "$front/admin/delete" >/dev/null
+done
 compare_all "pending"
 
-curl -sf -X POST "$single/admin/merge" >/dev/null
-curl -sf -X POST "$coord/admin/merge" >/dev/null
+for front in "$single" "$coord" "$local_sharded"; do
+    curl -sf -X POST "$front/admin/merge" >/dev/null
+done
 compare_all "merged"
 
 # Partial failure: kill one shard daemon outright. The coordinator must

@@ -83,8 +83,9 @@ type Engine interface {
 	// Pool returns the active buffer pool (metering hook).
 	Pool() *storage.BufferPool
 	// Unwrap returns the backend index (*core.Index, *invfile.Index, or
-	// *ubtree.Index) for measurement code that needs kind-specific
-	// details (space breakdowns, the OIF ordering).
+	// *ubtree.Index; a sharded engine's []ShardClient) for measurement
+	// code that needs kind-specific details (space breakdowns, the OIF
+	// ordering).
 	Unwrap() any
 }
 
@@ -106,11 +107,9 @@ var engineBuilders = map[Kind]func(*dataset.Dataset, Options) (Engine, error){
 func Kinds() []Kind { return []Kind{OIF, InvertedFile, UnorderedBTree, Sharded} }
 
 // EngineOf wraps an already-built backend index (*core.Index,
-// *invfile.Index, or *ubtree.Index) in its Engine adapter, or rewraps a
-// []Engine shard slice (as returned by a sharded engine's Unwrap) into a
-// sharded engine. The backend's current buffer pool is kept; this is the
-// entry point for measurement code that builds backends with non-default
-// knobs.
+// *invfile.Index, or *ubtree.Index) in its Engine adapter. The backend's
+// current buffer pool is kept; this is the entry point for measurement
+// code that builds backends with non-default knobs.
 func EngineOf(backend any) (Engine, error) {
 	switch ix := backend.(type) {
 	case *core.Index:
@@ -119,8 +118,6 @@ func EngineOf(backend any) (Engine, error) {
 		return &invEngine{updatableEngine{baseEngine{b: ix, kind: InvertedFile}, ix}}, nil
 	case *ubtree.Index:
 		return &ubtEngine{baseEngine{b: ix, kind: UnorderedBTree}}, nil
-	case []Engine:
-		return shardedOf(ix)
 	default:
 		return nil, fmt.Errorf("setcontain: no engine adapter for %T", backend)
 	}

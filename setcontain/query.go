@@ -102,15 +102,14 @@ type Queryable interface {
 	Superset(qs []Item) ([]uint32, error)
 }
 
-// predicates is one (dst, Query) primitive spelled as the Queryable
-// method set, for the private engines and readers whose three
-// predicates differ only in the Query they build: the sharded fan-outs
-// and the shard-client adapters embed it.
-type predicates func(dst []uint32, q Query) ([]uint32, error)
+// predicates is one Query primitive spelled as the Queryable method
+// set, for the sharded engine and reader, whose three predicates differ
+// only in the Query they scatter.
+type predicates func(q Query) ([]uint32, error)
 
-func (p predicates) Subset(qs []Item) ([]uint32, error)   { return p(nil, SubsetQuery(qs)) }
-func (p predicates) Equality(qs []Item) ([]uint32, error) { return p(nil, EqualityQuery(qs)) }
-func (p predicates) Superset(qs []Item) ([]uint32, error) { return p(nil, SupersetQuery(qs)) }
+func (p predicates) Subset(qs []Item) ([]uint32, error)   { return p(SubsetQuery(qs)) }
+func (p predicates) Equality(qs []Item) ([]uint32, error) { return p(EqualityQuery(qs)) }
+func (p predicates) Superset(qs []Item) ([]uint32, error) { return p(SupersetQuery(qs)) }
 
 // Eval answers the query against t. This is the single dispatch point
 // from predicates to engine methods.
@@ -162,10 +161,16 @@ func (q Query) EvalAppend(dst []uint32, t Queryable) ([]uint32, error) {
 	if err != nil {
 		return nil, err
 	}
+	return appendFresh(dst, ids), nil
+}
+
+// appendFresh appends a freshly allocated answer nobody else holds to
+// dst under the append forms' rule: dst itself when nothing matched,
+// and — no backing array to preserve — the fresh slice as is, no copy,
+// when dst has none.
+func appendFresh(dst, ids []uint32) []uint32 {
 	if cap(dst) == 0 && len(ids) > 0 {
-		// No backing array to preserve: the engine's fresh answer slice
-		// is the result, no copy.
-		return ids, nil
+		return ids
 	}
-	return append(dst, ids...), nil
+	return append(dst, ids...)
 }

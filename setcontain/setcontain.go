@@ -225,7 +225,9 @@ func (ix *Index) Save(w io.Writer) error { return ix.eng.Save(w) }
 
 // CacheStats reports the index's I/O behaviour since the last reset.
 // Counters are cumulative across MergeDelta: the post-merge cache is
-// seeded with the pre-merge totals.
+// seeded with the pre-merge totals. (A Sharded index reports the
+// sessions its own predicate calls run on, which every mutation
+// retires: its counters restart there.)
 type CacheStats struct {
 	Hits       int64 // page requests served from cache
 	PageReads  int64 // pages fetched from storage ("disk page accesses")

@@ -11,23 +11,28 @@ import (
 	"repro/internal/storage"
 )
 
-// The sharded engine partitions records across N inner engines and
-// answers every query by fanning it out to all shards in parallel,
-// merging the per-shard streams back into one ascending global-id
-// sequence. The id arithmetic lives in the engine's Partitioner
-// (round-robin by default: shard = (g-1) mod N, local = (g-1)/N + 1),
-// and the fan-out/merge in the scatter-gather executor (scatter.go) —
-// this file only wires the two to the Engine surface. Because the
-// partitioner maps each shard's ascending local answer to an ascending
-// global subsequence, the merge is a pure k-way interleave, which is
-// what makes sharded answers byte-identical to the single-engine ones.
+// The sharded engine partitions records across N shards and answers
+// every query by fanning it out to all of them in parallel, merging the
+// per-shard streams back into one ascending global-id sequence. It
+// reaches a shard only through its ShardClient and ShardSessions
+// (shardclient.go) — InprocShard around a local engine when the index
+// was built or restored here, an HTTP client of a daemon for a
+// coordinator — so there is one fan-out, whatever the transport. The id
+// arithmetic lives in the engine's Partitioner (round-robin by default:
+// shard = (g-1) mod N, local = (g-1)/N + 1), and the fan-out/merge in
+// the scatter-gather executor (scatter.go) — this file only wires the
+// two to the Engine surface. Because the partitioner maps each shard's
+// ascending local answer to an ascending global subsequence, the merge
+// is a pure k-way interleave, which is what makes sharded answers
+// byte-identical to the single-engine ones.
 //
-// Each shard's inner engine is chosen per shard by internal/stats while
-// the records stream in: skewed shards get the paper's Ordered Inverted
-// File (with a frontier block size fitted to the shard's hottest list),
-// uniform shards the plain inverted file. The shard count therefore also
-// decides how much of the paper's skew machinery is deployed — the skew
-// insight becomes a planning decision instead of a manual flag.
+// Each built shard's inner engine is chosen per shard by internal/stats
+// while the records stream in: skewed shards get the paper's Ordered
+// Inverted File (with a frontier block size fitted to the shard's
+// hottest list), uniform shards the plain inverted file. The shard count
+// therefore also decides how much of the paper's skew machinery is
+// deployed — the skew insight becomes a planning decision instead of a
+// manual flag.
 
 // ShardPlan records the planning decision made for one shard at build
 // time; ShardPlans exposes them for inspection and experiment reports.
@@ -45,9 +50,13 @@ type ShardPlan struct {
 }
 
 type shardedEngine struct {
-	predicates // Subset/Equality/Superset: gatherOver the shards
+	predicates // Subset/Equality/Superset: query, on the engine-level reader
 
-	shards []Engine
+	clients []ShardClient
+	// infos caches every shard's ShardInfo, maintained locally across
+	// mutations (and re-fetched from the shard on MergeDelta) so the
+	// record accessors cost no roundtrip.
+	infos  []ShardInfo
 	part   Partitioner
 	plans  []ShardPlan
 	domain int
@@ -58,11 +67,18 @@ type shardedEngine struct {
 	// the global-id ↔ shard mapping exactly where it was, or every
 	// later record would land on the wrong shard.
 	nextID uint32
+
+	// rd answers the engine's own predicate calls: one session per
+	// shard, opened by the first query and dropped by every mutation — a
+	// session may answer from the snapshot it opened on (the in-process
+	// one does), and Engine promises the next query sees the mutation.
+	// Never nil: an unopened reader has no sessions and zero statistics.
+	rd *shardedReader
 }
 
 // errShardedPool reports that the sharded engine has no single buffer
-// pool to re-point; meter its shards individually via Unwrap.
-var errShardedPool = errors.New("setcontain: sharded engine has per-shard buffer pools; meter shards via Unwrap")
+// pool to re-point; meter its shards individually via ShardEngines.
+var errShardedPool = errors.New("setcontain: sharded engine has per-shard buffer pools; meter shards via ShardEngines")
 
 // buildShardedEngine splits the dataset across opts.Shards sub-datasets
 // through the round-robin Partitioner, profiles each shard's
@@ -112,7 +128,7 @@ func buildShardedWith(ds *dataset.Dataset, opts Options, part Partitioner) (Engi
 		colls[s].Add(r.Set)
 	}
 
-	shards := make([]Engine, n)
+	clients := make([]ShardClient, n)
 	plans := make([]ShardPlan, n)
 	errs := forEachBounded(n, par, func(s int) error {
 		shardEng, plan, err := buildShard(subs[s], colls[s], opts)
@@ -120,7 +136,7 @@ func buildShardedWith(ds *dataset.Dataset, opts Options, part Partitioner) (Engi
 			return err
 		}
 		plan.Shard = s
-		shards[s] = shardEng
+		clients[s] = InprocShard(shardEng)
 		plans[s] = plan
 		return nil
 	})
@@ -129,7 +145,11 @@ func buildShardedWith(ds *dataset.Dataset, opts Options, part Partitioner) (Engi
 			return nil, fmt.Errorf("setcontain: shard %d: %w", s, err)
 		}
 	}
-	return newShardedEngine(part, shards, plans, ds.DomainSize()), nil
+	e, err := assembleSharded(context.Background(), part, clients, plans)
+	if err != nil {
+		return nil, err
+	}
+	return e, nil
 }
 
 // buildShard plans and builds one shard's inner engine from its profiled
@@ -172,37 +192,57 @@ func defaultShards() int {
 	return n
 }
 
-// shardedOf rewraps already-built inner engines (EngineOf's []Engine
-// case). The engines must hold a round-robin partition in shard order,
-// as produced by a sharded build.
-func shardedOf(shards []Engine) (Engine, error) {
-	if len(shards) == 0 {
-		return nil, errors.New("setcontain: sharded engine needs at least one shard")
+// assembleSharded is the one constructor behind every sharded engine —
+// built (buildShardedWith), restored (loadShardedPayload) or connected
+// (ShardedOverClients) — over clients holding part's split in shard
+// order; nil plans are derived from what the shards report. Every
+// client's Info is fetched under ctx to validate the set: the
+// vocabularies must agree, and the record counts (tombstoned slots
+// included — they are never compacted) must be a round-robin deal in
+// shard order, non-increasing and within one of shard 0's. Shards
+// restored from another snapshot, or listed in the wrong order, would
+// otherwise open, map local ids to the wrong global ids silently, and
+// fail the next Insert with id drift after the shard kept the record.
+// The partition counter resumes after the records the shards hold.
+func assembleSharded(ctx context.Context, part Partitioner, clients []ShardClient, plans []ShardPlan) (*shardedEngine, error) {
+	infos := make([]ShardInfo, len(clients))
+	total := 0
+	for s, c := range clients {
+		info, err := c.Info(ctx)
+		if err != nil {
+			return nil, fmt.Errorf("setcontain: shard %d: %w", s, err)
+		}
+		infos[s] = info
+		total += info.Records
+		if s == 0 {
+			continue
+		}
+		if info.Domain != infos[0].Domain {
+			return nil, fmt.Errorf("setcontain: shard %d domain %d != shard 0 domain %d",
+				s, info.Domain, infos[0].Domain)
+		}
+		ref := -1 // the shard whose count this one contradicts
+		if info.Records > infos[s-1].Records {
+			ref = s - 1
+		} else if info.Records < infos[0].Records-1 {
+			ref = 0
+		}
+		if ref >= 0 {
+			return nil, &ShardError{Shard: s, Err: fmt.Errorf(
+				"holds %d records beside shard %d's %d: not a round-robin split in shard order",
+				info.Records, ref, infos[ref].Records)}
+		}
 	}
-	return shardedWith(NewRoundRobinPartitioner(len(shards)), shards)
-}
-
-// shardedWith rewraps inner engines under an explicit Partitioner; the
-// engines must hold that partitioner's split in shard order.
-func shardedWith(part Partitioner, shards []Engine) (Engine, error) {
-	if part.NumShards() != len(shards) {
-		return nil, fmt.Errorf("setcontain: partitioner expects %d shards, got %d",
-			part.NumShards(), len(shards))
+	if plans == nil {
+		plans = make([]ShardPlan, len(clients))
+		for s, info := range infos {
+			plans[s] = ShardPlan{Shard: s, Kind: info.Kind, Records: info.Records}
+		}
 	}
-	plans := make([]ShardPlan, len(shards))
-	for s, sh := range shards {
-		plans[s] = ShardPlan{Shard: s, Kind: sh.Kind(), Records: sh.NumRecords()}
-	}
-	return newShardedEngine(part, shards, plans, shards[0].DomainSize()), nil
-}
-
-// newShardedEngine assembles the engine over shards holding part's
-// split in shard order; the partition counter resumes after the records
-// they already hold.
-func newShardedEngine(part Partitioner, shards []Engine, plans []ShardPlan, domain int) *shardedEngine {
-	e := &shardedEngine{predicates: gatherOver(part, shards), shards: shards, part: part, plans: plans, domain: domain}
-	e.nextID = uint32(e.NumRecords())
-	return e
+	e := &shardedEngine{clients: clients, infos: infos, part: part, plans: plans,
+		domain: infos[0].Domain, nextID: uint32(total), rd: &shardedReader{}}
+	e.predicates = e.query
+	return e, nil
 }
 
 // ShardPlans returns the per-shard planning decisions of a sharded
@@ -215,7 +255,8 @@ func ShardPlans(e Engine) []ShardPlan {
 	return append([]ShardPlan(nil), se.plans...)
 }
 
-// ShardEngines returns a sharded engine's inner engines in shard order,
+// ShardEngines returns the inner engines of a sharded engine's
+// in-process shards in shard order (remote shards have none to give),
 // and nil for any other engine. The engines are shared, not copied —
 // wrapping them (e.g. in InprocShard clients for a transport
 // experiment) aliases the original's state.
@@ -224,7 +265,13 @@ func ShardEngines(e Engine) []Engine {
 	if !ok {
 		return nil
 	}
-	return append([]Engine(nil), se.shards...)
+	var engines []Engine
+	for _, c := range se.clients {
+		if eng := localEngine(c); eng != nil {
+			engines = append(engines, eng)
+		}
+	}
+	return engines
 }
 
 func (e *shardedEngine) Kind() Kind      { return Sharded }
@@ -232,45 +279,66 @@ func (e *shardedEngine) DomainSize() int { return e.domain }
 
 func (e *shardedEngine) NumRecords() int {
 	total := 0
-	for _, sh := range e.shards {
-		total += sh.NumRecords()
+	for _, info := range e.infos {
+		total += info.Records
 	}
 	return total
 }
 
-// Unwrap returns the inner engines in shard order; EngineOf accepts the
-// slice back.
-func (e *shardedEngine) Unwrap() any { return append([]Engine(nil), e.shards...) }
+// Unwrap returns the shard clients in shard order.
+func (e *shardedEngine) Unwrap() any { return append([]ShardClient(nil), e.clients...) }
 
 // ItemSupports sums the shards' support tables: the partition splits
 // records, not items, so the global support of an item is the sum of
-// its per-shard supports.
+// its per-shard supports. A shard whose table cannot be fetched counts
+// as zeros — uniform planner costs, never a wrong answer; Engine's
+// signature has no error to raise.
 func (e *shardedEngine) ItemSupports() []int64 {
 	supports := make([]int64, e.domain)
-	for _, sh := range e.shards {
-		for it, n := range sh.ItemSupports() {
+	for _, c := range e.clients {
+		sup, err := c.ItemSupports(context.Background())
+		if err != nil || len(sup) != e.domain {
+			continue
+		}
+		for it, n := range sup {
 			supports[it] += n
 		}
 	}
 	return supports
 }
 
-// gatherOver is the one (dst, Query) primitive behind the sharded
-// engine's and the sharded reader's predicates: q scattered over the
-// shard handles and merged to global order. There is no cancellation
-// signal at this level — Store readers carry that through the interrupt
-// hooks setInterrupt installs — so the Queryable surface stays
-// context-free.
-func gatherOver[T Queryable](part Partitioner, shards []T) predicates {
-	return func(dst []uint32, q Query) ([]uint32, error) {
-		ids, err := scatterGather(context.Background(), part,
-			func(_ context.Context, s int) ([]uint32, error) { return q.Eval(shards[s]) })
-		if err != nil || dst == nil {
-			return ids, err
+// openReader opens one session per shard, each with its own cache of
+// cachePages pages where the transport keeps one (the budget is per
+// shard: every shard fans out its own list walks).
+func (e *shardedEngine) openReader(cachePages int) (*shardedReader, error) {
+	r := &shardedReader{sess: make([]ShardSession, 0, len(e.clients)), part: e.part}
+	r.predicates = r.query
+	for s, c := range e.clients {
+		sess, err := c.Session(cachePages)
+		if err != nil {
+			r.close()
+			return nil, &ShardError{Shard: s, Err: err}
 		}
-		return append(dst, ids...), nil
+		r.sess = append(r.sess, sess)
 	}
+	return r, nil
 }
+
+// query answers q on the engine-level reader, opening it on first use.
+func (e *shardedEngine) query(q Query) ([]uint32, error) {
+	if e.rd.sess == nil {
+		rd, err := e.openReader(0)
+		if err != nil {
+			return nil, err
+		}
+		e.rd = rd
+	}
+	return e.rd.query(q)
+}
+
+// dropReader retires the engine-level reader after a mutation; its
+// sessions reopen on the next query.
+func (e *shardedEngine) dropReader() { e.rd.close() }
 
 // Insert routes the record to the shard the partitioner assigns its
 // global id, so the id mapping stays exact across updates. The
@@ -280,15 +348,18 @@ func gatherOver[T Queryable](part Partitioner, shards []T) predicates {
 func (e *shardedEngine) Insert(set []Item) (uint32, error) {
 	global := e.nextID + 1
 	s, want := e.part.Locate(global)
-	local, err := e.shards[s].Insert(set)
+	local, err := e.clients[s].Insert(context.Background(), set)
 	if err != nil {
 		return 0, err
 	}
+	e.dropReader()
 	if local != want {
 		return 0, fmt.Errorf("setcontain: shard %d id drift: local %d maps to %d, want %d",
 			s, local, e.part.GlobalOf(s, local), global)
 	}
 	e.nextID = global
+	e.infos[s].Records++
+	e.infos[s].Pending++
 	e.plans[s].Records++
 	return global, nil
 }
@@ -301,146 +372,175 @@ func (e *shardedEngine) Delete(id uint32) error {
 		return fmt.Errorf("setcontain: delete of unknown record %d (have %d)", id, e.nextID)
 	}
 	s, local := e.part.Locate(id)
-	return e.shards[s].Delete(local)
+	if err := e.clients[s].Delete(context.Background(), local); err != nil {
+		return err
+	}
+	e.dropReader()
+	e.infos[s].Deleted++
+	return nil
 }
 
 // Deleted sums the shards' tombstone counts.
 func (e *shardedEngine) Deleted() int {
 	total := 0
-	for _, sh := range e.shards {
-		total += sh.Deleted()
+	for _, info := range e.infos {
+		total += info.Deleted
 	}
 	return total
 }
 
 // MergeDelta folds every shard's pending inserts and tombstones in
-// parallel.
+// parallel. The merge changes a shard's physical state wholesale, so
+// its cached counters are re-fetched from the source instead of guessed.
 func (e *shardedEngine) MergeDelta() error {
-	return errors.Join(forEachBounded(len(e.shards), 0, func(s int) error {
-		return e.shards[s].MergeDelta()
+	e.dropReader()
+	ctx := context.Background()
+	return errors.Join(forEachBounded(len(e.clients), 0, func(s int) error {
+		if err := e.clients[s].MergeDelta(ctx); err != nil {
+			return err
+		}
+		info, err := e.clients[s].Info(ctx)
+		if err != nil {
+			return err
+		}
+		e.infos[s] = info
+		return nil
 	})...)
 }
 
 func (e *shardedEngine) PendingInserts() int {
 	total := 0
-	for _, sh := range e.shards {
-		total += sh.PendingInserts()
+	for _, info := range e.infos {
+		total += info.Pending
 	}
 	return total
 }
 
-// NewReader creates one reader per shard, each with its own cache of
-// cachePages pages (the budget is per shard: every shard fans out its
-// own list walks). The combined reader answers like the engine —
-// parallel fan-out, global-order merge — and propagates interrupts to
-// every shard pool, which is how Store cancellation reaches all shards.
+// NewReader opens one session per shard (see openReader). The combined
+// reader answers like the engine — parallel fan-out, global-order merge
+// — and propagates interrupts to every session, which is how Store
+// cancellation reaches all shards.
 func (e *shardedEngine) NewReader(cachePages int) (*Reader, error) {
-	readers := make([]*Reader, len(e.shards))
-	for s, sh := range e.shards {
-		r, err := sh.NewReader(cachePages)
-		if err != nil {
-			return nil, err
-		}
-		readers[s] = r
+	r, err := e.openReader(cachePages)
+	if err != nil {
+		return nil, err
 	}
-	return &Reader{r: &shardedReader{predicates: gatherOver(e.part, readers), shards: readers, part: e.part}}, nil
+	return &Reader{r: r}, nil
 }
 
+// Space sums the footprints of the in-process shards; a remote shard's
+// pages live on its own side of the transport and count zero here.
 func (e *shardedEngine) Space() SpaceInfo {
 	var total SpaceInfo
-	for _, sh := range e.shards {
-		s := sh.Space()
-		total.Pages += s.Pages
-		total.Bytes += s.Bytes
+	for _, c := range e.clients {
+		if eng := localEngine(c); eng != nil {
+			s := eng.Space()
+			total.Pages += s.Pages
+			total.Bytes += s.Bytes
+		}
 	}
 	return total
 }
 
-func (e *shardedEngine) Stats() CacheStats {
-	var total CacheStats
-	for _, sh := range e.shards {
-		s := sh.Stats()
+// Stats reports the I/O behaviour of the engine-level reader — the
+// caches the engine's own predicate calls ran on since the last
+// mutation retired its predecessor.
+func (e *shardedEngine) Stats() CacheStats { return cacheStatsOf(e.rd.Stats()) }
+func (e *shardedEngine) ResetStats()       { e.rd.ResetStats() }
+
+// DecodedStats sums the engine-level sessions' decoded-block cache
+// statistics (the planner's in-process OIF shards keep one).
+func (e *shardedEngine) DecodedStats() DecodedCacheStats { return e.rd.DecodedStats() }
+
+func (e *shardedEngine) SetPool(*storage.BufferPool) error { return errShardedPool }
+
+// Pool returns the first shard's pool so pool-shape probes (page size,
+// pager identity) keep working; metering must go per shard. A remote
+// shard has no local pool — the probe then reports nil.
+func (e *shardedEngine) Pool() *storage.BufferPool {
+	if eng := localEngine(e.clients[0]); eng != nil {
+		return eng.Pool()
+	}
+	return nil
+}
+
+// shardedReader is the engineReader behind a sharded Reader: one
+// isolated session per shard, queried with the scatter-gather executor.
+type shardedReader struct {
+	predicates // Subset/Equality/Superset: query
+
+	sess []ShardSession
+	part Partitioner
+}
+
+// query is the Queryable form of scatterQuery. There is no cancellation
+// signal at this level — Store readers carry that through the interrupt
+// hooks setInterrupt installs — so the Queryable surface stays
+// context-free.
+func (r *shardedReader) query(q Query) ([]uint32, error) {
+	return r.scatterQuery(context.Background(), q)
+}
+
+// scatterQuery answers one containment query on every shard's session
+// and merges the local answers to global id order.
+func (r *shardedReader) scatterQuery(ctx context.Context, q Query) ([]uint32, error) {
+	if !q.Pred.known() {
+		return nil, ErrUnknownPredicate
+	}
+	return scatterGather(ctx, r.part, func(cctx context.Context, s int) ([]uint32, error) {
+		return r.sess[s].AppendQuery(cctx, nil, q)
+	})
+}
+
+func (r *shardedReader) Stats() storage.AccessStats {
+	var total storage.AccessStats
+	for _, sess := range r.sess {
+		s := sess.Stats()
 		total.Hits += s.Hits
-		total.PageReads += s.PageReads
-		total.Sequential += s.Sequential
-		total.Near += s.Near
-		total.Random += s.Random
+		total.Misses += s.PageReads
+		total.SeqMisses += s.Sequential
+		total.NearMisses += s.Near
+		total.RandMisses += s.Random
 	}
 	return total
 }
 
-func (e *shardedEngine) ResetStats() {
-	for _, sh := range e.shards {
-		sh.ResetStats()
+func (r *shardedReader) ResetStats() {
+	for _, sess := range r.sess {
+		sess.ResetStats()
 	}
 }
 
-// DecodedStats sums the decoded-block cache statistics of the shards
-// whose inner engines keep one (the planner's OIF shards).
-func (e *shardedEngine) DecodedStats() DecodedCacheStats {
+// DecodedStats sums the decoded-block cache statistics of the sessions
+// that keep one (in-process sessions over OIF shards).
+func (r *shardedReader) DecodedStats() DecodedCacheStats {
 	var total DecodedCacheStats
-	for _, sh := range e.shards {
-		if ds, ok := sh.(decodedStatser); ok {
+	for _, sess := range r.sess {
+		if ds, ok := sess.(decodedStatser); ok {
 			total = total.add(ds.DecodedStats())
 		}
 	}
 	return total
 }
 
-func (e *shardedEngine) SetPool(*storage.BufferPool) error { return errShardedPool }
+// Pool returns nil: the pages live behind the sessions. Interrupts go
+// through setInterrupt instead.
+func (r *shardedReader) Pool() *storage.BufferPool { return nil }
 
-// Pool returns the first shard's pool so pool-shape probes (page size,
-// pager identity) keep working; metering must go per shard. Remote
-// shards have no local pool — the probe then reports nil.
-func (e *shardedEngine) Pool() *storage.BufferPool { return e.shards[0].Pool() }
-
-// shardedReader is the engineReader behind a sharded Reader: isolated
-// per-shard readers queried with the same scatter-gather as the engine.
-type shardedReader struct {
-	predicates // Subset/Equality/Superset: gatherOver the shard readers
-
-	shards []*Reader
-	part   Partitioner
-}
-
-func (r *shardedReader) Stats() storage.AccessStats {
-	var total storage.AccessStats
-	for _, sh := range r.shards {
-		s := sh.r.Stats()
-		total.Hits += s.Hits
-		total.Misses += s.Misses
-		total.SeqMisses += s.SeqMisses
-		total.NearMisses += s.NearMisses
-		total.RandMisses += s.RandMisses
-	}
-	return total
-}
-
-func (r *shardedReader) ResetStats() {
-	for _, sh := range r.shards {
-		sh.ResetCacheStats()
-	}
-}
-
-// DecodedStats sums the shard readers' decoded-block cache statistics.
-func (r *shardedReader) DecodedStats() DecodedCacheStats {
-	var total DecodedCacheStats
-	for _, sh := range r.shards {
-		total = total.add(sh.DecodedCacheStats())
-	}
-	return total
-}
-
-// Pool returns the first shard reader's pool (see shardedEngine.Pool);
-// interrupts go through setInterrupt, which reaches every shard.
-func (r *shardedReader) Pool() *storage.BufferPool { return r.shards[0].r.Pool() }
-
-// setInterrupt installs the cancellation hook on every shard's pool, so
-// a context cancelled mid-query stops all shard fan-outs at their next
-// block read. The hook must be safe for concurrent calls — the shards
-// consult it in parallel.
+// setInterrupt installs the cancellation hook on every shard's session,
+// so a context cancelled mid-query stops all shard fan-outs at their
+// next block read. The hook must be safe for concurrent calls — the
+// shards consult it in parallel.
 func (r *shardedReader) setInterrupt(fn func() error) {
-	for _, sh := range r.shards {
-		sh.setInterrupt(fn)
+	for _, sess := range r.sess {
+		sess.SetInterrupt(fn)
 	}
+}
+
+// close releases the sessions, best effort: nothing outlives them.
+func (r *shardedReader) close() {
+	for _, sess := range r.sess {
+		sess.Close()
+	}
+	r.sess = nil
 }

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 
@@ -148,7 +149,7 @@ func TestShardedPlans(t *testing.T) {
 		}
 	}
 
-	if got := ShardPlans(ix.Engine().Unwrap().([]Engine)[0]); got != nil {
+	if got := ShardPlans(ShardEngines(ix.Engine())[0]); got != nil {
 		t.Errorf("ShardPlans on inner engine = %v, want nil", got)
 	}
 }
@@ -307,103 +308,6 @@ func TestShardedStoreParallelCancel(t *testing.T) {
 	}
 }
 
-// flakyEngine wraps a real Engine, failing Insert while armed — the
-// injection harness for the routing-drift regression test.
-type flakyEngine struct {
-	Engine
-	failInserts bool
-}
-
-var errInjected = errors.New("injected shard failure")
-
-func (f *flakyEngine) Insert(set []Item) (uint32, error) {
-	if f.failInserts {
-		return 0, errInjected
-	}
-	return f.Engine.Insert(set)
-}
-
-// TestShardedInsertFailureKeepsRouting is the regression test for the
-// round-robin counter bug: a failed shard Insert must not advance the
-// partition counter, or every subsequent record lands on the wrong
-// shard and the global-id ↔ shard mapping drifts. After the injected
-// failure clears, inserts must resume with the exact ids and placement
-// a never-failing engine produces.
-func TestShardedInsertFailureKeepsRouting(t *testing.T) {
-	const domain = 30
-	c := skewedCollection(t, 300, domain, 0.8, 71)
-	reference, err := New(c, WithKind(Sharded), WithShards(3), WithPageSize(512), WithBlockPostings(8))
-	if err != nil {
-		t.Fatal(err)
-	}
-	victim, err := New(c, WithKind(Sharded), WithShards(3), WithPageSize(512), WithBlockPostings(8))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Rewrap the victim's shards with the failure-injecting decorator.
-	inner := victim.Engine().Unwrap().([]Engine)
-	flaky := make([]*flakyEngine, len(inner))
-	wrapped := make([]Engine, len(inner))
-	for i, sh := range inner {
-		flaky[i] = &flakyEngine{Engine: sh}
-		wrapped[i] = flaky[i]
-	}
-	eng, err := EngineOf(wrapped)
-	if err != nil {
-		t.Fatal(err)
-	}
-	victim = IndexOver(eng)
-
-	insertBoth := func(set []Item) {
-		t.Helper()
-		want, err := reference.Insert(set)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := victim.Insert(set)
-		if err != nil {
-			t.Fatalf("victim insert: %v", err)
-		}
-		if got != want {
-			t.Fatalf("insert id drifted after failure: got %d, want %d", got, want)
-		}
-	}
-	insertBoth([]Item{1, 2})
-	insertBoth([]Item{2, 3})
-
-	// Arm every shard: the next victim insert fails wherever it routes.
-	for _, f := range flaky {
-		f.failInserts = true
-	}
-	for i := 0; i < 3; i++ {
-		if _, err := victim.Insert([]Item{4, 5}); !errors.Is(err, errInjected) {
-			t.Fatalf("armed insert %d: got %v, want injected failure", i, err)
-		}
-	}
-	for _, f := range flaky {
-		f.failInserts = false
-	}
-
-	// Routing must resume exactly where it left off.
-	insertBoth([]Item{4, 5})
-	insertBoth([]Item{5, 6})
-	insertBoth([]Item{6, 7})
-
-	for _, q := range zipfWorkload(60, domain, 0.8, 72) {
-		want, err := reference.Eval(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := victim.Eval(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !slices.Equal(got, want) && !(len(got) == 0 && len(want) == 0) {
-			t.Fatalf("%s: answers diverged after injected failure: %v vs %v", q, got, want)
-		}
-	}
-}
-
 // TestShardedCapabilities covers the engine surface the generic
 // capability test can't reach: snapshots, metering, rewrapping.
 func TestShardedCapabilities(t *testing.T) {
@@ -431,11 +335,11 @@ func TestShardedCapabilities(t *testing.T) {
 	if eng.Pool() == nil {
 		t.Error("Pool() = nil")
 	}
-	shards, ok := eng.Unwrap().([]Engine)
+	shards, ok := eng.Unwrap().([]ShardClient)
 	if !ok || len(shards) != 3 {
 		t.Fatalf("Unwrap = %T (%d shards)", eng.Unwrap(), len(shards))
 	}
-	again, err := EngineOf(shards)
+	again, err := ShardedOverClients(context.Background(), shards)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -453,8 +357,8 @@ func TestShardedCapabilities(t *testing.T) {
 	if !slices.Equal(got, want) {
 		t.Errorf("rewrapped answers diverge: %v vs %v", got, want)
 	}
-	if _, err := EngineOf([]Engine{}); err == nil {
-		t.Error("EngineOf(empty shard slice) succeeded, want error")
+	if _, err := ShardedOverClients(context.Background(), nil); err == nil {
+		t.Error("ShardedOverClients(no clients) succeeded, want error")
 	}
 
 	eng.ResetStats()
@@ -466,5 +370,166 @@ func TestShardedCapabilities(t *testing.T) {
 	}
 	if sp := eng.Space(); sp.Pages <= 0 || sp.Bytes != sp.Pages*512 {
 		t.Errorf("implausible sharded space %+v", sp)
+	}
+}
+
+// shardOfRecords builds a one-engine shard client holding n records.
+func shardOfRecords(t *testing.T, n int) ShardClient {
+	t.Helper()
+	c := NewCollection(8)
+	for i := 0; i < n; i++ {
+		if _, err := c.Add([]Item{Item(i % 8)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ix, err := New(c, WithKind(InvertedFile), WithPageSize(512))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return InprocShard(ix.Engine())
+}
+
+// TestShardedSplitValidation: a shard set whose record counts are not a
+// round-robin deal in shard order — daemons restored from different
+// snapshots, coordinator URLs in the wrong order — must not assemble,
+// through ShardedOverClients or through Open of a container holding
+// such a set; the error names the first offending shard and both counts.
+func TestShardedSplitValidation(t *testing.T) {
+	ctx := context.Background()
+	for _, tc := range []struct {
+		counts   []int
+		offender int    // -1: the set is a valid split
+		says     string // what the refusal must spell out
+	}{
+		{[]int{3, 5}, 1, "holds 5 records beside shard 0's 3"},
+		{[]int{6, 4}, 1, "holds 4 records beside shard 0's 6"},
+		{[]int{5, 3}, 1, "holds 3 records beside shard 0's 5"},
+		{[]int{4, 4, 3, 4}, 3, "holds 4 records beside shard 2's 3"},
+		{[]int{5, 4}, -1, ""},
+		{[]int{4, 4}, -1, ""},
+		{[]int{1, 1, 0, 0}, -1, ""}, // more shards than records
+	} {
+		clients := make([]ShardClient, len(tc.counts))
+		total := 0
+		for s, n := range tc.counts {
+			clients[s] = shardOfRecords(t, n)
+			total += n
+		}
+		ix, err := ShardedOverClients(ctx, clients)
+		if tc.offender < 0 {
+			if err != nil {
+				t.Errorf("counts %v: %v, want the split accepted", tc.counts, err)
+			} else if ix.NumRecords() != total {
+				t.Errorf("counts %v: assembled %d records, want %d", tc.counts, ix.NumRecords(), total)
+			}
+			continue
+		}
+		var se *ShardError
+		if !errors.As(err, &se) || se.Shard != tc.offender || !strings.Contains(err.Error(), tc.says) {
+			t.Errorf("counts %v: got %v, want a ShardError on shard %d saying %q", tc.counts, err, tc.offender, tc.says)
+		}
+	}
+
+	// Open goes through the same constructor. The writer never produces
+	// such a container, so one is written here by a hand-assembled engine
+	// holding a valid split's shards in the wrong order.
+	valid, err := New(skewedCollection(t, 7, 8, 0.5, 3), WithKind(Sharded), WithShards(2), WithPageSize(512))
+	if err != nil {
+		t.Fatal(err)
+	}
+	good := valid.eng.(*shardedEngine)
+	swapped := &shardedEngine{
+		clients: []ShardClient{good.clients[1], good.clients[0]},
+		part:    good.part, plans: []ShardPlan{good.plans[1], good.plans[0]}, domain: good.domain,
+		rd: &shardedReader{},
+	}
+	var snap bytes.Buffer
+	if err := swapped.Save(&snap); err != nil {
+		t.Fatal(err)
+	}
+	_, err = Open(&snap)
+	var se *ShardError
+	if !errors.Is(err, ErrBadSnapshot) || !errors.As(err, &se) || se.Shard != 1 {
+		t.Errorf("Open of a container with swapped shards: %v, want ErrBadSnapshot over a ShardError on shard 1", err)
+	}
+}
+
+// TestShardedEngineLevelSessions: the engine's own predicate calls run
+// on sessions that may answer from the snapshot they opened on, so every
+// mutation must retire them — Index.Subset and EvalExpr straight after
+// Index.Insert, Delete and MergeDelta, with no Store in between, see the
+// mutation; the cache statistics are those of the sessions the queries
+// ran on; and what only a local shard knows survives reassembly over
+// in-process clients.
+func TestShardedEngineLevelSessions(t *testing.T) {
+	const domain = 30
+	c := skewedCollection(t, 400, domain, 0.9, 61)
+	build := func() *Index {
+		ix, err := New(c, WithKind(Sharded), WithShards(3), WithPageSize(512), WithBlockPostings(8))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ix
+	}
+	built := build()
+	original := build()
+	var clients []ShardClient
+	for _, eng := range ShardEngines(original.Engine()) {
+		clients = append(clients, InprocShard(eng))
+	}
+	over, err := ShardedOverClients(context.Background(), clients)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := over.Engine().Space(), original.Engine().Space(); got != want || got.Bytes == 0 {
+		t.Errorf("Space over InprocShard(ShardEngines) = %+v, the original's is %+v", got, want)
+	}
+
+	marker := []Item{27, 28, 29} // no record of the skewed collection holds all three
+	expr := And(ExprOf(SubsetQuery(marker[:2])), ExprOf(SubsetQuery(marker[2:])))
+	for name, ix := range map[string]*Index{"built": built, "over clients": over} {
+		expect := func(stage string, want []uint32) {
+			t.Helper()
+			got, err := ix.Subset(marker)
+			if err != nil || !slices.Equal(got, want) {
+				t.Fatalf("%s: %s: Subset = %v, %v; want %v", name, stage, got, err, want)
+			}
+			got, err = ix.EvalExpr(expr)
+			if err != nil || !slices.Equal(got, want) {
+				t.Fatalf("%s: %s: EvalExpr = %v, %v; want %v", name, stage, got, err, want)
+			}
+		}
+		expect("before", []uint32{})
+		ix.ResetCacheStats()
+		if _, err := ix.Subset([]Item{0}); err != nil {
+			t.Fatal(err)
+		}
+		if st := ix.CacheStats(); st.Hits+st.PageReads == 0 {
+			t.Errorf("%s: CacheStats empty after an engine-level query: %+v", name, st)
+		}
+		if st := ix.DecodedCacheStats(); st.Hits+st.Misses == 0 {
+			t.Errorf("%s: DecodedCacheStats empty after an engine-level query: %+v", name, st)
+		}
+		a, err := ix.Insert(marker)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := ix.Insert(marker)
+		if err != nil {
+			t.Fatal(err)
+		}
+		expect("after Insert", []uint32{a, b})
+		if err := ix.Delete(a); err != nil {
+			t.Fatal(err)
+		}
+		expect("after Delete", []uint32{b})
+		if err := ix.MergeDelta(); err != nil {
+			t.Fatal(err)
+		}
+		expect("after MergeDelta", []uint32{b})
+		if ix.PendingInserts() != 0 || ix.Deleted() != 1 || ix.NumRecords() != c.Len()+2 {
+			t.Errorf("%s: after the merge: %d pending, %d deleted, %d records", name,
+				ix.PendingInserts(), ix.Deleted(), ix.NumRecords())
+		}
 	}
 }

@@ -2,6 +2,7 @@ package setcontain
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -142,17 +143,17 @@ func (e *shardedEngine) Save(w io.Writer) error {
 	// Remote shards have no local buffer pool; record a zero cache
 	// budget and let Open's defaults (or WithCachePages) decide.
 	cachePages := 0
-	if p := e.shards[0].Pool(); p != nil {
+	if p := e.Pool(); p != nil {
 		cachePages = p.Capacity()
 	}
 	return saveContainer(w, Sharded, cachePages, e.saveShardedPayload)
 }
 
 func (e *shardedEngine) saveShardedPayload(w io.Writer) error {
-	n := len(e.shards)
+	n := len(e.clients)
 	bufs := make([]bytes.Buffer, n)
 	errs := forEachBounded(n, 0, func(s int) error {
-		return e.shards[s].Save(&bufs[s])
+		return e.clients[s].Snapshot(context.Background(), &bufs[s])
 	})
 	for s, err := range errs {
 		if err != nil {
@@ -263,8 +264,8 @@ func readShardManifest(r io.Reader) (*shardManifest, error) {
 
 // loadShardedPayload reads the manifest, reconstructs the partitioner
 // the manifest names, then decodes every shard's sub-container in
-// parallel and reassembles the sharded engine with its build-time
-// plans.
+// parallel and reassembles the sharded engine, over in-process clients
+// of the restored shards, with its build-time plans.
 func loadShardedPayload(r io.Reader, o Options) (Engine, error) {
 	m, err := readShardManifest(r)
 	if err != nil {
@@ -283,7 +284,7 @@ func loadShardedPayload(r io.Reader, o Options) (Engine, error) {
 		}
 	}
 
-	shards := make([]Engine, n)
+	clients := make([]ShardClient, n)
 	errs := forEachBounded(n, 0, func(s int) error {
 		eng, err := openEngine(bytes.NewReader(frames[s]), o, true)
 		if err != nil {
@@ -293,7 +294,7 @@ func loadShardedPayload(r io.Reader, o Options) (Engine, error) {
 			return fmt.Errorf("%w: shard is %v, manifest says %v",
 				ErrBadSnapshot, eng.Kind(), m.plans[s].Kind)
 		}
-		shards[s] = eng
+		clients[s] = InprocShard(eng)
 		return nil
 	})
 	for s, err := range errs {
@@ -301,7 +302,14 @@ func loadShardedPayload(r io.Reader, o Options) (Engine, error) {
 			return nil, fmt.Errorf("shard %d: %w", s, err)
 		}
 	}
-	return newShardedEngine(part, shards, m.plans, m.domain), nil
+	e, err := assembleSharded(context.Background(), part, clients, m.plans)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %w", ErrBadSnapshot, err)
+	}
+	if e.domain != m.domain {
+		return nil, fmt.Errorf("%w: shards have domain %d, manifest says %d", ErrBadSnapshot, e.domain, m.domain)
+	}
+	return e, nil
 }
 
 // SplitSnapshot reads a sharded snapshot container from r and emits

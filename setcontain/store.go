@@ -357,18 +357,18 @@ func (it *BatchItem) prepare(sup supporter) {
 	}
 }
 
-// exec answers one prepared item on r: the leaf fast path, the sharded
-// scatter (whole plans pushed down to every shard), or planned
-// evaluation through evr with the batch's subexpression cache. The
-// stats are zero unless a plan ran here.
+// exec answers one prepared item on r: the sharded scatter (the request
+// itself goes to every shard, which plans it against its own supports),
+// the leaf fast path, or planned evaluation through evr with the
+// batch's subexpression cache. The stats are zero for a plain leaf.
 func (it *BatchItem) exec(ctx context.Context, r *Reader, evr *Evaluator, cse *cseState) ([]uint32, ExprEvalStats, error) {
+	if sr, ok := r.r.(*shardedReader); ok {
+		return execSharded(ctx, it, sr)
+	}
 	if it.plan == nil {
 		q, _ := it.asLeaf()
 		ids, err := r.EvalAppend(it.Dst, q)
 		return ids, ExprEvalStats{}, err
-	}
-	if sr, ok := r.r.(*shardedReader); ok {
-		return execSharded(ctx, it.Dst, it.expr(), it.plan, sr, it.Limit)
 	}
 	return evr.run(it.Dst, it.plan, r, cse, it.Limit)
 }

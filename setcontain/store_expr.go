@@ -8,9 +8,9 @@ import (
 
 // What the Store's request core (store.go) plans against and reports
 // to: the support profile cached per store generation, the cumulative
-// planner counters, and the sharded branch that pushes a whole plan
-// down to every shard in parallel and merges the per-shard answers
-// with the partitioner's k-way interleave.
+// planner counters, and the sharded branch that sends a request to
+// every shard in parallel and merges the per-shard answers with the
+// partitioner's k-way interleave.
 
 // exprState is the Store's expression-planning state: the support
 // profile cache, keyed by store generation so mutations invalidate it
@@ -93,52 +93,50 @@ func (s *Store) noteCSE(c *cseState) {
 	s.expr.cseSavedLeaves.Add(int64(c.savedLeaves))
 }
 
-// execSharded evaluates the expression against every shard through
-// the scatter-gather executor and k-way merges the local answers into
-// global id order. The boolean algebra distributes over the partition —
-// the shards hold disjoint record sets, so each shard's local answer
-// (its NOT universe included) is exactly the global answer restricted
-// to that shard — which keeps sharded expression answers byte-identical
-// to single-engine ones while every shard plans, short-circuits, and
-// combines independently.
+// execSharded answers one prepared item on every shard through the
+// scatter-gather executor and k-way merges the local answers into
+// global id order: a plain leaf as the sessions' AppendQuery, anything
+// else as their AppendExpr. The boolean algebra distributes over the
+// partition — the shards hold disjoint record sets, so each shard's
+// local answer (its NOT universe included) is exactly the global answer
+// restricted to that shard — which keeps sharded expression answers
+// byte-identical to single-engine ones while every shard plans against
+// its own supports, short-circuits, and combines independently.
 //
-// A shard whose reader can accept whole expressions (a remote shard
-// client) gets the original expression pushed down and plans it against
-// its own local supports; the rest evaluate the coordinator's plan
-// directly. With n > 0 the limit is pushed per shard — the partitioner
+// With a limit n > 0 the limit is pushed per shard — the partitioner
 // maps each shard's ascending local answer to an ascending global
 // subsequence, so the global first n ids are always contained in the
 // union of the shards' local first n — then the merged answer is
-// truncated.
-func execSharded(ctx context.Context, dst []uint32, expr *Expr, plan *ExprPlan, sr *shardedReader, n int) ([]uint32, ExprEvalStats, error) {
-	stats := make([]ExprEvalStats, len(sr.shards))
-	ids, err := scatterGather(ctx, sr.part, func(cctx context.Context, shard int) ([]uint32, error) {
-		rd := sr.shards[shard]
-		if pe, ok := rd.r.(exprAppender); ok {
-			return pe.AppendExpr(cctx, nil, expr, n)
+// truncated. The stats are the leaf counters of the sessions that can
+// report them (in-process ones): one expression, leaf work summed
+// across the shards that did it.
+func execSharded(ctx context.Context, it *BatchItem, sr *shardedReader) ([]uint32, ExprEvalStats, error) {
+	var total ExprEvalStats
+	if q, leaf := it.asLeaf(); leaf {
+		ids, err := sr.scatterQuery(ctx, q)
+		if err != nil {
+			return nil, total, err
 		}
-		local, st, err := plan.EvalLimitAppend(nil, rd, n)
-		stats[shard] = st
-		return local, err
+		return appendFresh(it.Dst, ids), total, nil
+	}
+	// The closure must not capture it: the item would escape to the heap
+	// on every Store call, sharded or not.
+	expr, n := it.expr(), it.Limit
+	ids, err := scatterGather(ctx, sr.part, func(cctx context.Context, s int) ([]uint32, error) {
+		return sr.sess[s].AppendExpr(cctx, nil, expr, n)
 	})
 	if err != nil {
-		return nil, ExprEvalStats{}, err
+		return nil, total, err
 	}
 	if n > 0 && len(ids) > n {
 		ids = ids[:n]
 	}
-	return append(dst, ids...), sumShardStats(stats), nil
-}
-
-// sumShardStats folds per-shard evaluation stats into one expression's
-// accounting: one expression, leaf work summed across the shards that
-// did it.
-func sumShardStats(stats []ExprEvalStats) ExprEvalStats {
-	var total ExprEvalStats
-	for _, st := range stats {
-		total.EvaluatedLeaves += st.EvaluatedLeaves
-		total.StreamedLeaves += st.StreamedLeaves
-		total.SkippedLeaves += st.SkippedLeaves
+	for _, sess := range sr.sess {
+		if is, ok := sess.(*inprocSession); ok {
+			total.EvaluatedLeaves += is.last.EvaluatedLeaves
+			total.StreamedLeaves += is.last.StreamedLeaves
+			total.SkippedLeaves += is.last.SkippedLeaves
+		}
 	}
-	return total
+	return appendFresh(it.Dst, ids), total, nil
 }

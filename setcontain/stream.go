@@ -26,36 +26,23 @@ import (
 // subtrees — fall back to materialization, which is what makes the
 // streaming answers byte-identical to the materializing evaluator.
 
-// EvalMode selects how a planned evaluation executes its leaves.
-type EvalMode int
-
-const (
-	// EvalAuto uses every streaming capability the target offers:
-	// candidate pushdown into subset leaves under AND, lazy posting
-	// cursors under a limit. Answers are byte-identical to
-	// EvalMaterialize; only the work to produce them differs.
-	EvalAuto EvalMode = iota
-	// EvalMaterialize forces full leaf materialization — the reference
-	// behaviour, and the baseline BenchmarkExprStream measures against.
-	EvalMaterialize
-)
-
 // Evaluator carries the reusable state of planned evaluations: the free
-// list recycling intermediate buffers across calls and the evaluation
-// mode. The zero value streams (EvalAuto) with an empty free list; a
-// long-lived Evaluator reaching steady state evaluates expressions with
-// zero heap allocations on an append-capable target. An Evaluator is
-// not safe for concurrent use — pool them like readers (Store does).
+// list recycling intermediate buffers across calls. The zero value is
+// ready to use and streams — candidate pushdown into subset leaves
+// under AND, lazy posting cursors under a limit, wherever the target
+// offers them; a long-lived Evaluator reaching steady state evaluates
+// expressions with zero heap allocations on an append-capable target.
+// An Evaluator is not safe for concurrent use — pool them like readers
+// (Store does).
 type Evaluator struct {
-	// Mode selects streaming (EvalAuto, the zero value) or forced
-	// materialization (EvalMaterialize).
-	Mode EvalMode
-
 	free [][]uint32
-}
 
-// NewEvaluator returns an evaluator in the given mode.
-func NewEvaluator(mode EvalMode) *Evaluator { return &Evaluator{Mode: mode} }
+	// materialize forces full leaf materialization: the reference the
+	// tests hold the streaming answers byte-identical to, and the
+	// baseline BenchmarkExprStream measures against. Nothing outside the
+	// package's tests sets it.
+	materialize bool
+}
 
 // Eval answers the planned expression against t; see ExprPlan.Eval.
 func (evr *Evaluator) Eval(p *ExprPlan, t Queryable) ([]uint32, ExprEvalStats, error) {
@@ -131,10 +118,10 @@ func (evr *Evaluator) run(dst []uint32, p *ExprPlan, t Queryable, cse *cseState,
 }
 
 // newEval starts one evaluation against t, discovering t's streaming
-// capabilities unless the mode forbids using them.
+// capabilities unless the evaluator is the materializing reference.
 func (evr *Evaluator) newEval(t Queryable) exprEval {
 	ev := exprEval{t: t, owner: evr}
-	if evr.Mode == EvalAuto {
+	if !evr.materialize {
 		ev.within = withinerOf(t)
 		ev.cursors = cursorerOf(t)
 	}

@@ -6,7 +6,10 @@ import (
 	"math/rand"
 	"reflect"
 	"slices"
+	"sort"
 	"testing"
+
+	"repro/internal/dataset"
 )
 
 // withPendingMutations applies the same pending inserts and tombstones
@@ -52,8 +55,8 @@ func TestEvaluatorStreamingMatchesMaterializing(t *testing.T) {
 	idxs := buildAll(t, c)
 	withPendingMutations(t, idxs, c)
 	rng := rand.New(rand.NewSource(2024))
-	streaming := NewEvaluator(EvalAuto)
-	materializing := NewEvaluator(EvalMaterialize)
+	streaming := &Evaluator{}
+	materializing := &Evaluator{materialize: true}
 	for trial := 0; trial < 120; trial++ {
 		e := randExpr(rng, 3, 40)
 		for kind, ix := range idxs {
@@ -405,4 +408,55 @@ func (c tripwire) Err() error {
 		return context.Canceled
 	}
 	return nil
+}
+
+// BenchmarkExprStreamMaterializing is the baseline of the root package's
+// BenchmarkExprStream: the same workload — a warm OIF over the §5
+// synthetic data at 50 000 records, 64 planned ANDs of two hot subset
+// leaves — through the materializing reference evaluator, which decodes
+// the second leg's full list and intersects where the streaming one
+// pushes the accumulator down as candidates. It lives here because the
+// reference is not a public choice.
+func BenchmarkExprStreamMaterializing(b *testing.B) {
+	d, err := dataset.GenerateSynthetic(dataset.DefaultSynthetic(50_000))
+	if err != nil {
+		b.Fatal(err)
+	}
+	idx, err := New(WrapDataset(d), WithKind(OIF), WithCachePages(4096))
+	if err != nil {
+		b.Fatal(err)
+	}
+	prof := idx.Supports()
+	var hot []Item
+	for it, n := range prof.PerItem {
+		if n > 0 {
+			hot = append(hot, Item(it))
+		}
+	}
+	sort.Slice(hot, func(i, j int) bool { return prof.Support(hot[i]) > prof.Support(hot[j]) })
+	hot = hot[:len(hot)/10+1]
+	rng := rand.New(rand.NewSource(43))
+	plans := make([]*ExprPlan, 64)
+	for i := range plans {
+		a := hot[rng.Intn(len(hot))]
+		c := hot[rng.Intn(len(hot)/2)]
+		e := And(ExprOf(SubsetQuery([]Item{a})), ExprOf(SubsetQuery([]Item{c})))
+		if plans[i], err = PlanExpr(e, prof); err != nil {
+			b.Fatal(err)
+		}
+	}
+	ev := &Evaluator{materialize: true}
+	dst := make([]uint32, 0, 4096)
+	for _, p := range plans { // warm-up: pages, free list, dst
+		if dst, _, err = ev.EvalAppend(dst[:0], p, idx); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if dst, _, err = ev.EvalAppend(dst[:0], plans[i%len(plans)], idx); err != nil {
+			b.Fatal(err)
+		}
+	}
 }

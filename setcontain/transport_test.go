@@ -48,8 +48,11 @@ type transportVariant struct {
 
 // buildTransportVariants stands up the four stacks over identical data.
 // Each variant gets its own engines — mutations must not alias across
-// variants — and the HTTP one gets a live httptest daemon per shard.
-func buildTransportVariants(t *testing.T, sets [][]setcontain.Item, domain, shards int) []*transportVariant {
+// variants — and the HTTP one gets a live httptest daemon per shard. A
+// non-nil wrap decorates every shard client of the three sharded stacks
+// (fault injection, see fault_test.go).
+func buildTransportVariants(t *testing.T, sets [][]setcontain.Item, domain, shards int,
+	wrap func(variant string, shard int, c setcontain.ShardClient) setcontain.ShardClient) []*transportVariant {
 	t.Helper()
 	build := func(kind setcontain.Kind) *setcontain.Index {
 		c := setcontain.NewCollection(domain)
@@ -82,8 +85,12 @@ func buildTransportVariants(t *testing.T, sets [][]setcontain.Item, domain, shar
 	}
 	addOverClients := func(name string, client func(eng setcontain.Engine) setcontain.ShardClient) {
 		var clients []setcontain.ShardClient
-		for _, eng := range setcontain.ShardEngines(build(setcontain.Sharded).Engine()) {
-			clients = append(clients, client(eng))
+		for s, eng := range setcontain.ShardEngines(build(setcontain.Sharded).Engine()) {
+			c := client(eng)
+			if wrap != nil {
+				c = wrap(name, s, c)
+			}
+			clients = append(clients, c)
 		}
 		idx, err := setcontain.ShardedOverClients(context.Background(), clients)
 		if err != nil {
@@ -92,7 +99,13 @@ func buildTransportVariants(t *testing.T, sets [][]setcontain.Item, domain, shar
 		add(name, idx, clients)
 	}
 	add("single", build(setcontain.OIF), nil)
-	add("sharded", build(setcontain.Sharded), nil)
+	sharded := build(setcontain.Sharded)
+	if wrap != nil {
+		setcontain.WrapShardClients(sharded, func(s int, c setcontain.ShardClient) setcontain.ShardClient {
+			return wrap("sharded", s, c)
+		})
+	}
+	add("sharded", sharded, nil)
 	addOverClients("inproc", setcontain.InprocShard)
 	addOverClients("http", func(eng setcontain.Engine) setcontain.ShardClient {
 		_, _, url := serveOver(setcontain.IndexOver(eng))
@@ -332,7 +345,7 @@ func TestTransportEquivalence(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	variants := buildTransportVariants(t, sets, domain, shards)
+	variants := buildTransportVariants(t, sets, domain, shards, nil)
 
 	var ops []transportOp
 	preds := []setcontain.Predicate{setcontain.PredicateSubset, setcontain.PredicateEquality, setcontain.PredicateSuperset}
@@ -477,7 +490,7 @@ func TestTransportConcurrentCancel(t *testing.T) {
 	for i := range sets {
 		sets[i] = z.SampleDistinct(rng, 1+rng.Intn(6))
 	}
-	variants := buildTransportVariants(t, sets, domain, shards)
+	variants := buildTransportVariants(t, sets, domain, shards, nil)
 	single, remote := variants[0].store, variants[3].store
 
 	queries := make([]setcontain.Query, 120)

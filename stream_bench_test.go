@@ -2,7 +2,7 @@ package repro
 
 // Streaming-execution benchmarks. BenchmarkExprStream runs the
 // streaming evaluator (AND-leg candidate pushdown through a persistent
-// free list) against the materializing baseline.
+// free list).
 // BenchmarkExprLimit measures LIMIT-driven early exit on an
 // inverted-file index, where lazy posting cursors abandon the undecoded
 // list tails after the first ids. BenchmarkExprCSE measures the
@@ -73,51 +73,44 @@ func exprStreamFixture(tb testing.TB) (*setcontain.Index, []*setcontain.ExprPlan
 	return idx, plans
 }
 
-// BenchmarkExprStream compares the streaming evaluator to the
-// materializing one on an AND workload whose second leg stays non-empty
-// (a hot pair, not a cold triple), so the intersection is real work in
-// both modes: the materializing path decodes the second leg's full list
-// and intersects, the streaming path pushes the accumulator down as
-// candidates and only confirms those. Both sub-benchmarks reuse one
-// evaluator and one answer buffer — the streaming side's steady state
-// must allocate nothing (TestExprAllocCeilings holds it to that).
+// BenchmarkExprStream times the streaming evaluator on an AND workload
+// whose second leg stays non-empty (a hot pair, not a cold triple), so
+// the intersection is real work: the accumulator is pushed down as
+// candidates and only those are confirmed, where the materializing
+// reference decodes the second leg's full list and intersects (that
+// baseline is BenchmarkExprStreamMaterializing in setcontain's own
+// tests — the reference evaluator is not public). One evaluator and one
+// answer buffer are reused — the steady state must allocate nothing
+// (TestExprAllocCeilings holds it to that).
 func BenchmarkExprStream(b *testing.B) {
 	idx, plans := exprStreamFixture(b)
 	var err error
-	for _, mode := range []struct {
-		name string
-		mode setcontain.EvalMode
-	}{
-		{"streaming", setcontain.EvalAuto},
-		{"materializing", setcontain.EvalMaterialize},
-	} {
-		b.Run(mode.name, func(b *testing.B) {
-			ev := setcontain.NewEvaluator(mode.mode)
-			dst := make([]uint32, 0, 4096)
-			// Warm-up: touch every page, grow the free list and dst to
-			// their high-water marks.
-			for _, p := range plans {
-				if dst, _, err = ev.EvalAppend(dst[:0], p, idx); err != nil {
-					b.Fatal(err)
-				}
+	b.Run("streaming", func(b *testing.B) {
+		var ev setcontain.Evaluator
+		dst := make([]uint32, 0, 4096)
+		// Warm-up: touch every page, grow the free list and dst to
+		// their high-water marks.
+		for _, p := range plans {
+			if dst, _, err = ev.EvalAppend(dst[:0], p, idx); err != nil {
+				b.Fatal(err)
 			}
-			var streamed, evaluated int
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				var st setcontain.ExprEvalStats
-				if dst, st, err = ev.EvalAppend(dst[:0], plans[i%len(plans)], idx); err != nil {
-					b.Fatal(err)
-				}
-				streamed += st.StreamedLeaves
-				evaluated += st.EvaluatedLeaves
+		}
+		var streamed, evaluated int
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			var st setcontain.ExprEvalStats
+			if dst, st, err = ev.EvalAppend(dst[:0], plans[i%len(plans)], idx); err != nil {
+				b.Fatal(err)
 			}
-			b.StopTimer()
-			if evaluated > 0 {
-				b.ReportMetric(float64(streamed)/float64(evaluated), "streamed-leaf-rate")
-			}
-		})
-	}
+			streamed += st.StreamedLeaves
+			evaluated += st.EvaluatedLeaves
+		}
+		b.StopTimer()
+		if evaluated > 0 {
+			b.ReportMetric(float64(streamed)/float64(evaluated), "streamed-leaf-rate")
+		}
+	})
 }
 
 // exprLimitFixture is BenchmarkExprLimit's workload: a warm inverted
@@ -150,7 +143,7 @@ func exprLimitFixture(tb testing.TB) (*setcontain.Index, []*setcontain.ExprPlan)
 func BenchmarkExprLimit(b *testing.B) {
 	idx, plans := exprLimitFixture(b)
 	var err error
-	ev := setcontain.NewEvaluator(setcontain.EvalAuto)
+	var ev setcontain.Evaluator
 	dst := make([]uint32, 0, 4096)
 	for _, p := range plans {
 		if dst, _, err = ev.EvalAppend(dst[:0], p, idx); err != nil {
