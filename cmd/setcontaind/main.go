@@ -31,10 +31,11 @@
 //	setcontaind -synthetic 100000 -wal-dir /var/lib/setcontain -fsync always
 //
 // The daemon also runs distributed. A shard daemon holds one slice of a
-// round-robin partition; a coordinator fans queries out to shard
-// daemons as an ordinary client of their public API — /healthz, POST
-// /query, /admin/* — plus GET /shard/supports for its planner, and
-// merges their answers:
+// round-robin partition; a coordinator is a router: it validates each
+// request, forwards it to every shard daemon as an ordinary client of
+// their public API — /healthz, POST /query, /admin/* and nothing else;
+// each shard plans the request against its own supports — and merges
+// their answers:
 //
 //	setcontaind -addr :8081 -synthetic 100000 -shard-of 0 -shard-count 2 -index oif
 //	setcontaind -addr :8082 -synthetic 100000 -shard-of 1 -shard-count 2 -index oif
@@ -51,10 +52,8 @@
 //
 // Endpoints: POST /query (batch, NDJSON answers), GET /query?q=…,
 // GET /stream?q=… (the same, flushed per chunk), GET /stats,
-// GET /healthz, the mutation surface
-// POST /admin/{insert,delete,merge,snapshot,checkpoint}, and
-// GET /shard/supports (the per-item support table a coordinator's
-// planner sums across shards). Try it:
+// GET /healthz, and the mutation surface
+// POST /admin/{insert,delete,merge,snapshot,checkpoint}. Try it:
 //
 //	curl -sg 'localhost:8080/query?q=subset{3+17}'
 //	curl -s -d '{"queries":[{"pred":"superset","items":[1,2,3]}]}' localhost:8080/query
@@ -131,7 +130,7 @@ func main() {
 		maxBatch    = flag.Int("maxbatch", 0, "max queries per coalesced dispatch (0 = 64)")
 		maxPending  = flag.Int("maxpending", 0, "admission bound on queued queries (0 = 4x maxbatch)")
 		dispatchers = flag.Int("dispatchers", 0, "concurrent batch executors (0 = GOMAXPROCS)")
-		chunk       = flag.Int("chunk", 0, "ids per NDJSON response line (0 = 4096)")
+		chunk       = flag.Int("chunk", 0, "ids per NDJSON response line (0 = 4096; a coordinator refuses a line over 1 MiB, about 95 000 ids)")
 	)
 	flag.Parse()
 
@@ -295,7 +294,7 @@ func main() {
 		}
 	}()
 
-	log.Printf("serving on %s (POST /query, GET /query?q=…, /stream, /stats, /healthz, /admin/*, /shard/supports)", *addr)
+	log.Printf("serving on %s (POST /query, GET /query?q=…, /stream, /stats, /healthz, /admin/*)", *addr)
 	if err := hs.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
 		log.Fatalf("setcontaind: %v", err)
 	}

@@ -100,11 +100,3 @@ type InsertResponse struct {
 type DeleteRequest struct {
 	IDs []uint32 `json:"ids"`
 }
-
-// ShardSupportsResponse is the GET /shard/supports body: the shard's
-// per-item support table, Supports[i] counting the merged records that
-// contain item i (see Engine.ItemSupports).
-type ShardSupportsResponse struct {
-	Domain   int     `json:"domain"`
-	Supports []int64 `json:"supports"`
-}

@@ -2,8 +2,9 @@
 # scatter-smoke: prove the distributed serving path end-to-end. Start
 # two shard daemons (each holding its round-robin slice of the same
 # synthetic dataset) and a coordinator fanning out to them as an
-# ordinary client of their public API (/healthz, POST /query, /admin/*,
-# plus GET /shard/supports), drive mixed query/expression/limit traffic
+# ordinary client of their public API (/healthz, POST /query, /admin/*
+# and nothing else: a shard daemon has no shard-only route, which the
+# 404 check below pins), drive mixed query/expression/limit traffic
 # through the coordinator, a single-node daemon and a daemon holding the
 # same two shards in process (-index sharded -shards 2: the code the
 # coordinator runs, over the other transport, so a divergence between
@@ -11,7 +12,8 @@
 # answers — before mutations, with pending inserts and a delete, and
 # after the delta merge. Then kill -9 one shard daemon and
 # require the coordinator to answer with a clean partial-failure error
-# naming the dead shard. Exercised by `make scatter-smoke` and the CI
+# naming the dead shard, and its own /stats to keep answering (it never
+# reaches into a shard). Exercised by `make scatter-smoke` and the CI
 # matrix.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -74,6 +76,14 @@ shard1_pid=${pids[3]}
 single="http://127.0.0.1:$single_port"
 coord="http://127.0.0.1:$coord_port"
 local_sharded="http://127.0.0.1:$local_port"
+
+# The coordinator is a router: a shard plans for itself, so the route
+# that used to ship its support table is gone.
+status=$(curl -s -o /dev/null -w '%{http_code}' "http://127.0.0.1:$shard0_port/shard/supports")
+if [ "$status" != 404 ]; then
+    echo "scatter-smoke: GET /shard/supports on a shard daemon answered $status, want 404" >&2
+    exit 1
+fi
 
 # Mixed traffic: plain predicates, boolean expressions, and limits.
 # (+ encodes a space in the query string; -g keeps curl from globbing
@@ -146,5 +156,11 @@ case "$resp" in
     echo "scatter-smoke: expected a shard 1 error from the coordinator, got: $resp" >&2
     exit 1 ;;
 esac
+# The coordinator's own /stats touches no shard, dead or alive.
+if ! stats=$(curl -sf --max-time 2 "$coord/stats") || [[ "$stats" != *'"planner"'* ]]; then
+    echo "scatter-smoke: coordinator /stats did not answer within 2 s of a shard dying: $stats" >&2
+    exit 1
+fi
+echo "scatter-smoke: coordinator /stats still answers with shard 1 dead"
 
 echo "scatter-smoke: ok"

@@ -6,11 +6,13 @@
 package setcontain_test
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
 	"io"
 	"math/rand"
+	"net/http"
 	"slices"
 	"sync"
 	"testing"
@@ -18,6 +20,7 @@ import (
 
 	"repro/internal/dataset"
 	"repro/setcontain"
+	"repro/setcontain/serve"
 )
 
 var errInjected = errors.New("injected shard failure")
@@ -41,11 +44,15 @@ type shardFault struct {
 type faultBoard struct {
 	mu    sync.Mutex
 	armed *shardFault
+	// held receives a token when a call starts sitting out a delay: how
+	// a test knows the call is in flight.
+	held chan struct{}
 }
 
 func (b *faultBoard) arm(f shardFault) {
 	b.mu.Lock()
 	b.armed = &f
+	b.held = make(chan struct{}, 1)
 	b.mu.Unlock()
 }
 
@@ -65,6 +72,13 @@ func (b *faultBoard) match(call string, shard int) *shardFault {
 	return nil
 }
 
+// holding returns the armed fault's held channel.
+func (b *faultBoard) holding() chan struct{} {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.held
+}
+
 // before applies the delay and failure modes ahead of a call.
 func (b *faultBoard) before(ctx context.Context, call string, shard int) error {
 	f := b.match(call, shard)
@@ -72,6 +86,10 @@ func (b *faultBoard) before(ctx context.Context, call string, shard int) error {
 		return nil
 	}
 	if f.delay > 0 {
+		select {
+		case b.holding() <- struct{}{}:
+		default:
+		}
 		select {
 		case <-time.After(f.delay):
 		case <-ctx.Done():
@@ -91,6 +109,23 @@ func (b *faultBoard) after(call string, shard, base int, ids []uint32, err error
 		return ids[:base+(len(ids)-base)/2], errInjected
 	}
 	return ids, err
+}
+
+// daemon puts the board in front of one shard daemon's handler, so a
+// fault named "METHOD /path" delays or fails that request on the far
+// side of the wire — with the coordinator's call to it in flight.
+func (b *faultBoard) daemon(shard int, h http.Handler) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		// net/http watches for the peer hanging up — which is what ends
+		// r.Context() — only once the request body has been read out.
+		body, _ := io.ReadAll(r.Body)
+		r.Body = io.NopCloser(bytes.NewReader(body))
+		if err := b.before(r.Context(), r.Method+" "+r.URL.Path, shard); err != nil {
+			http.Error(w, err.Error(), http.StatusInternalServerError)
+			return
+		}
+		h.ServeHTTP(w, r)
+	})
 }
 
 // faultyClient decorates one shard's client.
@@ -116,13 +151,6 @@ func (c *faultyClient) Session(cachePages int) (setcontain.ShardSession, error) 
 		return nil, err
 	}
 	return &faultySession{sess, c.board, c.shard}, nil
-}
-
-func (c *faultyClient) ItemSupports(ctx context.Context) ([]int64, error) {
-	if err := c.board.before(ctx, "ItemSupports", c.shard); err != nil {
-		return nil, err
-	}
-	return c.ShardClient.ItemSupports(ctx)
 }
 
 func (c *faultyClient) Insert(ctx context.Context, set []setcontain.Item) (uint32, error) {
@@ -291,14 +319,11 @@ func TestShardFaults(t *testing.T) {
 	leaf, _ := ops[0].expr.AsQuery()
 	tree := ops[len(ops)-1].expr
 
-	boards := map[string]*faultBoard{}
+	boards := map[string]*faultBoard{"sharded": {}, "inproc": {}, "http": {}}
 	variants := buildTransportVariants(t, sets, domain, shards,
 		func(variant string, s int, c setcontain.ShardClient) setcontain.ShardClient {
-			if boards[variant] == nil {
-				boards[variant] = &faultBoard{}
-			}
 			return &faultyClient{c, boards[variant], s}
-		})
+		}, boards["http"].daemon)
 
 	ctx := context.Background()
 	// outcome says what a case's drive must come to: fail, succeed, or
@@ -339,6 +364,53 @@ func TestShardFaults(t *testing.T) {
 			return answered(dctx, v, o, op)
 		}
 	}
+	// itemDeadline sends op twice in one batch under a live batch ctx: the
+	// first item's own ctx expires while the victim sits out its delay and
+	// must fail with that ctx's error; its batchmate waits the delay out
+	// and must be answered in full.
+	itemDeadline := func(op transportOp) func(*transportVariant, *naiveOracle) error {
+		return func(v *transportVariant, o *naiveOracle) error {
+			dctx, cancel := context.WithTimeout(ctx, time.Millisecond)
+			defer cancel()
+			items := []setcontain.BatchItem{
+				{Ctx: dctx, Expr: op.expr, Limit: op.limit},
+				{Expr: op.expr, Limit: op.limit},
+			}
+			if n, err := v.store.ExecBatchAppend(ctx, items); n != len(items) || err != nil {
+				return fmt.Errorf("batch stopped after %d of %d items: %v", n, len(items), err)
+			}
+			if mate := items[1]; mate.Err != nil || !slices.Equal(mate.Out, o.answer(t, op)) {
+				t.Errorf("%s: batchmate of an expired item got %v, %v; oracle says %v", v.name, mate.Out, mate.Err, o.answer(t, op))
+			}
+			if err := items[0].Err; !errors.Is(err, context.DeadlineExceeded) || items[0].Out != nil {
+				t.Errorf("%s: expired item got %v, %v; want no answer and its own ctx's DeadlineExceeded", v.name, items[0].Out, err)
+			}
+			return items[0].Err
+		}
+	}
+	// batchClosed closes a batcher while its one request is in flight on
+	// the victim: the batch ctx is all that can end the shard calls, and
+	// Close must not have to wait the delay out.
+	batchClosed := func(op transportOp) func(*transportVariant, *naiveOracle) error {
+		return func(v *transportVariant, _ *naiveOracle) error {
+			b := serve.NewBatcher(v.store, serve.Config{})
+			failed := make(chan error, 1)
+			go func() {
+				ids, err := b.DoExprLimit(ctx, nil, op.expr, op.limit)
+				if !errors.Is(err, serve.ErrClosed) && !errors.Is(err, context.Canceled) {
+					t.Errorf("%s: request in flight at Close got %v, %v; want ErrClosed or the batch ctx's Canceled", v.name, ids, err)
+				}
+				failed <- err
+			}()
+			<-boards[v.name].holding()
+			start := time.Now()
+			b.Close()
+			if took := time.Since(start); took > time.Second {
+				t.Errorf("%s: Batcher.Close took %v with a shard call in flight: the batch ctx did not end it", v.name, took)
+			}
+			return <-failed
+		}
+	}
 	plainOp, treeOp := transportOp{expr: setcontain.ExprOf(leaf)}, transportOp{expr: tree, limit: 5}
 	cases := []faultCase{
 		{shardFault{call: "Info", shard: victim, fail: true}, mustFail, false,
@@ -352,9 +424,15 @@ func TestShardFaults(t *testing.T) {
 		{shardFault{call: "AppendExpr", shard: victim, fail: true}, mustFail, true, query(treeOp)},
 		{shardFault{call: "AppendExpr", shard: victim, truncate: true}, mustFail, true, query(treeOp)},
 		{shardFault{call: "AppendExpr", shard: victim, delay: 20 * time.Millisecond}, either, false, underDeadline(treeOp)},
-		// Without a support table the planner costs uniformly; the answer
-		// does not change.
-		{shardFault{call: "ItemSupports", shard: victim, fail: true}, mustSucceed, false, query(treeOp)},
+		// Cancellation is the call's ctx and nothing else: an item's own,
+		// the batch's, or the scatter's when a sibling fails while the
+		// in-process shards beside it are evaluating.
+		{shardFault{call: "AppendQuery", shard: victim, delay: 20 * time.Millisecond}, mustFail, false, itemDeadline(plainOp)},
+		{shardFault{call: "AppendExpr", shard: victim, delay: 20 * time.Millisecond}, mustFail, false, itemDeadline(treeOp)},
+		{shardFault{call: "AppendQuery", shard: victim, delay: time.Minute}, mustFail, false, batchClosed(plainOp)},
+		{shardFault{call: "AppendExpr", shard: victim, delay: time.Minute}, mustFail, false, batchClosed(treeOp)},
+		{shardFault{call: "POST /query", shard: victim, delay: time.Minute}, mustFail, false, batchClosed(treeOp)},
+		{shardFault{call: "AppendExpr", shard: victim, delay: time.Millisecond, fail: true}, mustFail, true, query(treeOp)},
 		{shardFault{call: "Insert", shard: -1, fail: true}, mustFail, false,
 			func(v *transportVariant, _ *naiveOracle) error {
 				_, err := v.store.InsertSets([][]setcontain.Item{{1, 2, 3}})
@@ -431,6 +509,9 @@ func TestShardFaults(t *testing.T) {
 		}
 		settled("built")
 		for _, c := range cases {
+			if c.fault.call == "POST /query" && v.name != "http" {
+				continue // only the HTTP stack has a far side of the wire
+			}
 			name := fmt.Sprintf("%s on shard %d (%+v)", c.fault.call, c.fault.shard, c.fault)
 			records, pending, deleted := v.idx.NumRecords(), v.idx.PendingInserts(), v.idx.Deleted()
 			v.store.Refresh() // the fault must meet a fresh reader and support profile

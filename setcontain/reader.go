@@ -78,21 +78,13 @@ func (r *Reader) CacheStats() CacheStats { return cacheStatsOf(r.r.Stats()) }
 // ResetCacheStats zeroes this reader's statistics.
 func (r *Reader) ResetCacheStats() { r.r.ResetStats() }
 
-// interruptPropagator is implemented by composite readers (the sharded
-// reader) that must install the cancellation hook on several pools.
-type interruptPropagator interface {
-	setInterrupt(fn func() error)
-}
-
 // setInterrupt installs fn as the reader's cancellation check, consulted
-// by its buffer pool between list-block reads. Store.Exec wires a
-// context's Err here for the duration of a query. Composite readers
-// propagate the hook to every shard pool, so fn must tolerate concurrent
-// calls.
+// by its buffer pool between list-block reads. Store.run and the
+// in-process shard session wire a context's Err here for the duration
+// of a query. A sharded reader has no pool of its own to arm — its
+// sessions stop on the ctx each call carries.
 func (r *Reader) setInterrupt(fn func() error) {
-	if p, ok := r.r.(interruptPropagator); ok {
-		p.setInterrupt(fn)
-		return
+	if p := r.r.Pool(); p != nil {
+		p.SetInterrupt(fn)
 	}
-	r.r.Pool().SetInterrupt(fn)
 }

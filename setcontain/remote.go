@@ -1,15 +1,16 @@
 package setcontain
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"strings"
-	"sync"
 	"time"
 
 	"repro/internal/wire"
@@ -26,31 +27,41 @@ import (
 //	Delete             POST /admin/delete    one shard-local id
 //	MergeDelta         POST /admin/merge
 //	Snapshot           POST /admin/snapshot  -> binary snapshot container
-//	ItemSupports       GET  /shard/supports  -> wire.ShardSupportsResponse
 //
-// Only the last is shard-specific: a coordinator's planner needs the
-// exact per-item support table, which no client-facing answer carries.
-// Queries travel in the setcontain.ParseExpr grammar (Query.String and
+// None of it is shard-specific: the daemon plans every request against
+// its own supports, so no planner state crosses the wire. Queries
+// travel in the setcontain.ParseExpr grammar (Query.String and
 // Expr.String render it), so the daemon's parser is the single wire
 // authority, and answers stream back as ascending shard-local ids.
-// Cancellation is end-to-end: aborting the request closes the HTTP
-// stream, which cancels the daemon's request context, which interrupts
-// the shard's evaluation between list-block reads.
+// Cancellation is the call's ctx, end to end: when it ends net/http
+// aborts the request, which closes the stream, which cancels the
+// daemon's request context, which interrupts the shard's evaluation
+// between list-block reads.
 
-// interruptPollInterval is how often an in-flight remote call polls the
-// session's interrupt hook. The hook is a poll-style func (the Store's
-// reusable context check), so a watchdog converts it into request
-// cancellation; fast queries finish before the first tick.
-const interruptPollInterval = 2 * time.Millisecond
+// shardDialTimeout bounds connecting to a shard daemon through the
+// default client: a black-holed shard fails the call at the dial, not
+// at the caller's context (which may have no deadline at all).
+const shardDialTimeout = 5 * time.Second
+
+// maxAnswerLine caps one NDJSON line of a shard's answer, so a broken
+// or hostile shard cannot grow a coordinator's read buffer unbounded. A
+// daemon writes its chunk of ids a line — 4096 by default, under 48 KB
+// at eleven bytes an id — so 1 MiB leaves a larger -chunk twentyfold room.
+const maxAnswerLine = 1 << 20
 
 // NewRemoteShard returns a ShardClient for the shard daemon at baseURL
 // (e.g. "http://127.0.0.1:7411"). hc is the HTTP client to use; nil
-// selects a dedicated client with no overall timeout — per-call
-// deadlines come from the caller's contexts, and streaming queries may
+// selects a dedicated client that gives up on a connection attempt
+// after shardDialTimeout and has no other timeout — per-call deadlines
+// come from the caller's contexts, and streaming queries may
 // legitimately run long.
 func NewRemoteShard(baseURL string, hc *http.Client) ShardClient {
 	if hc == nil {
-		hc = &http.Client{}
+		hc = &http.Client{Transport: &http.Transport{
+			Proxy:           http.ProxyFromEnvironment,
+			DialContext:     (&net.Dialer{Timeout: shardDialTimeout, KeepAlive: 30 * time.Second}).DialContext,
+			IdleConnTimeout: 90 * time.Second,
+		}}
 	}
 	return &remoteClient{base: strings.TrimRight(baseURL, "/"), hc: hc}
 }
@@ -90,21 +101,10 @@ func (c *remoteClient) Info(ctx context.Context) (ShardInfo, error) {
 }
 
 // Session opens a data-plane session. The protocol is stateless per
-// call, so sessions carry only the interrupt hook; cachePages is the
+// call, so a session carries nothing but its client; cachePages is the
 // daemon's concern and is ignored here.
 func (c *remoteClient) Session(int) (ShardSession, error) {
 	return &remoteSession{c: c}, nil
-}
-
-func (c *remoteClient) ItemSupports(ctx context.Context) ([]int64, error) {
-	var w wire.ShardSupportsResponse
-	if err := c.do(ctx, http.MethodGet, "/shard/supports", nil, &w); err != nil {
-		return nil, err
-	}
-	if len(w.Supports) != w.Domain {
-		return nil, c.attribute(fmt.Errorf("supports table has %d entries, domain is %d", len(w.Supports), w.Domain))
-	}
-	return w.Supports, nil
 }
 
 func (c *remoteClient) Insert(ctx context.Context, set []Item) (uint32, error) {
@@ -199,31 +199,10 @@ func (c *remoteClient) do(ctx context.Context, method, path string, in, out any)
 	return nil
 }
 
-// remoteSession is the data plane: one streaming query at a time, with
-// the Store's interrupt hook converted into HTTP request cancellation
-// by a per-call watchdog.
+// remoteSession is the data plane: one streaming query at a time, each
+// an HTTP request under the call's ctx.
 type remoteSession struct {
 	c *remoteClient
-
-	mu        sync.Mutex
-	interrupt func() error
-}
-
-func (s *remoteSession) SetInterrupt(fn func() error) {
-	s.mu.Lock()
-	s.interrupt = fn
-	s.mu.Unlock()
-}
-
-// check consults the installed interrupt hook, if any.
-func (s *remoteSession) check() error {
-	s.mu.Lock()
-	fn := s.interrupt
-	s.mu.Unlock()
-	if fn == nil {
-		return nil
-	}
-	return fn()
 }
 
 func (s *remoteSession) AppendQuery(ctx context.Context, dst []uint32, q Query) ([]uint32, error) {
@@ -246,44 +225,41 @@ func (s *remoteSession) AppendExpr(ctx context.Context, dst []uint32, expr *Expr
 }
 
 // appendWire posts one query spec and appends the streamed answer to
-// dst.
+// dst. A failure is the caller's own ctx error when that is what ended
+// the call, else the failure itself, naming the shard.
 func (s *remoteSession) appendWire(ctx context.Context, dst []uint32, spec wire.QuerySpec) ([]uint32, error) {
-	if err := s.check(); err != nil {
-		return nil, err
-	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	cctx, stop := s.watch(ctx)
-	defer stop()
-	resp, err := s.c.send(cctx, http.MethodPost, "/query", wire.QueryRequest{Queries: []wire.QuerySpec{spec}})
-	if err != nil {
-		return nil, s.failure(ctx, err)
+	resp, err := s.c.send(ctx, http.MethodPost, "/query", wire.QueryRequest{Queries: []wire.QuerySpec{spec}})
+	if err == nil {
+		defer resp.Body.Close()
+		dst, err = readAnswer(dst, resp.Body)
 	}
-	defer resp.Body.Close()
-	ids, err := readAnswer(dst, resp.Body, s.check)
-	if err != nil {
-		return nil, s.failure(ctx, err)
+	if err == nil {
+		return dst, nil
 	}
-	return ids, nil
+	if ctx.Err() != nil {
+		return nil, ctx.Err()
+	}
+	return nil, s.c.attribute(err)
 }
 
-// readAnswer appends the NDJSON answer of a one-query request to dst,
-// consulting check between lines. It returns the complete answer or an
-// error, never a prefix: the stream must reach a final line whose count
-// matches what was received (a daemon that died mid-answer fails the
-// call), every line must belong to query 0 (the only one sent), and an
-// error line — how the daemon reports a query that failed executing —
-// fails the call with the daemon's message.
-func readAnswer(dst []uint32, body io.Reader, check func() error) ([]uint32, error) {
-	dec := json.NewDecoder(body)
+// readAnswer appends the NDJSON answer of a one-query request to dst.
+// It returns the complete answer or an error, never a prefix: the
+// stream must reach a final line whose count matches what was received
+// (a daemon that died mid-answer fails the call), every line must be
+// one wire.Result of at most maxAnswerLine bytes belonging to query 0
+// (the only one sent), and an error line — how the daemon reports a
+// query that failed executing — fails the call with the daemon's
+// message. A ctx that ends mid-answer fails the body's next read.
+func readAnswer(dst []uint32, body io.Reader) ([]uint32, error) {
+	lines := bufio.NewScanner(body)
+	lines.Buffer(nil, maxAnswerLine+1) // the scanner's limit counts the newline
 	base := len(dst)
-	for {
+	for lines.Scan() {
 		var line wire.Result
-		if err := dec.Decode(&line); err != nil {
-			if errors.Is(err, io.EOF) {
-				return nil, errors.New("answer stream ended before its final line")
-			}
+		if err := json.Unmarshal(lines.Bytes(), &line); err != nil {
 			return nil, err
 		}
 		if line.Query != 0 {
@@ -299,70 +275,13 @@ func readAnswer(dst []uint32, body io.Reader, check func() error) ([]uint32, err
 			}
 			return dst, nil
 		}
-		if err := check(); err != nil {
-			return nil, err
-		}
 	}
-}
-
-// failure maps a failed call to what the caller should see: the
-// interrupt hook's error (the Store ctx that tripped the watchdog), the
-// caller's own ctx error, then the failure itself, naming the shard.
-func (s *remoteSession) failure(ctx context.Context, err error) error {
-	if herr := s.check(); herr != nil {
-		return herr
+	if err := lines.Err(); errors.Is(err, bufio.ErrTooLong) {
+		return nil, fmt.Errorf("answer line exceeds %d bytes", maxAnswerLine)
+	} else if err != nil {
+		return nil, err
 	}
-	if cerr := ctx.Err(); cerr != nil {
-		return cerr
-	}
-	return s.c.attribute(err)
-}
-
-// watch converts the poll-style interrupt hook into context
-// cancellation for the duration of one call: a goroutine polls the hook
-// and cancels the derived context when it trips, which closes the HTTP
-// stream and propagates the cancellation to the daemon. Without a hook
-// installed the caller's ctx is returned untouched and no goroutine
-// starts.
-func (s *remoteSession) watch(ctx context.Context) (context.Context, func()) {
-	s.mu.Lock()
-	hooked := s.interrupt != nil
-	s.mu.Unlock()
-	if !hooked {
-		return ctx, func() {}
-	}
-	cctx, cancel := context.WithCancel(ctx)
-	done := make(chan struct{})
-	stopped := make(chan struct{})
-	go func() {
-		defer close(stopped)
-		ticker := time.NewTicker(interruptPollInterval)
-		defer ticker.Stop()
-		for {
-			select {
-			case <-done:
-				return
-			case <-cctx.Done():
-				return
-			case <-ticker.C:
-				if s.check() != nil {
-					cancel()
-					return
-				}
-			}
-		}
-	}()
-	var once sync.Once
-	// stop waits for the watchdog to exit: the hook closure reads state
-	// the caller (the Store's reader lifecycle) mutates right after the
-	// call returns, so a merely-signaled watchdog could still be mid-poll.
-	return cctx, func() {
-		once.Do(func() {
-			close(done)
-			cancel()
-			<-stopped
-		})
-	}
+	return nil, errors.New("answer stream ended before its final line")
 }
 
 func (s *remoteSession) Stats() CacheStats { return CacheStats{} }

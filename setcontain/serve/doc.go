@@ -56,9 +56,10 @@
 // A coordinator (setcontain.ConnectShards) reaches a shard daemon
 // through these same routes — /healthz for identity, POST /query with
 // one spec per call, /admin/* for mutations and snapshots — so its
-// traffic batches, saturates and is logged like any client's. GET
-// /shard/supports, the exact per-item support table its planner sums
-// across shards, is the only route of its own.
+// traffic batches, saturates and is logged like any client's. It has no
+// route of its own: it validates a request and forwards it, and the
+// shard plans it against its own supports, so a coordinator's /stats
+// never reaches into a shard (its planner.theta reads 0).
 //
 // Each mutation refreshes the store, so answers served after the
 // response reflect it. The snapshot body is what `setcontaind
@@ -70,7 +71,8 @@
 // additionally flushes each chunk to the client as it is written.
 // Admission is bounded: when Config.MaxPending queries are already
 // queued, new ones are refused with ErrSaturated (HTTP 429) instead of
-// growing an unbounded backlog, and every request's context deadline
-// propagates into the Store's interrupt hook, so a disconnected or
-// expired client stops its query mid-scan.
+// growing an unbounded backlog, and every request's context propagates
+// into the Store — and from a coordinator's Store into its shards'
+// requests — so a disconnected or expired client stops its query
+// mid-scan.
 package serve

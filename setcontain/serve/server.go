@@ -86,7 +86,6 @@ func (s *Server) Close() { s.batcher.Close() }
 //
 //	POST /query, GET /query?q=…, GET /stream?q=…, GET /stats, GET /healthz
 //	POST /admin/insert, /admin/delete, /admin/merge, /admin/snapshot, /admin/checkpoint
-//	GET  /shard/supports — the one route only a coordinator uses (see shard.go)
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/query", s.handleQuery)
@@ -98,7 +97,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("/admin/merge", s.handleMerge)
 	mux.HandleFunc("/admin/snapshot", s.handleSnapshot)
 	mux.HandleFunc("/admin/checkpoint", s.handleCheckpoint)
-	mux.HandleFunc("/shard/supports", s.handleShardSupports)
 	return mux
 }
 

@@ -36,8 +36,6 @@ type (
 	InsertResponse = wire.InsertResponse
 	// DeleteRequest is the POST /admin/delete body.
 	DeleteRequest = wire.DeleteRequest
-	// ShardSupportsResponse is the GET /shard/supports body.
-	ShardSupportsResponse = wire.ShardSupportsResponse
 )
 
 // parseSpec converts a spec to an expression tree: Expr through
@@ -170,7 +168,8 @@ type ShardPlanJSON struct {
 // counters account for the batcher's cross-query subexpression cache:
 // hits and misses on shared plan subtrees within a micro-batch, and the
 // leaf evaluations those hits saved. Theta is the fitted Zipf exponent
-// of the store's cached support profile.
+// of the store's cached support profile — 0 on a coordinator, whose
+// remote shards keep their tables and plan for themselves.
 type PlannerStatsJSON struct {
 	Expressions     int64   `json:"expressions"`
 	EvaluatedLeaves int64   `json:"evaluated_leaves"`

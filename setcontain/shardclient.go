@@ -34,9 +34,10 @@ type ShardInfo struct {
 }
 
 // ShardClient is a coordinator's control-plane handle on one shard:
-// identity, mutations, planner supports, snapshots, and data-plane
-// session creation. Implementations must be safe for concurrent use;
-// methods taking a ctx honour its cancellation.
+// identity, mutations, snapshots, and data-plane session creation. No
+// planner state crosses it — a shard plans each request against its own
+// supports. Implementations must be safe for concurrent use; methods
+// taking a ctx honour its cancellation.
 type ShardClient interface {
 	// Info describes the shard's current state.
 	Info(ctx context.Context) (ShardInfo, error)
@@ -45,9 +46,6 @@ type ShardClient interface {
 	// the transport keeps (<= 0 selects the default; remote transports
 	// may ignore it).
 	Session(cachePages int) (ShardSession, error)
-	// ItemSupports fetches the shard's per-item support table for the
-	// coordinator's expression planner.
-	ItemSupports(ctx context.Context) ([]int64, error)
 	// Insert adds a record to the shard and returns its local id.
 	Insert(ctx context.Context, set []Item) (uint32, error)
 	// Delete tombstones the shard-local record id.
@@ -63,7 +61,10 @@ type ShardClient interface {
 
 // ShardSession is a coordinator's data-plane handle on one shard: one
 // in-flight call at a time (the scatter-gather executor issues at most
-// one per shard), answering in ascending shard-local ids.
+// one per shard), answering in ascending shard-local ids. The call's
+// ctx is the one cancellation signal: when it ends mid-evaluation the
+// call stops at the shard's next block read and returns an error,
+// never a prefix of the answer.
 type ShardSession interface {
 	// AppendQuery answers one containment query, appending local ids
 	// to dst.
@@ -72,10 +73,6 @@ type ShardSession interface {
 	// the shard's own supports, appending at most limit local ids to
 	// dst (limit 0 = unlimited).
 	AppendExpr(ctx context.Context, dst []uint32, expr *Expr, limit int) ([]uint32, error)
-	// SetInterrupt installs fn as the session's cancellation check,
-	// consulted during evaluation; nil clears it. fn must tolerate
-	// concurrent calls.
-	SetInterrupt(fn func() error)
 	// Stats reports the session's I/O behaviour where the transport
 	// can observe it (zero otherwise).
 	Stats() CacheStats
@@ -88,9 +85,8 @@ type ShardSession interface {
 // --- In-process client ---------------------------------------------------
 
 // InprocShard wraps a local Engine as a ShardClient — the in-process
-// transport. It is the reference implementation remote transports are
-// held byte-identical to, and what `-transport inproc` benchmarks to
-// isolate the client-layer overhead from the network's.
+// transport, and the reference implementation remote transports are
+// held byte-identical to.
 func InprocShard(eng Engine) ShardClient { return &inprocClient{eng: eng} }
 
 type inprocClient struct {
@@ -147,10 +143,6 @@ func (c *inprocClient) invalidate() {
 	c.mu.Unlock()
 }
 
-func (c *inprocClient) ItemSupports(context.Context) ([]int64, error) {
-	return c.eng.ItemSupports(), nil
-}
-
 func (c *inprocClient) Insert(_ context.Context, set []Item) (uint32, error) {
 	id, err := c.eng.Insert(set)
 	if err == nil {
@@ -182,8 +174,10 @@ func (c *inprocClient) Close() error { return nil }
 // inprocSession answers on an isolated reader through the same request
 // core as Store (BatchItem.prepare/exec): pushed-down expressions are
 // planned locally against the client's cached supports, exactly like a
-// remote shard daemon plans against its own. The coordinator's
-// SetInterrupt hook, not ctx, interrupts a running evaluation.
+// remote shard daemon plans against its own. For the duration of a call
+// the reader's buffer pool consults the call's ctx before every page
+// request, so a ctx that ends mid-scan — the caller's, or the scatter's
+// when a sibling shard failed — stops the evaluation there.
 type inprocSession struct {
 	c    *inprocClient
 	r    *Reader
@@ -197,6 +191,8 @@ func (s *inprocSession) AppendQuery(ctx context.Context, dst []uint32, q Query) 
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
+	s.r.setInterrupt(ctx.Err)
+	defer s.r.setInterrupt(nil)
 	return s.r.EvalAppend(dst, q)
 }
 
@@ -208,11 +204,15 @@ func (s *inprocSession) AppendExpr(ctx context.Context, dst []uint32, expr *Expr
 		return nil, errNilExpr
 	}
 	it := BatchItem{Expr: expr, Limit: limit, Dst: dst}
-	it.prepare(s.c)
+	if it.prepare() {
+		it.plan, it.Err = PlanExpr(expr, s.c.Supports())
+	}
 	if it.Err != nil {
 		return nil, it.Err
 	}
-	ids, st, err := it.exec(ctx, s.r, &s.eval, nil)
+	s.r.setInterrupt(ctx.Err)
+	defer s.r.setInterrupt(nil)
+	ids, st, err := it.exec(s.r, &s.eval, nil)
 	s.last = st
 	return ids, err
 }
@@ -220,10 +220,9 @@ func (s *inprocSession) AppendExpr(ctx context.Context, dst []uint32, expr *Expr
 // DecodedStats implements decodedStatser on the session's reader.
 func (s *inprocSession) DecodedStats() DecodedCacheStats { return s.r.DecodedCacheStats() }
 
-func (s *inprocSession) SetInterrupt(fn func() error) { s.r.setInterrupt(fn) }
-func (s *inprocSession) Stats() CacheStats            { return s.r.CacheStats() }
-func (s *inprocSession) ResetStats()                  { s.r.ResetCacheStats() }
-func (s *inprocSession) Close() error                 { return nil }
+func (s *inprocSession) Stats() CacheStats { return s.r.CacheStats() }
+func (s *inprocSession) ResetStats()       { s.r.ResetCacheStats() }
+func (s *inprocSession) Close() error      { return nil }
 
 // --- Assembly ------------------------------------------------------------
 

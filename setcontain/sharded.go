@@ -288,20 +288,19 @@ func (e *shardedEngine) NumRecords() int {
 // Unwrap returns the shard clients in shard order.
 func (e *shardedEngine) Unwrap() any { return append([]ShardClient(nil), e.clients...) }
 
-// ItemSupports sums the shards' support tables: the partition splits
-// records, not items, so the global support of an item is the sum of
-// its per-shard supports. A shard whose table cannot be fetched counts
-// as zeros — uniform planner costs, never a wrong answer; Engine's
-// signature has no error to raise.
+// ItemSupports sums the in-process shards' support tables: the partition
+// splits records, not items, so the global support of an item is the sum
+// of its per-shard supports. A remote shard's table stays on its side of
+// the transport, where the shard plans with it, and counts zero here —
+// the rule Space and Pool follow. Only Index.PlanExpr and SupportsOf
+// read this; no query path does.
 func (e *shardedEngine) ItemSupports() []int64 {
 	supports := make([]int64, e.domain)
 	for _, c := range e.clients {
-		sup, err := c.ItemSupports(context.Background())
-		if err != nil || len(sup) != e.domain {
-			continue
-		}
-		for it, n := range sup {
-			supports[it] += n
+		if eng := localEngine(c); eng != nil {
+			for it, n := range eng.ItemSupports() {
+				supports[it] += n
+			}
 		}
 	}
 	return supports
@@ -417,9 +416,8 @@ func (e *shardedEngine) PendingInserts() int {
 }
 
 // NewReader opens one session per shard (see openReader). The combined
-// reader answers like the engine — parallel fan-out, global-order merge
-// — and propagates interrupts to every session, which is how Store
-// cancellation reaches all shards.
+// reader answers like the engine — parallel fan-out, global-order
+// merge; a Store cancels it through the ctx of each scatter.
 func (e *shardedEngine) NewReader(cachePages int) (*Reader, error) {
 	r, err := e.openReader(cachePages)
 	if err != nil {
@@ -474,9 +472,8 @@ type shardedReader struct {
 }
 
 // query is the Queryable form of scatterQuery. There is no cancellation
-// signal at this level — Store readers carry that through the interrupt
-// hooks setInterrupt installs — so the Queryable surface stays
-// context-free.
+// signal at this level — the Store calls scatterQuery with its ctx — so
+// the Queryable surface stays context-free.
 func (r *shardedReader) query(q Query) ([]uint32, error) {
 	return r.scatterQuery(context.Background(), q)
 }
@@ -523,19 +520,9 @@ func (r *shardedReader) DecodedStats() DecodedCacheStats {
 	return total
 }
 
-// Pool returns nil: the pages live behind the sessions. Interrupts go
-// through setInterrupt instead.
+// Pool returns nil: the pages live behind the sessions, which stop on
+// the ctx of the call in progress.
 func (r *shardedReader) Pool() *storage.BufferPool { return nil }
-
-// setInterrupt installs the cancellation hook on every shard's session,
-// so a context cancelled mid-query stops all shard fan-outs at their
-// next block read. The hook must be safe for concurrent calls — the
-// shards consult it in parallel.
-func (r *shardedReader) setInterrupt(fn func() error) {
-	for _, sess := range r.sess {
-		sess.SetInterrupt(fn)
-	}
-}
 
 // close releases the sessions, best effort: nothing outlives them.
 func (r *shardedReader) close() {

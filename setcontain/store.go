@@ -19,9 +19,9 @@ import (
 // spelled. All of them honour context cancellation: the borrowed reader's
 // buffer pool checks ctx.Err between list-block reads, so even a query
 // scanning a long inverted list stops promptly, returning ctx.Err().
-// Over a Sharded index each pooled reader carries one isolated reader
-// per shard, and the cancellation hook reaches every shard's pool, so
-// a cancelled query stops all shard fan-outs mid-stream.
+// Over a Sharded index the Store is a router: it validates a request and
+// forwards it to every shard, which plans it against its own supports,
+// under one ctx — so a cancelled query stops all shard fan-outs mid-stream.
 //
 // A Store serves the snapshot its readers were created from. After
 // Insert, Delete, or MergeDelta on the underlying Index, call Refresh
@@ -337,34 +337,24 @@ func (it *BatchItem) expr() *Expr {
 	return it.Expr
 }
 
-// supporter is where the core gets the profile it plans against: the
-// Store's generation-cached one, or a shard client's.
-type supporter interface {
-	Supports() *SupportProfile
-}
-
 // prepare is the core's single decision point: it clears the item's
-// results, rejects a negative limit, and plans everything that is not
-// one plain leaf (it.plan stays nil for those).
-func (it *BatchItem) prepare(sup supporter) {
+// results, rejects a negative limit, and reports whether the item is a
+// tree — anything but one plain leaf — which whoever executes it plans
+// (it.plan stays nil otherwise) and a router validates and forwards.
+func (it *BatchItem) prepare() (tree bool) {
 	it.Out, it.Err, it.plan = nil, nil, nil
 	if it.Limit < 0 {
 		it.Err = ErrNegativeLimit
-		return
+		return false
 	}
-	if _, leaf := it.asLeaf(); !leaf {
-		it.plan, it.Err = PlanExpr(it.expr(), sup.Supports())
-	}
+	_, leaf := it.asLeaf()
+	return !leaf
 }
 
-// exec answers one prepared item on r: the sharded scatter (the request
-// itself goes to every shard, which plans it against its own supports),
-// the leaf fast path, or planned evaluation through evr with the
-// batch's subexpression cache. The stats are zero for a plain leaf.
-func (it *BatchItem) exec(ctx context.Context, r *Reader, evr *Evaluator, cse *cseState) ([]uint32, ExprEvalStats, error) {
-	if sr, ok := r.r.(*shardedReader); ok {
-		return execSharded(ctx, it, sr)
-	}
+// exec answers one prepared item on r, a single engine's reader: the
+// leaf fast path, or planned evaluation through evr with the batch's
+// subexpression cache. The stats are zero for a plain leaf.
+func (it *BatchItem) exec(r *Reader, evr *Evaluator, cse *cseState) ([]uint32, ExprEvalStats, error) {
 	if it.plan == nil {
 		q, _ := it.asLeaf()
 		ids, err := r.EvalAppend(it.Dst, q)
@@ -379,15 +369,25 @@ func (it *BatchItem) exec(ctx context.Context, r *Reader, evr *Evaluator, cse *c
 // reader: each is prepared (leaf or plan), the reader's interrupt hook
 // is armed once and narrowed per item, and planned evaluations are
 // recorded in ExprStats. With share set, plan subtrees repeated across
-// the items evaluate once. The count and error are ExecBatchAppend's.
+// the items evaluate once. Over a sharded index nothing is planned here:
+// a tree is validated and forwarded. The count and error are
+// ExecBatchAppend's.
 func (s *Store) run(ctx context.Context, items []BatchItem, share bool) (int, error) {
 	if err := ctx.Err(); err != nil {
 		return 0, err
 	}
+	_, router := s.ix.eng.(*shardedEngine)
 	planned := false
 	for i := range items {
-		items[i].prepare(s)
-		planned = planned || items[i].plan != nil
+		it := &items[i]
+		switch tree := it.prepare(); {
+		case !tree:
+		case router:
+			it.Err = it.expr().validate()
+		default:
+			it.plan, it.Err = PlanExpr(it.expr(), s.Supports())
+			planned = planned || it.plan != nil
+		}
 	}
 	var cse *cseState
 	if share && planned {
@@ -420,6 +420,10 @@ func (s *Store) run(ctx context.Context, items []BatchItem, share bool) (int, er
 		if it.Err = ictx.Err(); it.Err != nil {
 			continue
 		}
+		if router {
+			it.Out, it.Err = s.execSharded(ctx, it, e.r.r.(*shardedReader))
+			continue
+		}
 		if !armed && (ictx.Done() != nil || ctx.Done() != nil) {
 			armed = true
 			e.arm(ctx)
@@ -428,7 +432,7 @@ func (s *Store) run(ctx context.Context, items []BatchItem, share bool) (int, er
 			e.item = ictx
 		}
 		var st ExprEvalStats
-		it.Out, st, it.Err = it.exec(ictx, e.r, &e.eval, cse)
+		it.Out, st, it.Err = it.exec(e.r, &e.eval, cse)
 		if it.plan != nil && it.Err == nil {
 			s.noteExprEval(st)
 		}

@@ -8,7 +8,7 @@ import (
 
 // What the Store's request core (store.go) plans against and reports
 // to: the support profile cached per store generation, the cumulative
-// planner counters, and the sharded branch that sends a request to
+// planner counters, and the router branch that sends a request to
 // every shard in parallel and merges the per-shard answers with the
 // partitioner's k-way interleave.
 
@@ -33,7 +33,8 @@ type exprState struct {
 // Supports returns the store's cached support profile, recomputing it
 // when a Refresh has retired the previous one. The profile snapshots
 // the merged structures under the store's mutation lock, so it never
-// observes a half-applied update.
+// observes a half-applied update. Over a sharded index no request reads
+// it — the shards plan — and a remote shard contributes zeros.
 func (s *Store) Supports() *SupportProfile {
 	gen := s.gen.Load()
 	s.expr.mu.Lock()
@@ -93,7 +94,7 @@ func (s *Store) noteCSE(c *cseState) {
 	s.expr.cseSavedLeaves.Add(int64(c.savedLeaves))
 }
 
-// execSharded answers one prepared item on every shard through the
+// execSharded answers one validated item on every shard through the
 // scatter-gather executor and k-way merges the local answers into
 // global id order: a plain leaf as the sessions' AppendQuery, anything
 // else as their AppendExpr. The boolean algebra distributes over the
@@ -103,40 +104,54 @@ func (s *Store) noteCSE(c *cseState) {
 // byte-identical to single-engine ones while every shard plans against
 // its own supports, short-circuits, and combines independently.
 //
+// One cancellation signal crosses the shard seam: a ctx that ends when
+// the item's or the batch's does; a failure reports the one that did.
+//
 // With a limit n > 0 the limit is pushed per shard — the partitioner
 // maps each shard's ascending local answer to an ascending global
 // subsequence, so the global first n ids are always contained in the
 // union of the shards' local first n — then the merged answer is
-// truncated. The stats are the leaf counters of the sessions that can
-// report them (in-process ones): one expression, leaf work summed
-// across the shards that did it.
-func execSharded(ctx context.Context, it *BatchItem, sr *shardedReader) ([]uint32, ExprEvalStats, error) {
-	var total ExprEvalStats
-	if q, leaf := it.asLeaf(); leaf {
-		ids, err := sr.scatterQuery(ctx, q)
-		if err != nil {
-			return nil, total, err
-		}
-		return appendFresh(it.Dst, ids), total, nil
+// truncated. A tree answered counts in ExprStats as one expression, with
+// the leaf counters of the sessions that can report them (in-process
+// ones) summed across the shards that did the work.
+func (s *Store) execSharded(batch context.Context, it *BatchItem, sr *shardedReader) (ids []uint32, err error) {
+	ctx := batch
+	if it.Ctx != nil {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithCancel(it.Ctx)
+		defer cancel()
+		defer context.AfterFunc(batch, cancel)()
 	}
-	// The closure must not capture it: the item would escape to the heap
-	// on every Store call, sharded or not.
-	expr, n := it.expr(), it.Limit
-	ids, err := scatterGather(ctx, sr.part, func(cctx context.Context, s int) ([]uint32, error) {
-		return sr.sess[s].AppendExpr(cctx, nil, expr, n)
-	})
+	q, leaf := it.asLeaf()
+	if leaf {
+		ids, err = sr.scatterQuery(ctx, q)
+	} else {
+		// The closure must not capture it: the item would escape to the heap
+		// on every Store call, sharded or not.
+		expr, n := it.expr(), it.Limit
+		ids, err = scatterGather(ctx, sr.part, func(cctx context.Context, s int) ([]uint32, error) {
+			return sr.sess[s].AppendExpr(cctx, nil, expr, n)
+		})
+	}
 	if err != nil {
-		return nil, total, err
-	}
-	if n > 0 && len(ids) > n {
-		ids = ids[:n]
-	}
-	for _, sess := range sr.sess {
-		if is, ok := sess.(*inprocSession); ok {
-			total.EvaluatedLeaves += is.last.EvaluatedLeaves
-			total.StreamedLeaves += is.last.StreamedLeaves
-			total.SkippedLeaves += is.last.SkippedLeaves
+		if berr := batch.Err(); berr != nil {
+			return nil, berr // the derived ctx says only "canceled"
 		}
+		return nil, err
 	}
-	return appendFresh(it.Dst, ids), total, nil
+	if !leaf {
+		if it.Limit > 0 && len(ids) > it.Limit {
+			ids = ids[:it.Limit]
+		}
+		var total ExprEvalStats
+		for _, sess := range sr.sess {
+			if is, ok := sess.(*inprocSession); ok {
+				total.EvaluatedLeaves += is.last.EvaluatedLeaves
+				total.StreamedLeaves += is.last.StreamedLeaves
+				total.SkippedLeaves += is.last.SkippedLeaves
+			}
+		}
+		s.noteExprEval(total)
+	}
+	return appendFresh(it.Dst, ids), nil
 }

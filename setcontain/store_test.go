@@ -208,41 +208,82 @@ func TestStoreEmptyAnswerShape(t *testing.T) {
 	}
 }
 
-// TestCancellationBetweenBlockReads proves a query in flight stops at
-// the next list-block read once its cancellation hook fires: the
-// reader's buffer pool consults the hook on every page request, so a
-// cancellation after N pages surfaces as the query's error.
+// pageBudget is a context whose Err turns into context.Canceled once it
+// has been consulted more than left times. An in-process shard session
+// points its reader's buffer pool at the call's ctx.Err, which the pool
+// consults before every page request, so this is a cancellation after
+// that many pages.
+type pageBudget struct {
+	context.Context
+	left atomic.Int64
+}
+
+func (c *pageBudget) Err() error {
+	if c.left.Add(-1) < 0 {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestCancellationBetweenBlockReads proves a call in flight stops at the
+// next list-block read once its ctx ends, on every session that
+// evaluates anything: a single engine's, and each shard's of a sharded
+// index. The ctx is the only signal there is; the session arms its
+// reader's pool with it for the duration of the call and no longer.
 func TestCancellationBetweenBlockReads(t *testing.T) {
 	c := sampleCollection(t)
+	// A wide superset query reads one list per query item, so every
+	// engine crosses many list blocks.
+	wide := make([]Item, 20)
+	for i := range wide {
+		wide[i] = Item(i)
+	}
+	calls := map[string]func(ctx context.Context, sess ShardSession) error{
+		"AppendQuery": func(ctx context.Context, sess ShardSession) error {
+			_, err := sess.AppendQuery(ctx, nil, SupersetQuery(wide))
+			return err
+		},
+		"AppendExpr": func(ctx context.Context, sess ShardSession) error {
+			tree := Or(ExprOf(SupersetQuery(wide)), ExprOf(SubsetQuery([]Item{1})))
+			_, err := sess.AppendExpr(ctx, nil, tree, 0)
+			return err
+		},
+	}
+	live, cancel := context.WithCancel(context.Background())
+	defer cancel()
 	for kind, ix := range buildAll(t, c) {
 		t.Run(kind.String(), func(t *testing.T) {
-			r, err := ix.NewReader(4)
-			if err != nil {
-				t.Fatal(err)
-			}
-			// Sharded readers consult the hook from every shard's pool
-			// concurrently, so the counter must be atomic.
-			var pages atomic.Int64
-			r.setInterrupt(func() error {
-				if pages.Add(1) > 2 {
-					return context.Canceled
+			var sessions []ShardSession
+			if se, ok := ix.eng.(*shardedEngine); ok {
+				r, err := se.openReader(4)
+				if err != nil {
+					t.Fatal(err)
 				}
-				return nil
-			})
-			// A wide superset query reads one list per query item, so
-			// every engine crosses many list blocks.
-			wide := make([]Item, 20)
-			for i := range wide {
-				wide[i] = Item(i)
+				sessions = r.sess
+			} else {
+				sess, err := InprocShard(ix.eng).Session(4)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sessions = []ShardSession{sess}
 			}
-			_, err = r.Superset(wide)
-			if !errors.Is(err, context.Canceled) {
-				t.Errorf("mid-query cancel: got %v, want context.Canceled", err)
-			}
-			// Clearing the hook makes the reader usable again.
-			r.setInterrupt(nil)
-			if _, err := r.Superset(wide); err != nil {
-				t.Errorf("after clearing interrupt: %v", err)
+			for s, sess := range sessions {
+				for name, call := range calls {
+					// The entry check spends one consultation, two pages the rest.
+					budget := &pageBudget{Context: live}
+					budget.left.Store(3)
+					if err := call(budget, sess); !errors.Is(err, context.Canceled) {
+						t.Errorf("session %d: %s canceled after two pages: got %v, want context.Canceled", s, name, err)
+					}
+					if budget.left.Load() != -1 {
+						t.Errorf("session %d: %s consulted its ctx %d times past the cancel, want it to stop at the first",
+							s, name, -1-budget.left.Load())
+					}
+					// The call's return disarmed the reader.
+					if err := call(context.Background(), sess); err != nil {
+						t.Errorf("session %d: %s after the canceled call: %v", s, name, err)
+					}
+				}
 			}
 		})
 	}

@@ -21,10 +21,12 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"runtime"
 	"slices"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/dataset"
 	"repro/internal/naive"
@@ -49,10 +51,12 @@ type transportVariant struct {
 // buildTransportVariants stands up the four stacks over identical data.
 // Each variant gets its own engines — mutations must not alias across
 // variants — and the HTTP one gets a live httptest daemon per shard. A
-// non-nil wrap decorates every shard client of the three sharded stacks
-// (fault injection, see fault_test.go).
+// non-nil wrap decorates every shard client of the three sharded stacks,
+// a non-nil daemon the handler of every shard daemon of the HTTP one
+// (fault injection on either side of the wire, see fault_test.go).
 func buildTransportVariants(t *testing.T, sets [][]setcontain.Item, domain, shards int,
-	wrap func(variant string, shard int, c setcontain.ShardClient) setcontain.ShardClient) []*transportVariant {
+	wrap func(variant string, shard int, c setcontain.ShardClient) setcontain.ShardClient,
+	daemon func(shard int, h http.Handler) http.Handler) []*transportVariant {
 	t.Helper()
 	build := func(kind setcontain.Kind) *setcontain.Index {
 		c := setcontain.NewCollection(domain)
@@ -70,23 +74,27 @@ func buildTransportVariants(t *testing.T, sets [][]setcontain.Item, domain, shar
 	}
 	// serveOver fronts idx with a daemon; the small chunk size makes
 	// multi-chunk (and, on /stream, multi-flush) answers routine.
-	serveOver := func(idx *setcontain.Index) (*setcontain.Store, *serve.Server, string) {
+	serveOver := func(idx *setcontain.Index, around func(http.Handler) http.Handler) (*setcontain.Store, *serve.Server, string) {
 		store := setcontain.NewStore(idx, 8)
 		sv := serve.NewServer(idx, store, serve.Config{ChunkIDs: 16})
-		ts := httptest.NewServer(sv.Handler())
+		h := sv.Handler()
+		if around != nil {
+			h = around(h)
+		}
+		ts := httptest.NewServer(h)
 		t.Cleanup(ts.Close)
 		t.Cleanup(sv.Close)
 		return store, sv, ts.URL
 	}
 	var variants []*transportVariant
 	add := func(name string, idx *setcontain.Index, clients []setcontain.ShardClient) {
-		store, sv, url := serveOver(idx)
+		store, sv, url := serveOver(idx, nil)
 		variants = append(variants, &transportVariant{name, idx, store, sv, url, clients})
 	}
-	addOverClients := func(name string, client func(eng setcontain.Engine) setcontain.ShardClient) {
+	addOverClients := func(name string, client func(shard int, eng setcontain.Engine) setcontain.ShardClient) {
 		var clients []setcontain.ShardClient
 		for s, eng := range setcontain.ShardEngines(build(setcontain.Sharded).Engine()) {
-			c := client(eng)
+			c := client(s, eng)
 			if wrap != nil {
 				c = wrap(name, s, c)
 			}
@@ -106,9 +114,13 @@ func buildTransportVariants(t *testing.T, sets [][]setcontain.Item, domain, shar
 		})
 	}
 	add("sharded", sharded, nil)
-	addOverClients("inproc", setcontain.InprocShard)
-	addOverClients("http", func(eng setcontain.Engine) setcontain.ShardClient {
-		_, _, url := serveOver(setcontain.IndexOver(eng))
+	addOverClients("inproc", func(_ int, eng setcontain.Engine) setcontain.ShardClient { return setcontain.InprocShard(eng) })
+	addOverClients("http", func(s int, eng setcontain.Engine) setcontain.ShardClient {
+		var around func(http.Handler) http.Handler
+		if daemon != nil {
+			around = func(h http.Handler) http.Handler { return daemon(s, h) }
+		}
+		_, _, url := serveOver(setcontain.IndexOver(eng), around)
 		return setcontain.NewRemoteShard(url, nil)
 	})
 	return variants
@@ -345,7 +357,7 @@ func TestTransportEquivalence(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	variants := buildTransportVariants(t, sets, domain, shards, nil)
+	variants := buildTransportVariants(t, sets, domain, shards, nil, nil)
 
 	var ops []transportOp
 	preds := []setcontain.Predicate{setcontain.PredicateSubset, setcontain.PredicateEquality, setcontain.PredicateSuperset}
@@ -453,21 +465,46 @@ func TestTransportEquivalence(t *testing.T) {
 	}
 	compare("merged")
 
-	// A canceled context must stop every entry point of every transport
-	// with the caller's own context error, never a transport artifact
+	// An ended context must stop every entry point of every transport
+	// with that context's own error — Canceled for a canceled one,
+	// DeadlineExceeded for an expired one — never a transport artifact
 	// and never a silently partial answer.
 	canceled, cancel := context.WithCancel(ctx)
 	cancel()
-	for _, v := range variants {
-		for _, ep := range entryPoints {
-			var asked []transportOp
-			for _, op := range ops {
-				if ep.accepts(op) {
-					asked = append(asked, op)
+	expired, cancel := context.WithDeadline(ctx, time.Now().Add(-time.Second))
+	defer cancel()
+	for _, ended := range []context.Context{canceled, expired} {
+		for _, v := range variants {
+			for _, ep := range entryPoints {
+				var asked []transportOp
+				for _, op := range ops {
+					if ep.accepts(op) {
+						asked = append(asked, op)
+					}
+				}
+				if _, err := ep.run(ended, v, asked); !errors.Is(err, ended.Err()) {
+					t.Errorf("%s: %s under an ended context: %v, want %v", v.name, ep.name, err, ended.Err())
 				}
 			}
-			if _, err := ep.run(canceled, v, asked); !errors.Is(err, context.Canceled) {
-				t.Errorf("%s: canceled %s: %v, want context.Canceled", v.name, ep.name, err)
+			// The same contexts scoping one item of a live batch fail that
+			// item alone, and its batchmates answer in full.
+			items := make([]setcontain.BatchItem, len(ops))
+			for i, op := range ops {
+				items[i] = setcontain.BatchItem{Expr: op.expr, Limit: op.limit}
+				if i%3 == 0 {
+					items[i].Ctx = ended
+				}
+			}
+			if n, err := v.store.ExecBatchAppend(ctx, items); n != len(items) || err != nil {
+				t.Fatalf("%s: live batch with ended items stopped after %d of %d: %v", v.name, n, len(items), err)
+			}
+			for i, it := range items {
+				switch {
+				case it.Ctx != nil && (!errors.Is(it.Err, ended.Err()) || it.Out != nil):
+					t.Errorf("%s: item %d under an ended context: %v, %v; want no answer and %v", v.name, i, it.Out, it.Err, ended.Err())
+				case it.Ctx == nil && (it.Err != nil || !slices.Equal(it.Out, oracle.answer(t, ops[i]))):
+					t.Errorf("%s: item %d beside ended items: %v, %v; oracle says %v", v.name, i, it.Out, it.Err, oracle.answer(t, ops[i]))
+				}
 			}
 		}
 	}
@@ -476,8 +513,10 @@ func TestTransportEquivalence(t *testing.T) {
 // TestTransportConcurrentCancel hammers the HTTP transport from several
 // goroutines and cancels mid-stream: every query must either match the
 // single-engine answer exactly or fail with context.Canceled — no
-// corrupt merges, no hung watchdogs. Run under -race this is the
-// concurrency acceptance test for the remote session layer.
+// corrupt merges, no hung calls — and a thousand remote calls canceled
+// at every point of their life leave no goroutine behind. Run under
+// -race this is the concurrency acceptance test for the remote session
+// layer.
 func TestTransportConcurrentCancel(t *testing.T) {
 	const (
 		domain  = 40
@@ -490,7 +529,7 @@ func TestTransportConcurrentCancel(t *testing.T) {
 	for i := range sets {
 		sets[i] = z.SampleDistinct(rng, 1+rng.Intn(6))
 	}
-	variants := buildTransportVariants(t, sets, domain, shards, nil)
+	variants := buildTransportVariants(t, sets, domain, shards, nil, nil)
 	single, remote := variants[0].store, variants[3].store
 
 	queries := make([]setcontain.Query, 120)
@@ -541,6 +580,43 @@ func TestTransportConcurrentCancel(t *testing.T) {
 	}
 	if _, err := remote.Exec(ctx, queries[0]); !errors.Is(err, context.Canceled) {
 		t.Errorf("post-cancel Exec: %v, want context.Canceled", err)
+	}
+
+	// idle hangs up the coordinator's kept-alive connections, whose
+	// goroutines (both ends') would otherwise count.
+	idle := func() {
+		for _, c := range variants[3].clients {
+			c.Close()
+		}
+	}
+	idle()
+	baseline := runtime.NumGoroutine()
+	for i := 0; i < 1000; i++ {
+		cctx, cancel := context.WithCancel(context.Background())
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			q := queries[i%len(queries)]
+			got, err := remote.Exec(cctx, q)
+			if !errors.Is(err, context.Canceled) && (err != nil || !slices.Equal(got, want[i%len(queries)])) {
+				t.Errorf("call %d (%s) racing its cancel: %v, %v; want %v or context.Canceled", i, q, got, err, want[i%len(queries)])
+			}
+		}()
+		// Yield a varying number of times so the cancel lands before the
+		// request, on the wire, mid-answer and after it.
+		for y := 0; y < i%8; y++ {
+			runtime.Gosched()
+		}
+		cancel()
+		<-done
+	}
+	idle()
+	deadline := time.Now().Add(10 * time.Second)
+	for runtime.NumGoroutine() > baseline && time.Now().Before(deadline) {
+		time.Sleep(10 * time.Millisecond)
+	}
+	if now := runtime.NumGoroutine(); now > baseline {
+		t.Errorf("%d goroutines after 1000 canceled remote calls, %d before them", now, baseline)
 	}
 }
 
@@ -601,11 +677,13 @@ func TestTransportPartialFailure(t *testing.T) {
 }
 
 // TestTransportPublicRoutesOnly pins the one-wire property: a
-// coordinator is an ordinary client of a shard daemon. Every ShardClient
-// and ShardSession method, and Store traffic through ShardedOverClients,
-// is driven against a daemon whose handler records the paths it serves;
-// all of them must be public routes plus /shard/supports, and the
-// retired shard-only twins must be gone.
+// coordinator is an ordinary client of a shard daemon, and its Store a
+// router. Every ShardClient and ShardSession method is driven against a
+// daemon whose handler counts the requests it serves; all of them must
+// be public routes, and every shard-only route must be gone. Then a
+// Store over ShardedOverClients answers leaf, tree and limited requests
+// on both sides of a mutation: each costs the shard exactly one POST
+// /query and nothing else — no planner state is fetched, ever.
 func TestTransportPublicRoutesOnly(t *testing.T) {
 	const domain = 16
 	c := setcontain.NewCollection(domain)
@@ -620,14 +698,22 @@ func TestTransportPublicRoutesOnly(t *testing.T) {
 	}
 	sv := serve.NewServer(shard, setcontain.NewStore(shard, 8), serve.Config{ChunkIDs: 4})
 	var mu sync.Mutex
-	hit := map[string]bool{}
+	served := map[string]int{} // "METHOD path" -> requests
 	daemon := sv.Handler()
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		mu.Lock()
-		hit[r.URL.Path] = true
+		served[r.Method+" "+r.URL.Path]++
 		mu.Unlock()
 		daemon.ServeHTTP(w, r)
 	}))
+	// traffic returns the requests served since the last call.
+	traffic := func() map[string]int {
+		mu.Lock()
+		defer mu.Unlock()
+		got := served
+		served = map[string]int{}
+		return got
+	}
 	t.Cleanup(ts.Close)
 	t.Cleanup(sv.Close)
 
@@ -644,11 +730,6 @@ func TestTransportPublicRoutesOnly(t *testing.T) {
 	if info.Kind != setcontain.OIF || info.Records != 60 || info.Domain != domain {
 		t.Fatalf("Info: %+v, want the OIF shard's 60 records over %d items", info, domain)
 	}
-	sup, err := client.ItemSupports(ctx)
-	must("ItemSupports", err)
-	if len(sup) != domain {
-		t.Fatalf("ItemSupports: %d entries, want %d", len(sup), domain)
-	}
 	id, err := client.Insert(ctx, []setcontain.Item{1, 2, 3})
 	must("Insert", err)
 	if id != 61 {
@@ -663,7 +744,6 @@ func TestTransportPublicRoutesOnly(t *testing.T) {
 	}
 	sess, err := client.Session(0)
 	must("Session", err)
-	sess.SetInterrupt(func() error { return nil })
 	q := setcontain.SubsetQuery([]setcontain.Item{1})
 	want, err := shard.Eval(q)
 	must("oracle", err)
@@ -681,53 +761,77 @@ func TestTransportPublicRoutesOnly(t *testing.T) {
 	_ = sess.Stats()
 	must("session Close", sess.Close())
 
+	public := []string{"GET /healthz", "POST /query", "POST /admin/insert", "POST /admin/delete", "POST /admin/merge", "POST /admin/snapshot"}
+	direct := traffic()
+	for route := range direct {
+		if !slices.Contains(public, route) {
+			t.Errorf("ShardClient/ShardSession traffic hit %s, outside the daemon's public routes %v", route, public)
+		}
+	}
+	for _, route := range public {
+		if direct[route] == 0 {
+			t.Errorf("no ShardClient/ShardSession method reached %s", route)
+		}
+	}
+
 	coord, err := setcontain.ShardedOverClients(ctx, []setcontain.ShardClient{client})
 	must("ShardedOverClients", err)
 	store := setcontain.NewStore(coord, 8)
-	if ids, err := store.Exec(ctx, q); err != nil || !slices.Equal(ids, want) {
-		t.Fatalf("Store.Exec: %v, %v, want %v", ids, err, want)
-	}
 	expr, err := setcontain.ParseExpr("subset{1} and not superset{1 8}")
 	must("ParseExpr", err)
-	if _, err := store.ExecExprAppend(ctx, nil, expr); err != nil {
-		t.Fatalf("Store.ExecExprAppend: %v", err)
+	traffic() // assembly read /healthz
+	routed := func(stage string) {
+		t.Helper()
+		if ids, err := store.Exec(ctx, q); err != nil || !slices.Equal(ids, want) {
+			t.Fatalf("%s: Store.Exec: %v, %v, want %v", stage, ids, err, want)
+		}
+		if _, err := store.ExecExprAppend(ctx, nil, expr); err != nil {
+			t.Fatalf("%s: Store.ExecExprAppend: %v", stage, err)
+		}
+		if ids, err := store.ExecExprLimitAppend(ctx, nil, expr, 2); err != nil || len(ids) > 2 {
+			t.Fatalf("%s: Store.ExecExprLimitAppend: %v, %v, want at most 2 ids", stage, ids, err)
+		}
+		if got := traffic(); len(got) != 1 || got["POST /query"] != 3 {
+			t.Errorf("%s: three Store requests cost the shard %v, want exactly 3 POST /query", stage, got)
+		}
 	}
-	if ids, err := store.ExecExprLimitAppend(ctx, nil, expr, 2); err != nil || len(ids) > 2 {
-		t.Fatalf("Store.ExecExprLimitAppend: %v, %v, want at most 2 ids", ids, err)
+	routed("built")
+	// A mutation bumps the store's generation; the next requests must
+	// not re-fetch anything on its account.
+	if _, err := store.InsertSets([][]setcontain.Item{{1, 9}}); err != nil {
+		t.Fatalf("Store.InsertSets: %v", err)
 	}
+	if got := traffic(); len(got) != 1 || got["POST /admin/insert"] != 1 {
+		t.Errorf("one insert cost the shard %v, want exactly 1 POST /admin/insert", got)
+	}
+	want = append(want, 62)
+	routed("after an insert")
 	must("client Close", client.Close())
 
-	public := []string{"/healthz", "/query", "/admin/insert", "/admin/delete", "/admin/merge", "/admin/snapshot", "/shard/supports"}
-	mu.Lock()
-	for path := range hit {
-		if !slices.Contains(public, path) {
-			t.Errorf("coordinator traffic hit %s, outside the daemon's public routes %v", path, public)
-		}
-	}
-	for _, path := range public {
-		if !hit[path] {
-			t.Errorf("no ShardClient/ShardSession method reached %s", path)
-		}
-	}
-	mu.Unlock()
-	for _, path := range []string{"/shard/info", "/shard/query", "/shard/insert", "/shard/delete", "/shard/merge", "/shard/snapshot"} {
-		resp, err := http.Post(ts.URL+path, "application/json", strings.NewReader("{}"))
-		must(path, err)
+	for _, route := range []string{"GET /shard/supports", "POST /shard/info", "POST /shard/query", "POST /shard/insert", "POST /shard/delete", "POST /shard/merge", "POST /shard/snapshot"} {
+		method, path, _ := strings.Cut(route, " ")
+		req, err := http.NewRequest(method, ts.URL+path, strings.NewReader("{}"))
+		must(route, err)
+		resp, err := http.DefaultClient.Do(req)
+		must(route, err)
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusNotFound {
-			t.Errorf("POST %s: status %d, want 404 (the shard-only twin protocol is retired)", path, resp.StatusCode)
+			t.Errorf("%s: status %d, want 404 (a shard daemon has no shard-only routes)", route, resp.StatusCode)
 		}
 	}
 }
 
 // answerOracle is the fuzz target's independent reading of a /query
 // response to a one-query request: the ids of a well-formed stream
-// (every line for query 0, no error line, a final line whose count
-// matches), or ok false for anything else.
+// (every line one Result of at most MaxAnswerLine bytes for query 0, no
+// error line, a final line whose count matches), or ok false for
+// anything else.
 func answerOracle(body []byte) (ids []uint32, ok bool) {
-	for dec := json.NewDecoder(bytes.NewReader(body)); ; {
+	for {
+		var raw []byte
+		raw, body, _ = bytes.Cut(body, []byte("\n"))
 		var line serve.Result
-		if dec.Decode(&line) != nil || line.Query != 0 || line.Error != "" {
+		if len(raw) > setcontain.MaxAnswerLine || json.Unmarshal(raw, &line) != nil || line.Query != 0 || line.Error != "" {
 			return nil, false
 		}
 		ids = append(ids, line.IDs...)
@@ -738,18 +842,24 @@ func answerOracle(body []byte) (ids []uint32, ok bool) {
 }
 
 // FuzzRemoteAnswerStream serves arbitrary bytes as the daemon's /query
-// response body to a remote session: the call must return an error or
-// exactly the complete answer — never panic, never a silent prefix.
+// response body to a remote session: the call must return an error
+// naming the shard or exactly the complete answer — never panic, never
+// a silent prefix, never a line buffered past the cap.
 func FuzzRemoteAnswerStream(f *testing.F) {
 	for _, seed := range []string{
 		`{"query":0,"ids":[1,2],"more":true,"count":0}` + "\n" + `{"query":0,"ids":[5],"done":true,"count":3}` + "\n",
 		`{"query":0,"done":true,"count":0}` + "\n",
-		`{"query":0,"ids":[1,2],"more":true,"count":0}` + "\n",                                                           // truncated after a more line
-		`{"query":0,"ids":[1,2],"more":true,"count":0}` + "\n" + `{"query":0,"ids":[5],"do`,                              // truncated mid-line
-		`{"query":0,"ids":[1,2],"done":true,"count":3}` + "\n",                                                           // count mismatch
-		`{"query":0,"ids":[1],"more":true,"count":0}` + "\n" + `{"query":0,"done":true,"count":0,"error":"boom"}` + "\n", // error line
-		`{"query":1,"ids":[1,2],"done":true,"count":2}` + "\n",                                                           // wrong query index
-		`{"query":0,"ids":[` + strings.Repeat("7,", 1<<13) + `7],"done":true,"count":8193}` + "\n",                       // oversized line
+		`{"query":0,"ids":[1,2],"more":true,"count":0}` + "\n",                                                             // truncated after a more line
+		`{"query":0,"ids":[1,2],"more":true,"count":0}` + "\n" + `{"query":0,"ids":[5],"do`,                                // truncated mid-line
+		`{"query":0,"ids":[1,2],"done":true,"count":3}` + "\n",                                                             // count mismatch
+		`{"query":0,"ids":[1],"more":true,"count":0}` + "\n" + `{"query":0,"done":true,"count":0,"error":"boom"}` + "\n",   // error line
+		`{"query":1,"ids":[1,2],"done":true,"count":2}` + "\n",                                                             // wrong query index
+		`{"query":0,"ids":[` + strings.Repeat("7,", 1<<13) + `7],"done":true,"count":8193}` + "\n",                         // two chunks' worth on one line
+		`{"query":0,"ids":[` + strings.Repeat("7,", setcontain.MaxAnswerLine/2) + `7],"done":true,"count":1}` + "\n",       // a line past the cap
+		`{"query":0,"more":true,"count":0}` + "\n" + `{"query":0,"ids":[` + strings.Repeat("7,", setcontain.MaxAnswerLine), // a line that never ends
+		`{"query":0,"done":true,"count":0}` + strings.Repeat(" ", setcontain.MaxAnswerLine-33),                             // exactly the cap, unterminated
+		`{"query":0,"done":true,"count":0}` + strings.Repeat(" ", setcontain.MaxAnswerLine-32) + "\n",                      // one byte past it
+		`{"query":0,"more":true,"count":0} {"query":0,"done":true,"count":0}` + "\n",                                       // two values on one line
 		`{"query":0,"ids":[-1],"done":true,"count":1}` + "\n",
 		"null\n[]\n",
 		"",
@@ -774,6 +884,8 @@ func FuzzRemoteAnswerStream(f *testing.F) {
 		switch {
 		case !ok && err == nil:
 			t.Fatalf("malformed stream answered %v without an error", got)
+		case !ok && !strings.Contains(err.Error(), "http://shard.invalid"):
+			t.Fatalf("malformed stream failed without naming the shard: %v", err)
 		case ok && err != nil:
 			t.Fatalf("well-formed stream of %d ids failed: %v", len(want), err)
 		case ok && !slices.Equal(got, append(prefix, want...)):
