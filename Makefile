@@ -19,9 +19,9 @@ test:
 	$(GO) test -race ./...
 
 # The allocation gates — TestBatcherZeroAllocs, TestStoreExecAppendZeroAllocs,
-# TestOverlayMatchesZeroAllocs, TestExprAllocCeilings — skip or are
-# compiled out under the race detector, so `make test` never runs them;
-# this does, without -race.
+# TestQueryEvalAppendZeroAllocs, TestOverlayMatchesZeroAllocs,
+# TestExprAllocCeilings — skip or are compiled out under the race
+# detector, so `make test` never runs them; this does, without -race.
 alloc-check:
 	$(GO) test -run 'ZeroAllocs|AllocCeilings' . ./setcontain/... ./internal/overlay
 
@@ -126,4 +126,8 @@ clean:
 	rm -f oifbench oifquery setcontaind setgen
 	$(GO) clean -fuzzcache
 
-check: build vet test
+# The local tier. alloc-check and bench-module-check are part of it: a
+# PR that narrows the public API is exactly the one that can break the
+# allocation gates (which `make test`, under -race, skips) or the frozen
+# benchmark module (its own go.mod, so ./... does not reach it).
+check: build vet test alloc-check bench-module-check

@@ -28,7 +28,7 @@ func TestExprAllocCeilings(t *testing.T) {
 			var ev setcontain.Evaluator
 			dst := make([]uint32, 0, 4096)
 			return len(plans), func(i int) (err error) {
-				dst, _, err = ev.EvalAppend(dst[:0], plans[i], idx)
+				dst, _, err = ev.EvalLimitAppend(dst[:0], plans[i], idx, 0)
 				return err
 			}
 		}},
@@ -36,7 +36,8 @@ func TestExprAllocCeilings(t *testing.T) {
 			idx, _, plans := exprBenchFixture(t)
 			dst := make([]uint32, 0, 1024)
 			return len(plans), func(i int) (err error) {
-				dst, _, err = plans[i].EvalAppend(dst[:0], idx)
+				var ev setcontain.Evaluator // cold: a fresh free list per op
+				dst, _, err = ev.EvalLimitAppend(dst[:0], plans[i], idx, 0)
 				return err
 			}
 		}},

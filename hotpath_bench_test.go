@@ -61,11 +61,11 @@ func hotFixture(b *testing.B, kind workload.Kind, size int, opts ...setcontain.O
 func runHotQuery(idx *setcontain.Index, dst []uint32, q workload.Query) ([]uint32, error) {
 	switch q.Kind {
 	case workload.Subset:
-		return idx.AppendSubset(dst, q.Items)
+		return setcontain.SubsetQuery(q.Items).EvalAppend(dst, idx)
 	case workload.Equality:
-		return idx.AppendEquality(dst, q.Items)
+		return setcontain.EqualityQuery(q.Items).EvalAppend(dst, idx)
 	default:
-		return idx.AppendSuperset(dst, q.Items)
+		return setcontain.SupersetQuery(q.Items).EvalAppend(dst, idx)
 	}
 }
 

@@ -142,13 +142,21 @@ func normalize(s []Item) []Item {
 	return slices.Compact(s)
 }
 
+// probability is item i's sampling probability: its step of z's cdf.
+func probability(z *Zipf, i int) float64 {
+	if i == 0 {
+		return z.cdf[0]
+	}
+	return z.cdf[i] - z.cdf[i-1]
+}
+
 func TestZipfProbabilities(t *testing.T) {
 	z := NewZipf(4, 1.0)
 	// Weights 1, 1/2, 1/3, 1/4 -> normalised.
 	h := 1 + 0.5 + 1.0/3 + 0.25
 	want := []float64{1 / h, 0.5 / h, (1.0 / 3) / h, 0.25 / h}
 	for i, w := range want {
-		if got := z.Probability(Item(i)); math.Abs(got-w) > 1e-12 {
+		if got := probability(z, i); math.Abs(got-w) > 1e-12 {
 			t.Errorf("P(%d) = %f, want %f", i, got, w)
 		}
 	}
@@ -157,7 +165,7 @@ func TestZipfProbabilities(t *testing.T) {
 func TestZipfUniformWhenThetaZero(t *testing.T) {
 	z := NewZipf(10, 0)
 	for i := 0; i < 10; i++ {
-		if got := z.Probability(Item(i)); math.Abs(got-0.1) > 1e-12 {
+		if got := probability(z, i); math.Abs(got-0.1) > 1e-12 {
 			t.Fatalf("theta=0 P(%d) = %f, want 0.1", i, got)
 		}
 	}

@@ -99,14 +99,3 @@ func (z *Zipf) SampleDistinct(rng *rand.Rand, k int) []Item {
 	}
 	return out
 }
-
-// Probability returns the sampling probability of item i (test helper).
-func (z *Zipf) Probability(i Item) float64 {
-	if int(i) >= len(z.cdf) {
-		return 0
-	}
-	if i == 0 {
-		return z.cdf[0]
-	}
-	return z.cdf[i] - z.cdf[i-1]
-}

@@ -159,11 +159,6 @@ func (w *Writer) Close() error {
 	return w.s.pool.Flush()
 }
 
-// Has reports whether item has a non-empty list.
-func (s *Store) Has(item uint32) bool {
-	return int(item) < len(s.extents) && s.extents[item].ByteLen > 0
-}
-
 // Extent returns item's extent (vocabulary lookup; memory-resident, free).
 func (s *Store) Extent(item uint32) (Extent, error) {
 	if int(item) >= len(s.extents) {

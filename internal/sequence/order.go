@@ -84,9 +84,6 @@ func (o *Order) Rank(it dataset.Item) (Rank, error) {
 	return o.rankOf[it], nil
 }
 
-// MustRank is Rank for callers that have validated the item.
-func (o *Order) MustRank(it dataset.Item) Rank { return o.rankOf[it] }
-
 // Item returns the item at rank r.
 func (o *Order) Item(r Rank) dataset.Item { return o.itemOf[r] }
 
@@ -97,22 +94,6 @@ func (o *Order) MaxRank() Rank {
 		return 0
 	}
 	return Rank(len(o.rankOf) - 1)
-}
-
-// SequenceForm converts an item set into its sequence form: the multiset
-// of ranks sorted ascending (Def. 1 lists items smallest-under-<_D
-// first). The input set must contain valid, distinct items.
-func (o *Order) SequenceForm(set []dataset.Item) ([]Rank, error) {
-	sf := make([]Rank, len(set))
-	for i, it := range set {
-		r, err := o.Rank(it)
-		if err != nil {
-			return nil, err
-		}
-		sf[i] = r
-	}
-	sort.Slice(sf, func(i, j int) bool { return sf[i] < sf[j] })
-	return sf, nil
 }
 
 // Set converts a sequence form back to a sorted item set.
@@ -180,16 +161,11 @@ func AppendTag(dst []byte, sf []Rank) []byte {
 	return append(dst, tagEnd)
 }
 
-// DecodeTag parses one tag from the front of b, returning the sequence and
-// the number of bytes consumed (terminator included).
-func DecodeTag(b []byte) ([]Rank, int, error) {
-	return AppendDecodedTag(nil, b)
-}
-
-// AppendDecodedTag is DecodeTag into a reusable slice: the decoded ranks
-// are appended to dst (pass a recycled buffer's [:0] to decode without
-// allocating). It is the form the OIF's block cursor uses on every
-// block visit.
+// AppendDecodedTag parses one tag from the front of b into a reusable
+// slice: the decoded ranks are appended to dst (pass a recycled buffer's
+// [:0] to decode without allocating) and returned with the number of
+// bytes consumed (terminator included). It is the form the OIF's block
+// cursor uses on every block visit.
 func AppendDecodedTag(dst []Rank, b []byte) ([]Rank, int, error) {
 	pos := 0
 	for {
@@ -207,25 +183,6 @@ func AppendDecodedTag(dst []Rank, b []byte) ([]Rank, int, error) {
 			pos += TagElemWidth
 		default:
 			return nil, 0, fmt.Errorf("sequence: bad tag byte 0x%02x", b[pos])
-		}
-	}
-}
-
-// SkipTag returns the byte length of the tag at the front of b
-// (terminator included) without decoding the ranks.
-func SkipTag(b []byte) (int, error) {
-	pos := 0
-	for {
-		if pos >= len(b) {
-			return 0, fmt.Errorf("sequence: unterminated tag")
-		}
-		switch b[pos] {
-		case tagEnd:
-			return pos + 1, nil
-		case tagElem:
-			pos += TagElemWidth
-		default:
-			return 0, fmt.Errorf("sequence: bad tag byte 0x%02x", b[pos])
 		}
 	}
 }

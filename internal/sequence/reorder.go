@@ -114,11 +114,6 @@ func (r *Reordered) SF(newID uint32) []Rank {
 	return r.flat[r.off[newID-1]:r.off[newID]]
 }
 
-// Cardinality returns the set size of the record with new id.
-func (r *Reordered) Cardinality(newID uint32) int {
-	return int(r.off[newID] - r.off[newID-1])
-}
-
 // OrigIndex maps a new id to the record's 0-based position in the source
 // dataset.
 func (r *Reordered) OrigIndex(newID uint32) int { return int(r.origIndex[newID-1]) }
@@ -126,12 +121,6 @@ func (r *Reordered) OrigIndex(newID uint32) int { return int(r.origIndex[newID-1
 // NewID maps a 0-based source position to the record's new id. This is
 // the paper's "reassignment map" whose space cost §5 accounts for.
 func (r *Reordered) NewID(srcIndex int) uint32 { return r.newID[srcIndex] }
-
-// ArenaBytes reports the memory footprint of the sf arena (space
-// accounting in the experiments).
-func (r *Reordered) ArenaBytes() int64 {
-	return int64(len(r.flat))*4 + int64(len(r.off))*4
-}
 
 // MapBytes reports the reassignment map footprint (new id <-> original
 // position, 8 bytes per record).

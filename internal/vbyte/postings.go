@@ -108,18 +108,6 @@ func DecodePostingsInto(buf []byte, prev uint32, out []Posting) ([]Posting, erro
 	return out, nil
 }
 
-// PostingsLen returns the encoded byte size of postings without encoding.
-func PostingsLen(postings []Posting, prev uint32) int {
-	n := 0
-	last := prev
-	for _, p := range postings {
-		n += Len64(uint64(p.ID - last))
-		n += Len64(uint64(p.Length))
-		last = p.ID
-	}
-	return n
-}
-
 // AppendCovered appends to dst, ascending, the ids of the records every
 // one of whose items has a posting among lists: a k-way merge over the
 // id-sorted lists that counts each id's occurrences and qualifies it when

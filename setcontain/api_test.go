@@ -34,7 +34,7 @@ func TestParseKind(t *testing.T) {
 		}
 	}
 	// Round-trip every registered kind through its String form.
-	for _, k := range Kinds() {
+	for _, k := range AllKinds {
 		got, err := ParseKind(k.String())
 		if err != nil || got != k {
 			t.Errorf("ParseKind(%q) = %v, %v; want %v", k.String(), got, err, k)

@@ -103,9 +103,6 @@ var engineBuilders = map[Kind]func(*dataset.Dataset, Options) (Engine, error){
 	Sharded:        buildShardedEngine,
 }
 
-// Kinds lists the registered engine kinds in declaration order.
-func Kinds() []Kind { return []Kind{OIF, InvertedFile, UnorderedBTree, Sharded} }
-
 // EngineOf wraps an already-built backend index (*core.Index,
 // *invfile.Index, or *ubtree.Index) in its Engine adapter. The backend's
 // current buffer pool is kept; this is the entry point for measurement
@@ -301,27 +298,6 @@ func (e *oifEngine) NewReader(cachePages int) (*Reader, error) {
 	return newReader(cachePages, e.ix().NewReader)
 }
 
-// AppendSubset implements AppendQueryable on the OIF's zero-allocation
-// query path; likewise AppendEquality and AppendSuperset.
-func (e *oifEngine) AppendSubset(dst []uint32, qs []Item) ([]uint32, error) {
-	return e.ix().AppendSubset(dst, qs)
-}
-
-func (e *oifEngine) AppendEquality(dst []uint32, qs []Item) ([]uint32, error) {
-	return e.ix().AppendEquality(dst, qs)
-}
-
-func (e *oifEngine) AppendSuperset(dst []uint32, qs []Item) ([]uint32, error) {
-	return e.ix().AppendSuperset(dst, qs)
-}
-
-// AppendSubsetWithin restricts the subset answer to a sorted candidate
-// set in one pass — the planner's streaming-AND pushdown capability
-// (see subsetWithiner).
-func (e *oifEngine) AppendSubsetWithin(dst []uint32, qs []Item, cands []uint32) ([]uint32, error) {
-	return e.ix().AppendSubsetWithin(dst, qs, cands)
-}
-
 // DecodedStats exposes the OIF's decoded-block cache statistics.
 func (e *oifEngine) DecodedStats() DecodedCacheStats {
 	return decodedStatsOf(e.ix().DecodedStats())
@@ -350,12 +326,6 @@ func (e *invEngine) NewReader(cachePages int) (*Reader, error) {
 func (e *invEngine) Space() SpaceInfo {
 	pages := e.ix().ListPages()
 	return SpaceInfo{Pages: pages, Bytes: pages * int64(e.b.Pool().PageSize())}
-}
-
-// SubsetCursor streams the subset answer with lazily decoded postings —
-// the planner's early-exit capability (see subsetCursorer).
-func (e *invEngine) SubsetCursor(qs []Item) (*invfile.SubsetCursor, error) {
-	return e.ix().SubsetCursor(qs)
 }
 
 // --- Unordered B-tree ---------------------------------------------------

@@ -15,3 +15,7 @@ func WrapShardClients(ix *Index, wrap func(shard int, c ShardClient) ShardClient
 		e.clients[s] = wrap(s, c)
 	}
 }
+
+// AllKinds lists the engine kinds in declaration order, for the tests
+// that build one index of each.
+var AllKinds = []Kind{OIF, InvertedFile, UnorderedBTree, Sharded}

@@ -47,6 +47,17 @@ type faultBoard struct {
 	// held receives a token when a call starts sitting out a delay: how
 	// a test knows the call is in flight.
 	held chan struct{}
+	// calls counts the decorated calls by name since the last tally.
+	calls map[string]int
+}
+
+// tally returns the calls counted since the previous tally.
+func (b *faultBoard) tally() map[string]int {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	calls := b.calls
+	b.calls = nil
+	return calls
 }
 
 func (b *faultBoard) arm(f shardFault) {
@@ -79,8 +90,15 @@ func (b *faultBoard) holding() chan struct{} {
 	return b.held
 }
 
-// before applies the delay and failure modes ahead of a call.
+// before counts a call and applies the delay and failure modes ahead of
+// it.
 func (b *faultBoard) before(ctx context.Context, call string, shard int) error {
+	b.mu.Lock()
+	if b.calls == nil {
+		b.calls = map[string]int{}
+	}
+	b.calls[call]++
+	b.mu.Unlock()
 	f := b.match(call, shard)
 	if f == nil {
 		return nil
@@ -318,6 +336,9 @@ func TestShardFaults(t *testing.T) {
 	}
 	leaf, _ := ops[0].expr.AsQuery()
 	tree := ops[len(ops)-1].expr
+	// multi is a tree of four leaves whatever the random draw, a NOT
+	// among them: what Index.EvalExpr must push down whole.
+	multi := transportOp{expr: setcontain.And(setcontain.Or(ops[0].expr, ops[1].expr), setcontain.Not(ops[2].expr), ops[3].expr)}
 
 	boards := map[string]*faultBoard{"sharded": {}, "inproc": {}, "http": {}}
 	variants := buildTransportVariants(t, sets, domain, shards,
@@ -421,6 +442,8 @@ func TestShardFaults(t *testing.T) {
 		{shardFault{call: "AppendQuery", shard: victim, delay: 20 * time.Millisecond}, either, false, underDeadline(plainOp)},
 		{shardFault{call: "AppendQuery", shard: victim, fail: true}, mustFail, true,
 			func(v *transportVariant, _ *naiveOracle) error { _, err := v.idx.Eval(leaf); return err }},
+		{shardFault{call: "AppendExpr", shard: victim, fail: true}, mustFail, true,
+			func(v *transportVariant, _ *naiveOracle) error { _, err := v.idx.EvalExpr(multi.expr); return err }},
 		{shardFault{call: "AppendExpr", shard: victim, fail: true}, mustFail, true, query(treeOp)},
 		{shardFault{call: "AppendExpr", shard: victim, truncate: true}, mustFail, true, query(treeOp)},
 		{shardFault{call: "AppendExpr", shard: victim, delay: 20 * time.Millisecond}, either, false, underDeadline(treeOp)},
@@ -508,6 +531,17 @@ func TestShardFaults(t *testing.T) {
 			}
 		}
 		settled("built")
+		// One fan-out: the engine-level expression form is a push-down like
+		// the Store's — the whole tree to every shard once, no leaf scatter.
+		board.tally()
+		got, err := v.idx.EvalExpr(multi.expr)
+		if err != nil || !slices.Equal(got, oracle.answer(t, multi)) {
+			t.Fatalf("%s: Index.EvalExpr(%s): %v, %v; oracle says %v", v.name, multi.expr, got, err, oracle.answer(t, multi))
+		}
+		if calls := board.tally(); calls["AppendExpr"] != shards || calls["AppendQuery"] != 0 {
+			t.Fatalf("%s: Index.EvalExpr(%s) cost %d AppendExpr and %d AppendQuery calls, want %d and 0",
+				v.name, multi.expr, calls["AppendExpr"], calls["AppendQuery"], shards)
+		}
 		for _, c := range cases {
 			if c.fault.call == "POST /query" && v.name != "http" {
 				continue // only the HTTP stack has a far side of the wire

@@ -56,10 +56,10 @@ func hotTestQueries(t testing.TB, c *setcontain.Collection, count int) []setcont
 	return qs
 }
 
-// TestStoreExecAppendZeroAllocs is the zero-allocation regression gate:
-// steady-state Store.ExecAppend over a warm OIF store must not allocate
-// for any of the three predicates.
-func TestStoreExecAppendZeroAllocs(t *testing.T) {
+// hotOIF builds the warm-path fixture of the zero-allocation gates: an
+// OIF whose cache holds the whole index, and a mixed workload over it.
+func hotOIF(t *testing.T) (*setcontain.Index, []setcontain.Query) {
+	t.Helper()
 	if raceEnabled {
 		t.Skip("race-detector instrumentation allocates; run without -race")
 	}
@@ -71,33 +71,65 @@ func TestStoreExecAppendZeroAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	store := setcontain.NewStore(idx, 2048)
-	ctx := context.Background()
-	queries := hotTestQueries(t, c, 30)
+	return idx, hotTestQueries(t, c, 30)
+}
 
-	// Warm: run every query twice so page cache, decoded cache, arenas,
-	// and the answer buffer all reach their high-water marks.
+// requireZeroAllocs warms run — every query twice, so page cache,
+// decoded cache, arenas, and the answer buffer all reach their
+// high-water marks — then requires each query's steady-state call to
+// allocate nothing.
+func requireZeroAllocs(t *testing.T, what string, queries []setcontain.Query,
+	run func(dst []uint32, q setcontain.Query) ([]uint32, error)) {
+	t.Helper()
 	dst := make([]uint32, 0, 64)
+	var err error
 	for pass := 0; pass < 2; pass++ {
 		for _, q := range queries {
-			if dst, err = store.ExecAppend(ctx, dst[:0], q); err != nil {
+			if dst, err = run(dst[:0], q); err != nil {
 				t.Fatal(err)
 			}
 		}
 	}
-
 	for _, q := range queries {
-		q := q
 		allocs := testing.AllocsPerRun(50, func() {
 			var err error
-			dst, err = store.ExecAppend(ctx, dst[:0], q)
+			dst, err = run(dst[:0], q)
 			if err != nil {
 				t.Fatal(err)
 			}
 		})
 		if allocs != 0 {
-			t.Errorf("%v: %.2f allocs per steady-state ExecAppend, want 0", q, allocs)
+			t.Errorf("%v: %.2f allocs per steady-state %s, want 0", q, allocs, what)
 		}
+	}
+}
+
+// TestStoreExecAppendZeroAllocs is the zero-allocation regression gate:
+// steady-state Store.ExecAppend over a warm OIF store must not allocate
+// for any of the three predicates.
+func TestStoreExecAppendZeroAllocs(t *testing.T) {
+	idx, queries := hotOIF(t)
+	store := setcontain.NewStore(idx, 2048)
+	ctx := context.Background()
+	requireZeroAllocs(t, "ExecAppend", queries, func(dst []uint32, q setcontain.Query) ([]uint32, error) {
+		return store.ExecAppend(ctx, dst, q)
+	})
+}
+
+// TestQueryEvalAppendZeroAllocs holds the one query primitive to the
+// same standard one layer down: Query.EvalAppend unwraps an Index or a
+// Reader to the OIF's append-form backend, so neither facade needs
+// Append* methods of its own for a warm query to allocate nothing.
+func TestQueryEvalAppendZeroAllocs(t *testing.T) {
+	idx, queries := hotOIF(t)
+	reader, err := idx.NewReader(2048)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, target := range map[string]setcontain.Queryable{"Index": idx, "Reader": reader} {
+		requireZeroAllocs(t, "Query.EvalAppend on the "+name, queries, func(dst []uint32, q setcontain.Query) ([]uint32, error) {
+			return q.EvalAppend(dst, target)
+		})
 	}
 }
 
@@ -185,7 +217,7 @@ func TestDecodedCacheStatsSurface(t *testing.T) {
 		t.Errorf("fresh reader already has decoded traffic: %+v", st)
 	}
 	for _, q := range queries {
-		if _, err := r.Eval(q); err != nil {
+		if _, err := q.Eval(r); err != nil {
 			t.Fatal(err)
 		}
 	}

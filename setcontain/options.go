@@ -82,9 +82,6 @@ type Options struct {
 	// Shards is the Sharded engine's partition count (default: one per
 	// CPU, minimum 2). Ignored by the other kinds.
 	Shards int
-	// BuildParallelism bounds the goroutines building shards in parallel
-	// (default GOMAXPROCS). Ignored by the other kinds.
-	BuildParallelism int
 	// DecodedCachePostings sizes the OIF's decoded-block cache in
 	// postings (8 bytes each): hot inverted-list blocks are kept in
 	// decoded form so repeat visits skip the vbyte decode entirely, with
@@ -161,10 +158,6 @@ func WithTagPrefix(n int) Option { return func(o *Options) { o.TagPrefix = n } }
 // WithShards sets the Sharded engine's partition count (n <= 0 keeps
 // the default: one shard per CPU, minimum 2).
 func WithShards(n int) Option { return func(o *Options) { o.Shards = n } }
-
-// WithBuildParallelism bounds the goroutines building shards in
-// parallel (n <= 0 keeps the default GOMAXPROCS).
-func WithBuildParallelism(n int) Option { return func(o *Options) { o.BuildParallelism = n } }
 
 // WithDecodedCache sizes the OIF's decoded-block cache in postings per
 // query handle (n < 0 disables it, 0 keeps the default

@@ -1,32 +1,17 @@
 package setcontain
 
-import "fmt"
-
 // The partition layer owns the one fact everything sharded depends on:
 // which shard holds a global record id, and how that id translates to
 // the shard's local id space. Build splits, query merges, insert
 // routing, delete routing, and snapshot manifests all consult the same
 // Partitioner value, so changing the partition scheme is a one-file
-// change (plus a registry entry) instead of a hunt through the engine.
+// change instead of a hunt through the engine.
 //
 // A Partitioner must be a bijection between global ids and
 // (shard, local) pairs, and must preserve order within a shard:
 // ascending locals on one shard map to ascending globals. That
 // monotonicity is what keeps the scatter-gather merge a pure k-way
 // interleave and sharded answers byte-identical to single-engine ones.
-
-// PartitionScheme identifies a partition scheme in snapshot manifests
-// and on the wire. Values are persistent: never renumber them.
-type PartitionScheme uint32
-
-// The registered partition schemes.
-const (
-	// SchemeRoundRobin routes global id g to shard (g-1) mod N — the
-	// scheme sharded builds use. Local ids are dense per shard and new
-	// ids rotate across shards, so shard sizes stay within one record
-	// of each other regardless of insert order.
-	SchemeRoundRobin PartitionScheme = 0
-)
 
 // Partitioner maps between the global record-id space and per-shard
 // local id spaces. Implementations must be pure (no state mutated by
@@ -40,12 +25,12 @@ type Partitioner interface {
 	Locate(global uint32) (shard int, local uint32)
 	// GlobalOf inverts Locate: the global id of shard s's local id l.
 	GlobalOf(shard int, local uint32) uint32
-	// Scheme identifies the partition scheme for manifests and wire
-	// protocols.
-	Scheme() PartitionScheme
 }
 
-// roundRobin is the SchemeRoundRobin Partitioner.
+// roundRobin is the Partitioner sharded builds use: global id g lives on
+// shard (g-1) mod N. Local ids are dense per shard and new ids rotate
+// across shards, so shard sizes stay within one record of each other
+// regardless of insert order.
 type roundRobin struct {
 	n uint32
 }
@@ -68,18 +53,4 @@ func (p roundRobin) Locate(global uint32) (int, uint32) {
 
 func (p roundRobin) GlobalOf(shard int, local uint32) uint32 {
 	return (local-1)*p.n + uint32(shard) + 1
-}
-
-func (p roundRobin) Scheme() PartitionScheme { return SchemeRoundRobin }
-
-// partitionerOfScheme reconstructs the Partitioner a snapshot manifest
-// (or wire handshake) names. Unknown schemes fail loudly — a newer
-// writer's snapshot must not be silently misrouted by an older reader.
-func partitionerOfScheme(scheme PartitionScheme, shards int) (Partitioner, error) {
-	switch scheme {
-	case SchemeRoundRobin:
-		return NewRoundRobinPartitioner(shards), nil
-	default:
-		return nil, fmt.Errorf("%w: unknown partition scheme %d", ErrBadSnapshot, scheme)
-	}
 }

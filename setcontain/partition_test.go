@@ -1,10 +1,15 @@
 package setcontain
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"slices"
 	"testing"
+
+	"repro/internal/snapio"
 )
 
 // TestRoundRobinRoundTrip pins the Partitioner contract on the default
@@ -14,8 +19,8 @@ import (
 func TestRoundRobinRoundTrip(t *testing.T) {
 	for _, n := range []int{1, 2, 3, 7, 16} {
 		part := NewRoundRobinPartitioner(n)
-		if part.NumShards() != n || part.Scheme() != SchemeRoundRobin {
-			t.Fatalf("n=%d: NumShards=%d Scheme=%d", n, part.NumShards(), part.Scheme())
+		if part.NumShards() != n {
+			t.Fatalf("n=%d: NumShards=%d", n, part.NumShards())
 		}
 		lastLocal := make([]uint32, n)
 		for g := uint32(1); g <= 1000; g++ {
@@ -50,19 +55,50 @@ func TestRoundRobinRoundTrip(t *testing.T) {
 	}
 }
 
-// TestPartitionerSchemeRegistry: snapshots name their scheme by number;
-// known numbers reconstruct a partitioner, unknown ones fail as a bad
-// snapshot rather than silently round-robining foreign data.
-func TestPartitionerSchemeRegistry(t *testing.T) {
-	part, err := partitionerOfScheme(SchemeRoundRobin, 4)
+// TestSnapshotUnknownPartitionScheme: a sharded manifest names its
+// partition scheme by number; any number but round-robin's fails as a
+// bad snapshot — from Open and from SplitSnapshot — rather than silently
+// round-robining foreign data.
+func TestSnapshotUnknownPartitionScheme(t *testing.T) {
+	ix, err := New(sampleCollection(t), WithKind(Sharded), WithShards(2), WithPageSize(512))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if part.NumShards() != 4 || part.Scheme() != SchemeRoundRobin {
-		t.Fatalf("registry rebuilt %d shards, scheme %d", part.NumShards(), part.Scheme())
+	var snap bytes.Buffer
+	if err := ix.Save(&snap); err != nil {
+		t.Fatal(err)
 	}
-	if _, err := partitionerOfScheme(PartitionScheme(42), 4); !errors.Is(err, ErrBadSnapshot) {
-		t.Fatalf("unknown scheme: got %v, want ErrBadSnapshot", err)
+	// reframe rewrites the manifest's scheme word under a fresh, valid
+	// CRC: the manifest follows the container header and runs to its own
+	// trailer — three header words, four plan words per shard, one frame
+	// length per shard.
+	const header = len(containerMagic) + 4*4 + 4
+	const manifest = 3*4 + 2*(3*4+8) + 2*8
+	raw := snap.Bytes()
+	reframe := func(scheme uint32) []byte {
+		body := append([]byte(nil), raw[header:header+manifest]...)
+		binary.LittleEndian.PutUint32(body[4:], scheme)
+		out := bytes.NewBuffer(append([]byte(nil), raw[:header]...))
+		cw := snapio.NewWriter(out)
+		if _, err := cw.Write(body); err != nil {
+			t.Fatal(err)
+		}
+		if err := cw.WriteTrailer(); err != nil {
+			t.Fatal(err)
+		}
+		out.Write(raw[header+manifest+4:])
+		return out.Bytes()
+	}
+	if !bytes.Equal(reframe(0), raw) {
+		t.Fatal("reframing with round-robin's own number changed the snapshot: manifest layout drifted")
+	}
+	forged := reframe(42)
+	if _, err := Open(bytes.NewReader(forged)); !errors.Is(err, ErrBadSnapshot) {
+		t.Fatalf("Open of scheme 42: got %v, want ErrBadSnapshot", err)
+	}
+	emit := func(int, ShardPlan, io.Reader) error { return nil }
+	if err := SplitSnapshot(bytes.NewReader(forged), emit); !errors.Is(err, ErrBadSnapshot) {
+		t.Fatalf("SplitSnapshot of scheme 42: got %v, want ErrBadSnapshot", err)
 	}
 }
 
@@ -80,11 +116,10 @@ func (p reversedRobin) Locate(global uint32) (int, uint32) {
 func (p reversedRobin) GlobalOf(shard int, local uint32) uint32 {
 	return (local-1)*p.n + (p.n - 1 - uint32(shard)) + 1
 }
-func (p reversedRobin) Scheme() PartitionScheme { return PartitionScheme(7) }
 
 // TestAlternativePartitionerPlugsIn is the deduplication regression
 // test: with the id arithmetic centralized in the Partitioner, swapping
-// the scheme means implementing the four-method interface and handing
+// the scheme means implementing the three-method interface and handing
 // it to the build — no edits to sharded.go, scatter.go, or any query
 // path. Build, query, and update answers under the reversed scheme must
 // stay byte-identical to the single-engine reference.

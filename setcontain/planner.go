@@ -238,39 +238,12 @@ type ExprEvalStats struct {
 	SkippedLeaves   int
 }
 
-// Eval answers the planned expression against t, returning ascending
-// unique record ids — byte-identical to the naive Expr.Eval reference,
-// just computed in cost order with short-circuiting and streaming.
-// Hot loops should reuse an Evaluator instead; this convenience form
-// discards the free list after one call.
-func (p *ExprPlan) Eval(t Queryable) ([]uint32, ExprEvalStats, error) {
-	var evr Evaluator
-	return evr.Eval(p, t)
-}
-
-// EvalAppend answers the planned expression against t, appending the
-// answer to dst. Intermediate results recycle through an internal free
-// list; with an AppendQueryable target the leaves themselves allocate
-// nothing, so steady-state cost is the set algebra plus one final copy
-// into dst (skipped when dst has no backing array to preserve). Reuse
-// an Evaluator to keep the free list warm across calls.
-func (p *ExprPlan) EvalAppend(dst []uint32, t Queryable) ([]uint32, ExprEvalStats, error) {
-	var evr Evaluator
-	return evr.EvalAppend(dst, p, t)
-}
-
-// EvalLimitAppend answers the first `limit` ids of the planned
-// expression, appending to dst; see Evaluator.EvalLimitAppend.
-func (p *ExprPlan) EvalLimitAppend(dst []uint32, t Queryable, limit int) ([]uint32, ExprEvalStats, error) {
-	var evr Evaluator
-	return evr.EvalLimitAppend(dst, p, t, limit)
-}
-
-// exprEval is one planned evaluation: the target and its discovered
-// streaming capabilities, the lazily computed universe (the subset{}
-// answer — every live record id), the owning Evaluator whose free list
-// recycles intermediate buffers, the batch's subexpression cache when
-// evaluating inside one, and the leaf accounting.
+// exprEval is one planned evaluation: the target (unwrapped to its
+// backend) and its discovered streaming capabilities, the lazily
+// computed universe (the subset{} answer — every live record id), the
+// owning Evaluator whose free list recycles intermediate buffers, the
+// batch's subexpression cache when evaluating inside one, and the leaf
+// accounting.
 type exprEval struct {
 	t            Queryable
 	owner        *Evaluator
@@ -562,18 +535,29 @@ func (ix *Index) PlanExpr(e *Expr) (*ExprPlan, error) {
 // cost-ordered AND children, short-circuiting, galloping set algebra.
 // The profile is rebuilt per call — interactive convenience; hot loops
 // should plan once via PlanExpr (Store caches the profile per index
-// generation).
+// generation). Over a sharded index the call is a push-down, like a
+// Store's: every shard plans the whole expression against its own supports.
 func (ix *Index) EvalExpr(e *Expr) ([]uint32, error) { return ix.EvalExprLimit(e, 0) }
 
 // EvalExprLimit answers the first n ids of the expression's answer with
-// limit-driven early exit (see Evaluator.EvalLimitAppend); n <= 0 means
-// no limit. Like EvalExpr, the profile is rebuilt per call.
+// limit-driven early exit (see Evaluator.EvalLimitAppend). n == 0 means
+// no limit; a negative n returns ErrNegativeLimit, as on every other
+// entry point. Like EvalExpr, the profile is rebuilt per call.
 func (ix *Index) EvalExprLimit(e *Expr, n int) ([]uint32, error) {
-	plan, err := ix.PlanExpr(e)
-	if err != nil {
-		return nil, err
+	if e == nil {
+		return nil, errNilExpr
 	}
-	ids, _, err := plan.EvalLimitAppend(nil, ix, n)
+	var (
+		ids []uint32
+		err error
+	)
+	if se, ok := ix.eng.(*shardedEngine); ok {
+		ids, err = se.evalExpr(e, n)
+	} else {
+		var evr Evaluator
+		it := BatchItem{Expr: e, Limit: n}
+		ids, _, err = it.planExec(ix.eng, ix, &evr)
+	}
 	if err != nil {
 		return nil, err
 	}

@@ -9,6 +9,13 @@ import (
 	"testing"
 )
 
+// evalPlan is the whole answer of p by evr in the plain form: a non-nil
+// empty slice when nothing matched.
+func evalPlan(evr *Evaluator, p *ExprPlan, t Queryable) ([]uint32, ExprEvalStats, error) {
+	ids, st, err := evr.EvalLimitAppend(nil, p, t, 0)
+	return orEmpty(ids), st, err
+}
+
 // refSet is the map-based set-algebra reference: leaf answers come from
 // plain Query.Eval, combination from map operations — an implementation
 // as unlike the planner's galloping slices as possible.
@@ -123,7 +130,7 @@ func TestExprPlannedMatchesNaive(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%v: plan %q: %v", kind, e, err)
 			}
-			planned, st, err := plan.Eval(ix)
+			planned, st, err := evalPlan(new(Evaluator), plan, ix)
 			if err != nil {
 				t.Fatalf("%v: planned %q: %v", kind, e, err)
 			}
@@ -236,7 +243,7 @@ func TestPlannerShortCircuit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ids, st, err := plan.Eval(ix)
+	ids, st, err := evalPlan(new(Evaluator), plan, ix)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,7 +276,7 @@ func TestErrUnknownPredicateUnified(t *testing.T) {
 	if _, err := bad.Eval(ix); err != ErrUnknownPredicate {
 		t.Errorf("Eval: %v, want bare ErrUnknownPredicate", err)
 	}
-	// EvalAppend on both the AppendQueryable path (OIF) and the
+	// EvalAppend on both the append-capable path (OIF) and the
 	// fallback path (inverted file) — the fallback used to double-wrap.
 	if _, err := bad.EvalAppend(nil, ix); err != ErrUnknownPredicate {
 		t.Errorf("EvalAppend(OIF): %v, want bare ErrUnknownPredicate", err)

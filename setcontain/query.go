@@ -126,28 +126,50 @@ func (q Query) Eval(t Queryable) ([]uint32, error) {
 	}
 }
 
-// AppendQueryable is the append-form query surface: answers are
-// appended to a caller-provided slice instead of freshly allocated.
-// The OIF engine and its readers implement it on the zero-allocation
-// query path; EvalAppend falls back to Eval plus a copy for the rest.
-type AppendQueryable interface {
+// appendQueryable is the append-form capability: answers are appended
+// to a caller-provided slice instead of freshly allocated. The OIF
+// index and its readers implement it on the zero-allocation query
+// path; EvalAppend falls back to Eval plus a copy for the rest.
+type appendQueryable interface {
 	AppendSubset(dst []uint32, qs []Item) ([]uint32, error)
 	AppendEquality(dst []uint32, qs []Item) ([]uint32, error)
 	AppendSuperset(dst []uint32, qs []Item) ([]uint32, error)
 }
 
+// backendOf unwraps t to the backend that answers for it — an Index to
+// its engine, an OIF or inverted-file engine to its index, a Reader to
+// the backend reader it holds — and returns any other target as is. It
+// is the one place a target is unwrapped, so a capability (append form,
+// candidate pushdown, lazy cursors) is only ever found on the backend
+// that truly implements it.
+func backendOf(t Queryable) Queryable {
+	switch v := t.(type) {
+	case *Index:
+		return backendOf(v.eng)
+	case *Reader:
+		return v.r
+	case *oifEngine:
+		return v.b
+	case *invEngine:
+		return v.b
+	}
+	return t
+}
+
 // EvalAppend answers the query against t, appending the answer to dst
-// and returning the extended slice. With a target implementing
-// AppendQueryable (an OIF Index, Engine, or Reader) and warm caches the
-// call performs no allocations beyond growing dst; other targets answer
-// through Eval and copy. When nothing matched, dst itself comes back
-// (nil stays nil). An invalid predicate returns the bare
+// and returning the extended slice — the one query primitive every
+// layer above the backends answers through. Existing dst contents are
+// preserved. With an OIF Index, Engine, or Reader as the target and warm
+// caches the call performs no allocations beyond growing dst; other
+// targets answer through Eval and copy. When nothing matched, dst itself
+// comes back (nil stays nil). An invalid predicate returns the bare
 // ErrUnknownPredicate sentinel on both paths.
 func (q Query) EvalAppend(dst []uint32, t Queryable) ([]uint32, error) {
 	if !q.Pred.known() {
 		return nil, ErrUnknownPredicate
 	}
-	if at, ok := t.(AppendQueryable); ok {
+	t = backendOf(t)
+	if at, ok := t.(appendQueryable); ok {
 		switch q.Pred {
 		case PredicateSubset:
 			return at.AppendSubset(dst, q.Items)

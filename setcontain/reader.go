@@ -8,9 +8,7 @@ import (
 // engineReader is the uniform surface of the backends' isolated query
 // handles (core.Reader, invfile.Reader, ubtree.Reader).
 type engineReader interface {
-	Subset(qs []Item) ([]uint32, error)
-	Equality(qs []Item) ([]uint32, error)
-	Superset(qs []Item) ([]uint32, error)
+	Queryable
 	Stats() storage.AccessStats
 	ResetStats()
 	Pool() *storage.BufferPool
@@ -35,27 +33,9 @@ func (r *Reader) Equality(qs []Item) ([]uint32, error) { return r.r.Equality(qs)
 // Superset answers like Index.Superset.
 func (r *Reader) Superset(qs []Item) ([]uint32, error) { return r.r.Superset(qs) }
 
-// Eval answers a first-class Query.
-func (r *Reader) Eval(q Query) ([]uint32, error) { return q.Eval(r) }
-
-// AppendSubset appends the Subset answer to dst — the reader's
+// EvalAppend answers a first-class Query in append form — the reader's
 // zero-allocation form when the backend supports it (OIF), otherwise a
-// plain call plus copy. See Index.AppendSubset for the append contract.
-func (r *Reader) AppendSubset(dst []uint32, qs []Item) ([]uint32, error) {
-	return SubsetQuery(qs).EvalAppend(dst, r.r)
-}
-
-// AppendEquality appends the Equality answer to dst; see AppendSubset.
-func (r *Reader) AppendEquality(dst []uint32, qs []Item) ([]uint32, error) {
-	return EqualityQuery(qs).EvalAppend(dst, r.r)
-}
-
-// AppendSuperset appends the Superset answer to dst; see AppendSubset.
-func (r *Reader) AppendSuperset(dst []uint32, qs []Item) ([]uint32, error) {
-	return SupersetQuery(qs).EvalAppend(dst, r.r)
-}
-
-// EvalAppend answers a first-class Query in append form.
+// plain call plus copy. See Query.EvalAppend for the append contract.
 func (r *Reader) EvalAppend(dst []uint32, q Query) ([]uint32, error) {
 	return q.EvalAppend(dst, r.r)
 }

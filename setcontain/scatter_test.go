@@ -163,7 +163,7 @@ func TestScatterGatherMergesThroughPartitioner(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !slices.Equal(got, want) {
-			t.Fatalf("scheme %d: merged %v, want 1..30", part.Scheme(), got)
+			t.Fatalf("%T: merged %v, want 1..30", part, got)
 		}
 	}
 }

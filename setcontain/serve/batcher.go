@@ -25,8 +25,8 @@ type Config struct {
 	// MaxBatch caps the queries coalesced into one dispatch through
 	// Store.ExecBatchAppend (default 64).
 	MaxBatch int
-	// MaxPending bounds queued-but-undispatched queries; beyond it Do
-	// fails fast with ErrSaturated (default 4×MaxBatch).
+	// MaxPending bounds queued-but-undispatched queries; beyond it
+	// DoExprLimit fails fast with ErrSaturated (default 4×MaxBatch).
 	MaxPending int
 	// Dispatchers is the number of concurrent batch executors, each
 	// driving one pooled Store reader at a time (default GOMAXPROCS).
@@ -73,8 +73,8 @@ type waiter struct {
 }
 
 // Batcher coalesces concurrent queries into micro-batches dispatched
-// through Store.ExecBatchAppend. Create one with NewBatcher; submit
-// with Do; stop with Close. All methods are safe for concurrent use.
+// through Store.ExecBatchAppend. Create one with NewBatcher; submit with
+// DoExprLimit; stop with Close. All methods are safe for concurrent use.
 type Batcher struct {
 	store *setcontain.Store
 	cfg   Config
@@ -120,30 +120,22 @@ func (b *Batcher) Close() {
 	b.wg.Wait()
 }
 
-// Do submits one query and blocks until its batch executes or ctx ends.
-// The answer is appended to dst and the extended slice returned, as by
-// Store.ExecAppend — but the execution is shared: the query rides
-// whatever micro-batch the dispatchers form around it.
+// DoExprLimit submits one boolean expression — a plain query is
+// setcontain.ExprOf(q) — and blocks until its batch executes or ctx
+// ends. The answer is appended to dst and the extended slice returned,
+// as by Store.ExecExprLimitAppend (limit 0 means no limit, negative
+// returns setcontain.ErrNegativeLimit) — but the execution is shared:
+// the request rides whatever micro-batch the dispatchers form around it,
+// and Store.ExecBatchAppend evaluates subtrees shared across the batch
+// once (the cross-query subexpression cache).
 //
 // Ownership of dst transfers to the batcher for the duration of the
 // call, and the returned slice tells the caller whether it came back:
 // a non-nil return (every normal completion, including query errors —
 // the untouched dst is handed back then) supersedes dst and is the
-// caller's again; a nil return means Do gave up waiting (ctx ended, or
-// the batcher closed) while a dispatcher may still be writing into dst
-// — the buffer is forfeited and must not be reused.
-func (b *Batcher) Do(ctx context.Context, dst []uint32, q setcontain.Query) ([]uint32, error) {
-	return b.submit(setcontain.BatchItem{Ctx: ctx, Query: q, Dst: dst})
-}
-
-// DoExprLimit submits one boolean expression with the same coalescing,
-// admission control, and buffer contract as Do; its answer is truncated
-// to its first `limit` ids with early-exit evaluation (0 means no
-// limit, negative returns setcontain.ErrNegativeLimit). Expressions
-// join the same micro-batches as plain queries: Store.ExecBatchAppend
-// runs one-leaf unlimited ones straight on the shared warm reader and
-// plans the rest together, evaluating subtrees shared across the batch
-// once (the cross-query subexpression cache).
+// caller's again; a nil return means the call gave up waiting (ctx
+// ended, or the batcher closed) while a dispatcher may still be writing
+// into dst — the buffer is forfeited and must not be reused.
 func (b *Batcher) DoExprLimit(ctx context.Context, dst []uint32, e *setcontain.Expr, limit int) ([]uint32, error) {
 	if limit < 0 {
 		return dst, setcontain.ErrNegativeLimit
@@ -152,13 +144,6 @@ func (b *Batcher) DoExprLimit(ctx context.Context, dst []uint32, e *setcontain.E
 		// A BatchItem without an Expr means "answer Query".
 		return dst, errors.New("serve: nil expression")
 	}
-	return b.submit(setcontain.BatchItem{Ctx: ctx, Expr: e, Limit: limit, Dst: dst})
-}
-
-// submit admits one request and blocks for its result — the admission
-// and completion halves shared by Do and DoExprLimit.
-func (b *Batcher) submit(item setcontain.BatchItem) ([]uint32, error) {
-	ctx, dst := item.Ctx, item.Dst
 	if err := ctx.Err(); err != nil {
 		return dst, err
 	}
@@ -169,7 +154,7 @@ func (b *Batcher) submit(item setcontain.BatchItem) ([]uint32, error) {
 	if w == nil {
 		w = &waiter{done: make(chan struct{}, 1)}
 	}
-	w.item = item
+	w.item = setcontain.BatchItem{Ctx: ctx, Expr: e, Limit: limit, Dst: dst}
 	select {
 	case b.reqCh <- w:
 	default:
@@ -265,7 +250,7 @@ func (b *Batcher) exec(batch []*waiter, items []setcontain.BatchItem) {
 	if err != nil && b.closed.Load() {
 		err = ErrClosed
 	}
-	// Count before publishing: once a Do returns, Stats shows its batch.
+	// Count before publishing: once a call returns, Stats shows its batch.
 	b.queries.Add(int64(n))
 	b.batches.Add(1)
 	b.hist[n-1].Add(1)
@@ -310,7 +295,7 @@ type BatcherStats struct {
 	Batches int64
 	// Rejected counts queries refused at admission with ErrSaturated.
 	Rejected int64
-	// Canceled counts Do calls abandoned by their caller's context
+	// Canceled counts calls abandoned by their caller's context
 	// while queued or executing.
 	Canceled int64
 	// Pending is the queries queued awaiting dispatch at snapshot time

@@ -98,7 +98,7 @@ func TestBatcherAnswersMatchStore(t *testing.T) {
 		wg.Add(1)
 		go func(i int, q setcontain.Query) {
 			defer wg.Done()
-			got[i], errs[i] = b.Do(context.Background(), nil, q)
+			got[i], errs[i] = b.DoExprLimit(context.Background(), nil, setcontain.ExprOf(q), 0)
 		}(i, q)
 	}
 	wg.Wait()
@@ -157,7 +157,7 @@ func TestBatcherCoalesces(t *testing.T) {
 			var wg sync.WaitGroup
 			do := func(ctx context.Context, q setcontain.Query) {
 				defer wg.Done()
-				if _, err := b.Do(ctx, nil, q); err != nil {
+				if _, err := b.DoExprLimit(ctx, nil, setcontain.ExprOf(q), 0); err != nil {
 					t.Error(err)
 				}
 			}
@@ -183,7 +183,7 @@ func TestBatcherCoalesces(t *testing.T) {
 		b := serve.NewBatcher(store, serve.Config{MaxBatch: maxBatch})
 		defer b.Close()
 		for _, q := range queries {
-			if _, err := b.Do(context.Background(), nil, q); err != nil {
+			if _, err := b.DoExprLimit(context.Background(), nil, setcontain.ExprOf(q), 0); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -252,7 +252,7 @@ func TestBatcherSaturation(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		if _, err := b.Do(gate, nil, queries[0]); err != nil {
+		if _, err := b.DoExprLimit(gate, nil, setcontain.ExprOf(queries[0]), 0); err != nil {
 			t.Errorf("gated query: %v", err)
 			return
 		}
@@ -268,7 +268,7 @@ func TestBatcherSaturation(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			_, err := b.Do(context.Background(), nil, queries[1+w%4])
+			_, err := b.DoExprLimit(context.Background(), nil, setcontain.ExprOf(queries[1+w%4]), 0)
 			switch {
 			case err == nil:
 				served.Add(1)
@@ -337,7 +337,7 @@ func TestBatcherCancelMidExecution(t *testing.T) {
 	q := setcontain.SupersetQuery(wide)
 
 	ctx := newCountdownCtx(4)
-	_, err := b.Do(ctx, nil, q)
+	_, err := b.DoExprLimit(ctx, nil, setcontain.ExprOf(q), 0)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("mid-execution cancel: got %v, want context.Canceled", err)
 	}
@@ -347,7 +347,7 @@ func TestBatcherCancelMidExecution(t *testing.T) {
 
 	// The batcher stays healthy: the same query on a live context
 	// answers normally.
-	if _, err := b.Do(context.Background(), nil, q); err != nil {
+	if _, err := b.DoExprLimit(context.Background(), nil, setcontain.ExprOf(q), 0); err != nil {
 		t.Fatalf("query after cancelled batchmate: %v", err)
 	}
 }
@@ -358,11 +358,11 @@ func TestBatcherClosed(t *testing.T) {
 	c, _, store := newTestStore(t)
 	b := serve.NewBatcher(store, serve.Config{})
 	q := serveQueries(t, c, 1)[0]
-	if _, err := b.Do(context.Background(), nil, q); err != nil {
+	if _, err := b.DoExprLimit(context.Background(), nil, setcontain.ExprOf(q), 0); err != nil {
 		t.Fatal(err)
 	}
 	b.Close()
-	if _, err := b.Do(context.Background(), nil, q); !errors.Is(err, serve.ErrClosed) {
+	if _, err := b.DoExprLimit(context.Background(), nil, setcontain.ExprOf(q), 0); !errors.Is(err, serve.ErrClosed) {
 		t.Errorf("Do after Close: got %v, want ErrClosed", err)
 	}
 	b.Close() // idempotent
@@ -391,17 +391,17 @@ func TestBatcherZeroAllocs(t *testing.T) {
 	var err error
 	for pass := 0; pass < 3; pass++ {
 		for _, q := range queries {
-			if dst, err = b.Do(ctx, dst[:0], q); err != nil {
+			if dst, err = b.DoExprLimit(ctx, dst[:0], setcontain.ExprOf(q), 0); err != nil {
 				t.Fatal(err)
 			}
 		}
 	}
 
 	for _, q := range queries {
-		q := q
+		e := setcontain.ExprOf(q) // built once: the request, not the call, owns it
 		allocs := testing.AllocsPerRun(50, func() {
 			var err error
-			dst, err = b.Do(ctx, dst[:0], q)
+			dst, err = b.DoExprLimit(ctx, dst[:0], e, 0)
 			if err != nil {
 				t.Fatal(err)
 			}

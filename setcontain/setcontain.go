@@ -307,26 +307,6 @@ func (ix *Index) DecodedCacheStats() DecodedCacheStats {
 	return DecodedCacheStats{}
 }
 
-// AppendSubset appends Subset's answer to dst and returns the extended
-// slice — the zero-allocation form: on an OIF engine with warm page and
-// decoded caches, the query reuses per-engine scratch arenas throughout
-// and allocates nothing beyond dst's capacity. Existing dst contents
-// are preserved; only the appended region is sorted. Engines without an
-// append-form backend fall back to the plain call plus a copy.
-func (ix *Index) AppendSubset(dst []uint32, qs []Item) ([]uint32, error) {
-	return SubsetQuery(qs).EvalAppend(dst, ix.eng)
-}
-
-// AppendEquality appends Equality's answer to dst; see AppendSubset.
-func (ix *Index) AppendEquality(dst []uint32, qs []Item) ([]uint32, error) {
-	return EqualityQuery(qs).EvalAppend(dst, ix.eng)
-}
-
-// AppendSuperset appends Superset's answer to dst; see AppendSubset.
-func (ix *Index) AppendSuperset(dst []uint32, qs []Item) ([]uint32, error) {
-	return SupersetQuery(qs).EvalAppend(dst, ix.eng)
-}
-
 // NewReader creates a parallel query handle with its own cache of
 // cachePages pages (0 selects the default 32 KB). The reader shares the
 // index's immutable pages but owns its cache, so one reader per

@@ -14,7 +14,7 @@ import (
 func buildAll(t *testing.T, c *Collection) map[Kind]*Index {
 	t.Helper()
 	out := make(map[Kind]*Index)
-	for _, k := range Kinds() {
+	for _, k := range AllKinds {
 		ix, err := Build(c, Options{Kind: k, PageSize: 512, BlockPostings: 8, Shards: 3})
 		if err != nil {
 			t.Fatalf("Build(%v): %v", k, err)

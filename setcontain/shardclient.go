@@ -203,16 +203,10 @@ func (s *inprocSession) AppendExpr(ctx context.Context, dst []uint32, expr *Expr
 	if expr == nil {
 		return nil, errNilExpr
 	}
-	it := BatchItem{Expr: expr, Limit: limit, Dst: dst}
-	if it.prepare() {
-		it.plan, it.Err = PlanExpr(expr, s.c.Supports())
-	}
-	if it.Err != nil {
-		return nil, it.Err
-	}
 	s.r.setInterrupt(ctx.Err)
 	defer s.r.setInterrupt(nil)
-	ids, st, err := it.exec(s.r, &s.eval, nil)
+	it := BatchItem{Expr: expr, Limit: limit, Dst: dst}
+	ids, st, err := it.planExec(s.r, s.c, &s.eval)
 	s.last = st
 	return ids, err
 }

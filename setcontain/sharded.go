@@ -83,8 +83,7 @@ var errShardedPool = errors.New("setcontain: sharded engine has per-shard buffer
 // buildShardedEngine splits the dataset across opts.Shards sub-datasets
 // through the round-robin Partitioner, profiles each shard's
 // item-frequency skew during the split, and builds every shard's
-// planner-chosen engine in parallel (bounded by opts.BuildParallelism
-// goroutines).
+// planner-chosen engine in parallel (on at most GOMAXPROCS goroutines).
 func buildShardedEngine(ds *dataset.Dataset, opts Options) (Engine, error) {
 	n := opts.Shards
 	if n <= 0 {
@@ -98,13 +97,6 @@ func buildShardedEngine(ds *dataset.Dataset, opts Options) (Engine, error) {
 // swap alternative schemes in here.
 func buildShardedWith(ds *dataset.Dataset, opts Options, part Partitioner) (Engine, error) {
 	n := part.NumShards()
-	par := opts.BuildParallelism
-	if par <= 0 {
-		par = runtime.GOMAXPROCS(0)
-	}
-	if par > n {
-		par = n
-	}
 
 	// Split through the partitioner, profiling each shard as its
 	// records stream in. The dataset hands out ids 1..Len in order, so
@@ -130,7 +122,7 @@ func buildShardedWith(ds *dataset.Dataset, opts Options, part Partitioner) (Engi
 
 	clients := make([]ShardClient, n)
 	plans := make([]ShardPlan, n)
-	errs := forEachBounded(n, par, func(s int) error {
+	errs := forEachBounded(n, 0, func(s int) error {
 		shardEng, plan, err := buildShard(subs[s], colls[s], opts)
 		if err != nil {
 			return err
@@ -323,8 +315,8 @@ func (e *shardedEngine) openReader(cachePages int) (*shardedReader, error) {
 	return r, nil
 }
 
-// query answers q on the engine-level reader, opening it on first use.
-func (e *shardedEngine) query(q Query) ([]uint32, error) {
+// reader returns the engine-level reader, opened on first use.
+func (e *shardedEngine) reader() (*shardedReader, error) {
 	if e.rd.sess == nil {
 		rd, err := e.openReader(0)
 		if err != nil {
@@ -332,7 +324,32 @@ func (e *shardedEngine) query(q Query) ([]uint32, error) {
 		}
 		e.rd = rd
 	}
-	return e.rd.query(q)
+	return e.rd, nil
+}
+
+// query answers q on the engine-level reader.
+func (e *shardedEngine) query(q Query) ([]uint32, error) {
+	rd, err := e.reader()
+	if err != nil {
+		return nil, err
+	}
+	return rd.query(q)
+}
+
+// evalExpr is Index.EvalExprLimit over a sharded engine: like the
+// coordinating Store it plans nothing — it validates and forwards.
+func (e *shardedEngine) evalExpr(expr *Expr, limit int) ([]uint32, error) {
+	if limit < 0 {
+		return nil, ErrNegativeLimit
+	}
+	if err := expr.validate(); err != nil {
+		return nil, err
+	}
+	rd, err := e.reader()
+	if err != nil {
+		return nil, err
+	}
+	return rd.scatterExpr(context.Background(), expr, limit)
 }
 
 // dropReader retires the engine-level reader after a mutation; its
@@ -487,6 +504,23 @@ func (r *shardedReader) scatterQuery(ctx context.Context, q Query) ([]uint32, er
 	return scatterGather(ctx, r.part, func(cctx context.Context, s int) ([]uint32, error) {
 		return r.sess[s].AppendQuery(cctx, nil, q)
 	})
+}
+
+// scatterExpr answers a validated expression on every shard's session,
+// each planning it against its own supports, and merges the local
+// answers to global id order. A limit n > 0 is pushed per shard — the
+// partitioner maps each shard's ascending local answer to an ascending
+// global subsequence, so the global first n ids are always contained in
+// the union of the shards' local first n — then the merged answer is
+// truncated.
+func (r *shardedReader) scatterExpr(ctx context.Context, expr *Expr, limit int) ([]uint32, error) {
+	ids, err := scatterGather(ctx, r.part, func(cctx context.Context, s int) ([]uint32, error) {
+		return r.sess[s].AppendExpr(cctx, nil, expr, limit)
+	})
+	if limit > 0 && len(ids) > limit {
+		ids = ids[:limit]
+	}
+	return ids, err
 }
 
 func (r *shardedReader) Stats() storage.AccessStats {

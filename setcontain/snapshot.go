@@ -34,6 +34,11 @@ const (
 	// maxSnapshotShards bounds the manifest's shard count so a corrupt
 	// header cannot force a huge allocation.
 	maxSnapshotShards = 1 << 16
+
+	// manifestRoundRobin is the sharded manifest's partition-scheme
+	// word. Round-robin is the only scheme ever written; a reader refuses
+	// any other value rather than misroute a newer writer's records.
+	manifestRoundRobin = 0
 )
 
 // ErrBadSnapshot reports a corrupt or foreign snapshot container.
@@ -165,7 +170,7 @@ func (e *shardedEngine) saveShardedPayload(w io.Writer) error {
 	// lengths — carries its own CRC trailer; the frames that follow are
 	// nested containers verifying themselves.
 	cw := snapio.NewWriter(w)
-	for _, v := range []uint32{uint32(n), uint32(e.part.Scheme()), uint32(e.domain)} {
+	for _, v := range []uint32{uint32(n), manifestRoundRobin, uint32(e.domain)} {
 		if err := snapio.WriteU32(cw, v); err != nil {
 			return err
 		}
@@ -196,11 +201,10 @@ func (e *shardedEngine) saveShardedPayload(w io.Writer) error {
 	return nil
 }
 
-// shardManifest is the decoded sharded-payload manifest: the partition
-// scheme, vocabulary, build-time plans, and the byte length of every
-// shard's nested sub-container frame that follows it.
+// shardManifest is the decoded sharded-payload manifest: the
+// vocabulary, build-time plans, and the byte length of every shard's
+// nested sub-container frame that follows it.
 type shardManifest struct {
-	scheme    PartitionScheme
 	domain    int
 	plans     []ShardPlan
 	frameLens []uint64
@@ -222,8 +226,10 @@ func readShardManifest(r io.Reader) (*shardManifest, error) {
 	if n <= 0 || n > maxSnapshotShards {
 		return nil, fmt.Errorf("%w: implausible shard count %d", ErrBadSnapshot, n)
 	}
+	if hdr[1] != manifestRoundRobin {
+		return nil, fmt.Errorf("%w: unknown partition scheme %d", ErrBadSnapshot, hdr[1])
+	}
 	m := &shardManifest{
-		scheme:    PartitionScheme(hdr[1]),
 		domain:    int(hdr[2]),
 		plans:     make([]ShardPlan, n),
 		frameLens: make([]uint64, n),
@@ -262,20 +268,15 @@ func readShardManifest(r io.Reader) (*shardManifest, error) {
 	return m, nil
 }
 
-// loadShardedPayload reads the manifest, reconstructs the partitioner
-// the manifest names, then decodes every shard's sub-container in
-// parallel and reassembles the sharded engine, over in-process clients
-// of the restored shards, with its build-time plans.
+// loadShardedPayload reads the manifest, then decodes every shard's
+// sub-container in parallel and reassembles the sharded engine, over
+// in-process clients of the restored shards, with its build-time plans.
 func loadShardedPayload(r io.Reader, o Options) (Engine, error) {
 	m, err := readShardManifest(r)
 	if err != nil {
 		return nil, err
 	}
 	n := len(m.plans)
-	part, err := partitionerOfScheme(m.scheme, n)
-	if err != nil {
-		return nil, err
-	}
 	frames := make([][]byte, n)
 	for s := range frames {
 		frames[s] = make([]byte, m.frameLens[s])
@@ -302,7 +303,7 @@ func loadShardedPayload(r io.Reader, o Options) (Engine, error) {
 			return nil, fmt.Errorf("shard %d: %w", s, err)
 		}
 	}
-	e, err := assembleSharded(context.Background(), part, clients, m.plans)
+	e, err := assembleSharded(context.Background(), NewRoundRobinPartitioner(n), clients, m.plans)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %w", ErrBadSnapshot, err)
 	}
@@ -329,9 +330,6 @@ func SplitSnapshot(r io.Reader, emit func(shard int, plan ShardPlan, frame io.Re
 	}
 	m, err := readShardManifest(r)
 	if err != nil {
-		return err
-	}
-	if _, err := partitionerOfScheme(m.scheme, len(m.plans)); err != nil {
 		return err
 	}
 	for s := range m.plans {

@@ -351,16 +351,29 @@ func (it *BatchItem) prepare() (tree bool) {
 	return !leaf
 }
 
-// exec answers one prepared item on r, a single engine's reader: the
-// leaf fast path, or planned evaluation through evr with the batch's
+// exec answers one prepared item on t, a single engine or its reader:
+// the leaf fast path, or planned evaluation through evr with the batch's
 // subexpression cache. The stats are zero for a plain leaf.
-func (it *BatchItem) exec(r *Reader, evr *Evaluator, cse *cseState) ([]uint32, ExprEvalStats, error) {
+func (it *BatchItem) exec(t Queryable, evr *Evaluator, cse *cseState) ([]uint32, ExprEvalStats, error) {
 	if it.plan == nil {
 		q, _ := it.asLeaf()
-		ids, err := r.EvalAppend(it.Dst, q)
+		ids, err := q.EvalAppend(it.Dst, t)
 		return ids, ExprEvalStats{}, err
 	}
-	return evr.run(it.Dst, it.plan, r, cse, it.Limit)
+	return evr.run(it.Dst, it.plan, t, cse, it.Limit)
+}
+
+// planExec is the request core for one item outside a Store batch — the
+// in-process shard session's AppendExpr and Index.EvalExprLimit: prepare,
+// plan a tree against sup's profile, exec on t.
+func (it *BatchItem) planExec(t Queryable, sup interface{ Supports() *SupportProfile }, evr *Evaluator) ([]uint32, ExprEvalStats, error) {
+	if it.prepare() {
+		it.plan, it.Err = PlanExpr(it.expr(), sup.Supports())
+	}
+	if it.Err != nil {
+		return nil, ExprEvalStats{}, it.Err
+	}
+	return it.exec(t, evr, nil)
 }
 
 // run is the one execution path above the engine; every public Exec*

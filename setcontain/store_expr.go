@@ -107,13 +107,9 @@ func (s *Store) noteCSE(c *cseState) {
 // One cancellation signal crosses the shard seam: a ctx that ends when
 // the item's or the batch's does; a failure reports the one that did.
 //
-// With a limit n > 0 the limit is pushed per shard — the partitioner
-// maps each shard's ascending local answer to an ascending global
-// subsequence, so the global first n ids are always contained in the
-// union of the shards' local first n — then the merged answer is
-// truncated. A tree answered counts in ExprStats as one expression, with
-// the leaf counters of the sessions that can report them (in-process
-// ones) summed across the shards that did the work.
+// A tree answered counts in ExprStats as one expression, with the leaf
+// counters of the sessions that can report them (in-process ones)
+// summed across the shards that did the work.
 func (s *Store) execSharded(batch context.Context, it *BatchItem, sr *shardedReader) (ids []uint32, err error) {
 	ctx := batch
 	if it.Ctx != nil {
@@ -126,12 +122,7 @@ func (s *Store) execSharded(batch context.Context, it *BatchItem, sr *shardedRea
 	if leaf {
 		ids, err = sr.scatterQuery(ctx, q)
 	} else {
-		// The closure must not capture it: the item would escape to the heap
-		// on every Store call, sharded or not.
-		expr, n := it.expr(), it.Limit
-		ids, err = scatterGather(ctx, sr.part, func(cctx context.Context, s int) ([]uint32, error) {
-			return sr.sess[s].AppendExpr(cctx, nil, expr, n)
-		})
+		ids, err = sr.scatterExpr(ctx, it.expr(), it.Limit)
 	}
 	if err != nil {
 		if berr := batch.Err(); berr != nil {
@@ -140,9 +131,6 @@ func (s *Store) execSharded(batch context.Context, it *BatchItem, sr *shardedRea
 		return nil, err
 	}
 	if !leaf {
-		if it.Limit > 0 && len(ids) > it.Limit {
-			ids = ids[:it.Limit]
-		}
 		var total ExprEvalStats
 		for _, sess := range sr.sess {
 			if is, ok := sess.(*inprocSession); ok {

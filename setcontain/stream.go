@@ -44,34 +44,21 @@ type Evaluator struct {
 	materialize bool
 }
 
-// Eval answers the planned expression against t; see ExprPlan.Eval.
-func (evr *Evaluator) Eval(p *ExprPlan, t Queryable) ([]uint32, ExprEvalStats, error) {
-	ids, st, err := evr.run(nil, p, t, nil, 0)
-	if err != nil {
-		return nil, st, err
-	}
-	return orEmpty(ids), st, nil
-}
-
-// EvalAppend answers the planned expression against t, appending to
-// dst; see ExprPlan.EvalAppend. Intermediates recycle through the
-// evaluator's free list, which persists across calls — the reuse that
-// makes steady-state evaluation allocation-free.
-func (evr *Evaluator) EvalAppend(dst []uint32, p *ExprPlan, t Queryable) ([]uint32, ExprEvalStats, error) {
-	return evr.run(dst, p, t, nil, 0)
-}
-
-// EvalLimitAppend answers the first `limit` ids of the planned
-// expression against t, appending to dst — the early-exit entry point.
-// The evaluation is cursor-driven: subset leaves on a cursor-capable
-// target (the inverted file) decode postings lazily, OR nodes k-way
-// merge their children's cursors in ascending id order, and everything
-// else materializes into a cursor over its answer. Once `limit` ids
-// have been produced the remaining cursor state is abandoned — postings
-// past the stop point are never decoded. limit <= 0 means no limit.
+// EvalLimitAppend answers the planned expression against t, appending
+// the answer — its first `limit` ids when limit > 0, all of it when
+// limit <= 0 — to dst (dst itself when nothing matched): ascending
+// unique record ids, byte-identical to the naive Expr.Eval reference,
+// just computed in cost order with short-circuiting and streaming.
+// Intermediates recycle through the evaluator's free list, which
+// persists across calls — the reuse that makes steady-state evaluation
+// allocation-free on an append-capable target.
 //
-// The result is exactly the first `limit` ids of the unlimited answer
-// (ascending, unique).
+// Under a limit the evaluation is cursor-driven: subset leaves on a
+// cursor-capable target (the inverted file) decode postings lazily, OR
+// nodes k-way merge their children's cursors in ascending id order, and
+// everything else materializes into a cursor over its answer. Once
+// `limit` ids have been produced the remaining cursor state is
+// abandoned — postings past the stop point are never decoded.
 func (evr *Evaluator) EvalLimitAppend(dst []uint32, p *ExprPlan, t Queryable, limit int) ([]uint32, ExprEvalStats, error) {
 	return evr.run(dst, p, t, nil, limit)
 }
@@ -117,13 +104,14 @@ func (evr *Evaluator) run(dst []uint32, p *ExprPlan, t Queryable, cse *cseState,
 	return out, ev.stats, nil
 }
 
-// newEval starts one evaluation against t, discovering t's streaming
-// capabilities unless the evaluator is the materializing reference.
+// newEval starts one evaluation against t, unwrapped once to its
+// backend, discovering the backend's streaming capabilities unless the
+// evaluator is the materializing reference.
 func (evr *Evaluator) newEval(t Queryable) exprEval {
-	ev := exprEval{t: t, owner: evr}
+	ev := exprEval{t: backendOf(t), owner: evr}
 	if !evr.materialize {
-		ev.within = withinerOf(t)
-		ev.cursors = cursorerOf(t)
+		ev.within, _ = ev.t.(subsetWithiner)
+		ev.cursors, _ = ev.t.(subsetCursorer)
 	}
 	return ev
 }
@@ -146,39 +134,6 @@ type subsetWithiner interface {
 // sort need the whole answer first).
 type subsetCursorer interface {
 	SubsetCursor(qs []Item) (*invfile.SubsetCursor, error)
-}
-
-// withinerOf unwraps t to its candidate-pushdown capability, or nil.
-// The facades (Index, Reader) are unwrapped to the backend they hold
-// rather than asserted directly, so a capability is only ever reported
-// by the engine that truly implements it.
-func withinerOf(t Queryable) subsetWithiner {
-	switch v := t.(type) {
-	case *Index:
-		return withinerOf(v.eng)
-	case *Reader:
-		if w, ok := v.r.(subsetWithiner); ok {
-			return w
-		}
-	case subsetWithiner:
-		return v
-	}
-	return nil
-}
-
-// cursorerOf unwraps t to its lazy-cursor capability, or nil.
-func cursorerOf(t Queryable) subsetCursorer {
-	switch v := t.(type) {
-	case *Index:
-		return cursorerOf(v.eng)
-	case *Reader:
-		if c, ok := v.r.(subsetCursorer); ok {
-			return c
-		}
-	case subsetCursorer:
-		return v
-	}
-	return nil
 }
 
 // --- cursors ------------------------------------------------------------

@@ -68,14 +68,14 @@ func TestEvaluatorStreamingMatchesMaterializing(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%v: naive %q: %v", kind, e, err)
 			}
-			got, _, err := streaming.Eval(plan, ix)
+			got, _, err := evalPlan(streaming, plan, ix)
 			if err != nil {
 				t.Fatalf("%v: streaming %q: %v", kind, e, err)
 			}
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("%v: streaming %q: got %d ids, naive %d", kind, e, len(got), len(want))
 			}
-			mat, _, err := materializing.Eval(plan, ix)
+			mat, _, err := evalPlan(materializing, plan, ix)
 			if err != nil {
 				t.Fatalf("%v: materializing %q: %v", kind, e, err)
 			}
@@ -103,13 +103,13 @@ func TestExprLimitFirstN(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%v: plan %q: %v", kind, e, err)
 			}
-			full, _, err := plan.EvalAppend(nil, ix)
+			full, _, err := new(Evaluator).EvalLimitAppend(nil, plan, ix, 0)
 			if err != nil {
 				t.Fatalf("%v: full %q: %v", kind, e, err)
 			}
 			limits := []int{0, 1, 2, 7, len(full), len(full) + 5}
 			for _, n := range limits {
-				got, _, err := plan.EvalLimitAppend(nil, ix, n)
+				got, _, err := new(Evaluator).EvalLimitAppend(nil, plan, ix, n)
 				if err != nil {
 					t.Fatalf("%v: limit %d %q: %v", kind, n, e, err)
 				}
@@ -188,6 +188,13 @@ func TestStoreExecExprLimit(t *testing.T) {
 		}
 		if _, err := s.ExecExprLimitAppend(ctx, nil, e, -1); !errors.Is(err, ErrNegativeLimit) {
 			t.Fatalf("%v: negative limit: %v, want ErrNegativeLimit", kind, err)
+		}
+		// One limit rule: the engine-level form refuses it too, for a
+		// tree and for a one-leaf expression alike.
+		for _, neg := range []*Expr{e, ExprOf(SubsetQuery([]Item{1}))} {
+			if _, err := ix.EvalExprLimit(neg, -1); !errors.Is(err, ErrNegativeLimit) {
+				t.Fatalf("%v: Index.EvalExprLimit(%s, -1): %v, want ErrNegativeLimit", kind, neg, err)
+			}
 		}
 	}
 }
@@ -448,14 +455,14 @@ func BenchmarkExprStreamMaterializing(b *testing.B) {
 	ev := &Evaluator{materialize: true}
 	dst := make([]uint32, 0, 4096)
 	for _, p := range plans { // warm-up: pages, free list, dst
-		if dst, _, err = ev.EvalAppend(dst[:0], p, idx); err != nil {
+		if dst, _, err = ev.EvalLimitAppend(dst[:0], p, idx, 0); err != nil {
 			b.Fatal(err)
 		}
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if dst, _, err = ev.EvalAppend(dst[:0], plans[i%len(plans)], idx); err != nil {
+		if dst, _, err = ev.EvalLimitAppend(dst[:0], plans[i%len(plans)], idx, 0); err != nil {
 			b.Fatal(err)
 		}
 	}

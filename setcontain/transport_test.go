@@ -218,6 +218,12 @@ var entryPoints = []entryPoint{
 		}
 		return v.idx.Eval(q)
 	})},
+	{"Index.EvalExprLimit", anyOp, perOp(func(ctx context.Context, v *transportVariant, op transportOp) ([]uint32, error) {
+		if err := ctx.Err(); err != nil {
+			return nil, err // the engine level takes no context
+		}
+		return v.idx.EvalExprLimit(op.expr, op.limit)
+	})},
 	{"Reader.EvalAppend", leafOp, func(ctx context.Context, v *transportVariant, ops []transportOp) ([][]uint32, error) {
 		if err := ctx.Err(); err != nil {
 			return nil, err // the engine level takes no context
@@ -272,9 +278,6 @@ var entryPoints = []entryPoint{
 		}
 		return out, nil
 	}},
-	{"Batcher.Do", leafOp, perQuery(func(ctx context.Context, v *transportVariant, q setcontain.Query) ([]uint32, error) {
-		return v.srv.Batcher().Do(ctx, nil, q)
-	})},
 	{"Batcher.DoExprLimit", anyOp, perOp(func(ctx context.Context, v *transportVariant, op transportOp) ([]uint32, error) {
 		return v.srv.Batcher().DoExprLimit(ctx, nil, op.expr, op.limit)
 	})},

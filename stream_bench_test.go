@@ -91,7 +91,7 @@ func BenchmarkExprStream(b *testing.B) {
 		// Warm-up: touch every page, grow the free list and dst to
 		// their high-water marks.
 		for _, p := range plans {
-			if dst, _, err = ev.EvalAppend(dst[:0], p, idx); err != nil {
+			if dst, _, err = ev.EvalLimitAppend(dst[:0], p, idx, 0); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -100,7 +100,7 @@ func BenchmarkExprStream(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			var st setcontain.ExprEvalStats
-			if dst, st, err = ev.EvalAppend(dst[:0], plans[i%len(plans)], idx); err != nil {
+			if dst, st, err = ev.EvalLimitAppend(dst[:0], plans[i%len(plans)], idx, 0); err != nil {
 				b.Fatal(err)
 			}
 			streamed += st.StreamedLeaves
@@ -146,7 +146,7 @@ func BenchmarkExprLimit(b *testing.B) {
 	var ev setcontain.Evaluator
 	dst := make([]uint32, 0, 4096)
 	for _, p := range plans {
-		if dst, _, err = ev.EvalAppend(dst[:0], p, idx); err != nil {
+		if dst, _, err = ev.EvalLimitAppend(dst[:0], p, idx, 0); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -161,7 +161,7 @@ func BenchmarkExprLimit(b *testing.B) {
 	b.Run("full", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if dst, _, err = ev.EvalAppend(dst[:0], plans[i%len(plans)], idx); err != nil {
+			if dst, _, err = ev.EvalLimitAppend(dst[:0], plans[i%len(plans)], idx, 0); err != nil {
 				b.Fatal(err)
 			}
 		}
