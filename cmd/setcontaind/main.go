@@ -59,6 +59,12 @@
 //	curl -s -d '{"queries":[{"pred":"superset","items":[1,2,3]}]}' localhost:8080/query
 //	curl -s -X POST localhost:8080/admin/snapshot -o idx.snap
 //
+// With -debug-addr the daemon serves net/http/pprof on a second
+// listener (never on -addr), so a daemon under load can be profiled:
+//
+//	setcontaind -synthetic 100000 -debug-addr 127.0.0.1:6060
+//	go tool pprof -top 'http://127.0.0.1:6060/debug/pprof/profile?seconds=10'
+//
 // The serving path is measured by the repository benchmark, which
 // stands up its own daemon over loopback:
 // `bash benchmark/run.sh --workload http_single`.
@@ -72,6 +78,7 @@ import (
 	"io"
 	"log"
 	"net/http"
+	"net/http/pprof"
 	"os"
 	"os/signal"
 	"path/filepath"
@@ -97,7 +104,8 @@ const (
 
 func main() {
 	var (
-		addr = flag.String("addr", ":8080", "listen address")
+		addr      = flag.String("addr", ":8080", "listen address")
+		debugAddr = flag.String("debug-addr", "", "listen address of the debug listener serving /debug/pprof/ (empty = off); keep it off public interfaces")
 
 		snapshot = flag.String("snapshot", "", "boot from this snapshot container instead of building from a dataset")
 
@@ -278,6 +286,16 @@ func main() {
 		ReadHeaderTimeout: readHeaderTimeout,
 		IdleTimeout:       idleTimeout,
 	}
+	if *debugAddr != "" {
+		ds := &http.Server{Addr: *debugAddr, Handler: debugMux(), ReadHeaderTimeout: readHeaderTimeout}
+		go func() {
+			log.Printf("debug listener on %s (/debug/pprof/)", *debugAddr)
+			if err := ds.ListenAndServe(); !errors.Is(err, http.ErrServerClosed) {
+				log.Printf("setcontaind: debug listener: %v", err)
+			}
+		}()
+		defer ds.Close()
+	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	// Shutdown closes the listener (ListenAndServe returns immediately)
@@ -308,6 +326,19 @@ func main() {
 		}
 	}
 	log.Printf("shut down cleanly")
+}
+
+// debugMux serves net/http/pprof for -debug-addr: a mux and a listener
+// of their own, so a profile is never reachable through the public
+// handler.
+func debugMux() *http.ServeMux {
+	mux := http.NewServeMux()
+	mux.HandleFunc("/debug/pprof/", pprof.Index)
+	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+	return mux
 }
 
 // shardSlice keeps only the records the round-robin partitioner routes

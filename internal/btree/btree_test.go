@@ -520,3 +520,61 @@ func BenchmarkGetWarm(b *testing.B) {
 		}
 	}
 }
+
+// TestCursorHoldsNoPinAndOwnsItsLeaf pins the cursor's contract under a
+// 2-page pool: after a seek and a Next across a leaf boundary no page is
+// pinned, Key and Value are the cursor's own bytes — they survive the
+// pool reusing the leaf's frame — and their capacity is clipped, so an
+// append cannot reach the neighbouring cell.
+func TestCursorHoldsNoPinAndOwnsItsLeaf(t *testing.T) {
+	pager := storage.NewMemPager(512)
+	tree, err := New(storage.NewBufferPool(pager, 256))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 3000
+	val := func(i uint32) []byte { return []byte(fmt.Sprintf("value-%05d", i)) }
+	for i := uint32(0); i < n; i++ {
+		if err := tree.Insert(u32key(i), val(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	small := storage.NewBufferPool(pager, 2)
+	if err := tree.SetPool(small); err != nil {
+		t.Fatal(err)
+	}
+
+	c, err := tree.Seek(u32key(1000), BytewiseCompare)
+	if err != nil {
+		t.Fatal(err)
+	}
+	at := uint32(1000)
+	for crossed := false; !crossed; at++ {
+		before := small.Stats().Accesses()
+		if err := c.Next(); err != nil {
+			t.Fatal(err)
+		}
+		crossed = small.Stats().Accesses() > before // a Next that fetched the next leaf
+	}
+	if !c.Valid() {
+		t.Fatal("cursor ran off the tree before crossing a leaf")
+	}
+
+	// Evict and reuse both frames, then drop them: neither may be pinned.
+	for _, k := range []uint32{0, n - 1} {
+		if _, err := tree.Get(u32key(k)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := small.DropAll(); err != nil {
+		t.Fatalf("a page is still pinned after Seek and Next: %v", err)
+	}
+
+	k, v := c.Key(), c.Value()
+	if !bytes.Equal(k, u32key(at)) || !bytes.Equal(v, val(at)) {
+		t.Fatalf("entry after frame reuse = (%x, %q), want (%x, %q)", k, v, u32key(at), val(at))
+	}
+	if cap(k) != len(k) || cap(v) != len(v) {
+		t.Fatalf("Key cap %d len %d, Value cap %d len %d: capacity not clipped", cap(k), len(k), cap(v), len(v))
+	}
+}

@@ -1,30 +1,30 @@
 package btree
 
 import (
+	"slices"
+
 	"repro/internal/storage"
 )
 
 // Cursor iterates leaf entries in key order. On arrival at each leaf the
-// cursor copies the leaf's entries out of the buffer pool, so it holds no
+// cursor copies the leaf's page out of the buffer pool, so it holds no
 // pins while the caller processes entries (the pool stays free to evict —
 // important under the paper's minimal 32 KB cache). Each leaf is therefore
 // charged to the access statistics exactly once per visit.
 //
-// The copies land in a single flat arena that the cursor reuses from leaf
-// to leaf (and, through SeekCursor, from seek to seek), so a warmed-up
-// cursor walks the tree without allocating. Key and Value therefore
-// return slices owned by the cursor, valid only until the next
+// The copy is one page-sized buffer that the cursor reuses from leaf to
+// leaf (and, through SeekCursor, from seek to seek), so a warmed-up
+// cursor walks the tree without allocating, and a seek that reads one
+// entry of a leaf parses one cell, not all of them. Key and Value
+// therefore return slices owned by the cursor, valid only until the next
 // Next/Seek.
 //
 // A cursor is invalidated by writes to the tree; the indexes in this
 // repository never interleave writes with scans.
 type Cursor struct {
 	t       *BTree
-	arena   []byte   // flat copy of the current leaf's keys and values
-	keys    [][]byte // per-entry subslices of arena
-	vals    [][]byte // per-entry subslices of arena
+	leaf    node // private copy of the current leaf's page
 	idx     int
-	next    storage.PageID
 	valid   bool
 	exhaust bool
 }
@@ -41,10 +41,10 @@ func (t *BTree) Seek(probe []byte, cmp Compare) (*Cursor, error) {
 }
 
 // SeekCursor is Seek into a caller-owned cursor: c is repositioned at the
-// first entry whose key is >= probe under cmp, reusing its leaf arena so
+// first entry whose key is >= probe under cmp, reusing its page buffer so
 // repeated seeks (the OIF's id-directed list probes) allocate nothing
-// once the arena has grown to the largest leaf visited. c may be the
-// zero value or a cursor previously used on any tree.
+// after the first. c may be the zero value or a cursor previously used on
+// any tree.
 func (t *BTree) SeekCursor(c *Cursor, probe []byte, cmp Compare) error {
 	leaf, err := t.descend(probe, cmp)
 	if err != nil {
@@ -86,54 +86,30 @@ func (t *BTree) First() (*Cursor, error) {
 	}
 }
 
-// loadLeaf copies the pinned leaf's entries into the cursor's arena. The
-// arena is sized once per leaf (a single grow when the leaf is larger
-// than any seen before), then filled with appends that cannot
-// reallocate, keeping the recorded subslices valid.
+// loadLeaf copies the pinned leaf's page into the cursor's buffer.
 func (c *Cursor) loadLeaf(n node) {
-	num := n.numCells()
-	total := 0
-	for i := 0; i < num; i++ {
-		total += len(n.key(i)) + len(n.value(i))
-	}
-	if cap(c.arena) < total {
-		c.arena = make([]byte, 0, total)
-	}
-	arena := c.arena[:0]
-	c.keys = c.keys[:0]
-	c.vals = c.vals[:0]
-	for i := 0; i < num; i++ {
-		k, v := n.key(i), n.value(i)
-		start := len(arena)
-		arena = append(arena, k...)
-		arena = append(arena, v...)
-		kEnd := start + len(k)
-		c.keys = append(c.keys, arena[start:kEnd:kEnd])
-		c.vals = append(c.vals, arena[kEnd:len(arena):len(arena)])
-	}
-	c.arena = arena
-	c.next = n.aux()
+	c.leaf.data = append(c.leaf.data[:0], n.data...)
 	c.idx = 0
-	c.valid = num > 0
+	c.valid = n.numCells() > 0
 	c.exhaust = false
 }
 
 // settle advances across empty or exhausted leaves until the cursor rests
 // on an entry or runs off the end of the tree.
 func (c *Cursor) settle() error {
-	for c.idx >= len(c.keys) {
-		if c.next == storage.InvalidPageID {
+	for c.idx >= c.leaf.numCells() {
+		next := c.leaf.aux()
+		if next == storage.InvalidPageID {
 			c.valid = false
 			c.exhaust = true
 			return nil
 		}
-		data, err := c.t.pool.Get(c.next)
+		data, err := c.t.pool.Get(next)
 		if err != nil {
 			return err
 		}
-		n := node{id: c.next, data: data}
-		c.loadLeaf(n)
-		if err := c.t.pool.Put(n.id); err != nil {
+		c.loadLeaf(node{id: next, data: data})
+		if err := c.t.pool.Put(next); err != nil {
 			return err
 		}
 	}
@@ -145,11 +121,12 @@ func (c *Cursor) settle() error {
 func (c *Cursor) Valid() bool { return c.valid && !c.exhaust }
 
 // Key returns the current entry's key. The slice is owned by the cursor
-// until the next Next/Seek.
-func (c *Cursor) Key() []byte { return c.keys[c.idx] }
+// until the next Next/Seek; its capacity is clipped, so an append cannot
+// reach the bytes that follow it in the leaf copy.
+func (c *Cursor) Key() []byte { return slices.Clip(c.leaf.key(c.idx)) }
 
 // Value returns the current entry's value, owned like Key.
-func (c *Cursor) Value() []byte { return c.vals[c.idx] }
+func (c *Cursor) Value() []byte { return slices.Clip(c.leaf.value(c.idx)) }
 
 // Next advances to the following entry in key order.
 func (c *Cursor) Next() error {

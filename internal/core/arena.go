@@ -1,6 +1,7 @@
 package core
 
 import (
+	"repro/internal/dataset"
 	"repro/internal/sequence"
 	"repro/internal/vbyte"
 )
@@ -24,6 +25,8 @@ type queryArena struct {
 	aux      []uint32        // secondary id scratch (toCheck, whole lists, results)
 	aux2     []uint32        // tertiary id scratch (confirmed)
 	within   []uint32        // AppendSubsetWithin's new-id candidate scratch
+	sorted   []uint32        // sortIDs' second buffer
+	qset     []dataset.Item  // the query as items, for the delta's matcher
 	scands   []scand         // superset candidate set
 	merged   []scand         // superset merge target (swapped with scands)
 	incoming []vbyte.Posting // superset per-item RoI postings

@@ -271,10 +271,17 @@ func (ix *Index) mapToOriginal(dst, newIDs []uint32, q []sequence.Rank, pred ove
 	start := len(dst)
 	dst = ix.appendOriginal(dst, newIDs)
 	if ix.ov.Len() > 0 {
-		dst = ix.ov.AppendMatches(dst, ix.ord.Set(q), pred)
+		dst = ix.ov.AppendMatches(dst, ix.querySet(q), pred)
 	}
-	slices.Sort(dst[start:])
+	sortIDs(dst[start:], &ix.arena.sorted)
 	return dst
+}
+
+// querySet converts the prepared query back to a sorted item set in the
+// arena, the form the overlay matches pending records against.
+func (ix *Index) querySet(q []sequence.Rank) []dataset.Item {
+	ix.arena.qset = ix.ord.AppendSet(ix.arena.qset[:0], q)
+	return ix.arena.qset
 }
 
 // appendOriginal appends the original ids of newIDs to dst, minus the

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"slices"
-
 	"repro/internal/dataset"
 	"repro/internal/overlay"
 	"repro/internal/sequence"
@@ -94,7 +92,9 @@ func (ix *Index) AppendSubset(dst []uint32, qs []dataset.Item) ([]uint32, error)
 				cands = append(cands, p.ID)
 			}
 		}
-		if lc.pastUpper(upper) {
+		if past, err := lc.pastUpper(upper); err != nil {
+			return nil, err
+		} else if past {
 			break
 		}
 		if err := lc.next(); err != nil {
@@ -182,7 +182,7 @@ func (ix *Index) AppendSubsetWithin(dst []uint32, qs []dataset.Item, cands []uin
 			w = append(w, ix.re.NewID(int(c)-1))
 		}
 	}
-	slices.Sort(w)
+	sortIDs(w, &ar.sorted)
 	ar.within = w
 
 	// Join against the query's lists, least frequent first — identical to
@@ -208,9 +208,9 @@ func (ix *Index) AppendSubsetWithin(dst []uint32, qs []dataset.Item, cands []uin
 	start := len(dst)
 	dst = ix.appendOriginal(dst, w)
 	if ix.ov.Len() > 0 {
-		dst = ix.ov.AppendMatchesWithin(dst, ix.ord.Set(q), cands)
+		dst = ix.ov.AppendMatchesWithin(dst, ix.querySet(q), cands)
 	}
-	slices.Sort(dst[start:])
+	sortIDs(dst[start:], &ar.sorted)
 	return dst, nil
 }
 
@@ -272,7 +272,9 @@ func (ix *Index) AppendEquality(dst []uint32, qs []dataset.Item) ([]uint32, erro
 				cands = append(cands, p.ID)
 			}
 		}
-		if lc.pastUpper(q) {
+		if past, err := lc.pastUpper(q); err != nil {
+			return nil, err
+		} else if past {
 			break
 		}
 		if err := lc.next(); err != nil {
@@ -331,19 +333,19 @@ func (ix *Index) AppendSuperset(dst []uint32, qs []dataset.Item) ([]uint32, erro
 			lower := q[j : i+1]
 			upper := appendBoundSet(ar.bound[:0], q[j], q[i], q[n-1])
 			ar.bound = upper
-			switch {
-			case lc == nil:
-				lc, err = ix.seekTag(q[i], lower)
+			reseek := lc == nil
+			if lc != nil {
+				if !lc.valid {
+					break // the list is exhausted; no later region can match
+				}
+				tag, err := lc.blockTag()
 				if err != nil {
 					return nil, err
 				}
-			case !lc.valid:
-				// The list is exhausted; no later region can match.
-				j = i
-				continue
-			case sequence.Compare(lc.tag, lower) < 0:
-				lc, err = ix.seekTag(q[i], lower)
-				if err != nil {
+				reseek = sequence.Compare(tag, lower) < 0
+			}
+			if reseek {
+				if lc, err = ix.seekTag(q[i], lower); err != nil {
 					return nil, err
 				}
 			}
@@ -362,7 +364,9 @@ func (ix *Index) AppendSuperset(dst []uint32, qs []dataset.Item) ([]uint32, erro
 						incoming = append(incoming, p)
 					}
 				}
-				if lc.pastUpper(upper) {
+				if past, err := lc.pastUpper(upper); err != nil {
+					return nil, err
+				} else if past {
 					break
 				}
 				if err := lc.next(); err != nil {

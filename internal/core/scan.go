@@ -8,14 +8,14 @@ import (
 	"repro/internal/vbyte"
 )
 
-// listCursor walks the blocks of one rank's inverted list in id order,
-// decoding keys lazily. It becomes invalid when the underlying B-tree
-// cursor leaves the rank's key range.
+// listCursor walks the blocks of one rank's inverted list in id order.
+// It becomes invalid when the underlying B-tree cursor leaves the rank's
+// key range.
 //
 // Cursors live in the query arena: only one is live at a time on a query
 // path (candidate gathering finishes before the filter phase, and
 // filters walk one list at a time), so seekTag/seekID recycle the same
-// cursor — and through it the B-tree cursor's leaf arena and the tag
+// cursor — and through it the B-tree cursor's page buffer and the tag
 // decode buffer — across every seek of a query and across queries.
 type listCursor struct {
 	ix    *Index
@@ -23,7 +23,9 @@ type listCursor struct {
 	cur   btree.Cursor
 	valid bool
 
-	tag    []sequence.Rank // decoded into a reusable buffer
+	key    []byte          // current block key, owned by cur until it moves
+	tag    []sequence.Rank // key's tag once blockTag has decoded it
+	tagOK  bool
 	lastID uint32
 }
 
@@ -53,9 +55,11 @@ func (ix *Index) seekID(rank sequence.Rank, id uint32) (*listCursor, error) {
 	return lc, lc.load()
 }
 
-// load parses the current B-tree entry, invalidating the cursor if it has
-// moved past this rank's list. The tag is decoded into the cursor's
-// reusable buffer.
+// load reads the current B-tree entry, invalidating the cursor if it has
+// moved past this rank's list. Only the key's framing is checked here —
+// rank prefix, one whole terminated tag, id suffix; the tag's elements
+// are decoded by blockTag where a scan reads them, which an id-directed
+// probe never does.
 func (lc *listCursor) load() error {
 	if !lc.cur.Valid() {
 		lc.valid = false
@@ -69,17 +73,30 @@ func (lc *listCursor) load() error {
 		lc.valid = false
 		return nil
 	}
-	tag, n, err := sequence.AppendDecodedTag(lc.tag[:0], k[4:])
-	if err != nil {
-		return fmt.Errorf("core: block key tag: %w", err)
+	if !sequence.TagFramed(k[4 : len(k)-4]) {
+		return fmt.Errorf("core: block key of %d bytes does not frame a tag", len(k))
 	}
-	if len(k)-(4+n) != 4 {
-		return fmt.Errorf("core: block key has %d trailing bytes, want 4", len(k)-(4+n))
-	}
-	lc.tag = tag
+	lc.key, lc.tagOK = k, false
 	lc.lastID = keyLastID(k)
 	lc.valid = true
 	return nil
+}
+
+// blockTag returns the current block's tag, decoded into the cursor's
+// reusable buffer on first use.
+func (lc *listCursor) blockTag() ([]sequence.Rank, error) {
+	if !lc.tagOK {
+		enc := lc.key[4 : len(lc.key)-4]
+		tag, n, err := sequence.AppendDecodedTag(lc.tag[:0], enc)
+		if err != nil {
+			return nil, fmt.Errorf("core: block key tag: %w", err)
+		}
+		if n != len(enc) {
+			return nil, fmt.Errorf("core: block key has %d trailing bytes, want 4", len(enc)-n+4)
+		}
+		lc.tag, lc.tagOK = tag, true
+	}
+	return lc.tag, nil
 }
 
 // next advances to the following block of the same list.
@@ -130,8 +147,9 @@ func (lc *listCursor) postings() ([]vbyte.Posting, error) {
 // be prefix-truncated, so the bound is truncated to match: a truncated tag
 // exceeding the truncated bound implies the full tag exceeds the full
 // bound, and ties keep scanning (never stopping early).
-func (lc *listCursor) pastUpper(upper []sequence.Rank) bool {
-	return sequence.Compare(lc.tag, lc.ix.truncTag(upper)) > 0
+func (lc *listCursor) pastUpper(upper []sequence.Rank) (bool, error) {
+	tag, err := lc.blockTag()
+	return sequence.Compare(tag, lc.ix.truncTag(upper)) > 0, err
 }
 
 // appendConsecutiveRanks appends the sequence (from, from+1, ..., to).

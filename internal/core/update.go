@@ -40,14 +40,12 @@ func (ix *Index) MergeDelta() error {
 	// sequence arena, then append the delta; dead records contribute
 	// empty sets, which keeps every id slot in place.
 	d := dataset.New(ix.domainSize)
-	sets := make([][]dataset.Item, ix.numRecords)
-	for newID := uint32(1); newID <= uint32(ix.numRecords); newID++ {
-		if ix.ov.Dead(ix.origID(newID)) {
-			continue
+	var set []dataset.Item // Add copies, so one buffer serves every record
+	for i := 0; i < ix.numRecords; i++ {
+		set = set[:0]
+		if !ix.ov.Dead(uint32(i) + 1) {
+			set = ix.ord.AppendSet(set, ix.re.SF(ix.re.NewID(i)))
 		}
-		sets[ix.re.OrigIndex(newID)] = ix.ord.Set(ix.re.SF(newID))
-	}
-	for _, set := range sets {
 		if _, err := d.Add(set); err != nil {
 			return err
 		}

@@ -8,6 +8,7 @@ package sequence
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/dataset"
@@ -96,14 +97,15 @@ func (o *Order) MaxRank() Rank {
 	return Rank(len(o.rankOf) - 1)
 }
 
-// Set converts a sequence form back to a sorted item set.
-func (o *Order) Set(sf []Rank) []dataset.Item {
-	set := make([]dataset.Item, len(sf))
-	for i, r := range sf {
-		set[i] = o.itemOf[r]
+// AppendSet appends the sorted item set of a sequence form to dst: pass
+// a recycled buffer's [:0] to convert without allocating.
+func (o *Order) AppendSet(dst []dataset.Item, sf []Rank) []dataset.Item {
+	start := len(dst)
+	for _, r := range sf {
+		dst = append(dst, o.itemOf[r])
 	}
-	sort.Slice(set, func(i, j int) bool { return set[i] < set[j] })
-	return set
+	slices.Sort(dst[start:])
+	return dst
 }
 
 // Compare lexicographically compares two sequence forms under <_D: the
@@ -161,11 +163,19 @@ func AppendTag(dst []byte, sf []Rank) []byte {
 	return append(dst, tagEnd)
 }
 
+// TagFramed reports whether b has the length and the terminator of
+// exactly one encoded tag — the O(1) half of AppendDecodedTag's
+// validation, for readers that decode the elements only when they need
+// them.
+func TagFramed(b []byte) bool {
+	return len(b)%TagElemWidth == 1 && b[len(b)-1] == tagEnd
+}
+
 // AppendDecodedTag parses one tag from the front of b into a reusable
 // slice: the decoded ranks are appended to dst (pass a recycled buffer's
 // [:0] to decode without allocating) and returned with the number of
 // bytes consumed (terminator included). It is the form the OIF's block
-// cursor uses on every block visit.
+// cursor uses wherever a scan reads a block's tag.
 func AppendDecodedTag(dst []Rank, b []byte) ([]Rank, int, error) {
 	pos := 0
 	for {

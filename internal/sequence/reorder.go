@@ -2,7 +2,7 @@ package sequence
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/dataset"
 )
@@ -42,8 +42,7 @@ func Reorder(d *dataset.Dataset, ord *Order) (*Reordered, error) {
 			}
 			srcFlat = append(srcFlat, r)
 		}
-		sf := srcFlat[start:]
-		sort.Slice(sf, func(a, b int) bool { return sf[a] < sf[b] })
+		slices.Sort(srcFlat[start:])
 		srcOff[i+1] = uint32(len(srcFlat))
 	}
 	sfAt := func(i int) []Rank { return srcFlat[srcOff[i]:srcOff[i+1]] }
@@ -52,8 +51,8 @@ func Reorder(d *dataset.Dataset, ord *Order) (*Reordered, error) {
 	for i := range perm {
 		perm[i] = uint32(i)
 	}
-	sort.SliceStable(perm, func(a, b int) bool {
-		return Compare(sfAt(int(perm[a])), sfAt(int(perm[b]))) < 0
+	slices.SortStableFunc(perm, func(a, b uint32) int {
+		return Compare(sfAt(int(a)), sfAt(int(b)))
 	})
 
 	r := &Reordered{

@@ -219,13 +219,13 @@ func TestSetInverseOfSequenceForm(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	back := ord.Set(sf)
+	back := ord.AppendSet(nil, sf)
 	if len(back) != len(set) {
-		t.Fatalf("Set(sf) = %v", back)
+		t.Fatalf("AppendSet(sf) = %v", back)
 	}
 	for i := range set {
 		if back[i] != set[i] {
-			t.Fatalf("Set(SequenceForm(%v)) = %v", set, back)
+			t.Fatalf("AppendSet(SequenceForm(%v)) = %v", set, back)
 		}
 	}
 }

@@ -114,6 +114,18 @@ func TestStoreExecAppendZeroAllocs(t *testing.T) {
 	requireZeroAllocs(t, "ExecAppend", queries, func(dst []uint32, q setcontain.Query) ([]uint32, error) {
 		return store.ExecAppend(ctx, dst, q)
 	})
+
+	// The same over an unmerged delta: one pending insert and one
+	// tombstone put the overlay on every read's path.
+	if _, err := store.InsertSets([][]setcontain.Item{queries[0].Items}); err != nil {
+		t.Fatal(err)
+	}
+	if err := store.DeleteIDs([]uint32{1}); err != nil {
+		t.Fatal(err)
+	}
+	requireZeroAllocs(t, "ExecAppend over a pending delta", queries, func(dst []uint32, q setcontain.Query) ([]uint32, error) {
+		return store.ExecAppend(ctx, dst, q)
+	})
 }
 
 // TestQueryEvalAppendZeroAllocs holds the one query primitive to the

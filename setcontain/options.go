@@ -102,9 +102,9 @@ type Options struct {
 }
 
 // DefaultDecodedCachePostings is the decoded-block cache budget when
-// WithDecodedCache is absent: 32 Ki postings = 256 KB per query handle,
-// enough to keep the hottest lists of the paper's synthetic defaults
-// decoded.
+// WithDecodedCache is absent: 32 Ki postings = 256 KB per query handle —
+// at 200 k records of the paper's synthetic defaults about one largest
+// list (29 098 postings), 1/7 of the ten hottest lists, 1/61 of the index.
 const DefaultDecodedCachePostings = 1 << 15
 
 // fill applies the documented defaults in place.
