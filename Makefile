@@ -5,7 +5,7 @@ GOLANGCI ?= golangci-lint
 COVER_FLOOR ?= 75
 COVER_PKGS = ./setcontain/... ./internal/stats/...
 
-.PHONY: all build vet test alloc-check bench bench-module-check fuzz-smoke lint cover check linkcheck vet-examples api-surface serve snapshot-smoke crash-smoke scatter-smoke clean
+.PHONY: all build vet test alloc-check bench bench-module-check fuzz-smoke lint cover check linkcheck vet-examples api-surface api-check serve snapshot-smoke crash-smoke scatter-smoke clean
 
 all: check
 
@@ -79,10 +79,13 @@ vet-examples:
 # setcontain/serve and the wire bodies serve aliases (internal/wire),
 # plus their non-test line count and that of the index layer below the
 # engine. The file is checked in so a PR that grows the surface — or
-# either layer — shows it in its diff; the CI docs job regenerates it
-# and fails when it is stale.
+# either layer — shows it in its diff; api-check — part of `make check`
+# and of the CI docs job — fails when it is stale.
 api-surface:
 	./scripts/api-surface.sh > docs/API.txt
+
+api-check:
+	./scripts/api-surface.sh | diff -u docs/API.txt -
 
 # Serve a demo dataset locally (see cmd/setcontaind -help for flags).
 serve:
@@ -126,8 +129,9 @@ clean:
 	rm -f oifbench oifquery setcontaind setgen
 	$(GO) clean -fuzzcache
 
-# The local tier. alloc-check and bench-module-check are part of it: a
-# PR that narrows the public API is exactly the one that can break the
-# allocation gates (which `make test`, under -race, skips) or the frozen
-# benchmark module (its own go.mod, so ./... does not reach it).
-check: build vet test alloc-check bench-module-check
+# The local tier. alloc-check, bench-module-check and api-check are part
+# of it: a PR that narrows the public API is exactly the one that can
+# break the allocation gates (which `make test`, under -race, skips) or
+# the frozen benchmark module (its own go.mod, so ./... does not reach
+# it), and that leaves docs/API.txt stale.
+check: build vet test alloc-check bench-module-check api-check

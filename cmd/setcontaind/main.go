@@ -127,7 +127,6 @@ func main() {
 		pageSize  = flag.Int("pagesize", 0, "index page size in bytes (0 = 4096)")
 		blockPost = flag.Int("blockpostings", 0, "postings per OIF/UBT block (0 = default 64; sharded plans per shard)")
 		cache     = flag.Int("cachepages", 0, "page cache per pooled reader, in pages (0 = 32 KB)")
-		decoded   = flag.Int("decodedcache", 0, "decoded-block cache per query handle, in postings (0 = default, <0 disables)")
 
 		walDir     = flag.String("wal-dir", "", "write-ahead log directory; mutations become durable and restarts recover from it")
 		fsync      = flag.String("fsync", "always", "WAL fsync policy: always (ack = durable), interval (background flush), or os (no fsync)")
@@ -197,7 +196,6 @@ func main() {
 			setcontain.WithPageSize(*pageSize),
 			setcontain.WithBlockPostings(*blockPost),
 			setcontain.WithCachePages(*cache),
-			setcontain.WithDecodedCache(*decoded),
 		)
 		if err != nil {
 			log.Fatalf("setcontaind: building index: %v", err)

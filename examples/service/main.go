@@ -139,8 +139,11 @@ func main() {
 	fmt.Printf("  queries=%d batches=%d mean batch=%.2f (coalescing %s)\n",
 		st.Batcher.Queries, st.Batcher.Batches, st.Batcher.MeanBatch,
 		map[bool]string{true: "engaged", false: "idle"}[st.Batcher.MeanBatch > 1])
-	fmt.Printf("  decoded-cache hit rate %.2f, page reads %d\n",
-		st.Store.DecodedHitRate, st.Store.PageReads)
+	hitRate := 0.0
+	if total := st.Store.CacheHits + st.Store.PageReads; total > 0 {
+		hitRate = float64(st.Store.CacheHits) / float64(total)
+	}
+	fmt.Printf("  page-cache hit rate %.2f, page reads %d\n", hitRate, st.Store.PageReads)
 	for _, p := range st.ShardPlans {
 		fmt.Printf("  shard %d: %s, %d records, theta %.2f\n", p.Shard, p.Kind, p.Records, p.Theta)
 	}

@@ -8,8 +8,7 @@ package repro
 // candidate merging. They are what a developer points pprof at, not a
 // gate: timing is judged by benchmark/ (docs/BENCHMARKS.md) and
 // allocations by TestStoreExecAppendZeroAllocs and TestExprAllocCeilings.
-// allocs/op comes from -benchmem or b.ReportAllocs, and the decoded-cache
-// hit rate is reported when the engine exposes one.
+// allocs/op comes from -benchmem or b.ReportAllocs.
 
 import (
 	"fmt"
@@ -71,9 +70,9 @@ func runHotQuery(idx *setcontain.Index, dst []uint32, q workload.Query) ([]uint3
 
 func benchHotPath(b *testing.B, kind workload.Kind, size int, opts ...setcontain.Option) {
 	idx, queries := hotFixture(b, kind, size, opts...)
-	// Warm-up: one full pass loads every touched page, populates the
-	// decoded cache, and grows the answer buffer to its high-water mark,
-	// so the timed region measures steady state.
+	// Warm-up: one full pass loads every touched page and grows the
+	// answer buffer to its high-water mark, so the timed region measures
+	// steady state.
 	var dst []uint32
 	var err error
 	for _, q := range queries {
@@ -82,7 +81,6 @@ func benchHotPath(b *testing.B, kind workload.Kind, size int, opts ...setcontain
 		}
 	}
 	before := idx.CacheStats()
-	dBefore := idx.DecodedCacheStats()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -93,10 +91,6 @@ func benchHotPath(b *testing.B, kind workload.Kind, size int, opts ...setcontain
 	b.StopTimer()
 	st := idx.CacheStats()
 	b.ReportMetric(float64(st.PageReads-before.PageReads)/float64(b.N), "pages/op")
-	dNow := idx.DecodedCacheStats()
-	if visits := (dNow.Hits - dBefore.Hits) + (dNow.Misses - dBefore.Misses); visits > 0 {
-		b.ReportMetric(float64(dNow.Hits-dBefore.Hits)/float64(visits), "decoded-hit-rate")
-	}
 }
 
 // BenchmarkSubset is the tier-1 hot-path benchmark for subset queries on

@@ -30,7 +30,7 @@ type queryArena struct {
 	scands   []scand         // superset candidate set
 	merged   []scand         // superset merge target (swapped with scands)
 	incoming []vbyte.Posting // superset per-item RoI postings
-	decode   []vbyte.Posting // block decode target on cache miss
+	decode   []vbyte.Posting // block decode target
 	probe    []byte          // B-tree seek probe
 	lc       listCursor      // the one live list cursor
 }
@@ -43,17 +43,12 @@ type scand struct {
 	found  uint32
 }
 
-// ensureRuntime lazily attaches the per-instance query state: the
-// scratch arena and, when the options ask for one, the decoded-block
-// cache (weighted by the index's item-frequency profile). Lazy so every
-// construction path — Build, Load, MergeDelta's rebuild — converges
-// here; NewReader installs fresh instances explicitly instead, since
+// ensureRuntime lazily attaches the per-instance scratch arena. Lazy so
+// every construction path — Build, Load, MergeDelta's rebuild —
+// converges here; NewReader drops the copied pointer instead, since
 // clones must not share mutable state with the parent.
 func (ix *Index) ensureRuntime() {
 	if ix.arena == nil {
 		ix.arena = &queryArena{}
-	}
-	if ix.dcache == nil && ix.opts.DecodedCachePostings > 0 {
-		ix.dcache = newDecodedCache(ix.opts.DecodedCachePostings, ix.profileSkewed())
 	}
 }

@@ -19,9 +19,9 @@
 //     internal/overlay; update.go holds the OIF's merge, a full rebuild
 //   - snapshots: persist.go
 //
-// Beyond the paper, the query path adds a skew-aware decoded-block
-// cache (dcache.go) and per-handle scratch arenas (arena.go) so warm
-// queries run allocation-free; Reader (reader.go) gives each parallel
-// goroutine an isolated cache plus those same structures. The public
-// API in setcontain wraps this package behind its Engine interface.
+// Beyond the paper, the query path adds per-handle scratch arenas
+// (arena.go) so warm queries run allocation-free; Reader (reader.go)
+// gives each parallel goroutine an isolated page cache and arena. The
+// public API in setcontain wraps this package behind its Engine
+// interface.
 package core

@@ -9,7 +9,6 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/overlay"
 	"repro/internal/sequence"
-	"repro/internal/stats"
 	"repro/internal/storage"
 	"repro/internal/vbyte"
 )
@@ -37,15 +36,6 @@ type Options struct {
 	// in-memory pager; its pager must be empty. This is how file-backed
 	// indexes are built (pass a pool over a storage.FilePager).
 	Pool *storage.BufferPool
-	// DecodedCachePostings sizes the decoded-block cache in postings
-	// (0 disables it). The cache keeps hot inverted-list blocks in
-	// decoded form so repeat visits skip the vbyte decode; admission is
-	// weighted by the item-frequency profile when it is skewed (see
-	// decodedCache). Disabled by default at this level so the paper's
-	// I/O measurements — which re-decode from page bytes like the
-	// original implementation — stay faithful; the public setcontain
-	// layer enables it by default.
-	DecodedCachePostings int
 }
 
 // DefaultBlockPostings mirrors a block of roughly half a 4 KB page with
@@ -86,10 +76,13 @@ type Index struct {
 	// answer, until MergeDelta folds them in.
 	ov overlay.Overlay
 
-	// Per-instance query runtime, attached lazily by ensureRuntime and
+	// snapReserved is word 6 of the snapshot header, carried from Load
+	// to Save uninterpreted (see persist.go); 0 on a fresh Build.
+	snapReserved uint32
+
+	// Per-instance query scratch, attached lazily by ensureRuntime and
 	// never shared between an Index and its Reader clones.
-	arena  *queryArena
-	dcache *decodedCache
+	arena *queryArena
 }
 
 // ErrRecordTooWide reports a record whose block key cannot fit a page.
@@ -318,15 +311,6 @@ func (ix *Index) prepRanks(qs []dataset.Item) ([]sequence.Rank, error) {
 	return out, nil
 }
 
-// profileSkewed reports whether the index's per-list posting counts form
-// a skewed (Zipf-like) distribution — the signal that weighted admission
-// in the decoded cache will pay off. The counts omit each record's most
-// frequent item (those postings live in the metadata table), which only
-// flattens the curve slightly.
-func (ix *Index) profileSkewed() bool {
-	return stats.ProfileOfSupports(ix.listPostings, 0).Skewed()
-}
-
 // ItemSupports returns the per-item support table of the merged index:
 // index = item id, value = number of disk-resident records containing
 // the item. A record's most frequent item carries no posting in its
@@ -344,13 +328,4 @@ func (ix *Index) ItemSupports() []int64 {
 		supports[items[rank]] = n
 	}
 	return supports
-}
-
-// DecodedStats reports the decoded-block cache's effectiveness (zeroes
-// when the cache is disabled).
-func (ix *Index) DecodedStats() DecodedCacheStats {
-	if ix.dcache == nil {
-		return DecodedCacheStats{}
-	}
-	return ix.dcache.Stats()
 }

@@ -22,10 +22,13 @@ import (
 // single self-contained snapshot is the simpler equivalent for a
 // library.
 //
-// Format version 2 extends the original header with the decoded-cache
-// budget and a flags word, and appends the tombstone set after the
-// delta, so a snapshot taken between Delete and MergeDelta restores
-// with its masking (and its pending physical fold-out) intact.
+// Format version 2 extends the original header with a reserved word
+// and a flags word, and appends the tombstone set after the delta, so a
+// snapshot taken between Delete and MergeDelta restores with its
+// masking (and its pending physical fold-out) intact. The reserved word
+// (header word 6) sized a decoded-block cache that no longer exists: a
+// fresh Build writes 0, Load never interprets it, and Save writes back
+// whatever Load read, so old snapshots re-save byte-identically.
 
 const snapshotMagic = "OIFSNAP2"
 
@@ -49,7 +52,7 @@ func (ix *Index) Save(w io.Writer) error {
 	for _, v := range []uint32{
 		uint32(ix.opts.PageSize), uint32(ix.opts.BlockPostings),
 		uint32(ix.numRecords), uint32(ix.domainSize), ix.meta.EmptyUpper,
-		uint32(ix.opts.TagPrefix), uint32(ix.opts.DecodedCachePostings),
+		uint32(ix.opts.TagPrefix), ix.snapReserved,
 		flags,
 	} {
 		if err := snapio.WriteU32(cw, v); err != nil {
@@ -133,7 +136,7 @@ func Load(r io.Reader) (*Index, error) {
 	}
 	pageSize, blockPostings := int(hdr[0]), int(hdr[1])
 	numRecords, domainSize, emptyUpper := int(hdr[2]), int(hdr[3]), hdr[4]
-	tagPrefix, decodedPostings, flags := int(hdr[5]), int(hdr[6]), hdr[7]
+	tagPrefix, reserved, flags := int(hdr[5]), hdr[6], hdr[7]
 	if pageSize <= 0 || pageSize > 1<<20 || domainSize < 0 || numRecords < 0 {
 		return nil, fmt.Errorf("%w: implausible header", ErrBadSnapshot)
 	}
@@ -236,8 +239,8 @@ func Load(r io.Reader) (*Index, error) {
 		opts: Options{
 			PageSize: pageSize, BlockPostings: blockPostings,
 			BuildPoolPages: 1024, TagPrefix: tagPrefix,
-			DecodedCachePostings: decodedPostings,
 		},
+		snapReserved: reserved,
 		blocks:       space[0],
 		postingBytes: space[1],
 		keyBytes:     space[2],

@@ -16,8 +16,8 @@ import (
 //
 // Each predicate has an Append form that appends the answer to a
 // caller-provided slice — the zero-allocation entry point: with a warm
-// page cache and decoded-block cache, an Append query reuses the arena's
-// scratch buffers throughout and allocates nothing. The plain forms
+// page cache, an Append query reuses the arena's scratch buffers
+// throughout and allocates nothing. The plain forms
 // allocate only the result slice they return.
 
 // Subset returns the ids of records t with qs ⊆ t.s (Algorithm 1).

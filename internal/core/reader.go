@@ -27,11 +27,9 @@ func (ix *Index) NewReader(poolPages int) (*Reader, error) {
 	clone.tree = view
 	clone.ov = ix.ov.View()
 	// The clone must not share mutable query state with the parent:
-	// drop the copied arena and decoded-cache pointers so ensureRuntime
-	// attaches fresh, reader-private instances (sized by the same
-	// options; note every reader therefore carries its own decoded
-	// cache, so budget DecodedCachePostings per reader).
-	clone.arena, clone.dcache = nil, nil
+	// drop the copied arena pointer so ensureRuntime attaches a fresh,
+	// reader-private one.
+	clone.arena = nil
 	return &Reader{ix: &clone, pool: pool}, nil
 }
 
@@ -81,7 +79,3 @@ func (r *Reader) ResetStats() { r.pool.ResetStats() }
 
 // Pool returns the reader's private buffer pool.
 func (r *Reader) Pool() *storage.BufferPool { return r.pool }
-
-// DecodedStats reports this reader's private decoded-block cache
-// statistics (zeroes when the cache is disabled).
-func (r *Reader) DecodedStats() DecodedCacheStats { return r.ix.DecodedStats() }

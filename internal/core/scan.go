@@ -110,28 +110,11 @@ func (lc *listCursor) next() error {
 	return lc.load()
 }
 
-// postings returns the current block decoded. With a decoded cache the
-// block is served from (or admitted to) it; otherwise it is decoded into
-// the arena's scratch slice. Either way the returned slice is owned by
-// the index runtime: callers must treat it as read-only and must not
-// hold it across a postings or seek call.
+// postings returns the current block decoded into the arena's scratch
+// slice: callers must treat it as read-only and must not hold it across
+// a postings or seek call.
 func (lc *listCursor) postings() ([]vbyte.Posting, error) {
 	ix := lc.ix
-	if c := ix.dcache; c != nil {
-		key := blockCacheKey(lc.rank, lc.lastID)
-		if ps, ok := c.get(key); ok {
-			return ps, nil
-		}
-		ps, err := vbyte.DecodePostingsInto(lc.cur.Value(), 0, ix.arena.decode[:0])
-		if err != nil {
-			return nil, err
-		}
-		ix.arena.decode = ps
-		if cached := c.admit(key, ix.listPostings[lc.rank], ps); cached != nil {
-			return cached, nil
-		}
-		return ps, nil
-	}
 	ps, err := vbyte.DecodePostingsInto(lc.cur.Value(), 0, ix.arena.decode[:0])
 	if err != nil {
 		return nil, err

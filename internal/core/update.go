@@ -31,7 +31,7 @@ func (ix *Index) Deleted() int { return ix.ov.Deleted() }
 // OIF update cost. Tombstoned records participate as empty sets, so
 // their postings disappear from every list while every surviving record
 // keeps its id; the tombstone set itself carries over (masking the empty
-// slots), as do the decoded-block cache's cumulative statistics.
+// slots).
 func (ix *Index) MergeDelta() error {
 	if ix.ov.Len() == 0 && !ix.ov.Dirty() {
 		return nil
@@ -65,15 +65,7 @@ func (ix *Index) MergeDelta() error {
 	}
 	rebuilt.ov = ix.ov
 	rebuilt.ov.Merged()
-	oldCache := ix.dcache
+	rebuilt.snapReserved = ix.snapReserved
 	*ix = *rebuilt
-	// The rebuild re-attaches a fresh decoded cache; carry the counters
-	// so DecodedStats stays cumulative across merges.
-	if oldCache != nil {
-		ix.ensureRuntime()
-		if ix.dcache != nil {
-			ix.dcache.seedStats(oldCache.Stats())
-		}
-	}
 	return nil
 }

@@ -10,7 +10,6 @@
 //
 // Two subsystems consume these decisions: the Sharded engine plans each
 // shard's inner engine from the profile collected while records stream
-// into the shard, and the OIF's decoded-block cache weights admission
-// by ProfileOfSupports so the hottest lists stay decoded under memory
-// pressure.
+// into the shard, and setcontain's expression planner reads the Zipf
+// exponent ProfileOfSupports fits to an engine's support table.
 package stats

@@ -52,9 +52,8 @@ func (c *Collector) NumRecords() int { return c.records }
 // (index = item id, value = support). Record-level fields (NumRecords,
 // cardinalities, TotalPostings) are zero; the distributional fields —
 // Distinct, MaxFreq, TopK, Theta — are filled, which is all that Skewed
-// and Plan consult. The OIF's decoded-block cache profiles its per-list
-// posting counts this way to decide whether skew-weighted admission
-// pays.
+// and Plan consult. Its one consumer is setcontain's expression planner
+// (SupportsOf), which surfaces the fitted Theta.
 func ProfileOfSupports(support []int64, k int) Profile {
 	c := Collector{support: support}
 	return c.Profile(k)

@@ -78,7 +78,7 @@
 // (visible immediately), Delete tombstones them (masked immediately,
 // ids never reused), and MergeDelta folds both into the disk structures
 // — postings of deleted records are physically removed, while
-// CacheStats/DecodedCacheStats carry across the merge cumulatively.
+// CacheStats carries across the merge cumulatively.
 // OIF, InvertedFile, and Sharded support the full lifecycle; the UBT
 // ablation answers queries only.
 package setcontain

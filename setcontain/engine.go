@@ -283,10 +283,9 @@ func (e *oifEngine) ix() *core.Index { return e.b.(*core.Index) }
 
 func buildOIFEngine(ds *dataset.Dataset, opts Options) (Engine, error) {
 	ix, err := core.Build(ds, core.Options{
-		PageSize:             opts.PageSize,
-		BlockPostings:        opts.BlockPostings,
-		TagPrefix:            opts.TagPrefix,
-		DecodedCachePostings: opts.DecodedCachePostings,
+		PageSize:      opts.PageSize,
+		BlockPostings: opts.BlockPostings,
+		TagPrefix:     opts.TagPrefix,
 	})
 	if err != nil {
 		return nil, err
@@ -296,11 +295,6 @@ func buildOIFEngine(ds *dataset.Dataset, opts Options) (Engine, error) {
 
 func (e *oifEngine) NewReader(cachePages int) (*Reader, error) {
 	return newReader(cachePages, e.ix().NewReader)
-}
-
-// DecodedStats exposes the OIF's decoded-block cache statistics.
-func (e *oifEngine) DecodedStats() DecodedCacheStats {
-	return decodedStatsOf(e.ix().DecodedStats())
 }
 
 // --- Inverted file ------------------------------------------------------

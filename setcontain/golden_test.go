@@ -299,6 +299,89 @@ func TestOpenRefusesHostilePending(t *testing.T) {
 	}
 }
 
+// TestOpenIgnoresReservedWord: word 6 of the OIFSNAP2 header once sized
+// a per-reader decoded-block cache, so a resealed 0xFFFFFFFF there opened
+// cleanly and left every pooled reader without an effective memory
+// bound. The word is now reserved: whatever it holds, the snapshot
+// opens, answers like the oracle, re-saves byte for byte, and keeps the
+// word across a merge's rebuild. (The inverted-file header has no such
+// word.) The records and queries repeat TestGoldenSnapshots', which
+// stays as PR 15 wrote it.
+func TestOpenIgnoresReservedWord(t *testing.T) {
+	// The container header and its CRC, the payload magic, six words.
+	const word6 = len(containerMagic) + 4*4 + 4 + len("OIFSNAP2") + 6*4
+	golden, err := os.ReadFile(goldenPath("oif"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	total := goldenBase + goldenEarly + goldenLate
+	d := dataset.New(goldenDomain)
+	for i := 0; i < total; i++ {
+		if _, err := d.Add(goldenSet(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	dead := append([]uint32{goldenEarlyDelete}, goldenLateDeletes...)
+	var queries []Query
+	for _, pred := range []Predicate{PredicateSubset, PredicateEquality, PredicateSuperset} {
+		queries = append(queries, Query{Pred: pred})
+		for a := 0; a < goldenDomain; a++ {
+			queries = append(queries,
+				Query{Pred: pred, Items: []Item{Item(a)}},
+				Query{Pred: pred, Items: []Item{0, Item(a)}},
+				Query{Pred: pred, Items: []Item{Item(a), Item((a + 1) % goldenDomain), Item((a + 5) % goldenDomain)}},
+				Query{Pred: pred, Items: goldenSet(a * 6)})
+		}
+		queries = append(queries, Query{Pred: pred, Items: []Item{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15}})
+	}
+
+	for _, v := range []uint32{0, 1, 0xFFFFFFFF} {
+		snap := resealed(golden, func(b []byte) { binary.LittleEndian.PutUint32(b[word6:], v) })
+		if bytes.Equal(snap, golden) { // the golden holds 0x8000 there
+			t.Fatalf("word %#x: the edit changed nothing", v)
+		}
+		ix, err := Open(bytes.NewReader(snap))
+		if err != nil {
+			t.Fatalf("word %#x: Open: %v", v, err)
+		}
+		for _, q := range queries {
+			got, err := ix.Eval(q)
+			if err != nil {
+				t.Fatalf("word %#x: %s: %v", v, q, err)
+			}
+			if want := goldenOracle(d, dead, q); !slices.Equal(got, want) {
+				t.Fatalf("word %#x: %s: got %v, want %v", v, q, got, want)
+			}
+		}
+		var resaved bytes.Buffer
+		if err := ix.Save(&resaved); err != nil {
+			t.Fatalf("word %#x: Save: %v", v, err)
+		}
+		if !bytes.Equal(resaved.Bytes(), snap) {
+			t.Fatalf("word %#x: Save(Open(x)) differs from x at offset %d", v, firstDiff(resaved.Bytes(), snap))
+		}
+		if err := ix.MergeDelta(); err != nil {
+			t.Fatalf("word %#x: MergeDelta: %v", v, err)
+		}
+		resaved.Reset()
+		if err := ix.Save(&resaved); err != nil {
+			t.Fatalf("word %#x: Save after merge: %v", v, err)
+		}
+		if got := binary.LittleEndian.Uint32(resaved.Bytes()[word6:]); got != v {
+			t.Fatalf("word %#x: the merged index saves %#x there", v, got)
+		}
+	}
+
+	// A fresh build writes 0.
+	var fresh bytes.Buffer
+	if err := buildGolden(t, goldenKinds[0].opts).Save(&fresh); err != nil {
+		t.Fatal(err)
+	}
+	if got := binary.LittleEndian.Uint32(fresh.Bytes()[word6:]); got != 0 {
+		t.Fatalf("a fresh build saves %#x in the reserved word, want 0", got)
+	}
+}
+
 // FuzzOpenSnapshot feeds Open arbitrary bytes: the answer is an error or
 // an index, never a panic, and never an allocation sized by a length
 // word the stream does not back with bytes. The seeds are the goldens

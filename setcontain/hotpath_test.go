@@ -75,9 +75,8 @@ func hotOIF(t *testing.T) (*setcontain.Index, []setcontain.Query) {
 }
 
 // requireZeroAllocs warms run — every query twice, so page cache,
-// decoded cache, arenas, and the answer buffer all reach their
-// high-water marks — then requires each query's steady-state call to
-// allocate nothing.
+// arenas, and the answer buffer all reach their high-water marks — then
+// requires each query's steady-state call to allocate nothing.
 func requireZeroAllocs(t *testing.T, what string, queries []setcontain.Query,
 	run func(dst []uint32, q setcontain.Query) ([]uint32, error)) {
 	t.Helper()
@@ -142,134 +141,6 @@ func TestQueryEvalAppendZeroAllocs(t *testing.T) {
 		requireZeroAllocs(t, "Query.EvalAppend on the "+name, queries, func(dst []uint32, q setcontain.Query) ([]uint32, error) {
 			return q.EvalAppend(dst, target)
 		})
-	}
-}
-
-// TestDecodedCacheSameAnswers is the cache-correctness property test:
-// for every predicate and a large query mix, an OIF with the decoded
-// cache enabled must return byte-identical answers to one with the
-// cache disabled.
-func TestDecodedCacheSameAnswers(t *testing.T) {
-	c := hotTestCollection(t)
-	cached, err := setcontain.New(c,
-		setcontain.WithKind(setcontain.OIF),
-		setcontain.WithDecodedCache(1024), // small: force admission churn too
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	uncached, err := setcontain.New(c,
-		setcontain.WithKind(setcontain.OIF),
-		setcontain.WithDecodedCache(-1),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	queries := hotTestQueries(t, c, 120)
-	// Two passes so the second round answers from a populated cache.
-	for pass := 0; pass < 2; pass++ {
-		for i, q := range queries {
-			want, err := q.Eval(uncached)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := q.Eval(cached)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(got) != len(want) {
-				t.Fatalf("pass %d query %d %v: %d ids cached vs %d uncached", pass, i, q, len(got), len(want))
-			}
-			for j := range want {
-				if got[j] != want[j] {
-					t.Fatalf("pass %d query %d %v: id[%d] = %d cached vs %d uncached", pass, i, q, j, got[j], want[j])
-				}
-			}
-		}
-	}
-	if st := cached.DecodedCacheStats(); st.Hits == 0 {
-		t.Error("cached index reported no decoded-cache hits")
-	}
-	if st := uncached.DecodedCacheStats(); st.Hits+st.Misses != 0 {
-		t.Errorf("uncached index reported decoded-cache traffic: %+v", st)
-	}
-}
-
-// TestDecodedCacheStatsSurface checks the stats plumbing across engine,
-// reader, and sharded aggregation.
-func TestDecodedCacheStatsSurface(t *testing.T) {
-	c := hotTestCollection(t)
-	idx, err := setcontain.New(c, setcontain.WithKind(setcontain.OIF))
-	if err != nil {
-		t.Fatal(err)
-	}
-	queries := hotTestQueries(t, c, 12)
-	for _, q := range queries {
-		if _, err := q.Eval(idx); err != nil {
-			t.Fatal(err)
-		}
-	}
-	st := idx.DecodedCacheStats()
-	if st.Hits+st.Misses == 0 {
-		t.Error("engine decoded-cache stats empty after queries")
-	}
-	if st.Capacity != setcontain.DefaultDecodedCachePostings {
-		t.Errorf("capacity = %d, want default %d", st.Capacity, setcontain.DefaultDecodedCachePostings)
-	}
-	if hr := st.HitRate(); hr < 0 || hr > 1 {
-		t.Errorf("hit rate %f outside [0,1]", hr)
-	}
-
-	// Readers carry private caches.
-	r, err := idx.NewReader(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st := r.DecodedCacheStats(); st.Hits+st.Misses != 0 {
-		t.Errorf("fresh reader already has decoded traffic: %+v", st)
-	}
-	for _, q := range queries {
-		if _, err := q.Eval(r); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if st := r.DecodedCacheStats(); st.Hits+st.Misses == 0 {
-		t.Error("reader decoded-cache stats empty after queries")
-	}
-
-	// Sharded engines aggregate across their OIF shards; with the
-	// skewed fixture the planner picks the OIF for every shard.
-	sharded, err := setcontain.New(c,
-		setcontain.WithKind(setcontain.Sharded),
-		setcontain.WithShards(2),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, q := range queries {
-		if _, err := q.Eval(sharded); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if st := sharded.DecodedCacheStats(); st.Hits+st.Misses == 0 {
-		t.Error("sharded decoded-cache stats empty after queries")
-	}
-
-	// Disabled cache: zero traffic, zero capacity.
-	off, err := setcontain.New(c,
-		setcontain.WithKind(setcontain.OIF),
-		setcontain.WithDecodedCache(-1),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, q := range queries {
-		if _, err := q.Eval(off); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if st := off.DecodedCacheStats(); st != (setcontain.DecodedCacheStats{}) {
-		t.Errorf("disabled cache reported %+v", st)
 	}
 }
 

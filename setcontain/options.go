@@ -82,17 +82,6 @@ type Options struct {
 	// Shards is the Sharded engine's partition count (default: one per
 	// CPU, minimum 2). Ignored by the other kinds.
 	Shards int
-	// DecodedCachePostings sizes the OIF's decoded-block cache in
-	// postings (8 bytes each): hot inverted-list blocks are kept in
-	// decoded form so repeat visits skip the vbyte decode entirely, with
-	// admission weighted by the item-frequency profile when it is skewed
-	// (hot lists stay decoded; see the README's "CPU performance").
-	// 0 selects DefaultDecodedCachePostings; negative disables the
-	// cache. The budget is per query handle — the engine and every
-	// Reader (including Store's pooled readers, and each shard of a
-	// Sharded reader) carry their own cache. Ignored by the IF/UBT
-	// kinds.
-	DecodedCachePostings int
 
 	// blockPostingsExplicit records (at fill time) whether the caller set
 	// BlockPostings, so the sharded planner only sizes the OIF frontier
@@ -100,12 +89,6 @@ type Options struct {
 	// WithBlockPostings always wins, even when it equals the default.
 	blockPostingsExplicit bool
 }
-
-// DefaultDecodedCachePostings is the decoded-block cache budget when
-// WithDecodedCache is absent: 32 Ki postings = 256 KB per query handle —
-// at 200 k records of the paper's synthetic defaults about one largest
-// list (29 098 postings), 1/7 of the ten hottest lists, 1/61 of the index.
-const DefaultDecodedCachePostings = 1 << 15
 
 // fill applies the documented defaults in place.
 func (o *Options) fill() {
@@ -118,12 +101,6 @@ func (o *Options) fill() {
 	}
 	if o.CachePages == 0 {
 		o.CachePages = storage.DefaultPoolPages
-	}
-	switch {
-	case o.DecodedCachePostings == 0:
-		o.DecodedCachePostings = DefaultDecodedCachePostings
-	case o.DecodedCachePostings < 0:
-		o.DecodedCachePostings = 0 // disabled at the core level
 	}
 }
 
@@ -158,8 +135,3 @@ func WithTagPrefix(n int) Option { return func(o *Options) { o.TagPrefix = n } }
 // WithShards sets the Sharded engine's partition count (n <= 0 keeps
 // the default: one shard per CPU, minimum 2).
 func WithShards(n int) Option { return func(o *Options) { o.Shards = n } }
-
-// WithDecodedCache sizes the OIF's decoded-block cache in postings per
-// query handle (n < 0 disables it, 0 keeps the default
-// DefaultDecodedCachePostings). See Options.DecodedCachePostings.
-func WithDecodedCache(n int) Option { return func(o *Options) { o.DecodedCachePostings = n } }

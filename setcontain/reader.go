@@ -1,9 +1,6 @@
 package setcontain
 
-import (
-	"repro/internal/core"
-	"repro/internal/storage"
-)
+import "repro/internal/storage"
 
 // engineReader is the uniform surface of the backends' isolated query
 // handles (core.Reader, invfile.Reader, ubtree.Reader).
@@ -38,18 +35,6 @@ func (r *Reader) Superset(qs []Item) ([]uint32, error) { return r.r.Superset(qs)
 // plain call plus copy. See Query.EvalAppend for the append contract.
 func (r *Reader) EvalAppend(dst []uint32, q Query) ([]uint32, error) {
 	return q.EvalAppend(dst, r.r)
-}
-
-// DecodedCacheStats reports this reader's private decoded-block cache
-// statistics (all zero for backends without one).
-func (r *Reader) DecodedCacheStats() DecodedCacheStats {
-	switch ds := r.r.(type) {
-	case decodedStatser:
-		return ds.DecodedStats()
-	case interface{ DecodedStats() core.DecodedCacheStats }:
-		return decodedStatsOf(ds.DecodedStats())
-	}
-	return DecodedCacheStats{}
 }
 
 // CacheStats returns this reader's private access statistics.

@@ -9,8 +9,8 @@
 // no query is ever held back to wait for company — so an idle server
 // answers a lone query at once and batches grow exactly as load does.
 // This is where the paper's skew argument pays off at the serving tier:
-// under load the hottest inverted lists decode once per batch rather
-// than once per query.
+// under load a batch runs on one reader, whose page cache holds the
+// hottest inverted lists for every query of the batch.
 //
 // A Server wraps the batcher with HTTP handlers:
 //

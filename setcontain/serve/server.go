@@ -335,11 +335,8 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 			BatchSizes: bst.BatchSizes,
 		},
 		Store: StoreStatsJSON{
-			CacheHits:      sst.Cache.Hits,
-			PageReads:      sst.Cache.PageReads,
-			DecodedHits:    sst.Decoded.Hits,
-			DecodedMisses:  sst.Decoded.Misses,
-			DecodedHitRate: sst.Decoded.HitRate(),
+			CacheHits: sst.Cache.Hits,
+			PageReads: sst.Cache.PageReads,
 		},
 		Streams: StreamStatsJSON{
 			Served:  s.streamsServed.Load(),

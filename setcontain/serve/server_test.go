@@ -456,8 +456,8 @@ func TestServerStatsAndHealth(t *testing.T) {
 	if len(st.ShardPlans) != 2 {
 		t.Errorf("%d shard plans, want 2", len(st.ShardPlans))
 	}
-	if st.Store.DecodedHits+st.Store.DecodedMisses == 0 {
-		t.Errorf("no decoded-cache traffic surfaced: %+v", st.Store)
+	if st.Store.CacheHits+st.Store.PageReads == 0 {
+		t.Errorf("no page-cache traffic surfaced: %+v", st.Store)
 	}
 	if st.UptimeSeconds <= 0 {
 		t.Errorf("uptime %f", st.UptimeSeconds)

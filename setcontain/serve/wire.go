@@ -105,8 +105,7 @@ type StatsResponse struct {
 	// Batcher is the dispatch behaviour, including the batch-size
 	// histogram and its mean.
 	Batcher BatcherStatsJSON `json:"batcher"`
-	// Store aggregates the pooled readers' page-cache and
-	// decoded-cache counters.
+	// Store aggregates the pooled readers' page-cache counters.
 	Store StoreStatsJSON `json:"store"`
 	// ShardPlans lists the per-shard planning decisions of a sharded
 	// engine (absent otherwise).
@@ -142,11 +141,8 @@ type BatcherStatsJSON struct {
 
 // StoreStatsJSON mirrors setcontain.StoreStats on the wire.
 type StoreStatsJSON struct {
-	CacheHits      int64   `json:"cache_hits"`
-	PageReads      int64   `json:"page_reads"`
-	DecodedHits    int64   `json:"decoded_hits"`
-	DecodedMisses  int64   `json:"decoded_misses"`
-	DecodedHitRate float64 `json:"decoded_hit_rate"`
+	CacheHits int64 `json:"cache_hits"`
+	PageReads int64 `json:"page_reads"`
 }
 
 // ShardPlanJSON mirrors setcontain.ShardPlan on the wire.

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 
-	"repro/internal/core"
 	"repro/internal/dataset"
 )
 
@@ -202,8 +201,8 @@ func (ix *Index) Deleted() int { return ix.eng.Deleted() }
 //
 // Merging swaps the engine's page file, so a fresh query cache of the
 // same capacity is attached afterwards. The fresh cache is seeded with
-// the pre-merge counters, so CacheStats and DecodedCacheStats stay
-// cumulative across merges; the cache contents start cold either way.
+// the pre-merge counters, so CacheStats stays cumulative across merges;
+// the cache contents start cold either way.
 // Create new Readers (or call Store.Refresh) so parallel handles see
 // the merged records.
 func (ix *Index) MergeDelta() error { return ix.eng.MergeDelta() }
@@ -242,69 +241,13 @@ func (ix *Index) CacheStats() CacheStats { return ix.eng.Stats() }
 // ResetCacheStats zeroes the statistics (the cache contents remain).
 func (ix *Index) ResetCacheStats() { ix.eng.ResetStats() }
 
-// DecodedCacheStats reports the decoded-block cache's effectiveness:
-// how many inverted-list block visits were served in already-decoded
-// form (Hits) versus decoded from page bytes (Misses), and what the
-// skew-aware admission policy did with the decoded blocks. All fields
-// are zero for engines without a decoded cache (IF, UBT, or an OIF
-// built with WithDecodedCache(-1)).
+// DecodedCacheStats is always zero: the decoded-block cache it reported
+// on is gone.
+//
+// Deprecated: kept, with StoreStats.Decoded, only because the frozen
+// benchmark harness compiles against it; ROADMAP item 1 deletes both.
 type DecodedCacheStats struct {
-	Hits     int64 // block visits served without decoding
-	Misses   int64 // block visits that decoded from page bytes
-	Admitted int64 // decoded blocks copied into the cache
-	Rejected int64 // decoded blocks denied admission (colder than residents)
-	Evicted  int64 // cached blocks displaced by hotter arrivals
-	Postings int   // postings currently cached
-	Capacity int   // maximum postings (summed across shards)
-}
-
-// HitRate returns Hits / (Hits + Misses), or 0 before any block visit.
-func (s DecodedCacheStats) HitRate() float64 {
-	if total := s.Hits + s.Misses; total > 0 {
-		return float64(s.Hits) / float64(total)
-	}
-	return 0
-}
-
-// add sums two snapshots (used to aggregate shard caches).
-func (s DecodedCacheStats) add(t DecodedCacheStats) DecodedCacheStats {
-	return DecodedCacheStats{
-		Hits:     s.Hits + t.Hits,
-		Misses:   s.Misses + t.Misses,
-		Admitted: s.Admitted + t.Admitted,
-		Rejected: s.Rejected + t.Rejected,
-		Evicted:  s.Evicted + t.Evicted,
-		Postings: s.Postings + t.Postings,
-		Capacity: s.Capacity + t.Capacity,
-	}
-}
-
-func decodedStatsOf(s core.DecodedCacheStats) DecodedCacheStats {
-	return DecodedCacheStats{
-		Hits:     s.Hits,
-		Misses:   s.Misses,
-		Admitted: s.Admitted,
-		Rejected: s.Rejected,
-		Evicted:  s.Evicted,
-		Postings: s.Postings,
-		Capacity: s.Capacity,
-	}
-}
-
-// decodedStatser is the optional engine/reader surface behind
-// DecodedCacheStats.
-type decodedStatser interface {
-	DecodedStats() DecodedCacheStats
-}
-
-// DecodedCacheStats returns the engine's decoded-block cache statistics
-// (the engine's own cache only — Readers carry private caches, reported
-// by Reader.DecodedCacheStats).
-func (ix *Index) DecodedCacheStats() DecodedCacheStats {
-	if ds, ok := ix.eng.(decodedStatser); ok {
-		return ds.DecodedStats()
-	}
-	return DecodedCacheStats{}
+	Hits, Misses, Evicted int64
 }
 
 // NewReader creates a parallel query handle with its own cache of

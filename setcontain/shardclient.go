@@ -211,9 +211,6 @@ func (s *inprocSession) AppendExpr(ctx context.Context, dst []uint32, expr *Expr
 	return ids, err
 }
 
-// DecodedStats implements decodedStatser on the session's reader.
-func (s *inprocSession) DecodedStats() DecodedCacheStats { return s.r.DecodedCacheStats() }
-
 func (s *inprocSession) Stats() CacheStats { return s.r.CacheStats() }
 func (s *inprocSession) ResetStats()       { s.r.ResetCacheStats() }
 func (s *inprocSession) Close() error      { return nil }

@@ -463,10 +463,6 @@ func (e *shardedEngine) Space() SpaceInfo {
 func (e *shardedEngine) Stats() CacheStats { return cacheStatsOf(e.rd.Stats()) }
 func (e *shardedEngine) ResetStats()       { e.rd.ResetStats() }
 
-// DecodedStats sums the engine-level sessions' decoded-block cache
-// statistics (the planner's in-process OIF shards keep one).
-func (e *shardedEngine) DecodedStats() DecodedCacheStats { return e.rd.DecodedStats() }
-
 func (e *shardedEngine) SetPool(*storage.BufferPool) error { return errShardedPool }
 
 // Pool returns the first shard's pool so pool-shape probes (page size,
@@ -540,18 +536,6 @@ func (r *shardedReader) ResetStats() {
 	for _, sess := range r.sess {
 		sess.ResetStats()
 	}
-}
-
-// DecodedStats sums the decoded-block cache statistics of the sessions
-// that keep one (in-process sessions over OIF shards).
-func (r *shardedReader) DecodedStats() DecodedCacheStats {
-	var total DecodedCacheStats
-	for _, sess := range r.sess {
-		if ds, ok := sess.(decodedStatser); ok {
-			total = total.add(ds.DecodedStats())
-		}
-	}
-	return total
 }
 
 // Pool returns nil: the pages live behind the sessions, which stop on

@@ -19,8 +19,8 @@ import (
 // inverted-file snapshot stream, each guarded by its own CRC trailer).
 // Open reads the header and reconstructs the right engine without the
 // caller restating build options — everything structural (page size,
-// block postings, tag prefix, decoded-cache budget, tombstones, pending
-// deltas) lives inside the payloads.
+// block postings, tag prefix, tombstones, pending deltas) lives inside
+// the payloads.
 //
 // A sharded engine's payload is a manifest — shard count, partition
 // scheme, per-shard plans — followed by one length-framed sub-container

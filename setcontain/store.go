@@ -59,22 +59,17 @@ type Store struct {
 // storeCounters is the lock-free accumulator behind Store.Stats.
 type storeCounters struct {
 	cacheHits, pageReads, seqReads, nearReads, randReads atomic.Int64
-
-	decHits, decMisses, decAdmitted, decRejected, decEvicted atomic.Int64
-	// Gauges: the most recently released reader's observation.
-	decPostings, decCapacity atomic.Int64
 }
 
 // storeReader tags a pooled reader with the store generation it was
-// created under, so Refresh can retire stale snapshots lazily. The
-// last* fields snapshot the reader's cumulative statistics at its
+// created under, so Refresh can retire stale snapshots lazily.
+// lastCache snapshots the reader's cumulative statistics at its
 // previous release, so each release folds only the delta of the query
 // it just served into the store-wide totals.
 type storeReader struct {
-	r           *Reader
-	gen         uint64
-	lastCache   CacheStats
-	lastDecoded DecodedCacheStats
+	r         *Reader
+	gen       uint64
+	lastCache CacheStats
 
 	// eval is the reader's persistent expression evaluator: its free
 	// list survives across the queries this pooled reader serves, so
@@ -221,39 +216,28 @@ func (s *Store) release(e *storeReader) {
 }
 
 // accumulate folds the reader's statistics delta since its previous
-// release into the store-wide totals. Counters are summed as deltas;
-// the decoded cache's Postings/Capacity gauges are tracked as the
-// most recent observation (readers of one store share a configuration,
-// so any reader's gauge is representative).
+// release into the store-wide totals.
 func (s *Store) accumulate(e *storeReader) {
 	cache := e.r.CacheStats()
-	decoded := e.r.DecodedCacheStats()
 	t := &s.totals
 	t.cacheHits.Add(cache.Hits - e.lastCache.Hits)
 	t.pageReads.Add(cache.PageReads - e.lastCache.PageReads)
 	t.seqReads.Add(cache.Sequential - e.lastCache.Sequential)
 	t.nearReads.Add(cache.Near - e.lastCache.Near)
 	t.randReads.Add(cache.Random - e.lastCache.Random)
-	t.decHits.Add(decoded.Hits - e.lastDecoded.Hits)
-	t.decMisses.Add(decoded.Misses - e.lastDecoded.Misses)
-	t.decAdmitted.Add(decoded.Admitted - e.lastDecoded.Admitted)
-	t.decRejected.Add(decoded.Rejected - e.lastDecoded.Rejected)
-	t.decEvicted.Add(decoded.Evicted - e.lastDecoded.Evicted)
-	t.decPostings.Store(int64(decoded.Postings))
-	t.decCapacity.Store(int64(decoded.Capacity))
 	e.lastCache = cache
-	e.lastDecoded = decoded
 }
 
-// StoreStats aggregates the I/O and decoded-cache statistics of every
-// reader a Store has pooled, the serving-side counterpart of
-// Index.CacheStats (which reports the engine's own single-stream pool).
+// StoreStats aggregates the I/O statistics of every reader a Store has
+// pooled, the serving-side counterpart of Index.CacheStats (which
+// reports the engine's own single-stream pool).
 type StoreStats struct {
 	// Cache is the summed page-cache behaviour of the pooled readers.
 	Cache CacheStats
-	// Decoded is the summed decoded-block cache behaviour; its
-	// Postings/Capacity gauges reflect the most recently released
-	// reader rather than a sum.
+	// Decoded is always zero.
+	//
+	// Deprecated: kept for the frozen benchmark harness; ROADMAP item 1
+	// deletes it with DecodedCacheStats.
 	Decoded DecodedCacheStats
 }
 
@@ -270,15 +254,6 @@ func (s *Store) Stats() StoreStats {
 			Sequential: t.seqReads.Load(),
 			Near:       t.nearReads.Load(),
 			Random:     t.randReads.Load(),
-		},
-		Decoded: DecodedCacheStats{
-			Hits:     t.decHits.Load(),
-			Misses:   t.decMisses.Load(),
-			Admitted: t.decAdmitted.Load(),
-			Rejected: t.decRejected.Load(),
-			Evicted:  t.decEvicted.Load(),
-			Postings: int(t.decPostings.Load()),
-			Capacity: int(t.decCapacity.Load()),
 		},
 	}
 }
@@ -552,8 +527,7 @@ func (s *Store) ExecBatch(ctx context.Context, qs []Query) ([][]uint32, error) {
 // reader — the arena-friendly fan-in entry point the serve package's
 // micro-batcher dispatches through. Where ExecBatch spreads a batch
 // across readers for parallelism, ExecBatchAppend deliberately shares
-// one: every item reuses its scratch arenas and warm page/decoded
-// caches (hot lists decode once per batch, not once per query), and
+// one: every item reuses its scratch arenas and warm page cache, and
 // answers append into the caller-owned Dst slices, so a steady-state
 // batch of plain queries over a warm OIF store allocates nothing.
 //
