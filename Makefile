@@ -46,11 +46,11 @@ bench-module-check:
 # target per invocation): the expression-grammar round-trip fuzzer, the
 # remote shard client's NDJSON answer reader, the snapshot container
 # reader, the POST /query body through the serve handler, the WAL
-# replay/record fuzzers, and the vbyte codec fuzzers. The
+# replay/record fuzzers, and the vbyte codec and block-kernel fuzzers. The
 # CI fuzz job uses the same invocations; corpus findings land in testdata
-# and fail `make test` thereafter. The answer-stream and snapshot inputs
-# run to kilobytes, so minimizing each new one is capped — it would
-# otherwise eat the whole smoke.
+# and fail `make test` thereafter. The answer-stream, snapshot and
+# posting-block inputs run to kilobytes, so minimizing each new one is
+# capped — it would otherwise eat the whole smoke.
 FUZZ_TIME ?= 10s
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseExpr$$' -fuzztime $(FUZZ_TIME) ./setcontain
@@ -61,6 +61,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzRecordDecode$$' -fuzztime $(FUZZ_TIME) ./internal/wal
 	$(GO) test -run '^$$' -fuzz '^FuzzUint32$$' -fuzztime $(FUZZ_TIME) ./internal/vbyte
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodePostings$$' -fuzztime $(FUZZ_TIME) ./internal/vbyte
+	$(GO) test -run '^$$' -fuzz '^FuzzPostingKernels$$' -fuzztime $(FUZZ_TIME) -fuzzminimizetime 1s ./internal/vbyte
 
 lint:
 	$(GOLANGCI) run ./...

@@ -8,29 +8,31 @@ import (
 
 // queryArena holds every scratch buffer a query evaluation needs, so
 // steady-state queries allocate nothing: rank scratch for the prepared
-// query and RoI bounds, candidate and merge slices, the vbyte decode
-// target, the B-tree probe key, and the list cursor itself (which in
-// turn recycles its leaf arena inside btree.Cursor). Each Index — and
-// each Reader clone — owns one arena; buffers are truncated, never
-// freed, so they settle at the high-water mark of the queries seen.
+// query and RoI bounds, candidate and merge slices, the block candidate
+// bitmap, superset's decode target, the B-tree probe key, and the list
+// cursor itself (which in turn recycles its leaf arena inside
+// btree.Cursor). Each Index — and each Reader clone — owns one arena;
+// buffers are truncated, never freed, so they settle at the high-water
+// mark of the queries seen.
 //
 // The arena makes explicit what was previously implicit: only one list
 // cursor is live at a time on a query path (candidate gathering finishes
 // before filtering starts, and filters run one list at a time), so a
-// single recycled cursor and decode buffer serve the whole evaluation.
+// single recycled cursor, bitmap and decode buffer serve the whole
+// evaluation.
 type queryArena struct {
 	ranks    []sequence.Rank // prepared query (prepRanks result)
 	bound    []sequence.Rank // RoI bound scratch (lower, then upper)
 	cands    []uint32        // shrinking candidate set
-	aux      []uint32        // secondary id scratch (toCheck, whole lists, results)
-	aux2     []uint32        // tertiary id scratch (confirmed)
+	aux      []uint32        // secondary id scratch (whole lists, results)
 	within   []uint32        // AppendSubsetWithin's new-id candidate scratch
+	marks    []uint64        // one block's candidate bitmap, all zero between uses
 	sorted   []uint32        // sortIDs' second buffer
 	qset     []dataset.Item  // the query as items, for the delta's matcher
 	scands   []scand         // superset candidate set
 	merged   []scand         // superset merge target (swapped with scands)
 	incoming []vbyte.Posting // superset per-item RoI postings
-	decode   []vbyte.Posting // block decode target
+	decode   []vbyte.Posting // superset's block decode target
 	probe    []byte          // B-tree seek probe
 	lc       listCursor      // the one live list cursor
 }

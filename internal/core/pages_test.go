@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/dataset"
@@ -15,7 +16,9 @@ import (
 // sort, the cursor's leaf copy and the tag decode were changed; a CPU
 // change to the query path must leave every one of them where it is,
 // because it must leave the sequence of BufferPool.Get / Put calls
-// where it is.
+// where it is. The within rows (AppendSubsetWithin, the other caller of
+// filterByList and filterBySmallest) were recorded at the commit before
+// the block kernels replaced the decode-then-match.
 func TestPageAccessesPinned(t *testing.T) {
 	cfg := dataset.DefaultSynthetic(20000)
 	cfg.Seed = 7
@@ -44,6 +47,31 @@ func TestPageAccessesPinned(t *testing.T) {
 		}
 	}
 
+	// AppendSubsetWithin's candidates per query: a fixed seeded sample of
+	// ids plus the answer of the query's first two items, ascending —
+	// computed before the passes, so their reads are not counted.
+	sample := map[uint32]bool{}
+	for len(sample) < 200 {
+		sample[uint32(1+rng.Intn(d.Len()))] = true
+	}
+	within := map[int][][]uint32{}
+	for _, size := range []int{2, 4, 8} {
+		for _, qs := range queries[size] {
+			cands, err := ix.AppendSubset(nil, qs[:2])
+			if err != nil {
+				t.Fatal(err)
+			}
+			for id := range sample {
+				if !slices.Contains(cands, id) {
+					cands = append(cands, id)
+				}
+			}
+			slices.Sort(cands)
+			within[size] = append(within[size], cands)
+		}
+	}
+	var cands []uint32 // the within row's candidates for the query being run
+
 	type pages = map[int]storage.AccessStats // by |qs|
 	preds := []struct {
 		name string
@@ -65,6 +93,13 @@ func TestPageAccessesPinned(t *testing.T) {
 			4: {Hits: 291, Misses: 131, SeqMisses: 43, NearMisses: 87, RandMisses: 1},
 			8: {Hits: 951, Misses: 303, SeqMisses: 75, NearMisses: 227, RandMisses: 1},
 		}},
+		{"within", func(dst []uint32, qs []dataset.Item) ([]uint32, error) {
+			return ix.AppendSubsetWithin(dst, qs, cands)
+		}, pages{
+			2: {Hits: 352, Misses: 75, SeqMisses: 43, NearMisses: 31, RandMisses: 1},
+			4: {Hits: 781, Misses: 187, SeqMisses: 88, NearMisses: 98, RandMisses: 1},
+			8: {Hits: 369, Misses: 246, SeqMisses: 23, NearMisses: 222, RandMisses: 1},
+		}},
 	}
 	var dst []uint32
 	for _, p := range preds {
@@ -73,7 +108,8 @@ func TestPageAccessesPinned(t *testing.T) {
 				t.Fatal(err)
 			}
 			pool.ResetStats()
-			for _, qs := range queries[size] {
+			for k, qs := range queries[size] {
+				cands = within[size][k]
 				if dst, err = p.eval(dst[:0], qs); err != nil {
 					t.Fatalf("%s %v: %v", p.name, qs, err)
 				}

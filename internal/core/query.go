@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math"
+
 	"repro/internal/dataset"
 	"repro/internal/overlay"
 	"repro/internal/sequence"
@@ -83,14 +85,8 @@ func (ix *Index) AppendSubset(dst []uint32, qs []dataset.Item) ([]uint32, error)
 	// shorter than the query can never qualify.
 	cands := ar.cands[:0]
 	for lc.valid {
-		buf, err := lc.postings()
-		if err != nil {
+		if cands, err = vbyte.AppendIDs(cands, lc.cur.Value(), 0, uint32(n), math.MaxUint32); err != nil {
 			return nil, err
-		}
-		for _, p := range buf {
-			if p.Length >= uint32(n) {
-				cands = append(cands, p.ID)
-			}
 		}
 		if past, err := lc.pastUpper(upper); err != nil {
 			return nil, err
@@ -128,31 +124,36 @@ func (ix *Index) AppendSubset(dst []uint32, qs []dataset.Item) ([]uint32, error)
 // for arbitrary candidate ids, not just list-derived ones: ids inside
 // r's metadata region have smallest rank r (contain it by construction),
 // ids beyond the region have smallest rank > r (cannot contain it), and
-// ids before it must carry a posting in r's (shortened) list. The result
-// lives in the arena's aux buffer.
+// ids before it must carry a posting in r's (shortened) list. Like
+// filterByList it filters in place: the result reuses cands' storage.
 func (ix *Index) filterBySmallest(r sequence.Rank, cands []uint32) ([]uint32, error) {
-	ar := ix.arena
 	reg := ix.meta.Regions[r]
-	confirmed, toCheck := ar.aux2[:0], ar.aux[:0]
-	for _, id := range cands {
-		switch {
-		case reg.ContainsID(id):
-			confirmed = append(confirmed, id)
-		case !reg.Empty() && id > reg.U:
-			// discard
-		default:
-			toCheck = append(toCheck, id)
-		}
+	if reg.Empty() {
+		return ix.filterByList(r, cands)
 	}
-	ar.aux2, ar.aux = confirmed, toCheck
-	checked, err := ix.filterByList(r, toCheck)
+	// cands[:a] precede the region, cands[a:b] lie in it.
+	a, b := countAtMost(cands, reg.L-1), countAtMost(cands, reg.U)
+	checked, err := ix.filterByList(r, cands[:a])
 	if err != nil {
 		return nil, err
 	}
-	// toCheck ids all precede region ids, so concatenation stays sorted.
-	result := append(checked, confirmed...)
-	ar.aux = result
-	return result, nil
+	// checked ends at or before cands[a] and its ids all precede the
+	// region's, so appending the region run keeps the result sorted.
+	return append(checked, cands[a:b]...), nil
+}
+
+// countAtMost returns how many of ids (sorted ascending) are <= x.
+func countAtMost(ids []uint32, x uint32) int {
+	lo, hi := 0, len(ids)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if ids[mid] <= x {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
 }
 
 // AppendSubsetWithin appends Subset(qs) ∩ cands to dst: the members of
@@ -261,16 +262,9 @@ func (ix *Index) AppendEquality(dst []uint32, qs []dataset.Item) ([]uint32, erro
 		return nil, err
 	}
 	for lc.valid {
-		buf, err := lc.postings()
-		if err != nil {
+		// Length filter (§2 extension).
+		if cands, err = vbyte.AppendIDs(cands, lc.cur.Value(), 0, uint32(n), uint32(n)); err != nil {
 			return nil, err
-		}
-		for _, p := range buf {
-			// Length filter (§2 extension) plus the region of the smallest
-			// item: answers have smallest rank q[0] by definition.
-			if p.Length == uint32(n) && reg.ContainsID(p.ID) {
-				cands = append(cands, p.ID)
-			}
 		}
 		if past, err := lc.pastUpper(q); err != nil {
 			return nil, err
@@ -282,6 +276,10 @@ func (ix *Index) AppendEquality(dst []uint32, qs []dataset.Item) ([]uint32, erro
 		}
 	}
 	ar.cands = cands
+	// Answers have smallest rank q[0] by definition: keep the ids in its
+	// region. The list is in id order, so they are one run.
+	a, b := countAtMost(cands, reg.L-1), countAtMost(cands, reg.U)
+	cands = cands[:copy(cands, cands[a:b])]
 	for i := n - 2; i >= 1 && len(cands) > 0; i-- {
 		cands, err = ix.filterByList(q[i], cands)
 		if err != nil {
@@ -447,12 +445,8 @@ func (ix *Index) collectWholeList(dst []uint32, rank sequence.Rank) ([]uint32, e
 		return nil, err
 	}
 	for lc.valid {
-		buf, err := lc.postings()
-		if err != nil {
+		if dst, err = vbyte.AppendIDs(dst, lc.cur.Value(), 0, 0, math.MaxUint32); err != nil {
 			return nil, err
-		}
-		for _, p := range buf {
-			dst = append(dst, p.ID)
 		}
 		if err := lc.next(); err != nil {
 			return nil, err
@@ -479,16 +473,18 @@ func (ix *Index) filterByList(rank sequence.Rank, cands []uint32) ([]uint32, err
 	}
 	i := 0
 	for i < len(cands) && lc.valid {
-		buf, err := lc.postings()
-		if err != nil {
-			return nil, err
-		}
 		// The candidates this block can cover: ids up to the block's last.
 		hi := i
 		for hi < len(cands) && cands[hi] <= lc.lastID {
 			hi++
 		}
-		out = matchBlock(buf, cands[i:hi], out)
+		// In place: out ends at or before cands[i] and gains at most one id
+		// per candidate of cands[i:hi], so no write passes hi, and the
+		// slots it overwrites hold candidates already marked, which are
+		// never read again.
+		if out, err = vbyte.AppendMatches(out, lc.cur.Value(), 0, cands[i:hi], &ix.arena.marks); err != nil {
+			return nil, err
+		}
 		i = hi
 		if i >= len(cands) {
 			break
@@ -507,65 +503,4 @@ func (ix *Index) filterByList(rank sequence.Rank, cands []uint32) ([]uint32, err
 		}
 	}
 	return out, nil
-}
-
-// Crossover for matchBlock's probe strategy: binary search wins once the
-// block is much larger than the candidate set falling inside it. A
-// linear merge costs ~m+k posting visits (m block postings, k
-// candidates), per-candidate binary search ~k*log2(m); with log2(m) <=
-// 9 for the block sizes in use (<= 512 postings), binary search is
-// profitable from m >~ 8k, with a small constant floor so tiny blocks
-// never bother. BenchmarkMatchBlock in query_bench_test.go sweeps m/k
-// ratios to justify the constants.
-const (
-	matchBinaryFloor   = 32 // below this block size, always merge linearly
-	matchBinaryPerCand = 8  // binary search when m > floor + 8*k
-)
-
-// matchBlock appends the members of cands present in buf to out. cands
-// must be sorted ascending and lie within the block's id range; buf is a
-// decoded block (ids ascending).
-func matchBlock(buf []vbyte.Posting, cands []uint32, out []uint32) []uint32 {
-	if len(buf) >= matchBinaryFloor && len(buf) > matchBinaryFloor+matchBinaryPerCand*len(cands) {
-		return matchBlockBinary(buf, cands, out)
-	}
-	return matchBlockLinear(buf, cands, out)
-}
-
-// matchBlockLinear advances a shared block offset across the candidates
-// — O(m + k).
-func matchBlockLinear(buf []vbyte.Posting, cands []uint32, out []uint32) []uint32 {
-	j := 0
-	for _, c := range cands {
-		for j < len(buf) && buf[j].ID < c {
-			j++
-		}
-		if j < len(buf) && buf[j].ID == c {
-			out = append(out, c)
-		}
-	}
-	return out
-}
-
-// matchBlockBinary binary-searches each candidate within the block's
-// remaining suffix — O(k log m), profitable when the block dwarfs the
-// candidate set.
-func matchBlockBinary(buf []vbyte.Posting, cands []uint32, out []uint32) []uint32 {
-	j := 0
-	for _, c := range cands {
-		lo, hi := j, len(buf)
-		for lo < hi {
-			mid := int(uint(lo+hi) >> 1)
-			if buf[mid].ID < c {
-				lo = mid + 1
-			} else {
-				hi = mid
-			}
-		}
-		j = lo
-		if j < len(buf) && buf[j].ID == c {
-			out = append(out, c)
-		}
-	}
-	return out
 }

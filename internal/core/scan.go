@@ -112,7 +112,9 @@ func (lc *listCursor) next() error {
 
 // postings returns the current block decoded into the arena's scratch
 // slice: callers must treat it as read-only and must not hold it across
-// a postings or seek call.
+// a postings or seek call. Only superset, which needs each posting's
+// length, decodes whole postings; the other paths pass the block's bytes
+// (lc.cur.Value()) to a vbyte kernel.
 func (lc *listCursor) postings() ([]vbyte.Posting, error) {
 	ix := lc.ix
 	ps, err := vbyte.DecodePostingsInto(lc.cur.Value(), 0, ix.arena.decode[:0])

@@ -190,19 +190,16 @@ func (ix *Index) filterByListRange(item dataset.Item, cands []uint32) ([]uint32,
 		return nil, nil
 	}
 	out := cands[:0]
-	var buf []vbyte.Posting
+	var marks []uint64
 	cur, err := ix.tree.Seek(blockKey(item, cands[0]), btree.BytewiseCompare)
 	if err != nil {
 		return nil, err
 	}
 	i := 0
 	for i < len(cands) && cur.Valid() && keyItem(cur.Key()) == item {
-		lastID := keyLastID(cur.Key())
-		buf, err = vbyte.DecodePostings(cur.Value(), 0, buf[:0])
-		if err != nil {
+		if i, out, err = keepListed(cur, cands, i, out, &marks); err != nil {
 			return nil, err
 		}
-		i, out = matchBlock(buf, lastID, cands, i, out)
 		if err := cur.Next(); err != nil {
 			return nil, err
 		}
@@ -210,20 +207,18 @@ func (ix *Index) filterByListRange(item dataset.Item, cands []uint32) ([]uint32,
 	return out, nil
 }
 
-// matchBlock appends to out the candidates from cands[i:] that one
-// decoded block (ids ascending, the last being lastID) can cover and does
+// keepListed appends to out the candidates from cands[i:] that the
+// cursor's block (its key carries the block's last id) can cover and does
 // hold, and returns the index of the first candidate beyond the block.
-func matchBlock(buf []vbyte.Posting, lastID uint32, cands []uint32, i int, out []uint32) (int, []uint32) {
-	j := 0
-	for ; i < len(cands) && cands[i] <= lastID; i++ {
-		for j < len(buf) && buf[j].ID < cands[i] {
-			j++
-		}
-		if j < len(buf) && buf[j].ID == cands[i] {
-			out = append(out, cands[i])
-		}
+// out may be cands[:j] for j <= i — the in-place filter AppendMatches
+// allows.
+func keepListed(cur *btree.Cursor, cands []uint32, i int, out []uint32, marks *[]uint64) (int, []uint32, error) {
+	hi, lastID := i, keyLastID(cur.Key())
+	for hi < len(cands) && cands[hi] <= lastID {
+		hi++
 	}
-	return i, out
+	out, err := vbyte.AppendMatches(out, cur.Value(), 0, cands[i:hi], marks)
+	return hi, out, err
 }
 
 // filterByListProbes keeps candidates via per-candidate id seeks. The
@@ -234,7 +229,7 @@ func (ix *Index) filterByListProbes(item dataset.Item, cands []uint32) ([]uint32
 		return nil, nil
 	}
 	out := cands[:0]
-	var buf []vbyte.Posting
+	var marks []uint64
 	i := 0
 	for i < len(cands) {
 		cur, err := ix.tree.Seek(blockKey(item, cands[i]), btree.BytewiseCompare)
@@ -244,12 +239,9 @@ func (ix *Index) filterByListProbes(item dataset.Item, cands []uint32) ([]uint32
 		if !cur.Valid() || keyItem(cur.Key()) != item {
 			break
 		}
-		lastID := keyLastID(cur.Key())
-		buf, err = vbyte.DecodePostings(cur.Value(), 0, buf[:0])
-		if err != nil {
+		if i, out, err = keepListed(cur, cands, i, out, &marks); err != nil {
 			return nil, err
 		}
-		i, out = matchBlock(buf, lastID, cands, i, out)
 	}
 	return out, nil
 }

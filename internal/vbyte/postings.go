@@ -39,7 +39,9 @@ func AppendPostings(dst []byte, postings []Posting, prev uint32) ([]byte, error)
 }
 
 // DecodePostings decodes every posting in buf, delta-decoding ids against
-// prev, appending to out (which may be nil) and returning the result.
+// prev, appending to out (which may be nil) and returning the result. It
+// is the reference decoder: the block kernels (kernels.go) must agree
+// with it on every input, errors included.
 func DecodePostings(buf []byte, prev uint32, out []Posting) ([]Posting, error) {
 	last := prev
 	for len(buf) > 0 {
@@ -56,51 +58,8 @@ func DecodePostings(buf []byte, prev uint32, out []Posting) ([]Posting, error) {
 		if gap == 0 {
 			return nil, fmt.Errorf("%w: zero gap", ErrNonMonotonic)
 		}
-		last += gap
-		out = append(out, Posting{ID: last, Length: length})
-	}
-	return out, nil
-}
-
-// DecodePostingsInto is the bulk fast path of DecodePostings: it decodes
-// every posting in buf into out (a reusable arena slice; may be nil),
-// delta-decoding ids against prev. The loop is index-based with the
-// length hoisted out, takes a branch-free single-byte fast path for both
-// the id gap and the length (the common case under v-byte: gaps and
-// cardinalities below 128), and defers all error wrapping to the cold
-// exit paths — no per-posting error checks or allocations. Decoded
-// output and error classification are identical to DecodePostings
-// (FuzzDecodePostings pins the equivalence); only the error message
-// prose differs.
-func DecodePostingsInto(buf []byte, prev uint32, out []Posting) ([]Posting, error) {
-	last := prev
-	i, n := 0, len(buf)
-	for i < n {
-		var gap, length uint32
-		if b := buf[i]; b < 0x80 {
-			gap = uint32(b)
-			i++
-		} else {
-			g, w, err := uint32Multi(buf[i:])
-			if err != nil {
-				return nil, fmt.Errorf("vbyte: posting id gap: %w", err)
-			}
-			gap = g
-			i += w
-		}
-		if i < n && buf[i] < 0x80 {
-			length = uint32(buf[i])
-			i++
-		} else {
-			l, w, err := uint32Multi(buf[i:])
-			if err != nil {
-				return nil, fmt.Errorf("vbyte: posting length: %w", err)
-			}
-			length = l
-			i += w
-		}
-		if gap == 0 {
-			return nil, fmt.Errorf("%w: zero gap", ErrNonMonotonic)
+		if last+gap < last {
+			return nil, fmt.Errorf("%w: id %d + gap %d overflows 32 bits", ErrNonMonotonic, last, gap)
 		}
 		last += gap
 		out = append(out, Posting{ID: last, Length: length})

@@ -6,6 +6,13 @@
 //
 // Each byte carries 7 payload bits; the high bit is a continuation flag
 // (1 = more bytes follow). Values are encoded little-endian by 7-bit group.
+//
+// A block of postings is read by kernels (kernels.go) that walk its bytes
+// once, a word at a time, and write only what the caller keeps: the ids
+// a candidate bitmap marks (AppendMarked, and AppendMatches around it),
+// the ids whose length is in range (AppendIDs), or whole postings
+// (DecodePostingsInto). DecodePostings is the byte-at-a-time reference
+// they are fuzzed against, errors included.
 package vbyte
 
 import (
