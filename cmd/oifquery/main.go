@@ -16,7 +16,7 @@
 //	subset{3} and not superset{17 29}
 //	                   boolean expression (setcontain.ParseExpr grammar),
 //	                   answered through the cost-based planner
-//	limit 10 EXPR      first 10 ids of EXPR's answer (early exit)
+//	limit 10 EXPR      first 10 ids of EXPR's answer
 //	explain EXPR       print the planner's cost-ordered tree for EXPR
 //	insert 3 17 29     add a record, print its id
 //	delete 42          tombstone record 42
@@ -137,7 +137,7 @@ func repl(idx *setcontain.Index, coll *setcontain.Collection, maxShow int) {
 			fmt.Println("commands: subset ITEMS..., equality ITEMS..., superset ITEMS...,")
 			fmt.Println("          insert ITEMS..., delete ID, merge, digest, stats, quit")
 			fmt.Println("expressions: subset{1 2} and not superset{3}  (and/or/not, parens)")
-			fmt.Println("          limit N EXPR answers only the first N ids (early exit)")
+			fmt.Println("          limit N EXPR answers only the first N ids")
 			fmt.Println("          explain EXPR prints the planner's cost-ordered tree")
 		case "limit":
 			if len(fields) < 3 {

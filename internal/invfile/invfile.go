@@ -178,172 +178,6 @@ func (ix *Index) Superset(qs []dataset.Item) ([]uint32, error) {
 	return ix.finish(results, q, overlay.SubsetOf), nil
 }
 
-// SubsetCursor returns a cursor streaming Subset(qs)'s answer ids in
-// ascending order, decoding each involved list lazily posting-by-posting
-// instead of materializing it: a consumer that stops after n ids (a
-// LIMIT) pays only for the postings actually visited, which on a hot
-// list is a tiny prefix of the whole-list decode Subset performs. Legs
-// intersect rarest-list-first, so the driver leg is the shortest and the
-// wider lists are only probed forward to each candidate. The cursor is
-// single-use and tied to this index's current delta/tombstone snapshot.
-func (ix *Index) SubsetCursor(qs []dataset.Item) (*SubsetCursor, error) {
-	q, err := dataset.Canonical(qs, ix.domainSize)
-	if err != nil {
-		return nil, err
-	}
-	c := &SubsetCursor{ix: ix, q: q, all: 1}
-	if len(q) == 0 {
-		return c, nil
-	}
-	// Rarest first: the driver leg (legs[0]) bounds the candidates.
-	order := append([]dataset.Item(nil), q...)
-	sort.Slice(order, func(i, j int) bool { return ix.counts[order[i]] < ix.counts[order[j]] })
-	c.legs = make([]cursorLeg, len(order))
-	c.disk = true
-	for i, it := range order {
-		raw, err := ix.store.ReadList(uint32(it))
-		if err != nil {
-			return nil, err
-		}
-		c.legs[i] = cursorLeg{raw: raw}
-		ok, err := c.legs[i].step()
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			// An empty list makes the disk intersection empty; only the
-			// delta phase can still produce answers.
-			c.disk = false
-			break
-		}
-	}
-	return c, nil
-}
-
-// SubsetCursor streams one subset answer; see Index.SubsetCursor.
-type SubsetCursor struct {
-	ix   *Index
-	q    []dataset.Item
-	legs []cursorLeg
-	disk bool   // disk-list intersection still live
-	all  uint32 // next id for the empty-query sweep
-	di   int    // next delta position to consider
-	err  error
-}
-
-// cursorLeg walks one compressed list incrementally: cur is the last
-// decoded id (the running d-gap sum), live whether cur is a real posting.
-type cursorLeg struct {
-	raw  []byte
-	off  int
-	cur  uint32
-	live bool
-}
-
-// step decodes the leg's next posting (id gap + length, the latter
-// skipped — subset needs no length filter); false means end of list.
-func (l *cursorLeg) step() (bool, error) {
-	if l.off >= len(l.raw) {
-		l.live = false
-		return false, nil
-	}
-	gap, n, err := vbyte.Uint32(l.raw[l.off:])
-	if err != nil {
-		return false, err
-	}
-	l.off += n
-	if _, n, err = vbyte.Uint32(l.raw[l.off:]); err != nil {
-		return false, err
-	}
-	l.off += n
-	l.cur += gap
-	l.live = true
-	return true, nil
-}
-
-// seek advances the leg to the first posting with id >= to.
-func (l *cursorLeg) seek(to uint32) (bool, error) {
-	for l.live && l.cur < to {
-		if ok, err := l.step(); err != nil || !ok {
-			return false, err
-		}
-	}
-	return l.live, nil
-}
-
-// Next returns the answer's next id in ascending order; ok=false without
-// an error means the answer is exhausted. Errors are sticky.
-func (c *SubsetCursor) Next() (uint32, bool, error) {
-	if c.err != nil {
-		return 0, false, c.err
-	}
-	if len(c.q) == 0 {
-		// Every record contains the empty set.
-		for c.all <= uint32(c.ix.numRecords) {
-			id := c.all
-			c.all++
-			if !c.ix.ov.Dead(id) {
-				return id, true, nil
-			}
-		}
-	} else if c.disk {
-		id, ok, err := c.nextDisk()
-		if err != nil {
-			c.err = err
-			return 0, false, err
-		}
-		if ok {
-			return id, true, nil
-		}
-		c.disk = false
-	}
-	// Delta phase: delta ids ascend and all exceed disk ids, so the
-	// global order is preserved across the phase switch.
-	id, next, ok := c.ix.ov.NextContaining(c.di, c.q)
-	c.di = next
-	return id, ok, nil
-}
-
-// nextDisk advances the leg intersection to its next common id.
-func (c *SubsetCursor) nextDisk() (uint32, bool, error) {
-	for c.legs[0].live {
-		cand := c.legs[0].cur
-		matched := true
-		for i := 1; i < len(c.legs); i++ {
-			live, err := c.legs[i].seek(cand)
-			if err != nil {
-				return 0, false, err
-			}
-			if !live {
-				return 0, false, nil
-			}
-			if c.legs[i].cur > cand {
-				// Overshoot: the larger id becomes the candidate.
-				live, err := c.legs[0].seek(c.legs[i].cur)
-				if err != nil {
-					return 0, false, err
-				}
-				if !live {
-					return 0, false, nil
-				}
-				matched = false
-				break
-			}
-		}
-		if !matched {
-			continue
-		}
-		// Pre-advance the driver past cand before yielding it.
-		if _, err := c.legs[0].step(); err != nil {
-			return 0, false, err
-		}
-		if !c.ix.ov.Dead(cand) {
-			return cand, true, nil
-		}
-	}
-	return 0, false, nil
-}
-
 // readAll fetches and decodes the whole disk list of every item of q —
 // the IF's defining cost: each involved list is read in full.
 func (ix *Index) readAll(q []dataset.Item) ([][]vbyte.Posting, error) {
@@ -567,12 +401,6 @@ func (r *Reader) Equality(qs []dataset.Item) ([]uint32, error) { return r.ix.Equ
 
 // Superset answers like Index.Superset.
 func (r *Reader) Superset(qs []dataset.Item) ([]uint32, error) { return r.ix.Superset(qs) }
-
-// SubsetCursor streams like Index.SubsetCursor, reading list pages
-// through this reader's private pool.
-func (r *Reader) SubsetCursor(qs []dataset.Item) (*SubsetCursor, error) {
-	return r.ix.SubsetCursor(qs)
-}
 
 // Stats returns this reader's private access statistics.
 func (r *Reader) Stats() storage.AccessStats { return r.pool.Stats() }

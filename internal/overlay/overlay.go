@@ -228,26 +228,6 @@ func (o *Overlay) AppendMatchesWithin(dst []uint32, q []dataset.Item, cands []ui
 	return dst
 }
 
-// NextContaining resumes a lazy ContainsAll sweep at pending position
-// from: it returns the id of the first live record there or later that
-// contains q, and the position to resume from; ok is false once the
-// delta is exhausted. A cursor that stops early pays only for the
-// candidates it visited, plus a binary search for its place among them.
-func (o *Overlay) NextContaining(from int, q []dataset.Item) (id uint32, next int, ok bool) {
-	list, n := o.candidates(q)
-	i := from
-	if list != nil {
-		i, _ = slices.BinarySearch(list, uint32(from))
-	}
-	for ; i < n; i++ {
-		p := pos(list, i)
-		if r := o.pending[p]; r.ContainsAll(q) && !o.Dead(r.ID) {
-			return r.ID, p + 1, true
-		}
-	}
-	return 0, len(o.pending), false
-}
-
 // Mask drops the tombstoned ids from ids in place and returns the kept
 // prefix. With no tombstones it is a length test the caller inlines.
 func (o *Overlay) Mask(ids []uint32) []uint32 {

@@ -29,16 +29,6 @@ func TestOverlayMatchesZeroAllocs(t *testing.T) {
 		{"equality", func(i int) { dst = o.AppendMatches(dst[:0], queries[Equal][i], Equal) }},
 		{"superset", func(i int) { dst = o.AppendMatches(dst[:0], queries[SubsetOf][i], SubsetOf) }},
 		{"within", func(i int) { dst = o.AppendMatchesWithin(dst[:0], queries[ContainsAll][i], cands) }},
-		{"cursor", func(i int) {
-			dst = dst[:0]
-			for from := 0; ; {
-				id, next, ok := o.NextContaining(from, queries[ContainsAll][i])
-				if !ok {
-					break
-				}
-				dst, from = append(dst, id), next
-			}
-		}},
 	}
 	for _, s := range sweeps {
 		i, matched := 0, 0

@@ -117,21 +117,6 @@ func TestOverlay(t *testing.T) {
 			if got[0] != 9 || !slices.Equal(got[1:], s.want) {
 				t.Errorf("AppendMatches(pred %d, %v) = %v, want [9]+%v", s.pred, s.q, got, s.want)
 			}
-			if s.pred != ContainsAll {
-				continue
-			}
-			// The lazy sweep yields the same ids one at a time.
-			var lazy []uint32
-			for from := 0; ; {
-				id, next, ok := o.NextContaining(from, s.q)
-				if !ok {
-					break
-				}
-				lazy, from = append(lazy, id), next
-			}
-			if !slices.Equal(lazy, s.want) {
-				t.Errorf("NextContaining sweep over %v = %v, want %v", s.q, lazy, s.want)
-			}
 		}
 		// The candidate-restricted form: only ids the caller already holds.
 		cands := []uint32{7, 50, 102, 104, 105}
@@ -205,9 +190,6 @@ func TestOverlay(t *testing.T) {
 			}
 			if got := view.AppendMatchesWithin(nil, []dataset.Item{2}, []uint32{101, 102, 104, 150}); !slices.Equal(got, []uint32{101, 102}) {
 				t.Fatalf("view's candidate probe moved: %v", got)
-			}
-			if id, next, ok := view.NextContaining(1, []dataset.Item{1, 2}); ok || next != 5 {
-				t.Fatalf("view's cursor saw a later insert: id %d, next %d", id, next)
 			}
 			if view.Dead(101) || !view.Dead(104) || view.Len() != 5 || view.Deleted() != 3 {
 				t.Fatalf("view saw a later delete or insert: %d pending, %d deleted", view.Len(), view.Deleted())
@@ -350,15 +332,6 @@ func linearAppendMatchesWithin(o *Overlay, dst []uint32, q []dataset.Item, cands
 	return dst
 }
 
-func linearNextContaining(o *Overlay, from int, q []dataset.Item) (id uint32, next int, ok bool) {
-	for i := from; i < len(o.pending); i++ {
-		if r := o.pending[i]; !o.Dead(r.ID) && r.ContainsAll(q) {
-			return r.ID, i + 1, true
-		}
-	}
-	return 0, len(o.pending), false
-}
-
 // TestOverlayAgainstLinearSweep replays a seeded random history —
 // inserts (empty and repeated sets among them), deletes of merged and
 // pending ids, merges, snapshot round trips — and after every step holds
@@ -407,13 +380,6 @@ func TestOverlayAgainstLinearSweep(t *testing.T) {
 				}
 				if got, want := o.AppendMatchesWithin(nil, q, cands), linearAppendMatchesWithin(o, nil, q, cands); !slices.Equal(got, want) {
 					t.Fatalf("step %d: AppendMatchesWithin(%v, %v) = %v, oracle %v", step, q, cands, got, want)
-				}
-				for from := 0; from <= o.Len()+1; from++ {
-					id, next, ok := o.NextContaining(from, q)
-					wid, wnext, wok := linearNextContaining(o, from, q)
-					if id != wid || next != wnext || ok != wok {
-						t.Fatalf("step %d: NextContaining(%d, %v) = %d, %d, %v; oracle %d, %d, %v", step, from, q, id, next, ok, wid, wnext, wok)
-					}
 				}
 			}
 		}

@@ -170,11 +170,11 @@ func planNode(e *Expr, sup *SupportProfile) *PlanNode {
 			}
 		}
 	case OpOr:
-		// Union is commutative, so OR children evaluate cheapest-first
-		// too. A full union still materializes every child, but the
-		// limit-driven cursor path profits: the cheap legs' cursors sit
-		// at the front of the k-way merge, and an early exit abandons
-		// the expensive legs after barely reading them.
+		// Union is commutative, so the order changes no answer. OR
+		// children are cost-sorted anyway: legs written in different
+		// orders then plan alike wherever their costs differ, so the CSE
+		// key planCanon writes and the explain output follow cost, not
+		// spelling.
 		n.Kids = planKids(e, sup, &n.Leaves)
 		sort.SliceStable(n.Kids, func(i, j int) bool {
 			return n.Kids[i].Cost < n.Kids[j].Cost
@@ -229,9 +229,8 @@ func (n *PlanNode) write(b *strings.Builder, depth int) {
 
 // ExprEvalStats reports what one planned evaluation did: how many
 // containment leaves actually ran against the index, how many of those
-// ran through a streaming path (candidate pushdown or a lazy cursor)
-// instead of full materialization, and how many leaves the
-// empty-intermediate short-circuit skipped entirely.
+// ran through candidate pushdown instead of full materialization, and
+// how many leaves the empty-intermediate short-circuit skipped entirely.
 type ExprEvalStats struct {
 	EvaluatedLeaves int
 	StreamedLeaves  int
@@ -239,7 +238,7 @@ type ExprEvalStats struct {
 }
 
 // exprEval is one planned evaluation: the target (unwrapped to its
-// backend) and its discovered streaming capabilities, the lazily
+// backend) and its discovered candidate pushdown, the lazily
 // computed universe (the subset{} answer — every live record id), the
 // owning Evaluator whose free list recycles intermediate buffers, the
 // batch's subexpression cache when evaluating inside one, and the leaf
@@ -248,7 +247,6 @@ type exprEval struct {
 	t            Queryable
 	owner        *Evaluator
 	within       subsetWithiner // candidate pushdown, nil when unavailable
-	cursors      subsetCursorer // lazy leaf cursors, nil when unavailable
 	cse          *cseState      // batch subexpression cache, usually nil
 	universe     []uint32
 	haveUniverse bool
@@ -337,23 +335,7 @@ func (ev *exprEval) evalNode(n *PlanNode) (ids []uint32, owned bool, err error) 
 		ev.put(child, childOwned)
 		return out, true, nil
 	case OpOr:
-		var acc []uint32
-		accOwned := false
-		for i, k := range n.Kids {
-			ids, kidOwned, err := ev.eval(k)
-			if err != nil {
-				return nil, false, err
-			}
-			if i == 0 {
-				acc, accOwned = ids, kidOwned
-				continue
-			}
-			out := unionInto(ev.take(), acc, ids)
-			ev.put(acc, accOwned)
-			ev.put(ids, kidOwned)
-			acc, accOwned = out, true
-		}
-		return acc, accOwned, nil
+		return ev.union(n.Kids, 0)
 	default: // OpAnd
 		var acc []uint32
 		accOwned, first := false, true
@@ -420,6 +402,36 @@ func (ev *exprEval) evalNode(n *PlanNode) (ids []uint32, owned bool, err error) 
 		}
 		return acc, accOwned, nil
 	}
+}
+
+// union merges the kids' answers in plan order. With limit > 0 each
+// answer, and each partial union, is cut to its first limit ids before
+// the next merge: what it returns is then only the union's first limit
+// ids, which is all a limited root OR needs.
+func (ev *exprEval) union(kids []*PlanNode, limit int) ([]uint32, bool, error) {
+	var acc []uint32
+	accOwned := false
+	for i, k := range kids {
+		ids, kidOwned, err := ev.eval(k)
+		if err != nil {
+			return nil, false, err
+		}
+		if limit > 0 && len(ids) > limit {
+			ids = ids[:limit]
+		}
+		if i == 0 {
+			acc, accOwned = ids, kidOwned
+			continue
+		}
+		out := unionInto(ev.take(), acc, ids)
+		ev.put(acc, accOwned)
+		ev.put(ids, kidOwned)
+		if limit > 0 && len(out) > limit {
+			out = out[:limit]
+		}
+		acc, accOwned = out, true
+	}
+	return acc, accOwned, nil
 }
 
 // Eval answers the expression naively: children evaluate left-to-right
@@ -539,10 +551,10 @@ func (ix *Index) PlanExpr(e *Expr) (*ExprPlan, error) {
 // Store's: every shard plans the whole expression against its own supports.
 func (ix *Index) EvalExpr(e *Expr) ([]uint32, error) { return ix.EvalExprLimit(e, 0) }
 
-// EvalExprLimit answers the first n ids of the expression's answer with
-// limit-driven early exit (see Evaluator.EvalLimitAppend). n == 0 means
-// no limit; a negative n returns ErrNegativeLimit, as on every other
-// entry point. Like EvalExpr, the profile is rebuilt per call.
+// EvalExprLimit answers the first n ids of the expression's answer (see
+// Evaluator.EvalLimitAppend). n == 0 means no limit; a negative n
+// returns ErrNegativeLimit, as on every other entry point. Like
+// EvalExpr, the profile is rebuilt per call.
 func (ix *Index) EvalExprLimit(e *Expr, n int) ([]uint32, error) {
 	if e == nil {
 		return nil, errNilExpr

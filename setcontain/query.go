@@ -137,11 +137,10 @@ type appendQueryable interface {
 }
 
 // backendOf unwraps t to the backend that answers for it — an Index to
-// its engine, an OIF or inverted-file engine to its index, a Reader to
-// the backend reader it holds — and returns any other target as is. It
-// is the one place a target is unwrapped, so a capability (append form,
-// candidate pushdown, lazy cursors) is only ever found on the backend
-// that truly implements it.
+// its engine, an OIF engine to its index, a Reader to the backend reader
+// it holds — and returns any other target as is. It is the one place a
+// target is unwrapped, so a capability (append form, candidate pushdown)
+// is only ever found on the backend that truly implements it.
 func backendOf(t Queryable) Queryable {
 	switch v := t.(type) {
 	case *Index:
@@ -149,8 +148,6 @@ func backendOf(t Queryable) Queryable {
 	case *Reader:
 		return v.r
 	case *oifEngine:
-		return v.b
-	case *invEngine:
 		return v.b
 	}
 	return t

@@ -159,8 +159,8 @@ type ShardPlanJSON struct {
 // SkippedLeaves split each expression's containment leaves into ones
 // actually run and ones the rarest-first ordering's empty-intermediate
 // short-circuit discarded; StreamedLeaves counts the evaluated leaves
-// that ran through the streaming tier (candidate pushdown or a lazy
-// posting cursor) instead of materializing their full answer. The CSE
+// that ran through candidate pushdown instead of materializing their
+// full answer. The CSE
 // counters account for the batcher's cross-query subexpression cache:
 // hits and misses on shared plan subtrees within a micro-batch, and the
 // leaf evaluations those hits saved. Theta is the fitted Zipf exponent

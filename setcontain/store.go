@@ -274,9 +274,8 @@ type BatchItem struct {
 	Query Query
 	// Expr, when non-nil, is the boolean expression to answer instead.
 	Expr *Expr
-	// Limit truncates the answer to its first Limit ids with early-exit
-	// evaluation; 0 means the full answer, negative fails the item with
-	// ErrNegativeLimit.
+	// Limit truncates the answer to its first Limit ids; 0 means the
+	// full answer, negative fails the item with ErrNegativeLimit.
 	Limit int
 	// Dst is the append target; the caller owns it throughout.
 	Dst []uint32
@@ -488,14 +487,12 @@ func (s *Store) ExecExprAppend(ctx context.Context, dst []uint32, expr *Expr) ([
 }
 
 // ExecExprLimitAppend appends the first n ids of the expression's
-// answer — exactly the prefix of what ExecExprAppend would append —
-// stopping the evaluation as soon as n ids are produced: on
-// cursor-capable engines (the inverted file) postings past the stop
-// point are never decoded, and over a sharded index each shard
-// evaluates under the same per-shard limit before the k-way merge
-// truncates globally. n == 0 means no limit; a negative n returns
-// ErrNegativeLimit. With n > 0 even a one-leaf expression is planned —
-// the limit machinery itself is the fast path.
+// answer — exactly the prefix of what ExecExprAppend would append. The
+// plan is evaluated once and cut to n ids (see
+// Evaluator.EvalLimitAppend); over a sharded index each shard evaluates
+// under the same per-shard limit before the k-way merge truncates
+// globally. n == 0 means no limit; a negative n returns
+// ErrNegativeLimit. With n > 0 even a one-leaf expression is planned.
 func (s *Store) ExecExprLimitAppend(ctx context.Context, dst []uint32, expr *Expr, n int) ([]uint32, error) {
 	if expr == nil {
 		return nil, errNilExpr

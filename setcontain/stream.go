@@ -1,12 +1,8 @@
 package setcontain
 
-import (
-	"strings"
+import "strings"
 
-	"repro/internal/invfile"
-)
-
-// The streaming execution tier under ExprPlan. Three mechanisms let a
+// The streaming execution tier under ExprPlan. Two mechanisms let a
 // planned evaluation touch less of the index than full per-leaf
 // materialization:
 //
@@ -15,25 +11,22 @@ import (
 //     candidate set (subsetWithiner) — the OIF validates Theorem 1's
 //     discard rule per candidate instead of building the leaf's full
 //     answer and intersecting.
-//   - Lazy leaf cursors: on an inverted file a subset leaf decodes its
-//     postings on demand (subsetCursorer); a limit-bounded evaluation
-//     that stops after n ids never touches the bytes it didn't reach.
 //   - Cross-query subexpression caching: Store.ExecBatchAppend
 //     canonicalizes plan subtrees across one micro-batch and evaluates
 //     each distinct shared subtree once (cseState).
 //
 // Nodes whose results feed more than one consumer — shared CSE
 // subtrees — fall back to materialization, which is what makes the
-// streaming answers byte-identical to the materializing evaluator.
+// streaming answers byte-identical to the materializing evaluator. A
+// limit truncates the one evaluation (see run).
 
 // Evaluator carries the reusable state of planned evaluations: the free
 // list recycling intermediate buffers across calls. The zero value is
 // ready to use and streams — candidate pushdown into subset leaves
-// under AND, lazy posting cursors under a limit, wherever the target
-// offers them; a long-lived Evaluator reaching steady state evaluates
-// expressions with zero heap allocations on an append-capable target.
-// An Evaluator is not safe for concurrent use — pool them like readers
-// (Store does).
+// under AND wherever the target offers it; a long-lived Evaluator
+// reaching steady state evaluates expressions with zero heap
+// allocations on an append-capable target. An Evaluator is not safe for
+// concurrent use — pool them like readers (Store does).
 type Evaluator struct {
 	free [][]uint32
 
@@ -53,44 +46,39 @@ type Evaluator struct {
 // persists across calls — the reuse that makes steady-state evaluation
 // allocation-free on an append-capable target.
 //
-// Under a limit the evaluation is cursor-driven: subset leaves on a
-// cursor-capable target (the inverted file) decode postings lazily, OR
-// nodes k-way merge their children's cursors in ascending id order, and
-// everything else materializes into a cursor over its answer. Once
-// `limit` ids have been produced the remaining cursor state is
-// abandoned — postings past the stop point are never decoded.
+// A limit evaluates the plan once, as without one, and keeps the first
+// `limit` ids. Every leaf is answered in full — the inverted file reads
+// and decodes each involved list whole, limited or not — but an OR at
+// the root merges only the first `limit` ids of each leg.
 func (evr *Evaluator) EvalLimitAppend(dst []uint32, p *ExprPlan, t Queryable, limit int) ([]uint32, ExprEvalStats, error) {
 	return evr.run(dst, p, t, nil, limit)
 }
 
 // run is the one evaluation behind every entry point: the plan against
-// t, appended to dst (dst itself when nothing matched), cursor-driven
-// when limit > 0, and sharing the subtrees a batch's cse marks (they
-// materialize through the cache even under a limit, so batchmates reuse
-// them).
+// t, cut to its first limit ids when limit > 0, appended to dst (dst
+// itself when nothing matched), sharing the subtrees a batch's cse
+// marks. An unshared root OR cuts each leg to limit before merging it,
+// since the first n ids of a union lie in the union of each leg's first
+// n; a shared root is evaluated whole, because its answer is cached for
+// batchmates that read all of it.
 func (evr *Evaluator) run(dst []uint32, p *ExprPlan, t Queryable, cse *cseState, limit int) ([]uint32, ExprEvalStats, error) {
 	ev := evr.newEval(t)
 	ev.cse = cse
-	if limit > 0 {
-		cur, err := ev.cursor(p.Root)
-		if err != nil {
-			return nil, ev.stats, err
-		}
-		for n := 0; n < limit; n++ {
-			id, ok, err := cur.Next()
-			if err != nil {
-				return nil, ev.stats, err
-			}
-			if !ok {
-				break
-			}
-			dst = append(dst, id)
-		}
-		return dst, ev.stats, nil
+	var (
+		ids   []uint32
+		owned bool
+		err   error
+	)
+	if limit > 0 && p.Root.Op == OpOr && !ev.cseShared(p.Root) {
+		ids, owned, err = ev.union(p.Root.Kids, limit)
+	} else {
+		ids, owned, err = ev.eval(p.Root)
 	}
-	ids, owned, err := ev.eval(p.Root)
 	if err != nil {
 		return nil, ev.stats, err
+	}
+	if limit > 0 && len(ids) > limit {
+		ids = ids[:limit]
 	}
 	if cap(dst) == 0 && owned && len(ids) > 0 {
 		// No backing array to preserve: hand the result buffer out
@@ -105,18 +93,17 @@ func (evr *Evaluator) run(dst []uint32, p *ExprPlan, t Queryable, cse *cseState,
 }
 
 // newEval starts one evaluation against t, unwrapped once to its
-// backend, discovering the backend's streaming capabilities unless the
+// backend, discovering the backend's candidate pushdown unless the
 // evaluator is the materializing reference.
 func (evr *Evaluator) newEval(t Queryable) exprEval {
 	ev := exprEval{t: backendOf(t), owner: evr}
 	if !evr.materialize {
 		ev.within, _ = ev.t.(subsetWithiner)
-		ev.cursors, _ = ev.t.(subsetCursorer)
 	}
 	return ev
 }
 
-// --- streaming capabilities ---------------------------------------------
+// --- streaming capability -----------------------------------------------
 
 // subsetWithiner is the candidate-pushdown capability: the subset
 // answer restricted to a sorted unique candidate id set, computed in
@@ -125,122 +112,6 @@ func (evr *Evaluator) newEval(t Queryable) exprEval {
 // candidate ids (see core.Index.AppendSubsetWithin).
 type subsetWithiner interface {
 	AppendSubsetWithin(dst []uint32, qs []Item, cands []uint32) ([]uint32, error)
-}
-
-// subsetCursorer is the lazy-decode capability: a cursor over a subset
-// answer that decodes postings on demand, so a cursor abandoned after n
-// ids never decodes the bytes past them. The inverted-file backend
-// implements it; the OIF cannot (its final new-id→original remap and
-// sort need the whole answer first).
-type subsetCursorer interface {
-	SubsetCursor(qs []Item) (*invfile.SubsetCursor, error)
-}
-
-// --- cursors ------------------------------------------------------------
-
-// idCursor streams one node's answer: ascending unique record ids,
-// ok=false on exhaustion, sticky errors. invfile.SubsetCursor satisfies
-// it natively; everything else adapts via sliceCursor / unionCursor.
-type idCursor interface {
-	Next() (id uint32, ok bool, err error)
-}
-
-// sliceCursor walks a materialized answer.
-type sliceCursor struct {
-	ids []uint32
-	i   int
-}
-
-func (c *sliceCursor) Next() (uint32, bool, error) {
-	if c.i >= len(c.ids) {
-		return 0, false, nil
-	}
-	id := c.ids[c.i]
-	c.i++
-	return id, true, nil
-}
-
-// unionCursor k-way merges child cursors into one ascending unique
-// stream: each Next yields the minimum of the live heads and advances
-// every child sitting on it (the dedup). Abandoning the union abandons
-// every child — lazy children never decode past the stop point.
-type unionCursor struct {
-	kids   []idCursor
-	head   []uint32
-	live   []bool
-	primed bool
-}
-
-func newUnionCursor(kids []idCursor) *unionCursor {
-	return &unionCursor{
-		kids: kids,
-		head: make([]uint32, len(kids)),
-		live: make([]bool, len(kids)),
-	}
-}
-
-func (c *unionCursor) Next() (uint32, bool, error) {
-	if !c.primed {
-		c.primed = true
-		for i, k := range c.kids {
-			id, ok, err := k.Next()
-			if err != nil {
-				return 0, false, err
-			}
-			c.head[i], c.live[i] = id, ok
-		}
-	}
-	min, found := uint32(0), false
-	for i := range c.kids {
-		if c.live[i] && (!found || c.head[i] < min) {
-			min, found = c.head[i], true
-		}
-	}
-	if !found {
-		return 0, false, nil
-	}
-	for i, k := range c.kids {
-		if c.live[i] && c.head[i] == min {
-			id, ok, err := k.Next()
-			if err != nil {
-				return 0, false, err
-			}
-			c.head[i], c.live[i] = id, ok
-		}
-	}
-	return min, true, nil
-}
-
-// cursor builds the streaming cursor for a plan node: lazy leaf cursors
-// where the target offers them, k-way merges over OR children (the
-// plan's cost-ascending child order puts the cheapest leg first, so the
-// common early-stop case opens the expensive legs but barely reads
-// them), and materialized answers everywhere else. Shared CSE subtrees
-// materialize so their cached result stays reusable.
-func (ev *exprEval) cursor(n *PlanNode) (idCursor, error) {
-	if ev.cursors != nil && n.Op == OpLeaf && n.Leaf.Pred == PredicateSubset && !ev.cseShared(n) {
-		ev.stats.EvaluatedLeaves++
-		ev.stats.StreamedLeaves++
-		return ev.cursors.SubsetCursor(n.Leaf.Items)
-	}
-	if n.Op == OpOr {
-		kids := make([]idCursor, len(n.Kids))
-		for i, k := range n.Kids {
-			c, err := ev.cursor(k)
-			if err != nil {
-				return nil, err
-			}
-			kids[i] = c
-		}
-		return newUnionCursor(kids), nil
-	}
-	ids, _, err := ev.eval(n)
-	if err != nil {
-		return nil, err
-	}
-	// The backing buffer stays out of the free list while the cursor
-	// walks it; a limit-bounded evaluation ends soon after.
-	return &sliceCursor{ids: ids}, nil
 }
 
 // --- cross-query subexpression cache ------------------------------------

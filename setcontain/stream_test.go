@@ -46,9 +46,8 @@ func withPendingMutations(t *testing.T, idxs map[Kind]*Index, c *Collection) {
 // TestEvaluatorStreamingMatchesMaterializing is the tentpole's equality
 // property: for random expressions, across every engine kind (pending
 // deltas and tombstones included), the streaming evaluator — candidate
-// pushdown into AND legs, lazy posting cursors under ORs — returns ids
-// byte-identical to the materializing evaluator and to the naive
-// reference. Both evaluators are reused across trials so the free-list
+// pushdown into AND legs — returns ids byte-identical to the
+// materializing evaluator and to the naive reference. Both evaluators are reused across trials so the free-list
 // recycling path is under test too.
 func TestEvaluatorStreamingMatchesMaterializing(t *testing.T) {
 	c := sampleCollection(t)
@@ -86,10 +85,10 @@ func TestEvaluatorStreamingMatchesMaterializing(t *testing.T) {
 	}
 }
 
-// TestExprLimitFirstN pins the early-exit contract: a limited
-// evaluation returns exactly the first n ids of the unlimited answer —
-// never a different subset — for every engine kind, with pending deltas
-// and tombstones, at every limit position (inside, at, and past the
+// TestExprLimitFirstN pins the limit contract: a limited evaluation
+// returns exactly the first n ids of the unlimited answer — never a
+// different subset — for every engine kind, with pending deltas and
+// tombstones, at every limit position (inside, at, and past the
 // answer's end).
 func TestExprLimitFirstN(t *testing.T) {
 	c := sampleCollection(t)
@@ -306,7 +305,7 @@ func TestExecBatchAppendCSE(t *testing.T) {
 		}
 		want = append(want, ids)
 	}
-	// One limited tree: the cursor path must coexist with CSE.
+	// One limited tree: the limit's cut must coexist with CSE.
 	items[3].Limit = 2
 	if len(want[3]) > 2 {
 		want[3] = want[3][:2]
@@ -392,6 +391,49 @@ func TestExecBatchAppendCSE(t *testing.T) {
 	}
 	if items[1].Err != nil || !slices.Equal(items[1].Out, want[1]) {
 		t.Fatalf("batchmate of the failed item: err=%v, %d ids, want %d", items[1].Err, len(items[1].Out), len(want[1]))
+	}
+}
+
+// TestExecBatchLimitedSharedRoot pins a limit's cut against the batch's
+// subexpression cache. A limited root OR that a later batchmate contains
+// is shared: it must be evaluated and cached whole, because the
+// batchmate reads all of it. Had the cut reached the cache, the
+// batchmate would answer from the first limit ids of the union.
+func TestExecBatchLimitedSharedRoot(t *testing.T) {
+	c := sampleCollection(t)
+	ctx := context.Background()
+	texts := []string{"subset{1} or subset{2}", "(subset{1} or subset{2}) and not subset{3}"}
+	for _, kind := range []Kind{OIF, InvertedFile, UnorderedBTree} {
+		ix, err := Build(c, Options{Kind: kind, PageSize: 512})
+		if err != nil {
+			t.Fatalf("%v: %v", kind, err)
+		}
+		s := NewStore(ix, 0)
+		items := make([]BatchItem, len(texts))
+		want := make([][]uint32, len(texts))
+		for i, txt := range texts {
+			e, err := ParseExpr(txt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			items[i] = BatchItem{Expr: e}
+			if want[i], err = s.ExecExprAppend(ctx, nil, e); err != nil {
+				t.Fatalf("%v: ExecExprAppend %q: %v", kind, txt, err)
+			}
+		}
+		if len(want[1]) < 2 {
+			t.Fatalf("%v: %q answered %d ids; the test needs more than the limit", kind, texts[1], len(want[1]))
+		}
+		items[0].Limit = 1
+		want[0] = want[0][:1]
+		if _, err := s.ExecBatchAppend(ctx, items); err != nil {
+			t.Fatalf("%v: ExecBatchAppend: %v", kind, err)
+		}
+		for i := range items {
+			if items[i].Err != nil || !slices.Equal(items[i].Out, want[i]) {
+				t.Fatalf("%v: batch item %q: err=%v, %d ids, want %d", kind, texts[i], items[i].Err, len(items[i].Out), len(want[i]))
+			}
+		}
 	}
 }
 

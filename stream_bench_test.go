@@ -3,9 +3,8 @@ package repro
 // Streaming-execution benchmarks. BenchmarkExprStream runs the
 // streaming evaluator (AND-leg candidate pushdown through a persistent
 // free list).
-// BenchmarkExprLimit measures LIMIT-driven early exit on an
-// inverted-file index, where lazy posting cursors abandon the undecoded
-// list tails after the first ids. BenchmarkExprCSE measures the
+// BenchmarkExprLimit measures a LIMIT on a warm OIF, where the root OR
+// merges only the first ids of each leg. BenchmarkExprCSE measures the
 // cross-query subexpression cache on a micro-batch sharing a hot
 // subtree, against answering the same batch one expression at a time.
 
@@ -113,11 +112,12 @@ func BenchmarkExprStream(b *testing.B) {
 	})
 }
 
-// exprLimitFixture is BenchmarkExprLimit's workload: a warm inverted
-// file and 64 planned ORs of three hot subset leaves.
+// exprLimitFixture is BenchmarkExprLimit's workload: a warm OIF — the
+// engine the skewed data is put on — and 64 planned ORs of three hot
+// subset leaves.
 func exprLimitFixture(tb testing.TB) (*setcontain.Index, []*setcontain.ExprPlan) {
 	tb.Helper()
-	idx, hot, _ := streamBenchIndex(tb, setcontain.InvertedFile)
+	idx, hot, _ := streamBenchIndex(tb, setcontain.OIF)
 	rng := rand.New(rand.NewSource(44))
 	plans := make([]*setcontain.ExprPlan, 64)
 	prof := idx.Supports()
@@ -135,11 +135,10 @@ func exprLimitFixture(tb testing.TB) (*setcontain.Index, []*setcontain.ExprPlan)
 	return idx, plans
 }
 
-// BenchmarkExprLimit measures LIMIT-driven early exit: an OR of hot
-// subset leaves on an inverted-file index, answered limited (first 10
-// ids through lazy posting cursors and the streaming union) and
-// unlimited (every hot list decoded and merged). The limited/unlimited
-// ratio is what early exit buys.
+// BenchmarkExprLimit measures a LIMIT: an OR of hot subset leaves on a
+// warm OIF, answered limited (every leaf answered in full, then only the
+// first 10 ids of each leg merged) and unlimited (every leg merged
+// whole). The limited/unlimited ratio is what the cut merge buys.
 func BenchmarkExprLimit(b *testing.B) {
 	idx, plans := exprLimitFixture(b)
 	var err error
