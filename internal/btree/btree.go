@@ -6,6 +6,12 @@
 // as in the authors' Berkeley DB implementation). The unordered-B-tree
 // ablation of §5 reuses the same structure with a different key.
 //
+// A tree is written once: BulkLoad builds it bottom-up from sorted entries,
+// writing each node straight to the pager as the node completes, as the
+// paper bulk-builds the OIF and folds updates in by rebuilding (§4.4).
+// After that the tree is only read, every page through the buffer pool;
+// BTree has no write method, so a reader's tree never changes under it.
+//
 // Keys are opaque byte strings ordered bytewise. Seeks additionally accept
 // a caller-supplied comparator so the OIF can position by (item, recordID)
 // probes that ignore the tag bytes — valid because within one item's key
@@ -32,9 +38,6 @@ func BytewiseCompare(probe, key []byte) int { return bytes.Compare(probe, key) }
 // ErrKeyTooLarge reports an entry that cannot fit in a node.
 var ErrKeyTooLarge = errors.New("btree: entry too large for page size")
 
-// ErrNotFound reports a missing key.
-var ErrNotFound = errors.New("btree: key not found")
-
 const (
 	metaPageID   = storage.PageID(0)
 	metaMagic    = 0x0B7EE000
@@ -42,19 +45,12 @@ const (
 	offMetaRoot  = 8
 )
 
-// BTree is a single-writer disk B+-tree. All page access flows through the
-// buffer pool handed to New/Open, which is how experiments meter it.
+// BTree is a read-only disk B+-tree, built by BulkLoad or reopened by
+// Open. All page reads flow through its buffer pool, which is how
+// experiments meter it.
 type BTree struct {
 	pool *storage.BufferPool
 	root storage.PageID
-
-	// scratch for descents, reused across operations
-	path []pathElem
-}
-
-type pathElem struct {
-	id  storage.PageID
-	idx int // child index taken (internal nodes only)
 }
 
 // unpin releases a page pin from a defer, surfacing a pin-accounting
@@ -65,37 +61,7 @@ func unpin(pool *storage.BufferPool, id storage.PageID, err *error) {
 	}
 }
 
-// New creates an empty tree in a fresh pager behind pool. The pool's pager
-// must be empty; page 0 becomes the tree's metadata page.
-func New(pool *storage.BufferPool) (t *BTree, err error) {
-	if pool.Pager().NumPages() != 0 {
-		return nil, errors.New("btree: New requires an empty pager")
-	}
-	metaID, meta, err := pool.Allocate()
-	if err != nil {
-		return nil, err
-	}
-	defer unpin(pool, metaID, &err)
-	if metaID != metaPageID {
-		return nil, fmt.Errorf("btree: meta page allocated as %d", metaID)
-	}
-	rootID, rootData, err := pool.Allocate()
-	if err != nil {
-		return nil, err
-	}
-	initNode(rootData, pageTypeLeaf)
-	pool.MarkDirty(rootID)
-	if err := pool.Put(rootID); err != nil {
-		return nil, err
-	}
-
-	putU64(meta[offMetaMagic:], metaMagic)
-	putU64(meta[offMetaRoot:], uint64(int64(rootID)))
-	pool.MarkDirty(metaID)
-	return &BTree{pool: pool, root: rootID}, nil
-}
-
-// Open attaches to a tree previously created by New in pool's pager.
+// Open attaches to a tree previously built by BulkLoad in pool's pager.
 func Open(pool *storage.BufferPool) (t *BTree, err error) {
 	if pool.Pager().NumPages() == 0 {
 		return nil, errors.New("btree: Open on empty pager")
@@ -129,48 +95,26 @@ func getU64(b []byte) uint64 {
 // Pool returns the tree's buffer pool.
 func (t *BTree) Pool() *storage.BufferPool { return t.pool }
 
-// SetPool swaps the buffer pool, keeping the same underlying pager. The
-// harness builds indexes with a large pool and measures queries with the
-// paper's minimal 32 KB pool; the previous pool must be flushed first.
+// SetPool swaps the buffer pool, keeping the same underlying pager: the
+// harness measures queries with the paper's minimal 32 KB pool. A pool
+// holds no writes, so the previous one is simply dropped.
 func (t *BTree) SetPool(pool *storage.BufferPool) error {
 	if pool.Pager() != t.pool.Pager() {
 		return errors.New("btree: SetPool requires the same backing pager")
-	}
-	if err := t.pool.Flush(); err != nil {
-		return err
 	}
 	t.pool = pool
 	return nil
 }
 
-// View returns a read-only handle on the same tree pages through a
-// different buffer pool (which must wrap the same pager). Views enable
-// concurrent readers: the pages are immutable once built, so giving each
-// goroutine its own pool isolates all mutable state (cache frames, LRU,
-// statistics). Writing through a view is a caller error.
+// View returns a handle on the same tree pages through a different buffer
+// pool (which must wrap the same pager). Views enable concurrent readers:
+// the pages are immutable once built, so giving each goroutine its own
+// pool isolates all mutable state (cache frames, LRU, statistics).
 func (t *BTree) View(pool *storage.BufferPool) (*BTree, error) {
 	if pool.Pager() != t.pool.Pager() {
 		return nil, errors.New("btree: View requires the same backing pager")
 	}
 	return &BTree{pool: pool, root: t.root}, nil
-}
-
-// MaxEntrySize returns the largest key+value footprint insertable for the
-// pool's page size: two maximal cells must fit in a leaf so splits always
-// make progress.
-func (t *BTree) MaxEntrySize() int {
-	usable := t.pool.PageSize() - headerSize - 2*slotSize
-	return usable/2 - leafCellHeader
-}
-
-func (t *BTree) writeRoot() error {
-	meta, err := t.pool.Get(metaPageID)
-	if err != nil {
-		return err
-	}
-	putU64(meta[offMetaRoot:], uint64(int64(t.root)))
-	t.pool.MarkDirty(metaPageID)
-	return t.pool.Put(metaPageID)
 }
 
 // searchNode returns the index of the first cell whose key is >= probe
@@ -215,10 +159,9 @@ func childAt(n node, idx int) storage.PageID {
 	return n.child(idx - 1)
 }
 
-// descend walks from the root to the leaf for probe, recording the path.
-// The returned leaf page is pinned; the caller must Put it.
+// descend walks from the root to the leaf for probe. The returned leaf
+// page is pinned; the caller must Put it.
 func (t *BTree) descend(probe []byte, cmp Compare) (node, error) {
-	t.path = t.path[:0]
 	id := t.root
 	for {
 		data, err := t.pool.Get(id)
@@ -229,242 +172,12 @@ func (t *BTree) descend(probe []byte, cmp Compare) (node, error) {
 		if n.isLeaf() {
 			return n, nil
 		}
-		idx := childIndex(n, probe, cmp)
-		next := childAt(n, idx)
+		next := childAt(n, childIndex(n, probe, cmp))
 		if err := t.pool.Put(id); err != nil {
 			return node{}, err
 		}
-		t.path = append(t.path, pathElem{id: id, idx: idx})
 		id = next
 	}
-}
-
-// Get returns a copy of the value stored under key, or ErrNotFound.
-func (t *BTree) Get(key []byte) (out []byte, err error) {
-	leaf, err := t.descend(key, BytewiseCompare)
-	if err != nil {
-		return nil, err
-	}
-	defer unpin(t.pool, leaf.id, &err)
-	idx, found := searchNode(leaf, key, BytewiseCompare)
-	if !found {
-		return nil, ErrNotFound
-	}
-	v := leaf.value(idx)
-	out = make([]byte, len(v))
-	copy(out, v)
-	return out, nil
-}
-
-// Insert stores (key, value), replacing any existing value for key.
-func (t *BTree) Insert(key, value []byte) error {
-	if leafCellSize(key, value) > t.MaxEntrySize()+leafCellHeader {
-		return fmt.Errorf("%w: key %d + value %d bytes", ErrKeyTooLarge, len(key), len(value))
-	}
-	leaf, err := t.descend(key, BytewiseCompare)
-	if err != nil {
-		return err
-	}
-	idx, found := searchNode(leaf, key, BytewiseCompare)
-	if found {
-		leaf.removeCell(idx)
-	}
-	need := leafCellSize(key, value) + slotSize
-	if leaf.freeSpace() < need {
-		leaf.compact()
-	}
-	if leaf.freeSpace() >= need {
-		leaf.insertLeafCell(idx, key, value)
-		t.pool.MarkDirty(leaf.id)
-		return t.pool.Put(leaf.id)
-	}
-	// Split.
-	err = t.splitLeaf(leaf, idx, key, value)
-	if e := t.pool.Put(leaf.id); err == nil {
-		err = e
-	}
-	return err
-}
-
-// splitLeaf splits the pinned leaf while inserting (key, value) at idx and
-// propagates the new separator upward. The caller keeps ownership of the
-// leaf pin.
-func (t *BTree) splitLeaf(leaf node, idx int, key, value []byte) error {
-	type entry struct{ k, v []byte }
-	num := leaf.numCells()
-	entries := make([]entry, 0, num+1)
-	total := 0
-	for i := 0; i < num; i++ {
-		if i == idx {
-			entries = append(entries, entry{key, value})
-			total += leafCellSize(key, value)
-		}
-		k := append([]byte(nil), leaf.key(i)...)
-		v := append([]byte(nil), leaf.value(i)...)
-		entries = append(entries, entry{k, v})
-		total += leafCellSize(k, v)
-	}
-	if idx == num {
-		entries = append(entries, entry{key, value})
-		total += leafCellSize(key, value)
-	}
-
-	// Choose the split point at roughly half the byte load.
-	splitAt, acc := 0, 0
-	for i, e := range entries {
-		if acc+leafCellSize(e.k, e.v) > total/2 && i > 0 {
-			splitAt = i
-			break
-		}
-		acc += leafCellSize(e.k, e.v)
-		splitAt = i + 1
-	}
-	if splitAt >= len(entries) {
-		splitAt = len(entries) - 1
-	}
-
-	rightID, rightData, err := t.pool.Allocate()
-	if err != nil {
-		return err
-	}
-	right := node{id: rightID, data: rightData}
-	initNode(rightData, pageTypeLeaf)
-	right.setAux(leaf.aux())
-
-	// Rewrite the left leaf with the first half.
-	oldNext := leaf.aux()
-	_ = oldNext
-	initNode(leaf.data, pageTypeLeaf)
-	leaf.setAux(rightID)
-	for i := 0; i < splitAt; i++ {
-		leaf.insertLeafCell(i, entries[i].k, entries[i].v)
-	}
-	for i := splitAt; i < len(entries); i++ {
-		right.insertLeafCell(i-splitAt, entries[i].k, entries[i].v)
-	}
-	sep := append([]byte(nil), entries[splitAt].k...)
-	t.pool.MarkDirty(leaf.id)
-	t.pool.MarkDirty(rightID)
-	if err := t.pool.Put(rightID); err != nil {
-		return err
-	}
-	return t.insertSeparator(sep, rightID)
-}
-
-// insertSeparator pushes (sep, rightChild) into the parent recorded on the
-// descent path, splitting upward as needed.
-func (t *BTree) insertSeparator(sep []byte, rightChild storage.PageID) error {
-	for level := len(t.path) - 1; ; level-- {
-		if level < 0 {
-			// Root split: new internal root with old root as leftmost.
-			newRootID, data, err := t.pool.Allocate()
-			if err != nil {
-				return err
-			}
-			root := node{id: newRootID, data: data}
-			initNode(data, pageTypeInternal)
-			root.setAux(t.root)
-			root.insertInternalCell(0, sep, rightChild)
-			t.pool.MarkDirty(newRootID)
-			if err := t.pool.Put(newRootID); err != nil {
-				return err
-			}
-			t.root = newRootID
-			return t.writeRoot()
-		}
-		pe := t.path[level]
-		data, err := t.pool.Get(pe.id)
-		if err != nil {
-			return err
-		}
-		n := node{id: pe.id, data: data}
-		idx, _ := searchNode(n, sep, BytewiseCompare)
-		need := internalCellSize(sep) + slotSize
-		if n.freeSpace() < need {
-			n.compact()
-		}
-		if n.freeSpace() >= need {
-			n.insertInternalCell(idx, sep, rightChild)
-			t.pool.MarkDirty(n.id)
-			return t.pool.Put(n.id)
-		}
-		var promote []byte
-		promote, rightChild, err = t.splitInternal(n, idx, sep, rightChild)
-		if e := t.pool.Put(n.id); err == nil {
-			err = e
-		}
-		if err != nil {
-			return err
-		}
-		sep = promote
-	}
-}
-
-// splitInternal splits the pinned internal node n while inserting
-// (sep, child) at cell index idx. It returns the key to promote and the id
-// of the new right sibling.
-func (t *BTree) splitInternal(n node, idx int, sep []byte, child storage.PageID) ([]byte, storage.PageID, error) {
-	type entry struct {
-		k []byte
-		c storage.PageID
-	}
-	num := n.numCells()
-	entries := make([]entry, 0, num+1)
-	for i := 0; i < num; i++ {
-		if i == idx {
-			entries = append(entries, entry{sep, child})
-		}
-		k := append([]byte(nil), n.key(i)...)
-		entries = append(entries, entry{k, n.child(i)})
-	}
-	if idx == num {
-		entries = append(entries, entry{sep, child})
-	}
-
-	mid := len(entries) / 2
-	promote := entries[mid]
-
-	rightID, rightData, err := t.pool.Allocate()
-	if err != nil {
-		return nil, storage.InvalidPageID, err
-	}
-	right := node{id: rightID, data: rightData}
-	initNode(rightData, pageTypeInternal)
-	right.setAux(promote.c)
-	for i := mid + 1; i < len(entries); i++ {
-		right.insertInternalCell(i-mid-1, entries[i].k, entries[i].c)
-	}
-
-	leftmost := n.aux()
-	initNode(n.data, pageTypeInternal)
-	n.setAux(leftmost)
-	for i := 0; i < mid; i++ {
-		n.insertInternalCell(i, entries[i].k, entries[i].c)
-	}
-	t.pool.MarkDirty(n.id)
-	t.pool.MarkDirty(rightID)
-	if err := t.pool.Put(rightID); err != nil {
-		return nil, storage.InvalidPageID, err
-	}
-	return promote.k, rightID, nil
-}
-
-// Delete removes key if present. It reports whether the key existed.
-// Underfull nodes are not rebalanced (lazy deletion, as in several
-// production engines); cursors skip empty leaves.
-func (t *BTree) Delete(key []byte) (found bool, err error) {
-	leaf, err := t.descend(key, BytewiseCompare)
-	if err != nil {
-		return false, err
-	}
-	defer unpin(t.pool, leaf.id, &err)
-	idx, found := searchNode(leaf, key, BytewiseCompare)
-	if !found {
-		return false, nil
-	}
-	leaf.removeCell(idx)
-	t.pool.MarkDirty(leaf.id)
-	return true, nil
 }
 
 // Len counts entries with a full scan (test/diagnostic helper).
@@ -510,7 +223,7 @@ func (t *BTree) Height() (int, error) {
 }
 
 // Validate checks structural and ordering invariants of the whole tree.
-// Tests call it after randomized workloads.
+// Tests call it on bulk-loaded trees.
 func (t *BTree) Validate() error {
 	var last []byte
 	first := true

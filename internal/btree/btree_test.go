@@ -3,6 +3,7 @@ package btree
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -11,79 +12,56 @@ import (
 	"repro/internal/storage"
 )
 
-func newTestTree(t testing.TB, pageSize, poolPages int) *BTree {
-	t.Helper()
-	pool := storage.NewBufferPool(storage.NewMemPager(pageSize), poolPages)
-	tree, err := New(pool)
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	return tree
-}
-
-func TestInsertGetSmall(t *testing.T) {
-	tree := newTestTree(t, 256, 64)
-	pairs := map[string]string{
-		"apple": "1", "banana": "2", "cherry": "3", "date": "4",
-	}
-	for k, v := range pairs {
-		if err := tree.Insert([]byte(k), []byte(v)); err != nil {
-			t.Fatalf("Insert(%s): %v", k, err)
-		}
-	}
-	for k, v := range pairs {
-		got, err := tree.Get([]byte(k))
-		if err != nil {
-			t.Fatalf("Get(%s): %v", k, err)
-		}
-		if string(got) != v {
-			t.Errorf("Get(%s) = %s, want %s", k, got, v)
-		}
-	}
-	if _, err := tree.Get([]byte("missing")); err != ErrNotFound {
-		t.Errorf("Get(missing) = %v, want ErrNotFound", err)
-	}
-}
-
-func TestInsertUpsert(t *testing.T) {
-	tree := newTestTree(t, 256, 64)
-	if err := tree.Insert([]byte("k"), []byte("v1")); err != nil {
-		t.Fatal(err)
-	}
-	if err := tree.Insert([]byte("k"), []byte("v2-longer")); err != nil {
-		t.Fatal(err)
-	}
-	got, err := tree.Get([]byte("k"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(got) != "v2-longer" {
-		t.Fatalf("after upsert Get = %q", got)
-	}
-	n, err := tree.Len()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 1 {
-		t.Fatalf("Len = %d after upsert, want 1", n)
-	}
-}
-
 func u32key(v uint32) []byte {
 	b := make([]byte, 4)
 	binary.BigEndian.PutUint32(b, v)
 	return b
 }
 
-func TestManyInsertsSplitAndOrder(t *testing.T) {
-	tree := newTestTree(t, 256, 128)
-	const n = 5000
-	perm := rand.New(rand.NewSource(3)).Perm(n)
-	for _, i := range perm {
-		if err := tree.Insert(u32key(uint32(i)), []byte(fmt.Sprintf("val-%d", i))); err != nil {
-			t.Fatalf("Insert %d: %v", i, err)
+// u32Tree bulk-loads the keys u32key(0) … u32key(n-1), key i holding
+// val(i), into a fresh pager behind a pool of poolPages pages.
+func u32Tree(t testing.TB, pageSize, poolPages, n int, val func(i uint32) []byte) *BTree {
+	t.Helper()
+	keys := make([][]byte, n)
+	vals := make([][]byte, n)
+	for i := range keys {
+		keys[i], vals[i] = u32key(uint32(i)), val(uint32(i))
+	}
+	return bulkFromPairs(t, pageSize, poolPages, keys, vals)
+}
+
+// lookup is a point lookup built from Seek, as the indexes' own probes
+// are: the value stored under key, or found=false. The value is the
+// cursor's, valid until the next lookup.
+func lookup(tree *BTree, key []byte) (value []byte, found bool, err error) {
+	c, err := tree.Seek(key, BytewiseCompare)
+	if err != nil || !c.Valid() || !bytes.Equal(c.Key(), key) {
+		return nil, false, err
+	}
+	return c.Value(), true, nil
+}
+
+func TestInsertGetSmall(t *testing.T) {
+	keys := [][]byte{[]byte("apple"), []byte("banana"), []byte("cherry"), []byte("date")}
+	vals := [][]byte{[]byte("1"), []byte("2"), []byte("3"), []byte("4")}
+	tree := bulkFromPairs(t, 256, 64, keys, vals)
+	for i, k := range keys {
+		got, found, err := lookup(tree, k)
+		if err != nil || !found || !bytes.Equal(got, vals[i]) {
+			t.Errorf("lookup(%s) = %q, %v, %v; want %s", k, got, found, err, vals[i])
 		}
 	}
+	for _, k := range []string{"missing", "a", "zebra"} {
+		if _, found, err := lookup(tree, []byte(k)); err != nil || found {
+			t.Errorf("lookup(%s) = found %v, %v; want absent", k, found, err)
+		}
+	}
+}
+
+func TestManyInsertsSplitAndOrder(t *testing.T) {
+	const n = 5000
+	val := func(i uint32) []byte { return []byte(fmt.Sprintf("val-%d", i)) }
+	tree := u32Tree(t, 256, 128, n, val)
 	h, err := tree.Height()
 	if err != nil {
 		t.Fatal(err)
@@ -96,14 +74,14 @@ func TestManyInsertsSplitAndOrder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < n; i++ {
+	for i := uint32(0); i < n; i++ {
 		if !c.Valid() {
 			t.Fatalf("cursor exhausted at %d", i)
 		}
-		if got := binary.BigEndian.Uint32(c.Key()); got != uint32(i) {
+		if got := binary.BigEndian.Uint32(c.Key()); got != i {
 			t.Fatalf("scan position %d has key %d", i, got)
 		}
-		if want := fmt.Sprintf("val-%d", i); string(c.Value()) != want {
+		if want := val(i); !bytes.Equal(c.Value(), want) {
 			t.Fatalf("scan position %d has value %q, want %q", i, c.Value(), want)
 		}
 		if err := c.Next(); err != nil {
@@ -119,12 +97,11 @@ func TestManyInsertsSplitAndOrder(t *testing.T) {
 }
 
 func TestSeekSemantics(t *testing.T) {
-	tree := newTestTree(t, 256, 64)
+	var keys, vals [][]byte
 	for _, v := range []uint32{10, 20, 30, 40, 50} {
-		if err := tree.Insert(u32key(v), []byte("x")); err != nil {
-			t.Fatal(err)
-		}
+		keys, vals = append(keys, u32key(v)), append(vals, []byte("x"))
 	}
+	tree := bulkFromPairs(t, 256, 64, keys, vals)
 	cases := []struct {
 		probe uint32
 		want  uint32
@@ -154,31 +131,17 @@ func TestSeekSemantics(t *testing.T) {
 // (group, id), ignoring the variable-length tag. Within a group, tag order
 // and id order must coincide — as they do in the OIF.
 func TestSeekCustomComparator(t *testing.T) {
-	tree := newTestTree(t, 512, 64)
-	type rec struct {
-		group uint32
-		tag   string
-		id    uint32
-	}
-	var recs []rec
+	var keys, vals [][]byte
 	for g := uint32(0); g < 5; g++ {
 		for i := uint32(0); i < 50; i++ {
 			// tag grows with id so both orders agree
-			recs = append(recs, rec{g, fmt.Sprintf("tag-%04d", i*3), i*3 + 1})
+			k := binary.BigEndian.AppendUint32(nil, g)
+			k = append(k, fmt.Sprintf("tag-%04d", i*3)...)
+			k = binary.BigEndian.AppendUint32(k, i*3+1)
+			keys, vals = append(keys, k), append(vals, []byte("v"))
 		}
 	}
-	mk := func(r rec) []byte {
-		k := make([]byte, 0, 4+len(r.tag)+4)
-		k = binary.BigEndian.AppendUint32(k, r.group)
-		k = append(k, r.tag...)
-		k = binary.BigEndian.AppendUint32(k, r.id)
-		return k
-	}
-	for _, r := range recs {
-		if err := tree.Insert(mk(r), []byte("v")); err != nil {
-			t.Fatal(err)
-		}
-	}
+	tree := bulkFromPairs(t, 512, 64, keys, vals)
 	idCmp := func(probe, key []byte) int {
 		if c := bytes.Compare(probe[:4], key[:4]); c != 0 {
 			return c
@@ -226,119 +189,36 @@ func TestSeekCustomComparator(t *testing.T) {
 	}
 }
 
-func TestDelete(t *testing.T) {
-	tree := newTestTree(t, 256, 64)
-	for i := uint32(0); i < 500; i++ {
-		if err := tree.Insert(u32key(i), []byte("v")); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i := uint32(0); i < 500; i += 2 {
-		ok, err := tree.Delete(u32key(i))
-		if err != nil || !ok {
-			t.Fatalf("Delete(%d) = %v, %v", i, ok, err)
-		}
-	}
-	ok, err := tree.Delete(u32key(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ok {
-		t.Fatal("double delete reported success")
-	}
-	n, err := tree.Len()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 250 {
-		t.Fatalf("Len = %d after deletes, want 250", n)
-	}
-	c, err := tree.First()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := uint32(1); i < 500; i += 2 {
-		if !c.Valid() {
-			t.Fatalf("cursor exhausted at %d", i)
-		}
-		if got := binary.BigEndian.Uint32(c.Key()); got != i {
-			t.Fatalf("after deletes scan found %d, want %d", got, i)
-		}
-		if err := c.Next(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := tree.Validate(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestCursorSkipsEmptiedLeaves(t *testing.T) {
-	tree := newTestTree(t, 256, 64)
-	for i := uint32(0); i < 400; i++ {
-		if err := tree.Insert(u32key(i), bytes.Repeat([]byte("x"), 20)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Empty out a middle run of keys, which empties whole leaves.
-	for i := uint32(100); i < 300; i++ {
-		if _, err := tree.Delete(u32key(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	c, err := tree.Seek(u32key(100), BytewiseCompare)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !c.Valid() {
-		t.Fatal("cursor invalid")
-	}
-	if got := binary.BigEndian.Uint32(c.Key()); got != 300 {
-		t.Fatalf("seek over emptied leaves landed on %d, want 300", got)
-	}
-}
-
+// TestRandomizedAgainstSortedMap bulk-loads a random key set and holds
+// point lookups of present and absent keys, and a full scan, to a map.
 func TestRandomizedAgainstSortedMap(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	tree := newTestTree(t, 512, 256)
 	shadow := make(map[string]string)
 	for step := 0; step < 20000; step++ {
-		k := fmt.Sprintf("key-%06d", rng.Intn(5000))
-		switch rng.Intn(4) {
-		case 0, 1: // insert/update
-			v := fmt.Sprintf("val-%d", step)
-			if err := tree.Insert([]byte(k), []byte(v)); err != nil {
-				t.Fatal(err)
-			}
-			shadow[k] = v
-		case 2: // delete
-			ok, err := tree.Delete([]byte(k))
-			if err != nil {
-				t.Fatal(err)
-			}
-			_, want := shadow[k]
-			if ok != want {
-				t.Fatalf("step %d: Delete(%s) = %v, want %v", step, k, ok, want)
-			}
-			delete(shadow, k)
-		default: // lookup
-			got, err := tree.Get([]byte(k))
-			want, present := shadow[k]
-			if present {
-				if err != nil || string(got) != want {
-					t.Fatalf("step %d: Get(%s) = %q, %v; want %q", step, k, got, err, want)
-				}
-			} else if err != ErrNotFound {
-				t.Fatalf("step %d: Get(%s) err = %v, want ErrNotFound", step, k, err)
-			}
-		}
+		shadow[fmt.Sprintf("key-%06d", rng.Intn(5000))] = fmt.Sprintf("val-%d", step)
 	}
-	// Final full comparison via ordered scan.
 	keys := make([]string, 0, len(shadow))
 	for k := range shadow {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
+	var bkeys, bvals [][]byte
+	for _, k := range keys {
+		bkeys, bvals = append(bkeys, []byte(k)), append(bvals, []byte(shadow[k]))
+	}
+	tree := bulkFromPairs(t, 512, 256, bkeys, bvals)
+
+	for step := 0; step < 20000; step++ {
+		k := fmt.Sprintf("key-%06d", rng.Intn(5500))
+		got, found, err := lookup(tree, []byte(k))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, present := shadow[k]
+		if found != present || string(got) != want {
+			t.Fatalf("step %d: lookup(%s) = %q, %v; want %q, %v", step, k, got, found, want, present)
+		}
+	}
 	c, err := tree.First()
 	if err != nil {
 		t.Fatal(err)
@@ -366,25 +246,20 @@ func TestRandomizedAgainstSortedMap(t *testing.T) {
 }
 
 func TestVariableSizedValues(t *testing.T) {
-	tree := newTestTree(t, 4096, 64)
 	rng := rand.New(rand.NewSource(5))
-	vals := make(map[uint32][]byte)
-	for i := 0; i < 1000; i++ {
-		k := uint32(i)
-		v := make([]byte, rng.Intn(800))
-		rng.Read(v)
-		vals[k] = v
-		if err := tree.Insert(u32key(k), v); err != nil {
-			t.Fatal(err)
-		}
+	vals := make([][]byte, 1000)
+	for i := range vals {
+		vals[i] = make([]byte, rng.Intn(800))
+		rng.Read(vals[i])
 	}
+	tree := u32Tree(t, 4096, 64, len(vals), func(i uint32) []byte { return vals[i] })
 	for k, v := range vals {
-		got, err := tree.Get(u32key(k))
-		if err != nil {
-			t.Fatalf("Get(%d): %v", k, err)
+		got, found, err := lookup(tree, u32key(uint32(k)))
+		if err != nil || !found {
+			t.Fatalf("lookup(%d) = found %v, %v", k, found, err)
 		}
 		if !bytes.Equal(got, v) {
-			t.Fatalf("Get(%d) returned %d bytes, want %d", k, len(got), len(v))
+			t.Fatalf("lookup(%d) returned %d bytes, want %d", k, len(got), len(v))
 		}
 	}
 	if err := tree.Validate(); err != nil {
@@ -393,37 +268,30 @@ func TestVariableSizedValues(t *testing.T) {
 }
 
 func TestEntryTooLarge(t *testing.T) {
-	tree := newTestTree(t, 256, 16)
-	big := make([]byte, 300)
-	if err := tree.Insert([]byte("k"), big); err == nil {
-		t.Fatal("oversized insert succeeded")
+	pool := storage.NewBufferPool(storage.NewMemPager(256), 16)
+	done := false
+	_, err := BulkLoad(pool, func() ([]byte, []byte, bool, error) {
+		if done {
+			return nil, nil, false, nil
+		}
+		done = true
+		return []byte("k"), make([]byte, 300), true, nil
+	})
+	if !errors.Is(err, ErrKeyTooLarge) {
+		t.Fatalf("oversized entry: BulkLoad returned %v, want ErrKeyTooLarge", err)
 	}
 }
 
 func TestOpenExisting(t *testing.T) {
-	pager := storage.NewMemPager(512)
-	pool := storage.NewBufferPool(pager, 64)
-	tree, err := New(pool)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := uint32(0); i < 2000; i++ {
-		if err := tree.Insert(u32key(i), []byte("v")); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := pool.Flush(); err != nil {
-		t.Fatal(err)
-	}
+	tree := u32Tree(t, 512, 64, 2000, func(uint32) []byte { return []byte("v") })
 	// Re-open through a fresh pool over the same pager.
-	pool2 := storage.NewBufferPool(pager, 8)
-	tree2, err := Open(pool2)
+	tree2, err := Open(storage.NewBufferPool(tree.Pool().Pager(), 8))
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
-	got, err := tree2.Get(u32key(1234))
-	if err != nil || string(got) != "v" {
-		t.Fatalf("Get after reopen = %q, %v", got, err)
+	got, found, err := lookup(tree2, u32key(1234))
+	if err != nil || !found || string(got) != "v" {
+		t.Fatalf("lookup after reopen = %q, %v, %v", got, found, err)
 	}
 	n, err := tree2.Len()
 	if err != nil {
@@ -435,23 +303,13 @@ func TestOpenExisting(t *testing.T) {
 }
 
 func TestSetPool(t *testing.T) {
-	pager := storage.NewMemPager(512)
-	big := storage.NewBufferPool(pager, 256)
-	tree, err := New(big)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := uint32(0); i < 3000; i++ {
-		if err := tree.Insert(u32key(i), []byte("v")); err != nil {
-			t.Fatal(err)
-		}
-	}
-	small := storage.NewBufferPool(pager, 8)
+	tree := u32Tree(t, 512, 256, 3000, func(uint32) []byte { return []byte("v") })
+	small := storage.NewBufferPool(tree.Pool().Pager(), 8)
 	if err := tree.SetPool(small); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := tree.Get(u32key(2999)); err != nil {
-		t.Fatalf("Get through small pool: %v", err)
+	if _, found, err := lookup(tree, u32key(2999)); err != nil || !found {
+		t.Fatalf("lookup through small pool: found %v, %v", found, err)
 	}
 	if small.Stats().Misses == 0 {
 		t.Fatal("small pool recorded no misses; SetPool did not take effect")
@@ -463,60 +321,34 @@ func TestSetPool(t *testing.T) {
 }
 
 func TestPageAccessAccounting(t *testing.T) {
-	// A point Get on a cold pool must touch exactly height pages
-	// (plus the meta page is never read after New).
-	pager := storage.NewMemPager(512)
-	build := storage.NewBufferPool(pager, 256)
-	tree, err := New(build)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := uint32(0); i < 5000; i++ {
-		if err := tree.Insert(u32key(i), bytes.Repeat([]byte("v"), 16)); err != nil {
-			t.Fatal(err)
-		}
-	}
+	// A point lookup on a cold pool must touch exactly height pages (the
+	// meta page is read only by Open).
+	tree := u32Tree(t, 512, 256, 5000, func(uint32) []byte { return bytes.Repeat([]byte("v"), 16) })
 	h, err := tree.Height()
 	if err != nil {
 		t.Fatal(err)
 	}
-	small := storage.NewBufferPool(pager, 8)
+	small := storage.NewBufferPool(tree.Pool().Pager(), 8)
 	if err := tree.SetPool(small); err != nil {
 		t.Fatal(err)
 	}
 	small.ResetStats()
-	if _, err := tree.Get(u32key(2500)); err != nil {
-		t.Fatal(err)
+	if _, found, err := lookup(tree, u32key(2500)); err != nil || !found {
+		t.Fatalf("lookup: found %v, %v", found, err)
 	}
 	if got := small.Stats().Misses; got != int64(h) {
-		t.Fatalf("cold Get cost %d page accesses, want height %d", got, h)
-	}
-}
-
-func BenchmarkInsertSequential(b *testing.B) {
-	tree := newTestTree(b, 4096, 1024)
-	val := bytes.Repeat([]byte("v"), 64)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := tree.Insert(u32key(uint32(i)), val); err != nil {
-			b.Fatal(err)
-		}
+		t.Fatalf("cold lookup cost %d page accesses, want height %d", got, h)
 	}
 }
 
 func BenchmarkGetWarm(b *testing.B) {
-	tree := newTestTree(b, 4096, 1024)
-	val := bytes.Repeat([]byte("v"), 64)
 	const n = 100000
-	for i := 0; i < n; i++ {
-		if err := tree.Insert(u32key(uint32(i)), val); err != nil {
-			b.Fatal(err)
-		}
-	}
+	val := bytes.Repeat([]byte("v"), 64)
+	tree := u32Tree(b, 4096, 1024, n, func(uint32) []byte { return val })
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := tree.Get(u32key(uint32(i % n))); err != nil {
-			b.Fatal(err)
+		if _, found, err := lookup(tree, u32key(uint32(i%n))); err != nil || !found {
+			b.Fatalf("lookup: found %v, %v", found, err)
 		}
 	}
 }
@@ -527,19 +359,10 @@ func BenchmarkGetWarm(b *testing.B) {
 // pool reusing the leaf's frame — and their capacity is clipped, so an
 // append cannot reach the neighbouring cell.
 func TestCursorHoldsNoPinAndOwnsItsLeaf(t *testing.T) {
-	pager := storage.NewMemPager(512)
-	tree, err := New(storage.NewBufferPool(pager, 256))
-	if err != nil {
-		t.Fatal(err)
-	}
 	const n = 3000
 	val := func(i uint32) []byte { return []byte(fmt.Sprintf("value-%05d", i)) }
-	for i := uint32(0); i < n; i++ {
-		if err := tree.Insert(u32key(i), val(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	small := storage.NewBufferPool(pager, 2)
+	tree := u32Tree(t, 512, 256, n, val)
+	small := storage.NewBufferPool(tree.Pool().Pager(), 2)
 	if err := tree.SetPool(small); err != nil {
 		t.Fatal(err)
 	}
@@ -562,7 +385,7 @@ func TestCursorHoldsNoPinAndOwnsItsLeaf(t *testing.T) {
 
 	// Evict and reuse both frames, then drop them: neither may be pinned.
 	for _, k := range []uint32{0, n - 1} {
-		if _, err := tree.Get(u32key(k)); err != nil {
+		if _, _, err := lookup(tree, u32key(k)); err != nil {
 			t.Fatal(err)
 		}
 	}

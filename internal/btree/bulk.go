@@ -8,9 +8,17 @@ import (
 	"repro/internal/storage"
 )
 
+// fillPercent is how full BulkLoad packs each node. 90 mirrors common
+// bulk-load defaults; every page count pinned in the tests was recorded
+// at it.
+const fillPercent = 90
+
 // BulkLoad builds a tree bottom-up from entries in strictly ascending key
-// order, packing leaves left to right. Two locality properties matter for
-// the OIF's cost profile and mirror a naturally grown Berkeley DB file:
+// order, packing leaves left to right into pool's pager, which must be
+// empty. Each node is written straight to the pager, once, as soon as it
+// is complete; pool only serves the tree's reads afterwards. Two locality
+// properties matter for the OIF's cost profile and mirror a naturally
+// grown Berkeley DB file:
 //
 //   - consecutive leaves occupy consecutive pages, so RoI range scans are
 //     charged sequential misses after one positioning access;
@@ -18,30 +26,23 @@ import (
 //     covers, so the final descent hop (parent -> leaf) stays within
 //     storage.NearWindow pages — a short seek, not a full one.
 //
-// next must return one entry per call and ok=false at the end. fillPercent
-// (10..100) controls node packing; 90 mirrors common bulk-load defaults
-// and leaves headroom for later Inserts.
-func BulkLoad(pool *storage.BufferPool, next func() (key, value []byte, ok bool, err error), fillPercent int) (*BTree, error) {
-	if pool.Pager().NumPages() != 0 {
+// next must return one entry per call and ok=false at the end.
+func BulkLoad(pool *storage.BufferPool, next func() (key, value []byte, ok bool, err error)) (*BTree, error) {
+	pager := pool.Pager()
+	if pager.NumPages() != 0 {
 		return nil, errors.New("btree: BulkLoad requires an empty pager")
 	}
-	if fillPercent < 10 || fillPercent > 100 {
-		return nil, fmt.Errorf("btree: fill percent %d outside 10..100", fillPercent)
-	}
-	metaID, meta, err := pool.Allocate()
-	if err != nil {
-		return nil, err
-	}
-	putU64(meta[offMetaMagic:], metaMagic)
-	pool.MarkDirty(metaID)
-	if err := pool.Put(metaID); err != nil {
+	if _, err := pager.Allocate(); err != nil { // metaPageID, written last
 		return nil, err
 	}
 
+	pageSize := pager.PageSize()
 	b := &bulkBuilder{
-		pool:   pool,
-		budget: (pool.PageSize() - headerSize) * fillPercent / 100,
-		max:    pool.PageSize() - headerSize - 2*slotSize,
+		pager:  pager,
+		budget: (pageSize - headerSize) * fillPercent / 100,
+		max:    pageSize - headerSize - 2*slotSize,
+		leaf:   node{id: metaPageID, data: make([]byte, pageSize)},
+		inner:  make([]byte, pageSize),
 	}
 
 	var prevKey []byte
@@ -67,14 +68,16 @@ func BulkLoad(pool *storage.BufferPool, next func() (key, value []byte, ok bool,
 	if err != nil {
 		return nil, err
 	}
-	t := &BTree{pool: pool, root: rootID}
-	if err := t.writeRoot(); err != nil {
+	meta := make([]byte, pageSize)
+	putU64(meta[offMetaMagic:], metaMagic)
+	putU64(meta[offMetaRoot:], uint64(int64(rootID)))
+	if err := pager.WritePage(metaPageID, meta); err != nil {
 		return nil, err
 	}
-	if err := pool.Flush(); err != nil {
+	if err := pager.Sync(); err != nil {
 		return nil, err
 	}
-	return t, nil
+	return &BTree{pool: pool, root: rootID}, nil
 }
 
 // childRef points a parent level at a completed child page.
@@ -89,21 +92,23 @@ type levelBuilder struct {
 	firstKey []byte
 	cells    []childRef
 	used     int
-	count    int // children in the open node
 }
 
-// bulkBuilder streams entries into leaves and flushes completed nodes
-// upward, emitting each parent right after its last child.
+// bulkBuilder streams entries into leaves and writes completed nodes,
+// emitting each parent right after its last child.
 type bulkBuilder struct {
-	pool   *storage.BufferPool
+	pager  storage.Pager
 	budget int
 	max    int
 
-	leafID   storage.PageID
+	// leaf is the open leaf, or the closed leaf waiting for its next-leaf
+	// link: the next leaf's page id, known once that page is allocated.
+	// Its id is metaPageID until the first leaf is opened.
 	leaf     node
 	leafUsed int
-	prevLeaf storage.PageID
+	open     bool
 
+	inner  []byte // the page buffer internal nodes are assembled in
 	levels []*levelBuilder
 }
 
@@ -112,7 +117,7 @@ func (b *bulkBuilder) addEntry(key, value []byte) error {
 	if sz > b.max {
 		return fmt.Errorf("%w: entry of %d bytes", ErrKeyTooLarge, sz)
 	}
-	if b.leaf.data == nil {
+	if !b.open {
 		if err := b.openLeaf(); err != nil {
 			return err
 		}
@@ -129,37 +134,35 @@ func (b *bulkBuilder) addEntry(key, value []byte) error {
 	return nil
 }
 
+// openLeaf allocates the next leaf's page. Its id is the link the closed
+// leaf before it waits for, so that leaf is written now.
 func (b *bulkBuilder) openLeaf() error {
-	id, data, err := b.pool.Allocate()
+	id, err := b.pager.Allocate()
 	if err != nil {
 		return err
 	}
-	initNode(data, pageTypeLeaf)
-	if b.prevLeaf != 0 {
-		prev, err := b.pool.Get(b.prevLeaf)
-		if err != nil {
-			return err
-		}
-		node{id: b.prevLeaf, data: prev}.setAux(id)
-		b.pool.MarkDirty(b.prevLeaf)
-		if err := b.pool.Put(b.prevLeaf); err != nil {
+	if b.leaf.id != metaPageID {
+		if err := b.writeLeaf(id); err != nil {
 			return err
 		}
 	}
-	b.leafID, b.leaf, b.leafUsed = id, node{id: id, data: data}, 0
+	clear(b.leaf.data)
+	initNode(b.leaf.data, pageTypeLeaf)
+	b.leaf.id, b.leafUsed, b.open = id, 0, true
 	return nil
 }
 
+// writeLeaf writes the closed leaf with next as its next-leaf link.
+func (b *bulkBuilder) writeLeaf(next storage.PageID) error {
+	b.leaf.setAux(next)
+	return b.pager.WritePage(b.leaf.id, b.leaf.data)
+}
+
+// closeLeaf stops the open leaf taking entries and hands it to its parent
+// level.
 func (b *bulkBuilder) closeLeaf() error {
-	first := append([]byte(nil), b.leaf.key(0)...)
-	id := b.leafID
-	b.pool.MarkDirty(id)
-	if err := b.pool.Put(id); err != nil {
-		return err
-	}
-	b.prevLeaf = id
-	b.leafID, b.leaf = 0, node{}
-	return b.push(0, childRef{firstKey: first, id: id})
+	b.open = false
+	return b.push(0, childRef{firstKey: bytes.Clone(b.leaf.key(0)), id: b.leaf.id})
 }
 
 // push hands a completed child to level l's builder, flushing that level's
@@ -172,7 +175,6 @@ func (b *bulkBuilder) push(l int, ref childRef) error {
 	if lv.leftmost == storage.InvalidPageID {
 		lv.leftmost = ref.id
 		lv.firstKey = ref.firstKey
-		lv.count = 1
 		return nil
 	}
 	sz := internalCellSize(ref.firstKey) + slotSize
@@ -182,30 +184,28 @@ func (b *bulkBuilder) push(l int, ref childRef) error {
 		}
 		lv.leftmost = ref.id
 		lv.firstKey = ref.firstKey
-		lv.count = 1
 		return nil
 	}
 	lv.cells = append(lv.cells, ref)
 	lv.used += sz
-	lv.count++
 	return nil
 }
 
 // flushLevel writes level l's open node and pushes its ref one level up.
 func (b *bulkBuilder) flushLevel(l int) error {
 	lv := b.levels[l]
-	id, data, err := b.pool.Allocate()
+	id, err := b.pager.Allocate()
 	if err != nil {
 		return err
 	}
-	nd := node{id: id, data: data}
-	initNode(data, pageTypeInternal)
+	clear(b.inner)
+	nd := node{id: id, data: b.inner}
+	initNode(nd.data, pageTypeInternal)
 	nd.setAux(lv.leftmost)
 	for i, c := range lv.cells {
 		nd.insertInternalCell(i, c.firstKey, c.id)
 	}
-	b.pool.MarkDirty(id)
-	if err := b.pool.Put(id); err != nil {
+	if err := b.pager.WritePage(id, nd.data); err != nil {
 		return err
 	}
 	ref := childRef{firstKey: lv.firstKey, id: id}
@@ -213,39 +213,23 @@ func (b *bulkBuilder) flushLevel(l int) error {
 	lv.firstKey = nil
 	lv.cells = lv.cells[:0]
 	lv.used = 0
-	lv.count = 0
 	return b.push(l+1, ref)
 }
 
-// finish closes the open leaf and collapses the level stack to a root.
+// finish writes the last leaf and collapses the level stack to a root.
 func (b *bulkBuilder) finish() (storage.PageID, error) {
-	if b.leaf.data != nil {
-		if b.leaf.numCells() > 0 {
-			if err := b.closeLeaf(); err != nil {
-				return storage.InvalidPageID, err
-			}
-		} else {
-			// Empty tree: the lone empty leaf is the root.
-			id := b.leafID
-			b.pool.MarkDirty(id)
-			if err := b.pool.Put(id); err != nil {
-				return storage.InvalidPageID, err
-			}
-			return id, nil
+	if !b.open {
+		// No entries: the root is a lone empty leaf.
+		if err := b.openLeaf(); err != nil {
+			return storage.InvalidPageID, err
 		}
+		return b.leaf.id, b.writeLeaf(storage.InvalidPageID)
 	}
-	if len(b.levels) == 0 {
-		// No entries at all: allocate an empty leaf root.
-		id, data, err := b.pool.Allocate()
-		if err != nil {
-			return storage.InvalidPageID, err
-		}
-		initNode(data, pageTypeLeaf)
-		b.pool.MarkDirty(id)
-		if err := b.pool.Put(id); err != nil {
-			return storage.InvalidPageID, err
-		}
-		return id, nil
+	if err := b.closeLeaf(); err != nil {
+		return storage.InvalidPageID, err
+	}
+	if err := b.writeLeaf(storage.InvalidPageID); err != nil {
+		return storage.InvalidPageID, err
 	}
 	// Flush partial levels upward. A level holding a single child with no
 	// siblings pending collapses into that child.

@@ -20,7 +20,7 @@ func bulkFromPairs(t testing.TB, pageSize, poolPages int, keys, vals [][]byte) *
 		k, v := keys[i], vals[i]
 		i++
 		return k, v, true, nil
-	}, 90)
+	})
 	if err != nil {
 		t.Fatalf("BulkLoad: %v", err)
 	}
@@ -47,12 +47,12 @@ func TestBulkLoadMatchesInserts(t *testing.T) {
 		t.Fatalf("Len = %d, want %d", ln, n)
 	}
 	for i := 0; i < n; i += 97 {
-		got, err := tree.Get(keys[i])
-		if err != nil {
-			t.Fatalf("Get(%d): %v", i, err)
+		got, found, err := lookup(tree, keys[i])
+		if err != nil || !found {
+			t.Fatalf("lookup(%d): found %v, %v", i, found, err)
 		}
 		if !bytes.Equal(got, vals[i]) {
-			t.Fatalf("Get(%d) = %q", i, got)
+			t.Fatalf("lookup(%d) = %q", i, got)
 		}
 	}
 	// Ordered scan returns every key in order.
@@ -75,8 +75,8 @@ func TestBulkLoadMatchesInserts(t *testing.T) {
 
 func TestBulkLoadEmpty(t *testing.T) {
 	tree := bulkFromPairs(t, 256, 16, nil, nil)
-	if _, err := tree.Get([]byte("x")); err != ErrNotFound {
-		t.Fatalf("Get on empty bulk tree: %v", err)
+	if _, found, err := lookup(tree, []byte("x")); err != nil || found {
+		t.Fatalf("lookup on empty bulk tree: found %v, %v", found, err)
 	}
 	c, err := tree.First()
 	if err != nil {
@@ -89,9 +89,9 @@ func TestBulkLoadEmpty(t *testing.T) {
 
 func TestBulkLoadSingle(t *testing.T) {
 	tree := bulkFromPairs(t, 256, 16, [][]byte{[]byte("k")}, [][]byte{[]byte("v")})
-	got, err := tree.Get([]byte("k"))
-	if err != nil || string(got) != "v" {
-		t.Fatalf("Get = %q, %v", got, err)
+	got, found, err := lookup(tree, []byte("k"))
+	if err != nil || !found || string(got) != "v" {
+		t.Fatalf("lookup = %q, %v, %v", got, found, err)
 	}
 }
 
@@ -106,7 +106,7 @@ func TestBulkLoadRejectsUnsortedKeys(t *testing.T) {
 		k := seq[i]
 		i++
 		return k, []byte("v"), true, nil
-	}, 90)
+	})
 	if err == nil {
 		t.Fatal("unsorted bulk load succeeded")
 	}
@@ -121,7 +121,7 @@ func TestBulkLoadRejectsDuplicates(t *testing.T) {
 		}
 		i++
 		return []byte("same"), []byte("v"), true, nil
-	}, 90)
+	})
 	if err == nil {
 		t.Fatal("duplicate bulk load succeeded")
 	}
@@ -148,7 +148,7 @@ func TestBulkLoadLeafLocality(t *testing.T) {
 		k, v := keys[i], vals[i]
 		i++
 		return k, v, true, nil
-	}, 90)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,49 +177,9 @@ func TestBulkLoadLeafLocality(t *testing.T) {
 	}
 }
 
-func TestBulkLoadThenInsert(t *testing.T) {
-	// Bulk-loaded trees must accept regular inserts afterwards.
-	const n = 3000
-	keys := make([][]byte, n)
-	vals := make([][]byte, n)
-	for i := 0; i < n; i++ {
-		keys[i] = u32key(uint32(i * 2)) // even keys
-		vals[i] = []byte("v")
-	}
-	tree := bulkFromPairs(t, 512, 256, keys, vals)
-	for i := 0; i < 500; i++ {
-		if err := tree.Insert(u32key(uint32(i*2+1)), []byte("odd")); err != nil {
-			t.Fatalf("Insert after bulk: %v", err)
-		}
-	}
-	if err := tree.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	ln, err := tree.Len()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ln != n+500 {
-		t.Fatalf("Len = %d, want %d", ln, n+500)
-	}
-	got, err := tree.Get(u32key(999))
-	if err != nil || string(got) != "odd" {
-		t.Fatalf("Get(999) = %q, %v", got, err)
-	}
-}
-
-func TestBulkLoadFillPercentValidation(t *testing.T) {
-	pool := storage.NewBufferPool(storage.NewMemPager(256), 16)
-	if _, err := BulkLoad(pool, func() ([]byte, []byte, bool, error) {
-		return nil, nil, false, nil
-	}, 5); err == nil {
-		t.Fatal("fill percent 5 accepted")
-	}
-}
-
 func TestBulkLoadCustomComparatorSeeks(t *testing.T) {
-	// Bulk-loaded trees must honour probe comparators exactly like
-	// insert-built ones (separators are first keys, not copies of probes).
+	// Bulk-loaded trees must honour probe comparators: separators are
+	// first keys, not copies of probes.
 	const n = 5000
 	keys := make([][]byte, n)
 	vals := make([][]byte, n)

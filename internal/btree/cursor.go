@@ -19,8 +19,8 @@ import (
 // therefore return slices owned by the cursor, valid only until the next
 // Next/Seek.
 //
-// A cursor is invalidated by writes to the tree; the indexes in this
-// repository never interleave writes with scans.
+// A built tree has no write method, so nothing invalidates a cursor: the
+// leaf it holds stays the tree's leaf for as long as the tree is read.
 type Cursor struct {
 	t       *BTree
 	leaf    node // private copy of the current leaf's page
@@ -94,8 +94,9 @@ func (c *Cursor) loadLeaf(n node) {
 	c.exhaust = false
 }
 
-// settle advances across empty or exhausted leaves until the cursor rests
-// on an entry or runs off the end of the tree.
+// settle advances past an exhausted leaf (a seek can land after a leaf's
+// last entry) until the cursor rests on an entry or runs off the end of
+// the tree.
 func (c *Cursor) settle() error {
 	for c.idx >= c.leaf.numCells() {
 		next := c.leaf.aux()

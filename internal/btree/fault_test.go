@@ -8,81 +8,19 @@ import (
 	"repro/internal/storage"
 )
 
-// TestInsertSurvivesFaultsWithoutPanic drives the tree against a pager
-// that dies at every possible operation count and verifies the error is
-// surfaced cleanly. (After a mid-operation fault the tree may be
-// inconsistent — a real system would recover from the log — but it must
-// never panic and must keep returning the injected error.)
-func TestInsertSurvivesFaultsWithoutPanic(t *testing.T) {
-	// First, count the fault-free operation total.
-	probe := storage.NewFaultyPager(storage.NewMemPager(256), 0)
-	pool := storage.NewBufferPool(probe, 4)
-	tree, err := New(pool)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const n = 300
-	for i := 0; i < n; i++ {
-		if err := tree.Insert(u32key(uint32(i)), []byte("value")); err != nil {
-			t.Fatal(err)
-		}
-	}
-	total := probe.Ops()
-	if total < 50 {
-		t.Fatalf("suspiciously few operations: %d", total)
-	}
-
-	for failAt := int64(1); failAt <= total; failAt += 7 {
-		faulty := storage.NewFaultyPager(storage.NewMemPager(256), failAt)
-		pool := storage.NewBufferPool(faulty, 4)
-		tree, err := New(pool)
-		if err != nil {
-			if !errors.Is(err, storage.ErrInjected) {
-				t.Fatalf("failAt=%d: New returned %v", failAt, err)
-			}
-			continue
-		}
-		sawErr := false
-		for i := 0; i < n; i++ {
-			if err := tree.Insert(u32key(uint32(i)), []byte("value")); err != nil {
-				if !errors.Is(err, storage.ErrInjected) {
-					t.Fatalf("failAt=%d: Insert returned %v", failAt, err)
-				}
-				sawErr = true
-				break
-			}
-		}
-		if !sawErr && faulty.Tripped() {
-			t.Fatalf("failAt=%d: fault fired but no error surfaced", failAt)
-		}
-	}
-}
-
-// TestReadFaultsSurfaceFromQueries verifies Get/Seek/Next propagate read
-// faults.
+// TestReadFaultsSurfaceFromQueries verifies Seek and Next propagate read
+// faults, for a point lookup and for a scan.
 func TestReadFaultsSurfaceFromQueries(t *testing.T) {
-	mem := storage.NewMemPager(256)
-	build := storage.NewBufferPool(mem, 256)
-	tree, err := New(build)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 2000; i++ {
-		if err := tree.Insert(u32key(uint32(i)), []byte("v")); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := build.Flush(); err != nil {
-		t.Fatal(err)
-	}
+	tree := u32Tree(t, 256, 256, 2000, func(uint32) []byte { return []byte("v") })
+	mem := tree.Pool().Pager()
 	// Every read op from a cold pool must eventually fail cleanly.
 	for failAt := int64(1); failAt <= 12; failAt++ {
 		faulty := storage.NewFaultyPager(mem, failAt)
 		pool := storage.NewBufferPool(faulty, 4)
 		tr := &BTree{pool: pool, root: tree.root}
-		_, err := tr.Get(u32key(777))
+		_, _, err := lookup(tr, u32key(777))
 		if err != nil && !errors.Is(err, storage.ErrInjected) {
-			t.Fatalf("failAt=%d: Get returned %v", failAt, err)
+			t.Fatalf("failAt=%d: lookup returned %v", failAt, err)
 		}
 		c, err := tr.Seek(u32key(0), BytewiseCompare)
 		if err == nil {
@@ -111,7 +49,7 @@ func TestBulkLoadFaults(t *testing.T) {
 			k := u32key(uint32(i))
 			i++
 			return k, []byte("v"), true, nil
-		}, 90)
+		})
 		if err == nil {
 			if faulty.Tripped() {
 				t.Fatalf("failAt=%d: fault fired but BulkLoad succeeded", failAt)
@@ -137,7 +75,7 @@ func TestBulkLoadSourceError(t *testing.T) {
 		k := u32key(uint32(i))
 		i++
 		return k, []byte("v"), true, nil
-	}, 90)
+	})
 	if !errors.Is(err, boom) {
 		t.Fatalf("BulkLoad returned %v, want source error", err)
 	}

@@ -39,8 +39,10 @@ const (
 	internalCellHeader = 10
 )
 
-// node wraps a pinned page buffer with typed accessors. It performs no
-// pinning itself; the tree manages Get/Put around node lifetimes.
+// node wraps a page buffer with typed accessors: a pinned pool frame or a
+// cursor's leaf copy when read, the builder's own buffer when written. It
+// performs no pinning itself; the tree manages Get/Put around node
+// lifetimes.
 type node struct {
 	id   storage.PageID
 	data []byte
@@ -83,11 +85,6 @@ func (n node) setSlot(i, off int) {
 	binary.BigEndian.PutUint16(n.data[headerSize+i*slotSize:], uint16(off))
 }
 
-// freeSpace is the contiguous gap between the slot array and cell data.
-func (n node) freeSpace() int {
-	return n.freeStart() - (headerSize + n.numCells()*slotSize)
-}
-
 // key returns the key of cell i (aliases page memory).
 func (n node) key(i int) []byte {
 	off := n.slot(i)
@@ -116,11 +113,6 @@ func (n node) child(i int) storage.PageID {
 	return storage.PageID(int64(binary.BigEndian.Uint64(n.data[off+2:])))
 }
 
-func (n node) setChild(i int, id storage.PageID) {
-	off := n.slot(i)
-	binary.BigEndian.PutUint64(n.data[off+2:], uint64(int64(id)))
-}
-
 // cellSize returns the byte footprint of cell i.
 func (n node) cellSize(i int) int {
 	off := n.slot(i)
@@ -139,7 +131,7 @@ func leafCellSize(key, value []byte) int { return leafCellHeader + len(key) + le
 func internalCellSize(key []byte) int { return internalCellHeader + len(key) }
 
 // insertLeafCell inserts (key, value) as cell index i, shifting slots.
-// The caller must have verified space (after compaction if needed).
+// The caller must have verified space.
 func (n node) insertLeafCell(i int, key, value []byte) {
 	size := leafCellSize(key, value)
 	off := n.freeStart() - size
@@ -169,31 +161,6 @@ func (n node) openSlot(i, off int) {
 	copy(n.data[base+slotSize:headerSize+(num+1)*slotSize], n.data[base:headerSize+num*slotSize])
 	n.setSlot(i, off)
 	n.setNumCells(num + 1)
-}
-
-// removeCell drops slot i. Cell bytes are leaked until compact().
-func (n node) removeCell(i int) {
-	num := n.numCells()
-	base := headerSize + i*slotSize
-	copy(n.data[base:], n.data[base+slotSize:headerSize+num*slotSize])
-	n.setNumCells(num - 1)
-}
-
-// compact rewrites the page so cell data is contiguous again, reclaiming
-// space leaked by removeCell or in-place updates.
-func (n node) compact() {
-	num := n.numCells()
-	tmp := make([]byte, len(n.data))
-	copy(tmp, n.data)
-	src := node{id: n.id, data: tmp}
-	n.setFreeStart(len(n.data))
-	for i := 0; i < num; i++ {
-		size := src.cellSize(i)
-		off := n.freeStart() - size
-		copy(n.data[off:off+size], src.data[src.slot(i):src.slot(i)+size])
-		n.setSlot(i, off)
-		n.setFreeStart(off)
-	}
 }
 
 // validateNode checks structural invariants; used by tests via Validate.

@@ -21,9 +21,6 @@ type Options struct {
 	// DefaultBlockPostings. Smaller blocks mean finer pruning but more
 	// B-tree entries (the paper's block size / space trade-off).
 	BlockPostings int
-	// BuildPoolPages sizes the buffer pool used during construction;
-	// 0 selects 1024. Swap in a small pool with SetPool to measure.
-	BuildPoolPages int
 	// TagPrefix truncates block tags to this many leading ranks
 	// (0 keeps full tags). The paper suggests it to shrink keys (§3:
 	// "considering prefixes of the ordered set-values used as tags").
@@ -33,8 +30,10 @@ type Options struct {
 	// keys. Query probes are truncated to the same length.
 	TagPrefix int
 	// Pool, when non-nil, receives the index pages instead of a fresh
-	// in-memory pager; its pager must be empty. This is how file-backed
-	// indexes are built (pass a pool over a storage.FilePager).
+	// in-memory pager; its pager must be empty. The build writes the
+	// pages straight to that pager, and the index reads them back through
+	// Pool. This is how file-backed indexes are built (pass a pool over a
+	// storage.FilePager).
 	Pool *storage.BufferPool
 }
 
@@ -48,9 +47,6 @@ func (o *Options) fill() {
 	}
 	if o.BlockPostings <= 0 {
 		o.BlockPostings = DefaultBlockPostings
-	}
-	if o.BuildPoolPages <= 0 {
-		o.BuildPoolPages = 1024
 	}
 }
 
@@ -107,7 +103,7 @@ func Build(d *dataset.Dataset, opts Options) (*Index, error) {
 func build(numRecords, domainSize int, ord *sequence.Order, re *sequence.Reordered, opts Options) (*Index, error) {
 	pool := opts.Pool
 	if pool == nil {
-		pool = storage.NewBufferPool(storage.NewMemPager(opts.PageSize), opts.BuildPoolPages)
+		pool = storage.NewBufferPool(storage.NewMemPager(opts.PageSize), storage.DefaultPoolPages)
 	} else if pool.PageSize() != opts.PageSize && opts.PageSize != storage.DefaultPageSize {
 		return nil, fmt.Errorf("core: Pool page size %d != PageSize %d", pool.PageSize(), opts.PageSize)
 	}
@@ -192,7 +188,7 @@ func build(numRecords, domainSize int, ord *sequence.Order, re *sequence.Reorder
 		v := pend[curRank].vals[curIdx]
 		curIdx++
 		return k, v, true, nil
-	}, 90)
+	})
 	if err != nil {
 		if errors.Is(err, btree.ErrKeyTooLarge) {
 			return nil, fmt.Errorf("%w: page size %d", ErrRecordTooWide, opts.PageSize)

@@ -90,12 +90,8 @@ func (ix *Index) Save(w io.Writer) error {
 	if err := ix.ov.WriteTombstones(cw); err != nil {
 		return err
 	}
-	// Raw pages. Flush the pool first so the pager is current.
-	pool := ix.tree.Pool()
-	if err := pool.Flush(); err != nil {
-		return err
-	}
-	pager := pool.Pager()
+	// Raw pages, read from the pager the build wrote them to.
+	pager := ix.tree.Pool().Pager()
 	if err := snapio.WriteU64(cw, uint64(pager.NumPages())); err != nil {
 		return err
 	}
@@ -237,8 +233,7 @@ func Load(r io.Reader) (*Index, error) {
 		numRecords: numRecords,
 		domainSize: domainSize,
 		opts: Options{
-			PageSize: pageSize, BlockPostings: blockPostings,
-			BuildPoolPages: 1024, TagPrefix: tagPrefix,
+			PageSize: pageSize, BlockPostings: blockPostings, TagPrefix: tagPrefix,
 		},
 		snapReserved: reserved,
 		blocks:       space[0],

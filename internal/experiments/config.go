@@ -5,8 +5,8 @@
 // the space-overhead comparison, the unordered-B-tree ordering ablation,
 // and the query/update performance summary.
 //
-// Measurements follow the paper's protocol: indexes are built with a
-// large pool, then queries run through a minimal buffer pool (32 KB by
+// Measurements follow the paper's protocol: indexes are built straight to
+// their pager, then queries run through a minimal buffer pool (32 KB by
 // default — 8 pages of 4 KB) whose cache misses are the reported "disk
 // page accesses". CPU time is measured wall time over the in-memory
 // pager; I/O time is modelled from the sequential/random miss counts by

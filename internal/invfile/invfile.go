@@ -41,25 +41,18 @@ type Index struct {
 type BuildOptions struct {
 	// PageSize for the list file; 0 selects storage.DefaultPageSize.
 	PageSize int
-	// BuildPoolPages is the buffer-pool size used while writing lists;
-	// 0 selects 1024 pages. Measurement swaps in a small pool afterwards
-	// via SetPool.
-	BuildPoolPages int
 }
 
 func (o *BuildOptions) fill() {
 	if o.PageSize <= 0 {
 		o.PageSize = storage.DefaultPageSize
 	}
-	if o.BuildPoolPages <= 0 {
-		o.BuildPoolPages = 1024
-	}
 }
 
 // Build constructs the inverted file for d.
 func Build(d *dataset.Dataset, opts BuildOptions) (*Index, error) {
 	opts.fill()
-	pool := storage.NewBufferPool(storage.NewMemPager(opts.PageSize), opts.BuildPoolPages)
+	pool := storage.NewBufferPool(storage.NewMemPager(opts.PageSize), storage.DefaultPoolPages)
 	domain := d.DomainSize()
 	store, err := liststore.New(pool, domain)
 	if err != nil {
@@ -287,7 +280,7 @@ func (ix *Index) MergeDelta() error {
 	}
 	oldPool := ix.store.Pool()
 	pageSize := oldPool.PageSize()
-	newPool := storage.NewBufferPool(storage.NewMemPager(pageSize), 1024)
+	newPool := storage.NewBufferPool(storage.NewMemPager(pageSize), storage.DefaultPoolPages)
 	newStore, err := liststore.New(newPool, ix.domainSize)
 	if err != nil {
 		return err

@@ -126,7 +126,7 @@ func Load(r io.Reader) (*Index, error) {
 	if err := ov.ReadRecords(cr, domainSize, numRecords); err != nil {
 		return nil, fmt.Errorf("%w: delta: %v", ErrBadSnapshot, err)
 	}
-	pool := storage.NewBufferPool(storage.NewMemPager(pageSize), 1024)
+	pool := storage.NewBufferPool(storage.NewMemPager(pageSize), storage.DefaultPoolPages)
 	store, err := liststore.New(pool, domainSize)
 	if err != nil {
 		return nil, err

@@ -10,7 +10,8 @@
 // Reading a list therefore streams every one of its pages through the
 // buffer pool, which charges one sequential miss per page after the
 // initial (random) positioning — exactly the IF cost profile the paper
-// measures.
+// measures. Pages are written once, by a Writer, straight to the pager;
+// the pool only reads them.
 package liststore
 
 import (
@@ -65,14 +66,11 @@ func New(pool *storage.BufferPool, domainSize int) (*Store, error) {
 	return &Store{pool: pool, extents: ext}, nil
 }
 
-// SetPool swaps the buffer pool, keeping the same pager (build big,
-// measure small — see btree.SetPool).
+// SetPool swaps the buffer pool, keeping the same pager (see
+// btree.SetPool).
 func (s *Store) SetPool(pool *storage.BufferPool) error {
 	if pool.Pager() != s.pool.Pager() {
 		return errors.New("liststore: SetPool requires the same backing pager")
-	}
-	if err := s.pool.Flush(); err != nil {
-		return err
 	}
 	s.pool = pool
 	return nil
@@ -83,10 +81,14 @@ func (s *Store) Pool() *storage.BufferPool { return s.pool }
 
 // Writer appends lists back to back, packing them contiguously into
 // pages. Each list stays contiguous on disk (the paper's IF layout); a
-// new list continues on the current partially filled page.
+// new list continues on the current partially filled page. The current
+// page is kept in memory and written to the pager once, when it is full
+// or at Close.
 type Writer struct {
 	s      *Store
+	pager  storage.Pager
 	cur    storage.PageID // current page, InvalidPageID before first write
+	page   []byte         // the current page's bytes
 	used   int            // bytes used on the current page
 	closed bool
 }
@@ -96,7 +98,8 @@ func (s *Store) NewWriter() (*Writer, error) {
 	if s.sealed {
 		return nil, errors.New("liststore: store already sealed")
 	}
-	return &Writer{s: s, cur: storage.InvalidPageID}, nil
+	pager := s.pool.Pager()
+	return &Writer{s: s, pager: pager, cur: storage.InvalidPageID, page: make([]byte, pager.PageSize())}, nil
 }
 
 // WriteList stores data as item's list. Items may be written in any
@@ -116,17 +119,16 @@ func (w *Writer) WriteList(item uint32, data []byte) error {
 		w.s.extents[item] = Extent{StartPage: storage.InvalidPageID, ByteLen: 0}
 		return nil
 	}
-	pageSize := w.s.pool.PageSize()
 	ext := Extent{ByteLen: int64(len(data))}
 	remaining := data
 	first := true
 	for len(remaining) > 0 {
-		if w.cur == storage.InvalidPageID || w.used == pageSize {
-			id, _, err := w.s.pool.Allocate()
+		if w.cur == storage.InvalidPageID || w.used == len(w.page) {
+			id, err := w.pager.Allocate()
 			if err != nil {
 				return err
 			}
-			w.s.pool.Put(id)
+			clear(w.page)
 			w.cur = id
 			w.used = 0
 		}
@@ -135,28 +137,36 @@ func (w *Writer) WriteList(item uint32, data []byte) error {
 			ext.StartByte = w.used
 			first = false
 		}
-		page, err := w.s.pool.Get(w.cur)
-		if err != nil {
-			return err
-		}
-		n := copy(page[w.used:], remaining)
-		w.s.pool.MarkDirty(w.cur)
-		w.s.pool.Put(w.cur)
+		n := copy(w.page[w.used:], remaining)
 		remaining = remaining[n:]
 		w.used += n
+		if w.used == len(w.page) {
+			if err := w.pager.WritePage(w.cur, w.page); err != nil {
+				return err
+			}
+		}
 	}
 	w.s.extents[item] = ext
 	return nil
 }
 
-// Close seals the store for reading.
+// Close writes the partly filled last page and seals the store for
+// reading.
 func (w *Writer) Close() error {
 	if w.closed {
 		return nil
 	}
+	if w.cur != storage.InvalidPageID && w.used < len(w.page) {
+		if err := w.pager.WritePage(w.cur, w.page); err != nil {
+			return err
+		}
+	}
+	if err := w.pager.Sync(); err != nil {
+		return err
+	}
 	w.closed = true
 	w.s.sealed = true
-	return w.s.pool.Flush()
+	return nil
 }
 
 // Extent returns item's extent (vocabulary lookup; memory-resident, free).
@@ -194,7 +204,9 @@ func (s *Store) ReadList(item uint32) ([]byte, error) {
 			n = remaining
 		}
 		out = append(out, data[offset:int64(offset)+n]...)
-		s.pool.Put(pg)
+		if err := s.pool.Put(pg); err != nil {
+			return nil, err
+		}
 		remaining -= n
 		offset = 0
 	}

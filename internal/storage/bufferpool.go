@@ -17,7 +17,6 @@ type AccessStats struct {
 	SeqMisses  int64 // misses whose page id is exactly lastMiss+1
 	NearMisses int64 // misses within NearWindow pages of the last miss
 	RandMisses int64 // all other misses
-	Writes     int64 // dirty pages written back to the pager
 }
 
 // NearWindow is the jump distance (in pages) under which a miss counts as
@@ -35,7 +34,6 @@ func (s AccessStats) Sub(t AccessStats) AccessStats {
 		SeqMisses:  s.SeqMisses - t.SeqMisses,
 		NearMisses: s.NearMisses - t.NearMisses,
 		RandMisses: s.RandMisses - t.RandMisses,
-		Writes:     s.Writes - t.Writes,
 	}
 }
 
@@ -47,29 +45,31 @@ func (s AccessStats) Add(t AccessStats) AccessStats {
 		SeqMisses:  s.SeqMisses + t.SeqMisses,
 		NearMisses: s.NearMisses + t.NearMisses,
 		RandMisses: s.RandMisses + t.RandMisses,
-		Writes:     s.Writes + t.Writes,
 	}
 }
 
 func (s AccessStats) String() string {
-	return fmt.Sprintf("hits=%d misses=%d (seq=%d near=%d rand=%d) writes=%d",
-		s.Hits, s.Misses, s.SeqMisses, s.NearMisses, s.RandMisses, s.Writes)
+	return fmt.Sprintf("hits=%d misses=%d (seq=%d near=%d rand=%d)",
+		s.Hits, s.Misses, s.SeqMisses, s.NearMisses, s.RandMisses)
 }
 
 // frame is one cached page plus its LRU bookkeeping.
 type frame struct {
-	id    PageID
-	data  []byte
-	dirty bool
-	pins  int
+	id   PageID
+	data []byte
+	pins int
 	// intrusive doubly-linked LRU list (head = most recent)
 	prev, next *frame
 }
 
-// BufferPool caches a fixed number of pages over a Pager with LRU
-// replacement and write-back of dirty pages. It is the measurement point of
-// the whole repository: every index reads pages exclusively through a pool,
-// and AccessStats.Misses is the paper's "disk page accesses".
+// BufferPool is a read cache of a fixed number of pages over a Pager, with
+// LRU replacement. It is the measurement point of the whole repository:
+// every index reads pages exclusively through a pool, and
+// AccessStats.Misses is the paper's "disk page accesses".
+//
+// A pool never writes. Every page is written once, by a builder, straight
+// to the pager before any pool reads it, so a cached frame always equals
+// its page and eviction simply drops it.
 //
 // Pinned pages are exempt from eviction; callers pin at most a handful of
 // pages at a time (a B-tree root-to-leaf path), which must be smaller than
@@ -135,13 +135,11 @@ func (bp *BufferPool) ResetStats() {
 // touching the sequentiality tracker.
 func (bp *BufferPool) AddStats(s AccessStats) { bp.stats = bp.stats.Add(s) }
 
-// DropAll flushes dirty pages and empties the cache so the next accesses
-// start cold. It returns the first flush error encountered. The dropped
-// frames' buffers are recycled for future misses.
+// DropAll empties the cache so the next accesses start cold. It refuses,
+// leaving the cache as it is, while any page is pinned: every Get must
+// have been matched by its Put. The dropped frames' buffers are recycled
+// for future misses.
 func (bp *BufferPool) DropAll() error {
-	if err := bp.Flush(); err != nil {
-		return err
-	}
 	for id, f := range bp.frames {
 		if f.pins > 0 {
 			return fmt.Errorf("storage: DropAll with pinned page %d", id)
@@ -162,15 +160,14 @@ func (bp *BufferPool) recycle(f *frame) {
 		return
 	}
 	f.id = InvalidPageID
-	f.dirty = false
 	f.pins = 0
 	f.prev, f.next = nil, nil
 	bp.free = append(bp.free, f)
 }
 
 // newFrame returns a frame for page id, reusing a recycled buffer when
-// one is available. The data contents are unspecified; callers overwrite
-// them (ReadPage) or zero them (Allocate).
+// one is available. The data contents are unspecified; the caller
+// overwrites them with ReadPage.
 func (bp *BufferPool) newFrame(id PageID) *frame {
 	if n := len(bp.free); n > 0 {
 		f := bp.free[n-1]
@@ -219,18 +216,11 @@ func (bp *BufferPool) touch(f *frame) {
 	bp.lruPushFront(f)
 }
 
-// evictOne writes back and drops the least recently used unpinned frame.
+// evictOne drops the least recently used unpinned frame.
 func (bp *BufferPool) evictOne() error {
 	for f := bp.lruTail; f != nil; f = f.prev {
 		if f.pins > 0 {
 			continue
-		}
-		if f.dirty {
-			if err := bp.pager.WritePage(f.id, f.data); err != nil {
-				return err
-			}
-			bp.stats.Writes++
-			f.dirty = false
 		}
 		bp.lruUnlink(f)
 		delete(bp.frames, f.id)
@@ -293,8 +283,9 @@ func (bp *BufferPool) fetch(id PageID) (*frame, error) {
 }
 
 // Get pins page id and returns its bytes. The slice aliases the cached
-// frame: the caller must not retain it past the matching Put, and must call
-// MarkDirty (or use the Update helper) if it modifies the contents.
+// frame: the caller must not retain it past the matching Put, and must not
+// modify it — the pool never writes a frame back, so a change would be
+// seen by later readers of the frame and lost on its eviction.
 func (bp *BufferPool) Get(id PageID) ([]byte, error) {
 	f, err := bp.fetch(id)
 	if err != nil {
@@ -319,47 +310,4 @@ func (bp *BufferPool) Put(id PageID) error {
 	}
 	f.pins--
 	return nil
-}
-
-// MarkDirty records that page id was modified and must be written back.
-func (bp *BufferPool) MarkDirty(id PageID) {
-	if f, ok := bp.frames[id]; ok {
-		f.dirty = true
-	}
-}
-
-// Allocate creates a new zeroed page in the backing pager and caches it
-// pinned; the caller must Put it. The page is marked dirty.
-func (bp *BufferPool) Allocate() (PageID, []byte, error) {
-	id, err := bp.pager.Allocate()
-	if err != nil {
-		return InvalidPageID, nil, err
-	}
-	for len(bp.frames) >= bp.capacity {
-		if err := bp.evictOne(); err != nil {
-			return InvalidPageID, nil, err
-		}
-	}
-	f := bp.newFrame(id)
-	clear(f.data) // recycled buffers carry stale bytes; new pages are zeroed
-	f.dirty = true
-	f.pins = 1
-	bp.frames[id] = f
-	bp.lruPushFront(f)
-	return id, f.data, nil
-}
-
-// Flush writes back every dirty page without evicting anything.
-func (bp *BufferPool) Flush() error {
-	for _, f := range bp.frames {
-		if !f.dirty {
-			continue
-		}
-		if err := bp.pager.WritePage(f.id, f.data); err != nil {
-			return err
-		}
-		bp.stats.Writes++
-		f.dirty = false
-	}
-	return bp.pager.Sync()
 }

@@ -6,7 +6,8 @@ import "time"
 // reports query time split into CPU and I/O on a c. 2010 magnetic disk;
 // since our substrate is simulated, we apply an explicit model instead:
 // every random miss pays a positioning latency (seek + rotation), every
-// sequential miss pays only the transfer time of one page.
+// sequential miss pays only the transfer time of one page. A trace holds
+// reads only: a BufferPool never writes, and queries are what is modelled.
 //
 // The defaults approximate a 7200 rpm SATA disk of the paper's era:
 // ~8 ms average positioning, ~35 MB/s effective sequential transfer
@@ -24,9 +25,6 @@ type DiskModel struct {
 	NearLatency time.Duration
 	// SequentialLatency is charged per sequential page miss.
 	SequentialLatency time.Duration
-	// WriteLatency is charged per page write-back (used by the update
-	// experiments; treated as sequential by default batch writers).
-	WriteLatency time.Duration
 }
 
 // DefaultDiskModel returns the constants described on DiskModel. The
@@ -40,7 +38,6 @@ func DefaultDiskModel() DiskModel {
 		RandomLatency:     5 * time.Millisecond,
 		NearLatency:       1 * time.Millisecond,
 		SequentialLatency: 110 * time.Microsecond,
-		WriteLatency:      110 * time.Microsecond,
 	}
 }
 
@@ -48,6 +45,5 @@ func DefaultDiskModel() DiskModel {
 func (m DiskModel) Time(s AccessStats) time.Duration {
 	return time.Duration(s.RandMisses)*m.RandomLatency +
 		time.Duration(s.NearMisses)*m.NearLatency +
-		time.Duration(s.SeqMisses)*m.SequentialLatency +
-		time.Duration(s.Writes)*m.WriteLatency
+		time.Duration(s.SeqMisses)*m.SequentialLatency
 }

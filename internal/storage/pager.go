@@ -5,6 +5,10 @@
 // configurable disk model that converts an access trace into estimated I/O
 // time.
 //
+// Pages are written once: an index builder writes each page straight to a
+// fresh pager, and from then on the pages are only read, through a
+// BufferPool, which is a read cache and has no write path.
+//
 // The paper (§5) evaluates all indexes on Berkeley DB with the database
 // cache set to the minimum (32 KB) and reports "the actual disk page
 // accesses, reported as cache misses by the database". BufferPool

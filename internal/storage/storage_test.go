@@ -209,96 +209,94 @@ func TestBufferPoolHitsAndMisses(t *testing.T) {
 	}
 }
 
-func TestBufferPoolWriteBack(t *testing.T) {
-	mem := NewMemPager(64)
-	pool := NewBufferPool(mem, 1)
-	id, data, err := pool.Allocate()
-	if err != nil {
-		t.Fatal(err)
+// filledPager returns a pager of n pages, every byte of page id being
+// byte(id+1): pages written once, before any pool reads them.
+func filledPager(t *testing.T, pageSize, n int) *MemPager {
+	t.Helper()
+	p := NewMemPager(pageSize)
+	buf := make([]byte, pageSize)
+	for i := 0; i < n; i++ {
+		id, err := p.Allocate()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for j := range buf {
+			buf[j] = byte(id + 1)
+		}
+		if err := p.WritePage(id, buf); err != nil {
+			t.Fatal(err)
+		}
 	}
-	copy(data, []byte("hello"))
-	pool.MarkDirty(id)
-	pool.Put(id)
-
-	// Force eviction by touching another page.
-	id2, _, err := pool.Allocate()
-	if err != nil {
-		t.Fatal(err)
-	}
-	pool.Put(id2)
-	if err := pool.Flush(); err != nil {
-		t.Fatal(err)
-	}
-
-	got := make([]byte, 64)
-	if err := mem.ReadPage(id, got); err != nil {
-		t.Fatal(err)
-	}
-	if string(got[:5]) != "hello" {
-		t.Fatalf("written-back page = %q, want hello prefix", got[:5])
-	}
+	return p
 }
 
 func TestBufferPoolPinPreventsEviction(t *testing.T) {
-	pool := NewBufferPool(NewMemPager(64), 2)
-	id0, _, err := pool.Allocate()
-	if err != nil {
+	pool := NewBufferPool(filledPager(t, 64, 5), 2)
+	// Page 0 stays pinned while the rest stream through the other frame;
+	// the pool must evict around the pin.
+	if _, err := pool.Get(0); err != nil {
 		t.Fatal(err)
 	}
-	// id0 stays pinned. Fill the rest of the pool and keep going; the pool
-	// must evict around the pin.
-	for i := 0; i < 4; i++ {
-		id, _, err := pool.Allocate()
-		if err != nil {
+	for id := PageID(1); id < 5; id++ {
+		if _, err := pool.Get(id); err != nil {
 			t.Fatal(err)
 		}
 		pool.Put(id)
 	}
 	// The pinned page must still be resident: re-Get must be a hit.
 	before := pool.Stats().Misses
-	if _, err := pool.Get(id0); err != nil {
+	if _, err := pool.Get(0); err != nil {
 		t.Fatal(err)
 	}
-	pool.Put(id0)
-	pool.Put(id0) // release the original pin
+	pool.Put(0)
+	pool.Put(0) // release the original pin
 	if pool.Stats().Misses != before {
 		t.Fatal("pinned page was evicted")
 	}
 }
 
 func TestBufferPoolAllPinnedFails(t *testing.T) {
-	pool := NewBufferPool(NewMemPager(64), 1)
-	id, _, err := pool.Allocate()
-	if err != nil {
+	pool := NewBufferPool(filledPager(t, 64, 2), 1)
+	if _, err := pool.Get(0); err != nil { // keep pinned
 		t.Fatal(err)
 	}
-	_ = id // keep pinned
-	if _, _, err := pool.Allocate(); err == nil {
-		t.Fatal("Allocate with all frames pinned succeeded, want error")
+	if _, err := pool.Get(1); err == nil {
+		t.Fatal("Get with all frames pinned succeeded, want error")
 	}
 }
 
 func TestBufferPoolDropAll(t *testing.T) {
-	mem := NewMemPager(64)
-	pool := NewBufferPool(mem, 4)
-	id, data, err := pool.Allocate()
-	if err != nil {
+	pool := NewBufferPool(filledPager(t, 64, 2), 4)
+	if _, err := pool.Get(1); err != nil {
 		t.Fatal(err)
 	}
-	copy(data, []byte("persist"))
-	pool.MarkDirty(id)
-	pool.Put(id)
+	// DropAll refuses a pinned frame and leaves the cache as it was.
+	if err := pool.DropAll(); err == nil {
+		t.Fatal("DropAll with a pinned page succeeded")
+	}
+	if err := pool.Put(1); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := pool.Get(1); err != nil {
+		t.Fatal(err)
+	}
+	if err := pool.Put(1); err != nil {
+		t.Fatal(err)
+	}
+	if got := pool.Stats(); got.Hits != 1 || got.Misses != 1 {
+		t.Fatalf("refused DropAll changed the cache: %v, want 1 hit 1 miss", got)
+	}
 	if err := pool.DropAll(); err != nil {
 		t.Fatal(err)
 	}
 	pool.ResetStats()
-	b, err := pool.Get(id)
+	b, err := pool.Get(1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer pool.Put(id)
-	if string(b[:7]) != "persist" {
-		t.Fatal("DropAll lost dirty data")
+	defer pool.Put(1)
+	if b[0] != 2 {
+		t.Fatalf("page 1 read back as %#x after DropAll, want 0x02", b[0])
 	}
 	if pool.Stats().Misses != 1 {
 		t.Fatal("page survived DropAll in cache")
@@ -306,76 +304,51 @@ func TestBufferPoolDropAll(t *testing.T) {
 }
 
 func TestBufferPoolRandomizedAgainstPager(t *testing.T) {
-	// Property: a pool over a pager behaves exactly like the pager alone.
+	// Property: a pool over a pager reads exactly what the pager holds,
+	// whatever the mix of hits, misses, evictions and held pins.
 	rng := rand.New(rand.NewSource(42))
 	mem := NewMemPager(32)
-	pool := NewBufferPool(mem, 3)
-	shadow := make(map[PageID][]byte)
-
-	var ids []PageID
-	for step := 0; step < 2000; step++ {
-		switch op := rng.Intn(3); {
-		case op == 0 || len(ids) == 0:
-			id, data, err := pool.Allocate()
-			if err != nil {
-				t.Fatal(err)
-			}
-			rng.Read(data)
-			pool.MarkDirty(id)
-			pool.Put(id)
-			cp := make([]byte, 32)
-			b, err := pool.Get(id)
-			if err != nil {
-				t.Fatal(err)
-			}
-			copy(cp, b)
-			pool.Put(id)
-			shadow[id] = cp
-			ids = append(ids, id)
-		case op == 1:
-			id := ids[rng.Intn(len(ids))]
-			b, err := pool.Get(id)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(b, shadow[id]) {
-				t.Fatalf("step %d: page %d contents diverged", step, id)
-			}
-			pool.Put(id)
-		default:
-			id := ids[rng.Intn(len(ids))]
-			b, err := pool.Get(id)
-			if err != nil {
-				t.Fatal(err)
-			}
-			rng.Read(b)
-			cp := make([]byte, 32)
-			copy(cp, b)
-			shadow[id] = cp
-			pool.MarkDirty(id)
-			pool.Put(id)
-		}
-	}
-	if err := pool.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	// After flush the raw pager must agree with the shadow.
-	buf := make([]byte, 32)
-	for id, want := range shadow {
-		if err := mem.ReadPage(id, buf); err != nil {
+	shadow := make([][]byte, 64)
+	for range shadow {
+		id, err := mem.Allocate()
+		if err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(buf, want) {
-			t.Fatalf("after flush page %d differs", id)
+		shadow[id] = make([]byte, 32)
+		rng.Read(shadow[id])
+		if err := mem.WritePage(id, shadow[id]); err != nil {
+			t.Fatal(err)
 		}
+	}
+	pool := NewBufferPool(mem, 3)
+	var held []PageID // at most two pins outlive a step
+	for step := 0; step < 2000; step++ {
+		id := PageID(rng.Intn(len(shadow)))
+		b, err := pool.Get(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(b, shadow[id]) {
+			t.Fatalf("step %d: page %d contents diverged", step, id)
+		}
+		held = append(held, id)
+		for len(held) > 2 || (len(held) > 0 && rng.Intn(2) == 0) {
+			if err := pool.Put(held[0]); err != nil {
+				t.Fatal(err)
+			}
+			held = held[1:]
+		}
+	}
+	if st := pool.Stats(); st.Accesses() != 2000 || st.Misses == 0 || st.Hits == 0 {
+		t.Fatalf("stats %v after 2000 Gets over 64 pages", st)
 	}
 }
 
 func TestAccessStatsArithmetic(t *testing.T) {
-	a := AccessStats{Hits: 10, Misses: 5, SeqMisses: 3, NearMisses: 1, RandMisses: 2, Writes: 1}
-	b := AccessStats{Hits: 4, Misses: 2, SeqMisses: 1, NearMisses: 1, RandMisses: 1, Writes: 0}
+	a := AccessStats{Hits: 10, Misses: 5, SeqMisses: 3, NearMisses: 1, RandMisses: 2}
+	b := AccessStats{Hits: 4, Misses: 2, SeqMisses: 1, NearMisses: 1, RandMisses: 1}
 	d := a.Sub(b)
-	if d.Hits != 6 || d.Misses != 3 || d.SeqMisses != 2 || d.NearMisses != 0 || d.RandMisses != 1 || d.Writes != 1 {
+	if d.Hits != 6 || d.Misses != 3 || d.SeqMisses != 2 || d.NearMisses != 0 || d.RandMisses != 1 {
 		t.Fatalf("Sub = %+v", d)
 	}
 	s := d.Add(b)
@@ -392,10 +365,9 @@ func TestDiskModelTime(t *testing.T) {
 		RandomLatency:     10 * time.Millisecond,
 		NearLatency:       3 * time.Millisecond,
 		SequentialLatency: 1 * time.Millisecond,
-		WriteLatency:      2 * time.Millisecond,
 	}
-	s := AccessStats{RandMisses: 3, NearMisses: 2, SeqMisses: 5, Writes: 2}
-	want := 3*10*time.Millisecond + 2*3*time.Millisecond + 5*time.Millisecond + 2*2*time.Millisecond
+	s := AccessStats{RandMisses: 3, NearMisses: 2, SeqMisses: 5}
+	want := 3*10*time.Millisecond + 2*3*time.Millisecond + 5*time.Millisecond
 	if got := m.Time(s); got != want {
 		t.Fatalf("Time = %v, want %v", got, want)
 	}
@@ -406,9 +378,9 @@ func TestDiskModelTime(t *testing.T) {
 }
 
 func TestBufferPoolPutAccounting(t *testing.T) {
-	pool := NewBufferPool(NewMemPager(64), 2)
-	id, _, err := pool.Allocate()
-	if err != nil {
+	pool := NewBufferPool(filledPager(t, 64, 1), 2)
+	id := PageID(0)
+	if _, err := pool.Get(id); err != nil {
 		t.Fatal(err)
 	}
 	if err := pool.Put(id); err != nil {
@@ -540,41 +512,5 @@ func TestBufferPoolDropAllRecyclesFrames(t *testing.T) {
 	// buffers themselves must all come from the free-list.
 	if allocs > 2 {
 		t.Fatalf("post-DropAll reads allocated %.1f times per run", allocs)
-	}
-}
-
-func TestBufferPoolAllocateZeroesRecycledFrames(t *testing.T) {
-	mem := NewMemPager(128)
-	pool := NewBufferPool(mem, 1)
-	id, data, err := pool.Allocate()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range data {
-		data[i] = 0xAB
-	}
-	pool.MarkDirty(id)
-	if err := pool.Put(id); err != nil {
-		t.Fatal(err)
-	}
-	// Evict the dirtied frame into the free-list, then allocate: the
-	// recycled buffer must come back zeroed.
-	if _, err := mem.Allocate(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := pool.Get(1); err != nil {
-		t.Fatal(err)
-	}
-	if err := pool.Put(1); err != nil {
-		t.Fatal(err)
-	}
-	_, fresh, err := pool.Allocate()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, b := range fresh {
-		if b != 0 {
-			t.Fatalf("recycled Allocate buffer byte %d = %#x, want 0", i, b)
-		}
 	}
 }

@@ -23,9 +23,8 @@ import (
 // comparison (the paper: "exactly in the same way we created the OIF
 // (same block size)").
 type Options struct {
-	PageSize       int
-	BlockPostings  int
-	BuildPoolPages int
+	PageSize      int
+	BlockPostings int
 }
 
 func (o *Options) fill() {
@@ -34,9 +33,6 @@ func (o *Options) fill() {
 	}
 	if o.BlockPostings <= 0 {
 		o.BlockPostings = 64
-	}
-	if o.BuildPoolPages <= 0 {
-		o.BuildPoolPages = 1024
 	}
 }
 
@@ -67,7 +63,7 @@ func keyLastID(k []byte) uint32     { return binary.BigEndian.Uint32(k[4:]) }
 // paper builds both with the same block size for a fair ablation).
 func Build(d *dataset.Dataset, opts Options) (*Index, error) {
 	opts.fill()
-	pool := storage.NewBufferPool(storage.NewMemPager(opts.PageSize), opts.BuildPoolPages)
+	pool := storage.NewBufferPool(storage.NewMemPager(opts.PageSize), storage.DefaultPoolPages)
 	ix := &Index{
 		domainSize: d.DomainSize(),
 		numRecords: d.Len(),
@@ -128,7 +124,7 @@ func Build(d *dataset.Dataset, opts Options) (*Index, error) {
 		v := pend[curItem].vals[curIdx]
 		curIdx++
 		return k, v, true, nil
-	}, 90)
+	})
 	if err != nil {
 		return nil, err
 	}

@@ -4,13 +4,15 @@
 # (doc comments stripped), the exported function+method count per
 # package, and the non-test line count of setcontain/. internal/wire is
 # listed and counted with them: serve re-exports its JSON bodies as
-# aliases, and `go doc` hides an alias's struct fields. A second size
-# line counts the index layer below the engine (the three index
-# packages, their dataset model and the shared update overlay), which has
-# no exported surface to list but whose growth or shrinkage a PR should
-# show just the same. `make api-surface` writes the output to
-# docs/API.txt, which is checked in so a PR that grows either shows it
-# in its diff; the CI docs job fails when the file is stale.
+# aliases, and `go doc` hides an alias's struct fields. Two more size
+# lines count the layers below the engine, which have no exported surface
+# to list but whose growth or shrinkage a PR should show just the same:
+# the index layer (the three index packages, their dataset model and the
+# shared update overlay) and the storage layer under it (the B-tree, the
+# IF's list store, and the pager and buffer pool), where a page-format
+# change lands. `make api-surface` writes the output to docs/API.txt,
+# which is checked in so a PR that grows any of them shows it in its
+# diff; the CI docs job fails when the file is stale.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -34,3 +36,4 @@ lines() {
 }
 echo "setcontain/ + internal/wire non-test lines: $(lines setcontain setcontain/serve internal/wire)"
 echo "index layer (internal/core, invfile, ubtree, dataset, overlay) non-test lines: $(lines internal/core internal/invfile internal/ubtree internal/dataset internal/overlay)"
+echo "storage layer (internal/btree, storage, liststore) non-test lines: $(lines internal/btree internal/storage internal/liststore)"
