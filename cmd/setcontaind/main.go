@@ -2,9 +2,9 @@
 // indexes a dataset (a file in the text or msweb formats, or a
 // generated skewed synthetic collection), wraps the index in a
 // concurrency-safe Store, and answers remote clients through the
-// serve package's micro-batching layer: queries that queue up while the
-// dispatchers are busy leave as one batch (-maxbatch, -dispatchers), and
-// a lone query is dispatched at once.
+// serve package: each query executes on its request's own goroutine, at
+// most -dispatchers at once, with at most -maxpending more waiting for
+// a slot; beyond that a query is refused with 429.
 //
 // Usage:
 //
@@ -88,6 +88,7 @@ import (
 
 	"repro/internal/dataset"
 	"repro/internal/wal"
+	"repro/internal/wire"
 	"repro/setcontain"
 	"repro/setcontain/serve"
 )
@@ -134,12 +135,15 @@ func main() {
 		walSegment = flag.Int64("wal-segment", 0, "WAL segment rotation threshold in bytes (0 = 4MB)")
 		ckptBytes  = flag.Int64("checkpoint-bytes", 0, "log bytes between automatic checkpoints (0 = 64MB, negative disables)")
 
-		maxBatch    = flag.Int("maxbatch", 0, "max queries per coalesced dispatch (0 = 64)")
-		maxPending  = flag.Int("maxpending", 0, "admission bound on queued queries (0 = 4x maxbatch)")
-		dispatchers = flag.Int("dispatchers", 0, "concurrent batch executors (0 = GOMAXPROCS)")
-		chunk       = flag.Int("chunk", 0, "ids per NDJSON response line (0 = 4096; a coordinator refuses a line over 1 MiB, about 95 000 ids)")
+		maxPending  = flag.Int("maxpending", 0, "admission bound on queries waiting for a slot (0 = 256)")
+		dispatchers = flag.Int("dispatchers", 0, "queries executing at once (0 = GOMAXPROCS)")
+		chunk       = flag.Int("chunk", 0, fmt.Sprintf("ids per NDJSON response line (0 = 4096, at most %d: a coordinator refuses a line over %d bytes)", wire.MaxResultIDs, wire.MaxLineBytes))
 	)
 	flag.Parse()
+
+	if *chunk > wire.MaxResultIDs {
+		log.Fatalf("setcontaind: -chunk %d is over %d, the most ids whose line a coordinator reads", *chunk, wire.MaxResultIDs)
+	}
 
 	if *splitSnap != "" {
 		if *snapshot == "" {
@@ -270,7 +274,6 @@ func main() {
 	}
 
 	sv := serve.NewServer(idx, store, serve.Config{
-		MaxBatch:    *maxBatch,
 		MaxPending:  *maxPending,
 		Dispatchers: *dispatchers,
 		ChunkIDs:    *chunk,
@@ -297,8 +300,8 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	// Shutdown closes the listener (ListenAndServe returns immediately)
-	// and then drains in-flight connections; main must wait for the
-	// drain before closing the batcher, or live queries die mid-answer.
+	// and then drains in-flight connections; main waits for the drain
+	// before closing the server, so no query is refused mid-request.
 	drained := make(chan struct{})
 	go func() {
 		defer close(drained)

@@ -1,8 +1,8 @@
 // Service: the serving layer end-to-end in one process — index a
 // skewed collection, stand up the setcontaind HTTP surface on a local
 // port, and play the client side: a batched POST /query, the textual
-// GET form, a flushed /stream, and a /stats readback showing whether
-// micro-batching engaged.
+// GET form, a flushed /stream, and a /stats readback of the admission
+// counters.
 //
 // In production the two halves run in different processes (see
 // cmd/setcontaind and docs/ARCHITECTURE.md); everything over the wire
@@ -86,7 +86,7 @@ func main() {
 	printResults(resp)
 
 	// Huge answers stream in flushed chunks: /stream is /query with a
-	// flush after every line, admitted through the same micro-batcher.
+	// flush after every line, admitted through the same batcher.
 	// subset{0} (the hottest item) matches thousands of records,
 	// delivered 256 ids per line.
 	resp, err = http.Get(base + "/stream?q=subset{0}")
@@ -107,7 +107,7 @@ func main() {
 	resp.Body.Close()
 	fmt.Printf("GET /stream?q=subset{0}: %d ids in %d NDJSON chunks\n\n", total, chunks)
 
-	// Concurrent clients make micro-batching visible in /stats.
+	// Concurrent clients show the admission counters in /stats.
 	var wg sync.WaitGroup
 	for c := 0; c < 8; c++ {
 		wg.Add(1)
@@ -136,9 +136,8 @@ func main() {
 	}
 	resp.Body.Close()
 	fmt.Printf("after 8 concurrent clients x 25 queries:\n")
-	fmt.Printf("  queries=%d batches=%d mean batch=%.2f (coalescing %s)\n",
-		st.Batcher.Queries, st.Batcher.Batches, st.Batcher.MeanBatch,
-		map[bool]string{true: "engaged", false: "idle"}[st.Batcher.MeanBatch > 1])
+	fmt.Printf("  queries=%d rejected=%d canceled=%d\n",
+		st.Batcher.Queries, st.Batcher.Rejected, st.Batcher.Canceled)
 	hitRate := 0.0
 	if total := st.Store.CacheHits + st.Store.PageReads; total > 0 {
 		hitRate = float64(st.Store.CacheHits) / float64(total)

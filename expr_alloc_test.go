@@ -6,9 +6,8 @@ package repro
 // fixtures as the micro-benchmarks beside this file. allocs/op is the
 // one signal of theirs that no benchmark/ workload carries, so it is a
 // test. Built only without -race: the detector's instrumentation
-// allocates. The one non-trivial ceiling, ExprCSE/batched, is what the
-// last checked-in go test -bench baseline recorded; go1.24 measures 435
-// here.
+// allocates. Every ceiling is zero but ExprPlanner/planned's, whose ops
+// each start on a fresh Evaluator.
 
 import (
 	"testing"
@@ -51,10 +50,6 @@ func TestExprAllocCeilings(t *testing.T) {
 				return err
 			}
 		}},
-		{"ExprCSE/batched", 436, func(t *testing.T) (int, func(int) error) {
-			batch := exprCSEBatch(exprCSEFixture(t))
-			return 1, func(int) error { return batch() }
-		}},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -71,8 +66,7 @@ func TestExprAllocCeilings(t *testing.T) {
 			for i < 2*n {
 				next()
 			}
-			// 128 runs: two passes of the 64-op workloads, and enough
-			// batches that a pool emptied by a collection averages out.
+			// 128 runs: two passes of the 64-op workloads.
 			allocs := testing.AllocsPerRun(128, next)
 			t.Logf("%.0f allocs per warm op, ceiling %.0f", allocs, c.ceiling)
 			if allocs > c.ceiling {

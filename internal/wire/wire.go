@@ -60,6 +60,19 @@ type Result struct {
 	Error string `json:"error,omitempty"`
 }
 
+// MaxLineBytes caps one NDJSON answer line, its newline not counted: a
+// coordinator refuses a longer line from a shard, so a broken or hostile
+// shard cannot grow its read buffer unbounded.
+const MaxLineBytes = 1 << 20
+
+// MaxResultIDs is the most ids one Result line may carry and still fit
+// MaxLineBytes. An id costs at most eleven bytes ("4294967295,"); the
+// rest of a line is at most its keys, both flags and two ints at their
+// widest.
+const MaxResultIDs = (MaxLineBytes - resultLineOverhead) / 11
+
+const resultLineOverhead = len(`{"query":,"ids":[],"more":true,"done":true,"count":}`) + 2*len("-9223372036854775808")
+
 // HealthResponse is the GET /healthz body. A coordinator reads a
 // shard's identity (kind, counts, vocabulary) from it.
 type HealthResponse struct {

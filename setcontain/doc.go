@@ -55,13 +55,13 @@
 //	ids, err = st.ExecExprLimitAppend(ctx, ids[:0], expr, 10)
 //
 // Every Store form — Exec, ExecAppend, ExecExprAppend,
-// ExecExprLimitAppend, ExecBatch, ExecBatchAppend — is a thin adapter
-// over one request core: a request that is one plain leaf with no limit
-// runs straight on the pooled reader, anything else is planned once,
-// pushed down to every shard of a sharded index, and counted in
-// ExprStats. ExecBatchAppend answers many requests on one pooled reader,
-// evaluating plan subtrees they share once — the fan-in form the
-// setcontain/serve package's micro-batcher dispatches through.
+// ExecExprLimitAppend, ExecBatch — is a thin adapter over one request
+// core that answers one request on one pooled reader: a request that
+// is one plain leaf with no limit runs straight on the reader, anything
+// else is planned once, pushed down to every shard of a sharded index,
+// and counted in ExprStats. ExecBatch fans many queries out across
+// pooled readers. The setcontain/serve package calls
+// ExecExprLimitAppend once per query, on the request's own goroutine.
 //
 // # Durability and mutation
 //

@@ -81,36 +81,3 @@ func ExampleStore_Exec() {
 	// Output:
 	// [1 2 3 4]
 }
-
-// ExampleStore_ExecBatchAppend answers a whole batch on one pooled
-// reader with caller-owned answer buffers — the fan-in entry point the
-// serve package's micro-batcher uses.
-func ExampleStore_ExecBatchAppend() {
-	coll := setcontain.NewCollection(100)
-	for _, set := range [][]setcontain.Item{
-		{1, 2, 3}, {2, 3}, {1, 3, 4}, {3},
-	} {
-		if _, err := coll.Add(set); err != nil {
-			log.Fatal(err)
-		}
-	}
-	idx, err := setcontain.New(coll)
-	if err != nil {
-		log.Fatal(err)
-	}
-	store := setcontain.NewStore(idx, 0)
-
-	items := []setcontain.BatchItem{
-		{Query: setcontain.SubsetQuery([]setcontain.Item{3})},
-		{Query: setcontain.SupersetQuery([]setcontain.Item{2, 3})},
-	}
-	if _, err := store.ExecBatchAppend(context.Background(), items); err != nil {
-		log.Fatal(err)
-	}
-	for _, it := range items {
-		fmt.Println(it.Query, it.Out)
-	}
-	// Output:
-	// subset{3} [1 2 3 4]
-	// superset{2 3} [2 4]
-}

@@ -1,9 +1,5 @@
 package setcontain
 
-// MaxAnswerLine is the remote client's NDJSON line cap, for the fuzz
-// target's oracle.
-const MaxAnswerLine = maxAnswerLine
-
 // WrapShardClients replaces every shard client of a sharded index with
 // wrap's decoration of it — the external tests' way of injecting faults
 // into an index that New or Open assembled, whose clients are otherwise

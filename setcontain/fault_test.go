@@ -385,41 +385,19 @@ func TestShardFaults(t *testing.T) {
 			return answered(dctx, v, o, op)
 		}
 	}
-	// itemDeadline sends op twice in one batch under a live batch ctx: the
-	// first item's own ctx expires while the victim sits out its delay and
-	// must fail with that ctx's error; its batchmate waits the delay out
-	// and must be answered in full.
-	itemDeadline := func(op transportOp) func(*transportVariant, *naiveOracle) error {
-		return func(v *transportVariant, o *naiveOracle) error {
-			dctx, cancel := context.WithTimeout(ctx, time.Millisecond)
-			defer cancel()
-			items := []setcontain.BatchItem{
-				{Ctx: dctx, Expr: op.expr, Limit: op.limit},
-				{Expr: op.expr, Limit: op.limit},
-			}
-			if n, err := v.store.ExecBatchAppend(ctx, items); n != len(items) || err != nil {
-				return fmt.Errorf("batch stopped after %d of %d items: %v", n, len(items), err)
-			}
-			if mate := items[1]; mate.Err != nil || !slices.Equal(mate.Out, o.answer(t, op)) {
-				t.Errorf("%s: batchmate of an expired item got %v, %v; oracle says %v", v.name, mate.Out, mate.Err, o.answer(t, op))
-			}
-			if err := items[0].Err; !errors.Is(err, context.DeadlineExceeded) || items[0].Out != nil {
-				t.Errorf("%s: expired item got %v, %v; want no answer and its own ctx's DeadlineExceeded", v.name, items[0].Out, err)
-			}
-			return items[0].Err
-		}
-	}
 	// batchClosed closes a batcher while its one request is in flight on
-	// the victim: the batch ctx is all that can end the shard calls, and
-	// Close must not have to wait the delay out.
+	// the victim. Close must return at once and refuse a later call; the
+	// request's own ctx is what ends the shard calls.
 	batchClosed := func(op transportOp) func(*transportVariant, *naiveOracle) error {
 		return func(v *transportVariant, _ *naiveOracle) error {
 			b := serve.NewBatcher(v.store, serve.Config{})
+			rctx, cancel := context.WithCancel(ctx)
+			defer cancel()
 			failed := make(chan error, 1)
 			go func() {
-				ids, err := b.DoExprLimit(ctx, nil, op.expr, op.limit)
-				if !errors.Is(err, serve.ErrClosed) && !errors.Is(err, context.Canceled) {
-					t.Errorf("%s: request in flight at Close got %v, %v; want ErrClosed or the batch ctx's Canceled", v.name, ids, err)
+				ids, err := b.DoExprLimit(rctx, nil, op.expr, op.limit)
+				if !errors.Is(err, context.Canceled) {
+					t.Errorf("%s: request in flight at Close got %v, %v; want its ctx's Canceled", v.name, ids, err)
 				}
 				failed <- err
 			}()
@@ -427,8 +405,12 @@ func TestShardFaults(t *testing.T) {
 			start := time.Now()
 			b.Close()
 			if took := time.Since(start); took > time.Second {
-				t.Errorf("%s: Batcher.Close took %v with a shard call in flight: the batch ctx did not end it", v.name, took)
+				t.Errorf("%s: Batcher.Close took %v with a shard call in flight", v.name, took)
 			}
+			if _, err := b.DoExprLimit(ctx, nil, op.expr, op.limit); !errors.Is(err, serve.ErrClosed) {
+				t.Errorf("%s: call after Close got %v, want ErrClosed", v.name, err)
+			}
+			cancel()
 			return <-failed
 		}
 	}
@@ -447,11 +429,9 @@ func TestShardFaults(t *testing.T) {
 		{shardFault{call: "AppendExpr", shard: victim, fail: true}, mustFail, true, query(treeOp)},
 		{shardFault{call: "AppendExpr", shard: victim, truncate: true}, mustFail, true, query(treeOp)},
 		{shardFault{call: "AppendExpr", shard: victim, delay: 20 * time.Millisecond}, either, false, underDeadline(treeOp)},
-		// Cancellation is the call's ctx and nothing else: an item's own,
-		// the batch's, or the scatter's when a sibling fails while the
-		// in-process shards beside it are evaluating.
-		{shardFault{call: "AppendQuery", shard: victim, delay: 20 * time.Millisecond}, mustFail, false, itemDeadline(plainOp)},
-		{shardFault{call: "AppendExpr", shard: victim, delay: 20 * time.Millisecond}, mustFail, false, itemDeadline(treeOp)},
+		// Cancellation is the call's ctx and nothing else: the request's
+		// own, or the scatter's when a sibling fails while the in-process
+		// shards beside it are evaluating.
 		{shardFault{call: "AppendQuery", shard: victim, delay: time.Minute}, mustFail, false, batchClosed(plainOp)},
 		{shardFault{call: "AppendExpr", shard: victim, delay: time.Minute}, mustFail, false, batchClosed(treeOp)},
 		{shardFault{call: "POST /query", shard: victim, delay: time.Minute}, mustFail, false, batchClosed(treeOp)},

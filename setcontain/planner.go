@@ -172,9 +172,8 @@ func planNode(e *Expr, sup *SupportProfile) *PlanNode {
 	case OpOr:
 		// Union is commutative, so the order changes no answer. OR
 		// children are cost-sorted anyway: legs written in different
-		// orders then plan alike wherever their costs differ, so the CSE
-		// key planCanon writes and the explain output follow cost, not
-		// spelling.
+		// orders then plan alike wherever their costs differ, so the
+		// explain output follows cost, not spelling.
 		n.Kids = planKids(e, sup, &n.Leaves)
 		sort.SliceStable(n.Kids, func(i, j int) bool {
 			return n.Kids[i].Cost < n.Kids[j].Cost
@@ -240,14 +239,12 @@ type ExprEvalStats struct {
 // exprEval is one planned evaluation: the target (unwrapped to its
 // backend) and its discovered candidate pushdown, the lazily
 // computed universe (the subset{} answer — every live record id), the
-// owning Evaluator whose free list recycles intermediate buffers, the
-// batch's subexpression cache when evaluating inside one, and the leaf
-// accounting.
+// owning Evaluator whose free list recycles intermediate buffers, and
+// the leaf accounting.
 type exprEval struct {
 	t            Queryable
 	owner        *Evaluator
 	within       subsetWithiner // candidate pushdown, nil when unavailable
-	cse          *cseState      // batch subexpression cache, usually nil
 	universe     []uint32
 	haveUniverse bool
 	stats        ExprEvalStats
@@ -265,8 +262,8 @@ func (ev *exprEval) take() []uint32 {
 	return nil
 }
 
-// put recycles a buffer the evaluator owns; un-owned slices — the
-// shared universe, cached CSE results — are never recycled.
+// put recycles a buffer the evaluator owns; an un-owned slice — the
+// shared universe — is never recycled.
 func (ev *exprEval) put(b []uint32, owned bool) {
 	if owned && cap(b) > 0 {
 		ev.owner.free = append(ev.owner.free, b)
@@ -287,33 +284,8 @@ func (ev *exprEval) getUniverse() ([]uint32, error) {
 
 // eval computes the node's answer. The returned slice is owned by the
 // evaluator's free list when owned is true; false marks a shared slice
-// — the universe or a batch-cached result — which must not be recycled
-// or mutated. Inside a batch, nodes shared across its expressions
-// evaluate once and serve every later occurrence from cache.
+// — the universe — which must not be recycled or mutated.
 func (ev *exprEval) eval(n *PlanNode) (ids []uint32, owned bool, err error) {
-	if ev.cse != nil {
-		if key, shared := ev.cse.keys[n]; shared {
-			if cached, hit := ev.cse.cache[key]; hit {
-				ev.cse.hits++
-				ev.cse.savedLeaves += n.Leaves
-				return cached, false, nil
-			}
-			ids, _, err := ev.evalNode(n)
-			if err != nil {
-				return nil, false, err
-			}
-			ev.cse.misses++
-			// The cached slice must survive the whole batch: pin it by
-			// returning it un-owned, so it is neither recycled nor
-			// mutated while later expressions still read it.
-			ev.cse.cache[key] = ids
-			return ids, false, nil
-		}
-	}
-	return ev.evalNode(n)
-}
-
-func (ev *exprEval) evalNode(n *PlanNode) (ids []uint32, owned bool, err error) {
 	switch n.Op {
 	case OpLeaf:
 		ev.stats.EvaluatedLeaves++
@@ -369,14 +341,11 @@ func (ev *exprEval) evalNode(n *PlanNode) (ids []uint32, owned bool, err error) 
 				acc, accOwned = out, true
 				continue
 			}
-			if !first && ev.within != nil && k.Op == OpLeaf &&
-				k.Leaf.Pred == PredicateSubset && !ev.cseShared(k) {
+			if !first && ev.within != nil && k.Op == OpLeaf && k.Leaf.Pred == PredicateSubset {
 				// Streaming pushdown: answer the leaf *within* the
 				// accumulated candidate set in one pass — each candidate
 				// is confirmed or discarded against the leaf's lists and
 				// the leaf's full (often huge) answer is never built.
-				// Shared CSE leaves keep materializing: their cached
-				// answer feeds several consumers.
 				ev.stats.EvaluatedLeaves++
 				ev.stats.StreamedLeaves++
 				out, err := ev.within.AppendSubsetWithin(ev.take(), k.Leaf.Items, acc)
@@ -567,8 +536,8 @@ func (ix *Index) EvalExprLimit(e *Expr, n int) ([]uint32, error) {
 		ids, err = se.evalExpr(e, n)
 	} else {
 		var evr Evaluator
-		it := BatchItem{Expr: e, Limit: n}
-		ids, _, err = it.planExec(ix.eng, ix, &evr)
+		rq := request{e: e, limit: n}
+		ids, _, err = rq.planExec(ix.eng, ix, &evr)
 	}
 	if err != nil {
 		return nil, err

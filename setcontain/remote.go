@@ -43,12 +43,6 @@ import (
 // at the caller's context (which may have no deadline at all).
 const shardDialTimeout = 5 * time.Second
 
-// maxAnswerLine caps one NDJSON line of a shard's answer, so a broken
-// or hostile shard cannot grow a coordinator's read buffer unbounded. A
-// daemon writes its chunk of ids a line — 4096 by default, under 48 KB
-// at eleven bytes an id — so 1 MiB leaves a larger -chunk twentyfold room.
-const maxAnswerLine = 1 << 20
-
 // NewRemoteShard returns a ShardClient for the shard daemon at baseURL
 // (e.g. "http://127.0.0.1:7411"). hc is the HTTP client to use; nil
 // selects a dedicated client that gives up on a connection attempt
@@ -249,13 +243,13 @@ func (s *remoteSession) appendWire(ctx context.Context, dst []uint32, spec wire.
 // It returns the complete answer or an error, never a prefix: the
 // stream must reach a final line whose count matches what was received
 // (a daemon that died mid-answer fails the call), every line must be
-// one wire.Result of at most maxAnswerLine bytes belonging to query 0
+// one wire.Result of at most wire.MaxLineBytes bytes belonging to query 0
 // (the only one sent), and an error line — how the daemon reports a
 // query that failed executing — fails the call with the daemon's
 // message. A ctx that ends mid-answer fails the body's next read.
 func readAnswer(dst []uint32, body io.Reader) ([]uint32, error) {
 	lines := bufio.NewScanner(body)
-	lines.Buffer(nil, maxAnswerLine+1) // the scanner's limit counts the newline
+	lines.Buffer(nil, wire.MaxLineBytes+1) // the scanner's limit counts the newline
 	base := len(dst)
 	for lines.Scan() {
 		var line wire.Result
@@ -277,7 +271,7 @@ func readAnswer(dst []uint32, body io.Reader) ([]uint32, error) {
 		}
 	}
 	if err := lines.Err(); errors.Is(err, bufio.ErrTooLong) {
-		return nil, fmt.Errorf("answer line exceeds %d bytes", maxAnswerLine)
+		return nil, fmt.Errorf("answer line exceeds %d bytes", wire.MaxLineBytes)
 	} else if err != nil {
 		return nil, err
 	}

@@ -4,8 +4,6 @@ import (
 	"context"
 	"errors"
 	"math/rand"
-	"runtime"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -78,7 +76,7 @@ func TestBatcherAnswersMatchStore(t *testing.T) {
 	c, _, store := newTestStore(t)
 	// MaxPending must cover the 60 simultaneous submissions below —
 	// admission control is exercised separately in TestBatcherSaturation.
-	b := serve.NewBatcher(store, serve.Config{MaxBatch: 8, MaxPending: 128})
+	b := serve.NewBatcher(store, serve.Config{MaxPending: 128})
 	defer b.Close()
 
 	queries := serveQueries(t, c, 60)
@@ -117,89 +115,12 @@ func TestBatcherAnswersMatchStore(t *testing.T) {
 	}
 }
 
-// TestBatcherCoalesces pins the batching rule itself — a batch is what
-// is already waiting — with no clock in it. It parks the sole dispatcher
-// on a gate, queues k queries behind it, releases it, and reads the
-// dispatch histogram: the k must have gone out as one batch of
-// min(k, MaxBatch) plus the remainder. The converse: sequential queries
-// on an idle batcher find nothing waiting and dispatch one by one.
-func TestBatcherCoalesces(t *testing.T) {
-	c, _, store := newTestStore(t)
-	queries := serveQueries(t, c, 12)
-	const maxBatch = 8
-
-	// yieldUntil waits for an event by yielding, never by sleeping; the
-	// iteration cap only turns a hang into a failure.
-	yieldUntil := func(t *testing.T, what string, cond func() bool) {
-		t.Helper()
-		for i := 0; !cond(); i++ {
-			if i == 1<<24 {
-				t.Fatalf("gave up waiting for %s", what)
-			}
-			runtime.Gosched()
-		}
-	}
-
-	for _, tc := range []struct {
-		name string
-		k    int
-		want []int64 // want[i] batches of i+1; the gated query went alone
-	}{
-		{"short", 5, []int64{1, 0, 0, 0, 1, 0, 0, 0}},
-		{"full", maxBatch, []int64{1, 0, 0, 0, 0, 0, 0, 1}},
-		{"overfull", maxBatch + 3, []int64{1, 0, 1, 0, 0, 0, 0, 1}},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			b := serve.NewBatcher(store, serve.Config{MaxBatch: maxBatch, Dispatchers: 1})
-			defer b.Close()
-
-			gate := newBlockingCtx()
-			var wg sync.WaitGroup
-			do := func(ctx context.Context, q setcontain.Query) {
-				defer wg.Done()
-				if _, err := b.DoExprLimit(ctx, nil, setcontain.ExprOf(q), 0); err != nil {
-					t.Error(err)
-				}
-			}
-			wg.Add(1)
-			go do(gate, queries[0])
-			yieldUntil(t, "dispatcher to park on the gate", func() bool { return gate.calls.Load() >= 2 })
-			for i := 0; i < tc.k; i++ {
-				wg.Add(1)
-				go do(context.Background(), queries[1+i])
-			}
-			yieldUntil(t, "queries to queue", func() bool { return b.Stats().Pending == tc.k })
-			close(gate.gate)
-			wg.Wait()
-
-			if got := b.Stats().BatchSizes; !slices.Equal(got, tc.want) {
-				t.Errorf("%d queries queued behind a parked dispatcher (MaxBatch %d): batch sizes %v, want %v",
-					tc.k, maxBatch, got, tc.want)
-			}
-		})
-	}
-
-	t.Run("idle", func(t *testing.T) {
-		b := serve.NewBatcher(store, serve.Config{MaxBatch: maxBatch})
-		defer b.Close()
-		for _, q := range queries {
-			if _, err := b.DoExprLimit(context.Background(), nil, setcontain.ExprOf(q), 0); err != nil {
-				t.Fatal(err)
-			}
-		}
-		want := []int64{int64(len(queries)), 0, 0, 0, 0, 0, 0, 0}
-		if got := b.Stats().BatchSizes; !slices.Equal(got, want) {
-			t.Errorf("%d sequential queries on an idle batcher: batch sizes %v, want %v", len(queries), got, want)
-		}
-	})
-}
-
 // blockingCtx is a context whose Err blocks from its second call until
-// the gate closes — it parks the dispatcher mid-batch (the pre-check
-// before executing the query consults Err), holding the admission queue
-// full so saturation behaviour is testable deterministically even on
-// one core. The first call passes so Do's own entry check does not
-// block the submitter.
+// the gate closes — it parks its query in the Store (whose entry check
+// consults Err) while the query holds an execution slot, so saturation
+// behaviour is testable deterministically even on one core. The first
+// call passes so DoExprLimit's own entry check does not block the
+// submitter before it is admitted.
 type blockingCtx struct {
 	context.Context
 	calls atomic.Int64
@@ -239,7 +160,6 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 func TestBatcherSaturation(t *testing.T) {
 	c, _, store := newTestStore(t)
 	b := serve.NewBatcher(store, serve.Config{
-		MaxBatch:    1,
 		MaxPending:  1,
 		Dispatchers: 1,
 	})
@@ -352,26 +272,65 @@ func TestBatcherCancelMidExecution(t *testing.T) {
 	}
 }
 
-// TestBatcherClosed checks Close fails queued and future queries with
-// ErrClosed and is safe to call twice.
+// TestBatcherClosed checks Close fails a query waiting for a slot and
+// every later query with ErrClosed, returns without waiting for the
+// query executing in the slot — which completes once it can — and is
+// safe to call twice.
 func TestBatcherClosed(t *testing.T) {
 	c, _, store := newTestStore(t)
-	b := serve.NewBatcher(store, serve.Config{})
-	q := serveQueries(t, c, 1)[0]
-	if _, err := b.DoExprLimit(context.Background(), nil, setcontain.ExprOf(q), 0); err != nil {
+	b := serve.NewBatcher(store, serve.Config{Dispatchers: 1})
+	queries := serveQueries(t, c, 2)
+	q := setcontain.ExprOf(queries[0])
+	if _, err := b.DoExprLimit(context.Background(), nil, q, 0); err != nil {
 		t.Fatal(err)
 	}
-	b.Close()
-	if _, err := b.DoExprLimit(context.Background(), nil, setcontain.ExprOf(q), 0); !errors.Is(err, serve.ErrClosed) {
+
+	gate := newBlockingCtx()
+	gated := make(chan error, 1)
+	go func() {
+		_, err := b.DoExprLimit(gate, nil, q, 0)
+		gated <- err
+	}()
+	waitFor(t, "the gated query to hold the slot", func() bool { return gate.calls.Load() >= 2 })
+	waiting := make(chan error, 1)
+	go func() {
+		_, err := b.DoExprLimit(context.Background(), nil, setcontain.ExprOf(queries[1]), 0)
+		waiting <- err
+	}()
+	waitFor(t, "a query to wait for the slot", func() bool { return b.Stats().Pending == 1 })
+
+	closed := make(chan struct{})
+	go func() {
+		b.Close()
+		close(closed)
+	}()
+	select {
+	case <-closed:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Close waited for the query executing in the slot")
+	}
+	if err := <-waiting; !errors.Is(err, serve.ErrClosed) {
+		t.Errorf("query waiting at Close: got %v, want ErrClosed", err)
+	}
+	if _, err := b.DoExprLimit(context.Background(), nil, q, 0); !errors.Is(err, serve.ErrClosed) {
 		t.Errorf("Do after Close: got %v, want ErrClosed", err)
+	}
+	select {
+	case err := <-gated:
+		t.Fatalf("gated query returned before its gate opened: %v", err)
+	default:
+	}
+	close(gate.gate)
+	if err := <-gated; err != nil {
+		t.Errorf("query executing at Close: %v, want its answer", err)
 	}
 	b.Close() // idempotent
 }
 
 // TestBatcherZeroAllocs is the serving-core allocation gate: a
-// steady-state query through Do — waiter recycling, batch dispatch,
-// Store.ExecBatchAppend, answer append — must not allocate beyond the
-// caller's request decode/encode.
+// steady-state query through DoExprLimit — slot admission,
+// Store.ExecExprLimitAppend, answer append — must not allocate beyond
+// the caller's request decode/encode.
 func TestBatcherZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation allocates; run without -race")

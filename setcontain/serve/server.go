@@ -16,14 +16,19 @@ import (
 	"repro/setcontain"
 )
 
-// maxRequestBytes bounds a POST /query body; a request this size is
-// thousands of queries, far beyond what one batch round-trip should
-// carry.
+// maxRequestBytes bounds a POST /query body (and an /admin body).
 const maxRequestBytes = 8 << 20
 
-// Server is the HTTP face of a Store: a Batcher plus the handlers
-// described in the package documentation. Create one with NewServer,
-// mount Handler on any mux or http.Server, and Close when done.
+// maxQueriesPerRequest bounds the queries of one POST /query. Its
+// queries are admitted one after another on the handler's goroutine,
+// so a request costs what it carries; a longer one is refused with 400
+// before any query runs.
+const maxQueriesPerRequest = 1024
+
+// Server is the HTTP face of a Store: a Batcher bounding admission plus
+// the handlers described in the package documentation. Create one with
+// NewServer, mount Handler on any mux or http.Server, and Close when
+// done.
 type Server struct {
 	idx     *setcontain.Index
 	store   *setcontain.Store
@@ -56,7 +61,7 @@ type Server struct {
 // NewServer wraps idx and its store in a serving layer configured by
 // cfg (zero value for defaults). The store must serve the same index;
 // the server uses idx only for identity ( /healthz, shard plans) and
-// routes every query through store. Close stops the dispatchers.
+// routes every query through store. Close stops admission.
 func NewServer(idx *setcontain.Index, store *setcontain.Store, cfg Config) *Server {
 	cfg = cfg.filled()
 	var mut setcontain.Mutator = store
@@ -78,8 +83,10 @@ func NewServer(idx *setcontain.Index, store *setcontain.Store, cfg Config) *Serv
 // statistics directly).
 func (s *Server) Batcher() *Batcher { return s.batcher }
 
-// Close stops the batcher's dispatchers. In-flight requests fail with
-// ErrClosed; the HTTP listener (owned by the caller) is unaffected.
+// Close stops the batcher's admission: queries waiting for a slot, and
+// every later one, fail with ErrClosed, while a query already executing
+// finishes under its request's context. The HTTP listener (owned by the
+// caller) is unaffected; close the server once it has drained.
 func (s *Server) Close() { s.batcher.Close() }
 
 // Handler returns the route mux:
@@ -100,8 +107,7 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
-// getBuf borrows an answer buffer; putBuf returns it. Buffers forfeited
-// to an abandoned batch are simply not returned.
+// getBuf borrows an answer buffer; putBuf returns it.
 func (s *Server) getBuf() []uint32 {
 	if p, _ := s.bufs.Get().(*[]uint32); p != nil {
 		return (*p)[:0]
@@ -153,6 +159,10 @@ func parseRequest(r *http.Request) ([]exprReq, error) {
 		if len(req.Queries) == 0 {
 			return nil, errors.New("serve: request carries no queries")
 		}
+		if len(req.Queries) > maxQueriesPerRequest {
+			return nil, fmt.Errorf("serve: request carries %d queries, over the bound of %d per request",
+				len(req.Queries), maxQueriesPerRequest)
+		}
 		es := make([]exprReq, len(req.Queries))
 		for i, spec := range req.Queries {
 			if spec.Limit < 0 {
@@ -196,8 +206,8 @@ func writeQueryError(w http.ResponseWriter, err error, status int) {
 	json.NewEncoder(w).Encode(body)
 }
 
-// handleQuery answers a batch of queries through the batcher, streaming
-// NDJSON result chunks in query order.
+// handleQuery answers a request's queries through the batcher, one
+// after another, streaming NDJSON result chunks in query order.
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	qs, err := parseRequest(r)
 	if err != nil {
@@ -213,10 +223,10 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 
 // handleStream is GET /query with a flush after every NDJSON chunk, so
 // a client consumes an arbitrarily large answer incrementally. The
-// query goes through the batcher like any other (admission control and
-// micro-batching included), and a client that disconnects cancels the
-// request context, which interrupts the Store execution between
-// list-block reads and stops the chunk loop once streaming has begun.
+// query goes through the batcher's admission like any other, and a
+// client that disconnects cancels the request context, which interrupts
+// the Store execution between list-block reads and stops the chunk loop
+// once streaming has begun.
 func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		http.Error(w, "serve: GET only", http.StatusMethodNotAllowed)
@@ -254,8 +264,6 @@ func (s *Server) answer(ctx context.Context, w http.ResponseWriter, qs []exprReq
 	}
 	var failed error
 	for i, q := range qs {
-		// Buffer ownership follows DoExprLimit's contract: a non-nil out
-		// is ours to recycle, a nil out is forfeited to a live dispatcher.
 		out, err := s.batcher.DoExprLimit(ctx, s.getBuf(), q.expr, q.limit)
 		switch {
 		case err == nil:
@@ -273,16 +281,14 @@ func (s *Server) answer(ctx context.Context, w http.ResponseWriter, qs []exprReq
 			s.putBuf(out)
 			return err
 		case ctx.Err() != nil:
-			// Client disconnected or deadline passed; the buffer may
-			// still be owned by a dispatcher — forfeited.
+			// Client disconnected or deadline passed.
+			s.putBuf(out)
 			return ctx.Err()
 		default:
 			start()
+			s.putBuf(out)
 			if werr := enc.Encode(Result{Query: i, Done: true, Error: err.Error()}); werr != nil {
 				return werr
-			}
-			if out != nil {
-				s.putBuf(out)
 			}
 			if failed == nil {
 				failed = err
@@ -326,13 +332,10 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	sst := s.store.Stats()
 	resp := StatsResponse{
 		Batcher: BatcherStatsJSON{
-			Queries:    bst.Queries,
-			Batches:    bst.Batches,
-			MeanBatch:  bst.MeanBatch(),
-			Rejected:   bst.Rejected,
-			Canceled:   bst.Canceled,
-			Pending:    bst.Pending,
-			BatchSizes: bst.BatchSizes,
+			Queries:  bst.Queries,
+			Rejected: bst.Rejected,
+			Canceled: bst.Canceled,
+			Pending:  bst.Pending,
 		},
 		Store: StoreStatsJSON{
 			CacheHits: sst.Cache.Hits,
@@ -354,9 +357,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		EvaluatedLeaves: est.EvaluatedLeaves,
 		StreamedLeaves:  est.StreamedLeaves,
 		SkippedLeaves:   est.SkippedLeaves,
-		CSEHits:         est.CSEHits,
-		CSEMisses:       est.CSEMisses,
-		CSESavedLeaves:  est.CSESavedLeaves,
 		Theta:           s.store.Supports().Theta,
 	}
 	for _, p := range setcontain.ShardPlans(s.idx.Engine()) {

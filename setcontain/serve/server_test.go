@@ -7,12 +7,14 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
 
+	"repro/internal/wire"
 	"repro/setcontain"
 	"repro/setcontain/serve"
 )
@@ -159,37 +161,45 @@ func TestServerQueryGet(t *testing.T) {
 }
 
 // TestServerBadRequests pins the 4xx paths: malformed JSON, unknown
-// predicate, empty batch, bad ?q=, wrong method.
+// predicate, empty batch, a POST over the per-request query bound, bad
+// ?q=, wrong method. None of them runs a query.
 func TestServerBadRequests(t *testing.T) {
-	_, _, _, ts := newTestServer(t, serve.Config{})
+	_, _, srv, ts := newTestServer(t, serve.Config{})
+	spec := `{"pred":"subset","items":[1]}`
 	cases := []struct {
 		name   string
 		do     func() (*http.Response, error)
 		status int
+		// body, when set, must appear in the response body.
+		body string
 	}{
 		{"malformed json", func() (*http.Response, error) {
 			return http.Post(ts.URL+"/query", "application/json", strings.NewReader("{"))
-		}, http.StatusBadRequest},
+		}, http.StatusBadRequest, ""},
 		{"unknown predicate", func() (*http.Response, error) {
 			return http.Post(ts.URL+"/query", "application/json",
 				strings.NewReader(`{"queries":[{"pred":"between","items":[1]}]}`))
-		}, http.StatusBadRequest},
+		}, http.StatusBadRequest, ""},
 		{"no queries", func() (*http.Response, error) {
 			return http.Post(ts.URL+"/query", "application/json", strings.NewReader(`{"queries":[]}`))
-		}, http.StatusBadRequest},
+		}, http.StatusBadRequest, ""},
+		{"too many queries", func() (*http.Response, error) {
+			body := `{"queries":[` + strings.Repeat(spec+",", 1024) + spec + `]}`
+			return http.Post(ts.URL+"/query", "application/json", strings.NewReader(body))
+		}, http.StatusBadRequest, "1025 queries, over the bound of 1024"},
 		{"bad q", func() (*http.Response, error) {
 			return http.Get(ts.URL + "/query?q=subset(1+2)")
-		}, http.StatusBadRequest},
+		}, http.StatusBadRequest, ""},
 		{"bad stream q", func() (*http.Response, error) {
 			return http.Get(ts.URL + "/stream?q=")
-		}, http.StatusBadRequest},
+		}, http.StatusBadRequest, ""},
 		{"delete method", func() (*http.Response, error) {
 			req, err := http.NewRequest(http.MethodDelete, ts.URL+"/query", nil)
 			if err != nil {
 				return nil, err
 			}
 			return http.DefaultClient.Do(req)
-		}, http.StatusMethodNotAllowed},
+		}, http.StatusMethodNotAllowed, ""},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -197,11 +207,18 @@ func TestServerBadRequests(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			body, _ := io.ReadAll(resp.Body)
 			resp.Body.Close()
 			if resp.StatusCode != tc.status {
 				t.Errorf("status %d, want %d", resp.StatusCode, tc.status)
 			}
+			if !strings.Contains(string(body), tc.body) {
+				t.Errorf("body %q does not say %q", body, tc.body)
+			}
 		})
+	}
+	if n := srv.Batcher().Stats().Queries; n != 0 {
+		t.Errorf("refused requests ran %d queries", n)
 	}
 }
 
@@ -331,7 +348,6 @@ func TestServerStreamClientDisconnect(t *testing.T) {
 // and checks the queued request completes.
 func TestServerSaturation429(t *testing.T) {
 	c, _, srv, ts := newTestServer(t, serve.Config{
-		MaxBatch:    1,
 		MaxPending:  1,
 		Dispatchers: 1,
 	})
@@ -450,8 +466,8 @@ func TestServerStatsAndHealth(t *testing.T) {
 	if st.Batcher.Queries != int64(len(queries)) {
 		t.Errorf("stats report %d queries, want %d", st.Batcher.Queries, len(queries))
 	}
-	if st.Batcher.Batches == 0 || st.Batcher.MeanBatch <= 0 {
-		t.Errorf("batch counters missing: %+v", st.Batcher)
+	if st.Batcher.Rejected != 0 || st.Batcher.Canceled != 0 || st.Batcher.Pending != 0 {
+		t.Errorf("admission counters after an unloaded request: %+v", st.Batcher)
 	}
 	if len(st.ShardPlans) != 2 {
 		t.Errorf("%d shard plans, want 2", len(st.ShardPlans))
@@ -474,5 +490,63 @@ func TestServerStatsAndHealth(t *testing.T) {
 	}
 	if !h.OK || h.Kind != "Sharded" || h.Records != c.Len() || h.Domain != c.DomainSize() {
 		t.Errorf("health = %+v", h)
+	}
+}
+
+// TestResultLinesFitTheLineCap holds every answer line a daemon writes
+// under the cap its coordinators read with. A Result of
+// wire.MaxResultIDs ids, each the widest id and every other field at its
+// widest, fits wire.MaxLineBytes, and one more id does not. A server
+// asked for chunks far past that count clamps them, so it never writes
+// a longer line.
+func TestResultLinesFitTheLineCap(t *testing.T) {
+	widest := func(n int) int {
+		ids := make([]uint32, n)
+		for i := range ids {
+			ids[i] = math.MaxUint32
+		}
+		line, err := json.Marshal(serve.Result{Query: math.MinInt, IDs: ids, More: true, Done: true, Count: math.MinInt})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return len(line)
+	}
+	if n := widest(wire.MaxResultIDs); n > wire.MaxLineBytes {
+		t.Errorf("a line of %d ids is %d bytes, over the %d-byte cap", wire.MaxResultIDs, n, wire.MaxLineBytes)
+	}
+	if n := widest(wire.MaxResultIDs + 1); n <= wire.MaxLineBytes {
+		t.Errorf("a line of %d ids is %d bytes, still under the cap: MaxResultIDs is not the largest count", wire.MaxResultIDs+1, n)
+	}
+
+	// 200 000 records all match subset{}: as one line, well over the cap.
+	const records = 200_000
+	c := setcontain.NewCollection(1)
+	for i := 0; i < records; i++ {
+		if _, err := c.Add([]setcontain.Item{0}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	idx, err := setcontain.New(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := serve.NewServer(idx, setcontain.NewStore(idx, 0), serve.Config{ChunkIDs: 1 << 20})
+	defer srv.Close()
+	rec := httptest.NewRecorder()
+	srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/query?q=subset{}", nil))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("status %d", rec.Code)
+	}
+	if rec.Body.Len() <= wire.MaxLineBytes {
+		t.Fatalf("the whole answer is %d bytes; the fixture must exceed the cap", rec.Body.Len())
+	}
+	for i, line := range bytes.Split(bytes.TrimSuffix(rec.Body.Bytes(), []byte("\n")), []byte("\n")) {
+		if len(line) > wire.MaxLineBytes {
+			t.Errorf("line %d is %d bytes, over the %d-byte cap", i, len(line), wire.MaxLineBytes)
+		}
+	}
+	ids, errs := decodeResults(t, bytes.NewReader(rec.Body.Bytes()))
+	if len(errs) != 0 || len(ids[0]) != records {
+		t.Errorf("answer: %d ids, errors %v; want %d ids", len(ids[0]), errs, records)
 	}
 }

@@ -99,11 +99,10 @@ type AdminStateResponse struct {
 }
 
 // StatsResponse is the GET /stats body: everything a load test or
-// operator needs to see whether batching and the caches are doing
+// operator needs to see whether admission and the caches are doing
 // their jobs.
 type StatsResponse struct {
-	// Batcher is the dispatch behaviour, including the batch-size
-	// histogram and its mean.
+	// Batcher is the admission counters.
 	Batcher BatcherStatsJSON `json:"batcher"`
 	// Store aggregates the pooled readers' page-cache counters.
 	Store StoreStatsJSON `json:"store"`
@@ -127,16 +126,12 @@ type StatsResponse struct {
 	UptimeSeconds float64 `json:"uptime_seconds"`
 }
 
-// BatcherStatsJSON mirrors BatcherStats on the wire, with the mean
-// precomputed.
+// BatcherStatsJSON mirrors BatcherStats on the wire.
 type BatcherStatsJSON struct {
-	Queries    int64   `json:"queries"`
-	Batches    int64   `json:"batches"`
-	MeanBatch  float64 `json:"mean_batch"`
-	Rejected   int64   `json:"rejected"`
-	Canceled   int64   `json:"canceled"`
-	Pending    int     `json:"pending"`
-	BatchSizes []int64 `json:"batch_sizes"`
+	Queries  int64 `json:"queries"`
+	Rejected int64 `json:"rejected"`
+	Canceled int64 `json:"canceled"`
+	Pending  int   `json:"pending"`
 }
 
 // StoreStatsJSON mirrors setcontain.StoreStats on the wire.
@@ -160,20 +155,14 @@ type ShardPlanJSON struct {
 // actually run and ones the rarest-first ordering's empty-intermediate
 // short-circuit discarded; StreamedLeaves counts the evaluated leaves
 // that ran through candidate pushdown instead of materializing their
-// full answer. The CSE
-// counters account for the batcher's cross-query subexpression cache:
-// hits and misses on shared plan subtrees within a micro-batch, and the
-// leaf evaluations those hits saved. Theta is the fitted Zipf exponent
-// of the store's cached support profile — 0 on a coordinator, whose
-// remote shards keep their tables and plan for themselves.
+// full answer. Theta is the fitted Zipf exponent of the store's cached
+// support profile — 0 on a coordinator, whose remote shards keep their
+// tables and plan for themselves.
 type PlannerStatsJSON struct {
 	Expressions     int64   `json:"expressions"`
 	EvaluatedLeaves int64   `json:"evaluated_leaves"`
 	StreamedLeaves  int64   `json:"streamed_leaves"`
 	SkippedLeaves   int64   `json:"skipped_leaves"`
-	CSEHits         int64   `json:"cse_hits"`
-	CSEMisses       int64   `json:"cse_misses"`
-	CSESavedLeaves  int64   `json:"cse_saved_leaves"`
 	Theta           float64 `json:"theta"`
 }
 

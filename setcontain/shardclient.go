@@ -172,7 +172,7 @@ func (c *inprocClient) Snapshot(_ context.Context, w io.Writer) error { return c
 func (c *inprocClient) Close() error { return nil }
 
 // inprocSession answers on an isolated reader through the same request
-// core as Store (BatchItem.prepare/exec): pushed-down expressions are
+// core as Store (request.planExec): pushed-down expressions are
 // planned locally against the client's cached supports, exactly like a
 // remote shard daemon plans against its own. For the duration of a call
 // the reader's buffer pool consults the call's ctx before every page
@@ -205,8 +205,8 @@ func (s *inprocSession) AppendExpr(ctx context.Context, dst []uint32, expr *Expr
 	}
 	s.r.setInterrupt(ctx.Err)
 	defer s.r.setInterrupt(nil)
-	it := BatchItem{Expr: expr, Limit: limit, Dst: dst}
-	ids, st, err := it.planExec(s.r, s.c, &s.eval)
+	rq := request{e: expr, limit: limit, dst: dst}
+	ids, st, err := rq.planExec(s.r, s.c, &s.eval)
 	s.last = st
 	return ids, err
 }

@@ -76,28 +76,20 @@ type storeReader struct {
 	// steady-state expression evaluation allocates nothing.
 	eval Evaluator
 
-	// Cancellation state consulted by hook: batch spans a whole
-	// Store.run call, item narrows to the request currently executing.
-	// hook is created once per storeReader and reused, so arming
-	// cancellation on the hot path allocates nothing.
-	batch context.Context
-	item  context.Context
-	hook  func() error
+	// ctx is the context of the request the reader is serving, which
+	// hook consults. hook is created once per storeReader and reused, so
+	// arming cancellation on the hot path allocates nothing.
+	ctx  context.Context
+	hook func() error
 }
 
-// arm installs the reader's reusable interrupt hook scoped to batch
-// (and initially item = batch); Store.run narrows item per request, and
-// release clears the hook again.
-func (e *storeReader) arm(batch context.Context) {
+// arm installs the reader's reusable interrupt hook scoped to ctx;
+// release clears it again.
+func (e *storeReader) arm(ctx context.Context) {
 	if e.hook == nil {
-		e.hook = func() error {
-			if err := e.batch.Err(); err != nil {
-				return err
-			}
-			return e.item.Err()
-		}
+		e.hook = func() error { return e.ctx.Err() }
 	}
-	e.batch, e.item = batch, batch
+	e.ctx = ctx
 	e.r.setInterrupt(e.hook)
 }
 
@@ -208,7 +200,7 @@ func (s *Store) acquire() (*storeReader, error) {
 
 func (s *Store) release(e *storeReader) {
 	e.r.setInterrupt(nil)
-	e.batch, e.item = nil, nil
+	e.ctx = nil
 	s.accumulate(e)
 	if e.gen == s.gen.Load() {
 		s.readers.Put(e)
@@ -262,181 +254,124 @@ func (s *Store) Stats() StoreStats {
 // maps it to a 400.
 var ErrNegativeLimit = errors.New("setcontain: negative limit")
 
-// BatchItem is one request of an ExecBatchAppend call: a containment
-// query or a boolean expression, an optional first-n limit, the
-// caller-owned append target, and (after the call) its answer or error.
-type BatchItem struct {
-	// Ctx optionally scopes this item alone: a cancelled or expired
-	// per-item context fails the item with its error without disturbing
-	// the rest of the batch. Nil means the batch context governs.
-	Ctx context.Context
-	// Query is the containment query to answer, unless Expr is set.
-	Query Query
-	// Expr, when non-nil, is the boolean expression to answer instead.
-	Expr *Expr
-	// Limit truncates the answer to its first Limit ids; 0 means the
-	// full answer, negative fails the item with ErrNegativeLimit.
-	Limit int
-	// Dst is the append target; the caller owns it throughout.
-	Dst []uint32
-	// Out receives the extended Dst slice on success — Dst itself when
-	// nothing matched — and nil on error.
-	Out []uint32
-	// Err receives this item's error.
-	Err error
-
-	// plan is the core's leaf-vs-tree decision (see prepare): nil runs
-	// the item as one plain query, straight on the reader.
-	plan *ExprPlan
+// request is one query through the request core: a containment query
+// or a boolean expression, an optional first-n limit, and the
+// caller-owned append target. Store.run, the in-process shard session's
+// AppendExpr and Index.EvalExprLimit all answer through it.
+type request struct {
+	// q is the containment query to answer, unless e is set.
+	q Query
+	// e, when non-nil, is the boolean expression to answer instead.
+	e *Expr
+	// limit truncates the answer to its first limit ids; 0 means the
+	// full answer, negative fails the request with ErrNegativeLimit.
+	limit int
+	// dst is the append target; the caller owns it throughout.
+	dst []uint32
 }
 
-// asLeaf returns the item as a plain containment query when it is one
-// (a bare Query or a one-leaf expression, with no limit): the request
-// shape the engines answer directly, so it skips the planner.
-func (it *BatchItem) asLeaf() (Query, bool) {
-	if it.Limit != 0 {
+// asLeaf returns the request as a plain containment query when it is
+// one (a bare Query or a one-leaf expression, with no limit): the shape
+// the engines answer directly, so it skips the planner.
+func (rq *request) asLeaf() (Query, bool) {
+	if rq.limit != 0 {
 		return Query{}, false
 	}
-	if it.Expr == nil {
-		return it.Query, true
+	if rq.e == nil {
+		return rq.q, true
 	}
-	return it.Expr.AsQuery()
+	return rq.e.AsQuery()
 }
 
-// expr returns the item's request in expression form.
-func (it *BatchItem) expr() *Expr {
-	if it.Expr == nil {
-		return ExprOf(it.Query)
+// expr returns the request in expression form.
+func (rq *request) expr() *Expr {
+	if rq.e == nil {
+		return ExprOf(rq.q)
 	}
-	return it.Expr
+	return rq.e
 }
 
-// prepare is the core's single decision point: it clears the item's
-// results, rejects a negative limit, and reports whether the item is a
-// tree — anything but one plain leaf — which whoever executes it plans
-// (it.plan stays nil otherwise) and a router validates and forwards.
-func (it *BatchItem) prepare() (tree bool) {
-	it.Out, it.Err, it.plan = nil, nil, nil
-	if it.Limit < 0 {
-		it.Err = ErrNegativeLimit
-		return false
+// isTree is the core's single decision point: it rejects a negative
+// limit and reports whether the request is a tree — anything but one
+// plain leaf — which whoever executes it plans and a router validates
+// and forwards.
+func (rq *request) isTree() (bool, error) {
+	if rq.limit < 0 {
+		return false, ErrNegativeLimit
 	}
-	_, leaf := it.asLeaf()
-	return !leaf
+	_, leaf := rq.asLeaf()
+	return !leaf, nil
 }
 
-// exec answers one prepared item on t, a single engine or its reader:
-// the leaf fast path, or planned evaluation through evr with the batch's
-// subexpression cache. The stats are zero for a plain leaf.
-func (it *BatchItem) exec(t Queryable, evr *Evaluator, cse *cseState) ([]uint32, ExprEvalStats, error) {
-	if it.plan == nil {
-		q, _ := it.asLeaf()
-		ids, err := q.EvalAppend(it.Dst, t)
+// exec answers the request on t, a single engine or its reader: the
+// leaf fast path when plan is nil, else planned evaluation through evr.
+// The stats are zero for a plain leaf.
+func (rq *request) exec(t Queryable, plan *ExprPlan, evr *Evaluator) ([]uint32, ExprEvalStats, error) {
+	if plan == nil {
+		q, _ := rq.asLeaf()
+		ids, err := q.EvalAppend(rq.dst, t)
 		return ids, ExprEvalStats{}, err
 	}
-	return evr.run(it.Dst, it.plan, t, cse, it.Limit)
+	return evr.EvalLimitAppend(rq.dst, plan, t, rq.limit)
 }
 
-// planExec is the request core for one item outside a Store batch — the
-// in-process shard session's AppendExpr and Index.EvalExprLimit: prepare,
-// plan a tree against sup's profile, exec on t.
-func (it *BatchItem) planExec(t Queryable, sup interface{ Supports() *SupportProfile }, evr *Evaluator) ([]uint32, ExprEvalStats, error) {
-	if it.prepare() {
-		it.plan, it.Err = PlanExpr(it.expr(), sup.Supports())
+// planExec is the request core outside a Store — the in-process shard
+// session's AppendExpr and Index.EvalExprLimit: plan a tree against
+// sup's profile, exec on t.
+func (rq *request) planExec(t Queryable, sup interface{ Supports() *SupportProfile }, evr *Evaluator) ([]uint32, ExprEvalStats, error) {
+	tree, err := rq.isTree()
+	var plan *ExprPlan
+	if tree {
+		plan, err = PlanExpr(rq.expr(), sup.Supports())
 	}
-	if it.Err != nil {
-		return nil, ExprEvalStats{}, it.Err
+	if err != nil {
+		return nil, ExprEvalStats{}, err
 	}
-	return it.exec(t, evr, nil)
+	return rq.exec(t, plan, evr)
 }
 
 // run is the one execution path above the engine; every public Exec*
-// form (and, through prepare/exec, the in-process shard session) is an
-// adapter over it. The items are answered in order on a single pooled
-// reader: each is prepared (leaf or plan), the reader's interrupt hook
-// is armed once and narrowed per item, and planned evaluations are
-// recorded in ExprStats. With share set, plan subtrees repeated across
-// the items evaluate once. Over a sharded index nothing is planned here:
-// a tree is validated and forwarded. The count and error are
-// ExecBatchAppend's.
-func (s *Store) run(ctx context.Context, items []BatchItem, share bool) (int, error) {
+// form (and, through planExec, the in-process shard session) is an
+// adapter over it. The request is answered on one pooled reader whose
+// interrupt hook consults ctx, and a planned evaluation is recorded in
+// ExprStats. Over a sharded index nothing is planned here: a tree is
+// validated and forwarded.
+func (s *Store) run(ctx context.Context, rq request) ([]uint32, error) {
 	if err := ctx.Err(); err != nil {
-		return 0, err
+		return nil, err
+	}
+	tree, err := rq.isTree()
+	if err != nil {
+		return nil, err
 	}
 	_, router := s.ix.eng.(*shardedEngine)
-	planned := false
-	for i := range items {
-		it := &items[i]
-		switch tree := it.prepare(); {
-		case !tree:
-		case router:
-			it.Err = it.expr().validate()
-		default:
-			it.plan, it.Err = PlanExpr(it.expr(), s.Supports())
-			planned = planned || it.plan != nil
-		}
+	var plan *ExprPlan
+	switch {
+	case !tree:
+	case router:
+		err = rq.expr().validate()
+	default:
+		plan, err = PlanExpr(rq.expr(), s.Supports())
 	}
-	var cse *cseState
-	if share && planned {
-		cse = collectCSE(items)
+	if err != nil {
+		return nil, err
 	}
 	e, err := s.acquire()
 	if err != nil {
-		return 0, err
-	}
-	defer s.release(e)
-	// The reader's single reusable interrupt hook serves the whole
-	// call: it consults ctx plus whichever item is currently executing,
-	// so cancellation support costs two pointer reads per page access
-	// and no per-item closures.
-	armed := false
-	n := len(items)
-	for i := range items {
-		if err = ctx.Err(); err != nil {
-			n = i
-			break
-		}
-		it := &items[i]
-		if it.Err != nil {
-			continue // prepare already failed the item
-		}
-		ictx := it.Ctx
-		if ictx == nil {
-			ictx = ctx
-		}
-		if it.Err = ictx.Err(); it.Err != nil {
-			continue
-		}
-		if router {
-			it.Out, it.Err = s.execSharded(ctx, it, e.r.r.(*shardedReader))
-			continue
-		}
-		if !armed && (ictx.Done() != nil || ctx.Done() != nil) {
-			armed = true
-			e.arm(ctx)
-		}
-		if armed {
-			e.item = ictx
-		}
-		var st ExprEvalStats
-		it.Out, st, it.Err = it.exec(e.r, &e.eval, cse)
-		if it.plan != nil && it.Err == nil {
-			s.noteExprEval(st)
-		}
-	}
-	// Fold the cache counters even when ctx cut the batch short: the
-	// hits before the cancel were real work saved.
-	s.noteCSE(cse)
-	return n, err
-}
-
-// one runs a single request through the core.
-func (s *Store) one(ctx context.Context, it BatchItem) ([]uint32, error) {
-	items := [1]BatchItem{it}
-	if _, err := s.run(ctx, items[:], false); err != nil {
 		return nil, err
 	}
-	return items[0].Out, items[0].Err
+	defer s.release(e)
+	if router {
+		return s.execSharded(ctx, &rq, e.r.r.(*shardedReader))
+	}
+	if ctx.Done() != nil {
+		e.arm(ctx)
+	}
+	ids, st, err := rq.exec(e.r, plan, &e.eval)
+	if plan != nil && err == nil {
+		s.noteExprEval(st)
+	}
+	return ids, err
 }
 
 // orEmpty is the plain forms' half of the empty-answer rule: append
@@ -470,7 +405,7 @@ func (s *Store) Exec(ctx context.Context, q Query) ([]uint32, error) {
 // throughout; pooled readers never retain it. Cancellation behaves
 // exactly like Exec.
 func (s *Store) ExecAppend(ctx context.Context, dst []uint32, q Query) ([]uint32, error) {
-	return s.one(ctx, BatchItem{Query: q, Dst: dst})
+	return s.run(ctx, request{q: q, dst: dst})
 }
 
 // ExecExprAppend answers a boolean expression on a pooled reader,
@@ -497,7 +432,7 @@ func (s *Store) ExecExprLimitAppend(ctx context.Context, dst []uint32, expr *Exp
 	if expr == nil {
 		return nil, errNilExpr
 	}
-	return s.one(ctx, BatchItem{Expr: expr, Limit: n, Dst: dst})
+	return s.run(ctx, request{e: expr, limit: n, dst: dst})
 }
 
 // ExecBatch answers the queries concurrently across pooled readers
@@ -518,32 +453,4 @@ func (s *Store) ExecBatch(ctx context.Context, qs []Query) ([][]uint32, error) {
 		return nil, err
 	}
 	return out, nil
-}
-
-// ExecBatchAppend answers the items sequentially on a single pooled
-// reader — the arena-friendly fan-in entry point the serve package's
-// micro-batcher dispatches through. Where ExecBatch spreads a batch
-// across readers for parallelism, ExecBatchAppend deliberately shares
-// one: every item reuses its scratch arenas and warm page cache, and
-// answers append into the caller-owned Dst slices, so a steady-state
-// batch of plain queries over a warm OIF store allocates nothing.
-//
-// Items that are one plain leaf with no limit run straight on the
-// reader. The rest are planned together with common-subexpression
-// elimination: plan subtrees whose canonical form repeats across the
-// batch (a hot `subset` leg, a common filter conjunction) evaluate
-// once and later occurrences reuse the cached answer; ExprStats
-// reports the hits, misses and saved leaves. Over a sharded index each
-// planned item fans out to the shards individually — the cache applies
-// to single-engine stores.
-//
-// Per-item results land in items[i].Out / items[i].Err; a failed item
-// does not disturb its batchmates. The returned count is how many items
-// were processed: len(items) unless ctx is cancelled mid-batch, in
-// which case processing stops, the remaining items carry no answer, and
-// ctx's error is returned. A non-nil item Ctx additionally scopes that
-// item alone — it reaches the reader's interrupt hook, so even an item
-// mid-way through a long list scan stops promptly with its ctx's error.
-func (s *Store) ExecBatchAppend(ctx context.Context, items []BatchItem) (int, error) {
-	return s.run(ctx, items, true)
 }

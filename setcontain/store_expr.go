@@ -25,9 +25,6 @@ type exprState struct {
 	evaluatedLeaves atomic.Int64
 	streamedLeaves  atomic.Int64
 	skippedLeaves   atomic.Int64
-	cseHits         atomic.Int64
-	cseMisses       atomic.Int64
-	cseSavedLeaves  atomic.Int64
 }
 
 // Supports returns the store's cached support profile, recomputing it
@@ -51,18 +48,21 @@ func (s *Store) Supports() *SupportProfile {
 // ExprStats is the Store's cumulative planner accounting: expressions
 // executed through the planned path, containment leaves actually
 // evaluated (and how many of those streamed instead of materializing),
-// leaves the empty-intermediate short-circuit skipped, and the batch
-// subexpression cache's hit/miss/saved-leaf counters. Requests that are
-// one plain leaf with no limit skip the planner and are not counted
-// here, whichever entry point they arrive through.
+// and leaves the empty-intermediate short-circuit skipped. Requests
+// that are one plain leaf with no limit skip the planner and are not
+// counted here, whichever entry point they arrive through.
 type ExprStats struct {
 	Expressions     int64
 	EvaluatedLeaves int64
 	StreamedLeaves  int64
 	SkippedLeaves   int64
-	CSEHits         int64
-	CSEMisses       int64
-	CSESavedLeaves  int64
+	// CSEHits, CSEMisses and CSESavedLeaves are always zero: every
+	// request is evaluated on its own, and no subtree is shared across
+	// requests.
+	//
+	// Deprecated: kept only because the frozen benchmark harness reads
+	// them.
+	CSEHits, CSEMisses, CSESavedLeaves int64
 }
 
 // ExprStats returns the cumulative planned-evaluation counters.
@@ -72,9 +72,6 @@ func (s *Store) ExprStats() ExprStats {
 		EvaluatedLeaves: s.expr.evaluatedLeaves.Load(),
 		StreamedLeaves:  s.expr.streamedLeaves.Load(),
 		SkippedLeaves:   s.expr.skippedLeaves.Load(),
-		CSEHits:         s.expr.cseHits.Load(),
-		CSEMisses:       s.expr.cseMisses.Load(),
-		CSESavedLeaves:  s.expr.cseSavedLeaves.Load(),
 	}
 }
 
@@ -85,16 +82,7 @@ func (s *Store) noteExprEval(st ExprEvalStats) {
 	s.expr.skippedLeaves.Add(int64(st.SkippedLeaves))
 }
 
-func (s *Store) noteCSE(c *cseState) {
-	if c == nil {
-		return
-	}
-	s.expr.cseHits.Add(int64(c.hits))
-	s.expr.cseMisses.Add(int64(c.misses))
-	s.expr.cseSavedLeaves.Add(int64(c.savedLeaves))
-}
-
-// execSharded answers one validated item on every shard through the
+// execSharded answers one validated request on every shard through the
 // scatter-gather executor and k-way merges the local answers into
 // global id order: a plain leaf as the sessions' AppendQuery, anything
 // else as their AppendExpr. The boolean algebra distributes over the
@@ -104,30 +92,19 @@ func (s *Store) noteCSE(c *cseState) {
 // byte-identical to single-engine ones while every shard plans against
 // its own supports, short-circuits, and combines independently.
 //
-// One cancellation signal crosses the shard seam: a ctx that ends when
-// the item's or the batch's does; a failure reports the one that did.
+// One cancellation signal crosses the shard seam: the request's ctx.
 //
 // A tree answered counts in ExprStats as one expression, with the leaf
 // counters of the sessions that can report them (in-process ones)
 // summed across the shards that did the work.
-func (s *Store) execSharded(batch context.Context, it *BatchItem, sr *shardedReader) (ids []uint32, err error) {
-	ctx := batch
-	if it.Ctx != nil {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithCancel(it.Ctx)
-		defer cancel()
-		defer context.AfterFunc(batch, cancel)()
-	}
-	q, leaf := it.asLeaf()
+func (s *Store) execSharded(ctx context.Context, rq *request, sr *shardedReader) (ids []uint32, err error) {
+	q, leaf := rq.asLeaf()
 	if leaf {
 		ids, err = sr.scatterQuery(ctx, q)
 	} else {
-		ids, err = sr.scatterExpr(ctx, it.expr(), it.Limit)
+		ids, err = sr.scatterExpr(ctx, rq.expr(), rq.limit)
 	}
 	if err != nil {
-		if berr := batch.Err(); berr != nil {
-			return nil, berr // the derived ctx says only "canceled"
-		}
 		return nil, err
 	}
 	if !leaf {
@@ -141,5 +118,5 @@ func (s *Store) execSharded(batch context.Context, it *BatchItem, sr *shardedRea
 		}
 		s.noteExprEval(total)
 	}
-	return appendFresh(it.Dst, ids), nil
+	return appendFresh(rq.dst, ids), nil
 }

@@ -109,7 +109,7 @@ func TestStoreExecBatch(t *testing.T) {
 }
 
 // TestStoreExecCancelled checks an already-cancelled context aborts
-// Exec, ExecBatch and ExecBatchAppend with context.Canceled — at one,
+// Exec, ExecBatch and ExecExprAppend with context.Canceled — at one,
 // two and four Ps, because ExecBatch's fan-out width follows GOMAXPROCS
 // and a single-core run once hid a silently empty answer.
 func TestStoreExecCancelled(t *testing.T) {
@@ -131,9 +131,9 @@ func TestStoreExecCancelled(t *testing.T) {
 			if out, err := store.ExecBatch(ctx, storeWorkload(10, 83)); !errors.Is(err, context.Canceled) || out != nil {
 				t.Errorf("ExecBatch on cancelled ctx: got %v, %v, want nil, context.Canceled", out, err)
 			}
-			items := []BatchItem{{Query: SubsetQuery([]Item{1})}, {Expr: And(ExprOf(SubsetQuery([]Item{1})), ExprOf(SubsetQuery([]Item{2})))}}
-			if n, err := store.ExecBatchAppend(ctx, items); n != 0 || !errors.Is(err, context.Canceled) {
-				t.Errorf("ExecBatchAppend on cancelled ctx: got %d, %v, want 0, context.Canceled", n, err)
+			tree := And(ExprOf(SubsetQuery([]Item{1})), ExprOf(SubsetQuery([]Item{2})))
+			if out, err := store.ExecExprAppend(ctx, nil, tree); !errors.Is(err, context.Canceled) || out != nil {
+				t.Errorf("ExecExprAppend on cancelled ctx: got %v, %v, want nil, context.Canceled", out, err)
 			}
 		})
 	}
@@ -192,17 +192,6 @@ func TestStoreEmptyAnswerShape(t *testing.T) {
 				appended("ExecExprAppend(tree)", ids, err)
 				ids, err = store.ExecExprLimitAppend(ctx, dst, tree, 3)
 				appended("ExecExprLimitAppend", ids, err)
-				items := []BatchItem{
-					{Query: leaf, Dst: dst},
-					{Expr: tree, Dst: dst},
-					{Expr: tree, Limit: 3, Dst: dst},
-				}
-				if _, err := store.ExecBatchAppend(ctx, items); err != nil {
-					t.Fatal(err)
-				}
-				for i := range items {
-					appended(fmt.Sprintf("ExecBatchAppend[%d]", i), items[i].Out, items[i].Err)
-				}
 			}
 		})
 	}

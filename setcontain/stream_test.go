@@ -5,7 +5,6 @@ import (
 	"errors"
 	"math/rand"
 	"reflect"
-	"slices"
 	"sort"
 	"testing"
 
@@ -263,200 +262,6 @@ func TestStorePlanOrderTracksMerge(t *testing.T) {
 	if got := plan.Root.Kids[0].Leaf.String(); got != "subset{1}" {
 		t.Fatalf("post-merge first AND leg is %s, want subset{1}\nplan:\n%s", got, plan)
 	}
-}
-
-// TestExecBatchAppendCSE pins the cross-query subexpression cache on a
-// mixed micro-batch: plain-leaf items (a bare Query, a one-leaf Expr)
-// bypass the planner and its counters, tree items sharing a hot subtree
-// evaluate it once and serve the rest from cache with deterministic
-// hit/miss/saved-leaf counts, and every item answers exactly what
-// single-request execution answers — limited items included. A batch
-// context cancelled mid-way returns (i, ctx.Err()) and still folds the
-// counters gathered before the cancel.
-func TestExecBatchAppendCSE(t *testing.T) {
-	c := sampleCollection(t)
-	ctx := context.Background()
-	ix, err := Build(c, Options{Kind: OIF, PageSize: 512})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := NewStore(ix, 0)
-	// Every tree shares the subtree (subset{1} and subset{2});
-	// collectCSE keys it (and its leaves) as shared across the batch.
-	shared := "(subset{1} and subset{2})"
-	exprTexts := []string{
-		shared + " or subset{3}",
-		shared + " or subset{4}",
-		shared + " or equality{5}",
-		shared + " or subset{6 7}",
-	}
-	const trees = 4
-	items := make([]BatchItem, 0, trees+2)
-	want := make([][]uint32, 0, trees+2)
-	for _, txt := range exprTexts {
-		e, err := ParseExpr(txt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		items = append(items, BatchItem{Expr: e})
-		ids, err := s.ExecExprAppend(ctx, nil, e)
-		if err != nil {
-			t.Fatalf("ExecExprAppend %q: %v", txt, err)
-		}
-		want = append(want, ids)
-	}
-	// One limited tree: the limit's cut must coexist with CSE.
-	items[3].Limit = 2
-	if len(want[3]) > 2 {
-		want[3] = want[3][:2]
-	}
-	// Two plain leaves riding the same batch, spelled both ways. They
-	// repeat the shared subtree's leaf, yet must neither feed the cache
-	// nor count as expressions.
-	leaf := SubsetQuery([]Item{1})
-	leafWant, err := s.Exec(ctx, leaf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	items = append(items, BatchItem{Query: leaf}, BatchItem{Expr: ExprOf(leaf)})
-	want = append(want, leafWant, leafWant)
-
-	pre := s.ExprStats()
-	n, err := s.ExecBatchAppend(ctx, items)
-	if err != nil || n != len(items) {
-		t.Fatalf("ExecBatchAppend: n=%d err=%v", n, err)
-	}
-	for i := range items {
-		if items[i].Err != nil {
-			t.Fatalf("item %d: %v", i, items[i].Err)
-		}
-		if !slices.Equal(items[i].Out, want[i]) {
-			t.Fatalf("item %d: got %d ids, want %d", i, len(items[i].Out), len(want[i]))
-		}
-	}
-	st := s.ExprStats()
-	if got := st.Expressions - pre.Expressions; got != trees {
-		t.Fatalf("batch counted %d planned expressions, want %d (leaf items bypass the planner)", got, trees)
-	}
-	misses := st.CSEMisses - pre.CSEMisses
-	hits := st.CSEHits - pre.CSEHits
-	saved := st.CSESavedLeaves - pre.CSESavedLeaves
-	// The shared AND subtree and its two leaves miss once, evaluating
-	// under the first tree; the three other trees hit the parent, which
-	// means the leaves underneath are never consulted again: exactly 3
-	// misses, 3 hits, and 2 leaves saved per hit.
-	if misses != 3 || hits != 3 || saved != 6 {
-		t.Fatalf("cache traffic hits=%d misses=%d saved=%d, want 3/3/6", hits, misses, saved)
-	}
-	// A second identical batch starts a fresh cache: same counts again.
-	if _, err := s.ExecBatchAppend(ctx, items); err != nil {
-		t.Fatal(err)
-	}
-	st2 := s.ExprStats()
-	if st2.CSEHits-st.CSEHits != hits || st2.CSEMisses-st.CSEMisses != misses {
-		t.Fatalf("second batch counted hits=%d misses=%d, want %d/%d",
-			st2.CSEHits-st.CSEHits, st2.CSEMisses-st.CSEMisses, hits, misses)
-	}
-
-	// Cancel the batch context while item 1 runs: item 1's own context
-	// trips the wire as the core consults it, so items 0 and 1 complete
-	// and the check before item 2 sees the cancellation.
-	var tripped bool
-	items[1].Ctx = tripwire{Context: ctx, tripped: &tripped, trigger: true}
-	n, err = s.ExecBatchAppend(tripwire{Context: ctx, tripped: &tripped}, items)
-	items[1].Ctx = nil
-	if n != 2 || !errors.Is(err, context.Canceled) {
-		t.Fatalf("mid-batch cancel: n=%d err=%v, want 2, context.Canceled", n, err)
-	}
-	for i := range items {
-		if i < 2 && (items[i].Err != nil || !slices.Equal(items[i].Out, want[i])) {
-			t.Fatalf("item %d before the cancel: err=%v, %d ids, want %d", i, items[i].Err, len(items[i].Out), len(want[i]))
-		}
-		if i >= 2 && (items[i].Out != nil || items[i].Err != nil) {
-			t.Fatalf("unprocessed item %d carries out=%v err=%v", i, items[i].Out, items[i].Err)
-		}
-	}
-	st3 := s.ExprStats()
-	if m, h := st3.CSEMisses-st2.CSEMisses, st3.CSEHits-st2.CSEHits; m != 3 || h != 1 {
-		t.Fatalf("cut batch folded hits=%d misses=%d, want 1/3 (items 0 and 1 ran)", h, m)
-	}
-
-	// Negative limit surfaces per item, leaving its batchmates alone.
-	items[0].Limit = -1
-	if _, err := s.ExecBatchAppend(ctx, items); err != nil {
-		t.Fatal(err)
-	}
-	if !errors.Is(items[0].Err, ErrNegativeLimit) {
-		t.Fatalf("negative-limit item error = %v, want ErrNegativeLimit", items[0].Err)
-	}
-	if items[1].Err != nil || !slices.Equal(items[1].Out, want[1]) {
-		t.Fatalf("batchmate of the failed item: err=%v, %d ids, want %d", items[1].Err, len(items[1].Out), len(want[1]))
-	}
-}
-
-// TestExecBatchLimitedSharedRoot pins a limit's cut against the batch's
-// subexpression cache. A limited root OR that a later batchmate contains
-// is shared: it must be evaluated and cached whole, because the
-// batchmate reads all of it. Had the cut reached the cache, the
-// batchmate would answer from the first limit ids of the union.
-func TestExecBatchLimitedSharedRoot(t *testing.T) {
-	c := sampleCollection(t)
-	ctx := context.Background()
-	texts := []string{"subset{1} or subset{2}", "(subset{1} or subset{2}) and not subset{3}"}
-	for _, kind := range []Kind{OIF, InvertedFile, UnorderedBTree} {
-		ix, err := Build(c, Options{Kind: kind, PageSize: 512})
-		if err != nil {
-			t.Fatalf("%v: %v", kind, err)
-		}
-		s := NewStore(ix, 0)
-		items := make([]BatchItem, len(texts))
-		want := make([][]uint32, len(texts))
-		for i, txt := range texts {
-			e, err := ParseExpr(txt)
-			if err != nil {
-				t.Fatal(err)
-			}
-			items[i] = BatchItem{Expr: e}
-			if want[i], err = s.ExecExprAppend(ctx, nil, e); err != nil {
-				t.Fatalf("%v: ExecExprAppend %q: %v", kind, txt, err)
-			}
-		}
-		if len(want[1]) < 2 {
-			t.Fatalf("%v: %q answered %d ids; the test needs more than the limit", kind, texts[1], len(want[1]))
-		}
-		items[0].Limit = 1
-		want[0] = want[0][:1]
-		if _, err := s.ExecBatchAppend(ctx, items); err != nil {
-			t.Fatalf("%v: ExecBatchAppend: %v", kind, err)
-		}
-		for i := range items {
-			if items[i].Err != nil || !slices.Equal(items[i].Out, want[i]) {
-				t.Fatalf("%v: batch item %q: err=%v, %d ids, want %d", kind, texts[i], items[i].Err, len(items[i].Out), len(want[i]))
-			}
-		}
-	}
-}
-
-// tripwire is a deterministic mid-batch cancellation: the context with
-// trigger set trips the shared flag when its Err is consulted (and
-// reports nil itself), after which its flag-sharing siblings report
-// context.Canceled. Done stays nil, so no interrupt hook is armed and
-// only the core's own per-item checks consult it.
-type tripwire struct {
-	context.Context
-	tripped *bool
-	trigger bool
-}
-
-func (c tripwire) Err() error {
-	if c.trigger {
-		*c.tripped = true
-		return nil
-	}
-	if *c.tripped {
-		return context.Canceled
-	}
-	return nil
 }
 
 // BenchmarkExprStreamMaterializing is the baseline of the root package's

@@ -30,6 +30,7 @@ import (
 
 	"repro/internal/dataset"
 	"repro/internal/naive"
+	"repro/internal/wire"
 	"repro/setcontain"
 	"repro/setcontain/serve"
 )
@@ -256,28 +257,6 @@ var entryPoints = []entryPoint{
 		}
 		return v.store.ExecBatch(ctx, qs)
 	}},
-	// One batch carrying the whole mix: plain leaves (spelled as Query
-	// and as one-leaf Expr alternately), trees, and limited items.
-	{"Store.ExecBatchAppend", anyOp, func(ctx context.Context, v *transportVariant, ops []transportOp) ([][]uint32, error) {
-		items := make([]setcontain.BatchItem, len(ops))
-		for i, op := range ops {
-			items[i] = setcontain.BatchItem{Expr: op.expr, Limit: op.limit}
-			if q, leaf := op.expr.AsQuery(); leaf && i%2 == 0 {
-				items[i] = setcontain.BatchItem{Query: q, Limit: op.limit}
-			}
-		}
-		if n, err := v.store.ExecBatchAppend(ctx, items); err != nil {
-			return nil, fmt.Errorf("after %d items: %w", n, err)
-		}
-		out := make([][]uint32, len(ops))
-		for i := range items {
-			if items[i].Err != nil {
-				return nil, fmt.Errorf("item %d (%s limit %d): %w", i, ops[i].expr, ops[i].limit, items[i].Err)
-			}
-			out[i] = items[i].Out
-		}
-		return out, nil
-	}},
 	{"Batcher.DoExprLimit", anyOp, perOp(func(ctx context.Context, v *transportVariant, op transportOp) ([]uint32, error) {
 		return v.srv.Batcher().DoExprLimit(ctx, nil, op.expr, op.limit)
 	})},
@@ -487,26 +466,6 @@ func TestTransportEquivalence(t *testing.T) {
 				}
 				if _, err := ep.run(ended, v, asked); !errors.Is(err, ended.Err()) {
 					t.Errorf("%s: %s under an ended context: %v, want %v", v.name, ep.name, err, ended.Err())
-				}
-			}
-			// The same contexts scoping one item of a live batch fail that
-			// item alone, and its batchmates answer in full.
-			items := make([]setcontain.BatchItem, len(ops))
-			for i, op := range ops {
-				items[i] = setcontain.BatchItem{Expr: op.expr, Limit: op.limit}
-				if i%3 == 0 {
-					items[i].Ctx = ended
-				}
-			}
-			if n, err := v.store.ExecBatchAppend(ctx, items); n != len(items) || err != nil {
-				t.Fatalf("%s: live batch with ended items stopped after %d of %d: %v", v.name, n, len(items), err)
-			}
-			for i, it := range items {
-				switch {
-				case it.Ctx != nil && (!errors.Is(it.Err, ended.Err()) || it.Out != nil):
-					t.Errorf("%s: item %d under an ended context: %v, %v; want no answer and %v", v.name, i, it.Out, it.Err, ended.Err())
-				case it.Ctx == nil && (it.Err != nil || !slices.Equal(it.Out, oracle.answer(t, ops[i]))):
-					t.Errorf("%s: item %d beside ended items: %v, %v; oracle says %v", v.name, i, it.Out, it.Err, oracle.answer(t, ops[i]))
 				}
 			}
 		}
@@ -826,7 +785,7 @@ func TestTransportPublicRoutesOnly(t *testing.T) {
 
 // answerOracle is the fuzz target's independent reading of a /query
 // response to a one-query request: the ids of a well-formed stream
-// (every line one Result of at most MaxAnswerLine bytes for query 0, no
+// (every line one Result of at most wire.MaxLineBytes bytes for query 0, no
 // error line, a final line whose count matches), or ok false for
 // anything else.
 func answerOracle(body []byte) (ids []uint32, ok bool) {
@@ -834,7 +793,7 @@ func answerOracle(body []byte) (ids []uint32, ok bool) {
 		var raw []byte
 		raw, body, _ = bytes.Cut(body, []byte("\n"))
 		var line serve.Result
-		if len(raw) > setcontain.MaxAnswerLine || json.Unmarshal(raw, &line) != nil || line.Query != 0 || line.Error != "" {
+		if len(raw) > wire.MaxLineBytes || json.Unmarshal(raw, &line) != nil || line.Query != 0 || line.Error != "" {
 			return nil, false
 		}
 		ids = append(ids, line.IDs...)
@@ -852,17 +811,17 @@ func FuzzRemoteAnswerStream(f *testing.F) {
 	for _, seed := range []string{
 		`{"query":0,"ids":[1,2],"more":true,"count":0}` + "\n" + `{"query":0,"ids":[5],"done":true,"count":3}` + "\n",
 		`{"query":0,"done":true,"count":0}` + "\n",
-		`{"query":0,"ids":[1,2],"more":true,"count":0}` + "\n",                                                             // truncated after a more line
-		`{"query":0,"ids":[1,2],"more":true,"count":0}` + "\n" + `{"query":0,"ids":[5],"do`,                                // truncated mid-line
-		`{"query":0,"ids":[1,2],"done":true,"count":3}` + "\n",                                                             // count mismatch
-		`{"query":0,"ids":[1],"more":true,"count":0}` + "\n" + `{"query":0,"done":true,"count":0,"error":"boom"}` + "\n",   // error line
-		`{"query":1,"ids":[1,2],"done":true,"count":2}` + "\n",                                                             // wrong query index
-		`{"query":0,"ids":[` + strings.Repeat("7,", 1<<13) + `7],"done":true,"count":8193}` + "\n",                         // two chunks' worth on one line
-		`{"query":0,"ids":[` + strings.Repeat("7,", setcontain.MaxAnswerLine/2) + `7],"done":true,"count":1}` + "\n",       // a line past the cap
-		`{"query":0,"more":true,"count":0}` + "\n" + `{"query":0,"ids":[` + strings.Repeat("7,", setcontain.MaxAnswerLine), // a line that never ends
-		`{"query":0,"done":true,"count":0}` + strings.Repeat(" ", setcontain.MaxAnswerLine-33),                             // exactly the cap, unterminated
-		`{"query":0,"done":true,"count":0}` + strings.Repeat(" ", setcontain.MaxAnswerLine-32) + "\n",                      // one byte past it
-		`{"query":0,"more":true,"count":0} {"query":0,"done":true,"count":0}` + "\n",                                       // two values on one line
+		`{"query":0,"ids":[1,2],"more":true,"count":0}` + "\n",                                                           // truncated after a more line
+		`{"query":0,"ids":[1,2],"more":true,"count":0}` + "\n" + `{"query":0,"ids":[5],"do`,                              // truncated mid-line
+		`{"query":0,"ids":[1,2],"done":true,"count":3}` + "\n",                                                           // count mismatch
+		`{"query":0,"ids":[1],"more":true,"count":0}` + "\n" + `{"query":0,"done":true,"count":0,"error":"boom"}` + "\n", // error line
+		`{"query":1,"ids":[1,2],"done":true,"count":2}` + "\n",                                                           // wrong query index
+		`{"query":0,"ids":[` + strings.Repeat("7,", 1<<13) + `7],"done":true,"count":8193}` + "\n",                       // two chunks' worth on one line
+		`{"query":0,"ids":[` + strings.Repeat("7,", wire.MaxLineBytes/2) + `7],"done":true,"count":1}` + "\n",            // a line past the cap
+		`{"query":0,"more":true,"count":0}` + "\n" + `{"query":0,"ids":[` + strings.Repeat("7,", wire.MaxLineBytes),      // a line that never ends
+		`{"query":0,"done":true,"count":0}` + strings.Repeat(" ", wire.MaxLineBytes-33),                                  // exactly the cap, unterminated
+		`{"query":0,"done":true,"count":0}` + strings.Repeat(" ", wire.MaxLineBytes-32) + "\n",                           // one byte past it
+		`{"query":0,"more":true,"count":0} {"query":0,"done":true,"count":0}` + "\n",                                     // two values on one line
 		`{"query":0,"ids":[-1],"done":true,"count":1}` + "\n",
 		"null\n[]\n",
 		"",

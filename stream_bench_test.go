@@ -4,12 +4,9 @@ package repro
 // streaming evaluator (AND-leg candidate pushdown through a persistent
 // free list).
 // BenchmarkExprLimit measures a LIMIT on a warm OIF, where the root OR
-// merges only the first ids of each leg. BenchmarkExprCSE measures the
-// cross-query subexpression cache on a micro-batch sharing a hot
-// subtree, against answering the same batch one expression at a time.
+// merges only the first ids of each leg.
 
 import (
-	"context"
 	"math/rand"
 	"sort"
 	"testing"
@@ -162,84 +159,6 @@ func BenchmarkExprLimit(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if dst, _, err = ev.EvalLimitAppend(dst[:0], plans[i%len(plans)], idx, 0); err != nil {
 				b.Fatal(err)
-			}
-		}
-	})
-}
-
-// exprCSEFixture is BenchmarkExprCSE's workload: a Store over a warm
-// OIF and eight ORs sharing one hot AND subtree.
-func exprCSEFixture(tb testing.TB) (*setcontain.Store, []*setcontain.Expr) {
-	tb.Helper()
-	idx, hot, cold := streamBenchIndex(tb, setcontain.OIF)
-	shared := setcontain.And(
-		setcontain.ExprOf(setcontain.SubsetQuery([]setcontain.Item{hot[0]})),
-		setcontain.ExprOf(setcontain.SubsetQuery([]setcontain.Item{hot[1]})),
-	)
-	rng := rand.New(rand.NewSource(45))
-	exprs := make([]*setcontain.Expr, 8)
-	for i := range exprs {
-		exprs[i] = setcontain.Or(shared, setcontain.ExprOf(setcontain.SubsetQuery(
-			[]setcontain.Item{cold[rng.Intn(len(cold))]})))
-	}
-	return setcontain.NewStore(idx, 0), exprs
-}
-
-// exprCSEBatch returns the "batched" side's unit of work: exprs as one
-// Store.ExecBatchAppend, each answer buffer reused by the next call.
-func exprCSEBatch(store *setcontain.Store, exprs []*setcontain.Expr) func() error {
-	items := make([]setcontain.BatchItem, len(exprs))
-	dsts := make([][]uint32, len(exprs))
-	for i := range dsts {
-		dsts[i] = make([]uint32, 0, 4096)
-	}
-	return func() error {
-		for j := range items {
-			items[j] = setcontain.BatchItem{Expr: exprs[j], Dst: dsts[j][:0]}
-		}
-		if _, err := store.ExecBatchAppend(context.Background(), items); err != nil {
-			return err
-		}
-		for j := range items {
-			if items[j].Err != nil {
-				return items[j].Err
-			}
-			dsts[j] = items[j].Out
-		}
-		return nil
-	}
-}
-
-// BenchmarkExprCSE measures the cross-query subexpression cache: a
-// micro-batch of eight ORs sharing one hot AND subtree, answered as one
-// Store.ExecBatchAppend (the shared subtree evaluated once, seven cache
-// hits) versus one ExecExprAppend per expression (the subtree
-// re-evaluated every time). OR keeps the unshared legs cheap, so the
-// shared work dominates and the batched/separate ratio is the cache's
-// win.
-func BenchmarkExprCSE(b *testing.B) {
-	store, exprs := exprCSEFixture(b)
-	ctx := context.Background()
-	b.Run("batched", func(b *testing.B) {
-		batch := exprCSEBatch(store, exprs)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if err := batch(); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("separate", func(b *testing.B) {
-		dst := make([]uint32, 0, 4096)
-		var err error
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			for _, e := range exprs {
-				if dst, err = store.ExecExprAppend(ctx, dst[:0], e); err != nil {
-					b.Fatal(err)
-				}
 			}
 		}
 	})
