@@ -20,10 +20,11 @@ test:
 
 # The allocation gates — TestBatcherZeroAllocs, TestStoreExecAppendZeroAllocs,
 # TestQueryEvalAppendZeroAllocs, TestOverlayMatchesZeroAllocs,
-# TestExprAllocCeilings — skip or are compiled out under the race
-# detector, so `make test` never runs them; this does, without -race.
+# TestResultCodecZeroAllocs, TestExprAllocCeilings — skip or are compiled
+# out under the race detector, so `make test` never runs them; this does,
+# without -race.
 alloc-check:
-	$(GO) test -run 'ZeroAllocs|AllocCeilings' . ./setcontain/... ./internal/overlay
+	$(GO) test -run 'ZeroAllocs|AllocCeilings' . ./setcontain/... ./internal/overlay ./internal/wire
 
 # Run every benchmark once, across all packages, without re-running unit
 # tests: the CI bench-smoke job's one step, proving every Benchmark*
@@ -44,17 +45,19 @@ bench-module-check:
 
 # Short coverage-guided runs of every fuzz target (go allows one -fuzz
 # target per invocation): the expression-grammar round-trip fuzzer, the
-# remote shard client's NDJSON answer reader, the snapshot container
-# reader, the POST /query body through the serve handler, the WAL
-# replay/record fuzzers, and the vbyte codec and block-kernel fuzzers. The
-# CI fuzz job uses the same invocations; corpus findings land in testdata
-# and fail `make test` thereafter. The answer-stream, snapshot and
-# posting-block inputs run to kilobytes, so minimizing each new one is
-# capped — it would otherwise eat the whole smoke.
+# remote shard client's NDJSON answer reader, the answer-line codec
+# against encoding/json, the snapshot container reader, the POST /query
+# body through the serve handler, the WAL replay/record fuzzers, and the
+# vbyte codec and block-kernel fuzzers. The CI fuzz job uses the same
+# invocations; corpus findings land in testdata and fail `make test`
+# thereafter. The answer-stream, answer-line, snapshot and posting-block
+# inputs run to kilobytes, so minimizing each new one is capped — it
+# would otherwise eat the whole smoke.
 FUZZ_TIME ?= 10s
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseExpr$$' -fuzztime $(FUZZ_TIME) ./setcontain
 	$(GO) test -run '^$$' -fuzz '^FuzzRemoteAnswerStream$$' -fuzztime $(FUZZ_TIME) -fuzzminimizetime 1s ./setcontain
+	$(GO) test -run '^$$' -fuzz '^FuzzResultLine$$' -fuzztime $(FUZZ_TIME) -fuzzminimizetime 1s ./internal/wire
 	$(GO) test -run '^$$' -fuzz '^FuzzOpenSnapshot$$' -fuzztime $(FUZZ_TIME) -fuzzminimizetime 1s ./setcontain
 	$(GO) test -run '^$$' -fuzz '^FuzzQueryRequest$$' -fuzztime $(FUZZ_TIME) ./setcontain/serve
 	$(GO) test -run '^$$' -fuzz '^FuzzReplaySegment$$' -fuzztime $(FUZZ_TIME) ./internal/wal

@@ -4,7 +4,10 @@
 // setcontain — so the bodies both ends must agree on live in this
 // dependency-free leaf; serve re-exports them under its own names as
 // aliases, and the JSON tags here are the protocol. Items and record
-// ids are spelled uint32 (setcontain.Item is an alias of it).
+// ids are spelled uint32 (setcontain.Item is an alias of it). The
+// answer stream's Result lines, the one body whose size grows with the
+// answer, are written and read through the codec AppendResult /
+// DecodeResult rather than by each end's own encoding/json calls.
 package wire
 
 // QueryRequest is the POST /query body: the queries to answer, in
@@ -38,11 +41,11 @@ type QueryErrorResponse struct {
 	Offset *int   `json:"offset,omitempty"`
 }
 
-// Result is one NDJSON response line. A query's answer arrives as zero
-// or more chunk lines (More true) followed by one final line (Done
-// true) carrying the total count — so clients consume arbitrarily large
-// answers without either side materializing them. Error lines are
-// final lines with Error set.
+// Result is one NDJSON response line, written by AppendResult and read
+// by DecodeResult. A query's answer arrives as zero or more chunk lines
+// (More true) followed by one final line (Done true) carrying the total
+// count — so clients consume arbitrarily large answers without either
+// side materializing them. Error lines are final lines with Error set.
 type Result struct {
 	// Query is the index of the answered query in the request.
 	Query int `json:"query"`

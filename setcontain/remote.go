@@ -246,14 +246,16 @@ func (s *remoteSession) appendWire(ctx context.Context, dst []uint32, spec wire.
 // one wire.Result of at most wire.MaxLineBytes bytes belonging to query 0
 // (the only one sent), and an error line — how the daemon reports a
 // query that failed executing — fails the call with the daemon's
-// message. A ctx that ends mid-answer fails the body's next read.
+// message. A ctx that ends mid-answer fails the body's next read. Each
+// line's ids go straight onto dst (wire.DecodeResult); ids appended
+// before a failure are dropped with the rest of the answer.
 func readAnswer(dst []uint32, body io.Reader) ([]uint32, error) {
 	lines := bufio.NewScanner(body)
 	lines.Buffer(nil, wire.MaxLineBytes+1) // the scanner's limit counts the newline
 	base := len(dst)
 	for lines.Scan() {
-		var line wire.Result
-		if err := json.Unmarshal(lines.Bytes(), &line); err != nil {
+		line, out, err := wire.DecodeResult(lines.Bytes(), dst)
+		if err != nil {
 			return nil, err
 		}
 		if line.Query != 0 {
@@ -262,7 +264,7 @@ func readAnswer(dst []uint32, body io.Reader) ([]uint32, error) {
 		if line.Error != "" {
 			return nil, errors.New(line.Error)
 		}
-		dst = append(dst, line.IDs...)
+		dst = out
 		if line.Done {
 			if got := len(dst) - base; got != line.Count {
 				return nil, fmt.Errorf("answer carries %d ids, final line says %d", got, line.Count)

@@ -29,10 +29,11 @@
 // everything else goes through the store's cost-based planner, which
 // orders AND legs rarest-first and short-circuits the rest when an
 // intermediate empties; /stats reports that accounting under
-// "planner". A query string that fails to parse, and a POST carrying
-// more than 1 024 queries, answer 400 with a JSON body carrying the
-// error (and, for a parse error, the byte offset of the failing token)
-// before any query runs.
+// "planner". A query string that fails to parse, a POST carrying more
+// than 1 024 queries, and a query of more than 1 024 leaves or 65 536
+// items (summed over its leaves) answer 400 with a JSON body carrying
+// the error (and, for a parse error, the byte offset of the failing
+// token) before any query runs.
 //
 // The /admin endpoints mutate the live collection (serialized by an
 // internal lock; queries keep flowing on the store's pooled readers):
@@ -68,7 +69,9 @@
 // huge answer set is never encoded as one JSON document; /stream
 // additionally flushes each chunk to the client as it is written. A
 // chunk is clamped to wire.MaxResultIDs ids, so every line fits the
-// 1 MiB line cap a coordinator reads under.
+// 1 MiB line cap a coordinator reads under. Each line is encoded by
+// wire.AppendResult — the bytes json.Encoder would write — and sent in
+// one Write.
 // Admission is bounded: when Config.MaxPending queries already wait for
 // a slot, new ones are refused with ErrSaturated (HTTP 429) instead of
 // growing an unbounded backlog, and every request's context propagates

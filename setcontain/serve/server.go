@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 	"sync"
@@ -13,6 +14,7 @@ import (
 	"time"
 
 	"repro/internal/wal"
+	"repro/internal/wire"
 	"repro/setcontain"
 )
 
@@ -24,6 +26,16 @@ const maxRequestBytes = 8 << 20
 // so a request costs what it carries; a longer one is refused with 400
 // before any query runs.
 const maxQueriesPerRequest = 1024
+
+// maxLeavesPerExpr bounds the containment leaves of one query's
+// expression (Expr.Leaves), and maxItemsPerQuery the items summed over
+// them. A request within maxRequestBytes could otherwise carry hundreds
+// of thousands of either; a query over a bound is refused with 400
+// before any query of its request runs.
+const (
+	maxLeavesPerExpr = 1024
+	maxItemsPerQuery = 65536
+)
 
 // Server is the HTTP face of a Store: a Batcher bounding admission plus
 // the handlers described in the package documentation. Create one with
@@ -41,7 +53,8 @@ type Server struct {
 	mut     setcontain.Mutator
 	durable *setcontain.Durable
 
-	bufs sync.Pool // *[]uint32 answer buffers, recycled across requests
+	bufs  sync.Pool // *[]uint32 answer buffers, recycled across requests
+	lines sync.Pool // *[]byte NDJSON line buffers, recycled across requests
 
 	// admin serializes the mutating endpoints (insert, delete, merge,
 	// snapshot — a snapshot mutates the engine's own buffer pool while
@@ -117,6 +130,15 @@ func (s *Server) getBuf() []uint32 {
 
 func (s *Server) putBuf(buf []uint32) { s.bufs.Put(&buf) }
 
+// getLine borrows an NDJSON line buffer; return it with s.lines.Put.
+func (s *Server) getLine() *[]byte {
+	if p, _ := s.lines.Get().(*[]byte); p != nil {
+		return p
+	}
+	b := make([]byte, 0, 4096)
+	return &b
+}
+
 // exprReq is one parsed query of a request: the expression tree plus
 // its answer limit (0 = unlimited).
 type exprReq struct {
@@ -169,6 +191,9 @@ func parseRequest(r *http.Request) ([]exprReq, error) {
 				return nil, fmt.Errorf("serve: query %d: %w", i, setcontain.ErrNegativeLimit)
 			}
 			e, err := parseSpec(spec)
+			if err == nil {
+				err = checkBounds(e)
+			}
 			if err != nil {
 				return nil, fmt.Errorf("serve: query %d: %w", i, err)
 			}
@@ -184,10 +209,37 @@ func parseRequest(r *http.Request) ([]exprReq, error) {
 		if err != nil {
 			return nil, err
 		}
+		if err := checkBounds(e); err != nil {
+			return nil, err
+		}
 		return []exprReq{{expr: e, limit: limit}}, nil
 	default:
 		return nil, fmt.Errorf("serve: method %s not allowed", r.Method)
 	}
+}
+
+// checkBounds refuses a query over maxLeavesPerExpr leaves or
+// maxItemsPerQuery items.
+func checkBounds(e *setcontain.Expr) error {
+	if n := e.Leaves(); n > maxLeavesPerExpr {
+		return fmt.Errorf("serve: expression has %d leaves, over the bound of %d per expression", n, maxLeavesPerExpr)
+	}
+	if n := exprItems(e); n > maxItemsPerQuery {
+		return fmt.Errorf("serve: query carries %d items, over the bound of %d per query", n, maxItemsPerQuery)
+	}
+	return nil
+}
+
+// exprItems sums the items of e's leaves.
+func exprItems(e *setcontain.Expr) int {
+	if e.Op == setcontain.OpLeaf {
+		return len(e.Leaf.Items)
+	}
+	n := 0
+	for _, k := range e.Kids {
+		n += exprItems(k)
+	}
+	return n
 }
 
 // writeQueryError answers a failed request parse as JSON: positioned
@@ -254,7 +306,8 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 // ErrSaturated before the first byte (the request is refused with 429),
 // or a query's own (reported on its final line; the rest still run).
 func (s *Server) answer(ctx context.Context, w http.ResponseWriter, qs []exprReq, flusher http.Flusher) error {
-	enc := json.NewEncoder(w)
+	line := s.getLine()
+	defer s.lines.Put(line)
 	started := false
 	start := func() {
 		if !started {
@@ -268,7 +321,7 @@ func (s *Server) answer(ctx context.Context, w http.ResponseWriter, qs []exprReq
 		switch {
 		case err == nil:
 			start()
-			werr := s.writeIDs(ctx, enc, flusher, i, out)
+			werr := s.writeIDs(ctx, w, line, flusher, i, out)
 			s.putBuf(out)
 			if werr != nil {
 				return werr // client gone; remaining queries were never admitted
@@ -287,7 +340,7 @@ func (s *Server) answer(ctx context.Context, w http.ResponseWriter, qs []exprReq
 		default:
 			start()
 			s.putBuf(out)
-			if werr := enc.Encode(Result{Query: i, Done: true, Error: err.Error()}); werr != nil {
+			if werr := writeLine(w, line, Result{Query: i, Done: true, Error: err.Error()}); werr != nil {
 				return werr
 			}
 			if failed == nil {
@@ -301,14 +354,14 @@ func (s *Server) answer(ctx context.Context, w http.ResponseWriter, qs []exprReq
 // writeIDs streams one query's materialized answer as NDJSON chunks of
 // at most cfg.ChunkIDs ids, honouring ctx between chunks and flushing
 // each chunk when flusher is non-nil.
-func (s *Server) writeIDs(ctx context.Context, enc *json.Encoder, flusher http.Flusher, query int, ids []uint32) error {
+func (s *Server) writeIDs(ctx context.Context, w io.Writer, line *[]byte, flusher http.Flusher, query int, ids []uint32) error {
 	chunk := s.cfg.ChunkIDs
 	total := len(ids)
 	for len(ids) > chunk {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		if err := enc.Encode(Result{Query: query, IDs: ids[:chunk], More: true}); err != nil {
+		if err := writeLine(w, line, Result{Query: query, IDs: ids[:chunk], More: true}); err != nil {
 			return err
 		}
 		if flusher != nil {
@@ -319,7 +372,15 @@ func (s *Server) writeIDs(ctx context.Context, enc *json.Encoder, flusher http.F
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	return enc.Encode(Result{Query: query, IDs: ids, Done: true, Count: total})
+	return writeLine(w, line, Result{Query: query, IDs: ids, Done: true, Count: total})
+}
+
+// writeLine encodes r into *line, reusing its capacity, and writes the
+// NDJSON line to w in one Write.
+func writeLine(w io.Writer, line *[]byte, r Result) error {
+	*line = wire.AppendResult((*line)[:0], r)
+	_, err := w.Write(*line)
+	return err
 }
 
 // handleStats reports the serving-side counters; see StatsResponse.

@@ -10,6 +10,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"strings"
 	"sync"
 	"testing"
@@ -161,8 +162,9 @@ func TestServerQueryGet(t *testing.T) {
 }
 
 // TestServerBadRequests pins the 4xx paths: malformed JSON, unknown
-// predicate, empty batch, a POST over the per-request query bound, bad
-// ?q=, wrong method. None of them runs a query.
+// predicate, empty batch, a POST over the per-request query bound, a
+// query over the leaf or item bound, bad ?q=, wrong method. None of
+// them runs a query.
 func TestServerBadRequests(t *testing.T) {
 	_, _, srv, ts := newTestServer(t, serve.Config{})
 	spec := `{"pred":"subset","items":[1]}`
@@ -187,6 +189,18 @@ func TestServerBadRequests(t *testing.T) {
 			body := `{"queries":[` + strings.Repeat(spec+",", 1024) + spec + `]}`
 			return http.Post(ts.URL+"/query", "application/json", strings.NewReader(body))
 		}, http.StatusBadRequest, "1025 queries, over the bound of 1024"},
+		{"too many leaves", func() (*http.Response, error) {
+			leaves := make([]string, 1025)
+			for i := range leaves {
+				leaves[i] = fmt.Sprintf("subset{%d}", i)
+			}
+			return http.Get(ts.URL + "/stream?q=" + url.QueryEscape(strings.Join(leaves, " or ")))
+		}, http.StatusBadRequest, "1025 leaves, over the bound of 1024"},
+		{"too many items", func() (*http.Response, error) {
+			items := strings.Repeat("1,", 65536) + "1"
+			body := `{"queries":[` + spec + `,{"pred":"subset","items":[` + items + `]}]}`
+			return http.Post(ts.URL+"/query", "application/json", strings.NewReader(body))
+		}, http.StatusBadRequest, "65537 items, over the bound of 65536"},
 		{"bad q", func() (*http.Response, error) {
 			return http.Get(ts.URL + "/query?q=subset(1+2)")
 		}, http.StatusBadRequest, ""},
