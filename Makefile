@@ -20,11 +20,11 @@ test:
 
 # The allocation gates — TestBatcherZeroAllocs, TestStoreExecAppendZeroAllocs,
 # TestQueryEvalAppendZeroAllocs, TestOverlayMatchesZeroAllocs,
-# TestResultCodecZeroAllocs, TestExprAllocCeilings — skip or are compiled
-# out under the race detector, so `make test` never runs them; this does,
-# without -race.
+# TestResultCodecZeroAllocs, TestReseekZeroAllocs, TestExprAllocCeilings —
+# skip or are compiled out under the race detector, so `make test` never
+# runs them; this does, without -race.
 alloc-check:
-	$(GO) test -run 'ZeroAllocs|AllocCeilings' . ./setcontain/... ./internal/overlay ./internal/wire
+	$(GO) test -run 'ZeroAllocs|AllocCeilings' . ./setcontain/... ./internal/overlay ./internal/wire ./internal/btree
 
 # Run every benchmark once, across all packages, without re-running unit
 # tests: the CI bench-smoke job's one step, proving every Benchmark*

@@ -159,27 +159,6 @@ func childAt(n node, idx int) storage.PageID {
 	return n.child(idx - 1)
 }
 
-// descend walks from the root to the leaf for probe. The returned leaf
-// page is pinned; the caller must Put it.
-func (t *BTree) descend(probe []byte, cmp Compare) (node, error) {
-	id := t.root
-	for {
-		data, err := t.pool.Get(id)
-		if err != nil {
-			return node{}, err
-		}
-		n := node{id: id, data: data}
-		if n.isLeaf() {
-			return n, nil
-		}
-		next := childAt(n, childIndex(n, probe, cmp))
-		if err := t.pool.Put(id); err != nil {
-			return node{}, err
-		}
-		id = next
-	}
-}
-
 // Len counts entries with a full scan (test/diagnostic helper).
 func (t *BTree) Len() (int, error) {
 	c, err := t.First()
@@ -222,83 +201,96 @@ func (t *BTree) Height() (int, error) {
 	}
 }
 
-// Validate checks structural and ordering invariants of the whole tree.
-// Tests call it on bulk-loaded trees.
+// Validate checks the whole tree's structure: every page reachable from
+// the root is a well-formed node inside the pager, reached exactly once;
+// every cell lies inside its page; keys ascend within each node and
+// within the separator bounds its parent routes to it; all leaves lie at
+// one depth; and the leaf links chain the leaves left to right and end
+// after the last. It reads each page once, pinning one at a time.
+//
+// A tree that passes is one every read path terminates on and stays
+// inside its pages over, and one whose deepest separators on a path are
+// its tightest — what SeekCursor's replay relies on. Loading a snapshot
+// calls it before the tree serves a query.
 func (t *BTree) Validate() error {
-	var last []byte
-	first := true
-	c, err := t.First()
-	if err != nil {
-		return err
-	}
-	for c.Valid() {
-		if !first && bytes.Compare(last, c.Key()) >= 0 {
-			return fmt.Errorf("btree: keys out of order: %x !< %x", last, c.Key())
-		}
-		last = append(last[:0], c.Key()...)
-		first = false
-		if err := c.Next(); err != nil {
-			return err
-		}
-	}
-	return t.validateSubtree(t.root, nil, nil)
-}
-
-func (t *BTree) validateSubtree(id storage.PageID, lo, hi []byte) error {
-	data, err := t.pool.Get(id)
-	if err != nil {
-		return err
-	}
-	n := node{id: id, data: data}
-	type childRange struct {
+	type pending struct {
 		id     storage.PageID
-		lo, hi []byte
+		lo, hi []byte // the separator bounds routed to the page; nil = none
+		depth  int
 	}
-	var children []childRange
-	// examine inspects the pinned node; the pin is released before the
-	// recursion below so deep trees cannot exhaust a small pool.
-	examine := func() error {
-		if err := n.validateNode(t.pool.PageSize()); err != nil {
+	numPages := t.pool.Pager().NumPages()
+	visited := make([]bool, numPages)
+	stack := []pending{{id: t.root, depth: 1}}
+	leafDepth := 0
+	link := storage.InvalidPageID // the last leaf's link, until the next leaf checks it
+	for len(stack) > 0 {
+		p := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		if p.id <= metaPageID || int64(p.id) >= numPages {
+			return fmt.Errorf("btree: page id %d outside the tree's pages", p.id)
+		}
+		if visited[p.id] {
+			return fmt.Errorf("btree: page %d reached twice", p.id)
+		}
+		visited[p.id] = true
+		data, err := t.pool.Get(p.id)
+		if err != nil {
 			return err
 		}
-		num := n.numCells()
-		for i := 0; i < num; i++ {
-			k := n.key(i)
-			if lo != nil && bytes.Compare(k, lo) < 0 {
-				return fmt.Errorf("btree: page %d key below lower bound", id)
+		n := node{id: p.id, data: data}
+		// examine inspects the pinned node and queues its children; the
+		// pin is released before any child is read.
+		examine := func() error {
+			if err := n.validateNode(); err != nil {
+				return err
 			}
-			if hi != nil && bytes.Compare(k, hi) >= 0 {
-				return fmt.Errorf("btree: page %d key above upper bound", id)
-			}
-		}
-		if !n.isLeaf() {
-			prev := lo
+			num := n.numCells()
 			for i := 0; i < num; i++ {
-				k := append([]byte(nil), n.key(i)...)
-				var cid storage.PageID
-				if i == 0 {
-					cid = n.aux()
-				} else {
-					cid = n.child(i - 1)
+				k := n.key(i)
+				if i > 0 && bytes.Compare(n.key(i-1), k) >= 0 {
+					return fmt.Errorf("btree: page %d keys out of order at cell %d", p.id, i)
 				}
-				children = append(children, childRange{cid, prev, k})
-				prev = k
+				if p.lo != nil && bytes.Compare(k, p.lo) < 0 {
+					return fmt.Errorf("btree: page %d key below lower bound", p.id)
+				}
+				if p.hi != nil && bytes.Compare(k, p.hi) >= 0 {
+					return fmt.Errorf("btree: page %d key above upper bound", p.id)
+				}
 			}
-			children = append(children, childRange{childAt(n, num), prev, hi})
+			if n.isLeaf() {
+				switch {
+				case leafDepth == 0:
+					leafDepth = p.depth
+				case p.depth != leafDepth:
+					return fmt.Errorf("btree: leaf %d at depth %d, others at %d", p.id, p.depth, leafDepth)
+				case link != p.id:
+					return fmt.Errorf("btree: leaf chain links to page %d, not the next leaf %d", link, p.id)
+				}
+				link = n.aux()
+				return nil
+			}
+			// Children pop leftmost first: push them right to left.
+			hi := p.hi
+			for i := num; i >= 0; i-- {
+				lo := p.lo
+				if i > 0 {
+					lo = bytes.Clone(n.key(i - 1))
+				}
+				stack = append(stack, pending{id: childAt(n, i), lo: lo, hi: hi, depth: p.depth + 1})
+				hi = lo
+			}
+			return nil
 		}
-		return nil
-	}
-	err = examine()
-	if e := t.pool.Put(id); err == nil {
-		err = e
-	}
-	if err != nil {
-		return err
-	}
-	for _, ch := range children {
-		if err := t.validateSubtree(ch.id, ch.lo, ch.hi); err != nil {
+		err = examine()
+		if e := t.pool.Put(p.id); err == nil {
+			err = e
+		}
+		if err != nil {
 			return err
 		}
+	}
+	if link != storage.InvalidPageID {
+		return fmt.Errorf("btree: leaf chain continues past the last leaf to page %d", link)
 	}
 	return nil
 }

@@ -21,12 +21,22 @@ import (
 //
 // A built tree has no write method, so nothing invalidates a cursor: the
 // leaf it holds stays the tree's leaf for as long as the tree is read.
+// That is what lets SeekCursor replay a descent (see there).
 type Cursor struct {
 	t       *BTree
-	leaf    node // private copy of the current leaf's page
+	leaf    node // private copy of the current leaf's page, and its id
 	idx     int
 	valid   bool
 	exhaust bool
+
+	// The descent that reached leaf, while the cursor still holds the
+	// leaf that descent ended at (held): the internal page ids from the
+	// root down, and the tightest separators it passed on either side,
+	// lo <= probe < hi (hasLo / hasHi false where the path has none).
+	path         []storage.PageID
+	lo, hi       []byte
+	hasLo, hasHi bool
+	held         bool
 }
 
 // Seek positions a fresh cursor at the first entry whose key is >= probe
@@ -45,18 +55,72 @@ func (t *BTree) Seek(probe []byte, cmp Compare) (*Cursor, error) {
 // repeated seeks (the OIF's id-directed list probes) allocate nothing
 // after the first. c may be the zero value or a cursor previously used on
 // any tree.
+//
+// A probe inside the separator bounds of the descent that reached c's
+// leaf must descend to that leaf again: each level routes a probe by the
+// separators either side of it, and on a valid tree (Validate) the
+// deepest bounds on a path are its tightest. Such a reseek replays the
+// descent — it requests the same pages in the same order, and searches
+// only the leaf copy c already holds — so the pool sees exactly the
+// requests a full descent makes, at a fraction of the CPU.
 func (t *BTree) SeekCursor(c *Cursor, probe []byte, cmp Compare) error {
-	leaf, err := t.descend(probe, cmp)
-	if err != nil {
+	if c.t == t && c.held && (!c.hasLo || cmp(probe, c.lo) >= 0) && (!c.hasHi || cmp(probe, c.hi) < 0) {
+		return c.replay(probe, cmp)
+	}
+	c.held, c.hasLo, c.hasHi = false, false, false
+	c.path = c.path[:0]
+	id := t.root
+	for {
+		data, err := t.pool.Get(id)
+		if err != nil {
+			return err
+		}
+		n := node{id: id, data: data}
+		if n.isLeaf() {
+			idx, _ := searchNode(n, probe, cmp)
+			c.loadLeaf(n)
+			if err := t.pool.Put(id); err != nil {
+				return err
+			}
+			c.t, c.held, c.idx = t, true, idx
+			return c.settle()
+		}
+		i := childIndex(n, probe, cmp)
+		if i > 0 {
+			c.lo, c.hasLo = append(c.lo[:0], n.key(i-1)...), true
+		}
+		if i < n.numCells() {
+			c.hi, c.hasHi = append(c.hi[:0], n.key(i)...), true
+		}
+		c.path = append(c.path, id)
+		next := childAt(n, i)
+		if err := t.pool.Put(id); err != nil {
+			return err
+		}
+		id = next
+	}
+}
+
+// replay repeats the page requests of the descent that reached the held
+// leaf, then positions within the leaf copy.
+func (c *Cursor) replay(probe []byte, cmp Compare) error {
+	pool := c.t.pool
+	for _, id := range c.path {
+		if _, err := pool.Get(id); err != nil {
+			return err
+		}
+		if err := pool.Put(id); err != nil {
+			return err
+		}
+	}
+	if _, err := pool.Get(c.leaf.id); err != nil {
 		return err
 	}
-	c.t = t
-	idx, _ := searchNode(leaf, probe, cmp)
-	c.loadLeaf(leaf)
-	if err := t.pool.Put(leaf.id); err != nil {
+	idx, _ := searchNode(c.leaf, probe, cmp)
+	if err := pool.Put(c.leaf.id); err != nil {
 		return err
 	}
-	c.idx = idx
+	c.idx, c.valid, c.exhaust = idx, c.leaf.numCells() > 0, false
 	return c.settle()
 }
 
@@ -88,6 +152,7 @@ func (t *BTree) First() (*Cursor, error) {
 
 // loadLeaf copies the pinned leaf's page into the cursor's buffer.
 func (c *Cursor) loadLeaf(n node) {
+	c.leaf.id = n.id
 	c.leaf.data = append(c.leaf.data[:0], n.data...)
 	c.idx = 0
 	c.valid = n.numCells() > 0
@@ -96,9 +161,10 @@ func (c *Cursor) loadLeaf(n node) {
 
 // settle advances past an exhausted leaf (a seek can land after a leaf's
 // last entry) until the cursor rests on an entry or runs off the end of
-// the tree.
+// the tree. A leaf reached by its link has no descent to replay.
 func (c *Cursor) settle() error {
 	for c.idx >= c.leaf.numCells() {
+		c.held = false
 		next := c.leaf.aux()
 		if next == storage.InvalidPageID {
 			c.valid = false

@@ -163,21 +163,26 @@ func (n node) openSlot(i, off int) {
 	n.setNumCells(num + 1)
 }
 
-// validateNode checks structural invariants; used by tests via Validate.
-func (n node) validateNode(pageSize int) error {
+// validateNode checks that n is a leaf or internal node whose slot array
+// and cells all lie inside its page; used by Validate.
+func (n node) validateNode() error {
 	if n.typ() != pageTypeLeaf && n.typ() != pageTypeInternal {
 		return fmt.Errorf("btree: page %d has bad type %d", n.id, n.typ())
 	}
-	num := n.numCells()
-	if headerSize+num*slotSize > n.freeStart() {
+	num, free, pageSize := n.numCells(), n.freeStart(), len(n.data)
+	if headerSize+num*slotSize > free {
 		return fmt.Errorf("btree: page %d slots overlap cells", n.id)
 	}
-	if n.freeStart() > pageSize {
-		return fmt.Errorf("btree: page %d freeStart %d beyond page", n.id, n.freeStart())
+	if free > pageSize {
+		return fmt.Errorf("btree: page %d freeStart %d beyond page", n.id, free)
+	}
+	cellHeader := internalCellHeader
+	if n.isLeaf() {
+		cellHeader = leafCellHeader
 	}
 	for i := 0; i < num; i++ {
-		off := n.slot(i)
-		if off < n.freeStart() || off+n.cellSize(i) > pageSize {
+		// The header bound comes first: cellSize reads the lengths there.
+		if off := n.slot(i); off < free || off+cellHeader > pageSize || off+n.cellSize(i) > pageSize {
 			return fmt.Errorf("btree: page %d cell %d out of bounds", n.id, i)
 		}
 	}

@@ -9,7 +9,7 @@ import (
 // queryArena holds every scratch buffer a query evaluation needs, so
 // steady-state queries allocate nothing: rank scratch for the prepared
 // query and RoI bounds, candidate and merge slices, the block candidate
-// bitmap, superset's decode target, the B-tree probe key, and the list
+// bitmap, superset's gathered postings, the B-tree probe key, and the list
 // cursor itself (which in turn recycles its leaf arena inside
 // btree.Cursor). Each Index — and each Reader clone — owns one arena;
 // buffers are truncated, never freed, so they settle at the high-water
@@ -18,8 +18,7 @@ import (
 // The arena makes explicit what was previously implicit: only one list
 // cursor is live at a time on a query path (candidate gathering finishes
 // before filtering starts, and filters run one list at a time), so a
-// single recycled cursor, bitmap and decode buffer serve the whole
-// evaluation.
+// single recycled cursor and bitmap serve the whole evaluation.
 type queryArena struct {
 	ranks    []sequence.Rank // prepared query (prepRanks result)
 	bound    []sequence.Rank // RoI bound scratch (lower, then upper)
@@ -32,7 +31,6 @@ type queryArena struct {
 	scands   []scand         // superset candidate set
 	merged   []scand         // superset merge target (swapped with scands)
 	incoming []vbyte.Posting // superset per-item RoI postings
-	decode   []vbyte.Posting // superset's block decode target
 	probe    []byte          // B-tree seek probe
 	lc       listCursor      // the one live list cursor
 }

@@ -1,6 +1,10 @@
 package core
 
-import "repro/internal/sequence"
+import (
+	"fmt"
+
+	"repro/internal/sequence"
+)
 
 // Region is one entry of the paper's metadata table (§3, "Metadata"):
 // the contiguous new-id interval [L, U] of records whose smallest
@@ -54,3 +58,23 @@ func (m *Metadata) noteEmpty(id uint32) { m.EmptyUpper = id }
 // Bytes reports the table's memory footprint (space accounting): three
 // 4-byte ids per region plus the empty bound.
 func (m *Metadata) Bytes() int64 { return int64(len(m.Regions))*12 + 4 }
+
+// check reports whether the table is one a build over numRecords records
+// could have written: the empty-set run ends within the records, and each
+// region is empty or a run 1 <= L <= U1+1 <= U+1 <= numRecords+1. The
+// query loops walk these runs by id, so Load refuses any other table.
+func (m *Metadata) check(numRecords int) error {
+	n := uint64(numRecords)
+	if uint64(m.EmptyUpper) > n {
+		return fmt.Errorf("empty-set run ends at %d, past %d records", m.EmptyUpper, n)
+	}
+	for r, reg := range m.Regions {
+		if reg.Empty() {
+			continue
+		}
+		if l, u1, u := uint64(reg.L), uint64(reg.U1), uint64(reg.U); l > u1+1 || u1 > u || u > n {
+			return fmt.Errorf("region of rank %d is [%d, %d] with singletons to %d, over %d records", r, l, u, u1, n)
+		}
+	}
+	return nil
+}

@@ -113,6 +113,10 @@ func (ix *Index) Save(w io.Writer) error {
 
 // Load reconstructs an index from a snapshot produced by Save. The index
 // is backed by an in-memory pager and metered with the default cache.
+// The checksum guards only against accidents, so Load also checks what
+// the query path trusts — the metadata table's runs and the B-tree's
+// structure (btree.Validate) — and refuses a snapshot that fails either
+// with ErrBadSnapshot.
 func Load(r io.Reader) (*Index, error) {
 	cr := snapio.NewReader(bufio.NewReaderSize(r, 1<<16))
 	magic := make([]byte, len(snapshotMagic))
@@ -153,6 +157,9 @@ func Load(r io.Reader) (*Index, error) {
 	meta.EmptyUpper = emptyUpper
 	for i := 0; i < domainSize; i++ {
 		meta.Regions[i] = Region{L: regionWords[3*i], U: regionWords[3*i+1], U1: regionWords[3*i+2]}
+	}
+	if err := meta.check(numRecords); err != nil {
+		return nil, fmt.Errorf("%w: metadata: %v", ErrBadSnapshot, err)
 	}
 	flat, err := snapio.ReadU32Slice(cr)
 	if err != nil {
@@ -222,6 +229,15 @@ func Load(r io.Reader) (*Index, error) {
 
 	pool := storage.NewBufferPool(pager, storage.DefaultPoolPages)
 	tree, err := btree.Open(pool)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrBadSnapshot, err)
+	}
+	// Every page a query can reach is checked before one runs, through a
+	// pool of its own: the index's pool starts as a fresh build's would.
+	check, err := tree.View(storage.NewBufferPool(pager, storage.DefaultPoolPages))
+	if err == nil {
+		err = check.Validate()
+	}
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadSnapshot, err)
 	}

@@ -348,19 +348,9 @@ func (ix *Index) AppendSuperset(dst []uint32, qs []dataset.Item) ([]uint32, erro
 				}
 			}
 			for lc.valid {
-				buf, err := lc.postings()
-				if err != nil {
+				// Records longer than the query can never qualify.
+				if incoming, lastSeen, err = vbyte.AppendPostingsAfter(incoming, lc.cur.Value(), 0, lastSeen, uint32(n)); err != nil {
 					return nil, err
-				}
-				for _, p := range buf {
-					if p.ID <= lastSeen {
-						continue
-					}
-					lastSeen = p.ID
-					// Records longer than the query can never qualify.
-					if p.Length <= uint32(n) {
-						incoming = append(incoming, p)
-					}
 				}
 				if past, err := lc.pastUpper(upper); err != nil {
 					return nil, err
@@ -374,63 +364,65 @@ func (ix *Index) AppendSuperset(dst []uint32, qs []dataset.Item) ([]uint32, erro
 		}
 		ar.incoming = incoming
 
-		// Merge incoming postings into the candidate set. A new record is
-		// admitted only if its remaining unexamined items (q[0..i-1] plus
-		// this one) can still cover its whole set: length <= i+1
-		// (Algorithm 2, line 14).
-		merged := spare[:0]
-		a, b := 0, 0
-		for a < len(cands) || b < len(incoming) {
-			switch {
-			case b == len(incoming) || (a < len(cands) && cands[a].id < incoming[b].ID):
-				merged = append(merged, cands[a])
-				a++
-			case a == len(cands) || incoming[b].ID < cands[a].id:
-				if incoming[b].Length <= uint32(i+1) {
-					merged = append(merged, scand{id: incoming[b].ID, length: incoming[b].Length, found: 1})
-				}
-				b++
-			default: // same id: one more of the record's items is in qs
-				c := cands[a]
-				c.found++
-				merged = append(merged, c)
-				a++
-				b++
-			}
-		}
-		cands, spare = merged, cands
-
 		// The item's final region lives in the metadata table, not the
 		// list (Def. 4's last range; Algorithm 2 lines 22-24).
+		// Cardinality-1 records {q[i]} are answers outright; the other
+		// region residents, (U1, U], contain q[i].
 		reg := ix.meta.Regions[q[i]]
+		u1, u := uint32(math.MaxUint32), uint32(0) // no resident
 		if !reg.Empty() {
-			// Cardinality-1 records {q[i]} are answers outright.
 			for id := reg.L; id <= reg.U1; id++ {
 				results = append(results, id)
 			}
-			// Other region residents contain q[i]: bump their counters.
-			for a := range cands {
-				if cands[a].id > reg.U1 && cands[a].id <= reg.U {
-					cands[a].found++
-				}
-			}
+			u1, u = reg.U1, reg.U
 		}
 
-		// Sweep: emit completed candidates, discard unreachable ones
-		// (Algorithm 2, lines 10-11 and 18-20). After this item, each of
-		// the i remaining items can contribute at most one match.
-		kept := cands[:0]
-		for _, c := range cands {
+		// One pass merges the incoming postings into the candidate set,
+		// counts the region residents and sweeps. A new record is admitted
+		// only if its remaining unexamined items (q[0..i-1] plus this one)
+		// can still cover its whole set: length <= i+1 (Algorithm 2, line
+		// 14). Then completed candidates are emitted and unreachable ones
+		// dropped (lines 10-11 and 18-20): after this item, each of the i
+		// remaining items can contribute at most one match. The sweep's
+		// outcome follows no pattern, so each candidate is appended to
+		// both slices at their kept lengths and kept by advancing one
+		// length, not appended down a branch; capacity still grows only
+		// to what is kept, plus one.
+		merged := spare[:0]
+		kept, done := 0, len(results)
+		a, b := 0, 0
+		for a < len(cands) || b < len(incoming) {
+			var c scand
 			switch {
-			case c.found == c.length:
-				results = append(results, c.id)
-			case c.length-c.found > uint32(i):
-				// unreachable: drop
-			default:
-				kept = append(kept, c)
+			case b == len(incoming) || (a < len(cands) && cands[a].id < incoming[b].ID):
+				c = cands[a]
+				a++
+			case a == len(cands) || incoming[b].ID < cands[a].id:
+				p := incoming[b]
+				b++
+				if p.Length > uint32(i+1) {
+					continue
+				}
+				c = scand{id: p.ID, length: p.Length, found: 1}
+			default: // same id: one more of the record's items is in qs
+				c = cands[a]
+				c.found++
+				a++
+				b++
+			}
+			if c.id-u1-1 < u-u1 { // u1 < c.id <= u, as one unsigned compare
+				c.found++
+			}
+			merged = append(merged[:kept], c)
+			results = append(results[:done], c.id)
+			if c.found == c.length {
+				done++
+			} else if c.length-c.found <= uint32(i) {
+				kept++
 			}
 		}
-		cands = kept
+		results = results[:done]
+		cands, spare = merged[:kept], cands
 	}
 	ar.scands, ar.merged = cands, spare
 	ar.aux = results

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/btree"
 	"repro/internal/sequence"
-	"repro/internal/vbyte"
 )
 
 // listCursor walks the blocks of one rank's inverted list in id order.
@@ -108,21 +107,6 @@ func (lc *listCursor) next() error {
 		return err
 	}
 	return lc.load()
-}
-
-// postings returns the current block decoded into the arena's scratch
-// slice: callers must treat it as read-only and must not hold it across
-// a postings or seek call. Only superset, which needs each posting's
-// length, decodes whole postings; the other paths pass the block's bytes
-// (lc.cur.Value()) to a vbyte kernel.
-func (lc *listCursor) postings() ([]vbyte.Posting, error) {
-	ix := lc.ix
-	ps, err := vbyte.DecodePostingsInto(lc.cur.Value(), 0, ix.arena.decode[:0])
-	if err != nil {
-		return nil, err
-	}
-	ix.arena.decode = ps
-	return ps, nil
 }
 
 // pastUpper reports whether the current block's tag is strictly beyond the

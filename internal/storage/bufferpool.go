@@ -2,6 +2,7 @@ package storage
 
 import (
 	"fmt"
+	"slices"
 )
 
 // AccessStats records how a BufferPool has touched its backing pager.
@@ -75,9 +76,14 @@ type frame struct {
 // pages at a time (a B-tree root-to-leaf path), which must be smaller than
 // the pool. The zero value is not usable; use NewBufferPool.
 type BufferPool struct {
-	pager     Pager
-	capacity  int
-	frames    map[PageID]*frame
+	pager    Pager
+	capacity int
+	// frames is indexed by page id: ids are dense and a page is never
+	// freed, so the table needs no hashing. A nil entry is a page not
+	// resident; resident counts the others. The table grows only after a
+	// successful ReadPage, to the largest id read so far.
+	frames    []*frame
+	resident  int
 	lruHead   *frame
 	lruTail   *frame
 	stats     AccessStats
@@ -104,7 +110,6 @@ func NewBufferPool(pager Pager, capacity int) *BufferPool {
 	return &BufferPool{
 		pager:    pager,
 		capacity: capacity,
-		frames:   make(map[PageID]*frame, capacity),
 		lastMiss: InvalidPageID,
 	}
 }
@@ -140,17 +145,28 @@ func (bp *BufferPool) AddStats(s AccessStats) { bp.stats = bp.stats.Add(s) }
 // have been matched by its Put. The dropped frames' buffers are recycled
 // for future misses.
 func (bp *BufferPool) DropAll() error {
-	for id, f := range bp.frames {
+	for f := bp.lruHead; f != nil; f = f.next {
 		if f.pins > 0 {
-			return fmt.Errorf("storage: DropAll with pinned page %d", id)
+			return fmt.Errorf("storage: DropAll with pinned page %d", f.id)
 		}
 	}
-	for _, f := range bp.frames {
+	for f := bp.lruHead; f != nil; {
+		next := f.next
+		bp.frames[f.id] = nil
 		bp.recycle(f)
+		f = next
 	}
-	bp.frames = make(map[PageID]*frame, bp.capacity)
+	bp.resident = 0
 	bp.lruHead, bp.lruTail = nil, nil
 	return nil
+}
+
+// lookup returns the resident frame of page id, or nil.
+func (bp *BufferPool) lookup(id PageID) *frame {
+	if id < 0 || int64(id) >= int64(len(bp.frames)) {
+		return nil
+	}
+	return bp.frames[id]
 }
 
 // recycle returns an unlinked frame to the free-list (bounded by the
@@ -223,7 +239,8 @@ func (bp *BufferPool) evictOne() error {
 			continue
 		}
 		bp.lruUnlink(f)
-		delete(bp.frames, f.id)
+		bp.frames[f.id] = nil
+		bp.resident--
 		bp.recycle(f)
 		return nil
 	}
@@ -250,12 +267,12 @@ func (bp *BufferPool) fetch(id PageID) (*frame, error) {
 			return nil, err
 		}
 	}
-	if f, ok := bp.frames[id]; ok {
+	if f := bp.lookup(id); f != nil {
 		bp.stats.Hits++
 		bp.touch(f)
 		return f, nil
 	}
-	for len(bp.frames) >= bp.capacity {
+	for bp.resident >= bp.capacity {
 		if err := bp.evictOne(); err != nil {
 			return nil, err
 		}
@@ -277,7 +294,11 @@ func (bp *BufferPool) fetch(id PageID) (*frame, error) {
 		bp.stats.RandMisses++
 	}
 	bp.lastMiss = id
+	if n := int(id) + 1; n > len(bp.frames) {
+		bp.frames = slices.Grow(bp.frames, n-len(bp.frames))[:n]
+	}
 	bp.frames[id] = f
+	bp.resident++
 	bp.lruPushFront(f)
 	return f, nil
 }
@@ -301,8 +322,8 @@ func (bp *BufferPool) Get(id PageID) ([]byte, error) {
 // indicate a pin-balance bug in the caller (pinned pages are exempt from
 // eviction, so a correctly pinned page is always resident).
 func (bp *BufferPool) Put(id PageID) error {
-	f, ok := bp.frames[id]
-	if !ok {
+	f := bp.lookup(id)
+	if f == nil {
 		return fmt.Errorf("storage: Put of non-resident page %d", id)
 	}
 	if f.pins == 0 {

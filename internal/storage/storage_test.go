@@ -2,6 +2,7 @@ package storage
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
 	"path/filepath"
 	"testing"
@@ -508,9 +509,59 @@ func TestBufferPoolDropAllRecyclesFrames(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	// DropAll rebuilds its small frames map (~2 allocations); the page
-	// buffers themselves must all come from the free-list.
-	if allocs > 2 {
+	// The frame table and the page buffers are all reused.
+	if allocs != 0 {
 		t.Fatalf("post-DropAll reads allocated %.1f times per run", allocs)
+	}
+}
+
+// TestBufferPoolFrameTableEdges pins the page-id-indexed frame table at
+// its edges: an id outside the pager is the pager's error on Get and an
+// accounting error on Put, never a panic; a failed read neither counts
+// a miss nor grows the table; and DropAll still refuses while a page is
+// pinned.
+func TestBufferPoolFrameTableEdges(t *testing.T) {
+	const pages = 4
+	faulty := NewFaultyPager(filledPager(t, 64, pages), 0)
+	pool := NewBufferPool(faulty, 2)
+	for _, id := range []PageID{-1, pages} {
+		if _, err := pool.Get(id); !errors.Is(err, ErrPageOutOfRange) {
+			t.Fatalf("Get(%d) = %v, want ErrPageOutOfRange", id, err)
+		}
+	}
+	if len(pool.frames) != 0 || pool.resident != 0 || pool.Stats() != (AccessStats{}) {
+		t.Fatalf("out-of-range Gets left %d table slots, %d resident, %v", len(pool.frames), pool.resident, pool.Stats())
+	}
+	for _, id := range []PageID{-1, 1 << 40} {
+		if err := pool.Put(id); err == nil {
+			t.Fatalf("Put(%d) returned nil", id)
+		}
+	}
+
+	faulty.FailAt = faulty.Ops() + 1
+	if _, err := pool.Get(pages - 1); !errors.Is(err, ErrInjected) {
+		t.Fatalf("Get over a failing pager = %v, want ErrInjected", err)
+	}
+	if len(pool.frames) != 0 || pool.resident != 0 || pool.Stats() != (AccessStats{}) {
+		t.Fatalf("a failed read left %d table slots, %d resident, %v", len(pool.frames), pool.resident, pool.Stats())
+	}
+	faulty.Reset()
+	if _, err := pool.Get(pages - 1); err != nil {
+		t.Fatal(err)
+	}
+	if len(pool.frames) != pages || pool.resident != 1 || pool.Stats().Misses != 1 {
+		t.Fatalf("a read of page %d left %d table slots, %d resident, %v", pages-1, len(pool.frames), pool.resident, pool.Stats())
+	}
+	if err := pool.DropAll(); err == nil {
+		t.Fatal("DropAll with a pinned page succeeded")
+	}
+	if err := pool.Put(pages - 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := pool.DropAll(); err != nil {
+		t.Fatal(err)
+	}
+	if pool.resident != 0 || pool.lookup(pages-1) != nil {
+		t.Fatalf("DropAll left %d resident", pool.resident)
 	}
 }

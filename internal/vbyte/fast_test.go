@@ -92,34 +92,45 @@ func FuzzUint32(f *testing.F) {
 	})
 }
 
-// checkPostingsMatch asserts DecodePostingsInto agrees with the reference
-// DecodePostings on one (buf, prev) input.
+// checkPostingsMatch asserts AppendPostingsAfter, keeping every posting
+// (after = prev, no length bound), agrees with the reference
+// DecodePostings on one (buf, prev) input, and returns the block's last
+// id.
 func checkPostingsMatch(t *testing.T, buf []byte, prev uint32) {
 	t.Helper()
 	want, werr := DecodePostings(buf, prev, nil)
-	got, gerr := DecodePostingsInto(buf, prev, nil)
-	if (gerr == nil) != (werr == nil) {
-		t.Fatalf("DecodePostingsInto(%x, %d) err = %v, reference err = %v", buf, prev, gerr, werr)
-	}
+	got, last, gerr := AppendPostingsAfter(nil, buf, prev, prev, math.MaxUint32)
+	checkSameError(t, fmt.Sprintf("AppendPostingsAfter(%x, %d)", buf, prev), gerr, werr)
 	if werr != nil {
-		for _, sentinel := range []error{ErrTruncated, ErrOverflow, ErrNonMonotonic} {
-			if errors.Is(gerr, sentinel) != errors.Is(werr, sentinel) {
-				t.Fatalf("DecodePostingsInto(%x, %d) err %v classifies %v differently from reference %v",
-					buf, prev, gerr, sentinel, werr)
-			}
-		}
 		return
 	}
+	checkPostings(t, "AppendPostingsAfter", got, want)
+	wantLast := prev
+	if len(want) > 0 {
+		wantLast = want[len(want)-1].ID
+	}
+	if last != wantLast {
+		t.Fatalf("AppendPostingsAfter(%x, %d) last = %d, want %d", buf, prev, last, wantLast)
+	}
+}
+
+// checkPostings asserts a kernel's postings equal the reference's.
+func checkPostings(t *testing.T, kernel string, got, want []Posting) {
+	t.Helper()
 	if len(got) != len(want) {
-		t.Fatalf("DecodePostingsInto(%x, %d) decoded %d postings, reference %d", buf, prev, len(got), len(want))
+		t.Fatalf("%s returned %d postings %v, reference %d %v", kernel, len(got), got, len(want), want)
 	}
 	for i := range want {
 		if got[i] != want[i] {
-			t.Fatalf("DecodePostingsInto(%x, %d) posting %d = %+v, reference %+v", buf, prev, i, got[i], want[i])
+			t.Fatalf("%s posting %d = %+v, reference %+v", kernel, i, got[i], want[i])
 		}
 	}
 }
 
+// TestDecodePostingsIntoMatchesReference holds a whole-block decode by
+// AppendPostingsAfter to DecodePostings on random, truncated and
+// bit-flipped blocks. (The name is kept from the whole-block decoder
+// AppendPostingsAfter replaced.)
 func TestDecodePostingsIntoMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	for trial := 0; trial < 300; trial++ {
@@ -145,6 +156,8 @@ func TestDecodePostingsIntoMatchesReference(t *testing.T) {
 	}
 }
 
+// TestDecodePostingsIntoReusesArena: every block kernel appends into a
+// sized dst without allocating.
 func TestDecodePostingsIntoReusesArena(t *testing.T) {
 	ps := []Posting{{1, 2}, {3, 4}, {700, 5}, {701, 1}, {702, 9}, {704, 2}}
 	buf, err := AppendPostings(nil, ps, 0)
@@ -155,8 +168,8 @@ func TestDecodePostingsIntoReusesArena(t *testing.T) {
 	ids := make([]uint32, 0, 16)
 	marks := []uint64{1<<1 | 1<<4} // ids 701 and 704
 	kernels := map[string]func() int{
-		"DecodePostingsInto": func() int {
-			out, err := DecodePostingsInto(buf, 0, arena[:0])
+		"AppendPostingsAfter": func() int {
+			out, _, err := AppendPostingsAfter(arena[:0], buf, 0, 1, math.MaxUint32) // all but id 1
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -177,7 +190,7 @@ func TestDecodePostingsIntoReusesArena(t *testing.T) {
 			return len(out)
 		},
 	}
-	want := map[string]int{"DecodePostingsInto": len(ps), "AppendIDs": len(ps), "AppendMarked": 2}
+	want := map[string]int{"AppendPostingsAfter": len(ps) - 1, "AppendIDs": len(ps), "AppendMarked": 2}
 	for name, run := range kernels {
 		if got := run(); got != want[name] {
 			t.Fatalf("%s returned %d values, want %d", name, got, want[name])
@@ -217,14 +230,21 @@ func checkIDs(t *testing.T, kernel string, got, want []uint32) {
 // checkKernels holds every block kernel to DecodePostings plus a plain
 // filter on one input: AppendMarked to the ids whose bit id-base is set
 // in marks, AppendIDs to the ids whose length is in [minLen, maxLen],
-// DecodePostingsInto to the postings, and AppendMatches — in place, over
-// the candidates marks encodes — to AppendMarked, leaving its bitmap
-// zero.
+// AppendPostingsAfter to the postings (all of them, and those with id
+// past base and length at most maxLen), and AppendMatches — in place,
+// over the candidates marks encodes — to AppendMarked, leaving its
+// bitmap zero.
 func checkKernels(t *testing.T, buf []byte, prev uint32, marks []uint64, base, minLen, maxLen uint32) {
 	t.Helper()
 	ref, werr := DecodePostings(buf, prev, nil)
 	var wantMarked, wantIDs []uint32
+	var wantAfter []Posting
+	wantLast := max(base, prev)
 	for _, p := range ref {
+		if p.ID > base && p.Length <= maxLen {
+			wantAfter = append(wantAfter, p)
+		}
+		wantLast = max(wantLast, p.ID)
 		if p.ID >= base && uint64(p.ID-base) < 64*uint64(len(marks)) && marks[(p.ID-base)/64]>>((p.ID-base)%64)&1 == 1 {
 			wantMarked = append(wantMarked, p.ID)
 		}
@@ -244,6 +264,14 @@ func checkKernels(t *testing.T, buf []byte, prev uint32, marks []uint64, base, m
 		checkIDs(t, "AppendIDs", got, wantIDs)
 	}
 	checkPostingsMatch(t, buf, prev)
+	after, last, gerr := AppendPostingsAfter(nil, buf, prev, base, maxLen)
+	checkSameError(t, "AppendPostingsAfter", gerr, werr)
+	if werr == nil {
+		checkPostings(t, "AppendPostingsAfter", after, wantAfter)
+		if last != wantLast {
+			t.Fatalf("AppendPostingsAfter after %d: last = %d, want %d", base, last, wantLast)
+		}
+	}
 
 	var cands []uint32
 	for off := uint64(0); off < 64*uint64(len(marks)); off++ {
@@ -346,7 +374,8 @@ func hotBlock(seed int64) []byte {
 // against the reference decoder: AppendMarked with a quarter of the
 // block's id range marked (one candidate per four postings, as the
 // subset filter sees on the hottest list), AppendIDs with the subset
-// RoI scan's length range.
+// RoI scan's length range, AppendPostingsAfter with superset's length
+// bound past the block's first quarter.
 func BenchmarkPostingKernels(b *testing.B) {
 	buf := hotBlock(1)
 	ps, err := DecodePostings(buf, 0, nil)
@@ -377,9 +406,10 @@ func BenchmarkPostingKernels(b *testing.B) {
 			}
 		}
 	})
-	b.Run("DecodePostingsInto", func(b *testing.B) {
+	after := ps[len(ps)/4].ID
+	b.Run("AppendPostingsAfter", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if out, err = DecodePostingsInto(buf, 0, out[:0]); err != nil {
+			if out, _, err = AppendPostingsAfter(out[:0], buf, 0, after, 12); err != nil {
 				b.Fatal(err)
 			}
 		}

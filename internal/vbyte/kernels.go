@@ -5,12 +5,14 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 )
 
 // Block kernels. Each reads a block of postings (AppendPostings' format)
 // once and writes only what its caller keeps: AppendMarked the ids a
 // candidate bitmap selects, AppendIDs the ids whose length is in range,
-// DecodePostingsInto whole postings. All three walk the block with the
+// AppendPostingsAfter the whole postings past an id whose length is in
+// range. All three walk the block with the
 // same steps, each reading the 8 bytes ahead as one word (zero-padded
 // past the block's end), fastest first: quad, four postings with
 // single-byte gaps and lengths; wordPosting, one posting with a one- or
@@ -219,11 +221,19 @@ func AppendIDs(dst []uint32, buf []byte, prev, minLen, maxLen uint32) ([]uint32,
 	return dst, nil
 }
 
-// DecodePostingsInto appends every posting in buf, delta-decoding ids
-// against prev, to out (a reusable arena slice; may be nil). Output and
-// error classification are those of DecodePostings; only the error
-// message prose differs.
-func DecodePostingsInto(buf []byte, prev uint32, out []Posting) ([]Posting, error) {
+// AppendPostingsAfter appends to dst, ascending, the postings of buf
+// (delta-coded against prev) whose id exceeds after and whose length is
+// at most maxLen, and returns last, the larger of after and the block's
+// last id (prev for an empty block): superset's gather, which reads
+// overlapping blocks of one list and keeps each posting once, passes
+// last back as the next block's after. Every posting is decoded and
+// checked; on a corrupt block it returns nil and the error
+// DecodePostings would.
+//
+// Which postings the length bound keeps follows no pattern a branch
+// predictor could learn, so each posting is written to dst's spare
+// capacity unconditionally and kept by advancing the length by keep.
+func AppendPostingsAfter(dst []Posting, buf []byte, prev, after, maxLen uint32) ([]Posting, uint32, error) {
 	last := prev
 	for i := 0; i < len(buf); {
 		w, full := word(buf, i)
@@ -232,11 +242,19 @@ func DecodePostingsInto(buf []byte, prev uint32, out []Posting) ([]Posting, erro
 			id1 := id0 + uint32(w>>16&0xFF)
 			id2 := id1 + uint32(w>>32&0xFF)
 			id3 := id2 + uint32(w>>48&0xFF)
-			out = append(out,
-				Posting{ID: id0, Length: uint32(w >> 8 & 0xFF)},
-				Posting{ID: id1, Length: uint32(w >> 24 & 0xFF)},
-				Posting{ID: id2, Length: uint32(w >> 40 & 0xFF)},
-				Posting{ID: id3, Length: uint32(w >> 56)})
+			l0, l1, l2, l3 := uint32(w>>8&0xFF), uint32(w>>24&0xFF), uint32(w>>40&0xFF), uint32(w>>56)
+			n := len(dst)
+			dst = slices.Grow(dst, 4)
+			out := dst[n : n+4]
+			k := keep(id0, l0, after, maxLen)
+			out[0] = Posting{ID: id0, Length: l0}
+			out[k] = Posting{ID: id1, Length: l1}
+			k += keep(id1, l1, after, maxLen)
+			out[k] = Posting{ID: id2, Length: l2}
+			k += keep(id2, l2, after, maxLen)
+			out[k] = Posting{ID: id3, Length: l3}
+			k += keep(id3, l3, after, maxLen)
+			dst = dst[:n+k]
 			last, i = id3, i+8
 			continue
 		}
@@ -244,13 +262,21 @@ func DecodePostingsInto(buf []byte, prev uint32, out []Posting) ([]Posting, erro
 		if n == 0 || n > len(buf)-i {
 			var err error
 			if id, l, n, err = slowPosting(buf[i:], w, last); err != nil {
-				return nil, err
+				return nil, 0, err
 			}
 		}
-		out = append(out, Posting{ID: id, Length: l})
+		dst = append(dst, Posting{ID: id, Length: l})
+		dst = dst[:len(dst)-1+keep(id, l, after, maxLen)]
 		last, i = id, i+n
 	}
-	return out, nil
+	return dst, max(after, last), nil
+}
+
+// keep is 1 if id > after and l <= maxLen, else 0, without a branch: in
+// 64 bits, after-id borrows into the sign bit exactly when id > after,
+// and maxLen-l exactly when l > maxLen.
+func keep(id, l, after, maxLen uint32) int {
+	return int((uint64(after)-uint64(id))>>63) &^ int((uint64(maxLen)-uint64(l))>>63)
 }
 
 // AppendMatches appends to dst, ascending, the members of cands (sorted

@@ -10,8 +10,9 @@
 // A block of postings is read by kernels (kernels.go) that walk its bytes
 // once, a word at a time, and write only what the caller keeps: the ids
 // a candidate bitmap marks (AppendMarked, and AppendMatches around it),
-// the ids whose length is in range (AppendIDs), or whole postings
-// (DecodePostingsInto). DecodePostings is the byte-at-a-time reference
+// the ids whose length is in range (AppendIDs), or the whole postings
+// past an id whose length is in range (AppendPostingsAfter).
+// DecodePostings is the byte-at-a-time reference
 // they are fuzzed against, errors included.
 package vbyte
 

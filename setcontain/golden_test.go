@@ -299,6 +299,89 @@ func TestOpenRefusesHostilePending(t *testing.T) {
 	}
 }
 
+// hostilePages returns copies of the OIF golden, resealed, whose B-tree
+// pages or metadata table no build could have written: the root routing
+// its leftmost child to itself (a descent that never reaches a leaf), a
+// leaf cell slot pointing past the page, a region whose runs end past
+// the records (and whose singleton run would never end), and an
+// empty-set run past the records.
+func hostilePages(t testing.TB, golden []byte) map[string][]byte {
+	// The container header and its CRC, the payload magic, eight header
+	// words, the item order, then the regions as (L, U, U1) words.
+	const hdr = len(containerMagic) + 4*4 + 4 + len("OIFSNAP2")
+	word := func(b []byte, off int) uint32 { return binary.LittleEndian.Uint32(b[off:]) }
+	pageSize, numRecords, domain := int(word(golden, hdr)), word(golden, hdr+2*4), int(word(golden, hdr+3*4))
+	regions := hdr + 8*4 + 8 + 4*domain + 8
+
+	// The pages end the payload, after their u64 count; the CRC follows.
+	end := len(golden) - 4
+	pages := -1
+	for n := 1; n*pageSize+8 <= end; n++ {
+		if binary.LittleEndian.Uint64(golden[end-n*pageSize-8:]) == uint64(n) {
+			pages = end - n*pageSize
+			break
+		}
+	}
+	if pages < 0 {
+		t.Fatal("oif golden: pages not found")
+	}
+	page := func(b []byte, id uint64) []byte { return b[pages+int(id)*pageSize:][:pageSize] }
+	// Node header: type byte (1 leaf, 2 internal), cell count, free
+	// start, then the next-leaf / leftmost-child id; the slots follow.
+	const typeLeaf, typeInternal, offAux, offSlots = 1, 2, 5, 13
+	root := binary.BigEndian.Uint64(page(golden, 0)[8:])
+	if page(golden, root)[0] != typeInternal {
+		t.Fatal("oif golden: the root is not an internal node")
+	}
+	leaf := root
+	for page(golden, leaf)[0] != typeLeaf {
+		leaf = binary.BigEndian.Uint64(page(golden, leaf)[offAux:])
+	}
+	region := -1
+	for r := 0; r < domain && region < 0; r++ {
+		if word(golden, regions+12*r) != 0 {
+			region = regions + 12*r
+		}
+	}
+	if region < 0 {
+		t.Fatal("oif golden: every region is empty")
+	}
+	return map[string][]byte{
+		"root is its own leftmost child": resealed(golden, func(b []byte) {
+			binary.BigEndian.PutUint64(page(b, root)[offAux:], root)
+		}),
+		"leaf slot past the page": resealed(golden, func(b []byte) {
+			binary.BigEndian.PutUint16(page(b, leaf)[offSlots:], 0xFFF0)
+		}),
+		"region past the records": resealed(golden, func(b []byte) {
+			binary.LittleEndian.PutUint32(b[region+4:], 0xFFFFFFFF) // U
+			binary.LittleEndian.PutUint32(b[region+8:], 0xFFFFFFFF) // U1
+		}),
+		"empty-set run past the records": resealed(golden, func(b []byte) {
+			binary.LittleEndian.PutUint32(b[hdr+4*4:], numRecords+1)
+		}),
+	}
+}
+
+// TestOpenRefusesHostilePages: the checksums only guard against
+// accidents, so an OIF snapshot whose pages or metadata a query would
+// trust to terminate and to stay inside its pages is a bad snapshot —
+// not an index whose first Subset hangs or panics.
+func TestOpenRefusesHostilePages(t *testing.T) {
+	golden, err := os.ReadFile(goldenPath("oif"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for what, snap := range hostilePages(t, golden) {
+		if bytes.Equal(snap, golden) {
+			t.Fatalf("%s: the edit changed nothing", what)
+		}
+		if _, err := Open(bytes.NewReader(snap)); !errors.Is(err, core.ErrBadSnapshot) {
+			t.Errorf("%s: Open = %v, want %v", what, err, core.ErrBadSnapshot)
+		}
+	}
+}
+
 // TestOpenIgnoresReservedWord: word 6 of the OIFSNAP2 header once sized
 // a per-reader decoded-block cache, so a resealed 0xFFFFFFFF there opened
 // cleanly and left every pooled reader without an effective memory
@@ -388,8 +471,11 @@ func TestOpenIgnoresReservedWord(t *testing.T) {
 // plus the corruptions a torn or bit-rotted checkpoint shows first — a
 // cut inside the pending-records section, a cut inside the tombstone
 // section, and a length word with a high bit flipped (a count that passes
-// the snapio.MaxSliceLen bound but promises gigabytes) — and one a
-// checksum cannot catch: a resealed out-of-domain pending item.
+// the snapio.MaxSliceLen bound but promises gigabytes) — and those a
+// checksum cannot catch: a resealed out-of-domain pending item, and the
+// resealed hostile pages and metadata of hostilePages. Any index Open
+// accepts must answer a Subset, which reaches the B-tree and the
+// metadata table, with an answer or an error.
 func FuzzOpenSnapshot(f *testing.F) {
 	// The single-engine goldens hold the sections verbatim; find them by
 	// their encoded content: the first pending record and the sorted
@@ -419,6 +505,11 @@ func FuzzOpenSnapshot(f *testing.F) {
 		flipped[tomb+3] ^= 0x40 // the count's fourth byte: 6 becomes 2^30+6
 		f.Add(flipped)
 		f.Add(hostilePending(golden, rec)["item outside the domain"])
+		if k.name == "oif" {
+			for _, snap := range hostilePages(f, golden) {
+				f.Add(snap)
+			}
+		}
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		ix, err := Open(bytes.NewReader(data))
@@ -428,5 +519,6 @@ func FuzzOpenSnapshot(f *testing.F) {
 		if ix.PendingInserts() > ix.NumRecords() || ix.PendingInserts() < 0 {
 			t.Fatalf("opened an index with %d pending of %d records", ix.PendingInserts(), ix.NumRecords())
 		}
+		ix.Subset([]Item{0, 1}) // an error is an answer; a hang or a panic is not
 	})
 }
