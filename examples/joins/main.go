@@ -4,7 +4,8 @@
 //
 //   - "Which baskets contain each bundle?" is a subset containment join:
 //     for every bundle (outer), find the baskets (inner) whose item set
-//     contains it.
+//     contains it — one subset query per bundle against the basket
+//     index (an index nested-loops join).
 //   - "Baskets with bread and milk but no candles, drawn entirely from
 //     groceries" is a composite predicate: a boolean expression over
 //     subset, superset and NOT subset leaves.
@@ -67,20 +68,21 @@ func main() {
 		}
 	}
 
-	// Containment join: bundle ⊆ basket.
-	var pairs, bestBundle int
-	var bestCount int
-	err = idx.JoinInto(bundles, setcontain.PredicateSubset,
-		func(bundleID uint32, basketIDs []uint32) error {
-			pairs += len(basketIDs)
-			if len(basketIDs) > bestCount {
-				bestCount = len(basketIDs)
-				bestBundle = int(bundleID)
-			}
-			return nil
-		})
-	if err != nil {
-		log.Fatal(err)
+	// Containment join: bundle ⊆ basket, one subset query per bundle.
+	var pairs, bestBundle, bestCount int
+	for id := uint32(1); int(id) <= bundles.Len(); id++ {
+		set, err := bundles.Record(id)
+		if err != nil {
+			log.Fatal(err)
+		}
+		basketIDs, err := idx.Eval(setcontain.SubsetQuery(set))
+		if err != nil {
+			log.Fatal(err)
+		}
+		pairs += len(basketIDs)
+		if len(basketIDs) > bestCount {
+			bestCount, bestBundle = len(basketIDs), int(id)
+		}
 	}
 	bestSet, _ := bundles.Record(uint32(bestBundle))
 	fmt.Printf("containment join: %d bundles x %d baskets -> %d qualifying pairs\n",

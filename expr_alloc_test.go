@@ -32,6 +32,15 @@ func TestExprAllocCeilings(t *testing.T) {
 				return err
 			}
 		}},
+		{"ExprStream/andnot", 0, func(t *testing.T) (int, func(int) error) {
+			idx, plans := exprAndNotFixture(t)
+			var ev setcontain.Evaluator
+			dst := make([]uint32, 0, 4096)
+			return len(plans), func(i int) (err error) {
+				dst, _, err = ev.EvalLimitAppend(dst[:0], plans[i], idx, 0)
+				return err
+			}
+		}},
 		{"ExprPlanner/planned", 1, func(t *testing.T) (int, func(int) error) {
 			idx, _, plans := exprBenchFixture(t)
 			dst := make([]uint32, 0, 1024)

@@ -87,15 +87,18 @@ fi
 
 # Mixed traffic: plain predicates, boolean expressions, and limits.
 # (+ encodes a space in the query string; -g keeps curl from globbing
-# the braces.)
+# the braces.) The two NOTs over subset leaves are the ones an OIF
+# shard may answer at its accumulator's candidates.
 queries=(
     'query?q=subset{3+17}'
     'query?q=equality{3+17}'
     'query?q=superset{1+2+3}'
     'query?q=subset{3}+and+not+superset{17}'
     'query?q=(subset{2}+or+subset{5})+and+not+equality{2+5}'
+    'query?q=subset{3+17}+and+not+subset{2+5}'
     'query?q=subset{1}&limit=5'
     'query?q=subset{2}+or+subset{7}&limit=12'
+    'query?q=subset{3}+and+not+subset{2+5}&limit=5'
 )
 
 compare_all() {

@@ -228,8 +228,8 @@ func (n *PlanNode) write(b *strings.Builder, depth int) {
 
 // ExprEvalStats reports what one planned evaluation did: how many
 // containment leaves actually ran against the index, how many of those
-// ran through candidate pushdown instead of full materialization, and
-// how many leaves the empty-intermediate short-circuit skipped entirely.
+// were answered at the accumulator's candidates, under AND or NOT, and
+// how many leaves an empty accumulator skipped entirely.
 type ExprEvalStats struct {
 	EvaluatedLeaves int
 	StreamedLeaves  int
@@ -307,81 +307,102 @@ func (ev *exprEval) eval(n *PlanNode) (ids []uint32, owned bool, err error) {
 		ev.put(child, childOwned)
 		return out, true, nil
 	case OpOr:
-		return ev.union(n.Kids, 0)
+		return ev.union(n.Kids, nil, 0)
 	default: // OpAnd
-		var acc []uint32
-		accOwned, first := false, true
-		for i := 0; i < len(n.Kids); i++ {
-			if !first && len(acc) == 0 {
-				// Empty intermediate: nothing can re-enter an
-				// intersection or difference — skip the rest.
-				for _, rest := range n.Kids[i:] {
-					ev.stats.SkippedLeaves += rest.Leaves
-				}
-				break
-			}
-			k := n.Kids[i]
-			if k.Op == OpNot {
-				// NOT under AND is a set difference off the accumulator —
-				// only the child evaluates, never its complement.
-				if first {
-					uni, err := ev.getUniverse()
-					if err != nil {
-						return nil, false, err
-					}
-					acc, accOwned, first = uni, false, false
-				}
-				child, childOwned, err := ev.eval(k.Kids[0])
-				if err != nil {
-					return nil, false, err
-				}
-				out := differenceInto(ev.take(), acc, child)
-				ev.put(acc, accOwned)
-				ev.put(child, childOwned)
-				acc, accOwned = out, true
-				continue
-			}
-			if !first && ev.within != nil && k.Op == OpLeaf && k.Leaf.Pred == PredicateSubset {
-				// Streaming pushdown: answer the leaf *within* the
-				// accumulated candidate set in one pass — each candidate
-				// is confirmed or discarded against the leaf's lists and
-				// the leaf's full (often huge) answer is never built.
-				ev.stats.EvaluatedLeaves++
-				ev.stats.StreamedLeaves++
-				out, err := ev.within.AppendSubsetWithin(ev.take(), k.Leaf.Items, acc)
-				if err != nil {
-					return nil, false, err
-				}
-				ev.put(acc, accOwned)
-				acc, accOwned = out, true
-				continue
-			}
-			ids, kidOwned, err := ev.eval(k)
-			if err != nil {
-				return nil, false, err
-			}
-			if first {
-				acc, accOwned, first = ids, kidOwned, false
-				continue
-			}
-			out := intersectInto(ev.take(), acc, ids)
-			ev.put(acc, accOwned)
-			ev.put(ids, kidOwned)
-			acc, accOwned = out, true
+		// The rarest positive child (the universe, in an AND of NOTs
+		// only) starts the accumulator; the rest are restricted to it.
+		rest := n.Kids[1:]
+		if n.Kids[0].Op == OpNot {
+			rest = n.Kids
+			ids, err = ev.getUniverse()
+		} else {
+			ids, owned, err = ev.eval(n.Kids[0])
 		}
-		return acc, accOwned, nil
+		if err != nil {
+			return nil, false, err
+		}
+		return ev.restrictAll(rest, ids, owned)
 	}
 }
 
-// union merges the kids' answers in plan order. With limit > 0 each
-// answer, and each partial union, is cut to its first limit ids before
-// the next merge: what it returns is then only the union's first limit
-// ids, which is all a limited root OR needs.
-func (ev *exprEval) union(kids []*PlanNode, limit int) ([]uint32, bool, error) {
-	var acc []uint32
-	accOwned := false
+// pushes reports whether restrict answers n at cands rather than in
+// full: an inner node always, a subset leaf when cands is no larger than
+// its estimated answer (the pushdown maps and sorts every candidate),
+// nothing on the materializing reference.
+func (ev *exprEval) pushes(n *PlanNode, cands []uint32) bool {
+	if n.Op == OpLeaf {
+		return ev.within != nil && n.Leaf.Pred == PredicateSubset && int64(len(cands)) <= n.Cost
+	}
+	return ev.within != nil
+}
+
+// restrict answers n ∩ cands (sorted unique, never mutated); an empty
+// cands skips the subtree. A NOT subtracts from cands its child's
+// restriction, or the child's full answer when the child does not push.
+func (ev *exprEval) restrict(n *PlanNode, cands []uint32) (ids []uint32, owned bool, err error) {
+	if len(cands) == 0 {
+		ev.stats.SkippedLeaves += n.Leaves
+		return nil, false, nil
+	}
+	switch {
+	case n.Op == OpNot:
+		if ev.pushes(n.Kids[0], cands) {
+			ids, owned, err = ev.restrict(n.Kids[0], cands)
+		} else {
+			ids, owned, err = ev.eval(n.Kids[0])
+		}
+		if err != nil {
+			return nil, false, err
+		}
+		out := differenceInto(ev.take(), cands, ids)
+		ev.put(ids, owned)
+		return out, true, nil
+	case !ev.pushes(n, cands):
+		if ids, owned, err = ev.eval(n); err != nil {
+			return nil, false, err
+		}
+		out := intersectInto(ev.take(), cands, ids)
+		ev.put(ids, owned)
+		return out, true, nil
+	case n.Op == OpLeaf: // Theorem 1's discard rule, per candidate
+		ev.stats.EvaluatedLeaves++
+		ev.stats.StreamedLeaves++
+		ids, err = ev.within.AppendSubsetWithin(ev.take(), n.Leaf.Items, cands)
+		return ids, err == nil, err
+	case n.Op == OpOr:
+		return ev.union(n.Kids, cands, 0)
+	}
+	return ev.restrictAll(n.Kids, cands, false)
+}
+
+// restrictAll folds kids through restrict from acc, recycling each
+// superseded accumulator.
+func (ev *exprEval) restrictAll(kids []*PlanNode, acc []uint32, owned bool) ([]uint32, bool, error) {
+	for _, k := range kids {
+		out, outOwned, err := ev.restrict(k, acc)
+		if err != nil {
+			return nil, false, err
+		}
+		ev.put(acc, owned)
+		acc, owned = out, outOwned
+	}
+	return acc, owned, nil
+}
+
+// union merges the kids' answers in plan order, restricted to cands
+// unless it is nil. With limit > 0 each answer, and each partial union,
+// is cut to its first limit ids before the next merge: what it returns
+// is then only the union's first limit ids, which is all a limited root
+// OR needs.
+func (ev *exprEval) union(kids []*PlanNode, cands []uint32, limit int) (acc []uint32, accOwned bool, err error) {
 	for i, k := range kids {
-		ids, kidOwned, err := ev.eval(k)
+		var ids []uint32
+		var kidOwned bool
+		if cands != nil {
+			ids, kidOwned, err = ev.restrict(k, cands)
+		} else {
+			ids, kidOwned, err = ev.eval(k)
+		}
 		if err != nil {
 			return nil, false, err
 		}

@@ -154,10 +154,10 @@ type ShardPlanJSON struct {
 // SkippedLeaves split each expression's containment leaves into ones
 // actually run and ones the rarest-first ordering's empty-intermediate
 // short-circuit discarded; StreamedLeaves counts the evaluated leaves
-// that ran through candidate pushdown instead of materializing their
-// full answer. Theta is the fitted Zipf exponent of the store's cached
-// support profile — 0 on a coordinator, whose remote shards keep their
-// tables and plan for themselves.
+// answered at the accumulator's candidates, under AND or NOT, instead
+// of materializing their full answer. Theta is the fitted Zipf exponent
+// of the store's cached support profile — 0 on a coordinator, whose
+// remote shards keep their tables and plan for themselves.
 type PlannerStatsJSON struct {
 	Expressions     int64   `json:"expressions"`
 	EvaluatedLeaves int64   `json:"evaluated_leaves"`

@@ -144,35 +144,6 @@ func (ix *Index) Superset(qs []Item) ([]uint32, error) { return ix.eng.Superset(
 // Eval answers a first-class Query.
 func (ix *Index) Eval(q Query) ([]uint32, error) { return q.Eval(ix.eng) }
 
-// JoinInto streams an index-nested-loops containment join: for every
-// record of outer it reports the ids of idx-records related by pred, via
-// fn(outerID, innerIDs). Subset means "inner contains the outer record";
-// Superset means "inner is contained in the outer record"; Equality means
-// exact duplicates across the two collections. Set-containment joins are
-// the classic application of these indexes (the paper's §6 survey); this
-// is the straightforward index-driven evaluation.
-//
-// fn returning a non-nil error aborts the join with that error.
-func (ix *Index) JoinInto(outer *Collection, pred Predicate, fn func(outerID uint32, innerIDs []uint32) error) error {
-	for id := uint32(1); int(id) <= outer.Len(); id++ {
-		set, err := outer.Record(id)
-		if err != nil {
-			return err
-		}
-		inner, err := ix.Eval(Query{Pred: pred, Items: set})
-		if err != nil {
-			return err
-		}
-		if len(inner) == 0 {
-			continue
-		}
-		if err := fn(id, inner); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // ErrNoUpdates reports an engine without update support.
 var ErrNoUpdates = errors.New("setcontain: engine does not support updates")
 

@@ -1,20 +1,20 @@
 package setcontain
 
-// The streaming execution tier under ExprPlan. Once an AND node holds a
-// non-empty intermediate, a later subset leaf is answered *within* that
-// candidate set (subsetWithiner) — the OIF validates Theorem 1's
-// discard rule per candidate instead of building the leaf's full answer
-// and intersecting. The answers are byte-identical to the materializing
-// evaluator's. A limit truncates the one evaluation (see
-// EvalLimitAppend).
+// The streaming execution tier under ExprPlan. After an AND node's first
+// child, every child is answered restricted to the accumulated ids
+// (exprEval.restrict); a subset leaf there, under NOT too, is answered
+// *within* them (subsetWithiner, Theorem 1's discard rule per candidate)
+// when they number no more than the leaf's Cost. The answers are
+// byte-identical to the materializing evaluator's. A limit truncates the
+// one evaluation (see EvalLimitAppend).
 
 // Evaluator carries the reusable state of planned evaluations: the free
 // list recycling intermediate buffers across calls. The zero value is
-// ready to use and streams — candidate pushdown into subset leaves
-// under AND wherever the target offers it; a long-lived Evaluator
-// reaching steady state evaluates expressions with zero heap
-// allocations on an append-capable target. An Evaluator is not safe for
-// concurrent use — pool them like readers (Store does).
+// ready to use and streams — restrict's candidate pushdown wherever the
+// target offers it; a long-lived Evaluator reaching steady state
+// evaluates expressions with zero heap allocations on an append-capable
+// target. An Evaluator is not safe for concurrent use — pool them like
+// readers (Store does).
 type Evaluator struct {
 	free [][]uint32
 
@@ -47,7 +47,7 @@ func (evr *Evaluator) EvalLimitAppend(dst []uint32, p *ExprPlan, t Queryable, li
 		err   error
 	)
 	if limit > 0 && p.Root.Op == OpOr {
-		ids, owned, err = ev.union(p.Root.Kids, limit)
+		ids, owned, err = ev.union(p.Root.Kids, nil, limit)
 	} else {
 		ids, owned, err = ev.eval(p.Root)
 	}

@@ -9,22 +9,28 @@ import (
 	"testing"
 
 	"repro/internal/dataset"
+	"repro/internal/wal"
 )
+
+// pendingMutations draws the inserts and deletes withPendingMutations
+// applies: 20 two-item sets over items 0-39 and 30 ids of c.
+func pendingMutations(c *Collection) (inserts [][]Item, deletes []uint32) {
+	rng := rand.New(rand.NewSource(4321))
+	for i := 0; i < 20; i++ {
+		inserts = append(inserts, []Item{Item(rng.Intn(40)), Item(rng.Intn(40))})
+	}
+	for i := 0; i < 30; i++ {
+		deletes = append(deletes, uint32(1+rng.Intn(c.Len())))
+	}
+	return inserts, deletes
+}
 
 // withPendingMutations applies the same pending inserts and tombstones
 // to every updatable kind, so the streaming paths face delta sweeps and
 // tombstone masking, not just clean disk structures.
 func withPendingMutations(t *testing.T, idxs map[Kind]*Index, c *Collection) {
 	t.Helper()
-	rng := rand.New(rand.NewSource(4321))
-	var inserts [][]Item
-	for i := 0; i < 20; i++ {
-		inserts = append(inserts, []Item{Item(rng.Intn(40)), Item(rng.Intn(40))})
-	}
-	var deletes []uint32
-	for i := 0; i < 30; i++ {
-		deletes = append(deletes, uint32(1+rng.Intn(c.Len())))
-	}
+	inserts, deletes := pendingMutations(c)
 	for kind, ix := range idxs {
 		if kind == UnorderedBTree {
 			continue
@@ -79,6 +85,93 @@ func TestEvaluatorStreamingMatchesMaterializing(t *testing.T) {
 			}
 			if !reflect.DeepEqual(mat, want) {
 				t.Fatalf("%v: materializing %q: got %d ids, naive %d", kind, e, len(mat), len(want))
+			}
+		}
+	}
+}
+
+// TestRestrictMatchesMaterializing holds restrict — every AND child
+// after the first, and every NOT under it, answered at the accumulator's
+// candidates — to the materializing reference and the naive Expr.Eval,
+// shape by shape, on every kind with pending mutations and on a Durable.
+// streamed pins how many leaves the pushdown answers where the backend
+// offers it (none elsewhere), so the gate is held and not just the
+// answer: a hot accumulator must not stream a rare subtracted leaf.
+// Items are Zipf-ranked: 0 is the hottest, 35 among the rarest.
+func TestRestrictMatchesMaterializing(t *testing.T) {
+	cases := []struct {
+		name, expr        string
+		streamed, skipped int
+	}{
+		{"small acc and not subset", "subset{20 25} and not subset{0 1}", 1, 0},
+		{"hot acc and not rare subset", "subset{0} and not subset{35}", 0, 0},
+		{"not over or", "subset{10 12} and not (subset{0 1} or subset{2 3})", 2, 0},
+		{"not over and", "subset{10 12} and not (subset{0} and subset{1 2})", 2, 0},
+		{"and of nots only", "not subset{0} and not subset{1}", 1, 0},
+		{"not over equality", "subset{3} and not equality{3 0}", 0, 0},
+		{"not over superset", "subset{3} and not superset{0 1 3}", 0, 0},
+		{"not empties acc", "subset{5 6} and not subset{5} and not subset{0 1}", 1, 1},
+	}
+	c := skewedCollection(t, 2000, 40, 1.0, 17)
+	targets := map[string]*Index{}
+	idxs := buildAll(t, c)
+	withPendingMutations(t, idxs, c)
+	for kind, ix := range idxs {
+		targets[kind.String()] = ix
+	}
+	ix, err := New(c, WithKind(OIF), WithPageSize(512), WithBlockPostings(8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := NewDurable("w", ix, DurableOptions{FS: wal.NewMemFS(), CheckpointBytes: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	inserts, deletes := pendingMutations(c)
+	if _, err := d.InsertSets(inserts); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.DeleteIDs(deletes); err != nil {
+		t.Fatal(err)
+	}
+	targets["Durable"] = d.Index()
+
+	streaming := &Evaluator{}
+	materializing := &Evaluator{materialize: true}
+	for _, tc := range cases {
+		e, err := ParseExpr(tc.expr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for name, ix := range targets {
+			plan, err := ix.PlanExpr(e)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := e.Eval(ix)
+			if err != nil {
+				t.Fatalf("%s: naive %q: %v", name, e, err)
+			}
+			_, pushdown := backendOf(ix).(subsetWithiner)
+			for _, evr := range []*Evaluator{streaming, materializing} {
+				got, st, err := evalPlan(evr, plan, ix)
+				if err != nil {
+					t.Fatalf("%s: %s: %v", name, tc.name, err)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s: %s (materialize=%v): got %d ids, naive %d\nplan:\n%s",
+						name, tc.name, evr.materialize, len(got), len(want), plan)
+				}
+				wantStreamed := tc.streamed
+				if evr.materialize || !pushdown {
+					wantStreamed = 0
+				}
+				if st.StreamedLeaves != wantStreamed || st.SkippedLeaves != tc.skipped ||
+					st.EvaluatedLeaves+st.SkippedLeaves != e.Leaves() {
+					t.Fatalf("%s: %s (materialize=%v): %+v, want %d streamed, %d skipped of %d leaves\nplan:\n%s",
+						name, tc.name, evr.materialize, st, wantStreamed, tc.skipped, e.Leaves(), plan)
+				}
 			}
 		}
 	}
@@ -272,6 +365,30 @@ func TestStorePlanOrderTracksMerge(t *testing.T) {
 // pushes the accumulator down as candidates. It lives here because the
 // reference is not a public choice.
 func BenchmarkExprStreamMaterializing(b *testing.B) {
+	benchMaterializing(b, 43, func(rng *rand.Rand, hot []Item) *Expr {
+		a := hot[rng.Intn(len(hot))]
+		c := hot[rng.Intn(len(hot)/2)]
+		return And(ExprOf(SubsetQuery([]Item{a})), ExprOf(SubsetQuery([]Item{c})))
+	})
+}
+
+// BenchmarkExprStreamMaterializingAndNot is the baseline of
+// BenchmarkExprStream/andnot: 64 planned {hot, companion} AND NOT
+// {hot', companion'}, the subtracted leaf decoded whole and subtracted
+// where the streaming evaluator checks it at the accumulator's ids.
+func BenchmarkExprStreamMaterializingAndNot(b *testing.B) {
+	benchMaterializing(b, 45, func(rng *rand.Rand, hot []Item) *Expr {
+		leaf := func() *Expr {
+			return ExprOf(SubsetQuery([]Item{hot[rng.Intn(10)], hot[10+rng.Intn(100)]}))
+		}
+		return And(leaf(), Not(leaf()))
+	})
+}
+
+// benchMaterializing times the materializing evaluator over 64 plans of
+// shape, drawn from seed over the top tenth of the items by support,
+// most frequent first.
+func benchMaterializing(b *testing.B, seed int64, shape func(rng *rand.Rand, hot []Item) *Expr) {
 	d, err := dataset.GenerateSynthetic(dataset.DefaultSynthetic(50_000))
 	if err != nil {
 		b.Fatal(err)
@@ -289,13 +406,10 @@ func BenchmarkExprStreamMaterializing(b *testing.B) {
 	}
 	sort.Slice(hot, func(i, j int) bool { return prof.Support(hot[i]) > prof.Support(hot[j]) })
 	hot = hot[:len(hot)/10+1]
-	rng := rand.New(rand.NewSource(43))
+	rng := rand.New(rand.NewSource(seed))
 	plans := make([]*ExprPlan, 64)
 	for i := range plans {
-		a := hot[rng.Intn(len(hot))]
-		c := hot[rng.Intn(len(hot)/2)]
-		e := And(ExprOf(SubsetQuery([]Item{a})), ExprOf(SubsetQuery([]Item{c})))
-		if plans[i], err = PlanExpr(e, prof); err != nil {
+		if plans[i], err = PlanExpr(shape(rng, hot), prof); err != nil {
 			b.Fatal(err)
 		}
 	}

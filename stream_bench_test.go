@@ -1,8 +1,8 @@
 package repro
 
 // Streaming-execution benchmarks. BenchmarkExprStream runs the
-// streaming evaluator (AND-leg candidate pushdown through a persistent
-// free list).
+// streaming evaluator (AND legs and subtracted NOT leaves answered at
+// the accumulator's candidates, through a persistent free list).
 // BenchmarkExprLimit measures a LIMIT on a warm OIF, where the root OR
 // merges only the first ids of each leg.
 
@@ -69,6 +69,34 @@ func exprStreamFixture(tb testing.TB) (*setcontain.Index, []*setcontain.ExprPlan
 	return idx, plans
 }
 
+// exprAndNotFixture is BenchmarkExprStream/andnot's workload: a warm OIF
+// and 64 planned {hot, companion} AND NOT {hot', companion'} — hot among
+// the ten most frequent items, companion among the next hundred — so
+// the subtracted leaf's full answer dwarfs the accumulator it is
+// checked at.
+func exprAndNotFixture(tb testing.TB) (*setcontain.Index, []*setcontain.ExprPlan) {
+	tb.Helper()
+	idx, hot, _ := streamBenchIndex(tb, setcontain.OIF)
+	if len(hot) < 110 {
+		tb.Skip("domain too small at this scale")
+	}
+	rng := rand.New(rand.NewSource(45))
+	leaf := func() *setcontain.Expr {
+		return setcontain.ExprOf(setcontain.SubsetQuery(
+			[]setcontain.Item{hot[rng.Intn(10)], hot[10+rng.Intn(100)]}))
+	}
+	plans := make([]*setcontain.ExprPlan, 64)
+	prof := idx.Supports()
+	var err error
+	for i := range plans {
+		e := setcontain.And(leaf(), setcontain.Not(leaf()))
+		if plans[i], err = setcontain.PlanExpr(e, prof); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return idx, plans
+}
+
 // BenchmarkExprStream times the streaming evaluator on an AND workload
 // whose second leg stays non-empty (a hot pair, not a cold triple), so
 // the intersection is real work: the accumulator is pushed down as
@@ -77,36 +105,45 @@ func exprStreamFixture(tb testing.TB) (*setcontain.Index, []*setcontain.ExprPlan
 // baseline is BenchmarkExprStreamMaterializing in setcontain's own
 // tests — the reference evaluator is not public). One evaluator and one
 // answer buffer are reused — the steady state must allocate nothing
-// (TestExprAllocCeilings holds it to that).
+// (TestExprAllocCeilings holds it to that). The andnot sub-benchmark
+// runs exprAndNotFixture, where the subtracted leaf is checked at the
+// accumulator's candidates (its materializing twin is
+// BenchmarkExprStreamMaterializingAndNot).
 func BenchmarkExprStream(b *testing.B) {
 	idx, plans := exprStreamFixture(b)
+	b.Run("streaming", func(b *testing.B) { benchExprStream(b, idx, plans) })
+	idx, plans = exprAndNotFixture(b)
+	b.Run("andnot", func(b *testing.B) { benchExprStream(b, idx, plans) })
+}
+
+// benchExprStream times one warm evaluator and answer buffer over the
+// plans in turn.
+func benchExprStream(b *testing.B, idx *setcontain.Index, plans []*setcontain.ExprPlan) {
+	var ev setcontain.Evaluator
+	dst := make([]uint32, 0, 4096)
 	var err error
-	b.Run("streaming", func(b *testing.B) {
-		var ev setcontain.Evaluator
-		dst := make([]uint32, 0, 4096)
-		// Warm-up: touch every page, grow the free list and dst to
-		// their high-water marks.
-		for _, p := range plans {
-			if dst, _, err = ev.EvalLimitAppend(dst[:0], p, idx, 0); err != nil {
-				b.Fatal(err)
-			}
+	// Warm-up: touch every page, grow the free list and dst to their
+	// high-water marks.
+	for _, p := range plans {
+		if dst, _, err = ev.EvalLimitAppend(dst[:0], p, idx, 0); err != nil {
+			b.Fatal(err)
 		}
-		var streamed, evaluated int
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			var st setcontain.ExprEvalStats
-			if dst, st, err = ev.EvalLimitAppend(dst[:0], plans[i%len(plans)], idx, 0); err != nil {
-				b.Fatal(err)
-			}
-			streamed += st.StreamedLeaves
-			evaluated += st.EvaluatedLeaves
+	}
+	var streamed, evaluated int
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var st setcontain.ExprEvalStats
+		if dst, st, err = ev.EvalLimitAppend(dst[:0], plans[i%len(plans)], idx, 0); err != nil {
+			b.Fatal(err)
 		}
-		b.StopTimer()
-		if evaluated > 0 {
-			b.ReportMetric(float64(streamed)/float64(evaluated), "streamed-leaf-rate")
-		}
-	})
+		streamed += st.StreamedLeaves
+		evaluated += st.EvaluatedLeaves
+	}
+	b.StopTimer()
+	if evaluated > 0 {
+		b.ReportMetric(float64(streamed)/float64(evaluated), "streamed-leaf-rate")
+	}
 }
 
 // exprLimitFixture is BenchmarkExprLimit's workload: a warm OIF — the
