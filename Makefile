@@ -5,7 +5,7 @@ GOLANGCI ?= golangci-lint
 COVER_FLOOR ?= 75
 COVER_PKGS = ./setcontain/... ./internal/stats/...
 
-.PHONY: all build vet test alloc-check bench bench-module-check fuzz-smoke lint cover check linkcheck vet-examples api-surface api-check serve snapshot-smoke crash-smoke scatter-smoke clean
+.PHONY: all build vet test alloc-check bench bench-module-check fuzz-smoke lint cover check linkcheck vet-examples api-surface api-check serve snapshot-smoke crash-smoke scatter-smoke oifbench-smoke clean
 
 all: check
 
@@ -116,6 +116,17 @@ crash-smoke:
 # matrix runs this.
 scatter-smoke:
 	./scripts/scatter-smoke.sh
+
+# The paper-figures CLI end to end: every experiment at a tiny scale
+# (about half a second), then an unknown -experiment, which must exit 2.
+# The binary is built once (go run reports any failure as exit 1). The
+# CI matrix runs this.
+oifbench-smoke:
+	@dir=$$(mktemp -d) && trap 'rm -rf "$$dir"' EXIT && \
+		$(GO) build -o "$$dir/oifbench" ./cmd/oifbench && \
+		"$$dir/oifbench" -experiment all -scale 0.0001 -realscale 0.02 -queries 3 && \
+		{ "$$dir/oifbench" -experiment nosuch; status=$$?; \
+		  if [ $$status -ne 2 ]; then echo "FAIL: unknown -experiment exited $$status, want 2"; exit 1; fi; }
 
 cover:
 	$(GO) test -coverprofile=coverage.out $(COVER_PKGS)

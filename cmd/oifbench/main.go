@@ -68,16 +68,15 @@ func experimentNames() string {
 }
 
 func main() {
-	var (
-		experiment = flag.String("experiment", "all", "one of: "+experimentNames()+" (all = every other one, in that order)")
-		scale      = flag.Float64("scale", 0.01, "fraction of the paper's synthetic |D| (1.0 = paper scale)")
-		realScale  = flag.Float64("realscale", 0.1, "fraction of the real-dataset twins' record counts")
-		queries    = flag.Int("queries", 10, "queries per size and type (the paper uses 10)")
-		seed       = flag.Int64("seed", 1, "random seed for datasets and workloads")
-		pageSize   = flag.Int("pagesize", 4096, "index page size in bytes")
-		blockPost  = flag.Int("blockpostings", 64, "postings per OIF/UBT block")
-		poolPages  = flag.Int("poolpages", 8, "query cache size in pages (8 x 4 KB = the paper's 32 KB)")
-	)
+	cfg := experiments.DefaultConfig(os.Stdout)
+	experiment := flag.String("experiment", "all", "one of: "+experimentNames()+" (all = every other one, in that order)")
+	flag.Float64Var(&cfg.Scale, "scale", cfg.Scale, "fraction of the paper's synthetic |D| (1.0 = paper scale)")
+	flag.Float64Var(&cfg.RealScale, "realscale", cfg.RealScale, "fraction of the real-dataset twins' record counts")
+	flag.IntVar(&cfg.QueriesPerSize, "queries", cfg.QueriesPerSize, "queries per size and type (the paper uses 10)")
+	flag.Int64Var(&cfg.Seed, "seed", cfg.Seed, "random seed for datasets and workloads")
+	flag.IntVar(&cfg.PageSize, "pagesize", cfg.PageSize, "index page size in bytes")
+	flag.IntVar(&cfg.BlockPostings, "blockpostings", cfg.BlockPostings, "postings per OIF/UBT block")
+	flag.IntVar(&cfg.PoolPages, "poolpages", cfg.PoolPages, "query cache size in pages (8 x 4 KB = the paper's 32 KB)")
 	flag.Parse()
 
 	var run func(experiments.Config) error
@@ -90,15 +89,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "oifbench: unknown experiment %q (one of: %s)\n", *experiment, experimentNames())
 		os.Exit(2)
 	}
-
-	cfg := experiments.DefaultConfig(os.Stdout)
-	cfg.Scale = *scale
-	cfg.RealScale = *realScale
-	cfg.QueriesPerSize = *queries
-	cfg.Seed = *seed
-	cfg.PageSize = *pageSize
-	cfg.BlockPostings = *blockPost
-	cfg.PoolPages = *poolPages
 
 	start := time.Now()
 	if err := run(cfg); err != nil {

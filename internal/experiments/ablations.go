@@ -46,7 +46,6 @@ func RunAblations(cfg Config) (Figure, error) {
 			return Point{}, 0, err
 		}
 		return Point{
-			Param: "",
 			Systems: []SystemMetrics{
 				{Name: "subset", M: mSub},
 				{Name: "equality", M: mEq},
@@ -61,7 +60,7 @@ func RunAblations(cfg Config) (Figure, error) {
 		if err != nil {
 			return Figure{}, err
 		}
-		pt.Param = fmt.Sprintf("%d (tree %d KB)", bp, bytes2kb(treeBytes))
+		pt.Param = fmt.Sprintf("%d (tree %d KB)", bp, treeBytes/1024)
 		blockPanel.Points = append(blockPanel.Points, pt)
 	}
 	fig.Panels = append(fig.Panels, blockPanel)
@@ -75,7 +74,7 @@ func RunAblations(cfg Config) (Figure, error) {
 		if err != nil {
 			return Figure{}, err
 		}
-		pt.Param = fmt.Sprintf("%d (tree %d KB)", tp, bytes2kb(treeBytes))
+		pt.Param = fmt.Sprintf("%d (tree %d KB)", tp, treeBytes/1024)
 		tagPanel.Points = append(tagPanel.Points, pt)
 	}
 	fig.Panels = append(fig.Panels, tagPanel)
@@ -104,5 +103,3 @@ func RunAblations(cfg Config) (Figure, error) {
 	PrintFigure(cfg.Out, fig)
 	return fig, nil
 }
-
-func bytes2kb(b int64) int64 { return b / 1024 }

@@ -7,51 +7,35 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/invfile"
 	"repro/internal/ubtree"
-	"repro/setcontain"
 )
 
-// Pair is an IF + OIF engine built over the same dataset and metered for
-// measurement. The engines answer through the public setcontain.Engine
-// interface; backend-specific quantities (space breakdowns, the OIF
-// ordering) are reached through Engine.Unwrap.
+// Pair is an IF + OIF index built over the same dataset and metered for
+// measurement. Both are the backends themselves, queried, metered and
+// sized directly — the paper compares index structures, not a serving
+// layer.
 type Pair struct {
 	Data *dataset.Dataset
-	IF   setcontain.Engine
-	OIF  setcontain.Engine
+	IF   *invfile.Index
+	OIF  *core.Index
 }
 
-// UnwrapOIF returns the pair's backing core index for the experiments
-// that need the OIF's internals (ordering, space breakdown).
-func (p *Pair) UnwrapOIF() *core.Index { return p.OIF.Unwrap().(*core.Index) }
-
-// UnwrapIF returns the pair's backing inverted-file index.
-func (p *Pair) UnwrapIF() *invfile.Index { return p.IF.Unwrap().(*invfile.Index) }
-
-// BuildPair constructs and meters both competing engines.
+// BuildPair constructs and meters both competing indexes.
 func (c Config) BuildPair(d *dataset.Dataset) (*Pair, error) {
 	ifx, err := invfile.Build(d, invfile.BuildOptions{PageSize: c.PageSize})
 	if err != nil {
 		return nil, fmt.Errorf("experiments: build IF: %w", err)
 	}
-	ifEng, err := setcontain.EngineOf(ifx)
-	if err != nil {
-		return nil, err
-	}
-	if _, err := Meter(ifEng, c.PoolPages); err != nil {
+	if _, err := Meter(ifx, c.PoolPages); err != nil {
 		return nil, err
 	}
 	oif, err := core.Build(d, core.Options{PageSize: c.PageSize, BlockPostings: c.BlockPostings})
 	if err != nil {
 		return nil, fmt.Errorf("experiments: build OIF: %w", err)
 	}
-	oifEng, err := setcontain.EngineOf(oif)
-	if err != nil {
+	if _, err := Meter(oif, c.PoolPages); err != nil {
 		return nil, err
 	}
-	if _, err := Meter(oifEng, c.PoolPages); err != nil {
-		return nil, err
-	}
-	return &Pair{Data: d, IF: ifEng, OIF: oifEng}, nil
+	return &Pair{Data: d, IF: ifx, OIF: oif}, nil
 }
 
 // Systems returns the pair as labelled measurement targets.
@@ -62,21 +46,17 @@ func (p *Pair) Systems() []SystemIndex {
 	}
 }
 
-// BuildUnordered constructs and meters the §5 ablation engine with the
+// BuildUnordered constructs and meters the §5 ablation index with the
 // same block size as the OIF under comparison.
-func (c Config) BuildUnordered(d *dataset.Dataset) (setcontain.Engine, error) {
+func (c Config) BuildUnordered(d *dataset.Dataset) (*ubtree.Index, error) {
 	ub, err := ubtree.Build(d, ubtree.Options{PageSize: c.PageSize, BlockPostings: c.BlockPostings})
 	if err != nil {
 		return nil, fmt.Errorf("experiments: build unordered B-tree: %w", err)
 	}
-	eng, err := setcontain.EngineOf(ub)
-	if err != nil {
+	if _, err := Meter(ub, c.PoolPages); err != nil {
 		return nil, err
 	}
-	if _, err := Meter(eng, c.PoolPages); err != nil {
-		return nil, err
-	}
-	return eng, nil
+	return ub, nil
 }
 
 // SyntheticDefaults mirrors §5: domain 2 000, Zipf 0.8, cardinalities

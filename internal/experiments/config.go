@@ -5,12 +5,13 @@
 // the space-overhead comparison, the unordered-B-tree ordering ablation,
 // and the query/update performance summary.
 //
-// Measurements follow the paper's protocol: indexes are built straight to
-// their pager, then queries run through a minimal buffer pool (32 KB by
-// default — 8 pages of 4 KB) whose cache misses are the reported "disk
-// page accesses". CPU time is measured wall time over the in-memory
-// pager; I/O time is modelled from the sequential/random miss counts by
-// storage.DiskModel (see docs/BENCHMARKS.md for the substitution rationale).
+// Measurements follow the paper's protocol on the index structures
+// themselves (core, invfile, ubtree; not the setcontain API): each is
+// built straight to its pager, then queries run through a minimal buffer
+// pool (32 KB by default — 8 pages of 4 KB) whose cache misses are the
+// reported "disk page accesses". CPU time is measured wall time over the
+// in-memory pager; I/O time is modelled from the sequential/random miss
+// counts by storage.DiskModel (docs/BENCHMARKS.md has the rationale).
 package experiments
 
 import (
@@ -63,33 +64,35 @@ func DefaultConfig(out io.Writer) Config {
 	}
 }
 
+// fill copies DefaultConfig's value into every zero field.
 func (c *Config) fill() {
+	def := DefaultConfig(io.Discard)
 	if c.Scale <= 0 {
-		c.Scale = 0.01
+		c.Scale = def.Scale
 	}
 	if c.RealScale <= 0 {
-		c.RealScale = 0.1
+		c.RealScale = def.RealScale
 	}
 	if c.PageSize <= 0 {
-		c.PageSize = storage.DefaultPageSize
+		c.PageSize = def.PageSize
 	}
 	if c.BlockPostings <= 0 {
-		c.BlockPostings = 64
+		c.BlockPostings = def.BlockPostings
 	}
 	if c.PoolPages <= 0 {
-		c.PoolPages = storage.DefaultPoolPages
+		c.PoolPages = def.PoolPages
 	}
 	if c.QueriesPerSize <= 0 {
-		c.QueriesPerSize = 10
+		c.QueriesPerSize = def.QueriesPerSize
 	}
 	if c.Seed == 0 {
-		c.Seed = 1
+		c.Seed = def.Seed
 	}
 	if c.Disk == (storage.DiskModel{}) {
-		c.Disk = storage.DefaultDiskModel()
+		c.Disk = def.Disk
 	}
 	if c.Out == nil {
-		c.Out = io.Discard
+		c.Out = def.Out
 	}
 }
 
@@ -104,7 +107,8 @@ func (c Config) scaled(n int) int {
 }
 
 // ContainmentIndex is the common query surface of the three competing
-// indexes (core.Index, invfile.Index, ubtree.Index).
+// indexes (core.Index, invfile.Index, ubtree.Index); a setcontain.Engine
+// satisfies it too.
 type ContainmentIndex interface {
 	Subset([]dataset.Item) ([]uint32, error)
 	Equality([]dataset.Item) ([]uint32, error)

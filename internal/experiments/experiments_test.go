@@ -2,6 +2,10 @@ package experiments
 
 import (
 	"bytes"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -117,6 +121,87 @@ func TestIFandOIFAgreeUnderHarness(t *testing.T) {
 			}
 		}
 	}
+}
+
+// dropLast is a ContainmentIndex that loses the last id of every subset
+// answer: a wrong system MeasureSystems must refuse.
+type dropLast struct{ ContainmentIndex }
+
+func (d dropLast) Subset(qs []dataset.Item) ([]uint32, error) {
+	res, err := d.ContainmentIndex.Subset(qs)
+	if len(res) > 0 {
+		res = res[:len(res)-1]
+	}
+	return res, err
+}
+
+// TestMeasureSystemsRefusesDisagreement: PrintFigure prints one answers
+// column per point, so a system that answers differently from the others
+// must fail the measurement rather than pass unseen.
+func TestMeasureSystemsRefusesDisagreement(t *testing.T) {
+	cfg := tinyConfig(new(bytes.Buffer))
+	cfg.fill()
+	d, err := dataset.GenerateSynthetic(cfg.SyntheticDefaults())
+	if err != nil {
+		t.Fatal(err)
+	}
+	pair, err := cfg.BuildPair(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	queries := workload.NewGenerator(d, 3).SubsetQueries(3, 5)
+	if _, err := MeasureSystems(pair.Systems(), queries, cfg.Disk); err != nil {
+		t.Fatalf("agreeing systems refused: %v", err)
+	}
+	systems := []SystemIndex{{Name: "IF", Index: pair.IF}, {Name: "lossy", Index: dropLast{pair.OIF}}}
+	_, err = MeasureSystems(systems, queries, cfg.Disk)
+	if err == nil || !strings.Contains(err.Error(), "IF") || !strings.Contains(err.Error(), "lossy") {
+		t.Fatalf("MeasureSystems over a system that drops an id = %v, want an error naming IF and lossy", err)
+	}
+}
+
+// TestExperimentsStandOnBackends keeps the §5 reproduction off the
+// product API: the experiments build, meter and query core, invfile and
+// ubtree indexes directly. Only the file declaring AsQuery — the bridge
+// for measurement code on the public API — may import repro/setcontain.
+func TestExperimentsStandOnBackends(t *testing.T) {
+	files, err := filepath.Glob("*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fset := token.NewFileSet()
+	parsed := 0
+	for _, name := range files {
+		if strings.HasSuffix(name, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(fset, name, nil, parser.ImportsOnly)
+		if err != nil {
+			t.Fatal(err)
+		}
+		parsed++
+		for _, imp := range f.Imports {
+			if imp.Path.Value == `"repro/setcontain"` && !declaresAsQuery(t, fset, name) {
+				t.Errorf("%s imports repro/setcontain; only the file declaring AsQuery may", name)
+			}
+		}
+	}
+	if parsed == 0 {
+		t.Fatal("no non-test files found")
+	}
+}
+
+func declaresAsQuery(t *testing.T, fset *token.FileSet, name string) bool {
+	f, err := parser.ParseFile(fset, name, nil, parser.SkipObjectResolution)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, decl := range f.Decls {
+		if fn, ok := decl.(*ast.FuncDecl); ok && fn.Recv == nil && fn.Name.Name == "AsQuery" {
+			return true
+		}
+	}
+	return false
 }
 
 func TestRunFig7Small(t *testing.T) {

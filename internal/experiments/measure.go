@@ -20,7 +20,8 @@ func Meter(ix ContainmentIndex, poolPages int) (*storage.BufferPool, error) {
 }
 
 // AsQuery converts a generated workload query to the public first-class
-// form, ready for Query.Eval or Store.Exec.
+// form, ready for Query.Eval or Store.Exec: the bridge for measurement
+// code on the public API. The experiments themselves use runQuery.
 func AsQuery(q workload.Query) (setcontain.Query, error) {
 	var pred setcontain.Predicate
 	switch q.Kind {
@@ -36,14 +37,17 @@ func AsQuery(q workload.Query) (setcontain.Query, error) {
 	return setcontain.Query{Pred: pred, Items: q.Items}, nil
 }
 
-// runQuery dispatches one workload query against an index through the
-// public Query type — the same single-dispatch path the API exposes.
+// runQuery dispatches one workload query to the index's predicate.
 func runQuery(ix ContainmentIndex, q workload.Query) ([]uint32, error) {
-	pq, err := AsQuery(q)
-	if err != nil {
-		return nil, err
+	switch q.Kind {
+	case workload.Subset:
+		return ix.Subset(q.Items)
+	case workload.Equality:
+		return ix.Equality(q.Items)
+	case workload.Superset:
+		return ix.Superset(q.Items)
 	}
-	return pq.Eval(ix)
+	return nil, fmt.Errorf("experiments: unknown query kind %v", q.Kind)
 }
 
 // MeasureWorkload runs every query against ix and returns per-query
@@ -87,13 +91,19 @@ func MeasureWorkload(ix ContainmentIndex, queries []workload.Query, disk storage
 }
 
 // MeasureSystems measures the same workload across several systems,
-// returning one labelled entry per system.
+// returning one labelled entry per system. Every system must return as
+// many answers as the first: the same queries summed in the same order
+// give exactly equal averages, so any difference is a wrong answer.
 func MeasureSystems(systems []SystemIndex, queries []workload.Query, disk storage.DiskModel) ([]SystemMetrics, error) {
 	out := make([]SystemMetrics, 0, len(systems))
 	for _, s := range systems {
 		m, err := MeasureWorkload(s.Index, queries, disk)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", s.Name, err)
+		}
+		if len(out) > 0 && m.Answers != out[0].M.Answers {
+			return nil, fmt.Errorf("experiments: %s and %s disagree: %v vs %v answers per query",
+				out[0].Name, s.Name, out[0].M.Answers, m.Answers)
 		}
 		out = append(out, SystemMetrics{Name: s.Name, M: m})
 	}

@@ -20,12 +20,6 @@ func RunOrdering(cfg Config) (Figure, error) {
 	if err != nil {
 		return Figure{}, err
 	}
-	return RunOrderingOn(cfg, d)
-}
-
-// RunOrderingOn runs the ablation on a caller-provided dataset.
-func RunOrderingOn(cfg Config, d *dataset.Dataset) (Figure, error) {
-	cfg.fill()
 	pair, err := cfg.BuildPair(d)
 	if err != nil {
 		return Figure{}, err
@@ -34,6 +28,7 @@ func RunOrderingOn(cfg Config, d *dataset.Dataset) (Figure, error) {
 	if err != nil {
 		return Figure{}, err
 	}
+	systems := []SystemIndex{{Name: "UBT", Index: ub}, {Name: "OIF", Index: pair.OIF}}
 
 	// Generate a pool of subset queries across sizes, classify them by
 	// true selectivity decade (measured with the OIF itself — any correct
@@ -67,21 +62,11 @@ func RunOrderingOn(cfg Config, d *dataset.Dataset) (Figure, error) {
 		if len(queries) == 0 {
 			continue
 		}
-		sysOIF, err := MeasureWorkload(pair.OIF, queries, cfg.Disk)
+		sys, err := MeasureSystems(systems, queries, cfg.Disk)
 		if err != nil {
 			return Figure{}, err
 		}
-		sysUB, err := MeasureWorkload(ub, queries, cfg.Disk)
-		if err != nil {
-			return Figure{}, err
-		}
-		panel.Points = append(panel.Points, Point{
-			Param: fmt.Sprintf("1e%d", dec),
-			Systems: []SystemMetrics{
-				{Name: "UBT", M: sysUB},
-				{Name: "OIF", M: sysOIF},
-			},
-		})
+		panel.Points = append(panel.Points, Point{Param: fmt.Sprintf("1e%d", dec), Systems: sys})
 	}
 
 	// Second panel: queries that include a very frequent item — the
@@ -94,28 +79,18 @@ func RunOrderingOn(cfg Config, d *dataset.Dataset) (Figure, error) {
 		Title:  "subset queries including a top-10 item",
 		XLabel: "|qs|",
 	}
-	ord := pair.UnwrapOIF().Order()
+	ord := pair.OIF.Order()
 	for _, size := range []int{2, 3, 4, 6} {
 		item := ord.Item(uint32(gen2Rank(size))) // a top-10 rank, varied per size
 		queries := gen.SubsetQueriesWithItem(item, size, cfg.QueriesPerSize)
 		if len(queries) == 0 {
 			continue
 		}
-		sysOIF, err := MeasureWorkload(pair.OIF, queries, cfg.Disk)
+		sys, err := MeasureSystems(systems, queries, cfg.Disk)
 		if err != nil {
 			return Figure{}, err
 		}
-		sysUB, err := MeasureWorkload(ub, queries, cfg.Disk)
-		if err != nil {
-			return Figure{}, err
-		}
-		freqPanel.Points = append(freqPanel.Points, Point{
-			Param: fmt.Sprint(size),
-			Systems: []SystemMetrics{
-				{Name: "UBT", M: sysUB},
-				{Name: "OIF", M: sysOIF},
-			},
-		})
+		freqPanel.Points = append(freqPanel.Points, Point{Param: fmt.Sprint(size), Systems: sys})
 	}
 
 	fig := Figure{

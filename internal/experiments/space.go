@@ -64,12 +64,12 @@ func RunSpaceOn(cfg Config, d *dataset.Dataset) (SpaceResult, error) {
 		return SpaceResult{}, err
 	}
 	st := d.ComputeStats()
-	oifSpace := pair.UnwrapOIF().Space()
+	oifSpace := pair.OIF.Space()
 	res := SpaceResult{
 		// Original data: one 4-byte id plus 4 bytes per item per record.
 		DataBytes:     int64(st.NumRecords)*4 + st.TotalPostings*4,
-		IFListBytes:   pair.UnwrapIF().ListBytes(),
-		IFStoreBytes:  pair.IF.Space().Bytes,
+		IFListBytes:   pair.IF.ListBytes(),
+		IFStoreBytes:  pair.IF.ListPages() * int64(pair.IF.Pool().PageSize()),
 		OIFListBytes:  oifSpace.PostingBytes,
 		OIFKeyBytes:   oifSpace.KeyBytes,
 		OIFTreeBytes:  oifSpace.TreeBytes,

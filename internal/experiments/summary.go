@@ -94,7 +94,7 @@ func RunSummary(cfg Config) (SummaryResult, error) {
 
 	// IF: delta inserts plus append-merge. Modelled I/O: the merge
 	// streams the old lists in and the grown lists out sequentially.
-	pagesBefore := pair.IF.Space().Pages
+	pagesBefore := pair.IF.ListPages()
 	startIF := time.Now()
 	for _, r := range extra.Records() {
 		if _, err := pair.IF.Insert(r.Set); err != nil {
@@ -105,7 +105,7 @@ func RunSummary(cfg Config) (SummaryResult, error) {
 		return SummaryResult{}, err
 	}
 	cpuIF := time.Since(startIF)
-	pagesAfter := pair.IF.Space().Pages
+	pagesAfter := pair.IF.ListPages()
 	ioIF := time.Duration(pagesBefore+pagesAfter) * cfg.Disk.SequentialLatency
 	updateIF := (cpuIF + ioIF) / time.Duration(k)
 
@@ -121,7 +121,7 @@ func RunSummary(cfg Config) (SummaryResult, error) {
 		return SummaryResult{}, err
 	}
 	cpuOIF := time.Since(startOIF)
-	ioOIF := time.Duration(pair.OIF.Space().Pages) * cfg.Disk.SequentialLatency
+	ioOIF := time.Duration(pair.OIF.Space().TreePages) * cfg.Disk.SequentialLatency
 	updateOIF := (cpuOIF + ioOIF) / time.Duration(k)
 
 	res := SummaryResult{

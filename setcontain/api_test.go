@@ -66,9 +66,9 @@ func TestQueryString(t *testing.T) {
 
 func TestFunctionalOptions(t *testing.T) {
 	o := NewOptions(WithKind(UnorderedBTree), WithPageSize(1024),
-		WithBlockPostings(16), WithCachePages(12), WithTagPrefix(2))
+		WithBlockPostings(16), WithCachePages(12))
 	want := Options{Kind: UnorderedBTree, PageSize: 1024, BlockPostings: 16,
-		CachePages: 12, TagPrefix: 2}
+		CachePages: 12}
 	if o != want {
 		t.Errorf("NewOptions = %+v, want %+v", o, want)
 	}

@@ -285,7 +285,6 @@ func buildOIFEngine(ds *dataset.Dataset, opts Options) (Engine, error) {
 	ix, err := core.Build(ds, core.Options{
 		PageSize:      opts.PageSize,
 		BlockPostings: opts.BlockPostings,
-		TagPrefix:     opts.TagPrefix,
 	})
 	if err != nil {
 		return nil, err

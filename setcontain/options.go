@@ -74,11 +74,6 @@ type Options struct {
 	// CachePages sizes the buffer pool queries run through (default 8,
 	// the paper's 32 KB minimum). Larger caches reduce page accesses.
 	CachePages int
-	// TagPrefix truncates OIF block tags to this many leading items
-	// (0 keeps full tags). The paper's suggested key compression; shorter
-	// tags shrink the index markedly at a small cost in extra boundary
-	// block reads. Ignored by the other kinds.
-	TagPrefix int
 	// Shards is the Sharded engine's partition count (default: one per
 	// CPU, minimum 2). Ignored by the other kinds.
 	Shards int
@@ -128,9 +123,6 @@ func WithBlockPostings(n int) Option { return func(o *Options) { o.BlockPostings
 
 // WithCachePages sizes the query cache in pages.
 func WithCachePages(n int) Option { return func(o *Options) { o.CachePages = n } }
-
-// WithTagPrefix truncates OIF block tags to n leading items.
-func WithTagPrefix(n int) Option { return func(o *Options) { o.TagPrefix = n } }
 
 // WithShards sets the Sharded engine's partition count (n <= 0 keeps
 // the default: one shard per CPU, minimum 2).

@@ -315,31 +315,6 @@ func TestSaveLoadPublicAPI(t *testing.T) {
 	}
 }
 
-func TestTagPrefixOption(t *testing.T) {
-	c := sampleCollection(t)
-	full, err := Build(c, Options{PageSize: 512, BlockPostings: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	trunc, err := Build(c, Options{PageSize: 512, BlockPostings: 8, TagPrefix: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, qs := range [][]Item{{1, 2}, {0, 3, 9}, {5}} {
-		a, err := full.Subset(qs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := trunc.Subset(qs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(a) != len(b) {
-			t.Fatalf("TagPrefix changed Subset(%v): %d vs %d", qs, len(a), len(b))
-		}
-	}
-}
-
 func TestReadersAcrossKindsConcurrently(t *testing.T) {
 	c := sampleCollection(t)
 	for _, kind := range []Kind{OIF, InvertedFile, UnorderedBTree, Sharded} {
