@@ -19,8 +19,9 @@ test:
 	$(GO) test -race ./...
 
 # The allocation gates — TestBatcherZeroAllocs, TestStoreExecAppendZeroAllocs,
-# TestQueryEvalAppendZeroAllocs, TestOverlayMatchesZeroAllocs,
-# TestResultCodecZeroAllocs, TestReseekZeroAllocs, TestExprAllocCeilings —
+# TestQueryEvalAppendZeroAllocs, TestOverlayMatchesZeroAllocs (the delta's
+# sweeps and the tombstone Mask), TestResultCodecZeroAllocs,
+# TestReseekZeroAllocs, TestExprAllocCeilings —
 # skip or are compiled out under the race detector, so `make test` never
 # runs them; this does, without -race.
 alloc-check:
@@ -47,8 +48,9 @@ bench-module-check:
 # target per invocation): the expression-grammar round-trip fuzzer, the
 # remote shard client's NDJSON answer reader, the answer-line codec
 # against encoding/json, the snapshot container reader, the POST /query
-# body through the serve handler, the WAL replay/record fuzzers, and the
-# vbyte codec and block-kernel fuzzers. The CI fuzz job uses the same
+# body through the serve handler, the WAL replay/record fuzzers, the
+# update overlay's pending-records and tombstone sections, and the vbyte
+# codec and block-kernel fuzzers. The CI fuzz job uses the same
 # invocations; corpus findings land in testdata and fail `make test`
 # thereafter. The answer-stream, answer-line, snapshot and posting-block
 # inputs run to kilobytes, so minimizing each new one is capped — it
@@ -62,6 +64,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzQueryRequest$$' -fuzztime $(FUZZ_TIME) ./setcontain/serve
 	$(GO) test -run '^$$' -fuzz '^FuzzReplaySegment$$' -fuzztime $(FUZZ_TIME) ./internal/wal
 	$(GO) test -run '^$$' -fuzz '^FuzzRecordDecode$$' -fuzztime $(FUZZ_TIME) ./internal/wal
+	$(GO) test -run '^$$' -fuzz '^FuzzOverlaySections$$' -fuzztime $(FUZZ_TIME) ./internal/overlay
 	$(GO) test -run '^$$' -fuzz '^FuzzUint32$$' -fuzztime $(FUZZ_TIME) ./internal/vbyte
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodePostings$$' -fuzztime $(FUZZ_TIME) ./internal/vbyte
 	$(GO) test -run '^$$' -fuzz '^FuzzPostingKernels$$' -fuzztime $(FUZZ_TIME) -fuzzminimizetime 1s ./internal/vbyte

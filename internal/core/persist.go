@@ -83,11 +83,7 @@ func (ix *Index) Save(w io.Writer) error {
 	if err := snapio.WriteU32Slice(cw, lp); err != nil {
 		return err
 	}
-	// Pending delta, then tombstones.
-	if err := ix.ov.WriteRecords(cw); err != nil {
-		return err
-	}
-	if err := ix.ov.WriteTombstones(cw); err != nil {
+	if err := ix.ov.WriteSections(cw, overlay.RecordsFirst); err != nil {
 		return err
 	}
 	// Raw pages, read from the pager the build wrote them to.
@@ -198,11 +194,8 @@ func Load(r io.Reader) (*Index, error) {
 		listPostings[i] = int64(v)
 	}
 	var ov overlay.Overlay
-	if err := ov.ReadRecords(cr, domainSize, numRecords); err != nil {
-		return nil, fmt.Errorf("%w: delta: %v", ErrBadSnapshot, err)
-	}
-	if err := ov.ReadTombstones(cr, flags&snapFlagDeadDirty != 0); err != nil {
-		return nil, fmt.Errorf("%w: tombstones: %v", ErrBadSnapshot, err)
+	if err := ov.ReadSections(cr, overlay.RecordsFirst, domainSize, numRecords, flags&snapFlagDeadDirty != 0); err != nil {
+		return nil, fmt.Errorf("%w: delta and tombstones: %v", ErrBadSnapshot, err)
 	}
 
 	nPages, err := snapio.ReadU64(cr)

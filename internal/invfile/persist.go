@@ -57,11 +57,7 @@ func (ix *Index) Save(w io.Writer) error {
 			return err
 		}
 	}
-	// Tombstones, then the pending delta.
-	if err := ix.ov.WriteTombstones(cw); err != nil {
-		return err
-	}
-	if err := ix.ov.WriteRecords(cw); err != nil {
+	if err := ix.ov.WriteSections(cw, overlay.TombstonesFirst); err != nil {
 		return err
 	}
 	// Disk lists, one length-framed blob per item.
@@ -120,11 +116,8 @@ func Load(r io.Reader) (*Index, error) {
 		counts[i] = int64(v)
 	}
 	var ov overlay.Overlay
-	if err := ov.ReadTombstones(cr, flags&snapFlagDeadDirty != 0); err != nil {
-		return nil, fmt.Errorf("%w: tombstones: %v", ErrBadSnapshot, err)
-	}
-	if err := ov.ReadRecords(cr, domainSize, numRecords); err != nil {
-		return nil, fmt.Errorf("%w: delta: %v", ErrBadSnapshot, err)
+	if err := ov.ReadSections(cr, overlay.TombstonesFirst, domainSize, numRecords, flags&snapFlagDeadDirty != 0); err != nil {
+		return nil, fmt.Errorf("%w: tombstones and delta: %v", ErrBadSnapshot, err)
 	}
 	pool := storage.NewBufferPool(storage.NewMemPager(pageSize), storage.DefaultPoolPages)
 	store, err := liststore.New(pool, domainSize)

@@ -11,18 +11,25 @@
 //
 // The delta is the memory-resident inverted file the paper sketches:
 // beside the pending records the overlay keeps, per item, the ascending
-// positions of the pending records that hold it. A subset or equality
-// query walks only the shortest list among its items and verifies each
-// candidate against the record; a superset query walks the lists of its
-// own items. The lists are derived state — appended to by Insert,
-// dropped by Merged, rebuilt by ReadRecords, never serialised — so what
-// a query pays while inserts are pending follows its rarest item, not
-// the merge interval the operator chose.
+// positions of the pending records that hold it, and of those the
+// records whose smallest item it is. A subset or equality query walks
+// only the shortest list among its items and verifies each candidate
+// against the record; a superset query walks the smallest-item lists of
+// its own items, so it meets each pending record at most once. The
+// lists are derived state — appended to by Insert, dropped by Merged,
+// rebuilt by ReadSections, never serialised — so what a query pays
+// while inserts are pending follows its rarest item, not the merge
+// interval the operator chose.
+//
+// The tombstones are one bitmap over the id space, replaced on every
+// Delete and never edited, so masking an answer costs one bit test per
+// id however many ids were ever deleted.
 package overlay
 
 import (
 	"fmt"
 	"io"
+	"math/bits"
 	"slices"
 
 	"repro/internal/dataset"
@@ -46,19 +53,32 @@ const (
 // An Overlay belongs to one writer. View gives a parallel reader a copy
 // that later Inserts and Deletes never disturb: pending and every
 // posting list are append-only between merges, and Delete replaces the
-// tombstone slice instead of editing it.
+// tombstone bitmap instead of editing it.
 type Overlay struct {
 	pending []dataset.Record // the delta, ids ascending
-	dead    []uint32         // tombstoned ids, sorted; immutable once attached
-	// lists[item] holds the ascending pending positions of the records
-	// containing item, empties those of the empty sets (which no list
-	// reaches). lists is nil until the first non-empty set arrives.
-	lists   [][]uint32
+	dead    idSet            // tombstoned ids; immutable once attached
+	deleted int              // ids in dead
+	// lists[item] holds item's posting lists, empties the positions of
+	// the empty sets (which no list reaches). lists is nil until the
+	// first non-empty set arrives.
+	lists   []postings
 	empties []uint32
 	// dirty records that some tombstoned postings are still physically
 	// present (on disk or in pending) for the next merge to fold out.
 	// The ids themselves stay tombstoned forever: ids are never reused.
 	dirty bool
+}
+
+// postings are one item's lists of ascending pending positions: of the
+// records containing the item, and of those whose smallest item it is.
+type postings struct{ all, heads []uint32 }
+
+// idSet is a set of ids as a bitmap: id i is bit i%64 of word i/64.
+type idSet []uint64
+
+func (s idSet) has(id uint32) bool {
+	w := id >> 6
+	return int(w) < len(s) && s[w]&(1<<(id&63)) != 0
 }
 
 // Insert canonicalises set (dataset.Canonical), appends it to the delta
@@ -83,11 +103,13 @@ func (o *Overlay) add(r dataset.Record, domainSize int) {
 		return
 	}
 	if o.lists == nil {
-		o.lists = make([][]uint32, domainSize)
+		o.lists = make([]postings, domainSize)
 	}
 	for _, it := range r.Set {
-		o.lists[it] = append(o.lists[it], pos)
+		o.lists[it].all = append(o.lists[it].all, pos)
 	}
+	head := &o.lists[r.Set[0]]
+	head.heads = append(head.heads, pos)
 }
 
 // Delete tombstones id, merged or pending: it vanishes from every answer
@@ -97,28 +119,22 @@ func (o *Overlay) Delete(id uint32, merged int) error {
 	if n := merged + len(o.pending); id == 0 || int(id) > n {
 		return fmt.Errorf("overlay: delete of unknown record %d (have %d)", id, n)
 	}
-	i, found := slices.BinarySearch(o.dead, id)
-	if found {
+	if o.dead.has(id) {
 		return fmt.Errorf("overlay: record %d already deleted", id)
 	}
-	// Copy-on-write keeps the slice immutable for live views.
-	dead := make([]uint32, 0, len(o.dead)+1)
-	o.dead = append(append(append(dead, o.dead[:i]...), id), o.dead[i:]...)
-	o.dirty = true
+	// Copy-on-write keeps the bitmap immutable for live views.
+	dead := make(idSet, max(len(o.dead), int(id>>6)+1))
+	copy(dead, o.dead)
+	dead[id>>6] |= 1 << (id & 63)
+	o.dead, o.deleted, o.dirty = dead, o.deleted+1, true
 	return nil
 }
 
 // Dead reports whether id is tombstoned.
-func (o *Overlay) Dead(id uint32) bool {
-	if len(o.dead) == 0 {
-		return false
-	}
-	_, ok := slices.BinarySearch(o.dead, id)
-	return ok
-}
+func (o *Overlay) Dead(id uint32) bool { return o.dead.has(id) }
 
 // Deleted returns the number of tombstoned ids.
-func (o *Overlay) Deleted() int { return len(o.dead) }
+func (o *Overlay) Deleted() int { return o.deleted }
 
 // Len returns the number of pending records, tombstoned ones included
 // (they keep their id slots).
@@ -136,7 +152,7 @@ func (o *Overlay) list(item dataset.Item) []uint32 {
 	if int(item) >= len(o.lists) {
 		return nil
 	}
-	return o.lists[item]
+	return o.lists[item].all
 }
 
 // candidates returns, ascending, the n pending positions whose records
@@ -191,8 +207,8 @@ func (o *Overlay) AppendMatches(dst []uint32, q []dataset.Item, pred Pred) []uin
 
 // appendSubsetsOf is AppendMatches(SubsetOf). A non-empty subset of q
 // has its smallest item in q, so it is met exactly once, on that item's
-// list; the empty sets are on none. The lists are visited in item order,
-// hence the sort.
+// heads list, and verified against the rest of q only; the empty sets
+// are on no list. The lists are visited in item order, hence the sort.
 func (o *Overlay) appendSubsetsOf(dst []uint32, q []dataset.Item) []uint32 {
 	start := len(dst)
 	for _, p := range o.empties {
@@ -200,9 +216,12 @@ func (o *Overlay) appendSubsetsOf(dst []uint32, q []dataset.Item) []uint32 {
 			dst = append(dst, id)
 		}
 	}
-	for _, it := range q {
-		for _, p := range o.list(it) {
-			if r := o.pending[p]; r.Set[0] == it && r.SubsetOf(q) && !o.Dead(r.ID) {
+	for i, it := range q {
+		if int(it) >= len(o.lists) {
+			break // q ascends: no later item has a list either
+		}
+		for _, p := range o.lists[it].heads {
+			if r := o.pending[p]; r.SubsetOf(q[i:]) && !o.Dead(r.ID) {
 				dst = append(dst, r.ID)
 			}
 		}
@@ -229,18 +248,19 @@ func (o *Overlay) AppendMatchesWithin(dst []uint32, q []dataset.Item, cands []ui
 }
 
 // Mask drops the tombstoned ids from ids in place and returns the kept
-// prefix. With no tombstones it is a length test the caller inlines.
+// prefix: one bit test per id. With no tombstones it is a length test
+// the caller inlines.
 func (o *Overlay) Mask(ids []uint32) []uint32 {
 	if len(o.dead) == 0 {
 		return ids
 	}
-	return o.mask(ids)
+	return o.dead.mask(ids)
 }
 
-func (o *Overlay) mask(ids []uint32) []uint32 {
+func (s idSet) mask(ids []uint32) []uint32 {
 	kept := ids[:0]
 	for _, id := range ids {
-		if !o.Dead(id) {
+		if !s.has(id) {
 			kept = append(kept, id)
 		}
 	}
@@ -266,9 +286,33 @@ func (o *Overlay) View() Overlay {
 // tombstones stay: they mask the id slots the merge left empty.
 func (o *Overlay) Merged() { o.pending, o.lists, o.empties, o.dirty = nil, nil, nil, false }
 
-// WriteRecords writes the pending-records snapshot section: a u64 count,
-// then each record's id and length-prefixed item set.
-func (o *Overlay) WriteRecords(w io.Writer) error {
+// Layout is the order in which a snapshot format holds the overlay's
+// two sections; each format fixed its own before the overlay existed.
+type Layout int
+
+const (
+	RecordsFirst    Layout = iota // the OIF's (internal/core)
+	TombstonesFirst               // the inverted file's (internal/invfile)
+)
+
+// WriteSections writes the overlay's two snapshot sections in layout's
+// order. The pending-records section is a u64 count, then each record's
+// id and length-prefixed item set; the tombstone section is the
+// tombstoned ids, ascending, as one length-prefixed slice. The dirty
+// flag travels in the format's own header word (see Dirty), because
+// each snapshot format fixes its header before its sections.
+func (o *Overlay) WriteSections(w io.Writer, layout Layout) error {
+	first, second := o.writeRecords, o.writeTombstones
+	if layout == TombstonesFirst {
+		first, second = second, first
+	}
+	if err := first(w); err != nil {
+		return err
+	}
+	return second(w)
+}
+
+func (o *Overlay) writeRecords(w io.Writer) error {
 	if err := snapio.WriteU64(w, uint64(len(o.pending))); err != nil {
 		return err
 	}
@@ -283,12 +327,57 @@ func (o *Overlay) WriteRecords(w io.Writer) error {
 	return nil
 }
 
-// ReadRecords replaces the delta with a section written by WriteRecords
-// over domainSize items and merged disk-side records, rebuilding the
-// posting lists. It refuses what Insert could not have produced — an id
-// out of sequence, a set that is not strictly ascending or leaves the
-// domain — because the lists and the next merge index by both.
-func (o *Overlay) ReadRecords(r io.Reader, domainSize, merged int) error {
+func (o *Overlay) writeTombstones(w io.Writer) error {
+	ids := make([]uint32, 0, o.deleted)
+	for i, word := range o.dead {
+		for ; word != 0; word &= word - 1 {
+			ids = append(ids, uint32(i<<6+bits.TrailingZeros64(word)))
+		}
+	}
+	return snapio.WriteU32Slice(w, ids)
+}
+
+// ReadSections replaces the overlay with the two sections WriteSections
+// wrote in layout's order, over domainSize items and merged disk-side
+// records, rebuilding the posting lists and setting the dirty flag the
+// header carried. It refuses what Insert and Delete could not have
+// produced, because the lists, the bitmap and the next merge index by
+// both: a pending record out of id sequence, a set that is not strictly
+// ascending or leaves the domain, and tombstones that are not strictly
+// ascending ids of the merged and pending records.
+func (o *Overlay) ReadSections(r io.Reader, layout Layout, domainSize, merged int, dirty bool) error {
+	var fresh Overlay
+	var dead []uint32
+	first := func() error { return fresh.readRecords(r, domainSize, merged) }
+	second := func() (err error) { dead, err = snapio.ReadU32Slice(r); return err }
+	if layout == TombstonesFirst {
+		first, second = second, first
+	}
+	if err := first(); err != nil {
+		return err
+	}
+	if err := second(); err != nil {
+		return err
+	}
+	// Checked before the bitmap is sized by the last id.
+	n := merged + len(fresh.pending)
+	for i, id := range dead {
+		if id == 0 || int64(id) > int64(n) || i > 0 && id <= dead[i-1] {
+			return fmt.Errorf("overlay: tombstone %d is zero, out of order or past the %d records", id, n)
+		}
+	}
+	if len(dead) > 0 {
+		fresh.dead = make(idSet, dead[len(dead)-1]>>6+1)
+		for _, id := range dead {
+			fresh.dead[id>>6] |= 1 << (id & 63)
+		}
+	}
+	fresh.deleted, fresh.dirty = len(dead), dirty
+	*o = fresh
+	return nil
+}
+
+func (o *Overlay) readRecords(r io.Reader, domainSize, merged int) error {
 	n, err := snapio.ReadU64(r)
 	if err != nil {
 		return err
@@ -299,7 +388,6 @@ func (o *Overlay) ReadRecords(r io.Reader, domainSize, merged int) error {
 	// The count is untrusted until the stream's CRC is verified: reserve
 	// a bounded amount and let real records grow the slice.
 	o.pending = make([]dataset.Record, 0, min(n, 1<<16))
-	o.lists, o.empties = nil, nil
 	for i := uint64(0); i < n; i++ {
 		id, err := snapio.ReadU32(r)
 		if err != nil {
@@ -319,21 +407,5 @@ func (o *Overlay) ReadRecords(r io.Reader, domainSize, merged int) error {
 		}
 		o.add(dataset.Record{ID: id, Set: set}, domainSize)
 	}
-	return nil
-}
-
-// WriteTombstones writes the tombstone snapshot section. The dirty flag
-// travels in the format's own header word (see Dirty), because each
-// snapshot format fixes its header before its sections.
-func (o *Overlay) WriteTombstones(w io.Writer) error { return snapio.WriteU32Slice(w, o.dead) }
-
-// ReadTombstones replaces the tombstone set with a section written by
-// WriteTombstones, and sets the dirty flag the header carried.
-func (o *Overlay) ReadTombstones(r io.Reader, dirty bool) error {
-	dead, err := snapio.ReadU32Slice(r)
-	if err != nil {
-		return err
-	}
-	o.dead, o.dirty = dead, dirty
 	return nil
 }

@@ -10,7 +10,7 @@ import "testing"
 // TestOverlayMatchesZeroAllocs is the allocation ratchet of the delta's
 // query side: over a non-empty delta with tombstones, and into a dst
 // with capacity, no sweep touches the heap — the superset form sorts in
-// place.
+// place — and neither does Mask over merged and pending ids.
 func TestOverlayMatchesZeroAllocs(t *testing.T) {
 	const n = 1200
 	o, queries := benchDelta(t, n)
@@ -21,6 +21,8 @@ func TestOverlayMatchesZeroAllocs(t *testing.T) {
 			cands = append(cands, r.ID)
 		}
 	}
+	ids := maskIDs(o)
+	masked := make([]uint32, len(ids))
 	sweeps := []struct {
 		name string
 		run  func(i int)
@@ -29,6 +31,7 @@ func TestOverlayMatchesZeroAllocs(t *testing.T) {
 		{"equality", func(i int) { dst = o.AppendMatches(dst[:0], queries[Equal][i], Equal) }},
 		{"superset", func(i int) { dst = o.AppendMatches(dst[:0], queries[SubsetOf][i], SubsetOf) }},
 		{"within", func(i int) { dst = o.AppendMatchesWithin(dst[:0], queries[ContainsAll][i], cands) }},
+		{"mask", func(int) { dst = o.Mask(append(masked[:0], ids...)) }}, // last: dst now aliases masked
 	}
 	for _, s := range sweeps {
 		i, matched := 0, 0

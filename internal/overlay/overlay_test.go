@@ -5,12 +5,14 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	mathbits "math/bits"
 	"math/rand"
 	"slices"
 	"sync"
 	"testing"
 
 	"repro/internal/dataset"
+	"repro/internal/snapio"
 )
 
 const (
@@ -21,7 +23,7 @@ const (
 // fixture is an overlay over testMerged merged records with pending
 // records 101..105 — {1 2}, {2 3 4}, {}, {1 2}, {5} — and tombstones on
 // two merged ids and on pending record 104.
-func fixture(t *testing.T) *Overlay {
+func fixture(t testing.TB) *Overlay {
 	t.Helper()
 	var o Overlay
 	for _, set := range [][]dataset.Item{{2, 1}, {4, 3, 2, 3}, {}, {1, 2}, {5}} {
@@ -158,9 +160,10 @@ func TestOverlay(t *testing.T) {
 			{ContainsAll, nil}, {ContainsAll, []dataset.Item{2}}, {ContainsAll, []dataset.Item{1, 2}},
 			{Equal, []dataset.Item{1, 2}}, {SubsetOf, []dataset.Item{1, 2, 5}}, {SubsetOf, []dataset.Item{5}},
 		}
+		frozen := &linearSweep{o: &view, dead: []uint32{7, 40, 104}} // fixture's tombstones
 		var want [][]uint32
 		for _, s := range sweeps {
-			want = append(want, linearAppendMatches(&view, nil, s.q, s.pred))
+			want = append(want, frozen.appendMatches(nil, s.q, s.pred))
 		}
 		var wg sync.WaitGroup
 		wg.Add(1)
@@ -228,80 +231,146 @@ func TestOverlay(t *testing.T) {
 			name string
 			o    *Overlay
 		}{{"pending and tombstones", fixture(t)}, {"empty sections", &Overlay{}}} {
-			var recs, dead bytes.Buffer
-			if err := tc.o.WriteRecords(&recs); err != nil {
-				t.Fatal(err)
-			}
-			if err := tc.o.WriteTombstones(&dead); err != nil {
-				t.Fatal(err)
-			}
-			var back Overlay
-			// Either order: the two formats disagree on it.
-			if err := back.ReadTombstones(bytes.NewReader(dead.Bytes()), tc.o.Dirty()); err != nil {
-				t.Fatal(err)
-			}
-			if err := back.ReadRecords(bytes.NewReader(recs.Bytes()), testDomain, testMerged); err != nil {
-				t.Fatal(err)
-			}
-			if back.Len() != tc.o.Len() || back.Deleted() != tc.o.Deleted() || back.Dirty() != tc.o.Dirty() {
-				t.Fatalf("%s: decoded %d/%d/%v, want %d/%d/%v", tc.name,
-					back.Len(), back.Deleted(), back.Dirty(), tc.o.Len(), tc.o.Deleted(), tc.o.Dirty())
-			}
-			for i, r := range tc.o.Pending() {
-				if b := back.Pending()[i]; b.ID != r.ID || !slices.Equal(b.Set, r.Set) || back.Dead(r.ID) != tc.o.Dead(r.ID) {
-					t.Fatalf("%s: record %d decoded as %v, want %v", tc.name, i, b, r)
+			// Each format fixes its own order of the two sections.
+			for _, layout := range []Layout{RecordsFirst, TombstonesFirst} {
+				var sec bytes.Buffer
+				if err := tc.o.WriteSections(&sec, layout); err != nil {
+					t.Fatal(err)
+				}
+				var back Overlay
+				if err := back.ReadSections(bytes.NewReader(sec.Bytes()), layout, testDomain, testMerged, tc.o.Dirty()); err != nil {
+					t.Fatal(err)
+				}
+				if back.Len() != tc.o.Len() || back.Deleted() != tc.o.Deleted() || back.Dirty() != tc.o.Dirty() {
+					t.Fatalf("%s, layout %d: decoded %d/%d/%v, want %d/%d/%v", tc.name, layout,
+						back.Len(), back.Deleted(), back.Dirty(), tc.o.Len(), tc.o.Deleted(), tc.o.Dirty())
+				}
+				for id := uint32(0); id <= testMerged+uint32(tc.o.Len())+1; id++ {
+					if back.Dead(id) != tc.o.Dead(id) {
+						t.Fatalf("%s, layout %d: Dead(%d) decoded as %v", tc.name, layout, id, back.Dead(id))
+					}
+				}
+				for i, r := range tc.o.Pending() {
+					if b := back.Pending()[i]; b.ID != r.ID || !slices.Equal(b.Set, r.Set) {
+						t.Fatalf("%s, layout %d: record %d decoded as %v, want %v", tc.name, layout, i, b, r)
+					}
+				}
+				var sec2 bytes.Buffer
+				if err := back.WriteSections(&sec2, layout); err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(sec2.Bytes(), sec.Bytes()) {
+					t.Fatalf("%s, layout %d: re-encoding differs", tc.name, layout)
+				}
+				// Sections cut short are an error, never a short overlay.
+				for cut := 0; cut < sec.Len(); cut++ {
+					if err := new(Overlay).ReadSections(bytes.NewReader(sec.Bytes()[:cut]), layout, testDomain, testMerged, false); err == nil {
+						t.Fatalf("%s, layout %d: sections truncated to %d bytes decoded", tc.name, layout, cut)
+					}
 				}
 			}
-			var recs2, dead2 bytes.Buffer
-			if err := errors.Join(back.WriteRecords(&recs2), back.WriteTombstones(&dead2)); err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(recs2.Bytes(), recs.Bytes()) || !bytes.Equal(dead2.Bytes(), dead.Bytes()) {
-				t.Fatalf("%s: re-encoding differs", tc.name)
-			}
-			// A section cut short is an error, never a short overlay.
-			for cut := 0; cut < recs.Len(); cut++ {
-				if err := new(Overlay).ReadRecords(bytes.NewReader(recs.Bytes()[:cut]), testDomain, testMerged); err == nil {
-					t.Fatalf("%s: records section truncated to %d bytes decoded", tc.name, cut)
-				}
-			}
-			for cut := 0; cut < dead.Len(); cut++ {
-				if err := new(Overlay).ReadTombstones(bytes.NewReader(dead.Bytes()[:cut]), false); err == nil {
-					t.Fatalf("%s: tombstone section truncated to %d bytes decoded", tc.name, cut)
-				}
-			}
+		}
+		// The tombstone section is the ids, ascending, as one u32 slice:
+		// the bytes the golden snapshots pin.
+		var got, want bytes.Buffer
+		if err := errors.Join(fixture(t).writeTombstones(&got), snapio.WriteU32Slice(&want, []uint32{7, 40, 104})); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.Bytes(), want.Bytes()) {
+			t.Fatalf("tombstone section %x, want %x", got.Bytes(), want.Bytes())
 		}
 		// A count past the bound is refused before anything is read.
 		huge := bytes.NewReader([]byte{0, 0, 0, 0, 1, 0, 0, 0})
-		if err := new(Overlay).ReadRecords(io.MultiReader(huge, neverEnds{}), testDomain, testMerged); err == nil {
+		if err := new(Overlay).ReadSections(io.MultiReader(huge, neverEnds{}), RecordsFirst, testDomain, testMerged, false); err == nil {
 			t.Fatal("a 2^32-record section was accepted")
 		}
-		// Records Insert could not have produced are refused: the posting
-		// lists and the next merge index by their items and ids.
-		for name, hostile := range map[string][]dataset.Record{
-			"item outside the domain": {{ID: 101, Set: []dataset.Item{1, testDomain}}},
-			"unsorted set":            {{ID: 101, Set: []dataset.Item{1}}, {ID: 102, Set: []dataset.Item{2, 1}}},
-			"repeated item":           {{ID: 101, Set: []dataset.Item{1, 1}}},
-			"id out of sequence":      {{ID: 101, Set: []dataset.Item{1}}, {ID: 103, Set: []dataset.Item{2}}},
-			"id of a merged record":   {{ID: testMerged, Set: []dataset.Item{1}}},
+		// Records Insert could not have produced, and tombstones Delete
+		// could not have, are refused: the posting lists, the bitmap and
+		// the next merge index by their items and ids. The hostile
+		// tombstones sit beside the two pending records 101 and 102.
+		pending := []dataset.Record{{ID: 101, Set: []dataset.Item{1}}, {ID: 102, Set: []dataset.Item{2}}}
+		for _, h := range []struct {
+			name    string
+			pending []dataset.Record
+			dead    []uint32
+		}{
+			{"item outside the domain", []dataset.Record{{ID: 101, Set: []dataset.Item{1, testDomain}}}, nil},
+			{"unsorted set", []dataset.Record{{ID: 101, Set: []dataset.Item{1}}, {ID: 102, Set: []dataset.Item{2, 1}}}, nil},
+			{"repeated item", []dataset.Record{{ID: 101, Set: []dataset.Item{1, 1}}}, nil},
+			{"id out of sequence", []dataset.Record{{ID: 101, Set: []dataset.Item{1}}, {ID: 103, Set: []dataset.Item{2}}}, nil},
+			{"id of a merged record", []dataset.Record{{ID: testMerged, Set: []dataset.Item{1}}}, nil},
+			{"unsorted tombstones", pending, []uint32{40, 7}},
+			{"repeated tombstone", pending, []uint32{7, 7}},
+			{"tombstone on id 0", pending, []uint32{0, 7}},
+			{"tombstone past the pending records", pending, []uint32{7, 103}},
+			{"tombstone near 2^32", pending, []uint32{7, 1<<32 - 1}},
 		} {
-			var sec bytes.Buffer
-			if err := (&Overlay{pending: hostile}).WriteRecords(&sec); err != nil {
-				t.Fatal(err)
+			for _, layout := range []Layout{RecordsFirst, TombstonesFirst} {
+				var sec bytes.Buffer
+				if err := hostileSections(&sec, layout, h.pending, h.dead); err != nil {
+					t.Fatal(err)
+				}
+				if err := new(Overlay).ReadSections(&sec, layout, testDomain, testMerged, true); err == nil {
+					t.Errorf("layout %d: sections with a %s were accepted", layout, h.name)
+				}
 			}
-			if err := new(Overlay).ReadRecords(&sec, testDomain, testMerged); err == nil {
-				t.Errorf("a records section with an %s was accepted", name)
-			}
+		}
+		// The last id there is may be tombstoned, and nothing past it.
+		var edge bytes.Buffer
+		if err := hostileSections(&edge, RecordsFirst, pending, []uint32{1, 102}); err != nil {
+			t.Fatal(err)
+		}
+		var o Overlay
+		if err := o.ReadSections(&edge, RecordsFirst, testDomain, testMerged, true); err != nil || !o.Dead(1) || !o.Dead(102) || o.Deleted() != 2 {
+			t.Fatalf("tombstones on ids 1 and 102: %v, Deleted %d", err, o.Deleted())
 		}
 	})
 }
 
-// The linear sweeps the posting lists replaced, kept as the oracle the
-// differential test and the benchmark hold the lists against.
+// hostileSections writes the two overlay sections in layout's order as
+// a snapshot would hold them, for records and tombstones no Insert or
+// Delete produced.
+func hostileSections(w io.Writer, layout Layout, pending []dataset.Record, dead []uint32) error {
+	var recs bytes.Buffer
+	if err := (&Overlay{pending: pending}).writeRecords(&recs); err != nil {
+		return err
+	}
+	var tombs bytes.Buffer
+	if err := snapio.WriteU32Slice(&tombs, dead); err != nil {
+		return err
+	}
+	sections := [][]byte{recs.Bytes(), tombs.Bytes()}
+	if layout == TombstonesFirst {
+		slices.Reverse(sections)
+	}
+	_, err := w.Write(slices.Concat(sections...))
+	return err
+}
 
-func linearAppendMatches(o *Overlay, dst []uint32, q []dataset.Item, pred Pred) []uint32 {
-	for _, r := range o.pending {
-		if o.Dead(r.ID) {
+// linearSweep is the oracle the differential test and the benchmark
+// hold the overlay against: the linear sweeps the posting lists
+// replaced, over the overlay's pending records, and a sorted tombstone
+// list of its own, kept by the test as it deletes, so a defect in the
+// bitmap cannot hide in the oracle too.
+type linearSweep struct {
+	o    *Overlay
+	dead []uint32 // ascending
+}
+
+func (s *linearSweep) delete(id uint32) {
+	if i, found := slices.BinarySearch(s.dead, id); !found {
+		s.dead = slices.Insert(s.dead, i, id)
+	}
+}
+
+func (s *linearSweep) isDead(id uint32) bool {
+	_, found := slices.BinarySearch(s.dead, id)
+	return found
+}
+
+func (s *linearSweep) appendMatches(dst []uint32, q []dataset.Item, pred Pred) []uint32 {
+	for _, r := range s.o.pending {
+		if s.isDead(r.ID) {
 			continue
 		}
 		var ok bool
@@ -320,9 +389,9 @@ func linearAppendMatches(o *Overlay, dst []uint32, q []dataset.Item, pred Pred) 
 	return dst
 }
 
-func linearAppendMatchesWithin(o *Overlay, dst []uint32, q []dataset.Item, cands []uint32) []uint32 {
-	for _, r := range o.pending {
-		if o.Dead(r.ID) || !r.ContainsAll(q) {
+func (s *linearSweep) appendMatchesWithin(dst []uint32, q []dataset.Item, cands []uint32) []uint32 {
+	for _, r := range s.o.pending {
+		if s.isDead(r.ID) || !r.ContainsAll(q) {
 			continue
 		}
 		if _, ok := slices.BinarySearch(cands, r.ID); ok {
@@ -332,11 +401,21 @@ func linearAppendMatchesWithin(o *Overlay, dst []uint32, q []dataset.Item, cands
 	return dst
 }
 
+func (s *linearSweep) mask(ids []uint32) []uint32 {
+	kept := ids[:0]
+	for _, id := range ids {
+		if !s.isDead(id) {
+			kept = append(kept, id)
+		}
+	}
+	return kept
+}
+
 // TestOverlayAgainstLinearSweep replays a seeded random history —
 // inserts (empty and repeated sets among them), deletes of merged and
 // pending ids, merges, snapshot round trips — and after every step holds
-// each sweep of the overlay, and of a view of it, against the linear
-// oracle: id for id, ascending.
+// each sweep of the overlay, its Dead and its Mask, and those of a view
+// of it, against the oracle: id for id, ascending.
 func TestOverlayAgainstLinearSweep(t *testing.T) {
 	const (
 		domain = 24
@@ -349,10 +428,33 @@ func TestOverlayAgainstLinearSweep(t *testing.T) {
 		slices.Sort(set)
 		return set
 	}
-	check := func(step int, o *Overlay, merged int) {
+	check := func(step int, o *Overlay, oracle *linearSweep, merged int) {
 		t.Helper()
-		if !slices.IsSorted(o.dead) {
-			t.Fatalf("step %d: tombstones unsorted", step)
+		// The bitmap's own invariants: it counts its bits, and sets none
+		// for id 0 or past the last id handed out.
+		n, bits := merged+o.Len(), 0
+		for w, word := range o.dead {
+			for ; word != 0; word &= word - 1 {
+				if id := w<<6 + mathbits.TrailingZeros64(word); id == 0 || id > n {
+					t.Fatalf("step %d: tombstone bit %d outside ids 1..%d", step, id, n)
+				}
+				bits++
+			}
+		}
+		if bits != o.Deleted() || bits != len(oracle.dead) {
+			t.Fatalf("step %d: %d bits, Deleted %d, oracle %d", step, bits, o.Deleted(), len(oracle.dead))
+		}
+		var ids []uint32
+		for id := uint32(0); id <= uint32(n)+70; id++ {
+			if o.Dead(id) != oracle.isDead(id) {
+				t.Fatalf("step %d: Dead(%d) = %v, oracle %v", step, id, o.Dead(id), oracle.isDead(id))
+			}
+			if id > 0 && rng.Intn(2) == 0 {
+				ids = append(ids, id)
+			}
+		}
+		if got, want := o.Mask(slices.Clone(ids)), oracle.mask(slices.Clone(ids)); !slices.Equal(got, want) {
+			t.Fatalf("step %d: Mask(%v) = %v, oracle %v", step, ids, got, want)
 		}
 		for _, k := range []int{0, 1, 2, 8} {
 			qs := [][]dataset.Item{randomSet(k)}
@@ -367,7 +469,7 @@ func TestOverlayAgainstLinearSweep(t *testing.T) {
 			}
 			for _, q := range qs {
 				for _, pred := range []Pred{ContainsAll, Equal, SubsetOf} {
-					got, want := o.AppendMatches([]uint32{9}, q, pred), linearAppendMatches(o, []uint32{9}, q, pred)
+					got, want := o.AppendMatches([]uint32{9}, q, pred), oracle.appendMatches([]uint32{9}, q, pred)
 					if !slices.Equal(got, want) {
 						t.Fatalf("step %d: AppendMatches(pred %d, %v) = %v, oracle %v", step, pred, q, got, want)
 					}
@@ -378,7 +480,7 @@ func TestOverlayAgainstLinearSweep(t *testing.T) {
 						cands = append(cands, uint32(id))
 					}
 				}
-				if got, want := o.AppendMatchesWithin(nil, q, cands), linearAppendMatchesWithin(o, nil, q, cands); !slices.Equal(got, want) {
+				if got, want := o.AppendMatchesWithin(nil, q, cands), oracle.appendMatchesWithin(nil, q, cands); !slices.Equal(got, want) {
 					t.Fatalf("step %d: AppendMatchesWithin(%v, %v) = %v, oracle %v", step, q, cands, got, want)
 				}
 			}
@@ -386,8 +488,23 @@ func TestOverlayAgainstLinearSweep(t *testing.T) {
 	}
 
 	var o Overlay
+	oracle := &linearSweep{o: &o}
 	merged := 50
-	check(-1, &o, merged)
+	// del deletes a random merged or pending id from o and the oracle.
+	del := func() {
+		id := uint32(1 + rng.Intn(merged+o.Len()))
+		if err := o.Delete(id, merged); err != nil {
+			if !oracle.isDead(id) {
+				t.Fatal(err)
+			}
+			return
+		}
+		if oracle.isDead(id) {
+			t.Fatalf("Delete(%d) of a tombstoned id succeeded", id)
+		}
+		oracle.delete(id)
+	}
+	check(-1, &o, oracle, merged)
 	for step := 0; step < 400; step++ {
 		switch op := rng.Intn(20); {
 		case op < 11:
@@ -399,33 +516,33 @@ func TestOverlayAgainstLinearSweep(t *testing.T) {
 				t.Fatal(err)
 			}
 		case op < 16:
-			id := uint32(1 + rng.Intn(merged+o.Len()))
-			if err := o.Delete(id, merged); err != nil && !o.Dead(id) {
-				t.Fatal(err)
-			}
+			del()
 		case op < 17:
 			merged += o.Len()
 			o.Merged()
 		default:
-			var recs, dead bytes.Buffer
-			if err := errors.Join(o.WriteRecords(&recs), o.WriteTombstones(&dead)); err != nil {
+			layout := Layout(rng.Intn(2))
+			var sec bytes.Buffer
+			if err := o.WriteSections(&sec, layout); err != nil {
 				t.Fatal(err)
 			}
 			var back Overlay
-			if err := errors.Join(back.ReadRecords(&recs, domain, merged), back.ReadTombstones(&dead, o.Dirty())); err != nil {
+			if err := back.ReadSections(&sec, layout, domain, merged, o.Dirty()); err != nil {
 				t.Fatal(err)
 			}
 			o = back
 		}
-		check(step, &o, merged)
+		check(step, &o, oracle, merged)
 		if step%16 == 0 {
 			view := o.View()
+			frozen := &linearSweep{o: &view, dead: slices.Clone(oracle.dead)}
 			for i := 0; i < 3; i++ { // the writer moves on; the view must not
 				if _, err := o.Insert(randomSet(1+rng.Intn(3)), domain, merged); err != nil {
 					t.Fatal(err)
 				}
+				del()
 			}
-			check(step, &view, merged)
+			check(step, &view, frozen, merged)
 		}
 	}
 }
@@ -476,14 +593,23 @@ func benchDelta(tb testing.TB, n int) (*Overlay, map[Pred][][]dataset.Item) {
 // BenchmarkOverlayMatches times the three sweeps over the posting lists
 // beside the linear oracle, at the delta benchmark/'s durable_rw
 // preloads and at four times that. The shortest list still grows with
-// the delta; the claim is the ratio to the sweep.
+// the delta; the claim is the ratio to the sweep. The mask rows time
+// Mask over every seventh merged and pending id, into a fresh copy per
+// call (the copy is in the time), against the oracle's binary search
+// over the sorted tombstones.
 func BenchmarkOverlayMatches(b *testing.B) {
-	impls := []struct {
-		name string
-		f    func(*Overlay, []uint32, []dataset.Item, Pred) []uint32
-	}{{"lists", (*Overlay).AppendMatches}, {"linear", linearAppendMatches}}
 	for _, n := range []int{4800, 19200} {
 		o, queries := benchDelta(b, n)
+		oracle := &linearSweep{o: o}
+		for _, r := range o.Pending() {
+			if o.Dead(r.ID) {
+				oracle.delete(r.ID)
+			}
+		}
+		impls := []struct {
+			name string
+			f    func([]uint32, []dataset.Item, Pred) []uint32
+		}{{"lists", o.AppendMatches}, {"linear", oracle.appendMatches}}
 		for pred, name := range []string{"subset", "equality", "superset"} {
 			qs := queries[Pred(pred)]
 			for _, impl := range impls {
@@ -492,12 +618,108 @@ func BenchmarkOverlayMatches(b *testing.B) {
 					dst := make([]uint32, 0, n)
 					b.ResetTimer()
 					for i := 0; i < b.N; i++ {
-						dst = impl.f(o, dst[:0], qs[i%len(qs)], Pred(pred))
+						dst = impl.f(dst[:0], qs[i%len(qs)], Pred(pred))
 					}
 				})
 			}
 		}
+		ids := maskIDs(o)
+		for _, impl := range []struct {
+			name string
+			f    func([]uint32) []uint32
+		}{{"bitmap", o.Mask}, {"sorted", oracle.mask}} {
+			b.Run(fmt.Sprintf("pending=%d/mask/%s", n, impl.name), func(b *testing.B) {
+				b.ReportAllocs()
+				buf := make([]uint32, len(ids))
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					impl.f(append(buf[:0], ids...))
+				}
+			})
+		}
 	}
+}
+
+// maskIDs is the answer the mask rows of the benchmark and of the
+// allocation test filter: every seventh id of o's merged and pending
+// records, ascending.
+func maskIDs(o *Overlay) []uint32 {
+	var ids []uint32
+	for id := uint32(1); id <= o.Pending()[o.Len()-1].ID; id += 7 {
+		ids = append(ids, id)
+	}
+	return ids
+}
+
+// FuzzOverlaySections feeds ReadSections arbitrary bytes in either
+// layout. Whatever it accepts must re-serialise byte for byte, and Dead
+// must agree with a linear scan of the tombstone section as read
+// independently here; it must never report an id the section does not
+// name, nor accept one past the records.
+func FuzzOverlaySections(f *testing.F) {
+	for _, layout := range []Layout{RecordsFirst, TombstonesFirst} {
+		for _, o := range []*Overlay{fixture(f), {}} {
+			var sec bytes.Buffer
+			if err := o.WriteSections(&sec, layout); err != nil {
+				f.Fatal(err)
+			}
+			f.Add(sec.Bytes(), layout == TombstonesFirst)
+		}
+		pending := []dataset.Record{{ID: 101, Set: []dataset.Item{1}}, {ID: 102}}
+		for _, dead := range [][]uint32{{40, 7}, {7, 7}, {0}, {103}, {1<<32 - 1}} {
+			var sec bytes.Buffer
+			if err := hostileSections(&sec, layout, pending, dead); err != nil {
+				f.Fatal(err)
+			}
+			f.Add(sec.Bytes(), layout == TombstonesFirst)
+		}
+	}
+	f.Fuzz(func(t *testing.T, data []byte, tombstonesFirst bool) {
+		layout := RecordsFirst
+		if tombstonesFirst {
+			layout = TombstonesFirst
+		}
+		r := bytes.NewReader(data)
+		var o Overlay
+		if err := o.ReadSections(r, layout, testDomain, testMerged, false); err != nil {
+			return
+		}
+		used := data[:len(data)-r.Len()]
+		var again bytes.Buffer
+		if err := o.WriteSections(&again, layout); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(again.Bytes(), used) {
+			t.Fatalf("accepted %x, re-serialised as %x", used, again.Bytes())
+		}
+		// The tombstone section, read past the records when they come first.
+		sec := bytes.NewReader(used)
+		if !tombstonesFirst {
+			n, _ := snapio.ReadU64(sec)
+			for ; n > 0; n-- {
+				snapio.ReadU32(sec)
+				snapio.ReadU32Slice(sec)
+			}
+		}
+		dead, err := snapio.ReadU32Slice(sec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		last := uint32(testMerged + o.Len())
+		for _, id := range dead {
+			if id == 0 || id > last {
+				t.Fatalf("accepted tombstone %d outside ids 1..%d", id, last)
+			}
+		}
+		if o.Deleted() != len(dead) {
+			t.Fatalf("Deleted %d of a %d-id section", o.Deleted(), len(dead))
+		}
+		for id := uint32(0); id <= last+64; id++ {
+			if o.Dead(id) != slices.Contains(dead, id) {
+				t.Fatalf("Dead(%d) = %v for tombstones %v", id, o.Dead(id), dead)
+			}
+		}
+	})
 }
 
 // neverEnds would keep a decoder that trusted a huge count busy forever.

@@ -299,6 +299,63 @@ func TestOpenRefusesHostilePending(t *testing.T) {
 	}
 }
 
+// goldenTombstones is the tombstone section as the single-engine goldens
+// hold it: the sorted tombstoned ids as one length-prefixed slice.
+func goldenTombstones() []byte {
+	dead := append([]uint32{goldenEarlyDelete}, goldenLateDeletes...)
+	slices.Sort(dead)
+	var sec bytes.Buffer
+	snapio.WriteU32Slice(&sec, dead)
+	return sec.Bytes()
+}
+
+// hostileTombstones returns copies of a single-engine golden, resealed,
+// whose tombstone section, at offset tomb, no sequence of deletes could
+// have written: ids out of order, an id twice, id 0, an id past the last
+// record, and one near 2^32 that a bitmap sized by it would need half a
+// gigabyte for.
+func hostileTombstones(golden []byte, tomb int) map[string][]byte {
+	ids := tomb + 8 // past the section's length word
+	n := len(goldenLateDeletes) + 1
+	last := ids + 4*(n-1)
+	put := func(at int, v uint32) []byte {
+		return resealed(golden, func(b []byte) { binary.LittleEndian.PutUint32(b[at:], v) })
+	}
+	return map[string][]byte{
+		"tombstones out of order": resealed(golden, func(b []byte) {
+			first, second := binary.LittleEndian.Uint32(b[ids:]), binary.LittleEndian.Uint32(b[ids+4:])
+			binary.LittleEndian.PutUint32(b[ids:], second)
+			binary.LittleEndian.PutUint32(b[ids+4:], first)
+		}),
+		"repeated tombstone":      put(ids+4, binary.LittleEndian.Uint32(golden[ids:])),
+		"tombstone on id 0":       put(ids, 0),
+		"tombstone past the last": put(last, goldenBase+goldenEarly+goldenLate+1),
+		"tombstone near 2^32":     put(last, 1<<32-1),
+	}
+}
+
+// TestOpenRefusesHostileTombstones: a container whose checksums are all
+// in order but whose tombstone section is not strictly ascending ids of
+// its records is a bad snapshot — not an index whose deleted records
+// reappear, or that allocates by the largest id it was handed.
+func TestOpenRefusesHostileTombstones(t *testing.T) {
+	for name, bad := range map[string]error{"oif": core.ErrBadSnapshot, "if": invfile.ErrBadSnapshot} {
+		golden, err := os.ReadFile(goldenPath(name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		tomb := bytes.Index(golden, goldenTombstones())
+		if tomb < 0 {
+			t.Fatalf("%s: tombstone section not found", name)
+		}
+		for what, snap := range hostileTombstones(golden, tomb) {
+			if _, err := Open(bytes.NewReader(snap)); !errors.Is(err, bad) {
+				t.Errorf("%s, %s: Open = %v, want %v", name, what, err, bad)
+			}
+		}
+	}
+}
+
 // hostilePages returns copies of the OIF golden, resealed, whose B-tree
 // pages or metadata table no build could have written: the root routing
 // its leftmost child to itself (a descent that never reaches a leaf), a
@@ -472,7 +529,8 @@ func TestOpenIgnoresReservedWord(t *testing.T) {
 // cut inside the pending-records section, a cut inside the tombstone
 // section, and a length word with a high bit flipped (a count that passes
 // the snapio.MaxSliceLen bound but promises gigabytes) — and those a
-// checksum cannot catch: a resealed out-of-domain pending item, and the
+// checksum cannot catch: a resealed out-of-domain pending item, the
+// resealed hostile tombstone sections of hostileTombstones, and the
 // resealed hostile pages and metadata of hostilePages. Any index Open
 // accepts must answer a Subset, which reaches the B-tree and the
 // metadata table, with an answer or an error.
@@ -481,10 +539,7 @@ func FuzzOpenSnapshot(f *testing.F) {
 	// their encoded content: the first pending record and the sorted
 	// tombstone list.
 	records := bytes.NewBuffer(goldenFirstPending())
-	var tombstones bytes.Buffer
-	dead := append([]uint32{goldenEarlyDelete}, goldenLateDeletes...)
-	slices.Sort(dead)
-	snapio.WriteU32Slice(&tombstones, dead)
+	tombstones := bytes.NewBuffer(goldenTombstones())
 
 	for _, k := range goldenKinds {
 		golden, err := os.ReadFile(goldenPath(k.name))
@@ -505,6 +560,9 @@ func FuzzOpenSnapshot(f *testing.F) {
 		flipped[tomb+3] ^= 0x40 // the count's fourth byte: 6 becomes 2^30+6
 		f.Add(flipped)
 		f.Add(hostilePending(golden, rec)["item outside the domain"])
+		for _, snap := range hostileTombstones(golden, tomb) {
+			f.Add(snap)
+		}
 		if k.name == "oif" {
 			for _, snap := range hostilePages(f, golden) {
 				f.Add(snap)
