@@ -33,6 +33,10 @@ type queryArena struct {
 	incoming []vbyte.Posting // superset per-item RoI postings
 	probe    []byte          // B-tree seek probe
 	lc       listCursor      // the one live list cursor
+
+	// bitmapBlocks counts the list blocks filterByList answered from a
+	// hot list's bitmap instead of decoding them (tests read it).
+	bitmapBlocks int
 }
 
 // scand is one superset candidate: how many of its length items have

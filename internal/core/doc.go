@@ -21,7 +21,10 @@
 //
 // Beyond the paper, the query path adds per-handle scratch arenas
 // (arena.go) so warm queries run allocation-free; Reader (reader.go)
-// gives each parallel goroutine an isolated page cache and arena. The
-// public API in setcontain wraps this package behind its Engine
-// interface.
+// gives each parallel goroutine an isolated page cache and arena; and
+// the few lists that skew leaves dense keep an in-memory id bitmap
+// beside their blocks (hot.go), which filterByList tests candidates
+// against instead of decoding a visited block — the same pages read,
+// the same answers. The public API in setcontain wraps this package
+// behind its Engine interface.
 package core

@@ -72,6 +72,11 @@ type Index struct {
 	// answer, until MergeDelta folds them in.
 	ov overlay.Overlay
 
+	// hot holds, per rank, the in-memory bitmap of a list dense enough
+	// to keep one (hot.go); nil when no list is. Derived at build and
+	// Load, shared by Reader clones.
+	hot []*hotList
+
 	// snapReserved is word 6 of the snapshot header, carried from Load
 	// to Save uninterpreted (see persist.go); 0 on a fresh Build.
 	snapReserved uint32
@@ -173,6 +178,29 @@ func build(numRecords, domainSize int, ord *sequence.Order, re *sequence.Reorder
 		}
 	}
 
+	// The hot lists, from the encoded blocks in hand; a list the rule
+	// passes over is not decoded.
+	var scan listScan
+	for rank := range pend {
+		p := &pend[rank]
+		if len(p.keys) == 0 {
+			continue
+		}
+		size := 0
+		for _, v := range p.vals {
+			size += len(v)
+		}
+		if !isHot(keyLastID(p.keys[len(p.keys)-1]), size) {
+			continue
+		}
+		for k, v := range p.vals {
+			if err := scan.add(v, keyLastID(p.keys[k]), numRecords); err != nil {
+				return nil, err
+			}
+		}
+		ix.hot = scan.take(ix.hot, sequence.Rank(rank), domainSize)
+	}
+
 	// Bulk-load in (rank, tag, id) order: ranks ascend, and within a rank
 	// blocks were produced in id (= tag) order.
 	curRank, curIdx := 0, 0
@@ -246,6 +274,14 @@ func (ix *Index) Space() SpaceStats {
 		MetaBytes:    ix.meta.Bytes(),
 		MapBytes:     ix.re.MapBytes(),
 	}
+}
+
+// hotList returns rank's hot list, or nil if it keeps no bitmap.
+func (ix *Index) hotList(rank sequence.Rank) *hotList {
+	if int(rank) < len(ix.hot) {
+		return ix.hot[rank]
+	}
+	return nil
 }
 
 // origID maps a new id to the original record id (1-based position in the

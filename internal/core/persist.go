@@ -110,9 +110,12 @@ func (ix *Index) Save(w io.Writer) error {
 // Load reconstructs an index from a snapshot produced by Save. The index
 // is backed by an in-memory pager and metered with the default cache.
 // The checksum guards only against accidents, so Load also checks what
-// the query path trusts — the metadata table's runs and the B-tree's
-// structure (btree.Validate) — and refuses a snapshot that fails either
-// with ErrBadSnapshot.
+// the query path trusts — the metadata table's runs, the B-tree's
+// structure (btree.Validate), and every list block, decoded once by
+// scanLists: its postings well formed, its ids within the records and
+// ascending across the list, its last id its key's — and refuses a
+// snapshot that fails any of them with ErrBadSnapshot. The same pass
+// builds the hot lists' bitmaps.
 func Load(r io.Reader) (*Index, error) {
 	cr := snapio.NewReader(bufio.NewReaderSize(r, 1<<16))
 	magic := make([]byte, len(snapshotMagic))
@@ -231,6 +234,10 @@ func Load(r io.Reader) (*Index, error) {
 	if err == nil {
 		err = check.Validate()
 	}
+	var hot []*hotList
+	if err == nil {
+		hot, err = scanLists(check, domainSize, numRecords)
+	}
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadSnapshot, err)
 	}
@@ -249,6 +256,7 @@ func Load(r io.Reader) (*Index, error) {
 		postingBytes: space[1],
 		keyBytes:     space[2],
 		listPostings: listPostings,
+		hot:          hot,
 		ov:           ov,
 	}, nil
 }

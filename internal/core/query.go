@@ -451,7 +451,9 @@ func (ix *Index) collectWholeList(dst []uint32, rank sequence.Rank) ([]uint32, e
 // rank's inverted list, probing the B-tree by candidate id so only blocks
 // between the smallest and largest candidate are read — the progressive
 // range restriction of Algorithm 1, line 15. The filter is in place:
-// the returned slice reuses cands' storage.
+// the returned slice reuses cands' storage. A hot list's visited block
+// is answered from its bitmap (hot.go) while it matches its fingerprint;
+// the walk, and so every page request, is the same either way.
 func (ix *Index) filterByList(rank sequence.Rank, cands []uint32) ([]uint32, error) {
 	if len(cands) == 0 {
 		// Keep cands' backing storage (it is arena scratch the caller
@@ -463,6 +465,10 @@ func (ix *Index) filterByList(rank sequence.Rank, cands []uint32) ([]uint32, err
 	if err != nil {
 		return nil, err
 	}
+	// blk tracks the visited block's index in the hot list: forward on
+	// next, by search only on a reseek.
+	h := ix.hotList(rank)
+	blk := h.find(lc.lastID)
 	i := 0
 	for i < len(cands) && lc.valid {
 		// The candidates this block can cover: ids up to the block's last.
@@ -472,9 +478,13 @@ func (ix *Index) filterByList(rank sequence.Rank, cands []uint32) ([]uint32, err
 		}
 		// In place: out ends at or before cands[i] and gains at most one id
 		// per candidate of cands[i:hi], so no write passes hi, and the
-		// slots it overwrites hold candidates already marked, which are
-		// never read again.
-		if out, err = vbyte.AppendMatches(out, lc.cur.Value(), 0, cands[i:hi], &ix.arena.marks); err != nil {
+		// slots it overwrites hold candidates already read (or marked),
+		// which are never read again.
+		val := lc.cur.Value()
+		if h.holds(blk, lc.lastID, cands[i], val) {
+			out = h.appendMembers(out, cands[i:hi])
+			ix.arena.bitmapBlocks++
+		} else if out, err = vbyte.AppendMatches(out, val, 0, cands[i:hi], &ix.arena.marks); err != nil {
 			return nil, err
 		}
 		i = hi
@@ -487,11 +497,13 @@ func (ix *Index) filterByList(rank sequence.Rank, cands []uint32) ([]uint32, err
 		if err := lc.next(); err != nil {
 			return nil, err
 		}
+		blk++
 		if lc.valid && lc.lastID < cands[i] {
 			lc, err = ix.seekID(rank, cands[i])
 			if err != nil {
 				return nil, err
 			}
+			blk = h.find(lc.lastID)
 		}
 	}
 	return out, nil

@@ -360,8 +360,11 @@ func TestOpenRefusesHostileTombstones(t *testing.T) {
 // pages or metadata table no build could have written: the root routing
 // its leftmost child to itself (a descent that never reaches a leaf), a
 // leaf cell slot pointing past the page, a region whose runs end past
-// the records (and whose singleton run would never end), and an
-// empty-set run past the records.
+// the records (and whose singleton run would never end), an empty-set
+// run past the records, and the first list block's first posting id
+// (its first byte, a one-byte gap) raised past the records — which also
+// moves the block's last id off its key's — or lowered by one, which
+// moves only the last id.
 func hostilePages(t testing.TB, golden []byte) map[string][]byte {
 	// The container header and its CRC, the payload magic, eight header
 	// words, the item order, then the regions as (L, U, U1) words.
@@ -394,6 +397,13 @@ func hostilePages(t testing.TB, golden []byte) map[string][]byte {
 	for page(golden, leaf)[0] != typeLeaf {
 		leaf = binary.BigEndian.Uint64(page(golden, leaf)[offAux:])
 	}
+	// The first leaf cell: key and value lengths, then the key, then the
+	// value, whose first byte is the block's first posting id.
+	cell := int(binary.BigEndian.Uint16(page(golden, leaf)[offSlots:]))
+	firstID := cell + 4 + int(binary.BigEndian.Uint16(page(golden, leaf)[cell:]))
+	if id := page(golden, leaf)[firstID]; id < 2 || id >= 0x80 || uint32(id) > numRecords {
+		t.Fatalf("oif golden: the first block starts at id %#x, want a one-byte id of the records", id)
+	}
 	region := -1
 	for r := 0; r < domain && region < 0; r++ {
 		if word(golden, regions+12*r) != 0 {
@@ -416,6 +426,12 @@ func hostilePages(t testing.TB, golden []byte) map[string][]byte {
 		}),
 		"empty-set run past the records": resealed(golden, func(b []byte) {
 			binary.LittleEndian.PutUint32(b[hdr+4*4:], numRecords+1)
+		}),
+		"posting past the records": resealed(golden, func(b []byte) {
+			page(b, leaf)[firstID] = 0x73 // from 0x16: id 115 of 95 records
+		}),
+		"block's last id not its key's": resealed(golden, func(b []byte) {
+			page(b, leaf)[firstID]--
 		}),
 	}
 }
@@ -531,9 +547,11 @@ func TestOpenIgnoresReservedWord(t *testing.T) {
 // the snapio.MaxSliceLen bound but promises gigabytes) — and those a
 // checksum cannot catch: a resealed out-of-domain pending item, the
 // resealed hostile tombstone sections of hostileTombstones, and the
-// resealed hostile pages and metadata of hostilePages. Any index Open
-// accepts must answer a Subset, which reaches the B-tree and the
-// metadata table, with an answer or an error.
+// resealed hostile pages, list blocks and metadata of hostilePages. Any
+// index Open accepts must answer a single-item Subset for every item of
+// its domain — which reads every list and the metadata table — with an
+// answer or an error, so a hostile list that one query would miss is
+// still read.
 func FuzzOpenSnapshot(f *testing.F) {
 	// The single-engine goldens hold the sections verbatim; find them by
 	// their encoded content: the first pending record and the sorted
@@ -577,6 +595,8 @@ func FuzzOpenSnapshot(f *testing.F) {
 		if ix.PendingInserts() > ix.NumRecords() || ix.PendingInserts() < 0 {
 			t.Fatalf("opened an index with %d pending of %d records", ix.PendingInserts(), ix.NumRecords())
 		}
-		ix.Subset([]Item{0, 1}) // an error is an answer; a hang or a panic is not
+		for it := 0; it < ix.Engine().DomainSize(); it++ {
+			ix.Subset([]Item{Item(it)}) // an error is an answer; a hang or a panic is not
+		}
 	})
 }
