@@ -61,7 +61,14 @@ func (h *hotList) find(last uint32) int {
 // the bitmap: the block is the list's block j as fingerprinted — it ends
 // at last and holds val — and the first candidate it is asked about lies
 // past the block before it. The candidates then all lie in the block's
-// id range, so each one's bit is its membership in the block.
+// id range, so each one's bit is its membership in the block. On the
+// tree Load validated, filterByList's walk guarantees the last clause:
+// a seek lands on the first block ending at or past the candidate, and
+// a next on the block after the one that ended below it. The clause
+// guards the one input the fingerprint cannot see, a page that changed
+// under the index in the key of the block before: a seek past that key
+// lands on block j with candidates of block j-1, which the kernel does
+// not find in block j (TestBitmapProbeFollowsChangedKey).
 func (h *hotList) holds(j int, last, first uint32, val []byte) bool {
 	return h != nil && j < len(h.lasts) && h.lasts[j] == last &&
 		(j == 0 || first > h.lasts[j-1]) && maphash.Bytes(hotSeed, val) == h.sums[j]
@@ -93,9 +100,10 @@ type listScan struct {
 }
 
 // add decodes the list's next block, val, whose key ends in last. It
-// refuses, in this order, a block the decode kernels refuse, a posting
-// id past numRecords, a block whose decoded last id is not last, and one
-// whose ids do not ascend past the block before it.
+// refuses, in this order, a block the decode kernels refuse, an empty
+// block (a build never writes one), a posting id past numRecords, a
+// block whose decoded last id is not last, and one whose ids do not
+// ascend past the block before it.
 func (s *listScan) add(val []byte, last uint32, numRecords int) error {
 	start := len(s.ids)
 	ids, err := vbyte.AppendIDs(s.ids, val, 0, 0, math.MaxUint32)
@@ -104,10 +112,10 @@ func (s *listScan) add(val []byte, last uint32, numRecords int) error {
 	}
 	s.ids = ids
 	blk := ids[start:]
-	got := uint32(0) // an empty block decodes to no last id
-	if len(blk) > 0 {
-		got = blk[len(blk)-1]
+	if len(blk) == 0 {
+		return fmt.Errorf("empty block ending at id %d", last)
 	}
+	got := blk[len(blk)-1]
 	switch {
 	case uint64(got) > uint64(numRecords):
 		return fmt.Errorf("posting id %d past %d records", got, numRecords)

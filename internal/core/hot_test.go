@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/dataset"
 	"repro/internal/sequence"
+	"repro/internal/storage"
 	"repro/internal/vbyte"
 )
 
@@ -179,5 +180,89 @@ func checkHotLists(t *testing.T, name string, ix *Index) {
 	}
 	if kernel.arena.bitmapBlocks != 0 {
 		t.Fatalf("%s: the index without bitmaps answered %d blocks from one", name, kernel.arena.bitmapBlocks)
+	}
+}
+
+// TestBitmapProbeFollowsChangedKey: a page that changes under the index
+// in the key of a hot list's first block, its last id lowered, sends a
+// seek for that block's last id past it, onto the second block. The
+// kernel does not find the id in the second block; the bitmap, asked
+// blindly, would. holds keeps the two paths equal by refusing a block
+// whose first candidate is not past the block before it.
+func TestBitmapProbeFollowsChangedKey(t *testing.T) {
+	d, err := dataset.GenerateSynthetic(dataset.SyntheticConfig{
+		NumRecords: 12000, DomainSize: 300, MinLen: 2, MaxLen: 14, ZipfTheta: 0.9, Seed: 23,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cp := &corruptPager{Pager: storage.NewMemPager(storage.DefaultPageSize)}
+	ix, err := Build(d, Options{Pool: storage.NewBufferPool(cp, 1024)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool := storage.NewBufferPool(cp, 64)
+	if err := ix.SetPool(pool); err != nil { // flushes the build to cp
+		t.Fatal(err)
+	}
+	ix.ensureRuntime()
+
+	// A hot list of two blocks or more whose first key occurs once across
+	// the pages and whose last id's low byte can be zeroed.
+	page := make([]byte, cp.PageSize())
+	rank, last := sequence.Rank(0), uint32(0)
+	for r := sequence.Rank(0); int(r) < ix.domainSize && last == 0; r++ {
+		if h := ix.hotList(r); h == nil || len(h.lasts) < 2 || h.lasts[0]&0xFF == 0 {
+			continue
+		}
+		lc, err := ix.seekTag(r, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		key := bytes.Clone(lc.cur.Key())
+		found := 0
+		for id := storage.PageID(0); int64(id) < cp.NumPages(); id++ {
+			if err := cp.Pager.ReadPage(id, page); err != nil {
+				t.Fatal(err)
+			}
+			if n := bytes.Count(page, key); n > 0 {
+				cp.page, cp.off, found = id, bytes.Index(page, key)+len(key)-1, found+n
+			}
+		}
+		if found == 1 {
+			rank, last = r, lc.lastID
+		}
+	}
+	if last == 0 {
+		t.Fatal("no hot list of two blocks or more has a first key to change")
+	}
+
+	// Both sides start from a fresh arena, whose cursor holds no copy of
+	// a leaf read before the change.
+	cp.b, cp.armed = 0, true
+	if err := pool.DropAll(); err != nil {
+		t.Fatal(err)
+	}
+	hot, kernel := *ix, *ix
+	hot.arena = nil
+	kernel.hot, kernel.arena = nil, nil
+	hot.ensureRuntime()
+	kernel.ensureRuntime()
+	got, err := hot.filterByList(rank, []uint32{last})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := kernel.filterByList(rank, []uint32{last})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(want) != 0 {
+		t.Fatalf("rank %d: the kernel finds id %d past its block's changed key; the seek did not move", rank, last)
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("rank %d, id %d past its block's changed key: the bitmap keeps %v, the kernel %v", rank, last, got, want)
+	}
+	if hot.arena.bitmapBlocks != 0 {
+		t.Fatalf("rank %d: %d blocks answered from the bitmap, want the one visited taken by the kernel", rank, hot.arena.bitmapBlocks)
 	}
 }

@@ -364,7 +364,8 @@ func TestOpenRefusesHostileTombstones(t *testing.T) {
 // run past the records, and the first list block's first posting id
 // (its first byte, a one-byte gap) raised past the records — which also
 // moves the block's last id off its key's — or lowered by one, which
-// moves only the last id.
+// moves only the last id — and a list's later block emptied, its key
+// ending in id 0.
 func hostilePages(t testing.TB, golden []byte) map[string][]byte {
 	// The container header and its CRC, the payload magic, eight header
 	// words, the item order, then the regions as (L, U, U1) words.
@@ -404,6 +405,34 @@ func hostilePages(t testing.TB, golden []byte) map[string][]byte {
 	if id := page(golden, leaf)[firstID]; id < 2 || id >= 0x80 || uint32(id) > numRecords {
 		t.Fatalf("oif golden: the first block starts at id %#x, want a one-byte id of the records", id)
 	}
+	// A list's non-first block whose key ends in id 0 still sorts after
+	// the block before it if its tag is larger: find the first such cell
+	// along the leaf chain, so emptying its value leaves every key
+	// ascending.
+	cellAt := func(b []byte, leaf uint64, i int) int {
+		return int(binary.BigEndian.Uint16(page(b, leaf)[offSlots+2*i:]))
+	}
+	keyAt := func(b []byte, leaf uint64, cell int) []byte {
+		p := page(b, leaf)
+		return p[cell+4:][:binary.BigEndian.Uint16(p[cell:])]
+	}
+	emptyLeaf, emptyCell := uint64(0), -1
+	var prev []byte
+	for l := leaf; l != 0 && emptyCell < 0; l = binary.BigEndian.Uint64(page(golden, l)[offAux:]) {
+		for i := 0; i < int(binary.BigEndian.Uint16(page(golden, l)[1:])); i++ {
+			cell := cellAt(golden, l, i)
+			k := keyAt(golden, l, cell)
+			zeroed := append(slices.Clone(k[:len(k)-4]), 0, 0, 0, 0)
+			if prev != nil && bytes.Equal(k[:4], prev[:4]) && bytes.Compare(zeroed, prev) > 0 {
+				emptyLeaf, emptyCell = l, cell
+				break
+			}
+			prev = k
+		}
+	}
+	if emptyCell < 0 {
+		t.Fatal("oif golden: no list has a second block with a larger tag")
+	}
 	region := -1
 	for r := 0; r < domain && region < 0; r++ {
 		if word(golden, regions+12*r) != 0 {
@@ -432,6 +461,11 @@ func hostilePages(t testing.TB, golden []byte) map[string][]byte {
 		}),
 		"block's last id not its key's": resealed(golden, func(b []byte) {
 			page(b, leaf)[firstID]--
+		}),
+		"empty block ending at id 0": resealed(golden, func(b []byte) {
+			k := keyAt(b, emptyLeaf, emptyCell)
+			binary.BigEndian.PutUint32(k[len(k)-4:], 0)
+			binary.BigEndian.PutUint16(page(b, emptyLeaf)[emptyCell+2:], 0) // the value's length
 		}),
 	}
 }
@@ -549,9 +583,10 @@ func TestOpenIgnoresReservedWord(t *testing.T) {
 // resealed hostile tombstone sections of hostileTombstones, and the
 // resealed hostile pages, list blocks and metadata of hostilePages. Any
 // index Open accepts must answer a single-item Subset for every item of
-// its domain — which reads every list and the metadata table — with an
-// answer or an error, so a hostile list that one query would miss is
-// still read.
+// its domain — which reads every list and the metadata table — and a
+// two-item Subset for every adjacent pair of items — which filters
+// candidates through a list and scans its region — with an answer or an
+// error, so a hostile list that one query would miss is still read.
 func FuzzOpenSnapshot(f *testing.F) {
 	// The single-engine goldens hold the sections verbatim; find them by
 	// their encoded content: the first pending record and the sorted
@@ -595,8 +630,12 @@ func FuzzOpenSnapshot(f *testing.F) {
 		if ix.PendingInserts() > ix.NumRecords() || ix.PendingInserts() < 0 {
 			t.Fatalf("opened an index with %d pending of %d records", ix.PendingInserts(), ix.NumRecords())
 		}
-		for it := 0; it < ix.Engine().DomainSize(); it++ {
-			ix.Subset([]Item{Item(it)}) // an error is an answer; a hang or a panic is not
+		// An error is an answer; a hang or a panic is not.
+		for it, n := 0, ix.Engine().DomainSize(); it < n; it++ {
+			ix.Subset([]Item{Item(it)})
+			if it+1 < n {
+				ix.Subset([]Item{Item(it), Item(it + 1)})
+			}
 		}
 	})
 }
