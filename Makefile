@@ -84,10 +84,11 @@ vet-examples:
 
 # Regenerate docs/API.txt: every exported declaration of setcontain,
 # setcontain/serve and the wire bodies serve aliases (internal/wire),
-# plus their non-test line count and that of the index layer below the
-# engine. The file is checked in so a PR that grows the surface — or
-# either layer — shows it in its diff; api-check — part of `make check`
-# and of the CI docs job — fails when it is stale.
+# plus their non-test line count and those of the index layer, the
+# storage layer and internal/stats below the engine. The file is checked
+# in so a PR that grows the surface — or any layer — shows it in its
+# diff; api-check — part of `make check` and of the CI docs job — fails
+# when it is stale.
 api-surface:
 	./scripts/api-surface.sh > docs/API.txt
 

@@ -11,9 +11,9 @@ import (
 )
 
 // TestFileBackedBuildAndQuery runs the whole index over a real file pager
-// (Options.Pool), which is how cmd/oifquery can host indexes that exceed
-// memory. Queries must agree with the oracle and survive a pool swap to
-// the minimal cache.
+// (Options.Pool), the way an index larger than memory would be hosted.
+// Queries must agree with the oracle and survive a pool swap to the
+// minimal cache.
 func TestFileBackedBuildAndQuery(t *testing.T) {
 	d, err := dataset.GenerateSynthetic(dataset.SyntheticConfig{
 		NumRecords: 4000, DomainSize: 80, MinLen: 2, MaxLen: 9, ZipfTheta: 0.8, Seed: 77,

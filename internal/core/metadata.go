@@ -22,9 +22,6 @@ type Region struct {
 // Empty reports whether no record has this rank as its smallest item.
 func (r Region) Empty() bool { return r.L == 0 }
 
-// ContainsID reports whether id falls inside the region.
-func (r Region) ContainsID(id uint32) bool { return !r.Empty() && id >= r.L && id <= r.U }
-
 // Metadata is the memory-resident metadata table: one region per rank,
 // plus the empty-set region [1, EmptyUpper] that precedes every item
 // region (the paper's order places the empty set first).

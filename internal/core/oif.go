@@ -32,8 +32,9 @@ type Options struct {
 	// Pool, when non-nil, receives the index pages instead of a fresh
 	// in-memory pager; its pager must be empty. The build writes the
 	// pages straight to that pager, and the index reads them back through
-	// Pool. This is how file-backed indexes are built (pass a pool over a
-	// storage.FilePager).
+	// Pool. It is the seam tests use to build over a pager they control
+	// (a storage.FilePager, a fault-injecting or corrupting pager); no
+	// product path sets it.
 	Pool *storage.BufferPool
 }
 

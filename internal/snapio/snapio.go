@@ -188,6 +188,13 @@ func ReadBytes(r io.Reader) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
+	return ReadN(r, n)
+}
+
+// ReadN reads exactly n bytes whose count came from the stream itself,
+// rejecting counts beyond MaxSliceLen. Memory grows only as the bytes
+// arrive, so a corrupt count costs at most allocStep up front.
+func ReadN(r io.Reader, n uint64) ([]byte, error) {
 	if n > MaxSliceLen {
 		return nil, fmt.Errorf("snapio: byte block of %d exceeds bound", n)
 	}

@@ -6,29 +6,24 @@ import (
 	"repro/internal/stats"
 )
 
-// Example profiles a skewed record stream and shows the resulting
+// Example profiles a skewed support table and shows the resulting
 // engine plan: the fitted exponent crosses the skew threshold, so the
-// planner picks the paper's Ordered Inverted File.
+// planner picks the paper's Ordered Inverted File with a frontier sized
+// to the hottest list.
 func Example() {
-	coll := stats.NewCollector(100)
-	// A heavily skewed stream: item 0 appears in every record, item 1
-	// in half, the tail items once each.
-	for i := 0; i < 64; i++ {
-		set := []uint32{0}
-		if i%2 == 0 {
-			set = append(set, 1)
-		}
-		set = append(set, uint32(2+i%32), uint32(34+i%64))
-		coll.Add(set)
-	}
+	// A heavily skewed collection of 64 records: item 0 appears in
+	// every record, item 1 in half, the tail items in fewer and fewer.
+	support := []int64{64, 32, 16, 12, 8, 6, 4, 3, 2, 2, 1, 1, 1, 1}
 
-	profile := coll.Profile(4)
+	profile := stats.ProfileOfSupports(support)
 	plan := profile.Plan()
-	fmt.Println("records:", profile.NumRecords)
+	fmt.Println("distinct items:", profile.Distinct)
 	fmt.Println("hottest support:", profile.MaxFreq)
 	fmt.Println("use OIF:", plan.UseOIF)
+	fmt.Println("frontier block:", plan.BlockPostings)
 	// Output:
-	// records: 64
+	// distinct items: 14
 	// hottest support: 64
 	// use OIF: true
+	// frontier block: 16
 }

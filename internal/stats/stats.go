@@ -1,123 +1,39 @@
 package stats
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"slices"
 )
 
-// ItemFreq is one vocabulary item with its support (number of records
-// containing it).
-type ItemFreq struct {
-	Item  uint32
-	Count int64
-}
-
-// Collector accumulates item supports while records stream past. It is
-// not safe for concurrent use; shard builders run one collector each.
-type Collector struct {
-	support  []int64
-	records  int
-	postings int64
-	maxCard  int
-}
-
-// NewCollector returns a collector over items [0, domainSize).
-func NewCollector(domainSize int) *Collector {
-	if domainSize < 0 {
-		domainSize = 0
-	}
-	return &Collector{support: make([]int64, domainSize)}
-}
-
-// Add feeds one record's item set (items must lie in the domain;
-// out-of-domain items are ignored rather than panicking, since the
-// dataset layer already validates them).
-func (c *Collector) Add(set []uint32) {
-	c.records++
-	c.postings += int64(len(set))
-	if len(set) > c.maxCard {
-		c.maxCard = len(set)
-	}
-	for _, it := range set {
-		if int(it) < len(c.support) {
-			c.support[it]++
-		}
-	}
-}
-
-// NumRecords returns how many records have been added.
-func (c *Collector) NumRecords() int { return c.records }
-
-// ProfileOfSupports summarises an already-counted per-item support table
-// (index = item id, value = support). Record-level fields (NumRecords,
-// cardinalities, TotalPostings) are zero; the distributional fields —
-// Distinct, MaxFreq, TopK, Theta — are filled, which is all that Skewed
-// and Plan consult. Its one consumer is setcontain's expression planner
-// (SupportsOf), which surfaces the fitted Theta.
-func ProfileOfSupports(support []int64, k int) Profile {
-	c := Collector{support: support}
-	return c.Profile(k)
-}
-
-// Profile summarises an item-frequency distribution.
+// Profile summarises an item-frequency distribution: all that Skewed
+// and Plan consult.
 type Profile struct {
-	NumRecords     int
-	DomainSize     int
-	TotalPostings  int64
-	AvgCardinality float64
-	MaxCardinality int
-
 	// Distinct is the number of items with non-zero support.
 	Distinct int
 	// MaxFreq is the support of the most frequent item.
 	MaxFreq int64
-	// TopK lists the k most frequent items, descending by support.
-	TopK []ItemFreq
 	// Theta is the exponent of a Zipf law fitted to the rank-frequency
 	// curve by least squares in log-log space: support(rank) ~
 	// C/rank^Theta. Zero means uniform; the paper sweeps 0..1.
 	Theta float64
 }
 
-// Profile snapshots the collector's distribution, retaining the k most
-// frequent items (k <= 0 keeps none).
-func (c *Collector) Profile(k int) Profile {
-	p := Profile{
-		NumRecords:     c.records,
-		DomainSize:     len(c.support),
-		TotalPostings:  c.postings,
-		MaxCardinality: c.maxCard,
-	}
-	if c.records > 0 {
-		p.AvgCardinality = float64(c.postings) / float64(c.records)
-	}
-	freqs := make([]ItemFreq, 0, len(c.support))
-	for it, n := range c.support {
+// ProfileOfSupports summarises a per-item support table (index = item
+// id, value = support, as dataset.Support and Engine.ItemSupports count
+// it). The table is not modified.
+func ProfileOfSupports(support []int64) Profile {
+	counts := make([]int64, 0, len(support))
+	for _, n := range support {
 		if n > 0 {
-			freqs = append(freqs, ItemFreq{Item: uint32(it), Count: n})
+			counts = append(counts, n)
 		}
 	}
-	sort.Slice(freqs, func(i, j int) bool {
-		if freqs[i].Count != freqs[j].Count {
-			return freqs[i].Count > freqs[j].Count
-		}
-		return freqs[i].Item < freqs[j].Item
-	})
-	p.Distinct = len(freqs)
-	if len(freqs) > 0 {
-		p.MaxFreq = freqs[0].Count
+	slices.SortFunc(counts, func(a, b int64) int { return cmp.Compare(b, a) })
+	p := Profile{Distinct: len(counts), Theta: FitZipf(counts)}
+	if len(counts) > 0 {
+		p.MaxFreq = counts[0]
 	}
-	if k > len(freqs) {
-		k = len(freqs)
-	}
-	if k > 0 {
-		p.TopK = append([]ItemFreq(nil), freqs[:k]...)
-	}
-	counts := make([]int64, len(freqs))
-	for i, f := range freqs {
-		counts[i] = f.Count
-	}
-	p.Theta = FitZipf(counts)
 	return p
 }
 
@@ -182,7 +98,7 @@ type Plan struct {
 	// inverted file (uniform distributions gain nothing from ordering).
 	UseOIF bool
 	// BlockPostings sizes the OIF's frontier — the block cap of its
-	// longest (most frequent) inverted lists. Zero keeps the default.
+	// longest (most frequent) inverted lists. Zero when UseOIF is false.
 	BlockPostings int
 	// Theta echoes the fitted exponent the decision rests on.
 	Theta float64
@@ -203,15 +119,9 @@ const (
 // pages evenly.
 func (p Profile) Plan() Plan {
 	plan := Plan{UseOIF: p.Skewed(), Theta: p.Theta}
-	if plan.UseOIF && p.MaxFreq > 0 {
+	if plan.UseOIF {
 		b := nextPow2(int(math.Sqrt(float64(p.MaxFreq))))
-		if b < minBlockPostings {
-			b = minBlockPostings
-		}
-		if b > maxBlockPostings {
-			b = maxBlockPostings
-		}
-		plan.BlockPostings = b
+		plan.BlockPostings = min(max(b, minBlockPostings), maxBlockPostings)
 	}
 	return plan
 }

@@ -42,33 +42,22 @@ func TestFitZipfDegenerate(t *testing.T) {
 	}
 }
 
-func TestCollectorProfile(t *testing.T) {
-	c := NewCollector(10)
-	c.Add([]uint32{0, 1, 2})
-	c.Add([]uint32{0, 1})
-	c.Add([]uint32{0})
-	c.Add(nil)
-	p := c.Profile(2)
-	if p.NumRecords != 4 || p.TotalPostings != 6 || p.DomainSize != 10 {
-		t.Fatalf("profile shape wrong: %+v", p)
+// TestProfileOfSupports: items of zero support are not counted, and
+// the hottest item's support is the maximum wherever it sits.
+func TestProfileOfSupports(t *testing.T) {
+	support := []int64{0, 2, 0, 3, 1, 0}
+	p := ProfileOfSupports(support)
+	if p.Distinct != 3 || p.MaxFreq != 3 {
+		t.Fatalf("profile wrong: %+v", p)
 	}
-	if p.Distinct != 3 || p.MaxFreq != 3 || p.MaxCardinality != 3 {
-		t.Fatalf("distribution wrong: %+v", p)
+	if p.Theta != FitZipf([]int64{3, 2, 1}) {
+		t.Fatalf("theta %g, want the fit of the sorted nonzero supports", p.Theta)
 	}
-	if p.AvgCardinality != 1.5 {
-		t.Fatalf("avg cardinality %g", p.AvgCardinality)
+	if support[3] != 3 || support[4] != 1 {
+		t.Fatalf("support table modified: %v", support)
 	}
-	if len(p.TopK) != 2 || p.TopK[0] != (ItemFreq{Item: 0, Count: 3}) || p.TopK[1] != (ItemFreq{Item: 1, Count: 2}) {
-		t.Fatalf("top-k wrong: %+v", p.TopK)
-	}
-}
-
-func TestCollectorIgnoresOutOfDomain(t *testing.T) {
-	c := NewCollector(2)
-	c.Add([]uint32{0, 5})
-	p := c.Profile(4)
-	if p.Distinct != 1 || p.TotalPostings != 2 {
-		t.Fatalf("out-of-domain handling wrong: %+v", p)
+	if p := ProfileOfSupports(nil); p != (Profile{}) {
+		t.Fatalf("empty table profiled as %+v", p)
 	}
 }
 
@@ -91,11 +80,7 @@ func TestPlanOnGeneratedData(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		c := NewCollector(d.DomainSize())
-		for _, r := range d.Records() {
-			c.Add(r.Set)
-		}
-		p := c.Profile(8)
+		p := ProfileOfSupports(d.Support())
 		plan := p.Plan()
 		if plan.UseOIF != tc.wantOIF {
 			t.Errorf("theta=%g: plan.UseOIF = %v (fitted theta %.2f)", tc.theta, plan.UseOIF, p.Theta)
@@ -117,12 +102,12 @@ func TestPlanOnGeneratedData(t *testing.T) {
 // TestTinyDomainNeverSkewed guards the planner against fitting noise on
 // a handful of distinct items.
 func TestTinyDomainNeverSkewed(t *testing.T) {
-	c := NewCollector(4)
+	support := make([]int64, 4)
 	rng := rand.New(rand.NewSource(3))
 	for i := 0; i < 1000; i++ {
-		c.Add([]uint32{uint32(rng.Intn(4))})
+		support[rng.Intn(4)]++
 	}
-	if p := c.Profile(4); p.Skewed() {
+	if p := ProfileOfSupports(support); p.Skewed() {
 		t.Fatalf("4-item domain profiled as skewed: %+v", p)
 	}
 }

@@ -6,9 +6,10 @@ import (
 )
 
 // FilePager is a Pager backed by a single file on disk. It exists so the
-// indexes can also be run against real storage (cmd/oifquery uses it); the
-// experimental harness prefers MemPager + BufferPool, where I/O cost is
-// modelled rather than incurred.
+// indexes can be tested against real storage (through core.Options.Pool;
+// no command builds over it); the product and the experimental harness
+// use MemPager + BufferPool, where I/O cost is modelled rather than
+// incurred.
 type FilePager struct {
 	f        *os.File
 	pageSize int

@@ -114,13 +114,3 @@ func uint32Multi(buf []byte) (uint32, int, error) {
 	}
 	return uint32(w), m, nil
 }
-
-// Len64 returns the encoded size of v in bytes without encoding it.
-func Len64(v uint64) int {
-	n := 1
-	for v >= 0x80 {
-		v >>= 7
-		n++
-	}
-	return n
-}

@@ -3,9 +3,6 @@ package setcontain
 import (
 	"fmt"
 	"strings"
-
-	"repro/internal/core"
-	"repro/internal/storage"
 )
 
 // Kind selects an engine from the registry.
@@ -69,7 +66,8 @@ type Options struct {
 	Kind Kind
 	// PageSize of the index file in bytes (default 4096).
 	PageSize int
-	// BlockPostings caps postings per OIF/UBT list block (default 64).
+	// BlockPostings caps postings per OIF/UBT list block (default 64;
+	// left unset, a Sharded build sizes each OIF shard's from its skew).
 	BlockPostings int
 	// CachePages sizes the buffer pool queries run through (default 8,
 	// the paper's 32 KB minimum). Larger caches reduce page accesses.
@@ -77,26 +75,6 @@ type Options struct {
 	// Shards is the Sharded engine's partition count (default: one per
 	// CPU, minimum 2). Ignored by the other kinds.
 	Shards int
-
-	// blockPostingsExplicit records (at fill time) whether the caller set
-	// BlockPostings, so the sharded planner only sizes the OIF frontier
-	// when the value is the filled-in default — an explicit
-	// WithBlockPostings always wins, even when it equals the default.
-	blockPostingsExplicit bool
-}
-
-// fill applies the documented defaults in place.
-func (o *Options) fill() {
-	if o.PageSize == 0 {
-		o.PageSize = storage.DefaultPageSize
-	}
-	o.blockPostingsExplicit = o.BlockPostings != 0
-	if o.BlockPostings == 0 {
-		o.BlockPostings = core.DefaultBlockPostings
-	}
-	if o.CachePages == 0 {
-		o.CachePages = storage.DefaultPoolPages
-	}
 }
 
 // Option mutates an Options; pass them to New or NewOptions.

@@ -45,7 +45,7 @@ func SupportsOf(eng Engine) *SupportProfile {
 	return &SupportProfile{
 		PerItem:    sup,
 		NumRecords: int64(eng.NumRecords()),
-		Theta:      stats.ProfileOfSupports(sup, 0).Theta,
+		Theta:      stats.ProfileOfSupports(sup).Theta,
 	}
 }
 

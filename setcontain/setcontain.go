@@ -98,7 +98,6 @@ func Build(c *Collection, opts Options) (*Index, error) {
 	if c == nil || c.ds == nil {
 		return nil, errors.New("setcontain: nil collection")
 	}
-	opts.fill()
 	build, ok := engineBuilders[opts.Kind]
 	if !ok {
 		return nil, fmt.Errorf("setcontain: unknown index kind %v", opts.Kind)

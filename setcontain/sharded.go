@@ -27,12 +27,12 @@ import (
 // byte-identical to the single-engine ones.
 //
 // Each built shard's inner engine is chosen per shard by internal/stats
-// while the records stream in: skewed shards get the paper's Ordered
-// Inverted File (with a frontier block size fitted to the shard's
-// hottest list), uniform shards the plain inverted file. The shard count
-// therefore also decides how much of the paper's skew machinery is
-// deployed — the skew insight becomes a planning decision instead of a
-// manual flag.
+// from the item supports of the records split to it: skewed shards get
+// the paper's Ordered Inverted File (with a frontier block size fitted
+// to the shard's hottest list), uniform shards the plain inverted file.
+// The shard count therefore also decides how much of the paper's skew
+// machinery is deployed — the skew insight becomes a planning decision
+// instead of a manual flag.
 
 // ShardPlan records the planning decision made for one shard at build
 // time; ShardPlans exposes them for inspection and experiment reports.
@@ -82,7 +82,7 @@ var errShardedPool = errors.New("setcontain: sharded engine has per-shard buffer
 
 // buildShardedEngine splits the dataset across opts.Shards sub-datasets
 // through the round-robin Partitioner, profiles each shard's
-// item-frequency skew during the split, and builds every shard's
+// item-frequency skew from its supports, and builds every shard's
 // planner-chosen engine in parallel (on at most GOMAXPROCS goroutines).
 func buildShardedEngine(ds *dataset.Dataset, opts Options) (Engine, error) {
 	n := opts.Shards
@@ -98,14 +98,11 @@ func buildShardedEngine(ds *dataset.Dataset, opts Options) (Engine, error) {
 func buildShardedWith(ds *dataset.Dataset, opts Options, part Partitioner) (Engine, error) {
 	n := part.NumShards()
 
-	// Split through the partitioner, profiling each shard as its
-	// records stream in. The dataset hands out ids 1..Len in order, so
-	// record i carries global id i+1.
+	// Split through the partitioner. The dataset hands out ids 1..Len
+	// in order, so record i carries global id i+1.
 	subs := make([]*dataset.Dataset, n)
-	colls := make([]*stats.Collector, n)
 	for s := range subs {
 		subs[s] = dataset.New(ds.DomainSize())
-		colls[s] = stats.NewCollector(ds.DomainSize())
 	}
 	for i, r := range ds.Records() {
 		s, local := part.Locate(uint32(i) + 1)
@@ -117,13 +114,12 @@ func buildShardedWith(ds *dataset.Dataset, opts Options, part Partitioner) (Engi
 			return nil, fmt.Errorf("setcontain: shard %d: partitioner routed global %d to local %d, shard assigned %d",
 				s, i+1, local, id)
 		}
-		colls[s].Add(r.Set)
 	}
 
 	clients := make([]ShardClient, n)
 	plans := make([]ShardPlan, n)
 	errs := forEachBounded(n, 0, func(s int) error {
-		shardEng, plan, err := buildShard(subs[s], colls[s], opts)
+		shardEng, plan, err := buildShard(subs[s], opts)
 		if err != nil {
 			return err
 		}
@@ -144,13 +140,12 @@ func buildShardedWith(ds *dataset.Dataset, opts Options, part Partitioner) (Engi
 	return e, nil
 }
 
-// buildShard plans and builds one shard's inner engine from its profiled
-// distribution. The planner's frontier size replaces the OIF block cap
-// only when the caller left it unset — an explicit WithBlockPostings
-// always wins, even at the default value.
-func buildShard(sub *dataset.Dataset, coll *stats.Collector, opts Options) (Engine, ShardPlan, error) {
-	profile := coll.Profile(8)
-	plan := profile.Plan()
+// buildShard plans and builds one shard's inner engine from the item
+// supports of its records. The planner's frontier size replaces the OIF
+// block cap only when the caller left it unset — an explicit
+// WithBlockPostings always wins, even at the backend's default value.
+func buildShard(sub *dataset.Dataset, opts Options) (Engine, ShardPlan, error) {
+	plan := stats.ProfileOfSupports(sub.Support()).Plan()
 	sp := ShardPlan{Records: sub.Len(), Theta: plan.Theta}
 
 	inner := opts
@@ -160,7 +155,7 @@ func buildShard(sub *dataset.Dataset, coll *stats.Collector, opts Options) (Engi
 	if plan.UseOIF {
 		build = buildOIFEngine
 		inner.Kind = OIF
-		if !inner.blockPostingsExplicit && plan.BlockPostings > 0 {
+		if inner.BlockPostings <= 0 {
 			inner.BlockPostings = plan.BlockPostings
 		}
 		sp.BlockPostings = inner.BlockPostings

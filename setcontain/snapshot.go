@@ -114,11 +114,9 @@ func openEngine(r io.Reader, o Options, nested bool) (Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	if o.CachePages == 0 && cachePages > 0 {
+	if o.CachePages == 0 {
 		o.CachePages = cachePages
 	}
-	o.Kind = kind
-	o.fill()
 	switch kind {
 	case OIF:
 		ix, err := core.Load(r)
@@ -279,8 +277,7 @@ func loadShardedPayload(r io.Reader, o Options) (Engine, error) {
 	n := len(m.plans)
 	frames := make([][]byte, n)
 	for s := range frames {
-		frames[s] = make([]byte, m.frameLens[s])
-		if _, err := io.ReadFull(r, frames[s]); err != nil {
+		if frames[s], err = snapio.ReadN(r, m.frameLens[s]); err != nil {
 			return nil, fmt.Errorf("%w: shard %d frame: %v", ErrBadSnapshot, s, err)
 		}
 	}
