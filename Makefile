@@ -45,8 +45,10 @@ bench-module-check:
 	$(GO) test -C benchmark ./...
 
 # Short coverage-guided runs of every fuzz target (go allows one -fuzz
-# target per invocation): the expression-grammar round-trip fuzzer, the
-# remote shard client's NDJSON answer reader, the answer-line codec
+# target per invocation): the model harness that holds every serving
+# stack to internal/naive over a seeded op sequence, the
+# expression-grammar round-trip fuzzer, the remote shard client's NDJSON
+# answer reader, the answer-line codec
 # against encoding/json, the snapshot container reader, the POST /query
 # body through the serve handler, the WAL replay/record fuzzers, the
 # update overlay's pending-records and tombstone sections, and the vbyte
@@ -57,6 +59,7 @@ bench-module-check:
 # would otherwise eat the whole smoke.
 FUZZ_TIME ?= 10s
 fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzModel$$' -fuzztime $(FUZZ_TIME) ./setcontain
 	$(GO) test -run '^$$' -fuzz '^FuzzParseExpr$$' -fuzztime $(FUZZ_TIME) ./setcontain
 	$(GO) test -run '^$$' -fuzz '^FuzzRemoteAnswerStream$$' -fuzztime $(FUZZ_TIME) -fuzzminimizetime 1s ./setcontain
 	$(GO) test -run '^$$' -fuzz '^FuzzResultLine$$' -fuzztime $(FUZZ_TIME) -fuzzminimizetime 1s ./internal/wire
@@ -85,7 +88,8 @@ vet-examples:
 # Regenerate docs/API.txt: every exported declaration of setcontain,
 # setcontain/serve and the wire bodies serve aliases (internal/wire),
 # plus their non-test line count and those of the index layer, the
-# storage layer and internal/stats below the engine. The file is checked
+# storage layer and internal/stats below the engine, and the test line
+# count of setcontain/ and setcontain/serve/. The file is checked
 # in so a PR that grows the surface — or any layer — shows it in its
 # diff; api-check — part of `make check` and of the CI docs job — fails
 # when it is stale.

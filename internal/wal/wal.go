@@ -402,10 +402,15 @@ func replaySegment(r io.Reader, first, after uint64, prev *uint64, apply func(Re
 }
 
 // rotateLocked finishes the open segment and starts a fresh one whose
-// first LSN is the next to be assigned. Callers hold l.mu (or own the
-// log exclusively during Open).
+// first LSN is the next to be assigned. An open segment without records
+// is already that segment: a second one would take its file name, and a
+// truncation dropping the first entry would remove the open file.
+// Callers hold l.mu (or own the log exclusively during Open).
 func (l *Log) rotateLocked() error {
 	fs := l.opts.FS
+	if l.out != nil && l.segs[len(l.segs)-1].first == l.next {
+		return nil
+	}
 	if l.out != nil {
 		if l.dirty && l.opts.Sync != SyncOS {
 			if err := l.syncOutLocked(); err != nil {

@@ -223,6 +223,32 @@ func TestCrashLosesUnsynced(t *testing.T) {
 	}
 }
 
+// TestRotateKeepsEmptyOpenSegment: rotating an open segment that holds
+// no records — a checkpoint right after a reopen does — must not start a
+// second segment under the same name, or the truncation that follows
+// removes the open file and the next committed record dies with it.
+func TestRotateKeepsEmptyOpenSegment(t *testing.T) {
+	fs := NewMemFS()
+	l, _, _ := Open("w", Options{FS: fs, Sync: SyncAlways}, 0, nil)
+	mustAppend(t, l, Record{Op: OpInsert, ID: 1})
+	l.Close()
+	l, _, err := Open("w", Options{FS: fs, Sync: SyncAlways}, 0, func(Record) error { return nil })
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	if err := l.Rotate(); err != nil {
+		t.Fatalf("rotate: %v", err)
+	}
+	if err := l.TruncateThrough(1); err != nil {
+		t.Fatalf("truncate: %v", err)
+	}
+	mustAppend(t, l, Record{Op: OpInsert, ID: 2})
+	fs.Crash()
+	if recs, _ := collect(t, fs, "w", 1); len(recs) != 1 {
+		t.Fatalf("replayed %d records after the checkpoint, want the committed one", len(recs))
+	}
+}
+
 func TestIntervalPolicyFlushes(t *testing.T) {
 	fs := NewMemFS()
 	l, _, err := Open("w", Options{FS: fs, Sync: SyncInterval, SyncEvery: time.Millisecond}, 0, nil)

@@ -10,8 +10,10 @@
 # the index layer (the three index packages, their dataset model and the
 # shared update overlay) and the storage layer under it (the B-tree, the
 # IF's list store, and the pager and buffer pool), where a page-format
-# change lands. A last line counts internal/stats, the skew profiler
-# both the shard planner and the expression planner read. `make api-surface` writes the output to docs/API.txt,
+# change lands. Another line counts internal/stats, the skew profiler
+# both the shard planner and the expression planner read, and the last
+# one the test lines of setcontain/ and setcontain/serve/, which the
+# one-oracle harness (FuzzModel) keeps in check. `make api-surface` writes the output to docs/API.txt,
 # which is checked in so a PR that grows any of them shows it in its
 # diff; the CI docs job fails when the file is stale.
 set -eu
@@ -39,3 +41,4 @@ echo "setcontain/ + internal/wire non-test lines: $(lines setcontain setcontain/
 echo "index layer (internal/core, invfile, ubtree, dataset, overlay) non-test lines: $(lines internal/core internal/invfile internal/ubtree internal/dataset internal/overlay)"
 echo "storage layer (internal/btree, storage, liststore) non-test lines: $(lines internal/btree internal/storage internal/liststore)"
 echo "skew planner (internal/stats) non-test lines: $(lines internal/stats)"
+echo "setcontain/ + setcontain/serve/ test lines: $(cat setcontain/*_test.go setcontain/serve/*_test.go | wc -l | tr -d ' ')"

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"errors"
-	"slices"
 	"strings"
 	"testing"
 )
@@ -71,29 +70,6 @@ func TestFunctionalOptions(t *testing.T) {
 		CachePages: 12}
 	if o != want {
 		t.Errorf("NewOptions = %+v, want %+v", o, want)
-	}
-}
-
-func TestQueryEvalMatchesMethods(t *testing.T) {
-	c := sampleCollection(t)
-	ix, err := New(c, WithPageSize(512), WithBlockPostings(8))
-	if err != nil {
-		t.Fatal(err)
-	}
-	items := []Item{1, 5}
-	direct, err := ix.Subset(items)
-	if err != nil {
-		t.Fatal(err)
-	}
-	viaQuery, err := Query{Pred: PredicateSubset, Items: items}.Eval(ix)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !slices.Equal(direct, viaQuery) {
-		t.Errorf("Eval disagrees with Subset: %v vs %v", viaQuery, direct)
-	}
-	if _, err := (Query{Pred: Predicate(9)}).Eval(ix); !errors.Is(err, ErrUnknownPredicate) {
-		t.Errorf("bad predicate: got %v, want ErrUnknownPredicate", err)
 	}
 }
 

@@ -36,11 +36,11 @@
 // Query.EvalAppend is the one query primitive: it appends the answer to
 // a caller-owned slice, on the zero-allocation hot path when the target
 // is an OIF (a caller that wants an iterator ranges over slices.Values
-// of the answer). Query.String and ParseQuery round-trip
-// the textual form ("subset{3 17 29}") the CLIs and the serve package's
-// wire format use. An Expr combines queries with And, Or and Not — a
-// Query is its one-leaf case — and Index.EvalExpr answers one with
-// cost-planned evaluation.
+// of the answer). Query.String and ParseExpr (then Expr.AsQuery)
+// round-trip the textual form ("subset{3 17 29}") the CLIs and the
+// serve package's wire format use. An Expr combines queries with And,
+// Or and Not — a Query is its one-leaf case — and Index.EvalExpr
+// answers one with cost-planned evaluation.
 //
 // # Concurrency
 //

@@ -2,10 +2,8 @@ package setcontain
 
 import (
 	"bytes"
-	"encoding/binary"
 	"errors"
-	"hash/fnv"
-	"math/rand"
+	"reflect"
 	"testing"
 	"time"
 
@@ -13,241 +11,17 @@ import (
 	"repro/internal/wal"
 )
 
-// durableKinds are the engine configurations the recovery property is
-// proven over: a single OIF engine (sequential id assignment) and a
-// sharded engine (round-robin id assignment) — the two id-assignment
-// disciplines replay must reproduce exactly.
-var durableKinds = []struct {
-	name string
-	opts []Option
-}{
-	{"OIF", []Option{WithKind(OIF), WithPageSize(512), WithBlockPostings(8)}},
-	{"Sharded", []Option{WithKind(Sharded), WithShards(3), WithPageSize(512), WithBlockPostings(8)}},
-}
-
-// durableDigest folds a fixed query workload's answers into one hash,
-// so two indexes answer-compare in a single uint64.
-func durableDigest(t *testing.T, idx *Index, queries []Query) uint64 {
+// answers returns idx's answers to queries, for comparing two indexes.
+func answers(t *testing.T, idx *Index, queries []Query) [][]uint32 {
 	t.Helper()
-	h := fnv.New64a()
-	var word [8]byte
-	for qi, q := range queries {
-		ids, err := idx.Eval(q)
-		if err != nil {
-			t.Fatalf("digest query %d (%s): %v", qi, q, err)
-		}
-		binary.LittleEndian.PutUint64(word[:], uint64(len(ids))^uint64(qi)<<32)
-		h.Write(word[:])
-		for _, id := range ids {
-			binary.LittleEndian.PutUint32(word[:4], id)
-			h.Write(word[:4])
+	out := make([][]uint32, len(queries))
+	for i, q := range queries {
+		var err error
+		if out[i], err = idx.Eval(q); err != nil {
+			t.Fatalf("%s: %v", q, err)
 		}
 	}
-	return h.Sum64()
-}
-
-// durableStep is one scripted mutation. Every step is a single-record
-// mutation (or a whole-index operation), so a step is either fully
-// acknowledged or not acknowledged at all — which is exactly the
-// granularity the acked-prefix recovery property is stated at.
-type durableStep struct {
-	op  byte   // 'i' insert, 'd' delete, 'm' merge, 'c' checkpoint
-	set []Item // 'i'
-	del int    // 'd': index into the ids acked so far
-}
-
-// durableScript builds a deterministic mutation script: mostly inserts,
-// with deletes of earlier inserts, merges, and explicit checkpoints
-// mixed in so the fault sweep lands mid-append, mid-checkpoint, and
-// mid-truncate alike.
-func durableScript(steps, domain int, seed int64) []durableStep {
-	rng := rand.New(rand.NewSource(seed))
-	z := dataset.NewZipf(domain, 0.8)
-	script := make([]durableStep, 0, steps)
-	inserts := 0
-	for i := 0; i < steps; i++ {
-		switch r := rng.Intn(10); {
-		case r < 6 || inserts == 0:
-			script = append(script, durableStep{op: 'i', set: z.SampleDistinct(rng, 1+rng.Intn(6))})
-			inserts++
-		case r < 8:
-			script = append(script, durableStep{op: 'd', del: rng.Intn(inserts)})
-		case r == 8:
-			script = append(script, durableStep{op: 'm'})
-		default:
-			script = append(script, durableStep{op: 'c'})
-		}
-	}
-	return script
-}
-
-// runDurableScript applies the script to d, recording what was
-// acknowledged: for each acked insert the assigned id, for each acked
-// delete the deleted id. Steps keep being attempted after a failure
-// (they fail fast on the wedged log); a logical mutation acknowledged
-// after the fault tripped would break the acked-prefix property, so
-// that is asserted here.
-func runDurableScript(t *testing.T, d *Durable, script []durableStep, faulty *wal.FaultyFS) (acked []durableStep, ackedIDs []uint32) {
-	t.Helper()
-	for si, st := range script {
-		tripped := faulty != nil && faulty.Tripped()
-		switch st.op {
-		case 'i':
-			ids, err := d.InsertSets([][]Item{st.set})
-			if err == nil {
-				if tripped {
-					t.Fatalf("step %d: insert acked after fault tripped", si)
-				}
-				if len(ids) != 1 {
-					t.Fatalf("step %d: %d ids for one set", si, len(ids))
-				}
-				acked = append(acked, st)
-				ackedIDs = append(ackedIDs, ids[0])
-			}
-		case 'd':
-			if st.del >= len(ackedIDs) {
-				continue // its insert was never acked on this run
-			}
-			id := ackedIDs[st.del]
-			err := d.DeleteIDs([]uint32{id})
-			switch {
-			case err == nil:
-				if tripped {
-					t.Fatalf("step %d: delete acked after fault tripped", si)
-				}
-				rec := st
-				rec.del = int(id) // resolve to the concrete id for replaying onto the reference
-				acked = append(acked, rec)
-			case errors.Is(err, wal.ErrInjected) || tripped:
-				// expected failure mode under fault
-			default:
-				// Deleting an already-deleted id is a legitimate engine
-				// error when the script deletes the same slot twice.
-			}
-		case 'm':
-			if err := d.MergeDelta(); err == nil {
-				acked = append(acked, st)
-			}
-		case 'c':
-			d.Checkpoint() // failure tolerated: durability never depends on it
-		}
-	}
-	return acked, ackedIDs
-}
-
-// applyReference replays the acked script onto a freshly built index,
-// verifying id assignment determinism along the way.
-func applyReference(t *testing.T, idx *Index, acked []durableStep, ackedIDs []uint32) {
-	t.Helper()
-	next := 0
-	for _, st := range acked {
-		switch st.op {
-		case 'i':
-			id, err := idx.Insert(st.set)
-			if err != nil {
-				t.Fatalf("reference insert: %v", err)
-			}
-			if id != ackedIDs[next] {
-				t.Fatalf("reference assigned id %d, durable run got %d", id, ackedIDs[next])
-			}
-			next++
-		case 'd':
-			if err := idx.Delete(uint32(st.del)); err != nil {
-				t.Fatalf("reference delete %d: %v", st.del, err)
-			}
-		case 'm':
-			if err := idx.MergeDelta(); err != nil {
-				t.Fatalf("reference merge: %v", err)
-			}
-		}
-	}
-}
-
-// TestDurableRecoveryProperty is the subsystem's acceptance test: crash
-// the process at every possible filesystem operation — mid-append,
-// mid-checkpoint-write, mid-truncation — via a FaultyFS over a MemFS
-// with power-loss semantics, then recover and require the index to
-// answer byte-identically to a never-crashed reference holding exactly
-// the acknowledged mutations. Under -fsync always, an acked write never
-// vanishes and an un-acked one never materializes.
-func TestDurableRecoveryProperty(t *testing.T) {
-	const domain = 40
-	coll := skewedCollection(t, 150, domain, 0.8, 7)
-	script := durableScript(70, domain, 8)
-	queries := zipfWorkload(40, domain, 0.8, 9)
-
-	for _, tc := range durableKinds {
-		t.Run(tc.name, func(t *testing.T) {
-			// Dry run without faults: establishes the op budget to sweep and
-			// the fault-free digest.
-			totalOps := runDurableOnce(t, coll, script, queries, tc.opts, 0)
-			if totalOps < 20 {
-				t.Fatalf("script exercised only %d fs ops", totalOps)
-			}
-			step := int64(1)
-			if testing.Short() {
-				step = 7
-			}
-			for failAt := int64(1); failAt <= totalOps; failAt += step {
-				runDurableOnce(t, coll, script, queries, tc.opts, failAt)
-			}
-		})
-	}
-}
-
-// runDurableOnce executes one crash-recovery round at the given fault
-// point (0 = no fault) and returns the number of filesystem operations
-// the run attempted.
-func runDurableOnce(t *testing.T, coll *Collection, script []durableStep, queries []Query, opts []Option, failAt int64) int64 {
-	t.Helper()
-	mem := wal.NewMemFS()
-	faulty := wal.NewFaultyFS(mem, failAt)
-	dopts := DurableOptions{
-		SegmentBytes:    512, // rotate every few records
-		Sync:            wal.SyncAlways,
-		CheckpointBytes: -1, // explicit checkpoints only: deterministic op counts
-		FS:              faulty,
-	}
-
-	idx, err := New(coll, opts...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var acked []durableStep
-	var ackedIDs []uint32
-	d, err := NewDurable("w", idx, dopts)
-	if err == nil {
-		acked, ackedIDs = runDurableScript(t, d, script, faulty)
-		d.Close()
-	} else if failAt == 0 {
-		t.Fatalf("fault-free bootstrap failed: %v", err)
-	}
-	// Power loss: volatile bytes gone. Recover on the bare MemFS.
-	mem.Crash()
-	d2, err := OpenDurable("w", DurableOptions{Sync: wal.SyncAlways, CheckpointBytes: -1, FS: mem})
-	if errors.Is(err, ErrNoCheckpoint) {
-		// The bootstrap's initial checkpoint never became durable; nothing
-		// can have been acknowledged past it.
-		if len(acked) != 0 {
-			t.Fatalf("failAt %d: %d acked mutations but no checkpoint survived", failAt, len(acked))
-		}
-		return faulty.Ops()
-	}
-	if err != nil {
-		t.Fatalf("failAt %d: recovery failed: %v", failAt, err)
-	}
-	defer d2.Close()
-
-	ref, err := New(coll, opts...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	applyReference(t, ref, acked, ackedIDs)
-	if got, want := durableDigest(t, d2.Index(), queries), durableDigest(t, ref, queries); got != want {
-		t.Fatalf("failAt %d: recovered digest %016x != reference %016x (%d acked mutations)",
-			failAt, got, want, len(acked))
-	}
-	return faulty.Ops()
+	return out
 }
 
 // TestDurableWedgeStopsMutations pins the divergence guard: after a log
@@ -318,7 +92,7 @@ func TestDurableRoundTripOSFS(t *testing.T) {
 	if _, err := d.InsertSets([][]Item{{7, 8}}); err != nil {
 		t.Fatal(err)
 	}
-	want := durableDigest(t, d.Index(), queries)
+	want := answers(t, d.Index(), queries)
 	wantRecords := d.Index().NumRecords()
 	if err := d.Close(); err != nil {
 		t.Fatal(err)
@@ -332,8 +106,8 @@ func TestDurableRoundTripOSFS(t *testing.T) {
 	if got := d2.Index().NumRecords(); got != wantRecords {
 		t.Fatalf("recovered %d records, want %d", got, wantRecords)
 	}
-	if got := durableDigest(t, d2.Index(), queries); got != want {
-		t.Fatalf("recovered digest %016x != pre-shutdown %016x", got, want)
+	if got := answers(t, d2.Index(), queries); !reflect.DeepEqual(got, want) {
+		t.Fatalf("recovered answers %v, pre-shutdown %v", got, want)
 	}
 	st := d2.Stats()
 	if st.Replay.Records != 1 { // the post-checkpoint insert

@@ -37,23 +37,30 @@ func Example() {
 	// superset{0 2} [6]
 }
 
-// ExampleParseQuery shows the textual query form round-tripping through
-// ParseQuery and Query.String — the same vocabulary the CLIs and the
-// serve package's ?q= parameter use.
-func ExampleParseQuery() {
-	q, err := setcontain.ParseQuery("subset{3 17 29}")
+// ExampleParseExpr shows the textual query form round-tripping through
+// ParseExpr and Query.String — the same vocabulary the CLIs and the
+// serve package's ?q= parameter use. A plain query is the one-leaf
+// expression, which AsQuery unwraps.
+func ExampleParseExpr() {
+	e, err := setcontain.ParseExpr("subset{3 17 29}")
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Println(q.Pred, len(q.Items))
+	q, plain := e.AsQuery()
+	fmt.Println(plain, q.Pred, len(q.Items))
 	fmt.Println(q.String())
 
-	_, err = setcontain.ParseQuery("between{1 2}")
-	fmt.Println(err != nil)
+	e, _ = setcontain.ParseExpr("subset{3} and not superset{3 17}")
+	_, plain = e.AsQuery()
+	fmt.Println(plain, e.Leaves())
+
+	_, err = setcontain.ParseExpr("between{1 2}")
+	fmt.Println(err)
 	// Output:
-	// subset 3
+	// true subset 3
 	// subset{3 17 29}
-	// true
+	// false 2
+	// setcontain: query "between{1 2}" at offset 0: unknown predicate "between" (want subset, equality, or superset)
 }
 
 // ExampleStore_Exec serves queries concurrently through a Store, the

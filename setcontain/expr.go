@@ -235,9 +235,9 @@ func (e *Expr) writeChild(b *strings.Builder, k *Expr) {
 
 // ParseError reports where parsing a query or expression failed: the
 // byte offset into the input at which the scanner or parser stopped,
-// plus a message describing what it wanted. ParseQuery and ParseExpr
-// return it for every syntax failure, so callers — the serve package's
-// 400 bodies in particular — can point clients at the exact position.
+// plus a message describing what it wanted. ParseExpr returns it for
+// every syntax failure, so callers — the serve package's 400 bodies in
+// particular — can point clients at the exact position.
 type ParseError struct {
 	// Input is the full string being parsed.
 	Input string
@@ -264,9 +264,12 @@ func (e *ParseError) Error() string {
 
 // ParseExpr parses the boolean expression grammar over containment
 // leaves — "subset{3 17} and not superset{29}", parenthesized and
-// nested arbitrarily — into an Expr. The leaf form is exactly
-// ParseQuery's; "and" binds tighter than "or", "not" tighter than both,
-// and parentheses group. The textual form round-trips: ParseExpr
+// nested arbitrarily — into an Expr. A leaf is Query.String's form,
+// "subset{3 17 29}": the predicate name matched like ParsePredicate,
+// decimal uint32 items separated by spaces, "{}" the empty query; a
+// plain query parses as its one-leaf expression, which Expr.AsQuery
+// unwraps. "and" binds tighter than "or", "not" tighter than both, and
+// parentheses group. The textual form round-trips: ParseExpr
 // reproduces the tree Expr.String printed. Errors are *ParseError
 // carrying the byte offset of the failure.
 func ParseExpr(s string) (*Expr, error) {
@@ -280,28 +283,6 @@ func ParseExpr(s string) (*Expr, error) {
 		return nil, p.errf(p.tok.off, "unexpected %s after expression", p.tok.describe())
 	}
 	return e, nil
-}
-
-// ParseQuery parses the textual form produced by Query.String —
-// "subset{3 17 29}" — back into a Query, so the string form round-trips
-// and can serve as a compact wire format. The predicate name is matched
-// like ParsePredicate (case-insensitively); items are decimal uint32s
-// separated by spaces, and "{}" denotes the empty query. Surrounding
-// whitespace is ignored; anything after the closing brace is an error.
-// Errors are *ParseError carrying the byte offset of the failure.
-// ParseQuery accepts exactly the leaf rule of the expression grammar;
-// use ParseExpr for full boolean expressions.
-func ParseQuery(s string) (Query, error) {
-	p := &exprParser{in: s}
-	p.next()
-	q, err := p.parseLeaf()
-	if err != nil {
-		return Query{}, err
-	}
-	if p.tok.kind != tokEOF {
-		return Query{}, p.errf(p.tok.off, "unexpected %s after query", p.tok.describe())
-	}
-	return q, nil
 }
 
 // --- scanner / parser ---------------------------------------------------
@@ -470,8 +451,7 @@ func (p *exprParser) parsePrimary() (*Expr, error) {
 	return ExprOf(q), nil
 }
 
-// parseLeaf parses predicate{items...} — the leaf rule shared by
-// ParseQuery and ParseExpr.
+// parseLeaf parses predicate{items...} — the grammar's leaf rule.
 func (p *exprParser) parseLeaf() (Query, error) {
 	if p.tok.kind != tokIdent {
 		return Query{}, p.errf(p.tok.off, "expected a predicate (subset, equality, or superset), found %s", p.tok.describe())

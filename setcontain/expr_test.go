@@ -31,6 +31,11 @@ func TestExprStringParseRoundTrip(t *testing.T) {
 		{Not(Not(leaf(PredicateSubset, 1))), "not not subset{1}"},
 		{Or(Not(Or(leaf(PredicateSubset, 1), leaf(PredicateSubset, 2))), leaf(PredicateSubset, 3)),
 			"not (subset{1} or subset{2}) or subset{3}"},
+		// A plain query is the one-leaf case, down to the empty set and
+		// the ends of the item range.
+		{leaf(PredicateSubset), "subset{}"},
+		{leaf(PredicateEquality, 0, 1, 2, 3, 4, 5, 6, 7), "equality{0 1 2 3 4 5 6 7}"},
+		{leaf(PredicateSuperset, 0, 1<<32-1), "superset{0 4294967295}"},
 	}
 	for _, c := range cases {
 		got := c.expr.String()
@@ -48,17 +53,28 @@ func TestExprStringParseRoundTrip(t *testing.T) {
 	}
 }
 
+// TestParseExprLenient pins the accepted variations — surrounding and
+// inner whitespace, case-insensitive keywords and predicates, leading
+// zeros — by the canonical form each prints back.
 func TestParseExprLenient(t *testing.T) {
-	for _, in := range []string{
-		"subset{1}and not superset{2}",
-		"  SUBSET{1} AND NOT SUPERSET{2}  ",
-		"( subset{1} )",
-		"((subset{1} or subset{2}))",
-		"not(subset{1})",
-		"subset { 1 2 } or equality {}",
+	for _, c := range []struct{ in, want string }{
+		{"subset{1}and not superset{2}", "subset{1} and not superset{2}"},
+		{"  SUBSET{1} AND NOT SUPERSET{2}  ", "subset{1} and not superset{2}"},
+		{"( subset{1} )", "subset{1}"},
+		{"((subset{1} or subset{2}))", "subset{1} or subset{2}"},
+		{"not(subset{1})", "not subset{1}"},
+		{"subset { 1 2 } or equality {}", "subset{1 2} or equality{}"},
+		{"Equality {1}", "equality{1}"},
+		{"superset{  7   9  }", "superset{7 9}"},
+		{"subset{ }", "subset{}"},
+		{"subset{007}", "subset{7}"},
+		{"subset{4294967295}", "subset{4294967295}"},
 	} {
-		if _, err := ParseExpr(in); err != nil {
-			t.Errorf("ParseExpr(%q): unexpected error %v", in, err)
+		e, err := ParseExpr(c.in)
+		if err != nil {
+			t.Errorf("ParseExpr(%q): unexpected error %v", c.in, err)
+		} else if got := e.String(); got != c.want {
+			t.Errorf("ParseExpr(%q) = %q, want %q", c.in, got, c.want)
 		}
 	}
 }
@@ -84,6 +100,16 @@ func TestParseExprOffsets(t *testing.T) {
 		{"subset{1} subset{2}", 10},
 		{"not", 3},
 		{"subset{1} or (not)", 17},
+		{"subset", 6},
+		{"subset 1 2}", 7},
+		{"{1 2}", 0},
+		{"subset{-1}", 7},
+		{"  subset{-1}", 9},
+		{"subset{1.5}", 8},
+		{"subset{99999999999999}", 7},
+		{"subset{1 2}trailing", 11},
+		{"subset{1 {2} 3}", 9},
+		{"subset{1}}", 9},
 		// Nesting is capped (maxExprDepth): one level too many fails at
 		// the first token of the too-deep level instead of recursing, and
 		// so does the 8 MB request body that used to overflow the stack.
@@ -128,36 +154,6 @@ func nested(open string, depth int) string {
 		s += strings.Repeat(")", depth)
 	}
 	return s
-}
-
-// TestParseQueryOffsets pins that the plain-query parser carries the
-// same positioned errors as the expression parser.
-func TestParseQueryOffsets(t *testing.T) {
-	cases := []struct {
-		in     string
-		offset int
-	}{
-		{"between{1 2}", 0},
-		{"subset", 6},
-		{"subset{1 2}trailing", 11},
-		{"subset{1 2} and subset{3}", 12}, // expressions are ParseExpr's job
-		{"  subset{-1}", 9},
-	}
-	for _, c := range cases {
-		_, err := ParseQuery(c.in)
-		if err == nil {
-			t.Errorf("ParseQuery(%q): expected error", c.in)
-			continue
-		}
-		var pe *ParseError
-		if !errors.As(err, &pe) {
-			t.Errorf("ParseQuery(%q): error %v is not a *ParseError", c.in, err)
-			continue
-		}
-		if pe.Offset != c.offset {
-			t.Errorf("ParseQuery(%q): offset %d, want %d (%v)", c.in, pe.Offset, c.offset, err)
-		}
-	}
 }
 
 // randExpr builds a random expression: leaves carry 0-4 items drawn

@@ -143,39 +143,3 @@ func TestQueryEvalAppendZeroAllocs(t *testing.T) {
 		})
 	}
 }
-
-// TestExecAppendMatchesExec pins the append-form contract: identical
-// answers to Exec, existing dst preserved.
-func TestExecAppendMatchesExec(t *testing.T) {
-	c := hotTestCollection(t)
-	for _, kind := range []setcontain.Kind{setcontain.OIF, setcontain.InvertedFile} {
-		idx, err := setcontain.New(c, setcontain.WithKind(kind))
-		if err != nil {
-			t.Fatal(err)
-		}
-		store := setcontain.NewStore(idx, 0)
-		ctx := context.Background()
-		for _, q := range hotTestQueries(t, c, 30) {
-			want, err := store.Exec(ctx, q)
-			if err != nil {
-				t.Fatal(err)
-			}
-			prefix := []uint32{7, 3}
-			got, err := store.ExecAppend(ctx, prefix, q)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got[0] != 7 || got[1] != 3 {
-				t.Fatalf("%v on %v: ExecAppend clobbered dst prefix: %v", q, kind, got[:2])
-			}
-			if len(got)-2 != len(want) {
-				t.Fatalf("%v on %v: %d appended ids, want %d", q, kind, len(got)-2, len(want))
-			}
-			for i := range want {
-				if got[i+2] != want[i] {
-					t.Fatalf("%v on %v: id[%d] = %d, want %d", q, kind, i, got[i+2], want[i])
-				}
-			}
-		}
-	}
-}

@@ -426,9 +426,8 @@ func (ev *exprEval) union(kids []*PlanNode, cands []uint32, limit int) (acc []ui
 
 // Eval answers the expression naively: children evaluate left-to-right
 // exactly as written, every leaf runs, and answers combine with the
-// same set algebra the planner uses. This is the planner's reference
-// (the property tests hold the planned answer byte-identical to it) and
-// the left-to-right baseline BenchmarkExprPlanner's "naive" side runs.
+// same set algebra the planner uses. It is the left-to-right baseline
+// BenchmarkExprPlanner's "naive" side and the frozen benchmark run.
 // Use Index.EvalExpr or Store.ExecExprAppend for planned
 // evaluation.
 func (e *Expr) Eval(t Queryable) ([]uint32, error) {

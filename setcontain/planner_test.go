@@ -16,53 +16,6 @@ func evalPlan(evr *Evaluator, p *ExprPlan, t Queryable) ([]uint32, ExprEvalStats
 	return orEmpty(ids), st, err
 }
 
-// refSet is the map-based set-algebra reference: leaf answers come from
-// plain Query.Eval, combination from map operations — an implementation
-// as unlike the planner's galloping slices as possible.
-func refSet(t *testing.T, e *Expr, q Queryable, universe map[uint32]bool) map[uint32]bool {
-	t.Helper()
-	switch e.Op {
-	case OpLeaf:
-		ids, err := e.Leaf.Eval(q)
-		if err != nil {
-			t.Fatalf("leaf %v: %v", e.Leaf, err)
-		}
-		set := make(map[uint32]bool, len(ids))
-		for _, id := range ids {
-			set[id] = true
-		}
-		return set
-	case OpNot:
-		child := refSet(t, e.Kids[0], q, universe)
-		out := make(map[uint32]bool)
-		for id := range universe {
-			if !child[id] {
-				out[id] = true
-			}
-		}
-		return out
-	case OpAnd:
-		out := refSet(t, e.Kids[0], q, universe)
-		for _, k := range e.Kids[1:] {
-			kid := refSet(t, k, q, universe)
-			for id := range out {
-				if !kid[id] {
-					delete(out, id)
-				}
-			}
-		}
-		return out
-	default: // OpOr
-		out := make(map[uint32]bool)
-		for _, k := range e.Kids {
-			for id := range refSet(t, k, q, universe) {
-				out[id] = true
-			}
-		}
-		return out
-	}
-}
-
 func sortedIDs(set map[uint32]bool) []uint32 {
 	ids := make([]uint32, 0, len(set))
 	for id := range set {
@@ -70,94 +23,6 @@ func sortedIDs(set map[uint32]bool) []uint32 {
 	}
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	return ids
-}
-
-// TestExprPlannedMatchesNaive is the property test of the tentpole:
-// for random expressions, the planned answer, the naive left-to-right
-// answer, and the map-based reference are byte-identical, across every
-// engine kind, with unmerged inserts and tombstones pending on the
-// kinds that support them.
-func TestExprPlannedMatchesNaive(t *testing.T) {
-	c := sampleCollection(t)
-	idxs := buildAll(t, c)
-	rng := rand.New(rand.NewSource(1234))
-	// The same pending inserts and tombstones on every updatable kind
-	// (drawn once — map iteration order must not skew the collections),
-	// so the delta paths and tombstone masking are under test too.
-	var inserts [][]Item
-	for i := 0; i < 20; i++ {
-		inserts = append(inserts, []Item{Item(rng.Intn(40)), Item(rng.Intn(40))})
-	}
-	var deletes []uint32
-	for i := 0; i < 30; i++ {
-		deletes = append(deletes, uint32(1+rng.Intn(c.Len())))
-	}
-	for kind, ix := range idxs {
-		if kind == UnorderedBTree {
-			continue
-		}
-		for _, set := range inserts {
-			if _, err := ix.Insert(set); err != nil {
-				t.Fatalf("%v: insert: %v", kind, err)
-			}
-		}
-		for _, id := range deletes {
-			if err := ix.Delete(id); err != nil {
-				t.Fatalf("%v: delete: %v", kind, err)
-			}
-		}
-	}
-	for trial := 0; trial < 120; trial++ {
-		e := randExpr(rng, 3, 40)
-		var first []uint32
-		var firstKind Kind
-		for kind, ix := range idxs {
-			uniIDs, err := ix.Subset(nil)
-			if err != nil {
-				t.Fatalf("%v: universe: %v", kind, err)
-			}
-			universe := make(map[uint32]bool, len(uniIDs))
-			for _, id := range uniIDs {
-				universe[id] = true
-			}
-			want := sortedIDs(refSet(t, e, ix, universe))
-
-			naive, err := e.Eval(ix)
-			if err != nil {
-				t.Fatalf("%v: naive %q: %v", kind, e, err)
-			}
-			plan, err := ix.PlanExpr(e)
-			if err != nil {
-				t.Fatalf("%v: plan %q: %v", kind, e, err)
-			}
-			planned, st, err := evalPlan(new(Evaluator), plan, ix)
-			if err != nil {
-				t.Fatalf("%v: planned %q: %v", kind, e, err)
-			}
-			if st.EvaluatedLeaves+st.SkippedLeaves != e.Leaves() {
-				t.Fatalf("%v: %q: %d evaluated + %d skipped != %d leaves\nplan:\n%s",
-					kind, e, st.EvaluatedLeaves, st.SkippedLeaves, e.Leaves(), plan)
-			}
-			if !reflect.DeepEqual(naive, want) {
-				t.Fatalf("%v: naive %q: got %d ids, reference %d\nplan:\n%s",
-					kind, e, len(naive), len(want), plan)
-			}
-			if !reflect.DeepEqual(planned, want) {
-				t.Fatalf("%v: planned %q: got %d ids, reference %d\nplan:\n%s",
-					kind, e, len(planned), len(want), plan)
-			}
-			// Cross-kind identity only holds among the kinds carrying
-			// the same pending mutations (UBT is read-only).
-			if kind == UnorderedBTree {
-				continue
-			}
-			if first == nil {
-				first, firstKind = planned, kind
-			} else if !reflect.DeepEqual(planned, first) {
-				t.Fatalf("%q: %v and %v diverge", e, firstKind, kind)
-			}
-		}
-	}
 }
 
 // TestSetAlgebra holds the galloping slice operations to a map
@@ -297,72 +162,6 @@ func TestErrUnknownPredicateUnified(t *testing.T) {
 	}
 	if _, err := s.ExecExprAppend(context.Background(), nil, nil); err == nil {
 		t.Error("ExecExprAppend(nil expr): no error")
-	}
-}
-
-// TestStoreExecExpr exercises the Store expression surface: planned
-// answers match Index.EvalExpr, the one-leaf degenerate case routes
-// like Exec, the sharded fan-out stays byte-identical, counters
-// advance, and cancellation is honoured.
-func TestStoreExecExpr(t *testing.T) {
-	c := sampleCollection(t)
-	ctx := context.Background()
-	e, err := ParseExpr("subset{1 2} and not superset{0 1 2 3 4 5 6 7 8 9} or equality{3}")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var want []uint32
-	for _, kind := range []Kind{OIF, InvertedFile, Sharded} {
-		ix, err := Build(c, Options{Kind: kind, PageSize: 512, BlockPostings: 8, Shards: 3})
-		if err != nil {
-			t.Fatalf("%v: %v", kind, err)
-		}
-		s := NewStore(ix, 0)
-		got, err := s.ExecExprAppend(ctx, nil, e)
-		if err != nil {
-			t.Fatalf("%v: ExecExprAppend: %v", kind, err)
-		}
-		direct, err := ix.EvalExpr(e)
-		if err != nil {
-			t.Fatalf("%v: EvalExpr: %v", kind, err)
-		}
-		if !reflect.DeepEqual(got, direct) {
-			t.Fatalf("%v: ExecExprAppend and EvalExpr diverge (%d vs %d ids)", kind, len(got), len(direct))
-		}
-		if want == nil {
-			want = got
-		} else if !reflect.DeepEqual(got, want) {
-			t.Fatalf("%v: diverges from OIF (%d vs %d ids)", kind, len(got), len(want))
-		}
-		if st := s.ExprStats(); st.Expressions != 1 || st.EvaluatedLeaves == 0 {
-			t.Fatalf("%v: ExprStats = %+v after one expression", kind, st)
-		}
-
-		// One-leaf degenerate case: same answer as Exec, not counted as
-		// a planned expression (counters unchanged from before).
-		preLeaf := s.ExprStats()
-		leaf := ExprOf(SubsetQuery([]Item{1, 2}))
-		viaExpr, err := s.ExecExprAppend(ctx, nil, leaf)
-		if err != nil {
-			t.Fatalf("%v: one-leaf ExecExprAppend: %v", kind, err)
-		}
-		viaExec, err := s.Exec(ctx, SubsetQuery([]Item{1, 2}))
-		if err != nil {
-			t.Fatalf("%v: Exec: %v", kind, err)
-		}
-		if !reflect.DeepEqual(viaExpr, viaExec) {
-			t.Fatalf("%v: one-leaf expression diverges from Exec", kind)
-		}
-		if st := s.ExprStats(); st != preLeaf {
-			t.Fatalf("%v: one-leaf expression counted as planned (%+v -> %+v)", kind, preLeaf, st)
-		}
-
-		// A cancelled context refuses evaluation.
-		cctx, cancel := context.WithCancel(ctx)
-		cancel()
-		if _, err := s.ExecExprAppend(cctx, nil, e); !errors.Is(err, context.Canceled) {
-			t.Fatalf("%v: cancelled ExecExprAppend: %v", kind, err)
-		}
 	}
 }
 

@@ -246,13 +246,17 @@ func (s *remoteSession) appendWire(ctx context.Context, dst []uint32, spec wire.
 // one wire.Result of at most wire.MaxLineBytes bytes belonging to query 0
 // (the only one sent), and an error line — how the daemon reports a
 // query that failed executing — fails the call with the daemon's
-// message. A ctx that ends mid-answer fails the body's next read. Each
-// line's ids go straight onto dst (wire.DecodeResult); ids appended
-// before a failure are dropped with the rest of the answer.
+// message. The ids must keep the ShardSession contract, ascending from
+// 1 across lines: the k-way merge trusts it, so a local id 0 or an id
+// not above the one before it fails the call. A ctx that ends
+// mid-answer fails the body's next read. Each line's ids go straight
+// onto dst (wire.DecodeResult); ids appended before a failure are
+// dropped with the rest of the answer.
 func readAnswer(dst []uint32, body io.Reader) ([]uint32, error) {
 	lines := bufio.NewScanner(body)
 	lines.Buffer(nil, wire.MaxLineBytes+1) // the scanner's limit counts the newline
 	base := len(dst)
+	var last uint32 // the previous id; 0 before the first, and never an id
 	for lines.Scan() {
 		line, out, err := wire.DecodeResult(lines.Bytes(), dst)
 		if err != nil {
@@ -263,6 +267,12 @@ func readAnswer(dst []uint32, body io.Reader) ([]uint32, error) {
 		}
 		if line.Error != "" {
 			return nil, errors.New(line.Error)
+		}
+		for _, id := range out[len(dst):] {
+			if id <= last {
+				return nil, fmt.Errorf("answer id %d follows %d: ids must ascend from 1", id, last)
+			}
+			last = id
 		}
 		dst = out
 		if line.Done {

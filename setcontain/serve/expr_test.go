@@ -79,7 +79,7 @@ func TestServerExprGet(t *testing.T) {
 // store's direct one.
 func TestServerExprPost(t *testing.T) {
 	store, h, expr := exprFixture(t)
-	leaf, _ := setcontain.ParseQuery("subset{0}")
+	leaf := setcontain.SubsetQuery([]setcontain.Item{0})
 	req := serve.QueryRequest{Queries: []serve.QuerySpec{
 		serve.SpecOf(leaf),
 		{Expr: expr.String()},

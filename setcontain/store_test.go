@@ -80,34 +80,6 @@ func TestStoreExecParallel(t *testing.T) {
 	}
 }
 
-// TestStoreExecBatch checks batch answers arrive in order and match the
-// sequential evaluation, for every engine kind.
-func TestStoreExecBatch(t *testing.T) {
-	c := sampleCollection(t)
-	queries := storeWorkload(40, 82)
-	for kind, ix := range buildAll(t, c) {
-		t.Run(kind.String(), func(t *testing.T) {
-			store := NewStore(ix, 4)
-			got, err := store.ExecBatch(context.Background(), queries)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(got) != len(queries) {
-				t.Fatalf("got %d answers for %d queries", len(got), len(queries))
-			}
-			for i, q := range queries {
-				want, err := ix.Eval(q)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(got[i], want) && !(len(got[i]) == 0 && len(want) == 0) {
-					t.Errorf("%s: got %v want %v", q, got[i], want)
-				}
-			}
-		})
-	}
-}
-
 // TestStoreExecCancelled checks an already-cancelled context aborts
 // Exec, ExecBatch and ExecExprAppend with context.Canceled — at one,
 // two and four Ps, because ExecBatch's fan-out width follows GOMAXPROCS
@@ -275,46 +247,6 @@ func TestCancellationBetweenBlockReads(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// TestStoreCancelMidFlight cancels while parallel Exec calls stream
-// answers: every call must either succeed or fail with context.Canceled,
-// and calls issued after the cancel must fail.
-func TestStoreCancelMidFlight(t *testing.T) {
-	c := sampleCollection(t)
-	ix, err := New(c, WithPageSize(512), WithBlockPostings(8))
-	if err != nil {
-		t.Fatal(err)
-	}
-	store := NewStore(ix, 4)
-	queries := storeWorkload(200, 84)
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	var wg sync.WaitGroup
-	errs := make(chan error, 4)
-	for g := 0; g < 4; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := g; i < len(queries); i += 4 {
-				if i == 40 {
-					cancel()
-				}
-				if _, err := store.Exec(ctx, queries[i]); err != nil && !errors.Is(err, context.Canceled) {
-					errs <- fmt.Errorf("query %d: %v", i, err)
-					return
-				}
-			}
-		}(g)
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Error(err)
-	}
-	if _, err := store.Exec(ctx, queries[0]); !errors.Is(err, context.Canceled) {
-		t.Errorf("post-cancel Exec: got %v, want context.Canceled", err)
 	}
 }
 

@@ -1,103 +1,24 @@
 package setcontain
 
 import (
-	"context"
-	"errors"
 	"math/rand"
-	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
 	"repro/internal/dataset"
-	"repro/internal/wal"
 )
-
-// pendingMutations draws the inserts and deletes withPendingMutations
-// applies: 20 two-item sets over items 0-39 and 30 ids of c.
-func pendingMutations(c *Collection) (inserts [][]Item, deletes []uint32) {
-	rng := rand.New(rand.NewSource(4321))
-	for i := 0; i < 20; i++ {
-		inserts = append(inserts, []Item{Item(rng.Intn(40)), Item(rng.Intn(40))})
-	}
-	for i := 0; i < 30; i++ {
-		deletes = append(deletes, uint32(1+rng.Intn(c.Len())))
-	}
-	return inserts, deletes
-}
-
-// withPendingMutations applies the same pending inserts and tombstones
-// to every updatable kind, so the streaming paths face delta sweeps and
-// tombstone masking, not just clean disk structures.
-func withPendingMutations(t *testing.T, idxs map[Kind]*Index, c *Collection) {
-	t.Helper()
-	inserts, deletes := pendingMutations(c)
-	for kind, ix := range idxs {
-		if kind == UnorderedBTree {
-			continue
-		}
-		for _, set := range inserts {
-			if _, err := ix.Insert(set); err != nil {
-				t.Fatalf("%v: insert: %v", kind, err)
-			}
-		}
-		for _, id := range deletes {
-			if err := ix.Delete(id); err != nil {
-				t.Fatalf("%v: delete: %v", kind, err)
-			}
-		}
-	}
-}
-
-// TestEvaluatorStreamingMatchesMaterializing is the tentpole's equality
-// property: for random expressions, across every engine kind (pending
-// deltas and tombstones included), the streaming evaluator — candidate
-// pushdown into AND legs — returns ids byte-identical to the
-// materializing evaluator and to the naive reference. Both evaluators are reused across trials so the free-list
-// recycling path is under test too.
-func TestEvaluatorStreamingMatchesMaterializing(t *testing.T) {
-	c := sampleCollection(t)
-	idxs := buildAll(t, c)
-	withPendingMutations(t, idxs, c)
-	rng := rand.New(rand.NewSource(2024))
-	streaming := &Evaluator{}
-	materializing := &Evaluator{materialize: true}
-	for trial := 0; trial < 120; trial++ {
-		e := randExpr(rng, 3, 40)
-		for kind, ix := range idxs {
-			plan, err := ix.PlanExpr(e)
-			if err != nil {
-				t.Fatalf("%v: plan %q: %v", kind, e, err)
-			}
-			want, err := e.Eval(ix)
-			if err != nil {
-				t.Fatalf("%v: naive %q: %v", kind, e, err)
-			}
-			got, _, err := evalPlan(streaming, plan, ix)
-			if err != nil {
-				t.Fatalf("%v: streaming %q: %v", kind, e, err)
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("%v: streaming %q: got %d ids, naive %d", kind, e, len(got), len(want))
-			}
-			mat, _, err := evalPlan(materializing, plan, ix)
-			if err != nil {
-				t.Fatalf("%v: materializing %q: %v", kind, e, err)
-			}
-			if !reflect.DeepEqual(mat, want) {
-				t.Fatalf("%v: materializing %q: got %d ids, naive %d", kind, e, len(mat), len(want))
-			}
-		}
-	}
-}
 
 // TestRestrictMatchesMaterializing holds restrict — every AND child
 // after the first, and every NOT under it, answered at the accumulator's
-// candidates — to the materializing reference and the naive Expr.Eval,
-// shape by shape, on every kind with pending mutations and on a Durable.
+// candidates — to the materializing evaluator, shape by shape, on an
+// OIF (which offers the pushdown) and an inverted file (which does not).
 // streamed pins how many leaves the pushdown answers where the backend
-// offers it (none elsewhere), so the gate is held and not just the
-// answer: a hot accumulator must not stream a rare subtracted leaf.
-// Items are Zipf-ranked: 0 is the hottest, 35 among the rarest.
+// offers it, so the gate is held and not just the answer: a hot
+// accumulator must not stream a rare subtracted leaf. Random trees hold
+// the two evaluators to each other; FuzzModel holds the streaming one
+// to the naive oracle. Items are Zipf-ranked: 0 is the hottest, 35
+// among the rarest.
 func TestRestrictMatchesMaterializing(t *testing.T) {
 	cases := []struct {
 		name, expr        string
@@ -113,55 +34,35 @@ func TestRestrictMatchesMaterializing(t *testing.T) {
 		{"not empties acc", "subset{5 6} and not subset{5} and not subset{0 1}", 1, 1},
 	}
 	c := skewedCollection(t, 2000, 40, 1.0, 17)
-	targets := map[string]*Index{}
-	idxs := buildAll(t, c)
-	withPendingMutations(t, idxs, c)
-	for kind, ix := range idxs {
-		targets[kind.String()] = ix
-	}
-	ix, err := New(c, WithKind(OIF), WithPageSize(512), WithBlockPostings(8))
-	if err != nil {
-		t.Fatal(err)
-	}
-	d, err := NewDurable("w", ix, DurableOptions{FS: wal.NewMemFS(), CheckpointBytes: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer d.Close()
-	inserts, deletes := pendingMutations(c)
-	if _, err := d.InsertSets(inserts); err != nil {
-		t.Fatal(err)
-	}
-	if err := d.DeleteIDs(deletes); err != nil {
-		t.Fatal(err)
-	}
-	targets["Durable"] = d.Index()
-
 	streaming := &Evaluator{}
 	materializing := &Evaluator{materialize: true}
-	for _, tc := range cases {
-		e, err := ParseExpr(tc.expr)
+	for _, kind := range []Kind{OIF, InvertedFile} {
+		ix, err := New(c, WithKind(kind), WithPageSize(512), WithBlockPostings(8))
 		if err != nil {
 			t.Fatal(err)
 		}
-		for name, ix := range targets {
+		_, pushdown := backendOf(ix).(subsetWithiner)
+		for _, tc := range cases {
+			e, err := ParseExpr(tc.expr)
+			if err != nil {
+				t.Fatal(err)
+			}
 			plan, err := ix.PlanExpr(e)
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := e.Eval(ix)
+			want, _, err := evalPlan(materializing, plan, ix)
 			if err != nil {
-				t.Fatalf("%s: naive %q: %v", name, e, err)
+				t.Fatalf("%v: %s: materializing: %v", kind, tc.name, err)
 			}
-			_, pushdown := backendOf(ix).(subsetWithiner)
 			for _, evr := range []*Evaluator{streaming, materializing} {
 				got, st, err := evalPlan(evr, plan, ix)
 				if err != nil {
-					t.Fatalf("%s: %s: %v", name, tc.name, err)
+					t.Fatalf("%v: %s: %v", kind, tc.name, err)
 				}
-				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("%s: %s (materialize=%v): got %d ids, naive %d\nplan:\n%s",
-						name, tc.name, evr.materialize, len(got), len(want), plan)
+				if !slices.Equal(got, want) {
+					t.Fatalf("%v: %s (materialize=%v): got %d ids, materializing %d\nplan:\n%s",
+						kind, tc.name, evr.materialize, len(got), len(want), plan)
 				}
 				wantStreamed := tc.streamed
 				if evr.materialize || !pushdown {
@@ -169,122 +70,22 @@ func TestRestrictMatchesMaterializing(t *testing.T) {
 				}
 				if st.StreamedLeaves != wantStreamed || st.SkippedLeaves != tc.skipped ||
 					st.EvaluatedLeaves+st.SkippedLeaves != e.Leaves() {
-					t.Fatalf("%s: %s (materialize=%v): %+v, want %d streamed, %d skipped of %d leaves\nplan:\n%s",
-						name, tc.name, evr.materialize, st, wantStreamed, tc.skipped, e.Leaves(), plan)
+					t.Fatalf("%v: %s (materialize=%v): %+v, want %d streamed, %d skipped of %d leaves\nplan:\n%s",
+						kind, tc.name, evr.materialize, st, wantStreamed, tc.skipped, e.Leaves(), plan)
 				}
 			}
 		}
-	}
-}
-
-// TestExprLimitFirstN pins the limit contract: a limited evaluation
-// returns exactly the first n ids of the unlimited answer — never a
-// different subset — for every engine kind, with pending deltas and
-// tombstones, at every limit position (inside, at, and past the
-// answer's end).
-func TestExprLimitFirstN(t *testing.T) {
-	c := sampleCollection(t)
-	idxs := buildAll(t, c)
-	withPendingMutations(t, idxs, c)
-	rng := rand.New(rand.NewSource(9876))
-	for trial := 0; trial < 80; trial++ {
-		e := randExpr(rng, 3, 40)
-		for kind, ix := range idxs {
-			plan, err := ix.PlanExpr(e)
+		// Random trees, both evaluators reused across them: the same ids.
+		rng := rand.New(rand.NewSource(2024))
+		for trial := 0; trial < 60; trial++ {
+			plan, err := ix.PlanExpr(randExpr(rng, 3, 40))
 			if err != nil {
-				t.Fatalf("%v: plan %q: %v", kind, e, err)
+				t.Fatal(err)
 			}
-			full, _, err := new(Evaluator).EvalLimitAppend(nil, plan, ix, 0)
-			if err != nil {
-				t.Fatalf("%v: full %q: %v", kind, e, err)
-			}
-			limits := []int{0, 1, 2, 7, len(full), len(full) + 5}
-			for _, n := range limits {
-				got, _, err := new(Evaluator).EvalLimitAppend(nil, plan, ix, n)
-				if err != nil {
-					t.Fatalf("%v: limit %d %q: %v", kind, n, e, err)
-				}
-				want := full
-				if n > 0 && n < len(full) {
-					want = full[:n]
-				}
-				if len(got) != len(want) {
-					t.Fatalf("%v: limit %d %q: got %d ids, want %d", kind, n, e, len(got), len(want))
-				}
-				for i := range want {
-					if got[i] != want[i] {
-						t.Fatalf("%v: limit %d %q: id[%d] = %d, want %d", kind, n, e, i, got[i], want[i])
-					}
-				}
-			}
-			// The Index convenience wrapper agrees.
-			viaIdx, err := ix.EvalExprLimit(e, 3)
-			if err != nil {
-				t.Fatalf("%v: EvalExprLimit %q: %v", kind, e, err)
-			}
-			want := full
-			if len(want) > 3 {
-				want = want[:3]
-			}
-			if !reflect.DeepEqual(viaIdx, append([]uint32{}, want...)) && len(viaIdx)+len(want) > 0 {
-				if len(viaIdx) != len(want) {
-					t.Fatalf("%v: EvalExprLimit %q: got %d ids, want %d", kind, e, len(viaIdx), len(want))
-				}
-				for i := range want {
-					if viaIdx[i] != want[i] {
-						t.Fatalf("%v: EvalExprLimit %q diverges at %d", kind, e, i)
-					}
-				}
-			}
-		}
-	}
-}
-
-// TestStoreExecExprLimit exercises the Store's limit surface: the
-// sharded fan-out's per-shard limit pushdown stays first-n exact, a
-// negative limit is refused with the sentinel, and limit 0 means
-// unlimited.
-func TestStoreExecExprLimit(t *testing.T) {
-	c := sampleCollection(t)
-	ctx := context.Background()
-	e, err := ParseExpr("subset{1} or subset{2 3} or equality{4} or not superset{0 1 2 3 4 5 6 7 8 9}")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, kind := range []Kind{OIF, InvertedFile, UnorderedBTree, Sharded} {
-		ix, err := Build(c, Options{Kind: kind, PageSize: 512, BlockPostings: 8, Shards: 3})
-		if err != nil {
-			t.Fatalf("%v: %v", kind, err)
-		}
-		s := NewStore(ix, 0)
-		full, err := s.ExecExprAppend(ctx, nil, e)
-		if err != nil {
-			t.Fatalf("%v: ExecExprAppend: %v", kind, err)
-		}
-		if len(full) == 0 {
-			t.Fatalf("%v: workload answered no ids; test needs a wide answer", kind)
-		}
-		for _, n := range []int{0, 1, 5, len(full), len(full) + 9} {
-			got, err := s.ExecExprLimitAppend(ctx, nil, e, n)
-			if err != nil {
-				t.Fatalf("%v: ExecExprLimitAppend(%d): %v", kind, n, err)
-			}
-			want := full
-			if n > 0 && n < len(full) {
-				want = full[:n]
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("%v: ExecExprLimitAppend(%d): got %d ids, want %d", kind, n, len(got), len(want))
-			}
-		}
-		if _, err := s.ExecExprLimitAppend(ctx, nil, e, -1); !errors.Is(err, ErrNegativeLimit) {
-			t.Fatalf("%v: negative limit: %v, want ErrNegativeLimit", kind, err)
-		}
-		// One limit rule: the engine-level form refuses it too, for a
-		// tree and for a one-leaf expression alike.
-		for _, neg := range []*Expr{e, ExprOf(SubsetQuery([]Item{1}))} {
-			if _, err := ix.EvalExprLimit(neg, -1); !errors.Is(err, ErrNegativeLimit) {
-				t.Fatalf("%v: Index.EvalExprLimit(%s, -1): %v, want ErrNegativeLimit", kind, neg, err)
+			got, _, err := evalPlan(streaming, plan, ix)
+			want, _, werr := evalPlan(materializing, plan, ix)
+			if err != nil || werr != nil || !slices.Equal(got, want) {
+				t.Fatalf("%v: streaming %v, %v; materializing %v, %v\nplan:\n%s", kind, got, err, want, werr, plan)
 			}
 		}
 	}

@@ -1,11 +1,6 @@
-// Transport equivalence is the payoff property of the shard transport
-// abstraction and of the single request core above it: the same
-// collection served through four different stacks — one engine, a
-// sharded engine, in-process ShardClients, and remote HTTP shard
-// daemons — and asked through every public entry point must answer
-// every query, expression, and limited expression exactly like the
-// brute-force oracle, through pending inserts and deletes, after the
-// delta merge, and under cancellation.
+// The shard transport beyond what FuzzModel's answers hold: concurrent
+// cancellation, a dead shard daemon, the public routes a coordinator
+// uses, and the NDJSON answer reader under arbitrary bytes.
 // This file lives in the external test package so it can stand real
 // daemons up with setcontain/serve without an import cycle.
 package setcontain_test
@@ -20,7 +15,6 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
-	"net/url"
 	"runtime"
 	"slices"
 	"strings"
@@ -29,527 +23,76 @@ import (
 	"time"
 
 	"repro/internal/dataset"
-	"repro/internal/naive"
 	"repro/internal/wire"
 	"repro/setcontain"
 	"repro/setcontain/serve"
 )
 
-// transportVariant is one way of serving the shared collection: the
-// index, the store over it, and a serve.Server over both for the
-// entry points that live in the serving layer.
-type transportVariant struct {
-	name  string
-	idx   *setcontain.Index
-	store *setcontain.Store
-	srv   *serve.Server
-	url   string
-	// clients are the variant's shard clients, for the stacks built over
-	// ShardedOverClients (nil otherwise).
-	clients []setcontain.ShardClient
-}
-
-// buildTransportVariants stands up the four stacks over identical data.
-// Each variant gets its own engines — mutations must not alias across
-// variants — and the HTTP one gets a live httptest daemon per shard. A
-// non-nil wrap decorates every shard client of the three sharded stacks,
-// a non-nil daemon the handler of every shard daemon of the HTTP one
-// (fault injection on either side of the wire, see fault_test.go).
-func buildTransportVariants(t *testing.T, sets [][]setcontain.Item, domain, shards int,
-	wrap func(variant string, shard int, c setcontain.ShardClient) setcontain.ShardClient,
-	daemon func(shard int, h http.Handler) http.Handler) []*transportVariant {
-	t.Helper()
-	build := func(kind setcontain.Kind) *setcontain.Index {
-		c := setcontain.NewCollection(domain)
-		for _, s := range sets {
-			if _, err := c.Add(s); err != nil {
-				t.Fatal(err)
-			}
-		}
-		idx, err := setcontain.New(c, setcontain.WithKind(kind), setcontain.WithShards(shards),
-			setcontain.WithPageSize(512), setcontain.WithBlockPostings(8))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return idx
-	}
-	// serveOver fronts idx with a daemon; the small chunk size makes
-	// multi-chunk (and, on /stream, multi-flush) answers routine.
-	serveOver := func(idx *setcontain.Index, around func(http.Handler) http.Handler) (*setcontain.Store, *serve.Server, string) {
-		store := setcontain.NewStore(idx, 8)
-		sv := serve.NewServer(idx, store, serve.Config{ChunkIDs: 16})
-		h := sv.Handler()
-		if around != nil {
-			h = around(h)
-		}
-		ts := httptest.NewServer(h)
-		t.Cleanup(ts.Close)
-		t.Cleanup(sv.Close)
-		return store, sv, ts.URL
-	}
-	var variants []*transportVariant
-	add := func(name string, idx *setcontain.Index, clients []setcontain.ShardClient) {
-		store, sv, url := serveOver(idx, nil)
-		variants = append(variants, &transportVariant{name, idx, store, sv, url, clients})
-	}
-	addOverClients := func(name string, client func(shard int, eng setcontain.Engine) setcontain.ShardClient) {
-		var clients []setcontain.ShardClient
-		for s, eng := range setcontain.ShardEngines(build(setcontain.Sharded).Engine()) {
-			c := client(s, eng)
-			if wrap != nil {
-				c = wrap(name, s, c)
-			}
-			clients = append(clients, c)
-		}
-		idx, err := setcontain.ShardedOverClients(context.Background(), clients)
-		if err != nil {
-			t.Fatalf("coordinator: %v", err)
-		}
-		add(name, idx, clients)
-	}
-	add("single", build(setcontain.OIF), nil)
-	sharded := build(setcontain.Sharded)
-	if wrap != nil {
-		setcontain.WrapShardClients(sharded, func(s int, c setcontain.ShardClient) setcontain.ShardClient {
-			return wrap("sharded", s, c)
-		})
-	}
-	add("sharded", sharded, nil)
-	addOverClients("inproc", func(_ int, eng setcontain.Engine) setcontain.ShardClient { return setcontain.InprocShard(eng) })
-	addOverClients("http", func(s int, eng setcontain.Engine) setcontain.ShardClient {
-		var around func(http.Handler) http.Handler
-		if daemon != nil {
-			around = func(h http.Handler) http.Handler { return daemon(s, h) }
-		}
-		_, _, url := serveOver(setcontain.IndexOver(eng), around)
-		return setcontain.NewRemoteShard(url, nil)
-	})
-	return variants
-}
-
-// transportOp is one request of the equivalence workload: an expression
-// (a plain query is its one-leaf case) and a first-n limit, 0 = all.
-type transportOp struct {
-	expr  *setcontain.Expr
-	limit int
-}
-
-// naiveOracle is the brute-force reference every entry point of every
-// variant is held to: internal/naive over a mirror of the records, the
-// tombstoned ids masked, expressions through the naive left-to-right
-// Expr.Eval.
-type naiveOracle struct {
-	d    *dataset.Dataset
-	dead map[uint32]bool
-}
-
-func (o *naiveOracle) live(ids []uint32) ([]uint32, error) {
-	return slices.DeleteFunc(ids, func(id uint32) bool { return o.dead[id] }), nil
-}
-
-func (o *naiveOracle) Subset(qs []setcontain.Item) ([]uint32, error) {
-	return o.live(naive.Subset(o.d, qs))
-}
-
-func (o *naiveOracle) Equality(qs []setcontain.Item) ([]uint32, error) {
-	return o.live(naive.Equality(o.d, qs))
-}
-
-func (o *naiveOracle) Superset(qs []setcontain.Item) ([]uint32, error) {
-	return o.live(naive.Superset(o.d, qs))
-}
-
-func (o *naiveOracle) answer(t *testing.T, op transportOp) []uint32 {
-	t.Helper()
-	ids, err := op.expr.Eval(o)
-	if err != nil {
-		t.Fatalf("oracle %s: %v", op.expr, err)
-	}
-	if op.limit > 0 && len(ids) > op.limit {
-		ids = ids[:op.limit]
-	}
-	return ids
-}
-
-// entryPoint is one public way of asking a variant a question — one
-// column of the equivalence table. accepts says which ops it can
-// express (the Query forms take plain leaves only); run answers the
-// accepted ops in order.
-type entryPoint struct {
-	name    string
-	accepts func(op transportOp) bool
-	run     func(ctx context.Context, v *transportVariant, ops []transportOp) ([][]uint32, error)
-}
-
-func anyOp(transportOp) bool          { return true }
-func unlimitedOp(op transportOp) bool { return op.limit == 0 }
-func leafOp(op transportOp) bool {
-	_, leaf := op.expr.AsQuery()
-	return leaf && op.limit == 0
-}
-
-// perOp lifts a one-request entry point to a column.
-func perOp(one func(ctx context.Context, v *transportVariant, op transportOp) ([]uint32, error)) func(context.Context, *transportVariant, []transportOp) ([][]uint32, error) {
-	return func(ctx context.Context, v *transportVariant, ops []transportOp) ([][]uint32, error) {
-		out := make([][]uint32, len(ops))
-		for i, op := range ops {
-			ids, err := one(ctx, v, op)
-			if err != nil {
-				return nil, fmt.Errorf("op %d (%s limit %d): %w", i, op.expr, op.limit, err)
-			}
-			out[i] = ids
-		}
-		return out, nil
-	}
-}
-
-// perQuery lifts a one-Query entry point to a column over leaf ops.
-func perQuery(one func(ctx context.Context, v *transportVariant, q setcontain.Query) ([]uint32, error)) func(context.Context, *transportVariant, []transportOp) ([][]uint32, error) {
-	return perOp(func(ctx context.Context, v *transportVariant, op transportOp) ([]uint32, error) {
-		q, _ := op.expr.AsQuery()
-		return one(ctx, v, q)
-	})
-}
-
-// entryPoints lists every surviving public execution form.
-var entryPoints = []entryPoint{
-	{"Index.Eval", leafOp, perQuery(func(ctx context.Context, v *transportVariant, q setcontain.Query) ([]uint32, error) {
-		if err := ctx.Err(); err != nil {
-			return nil, err // the engine level takes no context
-		}
-		return v.idx.Eval(q)
-	})},
-	{"Index.EvalExprLimit", anyOp, perOp(func(ctx context.Context, v *transportVariant, op transportOp) ([]uint32, error) {
-		if err := ctx.Err(); err != nil {
-			return nil, err // the engine level takes no context
-		}
-		return v.idx.EvalExprLimit(op.expr, op.limit)
-	})},
-	{"Reader.EvalAppend", leafOp, func(ctx context.Context, v *transportVariant, ops []transportOp) ([][]uint32, error) {
-		if err := ctx.Err(); err != nil {
-			return nil, err // the engine level takes no context
-		}
-		// One reader for the stage: it snapshots the state it opens on.
-		r, err := v.idx.NewReader(8)
-		if err != nil {
-			return nil, err
-		}
-		return perQuery(func(_ context.Context, _ *transportVariant, q setcontain.Query) ([]uint32, error) {
-			return r.EvalAppend(nil, q)
-		})(ctx, v, ops)
-	}},
-	{"Store.Exec", leafOp, perQuery(func(ctx context.Context, v *transportVariant, q setcontain.Query) ([]uint32, error) {
-		return v.store.Exec(ctx, q)
-	})},
-	{"Store.ExecAppend", leafOp, perQuery(func(ctx context.Context, v *transportVariant, q setcontain.Query) ([]uint32, error) {
-		return v.store.ExecAppend(ctx, nil, q)
-	})},
-	{"Store.ExecExprAppend", unlimitedOp, perOp(func(ctx context.Context, v *transportVariant, op transportOp) ([]uint32, error) {
-		return v.store.ExecExprAppend(ctx, nil, op.expr)
-	})},
-	{"Store.ExecExprLimitAppend", anyOp, perOp(func(ctx context.Context, v *transportVariant, op transportOp) ([]uint32, error) {
-		return v.store.ExecExprLimitAppend(ctx, nil, op.expr, op.limit)
-	})},
-	{"Store.ExecBatch", leafOp, func(ctx context.Context, v *transportVariant, ops []transportOp) ([][]uint32, error) {
-		qs := make([]setcontain.Query, len(ops))
-		for i, op := range ops {
-			qs[i], _ = op.expr.AsQuery()
-		}
-		return v.store.ExecBatch(ctx, qs)
-	}},
-	{"Batcher.DoExprLimit", anyOp, perOp(func(ctx context.Context, v *transportVariant, op transportOp) ([]uint32, error) {
-		return v.srv.Batcher().DoExprLimit(ctx, nil, op.expr, op.limit)
-	})},
-	{"GET /stream", anyOp, perOp(func(ctx context.Context, v *transportVariant, op transportOp) ([]uint32, error) {
-		target := fmt.Sprintf("%s/stream?q=%s&limit=%d", v.url, url.QueryEscape(op.expr.String()), op.limit)
-		req, err := http.NewRequestWithContext(ctx, http.MethodGet, target, nil)
-		if err != nil {
-			return nil, err
-		}
-		resp, err := http.DefaultClient.Do(req)
-		if err != nil {
-			return nil, err
-		}
-		defer resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			return nil, fmt.Errorf("status %s", resp.Status)
-		}
-		var ids []uint32
-		for dec := json.NewDecoder(resp.Body); ; {
-			var line serve.Result
-			if err := dec.Decode(&line); err != nil {
-				return nil, fmt.Errorf("stream ended before its final line: %w", err)
-			}
-			if line.Error != "" {
-				return nil, errors.New(line.Error)
-			}
-			ids = append(ids, line.IDs...)
-			if line.Done {
-				if line.Count != len(ids) {
-					return nil, fmt.Errorf("final count %d, streamed %d ids", line.Count, len(ids))
-				}
-				return ids, nil
-			}
-		}
-	})},
-}
-
-// randomExprText draws a boolean expression over Zipf-skewed leaves in
-// the ParseExpr grammar.
-func randomExprText(rng *rand.Rand, z *dataset.Zipf) string {
-	leaf := func() string {
-		preds := []string{"subset", "equality", "superset"}
-		items := z.SampleDistinct(rng, 1+rng.Intn(4))
-		strs := make([]string, len(items))
-		for i, it := range items {
-			strs[i] = fmt.Sprint(it)
-		}
-		return fmt.Sprintf("%s{%s}", preds[rng.Intn(len(preds))], strings.Join(strs, " "))
-	}
-	switch rng.Intn(4) {
-	case 0:
-		return leaf()
-	case 1:
-		return leaf() + " and " + leaf()
-	case 2:
-		return leaf() + " or not " + leaf()
-	default:
-		return "(" + leaf() + " or " + leaf() + ") and not " + leaf()
-	}
-}
-
-// TestTransportEquivalence is the property test: every public entry
-// point of every stack — remote shards, in-process clients, sharded
-// engine, single engine — answers every query, expression, and limited
-// expression exactly like the brute-force oracle, with pending inserts
-// and deletes, after the merge, and canceled cleanly.
-func TestTransportEquivalence(t *testing.T) {
-	const (
-		domain  = 48
-		shards  = 3
-		records = 900
-	)
-	rng := rand.New(rand.NewSource(7))
-	z := dataset.NewZipf(domain, 0.9)
-	oracle := &naiveOracle{d: dataset.New(domain), dead: map[uint32]bool{}}
-	sets := make([][]setcontain.Item, records)
-	for i := range sets {
-		sets[i] = z.SampleDistinct(rng, 1+rng.Intn(6))
-		if _, err := oracle.d.Add(sets[i]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	variants := buildTransportVariants(t, sets, domain, shards, nil, nil)
-
-	var ops []transportOp
-	preds := []setcontain.Predicate{setcontain.PredicateSubset, setcontain.PredicateEquality, setcontain.PredicateSuperset}
-	for i := 0; i < 30; i++ {
-		ops = append(ops, transportOp{expr: setcontain.ExprOf(setcontain.Query{
-			Pred:  preds[rng.Intn(len(preds))],
-			Items: z.SampleDistinct(rng, 1+rng.Intn(5)),
-		})})
-	}
-	for i := 0; i < 20; i++ {
-		text := randomExprText(rng, z)
-		e, err := setcontain.ParseExpr(text)
-		if err != nil {
-			t.Fatalf("generated unparseable expr %q: %v", text, err)
-		}
-		ops = append(ops, transportOp{expr: e, limit: rng.Intn(12)}) // 0 = unlimited
-	}
-
-	ctx := context.Background()
-	compare := func(stage string) {
-		t.Helper()
-		want := make([][]uint32, len(ops))
-		for i, op := range ops {
-			want[i] = oracle.answer(t, op)
-		}
-		for _, v := range variants {
-			for _, ep := range entryPoints {
-				var accepted []int
-				var asked []transportOp
-				for i, op := range ops {
-					if ep.accepts(op) {
-						accepted = append(accepted, i)
-						asked = append(asked, op)
-					}
-				}
-				got, err := ep.run(ctx, v, asked)
-				if err != nil {
-					t.Fatalf("%s: %s %s: %v", stage, v.name, ep.name, err)
-				}
-				for k, i := range accepted {
-					if !slices.Equal(got[k], want[i]) {
-						t.Fatalf("%s: %s %s (%s limit %d): %v, oracle says %v",
-							stage, v.name, ep.name, ops[i].expr, ops[i].limit, got[k], want[i])
-					}
-				}
-			}
-		}
-	}
-	compare("built")
-
-	// A request a session must refuse is refused with the same sentinel
-	// on both client transports, before anything crosses a wire.
-	_, errNilExpr := variants[0].store.ExecExprAppend(ctx, nil, nil)
-	for _, v := range variants {
-		if v.clients == nil {
-			continue
-		}
-		sess, err := v.clients[0].Session(8)
-		if err != nil {
-			t.Fatalf("%s: session: %v", v.name, err)
-		}
-		if _, err := sess.AppendExpr(ctx, nil, nil, 0); errNilExpr == nil || !errors.Is(err, errNilExpr) {
-			t.Errorf("%s: AppendExpr(nil expr): %v, want %v", v.name, err, errNilExpr)
-		}
-		if _, err := sess.AppendExpr(ctx, nil, ops[0].expr, -1); !errors.Is(err, setcontain.ErrNegativeLimit) {
-			t.Errorf("%s: AppendExpr(limit -1): %v, want ErrNegativeLimit", v.name, err)
-		}
-		sess.Close()
-	}
-
-	// Mutations travel through every transport's own store; ids must
-	// match across variants because they share one global id space.
-	extra := make([][]setcontain.Item, 20)
-	var wantIDs []uint32
-	for i := range extra {
-		extra[i] = z.SampleDistinct(rng, 1+rng.Intn(6))
-		id, err := oracle.d.Add(extra[i])
-		if err != nil {
-			t.Fatal(err)
-		}
-		wantIDs = append(wantIDs, id)
-	}
-	doomed := []uint32{5, 17, uint32(records + 3)}
-	for _, id := range doomed {
-		oracle.dead[id] = true
-	}
-	for _, v := range variants {
-		ids, err := v.store.InsertSets(extra)
-		if err != nil {
-			t.Fatalf("%s: inserts: %v", v.name, err)
-		}
-		if !slices.Equal(ids, wantIDs) {
-			t.Fatalf("%s: insert ids %v, want %v", v.name, ids, wantIDs)
-		}
-		if err := v.store.DeleteIDs(doomed); err != nil {
-			t.Fatalf("%s: deletes: %v", v.name, err)
-		}
-	}
-	compare("pending")
-
-	for _, v := range variants {
-		if err := v.store.MergeDelta(); err != nil {
-			t.Fatalf("%s: merge: %v", v.name, err)
-		}
-	}
-	compare("merged")
-
-	// An ended context must stop every entry point of every transport
-	// with that context's own error — Canceled for a canceled one,
-	// DeadlineExceeded for an expired one — never a transport artifact
-	// and never a silently partial answer.
-	canceled, cancel := context.WithCancel(ctx)
-	cancel()
-	expired, cancel := context.WithDeadline(ctx, time.Now().Add(-time.Second))
-	defer cancel()
-	for _, ended := range []context.Context{canceled, expired} {
-		for _, v := range variants {
-			for _, ep := range entryPoints {
-				var asked []transportOp
-				for _, op := range ops {
-					if ep.accepts(op) {
-						asked = append(asked, op)
-					}
-				}
-				if _, err := ep.run(ended, v, asked); !errors.Is(err, ended.Err()) {
-					t.Errorf("%s: %s under an ended context: %v, want %v", v.name, ep.name, err, ended.Err())
-				}
-			}
-		}
-	}
-}
-
-// TestTransportConcurrentCancel hammers the HTTP transport from several
-// goroutines and cancels mid-stream: every query must either match the
-// single-engine answer exactly or fail with context.Canceled — no
-// corrupt merges, no hung calls — and a thousand remote calls canceled
-// at every point of their life leave no goroutine behind. Run under
-// -race this is the concurrency acceptance test for the remote session
-// layer.
+// TestTransportConcurrentCancel hammers every FuzzModel target from
+// several goroutines and cancels mid-stream: every query must either
+// answer exactly what the model says or fail with context.Canceled — no
+// corrupt merges, no hung calls — and calls after the cancel must fail.
+// Then a thousand remote calls canceled at every point of their life
+// leave no goroutine behind. Run under -race this is the concurrency
+// acceptance test for the Store's pooled readers, the scatter's
+// interrupts and the remote session layer.
 func TestTransportConcurrentCancel(t *testing.T) {
-	const (
-		domain  = 40
-		shards  = 2
-		records = 600
-	)
+	h := newHarness(t, 13)
+	defer h.close()
 	rng := rand.New(rand.NewSource(13))
-	z := dataset.NewZipf(domain, 0.9)
-	sets := make([][]setcontain.Item, records)
-	for i := range sets {
-		sets[i] = z.SampleDistinct(rng, 1+rng.Intn(6))
-	}
-	variants := buildTransportVariants(t, sets, domain, shards, nil, nil)
-	single, remote := variants[0].store, variants[3].store
-
+	z := dataset.NewZipf(modelDomain, 0.9)
 	queries := make([]setcontain.Query, 120)
-	preds := []setcontain.Predicate{setcontain.PredicateSubset, setcontain.PredicateEquality, setcontain.PredicateSuperset}
-	for i := range queries {
-		queries[i] = setcontain.Query{
-			Pred:  preds[rng.Intn(len(preds))],
-			Items: z.SampleDistinct(rng, 1+rng.Intn(4)),
-		}
-	}
 	want := make([][]uint32, len(queries))
-	for i, q := range queries {
-		var err error
-		if want[i], err = single.Exec(context.Background(), q); err != nil {
-			t.Fatal(err)
+	for i := range queries {
+		op := randQuery(rng, z, plainShape)
+		queries[i], _ = op.expr.AsQuery()
+		want[i], _ = h.targets[0].m.answer(&op)
+	}
+	for _, tg := range h.targets {
+		ctx, cancel := context.WithCancel(context.Background())
+		var wg sync.WaitGroup
+		errs := make(chan error, 4)
+		for g := 0; g < 4; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				for i := g; i < len(queries); i += 4 {
+					if i == 40 {
+						cancel()
+					}
+					got, err := tg.store.Exec(ctx, queries[i])
+					switch {
+					case errors.Is(err, context.Canceled):
+					case err != nil:
+						errs <- fmt.Errorf("%s: query %d (%s): %v", tg.name, i, queries[i], err)
+						return
+					case !slices.Equal(got, want[i]):
+						errs <- fmt.Errorf("%s: query %d (%s): got %v want %v", tg.name, i, queries[i], got, want[i])
+						return
+					}
+				}
+			}(g)
+		}
+		wg.Wait()
+		cancel()
+		close(errs)
+		for err := range errs {
+			t.Error(err)
+		}
+		if _, err := tg.store.Exec(ctx, queries[0]); !errors.Is(err, context.Canceled) {
+			t.Errorf("%s: post-cancel Exec: %v, want context.Canceled", tg.name, err)
 		}
 	}
 
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	var wg sync.WaitGroup
-	errs := make(chan error, 4)
-	for g := 0; g < 4; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := g; i < len(queries); i += 4 {
-				if i == 40 {
-					cancel()
-				}
-				got, err := remote.Exec(ctx, queries[i])
-				switch {
-				case errors.Is(err, context.Canceled):
-				case err != nil:
-					errs <- fmt.Errorf("query %d (%s): %v", i, queries[i], err)
-					return
-				case !slices.Equal(got, want[i]) && !(len(got) == 0 && len(want[i]) == 0):
-					errs <- fmt.Errorf("query %d (%s): got %v want %v", i, queries[i], got, want[i])
-					return
-				}
-			}
-		}(g)
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Error(err)
-	}
-	if _, err := remote.Exec(ctx, queries[0]); !errors.Is(err, context.Canceled) {
-		t.Errorf("post-cancel Exec: %v, want context.Canceled", err)
-	}
-
+	tg := h.target("http")
+	remote := tg.store
 	// idle hangs up the coordinator's kept-alive connections, whose
 	// goroutines (both ends') would otherwise count.
 	idle := func() {
-		for _, c := range variants[3].clients {
+		for _, c := range tg.clients {
 			c.Close()
 		}
+		tg.hc.CloseIdleConnections()
 	}
 	idle()
 	baseline := runtime.NumGoroutine()
@@ -722,6 +265,21 @@ func TestTransportPublicRoutesOnly(t *testing.T) {
 	sess.ResetStats()
 	_ = sess.Stats()
 	must("session Close", sess.Close())
+	// What a session must refuse, both transports refuse alike, before
+	// anything crosses a wire.
+	for _, c := range []setcontain.ShardClient{client, setcontain.InprocShard(shard.Engine())} {
+		s, err := c.Session(0)
+		must("Session", err)
+		if _, err := s.AppendExpr(ctx, nil, nil, 0); err == nil {
+			t.Errorf("%T: AppendExpr(nil expr) succeeded", c)
+		}
+		if _, err := s.AppendExpr(ctx, nil, setcontain.ExprOf(q), -1); !errors.Is(err, setcontain.ErrNegativeLimit) {
+			t.Errorf("%T: AppendExpr(limit -1): %v, want ErrNegativeLimit", c, err)
+		}
+		if _, err := s.AppendQuery(ctx, nil, setcontain.Query{Pred: 9}); !errors.Is(err, setcontain.ErrUnknownPredicate) {
+			t.Errorf("%T: AppendQuery(predicate 9): %v, want ErrUnknownPredicate", c, err)
+		}
+	}
 
 	public := []string{"GET /healthz", "POST /query", "POST /admin/insert", "POST /admin/delete", "POST /admin/merge", "POST /admin/snapshot"}
 	direct := traffic()
@@ -786,8 +344,8 @@ func TestTransportPublicRoutesOnly(t *testing.T) {
 // answerOracle is the fuzz target's independent reading of a /query
 // response to a one-query request: the ids of a well-formed stream
 // (every line one Result of at most wire.MaxLineBytes bytes for query 0, no
-// error line, a final line whose count matches), or ok false for
-// anything else.
+// error line, ids ascending from 1 across lines, a final line whose
+// count matches), or ok false for anything else.
 func answerOracle(body []byte) (ids []uint32, ok bool) {
 	for {
 		var raw []byte
@@ -796,7 +354,12 @@ func answerOracle(body []byte) (ids []uint32, ok bool) {
 		if len(raw) > wire.MaxLineBytes || json.Unmarshal(raw, &line) != nil || line.Query != 0 || line.Error != "" {
 			return nil, false
 		}
-		ids = append(ids, line.IDs...)
+		for _, id := range line.IDs {
+			if id == 0 || len(ids) > 0 && id <= ids[len(ids)-1] {
+				return nil, false
+			}
+			ids = append(ids, id)
+		}
 		if line.Done {
 			return ids, line.Count == len(ids)
 		}
@@ -806,7 +369,8 @@ func answerOracle(body []byte) (ids []uint32, ok bool) {
 // FuzzRemoteAnswerStream serves arbitrary bytes as the daemon's /query
 // response body to a remote session: the call must return an error
 // naming the shard or exactly the complete answer — never panic, never
-// a silent prefix, never a line buffered past the cap.
+// a silent prefix, never ids out of order, never a line buffered past
+// the cap.
 func FuzzRemoteAnswerStream(f *testing.F) {
 	for _, seed := range []string{
 		`{"query":0,"ids":[1,2],"more":true,"count":0}` + "\n" + `{"query":0,"ids":[5],"done":true,"count":3}` + "\n",
@@ -825,6 +389,8 @@ func FuzzRemoteAnswerStream(f *testing.F) {
 		`{"query":0,"ids":[-1],"done":true,"count":1}` + "\n",
 		"null\n[]\n",
 		"",
+		`{"query":0,"ids":[0,2],"done":true,"count":2}` + "\n",                                                            // a local id 0
+		`{"query":0,"ids":[1,3,5],"more":true,"count":0}` + "\n" + `{"query":0,"ids":[4,9],"done":true,"count":5}` + "\n", // descending across lines
 	} {
 		f.Add([]byte(seed))
 	}
