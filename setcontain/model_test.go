@@ -450,10 +450,12 @@ type harness struct {
 	closers []func()
 }
 
-// newHarness builds the targets over the collection of seed. The
-// Durable holds an OIF at even seeds and a sharded index at odd ones.
-func newHarness(tb testing.TB, seed int64) *harness {
+// newHarness builds the targets over the collection of seed, or only
+// the ones named. The Durable holds an OIF at even seeds and a sharded
+// index at odd ones.
+func newHarness(tb testing.TB, seed int64, only ...string) *harness {
 	tb.Helper()
+	keep := func(name string) bool { return len(only) == 0 || slices.Contains(only, name) }
 	rng := rand.New(rand.NewSource(seed))
 	z := dataset.NewZipf(modelDomain, 0.9)
 	c := setcontain.NewCollection(modelDomain)
@@ -484,9 +486,14 @@ func newHarness(tb testing.TB, seed int64) *harness {
 		h.targets = append(h.targets, tg)
 	}
 	for _, kind := range []setcontain.Kind{setcontain.OIF, setcontain.InvertedFile, setcontain.UnorderedBTree, setcontain.Sharded} {
-		add(&target{name: kind.String(), idx: build(kind), owned: true, board: &faultBoard{}})
+		if keep(kind.String()) {
+			add(&target{name: kind.String(), idx: build(kind), owned: true, board: &faultBoard{}})
+		}
 	}
 	over := func(name string, client func(shard int, eng setcontain.Engine, board *faultBoard) setcontain.ShardClient) {
+		if !keep(name) {
+			return
+		}
 		tg := &target{name: name, board: &faultBoard{}}
 		for s, eng := range setcontain.ShardEngines(build(setcontain.Sharded).Engine()) {
 			tg.clients = append(tg.clients, &faultyClient{client(s, eng, tg.board), tg.board, s})
@@ -515,6 +522,9 @@ func newHarness(tb testing.TB, seed int64) *harness {
 		return setcontain.NewRemoteShard(ts.URL, &http.Client{Transport: lr})
 	})
 
+	if !keep("durable") {
+		return h
+	}
 	durable := &target{name: "durable", idx: build([]setcontain.Kind{setcontain.OIF, setcontain.Sharded}[seed&1]),
 		board: &faultBoard{}, mem: wal.NewMemFS()}
 	durable.fs = wal.NewFaultyFS(durable.mem, 0)
@@ -630,6 +640,9 @@ func prefixed(run func(dst []uint32) ([]uint32, error)) ([]uint32, error) {
 var entryPoints = []entryPoint{
 	{"Index.Eval", plainNoCtx, func(_ context.Context, tg *target, op *modelOp) ([]uint32, error) {
 		return tg.idx.Eval(leafOf(op))
+	}},
+	{"Query.Eval", plainNoCtx, func(_ context.Context, tg *target, op *modelOp) ([]uint32, error) {
+		return leafOf(op).Eval(tg.idx)
 	}},
 	{"Index.EvalExprLimit", noCtx, func(_ context.Context, tg *target, op *modelOp) ([]uint32, error) {
 		return tg.idx.EvalExprLimit(op.expr, op.limit)
@@ -779,6 +792,10 @@ type modelFailure struct {
 	target, entry, op, got, want string
 }
 
+func (f *modelFailure) String() string {
+	return fmt.Sprintf("step=%d target=%s entry=%s op=%s got=%s want=%s", f.step, f.target, f.entry, f.op, f.got, f.want)
+}
+
 // mismatch is the failure of entry answering got (or err) where the
 // model wants want (or wantErr); two id lists are shown with what one
 // has and the other lacks.
@@ -809,6 +826,12 @@ func show(ids []uint32, err error) string {
 func replay(tb testing.TB, seed int64, ops []modelOp) *modelFailure {
 	h := newHarness(tb, seed)
 	defer h.close()
+	return h.run(ops)
+}
+
+// run replays ops on the harness's targets and returns the first
+// failure.
+func (h *harness) run(ops []modelOp) *modelFailure {
 	var armed *shardFault // the fault armed for this step
 	for i := range ops {
 		op := &ops[i]
@@ -817,8 +840,9 @@ func replay(tb testing.TB, seed int64, ops []modelOp) *modelFailure {
 			armed = &op.fault
 			continue
 		case opFailFS:
-			tg := h.target("durable")
-			tg.fs.FailAt = tg.fs.Ops() + int64(op.fault.skip) + 1
+			if tg := h.target("durable"); tg != nil {
+				tg.fs.FailAt = tg.fs.Ops() + int64(op.fault.skip) + 1
+			}
 			continue
 		}
 		for _, tg := range h.targets {
@@ -1042,7 +1066,6 @@ func FuzzModel(f *testing.F) {
 		for i, op := range ops {
 			kept[i] = op.at
 		}
-		t.Fatalf("FuzzModel seed=%d step=%d target=%s entry=%s op=%s got=%s want=%s (replayed steps %v)",
-			seed, fail.step, fail.target, fail.entry, fail.op, fail.got, fail.want, kept)
+		t.Fatalf("FuzzModel seed=%d %v (replayed steps %v)", seed, fail, kept)
 	})
 }

@@ -15,10 +15,9 @@ import (
 // OIF (which offers the pushdown) and an inverted file (which does not).
 // streamed pins how many leaves the pushdown answers where the backend
 // offers it, so the gate is held and not just the answer: a hot
-// accumulator must not stream a rare subtracted leaf. Random trees hold
-// the two evaluators to each other; FuzzModel holds the streaming one
-// to the naive oracle. Items are Zipf-ranked: 0 is the hottest, 35
-// among the rarest.
+// accumulator must not stream a rare subtracted leaf. FuzzModel holds
+// the streaming evaluator to the naive oracle. Items are Zipf-ranked: 0
+// is the hottest, 35 among the rarest.
 func TestRestrictMatchesMaterializing(t *testing.T) {
 	cases := []struct {
 		name, expr        string
@@ -75,15 +74,39 @@ func TestRestrictMatchesMaterializing(t *testing.T) {
 				}
 			}
 		}
-		// Random trees, both evaluators reused across them: the same ids.
-		rng := rand.New(rand.NewSource(2024))
-		for trial := 0; trial < 60; trial++ {
-			plan, err := ix.PlanExpr(randExpr(rng, 3, 40))
+	}
+}
+
+// TestEvaluatorStreamingMatchesMaterializing holds the streaming
+// evaluator to the materializing one on random trees over every kind,
+// with inserts pending and tombstones set on the kinds that take them.
+// Both evaluators are reused across the trees, so their free lists are
+// under test too.
+func TestEvaluatorStreamingMatchesMaterializing(t *testing.T) {
+	c := sampleCollection(t)
+	idxs := buildAll(t, c)
+	for _, kind := range []Kind{OIF, InvertedFile, Sharded} {
+		for i := 0; i < 20; i++ {
+			if _, err := idxs[kind].Insert([]Item{Item(i), Item((i*7 + 1) % 40)}); err != nil {
+				t.Fatalf("%v: insert: %v", kind, err)
+			}
+			if err := idxs[kind].Delete(uint32(1 + i*97)); err != nil {
+				t.Fatalf("%v: delete: %v", kind, err)
+			}
+		}
+	}
+	rng := rand.New(rand.NewSource(2024))
+	streaming := &Evaluator{}
+	materializing := &Evaluator{materialize: true}
+	for trial := 0; trial < 60; trial++ {
+		e := randExpr(rng, 3, 40)
+		for _, kind := range AllKinds {
+			plan, err := idxs[kind].PlanExpr(e)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, _, err := evalPlan(streaming, plan, ix)
-			want, _, werr := evalPlan(materializing, plan, ix)
+			got, _, err := evalPlan(streaming, plan, idxs[kind])
+			want, _, werr := evalPlan(materializing, plan, idxs[kind])
 			if err != nil || werr != nil || !slices.Equal(got, want) {
 				t.Fatalf("%v: streaming %v, %v; materializing %v, %v\nplan:\n%s", kind, got, err, want, werr, plan)
 			}

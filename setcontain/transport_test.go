@@ -28,18 +28,15 @@ import (
 	"repro/setcontain/serve"
 )
 
-// TestTransportConcurrentCancel hammers every FuzzModel target from
+// cancelMidFlight hammers the named targets of seed's harness from
 // several goroutines and cancels mid-stream: every query must either
 // answer exactly what the model says or fail with context.Canceled — no
 // corrupt merges, no hung calls — and calls after the cancel must fail.
-// Then a thousand remote calls canceled at every point of their life
-// leave no goroutine behind. Run under -race this is the concurrency
-// acceptance test for the Store's pooled readers, the scatter's
-// interrupts and the remote session layer.
-func TestTransportConcurrentCancel(t *testing.T) {
-	h := newHarness(t, 13)
-	defer h.close()
-	rng := rand.New(rand.NewSource(13))
+// It returns the harness, its queries and their answers.
+func cancelMidFlight(t *testing.T, seed int64, targets ...string) (*harness, []setcontain.Query, [][]uint32) {
+	h := newHarness(t, seed, targets...)
+	t.Cleanup(h.close)
+	rng := rand.New(rand.NewSource(seed))
 	z := dataset.NewZipf(modelDomain, 0.9)
 	queries := make([]setcontain.Query, 120)
 	want := make([][]uint32, len(queries))
@@ -83,7 +80,29 @@ func TestTransportConcurrentCancel(t *testing.T) {
 			t.Errorf("%s: post-cancel Exec: %v, want context.Canceled", tg.name, err)
 		}
 	}
+	return h, queries, want
+}
 
+// TestStoreCancelMidFlight cancels parallel Exec calls on a Store over
+// each single engine and over a Durable.
+func TestStoreCancelMidFlight(t *testing.T) {
+	cancelMidFlight(t, 13, "OIF", "IF", "UBT", "durable")
+}
+
+// TestShardedStoreParallelCancel cancels parallel Exec calls on a Store
+// over a sharded index and over a coordinator of in-process clients;
+// under -race this exercises the interrupt reaching every shard.
+func TestShardedStoreParallelCancel(t *testing.T) {
+	cancelMidFlight(t, 13, "Sharded", "inproc")
+}
+
+// TestTransportConcurrentCancel cancels parallel Exec calls on a
+// coordinator over shard daemons, then a thousand remote calls canceled
+// at every point of their life must leave no goroutine behind. Run
+// under -race this is the concurrency acceptance test for the remote
+// session layer.
+func TestTransportConcurrentCancel(t *testing.T) {
+	h, queries, want := cancelMidFlight(t, 13, "http")
 	tg := h.target("http")
 	remote := tg.store
 	// idle hangs up the coordinator's kept-alive connections, whose
