@@ -2,7 +2,7 @@ GO ?= go
 GOLANGCI ?= golangci-lint
 # Coverage floor (percent) enforced by `make cover` over the public API
 # package and the shard planner.
-COVER_FLOOR ?= 75
+COVER_FLOOR ?= 90
 COVER_PKGS = ./setcontain/... ./internal/stats/...
 
 .PHONY: all build vet test alloc-check bench bench-module-check fuzz-smoke lint cover check linkcheck vet-examples api-surface api-check serve snapshot-smoke crash-smoke scatter-smoke oifbench-smoke clean

@@ -80,7 +80,7 @@ func main() {
 		}
 		fmt.Printf("loaded %s snapshot (%d records) in %v; type 'help' for commands\n",
 			idx.Kind(), idx.NumRecords(), time.Since(start).Round(time.Millisecond))
-		repl(idx, nil, *maxShow)
+		repl(idx, *maxShow)
 		return
 	}
 	kind, err := setcontain.ParseKind(*kindName)
@@ -117,12 +117,11 @@ func main() {
 		info, _ := os.Stat(*savePath)
 		fmt.Printf("snapshot written to %s (%d bytes)\n", *savePath, info.Size())
 	}
-	repl(idx, coll, *maxShow)
+	repl(idx, *maxShow)
 }
 
-// repl runs the interactive loop; coll may be nil when loading snapshots.
-func repl(idx *setcontain.Index, coll *setcontain.Collection, maxShow int) {
-	_ = coll
+// repl runs the interactive loop.
+func repl(idx *setcontain.Index, maxShow int) {
 	sc := bufio.NewScanner(os.Stdin)
 	for fmt.Print("> "); sc.Scan(); fmt.Print("> ") {
 		fields := strings.Fields(sc.Text())

@@ -1,13 +1,14 @@
 package repro
 
 // Expression-planner benchmarks: the cost-based rarest-first AND order
-// against the naive left-to-right baseline, on the same skewed
-// synthetic workload the hot-path benchmarks use. Every expression is
-// written widest-leaf-first — a subset leaf on a hot item, then a
-// subset leaf on three cold items whose conjunction is usually empty —
-// so "naive" pays the hot list every time while "planned" reorders and
-// short-circuits it away. The planned/naive ratio is what the planner
-// buys.
+// against the written order, on the same skewed synthetic workload the
+// hot-path benchmarks use. Every expression is written widest-leaf-first
+// — a subset leaf on a hot item, then a subset leaf on three cold items
+// whose conjunction is usually empty. The "naive" side is Expr.Eval: the
+// same evaluator over a plan that keeps the written order and answers
+// every leaf in full, so it pays the hot list every time while "planned"
+// reorders and short-circuits it away. The planned/naive ratio is what
+// the planner buys.
 
 import (
 	"math/rand"
@@ -45,8 +46,8 @@ func exprBenchFixture(tb testing.TB) (*setcontain.Index, []*setcontain.Expr, []*
 	return idx, exprs, plans
 }
 
-// BenchmarkExprPlanner measures planned vs naive evaluation of the
-// adversarial AND workload; the "planned" sub-benchmark also reports
+// BenchmarkExprPlanner measures planned vs written-order evaluation of
+// the adversarial AND workload; the "planned" sub-benchmark also reports
 // what fraction of leaves the short-circuit skipped.
 func BenchmarkExprPlanner(b *testing.B) {
 	idx, exprs, plans := exprBenchFixture(b)

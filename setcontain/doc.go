@@ -5,7 +5,7 @@
 // Item Distributions" (EDBT 2011), together with the paper's baselines.
 //
 // A Collection holds records (sets of uint32 items over a fixed
-// vocabulary). Build creates an index over it:
+// vocabulary). New creates an index over it:
 //
 //	c := setcontain.NewCollection(1000)
 //	c.Add([]setcontain.Item{3, 17, 29})

@@ -14,7 +14,7 @@ import (
 // Engine is the uniform backend interface every index kind implements:
 // the three containment predicates, the update path, parallel reader
 // creation, and the I/O instrumentation the paper's evaluation rests on.
-// Engines are selected through the Kind registry (Build/New) or wrapped
+// Engines are selected through the Kind registry (New) or wrapped
 // directly with EngineOf; Index and Store are thin facades over one.
 //
 // Engines that lack a capability return an error wrapping the sentinels
@@ -95,7 +95,7 @@ type SpaceInfo struct {
 	Bytes int64 // Pages times the page size
 }
 
-// engineBuilders is the Kind registry consulted by Build.
+// engineBuilders is the Kind registry consulted by New.
 var engineBuilders = map[Kind]func(*dataset.Dataset, Options) (Engine, error){
 	OIF:            buildOIFEngine,
 	InvertedFile:   buildInvEngine,

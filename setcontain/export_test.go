@@ -15,3 +15,11 @@ func WrapShardClients(ix *Index, wrap func(shard int, c ShardClient) ShardClient
 // AllKinds lists the engine kinds in declaration order, for the tests
 // that build one index of each.
 var AllKinds = []Kind{OIF, InvertedFile, UnorderedBTree, Sharded}
+
+// The tests build indexes from a plain Options and wrap engines they
+// assembled themselves; the exported API reaches both only through New.
+var (
+	Build      = buildIndex
+	NewOptions = newOptions
+	IndexOver  = indexOver
+)

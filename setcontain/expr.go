@@ -21,8 +21,8 @@ import (
 // unites, and NOT complements against the universe of live record ids
 // (the answer of subset{} — the empty query matches every record, with
 // tombstoned ids already masked). Evaluation orders are planned
-// cost-based by PlanExpr / Store.ExecExprAppend; Expr.Eval is the naive
-// left-to-right reference.
+// cost-based by PlanExpr / Store.ExecExprAppend; Expr.Eval keeps the
+// written order.
 type Expr struct {
 	// Op is the node type; the zero value (OpLeaf) makes the zero Expr
 	// an (invalid) empty leaf — build expressions with the constructors
@@ -99,10 +99,12 @@ func nary(op ExprOp, kids []*Expr) *Expr {
 }
 
 // AsQuery returns the leaf's query when the expression is the one-leaf
-// degenerate case; the Store's request core uses it to run plain
-// queries straight on the reader, unplanned.
+// degenerate case — a leaf with no children; the request core uses it
+// to run plain queries straight on the reader, unplanned. Anything
+// else, a malformed leaf included, is a tree, which validation refuses
+// or the planner answers.
 func (e *Expr) AsQuery() (Query, bool) {
-	if e != nil && e.Op == OpLeaf {
+	if e != nil && e.Op == OpLeaf && len(e.Kids) == 0 {
 		return e.Leaf, true
 	}
 	return Query{}, false

@@ -625,6 +625,26 @@ func nonNegative(op *modelOp) bool {
 
 func leafOf(op *modelOp) setcontain.Query { q, _ := op.expr.AsQuery(); return q }
 
+// naiveQueryable answers the three predicates by the model's scans of
+// the live records it holds.
+type naiveQueryable struct{ m *model }
+
+func (n naiveQueryable) scan(pred setcontain.Predicate, qs []setcontain.Item) ([]uint32, error) {
+	return n.m.answer(&modelOp{expr: setcontain.ExprOf(setcontain.Query{Pred: pred, Items: qs})})
+}
+
+func (n naiveQueryable) Subset(qs []setcontain.Item) ([]uint32, error) {
+	return n.scan(setcontain.PredicateSubset, qs)
+}
+
+func (n naiveQueryable) Equality(qs []setcontain.Item) ([]uint32, error) {
+	return n.scan(setcontain.PredicateEquality, qs)
+}
+
+func (n naiveQueryable) Superset(qs []setcontain.Item) ([]uint32, error) {
+	return n.scan(setcontain.PredicateSuperset, qs)
+}
+
 // prefixed runs an append form onto a two-id dst it must leave alone.
 func prefixed(run func(dst []uint32) ([]uint32, error)) ([]uint32, error) {
 	got, err := run([]uint32{7, 3})
@@ -657,6 +677,11 @@ var entryPoints = []entryPoint{
 	// Expr.Eval is the product's naive evaluator: a target like the rest.
 	{"Expr.Eval", func(op *modelOp) bool { return unlimited(op) && noCtx(op) }, func(_ context.Context, tg *target, op *modelOp) ([]uint32, error) {
 		return op.expr.Eval(tg.idx)
+	}},
+	// The same evaluator over a plain Queryable — neither an Index nor
+	// append-capable — whose leaves are the model's own scans.
+	{"Expr.Eval(Queryable)", func(op *modelOp) bool { return unlimited(op) && noCtx(op) }, func(_ context.Context, tg *target, op *modelOp) ([]uint32, error) {
+		return op.expr.Eval(naiveQueryable{tg.m})
 	}},
 	{"Store.Exec", plain, func(ctx context.Context, tg *target, op *modelOp) ([]uint32, error) {
 		return tg.store.Exec(ctx, leafOf(op))

@@ -59,9 +59,9 @@ func ParseKind(s string) (Kind, error) {
 	}
 }
 
-// Options configures Build. The zero value selects the OIF with 4 KB
-// pages, 64-posting blocks, and the paper's minimal 32 KB query cache.
-// NewOptions assembles one from functional options.
+// Options is what the functional options of New and Open configure.
+// The zero value selects the OIF with 4 KB pages, 64-posting blocks,
+// and the paper's minimal 32 KB query cache.
 type Options struct {
 	Kind Kind
 	// PageSize of the index file in bytes (default 4096).
@@ -77,12 +77,12 @@ type Options struct {
 	Shards int
 }
 
-// Option mutates an Options; pass them to New or NewOptions.
+// Option mutates an Options; pass them to New or Open.
 type Option func(*Options)
 
-// NewOptions assembles an Options from functional options (zero-valued
+// newOptions assembles an Options from functional options (zero-valued
 // fields keep their documented defaults).
-func NewOptions(opts ...Option) Options {
+func newOptions(opts ...Option) Options {
 	var o Options
 	for _, fn := range opts {
 		fn(&o)

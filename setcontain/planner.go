@@ -1,6 +1,7 @@
 package setcontain
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sort"
@@ -24,7 +25,7 @@ import (
 
 // SupportProfile is the planner's view of an index's statistics: the
 // per-item support table and the distribution summary derived from it.
-// Build one with SupportsOf (or Index.Supports) and reuse it across
+// Get one from Index.Supports or Store.Supports and reuse it across
 // plans — profiling sorts the support table once; planning a single
 // expression is then linear in its size. The profile describes the
 // merged structures only (pending delta inserts and tombstones are not
@@ -39,8 +40,8 @@ type SupportProfile struct {
 	Theta float64
 }
 
-// SupportsOf profiles an engine's current support table for planning.
-func SupportsOf(eng Engine) *SupportProfile {
+// supportsOf profiles an engine's current support table for planning.
+func supportsOf(eng Engine) *SupportProfile {
 	sup := eng.ItemSupports()
 	return &SupportProfile{
 		PerItem:    sup,
@@ -424,108 +425,29 @@ func (ev *exprEval) union(kids []*PlanNode, cands []uint32, limit int) (acc []ui
 	return acc, accOwned, nil
 }
 
-// Eval answers the expression naively: children evaluate left-to-right
-// exactly as written, every leaf runs, and answers combine with the
-// same set algebra the planner uses. It is the left-to-right baseline
-// BenchmarkExprPlanner's "naive" side and the frozen benchmark run.
-// Use Index.EvalExpr or Store.ExecExprAppend for planned
-// evaluation.
+// Eval answers the expression on t in its written order: the plan
+// PlanExpr makes against an empty support profile, where every cost is
+// 0, keeps each node's children as written (an AND's NOT children
+// last), and every leaf is answered in full, none pushed down. t may be
+// any Queryable. It is the unplanned baseline of BenchmarkExprPlanner;
+// Index.EvalExpr and Store.ExecExprAppend plan against the index's
+// supports.
 func (e *Expr) Eval(t Queryable) ([]uint32, error) {
-	if err := e.validate(); err != nil {
+	p, err := PlanExpr(e, &SupportProfile{})
+	if err != nil {
 		return nil, err
 	}
-	ev := naiveEval{t: t}
-	ids, err := ev.eval(e)
+	evr := Evaluator{materialize: true}
+	ids, _, err := evr.EvalLimitAppend(nil, p, t, 0)
 	if err != nil {
 		return nil, err
 	}
 	return orEmpty(ids), nil
 }
 
-type naiveEval struct {
-	t            Queryable
-	universe     []uint32
-	haveUniverse bool
-}
-
-func (ev *naiveEval) eval(e *Expr) ([]uint32, error) {
-	switch e.Op {
-	case OpLeaf:
-		return e.Leaf.Eval(ev.t)
-	case OpNot:
-		child, err := ev.eval(e.Kids[0])
-		if err != nil {
-			return nil, err
-		}
-		uni, err := ev.getUniverse()
-		if err != nil {
-			return nil, err
-		}
-		return differenceInto(nil, uni, child), nil
-	case OpOr:
-		var acc []uint32
-		for i, k := range e.Kids {
-			ids, err := ev.eval(k)
-			if err != nil {
-				return nil, err
-			}
-			if i == 0 {
-				acc = ids
-				continue
-			}
-			acc = unionInto(nil, acc, ids)
-		}
-		return acc, nil
-	default: // OpAnd
-		var acc []uint32
-		for i, k := range e.Kids {
-			// Left-to-right, no short-circuit: the NOT child still
-			// evaluates as a difference, but every leaf runs.
-			if k.Op == OpNot {
-				child, err := ev.eval(k.Kids[0])
-				if err != nil {
-					return nil, err
-				}
-				if i == 0 {
-					uni, err := ev.getUniverse()
-					if err != nil {
-						return nil, err
-					}
-					acc = differenceInto(nil, uni, child)
-					continue
-				}
-				acc = differenceInto(nil, acc, child)
-				continue
-			}
-			ids, err := ev.eval(k)
-			if err != nil {
-				return nil, err
-			}
-			if i == 0 {
-				acc = ids
-				continue
-			}
-			acc = intersectInto(nil, acc, ids)
-		}
-		return acc, nil
-	}
-}
-
-func (ev *naiveEval) getUniverse() ([]uint32, error) {
-	if !ev.haveUniverse {
-		uni, err := SubsetQuery(nil).Eval(ev.t)
-		if err != nil {
-			return nil, err
-		}
-		ev.universe = uni
-		ev.haveUniverse = true
-	}
-	return ev.universe, nil
-}
-
 // Supports profiles the index's current support table for planning;
 // reuse the profile across plans, and refresh it after MergeDelta.
-func (ix *Index) Supports() *SupportProfile { return SupportsOf(ix.eng) }
+func (ix *Index) Supports() *SupportProfile { return supportsOf(ix.eng) }
 
 // PlanExpr plans the expression against the index's current statistics.
 func (ix *Index) PlanExpr(e *Expr) (*ExprPlan, error) {
@@ -548,17 +470,17 @@ func (ix *Index) EvalExprLimit(e *Expr, n int) ([]uint32, error) {
 	if e == nil {
 		return nil, errNilExpr
 	}
-	var (
-		ids []uint32
-		err error
-	)
+	var t Queryable = ix
 	if se, ok := ix.eng.(*shardedEngine); ok {
-		ids, err = se.evalExpr(e, n)
-	} else {
-		var evr Evaluator
-		rq := request{e: e, limit: n}
-		ids, _, err = rq.planExec(ix.eng, ix, &evr)
+		rd, err := se.reader()
+		if err != nil {
+			return nil, err
+		}
+		t = rd
 	}
+	var evr Evaluator
+	rq := request{e: e, limit: n}
+	ids, _, err := rq.answer(context.Background(), t, ix, &evr)
 	if err != nil {
 		return nil, err
 	}

@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/dataset"
@@ -346,4 +347,37 @@ func TestTransportEquivalence(t *testing.T) {
 	queries := drawQueries(7, 30, anyShape)
 	play(t, 2, []string{"OIF", "Sharded", "inproc", "http", "durable"}, slices.Concat(
 		queries, drawMutations(8, 20), queries, []modelOp{mergeOp}, queries)...)
+}
+
+// TestMalformedLeafRefused: a leaf that carries a child is a tree, which
+// every entry point refuses — on one engine and on a coordinator alike —
+// before any shard is asked.
+func TestMalformedLeafRefused(t *testing.T) {
+	h := newHarness(t, 2, "OIF", "Sharded", "http")
+	defer h.close()
+	ctx := context.Background()
+	q := setcontain.SubsetQuery([]setcontain.Item{1})
+	bad := &setcontain.Expr{Op: setcontain.OpLeaf, Leaf: q, Kids: []*setcontain.Expr{setcontain.ExprOf(q)}}
+	for _, tg := range h.targets {
+		entries := []struct {
+			name string
+			call func() ([]uint32, error)
+		}{
+			{"Expr.Eval", func() ([]uint32, error) { return bad.Eval(tg.idx) }},
+			{"Index.EvalExpr", func() ([]uint32, error) { return tg.idx.EvalExpr(bad) }},
+			{"Store.ExecExprAppend", func() ([]uint32, error) { return tg.store.ExecExprAppend(ctx, nil, bad) }},
+			{"Batcher.DoExprLimit", func() ([]uint32, error) { return tg.srv.Batcher().DoExprLimit(ctx, nil, bad, 0) }},
+		}
+		tg.board.tally()
+		for _, e := range entries {
+			if ids, err := e.call(); err == nil || !strings.Contains(err.Error(), "leaf with 1 children") {
+				t.Errorf("%s: %s answered a leaf with a child: %v, %v", tg.name, e.name, ids, err)
+			}
+		}
+		for call, n := range tg.board.tally() {
+			if call != "Session" {
+				t.Errorf("%s: the refused leaf reached the shards: %d %s calls", tg.name, n, call)
+			}
+		}
+	}
 }

@@ -86,15 +86,14 @@ func ReadMSWebCollection(r io.Reader, replicas int) (*Collection, error) {
 // Index answers the three containment predicates through whichever
 // Engine it wraps. Results are ascending record ids, identical across
 // engines. An Index adds nothing over its Engine except a concrete type
-// for call sites; IndexOver wraps an existing engine.
+// for call sites.
 type Index struct {
 	eng Engine
 }
 
-// Build indexes the collection with the engine selected by opts.Kind.
-// The collection may keep growing afterwards, but new records are
-// invisible to the index; use Insert on updatable engines instead.
-func Build(c *Collection, opts Options) (*Index, error) {
+// buildIndex indexes the collection with the engine selected by
+// opts.Kind.
+func buildIndex(c *Collection, opts Options) (*Index, error) {
 	if c == nil || c.ds == nil {
 		return nil, errors.New("setcontain: nil collection")
 	}
@@ -113,13 +112,15 @@ func Build(c *Collection, opts Options) (*Index, error) {
 //
 //	idx, err := setcontain.New(c, setcontain.WithKind(setcontain.OIF),
 //		setcontain.WithCachePages(64))
+//
+// The collection may keep growing afterwards, but new records are
+// invisible to the index; use Insert on updatable engines instead.
 func New(c *Collection, opts ...Option) (*Index, error) {
-	return Build(c, NewOptions(opts...))
+	return buildIndex(c, newOptions(opts...))
 }
 
-// IndexOver wraps an existing engine. The engine is used as-is; callers
-// that built it with EngineOf keep full ownership of its pools.
-func IndexOver(e Engine) *Index { return &Index{eng: e} }
+// indexOver wraps an existing engine, used as-is.
+func indexOver(e Engine) *Index { return &Index{eng: e} }
 
 // Engine returns the backing engine.
 func (ix *Index) Engine() Engine { return ix.eng }

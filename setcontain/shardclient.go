@@ -132,7 +132,7 @@ func (c *inprocClient) Supports() *SupportProfile {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.prof == nil {
-		c.prof = SupportsOf(c.eng)
+		c.prof = supportsOf(c.eng)
 	}
 	return c.prof
 }
@@ -172,7 +172,7 @@ func (c *inprocClient) Snapshot(_ context.Context, w io.Writer) error { return c
 func (c *inprocClient) Close() error { return nil }
 
 // inprocSession answers on an isolated reader through the same request
-// core as Store (request.planExec): pushed-down expressions are
+// core as Store (request.answer): pushed-down expressions are
 // planned locally against the client's cached supports, exactly like a
 // remote shard daemon plans against its own. For the duration of a call
 // the reader's buffer pool consults the call's ctx before every page
@@ -182,8 +182,8 @@ type inprocSession struct {
 	c    *inprocClient
 	r    *Reader
 	eval Evaluator
-	// last is the leaf accounting of the latest AppendExpr, which a
-	// sharded Store folds into ExprStats (see execSharded).
+	// last is the leaf accounting of the latest AppendExpr, which
+	// scatterExpr sums across the shards.
 	last ExprEvalStats
 }
 
@@ -206,7 +206,7 @@ func (s *inprocSession) AppendExpr(ctx context.Context, dst []uint32, expr *Expr
 	s.r.setInterrupt(ctx.Err)
 	defer s.r.setInterrupt(nil)
 	rq := request{e: expr, limit: limit, dst: dst}
-	ids, st, err := rq.planExec(s.r, s.c, &s.eval)
+	ids, st, err := rq.answer(ctx, s.r, s.c, &s.eval)
 	s.last = st
 	return ids, err
 }
@@ -234,5 +234,5 @@ func ShardedOverClients(ctx context.Context, clients []ShardClient) (*Index, err
 	if err != nil {
 		return nil, err
 	}
-	return IndexOver(eng), nil
+	return indexOver(eng), nil
 }

@@ -279,8 +279,8 @@ func (e *shardedEngine) Unwrap() any { return append([]ShardClient(nil), e.clien
 // splits records, not items, so the global support of an item is the sum
 // of its per-shard supports. A remote shard's table stays on its side of
 // the transport, where the shard plans with it, and counts zero here —
-// the rule Space and Pool follow. Only Index.PlanExpr and SupportsOf
-// read this; no query path does.
+// the rule Space and Pool follow. Only the planning profiles
+// (Index.Supports, Store.Supports) read this; no query path does.
 func (e *shardedEngine) ItemSupports() []int64 {
 	supports := make([]int64, e.domain)
 	for _, c := range e.clients {
@@ -329,22 +329,6 @@ func (e *shardedEngine) query(q Query) ([]uint32, error) {
 		return nil, err
 	}
 	return rd.query(q)
-}
-
-// evalExpr is Index.EvalExprLimit over a sharded engine: like the
-// coordinating Store it plans nothing — it validates and forwards.
-func (e *shardedEngine) evalExpr(expr *Expr, limit int) ([]uint32, error) {
-	if limit < 0 {
-		return nil, ErrNegativeLimit
-	}
-	if err := expr.validate(); err != nil {
-		return nil, err
-	}
-	rd, err := e.reader()
-	if err != nil {
-		return nil, err
-	}
-	return rd.scatterExpr(context.Background(), expr, limit)
 }
 
 // dropReader retires the engine-level reader after a mutation; its
@@ -497,21 +481,39 @@ func (r *shardedReader) scatterQuery(ctx context.Context, q Query) ([]uint32, er
 	})
 }
 
-// scatterExpr answers a validated expression on every shard's session,
-// each planning it against its own supports, and merges the local
-// answers to global id order. A limit n > 0 is pushed per shard — the
-// partitioner maps each shard's ascending local answer to an ascending
-// global subsequence, so the global first n ids are always contained in
-// the union of the shards' local first n — then the merged answer is
-// truncated.
-func (r *shardedReader) scatterExpr(ctx context.Context, expr *Expr, limit int) ([]uint32, error) {
+// scatterExpr validates the expression and pushes it whole to every
+// shard's session, which plans it against its own supports, then merges
+// the local answers to global id order. The boolean algebra distributes
+// over the partition: the shards hold disjoint record sets, so each
+// shard's local answer (its NOT universe included) is exactly the
+// global answer restricted to that shard. A limit n > 0 is pushed per
+// shard — the partitioner maps each shard's ascending local answer to
+// an ascending global subsequence, so the global first n ids are always
+// contained in the union of the shards' local first n — then the merged
+// answer is truncated. The stats sum the leaf counters of the sessions
+// that can report them (in-process ones).
+func (r *shardedReader) scatterExpr(ctx context.Context, expr *Expr, limit int) ([]uint32, ExprEvalStats, error) {
+	var st ExprEvalStats
+	if err := expr.validate(); err != nil {
+		return nil, st, err
+	}
 	ids, err := scatterGather(ctx, r.part, func(cctx context.Context, s int) ([]uint32, error) {
 		return r.sess[s].AppendExpr(cctx, nil, expr, limit)
 	})
+	if err != nil {
+		return nil, st, err
+	}
+	for _, sess := range r.sess {
+		if is, ok := sess.(*inprocSession); ok {
+			st.EvaluatedLeaves += is.last.EvaluatedLeaves
+			st.StreamedLeaves += is.last.StreamedLeaves
+			st.SkippedLeaves += is.last.SkippedLeaves
+		}
+	}
 	if limit > 0 && len(ids) > limit {
 		ids = ids[:limit]
 	}
-	return ids, err
+	return ids, st, nil
 }
 
 func (r *shardedReader) Stats() storage.AccessStats {

@@ -99,7 +99,7 @@ func readContainerHeader(r io.Reader) (kind Kind, cachePages int, err error) {
 // recorded in the snapshot). Structural options are always taken from
 // the snapshot itself.
 func Open(r io.Reader, opts ...Option) (*Index, error) {
-	eng, err := openEngine(r, NewOptions(opts...), false)
+	eng, err := openEngine(r, newOptions(opts...), false)
 	if err != nil {
 		return nil, err
 	}

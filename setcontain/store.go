@@ -257,7 +257,7 @@ var ErrNegativeLimit = errors.New("setcontain: negative limit")
 // request is one query through the request core: a containment query
 // or a boolean expression, an optional first-n limit, and the
 // caller-owned append target. Store.run, the in-process shard session's
-// AppendExpr and Index.EvalExprLimit all answer through it.
+// AppendExpr and Index.EvalExprLimit all answer through request.answer.
 type request struct {
 	// q is the containment query to answer, unless e is set.
 	q Query
@@ -291,69 +291,54 @@ func (rq *request) expr() *Expr {
 	return rq.e
 }
 
-// isTree is the core's single decision point: it rejects a negative
-// limit and reports whether the request is a tree — anything but one
-// plain leaf — which whoever executes it plans and a router validates
-// and forwards.
-func (rq *request) isTree() (bool, error) {
+// answer is the request core and its one routing decision: it answers
+// the request on t — an engine, its reader, or a sharded reader — and
+// appends to rq.dst. A plain leaf runs unplanned. A tree on a sharded
+// reader is validated and pushed whole to every shard, which plans it
+// against its own supports; any other tree is planned against sup's
+// profile and evaluated through evr. The stats are zero for a plain
+// leaf, and sum the in-process shards' for a pushed-down tree. ctx
+// reaches the shard calls; a single engine's reader stops on the
+// interrupt hook its caller armed.
+func (rq *request) answer(ctx context.Context, t Queryable, sup interface{ Supports() *SupportProfile }, evr *Evaluator) ([]uint32, ExprEvalStats, error) {
 	if rq.limit < 0 {
-		return false, ErrNegativeLimit
+		return nil, ExprEvalStats{}, ErrNegativeLimit
 	}
-	_, leaf := rq.asLeaf()
-	return !leaf, nil
-}
-
-// exec answers the request on t, a single engine or its reader: the
-// leaf fast path when plan is nil, else planned evaluation through evr.
-// The stats are zero for a plain leaf.
-func (rq *request) exec(t Queryable, plan *ExprPlan, evr *Evaluator) ([]uint32, ExprEvalStats, error) {
-	if plan == nil {
-		q, _ := rq.asLeaf()
-		ids, err := q.EvalAppend(rq.dst, t)
-		return ids, ExprEvalStats{}, err
+	q, leaf := rq.asLeaf()
+	sr, router := backendOf(t).(*shardedReader)
+	if !router {
+		if leaf {
+			ids, err := q.EvalAppend(rq.dst, t)
+			return ids, ExprEvalStats{}, err
+		}
+		plan, err := PlanExpr(rq.expr(), sup.Supports())
+		if err != nil {
+			return nil, ExprEvalStats{}, err
+		}
+		return evr.EvalLimitAppend(rq.dst, plan, t, rq.limit)
 	}
-	return evr.EvalLimitAppend(rq.dst, plan, t, rq.limit)
-}
-
-// planExec is the request core outside a Store — the in-process shard
-// session's AppendExpr and Index.EvalExprLimit: plan a tree against
-// sup's profile, exec on t.
-func (rq *request) planExec(t Queryable, sup interface{ Supports() *SupportProfile }, evr *Evaluator) ([]uint32, ExprEvalStats, error) {
-	tree, err := rq.isTree()
-	var plan *ExprPlan
-	if tree {
-		plan, err = PlanExpr(rq.expr(), sup.Supports())
+	var (
+		ids []uint32
+		st  ExprEvalStats
+		err error
+	)
+	if leaf {
+		ids, err = sr.scatterQuery(ctx, q)
+	} else {
+		ids, st, err = sr.scatterExpr(ctx, rq.expr(), rq.limit)
 	}
 	if err != nil {
-		return nil, ExprEvalStats{}, err
+		return nil, st, err
 	}
-	return rq.exec(t, plan, evr)
+	return appendFresh(rq.dst, ids), st, nil
 }
 
 // run is the one execution path above the engine; every public Exec*
-// form (and, through planExec, the in-process shard session) is an
-// adapter over it. The request is answered on one pooled reader whose
-// interrupt hook consults ctx, and a planned evaluation is recorded in
-// ExprStats. Over a sharded index nothing is planned here: a tree is
-// validated and forwarded.
+// form is an adapter over it. The request is answered on one pooled
+// reader whose interrupt hook consults ctx, and a tree answered is
+// recorded in ExprStats.
 func (s *Store) run(ctx context.Context, rq request) ([]uint32, error) {
 	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	tree, err := rq.isTree()
-	if err != nil {
-		return nil, err
-	}
-	_, router := s.ix.eng.(*shardedEngine)
-	var plan *ExprPlan
-	switch {
-	case !tree:
-	case router:
-		err = rq.expr().validate()
-	default:
-		plan, err = PlanExpr(rq.expr(), s.Supports())
-	}
-	if err != nil {
 		return nil, err
 	}
 	e, err := s.acquire()
@@ -361,14 +346,11 @@ func (s *Store) run(ctx context.Context, rq request) ([]uint32, error) {
 		return nil, err
 	}
 	defer s.release(e)
-	if router {
-		return s.execSharded(ctx, &rq, e.r.r.(*shardedReader))
-	}
 	if ctx.Done() != nil {
 		e.arm(ctx)
 	}
-	ids, st, err := rq.exec(e.r, plan, &e.eval)
-	if plan != nil && err == nil {
+	ids, st, err := rq.answer(ctx, e.r, s, &e.eval)
+	if _, leaf := rq.asLeaf(); err == nil && !leaf {
 		s.noteExprEval(st)
 	}
 	return ids, err

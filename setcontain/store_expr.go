@@ -1,16 +1,13 @@
 package setcontain
 
 import (
-	"context"
 	"sync"
 	"sync/atomic"
 )
 
 // What the Store's request core (store.go) plans against and reports
-// to: the support profile cached per store generation, the cumulative
-// planner counters, and the router branch that sends a request to
-// every shard in parallel and merges the per-shard answers with the
-// partitioner's k-way interleave.
+// to: the support profile cached per store generation and the
+// cumulative planner counters.
 
 // exprState is the Store's expression-planning state: the support
 // profile cache, keyed by store generation so mutations invalidate it
@@ -38,7 +35,7 @@ func (s *Store) Supports() *SupportProfile {
 	defer s.expr.mu.Unlock()
 	if s.expr.prof == nil || s.expr.gen != gen {
 		s.mu.RLock()
-		prof := SupportsOf(s.ix.Engine())
+		prof := supportsOf(s.ix.Engine())
 		s.mu.RUnlock()
 		s.expr.prof, s.expr.gen = prof, gen
 	}
@@ -80,43 +77,4 @@ func (s *Store) noteExprEval(st ExprEvalStats) {
 	s.expr.evaluatedLeaves.Add(int64(st.EvaluatedLeaves))
 	s.expr.streamedLeaves.Add(int64(st.StreamedLeaves))
 	s.expr.skippedLeaves.Add(int64(st.SkippedLeaves))
-}
-
-// execSharded answers one validated request on every shard through the
-// scatter-gather executor and k-way merges the local answers into
-// global id order: a plain leaf as the sessions' AppendQuery, anything
-// else as their AppendExpr. The boolean algebra distributes over the
-// partition — the shards hold disjoint record sets, so each shard's
-// local answer (its NOT universe included) is exactly the global answer
-// restricted to that shard — which keeps sharded expression answers
-// byte-identical to single-engine ones while every shard plans against
-// its own supports, short-circuits, and combines independently.
-//
-// One cancellation signal crosses the shard seam: the request's ctx.
-//
-// A tree answered counts in ExprStats as one expression, with the leaf
-// counters of the sessions that can report them (in-process ones)
-// summed across the shards that did the work.
-func (s *Store) execSharded(ctx context.Context, rq *request, sr *shardedReader) (ids []uint32, err error) {
-	q, leaf := rq.asLeaf()
-	if leaf {
-		ids, err = sr.scatterQuery(ctx, q)
-	} else {
-		ids, err = sr.scatterExpr(ctx, rq.expr(), rq.limit)
-	}
-	if err != nil {
-		return nil, err
-	}
-	if !leaf {
-		var total ExprEvalStats
-		for _, sess := range sr.sess {
-			if is, ok := sess.(*inprocSession); ok {
-				total.EvaluatedLeaves += is.last.EvaluatedLeaves
-				total.StreamedLeaves += is.last.StreamedLeaves
-				total.SkippedLeaves += is.last.SkippedLeaves
-			}
-		}
-		s.noteExprEval(total)
-	}
-	return appendFresh(rq.dst, ids), nil
 }

@@ -28,7 +28,7 @@ type Evaluator struct {
 // EvalLimitAppend answers the planned expression against t, appending
 // the answer — its first `limit` ids when limit > 0, all of it when
 // limit <= 0 — to dst (dst itself when nothing matched): ascending
-// unique record ids, byte-identical to the naive Expr.Eval reference,
+// unique record ids, byte-identical to the written-order Expr.Eval,
 // just computed in cost order with short-circuiting and streaming.
 // Intermediates recycle through the evaluator's free list, which
 // persists across calls — the reuse that makes steady-state evaluation
