@@ -51,8 +51,9 @@ bench-module-check:
 # answer reader, the answer-line codec
 # against encoding/json, the snapshot container reader, the POST /query
 # body through the serve handler, the WAL replay/record fuzzers, the
-# update overlay's pending-records and tombstone sections, and the vbyte
-# codec and block-kernel fuzzers. The CI fuzz job uses the same
+# update overlay's pending-records and tombstone sections, the vbyte
+# codec and block-kernel fuzzers, and superset's candidate counts
+# against internal/naive. The CI fuzz job uses the same
 # invocations; corpus findings land in testdata and fail `make test`
 # thereafter. The answer-stream, answer-line, snapshot and posting-block
 # inputs run to kilobytes, so minimizing each new one is capped — it
@@ -71,6 +72,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzUint32$$' -fuzztime $(FUZZ_TIME) ./internal/vbyte
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodePostings$$' -fuzztime $(FUZZ_TIME) ./internal/vbyte
 	$(GO) test -run '^$$' -fuzz '^FuzzPostingKernels$$' -fuzztime $(FUZZ_TIME) -fuzzminimizetime 1s ./internal/vbyte
+	$(GO) test -run '^$$' -fuzz '^FuzzSupersetCounts$$' -fuzztime $(FUZZ_TIME) ./internal/core
 
 lint:
 	$(GOLANGCI) run ./...

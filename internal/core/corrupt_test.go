@@ -44,21 +44,9 @@ func (p *corruptPager) ReadPage(id storage.PageID, buf []byte) error {
 // record as its one candidate) its id range. A further query pool must
 // either fail the same way or answer exactly as before the corruption.
 func TestCorruptListBlockIsAnError(t *testing.T) {
-	d, err := dataset.GenerateSynthetic(dataset.DefaultSynthetic(3000))
-	if err != nil {
-		t.Fatal(err)
-	}
-	cp := &corruptPager{Pager: storage.NewMemPager(storage.DefaultPageSize)}
-	ix, err := Build(d, Options{Pool: storage.NewBufferPool(cp, 1024)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pool := storage.NewBufferPool(cp, 64)
-	if err := ix.SetPool(pool); err != nil { // flushes the build to cp
-		t.Fatal(err)
-	}
-	ix.ensureRuntime()
+	d, ix, cp, pool := corruptibleIndex(t)
 
+	var err error
 	// The block: the middle one of the first list of three blocks or more
 	// whose middle block posts a record the list's item is the least
 	// frequent of.
@@ -94,19 +82,7 @@ func TestCorruptListBlockIsAnError(t *testing.T) {
 	if visitors == nil {
 		t.Fatal("no list block posts a record whose least frequent item is its list's")
 	}
-	page := make([]byte, cp.PageSize())
-	found := 0
-	for id := storage.PageID(0); int64(id) < cp.NumPages(); id++ {
-		if err := cp.Pager.ReadPage(id, page); err != nil {
-			t.Fatal(err)
-		}
-		if n := bytes.Count(page, val); n > 0 {
-			cp.page, cp.off, found = id, bytes.Index(page, val), found+n
-		}
-	}
-	if found != 1 {
-		t.Fatalf("the block's %d value bytes occur %d times across the pages, want once", len(val), found)
-	}
+	cp.page, cp.off = locateBlock(t, cp, val)
 
 	type query struct {
 		name string
@@ -203,4 +179,45 @@ func TestCorruptListBlockIsAnError(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+}
+
+// corruptibleIndex builds the OIF of a 3 000-record synthetic dataset
+// over a corruptPager, disarmed, and queries it through a 64-page pool.
+func corruptibleIndex(t *testing.T) (*dataset.Dataset, *Index, *corruptPager, *storage.BufferPool) {
+	t.Helper()
+	d, err := dataset.GenerateSynthetic(dataset.DefaultSynthetic(3000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cp := &corruptPager{Pager: storage.NewMemPager(storage.DefaultPageSize)}
+	ix, err := Build(d, Options{Pool: storage.NewBufferPool(cp, 1024)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool := storage.NewBufferPool(cp, 64)
+	if err := ix.SetPool(pool); err != nil { // flushes the build to cp
+		t.Fatal(err)
+	}
+	ix.ensureRuntime()
+	return d, ix, cp, pool
+}
+
+// locateBlock returns the page holding a list block's value bytes and
+// their offset in it; the bytes must occur once across the pages.
+func locateBlock(t *testing.T, cp *corruptPager, val []byte) (storage.PageID, int) {
+	t.Helper()
+	page := make([]byte, cp.PageSize())
+	found, at, off := 0, storage.PageID(0), 0
+	for id := storage.PageID(0); int64(id) < cp.NumPages(); id++ {
+		if err := cp.Pager.ReadPage(id, page); err != nil {
+			t.Fatal(err)
+		}
+		if n := bytes.Count(page, val); n > 0 {
+			at, off, found = id, bytes.Index(page, val), found+n
+		}
+	}
+	if found != 1 {
+		t.Fatalf("the block's %d value bytes occur %d times across the pages, want once", len(val), found)
+	}
+	return at, off
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"maps"
 	"math/rand"
 	"slices"
 	"testing"
@@ -18,7 +19,10 @@ import (
 // because it must leave the sequence of BufferPool.Get / Put calls
 // where it is. The within rows (AppendSubsetWithin, the other caller of
 // filterByList and filterBySmallest) were recorded at the commit before
-// the block kernels replaced the decode-then-match.
+// the block kernels replaced the decode-then-match. The superset rows at
+// |qs| 12, 16 and 20, where its candidate table admits and counts the
+// most postings, were recorded at the commit before that table replaced
+// the per-item merge and sweep.
 func TestPageAccessesPinned(t *testing.T) {
 	cfg := dataset.DefaultSynthetic(20000)
 	cfg.Seed = 7
@@ -70,6 +74,15 @@ func TestPageAccessesPinned(t *testing.T) {
 			within[size] = append(within[size], cands)
 		}
 	}
+	// Superset's larger sizes, drawn after the within sample so that the
+	// rows above keep their queries.
+	for _, size := range []int{12, 16, 20} {
+		for len(queries[size]) < 25 {
+			if set := d.Record(rng.Intn(d.Len())).Set; len(set) >= size {
+				queries[size] = append(queries[size], set[:size])
+			}
+		}
+	}
 	var cands []uint32 // the within row's candidates for the query being run
 
 	type pages = map[int]storage.AccessStats // by |qs|
@@ -92,6 +105,10 @@ func TestPageAccessesPinned(t *testing.T) {
 			2: {Hits: 57, Misses: 18, SeqMisses: 0, NearMisses: 17, RandMisses: 1},
 			4: {Hits: 291, Misses: 131, SeqMisses: 43, NearMisses: 87, RandMisses: 1},
 			8: {Hits: 951, Misses: 303, SeqMisses: 75, NearMisses: 227, RandMisses: 1},
+			// Where the candidate table does its work.
+			12: {Hits: 1671, Misses: 471, SeqMisses: 120, NearMisses: 350, RandMisses: 1},
+			16: {Hits: 2206, Misses: 589, SeqMisses: 124, NearMisses: 464, RandMisses: 1},
+			20: {Hits: 2797, Misses: 749, SeqMisses: 181, NearMisses: 567, RandMisses: 1},
 		}},
 		{"within", func(dst []uint32, qs []dataset.Item) ([]uint32, error) {
 			return ix.AppendSubsetWithin(dst, qs, cands)
@@ -103,13 +120,15 @@ func TestPageAccessesPinned(t *testing.T) {
 	}
 	var dst []uint32
 	for _, p := range preds {
-		for _, size := range []int{2, 4, 8} {
+		for _, size := range slices.Sorted(maps.Keys(p.want)) {
 			if err := pool.DropAll(); err != nil {
 				t.Fatal(err)
 			}
 			pool.ResetStats()
 			for k, qs := range queries[size] {
-				cands = within[size][k]
+				if k < len(within[size]) { // no within row past |qs| 8
+					cands = within[size][k]
+				}
 				if dst, err = p.eval(dst[:0], qs); err != nil {
 					t.Fatalf("%s %v: %v", p.name, qs, err)
 				}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 
 	"repro/internal/dataset"
@@ -313,9 +314,8 @@ func (ix *Index) AppendSuperset(dst []uint32, qs []dataset.Item) ([]uint32, erro
 		results = append(results, id)
 	}
 
-	// Candidate rounds ping-pong between the arena's two scand buffers.
-	cands, spare := ar.scands[:0], ar.merged
-
+	tab := &ar.table
+	tab.reset(ix.numRecords)
 	for i := n - 1; i >= 0; i-- {
 		// Gather this item's RoI postings across its per-j regions
 		// (Def. 4), deduplicated by a monotonic id filter — regions
@@ -363,68 +363,59 @@ func (ix *Index) AppendSuperset(dst []uint32, qs []dataset.Item) ([]uint32, erro
 			}
 		}
 		ar.incoming = incoming
+		// The postings ascend, so the last is the largest.
+		if k := len(incoming); k > 0 && incoming[k-1].ID > uint32(ix.numRecords) {
+			return nil, fmt.Errorf("core: list of rank %d posts id %d past %d records", q[i], incoming[k-1].ID, ix.numRecords)
+		}
 
 		// The item's final region lives in the metadata table, not the
 		// list (Def. 4's last range; Algorithm 2 lines 22-24).
 		// Cardinality-1 records {q[i]} are answers outright; the other
-		// region residents, (U1, U], contain q[i].
-		reg := ix.meta.Regions[q[i]]
-		u1, u := uint32(math.MaxUint32), uint32(0) // no resident
-		if !reg.Empty() {
+		// residents, (U1, U], were credited with q[i] when admitted.
+		if reg := ix.meta.Regions[q[i]]; !reg.Empty() {
 			for id := reg.L; id <= reg.U1; id++ {
 				results = append(results, id)
 			}
-			u1, u = reg.U1, reg.U
 		}
 
-		// One pass merges the incoming postings into the candidate set,
-		// counts the region residents and sweeps. A new record is admitted
-		// only if its remaining unexamined items (q[0..i-1] plus this one)
-		// can still cover its whole set: length <= i+1 (Algorithm 2, line
-		// 14). Then completed candidates are emitted and unreachable ones
-		// dropped (lines 10-11 and 18-20): after this item, each of the i
-		// remaining items can contribute at most one match. The sweep's
-		// outcome follows no pattern, so each candidate is appended to
-		// both slices at their kept lengths and kept by advancing one
-		// length, not appended down a branch; capacity still grows only
-		// to what is kept, plus one.
-		merged := spare[:0]
-		kept, done := 0, len(results)
-		a, b := 0, 0
-		for a < len(cands) || b < len(incoming) {
-			var c scand
-			switch {
-			case b == len(incoming) || (a < len(cands) && cands[a].id < incoming[b].ID):
-				c = cands[a]
-				a++
-			case a == len(cands) || incoming[b].ID < cands[a].id:
-				p := incoming[b]
-				b++
-				if p.Length > uint32(i+1) {
-					continue
+		// Count the postings against the candidates. A candidate's posting
+		// is one more of its items in the query; a record is an answer
+		// the moment none is left unseen (lines 10-11), which happens
+		// exactly when it is a subset of the query, since each of its
+		// items is seen once. A new record is admitted only if the items
+		// not yet examined (q[0..i-1] plus this one) can still cover its
+		// whole set: length <= i+1 (line 14); one too long now is too long
+		// at every later item. Its smallest item has no posting: if the
+		// record's id lies in the region of some q[j], j < i, that item is
+		// in the query and is counted at admission rather than at round j
+		// (lines 22-24). Candidates that can no longer complete are not
+		// swept (lines 18-20): they stay in the table and never complete.
+		// The query's regions ascend in id space with j, and an empty one
+		// (all zero) lies before every id.
+		regs, s := ix.meta.Regions, 0 // q[s]: the first region not wholly before the posting
+		for _, p := range incoming {
+			if tab.has(p.ID) {
+				if tab.seen(p.ID) {
+					results = append(results, p.ID)
 				}
-				c = scand{id: p.ID, length: p.Length, found: 1}
-			default: // same id: one more of the record's items is in qs
-				c = cands[a]
-				c.found++
-				a++
-				b++
+				continue
 			}
-			if c.id-u1-1 < u-u1 { // u1 < c.id <= u, as one unsigned compare
-				c.found++
+			if p.Length > uint32(i+1) {
+				continue
 			}
-			merged = append(merged[:kept], c)
-			results = append(results[:done], c.id)
-			if c.found == c.length {
-				done++
-			} else if c.length-c.found <= uint32(i) {
-				kept++
+			for s < i && regs[q[s]].U < p.ID {
+				s++
 			}
+			left := p.Length - 1
+			if s < i && p.ID > regs[q[s]].U1 {
+				left--
+			}
+			if left == 0 {
+				results = append(results, p.ID)
+			}
+			tab.add(p.ID, left)
 		}
-		results = results[:done]
-		cands, spare = merged[:kept], cands
 	}
-	ar.scands, ar.merged = cands, spare
 	ar.aux = results
 	return ix.mapToOriginal(dst, results, q, overlay.SubsetOf), nil
 }
