@@ -52,12 +52,13 @@ bench-module-check:
 # against encoding/json, the snapshot container reader, the POST /query
 # body through the serve handler, the WAL replay/record fuzzers, the
 # update overlay's pending-records and tombstone sections, the vbyte
-# codec and block-kernel fuzzers, and superset's candidate counts
-# against internal/naive. The CI fuzz job uses the same
+# codec and block-kernel fuzzers, superset's candidate counts against
+# internal/naive, and the §3 re-ordering against the stable comparison
+# sort it replaced. The CI fuzz job uses the same
 # invocations; corpus findings land in testdata and fail `make test`
-# thereafter. The answer-stream, answer-line, snapshot and posting-block
-# inputs run to kilobytes, so minimizing each new one is capped — it
-# would otherwise eat the whole smoke.
+# thereafter. The answer-stream, answer-line, snapshot, posting-block
+# and re-ordering inputs run to kilobytes, so minimizing each new one is
+# capped — it would otherwise eat the whole smoke.
 FUZZ_TIME ?= 10s
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzModel$$' -fuzztime $(FUZZ_TIME) ./setcontain
@@ -73,6 +74,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodePostings$$' -fuzztime $(FUZZ_TIME) ./internal/vbyte
 	$(GO) test -run '^$$' -fuzz '^FuzzPostingKernels$$' -fuzztime $(FUZZ_TIME) -fuzzminimizetime 1s ./internal/vbyte
 	$(GO) test -run '^$$' -fuzz '^FuzzSupersetCounts$$' -fuzztime $(FUZZ_TIME) ./internal/core
+	$(GO) test -run '^$$' -fuzz '^FuzzReorder$$' -fuzztime $(FUZZ_TIME) -fuzzminimizetime 1s ./internal/sequence
 
 lint:
 	$(GOLANGCI) run ./...

@@ -3,7 +3,7 @@ package dataset
 import (
 	"math"
 	"math/rand"
-	"sort"
+	"slices"
 )
 
 // Zipf samples items 0..n-1 with probability proportional to
@@ -11,10 +11,14 @@ import (
 // Zipf it accepts any theta >= 0 — the paper sweeps the Zipf order over
 // {0, 0.4, 0.8, 1} (§5, "Data"), and theta = 0 degenerates to uniform.
 //
-// Sampling uses inverse transform over the precomputed CDF (binary
-// search), which is exact and fast enough for the dataset sizes used here.
+// Sampling is inverse transform over the precomputed CDF: a draw u picks
+// the first item whose CDF reaches u. A guide table — guide[b] is the
+// first item whose CDF reaches b/n — starts the search next to that
+// item, so a draw costs a few steps instead of a binary search, and
+// picks the same item.
 type Zipf struct {
-	cdf []float64
+	cdf   []float64
+	guide []int32
 }
 
 // NewZipf builds a sampler over n items with exponent theta.
@@ -33,26 +37,48 @@ func NewZipf(n int, theta float64) *Zipf {
 		cdf[i] *= inv
 	}
 	cdf[n-1] = 1.0
-	return &Zipf{cdf: cdf}
+	guide := make([]int32, n)
+	i := 0
+	for b := range guide {
+		for cdf[i] < float64(b)/float64(n) {
+			i++
+		}
+		guide[b] = int32(i)
+	}
+	return &Zipf{cdf: cdf, guide: guide}
 }
 
 // N returns the number of items.
 func (z *Zipf) N() int { return len(z.cdf) }
 
-// Sample draws one item using rng.
+// Sample draws one item using rng: the first item whose CDF reaches a
+// uniform draw u. The guide bucket of u only starts the walk, which
+// steps back over items whose CDF still reaches u (u*n may round into
+// the next bucket) and on over those whose CDF falls short of it.
 func (z *Zipf) Sample(rng *rand.Rand) Item {
 	u := rng.Float64()
-	i := sort.SearchFloat64s(z.cdf, u)
-	if i >= len(z.cdf) {
-		i = len(z.cdf) - 1
+	i := int(z.guide[min(int(u*float64(len(z.guide))), len(z.guide)-1)])
+	for i > 0 && z.cdf[i-1] >= u {
+		i--
+	}
+	for z.cdf[i] < u {
+		i++
 	}
 	return Item(i)
 }
 
+// maxRejections bounds SampleDistinct's run of consecutive duplicate
+// draws. Under a steep skew fewer than k items may carry a usable share
+// of the mass, and rejection would draw forever; past the bound the set
+// is finished by the dense sweep. At the generators' default
+// configurations the bound is never reached (TestGeneratorsPinned).
+const maxRejections = 64
+
 // SampleDistinct draws k distinct items. k must not exceed N; it is
 // clamped if it does. For k close to N it falls back to a weighted
 // shuffle-free sweep to avoid rejection stalls on tiny vocabularies
-// (msnbc has only 17 items).
+// (msnbc has only 17 items), and so does a rejection run that meets
+// maxRejections duplicates in a row.
 func (z *Zipf) SampleDistinct(rng *rand.Rand, k int) []Item {
 	n := len(z.cdf)
 	if k > n {
@@ -61,24 +87,29 @@ func (z *Zipf) SampleDistinct(rng *rand.Rand, k int) []Item {
 	if k <= 0 {
 		return nil
 	}
-	// Rejection sampling is efficient while k << n.
+	out := make([]Item, 0, k)
+	// Rejection sampling is efficient while k << n; a duplicate is found
+	// by scanning the at most k items already drawn.
 	if k*3 <= n {
-		seen := make(map[Item]struct{}, k)
-		out := make([]Item, 0, k)
-		for len(out) < k {
+		for dups := 0; len(out) < k && dups < maxRejections; {
 			it := z.Sample(rng)
-			if _, dup := seen[it]; dup {
+			if slices.Contains(out, it) {
+				dups++
 				continue
 			}
-			seen[it] = struct{}{}
+			dups = 0
 			out = append(out, it)
 		}
-		return out
+		if len(out) == k {
+			return out
+		}
 	}
 	// Dense fallback: include item i with probability proportional to its
 	// weight until k are chosen, looping as needed.
-	out := make([]Item, 0, k)
 	chosen := make([]bool, n)
+	for _, it := range out {
+		chosen[it] = true
+	}
 	for len(out) < k {
 		it := z.Sample(rng)
 		if !chosen[it] {
