@@ -21,11 +21,13 @@ test:
 # The allocation gates — TestBatcherZeroAllocs, TestStoreExecAppendZeroAllocs,
 # TestQueryEvalAppendZeroAllocs, TestOverlayMatchesZeroAllocs (the delta's
 # sweeps and the tombstone Mask), TestResultCodecZeroAllocs,
-# TestReseekZeroAllocs, TestExprAllocCeilings —
+# TestReseekZeroAllocs, TestExprAllocCeilings, and the build paths'
+# TestGeneratorAllocCeilings and TestBuildAllocCeilings (generators,
+# Build, MergeDelta) —
 # skip or are compiled out under the race detector, so `make test` never
 # runs them; this does, without -race.
 alloc-check:
-	$(GO) test -run 'ZeroAllocs|AllocCeilings' . ./setcontain/... ./internal/overlay ./internal/wire ./internal/btree
+	$(GO) test -run 'ZeroAllocs|AllocCeilings' . ./setcontain/... ./internal/overlay ./internal/wire ./internal/btree ./internal/dataset ./internal/core
 
 # Run every benchmark once, across all packages, without re-running unit
 # tests: the CI bench-smoke job's one step, proving every Benchmark*

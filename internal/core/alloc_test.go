@@ -1,0 +1,80 @@
+//go:build !race
+
+package core
+
+// Allocation ceilings on the build paths at 20 000 records: the §5
+// generator, Build, and a §4.4 merge. Each once cost about two
+// allocations per record (a set copy per record, a byte slice and a key
+// per list block); now each allocates in chunks, and a ceiling far below
+// the record count keeps it so. Built only without -race: the detector's
+// instrumentation allocates.
+
+import (
+	"testing"
+
+	"repro/internal/dataset"
+)
+
+func TestBuildAllocCeilings(t *testing.T) {
+	cfg := dataset.DefaultSynthetic(20000)
+	d, err := dataset.GenerateSynthetic(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pc := dataset.DefaultSynthetic(480)
+	pc.Seed = 2
+	pending, err := dataset.GenerateSynthetic(pc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ix, err := Build(d, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dead := uint32(1)
+	cases := []struct {
+		name    string
+		ceiling float64 // at 20 000 records; two per record before
+		run     func() error
+	}{
+		{"GenerateSynthetic", 100, func() error {
+			_, err := dataset.GenerateSynthetic(cfg)
+			return err
+		}},
+		{"Build", 1000, func() error {
+			_, err := Build(d, Options{})
+			return err
+		}},
+		// A merge round: insert 480 sets, tombstone 60 records, merge;
+		// AllocsPerRun runs it four times, over ids 1 to 19 120.
+		// The overlay's inserts and tombstones are about half of it.
+		{"MergeDelta", 6000, func() error {
+			for _, r := range pending.Records() {
+				if _, err := ix.Insert(r.Set); err != nil {
+					return err
+				}
+			}
+			for range 60 {
+				if err := ix.Delete(dead); err != nil {
+					return err
+				}
+				dead += 80
+			}
+			return ix.MergeDelta()
+		}},
+	}
+	for _, c := range cases {
+		var err error
+		allocs := testing.AllocsPerRun(3, func() {
+			if e := c.run(); e != nil {
+				err = e
+			}
+		})
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if allocs > c.ceiling {
+			t.Errorf("%s: %.0f allocations, ceiling %.0f", c.name, allocs, c.ceiling)
+		}
+	}
+}

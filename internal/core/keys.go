@@ -19,13 +19,12 @@ import (
 //
 // Bytewise order over these keys equals (rank, tag, id) logical order.
 
-// blockKey builds the key for a block of rank's list ending at record
-// lastID whose sequence form is tag.
-func blockKey(rank sequence.Rank, tag []sequence.Rank, lastID uint32) []byte {
-	k := make([]byte, 0, 4+sequence.TagLen(len(tag))+4)
-	k = binary.BigEndian.AppendUint32(k, rank)
-	k = sequence.AppendTag(k, tag)
-	return binary.BigEndian.AppendUint32(k, lastID)
+// appendBlockKey appends the key for a block of rank's list ending at
+// record lastID whose sequence form is tag.
+func appendBlockKey(dst []byte, rank sequence.Rank, tag []sequence.Rank, lastID uint32) []byte {
+	dst = binary.BigEndian.AppendUint32(dst, rank)
+	dst = sequence.AppendTag(dst, tag)
+	return binary.BigEndian.AppendUint32(dst, lastID)
 }
 
 // keyRank reads the rank prefix without parsing the rest.

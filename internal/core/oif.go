@@ -106,6 +106,14 @@ func Build(d *dataset.Dataset, opts Options) (*Index, error) {
 // bulk-loaded into the B-tree in global key order, so every list's blocks
 // occupy physically consecutive leaves — the layout the paper's RoI scans
 // assume (Berkeley DB files built this way show the same locality).
+//
+// It allocates like a bulk loader: one pass counts every list's postings,
+// which fixes each list's number of blocks, so the blocks go in one flat
+// list in key order — rank r's at slots first[r] up to first[r+1] — and
+// each list's pending postings are a window of one shared arena. Keys and
+// encoded postings are copied into shared byte chunks (blockBytes); the
+// bulk load copies them into pages in turn, and all of it is garbage once
+// the tree is written.
 func build(numRecords, domainSize int, ord *sequence.Order, re *sequence.Reordered, opts Options) (*Index, error) {
 	pool := opts.Pool
 	if pool == nil {
@@ -125,30 +133,52 @@ func build(numRecords, domainSize int, ord *sequence.Order, re *sequence.Reorder
 		listPostings: make([]int64, domainSize),
 	}
 
-	// Per-rank pending postings plus finished encoded blocks.
-	type rankBlocks struct {
-		postings []vbyte.Posting
-		keys     [][]byte
-		vals     [][]byte
+	// The smallest rank of a record is represented only by the metadata
+	// region; every other rank gets a posting (§3: "for every record we
+	// avoid creating a posting for its most frequent item").
+	for id := uint32(1); id <= uint32(numRecords); id++ {
+		if sf := re.SF(id); len(sf) > 1 {
+			for _, r := range sf[1:] {
+				ix.listPostings[r]++
+			}
+		}
 	}
-	pend := make([]rankBlocks, domainSize)
+	per := int64(opts.BlockPostings)
+	first := make([]int, domainSize+1)
+	room := 0
+	for r, n := range ix.listPostings {
+		first[r+1] = first[r] + int((n+per-1)/per)
+		room += int(min(n, per))
+	}
+	blocks := make([]builtBlock, first[domainSize])
+	next := slices.Clone(first[:domainSize]) // each rank's next block slot
+	pend := make([][]vbyte.Posting, domainSize)
+	arena := make([]vbyte.Posting, room)
+	for r, n := range ix.listPostings {
+		w := int(min(n, per))
+		pend[r], arena = arena[:0:w], arena[w:]
+	}
+
+	var enc blockBytes
+	var scratch []byte
 	flush := func(rank sequence.Rank) error {
-		p := &pend[rank]
-		if len(p.postings) == 0 {
+		p := pend[rank]
+		if len(p) == 0 {
 			return nil
 		}
-		last := p.postings[len(p.postings)-1]
-		key := blockKey(rank, ix.truncTag(ix.re.SF(last.ID)), last.ID)
-		val, err := vbyte.AppendPostings(nil, p.postings, 0)
-		if err != nil {
+		last := p[len(p)-1].ID
+		scratch = appendBlockKey(scratch[:0], rank, ix.truncTag(ix.re.SF(last)), last)
+		key := enc.add(scratch)
+		var err error
+		if scratch, err = vbyte.AppendPostings(scratch[:0], p, 0); err != nil {
 			return err
 		}
-		p.keys = append(p.keys, key)
-		p.vals = append(p.vals, val)
+		blocks[next[rank]] = builtBlock{key: key, val: enc.add(scratch)}
+		next[rank]++
 		ix.blocks++
-		ix.postingBytes += int64(len(val))
+		ix.postingBytes += int64(len(scratch))
 		ix.keyBytes += int64(len(key))
-		p.postings = p.postings[:0]
+		pend[rank] = p[:0]
 		return nil
 	}
 
@@ -159,14 +189,9 @@ func build(numRecords, domainSize int, ord *sequence.Order, re *sequence.Reorder
 			continue
 		}
 		ix.meta.note(sf[0], id, len(sf))
-		// The smallest rank is represented only by the metadata region;
-		// every other rank gets a posting (§3: "for every record we avoid
-		// creating a posting for its most frequent item").
 		for _, r := range sf[1:] {
-			p := &pend[r]
-			p.postings = append(p.postings, vbyte.Posting{ID: id, Length: uint32(len(sf))})
-			ix.listPostings[r]++
-			if len(p.postings) >= opts.BlockPostings {
+			pend[r] = append(pend[r], vbyte.Posting{ID: id, Length: uint32(len(sf))})
+			if len(pend[r]) >= opts.BlockPostings {
 				if err := flush(r); err != nil {
 					return nil, err
 				}
@@ -182,41 +207,36 @@ func build(numRecords, domainSize int, ord *sequence.Order, re *sequence.Reorder
 	// The hot lists, from the encoded blocks in hand; a list the rule
 	// passes over is not decoded.
 	var scan listScan
-	for rank := range pend {
-		p := &pend[rank]
-		if len(p.keys) == 0 {
+	for rank := 0; rank < domainSize; rank++ {
+		list := blocks[first[rank]:first[rank+1]]
+		if len(list) == 0 {
 			continue
 		}
 		size := 0
-		for _, v := range p.vals {
-			size += len(v)
+		for _, b := range list {
+			size += len(b.val)
 		}
-		if !isHot(keyLastID(p.keys[len(p.keys)-1]), size) {
+		if !isHot(keyLastID(list[len(list)-1].key), size) {
 			continue
 		}
-		for k, v := range p.vals {
-			if err := scan.add(v, keyLastID(p.keys[k]), numRecords); err != nil {
+		for _, b := range list {
+			if err := scan.add(b.val, keyLastID(b.key), numRecords); err != nil {
 				return nil, err
 			}
 		}
 		ix.hot = scan.take(ix.hot, sequence.Rank(rank), domainSize)
 	}
 
-	// Bulk-load in (rank, tag, id) order: ranks ascend, and within a rank
-	// blocks were produced in id (= tag) order.
-	curRank, curIdx := 0, 0
+	// Bulk-load in (rank, tag, id) order: the flat list holds ranks in
+	// ascending order, and within a rank blocks in id (= tag) order.
+	i := 0
 	tree, err := btree.BulkLoad(pool, func() ([]byte, []byte, bool, error) {
-		for curRank < domainSize && curIdx >= len(pend[curRank].keys) {
-			curRank++
-			curIdx = 0
-		}
-		if curRank >= domainSize {
+		if i == len(blocks) {
 			return nil, nil, false, nil
 		}
-		k := pend[curRank].keys[curIdx]
-		v := pend[curRank].vals[curIdx]
-		curIdx++
-		return k, v, true, nil
+		b := blocks[i]
+		i++
+		return b.key, b.val, true, nil
 	})
 	if err != nil {
 		if errors.Is(err, btree.ErrKeyTooLarge) {
@@ -226,6 +246,28 @@ func build(numRecords, domainSize int, ord *sequence.Order, re *sequence.Reorder
 	}
 	ix.tree = tree
 	return ix, nil
+}
+
+// builtBlock is one list block on its way to the bulk load: its B-tree
+// key and its encoded postings, both in a build's blockBytes.
+type builtBlock struct{ key, val []byte }
+
+// blockBytes holds a build's block keys and values in shared chunks: add
+// copies one to the end of the open chunk and returns a sub-slice whose
+// capacity is its length, and a chunk without room is replaced, never
+// grown, so the sub-slices handed out stay put.
+type blockBytes struct{ buf []byte }
+
+// blockChunk is the size of one blockBytes chunk (64 KiB).
+const blockChunk = 1 << 16
+
+func (a *blockBytes) add(b []byte) []byte {
+	if cap(a.buf)-len(a.buf) < len(b) {
+		a.buf = make([]byte, 0, max(blockChunk, len(b)))
+	}
+	n := len(a.buf)
+	a.buf = append(a.buf, b...)
+	return a.buf[n:len(a.buf):len(a.buf)]
 }
 
 // truncTag applies the configured TagPrefix to a sequence form.

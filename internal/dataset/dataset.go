@@ -28,7 +28,16 @@ type Dataset struct {
 	domainSize int
 	records    []Record
 	labels     []string // optional item labels, len 0 or domainSize
+
+	// arena is the open chunk records' sets are canonicalised into: Add
+	// appends a set at its end and keeps a capacity-limited sub-slice, so
+	// a collection costs one allocation per arenaChunk items, not one per
+	// record. A full chunk stays alive through its records' sets.
+	arena []Item
 }
+
+// arenaChunk is the size, in items, of one record arena chunk (64 KiB).
+const arenaChunk = 1 << 14
 
 // New returns an empty dataset over items [0, domainSize).
 func New(domainSize int) *Dataset {
@@ -60,26 +69,45 @@ var ErrItemOutOfDomain = errors.New("dataset: item outside domain")
 // system through it; the OIF query path canonicalises in rank space
 // instead (core.prepRanks).
 func Canonical(set []Item, domainSize int) ([]Item, error) {
-	cp := append(make([]Item, 0, len(set)), set...)
-	slices.Sort(cp)
-	cp = slices.Compact(cp)
-	if n := len(cp); n > 0 && int(cp[n-1]) >= domainSize {
-		return nil, fmt.Errorf("%w: item %d, domain %d", ErrItemOutOfDomain, cp[n-1], domainSize)
+	return appendCanonical(make([]Item, 0, len(set)), set, domainSize)
+}
+
+// appendCanonical appends the canonical form of set to dst — sorted,
+// duplicates dropped, checked against the domain — and returns the
+// extended slice; set must not share dst's spare capacity. On an error
+// it returns nil, and dst's length is what it was, so nothing appended
+// to dst survives.
+func appendCanonical(dst, set []Item, domainSize int) ([]Item, error) {
+	start := len(dst)
+	dst = append(dst, set...)
+	slices.Sort(dst[start:])
+	dst = dst[:start+len(slices.Compact(dst[start:]))]
+	if n := len(dst); n > start && int(dst[n-1]) >= domainSize {
+		return nil, fmt.Errorf("%w: item %d, domain %d", ErrItemOutOfDomain, dst[n-1], domainSize)
 	}
-	return cp, nil
+	return dst, nil
 }
 
 // Add appends a record with the given set and returns its id. The set is
-// canonicalised (see Canonical); empty sets are allowed (the paper's
-// order places the empty set first, and our OIF indexes it in a dedicated
-// metadata region).
+// canonicalised (see Canonical) into the record arena, and the record
+// keeps a sub-slice of it whose capacity is its length, so appending to
+// one record's set never writes into another's. Empty sets are allowed
+// (the paper's order places the empty set first, and our OIF indexes it
+// in a dedicated metadata region). A set that fails leaves the dataset
+// as it was.
 func (d *Dataset) Add(set []Item) (uint32, error) {
-	cp, err := Canonical(set, d.domainSize)
+	buf := d.arena
+	if cap(buf)-len(buf) < len(set) {
+		buf = make([]Item, 0, max(arenaChunk, len(set)))
+	}
+	start := len(buf)
+	buf, err := appendCanonical(buf, set, d.domainSize)
 	if err != nil {
 		return 0, err
 	}
+	d.arena = buf
 	id := uint32(len(d.records) + 1)
-	d.records = append(d.records, Record{ID: id, Set: cp})
+	d.records = append(d.records, Record{ID: id, Set: buf[start:len(buf):len(buf)]})
 	return id, nil
 }
 

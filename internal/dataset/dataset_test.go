@@ -2,6 +2,7 @@ package dataset
 
 import (
 	"bytes"
+	"errors"
 	"math"
 	"math/rand"
 	"slices"
@@ -45,6 +46,86 @@ func TestAddEmptySet(t *testing.T) {
 	}
 	if got := d.ComputeStats().EmptyRecords; got != 1 {
 		t.Fatalf("EmptyRecords = %d", got)
+	}
+}
+
+// TestAddArenaNeighbours: records share the arena, so each set must be
+// capacity-limited — appending to one returned set reallocates it
+// instead of writing over the next record's items.
+func TestAddArenaNeighbours(t *testing.T) {
+	d := New(10)
+	mustAdd(t, d, []Item{4, 2})
+	mustAdd(t, d, []Item{7, 8, 9})
+	first := d.Record(0).Set
+	if cap(first) != len(first) {
+		t.Fatalf("set %v has capacity %d", first, cap(first))
+	}
+	grown := append(first, 5, 6)
+	grown[0] = 3
+	if got := d.Record(1).Set; !slices.Equal(got, []Item{7, 8, 9}) {
+		t.Fatalf("neighbour after append = %v, want [7 8 9]", got)
+	}
+	if got := d.Record(0).Set; !slices.Equal(got, []Item{2, 4}) {
+		t.Fatalf("record after append to its copy = %v, want [2 4]", got)
+	}
+}
+
+// TestAddOutOfDomainLeavesArena: a set that fails the domain check is
+// canonicalised into the arena's spare room before the check, so the
+// arena must not keep it — Len, the records and the place of the next
+// record are what they were, also when the failed set would have opened
+// a new chunk.
+func TestAddOutOfDomainLeavesArena(t *testing.T) {
+	for _, bad := range [][]Item{{3, 12, 1}, slices.Repeat([]Item{11}, arenaChunk+1)} {
+		d := New(10)
+		mustAdd(t, d, []Item{1, 2})
+		records, arena := slices.Clone(d.Records()), d.arena
+		if _, err := d.Add(bad); !errors.Is(err, ErrItemOutOfDomain) {
+			t.Fatalf("Add(%d items past the domain) = %v, want ErrItemOutOfDomain", len(bad), err)
+		}
+		if d.Len() != 1 || !slices.EqualFunc(d.Records(), records, func(a, b Record) bool {
+			return a.ID == b.ID && slices.Equal(a.Set, b.Set)
+		}) {
+			t.Fatalf("records after a failed Add = %v, want %v", d.Records(), records)
+		}
+		if len(d.arena) != len(arena) || cap(d.arena) != cap(arena) || &d.arena[0] != &arena[0] {
+			t.Fatalf("arena moved: len %d cap %d, was len %d cap %d", len(d.arena), cap(d.arena), len(arena), cap(arena))
+		}
+		mustAdd(t, d, []Item{5, 4})
+		if got := d.arena[len(arena):]; !slices.Equal(got, []Item{4, 5}) {
+			t.Fatalf("next record landed as %v past the arena's end, want [4 5]", got)
+		}
+		if got := d.Record(1); got.ID != 2 || &got.Set[0] != &d.arena[len(arena)] {
+			t.Fatalf("next record %+v is not the arena's next one", got)
+		}
+	}
+}
+
+// TestCanonicalReturnsFreshCopy: Canonical shares no storage with its
+// input, with a record's set, or with its own earlier results.
+func TestCanonicalReturnsFreshCopy(t *testing.T) {
+	d := New(10)
+	mustAdd(t, d, []Item{3, 1})
+	in := d.Record(0).Set
+	a, err := Canonical(in, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := Canonical(in, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a[0] = 9
+	if !slices.Equal(in, []Item{1, 3}) || !slices.Equal(b, []Item{1, 3}) {
+		t.Fatalf("writing Canonical's result changed the record (%v) or another result (%v)", in, b)
+	}
+	raw := []Item{4, 2, 4}
+	c, err := Canonical(raw, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(raw, []Item{4, 2, 4}) || !slices.Equal(c, []Item{2, 4}) {
+		t.Fatalf("Canonical(%v) = %v; input must be untouched", raw, c)
 	}
 }
 
@@ -212,6 +293,29 @@ func TestSampleDistinct(t *testing.T) {
 	// k > n clamps.
 	if got := z.SampleDistinct(rng, 40); len(got) != 17 {
 		t.Fatalf("clamped sample has %d items, want 17", len(got))
+	}
+}
+
+// TestAppendDistinctMatchesSampleDistinct: the generators' reused draw
+// buffer must make SampleDistinct's draws — on the rejection path, the
+// dense sweep of a small and of a large vocabulary, and a steep skew that
+// hands rejection over to the sweep — and leave what dst held before.
+func TestAppendDistinctMatchesSampleDistinct(t *testing.T) {
+	for _, c := range []struct {
+		n     int
+		theta float64
+		k     int
+	}{{2000, 0.8, 20}, {17, 0.25, 12}, {600, 0.5, 400}, {2000, 20, 20}, {5, 1, 9}, {5, 1, 0}} {
+		z := NewZipf(c.n, c.theta)
+		a, b := rand.New(rand.NewSource(7)), rand.New(rand.NewSource(7))
+		prefix := []Item{99, 98}
+		for trial := 0; trial < 50; trial++ {
+			want := z.SampleDistinct(a, c.k)
+			got := z.appendDistinct(slices.Clone(prefix), b, c.k)
+			if !slices.Equal(got[:2], prefix) || !slices.Equal(got[2:], want) {
+				t.Fatalf("n=%d theta=%g k=%d trial %d: appended %v after %v, want %v", c.n, c.theta, c.k, trial, got[2:], got[:2], want)
+			}
+		}
 	}
 }
 

@@ -64,9 +64,11 @@ func GenerateSynthetic(c SyntheticConfig) (*Dataset, error) {
 	if minLen > maxLen {
 		minLen = maxLen
 	}
+	d.records = make([]Record, 0, c.NumRecords)
+	var set []Item // Add copies, so one draw buffer serves every record
 	for i := 0; i < c.NumRecords; i++ {
 		k := minLen + rng.Intn(maxLen-minLen+1)
-		set := z.SampleDistinct(rng, k)
+		set = z.appendDistinct(set[:0], rng, k)
 		if _, err := d.Add(set); err != nil {
 			return nil, err
 		}
@@ -102,15 +104,20 @@ func GenerateMSWeb(c MSWebConfig) (*Dataset, error) {
 	const domain = 294
 	rng := rand.New(rand.NewSource(c.Seed))
 	z := NewZipf(domain, 1.05)
-	base := make([][]Item, 0, c.BaseRecords)
+	d := New(domain)
+	d.records = make([]Record, 0, c.BaseRecords*c.Replicas)
+	var set []Item
 	for i := 0; i < c.BaseRecords; i++ {
 		k := truncGeometric(rng, 1.0/3.0, 1, 35)
-		base = append(base, z.SampleDistinct(rng, k))
+		set = z.appendDistinct(set[:0], rng, k)
+		if _, err := d.Add(set); err != nil {
+			return nil, err
+		}
 	}
-	d := New(domain)
-	for rep := 0; rep < c.Replicas; rep++ {
-		for _, set := range base {
-			if _, err := d.Add(set); err != nil {
+	// Every replica re-adds the first one's records, already canonical.
+	for rep := 1; rep < c.Replicas; rep++ {
+		for i := 0; i < c.BaseRecords; i++ {
+			if _, err := d.Add(d.records[i].Set); err != nil {
 				return nil, err
 			}
 		}
@@ -143,9 +150,12 @@ func GenerateMSNBC(c MSNBCConfig) (*Dataset, error) {
 	rng := rand.New(rand.NewSource(c.Seed))
 	z := NewZipf(domain, 0.25)
 	d := New(domain)
+	d.records = make([]Record, 0, c.NumRecords)
+	var set []Item
 	for i := 0; i < c.NumRecords; i++ {
 		k := truncGeometric(rng, 1.0/5.7, 1, domain)
-		if _, err := d.Add(z.SampleDistinct(rng, k)); err != nil {
+		set = z.appendDistinct(set[:0], rng, k)
+		if _, err := d.Add(set); err != nil {
 			return nil, err
 		}
 	}

@@ -80,41 +80,58 @@ const maxRejections = 64
 // (msnbc has only 17 items), and so does a rejection run that meets
 // maxRejections duplicates in a row.
 func (z *Zipf) SampleDistinct(rng *rand.Rand, k int) []Item {
+	if k = min(k, len(z.cdf)); k <= 0 {
+		return nil
+	}
+	return z.appendDistinct(make([]Item, 0, k), rng, k)
+}
+
+// appendDistinct appends to dst the k distinct items SampleDistinct
+// draws, making the same draws, so a generator can reuse one buffer for
+// every record.
+func (z *Zipf) appendDistinct(dst []Item, rng *rand.Rand, k int) []Item {
 	n := len(z.cdf)
 	if k > n {
 		k = n
 	}
 	if k <= 0 {
-		return nil
+		return dst
 	}
-	out := make([]Item, 0, k)
+	start := len(dst)
 	// Rejection sampling is efficient while k << n; a duplicate is found
 	// by scanning the at most k items already drawn.
 	if k*3 <= n {
-		for dups := 0; len(out) < k && dups < maxRejections; {
+		for dups := 0; len(dst)-start < k && dups < maxRejections; {
 			it := z.Sample(rng)
-			if slices.Contains(out, it) {
+			if slices.Contains(dst[start:], it) {
 				dups++
 				continue
 			}
 			dups = 0
-			out = append(out, it)
+			dst = append(dst, it)
 		}
-		if len(out) == k {
-			return out
+		if len(dst)-start == k {
+			return dst
 		}
 	}
 	// Dense fallback: include item i with probability proportional to its
-	// weight until k are chosen, looping as needed.
-	chosen := make([]bool, n)
-	for _, it := range out {
+	// weight until k are chosen, looping as needed. A small vocabulary's
+	// marks live on the stack.
+	var local [256]bool
+	var chosen []bool
+	if n <= len(local) {
+		chosen = local[:n]
+	} else {
+		chosen = make([]bool, n)
+	}
+	for _, it := range dst[start:] {
 		chosen[it] = true
 	}
-	for len(out) < k {
+	for len(dst)-start < k {
 		it := z.Sample(rng)
 		if !chosen[it] {
 			chosen[it] = true
-			out = append(out, it)
+			dst = append(dst, it)
 		} else {
 			// Linear probe to the next unchosen item keeps the sweep
 			// bounded when only a few remain.
@@ -122,11 +139,11 @@ func (z *Zipf) SampleDistinct(rng *rand.Rand, k int) []Item {
 				j := (int(it) + d) % n
 				if !chosen[j] {
 					chosen[j] = true
-					out = append(out, Item(j))
+					dst = append(dst, Item(j))
 					break
 				}
 			}
 		}
 	}
-	return out
+	return dst
 }
