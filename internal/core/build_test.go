@@ -183,3 +183,121 @@ func BenchmarkMergeDelta(b *testing.B) {
 		}
 	}
 }
+
+// TestParallelBuildMatchesSerial holds a build on 2 and 7 workers byte
+// for byte to one on a single worker: every page, the re-ordering's
+// parts, the hot lists, the metadata and the counters. The datasets
+// cover a skewed domain with hot lists, a tiny domain with more workers
+// than ranks, tag prefixes and small blocks, and empty sets.
+func TestParallelBuildMatchesSerial(t *testing.T) {
+	synthetic := func(n, domain, minLen, maxLen int, theta float64) *dataset.Dataset {
+		d, err := dataset.GenerateSynthetic(dataset.SyntheticConfig{
+			NumRecords: n, DomainSize: domain, MinLen: minLen, MaxLen: maxLen, ZipfTheta: theta, Seed: 42,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return d
+	}
+	withEmpties := dataset.New(50)
+	for i, r := range synthetic(3000, 50, 1, 9, 1.1).Records() {
+		set := r.Set
+		if i%11 == 0 {
+			set = nil
+		}
+		if _, err := withEmpties.Add(set); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cases := []struct {
+		name string
+		d    *dataset.Dataset
+		opts Options
+	}{
+		{"synthetic", synthetic(20000, 2000, 2, 20, 0.8), Options{}},
+		{"skewed/small blocks", synthetic(6000, 120, 1, 12, 0.9), Options{BlockPostings: 5, TagPrefix: 2, PageSize: 1024}},
+		{"five items", synthetic(2000, 5, 1, 5, 0.5), Options{}},
+		{"empty sets", withEmpties, Options{BlockPostings: 7}},
+		{"no records", dataset.New(30), Options{}},
+	}
+	hot := 0
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			want, err := buildOn(c.d, c.opts, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want.hot != nil {
+				hot++
+			}
+			for _, workers := range []int{2, 7} {
+				got, err := buildOn(c.d, c.opts, workers)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sameIndex(t, fmt.Sprintf("%d workers", workers), got, want)
+			}
+		})
+	}
+	if hot == 0 {
+		t.Fatal("no build has a hot list to compare")
+	}
+}
+
+// sameIndex fails t unless got and want hold the same pages, counters,
+// metadata, order, hot lists and re-ordering.
+func sameIndex(t *testing.T, name string, got, want *Index) {
+	t.Helper()
+	gp, wp := got.Pool().Pager(), want.Pool().Pager()
+	if gp.NumPages() != wp.NumPages() {
+		t.Fatalf("%s: %d pages, want %d", name, gp.NumPages(), wp.NumPages())
+	}
+	gotPage, wantPage := make([]byte, wp.PageSize()), make([]byte, wp.PageSize())
+	for id := range wp.NumPages() {
+		if err := gp.ReadPage(storage.PageID(id), gotPage); err != nil {
+			t.Fatal(err)
+		}
+		if err := wp.ReadPage(storage.PageID(id), wantPage); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(gotPage, wantPage) {
+			t.Fatalf("%s: page %d differs", name, id)
+		}
+	}
+	if got.Space() != want.Space() || !slices.Equal(got.listPostings, want.listPostings) {
+		t.Errorf("%s: space %+v, want %+v", name, got.Space(), want.Space())
+	}
+	if !reflect.DeepEqual(got.meta, want.meta) || !slices.Equal(got.ord.Items(), want.ord.Items()) {
+		t.Errorf("%s: metadata or item order differs", name)
+	}
+	if !reflect.DeepEqual(got.hot, want.hot) {
+		t.Errorf("%s: hot lists differ", name)
+	}
+	gotFlat, gotOff, gotPerm := got.re.Parts()
+	wantFlat, wantOff, wantPerm := want.re.Parts()
+	if !slices.Equal(gotFlat, wantFlat) || !slices.Equal(gotOff, wantOff) || !slices.Equal(gotPerm, wantPerm) {
+		t.Errorf("%s: Reordered parts differ", name)
+	}
+	for i := range got.re.Len() {
+		if got.re.NewID(i) != want.re.NewID(i) {
+			t.Fatalf("%s: source position %d has new id %d, want %d", name, i, got.re.NewID(i), want.re.NewID(i))
+		}
+	}
+}
+
+// BenchmarkBuild times Build of the §5 dataset at the benchmark's size
+// (200 000 records, seed 1) on GOMAXPROCS workers: the support count,
+// the §3 re-ordering, the list encoding and the bulk load.
+func BenchmarkBuild(b *testing.B) {
+	d, err := dataset.GenerateSynthetic(dataset.DefaultSynthetic(200000))
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Build(d, Options{}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -3,10 +3,12 @@ package core
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"slices"
 
 	"repro/internal/btree"
 	"repro/internal/dataset"
+	"repro/internal/fanout"
 	"repro/internal/overlay"
 	"repro/internal/sequence"
 	"repro/internal/storage"
@@ -90,15 +92,23 @@ type Index struct {
 // ErrRecordTooWide reports a record whose block key cannot fit a page.
 var ErrRecordTooWide = errors.New("core: record cardinality too large for page size")
 
-// Build constructs the OIF for d.
+// Build constructs the OIF for d, on GOMAXPROCS workers.
 func Build(d *dataset.Dataset, opts Options) (*Index, error) {
+	return buildOn(d, opts, runtime.GOMAXPROCS(0))
+}
+
+// buildOn is Build on up to workers goroutines: the §3 re-ordering and
+// the list encoding run on that many, the support count and the bulk
+// load on the caller's. The index is the same, page for page, at any
+// worker count; MergeDelta builds on one, beside the readers it serves.
+func buildOn(d *dataset.Dataset, opts Options, workers int) (*Index, error) {
 	opts.fill()
 	ord := sequence.OrderFromDataset(d)
-	re, err := sequence.Reorder(d, ord)
+	re, err := sequence.Reorder(d, ord, workers)
 	if err != nil {
 		return nil, err
 	}
-	return build(d.Len(), d.DomainSize(), ord, re, opts)
+	return build(d.Len(), d.DomainSize(), ord, re, opts, workers)
 }
 
 // build assembles the index from a prepared ordering; shared by Build and
@@ -114,7 +124,12 @@ func Build(d *dataset.Dataset, opts Options) (*Index, error) {
 // encoded postings are copied into shared byte chunks (blockBytes); the
 // bulk load copies them into pages in turn, and all of it is garbage once
 // the tree is written.
-func build(numRecords, domainSize int, ord *sequence.Order, re *sequence.Reordered, opts Options) (*Index, error) {
+//
+// The lists are encoded on up to workers goroutines, each over a run of
+// ranks holding about an equal share of the postings (listBuild.encode): a
+// worker walks every record but posts only its own ranks, into its own
+// slots of the shared slices and its own blockBytes.
+func build(numRecords, domainSize int, ord *sequence.Order, re *sequence.Reordered, opts Options, workers int) (*Index, error) {
 	pool := opts.Pool
 	if pool == nil {
 		pool = storage.NewBufferPool(storage.NewMemPager(opts.PageSize), storage.DefaultPoolPages)
@@ -136,52 +151,7 @@ func build(numRecords, domainSize int, ord *sequence.Order, re *sequence.Reorder
 	// The smallest rank of a record is represented only by the metadata
 	// region; every other rank gets a posting (§3: "for every record we
 	// avoid creating a posting for its most frequent item").
-	for id := uint32(1); id <= uint32(numRecords); id++ {
-		if sf := re.SF(id); len(sf) > 1 {
-			for _, r := range sf[1:] {
-				ix.listPostings[r]++
-			}
-		}
-	}
-	per := int64(opts.BlockPostings)
-	first := make([]int, domainSize+1)
-	room := 0
-	for r, n := range ix.listPostings {
-		first[r+1] = first[r] + int((n+per-1)/per)
-		room += int(min(n, per))
-	}
-	blocks := make([]builtBlock, first[domainSize])
-	next := slices.Clone(first[:domainSize]) // each rank's next block slot
-	pend := make([][]vbyte.Posting, domainSize)
-	arena := make([]vbyte.Posting, room)
-	for r, n := range ix.listPostings {
-		w := int(min(n, per))
-		pend[r], arena = arena[:0:w], arena[w:]
-	}
-
-	var enc blockBytes
-	var scratch []byte
-	flush := func(rank sequence.Rank) error {
-		p := pend[rank]
-		if len(p) == 0 {
-			return nil
-		}
-		last := p[len(p)-1].ID
-		scratch = appendBlockKey(scratch[:0], rank, ix.truncTag(ix.re.SF(last)), last)
-		key := enc.add(scratch)
-		var err error
-		if scratch, err = vbyte.AppendPostings(scratch[:0], p, 0); err != nil {
-			return err
-		}
-		blocks[next[rank]] = builtBlock{key: key, val: enc.add(scratch)}
-		next[rank]++
-		ix.blocks++
-		ix.postingBytes += int64(len(scratch))
-		ix.keyBytes += int64(len(key))
-		pend[rank] = p[:0]
-		return nil
-	}
-
+	var total int64
 	for id := uint32(1); id <= uint32(numRecords); id++ {
 		sf := re.SF(id)
 		if len(sf) == 0 {
@@ -190,45 +160,64 @@ func build(numRecords, domainSize int, ord *sequence.Order, re *sequence.Reorder
 		}
 		ix.meta.note(sf[0], id, len(sf))
 		for _, r := range sf[1:] {
-			pend[r] = append(pend[r], vbyte.Posting{ID: id, Length: uint32(len(sf))})
-			if len(pend[r]) >= opts.BlockPostings {
-				if err := flush(r); err != nil {
-					return nil, err
-				}
-			}
+			ix.listPostings[r]++
 		}
+		total += int64(len(sf) - 1)
 	}
-	for rank := 0; rank < domainSize; rank++ {
-		if err := flush(sequence.Rank(rank)); err != nil {
-			return nil, err
-		}
+	per := int64(opts.BlockPostings)
+	first := make([]int, domainSize+1)
+	room := 0
+	for r, n := range ix.listPostings {
+		first[r+1] = first[r] + int((n+per-1)/per)
+		room += int(min(n, per))
+	}
+	lists := &listBuild{
+		ix:     ix,
+		first:  first,
+		blocks: make([]builtBlock, first[domainSize]),
+		pend:   make([][]vbyte.Posting, domainSize),
+		hot:    make([]*hotList, domainSize),
+	}
+	arena := make([]vbyte.Posting, room)
+	for r, n := range ix.listPostings {
+		w := int(min(n, per))
+		lists.pend[r], arena = arena[:0:w], arena[w:]
 	}
 
-	// The hot lists, from the encoded blocks in hand; a list the rule
-	// passes over is not decoded.
-	var scan listScan
-	for rank := 0; rank < domainSize; rank++ {
-		list := blocks[first[rank]:first[rank+1]]
-		if len(list) == 0 {
-			continue
+	// Ranks [bounds[w], bounds[w+1]) are worker w's: worker w's run
+	// starts at the first rank with at least w/workers of the postings
+	// before it.
+	workers = max(1, min(workers, domainSize))
+	bounds := make([]int, workers+1)
+	for w := 1; w <= workers; w++ {
+		bounds[w] = domainSize
+	}
+	var seen int64
+	for r, w := 0, 1; r < domainSize && w < workers; r++ {
+		for w < workers && seen >= total*int64(w)/int64(workers) {
+			bounds[w] = r
+			w++
 		}
-		size := 0
-		for _, b := range list {
-			size += len(b.val)
-		}
-		if !isHot(keyLastID(list[len(list)-1].key), size) {
-			continue
-		}
-		for _, b := range list {
-			if err := scan.add(b.val, keyLastID(b.key), numRecords); err != nil {
-				return nil, err
-			}
-		}
-		ix.hot = scan.take(ix.hot, sequence.Rank(rank), domainSize)
+		seen += ix.listPostings[r]
+	}
+	err := fanout.First(fanout.ForEach(workers, workers, func(w int) error {
+		return lists.encode(sequence.Rank(bounds[w]), sequence.Rank(bounds[w+1]))
+	}))
+	if err != nil {
+		return nil, err
+	}
+	ix.blocks = int64(len(lists.blocks))
+	for _, b := range lists.blocks {
+		ix.postingBytes += int64(len(b.val))
+		ix.keyBytes += int64(len(b.key))
+	}
+	if slices.ContainsFunc(lists.hot, func(h *hotList) bool { return h != nil }) {
+		ix.hot = lists.hot
 	}
 
 	// Bulk-load in (rank, tag, id) order: the flat list holds ranks in
 	// ascending order, and within a rank blocks in id (= tag) order.
+	blocks := lists.blocks
 	i := 0
 	tree, err := btree.BulkLoad(pool, func() ([]byte, []byte, bool, error) {
 		if i == len(blocks) {
@@ -246,6 +235,96 @@ func build(numRecords, domainSize int, ord *sequence.Order, re *sequence.Reorder
 	}
 	ix.tree = tree
 	return ix, nil
+}
+
+// listBuild is the state build's encoding workers share. Each writes
+// only the slots of its own ranks: rank r's blocks at
+// blocks[first[r]:first[r+1]], its pending postings pend[r] (a window
+// of one arena), and hot[r].
+type listBuild struct {
+	ix     *Index
+	first  []int
+	blocks []builtBlock
+	pend   [][]vbyte.Posting
+	hot    []*hotList
+}
+
+// encode builds the lists of ranks [lo, hi): it walks the records in
+// id order, posts each record to those of its ranks past its smallest
+// that fall in the range, writes a block whenever a list has a block's
+// worth pending and the rest of each list at the end, and then makes
+// the hot lists of the range from the blocks in hand (a list the rule
+// passes over is not decoded).
+func (lb *listBuild) encode(lo, hi sequence.Rank) error {
+	ix := lb.ix
+	var enc blockBytes
+	var scratch []byte
+	next := slices.Clone(lb.first[lo:hi]) // next[r-lo]: rank r's next block slot
+	flush := func(rank sequence.Rank) error {
+		p := lb.pend[rank]
+		if len(p) == 0 {
+			return nil
+		}
+		last := p[len(p)-1].ID
+		scratch = appendBlockKey(scratch[:0], rank, ix.truncTag(ix.re.SF(last)), last)
+		key := enc.add(scratch)
+		var err error
+		if scratch, err = vbyte.AppendPostings(scratch[:0], p, 0); err != nil {
+			return err
+		}
+		lb.blocks[next[rank-lo]] = builtBlock{key: key, val: enc.add(scratch)}
+		next[rank-lo]++
+		lb.pend[rank] = p[:0]
+		return nil
+	}
+
+	for id := uint32(1); id <= uint32(ix.numRecords); id++ {
+		sf := ix.re.SF(id)
+		if len(sf) < 2 || sf[len(sf)-1] < lo {
+			continue
+		}
+		for _, r := range sf[1:] {
+			if r < lo {
+				continue
+			}
+			if r >= hi {
+				break
+			}
+			lb.pend[r] = append(lb.pend[r], vbyte.Posting{ID: id, Length: uint32(len(sf))})
+			if len(lb.pend[r]) >= ix.opts.BlockPostings {
+				if err := flush(r); err != nil {
+					return err
+				}
+			}
+		}
+	}
+	for rank := lo; rank < hi; rank++ {
+		if err := flush(rank); err != nil {
+			return err
+		}
+	}
+
+	var scan listScan
+	for rank := lo; rank < hi; rank++ {
+		list := lb.blocks[lb.first[rank]:lb.first[rank+1]]
+		if len(list) == 0 {
+			continue
+		}
+		size := 0
+		for _, b := range list {
+			size += len(b.val)
+		}
+		if !isHot(keyLastID(list[len(list)-1].key), size) {
+			continue
+		}
+		for _, b := range list {
+			if err := scan.add(b.val, keyLastID(b.key), ix.numRecords); err != nil {
+				return err
+			}
+		}
+		scan.take(lb.hot, rank, ix.domainSize)
+	}
+	return nil
 }
 
 // builtBlock is one list block on its way to the bulk load: its B-tree

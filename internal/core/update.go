@@ -40,6 +40,12 @@ func (ix *Index) MergeDelta() error {
 	// sequence arena, then append the delta; dead records contribute
 	// empty sets, which keeps every id slot in place.
 	d := dataset.New(ix.domainSize)
+	flat, _, _ := ix.re.Parts()
+	items := len(flat)
+	for _, r := range ix.ov.Pending() {
+		items += len(r.Set)
+	}
+	d.Grow(ix.numRecords+ix.ov.Len(), items)
 	var set []dataset.Item // Add copies, so one buffer serves every record
 	for i := 0; i < ix.numRecords; i++ {
 		set = set[:0]
@@ -59,7 +65,7 @@ func (ix *Index) MergeDelta() error {
 			return err
 		}
 	}
-	rebuilt, err := Build(d, ix.opts)
+	rebuilt, err := buildOn(d, ix.opts, 1)
 	if err != nil {
 		return err
 	}

@@ -111,6 +111,18 @@ func (d *Dataset) Add(set []Item) (uint32, error) {
 	return id, nil
 }
 
+// Grow makes room for records more records whose sets hold items more
+// items in all, so that that many Adds allocate nothing: a caller that
+// knows the size of what it is about to add saves the record slice's
+// growth and the arena's chunks. The items of a set that collapses under
+// Canonical count in full.
+func (d *Dataset) Grow(records, items int) {
+	d.records = slices.Grow(d.records, records)
+	if cap(d.arena)-len(d.arena) < items {
+		d.arena = make([]Item, 0, items)
+	}
+}
+
 // SetLabels attaches human-readable item labels (len must be DomainSize).
 func (d *Dataset) SetLabels(labels []string) error {
 	if len(labels) != d.domainSize {

@@ -53,27 +53,22 @@ func GenerateSynthetic(c SyntheticConfig) (*Dataset, error) {
 	if err := c.validate(); err != nil {
 		return nil, err
 	}
+	d := New(c.DomainSize)
+	return d, generate(d, c.source(), genBatch)
+}
+
+// source is the synthetic generator's recipe: per record a cardinality
+// uniform in [MinLen, MaxLen], clamped to the domain, then that many
+// distinct Zipf draws.
+func (c SyntheticConfig) source() source {
 	rng := rand.New(rand.NewSource(c.Seed))
 	z := NewZipf(c.DomainSize, c.ZipfTheta)
-	d := New(c.DomainSize)
-	maxLen := c.MaxLen
-	if maxLen > c.DomainSize {
-		maxLen = c.DomainSize
-	}
-	minLen := c.MinLen
-	if minLen > maxLen {
-		minLen = maxLen
-	}
-	d.records = make([]Record, 0, c.NumRecords)
-	var set []Item // Add copies, so one draw buffer serves every record
-	for i := 0; i < c.NumRecords; i++ {
+	maxLen := min(c.MaxLen, c.DomainSize)
+	minLen := min(c.MinLen, maxLen)
+	return source{records: c.NumRecords, maxLen: maxLen, draw: func(dst []Item) []Item {
 		k := minLen + rng.Intn(maxLen-minLen+1)
-		set = z.appendDistinct(set[:0], rng, k)
-		if _, err := d.Add(set); err != nil {
-			return nil, err
-		}
-	}
-	return d, nil
+		return z.appendDistinct(dst, rng, k)
+	}}
 }
 
 // MSWebConfig describes the msweb twin. The real dataset is a one-week
@@ -101,18 +96,10 @@ func GenerateMSWeb(c MSWebConfig) (*Dataset, error) {
 	if c.BaseRecords < 0 || c.Replicas < 1 {
 		return nil, fmt.Errorf("dataset: bad msweb config %+v", c)
 	}
-	const domain = 294
-	rng := rand.New(rand.NewSource(c.Seed))
-	z := NewZipf(domain, 1.05)
-	d := New(domain)
-	d.records = make([]Record, 0, c.BaseRecords*c.Replicas)
-	var set []Item
-	for i := 0; i < c.BaseRecords; i++ {
-		k := truncGeometric(rng, 1.0/3.0, 1, 35)
-		set = z.appendDistinct(set[:0], rng, k)
-		if _, err := d.Add(set); err != nil {
-			return nil, err
-		}
+	d := New(msWebDomain)
+	d.Grow(c.BaseRecords*c.Replicas, 0)
+	if err := generate(d, c.source(), genBatch); err != nil {
+		return nil, err
 	}
 	// Every replica re-adds the first one's records, already canonical.
 	for rep := 1; rep < c.Replicas; rep++ {
@@ -123,6 +110,18 @@ func GenerateMSWeb(c MSWebConfig) (*Dataset, error) {
 		}
 	}
 	return d, nil
+}
+
+// msWebDomain is the msweb twin's number of virtual areas.
+const msWebDomain = 294
+
+// source is the msweb twin's recipe for its base records.
+func (c MSWebConfig) source() source {
+	rng := rand.New(rand.NewSource(c.Seed))
+	z := NewZipf(msWebDomain, 1.05)
+	return source{records: c.BaseRecords, maxLen: 35, draw: func(dst []Item) []Item {
+		return z.appendDistinct(dst, rng, truncGeometric(rng, 1.0/3.0, 1, 35))
+	}}
 }
 
 // MSNBCConfig describes the msnbc twin: 989 818 records of page-category
@@ -146,20 +145,85 @@ func GenerateMSNBC(c MSNBCConfig) (*Dataset, error) {
 	if c.NumRecords < 0 {
 		return nil, fmt.Errorf("dataset: bad msnbc config %+v", c)
 	}
-	const domain = 17
+	d := New(msnbcDomain)
+	return d, generate(d, c.source(), genBatch)
+}
+
+// msnbcDomain is the msnbc twin's number of page categories.
+const msnbcDomain = 17
+
+// source is the msnbc twin's recipe.
+func (c MSNBCConfig) source() source {
 	rng := rand.New(rand.NewSource(c.Seed))
-	z := NewZipf(domain, 0.25)
-	d := New(domain)
-	d.records = make([]Record, 0, c.NumRecords)
-	var set []Item
-	for i := 0; i < c.NumRecords; i++ {
-		k := truncGeometric(rng, 1.0/5.7, 1, domain)
-		set = z.appendDistinct(set[:0], rng, k)
-		if _, err := d.Add(set); err != nil {
-			return nil, err
-		}
+	z := NewZipf(msnbcDomain, 0.25)
+	return source{records: c.NumRecords, maxLen: msnbcDomain, draw: func(dst []Item) []Item {
+		return z.appendDistinct(dst, rng, truncGeometric(rng, 1.0/5.7, 1, msnbcDomain))
+	}}
+}
+
+// source is one generator's recipe: how many records it makes, the most
+// items one can hold, and draw, which appends the next record's items to
+// dst. draw holds the generator's one rng, so the records must be drawn
+// in order, on one goroutine.
+type source struct {
+	records, maxLen int
+	draw            func(dst []Item) []Item
+}
+
+// genBatch is the number of records generate's drawing stage hands over
+// at a time.
+const genBatch = 4096
+
+// maxBatchItems caps the items a drawBatch is sized for up front (512
+// KiB); a batch of longer sets grows its buffer, which stays grown.
+const maxBatchItems = 1 << 17
+
+// drawBatch is one hand-over between generate's stages: the items of a
+// run of records, end to end, and where each record ends.
+type drawBatch struct {
+	items []Item
+	ends  []int
+}
+
+// generate appends src's records to d in a two-stage pipeline: one
+// goroutine makes every draw, in record order, into batches of up to
+// batch records, and the caller's goroutine canonicalises each batch
+// into d's record arena while the next one is drawn. Two batches
+// circulate, so neither stage allocates once both are sized. The records
+// are those of a serial loop of draw then Add; a failing Add stops the
+// canonicalising, and the drawing runs to its end.
+func generate(d *Dataset, src source, batch int) error {
+	n := src.records
+	d.Grow(n, 0)
+	batch = max(1, min(batch, n))
+	// Each channel can hold both batches, so no send ever blocks.
+	free := make(chan *drawBatch, 2)
+	full := make(chan *drawBatch, 2)
+	for range cap(free) {
+		free <- &drawBatch{items: make([]Item, 0, min(batch*src.maxLen, maxBatchItems)), ends: make([]int, 0, batch)}
 	}
-	return d, nil
+	go func() {
+		defer close(full)
+		for done := 0; done < n; {
+			b := <-free
+			b.items, b.ends = b.items[:0], b.ends[:0]
+			for m := min(batch, n-done); len(b.ends) < m; {
+				b.items = src.draw(b.items)
+				b.ends = append(b.ends, len(b.items))
+			}
+			done += len(b.ends)
+			full <- b
+		}
+	}()
+	var err error
+	for b := range full {
+		for i, start := 0, 0; i < len(b.ends) && err == nil; i++ {
+			_, err = d.Add(b.items[start:b.ends[i]])
+			start = b.ends[i]
+		}
+		free <- b
+	}
+	return err
 }
 
 // truncGeometric draws from a geometric distribution with success

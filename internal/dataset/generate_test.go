@@ -64,6 +64,47 @@ func TestGeneratorsPinned(t *testing.T) {
 	}
 }
 
+// TestPipelineMatchesSerial holds each generator's two-stage pipeline,
+// at batch sizes 1, 3 and 4 096, to a serial loop over the same recipe:
+// draw a record, Add it, draw the next. Record counts that are not a
+// multiple of the batch leave a short last batch.
+func TestPipelineMatchesSerial(t *testing.T) {
+	synthetic := DefaultSynthetic(10001)
+	msnbc := DefaultMSNBC()
+	msnbc.NumRecords = 9000
+	sources := []struct {
+		name   string
+		domain int
+		src    func() source
+	}{
+		{"synthetic", synthetic.DomainSize, synthetic.source},
+		{"msweb", msWebDomain, MSWebConfig{BaseRecords: 5000, Replicas: 1, Seed: 2}.source},
+		{"msnbc", msnbcDomain, msnbc.source},
+		{"one record", synthetic.DomainSize, SyntheticConfig{NumRecords: 1, DomainSize: 2000, MinLen: 2, MaxLen: 20, ZipfTheta: 0.8, Seed: 5}.source},
+		{"no records", synthetic.DomainSize, SyntheticConfig{DomainSize: 2000, MinLen: 2, MaxLen: 20, ZipfTheta: 0.8, Seed: 5}.source},
+	}
+	for _, s := range sources {
+		serial := New(s.domain)
+		src := s.src()
+		var set []Item
+		for range src.records {
+			set = src.draw(set[:0])
+			if _, err := serial.Add(set); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, batch := range []int{1, 3, genBatch} {
+			d := New(s.domain)
+			if err := generate(d, s.src(), batch); err != nil {
+				t.Fatal(err)
+			}
+			if d.Len() != serial.Len() || recordsDigest(d) != recordsDigest(serial) {
+				t.Errorf("%s, batch %d: %d records unlike the serial loop's %d", s.name, batch, d.Len(), serial.Len())
+			}
+		}
+	}
+}
+
 // TestZipfSampleMatchesBinarySearch holds the guide-table walk to the
 // plain inverse transform it replaced: the same uniform draw must pick
 // the same item, at skews from uniform to all mass on item 0.

@@ -12,10 +12,12 @@ import (
 // {0, 0.4, 0.8, 1} (§5, "Data"), and theta = 0 degenerates to uniform.
 //
 // Sampling is inverse transform over the precomputed CDF: a draw u picks
-// the first item whose CDF reaches u. A guide table — guide[b] is the
-// first item whose CDF reaches b/n — starts the search next to that
-// item, so a draw costs a few steps instead of a binary search, and
-// picks the same item.
+// the first item whose CDF reaches u. A guide table of g buckets —
+// guide[b] is the first item whose CDF reaches b/g — starts the search
+// next to that item, so a draw costs a few steps instead of a binary
+// search, and picks the same item. A bucket per item would span several
+// of the long tail's narrow CDF steps; with eight per item (at most
+// guideCap) most draws start on their item or next to it.
 type Zipf struct {
 	cdf   []float64
 	guide []int32
@@ -37,10 +39,10 @@ func NewZipf(n int, theta float64) *Zipf {
 		cdf[i] *= inv
 	}
 	cdf[n-1] = 1.0
-	guide := make([]int32, n)
+	guide := make([]int32, min(8*n, guideCap))
 	i := 0
 	for b := range guide {
-		for cdf[i] < float64(b)/float64(n) {
+		for cdf[i] < float64(b)/float64(len(guide)) {
 			i++
 		}
 		guide[b] = int32(i)
@@ -48,12 +50,15 @@ func NewZipf(n int, theta float64) *Zipf {
 	return &Zipf{cdf: cdf, guide: guide}
 }
 
+// guideCap bounds a Zipf's guide table (64 Ki buckets, 256 KiB).
+const guideCap = 1 << 16
+
 // N returns the number of items.
 func (z *Zipf) N() int { return len(z.cdf) }
 
 // Sample draws one item using rng: the first item whose CDF reaches a
 // uniform draw u. The guide bucket of u only starts the walk, which
-// steps back over items whose CDF still reaches u (u*n may round into
+// steps back over items whose CDF still reaches u (u*g may round into
 // the next bucket) and on over those whose CDF falls short of it.
 func (z *Zipf) Sample(rng *rand.Rand) Item {
 	u := rng.Float64()

@@ -21,9 +21,12 @@
 // while inserts are pending follows its rarest item, not the merge
 // interval the operator chose.
 //
-// The tombstones are one bitmap over the id space, replaced on every
-// Delete and never edited, so masking an answer costs one bit test per
-// id however many ids were ever deleted.
+// The tombstones are one bitmap over the id space, in chunks of 4 096
+// ids, so masking an answer costs one bit test per id however many ids
+// were ever deleted. A Delete never edits a chunk or the spine of chunk
+// pointers in place: it copies the spine and the one chunk it sets a
+// bit in, about 1 KB at 200 000 ids where a copy of the whole bitmap
+// was 25 KB.
 package overlay
 
 import (
@@ -53,7 +56,8 @@ const (
 // An Overlay belongs to one writer. View gives a parallel reader a copy
 // that later Inserts and Deletes never disturb: pending and every
 // posting list are append-only between merges, and Delete replaces the
-// tombstone bitmap instead of editing it.
+// tombstone bitmap's spine and the chunk it changes instead of editing
+// them.
 type Overlay struct {
 	pending []dataset.Record // the delta, ids ascending
 	dead    idSet            // tombstoned ids; immutable once attached
@@ -73,12 +77,54 @@ type Overlay struct {
 // records containing the item, and of those whose smallest item it is.
 type postings struct{ all, heads []uint32 }
 
-// idSet is a set of ids as a bitmap: id i is bit i%64 of word i/64.
-type idSet []uint64
+// idSet is a set of ids as a bitmap in chunks of chunkIDs ids: id i is
+// bit i%64 of word i%chunkIDs/64 of chunk i/chunkIDs. A chunk holding no
+// id may be the shared noChunk. Once an Overlay holds a set, neither its
+// spine nor its chunks are written again (see with).
+type idSet []*idChunk
+
+// idChunk is chunkIDs bits of an idSet, 512 bytes.
+type idChunk [chunkIDs / 64]uint64
+
+const chunkIDs = 1 << 12
+
+// noChunk stands for every chunk that holds no id; it is never written.
+var noChunk idChunk
 
 func (s idSet) has(id uint32) bool {
-	w := id >> 6
-	return int(w) < len(s) && s[w]&(1<<(id&63)) != 0
+	c := id / chunkIDs
+	return int(c) < len(s) && s[c][id>>6%(chunkIDs/64)]&(1<<(id&63)) != 0
+}
+
+// with returns s plus id, sharing every chunk of s but the one id falls
+// in: the spine and that chunk are copies, so s itself, and any view
+// that holds it, is unchanged.
+func (s idSet) with(id uint32) idSet {
+	c := int(id / chunkIDs)
+	out := make(idSet, max(len(s), c+1))
+	copy(out, s)
+	for i := len(s); i < c; i++ {
+		out[i] = &noChunk
+	}
+	ch := new(idChunk)
+	if c < len(s) {
+		*ch = *s[c]
+	}
+	ch[id>>6%(chunkIDs/64)] |= 1 << (id & 63)
+	out[c] = ch
+	return out
+}
+
+// appendIDs appends the ids of s to dst, ascending.
+func (s idSet) appendIDs(dst []uint32) []uint32 {
+	for c, ch := range s {
+		for w, word := range ch {
+			for ; word != 0; word &= word - 1 {
+				dst = append(dst, uint32(c*chunkIDs+w<<6+bits.TrailingZeros64(word)))
+			}
+		}
+	}
+	return dst
 }
 
 // Insert canonicalises set (dataset.Canonical), appends it to the delta
@@ -123,10 +169,7 @@ func (o *Overlay) Delete(id uint32, merged int) error {
 		return fmt.Errorf("overlay: record %d already deleted", id)
 	}
 	// Copy-on-write keeps the bitmap immutable for live views.
-	dead := make(idSet, max(len(o.dead), int(id>>6)+1))
-	copy(dead, o.dead)
-	dead[id>>6] |= 1 << (id & 63)
-	o.dead, o.deleted, o.dirty = dead, o.deleted+1, true
+	o.dead, o.deleted, o.dirty = o.dead.with(id), o.deleted+1, true
 	return nil
 }
 
@@ -257,11 +300,20 @@ func (o *Overlay) Mask(ids []uint32) []uint32 {
 	return o.dead.mask(ids)
 }
 
+// mask keeps the ids of ids not in s. An answer's ids ascend, so they
+// come in runs within one chunk: the chunk is looked up once per run,
+// and inside it each id costs one bit test, as over a flat bitmap.
 func (s idSet) mask(ids []uint32) []uint32 {
 	kept := ids[:0]
-	for _, id := range ids {
-		if !s.has(id) {
-			kept = append(kept, id)
+	for i := 0; i < len(ids); {
+		c, ch := ids[i]/chunkIDs, &noChunk
+		if int(c) < len(s) {
+			ch = s[c]
+		}
+		for ; i < len(ids) && ids[i]/chunkIDs == c; i++ {
+			if id := ids[i]; ch[id>>6%(chunkIDs/64)]&(1<<(id&63)) == 0 {
+				kept = append(kept, id)
+			}
 		}
 	}
 	return kept
@@ -328,13 +380,7 @@ func (o *Overlay) writeRecords(w io.Writer) error {
 }
 
 func (o *Overlay) writeTombstones(w io.Writer) error {
-	ids := make([]uint32, 0, o.deleted)
-	for i, word := range o.dead {
-		for ; word != 0; word &= word - 1 {
-			ids = append(ids, uint32(i<<6+bits.TrailingZeros64(word)))
-		}
-	}
-	return snapio.WriteU32Slice(w, ids)
+	return snapio.WriteU32Slice(w, o.dead.appendIDs(make([]uint32, 0, o.deleted)))
 }
 
 // ReadSections replaces the overlay with the two sections WriteSections
@@ -367,9 +413,17 @@ func (o *Overlay) ReadSections(r io.Reader, layout Layout, domainSize, merged in
 		}
 	}
 	if len(dead) > 0 {
-		fresh.dead = make(idSet, dead[len(dead)-1]>>6+1)
+		// A fresh set, held by nothing yet: its chunks are written in place.
+		fresh.dead = make(idSet, dead[len(dead)-1]/chunkIDs+1)
+		for c := range fresh.dead {
+			fresh.dead[c] = &noChunk
+		}
 		for _, id := range dead {
-			fresh.dead[id>>6] |= 1 << (id & 63)
+			c := id / chunkIDs
+			if fresh.dead[c] == &noChunk {
+				fresh.dead[c] = new(idChunk)
+			}
+			fresh.dead[c][id>>6%(chunkIDs/64)] |= 1 << (id & 63)
 		}
 	}
 	fresh.deleted, fresh.dirty = len(dead), dirty

@@ -5,7 +5,10 @@ package overlay
 // Built only without -race (the detector's instrumentation allocates);
 // `make alloc-check` is what runs it in CI.
 
-import "testing"
+import (
+	"runtime"
+	"testing"
+)
 
 // TestOverlayMatchesZeroAllocs is the allocation ratchet of the delta's
 // query side: over a non-empty delta with tombstones, and into a dst
@@ -46,5 +49,31 @@ func TestOverlayMatchesZeroAllocs(t *testing.T) {
 		if matched == 0 {
 			t.Errorf("%s: no query matched anything; the ratchet measures nothing", s.name)
 		}
+	}
+}
+
+// TestDeleteAllocCeilings holds what one Delete allocates at 200 000
+// ids: the spine of chunk pointers and the one chunk it sets a bit in,
+// under 1 KiB, where a copy of the whole bitmap was 25 KB.
+func TestDeleteAllocCeilings(t *testing.T) {
+	const (
+		merged  = 200000
+		deletes = 2000
+		ceiling = 1024 // bytes per Delete
+	)
+	var o Overlay
+	if err := o.Delete(merged, merged); err != nil { // the spine at full length
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := range deletes {
+		if err := o.Delete(uint32(1+i*97), merged); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / deletes; per > ceiling {
+		t.Errorf("Delete: %d bytes per call, ceiling %d", per, ceiling)
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	mathbits "math/bits"
 	"math/rand"
 	"slices"
 	"sync"
@@ -432,17 +431,18 @@ func TestOverlayAgainstLinearSweep(t *testing.T) {
 		t.Helper()
 		// The bitmap's own invariants: it counts its bits, and sets none
 		// for id 0 or past the last id handed out.
-		n, bits := merged+o.Len(), 0
-		for w, word := range o.dead {
-			for ; word != 0; word &= word - 1 {
-				if id := w<<6 + mathbits.TrailingZeros64(word); id == 0 || id > n {
-					t.Fatalf("step %d: tombstone bit %d outside ids 1..%d", step, id, n)
-				}
-				bits++
+		n := merged + o.Len()
+		set := o.dead.appendIDs(nil)
+		for _, id := range set {
+			if id == 0 || int(id) > n {
+				t.Fatalf("step %d: tombstone bit %d outside ids 1..%d", step, id, n)
 			}
 		}
-		if bits != o.Deleted() || bits != len(oracle.dead) {
-			t.Fatalf("step %d: %d bits, Deleted %d, oracle %d", step, bits, o.Deleted(), len(oracle.dead))
+		if len(set) != o.Deleted() || len(set) != len(oracle.dead) {
+			t.Fatalf("step %d: %d bits, Deleted %d, oracle %d", step, len(set), o.Deleted(), len(oracle.dead))
+		}
+		if noChunk != (idChunk{}) {
+			t.Fatalf("step %d: the shared empty chunk holds a bit", step)
 		}
 		var ids []uint32
 		for id := uint32(0); id <= uint32(n)+70; id++ {
@@ -726,3 +726,70 @@ func FuzzOverlaySections(f *testing.F) {
 type neverEnds struct{}
 
 func (neverEnds) Read(p []byte) (int, error) { clear(p); return len(p), nil }
+
+// TestTombstoneChunks deletes ids across many bitmap chunks — both ends
+// of a chunk, the first and the last id, chunks left empty between —
+// and holds Dead, a snapshot round trip and views taken along the way
+// to the set of ids deleted up to each point.
+func TestTombstoneChunks(t *testing.T) {
+	const merged = 200000
+	ids := []uint32{4096, 4095, 1, merged, 4097, 8191, 8192, 150001, 2, 12288}
+	rng := rand.New(rand.NewSource(7))
+	for len(ids) < 300 {
+		id := uint32(1 + rng.Intn(merged))
+		if !slices.Contains(ids, id) {
+			ids = append(ids, id)
+		}
+	}
+	check := func(o *Overlay, dead []uint32) {
+		t.Helper()
+		if o.Deleted() != len(dead) {
+			t.Fatalf("Deleted %d, want %d", o.Deleted(), len(dead))
+		}
+		for _, id := range []uint32{0, 4095, 4096, 4097, 8192, merged, merged + 1, 1 << 20} {
+			if got, want := o.Dead(id), slices.Contains(dead, id); got != want {
+				t.Fatalf("%d tombstones: Dead(%d) = %v, want %v", len(dead), id, got, want)
+			}
+		}
+		for _, id := range dead {
+			if !o.Dead(id) {
+				t.Fatalf("%d tombstones: Dead(%d) = false", len(dead), id)
+			}
+		}
+		if got, want := o.dead.appendIDs(nil), slices.Sorted(slices.Values(dead)); !slices.Equal(got, want) {
+			t.Fatalf("%d tombstones: bitmap holds %d ids, want %d", len(dead), len(got), len(want))
+		}
+	}
+	var o Overlay
+	type frozen struct {
+		view Overlay
+		dead []uint32
+	}
+	var views []frozen
+	for i, id := range ids {
+		if err := o.Delete(id, merged); err != nil {
+			t.Fatal(err)
+		}
+		if i%25 == 0 {
+			views = append(views, frozen{o.View(), slices.Clone(ids[:i+1])})
+		}
+	}
+	check(&o, ids)
+	for _, v := range views {
+		check(&v.view, v.dead)
+	}
+	var sec bytes.Buffer
+	if err := o.WriteSections(&sec, RecordsFirst); err != nil {
+		t.Fatal(err)
+	}
+	var back Overlay
+	if err := back.ReadSections(&sec, RecordsFirst, testDomain, merged, true); err != nil {
+		t.Fatal(err)
+	}
+	check(&back, ids)
+	if err := back.Delete(3, merged); err != nil { // a read set is copied on write too
+		t.Fatal(err)
+	}
+	check(&back, append(slices.Clone(ids), 3))
+	check(&o, ids)
+}

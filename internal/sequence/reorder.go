@@ -6,6 +6,7 @@ import (
 	"slices"
 
 	"repro/internal/dataset"
+	"repro/internal/fanout"
 )
 
 // Reordered is the outcome of the paper's global record re-ordering (§3):
@@ -30,41 +31,59 @@ type Reordered struct {
 // comparison sort by Compare, but a counting pass costs one rank read
 // per record of its bucket plus a sweep of the domain, where the
 // comparison sort spent O(N log N) comparisons through an indirection.
-func Reorder(d *dataset.Dataset, ord *Order) (*Reordered, error) {
-	n := d.Len()
-	// Build all sequence forms into a flat arena first (source order).
-	var total int
-	for i := 0; i < n; i++ {
-		total += len(d.Record(i).Set)
-	}
-	srcFlat := make([]Rank, 0, total)
+//
+// It runs on up to workers goroutines: the sequence forms are built over
+// ranges of source positions, the buckets of sortForms' first pass are
+// sorted on their own, and the permuted arena is copied over ranges of
+// new ids. Every worker writes its own part of each slice, so the
+// outcome is the same at any worker count.
+func Reorder(d *dataset.Dataset, ord *Order, workers int) (*Reordered, error) {
+	workers = max(workers, 1)
+	recs := d.Records()
+	n := len(recs)
 	srcOff := make([]uint32, n+1)
-	for i := 0; i < n; i++ {
-		set := d.Record(i).Set
-		start := len(srcFlat)
-		for _, it := range set {
-			r, err := ord.Rank(it)
-			if err != nil {
-				return nil, err
+	for i, rec := range recs {
+		srcOff[i+1] = srcOff[i] + uint32(len(rec.Set))
+	}
+	total := srcOff[n]
+	// Every sequence form into a flat arena first, in source order.
+	srcFlat := make([]Rank, total)
+	err := fanout.First(fanout.ForEach(workers, workers, func(w int) error {
+		for i := w * n / workers; i < (w+1)*n/workers; i++ {
+			sf := srcFlat[srcOff[i]:srcOff[i+1]]
+			for j, it := range recs[i].Set {
+				r, err := ord.Rank(it)
+				if err != nil {
+					return err
+				}
+				sf[j] = r
 			}
-			srcFlat = append(srcFlat, r)
+			slices.Sort(sf)
 		}
-		slices.Sort(srcFlat[start:])
-		srcOff[i+1] = uint32(len(srcFlat))
+		return nil
+	}))
+	if err != nil {
+		return nil, err
 	}
 
-	perm := sortForms(srcFlat, srcOff, ord.DomainSize())
+	perm := sortForms(srcFlat, srcOff, ord.DomainSize(), workers)
 	r := &Reordered{
-		flat:      make([]Rank, 0, total),
-		off:       make([]uint32, 1, n+1),
+		flat:      make([]Rank, total),
+		off:       make([]uint32, n+1),
 		origIndex: perm,
 		newID:     make([]uint32, n),
 	}
 	for newIdx, src := range perm {
-		r.flat = append(r.flat, srcFlat[srcOff[src]:srcOff[src+1]]...)
-		r.off = append(r.off, uint32(len(r.flat)))
-		r.newID[src] = uint32(newIdx + 1)
+		r.off[newIdx+1] = r.off[newIdx] + srcOff[src+1] - srcOff[src]
 	}
+	fanout.ForEach(workers, workers, func(w int) error {
+		for newIdx := w * n / workers; newIdx < (w+1)*n/workers; newIdx++ {
+			src := perm[newIdx]
+			copy(r.flat[r.off[newIdx]:], srcFlat[srcOff[src]:srcOff[src+1]])
+			r.newID[src] = uint32(newIdx + 1)
+		}
+		return nil
+	})
 	return r, nil
 }
 
@@ -85,80 +104,141 @@ const smallBucket = 32
 // pass would be dominated by the domain-sized prefix sum), is sorted by
 // comparison with the source position as the tie-break, which is what
 // stability means here.
-func sortForms(flat []Rank, off []uint32, domain int) []uint32 {
+//
+// The first pass, over every record, runs on the caller's goroutine; the
+// buckets it leaves — one per first rank — are then dealt to up to
+// workers goroutines, the largest first, each to the least loaded. A
+// bucket is sorted within its own range of perm, keys and scratch, with
+// the worker's own prefix-sum array, so no two workers touch one slot.
+func sortForms(flat []Rank, off []uint32, domain, workers int) []uint32 {
 	n := len(off) - 1
-	perm := make([]uint32, n)
-	for i := range perm {
-		perm[i] = uint32(i)
+	s := &formSort{flat: flat, off: off, domain: domain, perm: make([]uint32, n)}
+	for i := range s.perm {
+		s.perm[i] = uint32(i)
 	}
-	form := func(p uint32) []Rank { return flat[off[p]:off[p+1]] }
-	counting := func(size int) bool {
-		return size > smallBucket && size >= domain/16
-	}
-	if !counting(n) {
+	if !s.counting(n) {
 		// No bucket below the whole can be counted either.
-		sortByComparison(perm, form, 0)
-		return perm
+		s.sortByComparison(bucket{0, n, 0})
+		return s.perm
 	}
+	s.keys, s.scratch = make([]uint32, n), make([]uint32, n)
+	start := make([]uint32, domain+1)
+	top := s.pass(bucket{0, n, 0}, nil, start)
+	workers = max(1, min(workers, len(top)))
+	if workers == 1 {
+		s.run(top, start)
+		return s.perm
+	}
+	slices.SortFunc(top, func(a, b bucket) int { return cmp.Compare(b.hi-b.lo, a.hi-a.lo) })
+	shares := make([][]bucket, workers)
+	load := make([]int, workers)
+	for _, b := range top {
+		w := 0
+		for v := range load {
+			if load[v] < load[w] {
+				w = v
+			}
+		}
+		shares[w] = append(shares[w], b)
+		load[w] += b.hi - b.lo
+	}
+	fanout.ForEach(workers, workers, func(w int) error {
+		own := start
+		if w > 0 {
+			own = make([]uint32, domain+1)
+		}
+		s.run(shares[w], own)
+		return nil
+	})
+	return s.perm
+}
 
-	type bucket struct{ lo, hi, depth int }
-	var (
-		keys    = make([]uint32, n) // keys[i]: perm[i]'s rank at depth + 1, 0 if it ended
-		scratch = make([]uint32, n)
-		start   = make([]uint32, domain+1)
-		todo    = []bucket{{0, n, 0}}
-	)
+// bucket is a range perm[lo:hi] of records whose forms share their first
+// depth ranks.
+type bucket struct{ lo, hi, depth int }
+
+// formSort is the state of one sortForms call that its workers share;
+// each works on disjoint ranges of perm, keys and scratch.
+type formSort struct {
+	flat   []Rank
+	off    []uint32
+	domain int
+	perm   []uint32
+	// keys[i] is perm[i]'s rank at a pass's depth, plus one, or 0 if its
+	// form ended; scratch is the pass's scatter target.
+	keys, scratch []uint32
+}
+
+func (s *formSort) form(p uint32) []Rank { return s.flat[s.off[p]:s.off[p+1]] }
+
+// counting reports whether a bucket of size records is sorted by a
+// counting pass rather than by comparison.
+func (s *formSort) counting(size int) bool {
+	return size > smallBucket && size >= s.domain/16
+}
+
+// run sorts the buckets of todo, and the buckets their passes leave,
+// with start, a zeroed prefix-sum array of domain+1 slots.
+func (s *formSort) run(todo []bucket, start []uint32) {
 	for len(todo) > 0 {
 		b := todo[len(todo)-1]
 		todo = todo[:len(todo)-1]
-		part := perm[b.lo:b.hi]
-		if !counting(len(part)) {
-			sortByComparison(part, form, b.depth)
+		if !s.counting(b.hi - b.lo) {
+			s.sortByComparison(b)
 			continue
 		}
-		k := keys[b.lo:b.hi]
-		for i, p := range part {
-			k[i] = 0
-			if lo, hi := off[p], off[p+1]; hi-lo > uint32(b.depth) {
-				k[i] = flat[lo+uint32(b.depth)] + 1
-			}
-			start[k[i]]++
-		}
-		// Counts to start offsets; every bucket past the ended forms'
-		// that holds more than one record is sorted one rank deeper.
-		sum := uint32(0)
-		for key, c := range start {
-			if c == 0 {
-				continue
-			}
-			if c > 1 && key > 0 {
-				lo := b.lo + int(sum)
-				todo = append(todo, bucket{lo, lo + int(c), b.depth + 1})
-			}
-			start[key] = sum
-			sum += c
-		}
-		out := scratch[:len(part)]
-		for i, p := range part {
-			out[start[k[i]]] = p
-			start[k[i]]++
-		}
-		copy(part, out)
-		for _, key := range k {
-			start[key] = 0
-		}
+		todo = s.pass(b, todo, start)
 	}
-	return perm
 }
 
-// sortByComparison sorts source positions whose forms share their first
-// depth ranks, by Compare on the rest and then by position.
-func sortByComparison(part []uint32, form func(uint32) []Rank, depth int) {
-	slices.SortFunc(part, func(a, b uint32) int {
-		if c := Compare(form(a)[depth:], form(b)[depth:]); c != 0 {
+// pass buckets b's records by their rank at b.depth, stably, and
+// appends to todo every bucket past the ended forms' that holds more
+// than one record, to be sorted one rank deeper. start must be zero on
+// entry; it is again on return.
+func (s *formSort) pass(b bucket, todo []bucket, start []uint32) []bucket {
+	part := s.perm[b.lo:b.hi]
+	k := s.keys[b.lo:b.hi]
+	for i, p := range part {
+		k[i] = 0
+		if lo, hi := s.off[p], s.off[p+1]; hi-lo > uint32(b.depth) {
+			k[i] = s.flat[lo+uint32(b.depth)] + 1
+		}
+		start[k[i]]++
+	}
+	// Counts to start offsets.
+	sum := uint32(0)
+	for key, c := range start {
+		if c == 0 {
+			continue
+		}
+		if c > 1 && key > 0 {
+			lo := b.lo + int(sum)
+			todo = append(todo, bucket{lo, lo + int(c), b.depth + 1})
+		}
+		start[key] = sum
+		sum += c
+	}
+	out := s.scratch[b.lo:b.hi]
+	for i, p := range part {
+		out[start[k[i]]] = p
+		start[k[i]]++
+	}
+	copy(part, out)
+	for _, key := range k {
+		start[key] = 0
+	}
+	return todo
+}
+
+// sortByComparison sorts the source positions of b, whose forms share
+// their first b.depth ranks, by Compare on the rest and then by
+// position.
+func (s *formSort) sortByComparison(b bucket) {
+	slices.SortFunc(s.perm[b.lo:b.hi], func(x, y uint32) int {
+		if c := Compare(s.form(x)[b.depth:], s.form(y)[b.depth:]); c != 0 {
 			return c
 		}
-		return cmp.Compare(a, b)
+		return cmp.Compare(x, y)
 	})
 }
 

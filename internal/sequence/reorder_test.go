@@ -2,6 +2,7 @@ package sequence
 
 import (
 	"math/rand"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -26,12 +27,13 @@ func stableOrder(t testing.TB, d *dataset.Dataset, ord *Order) []uint32 {
 	return perm
 }
 
-// checkReorder holds Reorder's whole permutation, and the arena it
-// copies in that order, to the oracle's.
-func checkReorder(t testing.TB, d *dataset.Dataset) {
+// checkReorder holds Reorder's whole permutation on one worker, and the
+// arena it copies in that order, to the oracle's, and its parts at each
+// further worker count to the one worker's, slice for slice.
+func checkReorder(t testing.TB, d *dataset.Dataset, workers ...int) {
 	t.Helper()
 	ord := OrderFromDataset(d)
-	r, err := Reorder(d, ord)
+	r, err := Reorder(d, ord, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,6 +53,22 @@ func checkReorder(t testing.TB, d *dataset.Dataset) {
 			t.Fatalf("new id %d has form %v, want %v", id, r.SF(id), sf)
 		}
 	}
+	for _, w := range workers {
+		p, err := Reorder(d, ord, w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !sameParts(p, r) {
+			t.Fatalf("%d workers reorder %d records unlike one worker", w, r.Len())
+		}
+	}
+}
+
+// sameParts reports whether two re-orderings hold equal slices.
+func sameParts(a, b *Reordered) bool {
+	af, ao, ai := a.Parts()
+	bf, bo, bi := b.Parts()
+	return slices.Equal(af, bf) && slices.Equal(ao, bo) && slices.Equal(ai, bi) && slices.Equal(a.newID, b.newID)
 }
 
 // randomDataset draws n records over a domain: Zipf-skewed items so
@@ -86,7 +104,7 @@ func TestReorderMatchesStableSort(t *testing.T) {
 	for _, n := range []int{0, 1, 2, 31, 32, 33, 200, 1000, 5000} {
 		for _, domain := range []int{1, 2, 17, 100, 2000, 100000} {
 			for _, maxLen := range []int{3, 20, 300} {
-				checkReorder(t, randomDataset(t, rng, n, domain, maxLen))
+				checkReorder(t, randomDataset(t, rng, n, domain, maxLen), 2, 7)
 			}
 		}
 	}
@@ -106,12 +124,13 @@ func TestReorderMatchesStableSort(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	checkReorder(t, d)
+	checkReorder(t, d, 2, 7)
 }
 
 // FuzzReorder reads a small dataset from bytes — the first picks the
 // domain, then each record is a length byte and that many item bytes —
-// and holds Reorder to the stable comparison sort on it.
+// and holds Reorder to the stable comparison sort on it, and two
+// workers to one.
 func FuzzReorder(f *testing.F) {
 	rng := rand.New(rand.NewSource(1))
 	for _, size := range []int{0, 8, 200, 2000} {
@@ -135,12 +154,13 @@ func FuzzReorder(f *testing.F) {
 			}
 			rest = rest[1+k:]
 		}
-		checkReorder(t, d)
+		checkReorder(t, d, 2)
 	})
 }
 
 // BenchmarkReorder times the §3 re-ordering of the §5 dataset at the
-// benchmark's size (200 000 records, seed 1).
+// benchmark's size (200 000 records, seed 1), on GOMAXPROCS workers as
+// core.Build runs it.
 func BenchmarkReorder(b *testing.B) {
 	d, err := dataset.GenerateSynthetic(dataset.DefaultSynthetic(200000))
 	if err != nil {
@@ -149,7 +169,7 @@ func BenchmarkReorder(b *testing.B) {
 	ord := OrderFromDataset(d)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Reorder(d, ord); err != nil {
+		if _, err := Reorder(d, ord, runtime.GOMAXPROCS(0)); err != nil {
 			b.Fatal(err)
 		}
 	}

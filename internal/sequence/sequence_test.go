@@ -267,7 +267,7 @@ func buildPaperFig1(t *testing.T) *dataset.Dataset {
 func TestReorderPaperFig3(t *testing.T) {
 	d := buildPaperFig1(t)
 	ord := OrderFromDataset(d)
-	r, err := Reorder(d, ord)
+	r, err := Reorder(d, ord, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -316,7 +316,7 @@ func TestReorderInvariants(t *testing.T) {
 		t.Fatal(err)
 	}
 	ord := OrderFromDataset(d)
-	r, err := Reorder(d, ord)
+	r, err := Reorder(d, ord, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -359,7 +359,7 @@ func TestReorderStableForDuplicates(t *testing.T) {
 		t.Fatal(err)
 	}
 	ord := OrderFromDataset(d)
-	r, err := Reorder(d, ord)
+	r, err := Reorder(d, ord, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -388,7 +388,7 @@ func TestReorderEmptySetFirst(t *testing.T) {
 		t.Fatal(err)
 	}
 	ord := OrderFromDataset(d)
-	r, err := Reorder(d, ord)
+	r, err := Reorder(d, ord, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -411,7 +411,7 @@ func TestReorderRandomAgreesWithSortedCopy(t *testing.T) {
 		}
 	}
 	ord := OrderFromDataset(d)
-	r, err := Reorder(d, ord)
+	r, err := Reorder(d, ord, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,8 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
-	"sync"
+
+	"repro/internal/fanout"
 )
 
 // The scatter-gather executor is the one fan-out/merge engine behind
@@ -58,7 +58,7 @@ func scatterGather(ctx context.Context, part Partitioner, call shardCall) ([]uin
 }
 
 // fanOut runs f for every index in [0, n) on at most bound goroutines
-// (see forEachBounded) under a context that the first failure cancels,
+// (see fanout.ForEach) under a context that the first failure cancels,
 // and returns the per-index errors for gatherErr / firstCause to
 // reduce. It is the one cancelable fan-out: scatterGather uses it with
 // a goroutine per shard, Store.ExecBatch bounded by GOMAXPROCS.
@@ -72,7 +72,7 @@ func fanOut(ctx context.Context, n, bound int, f func(ctx context.Context, i int
 	// on a healthy shard would otherwise outlive a dead one).
 	cctx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	return forEachBounded(n, bound, func(i int) error {
+	return fanout.ForEach(n, bound, func(i int) error {
 		err := f(cctx, i)
 		if err != nil {
 			cancel()
@@ -119,35 +119,6 @@ func firstCause(ctx context.Context, errs []error) (int, error) {
 		return -1, err
 	}
 	return first, errs[first]
-}
-
-// forEachBounded runs f for every index in [0, n) concurrently, bounded
-// by at most `bound` goroutines (<= 0 selects GOMAXPROCS), and returns
-// the per-index errors. Used bare it is the fan-out loop behind
-// parallel shard builds, merges, and snapshot encode/decode —
-// control-plane work every shard must finish; the query paths add
-// sibling cancellation through fanOut.
-func forEachBounded(n, bound int, f func(i int) error) []error {
-	if bound <= 0 {
-		bound = runtime.GOMAXPROCS(0)
-	}
-	if bound > n {
-		bound = n
-	}
-	errs := make([]error, n)
-	sem := make(chan struct{}, bound)
-	var wg sync.WaitGroup
-	for s := 0; s < n; s++ {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(s int) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			errs[s] = f(s)
-		}(s)
-	}
-	wg.Wait()
-	return errs
 }
 
 // mergeLocals interleaves the shards' ascending local answers into one

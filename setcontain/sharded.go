@@ -7,6 +7,7 @@ import (
 	"runtime"
 
 	"repro/internal/dataset"
+	"repro/internal/fanout"
 	"repro/internal/stats"
 	"repro/internal/storage"
 )
@@ -118,7 +119,7 @@ func buildShardedWith(ds *dataset.Dataset, opts Options, part Partitioner) (Engi
 
 	clients := make([]ShardClient, n)
 	plans := make([]ShardPlan, n)
-	errs := forEachBounded(n, 0, func(s int) error {
+	errs := fanout.ForEach(n, 0, func(s int) error {
 		shardEng, plan, err := buildShard(subs[s], opts)
 		if err != nil {
 			return err
@@ -390,7 +391,7 @@ func (e *shardedEngine) Deleted() int {
 func (e *shardedEngine) MergeDelta() error {
 	e.dropReader()
 	ctx := context.Background()
-	return errors.Join(forEachBounded(len(e.clients), 0, func(s int) error {
+	return errors.Join(fanout.ForEach(len(e.clients), 0, func(s int) error {
 		if err := e.clients[s].MergeDelta(ctx); err != nil {
 			return err
 		}

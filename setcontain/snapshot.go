@@ -9,6 +9,7 @@ import (
 	"math"
 
 	"repro/internal/core"
+	"repro/internal/fanout"
 	"repro/internal/invfile"
 	"repro/internal/snapio"
 )
@@ -155,7 +156,7 @@ func (e *shardedEngine) Save(w io.Writer) error {
 func (e *shardedEngine) saveShardedPayload(w io.Writer) error {
 	n := len(e.clients)
 	bufs := make([]bytes.Buffer, n)
-	errs := forEachBounded(n, 0, func(s int) error {
+	errs := fanout.ForEach(n, 0, func(s int) error {
 		return e.clients[s].Snapshot(context.Background(), &bufs[s])
 	})
 	for s, err := range errs {
@@ -283,7 +284,7 @@ func loadShardedPayload(r io.Reader, o Options) (Engine, error) {
 	}
 
 	clients := make([]ShardClient, n)
-	errs := forEachBounded(n, 0, func(s int) error {
+	errs := fanout.ForEach(n, 0, func(s int) error {
 		eng, err := openEngine(bytes.NewReader(frames[s]), o, true)
 		if err != nil {
 			return err
