@@ -23,11 +23,12 @@ test:
 # sweeps and the tombstone Mask), TestResultCodecZeroAllocs,
 # TestReseekZeroAllocs, TestExprAllocCeilings, and the build paths'
 # TestGeneratorAllocCeilings and TestBuildAllocCeilings (generators,
-# Build, MergeDelta) —
+# Build, MergeDelta), and the index's live heap against its Space
+# (TestIndexHeapCeiling) —
 # skip or are compiled out under the race detector, so `make test` never
 # runs them; this does, without -race.
 alloc-check:
-	$(GO) test -run 'ZeroAllocs|AllocCeilings' . ./setcontain/... ./internal/overlay ./internal/wire ./internal/btree ./internal/dataset ./internal/core
+	$(GO) test -run 'ZeroAllocs|AllocCeilings|HeapCeiling' . ./setcontain/... ./internal/overlay ./internal/wire ./internal/btree ./internal/dataset ./internal/core
 
 # Run every benchmark once, across all packages, without re-running unit
 # tests: the CI bench-smoke job's one step, proving every Benchmark*

@@ -140,8 +140,8 @@ func TestMergedIndexMatchesBuild(t *testing.T) {
 		if !reflect.DeepEqual(ix.hot, want.hot) {
 			t.Errorf("%s differ", name("hot lists"))
 		}
-		gotFlat, gotOff, gotPerm := ix.re.Parts()
-		wantFlat, wantOff, wantPerm := want.re.Parts()
+		gotFlat, gotOff, gotPerm := rebuiltParts(t, ix)
+		wantFlat, wantOff, wantPerm := rebuiltParts(t, want)
 		if !slices.Equal(gotFlat, wantFlat) || !slices.Equal(gotOff, wantOff) || !slices.Equal(gotPerm, wantPerm) {
 			t.Errorf("%s differ", name("Reordered parts"))
 		}
@@ -186,42 +186,11 @@ func BenchmarkMergeDelta(b *testing.B) {
 
 // TestParallelBuildMatchesSerial holds a build on 2 and 7 workers byte
 // for byte to one on a single worker: every page, the re-ordering's
-// parts, the hot lists, the metadata and the counters. The datasets
-// cover a skewed domain with hot lists, a tiny domain with more workers
-// than ranks, tag prefixes and small blocks, and empty sets.
+// parts, the hot lists, the metadata and the counters, over
+// buildCases' datasets.
 func TestParallelBuildMatchesSerial(t *testing.T) {
-	synthetic := func(n, domain, minLen, maxLen int, theta float64) *dataset.Dataset {
-		d, err := dataset.GenerateSynthetic(dataset.SyntheticConfig{
-			NumRecords: n, DomainSize: domain, MinLen: minLen, MaxLen: maxLen, ZipfTheta: theta, Seed: 42,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return d
-	}
-	withEmpties := dataset.New(50)
-	for i, r := range synthetic(3000, 50, 1, 9, 1.1).Records() {
-		set := r.Set
-		if i%11 == 0 {
-			set = nil
-		}
-		if _, err := withEmpties.Add(set); err != nil {
-			t.Fatal(err)
-		}
-	}
-	cases := []struct {
-		name string
-		d    *dataset.Dataset
-		opts Options
-	}{
-		{"synthetic", synthetic(20000, 2000, 2, 20, 0.8), Options{}},
-		{"skewed/small blocks", synthetic(6000, 120, 1, 12, 0.9), Options{BlockPostings: 5, TagPrefix: 2, PageSize: 1024}},
-		{"five items", synthetic(2000, 5, 1, 5, 0.5), Options{}},
-		{"empty sets", withEmpties, Options{BlockPostings: 7}},
-		{"no records", dataset.New(30), Options{}},
-	}
 	hot := 0
-	for _, c := range cases {
+	for _, c := range buildCases(t) {
 		t.Run(c.name, func(t *testing.T) {
 			want, err := buildOn(c.d, c.opts, 1)
 			if err != nil {
@@ -241,6 +210,45 @@ func TestParallelBuildMatchesSerial(t *testing.T) {
 	}
 	if hot == 0 {
 		t.Fatal("no build has a hot list to compare")
+	}
+}
+
+// buildCase is a dataset and the options to build it with.
+type buildCase struct {
+	name string
+	d    *dataset.Dataset
+	opts Options
+}
+
+// buildCases are datasets that cover a skewed domain with hot lists, a
+// tiny domain with more workers than ranks, tag prefixes and small
+// blocks, empty sets, and no records at all.
+func buildCases(t testing.TB) []buildCase {
+	synthetic := func(n, domain, minLen, maxLen int, theta float64) *dataset.Dataset {
+		d, err := dataset.GenerateSynthetic(dataset.SyntheticConfig{
+			NumRecords: n, DomainSize: domain, MinLen: minLen, MaxLen: maxLen, ZipfTheta: theta, Seed: 42,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return d
+	}
+	withEmpties := dataset.New(50)
+	for i, r := range synthetic(3000, 50, 1, 9, 1.1).Records() {
+		set := r.Set
+		if i%11 == 0 {
+			set = nil
+		}
+		if _, err := withEmpties.Add(set); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return []buildCase{
+		{"synthetic", synthetic(20000, 2000, 2, 20, 0.8), Options{}},
+		{"skewed/small blocks", synthetic(6000, 120, 1, 12, 0.9), Options{BlockPostings: 5, TagPrefix: 2, PageSize: 1024}},
+		{"five items", synthetic(2000, 5, 1, 5, 0.5), Options{}},
+		{"empty sets", withEmpties, Options{BlockPostings: 7}},
+		{"no records", dataset.New(30), Options{}},
 	}
 }
 
@@ -273,14 +281,14 @@ func sameIndex(t *testing.T, name string, got, want *Index) {
 	if !reflect.DeepEqual(got.hot, want.hot) {
 		t.Errorf("%s: hot lists differ", name)
 	}
-	gotFlat, gotOff, gotPerm := got.re.Parts()
-	wantFlat, wantOff, wantPerm := want.re.Parts()
+	gotFlat, gotOff, gotPerm := rebuiltParts(t, got)
+	wantFlat, wantOff, wantPerm := rebuiltParts(t, want)
 	if !slices.Equal(gotFlat, wantFlat) || !slices.Equal(gotOff, wantOff) || !slices.Equal(gotPerm, wantPerm) {
 		t.Errorf("%s: Reordered parts differ", name)
 	}
-	for i := range got.re.Len() {
-		if got.re.NewID(i) != want.re.NewID(i) {
-			t.Fatalf("%s: source position %d has new id %d, want %d", name, i, got.re.NewID(i), want.re.NewID(i))
+	for i := range got.ids.Len() {
+		if got.ids.NewID(i) != want.ids.NewID(i) {
+			t.Fatalf("%s: source position %d has new id %d, want %d", name, i, got.ids.NewID(i), want.ids.NewID(i))
 		}
 	}
 }

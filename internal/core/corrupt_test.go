@@ -45,6 +45,7 @@ func (p *corruptPager) ReadPage(id storage.PageID, buf []byte) error {
 // either fail the same way or answer exactly as before the corruption.
 func TestCorruptListBlockIsAnError(t *testing.T) {
 	d, ix, cp, pool := corruptibleIndex(t)
+	forms := rebuiltForms(t, ix)
 
 	var err error
 	// The block: the middle one of the first list of three blocks or more
@@ -73,7 +74,7 @@ func TestCorruptListBlockIsAnError(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, p := range ps {
-			if sf := ix.re.SF(p.ID); len(sf) >= 2 && sf[len(sf)-1] == rank {
+			if sf := forms.SF(p.ID); len(sf) >= 2 && sf[len(sf)-1] == rank {
 				visitors = append(visitors, ix.ord.AppendSet(nil, sf))
 				visitorIDs = append(visitorIDs, ix.origID(p.ID))
 			}

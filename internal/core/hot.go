@@ -6,7 +6,6 @@ import (
 	"math"
 	"slices"
 
-	"repro/internal/btree"
 	"repro/internal/sequence"
 	"repro/internal/vbyte"
 )
@@ -93,95 +92,54 @@ func (h *hotList) appendMembers(dst, cands []uint32) []uint32 {
 // what a build writes; take then keeps the list as a hotList if the rule
 // selects it.
 type listScan struct {
-	ids   []uint32
 	lasts []uint32
 	sums  []uint64
 	size  int
 }
 
-// add decodes the list's next block, val, whose key ends in last. It
-// refuses, in this order, a block the decode kernels refuse, an empty
-// block (a build never writes one), a posting id past numRecords, a
-// block whose decoded last id is not last, and one whose ids do not
-// ascend past the block before it.
-func (s *listScan) add(val []byte, last uint32, numRecords int) error {
-	start := len(s.ids)
-	ids, err := vbyte.AppendIDs(s.ids, val, 0, 0, math.MaxUint32)
+// add decodes the list's next block, val, whose key ends in last, and
+// appends its postings to dst. It refuses, in this order, a block the
+// decode kernels refuse, an empty block (a build never writes one), a
+// posting id past numRecords, a block whose decoded last id is not
+// last, and one whose ids do not ascend past the block before it.
+func (s *listScan) add(dst []vbyte.Posting, val []byte, last uint32, numRecords int) ([]vbyte.Posting, error) {
+	start := len(dst)
+	dst, _, err := vbyte.AppendPostingsAfter(dst, val, 0, 0, math.MaxUint32)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	s.ids = ids
-	blk := ids[start:]
+	blk := dst[start:]
 	if len(blk) == 0 {
-		return fmt.Errorf("empty block ending at id %d", last)
+		return nil, fmt.Errorf("empty block ending at id %d", last)
 	}
-	got := blk[len(blk)-1]
-	switch {
+	got := blk[len(blk)-1].ID
+	switch n := len(s.lasts); {
 	case uint64(got) > uint64(numRecords):
-		return fmt.Errorf("posting id %d past %d records", got, numRecords)
+		return nil, fmt.Errorf("posting id %d past %d records", got, numRecords)
 	case got != last:
-		return fmt.Errorf("block decodes to last id %d, its key says %d", got, last)
-	case start > 0 && blk[0] <= ids[start-1]:
-		return fmt.Errorf("block starts at id %d, not past the block before it (%d)", blk[0], ids[start-1])
+		return nil, fmt.Errorf("block decodes to last id %d, its key says %d", got, last)
+	case n > 0 && blk[0].ID <= s.lasts[n-1]:
+		return nil, fmt.Errorf("block starts at id %d, not past the block before it (%d)", blk[0].ID, s.lasts[n-1])
 	}
 	s.lasts = append(s.lasts, last)
 	s.sums = append(s.sums, maphash.Bytes(hotSeed, val))
 	s.size += len(val)
-	return nil
+	return dst, nil
 }
 
-// take resets the scan for the next list and returns hot with rank's
-// hotList set if the rule selects the list scanned; hot is allocated,
-// one slot per rank of the domain, at the first list selected.
-func (s *listScan) take(hot []*hotList, rank sequence.Rank, domainSize int) []*hotList {
-	if n := len(s.lasts); n > 0 && isHot(s.lasts[n-1], s.size) {
+// take resets the scan for the next list and sets hot[rank] if the rule
+// selects the list scanned, whose postings are ps; a nil hot keeps none.
+func (s *listScan) take(hot []*hotList, rank sequence.Rank, ps []vbyte.Posting) {
+	if n := len(s.lasts); hot != nil && n > 0 && isHot(s.lasts[n-1], s.size) {
 		h := &hotList{
 			bits:  make([]uint64, s.lasts[n-1]>>6+1),
 			lasts: slices.Clone(s.lasts),
 			sums:  slices.Clone(s.sums),
 		}
-		for _, id := range s.ids {
-			h.bits[id>>6] |= 1 << (id & 63)
-		}
-		if hot == nil {
-			hot = make([]*hotList, domainSize)
+		for _, p := range ps {
+			h.bits[p.ID>>6] |= 1 << (p.ID & 63)
 		}
 		hot[rank] = h
 	}
-	s.ids, s.lasts, s.sums, s.size = s.ids[:0], s.lasts[:0], s.sums[:0], 0
-	return hot
-}
-
-// scanLists reads every list block of tree in key order — ranks ascend,
-// so each list's blocks are one run — checking each as listScan.add
-// does, and returns the hot lists. Load runs it on a scratch pool after
-// btree.Validate.
-func scanLists(tree *btree.BTree, domainSize, numRecords int) ([]*hotList, error) {
-	c, err := tree.First()
-	if err != nil {
-		return nil, err
-	}
-	var s listScan
-	var hot []*hotList
-	rank := sequence.Rank(0)
-	for c.Valid() {
-		k := c.Key()
-		if len(k) < 9 { // rank + empty tag + id
-			return nil, fmt.Errorf("block key of %d bytes", len(k))
-		}
-		r := keyRank(k)
-		if int64(r) >= int64(domainSize) {
-			return nil, fmt.Errorf("block of rank %d outside a domain of %d", r, domainSize)
-		}
-		if r != rank {
-			hot, rank = s.take(hot, rank, domainSize), r
-		}
-		if err := s.add(c.Value(), keyLastID(k), numRecords); err != nil {
-			return nil, fmt.Errorf("list of rank %d: %w", r, err)
-		}
-		if err := c.Next(); err != nil {
-			return nil, err
-		}
-	}
-	return s.take(hot, rank, domainSize), nil
+	s.lasts, s.sums, s.size = s.lasts[:0], s.sums[:0], 0
 }

@@ -57,21 +57,30 @@ func (m *Metadata) noteEmpty(id uint32) { m.EmptyUpper = id }
 func (m *Metadata) Bytes() int64 { return int64(len(m.Regions))*12 + 4 }
 
 // check reports whether the table is one a build over numRecords records
-// could have written: the empty-set run ends within the records, and each
-// region is empty or a run 1 <= L <= U1+1 <= U+1 <= numRecords+1. The
-// query loops walk these runs by id, so Load refuses any other table.
+// could have written: the empty-set run ends within the records, each
+// region is empty or a run L <= U1+1 <= U+1, and the non-empty regions,
+// in rank order, tile the ids past the empty-set run up to numRecords —
+// a record's smallest rank is its region, records ascend by their forms,
+// and every record past the empty sets has a smallest rank. The query
+// loops walk these runs by id, and forms reads every record's smallest
+// rank from them, so Load refuses any other table.
 func (m *Metadata) check(numRecords int) error {
 	n := uint64(numRecords)
 	if uint64(m.EmptyUpper) > n {
 		return fmt.Errorf("empty-set run ends at %d, past %d records", m.EmptyUpper, n)
 	}
+	next := uint64(m.EmptyUpper) + 1 // the id the next region must start at
 	for r, reg := range m.Regions {
 		if reg.Empty() {
 			continue
 		}
-		if l, u1, u := uint64(reg.L), uint64(reg.U1), uint64(reg.U); l > u1+1 || u1 > u || u > n {
-			return fmt.Errorf("region of rank %d is [%d, %d] with singletons to %d, over %d records", r, l, u, u1, n)
+		if l, u1, u := uint64(reg.L), uint64(reg.U1), uint64(reg.U); l != next || l > u1+1 || u1 > u || u > n {
+			return fmt.Errorf("region of rank %d is [%d, %d] with singletons to %d, where id %d is next of %d records", r, l, u, u1, next, n)
 		}
+		next = uint64(reg.U) + 1
+	}
+	if next != n+1 {
+		return fmt.Errorf("regions end at id %d of %d records", next-1, n)
 	}
 	return nil
 }

@@ -57,8 +57,11 @@ func (o *Options) fill() {
 type Index struct {
 	tree *btree.BTree
 	ord  *sequence.Order
-	re   *sequence.Reordered
 	meta *Metadata
+	// ids is the §3 reassignment map. The sequence forms the build
+	// sorted are not kept: the lists and the metadata table hold every
+	// rank of every record, and forms rebuilds them (forms.go).
+	ids *sequence.IDMap
 
 	numRecords int
 	domainSize int
@@ -108,11 +111,12 @@ func buildOn(d *dataset.Dataset, opts Options, workers int) (*Index, error) {
 	if err != nil {
 		return nil, err
 	}
-	return build(d.Len(), d.DomainSize(), ord, re, opts, workers)
+	return build(d.Len(), d.DomainSize(), ord, re.Forms, re.IDMap, opts, workers)
 }
 
 // build assembles the index from a prepared ordering; shared by Build and
-// MergeDelta. Blocks are first assembled per rank in id order and then
+// MergeDelta. It reads forms and keeps ids: the index it returns holds no
+// reference to forms. Blocks are first assembled per rank in id order and then
 // bulk-loaded into the B-tree in global key order, so every list's blocks
 // occupy physically consecutive leaves — the layout the paper's RoI scans
 // assume (Berkeley DB files built this way show the same locality).
@@ -129,7 +133,7 @@ func buildOn(d *dataset.Dataset, opts Options, workers int) (*Index, error) {
 // ranks holding about an equal share of the postings (listBuild.encode): a
 // worker walks every record but posts only its own ranks, into its own
 // slots of the shared slices and its own blockBytes.
-func build(numRecords, domainSize int, ord *sequence.Order, re *sequence.Reordered, opts Options, workers int) (*Index, error) {
+func build(numRecords, domainSize int, ord *sequence.Order, forms *sequence.Forms, ids *sequence.IDMap, opts Options, workers int) (*Index, error) {
 	pool := opts.Pool
 	if pool == nil {
 		pool = storage.NewBufferPool(storage.NewMemPager(opts.PageSize), storage.DefaultPoolPages)
@@ -140,7 +144,7 @@ func build(numRecords, domainSize int, ord *sequence.Order, re *sequence.Reorder
 	opts.Pool = nil // never reuse across rebuilds (MergeDelta)
 	ix := &Index{
 		ord:          ord,
-		re:           re,
+		ids:          ids,
 		meta:         newMetadata(domainSize),
 		numRecords:   numRecords,
 		domainSize:   domainSize,
@@ -151,9 +155,8 @@ func build(numRecords, domainSize int, ord *sequence.Order, re *sequence.Reorder
 	// The smallest rank of a record is represented only by the metadata
 	// region; every other rank gets a posting (§3: "for every record we
 	// avoid creating a posting for its most frequent item").
-	var total int64
 	for id := uint32(1); id <= uint32(numRecords); id++ {
-		sf := re.SF(id)
+		sf := forms.SF(id)
 		if len(sf) == 0 {
 			ix.meta.noteEmpty(id)
 			continue
@@ -162,7 +165,6 @@ func build(numRecords, domainSize int, ord *sequence.Order, re *sequence.Reorder
 		for _, r := range sf[1:] {
 			ix.listPostings[r]++
 		}
-		total += int64(len(sf) - 1)
 	}
 	per := int64(opts.BlockPostings)
 	first := make([]int, domainSize+1)
@@ -173,6 +175,7 @@ func build(numRecords, domainSize int, ord *sequence.Order, re *sequence.Reorder
 	}
 	lists := &listBuild{
 		ix:     ix,
+		forms:  forms,
 		first:  first,
 		blocks: make([]builtBlock, first[domainSize]),
 		pend:   make([][]vbyte.Posting, domainSize),
@@ -184,23 +187,9 @@ func build(numRecords, domainSize int, ord *sequence.Order, re *sequence.Reorder
 		lists.pend[r], arena = arena[:0:w], arena[w:]
 	}
 
-	// Ranks [bounds[w], bounds[w+1]) are worker w's: worker w's run
-	// starts at the first rank with at least w/workers of the postings
-	// before it.
-	workers = max(1, min(workers, domainSize))
-	bounds := make([]int, workers+1)
-	for w := 1; w <= workers; w++ {
-		bounds[w] = domainSize
-	}
-	var seen int64
-	for r, w := 0, 1; r < domainSize && w < workers; r++ {
-		for w < workers && seen >= total*int64(w)/int64(workers) {
-			bounds[w] = r
-			w++
-		}
-		seen += ix.listPostings[r]
-	}
-	err := fanout.First(fanout.ForEach(workers, workers, func(w int) error {
+	// Ranks [bounds[w], bounds[w+1]) are worker w's.
+	bounds := rankShares(ix.listPostings, workers)
+	err := fanout.First(fanout.ForEach(len(bounds)-1, workers, func(w int) error {
 		return lists.encode(sequence.Rank(bounds[w]), sequence.Rank(bounds[w+1]))
 	}))
 	if err != nil {
@@ -243,6 +232,7 @@ func build(numRecords, domainSize int, ord *sequence.Order, re *sequence.Reorder
 // of one arena), and hot[r].
 type listBuild struct {
 	ix     *Index
+	forms  *sequence.Forms
 	first  []int
 	blocks []builtBlock
 	pend   [][]vbyte.Posting
@@ -266,7 +256,7 @@ func (lb *listBuild) encode(lo, hi sequence.Rank) error {
 			return nil
 		}
 		last := p[len(p)-1].ID
-		scratch = appendBlockKey(scratch[:0], rank, ix.truncTag(ix.re.SF(last)), last)
+		scratch = appendBlockKey(scratch[:0], rank, ix.truncTag(lb.forms.SF(last)), last)
 		key := enc.add(scratch)
 		var err error
 		if scratch, err = vbyte.AppendPostings(scratch[:0], p, 0); err != nil {
@@ -279,7 +269,7 @@ func (lb *listBuild) encode(lo, hi sequence.Rank) error {
 	}
 
 	for id := uint32(1); id <= uint32(ix.numRecords); id++ {
-		sf := ix.re.SF(id)
+		sf := lb.forms.SF(id)
 		if len(sf) < 2 || sf[len(sf)-1] < lo {
 			continue
 		}
@@ -305,6 +295,7 @@ func (lb *listBuild) encode(lo, hi sequence.Rank) error {
 	}
 
 	var scan listScan
+	var ps []vbyte.Posting
 	for rank := lo; rank < hi; rank++ {
 		list := lb.blocks[lb.first[rank]:lb.first[rank+1]]
 		if len(list) == 0 {
@@ -317,12 +308,14 @@ func (lb *listBuild) encode(lo, hi sequence.Rank) error {
 		if !isHot(keyLastID(list[len(list)-1].key), size) {
 			continue
 		}
+		ps = ps[:0]
 		for _, b := range list {
-			if err := scan.add(b.val, keyLastID(b.key), ix.numRecords); err != nil {
+			var err error
+			if ps, err = scan.add(ps, b.val, keyLastID(b.key), ix.numRecords); err != nil {
 				return err
 			}
 		}
-		scan.take(lb.hot, rank, ix.domainSize)
+		scan.take(lb.hot, rank, ps)
 	}
 	return nil
 }
@@ -394,7 +387,7 @@ func (ix *Index) Space() SpaceStats {
 		TreePages:    pages,
 		TreeBytes:    pages * int64(ix.tree.Pool().PageSize()),
 		MetaBytes:    ix.meta.Bytes(),
-		MapBytes:     ix.re.MapBytes(),
+		MapBytes:     ix.ids.MapBytes(),
 	}
 }
 
@@ -408,20 +401,28 @@ func (ix *Index) hotList(rank sequence.Rank) *hotList {
 
 // origID maps a new id to the original record id (1-based position in the
 // source dataset).
-func (ix *Index) origID(newID uint32) uint32 { return uint32(ix.re.OrigIndex(newID)) + 1 }
+func (ix *Index) origID(newID uint32) uint32 { return uint32(ix.ids.OrigIndex(newID)) + 1 }
 
 // mapToOriginal converts new-id results to sorted original ids appended
 // to dst (whose existing contents are untouched — only the appended
-// region is sorted), masking tombstoned records and adding matching
-// delta records.
+// region is sorted), adding matching delta records and masking
+// tombstoned ones.
 func (ix *Index) mapToOriginal(dst, newIDs []uint32, q []sequence.Rank, pred overlay.Pred) []uint32 {
 	start := len(dst)
 	dst = ix.appendOriginal(dst, newIDs)
 	if ix.ov.Len() > 0 {
 		dst = ix.ov.AppendMatches(dst, ix.querySet(q), pred)
 	}
+	return ix.sortAndMask(dst, start)
+}
+
+// sortAndMask sorts dst[start:] and drops its tombstoned ids. The mask
+// runs after the sort, on ascending ids, so it meets them in runs within
+// one chunk of the tombstone bitmap; the pending matches among them skip
+// the dead already, and masking them again keeps them all.
+func (ix *Index) sortAndMask(dst []uint32, start int) []uint32 {
 	sortIDs(dst[start:], &ix.arena.sorted)
-	return dst
+	return dst[:start+len(ix.ov.Mask(dst[start:]))]
 }
 
 // querySet converts the prepared query back to a sorted item set in the
@@ -431,15 +432,14 @@ func (ix *Index) querySet(q []sequence.Rank) []dataset.Item {
 	return ix.arena.qset
 }
 
-// appendOriginal appends the original ids of newIDs to dst, minus the
-// tombstoned ones, in newIDs' order.
+// appendOriginal appends the original ids of newIDs to dst, in newIDs'
+// order, tombstoned ones included.
 func (ix *Index) appendOriginal(dst, newIDs []uint32) []uint32 {
-	start := len(dst)
 	dst = slices.Grow(dst, len(newIDs))
 	for _, id := range newIDs {
 		dst = append(dst, ix.origID(id))
 	}
-	return dst[:start+len(ix.ov.Mask(dst[start:]))]
+	return dst
 }
 
 // prepRanks canonicalises a query set into the arena: validated,

@@ -509,6 +509,7 @@ func TestMetadataRegionInvariants(t *testing.T) {
 		t.Fatal(err)
 	}
 	ix := buildSmall(t, d)
+	forms := rebuiltForms(t, ix)
 	next := ix.meta.EmptyUpper + 1
 	for rank := 0; rank < 50; rank++ {
 		reg := ix.meta.Regions[rank]
@@ -523,7 +524,7 @@ func TestMetadataRegionInvariants(t *testing.T) {
 		}
 		// Every record in the region has this rank as smallest.
 		for id := reg.L; id <= reg.U; id++ {
-			sf := ix.re.SF(id)
+			sf := forms.SF(id)
 			if len(sf) == 0 || sf[0] != sequence.Rank(rank) {
 				t.Fatalf("record %d in region[%d] has sf %v", id, rank, sf)
 			}

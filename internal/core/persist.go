@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"runtime"
 
 	"repro/internal/btree"
 	"repro/internal/overlay"
@@ -17,7 +18,10 @@ import (
 // the item order, the record reordering, the metadata table, the space
 // accounting, the pending delta, the tombstone set, and the raw B-tree
 // pages — into one stream guarded by a CRC32 trailer; Load reconstructs
-// a queryable index backed by an in-memory pager. The paper's own
+// a queryable index backed by an in-memory pager. The reordering's
+// sequence forms (an arena and its offsets) are written as the format
+// has always held them, rebuilt from the lists for the purpose
+// (forms.go); Load reads past them and keeps only the id map. The paper's own
 // deployment would keep the Berkeley DB file plus a small sidecar; a
 // single self-contained snapshot is the simpler equivalent for a
 // library.
@@ -38,8 +42,14 @@ const snapFlagDeadDirty = 1 << 0 // tombstoned postings still on disk
 // ErrBadSnapshot reports a corrupt or foreign snapshot stream.
 var ErrBadSnapshot = errors.New("core: bad index snapshot")
 
-// Save writes a self-contained snapshot of the index to w.
+// Save writes a self-contained snapshot of the index to w. The sequence
+// forms are rebuilt from the lists on GOMAXPROCS workers first.
 func (ix *Index) Save(w io.Writer) error {
+	forms, err := ix.forms(runtime.GOMAXPROCS(0))
+	if err != nil {
+		return err
+	}
+	flat, off := forms.Parts()
 	bw := bufio.NewWriterSize(w, 1<<16)
 	cw := snapio.NewWriter(bw)
 	if _, err := io.WriteString(cw, snapshotMagic); err != nil {
@@ -64,8 +74,7 @@ func (ix *Index) Save(w io.Writer) error {
 	for _, reg := range ix.meta.Regions {
 		regions = append(regions, reg.L, reg.U, reg.U1)
 	}
-	flat, off, origIndex := ix.re.Parts()
-	for _, section := range [][]uint32{ix.ord.Items(), regions, flat, off, origIndex} {
+	for _, section := range [][]uint32{ix.ord.Items(), regions, flat, off, ix.ids.Perm()} {
 		if err := snapio.WriteU32Slice(cw, section); err != nil {
 			return err
 		}
@@ -110,12 +119,17 @@ func (ix *Index) Save(w io.Writer) error {
 // Load reconstructs an index from a snapshot produced by Save. The index
 // is backed by an in-memory pager and metered with the default cache.
 // The checksum guards only against accidents, so Load also checks what
-// the query path trusts — the metadata table's runs, the B-tree's
-// structure (btree.Validate), and every list block, decoded once by
-// scanLists: its postings well formed, its ids within the records and
-// ascending across the list, its last id its key's — and refuses a
-// snapshot that fails any of them with ErrBadSnapshot. The same pass
-// builds the hot lists' bitmaps.
+// the query path trusts — the metadata table's runs, which tile the
+// records past the empty sets in rank order, the B-tree's structure
+// (btree.Validate), and every list block, decoded once by scanLists: its
+// postings well formed, its ids within the records and ascending across
+// the list, its last id its key's, and each posting's length its
+// record's, which the lists and the table must agree on — and refuses a
+// snapshot that fails any of them with ErrBadSnapshot. So the lists and
+// the table Load accepts describe one collection, from which Save and
+// MergeDelta rebuild the sequence forms; the snapshot's own copy of
+// them is read past, and only its size is held to the lists'. The same
+// pass builds the hot lists' bitmaps.
 func Load(r io.Reader) (*Index, error) {
 	cr := snapio.NewReader(bufio.NewReaderSize(r, 1<<16))
 	magic := make([]byte, len(snapshotMagic))
@@ -160,24 +174,27 @@ func Load(r io.Reader) (*Index, error) {
 	if err := meta.check(numRecords); err != nil {
 		return nil, fmt.Errorf("%w: metadata: %v", ErrBadSnapshot, err)
 	}
-	flat, err := snapio.ReadU32Slice(cr)
+	flatLen, err := snapio.SkipU32Slice(cr)
 	if err != nil {
 		return nil, fmt.Errorf("%w: arena: %v", ErrBadSnapshot, err)
 	}
-	off, err := snapio.ReadU32Slice(cr)
+	offLen, err := snapio.SkipU32Slice(cr)
 	if err != nil {
 		return nil, fmt.Errorf("%w: offsets: %v", ErrBadSnapshot, err)
+	}
+	if offLen != uint64(numRecords)+1 {
+		return nil, fmt.Errorf("%w: %d offsets for %d records", ErrBadSnapshot, offLen, numRecords)
 	}
 	origIndex, err := snapio.ReadU32Slice(cr)
 	if err != nil {
 		return nil, fmt.Errorf("%w: id map: %v", ErrBadSnapshot, err)
 	}
-	re, err := sequence.ReorderedFromParts(flat, off, origIndex)
+	if len(origIndex) != numRecords {
+		return nil, fmt.Errorf("%w: %d reordered records, header says %d", ErrBadSnapshot, len(origIndex), numRecords)
+	}
+	ids, err := sequence.NewIDMap(origIndex)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadSnapshot, err)
-	}
-	if re.Len() != numRecords {
-		return nil, fmt.Errorf("%w: %d reordered records, header says %d", ErrBadSnapshot, re.Len(), numRecords)
 	}
 
 	var space [3]int64
@@ -234,9 +251,12 @@ func Load(r io.Reader) (*Index, error) {
 	if err == nil {
 		err = check.Validate()
 	}
-	var hot []*hotList
+	var p *postings
 	if err == nil {
-		hot, err = scanLists(check, domainSize, numRecords)
+		p, err = scanLists(tree, meta, numRecords, listPostings, runtime.GOMAXPROCS(0), false)
+	}
+	if err == nil {
+		err = p.sized(listPostings, flatLen)
 	}
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadSnapshot, err)
@@ -244,7 +264,7 @@ func Load(r io.Reader) (*Index, error) {
 	return &Index{
 		tree:       tree,
 		ord:        ord,
-		re:         re,
+		ids:        ids,
 		meta:       meta,
 		numRecords: numRecords,
 		domainSize: domainSize,
@@ -256,7 +276,7 @@ func Load(r io.Reader) (*Index, error) {
 		postingBytes: space[1],
 		keyBytes:     space[2],
 		listPostings: listPostings,
-		hot:          hot,
+		hot:          p.hot,
 		ov:           ov,
 	}, nil
 }

@@ -143,3 +143,20 @@ func TestSnapshotRejectsForeignData(t *testing.T) {
 		t.Fatal("foreign data accepted")
 	}
 }
+
+// BenchmarkLoad times Load of the §5 index at 200 000 records from a
+// snapshot in memory: the stream and its checksum, btree.Validate, and
+// scanLists' pass over every list block.
+func BenchmarkLoad(b *testing.B) {
+	var buf bytes.Buffer
+	if err := sectionIndex(b).Save(&buf); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Load(bytes.NewReader(buf.Bytes())); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

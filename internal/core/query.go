@@ -181,7 +181,7 @@ func (ix *Index) AppendSubsetWithin(dst []uint32, qs []dataset.Item, cands []uin
 	w := ar.within[:0]
 	for _, c := range cands {
 		if c >= 1 && int(c) <= ix.numRecords {
-			w = append(w, ix.re.NewID(int(c)-1))
+			w = append(w, ix.ids.NewID(int(c)-1))
 		}
 	}
 	sortIDs(w, &ar.sorted)
@@ -204,16 +204,15 @@ func (ix *Index) AppendSubsetWithin(dst []uint32, qs []dataset.Item, cands []uin
 		}
 	}
 
-	// Back to original ids with the tombstone mask, then the delta —
-	// restricted to records present in cands, unlike mapToOriginal's
-	// unconditional delta sweep.
+	// Back to original ids, then the delta — restricted to records
+	// present in cands, unlike mapToOriginal's unconditional delta sweep
+	// — and the tombstone mask.
 	start := len(dst)
 	dst = ix.appendOriginal(dst, w)
 	if ix.ov.Len() > 0 {
 		dst = ix.ov.AppendMatchesWithin(dst, ix.querySet(q), cands)
 	}
-	sortIDs(dst[start:], &ar.sorted)
-	return dst, nil
+	return ix.sortAndMask(dst, start), nil
 }
 
 // Equality returns the ids of records t with t.s = qs (§4.2).

@@ -159,6 +159,7 @@ func TestQuickRoIInvariant(t *testing.T) {
 		if err != nil {
 			return false
 		}
+		forms := rebuiltForms(t, ix)
 		ix.ensureRuntime()
 		q, err := ix.prepRanks(c.query())
 		if err != nil || len(q) == 0 {
@@ -178,8 +179,8 @@ func TestQuickRoIInvariant(t *testing.T) {
 			upper = append(append([]uint32{}, q...), maxR)
 		}
 		for _, orig := range ids {
-			newID := ix.re.NewID(int(orig - 1))
-			sf := ix.re.SF(newID)
+			newID := ix.ids.NewID(int(orig - 1))
+			sf := forms.SF(newID)
 			if cmpSeq(sf, lower) < 0 || cmpSeq(sf, upper) > 0 {
 				t.Logf("answer %d sf %v outside RoI [%v, %v]", orig, sf, lower, upper)
 				return false

@@ -24,7 +24,7 @@ import (
 func TestSupersetRefusesIDPastRecords(t *testing.T) {
 	_, ix, cp, pool := corruptibleIndex(t)
 	last := uint32(ix.numRecords)
-	sf := ix.re.SF(last)
+	sf := rebuiltForms(t, ix).SF(last)
 	qs := ix.ord.AppendSet(nil, sf)
 	// The blocks are looked up through a reader of their own: the
 	// index's cursor would otherwise hold the leaf as it was, and a
@@ -82,6 +82,7 @@ func TestSupersetRefusesIDPastRecords(t *testing.T) {
 // that uses it, not by the one that filled it.
 func TestFailedSupersetLeavesArenaReusable(t *testing.T) {
 	d, ix, cp, pool := corruptibleIndex(t)
+	forms := rebuiltForms(t, ix)
 	rd, err := ix.NewReader(64)
 	if err != nil {
 		t.Fatal(err)
@@ -121,7 +122,7 @@ func TestFailedSupersetLeavesArenaReusable(t *testing.T) {
 					t.Fatal(err)
 				}
 				gapAt = len(enc)
-				qs = ix.ord.AppendSet(nil, ix.re.SF(ps[k].ID))
+				qs = ix.ord.AppendSet(nil, forms.SF(ps[k].ID))
 			}
 		}
 	}

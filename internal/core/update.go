@@ -7,8 +7,9 @@ import "repro/internal/dataset"
 // index; MergeDelta folds them in. Unlike the IF — which merely appends
 // postings — the OIF must re-sort the whole database to assign fresh
 // ids, which is why the paper reports OIF updates costing ~3-5x an IF
-// update. MergeDelta therefore performs a full rebuild from the index's
-// own sequence arena plus the delta.
+// update. MergeDelta therefore performs a full rebuild from the records
+// the index holds — their sequence forms rebuilt from the lists and the
+// metadata table (forms.go) — plus the delta.
 
 // Insert adds a record to the delta and returns its (original-space) id.
 func (ix *Index) Insert(set []dataset.Item) (uint32, error) {
@@ -37,10 +38,16 @@ func (ix *Index) MergeDelta() error {
 		return nil
 	}
 	// Reconstruct the source dataset in original-id order from the
-	// sequence arena, then append the delta; dead records contribute
-	// empty sets, which keeps every id slot in place.
+	// sequence forms, rebuilt from the lists on one worker (like the
+	// rebuild below, beside the readers the index serves), then append
+	// the delta; dead records contribute empty sets, which keeps every
+	// id slot in place.
+	forms, err := ix.forms(1)
+	if err != nil {
+		return err
+	}
 	d := dataset.New(ix.domainSize)
-	flat, _, _ := ix.re.Parts()
+	flat, _ := forms.Parts()
 	items := len(flat)
 	for _, r := range ix.ov.Pending() {
 		items += len(r.Set)
@@ -50,7 +57,7 @@ func (ix *Index) MergeDelta() error {
 	for i := 0; i < ix.numRecords; i++ {
 		set = set[:0]
 		if !ix.ov.Dead(uint32(i) + 1) {
-			set = ix.ord.AppendSet(set, ix.re.SF(ix.re.NewID(i)))
+			set = ix.ord.AppendSet(set, forms.SF(ix.ids.NewID(i)))
 		}
 		if _, err := d.Add(set); err != nil {
 			return err

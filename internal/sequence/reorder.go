@@ -11,12 +11,23 @@ import (
 
 // Reordered is the outcome of the paper's global record re-ordering (§3):
 // records sorted lexicographically by sequence form with new dense ids
-// 1..N assigned in that order, so that id order equals sf order. Sequence
-// forms are stored in a flat arena to stay compact at millions of records.
+// 1..N assigned in that order, so that id order equals sf order. It is
+// two parts with two lifetimes: the sequence forms, which a build reads
+// and then drops, and the reassignment map, which an index keeps.
 type Reordered struct {
+	*Forms
+	*IDMap
+}
+
+// Forms is every record's sequence form in new-id order, in one flat
+// arena to stay compact at millions of records.
+type Forms struct {
 	flat []Rank   // all sequence forms, concatenated in new-id order
 	off  []uint32 // off[i]..off[i+1] delimits new id i+1's sf; len = N+1
+}
 
+// IDMap is the reassignment map between new ids and source positions.
+type IDMap struct {
 	origIndex []uint32 // new id -> position in the source dataset (0-based)
 	newID     []uint32 // source position -> new id (1-based)
 }
@@ -67,24 +78,20 @@ func Reorder(d *dataset.Dataset, ord *Order, workers int) (*Reordered, error) {
 	}
 
 	perm := sortForms(srcFlat, srcOff, ord.DomainSize(), workers)
-	r := &Reordered{
-		flat:      make([]Rank, total),
-		off:       make([]uint32, n+1),
-		origIndex: perm,
-		newID:     make([]uint32, n),
-	}
+	f := &Forms{flat: make([]Rank, total), off: make([]uint32, n+1)}
+	m := &IDMap{origIndex: perm, newID: make([]uint32, n)}
 	for newIdx, src := range perm {
-		r.off[newIdx+1] = r.off[newIdx] + srcOff[src+1] - srcOff[src]
+		f.off[newIdx+1] = f.off[newIdx] + srcOff[src+1] - srcOff[src]
 	}
 	fanout.ForEach(workers, workers, func(w int) error {
 		for newIdx := w * n / workers; newIdx < (w+1)*n/workers; newIdx++ {
 			src := perm[newIdx]
-			copy(r.flat[r.off[newIdx]:], srcFlat[srcOff[src]:srcOff[src+1]])
-			r.newID[src] = uint32(newIdx + 1)
+			copy(f.flat[f.off[newIdx]:], srcFlat[srcOff[src]:srcOff[src+1]])
+			m.newID[src] = uint32(newIdx + 1)
 		}
 		return nil
 	})
-	return r, nil
+	return &Reordered{Forms: f, IDMap: m}, nil
 }
 
 // smallBucket is the size at or below which sortForms hands a bucket to
@@ -242,60 +249,51 @@ func (s *formSort) sortByComparison(b bucket) {
 	})
 }
 
-// Parts exposes the raw components for persistence: the flat rank arena,
-// the per-record offsets (len = N+1), and the new-id -> source-position
-// permutation. Callers must not mutate them.
-func (r *Reordered) Parts() (flat []Rank, off []uint32, origIndex []uint32) {
-	return r.flat, r.off, r.origIndex
-}
+// NewForms wraps an arena of sequence forms in new-id order: new id i's
+// form is flat[off[i-1]:off[i]]. The caller hands both slices over.
+func NewForms(flat []Rank, off []uint32) *Forms { return &Forms{flat: flat, off: off} }
 
-// ReorderedFromParts reconstructs a Reordered from persisted components,
-// validating shape: off must be monotonically non-decreasing starting at
-// 0 and ending at len(flat); origIndex must be a permutation.
-func ReorderedFromParts(flat []Rank, off []uint32, origIndex []uint32) (*Reordered, error) {
-	n := len(origIndex)
-	if len(off) != n+1 {
-		return nil, fmt.Errorf("sequence: %d offsets for %d records", len(off), n)
-	}
-	if off[0] != 0 || int(off[n]) != len(flat) {
-		return nil, fmt.Errorf("sequence: offsets do not span the arena")
-	}
-	for i := 1; i <= n; i++ {
-		if off[i] < off[i-1] {
-			return nil, fmt.Errorf("sequence: offsets decrease at %d", i)
-		}
-	}
-	newID := make([]uint32, n)
-	seen := make([]bool, n)
-	for idx, src := range origIndex {
-		if int(src) >= n || seen[src] {
-			return nil, fmt.Errorf("sequence: origIndex is not a permutation at %d", idx)
-		}
-		seen[src] = true
-		newID[src] = uint32(idx + 1)
-	}
-	return &Reordered{flat: flat, off: off, origIndex: origIndex, newID: newID}, nil
-}
-
-// Len returns the number of records.
-func (r *Reordered) Len() int { return len(r.origIndex) }
+// Parts exposes the arena for persistence: the flat ranks and the
+// per-record offsets (len = N+1). Callers must not mutate them.
+func (f *Forms) Parts() (flat []Rank, off []uint32) { return f.flat, f.off }
 
 // SF returns the sequence form of the record with new id (1-based). The
 // slice aliases the arena; callers must not mutate it.
-func (r *Reordered) SF(newID uint32) []Rank {
-	return r.flat[r.off[newID-1]:r.off[newID]]
+func (f *Forms) SF(newID uint32) []Rank {
+	return f.flat[f.off[newID-1]:f.off[newID]]
 }
+
+// NewIDMap reconstructs the map from its persisted new-id ->
+// source-position permutation, refusing one that is not a permutation.
+func NewIDMap(origIndex []uint32) (*IDMap, error) {
+	n := len(origIndex)
+	newID := make([]uint32, n)
+	for idx, src := range origIndex {
+		if int(src) >= n || newID[src] != 0 {
+			return nil, fmt.Errorf("sequence: origIndex is not a permutation at %d", idx)
+		}
+		newID[src] = uint32(idx + 1)
+	}
+	return &IDMap{origIndex: origIndex, newID: newID}, nil
+}
+
+// Perm exposes the new-id -> source-position permutation for
+// persistence. Callers must not mutate it.
+func (m *IDMap) Perm() []uint32 { return m.origIndex }
+
+// Len returns the number of records.
+func (m *IDMap) Len() int { return len(m.origIndex) }
 
 // OrigIndex maps a new id to the record's 0-based position in the source
 // dataset.
-func (r *Reordered) OrigIndex(newID uint32) int { return int(r.origIndex[newID-1]) }
+func (m *IDMap) OrigIndex(newID uint32) int { return int(m.origIndex[newID-1]) }
 
 // NewID maps a 0-based source position to the record's new id. This is
 // the paper's "reassignment map" whose space cost §5 accounts for.
-func (r *Reordered) NewID(srcIndex int) uint32 { return r.newID[srcIndex] }
+func (m *IDMap) NewID(srcIndex int) uint32 { return m.newID[srcIndex] }
 
 // MapBytes reports the reassignment map footprint (new id <-> original
 // position, 8 bytes per record).
-func (r *Reordered) MapBytes() int64 {
-	return int64(len(r.origIndex))*4 + int64(len(r.newID))*4
+func (m *IDMap) MapBytes() int64 {
+	return int64(len(m.origIndex))*4 + int64(len(m.newID))*4
 }

@@ -172,6 +172,22 @@ func ReadU32Slice(r io.Reader) ([]uint32, error) {
 	return out, nil
 }
 
+// SkipU32Slice reads past a slice written by WriteU32Slice, keeping
+// none of it, under ReadU32Slice's bound, and returns its length.
+func SkipU32Slice(r io.Reader) (uint64, error) {
+	n, err := ReadU64(r)
+	if err != nil {
+		return 0, err
+	}
+	if n > MaxSliceLen {
+		return 0, fmt.Errorf("snapio: slice of %d elements exceeds bound", n)
+	}
+	if _, err := io.CopyN(io.Discard, r, int64(4*n)); err != nil {
+		return 0, err
+	}
+	return n, nil
+}
+
 // WriteBytes writes a u64 length header followed by the raw bytes.
 func WriteBytes(w io.Writer, b []byte) error {
 	if err := WriteU64(w, uint64(len(b))); err != nil {

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
+	"io"
 	"os"
 	"path/filepath"
 	"slices"
@@ -365,7 +366,13 @@ func TestOpenRefusesHostileTombstones(t *testing.T) {
 // (its first byte, a one-byte gap) raised past the records — which also
 // moves the block's last id off its key's — or lowered by one, which
 // moves only the last id — and a list's later block emptied, its key
-// ending in id 0.
+// ending in id 0. Four more describe two collections at once, each
+// table and list well formed on its own: the first posting's length
+// lowered by one (a subset query cuts its candidates by length, so the
+// record would drop out of answers it belongs to) or raised by one, and
+// a region that
+// starts one id early, overlapping the region before it, or one id late,
+// leaving a gap.
 func hostilePages(t testing.TB, golden []byte) map[string][]byte {
 	// The container header and its CRC, the payload magic, eight header
 	// words, the item order, then the regions as (L, U, U1) words.
@@ -442,6 +449,36 @@ func hostilePages(t testing.TB, golden []byte) map[string][]byte {
 	if region < 0 {
 		t.Fatal("oif golden: every region is empty")
 	}
+	if l := page(golden, leaf)[firstID+1]; l < 2 || l >= 0x80 {
+		t.Fatalf("oif golden: the first posting has length %#x, want a one-byte length of two or more", l)
+	}
+	// A region of two records or more after a non-empty one, whose start
+	// the two rows move.
+	second := -1
+	for r, prev := 0, -1; r < domain && second < 0; r++ {
+		at := regions + 12*r
+		if word(golden, at) == 0 {
+			continue
+		}
+		if prev >= 0 && word(golden, at+4) > word(golden, at) {
+			second = at
+		}
+		prev = at
+	}
+	if second < 0 {
+		t.Fatal("oif golden: no region of two records follows another")
+	}
+	// moveStart starts the second region by records later (earlier if
+	// negative), and its singleton run with it if it has none.
+	moveStart := func(by int32) []byte {
+		return resealed(golden, func(b []byte) {
+			l, u1 := word(b, second), word(b, second+8)
+			binary.LittleEndian.PutUint32(b[second:], uint32(int32(l)+by))
+			if u1 == l-1 {
+				binary.LittleEndian.PutUint32(b[second+8:], uint32(int32(u1)+by))
+			}
+		})
+	}
 	return map[string][]byte{
 		"root is its own leftmost child": resealed(golden, func(b []byte) {
 			binary.BigEndian.PutUint64(page(b, root)[offAux:], root)
@@ -467,6 +504,14 @@ func hostilePages(t testing.TB, golden []byte) map[string][]byte {
 			binary.BigEndian.PutUint32(k[len(k)-4:], 0)
 			binary.BigEndian.PutUint16(page(b, emptyLeaf)[emptyCell+2:], 0) // the value's length
 		}),
+		"posting's length lowered": resealed(golden, func(b []byte) {
+			page(b, leaf)[firstID+1]--
+		}),
+		"posting's length raised": resealed(golden, func(b []byte) {
+			page(b, leaf)[firstID+1]++
+		}),
+		"regions overlap":       moveStart(-1),
+		"a gap between regions": moveStart(1),
 	}
 }
 
@@ -582,7 +627,7 @@ func TestOpenIgnoresReservedWord(t *testing.T) {
 // checksum cannot catch: a resealed out-of-domain pending item, the
 // resealed hostile tombstone sections of hostileTombstones, and the
 // resealed hostile pages, list blocks and metadata of hostilePages. Any
-// index Open accepts must answer a single-item Subset for every item of
+// index Open accepts must save, and must answer a single-item Subset for every item of
 // its domain — which reads every list and the metadata table — and a
 // two-item Subset for every adjacent pair of items — which filters
 // candidates through a list and scans its region — with an answer or an
@@ -627,6 +672,11 @@ func FuzzOpenSnapshot(f *testing.F) {
 		if err != nil {
 			return
 		}
+		// Save rebuilds the OIF's sequence forms from its lists and
+		// metadata table, which Open proved describe one collection.
+		if err := ix.Save(io.Discard); err != nil {
+			t.Fatalf("Save of an index Open accepted: %v", err)
+		}
 		if ix.PendingInserts() > ix.NumRecords() || ix.PendingInserts() < 0 {
 			t.Fatalf("opened an index with %d pending of %d records", ix.PendingInserts(), ix.NumRecords())
 		}
@@ -638,4 +688,103 @@ func FuzzOpenSnapshot(f *testing.F) {
 			}
 		}
 	})
+}
+
+// goldenQueries are TestGoldenSnapshots' queries: every predicate over
+// the empty set, every single item, and a spread of pairs, triples and
+// wide sets.
+func goldenQueries() []Query {
+	var queries []Query
+	for _, pred := range []Predicate{PredicateSubset, PredicateEquality, PredicateSuperset} {
+		queries = append(queries, Query{Pred: pred})
+		for a := 0; a < goldenDomain; a++ {
+			queries = append(queries,
+				Query{Pred: pred, Items: []Item{Item(a)}},
+				Query{Pred: pred, Items: []Item{0, Item(a)}},
+				Query{Pred: pred, Items: []Item{Item(a), Item((a + 1) % goldenDomain), Item((a + 5) % goldenDomain)}},
+				Query{Pred: pred, Items: goldenSet(a * 6)})
+		}
+		queries = append(queries, Query{Pred: pred, Items: []Item{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15}})
+	}
+	return queries
+}
+
+// TestMergeReadsTheLists: an OIF snapshot holds the collection twice —
+// in its lists and metadata table, which queries read, and in the
+// sequence-form arena of its re-ordering section — and Open reads past
+// the arena. The golden is resealed with one rank of one live record's
+// form in the arena replaced by the next rank, which the record does not
+// hold; the index must answer like the oracle before and after an
+// Insert and a MergeDelta, whose rebuild must read the records from the
+// lists, not from the arena.
+func TestMergeReadsTheLists(t *testing.T) {
+	golden, err := os.ReadFile(goldenPath("oif"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The container header and its CRC, the payload magic, eight header
+	// words, the item order and the regions; then the arena, the
+	// offsets and the new-id -> source-position permutation, each a u64
+	// count and its words.
+	const hdr = len(containerMagic) + 4*4 + 4 + len("OIFSNAP2")
+	word := func(off int) uint32 { return binary.LittleEndian.Uint32(golden[off:]) }
+	numRecords, domain := int(word(hdr+2*4)), int(word(hdr+3*4))
+	flatAt := hdr + 8*4 + 8 + 4*domain + 8 + 12*domain
+	ranks := int(binary.LittleEndian.Uint64(golden[flatAt:]))
+	offAt := flatAt + 8 + 4*ranks
+	permAt := offAt + 8 + 4*(numRecords+1)
+	if n := binary.LittleEndian.Uint64(golden[offAt:]); n != uint64(numRecords)+1 {
+		t.Fatalf("oif golden: %d offsets for %d records", n, numRecords)
+	}
+	dead := append([]uint32{goldenEarlyDelete}, goldenLateDeletes...)
+	at := -1 // the arena word of the rank to replace: a live record's last, below the domain's last
+	for id := 1; id <= numRecords && at < 0; id++ {
+		lo, hi := int(word(offAt+8+4*(id-1))), int(word(offAt+8+4*id))
+		orig := word(permAt+8+4*(id-1)) + 1
+		if hi-lo >= 2 && int(word(flatAt+8+4*(hi-1))) < domain-1 && !slices.Contains(dead, orig) {
+			at = flatAt + 8 + 4*(hi-1)
+		}
+	}
+	if at < 0 {
+		t.Fatal("oif golden: no live record of two ranks or more ends below the domain's last rank")
+	}
+	snap := resealed(golden, func(b []byte) {
+		binary.LittleEndian.PutUint32(b[at:], binary.LittleEndian.Uint32(b[at:])+1)
+	})
+
+	d := dataset.New(goldenDomain)
+	for i := 0; i < goldenBase+goldenEarly+goldenLate; i++ {
+		if _, err := d.Add(goldenSet(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ix, err := Open(bytes.NewReader(snap))
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	check := func(stage string) {
+		t.Helper()
+		for _, q := range goldenQueries() {
+			got, err := ix.Eval(q)
+			if err != nil {
+				t.Fatalf("%s %s: %v", stage, q, err)
+			}
+			if want := goldenOracle(d, dead, q); !slices.Equal(got, want) {
+				t.Fatalf("%s %s: got %v, want %v", stage, q, got, want)
+			}
+		}
+	}
+	check("restored")
+	set := goldenSet(d.Len())
+	id, err := ix.Insert(set)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want, err := d.Add(set); err != nil || id != want {
+		t.Fatalf("Insert gave id %d, want %d (%v)", id, want, err)
+	}
+	if err := ix.MergeDelta(); err != nil {
+		t.Fatalf("MergeDelta: %v", err)
+	}
+	check("merged")
 }
