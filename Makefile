@@ -23,8 +23,9 @@ test:
 # sweeps and the tombstone Mask), TestResultCodecZeroAllocs,
 # TestReseekZeroAllocs, TestExprAllocCeilings, and the build paths'
 # TestGeneratorAllocCeilings and TestBuildAllocCeilings (generators,
-# Build, MergeDelta), and the index's live heap against its Space
-# (TestIndexHeapCeiling) —
+# Build, MergeDelta), TestSnapshotAllocCeilings (Save streams, and
+# allocates nothing sized by the collection), and the index's live heap
+# against its Space (TestIndexHeapCeiling) —
 # skip or are compiled out under the race detector, so `make test` never
 # runs them; this does, without -race.
 alloc-check:

@@ -16,11 +16,11 @@ import (
 // is its metadata region (Theorem 1), and each of its other ranks is a
 // posting in that rank's list, which carries the record's length. So
 // once build has written the tree, the sequence forms it sorted are
-// dropped, and the index keeps only the reassignment map. forms rebuilds
-// them, in new-id order, for the two paths that read them whole: Save,
-// which writes them into the snapshot, and MergeDelta, which re-sorts
-// the records with the delta. Load proves, by the same pass over the
-// lists (scanLists), that the lists and the metadata table describe one
+// dropped, and the index keeps only the reassignment map; a snapshot
+// holds no more (persist.go). forms rebuilds them, in new-id order, for
+// the one path that reads them whole: MergeDelta, which re-sorts the
+// records with the delta. Load proves, by the same pass over the lists
+// (scanLists), that the lists and the metadata table describe one
 // collection, so the rebuild cannot fail on an index Load accepted.
 
 // postings is what scanLists reads of an index's lists: the length they
@@ -261,22 +261,19 @@ func (s *scanPart) read(tree *btree.BTree, tally []recordTally, keep bool) error
 	return nil
 }
 
-// sized refuses a snapshot whose counters disagree with the lists: the
-// postings listPostings gives each rank, and the ranks, flatLen, its
-// arena of sequence forms holds — one per record past the empty sets,
-// plus one per posting.
-func (p *postings) sized(listPostings []int64, flatLen uint64) error {
+// sized refuses a snapshot whose counters disagree with the lists, the
+// postings listPostings gives each rank, and returns the ranks of the
+// collection's sequence forms — one per record past the empty sets, plus
+// one per posting — which an OIFSNAP2 arena must hold.
+func (p *postings) sized(listPostings []int64) (uint64, error) {
 	ranks := uint64(len(p.lens)-1) - uint64(p.meta.EmptyUpper)
 	for r, n := range p.counts {
 		if n != listPostings[r] {
-			return fmt.Errorf("list of rank %d holds %d postings, its counter says %d", r, n, listPostings[r])
+			return 0, fmt.Errorf("list of rank %d holds %d postings, its counter says %d", r, n, listPostings[r])
 		}
 		ranks += uint64(n)
 	}
-	if flatLen != ranks {
-		return fmt.Errorf("an arena of %d ranks, where the lists and the metadata table hold %d", flatLen, ranks)
-	}
-	return nil
+	return ranks, nil
 }
 
 // rankShares splits the ranks into up to workers runs holding about an
@@ -312,14 +309,13 @@ const fillBlock = 1 << 14
 
 // forms rebuilds the §3 arena in new-id order — byte for byte the one
 // sequence.Reorder gave the build — from the metadata table and one pass
-// over every list block (scanLists), on up to workers goroutines: the
-// lengths lay the forms out, and each worker then writes the forms of
-// one range of records, a block of ids at a time: each record's smallest
-// rank from its region, the others from its postings, list by list,
-// which is rank order. On an index Load accepted, or a build, scanLists
-// refuses nothing, save under a page that changed beneath the index.
-func (ix *Index) forms(workers int) (*sequence.Forms, error) {
-	p, err := scanLists(ix.tree, ix.meta, ix.numRecords, ix.listPostings, workers, true)
+// over every list block (scanLists), on one goroutine, like the rebuild
+// MergeDelta runs beside the readers the index serves: the lengths lay
+// the forms out, and fill writes them. On an index Load accepted, or a
+// build, scanLists refuses nothing, save under a page that changed
+// beneath the index.
+func (ix *Index) forms() (*sequence.Forms, error) {
+	p, err := scanLists(ix.tree, ix.meta, ix.numRecords, ix.listPostings, 1, true)
 	if err != nil {
 		return nil, fmt.Errorf("core: rebuilding the sequence forms: %w", err)
 	}
@@ -329,12 +325,7 @@ func (ix *Index) forms(workers int) (*sequence.Forms, error) {
 		off[id] += off[id-1]
 	}
 	flat := make([]sequence.Rank, off[n])
-	workers = max(1, min(workers, n))
-	fanout.ForEach(workers, workers, func(w int) error {
-		lo, hi := idShare(n, w, workers)
-		p.fill(off, flat, lo, hi)
-		return nil
-	})
+	p.fill(off, flat)
 	return sequence.NewForms(flat, off), nil
 }
 
@@ -344,23 +335,23 @@ func idShare(n, w, workers int) (lo, hi uint32) {
 	return uint32(w * n / workers), uint32((w + 1) * n / workers)
 }
 
-// fill writes the forms of the records (lo, hi] into flat at off, a
-// block of fillBlock records at a time: each record's smallest rank from
-// its region, then the ranks of its postings, list by list, which is
-// rank order. head[i] is list i's next id, or 0 past its last, so a list
-// with no id in a block costs no read of its ids.
-func (p *postings) fill(off []uint32, flat []sequence.Rank, lo, hi uint32) {
+// fill writes every record's form into flat at off, a block of
+// fillBlock records at a time: each record's smallest rank from its
+// region, then the ranks of its postings, list by list, which is rank
+// order. head[i] is list i's next id, or 0 past its last, so a list with
+// no id in a block costs no read of its ids.
+func (p *postings) fill(off []uint32, flat []sequence.Rank) {
 	at, head := make([]int, len(p.lists)), make([]uint32, len(p.lists))
 	for i, l := range p.lists {
-		at[i], _ = slices.BinarySearch(l.ids, lo+1)
-		if at[i] < len(l.ids) {
-			head[i] = l.ids[at[i]]
+		if len(l.ids) > 0 {
+			head[i] = l.ids[0]
 		}
 	}
+	n := uint32(len(off) - 1)
 	next := make([]uint32, fillBlock) // next[id-a-1]: where id's next rank goes
 	r := 0                            // the region holding the id at hand
-	for a := lo; a < hi; a += min(fillBlock, hi-a) {
-		b := a + min(fillBlock, hi-a)
+	for a := uint32(0); a < n; a += min(fillBlock, n-a) {
+		b := a + min(fillBlock, n-a)
 		for id := max(a+1, p.meta.EmptyUpper+1); id <= b; id++ {
 			for reg := p.meta.Regions[r]; reg.Empty() || reg.U < id; reg = p.meta.Regions[r] {
 				r++

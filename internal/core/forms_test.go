@@ -2,9 +2,6 @@ package core
 
 import (
 	"bytes"
-	"fmt"
-	"io"
-	"runtime"
 	"slices"
 	"testing"
 
@@ -12,11 +9,11 @@ import (
 	"repro/internal/sequence"
 )
 
-// rebuiltForms returns ix's sequence forms as Save and MergeDelta rebuild
-// them from the lists and the metadata table.
+// rebuiltForms returns ix's sequence forms as MergeDelta rebuilds them
+// from the lists and the metadata table.
 func rebuiltForms(tb testing.TB, ix *Index) *sequence.Forms {
 	tb.Helper()
-	f, err := ix.forms(1)
+	f, err := ix.forms()
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -32,12 +29,12 @@ func rebuiltParts(tb testing.TB, ix *Index) (flat []sequence.Rank, off, perm []u
 	return flat, off, ix.ids.Perm()
 }
 
-// TestFormsMatchBuild holds the forms rebuilt from an index's lists, on
-// 1, 2 and 7 workers, byte for byte to the arena and offsets
-// sequence.Reorder gave its build, over buildCases' datasets; also on an
-// index with pending inserts and tombstones before its merge (whose
-// lists still hold the tombstoned records) and on that index after a
-// Save / Load round trip. The rebuild reads through scratch pools: the
+// TestFormsMatchBuild holds the forms rebuilt from an index's lists byte
+// for byte to the arena and offsets sequence.Reorder gave its build, over
+// buildCases' datasets; also on an index with pending inserts and
+// tombstones before its merge (whose lists still hold the tombstoned
+// records) and on that index after a Save / Load round trip, whose
+// snapshot holds no forms. The rebuild reads through scratch pools: the
 // index's pool sees no access.
 func TestFormsMatchBuild(t *testing.T) {
 	check := func(t *testing.T, ix *Index, d *dataset.Dataset) {
@@ -48,16 +45,10 @@ func TestFormsMatchBuild(t *testing.T) {
 		}
 		wantFlat, wantOff := re.Parts()
 		stats := ix.Pool().Stats()
-		for _, workers := range []int{1, 2, 7} {
-			f, err := ix.forms(workers)
-			if err != nil {
-				t.Fatal(err)
-			}
-			flat, off := f.Parts()
-			if !slices.Equal(flat, wantFlat) || !slices.Equal(off, wantOff) {
-				t.Fatalf("%d workers: rebuilt forms (%d ranks, %d offsets) differ from the build's (%d, %d)",
-					workers, len(flat), len(off), len(wantFlat), len(wantOff))
-			}
+		flat, off := rebuiltForms(t, ix).Parts()
+		if !slices.Equal(flat, wantFlat) || !slices.Equal(off, wantOff) {
+			t.Fatalf("rebuilt forms (%d ranks, %d offsets) differ from the build's (%d, %d)",
+				len(flat), len(off), len(wantFlat), len(wantOff))
 		}
 		if got := ix.Pool().Stats(); got != stats {
 			t.Fatalf("the rebuild moved the index's pool: %+v, was %+v", got, stats)
@@ -118,30 +109,13 @@ func sectionIndex(b *testing.B) *Index {
 }
 
 // BenchmarkForms times the rebuild of the sequence forms from the lists
-// of the §5 index at 200 000 records, on GOMAXPROCS workers as Save runs
-// it and on one as MergeDelta does.
+// of the §5 index at 200 000 records, on one worker as MergeDelta runs it.
 func BenchmarkForms(b *testing.B) {
-	ix := sectionIndex(b)
-	for _, workers := range []int{runtime.GOMAXPROCS(0), 1} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := ix.forms(workers); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkSave times Save of the §5 index at 200 000 records into
-// io.Discard: the forms' rebuild on GOMAXPROCS workers, then the stream.
-func BenchmarkSave(b *testing.B) {
 	ix := sectionIndex(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := ix.Save(io.Discard); err != nil {
+		if _, err := ix.forms(); err != nil {
 			b.Fatal(err)
 		}
 	}

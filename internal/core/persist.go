@@ -15,26 +15,30 @@ import (
 )
 
 // Index snapshots. Save serialises everything an OIF needs — options,
-// the item order, the record reordering, the metadata table, the space
-// accounting, the pending delta, the tombstone set, and the raw B-tree
-// pages — into one stream guarded by a CRC32 trailer; Load reconstructs
-// a queryable index backed by an in-memory pager. The reordering's
-// sequence forms (an arena and its offsets) are written as the format
-// has always held them, rebuilt from the lists for the purpose
-// (forms.go); Load reads past them and keeps only the id map. The paper's own
-// deployment would keep the Berkeley DB file plus a small sidecar; a
-// single self-contained snapshot is the simpler equivalent for a
-// library.
+// the item order, the record reordering's id map, the metadata table,
+// the space accounting, the pending delta, the tombstone set, and the
+// raw B-tree pages — into one stream guarded by a CRC32 trailer; Load
+// reconstructs a queryable index backed by an in-memory pager. The
+// paper's own deployment would keep the Berkeley DB file plus a small
+// sidecar (the metadata table and the reassignment map); a single
+// self-contained snapshot is the simpler equivalent for a library.
 //
-// Format version 2 extends the original header with a reserved word
-// and a flags word, and appends the tombstone set after the delta, so a
+// Format version 2 extended the original header with a reserved word
+// and a flags word, and appended the tombstone set after the delta, so a
 // snapshot taken between Delete and MergeDelta restores with its
 // masking (and its pending physical fold-out) intact. The reserved word
 // (header word 6) sized a decoded-block cache that no longer exists: a
 // fresh Build writes 0, Load never interprets it, and Save writes back
-// whatever Load read, so old snapshots re-save byte-identically.
+// whatever Load read. Version 3, the one Save writes, is version 2
+// without the sequence forms' arena and offsets, a second copy of the
+// collection the lists and the metadata table already hold (forms.go).
+// Load reads both; of a version-2 stream it reads past the two sections
+// and holds only their sizes to the lists'.
 
-const snapshotMagic = "OIFSNAP2"
+const (
+	snapshotMagic   = "OIFSNAP3"
+	snapshotMagicV2 = "OIFSNAP2" // read, never written
+)
 
 // snapshot header flags.
 const snapFlagDeadDirty = 1 << 0 // tombstoned postings still on disk
@@ -42,14 +46,9 @@ const snapFlagDeadDirty = 1 << 0 // tombstoned postings still on disk
 // ErrBadSnapshot reports a corrupt or foreign snapshot stream.
 var ErrBadSnapshot = errors.New("core: bad index snapshot")
 
-// Save writes a self-contained snapshot of the index to w. The sequence
-// forms are rebuilt from the lists on GOMAXPROCS workers first.
+// Save writes a self-contained OIFSNAP3 snapshot of the index to w. It
+// streams what the index holds and builds nothing on the way.
 func (ix *Index) Save(w io.Writer) error {
-	forms, err := ix.forms(runtime.GOMAXPROCS(0))
-	if err != nil {
-		return err
-	}
-	flat, off := forms.Parts()
 	bw := bufio.NewWriterSize(w, 1<<16)
 	cw := snapio.NewWriter(bw)
 	if _, err := io.WriteString(cw, snapshotMagic); err != nil {
@@ -74,7 +73,7 @@ func (ix *Index) Save(w io.Writer) error {
 	for _, reg := range ix.meta.Regions {
 		regions = append(regions, reg.L, reg.U, reg.U1)
 	}
-	for _, section := range [][]uint32{ix.ord.Items(), regions, flat, off, ix.ids.Perm()} {
+	for _, section := range [][]uint32{ix.ord.Items(), regions, ix.ids.Perm()} {
 		if err := snapio.WriteU32Slice(cw, section); err != nil {
 			return err
 		}
@@ -116,8 +115,9 @@ func (ix *Index) Save(w io.Writer) error {
 	return bw.Flush()
 }
 
-// Load reconstructs an index from a snapshot produced by Save. The index
-// is backed by an in-memory pager and metered with the default cache.
+// Load reconstructs an index from a snapshot produced by Save, in
+// OIFSNAP3 or the earlier OIFSNAP2. The index is backed by an in-memory
+// pager and metered with the default cache.
 // The checksum guards only against accidents, so Load also checks what
 // the query path trusts — the metadata table's runs, which tile the
 // records past the empty sets in rank order, the B-tree's structure
@@ -126,17 +126,18 @@ func (ix *Index) Save(w io.Writer) error {
 // the list, its last id its key's, and each posting's length its
 // record's, which the lists and the table must agree on — and refuses a
 // snapshot that fails any of them with ErrBadSnapshot. So the lists and
-// the table Load accepts describe one collection, from which Save and
-// MergeDelta rebuild the sequence forms; the snapshot's own copy of
-// them is read past, and only its size is held to the lists'. The same
-// pass builds the hot lists' bitmaps.
+// the table Load accepts describe one collection, from which MergeDelta
+// rebuilds the sequence forms. An OIFSNAP2 stream's own copy of them is
+// read past, and only its size is held to the lists'. The same pass
+// builds the hot lists' bitmaps.
 func Load(r io.Reader) (*Index, error) {
 	cr := snapio.NewReader(bufio.NewReaderSize(r, 1<<16))
 	magic := make([]byte, len(snapshotMagic))
 	if _, err := io.ReadFull(cr, magic); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadSnapshot, err)
 	}
-	if string(magic) != snapshotMagic {
+	v2 := string(magic) == snapshotMagicV2
+	if !v2 && string(magic) != snapshotMagic {
 		return nil, fmt.Errorf("%w: magic %q", ErrBadSnapshot, magic)
 	}
 	var hdr [8]uint32
@@ -174,16 +175,18 @@ func Load(r io.Reader) (*Index, error) {
 	if err := meta.check(numRecords); err != nil {
 		return nil, fmt.Errorf("%w: metadata: %v", ErrBadSnapshot, err)
 	}
-	flatLen, err := snapio.SkipU32Slice(cr)
-	if err != nil {
-		return nil, fmt.Errorf("%w: arena: %v", ErrBadSnapshot, err)
-	}
-	offLen, err := snapio.SkipU32Slice(cr)
-	if err != nil {
-		return nil, fmt.Errorf("%w: offsets: %v", ErrBadSnapshot, err)
-	}
-	if offLen != uint64(numRecords)+1 {
-		return nil, fmt.Errorf("%w: %d offsets for %d records", ErrBadSnapshot, offLen, numRecords)
+	var flatLen uint64 // the ranks of a version-2 arena
+	if v2 {
+		if flatLen, err = snapio.SkipU32Slice(cr); err != nil {
+			return nil, fmt.Errorf("%w: arena: %v", ErrBadSnapshot, err)
+		}
+		offLen, err := snapio.SkipU32Slice(cr)
+		if err != nil {
+			return nil, fmt.Errorf("%w: offsets: %v", ErrBadSnapshot, err)
+		}
+		if offLen != uint64(numRecords)+1 {
+			return nil, fmt.Errorf("%w: %d offsets for %d records", ErrBadSnapshot, offLen, numRecords)
+		}
 	}
 	origIndex, err := snapio.ReadU32Slice(cr)
 	if err != nil {
@@ -255,8 +258,12 @@ func Load(r io.Reader) (*Index, error) {
 	if err == nil {
 		p, err = scanLists(tree, meta, numRecords, listPostings, runtime.GOMAXPROCS(0), false)
 	}
+	var ranks uint64
 	if err == nil {
-		err = p.sized(listPostings, flatLen)
+		ranks, err = p.sized(listPostings)
+	}
+	if err == nil && v2 && flatLen != ranks {
+		err = fmt.Errorf("an arena of %d ranks, where the lists and the metadata table hold %d", flatLen, ranks)
 	}
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadSnapshot, err)

@@ -42,7 +42,7 @@ func (ix *Index) MergeDelta() error {
 	// rebuild below, beside the readers the index serves), then append
 	// the delta; dead records contribute empty sets, which keeps every
 	// id slot in place.
-	forms, err := ix.forms(1)
+	forms, err := ix.forms()
 	if err != nil {
 		return err
 	}

@@ -5,9 +5,9 @@ import (
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
-	"io"
 	"os"
 	"path/filepath"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -19,22 +19,32 @@ import (
 )
 
 // The golden snapshots under testdata/snapshots pin the on-disk formats
-// (SCSNAP01 container, OIFSNAP2, IFSNAP01, the sharded manifest) across
-// versions of the code: they were written by the code of PR 14, the
-// commit before this test existed, and every later build must open
-// them, answer from them like the oracle, and re-save them byte for
-// byte. A running OpenDurable directory holds checkpoints in exactly
-// these formats. Regenerate (only when a format version is deliberately
-// bumped) with
+// (SCSNAP01 container, OIFSNAP3 and OIFSNAP2, IFSNAP01, the sharded
+// manifest) across versions of the code. oif.snap, if.snap and
+// sharded2.snap were written by the code of the commit before this test
+// existed, their OIF payloads in OIFSNAP2; they are frozen, and nothing
+// regenerates them. Every later build must open them and answer from
+// them like the oracle, and a checkpoint an OpenDurable directory wrote
+// in OIFSNAP2 opens the same way. oif.v3.snap and sharded2.v3.snap hold
+// the same states in OIFSNAP3, the version Save writes: an OIFSNAP2
+// golden must re-save, byte for byte, as its OIFSNAP3 one, and every
+// other golden as itself. Rewrite the OIFSNAP3 goldens (only when that
+// format is deliberately changed) with
 // SETCONTAIN_WRITE_GOLDEN=1 go test -run TestGoldenSnapshots ./setcontain.
 var goldenKinds = []struct {
-	name string
-	opts []Option
+	name   string
+	resave string // the golden Save(Open(name)) writes
 }{
-	{"oif", []Option{WithKind(OIF), WithPageSize(512), WithBlockPostings(8)}},
-	{"if", []Option{WithKind(InvertedFile), WithPageSize(512)}},
-	{"sharded2", []Option{WithKind(Sharded), WithShards(2), WithPageSize(512), WithBlockPostings(8)}},
+	{"oif", "oif.v3"},
+	{"oif.v3", "oif.v3"},
+	{"if", "if"},
+	{"sharded2", "sharded2.v3"},
+	{"sharded2.v3", "sharded2.v3"},
 }
+
+// goldenOIF are the single-engine OIF goldens, one per OIF payload
+// version.
+var goldenOIF = []string{"oif", "oif.v3"}
 
 const (
 	goldenDomain = 16
@@ -71,6 +81,31 @@ func goldenSet(i int) []Item {
 func goldenPath(name string) string {
 	return filepath.Join("testdata", "snapshots", name+".snap")
 }
+
+// readGolden returns the golden snapshot name.
+func readGolden(tb testing.TB, name string) []byte {
+	tb.Helper()
+	golden, err := os.ReadFile(goldenPath(name))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return golden
+}
+
+// goldenDataset returns every record the golden history ever added, in
+// id order; goldenDead are the ids it tombstoned.
+func goldenDataset(t *testing.T) *dataset.Dataset {
+	t.Helper()
+	d := dataset.New(goldenDomain)
+	for i := 0; i < goldenBase+goldenEarly+goldenLate; i++ {
+		if _, err := d.Add(goldenSet(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return d
+}
+
+func goldenDead() []uint32 { return append([]uint32{goldenEarlyDelete}, goldenLateDeletes...) }
 
 // buildGolden replays the golden mutation history on a fresh index.
 func buildGolden(t *testing.T, opts []Option) *Index {
@@ -126,50 +161,28 @@ func goldenOracle(d *dataset.Dataset, dead []uint32, q Query) []uint32 {
 func TestGoldenSnapshots(t *testing.T) {
 	if os.Getenv("SETCONTAIN_WRITE_GOLDEN") != "" {
 		for _, k := range goldenKinds {
+			if k.resave == k.name {
+				continue
+			}
+			ix, err := Open(bytes.NewReader(readGolden(t, k.name)))
+			if err != nil {
+				t.Fatal(err)
+			}
 			var buf bytes.Buffer
-			if err := buildGolden(t, k.opts).Save(&buf); err != nil {
+			if err := ix.Save(&buf); err != nil {
 				t.Fatal(err)
 			}
-			if err := os.MkdirAll(filepath.Dir(goldenPath(k.name)), 0o755); err != nil {
-				t.Fatal(err)
-			}
-			if err := os.WriteFile(goldenPath(k.name), buf.Bytes(), 0o644); err != nil {
+			if err := os.WriteFile(goldenPath(k.resave), buf.Bytes(), 0o644); err != nil {
 				t.Fatal(err)
 			}
 		}
 	}
 
 	total := goldenBase + goldenEarly + goldenLate
-	d := dataset.New(goldenDomain)
-	for i := 0; i < total; i++ {
-		if _, err := d.Add(goldenSet(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	dead := append([]uint32{goldenEarlyDelete}, goldenLateDeletes...)
-
-	// Every predicate over the empty set, every single item, and a
-	// spread of pairs, triples and wide sets (superset answers need the
-	// latter to be non-trivial).
-	var queries []Query
-	for _, pred := range []Predicate{PredicateSubset, PredicateEquality, PredicateSuperset} {
-		queries = append(queries, Query{Pred: pred})
-		for a := 0; a < goldenDomain; a++ {
-			queries = append(queries,
-				Query{Pred: pred, Items: []Item{Item(a)}},
-				Query{Pred: pred, Items: []Item{0, Item(a)}},
-				Query{Pred: pred, Items: []Item{Item(a), Item((a + 1) % goldenDomain), Item((a + 5) % goldenDomain)}},
-				Query{Pred: pred, Items: goldenSet(a * 6)})
-		}
-		queries = append(queries, Query{Pred: pred, Items: []Item{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15}})
-	}
-
+	d, dead, queries := goldenDataset(t), goldenDead(), goldenQueries()
 	for _, k := range goldenKinds {
 		t.Run(k.name, func(t *testing.T) {
-			golden, err := os.ReadFile(goldenPath(k.name))
-			if err != nil {
-				t.Fatal(err)
-			}
+			golden, want := readGolden(t, k.name), readGolden(t, k.resave)
 			ix, err := Open(bytes.NewReader(golden))
 			if err != nil {
 				t.Fatalf("Open: %v", err)
@@ -204,9 +217,9 @@ func TestGoldenSnapshots(t *testing.T) {
 			if err := ix.Save(&resaved); err != nil {
 				t.Fatalf("Save: %v", err)
 			}
-			if !bytes.Equal(resaved.Bytes(), golden) {
-				t.Fatalf("Save(Open(golden)) differs from golden: %d vs %d bytes, first difference at offset %d",
-					resaved.Len(), len(golden), firstDiff(resaved.Bytes(), golden))
+			if !bytes.Equal(resaved.Bytes(), want) {
+				t.Fatalf("Save(Open(%s)) differs from %s: %d vs %d bytes, first difference at offset %d",
+					k.name, k.resave, resaved.Len(), len(want), firstDiff(resaved.Bytes(), want))
 			}
 
 			// The restored dead-dirty flag and pending section drive a
@@ -243,14 +256,23 @@ func goldenFirstPending() []byte {
 	return rec.Bytes()
 }
 
+// payloadMagic is the offset of a single-engine golden's payload, which
+// opens with its magic: past the container header and its own CRC.
+const payloadMagic = len(containerMagic) + 4*4 + 4
+
 // resealed returns a copy of a single-engine golden with edit applied
 // and the payload's CRC trailer recomputed over the result.
 func resealed(golden []byte, edit func(b []byte)) []byte {
-	const header = len(containerMagic) + 4*4 + 4 // the container header and its own CRC
 	b := slices.Clone(golden)
 	edit(b)
-	binary.LittleEndian.PutUint32(b[len(b)-4:], crc32.ChecksumIEEE(b[header:len(b)-4]))
+	binary.LittleEndian.PutUint32(b[len(b)-4:], crc32.ChecksumIEEE(b[payloadMagic:len(b)-4]))
 	return b
+}
+
+// goldenSingle are the single-engine goldens, OIF in both payload
+// versions, and the error each refuses a bad snapshot with.
+var goldenSingle = map[string]error{
+	"oif": core.ErrBadSnapshot, "oif.v3": core.ErrBadSnapshot, "if": invfile.ErrBadSnapshot,
 }
 
 // hostilePending returns copies of a single-engine golden whose first
@@ -280,11 +302,8 @@ func hostilePending(golden []byte, rec int) map[string][]byte {
 // unsorted set or a non-consecutive id is a bad snapshot like any other
 // malformed section — not an index that panics at its next merge.
 func TestOpenRefusesHostilePending(t *testing.T) {
-	for name, bad := range map[string]error{"oif": core.ErrBadSnapshot, "if": invfile.ErrBadSnapshot} {
-		golden, err := os.ReadFile(goldenPath(name))
-		if err != nil {
-			t.Fatal(err)
-		}
+	for name, bad := range goldenSingle {
+		golden := readGolden(t, name)
 		if !bytes.Equal(resealed(golden, func([]byte) {}), golden) {
 			t.Fatalf("%s: resealing the untouched golden changes it", name)
 		}
@@ -303,7 +322,7 @@ func TestOpenRefusesHostilePending(t *testing.T) {
 // goldenTombstones is the tombstone section as the single-engine goldens
 // hold it: the sorted tombstoned ids as one length-prefixed slice.
 func goldenTombstones() []byte {
-	dead := append([]uint32{goldenEarlyDelete}, goldenLateDeletes...)
+	dead := goldenDead()
 	slices.Sort(dead)
 	var sec bytes.Buffer
 	snapio.WriteU32Slice(&sec, dead)
@@ -340,11 +359,8 @@ func hostileTombstones(golden []byte, tomb int) map[string][]byte {
 // its records is a bad snapshot — not an index whose deleted records
 // reappear, or that allocates by the largest id it was handed.
 func TestOpenRefusesHostileTombstones(t *testing.T) {
-	for name, bad := range map[string]error{"oif": core.ErrBadSnapshot, "if": invfile.ErrBadSnapshot} {
-		golden, err := os.ReadFile(goldenPath(name))
-		if err != nil {
-			t.Fatal(err)
-		}
+	for name, bad := range goldenSingle {
+		golden := readGolden(t, name)
 		tomb := bytes.Index(golden, goldenTombstones())
 		if tomb < 0 {
 			t.Fatalf("%s: tombstone section not found", name)
@@ -357,7 +373,7 @@ func TestOpenRefusesHostileTombstones(t *testing.T) {
 	}
 }
 
-// hostilePages returns copies of the OIF golden, resealed, whose B-tree
+// hostilePages returns copies of an OIF golden, resealed, whose B-tree
 // pages or metadata table no build could have written: the root routing
 // its leftmost child to itself (a descent that never reaches a leaf), a
 // leaf cell slot pointing past the page, a region whose runs end past
@@ -372,11 +388,12 @@ func TestOpenRefusesHostileTombstones(t *testing.T) {
 // record would drop out of answers it belongs to) or raised by one, and
 // a region that
 // starts one id early, overlapping the region before it, or one id late,
-// leaving a gap.
+// leaving a gap. The offsets are the same in both payload versions: the
+// sections they differ in follow the regions.
 func hostilePages(t testing.TB, golden []byte) map[string][]byte {
 	// The container header and its CRC, the payload magic, eight header
 	// words, the item order, then the regions as (L, U, U1) words.
-	const hdr = len(containerMagic) + 4*4 + 4 + len("OIFSNAP2")
+	const hdr = payloadMagic + len("OIFSNAP2")
 	word := func(b []byte, off int) uint32 { return binary.LittleEndian.Uint32(b[off:]) }
 	pageSize, numRecords, domain := int(word(golden, hdr)), word(golden, hdr+2*4), int(word(golden, hdr+3*4))
 	regions := hdr + 8*4 + 8 + 4*domain + 8
@@ -520,96 +537,112 @@ func hostilePages(t testing.TB, golden []byte) map[string][]byte {
 // trust to terminate and to stay inside its pages is a bad snapshot —
 // not an index whose first Subset hangs or panics.
 func TestOpenRefusesHostilePages(t *testing.T) {
-	golden, err := os.ReadFile(goldenPath("oif"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for what, snap := range hostilePages(t, golden) {
-		if bytes.Equal(snap, golden) {
-			t.Fatalf("%s: the edit changed nothing", what)
-		}
-		if _, err := Open(bytes.NewReader(snap)); !errors.Is(err, core.ErrBadSnapshot) {
-			t.Errorf("%s: Open = %v, want %v", what, err, core.ErrBadSnapshot)
+	for _, name := range goldenOIF {
+		golden := readGolden(t, name)
+		for what, snap := range hostilePages(t, golden) {
+			if bytes.Equal(snap, golden) {
+				t.Fatalf("%s, %s: the edit changed nothing", name, what)
+			}
+			if _, err := Open(bytes.NewReader(snap)); !errors.Is(err, core.ErrBadSnapshot) {
+				t.Errorf("%s, %s: Open = %v, want %v", name, what, err, core.ErrBadSnapshot)
+			}
 		}
 	}
 }
 
-// TestOpenIgnoresReservedWord: word 6 of the OIFSNAP2 header once sized
-// a per-reader decoded-block cache, so a resealed 0xFFFFFFFF there opened
-// cleanly and left every pooled reader without an effective memory
-// bound. The word is now reserved: whatever it holds, the snapshot
-// opens, answers like the oracle, re-saves byte for byte, and keeps the
-// word across a merge's rebuild. (The inverted-file header has no such
-// word.) The records and queries repeat TestGoldenSnapshots', which
-// stays as PR 15 wrote it.
-func TestOpenIgnoresReservedWord(t *testing.T) {
-	// The container header and its CRC, the payload magic, six words.
-	const word6 = len(containerMagic) + 4*4 + 4 + len("OIFSNAP2") + 6*4
-	golden, err := os.ReadFile(goldenPath("oif"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	total := goldenBase + goldenEarly + goldenLate
-	d := dataset.New(goldenDomain)
-	for i := 0; i < total; i++ {
-		if _, err := d.Add(goldenSet(i)); err != nil {
-			t.Fatal(err)
+// relabelled returns a copy of an OIF golden, resealed, whose payload
+// magic names the other version: an OIFSNAP2 body labelled OIFSNAP3,
+// whose arena stands where the id map belongs, or an OIFSNAP3 body
+// labelled OIFSNAP2, whose id map and space counters stand where the
+// arena and its offsets belong.
+func relabelled(golden []byte) []byte {
+	return resealed(golden, func(b []byte) {
+		label := b[payloadMagic:][:len("OIFSNAP2")]
+		if string(label) == "OIFSNAP2" {
+			copy(label, "OIFSNAP3")
+		} else {
+			copy(label, "OIFSNAP2")
 		}
-	}
-	dead := append([]uint32{goldenEarlyDelete}, goldenLateDeletes...)
-	var queries []Query
-	for _, pred := range []Predicate{PredicateSubset, PredicateEquality, PredicateSuperset} {
-		queries = append(queries, Query{Pred: pred})
-		for a := 0; a < goldenDomain; a++ {
-			queries = append(queries,
-				Query{Pred: pred, Items: []Item{Item(a)}},
-				Query{Pred: pred, Items: []Item{0, Item(a)}},
-				Query{Pred: pred, Items: []Item{Item(a), Item((a + 1) % goldenDomain), Item((a + 5) % goldenDomain)}},
-				Query{Pred: pred, Items: goldenSet(a * 6)})
-		}
-		queries = append(queries, Query{Pred: pred, Items: []Item{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15}})
-	}
+	})
+}
 
-	for _, v := range []uint32{0, 1, 0xFFFFFFFF} {
-		snap := resealed(golden, func(b []byte) { binary.LittleEndian.PutUint32(b[word6:], v) })
-		if bytes.Equal(snap, golden) { // the golden holds 0x8000 there
-			t.Fatalf("word %#x: the edit changed nothing", v)
+// TestOpenRefusesRelabelledVersions: the payload version decides which
+// sections a stream holds, so a body labelled the other version is a bad
+// snapshot, refused without a panic and without an allocation sized by
+// a word read as the wrong section's length.
+func TestOpenRefusesRelabelledVersions(t *testing.T) {
+	for _, name := range goldenOIF {
+		snap := relabelled(readGolden(t, name))
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := Open(bytes.NewReader(snap))
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, core.ErrBadSnapshot) {
+			t.Errorf("%s relabelled %q: Open = %v, want %v", name, snap[payloadMagic:][:8], err, core.ErrBadSnapshot)
 		}
-		ix, err := Open(bytes.NewReader(snap))
-		if err != nil {
-			t.Fatalf("word %#x: Open: %v", v, err)
+		if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
+			t.Errorf("%s relabelled: Open allocated %d bytes for a %d-byte snapshot", name, grew, len(snap))
 		}
-		for _, q := range queries {
-			got, err := ix.Eval(q)
+	}
+}
+
+// TestOpenIgnoresReservedWord: word 6 of the OIF payload header once
+// sized a per-reader decoded-block cache, so a resealed 0xFFFFFFFF there
+// opened cleanly and left every pooled reader without an effective
+// memory bound. The word is now reserved: whatever it holds, the
+// snapshot opens in either payload version, answers like the oracle,
+// re-saves byte for byte as the OIFSNAP3 golden with the same word, and
+// keeps the word across a merge's rebuild. (The inverted-file header
+// has no such word.)
+func TestOpenIgnoresReservedWord(t *testing.T) {
+	const word6 = payloadMagic + len("OIFSNAP2") + 6*4 // past the payload magic, six words
+	d, dead, queries := goldenDataset(t), goldenDead(), goldenQueries()
+	v3 := readGolden(t, "oif.v3")
+	for _, name := range goldenOIF {
+		golden := readGolden(t, name)
+		for _, v := range []uint32{0, 1, 0xFFFFFFFF} {
+			edit := func(b []byte) { binary.LittleEndian.PutUint32(b[word6:], v) }
+			snap, want := resealed(golden, edit), resealed(v3, edit)
+			if bytes.Equal(snap, golden) { // the goldens hold 0x8000 there
+				t.Fatalf("%s, word %#x: the edit changed nothing", name, v)
+			}
+			ix, err := Open(bytes.NewReader(snap))
 			if err != nil {
-				t.Fatalf("word %#x: %s: %v", v, q, err)
+				t.Fatalf("%s, word %#x: Open: %v", name, v, err)
 			}
-			if want := goldenOracle(d, dead, q); !slices.Equal(got, want) {
-				t.Fatalf("word %#x: %s: got %v, want %v", v, q, got, want)
+			for _, q := range queries {
+				got, err := ix.Eval(q)
+				if err != nil {
+					t.Fatalf("%s, word %#x: %s: %v", name, v, q, err)
+				}
+				if want := goldenOracle(d, dead, q); !slices.Equal(got, want) {
+					t.Fatalf("%s, word %#x: %s: got %v, want %v", name, v, q, got, want)
+				}
 			}
-		}
-		var resaved bytes.Buffer
-		if err := ix.Save(&resaved); err != nil {
-			t.Fatalf("word %#x: Save: %v", v, err)
-		}
-		if !bytes.Equal(resaved.Bytes(), snap) {
-			t.Fatalf("word %#x: Save(Open(x)) differs from x at offset %d", v, firstDiff(resaved.Bytes(), snap))
-		}
-		if err := ix.MergeDelta(); err != nil {
-			t.Fatalf("word %#x: MergeDelta: %v", v, err)
-		}
-		resaved.Reset()
-		if err := ix.Save(&resaved); err != nil {
-			t.Fatalf("word %#x: Save after merge: %v", v, err)
-		}
-		if got := binary.LittleEndian.Uint32(resaved.Bytes()[word6:]); got != v {
-			t.Fatalf("word %#x: the merged index saves %#x there", v, got)
+			var resaved bytes.Buffer
+			if err := ix.Save(&resaved); err != nil {
+				t.Fatalf("%s, word %#x: Save: %v", name, v, err)
+			}
+			if !bytes.Equal(resaved.Bytes(), want) {
+				t.Fatalf("%s, word %#x: Save(Open(x)) differs from the OIFSNAP3 golden with the same word at offset %d",
+					name, v, firstDiff(resaved.Bytes(), want))
+			}
+			if err := ix.MergeDelta(); err != nil {
+				t.Fatalf("%s, word %#x: MergeDelta: %v", name, v, err)
+			}
+			resaved.Reset()
+			if err := ix.Save(&resaved); err != nil {
+				t.Fatalf("%s, word %#x: Save after merge: %v", name, v, err)
+			}
+			if got := binary.LittleEndian.Uint32(resaved.Bytes()[word6:]); got != v {
+				t.Fatalf("%s, word %#x: the merged index saves %#x there", name, v, got)
+			}
 		}
 	}
 
 	// A fresh build writes 0.
 	var fresh bytes.Buffer
-	if err := buildGolden(t, goldenKinds[0].opts).Save(&fresh); err != nil {
+	if err := buildGolden(t, []Option{WithKind(OIF), WithPageSize(512), WithBlockPostings(8)}).Save(&fresh); err != nil {
 		t.Fatal(err)
 	}
 	if got := binary.LittleEndian.Uint32(fresh.Bytes()[word6:]); got != 0 {
@@ -619,19 +652,21 @@ func TestOpenIgnoresReservedWord(t *testing.T) {
 
 // FuzzOpenSnapshot feeds Open arbitrary bytes: the answer is an error or
 // an index, never a panic, and never an allocation sized by a length
-// word the stream does not back with bytes. The seeds are the goldens
-// plus the corruptions a torn or bit-rotted checkpoint shows first — a
-// cut inside the pending-records section, a cut inside the tombstone
-// section, and a length word with a high bit flipped (a count that passes
-// the snapio.MaxSliceLen bound but promises gigabytes) — and those a
-// checksum cannot catch: a resealed out-of-domain pending item, the
-// resealed hostile tombstone sections of hostileTombstones, and the
-// resealed hostile pages, list blocks and metadata of hostilePages. Any
-// index Open accepts must save, and must answer a single-item Subset for every item of
-// its domain — which reads every list and the metadata table — and a
-// two-item Subset for every adjacent pair of items — which filters
-// candidates through a list and scans its region — with an answer or an
-// error, so a hostile list that one query would miss is still read.
+// word the stream does not back with bytes. The seeds are the goldens,
+// OIF payloads in both versions, plus the corruptions a torn or
+// bit-rotted checkpoint shows first — a cut inside the pending-records
+// section, a cut inside the tombstone section, and a length word with a
+// high bit flipped (a count that passes the snapio.MaxSliceLen bound but
+// promises gigabytes) — and those a checksum cannot catch: a resealed
+// out-of-domain pending item, the resealed hostile tombstone sections of
+// hostileTombstones, the resealed hostile pages, list blocks and
+// metadata of hostilePages, and each OIF golden relabelled the other
+// version. Any index Open accepts must save, Open again from its own
+// Save, and answer a single-item Subset for every item of its domain —
+// which reads every list and the metadata table — and a two-item Subset
+// for every adjacent pair of items — which filters candidates through a
+// list and scans its region — with an answer or an error, so a hostile
+// list that one query would miss is still read.
 func FuzzOpenSnapshot(f *testing.F) {
 	// The single-engine goldens hold the sections verbatim; find them by
 	// their encoded content: the first pending record and the sorted
@@ -640,12 +675,9 @@ func FuzzOpenSnapshot(f *testing.F) {
 	tombstones := bytes.NewBuffer(goldenTombstones())
 
 	for _, k := range goldenKinds {
-		golden, err := os.ReadFile(goldenPath(k.name))
-		if err != nil {
-			f.Fatal(err)
-		}
+		golden := readGolden(f, k.name)
 		f.Add(golden)
-		if k.name == "sharded2" {
+		if _, single := goldenSingle[k.name]; !single {
 			continue // shard-local ids; the nested frames are the formats above
 		}
 		rec, tomb := bytes.Index(golden, records.Bytes()), bytes.Index(golden, tombstones.Bytes())
@@ -661,10 +693,11 @@ func FuzzOpenSnapshot(f *testing.F) {
 		for _, snap := range hostileTombstones(golden, tomb) {
 			f.Add(snap)
 		}
-		if k.name == "oif" {
+		if slices.Contains(goldenOIF, k.name) {
 			for _, snap := range hostilePages(f, golden) {
 				f.Add(snap)
 			}
+			f.Add(relabelled(golden))
 		}
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -672,10 +705,12 @@ func FuzzOpenSnapshot(f *testing.F) {
 		if err != nil {
 			return
 		}
-		// Save rebuilds the OIF's sequence forms from its lists and
-		// metadata table, which Open proved describe one collection.
-		if err := ix.Save(io.Discard); err != nil {
+		var saved bytes.Buffer
+		if err := ix.Save(&saved); err != nil {
 			t.Fatalf("Save of an index Open accepted: %v", err)
+		}
+		if _, err := Open(&saved); err != nil {
+			t.Fatalf("Open of the Save of an index Open accepted: %v", err)
 		}
 		if ix.PendingInserts() > ix.NumRecords() || ix.PendingInserts() < 0 {
 			t.Fatalf("opened an index with %d pending of %d records", ix.PendingInserts(), ix.NumRecords())
@@ -709,34 +744,62 @@ func goldenQueries() []Query {
 	return queries
 }
 
-// TestMergeReadsTheLists: an OIF snapshot holds the collection twice —
-// in its lists and metadata table, which queries read, and in the
-// sequence-form arena of its re-ordering section — and Open reads past
-// the arena. The golden is resealed with one rank of one live record's
-// form in the arena replaced by the next rank, which the record does not
-// hold; the index must answer like the oracle before and after an
-// Insert and a MergeDelta, whose rebuild must read the records from the
-// lists, not from the arena.
-func TestMergeReadsTheLists(t *testing.T) {
-	golden, err := os.ReadFile(goldenPath("oif"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The container header and its CRC, the payload magic, eight header
-	// words, the item order and the regions; then the arena, the
-	// offsets and the new-id -> source-position permutation, each a u64
-	// count and its words.
-	const hdr = len(containerMagic) + 4*4 + 4 + len("OIFSNAP2")
-	word := func(off int) uint32 { return binary.LittleEndian.Uint32(golden[off:]) }
-	numRecords, domain := int(word(hdr+2*4)), int(word(hdr+3*4))
-	flatAt := hdr + 8*4 + 8 + 4*domain + 8 + 12*domain
-	ranks := int(binary.LittleEndian.Uint64(golden[flatAt:]))
-	offAt := flatAt + 8 + 4*ranks
-	permAt := offAt + 8 + 4*(numRecords+1)
+// v2Sections returns the offsets of the OIFSNAP2 golden's arena, its
+// offsets and its new-id -> source-position permutation, each a u64
+// count and its words: past the payload magic, eight header words, the
+// item order and the regions.
+func v2Sections(t *testing.T, golden []byte) (flatAt, offAt, permAt int) {
+	const hdr = payloadMagic + len("OIFSNAP2")
+	numRecords, domain := int(binary.LittleEndian.Uint32(golden[hdr+2*4:])), int(binary.LittleEndian.Uint32(golden[hdr+3*4:]))
+	flatAt = hdr + 8*4 + 8 + 4*domain + 8 + 12*domain
+	offAt = flatAt + 8 + 4*int(binary.LittleEndian.Uint64(golden[flatAt:]))
+	permAt = offAt + 8 + 4*(numRecords+1)
 	if n := binary.LittleEndian.Uint64(golden[offAt:]); n != uint64(numRecords)+1 {
 		t.Fatalf("oif golden: %d offsets for %d records", n, numRecords)
 	}
-	dead := append([]uint32{goldenEarlyDelete}, goldenLateDeletes...)
+	return flatAt, offAt, permAt
+}
+
+// TestOpenSizesTheV2Arena: Open reads past an OIFSNAP2 stream's arena
+// and offsets, but holds them to the lists and the metadata table: an
+// arena one rank short, or offsets one short, is a bad snapshot.
+func TestOpenSizesTheV2Arena(t *testing.T) {
+	golden := readGolden(t, "oif")
+	flatAt, offAt, _ := v2Sections(t, golden)
+	// shortened drops the last word of the section at sec, and counts one
+	// fewer.
+	shortened := func(sec, end int) []byte {
+		cut := slices.Delete(slices.Clone(golden), end-4, end)
+		return resealed(cut, func(b []byte) {
+			binary.LittleEndian.PutUint64(b[sec:], binary.LittleEndian.Uint64(b[sec:])-1)
+		})
+	}
+	for what, snap := range map[string][]byte{
+		"arena one rank short": shortened(flatAt, offAt),
+		"one offset short":     shortened(offAt, offAt+8+4*int(binary.LittleEndian.Uint64(golden[offAt:]))),
+	} {
+		if _, err := Open(bytes.NewReader(snap)); !errors.Is(err, core.ErrBadSnapshot) {
+			t.Errorf("%s: Open = %v, want %v", what, err, core.ErrBadSnapshot)
+		}
+	}
+}
+
+// TestMergeReadsTheLists: an OIFSNAP2 snapshot holds the collection
+// twice — in its lists and metadata table, which queries read, and in
+// the sequence-form arena of its re-ordering section — and Open reads
+// past the arena. (Only that version has an arena; OIFSNAP3 holds the
+// collection once.) The OIFSNAP2 golden is resealed with one rank of
+// one live record's form in the arena replaced by the next rank, which
+// the record does not hold; the index must answer like the oracle
+// before and after an Insert and a MergeDelta, whose rebuild must read
+// the records from the lists, not from the arena.
+func TestMergeReadsTheLists(t *testing.T) {
+	golden := readGolden(t, "oif")
+	const hdr = payloadMagic + len("OIFSNAP2")
+	word := func(off int) uint32 { return binary.LittleEndian.Uint32(golden[off:]) }
+	numRecords, domain := int(word(hdr+2*4)), int(word(hdr+3*4))
+	flatAt, offAt, permAt := v2Sections(t, golden)
+	dead := goldenDead()
 	at := -1 // the arena word of the rank to replace: a live record's last, below the domain's last
 	for id := 1; id <= numRecords && at < 0; id++ {
 		lo, hi := int(word(offAt+8+4*(id-1))), int(word(offAt+8+4*id))
@@ -752,12 +815,7 @@ func TestMergeReadsTheLists(t *testing.T) {
 		binary.LittleEndian.PutUint32(b[at:], binary.LittleEndian.Uint32(b[at:])+1)
 	})
 
-	d := dataset.New(goldenDomain)
-	for i := 0; i < goldenBase+goldenEarly+goldenLate; i++ {
-		if _, err := d.Add(goldenSet(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
+	d := goldenDataset(t)
 	ix, err := Open(bytes.NewReader(snap))
 	if err != nil {
 		t.Fatalf("Open: %v", err)
