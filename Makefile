@@ -22,10 +22,12 @@ test:
 # TestQueryEvalAppendZeroAllocs, TestOverlayMatchesZeroAllocs (the delta's
 # sweeps and the tombstone Mask), TestResultCodecZeroAllocs,
 # TestReseekZeroAllocs, TestExprAllocCeilings, and the build paths'
-# TestGeneratorAllocCeilings and TestBuildAllocCeilings (generators,
-# Build, MergeDelta), TestSnapshotAllocCeilings (Save streams, and
-# allocates nothing sized by the collection), and the index's live heap
-# against its Space (TestIndexHeapCeiling) —
+# TestGeneratorAllocCeilings, TestReadAllocCeilings and
+# TestBuildAllocCeilings (generators, the text reader, Build,
+# MergeDelta), TestSnapshotAllocCeilings (Save streams, and allocates
+# nothing sized by the collection), the index's live heap against its
+# Space (TestIndexHeapCeiling) and the collection's against its items
+# and records (TestDatasetHeapCeiling) —
 # skip or are compiled out under the race detector, so `make test` never
 # runs them; this does, without -race.
 alloc-check:
@@ -57,12 +59,14 @@ bench-module-check:
 # body through the serve handler, the WAL replay/record fuzzers, the
 # update overlay's pending-records and tombstone sections, the vbyte
 # codec and block-kernel fuzzers, superset's candidate counts against
-# internal/naive, and the §3 re-ordering against the stable comparison
-# sort it replaced. The CI fuzz job uses the same
-# invocations; corpus findings land in testdata and fail `make test`
-# thereafter. The answer-stream, answer-line, snapshot, posting-block
-# and re-ordering inputs run to kilobytes, so minimizing each new one is
-# capped — it would otherwise eat the whole smoke.
+# internal/naive, the §3 re-ordering against the stable comparison
+# sort it replaced, the answer set algebra against a plain merge, and
+# the collection text format's Read / Write round trip. The CI fuzz job
+# uses the same invocations; corpus findings land in testdata and fail
+# `make test` thereafter. The answer-stream, answer-line, snapshot,
+# posting-block, re-ordering and text inputs run to kilobytes, so
+# minimizing each new one is capped — it would otherwise eat the whole
+# smoke.
 FUZZ_TIME ?= 10s
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzModel$$' -fuzztime $(FUZZ_TIME) ./setcontain
@@ -79,6 +83,8 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzPostingKernels$$' -fuzztime $(FUZZ_TIME) -fuzzminimizetime 1s ./internal/vbyte
 	$(GO) test -run '^$$' -fuzz '^FuzzSupersetCounts$$' -fuzztime $(FUZZ_TIME) ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzReorder$$' -fuzztime $(FUZZ_TIME) -fuzzminimizetime 1s ./internal/sequence
+	$(GO) test -run '^$$' -fuzz '^FuzzSetAlgebra$$' -fuzztime $(FUZZ_TIME) ./setcontain
+	$(GO) test -run '^$$' -fuzz '^FuzzDatasetText$$' -fuzztime $(FUZZ_TIME) -fuzzminimizetime 1s ./internal/dataset
 
 lint:
 	$(GOLANGCI) run ./...

@@ -7,7 +7,10 @@ package dataset
 // collection allocates per arena chunk, not per record. Built only
 // without -race: the detector's instrumentation allocates.
 
-import "testing"
+import (
+	"bytes"
+	"testing"
+)
 
 func TestGeneratorAllocCeilings(t *testing.T) {
 	msnbc := DefaultMSNBC()
@@ -47,5 +50,31 @@ func TestGeneratorAllocCeilings(t *testing.T) {
 		}
 	}); allocs != 0 {
 		t.Errorf("Add: %.0f allocations per record, want under one", allocs)
+	}
+}
+
+// TestReadAllocCeilings: Read parses each line through one reused buffer
+// straight into the dataset, so a file costs the dataset's own
+// allocations and the scanner's, not one (or two) per line.
+func TestReadAllocCeilings(t *testing.T) {
+	d, err := GenerateSynthetic(DefaultSynthetic(20000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var text bytes.Buffer
+	if err := Write(&text, d); err != nil {
+		t.Fatal(err)
+	}
+	const ceiling = 100
+	allocs := testing.AllocsPerRun(3, func() {
+		if _, e := Read(bytes.NewReader(text.Bytes())); e != nil {
+			err = e
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if allocs > ceiling {
+		t.Errorf("Read of 20 000 records: %.0f allocations, ceiling %d", allocs, ceiling)
 	}
 }

@@ -9,6 +9,8 @@ package dataset
 import (
 	"errors"
 	"fmt"
+	"iter"
+	"math"
 	"slices"
 )
 
@@ -24,16 +26,27 @@ type Record struct {
 }
 
 // Dataset is an in-memory collection of records over a fixed vocabulary.
+//
+// The records' sets lie end to end in chunks of items, a set never split
+// between two; where a record's set lies is kept as a running count of
+// items, not as a slice header. A collection thus costs its items plus
+// four bytes a record (and a few bytes a chunk), and the garbage
+// collector scans one pointer per chunk, not one per record.
 type Dataset struct {
 	domainSize int
-	records    []Record
 	labels     []string // optional item labels, len 0 or domainSize
 
-	// arena is the open chunk records' sets are canonicalised into: Add
-	// appends a set at its end and keeps a capacity-limited sub-slice, so
-	// a collection costs one allocation per arenaChunk items, not one per
-	// record. A full chunk stays alive through its records' sets.
-	arena []Item
+	// chunks hold the sets in record order; there is always one. Add
+	// appends a set to the last chunk while its capacity lasts and opens
+	// a new one otherwise, so a collection costs one allocation per
+	// arenaChunk items, not one per record.
+	chunks [][]Item
+	// starts[c] is the number of items stored before chunks[c]; strictly
+	// ascending, since only the last chunk can be empty.
+	starts []uint32
+	// ends[i] is the number of items in records 0..i: record i's set is
+	// items ends[i-1] (0 for the first) up to ends[i].
+	ends []uint32
 }
 
 // arenaChunk is the size, in items, of one record arena chunk (64 KiB).
@@ -44,23 +57,87 @@ func New(domainSize int) *Dataset {
 	if domainSize < 0 {
 		domainSize = 0
 	}
-	return &Dataset{domainSize: domainSize}
+	return &Dataset{domainSize: domainSize, chunks: [][]Item{nil}, starts: []uint32{0}}
 }
 
 // DomainSize returns |I|.
 func (d *Dataset) DomainSize() int { return d.domainSize }
 
 // Len returns |D|.
-func (d *Dataset) Len() int { return len(d.records) }
+func (d *Dataset) Len() int { return len(d.ends) }
 
-// Record returns the i-th record (0-based position, not id).
-func (d *Dataset) Record(i int) Record { return d.records[i] }
+// items returns the number of items stored before record i.
+func (d *Dataset) items(i int) uint32 {
+	if i == 0 {
+		return 0
+	}
+	return d.ends[i-1]
+}
 
-// Records returns the backing record slice; callers must not mutate it.
-func (d *Dataset) Records() []Record { return d.records }
+// chunkOf returns the chunk that holds the items from position s on: the
+// last one starting at or before s. A chunk of arenaChunk items is full
+// but for less than a set, so in a collection of such chunks the one at
+// s/arenaChunk starts at or before s, and the answer is mostly it or the
+// next: that window is tried first, the whole range otherwise. The
+// search halves its range without branching on the comparison, which a
+// random s would mispredict half the time: the step is masked by the
+// difference's sign instead.
+func (d *Dataset) chunkOf(s uint32) int {
+	c, n := 0, len(d.starts) // the answer is in [c, c+n)
+	if g := int(s / arenaChunk); g < n && d.starts[g] <= s {
+		c, n = g, n-g
+		if n > 2 && d.starts[g+2] > s {
+			n = 2
+		}
+	}
+	for n > 1 {
+		half := n / 2
+		c += half &^ int((int64(s)-int64(d.starts[c+half]))>>63)
+		n -= half
+	}
+	return c
+}
+
+// Record returns the i-th record (0-based position, not id). Its set
+// shares the dataset's storage, and its capacity is its length, so
+// appending to one record's set never writes into another's; callers
+// must not write to it.
+func (d *Dataset) Record(i int) Record {
+	s := d.items(i)
+	c := d.chunkOf(s)
+	a, b := s-d.starts[c], d.ends[i]-d.starts[c]
+	return Record{ID: uint32(i + 1), Set: d.chunks[c][a:b:b]}
+}
+
+// Records yields every record in order, with its 0-based position.
+func (d *Dataset) Records() iter.Seq2[int, Record] { return d.Range(0, d.Len()) }
+
+// Range yields records lo up to hi in order, with their 0-based
+// positions: one search for the chunk of the first, then a walk. The
+// bounds are fixed when Range is called, so records added while it runs
+// are not yielded.
+func (d *Dataset) Range(lo, hi int) iter.Seq2[int, Record] {
+	return func(yield func(int, Record) bool) {
+		s := d.items(lo)
+		for c, i := d.chunkOf(s), lo; i < hi; c++ {
+			chunk, base := d.chunks[c], d.starts[c]
+			last := c+1 == len(d.starts)
+			for ; i < hi && (last || s < d.starts[c+1]); i++ {
+				e := d.ends[i]
+				if !yield(i, Record{ID: uint32(i + 1), Set: chunk[s-base : e-base : e-base]}) {
+					return
+				}
+				s = e
+			}
+		}
+	}
+}
 
 // ErrItemOutOfDomain reports a set item outside the vocabulary.
 var ErrItemOutOfDomain = errors.New("dataset: item outside domain")
+
+// errTooManyItems reports a collection past what ends can count.
+var errTooManyItems = errors.New("dataset: more than 2^32-1 items")
 
 // Canonical returns the canonical form of an item set — a sorted,
 // duplicate-free copy (the caller's slice is untouched) — or an error
@@ -89,37 +166,56 @@ func appendCanonical(dst, set []Item, domainSize int) ([]Item, error) {
 }
 
 // Add appends a record with the given set and returns its id. The set is
-// canonicalised (see Canonical) into the record arena, and the record
-// keeps a sub-slice of it whose capacity is its length, so appending to
-// one record's set never writes into another's. Empty sets are allowed
-// (the paper's order places the empty set first, and our OIF indexes it
-// in a dedicated metadata region). A set that fails leaves the dataset
-// as it was.
+// canonicalised (see Canonical) into the last chunk, or into a new one
+// when it does not fit. Empty sets are allowed (the paper's order places
+// the empty set first, and our OIF indexes it in a dedicated metadata
+// region). A set that fails leaves the dataset as it was.
 func (d *Dataset) Add(set []Item) (uint32, error) {
-	buf := d.arena
-	if cap(buf)-len(buf) < len(set) {
+	total := d.items(len(d.ends))
+	last := len(d.chunks) - 1
+	buf := d.chunks[last]
+	fresh := cap(buf)-len(buf) < len(set)
+	if fresh {
 		buf = make([]Item, 0, max(arenaChunk, len(set)))
 	}
-	start := len(buf)
+	n := len(buf)
 	buf, err := appendCanonical(buf, set, d.domainSize)
 	if err != nil {
 		return 0, err
 	}
-	d.arena = buf
-	id := uint32(len(d.records) + 1)
-	d.records = append(d.records, Record{ID: id, Set: buf[start:len(buf):len(buf)]})
-	return id, nil
+	added := len(buf) - n
+	if uint64(total)+uint64(added) > math.MaxUint32 {
+		return 0, errTooManyItems
+	}
+	if fresh {
+		d.open(buf, total)
+	} else {
+		d.chunks[last] = buf
+	}
+	d.ends = append(d.ends, total+uint32(added))
+	return uint32(len(d.ends)), nil
+}
+
+// open makes buf, which starts at item position total, the last chunk.
+// An empty last chunk is replaced rather than kept behind it.
+func (d *Dataset) open(buf []Item, total uint32) {
+	if last := len(d.chunks) - 1; len(d.chunks[last]) == 0 {
+		d.chunks[last] = buf
+		return
+	}
+	d.chunks = append(d.chunks, buf)
+	d.starts = append(d.starts, total)
 }
 
 // Grow makes room for records more records whose sets hold items more
 // items in all, so that that many Adds allocate nothing: a caller that
-// knows the size of what it is about to add saves the record slice's
+// knows the size of what it is about to add saves the record ends'
 // growth and the arena's chunks. The items of a set that collapses under
 // Canonical count in full.
 func (d *Dataset) Grow(records, items int) {
-	d.records = slices.Grow(d.records, records)
-	if cap(d.arena)-len(d.arena) < items {
-		d.arena = make([]Item, 0, items)
+	d.ends = slices.Grow(d.ends, records)
+	if last := d.chunks[len(d.chunks)-1]; cap(last)-len(last) < items {
+		d.open(make([]Item, 0, items), d.items(len(d.ends)))
 	}
 }
 
@@ -144,8 +240,8 @@ func (d *Dataset) Label(it Item) string {
 // (Eq. 1's support function).
 func (d *Dataset) Support() []int64 {
 	sup := make([]int64, d.domainSize)
-	for _, r := range d.records {
-		for _, it := range r.Set {
+	for _, chunk := range d.chunks {
+		for _, it := range chunk {
 			sup[it]++
 		}
 	}
@@ -164,16 +260,17 @@ type Stats struct {
 
 // ComputeStats scans the dataset once.
 func (d *Dataset) ComputeStats() Stats {
-	s := Stats{NumRecords: len(d.records), DomainSize: d.domainSize}
-	for _, r := range d.records {
-		s.TotalPostings += int64(len(r.Set))
-		if len(r.Set) > s.MaxCardinal {
-			s.MaxCardinal = len(r.Set)
-		}
-		if len(r.Set) == 0 {
+	s := Stats{NumRecords: d.Len(), DomainSize: d.domainSize}
+	prev := uint32(0)
+	for _, end := range d.ends {
+		n := int(end - prev)
+		s.MaxCardinal = max(s.MaxCardinal, n)
+		if n == 0 {
 			s.EmptyRecords++
 		}
+		prev = end
 	}
+	s.TotalPostings = int64(prev)
 	if s.NumRecords > 0 {
 		s.AvgCardinal = float64(s.TotalPostings) / float64(s.NumRecords)
 	}

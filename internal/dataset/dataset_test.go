@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"slices"
 	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -47,6 +48,17 @@ func TestAddEmptySet(t *testing.T) {
 	if got := d.ComputeStats().EmptyRecords; got != 1 {
 		t.Fatalf("EmptyRecords = %d", got)
 	}
+	// A collection of empty sets allocates no chunk, and its records
+	// still read back.
+	mustAdd(t, d, []Item{})
+	for i, r := range d.Records() {
+		if r.ID != uint32(i+1) || len(r.Set) != 0 || d.Record(i).ID != r.ID {
+			t.Fatalf("record %d = %+v", i, r)
+		}
+	}
+	if len(d.chunks) != 1 || cap(d.chunks[0]) != 0 {
+		t.Fatalf("%d chunks (the first of %d items) for empty sets", len(d.chunks), cap(d.chunks[0]))
+	}
 }
 
 // TestAddArenaNeighbours: records share the arena, so each set must be
@@ -71,33 +83,120 @@ func TestAddArenaNeighbours(t *testing.T) {
 }
 
 // TestAddOutOfDomainLeavesArena: a set that fails the domain check is
-// canonicalised into the arena's spare room before the check, so the
-// arena must not keep it — Len, the records and the place of the next
-// record are what they were, also when the failed set would have opened
-// a new chunk.
+// canonicalised into the last chunk's spare room before the check, so
+// the dataset must not keep it — Len, every record's set and the place
+// of the next record are what they were, also when the failed set would
+// have opened a new chunk.
 func TestAddOutOfDomainLeavesArena(t *testing.T) {
 	for _, bad := range [][]Item{{3, 12, 1}, slices.Repeat([]Item{11}, arenaChunk+1)} {
 		d := New(10)
 		mustAdd(t, d, []Item{1, 2})
-		records, arena := slices.Clone(d.Records()), d.arena
+		first := d.Record(0)
+		chunks, last := len(d.chunks), d.chunks[len(d.chunks)-1]
 		if _, err := d.Add(bad); !errors.Is(err, ErrItemOutOfDomain) {
 			t.Fatalf("Add(%d items past the domain) = %v, want ErrItemOutOfDomain", len(bad), err)
 		}
-		if d.Len() != 1 || !slices.EqualFunc(d.Records(), records, func(a, b Record) bool {
-			return a.ID == b.ID && slices.Equal(a.Set, b.Set)
-		}) {
-			t.Fatalf("records after a failed Add = %v, want %v", d.Records(), records)
+		if got := d.Record(0); d.Len() != 1 || got.ID != 1 || !slices.Equal(got.Set, []Item{1, 2}) || &got.Set[0] != &first.Set[0] {
+			t.Fatalf("after a failed Add: %d records, first %+v, want 1 record %+v", d.Len(), got, first)
 		}
-		if len(d.arena) != len(arena) || cap(d.arena) != cap(arena) || &d.arena[0] != &arena[0] {
-			t.Fatalf("arena moved: len %d cap %d, was len %d cap %d", len(d.arena), cap(d.arena), len(arena), cap(arena))
+		end := d.chunks[len(d.chunks)-1]
+		if len(d.chunks) != chunks || len(d.starts) != chunks || len(end) != len(last) || cap(end) != cap(last) || &end[0] != &last[0] {
+			t.Fatalf("arena moved: %d chunks, last len %d cap %d; was %d, len %d cap %d",
+				len(d.chunks), len(end), cap(end), chunks, len(last), cap(last))
 		}
 		mustAdd(t, d, []Item{5, 4})
-		if got := d.arena[len(arena):]; !slices.Equal(got, []Item{4, 5}) {
-			t.Fatalf("next record landed as %v past the arena's end, want [4 5]", got)
-		}
-		if got := d.Record(1); got.ID != 2 || &got.Set[0] != &d.arena[len(arena)] {
+		if got := d.Record(1); got.ID != 2 || !slices.Equal(got.Set, []Item{4, 5}) || &got.Set[0] != &last[:cap(last)][len(last)] {
 			t.Fatalf("next record %+v is not the arena's next one", got)
 		}
+	}
+}
+
+// TestRecordsAcrossChunks holds Record, Records, Range, Support and
+// ComputeStats to the sets added, over sets of every length up to past
+// a chunk — so sets open chunks, end exactly at a chunk's end, and fall
+// on either side of one as empty sets — with Grow in between.
+func TestRecordsAcrossChunks(t *testing.T) {
+	const domain = 64
+	rng := rand.New(rand.NewSource(3))
+	d := New(domain)
+	var want [][]Item
+	sup := make([]int64, domain)
+	for i := range 3000 {
+		var set []Item
+		switch {
+		case i%7 == 0: // empty
+		case i%97 == 0:
+			set = make([]Item, arenaChunk+rng.Intn(3))
+			for j := range set {
+				set[j] = Item(j % domain)
+			}
+		default:
+			set = make([]Item, rng.Intn(2*domain))
+			for j := range set {
+				set[j] = Item(rng.Intn(domain))
+			}
+		}
+		if i%500 == 250 {
+			d.Grow(10, rng.Intn(3*arenaChunk))
+		}
+		mustAdd(t, d, set)
+		c, _ := Canonical(set, domain)
+		want = append(want, c)
+		for _, it := range c {
+			sup[it]++
+		}
+	}
+	if len(d.chunks) < 10 {
+		t.Fatalf("only %d chunks: the sets do not cross chunks", len(d.chunks))
+	}
+	check := func(how string, i int, r Record) {
+		t.Helper()
+		if r.ID != uint32(i+1) || !slices.Equal(r.Set, want[i]) || cap(r.Set) != len(r.Set) {
+			t.Fatalf("%s: record %d = id %d %v (cap %d), want id %d %v", how, i, r.ID, r.Set, cap(r.Set), i+1, want[i])
+		}
+	}
+	for i := range want {
+		check("Record", i, d.Record(i))
+	}
+	n := 0
+	for i, r := range d.Records() {
+		check("Records", i, r)
+		n++
+	}
+	if n != len(want) {
+		t.Fatalf("Records yielded %d records, want %d", n, len(want))
+	}
+	n = 0
+	for range d.Records() {
+		if n++; n == 7 {
+			break
+		}
+	}
+	for _, lo := range []int{0, 1, 97, 1500, len(want) - 1, len(want)} {
+		i := lo
+		for j, r := range d.Range(lo, min(lo+400, len(want))) {
+			if j != i {
+				t.Fatalf("Range(%d, ...) yielded position %d, want %d", lo, j, i)
+			}
+			check("Range", j, r)
+			i++
+		}
+	}
+	if !slices.Equal(d.Support(), sup) {
+		t.Fatal("Support disagrees with the sets added")
+	}
+	st := d.ComputeStats()
+	var total int64
+	mx, empty := 0, 0
+	for _, s := range want {
+		total += int64(len(s))
+		mx = max(mx, len(s))
+		if len(s) == 0 {
+			empty++
+		}
+	}
+	if st.NumRecords != len(want) || st.TotalPostings != total || st.MaxCardinal != mx || st.EmptyRecords != empty {
+		t.Fatalf("ComputeStats = %+v, want %d records, %d postings, max %d, %d empty", st, len(want), total, mx, empty)
 	}
 }
 
@@ -507,6 +606,65 @@ func TestReadBadInput(t *testing.T) {
 	if _, err := Read(bytes.NewBufferString("domain 2\n0 5\n")); err == nil {
 		t.Error("out-of-domain item accepted")
 	}
+}
+
+// TestReadErrorOrder: a malformed line is reported before an earlier
+// record that falls outside the header's domain, with its line number,
+// and a record outside the domain by its record number.
+func TestReadErrorOrder(t *testing.T) {
+	for _, c := range []struct{ in, want string }{
+		{"# c\ndomain 4\n1 9\n\n2 x\n", `dataset: line 5: bad item "x"`},
+		{"domain 4\n1\n\n2 9\n3\n", "dataset: record 3: dataset: item outside domain: item 9, domain 4"},
+		{"\n\n1 4294967296\n", `dataset: line 3: bad item "4294967296"`},
+		{"domain -1\n", `dataset: line 1: bad domain header "domain -1"`},
+	} {
+		if _, err := Read(strings.NewReader(c.in)); err == nil || err.Error() != c.want {
+			t.Errorf("Read(%q) = %v, want %s", c.in, err, c.want)
+		}
+	}
+	d, err := Read(strings.NewReader("\n# c\n3\u00a07 007\n\n4294967295\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d.DomainSize() != 1<<32 || d.Len() != 3 || !slices.Equal(d.Record(0).Set, []Item{3, 7}) ||
+		len(d.Record(1).Set) != 0 || !slices.Equal(d.Record(2).Set, []Item{math.MaxUint32}) {
+		t.Fatalf("headerless read: domain %d, %d records", d.DomainSize(), d.Len())
+	}
+}
+
+// FuzzDatasetText: any bytes through Read give an error or a dataset,
+// never a panic, and a dataset Read accepts goes back through Write and
+// Read to the same domain and records.
+func FuzzDatasetText(f *testing.F) {
+	for _, s := range []string{
+		"", "domain 5\n0 1\n\n2\n", "1 2 3\n7\n", "# c\n\n3 3 1\n",
+		"domain 2\n0 5\n", "domain x\n", "1 zebra\n", "domain 0\n\n\n",
+		"4294967295 0\n", "\t 2\v9\u00a01\r\n",
+	} {
+		f.Add([]byte(s))
+	}
+	f.Fuzz(func(t *testing.T, in []byte) {
+		d, err := Read(bytes.NewReader(in))
+		if err != nil {
+			return
+		}
+		var buf bytes.Buffer
+		if err := Write(&buf, d); err != nil {
+			t.Fatal(err)
+		}
+		back, err := Read(&buf)
+		if err != nil {
+			t.Fatalf("re-reading what Write wrote: %v\n%s", err, buf.Bytes())
+		}
+		if back.DomainSize() != d.DomainSize() || back.Len() != d.Len() {
+			t.Fatalf("round trip: domain %d, %d records; want %d, %d", back.DomainSize(), back.Len(), d.DomainSize(), d.Len())
+		}
+		for i, r := range d.Records() {
+			if got := back.Record(i); got.ID != r.ID || !slices.Equal(got.Set, r.Set) {
+				t.Fatalf("record %d = %+v after the round trip, want %+v", i, got, r)
+			}
+		}
+	})
 }
 
 func TestLabels(t *testing.T) {

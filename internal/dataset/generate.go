@@ -103,8 +103,8 @@ func GenerateMSWeb(c MSWebConfig) (*Dataset, error) {
 	}
 	// Every replica re-adds the first one's records, already canonical.
 	for rep := 1; rep < c.Replicas; rep++ {
-		for i := 0; i < c.BaseRecords; i++ {
-			if _, err := d.Add(d.records[i].Set); err != nil {
+		for _, r := range d.Range(0, c.BaseRecords) {
+			if _, err := d.Add(r.Set); err != nil {
 				return nil, err
 			}
 		}

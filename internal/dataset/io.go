@@ -2,10 +2,13 @@ package dataset
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
+	"unicode"
 )
 
 // The text format is one record per line: space-separated decimal item
@@ -40,69 +43,94 @@ func Write(w io.Writer, d *Dataset) error {
 	return bw.Flush()
 }
 
-// Read parses the text format.
+// Read parses the text format. Each line goes into the dataset as it is
+// parsed, through one reused buffer. A file without a header is read
+// over every uint32 item and given its inferred domain at the end. A
+// record Add refuses is reported only once every line has parsed, so a
+// malformed line anywhere in the file is the error reported first.
 func Read(r io.Reader) (*Dataset, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 1<<16), 1<<22)
-	var sets [][]Item
-	domain := -1
-	sawHeader := false
-	line := 0
-	maxItem := Item(0)
-	for sc.Scan() {
-		line++
-		text := strings.TrimSpace(sc.Text())
-		if strings.HasPrefix(text, "#") {
+	var (
+		d        *Dataset // nil until the header or the first record
+		inferred bool     // d's domain is to be inferred at the end
+		set      []Item
+		maxItem  Item
+		addErr   error
+	)
+	for line := 1; sc.Scan(); line++ {
+		text := bytes.TrimSpace(sc.Bytes())
+		if bytes.HasPrefix(text, []byte("#")) {
 			continue
 		}
-		if !sawHeader {
-			if text == "" {
+		if d == nil {
+			if len(text) == 0 {
 				continue
 			}
-			if n, ok := strings.CutPrefix(text, "domain "); ok {
-				v, err := strconv.Atoi(strings.TrimSpace(n))
+			if n, ok := bytes.CutPrefix(text, []byte("domain ")); ok {
+				v, err := strconv.Atoi(string(bytes.TrimSpace(n)))
 				if err != nil || v < 0 {
 					return nil, fmt.Errorf("dataset: line %d: bad domain header %q", line, text)
 				}
-				domain = v
-				sawHeader = true
+				d = New(v)
 				continue
 			}
-			sawHeader = true // headerless file; fall through to parse
+			d, inferred = New(math.MaxInt), true
 		}
-		var set []Item
-		if text != "" {
-			fields := strings.Fields(text)
-			set = make([]Item, 0, len(fields))
-			for _, f := range fields {
-				v, err := strconv.ParseUint(f, 10, 32)
-				if err != nil {
-					return nil, fmt.Errorf("dataset: line %d: bad item %q", line, f)
-				}
-				it := Item(v)
-				if it > maxItem {
-					maxItem = it
-				}
-				set = append(set, it)
+		set = set[:0]
+		for rest := text; len(rest) > 0; {
+			var f []byte
+			if f, rest = cutField(rest); len(f) == 0 {
+				break
+			}
+			it, ok := parseItem(f)
+			if !ok {
+				return nil, fmt.Errorf("dataset: line %d: bad item %q", line, f)
+			}
+			maxItem = max(maxItem, it)
+			set = append(set, it)
+		}
+		if addErr == nil {
+			if _, err := d.Add(set); err != nil {
+				addErr = fmt.Errorf("dataset: record %d: %w", d.Len()+1, err)
 			}
 		}
-		sets = append(sets, set)
 	}
 	if err := sc.Err(); err != nil {
 		return nil, fmt.Errorf("dataset: read: %w", err)
 	}
-	if domain < 0 {
-		if len(sets) == 0 {
-			domain = 0
-		} else {
-			domain = int(maxItem) + 1
-		}
+	if addErr != nil {
+		return nil, addErr
 	}
-	d := New(domain)
-	for i, set := range sets {
-		if _, err := d.Add(set); err != nil {
-			return nil, fmt.Errorf("dataset: record %d: %w", i+1, err)
-		}
+	if d == nil {
+		return New(0), nil
+	}
+	if inferred {
+		d.domainSize = int(maxItem) + 1
 	}
 	return d, nil
+}
+
+// cutField returns the first field of b and what follows it, split at
+// white space as strings.Fields splits.
+func cutField(b []byte) (field, rest []byte) {
+	b = bytes.TrimLeftFunc(b, unicode.IsSpace)
+	if i := bytes.IndexFunc(b, unicode.IsSpace); i >= 0 {
+		return b[:i], b[i:]
+	}
+	return b, nil
+}
+
+// parseItem parses a decimal uint32 as strconv.ParseUint(f, 10, 32) does.
+func parseItem(f []byte) (Item, bool) {
+	var v uint64
+	for _, c := range f {
+		if c < '0' || c > '9' {
+			return 0, false
+		}
+		if v = v*10 + uint64(c-'0'); v > math.MaxUint32 {
+			return 0, false
+		}
+	}
+	return Item(v), len(f) > 0
 }

@@ -50,19 +50,18 @@ type IDMap struct {
 // outcome is the same at any worker count.
 func Reorder(d *dataset.Dataset, ord *Order, workers int) (*Reordered, error) {
 	workers = max(workers, 1)
-	recs := d.Records()
-	n := len(recs)
+	n := d.Len()
 	srcOff := make([]uint32, n+1)
-	for i, rec := range recs {
+	for i, rec := range d.Records() {
 		srcOff[i+1] = srcOff[i] + uint32(len(rec.Set))
 	}
 	total := srcOff[n]
 	// Every sequence form into a flat arena first, in source order.
 	srcFlat := make([]Rank, total)
 	err := fanout.First(fanout.ForEach(workers, workers, func(w int) error {
-		for i := w * n / workers; i < (w+1)*n/workers; i++ {
+		for i, rec := range d.Range(w*n/workers, (w+1)*n/workers) {
 			sf := srcFlat[srcOff[i]:srcOff[i+1]]
-			for j, it := range recs[i].Set {
+			for j, it := range rec.Set {
 				r, err := ord.Rank(it)
 				if err != nil {
 					return err

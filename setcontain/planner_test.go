@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 )
@@ -80,6 +81,112 @@ func TestSetAlgebra(t *testing.T) {
 			check("difference", differenceInto(nil, a, b), wantDiff)
 		}
 	}
+
+	// Ids of one side that face the other's last id — equal to it, just
+	// below it, or past it — in each of the three regimes: b 16× a, a 16×
+	// b, and the linear merge.
+	evens := func(n int) []uint32 {
+		s := make([]uint32, n)
+		for i := range s {
+			s[i] = uint32(2 * i)
+		}
+		return s
+	}
+	for _, c := range []struct{ a, b []uint32 }{
+		{[]uint32{61, 62}, evens(32)},
+		{[]uint32{62}, evens(32)},
+		{[]uint32{62, 63}, evens(32)},
+		{evens(32), []uint32{62}},
+		{evens(32), []uint32{61, 62}},
+		{evens(32), []uint32{0, 62}},
+		{evens(5), []uint32{3, 6}},
+		{[]uint32{5, 6, 7}, evens(4)},
+	} {
+		checkSetAlgebra(t, c.a, c.b)
+	}
+}
+
+// mergeSets is the plain linear merge of ascending id slices a and b:
+// a ∩ b, a ∪ b and a \ b.
+func mergeSets(a, b []uint32) (inter, union, diff []uint32) {
+	i, j := 0, 0
+	for i < len(a) || j < len(b) {
+		switch {
+		case j == len(b) || i < len(a) && a[i] < b[j]:
+			union, diff = append(union, a[i]), append(diff, a[i])
+			i++
+		case i == len(a) || b[j] < a[i]:
+			union = append(union, b[j])
+			j++
+		default:
+			inter, union = append(inter, a[i]), append(union, a[i])
+			i++
+			j++
+		}
+	}
+	return inter, union, diff
+}
+
+// checkSetAlgebra holds intersectInto, unionInto and differenceInto on a
+// and b to mergeSets, each appending to a dst that already holds an id.
+func checkSetAlgebra(t *testing.T, a, b []uint32) {
+	t.Helper()
+	inter, union, diff := mergeSets(a, b)
+	for _, op := range []struct {
+		name string
+		fn   func(dst, a, b []uint32) []uint32
+		want []uint32
+	}{
+		{"intersect", intersectInto, inter},
+		{"union", unionInto, union},
+		{"difference", differenceInto, diff},
+	} {
+		got := op.fn([]uint32{1 << 31}, a, b)
+		if got[0] != 1<<31 || !slices.Equal(got[1:], op.want) {
+			t.Fatalf("%s(%v, %v) = %v, want %v after the dst prefix", op.name, a, b, got, op.want)
+		}
+	}
+}
+
+// FuzzSetAlgebra holds the three operations to mergeSets on id sets
+// shaped by the input: na and nb ids over a span spread by gap, so the
+// sizes reach all three regimes, and tie copying one side's last id
+// into the other (or b's first into a) so lopsided inputs still
+// meet at the edges.
+func FuzzSetAlgebra(f *testing.F) {
+	f.Add(uint16(2), uint16(32), uint8(1), uint8(1), int64(1))
+	f.Add(uint16(40), uint16(2), uint8(0), uint8(2), int64(2))
+	f.Add(uint16(7), uint16(9), uint8(3), uint8(3), int64(3))
+	f.Add(uint16(1), uint16(3000), uint8(2), uint8(4), int64(4))
+	f.Fuzz(func(t *testing.T, na, nb uint16, gap, tie uint8, seed int64) {
+		rng := rand.New(rand.NewSource(seed))
+		span := (int(na%512)+int(nb%4096))*(1+int(gap%4)) + 1
+		draw := func(n int) []uint32 {
+			s := make([]uint32, n)
+			for i := range s {
+				s[i] = uint32(rng.Intn(span))
+			}
+			slices.Sort(s)
+			return slices.Compact(s)
+		}
+		a, b := draw(int(na%512)), draw(int(nb%4096))
+		if len(a) > 0 && len(b) > 0 {
+			switch tie % 5 {
+			case 1: // a holds b's last
+				a = append(a, b[len(b)-1])
+			case 2: // b holds a's last
+				b = append(b, a[len(a)-1])
+			case 3: // both end on the same id
+				a, b = append(a, uint32(span)), append(b, uint32(span))
+			case 4: // a holds b's first
+				a = append(a, b[0])
+			}
+			slices.Sort(a)
+			slices.Sort(b)
+			a, b = slices.Compact(a), slices.Compact(b)
+		}
+		checkSetAlgebra(t, a, b)
+	})
 }
 
 // TestPlannerShortCircuit pins the planner's win: ANDing an impossible

@@ -12,7 +12,10 @@ import (
 type Item = uint32
 
 // Collection is an in-memory set of records awaiting indexing. Records
-// receive 1-based ids in insertion order; queries return these ids.
+// receive 1-based ids in insertion order; queries return these ids. A
+// record costs its items (4 bytes each) plus 4 bytes: the sets lie end
+// to end in 64 KiB chunks, so a collection holds no slice header or
+// pointer per record.
 type Collection struct {
 	ds *dataset.Dataset
 }
@@ -38,7 +41,7 @@ func (c *Collection) Len() int { return c.ds.Len() }
 func (c *Collection) DomainSize() int { return c.ds.DomainSize() }
 
 // Record returns the item set of record id (1-based). The slice is owned
-// by the collection.
+// by the collection and must not be written to.
 func (c *Collection) Record(id uint32) ([]Item, error) {
 	if id == 0 || int(id) > c.ds.Len() {
 		return nil, fmt.Errorf("setcontain: record %d of %d", id, c.ds.Len())
