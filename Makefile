@@ -24,8 +24,9 @@ test:
 # TestReseekZeroAllocs, TestExprAllocCeilings, and the build paths'
 # TestGeneratorAllocCeilings, TestReadAllocCeilings and
 # TestBuildAllocCeilings (generators, the text reader, Build,
-# MergeDelta), TestSnapshotAllocCeilings (Save streams, and allocates
-# nothing sized by the collection), the index's live heap against its
+# MergeDelta), TestMergeAllocCeilings (the bytes one merge allocates),
+# TestSnapshotAllocCeilings (Save streams, and allocates nothing sized
+# by the collection), the index's live heap against its
 # Space (TestIndexHeapCeiling) and the collection's against its items
 # and records (TestDatasetHeapCeiling) —
 # skip or are compiled out under the race detector, so `make test` never

@@ -112,3 +112,46 @@ func TestSnapshotAllocCeilings(t *testing.T) {
 		t.Errorf("Save allocates %d bytes, ceiling %d", per, ceiling)
 	}
 }
+
+// TestMergeAllocCeilings holds one §4.4 merge of the §5 index at 50 000
+// records, with 1 200 pending sets (2.4 %) and 150 tombstones (0.3 %), to
+// a ceiling on the bytes it allocates: the pass over the lists, the
+// merged collection's one arena, the re-ordering and the rebuild. It
+// read 15.1 MB; laying the collection out three times — the forms
+// rebuilt in new-id order, a dataset of item sets, the ranked arena —
+// read 19.8 MB.
+func TestMergeAllocCeilings(t *testing.T) {
+	const ceiling = 16_500_000 // bytes per merge
+	base, err := dataset.GenerateSynthetic(dataset.DefaultSynthetic(50000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pc := dataset.DefaultSynthetic(1200)
+	pc.Seed = 2
+	pending, err := dataset.GenerateSynthetic(pc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := mergeInput{base: base, pending: pending, dead: 150}
+	const runs = 2
+	var total uint64
+	for range runs {
+		ix, err := Build(base, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		in.apply(t, ix)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if err := ix.MergeDelta(); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		total += after.TotalAlloc - before.TotalAlloc
+	}
+	per := total / runs
+	t.Logf("MergeDelta allocates %d bytes", per)
+	if per > ceiling {
+		t.Errorf("MergeDelta allocates %d bytes, ceiling %d", per, ceiling)
+	}
+}

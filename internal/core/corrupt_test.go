@@ -45,7 +45,7 @@ func (p *corruptPager) ReadPage(id storage.PageID, buf []byte) error {
 // either fail the same way or answer exactly as before the corruption.
 func TestCorruptListBlockIsAnError(t *testing.T) {
 	d, ix, cp, pool := corruptibleIndex(t)
-	forms := rebuiltForms(t, ix)
+	forms := reorderedForms(t, d)
 
 	var err error
 	// The block: the middle one of the first list of three blocks or more

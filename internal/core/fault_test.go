@@ -88,3 +88,79 @@ func TestBuildPropagatesDatasetErrors(t *testing.T) {
 		t.Fatalf("Build with 800-item record on 512B pages: %v, want ErrRecordTooWide", err)
 	}
 }
+
+// TestFailedMergeLeavesIndexAsItWas builds on a fault-injectable pager,
+// adds pending inserts and tombstones, and fails one of MergeDelta's
+// page reads at several offsets: each merge must return the injected
+// error and leave the answers, the delta and the tombstones as they
+// were. With the fault disarmed, the merge must match a fresh Build
+// over the records it folds in.
+func TestFailedMergeLeavesIndexAsItWas(t *testing.T) {
+	gen := func(n int, seed int64) *dataset.Dataset {
+		d, err := dataset.GenerateSynthetic(dataset.SyntheticConfig{
+			NumRecords: n, DomainSize: 60, MinLen: 1, MaxLen: 8, ZipfTheta: 0.8, Seed: seed,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return d
+	}
+	in := mergeInput{base: gen(3000, 34), pending: gen(300, 35), dead: 90}
+	opts := Options{PageSize: 512, BlockPostings: 8}
+	faulty := storage.NewFaultyPager(storage.NewMemPager(512), 0)
+	built := opts
+	built.Pool = storage.NewBufferPool(faulty, 1024)
+	ix, err := Build(in.base, built)
+	if err != nil {
+		t.Fatal(err)
+	}
+	in.apply(t, ix)
+
+	var queries [][]dataset.Item
+	for i := 0; i < in.base.Len(); i += 250 {
+		queries = append(queries, in.base.Record(i).Set)
+	}
+	for i := 0; i < in.pending.Len(); i += 50 {
+		queries = append(queries, in.pending.Record(i).Set)
+	}
+	answers := func() [][]uint32 {
+		var out [][]uint32
+		for _, qs := range queries {
+			for _, run := range []func([]dataset.Item) ([]uint32, error){ix.Subset, ix.Equality, ix.Superset} {
+				ids, err := run(qs)
+				if err != nil {
+					t.Fatal(err)
+				}
+				out = append(out, ids)
+			}
+		}
+		return out
+	}
+	want := answers()
+	deltaLen, deleted := ix.DeltaLen(), ix.Deleted()
+	pages := faulty.NumPages()
+	for _, offset := range []int64{1, 2, 3, pages / 4, pages / 2} {
+		faulty.FailAt = faulty.Ops() + offset
+		if err := ix.MergeDelta(); !errors.Is(err, storage.ErrInjected) {
+			t.Fatalf("offset %d of %d pages: merge returned %v, want an injected fault", offset, pages, err)
+		}
+		faulty.Reset()
+		if ix.DeltaLen() != deltaLen || ix.Deleted() != deleted {
+			t.Fatalf("offset %d: %d pending, %d deleted after a failed merge; were %d, %d",
+				offset, ix.DeltaLen(), ix.Deleted(), deltaLen, deleted)
+		}
+		for i, got := range answers() {
+			if !equalIDs(got, want[i]) {
+				t.Fatalf("offset %d: answer %d moved after a failed merge", offset, i)
+			}
+		}
+	}
+	if err := ix.MergeDelta(); err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := Build(in.merged(t), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameIndex(t, "merged after failed merges", ix, fresh)
+}

@@ -17,11 +17,11 @@ import (
 // posting in that rank's list, which carries the record's length. So
 // once build has written the tree, the sequence forms it sorted are
 // dropped, and the index keeps only the reassignment map; a snapshot
-// holds no more (persist.go). forms rebuilds them, in new-id order, for
-// the one path that reads them whole: MergeDelta, which re-sorts the
-// records with the delta. Load proves, by the same pass over the lists
-// (scanLists), that the lists and the metadata table describe one
-// collection, so the rebuild cannot fail on an index Load accepted.
+// holds no more (persist.go). scanLists reads the lists back: for
+// MergeDelta, which lays the records out again from the ids it keeps
+// (update.go), and for Load, which proves by the same pass that the
+// lists and the metadata table describe one collection, so that a merge
+// cannot fail on an index Load accepted.
 
 // postings is what scanLists reads of an index's lists: the length they
 // give each record, each rank's count of postings, and either the hot
@@ -48,7 +48,7 @@ type postedList struct {
 // which the workers take as they come free — a run of sparse lists costs
 // more per posting than one of dense lists — each through a scratch pool
 // of its own, so the index's pool, its pages and its CacheStats never
-// move. It checks what the query path and forms trust:
+// move. It checks what the query path and MergeDelta trust:
 //
 //   - each block as listScan.add does: decoded with the kernels' error
 //     classes, not empty, its ids within the records and ascending
@@ -60,7 +60,7 @@ type postedList struct {
 //     it one length, 2 or more, its number of postings plus one, and a
 //     record past the empty sets and the singletons has some.
 //
-// With keep set it keeps every list's ids, which forms lays out;
+// With keep set it keeps every list's ids, which MergeDelta lays out;
 // otherwise it builds the hot lists' bitmaps, which Load keeps.
 func scanLists(tree *btree.BTree, meta *Metadata, numRecords int, listPostings []int64, workers int, keep bool) (*postings, error) {
 	domainSize := len(meta.Regions)
@@ -302,77 +302,8 @@ func rankShares(listPostings []int64, workers int) []int {
 	return bounds
 }
 
-// fillBlock is how many records fill takes at a time: the forms of one
-// block of records stay in the fastest caches, where a pass list by list
-// over all of them would miss on most postings.
-const fillBlock = 1 << 14
-
-// forms rebuilds the §3 arena in new-id order — byte for byte the one
-// sequence.Reorder gave the build — from the metadata table and one pass
-// over every list block (scanLists), on one goroutine, like the rebuild
-// MergeDelta runs beside the readers the index serves: the lengths lay
-// the forms out, and fill writes them. On an index Load accepted, or a
-// build, scanLists refuses nothing, save under a page that changed
-// beneath the index.
-func (ix *Index) forms() (*sequence.Forms, error) {
-	p, err := scanLists(ix.tree, ix.meta, ix.numRecords, ix.listPostings, 1, true)
-	if err != nil {
-		return nil, fmt.Errorf("core: rebuilding the sequence forms: %w", err)
-	}
-	n := ix.numRecords
-	off := p.lens // lengths to offsets, in place: off[id] ends new id id's form
-	for id := 1; id <= n; id++ {
-		off[id] += off[id-1]
-	}
-	flat := make([]sequence.Rank, off[n])
-	p.fill(off, flat)
-	return sequence.NewForms(flat, off), nil
-}
-
 // idShare returns worker w's range of record ids, (lo, hi], of workers
 // equal ranges over n records.
 func idShare(n, w, workers int) (lo, hi uint32) {
 	return uint32(w * n / workers), uint32((w + 1) * n / workers)
-}
-
-// fill writes every record's form into flat at off, a block of
-// fillBlock records at a time: each record's smallest rank from its
-// region, then the ranks of its postings, list by list, which is rank
-// order. head[i] is list i's next id, or 0 past its last, so a list with
-// no id in a block costs no read of its ids.
-func (p *postings) fill(off []uint32, flat []sequence.Rank) {
-	at, head := make([]int, len(p.lists)), make([]uint32, len(p.lists))
-	for i, l := range p.lists {
-		if len(l.ids) > 0 {
-			head[i] = l.ids[0]
-		}
-	}
-	n := uint32(len(off) - 1)
-	next := make([]uint32, fillBlock) // next[id-a-1]: where id's next rank goes
-	r := 0                            // the region holding the id at hand
-	for a := uint32(0); a < n; a += min(fillBlock, n-a) {
-		b := a + min(fillBlock, n-a)
-		for id := max(a+1, p.meta.EmptyUpper+1); id <= b; id++ {
-			for reg := p.meta.Regions[r]; reg.Empty() || reg.U < id; reg = p.meta.Regions[r] {
-				r++
-			}
-			flat[off[id-1]] = sequence.Rank(r)
-			next[id-a-1] = off[id-1] + 1
-		}
-		for i, h := range head {
-			if h == 0 || h > b {
-				continue
-			}
-			ids, rank, k := p.lists[i].ids, p.lists[i].rank, at[i]
-			for ; k < len(ids) && ids[k] <= b; k++ {
-				pos := &next[ids[k]-a-1]
-				flat[*pos] = rank
-				*pos++
-			}
-			at[i], head[i] = k, 0
-			if k < len(ids) {
-				head[i] = ids[k]
-			}
-		}
-	}
 }

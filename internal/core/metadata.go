@@ -62,8 +62,8 @@ func (m *Metadata) Bytes() int64 { return int64(len(m.Regions))*12 + 4 }
 // in rank order, tile the ids past the empty-set run up to numRecords —
 // a record's smallest rank is its region, records ascend by their forms,
 // and every record past the empty sets has a smallest rank. The query
-// loops walk these runs by id, and forms reads every record's smallest
-// rank from them, so Load refuses any other table.
+// loops walk these runs by id, and MergeDelta reads every record's
+// smallest rank from them, so Load refuses any other table.
 func (m *Metadata) check(numRecords int) error {
 	n := uint64(numRecords)
 	if uint64(m.EmptyUpper) > n {

@@ -60,7 +60,8 @@ type Index struct {
 	meta *Metadata
 	// ids is the §3 reassignment map. The sequence forms the build
 	// sorted are not kept: the lists and the metadata table hold every
-	// rank of every record, and forms rebuilds them (forms.go).
+	// rank of every record, and MergeDelta reads them back from there
+	// (update.go).
 	ids *sequence.IDMap
 
 	numRecords int

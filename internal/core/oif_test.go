@@ -509,7 +509,7 @@ func TestMetadataRegionInvariants(t *testing.T) {
 		t.Fatal(err)
 	}
 	ix := buildSmall(t, d)
-	forms := rebuiltForms(t, ix)
+	forms := reorderedForms(t, d)
 	next := ix.meta.EmptyUpper + 1
 	for rank := 0; rank < 50; rank++ {
 		reg := ix.meta.Regions[rank]

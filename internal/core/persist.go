@@ -31,9 +31,10 @@ import (
 // fresh Build writes 0, Load never interprets it, and Save writes back
 // whatever Load read. Version 3, the one Save writes, is version 2
 // without the sequence forms' arena and offsets, a second copy of the
-// collection the lists and the metadata table already hold (forms.go).
-// Load reads both; of a version-2 stream it reads past the two sections
-// and holds only their sizes to the lists'.
+// collection the lists and the metadata table already hold: MergeDelta
+// reads it back from them (update.go). Load reads both versions; of a
+// version-2 stream it reads past the two sections and holds only their
+// sizes to the lists'.
 
 const (
 	snapshotMagic   = "OIFSNAP3"
@@ -126,8 +127,8 @@ func (ix *Index) Save(w io.Writer) error {
 // the list, its last id its key's, and each posting's length its
 // record's, which the lists and the table must agree on — and refuses a
 // snapshot that fails any of them with ErrBadSnapshot. So the lists and
-// the table Load accepts describe one collection, from which MergeDelta
-// rebuilds the sequence forms. An OIFSNAP2 stream's own copy of them is
+// the table Load accepts describe one collection, which MergeDelta reads
+// back from them. An OIFSNAP2 stream's own copy of the forms is
 // read past, and only its size is held to the lists'. The same pass
 // builds the hot lists' bitmaps.
 func Load(r io.Reader) (*Index, error) {

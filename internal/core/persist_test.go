@@ -180,3 +180,17 @@ func BenchmarkLoad(b *testing.B) {
 	}
 	b.ReportMetric(float64(buf.Len()), "snapshot-B")
 }
+
+// sectionIndex builds the §5 dataset at the benchmark's size (200 000
+// records, seed 1).
+func sectionIndex(b *testing.B) *Index {
+	d, err := dataset.GenerateSynthetic(dataset.DefaultSynthetic(200000))
+	if err != nil {
+		b.Fatal(err)
+	}
+	ix, err := Build(d, Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	return ix
+}

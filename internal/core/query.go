@@ -49,7 +49,11 @@ func (ix *Index) AppendSubset(dst []uint32, qs []dataset.Item) ([]uint32, error)
 		return ix.mapToOriginal(dst, all, nil, overlay.ContainsAll), nil
 	}
 	if n == 1 {
-		ids, err := ix.collectWholeList(ar.aux[:0], q[0])
+		lc, err := ix.seekTag(q[0], nil)
+		if err != nil {
+			return nil, err
+		}
+		ids, err := lc.appendIDs(ar.aux[:0], nil, 0, math.MaxUint32)
 		if err != nil {
 			return nil, err
 		}
@@ -84,19 +88,9 @@ func (ix *Index) AppendSubset(dst []uint32, qs []dataset.Item) ([]uint32, error)
 
 	// Candidates from the least frequent item's list, RoI-bounded. Records
 	// shorter than the query can never qualify.
-	cands := ar.cands[:0]
-	for lc.valid {
-		if cands, err = vbyte.AppendIDs(cands, lc.cur.Value(), 0, uint32(n), math.MaxUint32); err != nil {
-			return nil, err
-		}
-		if past, err := lc.pastUpper(upper); err != nil {
-			return nil, err
-		} else if past {
-			break
-		}
-		if err := lc.next(); err != nil {
-			return nil, err
-		}
+	cands, err := lc.appendIDs(ar.cands[:0], upper, uint32(n), math.MaxUint32)
+	if err != nil {
+		return nil, err
 	}
 	ar.cands = cands
 
@@ -256,24 +250,14 @@ func (ix *Index) AppendEquality(dst []uint32, qs []dataset.Item) ([]uint32, erro
 	// RoI_eq is the single point qs (Def. 3). Scan the least frequent
 	// item's list from the first block with tag >= qs until the first
 	// block with tag > qs; duplicates of qs may span several blocks.
-	cands := ar.cands[:0]
 	lc, err := ix.seekTag(q[n-1], q)
 	if err != nil {
 		return nil, err
 	}
-	for lc.valid {
-		// Length filter (§2 extension).
-		if cands, err = vbyte.AppendIDs(cands, lc.cur.Value(), 0, uint32(n), uint32(n)); err != nil {
-			return nil, err
-		}
-		if past, err := lc.pastUpper(q); err != nil {
-			return nil, err
-		} else if past {
-			break
-		}
-		if err := lc.next(); err != nil {
-			return nil, err
-		}
+	// Length filter (§2 extension).
+	cands, err := lc.appendIDs(ar.cands[:0], q, uint32(n), uint32(n))
+	if err != nil {
+		return nil, err
 	}
 	ar.cands = cands
 	// Answers have smallest rank q[0] by definition: keep the ids in its
@@ -417,24 +401,6 @@ func (ix *Index) AppendSuperset(dst []uint32, qs []dataset.Item) ([]uint32, erro
 	}
 	ar.aux = results
 	return ix.mapToOriginal(dst, results, q, overlay.SubsetOf), nil
-}
-
-// collectWholeList appends every posting id in rank's list to dst,
-// ascending.
-func (ix *Index) collectWholeList(dst []uint32, rank sequence.Rank) ([]uint32, error) {
-	lc, err := ix.seekTag(rank, nil)
-	if err != nil {
-		return nil, err
-	}
-	for lc.valid {
-		if dst, err = vbyte.AppendIDs(dst, lc.cur.Value(), 0, 0, math.MaxUint32); err != nil {
-			return nil, err
-		}
-		if err := lc.next(); err != nil {
-			return nil, err
-		}
-	}
-	return dst, nil
 }
 
 // filterByList keeps the candidates (sorted new ids) that appear in

@@ -159,7 +159,7 @@ func TestQuickRoIInvariant(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		forms := rebuiltForms(t, ix)
+		forms := reorderedForms(t, d)
 		ix.ensureRuntime()
 		q, err := ix.prepRanks(c.query())
 		if err != nil || len(q) == 0 {

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/btree"
 	"repro/internal/sequence"
+	"repro/internal/vbyte"
 )
 
 // listCursor walks the blocks of one rank's inverted list in id order.
@@ -119,6 +120,32 @@ func (lc *listCursor) next() error {
 func (lc *listCursor) pastUpper(upper []sequence.Rank) (bool, error) {
 	tag, err := lc.blockTag()
 	return sequence.Compare(tag, lc.ix.truncTag(upper)) > 0, err
+}
+
+// appendIDs appends to dst the ids of the list's postings whose records
+// hold minLen to maxLen items, from the cursor's block on: up to the
+// first block whose tag is past upper, that block included (pastUpper),
+// or, for a nil upper, to the list's end, decoding no tag. The ids
+// ascend. It is the RoI scan of subset and equality, and subset's walk of
+// a whole list.
+func (lc *listCursor) appendIDs(dst []uint32, upper []sequence.Rank, minLen, maxLen uint32) ([]uint32, error) {
+	for lc.valid {
+		var err error
+		if dst, err = vbyte.AppendIDs(dst, lc.cur.Value(), 0, minLen, maxLen); err != nil {
+			return nil, err
+		}
+		if upper != nil {
+			if past, err := lc.pastUpper(upper); err != nil {
+				return nil, err
+			} else if past {
+				break
+			}
+		}
+		if err := lc.next(); err != nil {
+			return nil, err
+		}
+	}
+	return dst, nil
 }
 
 // appendConsecutiveRanks appends the sequence (from, from+1, ..., to).

@@ -22,9 +22,9 @@ import (
 // so that a superset gathers an id past the index's records: the query
 // must fail, not index the candidate bitmap with it.
 func TestSupersetRefusesIDPastRecords(t *testing.T) {
-	_, ix, cp, pool := corruptibleIndex(t)
+	d, ix, cp, pool := corruptibleIndex(t)
 	last := uint32(ix.numRecords)
-	sf := rebuiltForms(t, ix).SF(last)
+	sf := reorderedForms(t, d).SF(last)
 	qs := ix.ord.AppendSet(nil, sf)
 	// The blocks are looked up through a reader of their own: the
 	// index's cursor would otherwise hold the leaf as it was, and a
@@ -82,7 +82,7 @@ func TestSupersetRefusesIDPastRecords(t *testing.T) {
 // that uses it, not by the one that filled it.
 func TestFailedSupersetLeavesArenaReusable(t *testing.T) {
 	d, ix, cp, pool := corruptibleIndex(t)
-	forms := rebuiltForms(t, ix)
+	forms := reorderedForms(t, d)
 	rd, err := ix.NewReader(64)
 	if err != nil {
 		t.Fatal(err)

@@ -32,35 +32,21 @@ type IDMap struct {
 	newID     []uint32 // source position -> new id (1-based)
 }
 
-// Reorder sorts d's records under ord and assigns new ids. The sort is
-// stable, so duplicate set-values keep their relative source order —
-// duplicates occupy consecutive new ids, which the OIF's equality path
-// depends on.
-//
-// The sort is a most-significant-rank-first counting sort over the rank
-// arena (sortForms). Its permutation is exactly that of a stable
-// comparison sort by Compare, but a counting pass costs one rank read
-// per record of its bucket plus a sweep of the domain, where the
-// comparison sort spent O(N log N) comparisons through an indirection.
-//
-// It runs on up to workers goroutines: the sequence forms are built over
-// ranges of source positions, the buckets of sortForms' first pass are
-// sorted on their own, and the permuted arena is copied over ranges of
-// new ids. Every worker writes its own part of each slice, so the
-// outcome is the same at any worker count.
+// Reorder sorts d's records under ord and assigns new ids: it ranks
+// every record's items into a flat arena of sequence forms, in source
+// order, on up to workers goroutines over ranges of source positions,
+// and hands the arena to Sort.
 func Reorder(d *dataset.Dataset, ord *Order, workers int) (*Reordered, error) {
 	workers = max(workers, 1)
 	n := d.Len()
-	srcOff := make([]uint32, n+1)
+	off := make([]uint32, n+1)
 	for i, rec := range d.Records() {
-		srcOff[i+1] = srcOff[i] + uint32(len(rec.Set))
+		off[i+1] = off[i] + uint32(len(rec.Set))
 	}
-	total := srcOff[n]
-	// Every sequence form into a flat arena first, in source order.
-	srcFlat := make([]Rank, total)
+	flat := make([]Rank, off[n])
 	err := fanout.First(fanout.ForEach(workers, workers, func(w int) error {
 		for i, rec := range d.Range(w*n/workers, (w+1)*n/workers) {
-			sf := srcFlat[srcOff[i]:srcOff[i+1]]
+			sf := flat[off[i]:off[i+1]]
 			for j, it := range rec.Set {
 				r, err := ord.Rank(it)
 				if err != nil {
@@ -75,22 +61,43 @@ func Reorder(d *dataset.Dataset, ord *Order, workers int) (*Reordered, error) {
 	if err != nil {
 		return nil, err
 	}
+	return Sort(flat, off, ord.DomainSize(), workers), nil
+}
 
-	perm := sortForms(srcFlat, srcOff, ord.DomainSize(), workers)
-	f := &Forms{flat: make([]Rank, total), off: make([]uint32, n+1)}
+// Sort sorts the sequence forms flat[off[i]:off[i+1]] — source position
+// i's ranks, ascending, each below domain — and assigns new ids. The sort
+// is stable, so duplicate set-values keep their relative source order —
+// duplicates occupy consecutive new ids, which the OIF's equality path
+// depends on. It reads flat and off and keeps neither.
+//
+// The sort is a most-significant-rank-first counting sort over the rank
+// arena (sortForms). Its permutation is exactly that of a stable
+// comparison sort by Compare, but a counting pass costs one rank read
+// per record of its bucket plus a sweep of the domain, where the
+// comparison sort spent O(N log N) comparisons through an indirection.
+//
+// It runs on up to workers goroutines: the buckets of sortForms' first
+// pass are sorted on their own, and the permuted arena is copied over
+// ranges of new ids. Every worker writes its own part of each slice, so
+// the outcome is the same at any worker count.
+func Sort(flat []Rank, off []uint32, domain, workers int) *Reordered {
+	workers = max(workers, 1)
+	n := len(off) - 1
+	perm := sortForms(flat, off, domain, workers)
+	f := &Forms{flat: make([]Rank, off[n]), off: make([]uint32, n+1)}
 	m := &IDMap{origIndex: perm, newID: make([]uint32, n)}
 	for newIdx, src := range perm {
-		f.off[newIdx+1] = f.off[newIdx] + srcOff[src+1] - srcOff[src]
+		f.off[newIdx+1] = f.off[newIdx] + off[src+1] - off[src]
 	}
 	fanout.ForEach(workers, workers, func(w int) error {
 		for newIdx := w * n / workers; newIdx < (w+1)*n/workers; newIdx++ {
 			src := perm[newIdx]
-			copy(f.flat[f.off[newIdx]:], srcFlat[srcOff[src]:srcOff[src+1]])
+			copy(f.flat[f.off[newIdx]:], flat[off[src]:off[src+1]])
 			m.newID[src] = uint32(newIdx + 1)
 		}
 		return nil
 	})
-	return &Reordered{Forms: f, IDMap: m}, nil
+	return &Reordered{Forms: f, IDMap: m}
 }
 
 // smallBucket is the size at or below which sortForms hands a bucket to
@@ -248,12 +255,8 @@ func (s *formSort) sortByComparison(b bucket) {
 	})
 }
 
-// NewForms wraps an arena of sequence forms in new-id order: new id i's
-// form is flat[off[i-1]:off[i]]. The caller hands both slices over.
-func NewForms(flat []Rank, off []uint32) *Forms { return &Forms{flat: flat, off: off} }
-
-// Parts exposes the arena for persistence: the flat ranks and the
-// per-record offsets (len = N+1). Callers must not mutate them.
+// Parts exposes the arena: the flat ranks and the per-record offsets
+// (len = N+1). Tests read them; callers must not mutate them.
 func (f *Forms) Parts() (flat []Rank, off []uint32) { return f.flat, f.off }
 
 // SF returns the sequence form of the record with new id (1-based). The
