@@ -106,7 +106,6 @@ func Build(d *dataset.Dataset, opts Options) (*Index, error) {
 // load on the caller's. The index is the same, page for page, at any
 // worker count; MergeDelta builds on one, beside the readers it serves.
 func buildOn(d *dataset.Dataset, opts Options, workers int) (*Index, error) {
-	opts.fill()
 	ord := sequence.OrderFromDataset(d)
 	re, err := sequence.Reorder(d, ord, workers)
 	if err != nil {
@@ -117,10 +116,12 @@ func buildOn(d *dataset.Dataset, opts Options, workers int) (*Index, error) {
 
 // build assembles the index from a prepared ordering; shared by Build and
 // MergeDelta. It reads forms and keeps ids: the index it returns holds no
-// reference to forms. Blocks are first assembled per rank in id order and then
-// bulk-loaded into the B-tree in global key order, so every list's blocks
-// occupy physically consecutive leaves — the layout the paper's RoI scans
-// assume (Berkeley DB files built this way show the same locality).
+// reference to forms. It fills opts' zero fields itself, so a merge reads
+// a zero block size from a loaded header as the default. Blocks are
+// first assembled per rank in id order and then bulk-loaded into the
+// B-tree in global key order, so every list's blocks occupy physically
+// consecutive leaves — the layout the paper's RoI scans assume (Berkeley
+// DB files built this way show the same locality).
 //
 // It allocates like a bulk loader: one pass counts every list's postings,
 // which fixes each list's number of blocks, so the blocks go in one flat
@@ -135,6 +136,7 @@ func buildOn(d *dataset.Dataset, opts Options, workers int) (*Index, error) {
 // worker walks every record but posts only its own ranks, into its own
 // slots of the shared slices and its own blockBytes.
 func build(numRecords, domainSize int, ord *sequence.Order, forms *sequence.Forms, ids *sequence.IDMap, opts Options, workers int) (*Index, error) {
+	opts.fill()
 	pool := opts.Pool
 	if pool == nil {
 		pool = storage.NewBufferPool(storage.NewMemPager(opts.PageSize), storage.DefaultPoolPages)

@@ -15,9 +15,8 @@ import (
 // postings — the OIF must re-sort the whole database to assign fresh
 // ids, which is why the paper reports OIF updates costing ~3-5x an IF
 // update. MergeDelta therefore performs a full rebuild: it reads the
-// records the index holds back from the lists and the metadata table
-// (scanLists, forms.go), once, into an arena beside the delta, and
-// re-sorts that.
+// records back from the lists and the metadata table once (scanLists,
+// forms.go), into an arena beside the delta, and re-sorts that.
 
 // Insert adds a record to the delta and returns its (original-space) id.
 func (ix *Index) Insert(set []dataset.Item) (uint32, error) {
@@ -55,18 +54,11 @@ func (ix *Index) MergeDelta() error {
 	if err != nil {
 		return err
 	}
-	// The forms under the recounted order, in place.
 	ord := sequence.NewOrder(support)
-	for i := range len(off) - 1 {
-		sf := flat[off[i]:off[i+1]]
-		for j, it := range sf {
-			if sf[j], err = ord.Rank(it); err != nil {
-				return err
-			}
-		}
-		slices.Sort(sf)
+	re, err := sequence.ReorderItems(flat, off, ord, 1)
+	if err != nil {
+		return err
 	}
-	re := sequence.Sort(flat, off, ix.domainSize, 1)
 	rebuilt, err := build(len(off)-1, ix.domainSize, ord, re.Forms, re.IDMap, ix.opts, 1)
 	if err != nil {
 		return err
@@ -106,10 +98,8 @@ func (ix *Index) mergedItems(p *postings) (flat []dataset.Item, off []uint32, su
 			off[n+j+1] += uint32(len(r.Set))
 		}
 	}
-	for k := range len(off) - 1 {
-		if off[k+1] < off[k] {
-			return nil, nil, nil, fmt.Errorf("core: merging: more than %d items", uint32(math.MaxUint32))
-		}
+	if !slices.IsSorted(off) { // a sum wrapped
+		return nil, nil, nil, fmt.Errorf("core: merging: more than %d items", uint32(math.MaxUint32))
 	}
 	flat = make([]dataset.Item, off[len(off)-1])
 	support = make([]int64, ix.domainSize)

@@ -32,10 +32,9 @@ type IDMap struct {
 	newID     []uint32 // source position -> new id (1-based)
 }
 
-// Reorder sorts d's records under ord and assigns new ids: it ranks
-// every record's items into a flat arena of sequence forms, in source
-// order, on up to workers goroutines over ranges of source positions,
-// and hands the arena to Sort.
+// Reorder sorts d's records under ord and assigns new ids: it copies
+// them into an item arena, on up to workers goroutines over ranges of
+// source positions, and hands it to ReorderItems.
 func Reorder(d *dataset.Dataset, ord *Order, workers int) (*Reordered, error) {
 	workers = max(workers, 1)
 	n := d.Len()
@@ -43,11 +42,28 @@ func Reorder(d *dataset.Dataset, ord *Order, workers int) (*Reordered, error) {
 	for i, rec := range d.Records() {
 		off[i+1] = off[i] + uint32(len(rec.Set))
 	}
-	flat := make([]Rank, off[n])
-	err := fanout.First(fanout.ForEach(workers, workers, func(w int) error {
+	flat := make([]dataset.Item, off[n])
+	fanout.ForEach(workers, workers, func(w int) error {
 		for i, rec := range d.Range(w*n/workers, (w+1)*n/workers) {
+			copy(flat[off[i]:], rec.Set)
+		}
+		return nil
+	})
+	return ReorderItems(flat, off, ord, workers)
+}
+
+// ReorderItems sorts an arena of item sets under ord and assigns new ids,
+// flat[off[i]:off[i+1]] being source position i's set: it ranks each set
+// in place into its sequence form, on up to workers goroutines over
+// ranges of source positions, and hands the arena to sortAssign. It
+// overwrites flat and keeps neither slice.
+func ReorderItems(flat []dataset.Item, off []uint32, ord *Order, workers int) (*Reordered, error) {
+	workers = max(workers, 1)
+	n := len(off) - 1
+	err := fanout.First(fanout.ForEach(workers, workers, func(w int) error {
+		for i := w * n / workers; i < (w+1)*n/workers; i++ {
 			sf := flat[off[i]:off[i+1]]
-			for j, it := range rec.Set {
+			for j, it := range sf {
 				r, err := ord.Rank(it)
 				if err != nil {
 					return err
@@ -61,14 +77,14 @@ func Reorder(d *dataset.Dataset, ord *Order, workers int) (*Reordered, error) {
 	if err != nil {
 		return nil, err
 	}
-	return Sort(flat, off, ord.DomainSize(), workers), nil
+	return sortAssign(flat, off, ord.DomainSize(), workers), nil
 }
 
-// Sort sorts the sequence forms flat[off[i]:off[i+1]] — source position
-// i's ranks, ascending, each below domain — and assigns new ids. The sort
-// is stable, so duplicate set-values keep their relative source order —
-// duplicates occupy consecutive new ids, which the OIF's equality path
-// depends on. It reads flat and off and keeps neither.
+// sortAssign sorts the sequence forms flat[off[i]:off[i+1]] — source
+// position i's ranks, ascending, each below domain — and assigns new
+// ids. The sort is stable, so duplicate set-values keep their relative
+// source order — duplicates occupy consecutive new ids, which the OIF's
+// equality path depends on. It reads flat and off and keeps neither.
 //
 // The sort is a most-significant-rank-first counting sort over the rank
 // arena (sortForms). Its permutation is exactly that of a stable
@@ -80,7 +96,7 @@ func Reorder(d *dataset.Dataset, ord *Order, workers int) (*Reordered, error) {
 // pass are sorted on their own, and the permuted arena is copied over
 // ranges of new ids. Every worker writes its own part of each slice, so
 // the outcome is the same at any worker count.
-func Sort(flat []Rank, off []uint32, domain, workers int) *Reordered {
+func sortAssign(flat []Rank, off []uint32, domain, workers int) *Reordered {
 	workers = max(workers, 1)
 	n := len(off) - 1
 	perm := sortForms(flat, off, domain, workers)
@@ -254,10 +270,6 @@ func (s *formSort) sortByComparison(b bucket) {
 		return cmp.Compare(x, y)
 	})
 }
-
-// Parts exposes the arena: the flat ranks and the per-record offsets
-// (len = N+1). Tests read them; callers must not mutate them.
-func (f *Forms) Parts() (flat []Rank, off []uint32) { return f.flat, f.off }
 
 // SF returns the sequence form of the record with new id (1-based). The
 // slice aliases the arena; callers must not mutate it.

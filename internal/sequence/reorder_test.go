@@ -66,9 +66,7 @@ func checkReorder(t testing.TB, d *dataset.Dataset, workers ...int) {
 
 // sameParts reports whether two re-orderings hold equal slices.
 func sameParts(a, b *Reordered) bool {
-	af, ao := a.Parts()
-	bf, bo := b.Parts()
-	return slices.Equal(af, bf) && slices.Equal(ao, bo) && slices.Equal(a.Perm(), b.Perm()) && slices.Equal(a.newID, b.newID)
+	return slices.Equal(a.flat, b.flat) && slices.Equal(a.off, b.off) && slices.Equal(a.Perm(), b.Perm()) && slices.Equal(a.newID, b.newID)
 }
 
 // randomDataset draws n records over a domain: Zipf-skewed items so

@@ -650,6 +650,52 @@ func TestOpenIgnoresReservedWord(t *testing.T) {
 	}
 }
 
+// withBlockPostings returns a copy of an OIF golden, resealed, whose
+// header word 1 — the postings per list block — holds v.
+func withBlockPostings(golden []byte, v uint32) []byte {
+	const word1 = payloadMagic + len("OIFSNAP2") + 4 // past the payload magic, one word
+	return resealed(golden, func(b []byte) { binary.LittleEndian.PutUint32(b[word1:], v) })
+}
+
+// TestOpenedBlockSizeMerges: header word 1, the postings per list block,
+// only shapes the lists a rebuild writes — the lists a snapshot holds
+// carry their own block boundaries. Whatever it holds, resealed, the
+// snapshot opens in either payload version, answers like the oracle, and
+// merges to an index that answers the same; a zero there is the default,
+// as in Options, not a divisor.
+func TestOpenedBlockSizeMerges(t *testing.T) {
+	d, dead, queries := goldenDataset(t), goldenDead(), goldenQueries()
+	for _, name := range goldenOIF {
+		golden := readGolden(t, name)
+		for _, v := range []uint32{0, 1, 0xFFFFFFFF} {
+			snap := withBlockPostings(golden, v)
+			if bytes.Equal(snap, golden) {
+				t.Fatalf("%s, word %#x: the edit changed nothing", name, v)
+			}
+			ix, err := Open(bytes.NewReader(snap))
+			if err != nil {
+				t.Fatalf("%s, word %#x: Open: %v", name, v, err)
+			}
+			for _, stage := range []string{"opened", "merged"} {
+				if stage == "merged" {
+					if err := ix.MergeDelta(); err != nil {
+						t.Fatalf("%s, word %#x: MergeDelta: %v", name, v, err)
+					}
+				}
+				for _, q := range queries {
+					got, err := ix.Eval(q)
+					if err != nil {
+						t.Fatalf("%s, word %#x, %s: %s: %v", name, v, stage, q, err)
+					}
+					if want := goldenOracle(d, dead, q); !slices.Equal(got, want) {
+						t.Fatalf("%s, word %#x, %s: %s: got %v, want %v", name, v, stage, q, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
 // FuzzOpenSnapshot feeds Open arbitrary bytes: the answer is an error or
 // an index, never a panic, and never an allocation sized by a length
 // word the stream does not back with bytes. The seeds are the goldens,
@@ -661,12 +707,13 @@ func TestOpenIgnoresReservedWord(t *testing.T) {
 // out-of-domain pending item, the resealed hostile tombstone sections of
 // hostileTombstones, the resealed hostile pages, list blocks and
 // metadata of hostilePages, and each OIF golden relabelled the other
-// version. Any index Open accepts must save, Open again from its own
-// Save, and answer a single-item Subset for every item of its domain —
-// which reads every list and the metadata table — and a two-item Subset
-// for every adjacent pair of items — which filters candidates through a
-// list and scans its region — with an answer or an error, so a hostile
-// list that one query would miss is still read.
+// version or with a zero block size. Any index Open accepts must save,
+// Open again from its own Save, and answer a single-item Subset for every
+// item of its domain — which reads every list and the metadata table —
+// and a two-item Subset for every adjacent pair of items — which filters
+// candidates through a list and scans its region — with an answer or an
+// error, so a hostile list that one query would miss is still read; and
+// then merge, with or without an error.
 func FuzzOpenSnapshot(f *testing.F) {
 	// The single-engine goldens hold the sections verbatim; find them by
 	// their encoded content: the first pending record and the sorted
@@ -698,6 +745,7 @@ func FuzzOpenSnapshot(f *testing.F) {
 				f.Add(snap)
 			}
 			f.Add(relabelled(golden))
+			f.Add(withBlockPostings(golden, 0))
 		}
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -722,6 +770,7 @@ func FuzzOpenSnapshot(f *testing.F) {
 				ix.Subset([]Item{Item(it), Item(it + 1)})
 			}
 		}
+		ix.MergeDelta()
 	})
 }
 
