@@ -174,7 +174,7 @@ func repl(idx *setcontain.Index, maxShow int) {
 				fmt.Println(err)
 				continue
 			}
-			plan, err := idx.PlanExpr(expr)
+			plan, err := setcontain.PlanExpr(expr, idx.Supports())
 			if err != nil {
 				fmt.Printf("explain: %v\n", err)
 				continue
@@ -239,7 +239,7 @@ func repl(idx *setcontain.Index, maxShow int) {
 			}
 			q := setcontain.Query{Pred: pred, Items: items}
 			t0 := time.Now()
-			ids, err := idx.Eval(q)
+			ids, err := q.Eval(idx)
 			if err != nil {
 				fmt.Printf("%s: %v\n", q, err)
 				continue
@@ -270,7 +270,7 @@ func repl(idx *setcontain.Index, maxShow int) {
 				continue
 			}
 			t0 := time.Now()
-			ids, err := idx.EvalExpr(expr)
+			ids, err := idx.EvalExprLimit(expr, 0)
 			if err != nil {
 				fmt.Printf("%s: %v\n", expr, err)
 				continue
@@ -310,7 +310,7 @@ func answerDigest(idx *setcontain.Index) (uint64, error) {
 			for j := range items {
 				items[j] = setcontain.Item(rng.Intn(domain))
 			}
-			ids, err := idx.Eval(setcontain.Query{Pred: pred, Items: items})
+			ids, err := setcontain.Query{Pred: pred, Items: items}.Eval(idx)
 			if err != nil {
 				return 0, err
 			}

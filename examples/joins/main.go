@@ -75,7 +75,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		basketIDs, err := idx.Eval(setcontain.SubsetQuery(set))
+		basketIDs, err := setcontain.SubsetQuery(set).Eval(idx)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -102,7 +102,7 @@ func main() {
 		setcontain.ExprOf(setcontain.SupersetQuery(within)),
 		setcontain.Not(setcontain.ExprOf(setcontain.SubsetQuery([]setcontain.Item{0}))),
 	)
-	ids, err := idx.EvalExpr(q)
+	ids, err := idx.EvalExprLimit(q, 0)
 	if err != nil {
 		log.Fatal(err)
 	}

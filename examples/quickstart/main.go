@@ -64,7 +64,7 @@ func main() {
 	// example; the answer is records 101, 104, 114 (here ids 1, 4, 14).
 	// Queries are first-class values evaluated against the index.
 	q := setcontain.SubsetQuery([]setcontain.Item{a, d})
-	ids, err := idx.Eval(q)
+	ids, err := q.Eval(idx)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -72,7 +72,7 @@ func main() {
 
 	// "Which records are exactly {a, b, d}?"
 	q = setcontain.EqualityQuery([]setcontain.Item{a, b, d})
-	ids, err = idx.Eval(q)
+	ids, err = q.Eval(idx)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -81,7 +81,7 @@ func main() {
 	// "Which records contain only items from {a, c}?" — the paper's §2
 	// superset example; the answer is records 106 and 113 (ids 6, 13).
 	q = setcontain.SupersetQuery([]setcontain.Item{a, c})
-	ids, err = idx.Eval(q)
+	ids, err = q.Eval(idx)
 	if err != nil {
 		log.Fatal(err)
 	}

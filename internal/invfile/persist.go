@@ -10,6 +10,7 @@ import (
 	"repro/internal/overlay"
 	"repro/internal/snapio"
 	"repro/internal/storage"
+	"repro/internal/vbyte"
 )
 
 // Index snapshots. Save serialises the inverted file — vocabulary
@@ -128,7 +129,8 @@ func Load(r io.Reader) (*Index, error) {
 	if err != nil {
 		return nil, err
 	}
-	for item := 0; item < domainSize; item++ {
+	lists := make([][]byte, domainSize)
+	for item := range lists {
 		raw, err := snapio.ReadBytes(cr)
 		if err != nil {
 			return nil, fmt.Errorf("%w: list %d: %v", ErrBadSnapshot, item, err)
@@ -136,11 +138,15 @@ func Load(r io.Reader) (*Index, error) {
 		if err := w.WriteList(uint32(item), raw); err != nil {
 			return nil, err
 		}
+		lists[item] = raw
 	}
 	if err := w.Close(); err != nil {
 		return nil, err
 	}
 	if err := cr.VerifyTrailer(); err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrBadSnapshot, err)
+	}
+	if err := checkLists(lists, counts, lastID, emptyIDs, numRecords, ov.Deleted()); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadSnapshot, err)
 	}
 	return &Index{
@@ -152,4 +158,63 @@ func Load(r io.Reader) (*Index, error) {
 		counts:     counts,
 		ov:         ov,
 	}, nil
+}
+
+// checkLists holds the lists of a snapshot to the vocabulary it stores
+// beside them and to one collection of numRecords records, since the
+// checksum guards only against accidents and queries trust all of it:
+// each list's posting count and last id must be its stored ones, and
+// its ids within the records; each record's postings must all carry
+// one length, and number that many; and the empty-set ids must ascend
+// strictly within the records, with no list posting one. Every record
+// is posted, empty or tombstoned, and a posting takes two bytes or
+// more, so the records are held to that first: the per-record tally is
+// never sized by a count the stream does not back with bytes.
+func checkLists(lists [][]byte, counts []int64, lastID, emptyIDs []uint32, numRecords, deleted int) error {
+	room := len(emptyIDs) + deleted
+	for _, raw := range lists {
+		room += len(raw) / 2
+	}
+	if numRecords > room {
+		return fmt.Errorf("%d records, where the lists, empty sets and tombstones hold at most %d", numRecords, room)
+	}
+	type tally struct{ length, postings uint32 }
+	records := make([]tally, numRecords+1)
+	var ps []vbyte.Posting
+	for item, raw := range lists {
+		var err error
+		if ps, err = vbyte.DecodePostings(raw, 0, ps[:0]); err != nil {
+			return fmt.Errorf("list %d: %v", item, err)
+		}
+		last := uint32(0)
+		if len(ps) > 0 {
+			last = ps[len(ps)-1].ID
+		}
+		if int64(len(ps)) != counts[item] || last != lastID[item] {
+			return fmt.Errorf("list %d holds %d postings up to id %d, the vocabulary says %d up to %d",
+				item, len(ps), last, counts[item], lastID[item])
+		}
+		if last > uint32(numRecords) {
+			return fmt.Errorf("list %d posts id %d of %d records", item, last, numRecords)
+		}
+		for _, p := range ps {
+			r := &records[p.ID]
+			if r.postings > 0 && r.length != p.Length {
+				return fmt.Errorf("record %d posted with lengths %d and %d", p.ID, r.length, p.Length)
+			}
+			r.length = p.Length
+			r.postings++
+		}
+	}
+	for id, r := range records {
+		if r.postings != r.length {
+			return fmt.Errorf("record %d of length %d has %d postings", id, r.length, r.postings)
+		}
+	}
+	for i, id := range emptyIDs {
+		if id == 0 || id > uint32(numRecords) || i > 0 && id <= emptyIDs[i-1] || records[id].postings > 0 {
+			return fmt.Errorf("empty-set id %d is zero, out of order, past the %d records or posted", id, numRecords)
+		}
+	}
+	return nil
 }

@@ -123,7 +123,7 @@ func TestCacheStatsCumulativeAcrossMerge(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, q := range zipfWorkload(60, domain, 0.9, 132) {
-				if _, err := ix.Eval(q); err != nil {
+				if _, err := q.Eval(ix); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -146,7 +146,7 @@ func TestCacheStatsCumulativeAcrossMerge(t *testing.T) {
 			}
 			// And they keep counting.
 			for _, q := range zipfWorkload(20, domain, 0.9, 133) {
-				if _, err := ix.Eval(q); err != nil {
+				if _, err := q.Eval(ix); err != nil {
 					t.Fatal(err)
 				}
 			}

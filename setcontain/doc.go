@@ -39,8 +39,9 @@
 // of the answer). Query.String and ParseExpr (then Expr.AsQuery)
 // round-trip the textual form ("subset{3 17 29}") the CLIs and the
 // serve package's wire format use. An Expr combines queries with And,
-// Or and Not — a Query is its one-leaf case — and Index.EvalExpr
-// answers one with cost-planned evaluation.
+// Or and Not — a Query is its one-leaf case — and Index.EvalExprLimit
+// answers one with cost-planned evaluation (limit 0: the whole answer);
+// PlanExpr(e, idx.Supports()) shows the plan.
 //
 // # Concurrency
 //
@@ -58,8 +59,9 @@
 // ExecExprLimitAppend, ExecBatch — is a thin adapter over one request
 // core that answers one request on one pooled reader: a request that
 // is one plain leaf with no limit runs straight on the reader, anything
-// else is planned once, pushed down to every shard of a sharded index,
-// and counted in ExprStats. ExecBatch fans many queries out across
+// else is planned once and counted in ExprStats. Over a sharded index
+// every request — a plain leaf as its one-leaf expression — is pushed
+// down whole to every shard. ExecBatch fans many queries out across
 // pooled readers. The setcontain/serve package calls
 // ExecExprLimitAppend once per query, on the request's own goroutine.
 //

@@ -17,7 +17,7 @@ func answers(t *testing.T, idx *Index, queries []Query) [][]uint32 {
 	out := make([][]uint32, len(queries))
 	for i, q := range queries {
 		var err error
-		if out[i], err = idx.Eval(q); err != nil {
+		if out[i], err = q.Eval(idx); err != nil {
 			t.Fatalf("%s: %v", q, err)
 		}
 	}

@@ -239,7 +239,8 @@ func (s *faultySession) AppendExpr(ctx context.Context, dst []uint32, expr *setc
 // of the three ways a sharded index comes to be — built by New,
 // assembled over in-process clients, assembled over HTTP clients of
 // live daemons: the engine-level expression form is a push-down (the
-// whole tree to every shard once, no leaf scatter); a call delayed past
+// whole tree to every shard once, no leaf scatter), and a containment
+// query travels the same way, as its one-leaf expression; a call delayed past
 // its deadline answers exactly or fails with DeadlineExceeded; and a
 // Batcher closed while its one request is held on a shard returns at
 // once and refuses later calls, while the request ends under its own
@@ -256,35 +257,37 @@ func TestShardFaults(t *testing.T) {
 	for _, name := range []string{"Sharded", "inproc", "http"} {
 		tg := h.target(name)
 		want, _ := tg.m.answer(&modelOp{expr: tree})
-		tg.board.tally()
-		got, err := tg.idx.EvalExpr(tree)
-		if err != nil || !slices.Equal(got, want) {
-			t.Fatalf("%s: Index.EvalExpr(%s): %v, %v; the model says %v", name, tree, got, err, want)
-		}
-		if calls := tg.board.tally(); calls["AppendExpr"] != shardsOf(29) || calls["AppendQuery"] != 0 {
-			t.Fatalf("%s: Index.EvalExpr(%s) cost %d AppendExpr and %d AppendQuery calls, want %d and 0",
-				name, tree, calls["AppendExpr"], calls["AppendQuery"], shardsOf(29))
+		for _, e := range []*setcontain.Expr{tree, setcontain.ExprOf(leaf)} {
+			want, _ := tg.m.answer(&modelOp{expr: e})
+			tg.board.tally()
+			got, err := tg.idx.EvalExprLimit(e, 0)
+			if err != nil || !slices.Equal(got, want) {
+				t.Fatalf("%s: Index.EvalExprLimit(%s): %v, %v; the model says %v", name, e, got, err, want)
+			}
+			if calls := tg.board.tally(); calls["AppendExpr"] != shardsOf(29) || calls["AppendQuery"] != 0 {
+				t.Fatalf("%s: Index.EvalExprLimit(%s) cost %d AppendExpr and %d AppendQuery calls, want %d and 0",
+					name, e, calls["AppendExpr"], calls["AppendQuery"], shardsOf(29))
+			}
 		}
 
 		tg.board.arm(shardFault{call: "AppendExpr", shard: 1, delay: 20 * time.Millisecond})
 		dctx, cancel := context.WithTimeout(ctx, time.Millisecond)
-		got, err = tg.store.ExecExprLimitAppend(dctx, nil, tree, 0)
+		got, err := tg.store.ExecExprLimitAppend(dctx, nil, tree, 0)
 		cancel()
 		if err == nil && !slices.Equal(got, want) || err != nil && !errors.Is(err, context.DeadlineExceeded) {
 			t.Errorf("%s: a shard call delayed past the deadline: %v, %v; want %v or DeadlineExceeded", name, got, err, want)
 		}
 
-		calls := []string{"AppendQuery", "AppendExpr"}
+		// A leaf reaches a shard as AppendExpr too: it is held there.
+		calls := []string{"AppendExpr", "AppendExpr"}
+		exprs := []*setcontain.Expr{setcontain.ExprOf(leaf), tree}
 		if name == "http" {
-			calls = append(calls, "POST /query")
+			calls, exprs = append(calls, "POST /query"), append(exprs, tree)
 		}
-		for _, call := range calls {
+		for i, call := range calls {
+			e := exprs[i]
 			tg.store.Refresh()
 			b := serve.NewBatcher(tg.store, serve.Config{})
-			e := tree
-			if call == "AppendQuery" {
-				e = setcontain.ExprOf(leaf)
-			}
 			tg.board.arm(shardFault{call: call, shard: 1, delay: time.Minute})
 			rctx, cancel := context.WithCancel(ctx)
 			failed := make(chan error, 1)
@@ -292,7 +295,12 @@ func TestShardFaults(t *testing.T) {
 				_, err := b.DoExprLimit(rctx, nil, e, 0)
 				failed <- err
 			}()
-			<-tg.board.holding()
+			select {
+			case <-tg.board.holding():
+			case <-time.After(10 * time.Second):
+				cancel()
+				t.Fatalf("%s: %s of %s was never reached", name, call, e)
+			}
 			start := time.Now()
 			b.Close()
 			if took := time.Since(start); took > time.Second {

@@ -195,7 +195,7 @@ func TestGoldenSnapshots(t *testing.T) {
 				t.Helper()
 				nonEmpty := 0
 				for _, q := range queries {
-					got, err := ix.Eval(q)
+					got, err := q.Eval(ix)
 					if err != nil {
 						t.Fatalf("%s %s: %v", stage, q, err)
 					}
@@ -369,6 +369,74 @@ func TestOpenRefusesHostileTombstones(t *testing.T) {
 			if _, err := Open(bytes.NewReader(snap)); !errors.Is(err, bad) {
 				t.Errorf("%s, %s: Open = %v, want %v", name, what, err, bad)
 			}
+		}
+	}
+}
+
+// hostileVocabulary returns copies of the inverted-file golden,
+// resealed, whose vocabulary or lists no build could have written: the
+// first non-empty list's stored posting count raised by one or set to
+// 2^40 (a query sizes its decode buffer by it), its stored last id
+// lowered by one (a merge d-gaps the next posting from it), its first
+// posting's length lowered by one (each of a record's postings carries
+// its length, and superset counts to it), the last empty-set id moved
+// past the records, and the first one moved onto a record that list
+// posts.
+func hostileVocabulary(t testing.TB, golden []byte) map[string][]byte {
+	// The payload magic, four header words, then the empty-set ids, the
+	// last ids and the counts, the tombstones, the pending records, and
+	// the lists, each a u64 length and its bytes.
+	const hdr = payloadMagic + len("IFSNAP01")
+	u32 := func(off int) uint32 { return binary.LittleEndian.Uint32(golden[off:]) }
+	u64 := func(off int) int { return int(binary.LittleEndian.Uint64(golden[off:])) }
+	domain, numRecords := int(u32(hdr+4)), u32(hdr+8)
+	empties, nEmpty := hdr+4*4+8, u64(hdr+4*4)
+	lastIDs := empties + 4*nEmpty + 8
+	counts := lastIDs + 4*domain
+	at := counts + 8*domain
+	at += 8 + 4*u64(at) // the tombstones
+	pending := u64(at)
+	for at += 8; pending > 0; pending-- {
+		at += 4 + 8 + 4*u64(at+4) // an id, then a length-prefixed set
+	}
+	item := 0
+	for ; item < domain && u64(at) == 0; item++ {
+		at += 8
+	}
+	first := at + 8 // the first non-empty list's first posting: id, length
+	if item == domain || golden[first] >= 0x80 || golden[first+1] < 2 || golden[first+1] >= 0x80 {
+		t.Fatal("if golden: no list opens with a one-byte id and a one-byte length of two or more")
+	}
+	if nEmpty < 2 || uint32(golden[first]) >= u32(empties+4) {
+		t.Fatal("if golden: no empty-set id to move onto the first posting")
+	}
+	put32 := func(off int, v uint32) []byte {
+		return resealed(golden, func(b []byte) { binary.LittleEndian.PutUint32(b[off:], v) })
+	}
+	put64 := func(off int, v uint64) []byte {
+		return resealed(golden, func(b []byte) { binary.LittleEndian.PutUint64(b[off:], v) })
+	}
+	count := counts + 8*item
+	return map[string][]byte{
+		"posting count raised":          put64(count, uint64(u64(count)+1)),
+		"posting count of 2^40":         put64(count, 1<<40),
+		"last id lowered":               put32(lastIDs+4*item, u32(lastIDs+4*item)-1),
+		"posting's length lowered":      resealed(golden, func(b []byte) { b[first+1]-- }),
+		"empty-set id past the records": put32(empties+4*(nEmpty-1), numRecords+1),
+		"empty-set id a list posts":     put32(empties, uint32(golden[first])),
+	}
+}
+
+// TestOpenRefusesHostileVocabulary: an inverted-file snapshot whose
+// checksums are all in order but whose stored counts, last ids or
+// empty-set ids disagree with its lists, or whose lists disagree on a
+// record's length, is a bad snapshot — not an index whose first query
+// allocates by a count, whose merge misnumbers a record, or whose
+// superset answers a record that does not exist.
+func TestOpenRefusesHostileVocabulary(t *testing.T) {
+	for what, snap := range hostileVocabulary(t, readGolden(t, "if")) {
+		if _, err := Open(bytes.NewReader(snap)); !errors.Is(err, invfile.ErrBadSnapshot) {
+			t.Errorf("%s: Open = %v, want %v", what, err, invfile.ErrBadSnapshot)
 		}
 	}
 }
@@ -611,7 +679,7 @@ func TestOpenIgnoresReservedWord(t *testing.T) {
 				t.Fatalf("%s, word %#x: Open: %v", name, v, err)
 			}
 			for _, q := range queries {
-				got, err := ix.Eval(q)
+				got, err := q.Eval(ix)
 				if err != nil {
 					t.Fatalf("%s, word %#x: %s: %v", name, v, q, err)
 				}
@@ -683,7 +751,7 @@ func TestOpenedBlockSizeMerges(t *testing.T) {
 					}
 				}
 				for _, q := range queries {
-					got, err := ix.Eval(q)
+					got, err := q.Eval(ix)
 					if err != nil {
 						t.Fatalf("%s, word %#x, %s: %s: %v", name, v, stage, q, err)
 					}
@@ -705,7 +773,8 @@ func TestOpenedBlockSizeMerges(t *testing.T) {
 // high bit flipped (a count that passes the snapio.MaxSliceLen bound but
 // promises gigabytes) — and those a checksum cannot catch: a resealed
 // out-of-domain pending item, the resealed hostile tombstone sections of
-// hostileTombstones, the resealed hostile pages, list blocks and
+// hostileTombstones, the inverted file's resealed hostile vocabulary and
+// lists of hostileVocabulary, the resealed hostile pages, list blocks and
 // metadata of hostilePages, and each OIF golden relabelled the other
 // version or with a zero block size. Any index Open accepts must save,
 // Open again from its own Save, and answer a single-item Subset for every
@@ -739,6 +808,11 @@ func FuzzOpenSnapshot(f *testing.F) {
 		f.Add(hostilePending(golden, rec)["item outside the domain"])
 		for _, snap := range hostileTombstones(golden, tomb) {
 			f.Add(snap)
+		}
+		if k.name == "if" {
+			for _, snap := range hostileVocabulary(f, golden) {
+				f.Add(snap)
+			}
 		}
 		if slices.Contains(goldenOIF, k.name) {
 			for _, snap := range hostilePages(f, golden) {
@@ -872,7 +946,7 @@ func TestMergeReadsTheLists(t *testing.T) {
 	check := func(stage string) {
 		t.Helper()
 		for _, q := range goldenQueries() {
-			got, err := ix.Eval(q)
+			got, err := q.Eval(ix)
 			if err != nil {
 				t.Fatalf("%s %s: %v", stage, q, err)
 			}

@@ -256,7 +256,7 @@ func genOps(seed int64) []modelOp {
 		case r < 75:
 			add(modelOp{kind: opCrash})
 		case r < 85:
-			calls := []string{"Session", "AppendQuery", "AppendExpr", "POST /query", "Insert", "Delete", "MergeDelta", "Info", "Snapshot"}
+			calls := []string{"Session", "AppendExpr", "POST /query", "Insert", "Delete", "MergeDelta", "Info", "Snapshot"}
 			f := shardFault{call: calls[rng.Intn(len(calls))], shard: rng.Intn(shardsOf(seed)), skip: rng.Intn(3)}
 			dataPlane := strings.HasPrefix(f.call, "Append")
 			if !dataPlane && f.call != "POST /query" {
@@ -302,8 +302,7 @@ func genOps(seed int64) []modelOp {
 }
 
 // Query shapes: any op the generator draws, a plain leaf with no limit
-// (what a shard's AppendQuery answers), or a tree with a limit of 0 or
-// more (AppendExpr's).
+// (what the Query forms take), or a tree with a limit of 0 or more.
 const (
 	anyShape = iota
 	plainShape
@@ -658,21 +657,18 @@ func prefixed(run func(dst []uint32) ([]uint32, error)) ([]uint32, error) {
 }
 
 var entryPoints = []entryPoint{
-	{"Index.Eval", plainNoCtx, func(_ context.Context, tg *target, op *modelOp) ([]uint32, error) {
-		return tg.idx.Eval(leafOf(op))
-	}},
 	{"Query.Eval", plainNoCtx, func(_ context.Context, tg *target, op *modelOp) ([]uint32, error) {
 		return leafOf(op).Eval(tg.idx)
 	}},
 	{"Index.EvalExprLimit", noCtx, func(_ context.Context, tg *target, op *modelOp) ([]uint32, error) {
 		return tg.idx.EvalExprLimit(op.expr, op.limit)
 	}},
-	{"Reader.EvalAppend", plainNoCtx, func(_ context.Context, tg *target, op *modelOp) ([]uint32, error) {
+	{"Query.EvalAppend(Reader)", plainNoCtx, func(_ context.Context, tg *target, op *modelOp) ([]uint32, error) {
 		r, err := tg.idx.NewReader(8)
 		if err != nil {
 			return nil, err
 		}
-		return prefixed(func(dst []uint32) ([]uint32, error) { return r.EvalAppend(dst, leafOf(op)) })
+		return prefixed(func(dst []uint32) ([]uint32, error) { return leafOf(op).EvalAppend(dst, r) })
 	}},
 	// Expr.Eval is the product's naive evaluator: a target like the rest.
 	{"Expr.Eval", func(op *modelOp) bool { return unlimited(op) && noCtx(op) }, func(_ context.Context, tg *target, op *modelOp) ([]uint32, error) {

@@ -140,11 +140,11 @@ func TestAlternativePartitionerPlugsIn(t *testing.T) {
 	compare := func(stage string) {
 		t.Helper()
 		for _, q := range zipfWorkload(80, domain, 0.9, 92) {
-			want, err := single.Eval(q)
+			want, err := q.Eval(single)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := reversed.Eval(q)
+			got, err := q.Eval(reversed)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -430,7 +430,7 @@ func (ev *exprEval) union(kids []*PlanNode, cands []uint32, limit int) (acc []ui
 // 0, keeps each node's children as written (an AND's NOT children
 // last), and every leaf is answered in full, none pushed down. t may be
 // any Queryable. It is the unplanned baseline of BenchmarkExprPlanner;
-// Index.EvalExpr and Store.ExecExprAppend plan against the index's
+// Index.EvalExprLimit and Store.ExecExprAppend plan against the index's
 // supports.
 func (e *Expr) Eval(t Queryable) ([]uint32, error) {
 	p, err := PlanExpr(e, &SupportProfile{})
@@ -449,23 +449,16 @@ func (e *Expr) Eval(t Queryable) ([]uint32, error) {
 // reuse the profile across plans, and refresh it after MergeDelta.
 func (ix *Index) Supports() *SupportProfile { return supportsOf(ix.eng) }
 
-// PlanExpr plans the expression against the index's current statistics.
-func (ix *Index) PlanExpr(e *Expr) (*ExprPlan, error) {
-	return PlanExpr(e, ix.Supports())
-}
-
-// EvalExpr answers a boolean expression with planned evaluation:
-// cost-ordered AND children, short-circuiting, galloping set algebra.
-// The profile is rebuilt per call — interactive convenience; hot loops
-// should plan once via PlanExpr (Store caches the profile per index
-// generation). Over a sharded index the call is a push-down, like a
-// Store's: every shard plans the whole expression against its own supports.
-func (ix *Index) EvalExpr(e *Expr) ([]uint32, error) { return ix.EvalExprLimit(e, 0) }
-
-// EvalExprLimit answers the first n ids of the expression's answer (see
+// EvalExprLimit answers a boolean expression with planned evaluation —
+// cost-ordered AND children, short-circuiting, galloping set algebra —
+// and returns the first n ids of its answer (see
 // Evaluator.EvalLimitAppend). n == 0 means no limit; a negative n
-// returns ErrNegativeLimit, as on every other entry point. Like
-// EvalExpr, the profile is rebuilt per call.
+// returns ErrNegativeLimit, as on every other entry point. The profile
+// is rebuilt per call — interactive convenience; hot loops should plan
+// once with PlanExpr(e, ix.Supports()) (Store caches the profile per
+// index generation). Over a sharded index the call is a push-down, like
+// a Store's: every shard plans the whole expression against its own
+// supports.
 func (ix *Index) EvalExprLimit(e *Expr, n int) ([]uint32, error) {
 	if e == nil {
 		return nil, errNilExpr

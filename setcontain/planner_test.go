@@ -211,7 +211,7 @@ func TestPlannerShortCircuit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan, err := ix.PlanExpr(e)
+	plan, err := PlanExpr(e, ix.Supports())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,7 +257,7 @@ func TestErrUnknownPredicateUnified(t *testing.T) {
 		t.Errorf("EvalAppend(fallback): %v, want bare ErrUnknownPredicate", err)
 	}
 	badExpr := And(ExprOf(bad), ExprOf(SubsetQuery(nil)))
-	if _, err := ix.PlanExpr(badExpr); err != ErrUnknownPredicate {
+	if _, err := PlanExpr(badExpr, ix.Supports()); err != ErrUnknownPredicate {
 		t.Errorf("PlanExpr: %v, want bare ErrUnknownPredicate", err)
 	}
 	if _, err := badExpr.Eval(ix); err != ErrUnknownPredicate {

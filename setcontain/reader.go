@@ -30,13 +30,6 @@ func (r *Reader) Equality(qs []Item) ([]uint32, error) { return r.r.Equality(qs)
 // Superset answers like Index.Superset.
 func (r *Reader) Superset(qs []Item) ([]uint32, error) { return r.r.Superset(qs) }
 
-// EvalAppend answers a first-class Query in append form — the reader's
-// zero-allocation form when the backend supports it (OIF), otherwise a
-// plain call plus copy. See Query.EvalAppend for the append contract.
-func (r *Reader) EvalAppend(dst []uint32, q Query) ([]uint32, error) {
-	return q.EvalAppend(dst, r.r)
-}
-
 // CacheStats returns this reader's private access statistics.
 func (r *Reader) CacheStats() CacheStats { return cacheStatsOf(r.r.Stats()) }
 

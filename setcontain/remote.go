@@ -21,7 +21,7 @@ import (
 // internal/wire, for both ends:
 //
 //	Info               GET  /healthz         -> wire.HealthResponse
-//	AppendQuery/Expr   POST /query           one {"expr","limit"} spec
+//	AppendExpr         POST /query           one {"expr","limit"} spec
 //	                                         -> NDJSON wire.Result lines
 //	Insert             POST /admin/insert    one set -> its shard-local id
 //	Delete             POST /admin/delete    one shard-local id
@@ -200,31 +200,28 @@ type remoteSession struct {
 }
 
 func (s *remoteSession) AppendQuery(ctx context.Context, dst []uint32, q Query) ([]uint32, error) {
-	if !q.Pred.known() {
-		return nil, ErrUnknownPredicate
-	}
-	return s.appendWire(ctx, dst, wire.QuerySpec{Expr: q.String()})
+	return s.AppendExpr(ctx, dst, ExprOf(q), 0)
 }
 
-// AppendExpr validates before touching the wire, so both transports
-// return the same sentinels (see inprocSession.AppendExpr).
+// AppendExpr posts one query spec and appends the streamed answer to
+// dst. It validates before touching the wire, so both transports
+// return the same errors (see inprocSession.AppendExpr). A failure is
+// the caller's own ctx error when that is what ended the call, else the
+// failure itself, naming the shard.
 func (s *remoteSession) AppendExpr(ctx context.Context, dst []uint32, expr *Expr, limit int) ([]uint32, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
 	if expr == nil {
 		return nil, errNilExpr
 	}
 	if limit < 0 {
 		return nil, ErrNegativeLimit
 	}
-	return s.appendWire(ctx, dst, wire.QuerySpec{Expr: expr.String(), Limit: limit})
-}
-
-// appendWire posts one query spec and appends the streamed answer to
-// dst. A failure is the caller's own ctx error when that is what ended
-// the call, else the failure itself, naming the shard.
-func (s *remoteSession) appendWire(ctx context.Context, dst []uint32, spec wire.QuerySpec) ([]uint32, error) {
-	if err := ctx.Err(); err != nil {
+	if err := expr.validate(); err != nil {
 		return nil, err
 	}
+	spec := wire.QuerySpec{Expr: expr.String(), Limit: limit}
 	resp, err := s.c.send(ctx, http.MethodPost, "/query", wire.QueryRequest{Queries: []wire.QuerySpec{spec}})
 	if err == nil {
 		defer resp.Body.Close()

@@ -258,7 +258,7 @@ func TestShardedInsertFailureKeepsRouting(t *testing.T) {
 	}
 }
 
-// TestQueryEvalMatchesMethods: Query.Eval answers as Index.Eval and the
+// TestQueryEvalMatchesMethods: Query.Eval answers as Index.Subset and the
 // other entry points do. TestErrUnknownPredicateUnified holds its
 // refusal of an unknown predicate.
 func TestQueryEvalMatchesMethods(t *testing.T) {
@@ -364,7 +364,7 @@ func TestMalformedLeafRefused(t *testing.T) {
 			call func() ([]uint32, error)
 		}{
 			{"Expr.Eval", func() ([]uint32, error) { return bad.Eval(tg.idx) }},
-			{"Index.EvalExpr", func() ([]uint32, error) { return tg.idx.EvalExpr(bad) }},
+			{"Index.EvalExprLimit", func() ([]uint32, error) { return tg.idx.EvalExprLimit(bad, 0) }},
 			{"Store.ExecExprAppend", func() ([]uint32, error) { return tg.store.ExecExprAppend(ctx, nil, bad) }},
 			{"Batcher.DoExprLimit", func() ([]uint32, error) { return tg.srv.Batcher().DoExprLimit(ctx, nil, bad, 0) }},
 		}

@@ -136,7 +136,7 @@ func TestAdminLifecycle(t *testing.T) {
 		t.Fatalf("Open(snapshot body): %v", err)
 	}
 	want := queryIDs(t, ts.URL, probe)
-	got, err := restored.Eval(probe)
+	got, err := probe.Eval(restored)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -136,7 +136,7 @@ func TestDurableServerLifecycle(t *testing.T) {
 	if st := re.Stats(); st.Replay.Records != 1 {
 		t.Fatalf("replayed %d log records, want 1 (the post-checkpoint insert)", st.Replay.Records)
 	}
-	got, err := re.Index().Eval(probe)
+	got, err := probe.Eval(re.Index())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -144,9 +144,6 @@ func (ix *Index) Equality(qs []Item) ([]uint32, error) { return ix.eng.Equality(
 // Superset returns ids of records whose sets are contained in qs.
 func (ix *Index) Superset(qs []Item) ([]uint32, error) { return ix.eng.Superset(qs) }
 
-// Eval answers a first-class Query.
-func (ix *Index) Eval(q Query) ([]uint32, error) { return q.Eval(ix.eng) }
-
 // ErrNoUpdates reports an engine without update support.
 var ErrNoUpdates = errors.New("setcontain: engine does not support updates")
 

@@ -66,8 +66,10 @@ type ShardClient interface {
 // call stops at the shard's next block read and returns an error,
 // never a prefix of the answer.
 type ShardSession interface {
-	// AppendQuery answers one containment query, appending local ids
-	// to dst.
+	// AppendQuery is AppendExpr(ctx, dst, ExprOf(q), 0): the sharded
+	// engine sends a containment query as its one-leaf expression and
+	// never calls it. It stays for callers outside the module that
+	// wrap a session method by method.
 	AppendQuery(ctx context.Context, dst []uint32, q Query) ([]uint32, error)
 	// AppendExpr answers a whole boolean expression, planned against
 	// the shard's own supports, appending at most limit local ids to
@@ -188,12 +190,7 @@ type inprocSession struct {
 }
 
 func (s *inprocSession) AppendQuery(ctx context.Context, dst []uint32, q Query) ([]uint32, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	s.r.setInterrupt(ctx.Err)
-	defer s.r.setInterrupt(nil)
-	return s.r.EvalAppend(dst, q)
+	return s.AppendExpr(ctx, dst, ExprOf(q), 0)
 }
 
 func (s *inprocSession) AppendExpr(ctx context.Context, dst []uint32, expr *Expr, limit int) ([]uint32, error) {

@@ -296,10 +296,16 @@ func (e *shardedEngine) ItemSupports() []int64 {
 
 // openReader opens one session per shard, each with its own cache of
 // cachePages pages where the transport keeps one (the budget is per
-// shard: every shard fans out its own list walks).
+// shard: every shard fans out its own list walks). Its predicates
+// scatter the query as a one-leaf expression; there is no cancellation
+// signal at this level — a Store scatters with its ctx — so the
+// Queryable surface stays context-free.
 func (e *shardedEngine) openReader(cachePages int) (*shardedReader, error) {
 	r := &shardedReader{sess: make([]ShardSession, 0, len(e.clients)), part: e.part}
-	r.predicates = r.query
+	r.predicates = func(q Query) ([]uint32, error) {
+		ids, _, err := r.scatterExpr(context.Background(), ExprOf(q), 0)
+		return ids, err
+	}
 	for s, c := range e.clients {
 		sess, err := c.Session(cachePages)
 		if err != nil {
@@ -329,7 +335,7 @@ func (e *shardedEngine) query(q Query) ([]uint32, error) {
 	if err != nil {
 		return nil, err
 	}
-	return rd.query(q)
+	return rd.predicates(q)
 }
 
 // dropReader retires the engine-level reader after a mutation; its
@@ -458,33 +464,16 @@ func (e *shardedEngine) Pool() *storage.BufferPool {
 // shardedReader is the engineReader behind a sharded Reader: one
 // isolated session per shard, queried with the scatter-gather executor.
 type shardedReader struct {
-	predicates // Subset/Equality/Superset: query
+	predicates // Subset/Equality/Superset: a one-leaf scatterExpr
 
 	sess []ShardSession
 	part Partitioner
 }
 
-// query is the Queryable form of scatterQuery. There is no cancellation
-// signal at this level — the Store calls scatterQuery with its ctx — so
-// the Queryable surface stays context-free.
-func (r *shardedReader) query(q Query) ([]uint32, error) {
-	return r.scatterQuery(context.Background(), q)
-}
-
-// scatterQuery answers one containment query on every shard's session
-// and merges the local answers to global id order.
-func (r *shardedReader) scatterQuery(ctx context.Context, q Query) ([]uint32, error) {
-	if !q.Pred.known() {
-		return nil, ErrUnknownPredicate
-	}
-	return scatterGather(ctx, r.part, func(cctx context.Context, s int) ([]uint32, error) {
-		return r.sess[s].AppendQuery(cctx, nil, q)
-	})
-}
-
-// scatterExpr validates the expression and pushes it whole to every
-// shard's session, which plans it against its own supports, then merges
-// the local answers to global id order. The boolean algebra distributes
+// scatterExpr is the sharded engine's one fan-out: it validates the
+// expression and pushes it whole to every shard's session, which plans
+// it against its own supports, then merges the local answers to global
+// id order. A containment query travels as its one-leaf expression. The boolean algebra distributes
 // over the partition: the shards hold disjoint record sets, so each
 // shard's local answer (its NOT universe included) is exactly the
 // global answer restricted to that shard. A limit n > 0 is pushed per

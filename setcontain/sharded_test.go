@@ -65,11 +65,11 @@ func TestShardedMoreShardsThanRecords(t *testing.T) {
 		SubsetQuery([]Item{2}), SubsetQuery(nil), EqualityQuery([]Item{1, 2}),
 		SupersetQuery([]Item{1, 2, 3, 5}), SupersetQuery(nil), SubsetQuery([]Item{9}),
 	} {
-		want, err := single.Eval(q)
+		want, err := q.Eval(single)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := sharded.Eval(q)
+		got, err := q.Eval(sharded)
 		if err != nil {
 			t.Fatal(err)
 		}

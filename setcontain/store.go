@@ -293,44 +293,33 @@ func (rq *request) expr() *Expr {
 
 // answer is the request core and its one routing decision: it answers
 // the request on t — an engine, its reader, or a sharded reader — and
-// appends to rq.dst. A plain leaf runs unplanned. A tree on a sharded
-// reader is validated and pushed whole to every shard, which plans it
-// against its own supports; any other tree is planned against sup's
-// profile and evaluated through evr. The stats are zero for a plain
-// leaf, and sum the in-process shards' for a pushed-down tree. ctx
-// reaches the shard calls; a single engine's reader stops on the
-// interrupt hook its caller armed.
+// appends to rq.dst. On a sharded reader every request, a plain leaf
+// included, is validated and pushed whole to every shard, which plans
+// it against its own supports. Otherwise a plain leaf runs unplanned,
+// and a tree is planned against sup's profile and evaluated through
+// evr. The stats are zero for a plain leaf, and sum the in-process
+// shards' for a pushed-down tree. ctx reaches the shard calls; a single
+// engine's reader stops on the interrupt hook its caller armed.
 func (rq *request) answer(ctx context.Context, t Queryable, sup interface{ Supports() *SupportProfile }, evr *Evaluator) ([]uint32, ExprEvalStats, error) {
 	if rq.limit < 0 {
 		return nil, ExprEvalStats{}, ErrNegativeLimit
 	}
-	q, leaf := rq.asLeaf()
-	sr, router := backendOf(t).(*shardedReader)
-	if !router {
-		if leaf {
-			ids, err := q.EvalAppend(rq.dst, t)
-			return ids, ExprEvalStats{}, err
-		}
-		plan, err := PlanExpr(rq.expr(), sup.Supports())
+	if sr, ok := backendOf(t).(*shardedReader); ok {
+		ids, st, err := sr.scatterExpr(ctx, rq.expr(), rq.limit)
 		if err != nil {
-			return nil, ExprEvalStats{}, err
+			return nil, st, err
 		}
-		return evr.EvalLimitAppend(rq.dst, plan, t, rq.limit)
+		return appendFresh(rq.dst, ids), st, nil
 	}
-	var (
-		ids []uint32
-		st  ExprEvalStats
-		err error
-	)
-	if leaf {
-		ids, err = sr.scatterQuery(ctx, q)
-	} else {
-		ids, st, err = sr.scatterExpr(ctx, rq.expr(), rq.limit)
+	if q, leaf := rq.asLeaf(); leaf {
+		ids, err := q.EvalAppend(rq.dst, t)
+		return ids, ExprEvalStats{}, err
 	}
+	plan, err := PlanExpr(rq.expr(), sup.Supports())
 	if err != nil {
-		return nil, st, err
+		return nil, ExprEvalStats{}, err
 	}
-	return appendFresh(rq.dst, ids), st, nil
+	return evr.EvalLimitAppend(rq.dst, plan, t, rq.limit)
 }
 
 // run is the one execution path above the engine; every public Exec*

@@ -39,7 +39,7 @@ func TestStoreExecParallel(t *testing.T) {
 		t.Run(kind.String(), func(t *testing.T) {
 			want := make([][]uint32, len(queries))
 			for i, q := range queries {
-				ids, err := ix.Eval(q)
+				ids, err := q.Eval(ix)
 				if err != nil {
 					t.Fatalf("sequential %s: %v", q, err)
 				}

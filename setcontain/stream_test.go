@@ -46,7 +46,7 @@ func TestRestrictMatchesMaterializing(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			plan, err := ix.PlanExpr(e)
+			plan, err := PlanExpr(e, ix.Supports())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -101,7 +101,7 @@ func TestEvaluatorStreamingMatchesMaterializing(t *testing.T) {
 	for trial := 0; trial < 60; trial++ {
 		e := randExpr(rng, 3, 40)
 		for _, kind := range AllKinds {
-			plan, err := idxs[kind].PlanExpr(e)
+			plan, err := PlanExpr(e, idxs[kind].Supports())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -144,7 +144,7 @@ func TestStorePlanOrderTracksMerge(t *testing.T) {
 	if before.Support(0) >= before.Support(1) {
 		t.Fatalf("setup broken: support(0)=%d, support(1)=%d", before.Support(0), before.Support(1))
 	}
-	plan, err := ix.PlanExpr(e)
+	plan, err := PlanExpr(e, ix.Supports())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +172,7 @@ func TestStorePlanOrderTracksMerge(t *testing.T) {
 	if after.Support(0) <= after.Support(1) {
 		t.Fatalf("post-merge support(0)=%d not above support(1)=%d", after.Support(0), after.Support(1))
 	}
-	plan, err = ix.PlanExpr(e)
+	plan, err = PlanExpr(e, ix.Supports())
 	if err != nil {
 		t.Fatal(err)
 	}

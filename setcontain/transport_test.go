@@ -269,7 +269,7 @@ func TestTransportPublicRoutesOnly(t *testing.T) {
 	sess, err := client.Session(0)
 	must("Session", err)
 	q := setcontain.SubsetQuery([]setcontain.Item{1})
-	want, err := shard.Eval(q)
+	want, err := q.Eval(shard)
 	must("oracle", err)
 	got, err := sess.AppendQuery(ctx, nil, q)
 	must("AppendQuery", err)
@@ -357,6 +357,64 @@ func TestTransportPublicRoutesOnly(t *testing.T) {
 		if resp.StatusCode != http.StatusNotFound {
 			t.Errorf("%s: status %d, want 404 (a shard daemon has no shard-only routes)", route, resp.StatusCode)
 		}
+	}
+}
+
+// TestSessionsRefuseMalformedExprAlike: a leaf of an unknown predicate
+// and an AND of one child are malformed, and a remote session refuses
+// them with the in-process session's errors, before any request reaches
+// its daemon.
+func TestSessionsRefuseMalformedExprAlike(t *testing.T) {
+	c := setcontain.NewCollection(8)
+	for i := 0; i < 20; i++ {
+		if _, err := c.Add([]setcontain.Item{uint32(i % 8), uint32((i * 3) % 8)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	idx, err := setcontain.New(c, setcontain.WithKind(setcontain.OIF))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sv := serve.NewServer(idx, setcontain.NewStore(idx, 8), serve.Config{})
+	t.Cleanup(sv.Close)
+	var mu sync.Mutex
+	var served []string
+	daemon := sv.Handler()
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		mu.Lock()
+		served = append(served, r.Method+" "+r.URL.Path)
+		mu.Unlock()
+		daemon.ServeHTTP(w, r)
+	}))
+	t.Cleanup(ts.Close)
+	inproc, err := setcontain.InprocShard(idx.Engine()).Session(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	remote, err := setcontain.NewRemoteShard(ts.URL, nil).Session(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	leaf := setcontain.ExprOf(setcontain.SubsetQuery([]setcontain.Item{1}))
+	for _, bad := range []*setcontain.Expr{
+		setcontain.ExprOf(setcontain.Query{Pred: 7, Items: []setcontain.Item{1}}),
+		{Op: setcontain.OpAnd, Kids: []*setcontain.Expr{leaf}},
+	} {
+		ctx := context.Background()
+		_, want := inproc.AppendExpr(ctx, nil, bad, 0)
+		if want == nil {
+			t.Fatalf("in-process session answered %#v", bad)
+		}
+		_, got := remote.AppendExpr(ctx, nil, bad, 0)
+		if got == nil || got.Error() != want.Error() ||
+			errors.Is(want, setcontain.ErrUnknownPredicate) != errors.Is(got, setcontain.ErrUnknownPredicate) {
+			t.Errorf("remote session: %v; the in-process session refuses with %v", got, want)
+		}
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if len(served) != 0 {
+		t.Errorf("the daemon served %v for malformed expressions", served)
 	}
 }
 
