@@ -68,9 +68,15 @@ bench-module-check:
 # posting-block, re-ordering and text inputs run to kilobytes, so
 # minimizing each new one is capped — it would otherwise eat the whole
 # smoke.
+#
+# FuzzModel alone runs 60s. Each of its inputs replays a whole op
+# sequence through every serving stack, HTTP included, and the fuzzer
+# replays its baseline — 32 seeds plus the cached corpus — before it
+# explores anything: in 15s on 2 vCPUs it got through 87 of 105 baseline
+# entries and found nothing new, so 10s re-ran what `make test` runs.
 FUZZ_TIME ?= 10s
 fuzz-smoke:
-	$(GO) test -run '^$$' -fuzz '^FuzzModel$$' -fuzztime $(FUZZ_TIME) ./setcontain
+	$(GO) test -run '^$$' -fuzz '^FuzzModel$$' -fuzztime 60s ./setcontain
 	$(GO) test -run '^$$' -fuzz '^FuzzParseExpr$$' -fuzztime $(FUZZ_TIME) ./setcontain
 	$(GO) test -run '^$$' -fuzz '^FuzzRemoteAnswerStream$$' -fuzztime $(FUZZ_TIME) -fuzzminimizetime 1s ./setcontain
 	$(GO) test -run '^$$' -fuzz '^FuzzResultLine$$' -fuzztime $(FUZZ_TIME) -fuzzminimizetime 1s ./internal/wire

@@ -17,14 +17,18 @@ import (
 // cursor walks the tree without allocating, and a seek that reads one
 // entry of a leaf parses one cell, not all of them. Key and Value
 // therefore return slices owned by the cursor, valid only until the next
-// Next/Seek.
+// Next/Seek. The copy is made once per page read: the cursor records the
+// pool's stamp of the read it copied (storage.BufferPool.Stamp), and a
+// descent or link that lands on that leaf under the same stamp keeps the
+// copy, while a re-read of the page is copied afresh.
 //
 // A built tree has no write method, so nothing invalidates a cursor: the
 // leaf it holds stays the tree's leaf for as long as the tree is read.
 // That is what lets SeekCursor replay a descent (see there).
 type Cursor struct {
 	t       *BTree
-	leaf    node // private copy of the current leaf's page, and its id
+	leaf    node   // private copy of the current leaf's page, and its id
+	stamp   uint64 // the pool read leaf was copied from; 0 before any
 	idx     int
 	valid   bool
 	exhaust bool
@@ -61,8 +65,9 @@ func (t *BTree) Seek(probe []byte, cmp Compare) (*Cursor, error) {
 // separators either side of it, and on a valid tree (Validate) the
 // deepest bounds on a path are its tightest. Such a reseek replays the
 // descent — it requests the same pages in the same order, and searches
-// only the leaf copy c already holds — so the pool sees exactly the
-// requests a full descent makes, at a fraction of the CPU.
+// only the leaf copy c holds, copied afresh only if the pool re-read the
+// leaf since — so the pool sees exactly the requests a full descent
+// makes, at a fraction of the CPU.
 func (t *BTree) SeekCursor(c *Cursor, probe []byte, cmp Compare) error {
 	if c.t == t && c.held && (!c.hasLo || cmp(probe, c.lo) >= 0) && (!c.hasHi || cmp(probe, c.hi) < 0) {
 		return c.replay(probe, cmp)
@@ -78,7 +83,7 @@ func (t *BTree) SeekCursor(c *Cursor, probe []byte, cmp Compare) error {
 		n := node{id: id, data: data}
 		if n.isLeaf() {
 			idx, _ := searchNode(n, probe, cmp)
-			c.loadLeaf(n)
+			c.loadLeaf(n, t.pool)
 			if err := t.pool.Put(id); err != nil {
 				return err
 			}
@@ -113,14 +118,16 @@ func (c *Cursor) replay(probe []byte, cmp Compare) error {
 			return err
 		}
 	}
-	if _, err := pool.Get(c.leaf.id); err != nil {
+	data, err := pool.Get(c.leaf.id)
+	if err != nil {
 		return err
 	}
+	c.loadLeaf(node{id: c.leaf.id, data: data}, pool)
 	idx, _ := searchNode(c.leaf, probe, cmp)
 	if err := pool.Put(c.leaf.id); err != nil {
 		return err
 	}
-	c.idx, c.valid, c.exhaust = idx, c.leaf.numCells() > 0, false
+	c.idx = idx
 	return c.settle()
 }
 
@@ -135,7 +142,7 @@ func (t *BTree) First() (*Cursor, error) {
 		n := node{id: id, data: data}
 		if n.isLeaf() {
 			c := &Cursor{t: t}
-			c.loadLeaf(n)
+			c.loadLeaf(n, t.pool)
 			if err := t.pool.Put(id); err != nil {
 				return nil, err
 			}
@@ -150,10 +157,14 @@ func (t *BTree) First() (*Cursor, error) {
 	}
 }
 
-// loadLeaf copies the pinned leaf's page into the cursor's buffer.
-func (c *Cursor) loadLeaf(n node) {
-	c.leaf.id = n.id
-	c.leaf.data = append(c.leaf.data[:0], n.data...)
+// loadLeaf makes the pinned leaf n, read through pool, the cursor's
+// leaf, copying its page into the cursor's buffer unless the buffer
+// already holds that same read of it.
+func (c *Cursor) loadLeaf(n node, pool *storage.BufferPool) {
+	if stamp := pool.Stamp(n.id); n.id != c.leaf.id || stamp != c.stamp {
+		c.leaf.id, c.stamp = n.id, stamp
+		c.leaf.data = append(c.leaf.data[:0], n.data...)
+	}
 	c.idx = 0
 	c.valid = n.numCells() > 0
 	c.exhaust = false
@@ -175,7 +186,7 @@ func (c *Cursor) settle() error {
 		if err != nil {
 			return err
 		}
-		c.loadLeaf(node{id: next, data: data})
+		c.loadLeaf(node{id: next, data: data}, c.t.pool)
 		if err := c.t.pool.Put(next); err != nil {
 			return err
 		}
@@ -183,6 +194,15 @@ func (c *Cursor) settle() error {
 	c.valid = true
 	return nil
 }
+
+// Stamp returns the stamp of the pool read the cursor's leaf copy was
+// made from: Key and Value are bytes of that read.
+func (c *Cursor) Stamp() uint64 { return c.stamp }
+
+// Slot returns the current entry's position in its leaf. With Stamp it
+// names the entry's bytes: the same stamp and slot, the same Key and
+// Value.
+func (c *Cursor) Slot() int { return c.idx }
 
 // Valid reports whether the cursor rests on an entry.
 func (c *Cursor) Valid() bool { return c.valid && !c.exhaust }

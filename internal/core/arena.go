@@ -35,9 +35,15 @@ type queryArena struct {
 	probe    []byte          // B-tree seek probe
 	lc       listCursor      // the one live list cursor
 
+	// checked holds, per hot block (numberHot), the page read under
+	// which the block last matched its fingerprint (hotList.holds).
+	checked []hotCheck
+
 	// bitmapBlocks counts the list blocks filterByList answered from a
-	// hot list's bitmap instead of decoding them (tests read it).
+	// hot list's bitmap instead of decoding them, and fingerprints the
+	// block fingerprints it computed (tests read both).
 	bitmapBlocks int
+	fingerprints int
 }
 
 // candTable is superset's candidate set (Algorithm 2's counters): an
@@ -145,6 +151,6 @@ func (t *candTable) alloc(n int) {
 // clones must not share mutable state with the parent.
 func (ix *Index) ensureRuntime() {
 	if ix.arena == nil {
-		ix.arena = &queryArena{}
+		ix.arena = &queryArena{checked: make([]hotCheck, ix.hotBlocks)}
 	}
 }

@@ -3,7 +3,6 @@ package core
 import (
 	"encoding/binary"
 	"fmt"
-	"slices"
 
 	"repro/internal/btree"
 	"repro/internal/fanout"
@@ -133,9 +132,6 @@ func scanLists(tree *btree.BTree, meta *Metadata, numRecords int, listPostings [
 	}
 	for _, part := range parts {
 		p.lists = append(p.lists, part.lists...)
-	}
-	if !slices.ContainsFunc(p.hot, func(h *hotList) bool { return h != nil }) {
-		p.hot = nil
 	}
 	return p, nil
 }

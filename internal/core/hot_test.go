@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"math"
 	"reflect"
 	"slices"
@@ -265,4 +266,184 @@ func TestBitmapProbeFollowsChangedKey(t *testing.T) {
 	if hot.arena.bitmapBlocks != 0 {
 		t.Fatalf("rank %d: %d blocks answered from the bitmap, want the one visited taken by the kernel", rank, hot.arena.bitmapBlocks)
 	}
+}
+
+// TestBitmapProbeRechecksReloadedBlock: a block checked against its
+// fingerprint under one read of its page is checked again under the
+// next. A subset query visits a hot block, which matches; the page is
+// dropped from the pool and comes back with the block's last value made
+// to run past its end, and the same query must fail as the decode
+// kernel fails on it (TestCorruptListBlockIsAnError), not be answered
+// from the bitmap on the strength of the earlier check.
+func TestBitmapProbeRechecksReloadedBlock(t *testing.T) {
+	d, ix, cp, pool := corruptibleIndex(t)
+	forms := reorderedForms(t, d)
+	// The middle block of the first hot list of three blocks or more.
+	rank := sequence.Rank(0)
+	for ; int(rank) < ix.domainSize; rank++ {
+		if h := ix.hotList(rank); h != nil && len(h.lasts) >= 3 {
+			break
+		}
+	}
+	if int(rank) == ix.domainSize {
+		t.Fatal("no hot list of three blocks or more")
+	}
+	h := ix.hotList(rank)
+	j := len(h.lasts) / 2
+	lc, err := ix.seekID(rank, h.lasts[j])
+	if err != nil {
+		t.Fatal(err)
+	}
+	val := bytes.Clone(lc.cur.Value())
+	// The query {rank, c}: c is the largest rank of a record posted in
+	// the block, if not rank itself. The candidates come from c's list;
+	// the record's smallest rank precedes rank, so its id precedes rank's
+	// metadata region and filterBySmallest probes rank's list for it.
+	ps, err := vbyte.DecodePostings(val, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var qs []dataset.Item
+	var id uint32
+	for _, p := range ps {
+		if sf := forms.SF(p.ID); sf[len(sf)-1] != rank && qs == nil {
+			qs, id = ix.ord.AppendSet(nil, []sequence.Rank{rank, sf[len(sf)-1]}), ix.origID(p.ID)
+		}
+	}
+	if qs == nil {
+		t.Fatalf("no record posted in rank %d's block has a larger rank", rank)
+	}
+	cp.page, cp.off = locateBlock(t, cp, val)
+	cp.off += len(val) - 1
+	cp.b = val[len(val)-1] | 0x80
+
+	if err := pool.DropAll(); err != nil {
+		t.Fatal(err)
+	}
+	before := ix.arena.bitmapBlocks
+	got, err := ix.AppendSubset(nil, qs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Contains(got, id) {
+		t.Fatalf("subset %v misses record %d", qs, id)
+	}
+	if ix.arena.checked[h.base+j].stamp == 0 || ix.arena.bitmapBlocks == before {
+		t.Fatalf("subset %v did not answer rank %d's block %d from the bitmap", qs, rank, j)
+	}
+
+	cp.armed = true
+	if err := pool.DropAll(); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := ix.AppendSubset(nil, qs); !errors.Is(err, vbyte.ErrTruncated) {
+		t.Fatalf("subset %v over the re-read, changed block returned %v (%d ids), want an error wrapping %v",
+			qs, err, len(got), vbyte.ErrTruncated)
+	}
+}
+
+// TestFingerprintOncePerPageRead counts the fingerprints a hot-list
+// subset computes on a warm reader: some on its first run, none on a
+// second, which visits the same bitmap blocks under the same page reads,
+// and as many as the first after DropAll makes the pool read every page
+// again.
+func TestFingerprintOncePerPageRead(t *testing.T) {
+	d, err := dataset.GenerateSynthetic(dataset.SyntheticConfig{
+		NumRecords: 12000, DomainSize: 300, MinLen: 2, MaxLen: 14, ZipfTheta: 0.9, Seed: 23,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	built, err := Build(d, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := built.NewReader(4096)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ix := r.ix
+	ix.ensureRuntime()
+	// Warm the pool with every list's pages, checking no fingerprint.
+	for rank := sequence.Rank(0); int(rank) < ix.domainSize; rank++ {
+		lc, err := ix.seekTag(rank, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := lc.appendIDs(nil, nil, 0, math.MaxUint32); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rank := sequence.Rank(0)
+	for ix.hotList(rank) == nil {
+		rank++
+	}
+	qs := ix.ord.AppendSet(nil, []sequence.Rank{rank, rank + 20})
+
+	run := func(warm bool) (fingerprints, blocks int, answer []uint32) {
+		t.Helper()
+		f, b, s := ix.arena.fingerprints, ix.arena.bitmapBlocks, r.Stats()
+		answer, err := r.AppendSubset(nil, qs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if misses := r.Stats().Sub(s).Misses; warm && misses != 0 {
+			t.Fatalf("a run on the warm pool read %d pages", misses)
+		}
+		return ix.arena.fingerprints - f, ix.arena.bitmapBlocks - b, answer
+	}
+	f1, b1, a1 := run(true)
+	if f1 == 0 || b1 == 0 {
+		t.Fatalf("subset %v computed %d fingerprints and answered %d blocks from a bitmap, want some", qs, f1, b1)
+	}
+	f2, b2, a2 := run(true)
+	if f2 != 0 || b2 != b1 || !slices.Equal(a2, a1) {
+		t.Fatalf("second run: %d fingerprints, %d bitmap blocks, %d ids; want 0, %d, %d", f2, b2, len(a2), b1, len(a1))
+	}
+	if err := r.Pool().DropAll(); err != nil {
+		t.Fatal(err)
+	}
+	f3, b3, a3 := run(false)
+	if f3 != f1 || b3 != b1 || !slices.Equal(a3, a1) {
+		t.Fatalf("after DropAll: %d fingerprints, %d bitmap blocks, %d ids; want %d, %d, %d", f3, b3, len(a3), f1, b1, len(a1))
+	}
+}
+
+// BenchmarkSubsetHotLeaf runs the subset leaves the repository
+// benchmark's OR, AND NOT and LIMIT ops are built from — {h, c}, h one of
+// the 10 most frequent items and c of frequency rank 11 to 110, on a
+// fixed schedule — over the §5 synthetic dataset at 200 000 records
+// (seed 1), on a warm reader of 4096 pages. Each op is one query; it
+// reports the block fingerprints computed per op beside ns/op.
+func BenchmarkSubsetHotLeaf(b *testing.B) {
+	d, err := dataset.GenerateSynthetic(dataset.DefaultSynthetic(200_000))
+	if err != nil {
+		b.Fatal(err)
+	}
+	ix, err := Build(d, Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	r, err := ix.NewReader(4096)
+	if err != nil {
+		b.Fatal(err)
+	}
+	queries := make([][]dataset.Item, 100)
+	for k := range queries {
+		queries[k] = []dataset.Item{ix.ord.Item(sequence.Rank(k % 10)), ix.ord.Item(sequence.Rank(10 + k))}
+	}
+	var dst []uint32
+	for _, qs := range queries {
+		if dst, err = r.AppendSubset(dst[:0], qs); err != nil {
+			b.Fatal(err)
+		}
+	}
+	before := r.ix.arena.fingerprints
+	b.ResetTimer()
+	for i := range b.N {
+		if dst, err = r.AppendSubset(dst[:0], queries[i%len(queries)]); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(r.ix.arena.fingerprints-before)/float64(b.N), "hashes/op")
 }

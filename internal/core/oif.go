@@ -81,8 +81,10 @@ type Index struct {
 
 	// hot holds, per rank, the in-memory bitmap of a list dense enough
 	// to keep one (hot.go); nil when no list is. Derived at build and
-	// Load, shared by Reader clones.
-	hot []*hotList
+	// Load, shared by Reader clones. hotBlocks counts their blocks,
+	// numbered across the lists (numberHot).
+	hot       []*hotList
+	hotBlocks int
 
 	// snapReserved is word 6 of the snapshot header, carried from Load
 	// to Save uninterpreted (see persist.go); 0 on a fresh Build.
@@ -203,9 +205,7 @@ func build(numRecords, domainSize int, ord *sequence.Order, forms *sequence.Form
 		ix.postingBytes += int64(len(b.val))
 		ix.keyBytes += int64(len(b.key))
 	}
-	if slices.ContainsFunc(lists.hot, func(h *hotList) bool { return h != nil }) {
-		ix.hot = lists.hot
-	}
+	ix.hot, ix.hotBlocks = numberHot(lists.hot)
 
 	// Bulk-load in (rank, tag, id) order: the flat list holds ranks in
 	// ascending order, and within a rank blocks in id (= tag) order.

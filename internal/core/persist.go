@@ -269,6 +269,7 @@ func Load(r io.Reader) (*Index, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadSnapshot, err)
 	}
+	hot, hotBlocks := numberHot(p.hot)
 	return &Index{
 		tree:       tree,
 		ord:        ord,
@@ -284,7 +285,8 @@ func Load(r io.Reader) (*Index, error) {
 		postingBytes: space[1],
 		keyBytes:     space[2],
 		listPostings: listPostings,
-		hot:          p.hot,
+		hot:          hot,
+		hotBlocks:    hotBlocks,
 		ov:           ov,
 	}, nil
 }

@@ -408,8 +408,9 @@ func (ix *Index) AppendSuperset(dst []uint32, qs []dataset.Item) ([]uint32, erro
 // between the smallest and largest candidate are read — the progressive
 // range restriction of Algorithm 1, line 15. The filter is in place:
 // the returned slice reuses cands' storage. A hot list's visited block
-// is answered from its bitmap (hot.go) while it matches its fingerprint;
-// the walk, and so every page request, is the same either way.
+// is answered from its bitmap (hot.go) while it matches its fingerprint,
+// checked once per page read; the walk, and so every page request, is
+// the same either way.
 func (ix *Index) filterByList(rank sequence.Rank, cands []uint32) ([]uint32, error) {
 	if len(cands) == 0 {
 		// Keep cands' backing storage (it is arena scratch the caller
@@ -422,28 +423,30 @@ func (ix *Index) filterByList(rank sequence.Rank, cands []uint32) ([]uint32, err
 		return nil, err
 	}
 	// blk tracks the visited block's index in the hot list: forward on
-	// next, by search only on a reseek.
+	// next, by a forward search on a reseek.
+	ar := ix.arena
 	h := ix.hotList(rank)
-	blk := h.find(lc.lastID)
+	blk := h.find(0, lc.lastID)
 	i := 0
 	for i < len(cands) && lc.valid {
-		// The candidates this block can cover: ids up to the block's last.
-		hi := i
-		for hi < len(cands) && cands[hi] <= lc.lastID {
-			hi++
+		// The block covers the candidates up to its last id. In place: out
+		// ends at or before cands[i] and gains at most one id per
+		// candidate the block covers, so no write passes the last of them,
+		// and the slots it overwrites hold candidates already read (or
+		// marked), which are never read again.
+		if h.holds(blk, cands[i], lc, ar) {
+			out, i = h.appendMembers(out, cands, i, lc.lastID)
+			ar.bitmapBlocks++
+		} else {
+			hi := i
+			for hi < len(cands) && cands[hi] <= lc.lastID {
+				hi++
+			}
+			if out, err = vbyte.AppendMatches(out, lc.cur.Value(), 0, cands[i:hi], &ar.marks); err != nil {
+				return nil, err
+			}
+			i = hi
 		}
-		// In place: out ends at or before cands[i] and gains at most one id
-		// per candidate of cands[i:hi], so no write passes hi, and the
-		// slots it overwrites hold candidates already read (or marked),
-		// which are never read again.
-		val := lc.cur.Value()
-		if h.holds(blk, lc.lastID, cands[i], val) {
-			out = h.appendMembers(out, cands[i:hi])
-			ix.arena.bitmapBlocks++
-		} else if out, err = vbyte.AppendMatches(out, val, 0, cands[i:hi], &ix.arena.marks); err != nil {
-			return nil, err
-		}
-		i = hi
 		if i >= len(cands) {
 			break
 		}
@@ -459,7 +462,7 @@ func (ix *Index) filterByList(rank sequence.Rank, cands []uint32) ([]uint32, err
 			if err != nil {
 				return nil, err
 			}
-			blk = h.find(lc.lastID)
+			blk = h.find(blk, lc.lastID)
 		}
 	}
 	return out, nil

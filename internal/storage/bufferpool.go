@@ -2,7 +2,9 @@ package storage
 
 import (
 	"fmt"
+	"math"
 	"slices"
+	"sync/atomic"
 )
 
 // AccessStats records how a BufferPool has touched its backing pager.
@@ -56,9 +58,10 @@ func (s AccessStats) String() string {
 
 // frame is one cached page plus its LRU bookkeeping.
 type frame struct {
-	id   PageID
-	data []byte
-	pins int
+	id    PageID
+	data  []byte
+	pins  int
+	stamp uint64 // the read that filled data (see BufferPool.Stamp)
 	// intrusive doubly-linked LRU list (head = most recent)
 	prev, next *frame
 }
@@ -75,9 +78,17 @@ type frame struct {
 // Pinned pages are exempt from eviction; callers pin at most a handful of
 // pages at a time (a B-tree root-to-leaf path), which must be smaller than
 // the pool. The zero value is not usable; use NewBufferPool.
+//
+// Each frame carries the stamp of the read that filled it. Because a
+// pool never writes a frame, two equal stamps name the same bytes, so a
+// caller that has copied or checked a page's bytes may skip redoing it
+// while the page's stamp is unchanged.
 type BufferPool struct {
 	pager    Pager
 	capacity int
+	// num and reads make the next stamp: num in the high 32 bits, the
+	// count of pager reads under num in the low 32.
+	num, reads uint32
 	// frames is indexed by page id: ids are dense and a page is never
 	// freed, so the table needs no hashing. A nil entry is a page not
 	// resident; resident counts the others. The table grows only after a
@@ -110,8 +121,36 @@ func NewBufferPool(pager Pager, capacity int) *BufferPool {
 	return &BufferPool{
 		pager:    pager,
 		capacity: capacity,
+		num:      poolNumbers.Add(1),
 		lastMiss: InvalidPageID,
 	}
+}
+
+// poolNumbers hands out pool numbers, from 1, so no stamp is 0 and no
+// two pools share one (short of 2^32 numbers drawn in one process). A
+// pool takes a further number each time its read count would wrap, after
+// 2^32 reads, so its own stamps never repeat either.
+var poolNumbers atomic.Uint32
+
+// Stamp returns the stamp of page id's resident frame, or 0 if the page
+// is not resident. A stamp names one pager read, the one that filled the
+// frame: it is never 0, a hit leaves it as it is, and a re-read after
+// eviction or DropAll gets a new one, unique across every pool of the
+// process. Equal stamps therefore mean equal bytes.
+func (bp *BufferPool) Stamp(id PageID) uint64 {
+	if f := bp.lookup(id); f != nil {
+		return f.stamp
+	}
+	return 0
+}
+
+// stamp numbers one more pager read.
+func (bp *BufferPool) stamp() uint64 {
+	if bp.reads == math.MaxUint32 {
+		bp.num, bp.reads = poolNumbers.Add(1), 0
+	}
+	bp.reads++
+	return uint64(bp.num)<<32 | uint64(bp.reads)
 }
 
 // Pager returns the backing pager.
@@ -282,6 +321,7 @@ func (bp *BufferPool) fetch(id PageID) (*frame, error) {
 		bp.recycle(f)
 		return nil, err
 	}
+	f.stamp = bp.stamp()
 	bp.stats.Misses++
 	switch delta := int64(id) - int64(bp.lastMiss); {
 	case bp.lastMiss == InvalidPageID:

@@ -3,6 +3,7 @@ package storage
 import (
 	"bytes"
 	"errors"
+	"math"
 	"math/rand"
 	"path/filepath"
 	"testing"
@@ -563,5 +564,64 @@ func TestBufferPoolFrameTableEdges(t *testing.T) {
 	}
 	if pool.resident != 0 || pool.lookup(pages-1) != nil {
 		t.Fatalf("DropAll left %d resident", pool.resident)
+	}
+}
+
+// TestBufferPoolStamps pins what a stamp promises: every pager read gets
+// one, never 0 and never one another read of any pool has had — two
+// pools over one pager included — while a hit leaves the frame's stamp
+// as it is, and a page re-read after eviction or DropAll gets a new one.
+// A pool whose read count would wrap takes a new pool number.
+func TestBufferPoolStamps(t *testing.T) {
+	pager := filledPager(t, 64, 4)
+	a, b := NewBufferPool(pager, 2), NewBufferPool(pager, 2)
+	seen := map[uint64]string{}
+	read := func(pool *BufferPool, name string, id PageID) uint64 {
+		t.Helper()
+		if _, err := pool.Get(id); err != nil {
+			t.Fatal(err)
+		}
+		s := pool.Stamp(id)
+		if err := pool.Put(id); err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	fresh := func(s uint64, what string) {
+		t.Helper()
+		if s == 0 {
+			t.Fatalf("%s: stamp 0", what)
+		}
+		if prev, ok := seen[s]; ok {
+			t.Fatalf("%s: stamp %#x already given to %s", what, s, prev)
+		}
+		seen[s] = what
+	}
+
+	if s := a.Stamp(0); s != 0 {
+		t.Fatalf("a page never read has stamp %#x, want 0", s)
+	}
+	a0, b0 := read(a, "a", 0), read(b, "b", 0)
+	fresh(a0, "a's read of page 0")
+	fresh(b0, "b's read of page 0")
+	if s := read(a, "a", 0); s != a0 || a.Stats().Hits != 1 {
+		t.Fatalf("a hit changed page 0's stamp %#x to %#x (%v)", a0, s, a.Stats())
+	}
+	fresh(read(a, "a", 1), "a's read of page 1")
+	fresh(read(a, "a", 2), "a's read of page 2, evicting page 0")
+	if s := a.Stamp(0); s != 0 {
+		t.Fatalf("an evicted page has stamp %#x, want 0", s)
+	}
+	fresh(read(a, "a", 0), "a's re-read of page 0 after its eviction")
+	if err := b.DropAll(); err != nil {
+		t.Fatal(err)
+	}
+	fresh(read(b, "b", 0), "b's re-read of page 0 after DropAll")
+
+	a.reads = math.MaxUint32
+	num := a.num
+	fresh(read(a, "a", 3), "a's read past its read count's wrap")
+	if a.num == num {
+		t.Fatalf("a kept pool number %d past its read count's wrap", num)
 	}
 }
