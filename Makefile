@@ -5,7 +5,7 @@ GOLANGCI ?= golangci-lint
 COVER_FLOOR ?= 90
 COVER_PKGS = ./setcontain/... ./internal/stats/...
 
-.PHONY: all build vet test alloc-check bench bench-module-check fuzz-smoke lint cover check linkcheck vet-examples api-surface api-check serve snapshot-smoke crash-smoke scatter-smoke oifbench-smoke clean
+.PHONY: all build vet test alloc-check bench bench-module-check fuzz-smoke lint cover check linkcheck vet-examples api-surface api-check serve snapshot-smoke crash-smoke scatter-smoke oifbench-smoke mutants clean
 
 all: check
 
@@ -156,6 +156,13 @@ oifbench-smoke:
 		"$$dir/oifbench" -experiment all -scale 0.0001 -realscale 0.02 -queries 3 && \
 		{ "$$dir/oifbench" -experiment nosuch; status=$$?; \
 		  if [ $$status -ne 2 ]; then echo "FAIL: unknown -experiment exited $$status, want 2"; exit 1; fi; }
+
+# The mutation gate: each mutants/*.patch plants one bug in a copy of
+# the tree under $TMPDIR, and the tests its header names must fail on
+# it (docs/MUTANTS.md lists each with its killer). It also fails when a
+# patch no longer applies or builds. The CI mutants job runs this.
+mutants:
+	./scripts/mutants.sh
 
 cover:
 	$(GO) test -coverprofile=coverage.out $(COVER_PKGS)

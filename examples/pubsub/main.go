@@ -111,13 +111,12 @@ func main() {
 	fmt.Printf("...\ndispatched %d events across %d brokers: %.1f matched subscriptions on average, %d max\n",
 		events, brokers, float64(totalMatches)/events, maxMatches)
 
-	// Subscriptions churn: register a new one mid-stream. Refresh tells
-	// the store to retire its pooled readers so the insert is visible.
+	// Subscriptions churn: register a new one mid-stream. The store's
+	// next query sees it.
 	id, err := idx.Insert([]setcontain.Item{1, 2})
 	if err != nil {
 		log.Fatal(err)
 	}
-	store.Refresh()
 	m, err := store.Exec(ctx, setcontain.SupersetQuery([]setcontain.Item{0, 1, 2, 3}))
 	if err != nil {
 		log.Fatal(err)

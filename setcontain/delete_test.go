@@ -43,8 +43,8 @@ func TestDeleteShrinksPostings(t *testing.T) {
 }
 
 // TestStoreUpdateConcurrentWithQueries hammers a Store with queries
-// while the index mutates through Store.Update — insert, delete, merge
-// — from another goroutine. Under -race this is the regression test for
+// while the index mutates directly — insert, delete, merge — from
+// another goroutine. Under -race this is the regression test for
 // two bugs: the IF merge mutating counters in place through arrays
 // shared with live readers, and pooled-reader creation cloning the
 // Index mid-mutation.
@@ -81,21 +81,17 @@ func TestStoreUpdateConcurrentWithQueries(t *testing.T) {
 				}(g)
 			}
 			for round := 0; round < 15; round++ {
-				var id uint32
-				if err := store.Update(func() error {
-					var err error
-					id, err = ix.Insert([]Item{1, 2, Item(round % domain)})
-					return err
-				}); err != nil {
+				id, err := ix.Insert([]Item{1, 2, Item(round % domain)})
+				if err != nil {
 					t.Fatal(err)
 				}
 				if round%2 == 0 {
-					if err := store.Update(func() error { return ix.Delete(id) }); err != nil {
+					if err := ix.Delete(id); err != nil {
 						t.Fatal(err)
 					}
 				}
 				if round%3 == 0 {
-					if err := store.Update(ix.MergeDelta); err != nil {
+					if err := ix.MergeDelta(); err != nil {
 						t.Fatal(err)
 					}
 				}

@@ -45,9 +45,10 @@
 //
 // # Concurrency
 //
-// An Index is not safe for concurrent use — queries share a buffer pool
-// whose cache state they mutate, mirroring the paper's single-stream
-// evaluation. For parallel traffic either create one Reader per goroutine
+// An Index's own predicates are not safe for concurrent use — they
+// share a buffer pool whose cache state they mutate, mirroring the
+// paper's single-stream evaluation — while its mutations and NewReader
+// are (see Index). For parallel traffic either create one Reader per goroutine
 // with NewReader, or use a Store: a concurrency-safe facade that pools
 // readers internally and honours context cancellation:
 //

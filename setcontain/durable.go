@@ -53,7 +53,7 @@ type Durable struct {
 
 	// mu serializes mutations, checkpoint snapshots, and Close against
 	// each other. Lock ordering: serve's admin lock (if any) → mu →
-	// Store.mu (via store.Update).
+	// Index.mu (a sharded Index's, then its shards').
 	mu     sync.Mutex
 	closed bool
 
@@ -338,9 +338,9 @@ func (d *Durable) InsertSets(sets [][]Item) ([]uint32, error) {
 		}
 	}
 	ids := make([]uint32, 0, len(sets))
-	err := d.store.Update(func() error {
+	err := d.idx.mutate(func() error {
 		for i, set := range sets {
-			id, err := d.idx.Insert(set)
+			id, err := d.idx.eng.Insert(set)
 			if err != nil {
 				return fmt.Errorf("setcontain: inserting set %d (after %d inserted): %w", i, len(ids), err)
 			}
@@ -369,9 +369,9 @@ func (d *Durable) DeleteIDs(ids []uint32) error {
 	if d.closed {
 		return errDurableClosed
 	}
-	err := d.store.Update(func() error {
+	err := d.idx.mutate(func() error {
 		for i, id := range ids {
-			if err := d.idx.Delete(id); err != nil {
+			if err := d.idx.eng.Delete(id); err != nil {
 				return fmt.Errorf("setcontain: deleting id %d (after %d deleted): %w", id, i, err)
 			}
 			if _, lerr := d.log.Append(wal.Record{Op: wal.OpDelete, ID: id}); lerr != nil {
@@ -397,7 +397,7 @@ func (d *Durable) MergeDelta() error {
 	if d.closed {
 		return errDurableClosed
 	}
-	return d.store.Update(d.idx.MergeDelta)
+	return d.idx.MergeDelta()
 }
 
 var errDurableClosed = errors.New("setcontain: durable index closed")

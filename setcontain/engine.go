@@ -27,8 +27,9 @@ import (
 // re-point the engine at a caller-owned cache, which is how experiments
 // meter page accesses under the paper's 32 KB budget.
 //
-// An Engine, like an Index, is not safe for concurrent use; NewReader
-// hands out isolated handles that are.
+// An Engine is not safe for concurrent use; NewReader hands out
+// isolated handles that are. An Index orders its Engine's mutations
+// against reader creation.
 type Engine interface {
 	// Kind identifies the engine in the registry.
 	Kind() Kind

@@ -286,7 +286,6 @@ func TestShardFaults(t *testing.T) {
 		}
 		for i, call := range calls {
 			e := exprs[i]
-			tg.store.Refresh()
 			b := serve.NewBatcher(tg.store, serve.Config{})
 			tg.board.arm(shardFault{call: call, shard: 1, delay: time.Minute})
 			rctx, cancel := context.WithCancel(ctx)

@@ -25,11 +25,11 @@ import (
 
 // SupportProfile is the planner's view of an index's statistics: the
 // per-item support table and the distribution summary derived from it.
-// Get one from Index.Supports or Store.Supports and reuse it across
-// plans — profiling sorts the support table once; planning a single
-// expression is then linear in its size. The profile describes the
-// merged structures only (pending delta inserts and tombstones are not
-// reflected), so it is an estimate for ordering work, never an answer.
+// Index.Supports caches one per index generation — profiling sorts the
+// support table once; planning a single expression is then linear in
+// its size. The profile describes the merged structures only (pending
+// delta inserts and tombstones are not reflected), so it is an
+// estimate for ordering work, never an answer.
 type SupportProfile struct {
 	// PerItem[i] is the support of item i (records containing it).
 	PerItem []int64
@@ -445,18 +445,34 @@ func (e *Expr) Eval(t Queryable) ([]uint32, error) {
 	return orEmpty(ids), nil
 }
 
-// Supports profiles the index's current support table for planning;
-// reuse the profile across plans, and refresh it after MergeDelta.
-func (ix *Index) Supports() *SupportProfile { return supportsOf(ix.eng) }
+// profileAt is a support profile and the generation it was made at.
+type profileAt struct {
+	gen  uint64
+	prof *SupportProfile
+}
+
+// Supports returns the planning profile of the index's current support
+// table, cached per generation: a mutation retires it, and the next
+// call profiles again, under the read lock so it never observes a
+// half-applied mutation. Over a sharded index no request reads it — the
+// shards plan — and a remote shard contributes zeros.
+func (ix *Index) Supports() *SupportProfile {
+	if p := ix.prof.Load(); p != nil && p.gen == ix.gen.Load() {
+		return p.prof
+	}
+	ix.mu.RLock()
+	defer ix.mu.RUnlock()
+	p := &profileAt{gen: ix.gen.Load(), prof: supportsOf(ix.eng)}
+	ix.prof.Store(p)
+	return p.prof
+}
 
 // EvalExprLimit answers a boolean expression with planned evaluation —
 // cost-ordered AND children, short-circuiting, galloping set algebra —
 // and returns the first n ids of its answer (see
 // Evaluator.EvalLimitAppend). n == 0 means no limit; a negative n
-// returns ErrNegativeLimit, as on every other entry point. The profile
-// is rebuilt per call — interactive convenience; hot loops should plan
-// once with PlanExpr(e, ix.Supports()) (Store caches the profile per
-// index generation). Over a sharded index the call is a push-down, like
+// returns ErrNegativeLimit, as on every other entry point. It plans
+// against Supports. Over a sharded index the call is a push-down, like
 // a Store's: every shard plans the whole expression against its own
 // supports.
 func (ix *Index) EvalExprLimit(e *Expr, n int) ([]uint32, error) {

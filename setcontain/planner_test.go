@@ -273,7 +273,7 @@ func TestErrUnknownPredicateUnified(t *testing.T) {
 }
 
 // TestStoreSupportsRefresh pins the generation-keyed profile cache:
-// mutations through Update retire the cached supports.
+// mutations of the Index retire the cached supports.
 func TestStoreSupportsRefresh(t *testing.T) {
 	c := sampleCollection(t)
 	ix, err := Build(c, Options{Kind: OIF, PageSize: 512})
@@ -285,10 +285,10 @@ func TestStoreSupportsRefresh(t *testing.T) {
 	if again := s.Supports(); again != before {
 		t.Fatal("supports profile not cached across calls")
 	}
-	if err := s.Update(func() error { _, err := ix.Insert([]Item{1, 2}); return err }); err != nil {
+	if _, err := ix.Insert([]Item{1, 2}); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Update(ix.MergeDelta); err != nil {
+	if err := ix.MergeDelta(); err != nil {
 		t.Fatal(err)
 	}
 	after := s.Supports()

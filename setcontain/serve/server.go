@@ -60,9 +60,8 @@ type Server struct {
 	// snapshot — a snapshot mutates the engine's own buffer pool while
 	// it reads) against each other and against the read-only handlers
 	// that inspect mutable index state (/healthz, /stats take the read
-	// side). Queries keep flowing — they run on the Store's pooled
-	// readers, and each individual mutation goes through Store.Update,
-	// which additionally excludes it from pooled-reader creation.
+	// side). Queries keep flowing on the Store's pooled readers; the
+	// Index orders each mutation against their creation itself.
 	admin sync.RWMutex
 
 	streamsServed   atomic.Int64
@@ -571,7 +570,7 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleMerge folds pending inserts and tombstones into the disk
-// structures (setcontain.Index.MergeDelta) and refreshes the store.
+// structures (setcontain.Index.MergeDelta).
 func (s *Server) handleMerge(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		http.Error(w, "serve: POST only", http.StatusMethodNotAllowed)

@@ -4,6 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"sync"
+	"sync/atomic"
 
 	"repro/internal/dataset"
 )
@@ -88,10 +90,36 @@ func ReadMSWebCollection(r io.Reader, replicas int) (*Collection, error) {
 
 // Index answers the three containment predicates through whichever
 // Engine it wraps. Results are ascending record ids, identical across
-// engines. An Index adds nothing over its Engine except a concrete type
-// for call sites.
+// engines.
+//
+// Mutations (Insert, Delete, MergeDelta) and reader creation (NewReader,
+// and so every Store query) are safe beside each other: a mutation runs
+// under the Index's write lock and bumps its generation before it
+// unlocks, a reader is made under the read lock, and a Store retires a
+// pooled reader whose generation is not the current one, so the next
+// Store query after a mutation returns sees it. The Index's own
+// predicates (Subset, Equality, Superset, EvalExprLimit) share one
+// buffer pool and stay one-goroutine.
 type Index struct {
 	eng Engine
+
+	// mu excludes mutations (write side) from reader creation and
+	// profiling (read side); gen counts the mutations, bumped under the
+	// write lock.
+	mu  sync.RWMutex
+	gen atomic.Uint64
+	// prof caches the planning profile of one generation (Supports).
+	prof atomic.Pointer[profileAt]
+}
+
+// mutate runs fn under the write lock and bumps the generation before
+// it unlocks, whether or not fn failed: a failed batch may have applied
+// a prefix.
+func (ix *Index) mutate(fn func() error) error {
+	ix.mu.Lock()
+	defer ix.mu.Unlock()
+	defer ix.gen.Add(1)
+	return fn()
 }
 
 // buildIndex indexes the collection with the engine selected by
@@ -151,16 +179,23 @@ var ErrNoUpdates = errors.New("setcontain: engine does not support updates")
 // queries immediately) and returns its id. Supported by OIF,
 // InvertedFile, and Sharded; call MergeDelta to fold the delta into the
 // disk structures.
-func (ix *Index) Insert(set []Item) (uint32, error) { return ix.eng.Insert(set) }
+func (ix *Index) Insert(set []Item) (uint32, error) {
+	var id uint32
+	err := ix.mutate(func() (err error) {
+		id, err = ix.eng.Insert(set)
+		return err
+	})
+	return id, err
+}
 
 // Delete tombstones the record with the given id: it disappears from
 // every subsequent answer immediately, its postings are physically
 // removed from the disk lists by the next MergeDelta, and its id is
 // never reused. Supported by the engines that support Insert. Readers
-// created before the delete (including a Store's pooled readers) still
-// serve their original snapshot — call Store.Refresh after deleting,
-// exactly as after Insert.
-func (ix *Index) Delete(id uint32) error { return ix.eng.Delete(id) }
+// created before the delete still serve their original snapshot.
+func (ix *Index) Delete(id uint32) error {
+	return ix.mutate(func() error { return ix.eng.Delete(id) })
+}
 
 // Deleted returns the number of tombstoned records.
 func (ix *Index) Deleted() int { return ix.eng.Deleted() }
@@ -174,9 +209,7 @@ func (ix *Index) Deleted() int { return ix.eng.Deleted() }
 // same capacity is attached afterwards. The fresh cache is seeded with
 // the pre-merge counters, so CacheStats stays cumulative across merges;
 // the cache contents start cold either way.
-// Create new Readers (or call Store.Refresh) so parallel handles see
-// the merged records.
-func (ix *Index) MergeDelta() error { return ix.eng.MergeDelta() }
+func (ix *Index) MergeDelta() error { return ix.mutate(ix.eng.MergeDelta) }
 
 // PendingInserts returns the number of unmerged inserts.
 func (ix *Index) PendingInserts() int { return ix.eng.PendingInserts() }
@@ -224,8 +257,10 @@ type DecodedCacheStats struct {
 // NewReader creates a parallel query handle with its own cache of
 // cachePages pages (0 selects the default 32 KB). The reader shares the
 // index's immutable pages but owns its cache, so one reader per
-// goroutine queries in parallel; readers see the inserts that existed
-// when they were created and never the later ones.
+// goroutine queries in parallel; readers see the mutations made before
+// they were created and never the later ones.
 func (ix *Index) NewReader(cachePages int) (*Reader, error) {
+	ix.mu.RLock()
+	defer ix.mu.RUnlock()
 	return ix.eng.NewReader(cachePages)
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"sync"
 )
 
 // The shard-client layer is the transport seam of the sharded engine:
@@ -89,13 +88,13 @@ type ShardSession interface {
 // InprocShard wraps a local Engine as a ShardClient — the in-process
 // transport, and the reference implementation remote transports are
 // held byte-identical to.
-func InprocShard(eng Engine) ShardClient { return &inprocClient{eng: eng} }
+func InprocShard(eng Engine) ShardClient { return &inprocClient{ix: indexOver(eng)} }
 
+// inprocClient reaches its shard through an Index, which orders the
+// shard's mutations against its sessions and caches its planning
+// profile.
 type inprocClient struct {
-	eng Engine
-
-	mu   sync.Mutex
-	prof *SupportProfile // session planning profile, dropped on mutation
+	ix *Index
 }
 
 // localEngine returns the engine behind an in-process client, or nil:
@@ -104,78 +103,43 @@ type inprocClient struct {
 // contributes zero.
 func localEngine(c ShardClient) Engine {
 	if ic, ok := c.(*inprocClient); ok {
-		return ic.eng
+		return ic.ix.eng
 	}
 	return nil
 }
 
 func (c *inprocClient) Info(context.Context) (ShardInfo, error) {
+	eng := c.ix.eng
 	return ShardInfo{
-		Kind:    c.eng.Kind(),
-		Records: c.eng.NumRecords(),
-		Domain:  c.eng.DomainSize(),
-		Pending: c.eng.PendingInserts(),
-		Deleted: c.eng.Deleted(),
+		Kind:    eng.Kind(),
+		Records: eng.NumRecords(),
+		Domain:  eng.DomainSize(),
+		Pending: eng.PendingInserts(),
+		Deleted: eng.Deleted(),
 	}, nil
 }
 
 func (c *inprocClient) Session(cachePages int) (ShardSession, error) {
-	r, err := c.eng.NewReader(cachePages)
+	r, err := c.ix.NewReader(cachePages)
 	if err != nil {
 		return nil, err
 	}
 	return &inprocSession{c: c, r: r}, nil
 }
 
-// Supports returns the client's cached planning profile, recomputing it
-// after a mutation dropped it. Sessions plan pushed-down expressions
-// against it; staleness only skews cost estimates, never answers.
-func (c *inprocClient) Supports() *SupportProfile {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.prof == nil {
-		c.prof = supportsOf(c.eng)
-	}
-	return c.prof
-}
+func (c *inprocClient) Insert(_ context.Context, set []Item) (uint32, error) { return c.ix.Insert(set) }
 
-func (c *inprocClient) invalidate() {
-	c.mu.Lock()
-	c.prof = nil
-	c.mu.Unlock()
-}
+func (c *inprocClient) Delete(_ context.Context, local uint32) error { return c.ix.Delete(local) }
 
-func (c *inprocClient) Insert(_ context.Context, set []Item) (uint32, error) {
-	id, err := c.eng.Insert(set)
-	if err == nil {
-		c.invalidate()
-	}
-	return id, err
-}
+func (c *inprocClient) MergeDelta(context.Context) error { return c.ix.MergeDelta() }
 
-func (c *inprocClient) Delete(_ context.Context, local uint32) error {
-	err := c.eng.Delete(local)
-	if err == nil {
-		c.invalidate()
-	}
-	return err
-}
-
-func (c *inprocClient) MergeDelta(context.Context) error {
-	err := c.eng.MergeDelta()
-	if err == nil {
-		c.invalidate()
-	}
-	return err
-}
-
-func (c *inprocClient) Snapshot(_ context.Context, w io.Writer) error { return c.eng.Save(w) }
+func (c *inprocClient) Snapshot(_ context.Context, w io.Writer) error { return c.ix.Save(w) }
 
 func (c *inprocClient) Close() error { return nil }
 
 // inprocSession answers on an isolated reader through the same request
 // core as Store (request.answer): pushed-down expressions are
-// planned locally against the client's cached supports, exactly like a
+// planned locally against the shard Index's supports, exactly like a
 // remote shard daemon plans against its own. For the duration of a call
 // the reader's buffer pool consults the call's ctx before every page
 // request, so a ctx that ends mid-scan — the caller's, or the scatter's
@@ -203,7 +167,7 @@ func (s *inprocSession) AppendExpr(ctx context.Context, dst []uint32, expr *Expr
 	s.r.setInterrupt(ctx.Err)
 	defer s.r.setInterrupt(nil)
 	rq := request{e: expr, limit: limit, dst: dst}
-	ids, st, err := rq.answer(ctx, s.r, s.c, &s.eval)
+	ids, st, err := rq.answer(ctx, s.r, s.c.ix, &s.eval)
 	s.last = st
 	return ids, err
 }

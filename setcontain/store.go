@@ -22,27 +22,12 @@ import (
 // Over a Sharded index the Store is a router: it validates a request and
 // forwards it to every shard, which plans it against its own supports,
 // under one ctx — so a cancelled query stops all shard fan-outs mid-stream.
-//
-// A Store serves the snapshot its readers were created from. After
-// Insert, Delete, or MergeDelta on the underlying Index, call Refresh
-// to retire pooled readers so subsequent queries see the change. To
-// mutate the Index while queries are in flight, wrap the mutation in
-// Update — it excludes the store's reader creation (which snapshots the
-// Index's state) for the mutation's duration and refreshes afterwards;
-// mutating the Index directly is only safe when no Store call can run
-// concurrently.
+// Each query runs on a reader of the Index's current generation (see
+// Index), so it sees every mutation that returned before it started.
 type Store struct {
 	ix         *Index
 	cachePages int
-	gen        atomic.Uint64
 	readers    sync.Pool // of *storeReader
-
-	// mu excludes Index mutations (Update's write side) from pooled
-	// reader creation (acquire's read side): NewReader snapshots the
-	// Index's mutable state, so it must not observe a half-applied
-	// Insert/Delete/MergeDelta. Pooled readers already created are
-	// isolated clones and need no lock.
-	mu sync.RWMutex
 
 	// Aggregate statistics over all pooled readers, accumulated at
 	// release time (see storeReader's last* snapshots). Per-field
@@ -51,8 +36,7 @@ type Store struct {
 	// without a single atomic cut.
 	totals storeCounters
 
-	// expr holds the expression planner's generation-cached support
-	// profile and counters (see store_expr.go).
+	// expr holds the expression planner's counters (see store_expr.go).
 	expr exprState
 }
 
@@ -61,8 +45,8 @@ type storeCounters struct {
 	cacheHits, pageReads, seqReads, nearReads, randReads atomic.Int64
 }
 
-// storeReader tags a pooled reader with the store generation it was
-// created under, so Refresh can retire stale snapshots lazily.
+// storeReader tags a pooled reader with the Index generation it was
+// created under, so a mutation retires stale snapshots lazily.
 // lastCache snapshots the reader's cumulative statistics at its
 // previous release, so each release folds only the delta of the query
 // it just served into the store-wide totals.
@@ -103,25 +87,6 @@ func NewStore(ix *Index, cachePages int) *Store {
 	return &Store{ix: ix, cachePages: cachePages}
 }
 
-// Refresh retires the pooled readers: queries issued after Refresh run
-// on readers created from the index's current state. Call it after
-// Insert, Delete, or MergeDelta on the underlying Index.
-func (s *Store) Refresh() { s.gen.Add(1) }
-
-// Update runs fn — a mutation of the underlying Index such as Insert,
-// Delete, or MergeDelta — while no pooled reader is being created, then
-// refreshes the store so subsequent queries observe the change. This is
-// the safe way to mutate a served index: in-flight queries keep running
-// on their isolated readers, new queries wait only for the mutation
-// itself. The serve package's /admin endpoints mutate through it.
-func (s *Store) Update(fn func() error) error {
-	s.mu.Lock()
-	err := fn()
-	s.mu.Unlock()
-	s.Refresh()
-	return err
-}
-
 // Mutator is the batched mutation surface the serving layer writes
 // through, implemented by both Store (plain, in-memory only) and
 // Durable (write-ahead logged): the handlers stay identical whether the
@@ -140,14 +105,14 @@ type Mutator interface {
 	MergeDelta() error
 }
 
-// InsertSets implements Mutator over the plain store: inserts apply to
-// the index under Update and are acknowledged immediately — they live
-// only in memory and die with the process.
+// InsertSets implements Mutator over the plain store: the batch
+// applies to the index as one mutation and is acknowledged immediately
+// — it lives only in memory and dies with the process.
 func (s *Store) InsertSets(sets [][]Item) ([]uint32, error) {
 	ids := make([]uint32, 0, len(sets))
-	err := s.Update(func() error {
+	err := s.ix.mutate(func() error {
 		for i, set := range sets {
-			id, err := s.ix.Insert(set)
+			id, err := s.ix.eng.Insert(set)
 			if err != nil {
 				return fmt.Errorf("setcontain: inserting set %d (after %d inserted): %w", i, len(ids), err)
 			}
@@ -160,9 +125,9 @@ func (s *Store) InsertSets(sets [][]Item) ([]uint32, error) {
 
 // DeleteIDs implements Mutator over the plain store.
 func (s *Store) DeleteIDs(ids []uint32) error {
-	return s.Update(func() error {
+	return s.ix.mutate(func() error {
 		for i, id := range ids {
-			if err := s.ix.Delete(id); err != nil {
+			if err := s.ix.eng.Delete(id); err != nil {
 				return fmt.Errorf("setcontain: deleting id %d (after %d deleted): %w", id, i, err)
 			}
 		}
@@ -171,14 +136,14 @@ func (s *Store) DeleteIDs(ids []uint32) error {
 }
 
 // MergeDelta implements Mutator over the plain store.
-func (s *Store) MergeDelta() error {
-	return s.Update(s.ix.MergeDelta)
-}
+func (s *Store) MergeDelta() error { return s.ix.MergeDelta() }
 
 // acquire returns a reader of the current generation, creating one when
 // the pool is empty or holds only stale snapshots.
 func (s *Store) acquire() (*storeReader, error) {
-	gen := s.gen.Load()
+	// Loaded before the reader is made, so a tag is never newer than
+	// the state the reader holds.
+	gen := s.ix.gen.Load()
 	for {
 		e, _ := s.readers.Get().(*storeReader)
 		if e == nil {
@@ -189,9 +154,7 @@ func (s *Store) acquire() (*storeReader, error) {
 		}
 		// Stale snapshot: drop it and keep looking.
 	}
-	s.mu.RLock()
 	r, err := s.ix.NewReader(s.cachePages)
-	s.mu.RUnlock()
 	if err != nil {
 		return nil, err
 	}
@@ -202,7 +165,7 @@ func (s *Store) release(e *storeReader) {
 	e.r.setInterrupt(nil)
 	e.ctx = nil
 	s.accumulate(e)
-	if e.gen == s.gen.Load() {
+	if e.gen == s.ix.gen.Load() {
 		s.readers.Put(e)
 	}
 }
@@ -296,11 +259,11 @@ func (rq *request) expr() *Expr {
 // appends to rq.dst. On a sharded reader every request, a plain leaf
 // included, is validated and pushed whole to every shard, which plans
 // it against its own supports. Otherwise a plain leaf runs unplanned,
-// and a tree is planned against sup's profile and evaluated through
+// and a tree is planned against ix's profile and evaluated through
 // evr. The stats are zero for a plain leaf, and sum the in-process
 // shards' for a pushed-down tree. ctx reaches the shard calls; a single
 // engine's reader stops on the interrupt hook its caller armed.
-func (rq *request) answer(ctx context.Context, t Queryable, sup interface{ Supports() *SupportProfile }, evr *Evaluator) ([]uint32, ExprEvalStats, error) {
+func (rq *request) answer(ctx context.Context, t Queryable, ix *Index, evr *Evaluator) ([]uint32, ExprEvalStats, error) {
 	if rq.limit < 0 {
 		return nil, ExprEvalStats{}, ErrNegativeLimit
 	}
@@ -315,7 +278,7 @@ func (rq *request) answer(ctx context.Context, t Queryable, sup interface{ Suppo
 		ids, err := q.EvalAppend(rq.dst, t)
 		return ids, ExprEvalStats{}, err
 	}
-	plan, err := PlanExpr(rq.expr(), sup.Supports())
+	plan, err := PlanExpr(rq.expr(), ix.Supports())
 	if err != nil {
 		return nil, ExprEvalStats{}, err
 	}
@@ -338,7 +301,7 @@ func (s *Store) run(ctx context.Context, rq request) ([]uint32, error) {
 	if ctx.Done() != nil {
 		e.arm(ctx)
 	}
-	ids, st, err := rq.answer(ctx, e.r, s, &e.eval)
+	ids, st, err := rq.answer(ctx, e.r, s.ix, &e.eval)
 	if _, leaf := rq.asLeaf(); err == nil && !leaf {
 		s.noteExprEval(st)
 	}

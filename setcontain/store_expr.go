@@ -1,46 +1,18 @@
 package setcontain
 
-import (
-	"sync"
-	"sync/atomic"
-)
+import "sync/atomic"
 
-// What the Store's request core (store.go) plans against and reports
-// to: the support profile cached per store generation and the
-// cumulative planner counters.
-
-// exprState is the Store's expression-planning state: the support
-// profile cache, keyed by store generation so mutations invalidate it
-// through the same Refresh that retires pooled readers, plus the
-// cumulative planner counters.
+// exprState holds the cumulative planner counters the Store's request
+// core (store.go) reports to.
 type exprState struct {
-	mu   sync.Mutex
-	gen  uint64
-	prof *SupportProfile
-
 	expressions     atomic.Int64
 	evaluatedLeaves atomic.Int64
 	streamedLeaves  atomic.Int64
 	skippedLeaves   atomic.Int64
 }
 
-// Supports returns the store's cached support profile, recomputing it
-// when a Refresh has retired the previous one. The profile snapshots
-// the merged structures under the store's mutation lock, so it never
-// observes a half-applied update. Over a sharded index no request reads
-// it — the shards plan — and a remote shard contributes zeros.
-func (s *Store) Supports() *SupportProfile {
-	gen := s.gen.Load()
-	s.expr.mu.Lock()
-	defer s.expr.mu.Unlock()
-	if s.expr.prof == nil || s.expr.gen != gen {
-		s.mu.RLock()
-		prof := supportsOf(s.ix.Engine())
-		s.mu.RUnlock()
-		s.expr.prof, s.expr.gen = prof, gen
-	}
-	return s.expr.prof
-}
+// Supports returns the index's planning profile (Index.Supports).
+func (s *Store) Supports() *SupportProfile { return s.ix.Supports() }
 
 // ExprStats is the Store's cumulative planner accounting: expressions
 // executed through the planned path, containment leaves actually

@@ -7,9 +7,13 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
+
+	"repro/internal/dataset"
+	"repro/internal/naive"
 )
 
 // storeWorkload draws a deterministic mixed workload over the sample
@@ -250,46 +254,191 @@ func TestCancellationBetweenBlockReads(t *testing.T) {
 	}
 }
 
-// TestStoreRefresh checks pooled readers are retired after Refresh so
-// updates become visible, and stay frozen before it.
-func TestStoreRefresh(t *testing.T) {
+// TestStoreReadsItsWrites: after each direct Insert, Delete and
+// MergeDelta on the Index, the Store's next query reflects it, although
+// the query before the mutation left a reader of the old state pooled.
+func TestStoreReadsItsWrites(t *testing.T) {
 	c := sampleCollection(t)
-	ix, err := New(c, WithPageSize(512), WithBlockPostings(8))
-	if err != nil {
-		t.Fatal(err)
-	}
-	store := NewStore(ix, 4)
-	ctx := context.Background()
 	q := SubsetQuery([]Item{1, 2, 3})
-	before, err := store.Exec(ctx, q)
-	if err != nil {
-		t.Fatal(err)
+	for _, tc := range deleteKinds {
+		t.Run(tc.name, func(t *testing.T) {
+			ix, err := New(c, tc.opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			store := NewStore(ix, 4)
+			exec := func(step string, want []uint32) {
+				t.Helper()
+				got, err := store.Exec(t.Context(), q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !slices.Equal(got, want) {
+					t.Fatalf("after %s: %v, want %v", step, got, want)
+				}
+			}
+			before, err := store.Exec(t.Context(), q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(before) == 0 {
+				t.Fatal("setup broken: the probe matches no record")
+			}
+			id, err := ix.Insert([]Item{1, 2, 3})
+			if err != nil {
+				t.Fatal(err)
+			}
+			exec("Insert", append(slices.Clone(before), id))
+			if err := ix.Delete(id); err != nil {
+				t.Fatal(err)
+			}
+			exec("Delete", before)
+			id, err = ix.Insert([]Item{1, 2, 3})
+			if err != nil {
+				t.Fatal(err)
+			}
+			exec("the second Insert", append(slices.Clone(before), id))
+			if err := ix.MergeDelta(); err != nil {
+				t.Fatal(err)
+			}
+			exec("MergeDelta", append(slices.Clone(before), id))
+			if err := ix.Delete(before[0]); err != nil {
+				t.Fatal(err)
+			}
+			exec("a Delete after MergeDelta", append(slices.Clone(before[1:]), id))
+		})
 	}
-	id, err := ix.Insert([]Item{1, 2, 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	stale, err := store.Exec(ctx, q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(stale) != len(before) {
-		// Permitted: sync.Pool may have dropped the reader (GC), and a
-		// freshly created one legitimately sees the insert.
-		t.Logf("pooled reader recycled before Refresh: %d vs %d", len(stale), len(before))
-	}
-	store.Refresh()
-	fresh, err := store.Exec(ctx, q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	found := false
-	for _, got := range fresh {
-		if got == id {
-			found = true
+}
+
+// TestDirectMutationAnswerWindow mutates the Index directly — Insert,
+// Delete and MergeDelta, no Store call — while two goroutines query it
+// through a Store, collecting garbage between queries so pooled readers
+// are dropped and made anew beside the mutations. Every answer must be
+// internal/naive's after some op k, with k at least the ops acknowledged
+// before the query started and at most the ops begun before it
+// returned. The probe item is held by no base record, so only the
+// script's own records answer it.
+func TestDirectMutationAnswerWindow(t *testing.T) {
+	const domain, ops = 40, 48
+	probe := Item(domain)
+	rng := rand.New(rand.NewSource(53))
+	base := NewCollection(domain + 1)
+	for i := 0; i < 600; i++ {
+		set := make([]Item, 1+rng.Intn(6))
+		for j := range set {
+			set[j] = Item(rng.Intn(domain))
+		}
+		if _, err := base.Add(set); err != nil {
+			t.Fatal(err)
 		}
 	}
-	if !found {
-		t.Fatalf("refreshed reader misses inserted record %d: %v", id, fresh)
+	for _, tc := range deleteKinds {
+		t.Run(tc.name, func(t *testing.T) {
+			ix, err := New(base, tc.opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// The script and the answer after each of its ops, from a
+			// mirror of the records: want[k] holds after op k.
+			mirror := dataset.New(domain + 1)
+			for _, r := range base.ds.Records() {
+				if _, err := mirror.Add(r.Set); err != nil {
+					t.Fatal(err)
+				}
+			}
+			type op struct {
+				set []Item // insert it as id, unless nil
+				id  uint32
+				del uint32 // delete it, unless 0
+			}
+			script := make([]op, ops+1)
+			want := make([][]uint32, ops+1)
+			dead := map[uint32]bool{}
+			var live []uint32
+			for k := 1; k <= ops; k++ {
+				switch {
+				case k%5 == 0: // merge
+				case k%3 == 0 && len(live) > 0:
+					script[k].del, live = live[0], live[1:]
+					dead[script[k].del] = true
+				default:
+					script[k].set = []Item{probe, Item(rng.Intn(domain))}
+					if script[k].id, err = mirror.Add(script[k].set); err != nil {
+						t.Fatal(err)
+					}
+					live = append(live, script[k].id)
+				}
+				for _, id := range naive.Subset(mirror, []Item{probe}) {
+					if !dead[id] {
+						want[k] = append(want[k], id)
+					}
+				}
+			}
+			store := NewStore(ix, 4)
+			q := SubsetQuery([]Item{probe})
+			var begun, acked, answered atomic.Int64
+			done := make(chan struct{})
+			var wg sync.WaitGroup
+			defer func() {
+				close(done)
+				wg.Wait()
+			}()
+			for g := 0; g < 2; g++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for {
+						select {
+						case <-done:
+							return
+						default:
+						}
+						lo := acked.Load()
+						got, err := store.Exec(t.Context(), q)
+						hi := begun.Load()
+						if err != nil {
+							t.Error(err)
+							return
+						}
+						k := lo
+						for k <= hi && !slices.Equal(got, want[k]) {
+							k++
+						}
+						if k > hi {
+							t.Errorf("a query started after op %d returned and ended before op %d began: %v, which no op in between left", lo, hi+1, got)
+							return
+						}
+						answered.Add(1)
+						runtime.GC()
+					}
+				}()
+			}
+			for k := 1; k <= ops; k++ {
+				// Let a query finish between any two ops.
+				for n := answered.Load(); answered.Load() == n && !t.Failed(); {
+					runtime.Gosched()
+				}
+				begun.Store(int64(k))
+				switch o := script[k]; {
+				case o.set != nil:
+					id, err := ix.Insert(o.set)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if id != o.id {
+						t.Fatalf("op %d: Insert assigned id %d, the mirror %d", k, id, o.id)
+					}
+				case o.del != 0:
+					if err := ix.Delete(o.del); err != nil {
+						t.Fatal(err)
+					}
+				default:
+					if err := ix.MergeDelta(); err != nil {
+						t.Fatal(err)
+					}
+				}
+				acked.Store(int64(k))
+			}
+		})
 	}
 }

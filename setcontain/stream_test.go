@@ -152,17 +152,12 @@ func TestStorePlanOrderTracksMerge(t *testing.T) {
 		t.Fatalf("pre-merge first AND leg is %s, want subset{0}\nplan:\n%s", got, plan)
 	}
 	// Flip the rarity: 300 new records carry item 0, none carry item 1.
-	if err := s.Update(func() error {
-		for i := 0; i < 300; i++ {
-			if _, err := ix.Insert([]Item{0, 4}); err != nil {
-				return err
-			}
+	for i := 0; i < 300; i++ {
+		if _, err := ix.Insert([]Item{0, 4}); err != nil {
+			t.Fatal(err)
 		}
-		return nil
-	}); err != nil {
-		t.Fatal(err)
 	}
-	if err := s.Update(ix.MergeDelta); err != nil {
+	if err := ix.MergeDelta(); err != nil {
 		t.Fatal(err)
 	}
 	after := s.Supports()
