@@ -269,7 +269,7 @@ func main() {
 		idx = build()
 		store = setcontain.NewStore(idx, *cache)
 	}
-	for _, p := range setcontain.ShardPlans(idx.Engine()) {
+	for _, p := range idx.ShardPlans() {
 		log.Printf("shard %d: %s, %d records, theta %.2f", p.Shard, p.Kind, p.Records, p.Theta)
 	}
 

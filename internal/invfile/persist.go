@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 
 	"repro/internal/liststore"
 	"repro/internal/overlay"
@@ -30,8 +31,15 @@ const snapFlagDeadDirty = 1 << 0 // tombstoned postings still on disk
 // ErrBadSnapshot reports a corrupt or foreign snapshot stream.
 var ErrBadSnapshot = errors.New("invfile: bad index snapshot")
 
-// Save writes a self-contained snapshot of the index to w.
+// Save writes a self-contained snapshot of the index to w. It reads the
+// lists through a pool of its own, as the OIF's Save reads its pager:
+// the index's pool, its frames and its statistics, are left as they
+// were, so Saves may run beside each other and beside readers.
 func (ix *Index) Save(w io.Writer) error {
+	lists, err := ix.store.View(storage.NewBufferPool(ix.store.Pool().Pager(), 1))
+	if err != nil {
+		return err
+	}
 	bw := bufio.NewWriterSize(w, 1<<16)
 	cw := snapio.NewWriter(bw)
 	if _, err := io.WriteString(cw, snapshotMagic); err != nil {
@@ -63,7 +71,7 @@ func (ix *Index) Save(w io.Writer) error {
 	}
 	// Disk lists, one length-framed blob per item.
 	for item := 0; item < ix.domainSize; item++ {
-		raw, err := ix.store.ReadList(uint32(item))
+		raw, err := lists.ReadList(uint32(item))
 		if err != nil {
 			return err
 		}
@@ -183,7 +191,7 @@ func checkLists(lists [][]byte, counts []int64, lastID, emptyIDs []uint32, numRe
 	var ps []vbyte.Posting
 	for item, raw := range lists {
 		var err error
-		if ps, err = vbyte.DecodePostings(raw, 0, ps[:0]); err != nil {
+		if ps, _, err = vbyte.AppendPostingsAfter(ps[:0], raw, 0, 0, math.MaxUint32); err != nil {
 			return fmt.Errorf("list %d: %v", item, err)
 		}
 		last := uint32(0)

@@ -38,12 +38,15 @@ import (
 // Checkpoint call. The two newest checkpoints are retained so recovery
 // can fall back one generation if the newest is damaged.
 //
-// Concurrency: mutations, checkpoints, and Snapshot serialize on the
-// Durable's own mutex; queries flow through the Store untouched. When a
-// log append or fsync fails the log wedges — every later mutation
-// returns the original error — because the failed mutation is applied
-// in memory but possibly missing from the log, and continuing would let
-// the two diverge. Restarting the process recovers the logged prefix.
+// Concurrency: the Index's lock is the only lock on its state. A
+// mutation batch applies and appends under its write lock; a checkpoint
+// serializes the index and marks the log under its read lock, so the
+// mark matches the snapshot; queries flow through the Store untouched
+// (see Index). When a log append or fsync fails the log wedges — every
+// later mutation returns the original error — because the failed
+// mutation is applied in memory but possibly missing from the log, and
+// continuing would let the two diverge. Restarting the process recovers
+// the logged prefix.
 type Durable struct {
 	idx   *Index
 	store *Store
@@ -51,14 +54,14 @@ type Durable struct {
 	dir   string
 	o     DurableOptions
 
-	// mu serializes mutations, checkpoint snapshots, and Close against
-	// each other. Lock ordering: serve's admin lock (if any) → mu →
-	// Index.mu (a sharded Index's, then its shards').
-	mu     sync.Mutex
+	// closed is set by Close under the Index's write lock and read under
+	// its lock by every batch and checkpoint, so no append or rotation
+	// reaches a closed log.
 	closed bool
 
 	// ckpt serializes whole checkpoint cycles (manual and background) so
-	// their file operations never interleave; it nests outside mu.
+	// their file operations never interleave; it nests outside the
+	// Index's lock.
 	ckpt sync.Mutex
 
 	mark   atomic.Uint64 // newest durable checkpoint's LSN watermark
@@ -304,8 +307,8 @@ func applyRecord(idx *Index, rec wal.Record) error {
 	return fmt.Errorf("setcontain: unknown log op %v", rec.Op)
 }
 
-// Index returns the live index (for identity reads: kind, record
-// counts, shard plans). Mutate only through the Durable.
+// Index returns the live index (for reads: kind, record counts, shard
+// plans, Save). Mutate only through the Durable.
 func (d *Durable) Index() *Index { return d.idx }
 
 // Store returns the query store over the live index.
@@ -321,11 +324,6 @@ func (d *Durable) Dir() string { return d.dir }
 // failing set; on a log failure the log wedges and the whole batch
 // reports the wedge.
 func (d *Durable) InsertSets(sets [][]Item) ([]uint32, error) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.closed {
-		return nil, errDurableClosed
-	}
 	// Validate sizes up front: a set too large for one log record must
 	// be refused before anything is applied — rejecting it at the log
 	// after the engine insert would leave the index and the log
@@ -339,6 +337,9 @@ func (d *Durable) InsertSets(sets [][]Item) ([]uint32, error) {
 	}
 	ids := make([]uint32, 0, len(sets))
 	err := d.idx.mutate(func() error {
+		if d.closed {
+			return errDurableClosed
+		}
 		for i, set := range sets {
 			id, err := d.idx.eng.Insert(set)
 			if err != nil {
@@ -353,7 +354,8 @@ func (d *Durable) InsertSets(sets [][]Item) ([]uint32, error) {
 	})
 	// Commit even after a mid-batch engine error: the sets inserted
 	// before the failure were logged and are being reported as applied,
-	// so their durability must not ride on a later call.
+	// so their durability must not ride on a later call. The log has its
+	// own mutex; no index lock is held here.
 	if cerr := d.log.Commit(); err == nil {
 		err = cerr
 	}
@@ -364,12 +366,10 @@ func (d *Durable) InsertSets(sets [][]Item) ([]uint32, error) {
 // DeleteIDs implements Mutator with the same apply-log-commit shape as
 // InsertSets.
 func (d *Durable) DeleteIDs(ids []uint32) error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.closed {
-		return errDurableClosed
-	}
 	err := d.idx.mutate(func() error {
+		if d.closed {
+			return errDurableClosed
+		}
 		for i, id := range ids {
 			if err := d.idx.eng.Delete(id); err != nil {
 				return fmt.Errorf("setcontain: deleting id %d (after %d deleted): %w", id, i, err)
@@ -392,33 +392,22 @@ func (d *Durable) DeleteIDs(ids []uint32) error {
 // skips it reconstructs an index with the same answers, merely with its
 // deltas still pending.
 func (d *Durable) MergeDelta() error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.closed {
-		return errDurableClosed
-	}
-	return d.idx.MergeDelta()
+	return d.idx.mutate(func() error {
+		if d.closed {
+			return errDurableClosed
+		}
+		return d.idx.eng.MergeDelta()
+	})
 }
 
 var errDurableClosed = errors.New("setcontain: durable index closed")
 
-// Snapshot streams the live index's snapshot container to w, consistent
-// with mutations and checkpoints (it holds the same mutex). The serving
-// layer's /admin/snapshot routes through here when a WAL is attached.
-func (d *Durable) Snapshot(w io.Writer) error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.closed {
-		return errDurableClosed
-	}
-	return d.idx.Save(w)
-}
-
 // Checkpoint folds the log into a fresh snapshot now: serialize the
-// index and rotate the log under the mutation lock, then — with
-// mutations flowing again — write the snapshot crash-atomically, drop
-// checkpoints older than the previous one, and truncate the covered log
-// segments. A crash anywhere in the sequence leaves either the old
+// index, take the log's mark and rotate the log under the Index's read
+// lock — appends happen only under its write lock, so the mark is the
+// snapshot's — then, with mutations flowing again, write the snapshot
+// crash-atomically, drop checkpoints older than the previous one, and
+// truncate the covered log segments. A crash anywhere in the sequence leaves either the old
 // checkpoint plus the whole log, or the new checkpoint plus a log tail
 // that replay skips by watermark; both recover exactly.
 func (d *Durable) Checkpoint() error {
@@ -426,20 +415,20 @@ func (d *Durable) Checkpoint() error {
 	defer d.ckpt.Unlock()
 	start := time.Now()
 
-	d.mu.Lock()
+	d.idx.mu.RLock()
 	if d.closed {
-		d.mu.Unlock()
+		d.idx.mu.RUnlock()
 		return errDurableClosed
 	}
 	var buf bytes.Buffer
-	err := d.idx.Save(&buf)
+	err := d.idx.eng.Save(&buf)
 	mark := d.log.LastLSN()
 	if err == nil {
 		// Rotate so every segment covered by the new checkpoint is closed
 		// and whole-file removable by TruncateThrough.
 		err = d.log.Rotate()
 	}
-	d.mu.Unlock()
+	d.idx.mu.RUnlock()
 	if err != nil {
 		return fmt.Errorf("setcontain: checkpoint: %w", err)
 	}
@@ -481,8 +470,8 @@ func (d *Durable) Checkpoint() error {
 }
 
 // maybeCheckpoint kicks the background checkpointer when enough log
-// bytes have accumulated; callers hold d.mu, so the kick must not
-// block.
+// bytes have accumulated. The kick never blocks: a checkpoint already
+// pending covers these bytes too.
 func (d *Durable) maybeCheckpoint() {
 	if d.kick == nil {
 		return
@@ -541,13 +530,13 @@ func (d *Durable) Stats() DurableStats {
 // interval and OS policies. The index remains queryable in memory;
 // mutations fail once closed.
 func (d *Durable) Close() error {
-	d.mu.Lock()
-	if d.closed {
-		d.mu.Unlock()
+	d.idx.mu.Lock()
+	already := d.closed
+	d.closed = true
+	d.idx.mu.Unlock()
+	if already {
 		return nil
 	}
-	d.closed = true
-	d.mu.Unlock()
 	if d.stop != nil {
 		close(d.stop)
 		<-d.done

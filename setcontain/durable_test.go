@@ -4,6 +4,10 @@ import (
 	"bytes"
 	"errors"
 	"reflect"
+	"runtime"
+	"slices"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -328,5 +332,100 @@ func TestDurableRejectsOversizedInsert(t *testing.T) {
 	defer d2.Close()
 	if got := d2.Index().NumRecords(); got != before+1 {
 		t.Fatalf("recovered %d records, want %d", got, before+1)
+	}
+}
+
+// TestDurableCloseBesideWriters closes a Durable while three writers
+// insert and delete through it, checkpointing in the background. The
+// rule: a write acknowledged (nil error) survives OpenDurable; a write
+// that returned an error may or may not survive, but its error is the
+// closed error — no write reaches the closed log, whose own error would
+// be another; and every write begun after Close returned fails.
+func TestDurableCloseBesideWriters(t *testing.T) {
+	const domain, writers = 25, 3
+	probe := Item(domain)
+	c := NewCollection(domain + 1)
+	for i := 0; i < 40; i++ {
+		if _, err := c.Add([]Item{Item(i % domain), Item(i * 7 % domain)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	idx, err := New(c, WithKind(OIF), WithPageSize(512), WithBlockPostings(8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fs := wal.NewMemFS()
+	o := DurableOptions{FS: fs, SegmentBytes: 512, CheckpointBytes: 256}
+	d, err := NewDurable("wal", idx, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var closed atomic.Bool
+	var writes atomic.Int64
+	live := make([][]uint32, writers) // per writer: acknowledged inserts not acknowledged deleted
+	dead := make([][]uint32, writers) // per writer: acknowledged deletes
+	var wg sync.WaitGroup
+	for g := range writers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i, after := 0, 0; after < 3; i++ {
+				late := closed.Load()
+				var err error
+				if i%3 == 2 && len(live[g]) > 0 {
+					id := live[g][0]
+					if err = d.DeleteIDs([]uint32{id}); err == nil {
+						live[g], dead[g] = live[g][1:], append(dead[g], id)
+					}
+				} else {
+					var ids []uint32
+					if ids, err = d.InsertSets([][]Item{{probe, Item(i % domain)}}); err == nil {
+						live[g] = append(live[g], ids[0])
+					}
+				}
+				writes.Add(1)
+				switch {
+				case err != nil && !errors.Is(err, errDurableClosed):
+					t.Errorf("writer %d: write %d failed with %v, want the closed error", g, i, err)
+					return
+				case err == nil && late:
+					t.Errorf("writer %d: write %d begun after Close returned was acknowledged", g, i)
+					return
+				}
+				if late {
+					after++
+				}
+			}
+		}()
+	}
+	for writes.Load() < 60 && !t.Failed() {
+		runtime.Gosched()
+	}
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	closed.Store(true)
+	wg.Wait()
+
+	back, err := OpenDurable("wal", o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer back.Close()
+	got, err := back.Index().Subset([]Item{probe})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for g := range writers {
+		for _, id := range live[g] {
+			if !slices.Contains(got, id) {
+				t.Errorf("acknowledged insert %d lost across Close and OpenDurable", id)
+			}
+		}
+		for _, id := range dead[g] {
+			if slices.Contains(got, id) {
+				t.Errorf("acknowledged delete of %d lost across Close and OpenDurable", id)
+			}
+		}
 	}
 }

@@ -975,7 +975,7 @@ func (h *harness) step(tg *target, op *modelOp, armed *shardFault) *modelFailure
 			} else if err := tg.dur.Checkpoint(); err != nil {
 				return err
 			}
-			return tg.dur.Snapshot(&buf)
+			return tg.dur.Index().Save(&buf)
 		})
 		if f == nil && err == nil {
 			f = h.restore(tg, &buf)

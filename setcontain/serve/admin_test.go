@@ -192,8 +192,8 @@ func TestAdminValidation(t *testing.T) {
 // TestAdminMutationsDuringTraffic mutates and snapshots while queries,
 // /healthz, and /stats hammer the server from several goroutines — the
 // warm-backup-under-load scenario, and (under -race) the regression
-// test for the read-only handlers touching mutable index state without
-// the admin lock. Snapshots must restore, reads must never fail.
+// test for the read-only handlers touching mutable index state outside
+// the Index's lock. Snapshots must restore, reads must never fail.
 func TestAdminMutationsDuringTraffic(t *testing.T) {
 	c, _, _, ts := newTestServer(t, serve.Config{})
 	queries := serveQueries(t, c, 16)

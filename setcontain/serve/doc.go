@@ -35,8 +35,9 @@
 // the error (and, for a parse error, the byte offset of the failing
 // token) before any query runs.
 //
-// The /admin endpoints mutate the live collection (serialized by an
-// internal lock; queries keep flowing on the store's pooled readers):
+// The /admin endpoints mutate the live collection (serialized by the
+// Index's lock, the one lock on its state; queries keep flowing on the
+// store's pooled readers):
 //
 //	POST /admin/insert   — add record sets to the delta, returns their ids
 //	POST /admin/delete   — tombstone record ids (masked immediately)

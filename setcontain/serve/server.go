@@ -56,14 +56,6 @@ type Server struct {
 	bufs  sync.Pool // *[]uint32 answer buffers, recycled across requests
 	lines sync.Pool // *[]byte NDJSON line buffers, recycled across requests
 
-	// admin serializes the mutating endpoints (insert, delete, merge,
-	// snapshot — a snapshot mutates the engine's own buffer pool while
-	// it reads) against each other and against the read-only handlers
-	// that inspect mutable index state (/healthz, /stats take the read
-	// side). Queries keep flowing on the Store's pooled readers; the
-	// Index orders each mutation against their creation itself.
-	admin sync.RWMutex
-
 	streamsServed   atomic.Int64
 	streamsAborted  atomic.Int64
 	snapshotsServed atomic.Int64
@@ -383,11 +375,7 @@ func writeLine(w io.Writer, line *[]byte, r Result) error {
 }
 
 // handleStats reports the serving-side counters; see StatsResponse.
-// The shard plans live in mutable engine state (Insert bumps per-shard
-// record counts), so the handler holds the admin read lock.
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	s.admin.RLock()
-	defer s.admin.RUnlock()
 	bst := s.batcher.Stats()
 	sst := s.store.Stats()
 	resp := StatsResponse{
@@ -419,7 +407,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		SkippedLeaves:   est.SkippedLeaves,
 		Theta:           s.store.Supports().Theta,
 	}
-	for _, p := range setcontain.ShardPlans(s.idx.Engine()) {
+	for _, p := range s.idx.ShardPlans() {
 		resp.ShardPlans = append(resp.ShardPlans, ShardPlanJSON{
 			Shard:         p.Shard,
 			Kind:          p.Kind.String(),
@@ -457,12 +445,9 @@ func walStatsJSON(st setcontain.DurableStats) *WALStatsJSON {
 	return j
 }
 
-// handleHealthz reports liveness plus the served index's identity. The
-// record/pending/deleted gauges read mutable index state, hence the
-// admin read lock.
+// handleHealthz reports liveness plus the served index's identity and
+// record gauges.
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	s.admin.RLock()
-	defer s.admin.RUnlock()
 	resp := HealthResponse{
 		OK:      true,
 		Kind:    s.idx.Kind().String(),
@@ -528,8 +513,6 @@ func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "serve: request carries no sets", http.StatusBadRequest)
 		return
 	}
-	s.admin.Lock()
-	defer s.admin.Unlock()
 	ids, err := s.mut.InsertSets(req.Sets)
 	if err != nil {
 		// The inserts before the failing set stick (with a WAL they are
@@ -560,8 +543,6 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "serve: request carries no ids", http.StatusBadRequest)
 		return
 	}
-	s.admin.Lock()
-	defer s.admin.Unlock()
 	if err := s.mut.DeleteIDs(req.IDs); err != nil {
 		http.Error(w, fmt.Sprintf("serve: %v", err), mutationStatus(err))
 		return
@@ -576,8 +557,6 @@ func (s *Server) handleMerge(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "serve: POST only", http.StatusMethodNotAllowed)
 		return
 	}
-	s.admin.Lock()
-	defer s.admin.Unlock()
 	if err := s.mut.MergeDelta(); err != nil {
 		http.Error(w, fmt.Sprintf("serve: merge: %v", err), http.StatusInternalServerError)
 		return
@@ -601,9 +580,6 @@ func (s *Server) handleCheckpoint(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "serve: no write-ahead log attached (start with -wal-dir)", http.StatusPreconditionFailed)
 		return
 	}
-	// No admin lock: Checkpoint serializes against mutations on the
-	// Durable's own mutex, and holding admin here would stall mutation
-	// traffic for the whole snapshot write rather than its serialize step.
 	if err := s.durable.Checkpoint(); err != nil {
 		http.Error(w, fmt.Sprintf("serve: checkpoint: %v", err), http.StatusInternalServerError)
 		return
@@ -619,31 +595,19 @@ func (s *Server) handleCheckpoint(w http.ResponseWriter, r *http.Request) {
 // handleSnapshot streams the index's self-describing snapshot container
 // as the response body — `curl -X POST …/admin/snapshot -o idx.snap`
 // captures a file that `setcontaind -snapshot idx.snap` (or
-// setcontain.Open) restores without the original dataset. The admin
-// lock keeps mutations out while the pages stream; queries keep being
-// served.
+// setcontain.Open) restores without the original dataset. Save keeps
+// mutations out while it serializes; queries keep being served.
 func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		http.Error(w, "serve: POST only", http.StatusMethodNotAllowed)
 		return
 	}
-	// Serialize into memory under the lock, then stream with the lock
-	// released: the mutation endpoints are blocked only for local
-	// encoding time, never for a slow client's download. (The sharded
-	// container already buffers per-shard payloads, so this adds no new
-	// peak for the largest configurations.) With a WAL attached the
-	// serialization routes through Durable.Snapshot, whose mutex also
-	// excludes the background checkpointer's concurrent Save.
-	s.admin.Lock()
+	// Serialize into memory, then stream: the mutation endpoints are
+	// blocked only for local encoding time, never for a slow client's
+	// download. (The sharded container already buffers per-shard
+	// payloads, so this adds no new peak for the largest configurations.)
 	var snap bytes.Buffer
-	var err error
-	if s.durable != nil {
-		err = s.durable.Snapshot(&snap)
-	} else {
-		err = s.idx.Save(&snap)
-	}
-	s.admin.Unlock()
-	if err != nil {
+	if err := s.idx.Save(&snap); err != nil {
 		http.Error(w, fmt.Sprintf("serve: snapshot: %v", err), http.StatusInternalServerError)
 		s.snapshotsFailed.Add(1)
 		return

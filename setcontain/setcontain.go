@@ -92,20 +92,27 @@ func ReadMSWebCollection(r io.Reader, replicas int) (*Collection, error) {
 // Engine it wraps. Results are ascending record ids, identical across
 // engines.
 //
-// Mutations (Insert, Delete, MergeDelta) and reader creation (NewReader,
-// and so every Store query) are safe beside each other: a mutation runs
-// under the Index's write lock and bumps its generation before it
-// unlocks, a reader is made under the read lock, and a Store retires a
-// pooled reader whose generation is not the current one, so the next
-// Store query after a mutation returns sees it. The Index's own
-// predicates (Subset, Equality, Superset, EvalExprLimit) share one
-// buffer pool and stay one-goroutine.
+// Every Index method is safe beside every other, mutations included,
+// except the Index's own predicates (Subset, Equality, Superset,
+// EvalExprLimit) and CacheStats / ResetCacheStats: those share the
+// engine's one buffer pool and stay one-goroutine. A mutation (Insert,
+// Delete, MergeDelta, and the Store and Durable batches) runs under the
+// Index's write lock and bumps its generation before it unlocks; reader
+// creation (NewReader, and so every Store query), Save, the record
+// counts, ShardPlans and Supports run under the read lock. A Store
+// retires a pooled reader whose generation is not the current one, so
+// the next Store query after a mutation returns sees it.
+//
+// That lock is the one lock on index state: a sharded Index's is taken
+// before its shards' own. Code that holds it calls the engine, never a
+// locking Index method — a nested read lock deadlocks once a writer
+// waits.
 type Index struct {
 	eng Engine
 
-	// mu excludes mutations (write side) from reader creation and
-	// profiling (read side); gen counts the mutations, bumped under the
-	// write lock.
+	// mu excludes mutations (write side) from everything that reads the
+	// engine's state (read side); gen counts the mutations, bumped under
+	// the write lock.
 	mu  sync.RWMutex
 	gen atomic.Uint64
 	// prof caches the planning profile of one generation (Supports).
@@ -161,7 +168,11 @@ func (ix *Index) Kind() Kind { return ix.eng.Kind() }
 
 // NumRecords returns the number of indexed records, pending inserts
 // included.
-func (ix *Index) NumRecords() int { return ix.eng.NumRecords() }
+func (ix *Index) NumRecords() int {
+	ix.mu.RLock()
+	defer ix.mu.RUnlock()
+	return ix.eng.NumRecords()
+}
 
 // Subset returns ids of records whose sets contain every item of qs.
 func (ix *Index) Subset(qs []Item) ([]uint32, error) { return ix.eng.Subset(qs) }
@@ -198,7 +209,11 @@ func (ix *Index) Delete(id uint32) error {
 }
 
 // Deleted returns the number of tombstoned records.
-func (ix *Index) Deleted() int { return ix.eng.Deleted() }
+func (ix *Index) Deleted() int {
+	ix.mu.RLock()
+	defer ix.mu.RUnlock()
+	return ix.eng.Deleted()
+}
 
 // MergeDelta folds pending inserts and tombstones into the disk
 // structures: a cheap list append (plus a list rewrite when deletions
@@ -212,7 +227,11 @@ func (ix *Index) Deleted() int { return ix.eng.Deleted() }
 func (ix *Index) MergeDelta() error { return ix.mutate(ix.eng.MergeDelta) }
 
 // PendingInserts returns the number of unmerged inserts.
-func (ix *Index) PendingInserts() int { return ix.eng.PendingInserts() }
+func (ix *Index) PendingInserts() int {
+	ix.mu.RLock()
+	defer ix.mu.RUnlock()
+	return ix.eng.PendingInserts()
+}
 
 // ErrNoSnapshots reports an engine without snapshot support.
 var ErrNoSnapshots = errors.New("setcontain: engine does not support snapshots")
@@ -223,8 +242,12 @@ var ErrNoSnapshots = errors.New("setcontain: engine does not support snapshots")
 // inserts, tombstones), guarded by CRC trailers. Open reconstructs the
 // index from it without the original dataset. Supported by OIF,
 // InvertedFile, and Sharded; the UBT ablation rebuilds quickly from its
-// collection and does not snapshot.
-func (ix *Index) Save(w io.Writer) error { return ix.eng.Save(w) }
+// collection and does not snapshot. Mutations wait while it writes.
+func (ix *Index) Save(w io.Writer) error {
+	ix.mu.RLock()
+	defer ix.mu.RUnlock()
+	return ix.eng.Save(w)
+}
 
 // CacheStats reports the index's I/O behaviour since the last reset.
 // Counters are cumulative across MergeDelta: the post-merge cache is

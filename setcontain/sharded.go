@@ -234,9 +234,11 @@ func assembleSharded(ctx context.Context, part Partitioner, clients []ShardClien
 }
 
 // ShardPlans returns the per-shard planning decisions of a sharded
-// engine (or index over one), and nil for any other engine.
-func ShardPlans(e Engine) []ShardPlan {
-	se, ok := e.(*shardedEngine)
+// index, and nil for any other index.
+func (ix *Index) ShardPlans() []ShardPlan {
+	ix.mu.RLock()
+	defer ix.mu.RUnlock()
+	se, ok := ix.eng.(*shardedEngine)
 	if !ok {
 		return nil
 	}

@@ -88,7 +88,7 @@ func TestShardedPlans(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plans := ShardPlans(ix.Engine())
+	plans := ix.ShardPlans()
 	if len(plans) != 4 {
 		t.Fatalf("ShardPlans: %d entries", len(plans))
 	}
@@ -106,13 +106,13 @@ func TestShardedPlans(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, p := range ShardPlans(ix.Engine()) {
+	for _, p := range ix.ShardPlans() {
 		if p.Kind != InvertedFile {
 			t.Errorf("uniform shard %d planned %v (theta %.2f)", p.Shard, p.Kind, p.Theta)
 		}
 	}
 
-	if got := ShardPlans(ShardEngines(ix.Engine())[0]); got != nil {
+	if got := IndexOver(ShardEngines(ix.Engine())[0]).ShardPlans(); got != nil {
 		t.Errorf("ShardPlans on inner engine = %v, want nil", got)
 	}
 }
@@ -127,7 +127,7 @@ func TestShardedExplicitBlockPostings(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, p := range ShardPlans(ix.Engine()) {
+		for _, p := range ix.ShardPlans() {
 			if p.Kind == OIF && p.BlockPostings != explicit {
 				t.Errorf("shard %d: explicit block postings %d overridden to %d",
 					p.Shard, explicit, p.BlockPostings)
@@ -141,7 +141,7 @@ func TestShardedExplicitBlockPostings(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, p := range ShardPlans(ix.Engine()) {
+	for _, p := range ix.ShardPlans() {
 		if p.Kind == OIF && p.BlockPostings <= 0 {
 			t.Errorf("shard %d: planner left frontier unsized", p.Shard)
 		}

@@ -92,7 +92,7 @@ func TestShardPlansPinned(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got := pinPlans(ShardPlans(ix.Engine()))
+			got := pinPlans(ix.ShardPlans())
 			if !slices.Equal(got, tc.want) {
 				t.Fatalf("plans\n got %#v\nwant %#v", got, tc.want)
 			}
@@ -104,7 +104,7 @@ func TestShardPlansPinned(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if restored := pinPlans(ShardPlans(back.Engine())); !slices.Equal(restored, got) {
+			if restored := pinPlans(back.ShardPlans()); !slices.Equal(restored, got) {
 				t.Fatalf("plans after Save / Open\n got %#v\nwant %#v", restored, got)
 			}
 		})

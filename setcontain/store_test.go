@@ -14,6 +14,7 @@ import (
 
 	"repro/internal/dataset"
 	"repro/internal/naive"
+	"repro/internal/wal"
 )
 
 // storeWorkload draws a deterministic mixed workload over the sample
@@ -310,18 +311,11 @@ func TestStoreReadsItsWrites(t *testing.T) {
 	}
 }
 
-// TestDirectMutationAnswerWindow mutates the Index directly — Insert,
-// Delete and MergeDelta, no Store call — while two goroutines query it
-// through a Store, collecting garbage between queries so pooled readers
-// are dropped and made anew beside the mutations. Every answer must be
-// internal/naive's after some op k, with k at least the ops acknowledged
-// before the query started and at most the ops begun before it
-// returned. The probe item is held by no base record, so only the
-// script's own records answer it.
-func TestDirectMutationAnswerWindow(t *testing.T) {
-	const domain, ops = 40, 48
-	probe := Item(domain)
-	rng := rand.New(rand.NewSource(53))
+// probeBase draws a collection of 600 records over [0, domain) in a
+// domain of domain+1 items, so the item domain — the probe — is held by
+// no base record.
+func probeBase(t *testing.T, domain int, rng *rand.Rand) *Collection {
+	t.Helper()
 	base := NewCollection(domain + 1)
 	for i := 0; i < 600; i++ {
 		set := make([]Item, 1+rng.Intn(6))
@@ -332,49 +326,152 @@ func TestDirectMutationAnswerWindow(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	for _, tc := range deleteKinds {
+	return base
+}
+
+// probeOp is one op of a probe script: insert set, which must be
+// assigned id, or delete del, or — neither — merge.
+type probeOp struct {
+	set []Item
+	id  uint32
+	del uint32
+}
+
+// probeScript draws ops ops over base — every fifth a merge, every
+// third else a delete of the oldest live insert, the rest inserts of the
+// probe and one more item — and, from a mirror of the records,
+// internal/naive's answer to Subset{probe} after each: want[k] holds
+// after op k, want[0] before any. script[0] is unused.
+func probeScript(t *testing.T, base *Collection, probe Item, ops int, rng *rand.Rand) ([]probeOp, [][]uint32) {
+	t.Helper()
+	domain := base.DomainSize() - 1
+	mirror := dataset.New(base.DomainSize())
+	for _, r := range base.ds.Records() {
+		if _, err := mirror.Add(r.Set); err != nil {
+			t.Fatal(err)
+		}
+	}
+	script := make([]probeOp, ops+1)
+	want := make([][]uint32, ops+1)
+	dead := map[uint32]bool{}
+	var live []uint32
+	for k := 1; k <= ops; k++ {
+		switch {
+		case k%5 == 0: // merge
+		case k%3 == 0 && len(live) > 0:
+			script[k].del, live = live[0], live[1:]
+			dead[script[k].del] = true
+		default:
+			script[k].set = []Item{probe, Item(rng.Intn(domain))}
+			var err error
+			if script[k].id, err = mirror.Add(script[k].set); err != nil {
+				t.Fatal(err)
+			}
+			live = append(live, script[k].id)
+		}
+		for _, id := range naive.Subset(mirror, []Item{probe}) {
+			if !dead[id] {
+				want[k] = append(want[k], id)
+			}
+		}
+	}
+	return script, want
+}
+
+// mutator applies a probe script: through the Index's own methods or
+// through a Durable's batches.
+type mutator struct {
+	insert func([]Item) (uint32, error)
+	del    func(uint32) error
+	merge  func() error
+}
+
+func indexMutator(ix *Index) mutator { return mutator{ix.Insert, ix.Delete, ix.MergeDelta} }
+
+func durableMutator(d *Durable) mutator {
+	return mutator{
+		insert: func(set []Item) (uint32, error) {
+			ids, err := d.InsertSets([][]Item{set})
+			if err != nil {
+				return 0, err
+			}
+			return ids[0], nil
+		},
+		del:   func(id uint32) error { return d.DeleteIDs([]uint32{id}) },
+		merge: d.MergeDelta,
+	}
+}
+
+// apply runs op k of a probe script.
+func (m mutator) apply(t *testing.T, k int, o probeOp) {
+	t.Helper()
+	switch {
+	case o.set != nil:
+		id, err := m.insert(o.set)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if id != o.id {
+			t.Fatalf("op %d: Insert assigned id %d, the mirror %d", k, id, o.id)
+		}
+	case o.del != 0:
+		if err := m.del(o.del); err != nil {
+			t.Fatal(err)
+		}
+	default:
+		if err := m.merge(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// inWindow returns the first k in [lo, hi] with got == want[k], or -1.
+func inWindow(got []uint32, want [][]uint32, lo, hi int64) int64 {
+	for k := lo; k <= hi; k++ {
+		if slices.Equal(got, want[k]) {
+			return k
+		}
+	}
+	return -1
+}
+
+// TestDirectMutationAnswerWindow mutates the Index directly — Insert,
+// Delete and MergeDelta, no Store call — while two goroutines query it
+// through a Store, collecting garbage between queries so pooled readers
+// are dropped and made anew beside the mutations. Every answer must be
+// internal/naive's after some op k, with k at least the ops acknowledged
+// before the query started and at most the ops begun before it
+// returned. The probe item is held by no base record, so only the
+// script's own records answer it. The Durable target runs the same
+// script through a Durable's batches, checkpointing in the background,
+// and queries its Store.
+func TestDirectMutationAnswerWindow(t *testing.T) {
+	const domain, ops = 40, 48
+	probe := Item(domain)
+	rng := rand.New(rand.NewSource(53))
+	base := probeBase(t, domain, rng)
+	targets := append(slices.Clone(deleteKinds), struct {
+		name string
+		opts []Option
+	}{"Durable", deleteKinds[0].opts})
+	for _, tc := range targets {
 		t.Run(tc.name, func(t *testing.T) {
 			ix, err := New(base, tc.opts...)
 			if err != nil {
 				t.Fatal(err)
 			}
-			// The script and the answer after each of its ops, from a
-			// mirror of the records: want[k] holds after op k.
-			mirror := dataset.New(domain + 1)
-			for _, r := range base.ds.Records() {
-				if _, err := mirror.Add(r.Set); err != nil {
+			script, want := probeScript(t, base, probe, ops, rng)
+			store, m := NewStore(ix, 4), indexMutator(ix)
+			if tc.name == "Durable" {
+				d, err := NewDurable("wal", ix, DurableOptions{
+					CachePages: 4, FS: wal.NewMemFS(), SegmentBytes: 512, CheckpointBytes: 256,
+				})
+				if err != nil {
 					t.Fatal(err)
 				}
+				defer d.Close()
+				store, m = d.Store(), durableMutator(d)
 			}
-			type op struct {
-				set []Item // insert it as id, unless nil
-				id  uint32
-				del uint32 // delete it, unless 0
-			}
-			script := make([]op, ops+1)
-			want := make([][]uint32, ops+1)
-			dead := map[uint32]bool{}
-			var live []uint32
-			for k := 1; k <= ops; k++ {
-				switch {
-				case k%5 == 0: // merge
-				case k%3 == 0 && len(live) > 0:
-					script[k].del, live = live[0], live[1:]
-					dead[script[k].del] = true
-				default:
-					script[k].set = []Item{probe, Item(rng.Intn(domain))}
-					if script[k].id, err = mirror.Add(script[k].set); err != nil {
-						t.Fatal(err)
-					}
-					live = append(live, script[k].id)
-				}
-				for _, id := range naive.Subset(mirror, []Item{probe}) {
-					if !dead[id] {
-						want[k] = append(want[k], id)
-					}
-				}
-			}
-			store := NewStore(ix, 4)
 			q := SubsetQuery([]Item{probe})
 			var begun, acked, answered atomic.Int64
 			done := make(chan struct{})
@@ -400,11 +497,7 @@ func TestDirectMutationAnswerWindow(t *testing.T) {
 							t.Error(err)
 							return
 						}
-						k := lo
-						for k <= hi && !slices.Equal(got, want[k]) {
-							k++
-						}
-						if k > hi {
+						if inWindow(got, want, lo, hi) < 0 {
 							t.Errorf("a query started after op %d returned and ended before op %d began: %v, which no op in between left", lo, hi+1, got)
 							return
 						}
@@ -419,24 +512,7 @@ func TestDirectMutationAnswerWindow(t *testing.T) {
 					runtime.Gosched()
 				}
 				begun.Store(int64(k))
-				switch o := script[k]; {
-				case o.set != nil:
-					id, err := ix.Insert(o.set)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if id != o.id {
-						t.Fatalf("op %d: Insert assigned id %d, the mirror %d", k, id, o.id)
-					}
-				case o.del != 0:
-					if err := ix.Delete(o.del); err != nil {
-						t.Fatal(err)
-					}
-				default:
-					if err := ix.MergeDelta(); err != nil {
-						t.Fatal(err)
-					}
-				}
+				m.apply(t, k, script[k])
 				acked.Store(int64(k))
 			}
 		})
