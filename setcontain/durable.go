@@ -17,8 +17,10 @@ import (
 )
 
 // Durable binds an Index, its Store, and a write-ahead log into the
-// never-lose-an-acknowledged-write mutation path. Every insert and
-// delete is applied to the live index, appended to the log, and made
+// never-lose-an-acknowledged-write mutation path. The log hangs off the
+// index's one mutation path (see Index), so every insert and delete —
+// made through the Durable, the Index, its Store or any other Store
+// over it — is applied to the live index, appended to the log, and made
 // durable per the configured fsync policy before the call returns;
 // OpenDurable restores the newest checkpoint snapshot and replays the
 // log tail on top, so a crash at any moment — mid-append, mid-
@@ -55,7 +57,7 @@ type Durable struct {
 	o     DurableOptions
 
 	// closed is set by Close under the Index's write lock and read under
-	// its lock by every batch and checkpoint, so no append or rotation
+	// its lock by Index.mutate and Checkpoint, so no append or rotation
 	// reaches a closed log.
 	closed bool
 
@@ -208,25 +210,32 @@ func OpenDurable(dir string, o DurableOptions) (*Durable, error) {
 	if idx == nil {
 		return nil, fmt.Errorf("setcontain: no loadable checkpoint: %w", loadErr)
 	}
-	log, replay, err := wal.Open(dir, o.walOptions(), mark, func(rec wal.Record) error {
+	// The log attaches after replay: replay applies through Index.Insert
+	// and Delete, which would otherwise log every record again.
+	d := &Durable{idx: idx, store: NewStore(idx, o.CachePages), dir: dir, o: o}
+	d.mark.Store(mark)
+	d.log, d.replay, err = wal.Open(dir, o.walOptions(), mark, func(rec wal.Record) error {
 		return applyRecord(idx, rec)
 	})
 	if err != nil {
 		return nil, fmt.Errorf("setcontain: replaying log: %w", err)
 	}
-	if replay.Records > 0 || replay.Truncated {
+	if d.replay.Records > 0 || d.replay.Truncated {
 		o.Logf("setcontain: replayed %d log records in %v (%d skipped, truncated=%v)",
-			replay.Records, replay.Duration.Round(time.Microsecond), replay.Skipped, replay.Truncated)
+			d.replay.Records, d.replay.Duration.Round(time.Microsecond), d.replay.Skipped, d.replay.Truncated)
 	}
-	return newDurable(dir, idx, log, mark, replay, o), nil
+	d.attach()
+	return d, nil
 }
 
 // NewDurable initializes dir as the durable home of idx: an initial
 // checkpoint of the index as handed in, then an empty log. It refuses a
 // directory that already holds a checkpoint — that is an existing
 // durable index, and silently re-seeding it would discard its log; use
-// OpenDurable there. Stale log segments without any checkpoint (an
-// interrupted bootstrap) are cleared.
+// OpenDurable there. It refuses an index that already has a Durable,
+// closed or not: two logs over one index would each record ids the
+// other's replay cannot reproduce. Stale log segments without any
+// checkpoint (an interrupted bootstrap) are cleared.
 func NewDurable(dir string, idx *Index, o DurableOptions) (*Durable, error) {
 	o.fill()
 	fs := o.FS
@@ -240,6 +249,13 @@ func NewDurable(dir string, idx *Index, o DurableOptions) (*Durable, error) {
 	if len(marks) > 0 {
 		return nil, fmt.Errorf("setcontain: %s already holds a durable index (checkpoint %s); open it with OpenDurable",
 			dir, checkpointName(marks[0]))
+	}
+	// The write lock, held to the end, keeps every mutation out between
+	// the initial checkpoint and the log's attachment.
+	idx.mu.Lock()
+	defer idx.mu.Unlock()
+	if idx.dur != nil {
+		return nil, fmt.Errorf("setcontain: the index already has a Durable (in %s)", idx.dur.dir)
 	}
 	names, err := fs.ReadDir(dir)
 	if err != nil {
@@ -255,33 +271,27 @@ func NewDurable(dir string, idx *Index, o DurableOptions) (*Durable, error) {
 	// The initial checkpoint makes the bootstrap itself crash-atomic:
 	// until the rename lands the directory still has no checkpoint, and a
 	// rerun starts over.
-	if err := wal.WriteFileAtomic(fs, filepath.Join(dir, checkpointName(0)), idx.Save); err != nil {
+	if err := wal.WriteFileAtomic(fs, filepath.Join(dir, checkpointName(0)), idx.eng.Save); err != nil {
 		return nil, fmt.Errorf("setcontain: writing initial checkpoint: %w", err)
 	}
-	log, _, err := wal.Open(dir, o.walOptions(), 0, nil)
-	if err != nil {
+	d := &Durable{idx: idx, store: NewStore(idx, o.CachePages), dir: dir, o: o}
+	if d.log, _, err = wal.Open(dir, o.walOptions(), 0, nil); err != nil {
 		return nil, err
 	}
-	return newDurable(dir, idx, log, 0, wal.ReplayStats{}, o), nil
+	d.attach()
+	return d, nil
 }
 
-func newDurable(dir string, idx *Index, log *wal.Log, mark uint64, replay wal.ReplayStats, o DurableOptions) *Durable {
-	d := &Durable{
-		idx:    idx,
-		store:  NewStore(idx, o.CachePages),
-		log:    log,
-		dir:    dir,
-		o:      o,
-		replay: replay,
-	}
-	d.mark.Store(mark)
-	if o.CheckpointBytes > 0 {
+// attach makes d's log the index's — with the write lock held, or the
+// index not yet shared — and starts the background checkpointer.
+func (d *Durable) attach() {
+	d.idx.dur = d
+	if d.o.CheckpointBytes > 0 {
 		d.kick = make(chan struct{}, 1)
 		d.stop = make(chan struct{})
 		d.done = make(chan struct{})
 		go d.checkpointLoop()
 	}
-	return d
 }
 
 // applyRecord replays one logged mutation into idx. Replay re-runs the
@@ -307,8 +317,8 @@ func applyRecord(idx *Index, rec wal.Record) error {
 	return fmt.Errorf("setcontain: unknown log op %v", rec.Op)
 }
 
-// Index returns the live index (for reads: kind, record counts, shard
-// plans, Save). Mutate only through the Durable.
+// Index returns the live index. Its mutations are logged like the
+// Durable's own.
 func (d *Durable) Index() *Index { return d.idx }
 
 // Store returns the query store over the live index.
@@ -317,87 +327,33 @@ func (d *Durable) Store() *Store { return d.store }
 // Dir returns the WAL directory.
 func (d *Durable) Dir() string { return d.dir }
 
-// InsertSets implements Mutator: each set is inserted into the live
-// index and appended to the log; the batch is fsynced once per the
-// policy before the call returns. On a mid-batch engine failure the
-// earlier inserts stick (applied and logged) and the error names the
-// failing set; on a log failure the log wedges and the whole batch
-// reports the wedge.
-func (d *Durable) InsertSets(sets [][]Item) ([]uint32, error) {
-	// Validate sizes up front: a set too large for one log record must
-	// be refused before anything is applied — rejecting it at the log
-	// after the engine insert would leave the index and the log
-	// disagreeing, and logging it anyway would make replay truncate it
-	// (and every acknowledged record after it) as a corrupt tail.
-	for i, set := range sets {
-		if len(set) > wal.MaxInsertItems {
-			return nil, fmt.Errorf("setcontain: inserting set %d: %w (%d items, max %d)",
-				i, wal.ErrRecordTooLarge, len(set), wal.MaxInsertItems)
-		}
-	}
-	ids := make([]uint32, 0, len(sets))
-	err := d.idx.mutate(func() error {
-		if d.closed {
-			return errDurableClosed
-		}
-		for i, set := range sets {
-			id, err := d.idx.eng.Insert(set)
-			if err != nil {
-				return fmt.Errorf("setcontain: inserting set %d (after %d inserted): %w", i, len(ids), err)
-			}
-			if _, lerr := d.log.Append(wal.Record{Op: wal.OpInsert, ID: id, Set: set}); lerr != nil {
-				return lerr
-			}
-			ids = append(ids, id)
-		}
-		return nil
-	})
-	// Commit even after a mid-batch engine error: the sets inserted
-	// before the failure were logged and are being reported as applied,
-	// so their durability must not ride on a later call. The log has its
-	// own mutex; no index lock is held here.
-	if cerr := d.log.Commit(); err == nil {
-		err = cerr
-	}
-	d.maybeCheckpoint()
-	return ids, err
-}
+// InsertSets is Store.InsertSets: the index's one insert path logs each
+// set and commits the batch per the fsync policy before it returns. On
+// a log failure the log wedges and the whole batch reports the wedge.
+func (d *Durable) InsertSets(sets [][]Item) ([]uint32, error) { return d.idx.insertSets(sets) }
 
-// DeleteIDs implements Mutator with the same apply-log-commit shape as
-// InsertSets.
-func (d *Durable) DeleteIDs(ids []uint32) error {
-	err := d.idx.mutate(func() error {
-		if d.closed {
-			return errDurableClosed
-		}
-		for i, id := range ids {
-			if err := d.idx.eng.Delete(id); err != nil {
-				return fmt.Errorf("setcontain: deleting id %d (after %d deleted): %w", id, i, err)
-			}
-			if _, lerr := d.log.Append(wal.Record{Op: wal.OpDelete, ID: id}); lerr != nil {
-				return lerr
-			}
-		}
-		return nil
-	})
+// DeleteIDs is Store.DeleteIDs, logged like InsertSets.
+func (d *Durable) DeleteIDs(ids []uint32) error { return d.idx.deleteIDs(ids) }
+
+// MergeDelta folds the delta into the disk structures. A merge is a
+// physical reorganization — it changes no logical answer — so it is not
+// logged: a replay that skips it reconstructs an index with the same
+// answers, merely with its deltas still pending.
+func (d *Durable) MergeDelta() error { return d.idx.MergeDelta() }
+
+// commit makes a batch's appends durable per the fsync policy and kicks
+// the checkpointer, with no index lock held. It commits after a
+// mid-batch engine error too: the sets applied before it were logged
+// and are reported applied. A nil d (a plain index) passes err through.
+func (d *Durable) commit(err error) error {
+	if d == nil {
+		return err
+	}
 	if cerr := d.log.Commit(); err == nil {
 		err = cerr
 	}
 	d.maybeCheckpoint()
 	return err
-}
-
-// MergeDelta implements Mutator. A merge is a physical reorganization —
-// it changes no logical answer — so it is not logged: a replay that
-// skips it reconstructs an index with the same answers, merely with its
-// deltas still pending.
-func (d *Durable) MergeDelta() error {
-	return d.idx.mutate(func() error {
-		if d.closed {
-			return errDurableClosed
-		}
-		return d.idx.eng.MergeDelta()
-	})
 }
 
 var errDurableClosed = errors.New("setcontain: durable index closed")
@@ -473,10 +429,7 @@ func (d *Durable) Checkpoint() error {
 // bytes have accumulated. The kick never blocks: a checkpoint already
 // pending covers these bytes too.
 func (d *Durable) maybeCheckpoint() {
-	if d.kick == nil {
-		return
-	}
-	if d.log.Stats().BytesSinceCheckpoint < d.o.CheckpointBytes {
+	if d.kick == nil || d.log.Stats().BytesSinceCheckpoint < d.o.CheckpointBytes {
 		return
 	}
 	select {

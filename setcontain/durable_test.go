@@ -429,3 +429,37 @@ func TestDurableCloseBesideWriters(t *testing.T) {
 		}
 	}
 }
+
+// TestNewDurableRefusesAdoptedIndex: an index already adopted by a
+// Durable, open or closed, is refused a second one. Two logs over one
+// index would each record ids the other's replay cannot reproduce.
+func TestNewDurableRefusesAdoptedIndex(t *testing.T) {
+	idx, err := New(skewedCollection(t, 30, 25, 0.8, 12), WithKind(OIF), WithPageSize(512), WithBlockPostings(8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	mem := wal.NewMemFS()
+	o := DurableOptions{CheckpointBytes: -1, FS: mem}
+	d, err := NewDurable("a", idx, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewDurable("b", idx, o); err == nil {
+		t.Fatalf("NewDurable adopted an index its first Durable still logs")
+	}
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewDurable("c", idx, o); err == nil {
+		t.Fatalf("NewDurable adopted an index whose Durable is closed")
+	}
+	if _, err := idx.Insert([]Item{1}); !errors.Is(err, errDurableClosed) {
+		t.Fatalf("insert after Close = %v, want the closed error", err)
+	}
+	// The refusals left no durable index behind them.
+	for _, dir := range []string{"b", "c"} {
+		if _, err := OpenDurable(dir, o); !errors.Is(err, ErrNoCheckpoint) {
+			t.Fatalf("OpenDurable(%s) = %v, want ErrNoCheckpoint", dir, err)
+		}
+	}
+}

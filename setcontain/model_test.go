@@ -202,6 +202,8 @@ type modelOp struct {
 	set []setcontain.Item
 	// opDelete: the victim class, and which of its ids.
 	victim, pick int
+	// opInsert and opDelete: which of durablePaths the Durable takes.
+	via int
 	// opFault; opFailFS's count is fault.skip.
 	fault shardFault
 }
@@ -211,9 +213,9 @@ func (op *modelOp) String() string {
 	case opQuery:
 		return fmt.Sprintf("query %q limit %d ended %v", op.expr, op.limit, op.ended)
 	case opInsert:
-		return fmt.Sprintf("insert %v", op.set)
+		return fmt.Sprintf("insert %v via #%d", op.set, op.via)
 	case opDelete:
-		return fmt.Sprintf("delete %s #%d", [...]string{"live", "pending", "dead", "unknown"}[op.victim], op.pick)
+		return fmt.Sprintf("delete %s #%d via #%d", [...]string{"live", "pending", "dead", "unknown"}[op.victim], op.pick, op.via)
 	case opFault:
 		return fmt.Sprintf("fault %+v", op.fault)
 	case opFailFS:
@@ -234,13 +236,15 @@ func genOps(seed int64) []modelOp {
 	}
 	query := func(shape int) modelOp { return randQuery(rng, z, shape) }
 	insert := func() modelOp {
-		op := modelOp{kind: opInsert, set: z.SampleDistinct(rng, rng.Intn(6))}
+		op := modelOp{kind: opInsert, set: z.SampleDistinct(rng, rng.Intn(6)), via: rng.Intn(1000)}
 		if rng.Intn(10) == 0 {
 			op.set = append(op.set, modelDomain+1)
 		}
 		return op
 	}
-	del := func(victim int) modelOp { return modelOp{kind: opDelete, victim: victim, pick: rng.Intn(1000)} }
+	del := func(victim int) modelOp {
+		return modelOp{kind: opDelete, victim: victim, pick: rng.Intn(1000), via: rng.Intn(1000)}
+	}
 	for len(ops) < modelSteps {
 		switch r := rng.Intn(100); {
 		case r < 40:
@@ -426,7 +430,6 @@ type target struct {
 	idx   *setcontain.Index
 	m     *model
 	store *setcontain.Store
-	mut   setcontain.Mutator
 	srv   *serve.Server
 	ts    *httptest.Server
 	hc    *http.Client
@@ -557,9 +560,8 @@ func (h *harness) front(tg *target) {
 		tg.srv.Close()
 	}
 	tg.store = setcontain.NewStore(tg.idx, 8)
-	tg.mut = tg.store
 	if tg.dur != nil {
-		tg.store, tg.mut = tg.dur.Store(), tg.dur
+		tg.store = tg.dur.Store()
 	}
 	tg.srv = serve.NewServer(tg.idx, tg.store, serve.Config{ChunkIDs: 4})
 	tg.ts = httptest.NewServer(tg.srv.Handler())
@@ -582,6 +584,17 @@ func (h *harness) target(name string) *target {
 		}
 	}
 	return nil
+}
+
+// path returns the way op's mutation takes: the target's Store, or on
+// the Durable the one of durablePaths op draws. A merge draws the
+// Durable's own.
+func (tg *target) path(op *modelOp) mutationPath {
+	if tg.dur == nil {
+		return batchPath("Store", tg.store)
+	}
+	paths := durablePaths(tg.dur, tg.ts.URL, tg.hc)
+	return paths[op.via%len(paths)]
 }
 
 // crash power-cuts the Durable and recovers it from what its log made
@@ -934,10 +947,13 @@ func (h *harness) step(tg *target, op *modelOp, armed *shardFault) *modelFailure
 		} else if alienItems(op.set) {
 			wantErr = dataset.ErrItemOutOfDomain
 		}
-		f = judge("InsertSets", func() ([]uint32, error) {
-			var ids []uint32
-			ids, err = tg.mut.InsertSets([][]setcontain.Item{op.set})
-			return ids, err
+		p := tg.path(op)
+		f = judge("Insert via "+p.name, func() ([]uint32, error) {
+			var id uint32
+			if id, err = p.insert(op.set); err != nil {
+				return nil, err
+			}
+			return []uint32{id}, nil
 		}, want, wantErr)
 		if f == nil && err == nil {
 			tg.m.d.Add(op.set)
@@ -947,7 +963,8 @@ func (h *harness) step(tg *target, op *modelOp, armed *shardFault) *modelFailure
 		}
 	case opDelete:
 		id, wantErr := tg.m.victim(op)
-		if f = mutate(fmt.Sprintf("DeleteIDs(%d)", id), wantErr, func() error { return tg.mut.DeleteIDs([]uint32{id}) }); f == nil && err == nil {
+		p := tg.path(op)
+		if f = mutate(fmt.Sprintf("Delete(%d) via %s", id, p.name), wantErr, func() error { return p.del(id) }); f == nil && err == nil {
 			tg.m.dead[id] = true
 		}
 	case opMerge:
@@ -955,7 +972,7 @@ func (h *harness) step(tg *target, op *modelOp, armed *shardFault) *modelFailure
 		if tg.m.frozen {
 			wantErr = setcontain.ErrNoUpdates
 		}
-		f = mutate("MergeDelta", wantErr, tg.mut.MergeDelta)
+		f = mutate("MergeDelta", wantErr, tg.path(op).merge)
 		switch {
 		case f != nil || tg.m.frozen:
 		case err == nil:

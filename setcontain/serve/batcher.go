@@ -36,12 +36,10 @@ type Config struct {
 	// wire.MaxResultIDs, so every line fits the line cap a coordinator
 	// reads its shards' answers under.
 	ChunkIDs int
-	// Durable, when set, routes the /admin mutation endpoints through
-	// the write-ahead-logged mutation path: a mutation is acknowledged
-	// only once its log record is durable per the WAL's fsync policy,
-	// POST /admin/checkpoint becomes available, and /stats and /healthz
-	// report the WAL's state. The store handed to NewServer must be
-	// Durable.Store(). Nil serves the plain in-memory mutation path.
+	// Durable, when set, is the served index's Durable: it adds POST
+	// /admin/checkpoint and the WAL sections of /stats and /healthz.
+	// Mutations are logged whenever a Durable has adopted the index,
+	// set here or not.
 	Durable *setcontain.Durable
 }
 

@@ -35,9 +35,12 @@
 // the error (and, for a parse error, the byte offset of the failing
 // token) before any query runs.
 //
-// The /admin endpoints mutate the live collection (serialized by the
-// Index's lock, the one lock on its state; queries keep flowing on the
-// store's pooled readers):
+// The /admin endpoints mutate the live collection through the Store
+// (serialized by the Index's lock, the one lock on its state; queries
+// keep flowing on the store's pooled readers). Over an index a
+// setcontain.Durable has adopted, each mutation is logged and committed
+// before its response, with or without Config.Durable, which adds
+// /admin/checkpoint and the WAL sections of /stats and /healthz:
 //
 //	POST /admin/insert   — add record sets to the delta, returns their ids
 //	POST /admin/delete   — tombstone record ids (masked immediately)

@@ -48,11 +48,6 @@ type Server struct {
 	cfg     Config
 	start   time.Time
 
-	// mut is the mutation path behind the /admin endpoints: the plain
-	// store, or the Durable when cfg.Durable attaches a write-ahead log.
-	mut     setcontain.Mutator
-	durable *setcontain.Durable
-
 	bufs  sync.Pool // *[]uint32 answer buffers, recycled across requests
 	lines sync.Pool // *[]byte NDJSON line buffers, recycled across requests
 
@@ -65,21 +60,15 @@ type Server struct {
 // NewServer wraps idx and its store in a serving layer configured by
 // cfg (zero value for defaults). The store must serve the same index;
 // the server uses idx only for identity ( /healthz, shard plans) and
-// routes every query through store. Close stops admission.
+// routes every query and mutation through store. Close stops admission.
 func NewServer(idx *setcontain.Index, store *setcontain.Store, cfg Config) *Server {
 	cfg = cfg.filled()
-	var mut setcontain.Mutator = store
-	if cfg.Durable != nil {
-		mut = cfg.Durable
-	}
 	return &Server{
 		idx:     idx,
 		store:   store,
 		batcher: NewBatcher(store, cfg),
 		cfg:     cfg,
 		start:   time.Now(),
-		mut:     mut,
-		durable: cfg.Durable,
 	}
 }
 
@@ -416,8 +405,8 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 			BlockPostings: p.BlockPostings,
 		})
 	}
-	if s.durable != nil {
-		resp.WAL = walStatsJSON(s.durable.Stats())
+	if s.cfg.Durable != nil {
+		resp.WAL = walStatsJSON(s.cfg.Durable.Stats())
 	}
 	writeJSON(w, resp)
 }
@@ -456,8 +445,8 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		Pending: s.idx.PendingInserts(),
 		Deleted: s.idx.Deleted(),
 	}
-	if s.durable != nil {
-		st := s.durable.Stats()
+	if s.cfg.Durable != nil {
+		st := s.cfg.Durable.Stats()
 		resp.WAL = &WALHealthJSON{
 			LastLSN:       st.Log.LastLSN,
 			CheckpointLSN: st.CheckpointLSN,
@@ -499,11 +488,10 @@ func mutationStatus(err error) int {
 	return http.StatusBadRequest
 }
 
-// handleInsert adds records through the mutation path — the plain store
-// or, with a WAL attached, the logged path that acknowledges only after
-// the records are durable — and reports the assigned ids. On a
-// mid-batch failure the earlier inserts of the request stick; the error
-// names the failing set.
+// handleInsert adds records through the store — which, over a durable
+// index, acknowledges only after the records are logged and durable —
+// and reports the assigned ids. On a mid-batch failure the earlier
+// inserts of the request stick; the error names the failing set.
 func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request) {
 	var req InsertRequest
 	if !decodeAdminBody(w, r, &req) {
@@ -513,7 +501,7 @@ func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "serve: request carries no sets", http.StatusBadRequest)
 		return
 	}
-	ids, err := s.mut.InsertSets(req.Sets)
+	ids, err := s.store.InsertSets(req.Sets)
 	if err != nil {
 		// The inserts before the failing set stick (with a WAL they are
 		// already durably acknowledged server-side), so the client must
@@ -531,7 +519,7 @@ func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, InsertResponse{IDs: ids})
 }
 
-// handleDelete tombstones records through the mutation path, so the ids
+// handleDelete tombstones records through the store, so the ids
 // vanish from every answer served after the response (and, with a WAL,
 // survive a crash once acknowledged).
 func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
@@ -543,7 +531,7 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "serve: request carries no ids", http.StatusBadRequest)
 		return
 	}
-	if err := s.mut.DeleteIDs(req.IDs); err != nil {
+	if err := s.store.DeleteIDs(req.IDs); err != nil {
 		http.Error(w, fmt.Sprintf("serve: %v", err), mutationStatus(err))
 		return
 	}
@@ -557,7 +545,7 @@ func (s *Server) handleMerge(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "serve: POST only", http.StatusMethodNotAllowed)
 		return
 	}
-	if err := s.mut.MergeDelta(); err != nil {
+	if err := s.store.MergeDelta(); err != nil {
 		http.Error(w, fmt.Sprintf("serve: merge: %v", err), http.StatusInternalServerError)
 		return
 	}
@@ -576,15 +564,15 @@ func (s *Server) handleCheckpoint(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "serve: POST only", http.StatusMethodNotAllowed)
 		return
 	}
-	if s.durable == nil {
+	if s.cfg.Durable == nil {
 		http.Error(w, "serve: no write-ahead log attached (start with -wal-dir)", http.StatusPreconditionFailed)
 		return
 	}
-	if err := s.durable.Checkpoint(); err != nil {
+	if err := s.cfg.Durable.Checkpoint(); err != nil {
 		http.Error(w, fmt.Sprintf("serve: checkpoint: %v", err), http.StatusInternalServerError)
 		return
 	}
-	st := s.durable.Stats()
+	st := s.cfg.Durable.Stats()
 	writeJSON(w, CheckpointResponse{
 		CheckpointLSN: st.CheckpointLSN,
 		Segments:      st.Log.Segments,

@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/dataset"
+	"repro/internal/wal"
 )
 
 // Item is a vocabulary element: a dense uint32 in [0, DomainSize).
@@ -103,6 +104,12 @@ func ReadMSWebCollection(r io.Reader, replicas int) (*Collection, error) {
 // retires a pooled reader whose generation is not the current one, so
 // the next Store query after a mutation returns sees it.
 //
+// Every mutation, entered through Index, Store or Durable, takes one
+// path. Over a Durable's index it appends each insert and delete to the
+// write-ahead log and commits it before returning, and it fails once the
+// Durable is closed. Engine().Insert and the like stay below the log,
+// as they stay below the lock.
+//
 // That lock is the one lock on index state: a sharded Index's is taken
 // before its shards' own. Code that holds it calls the engine, never a
 // locking Index method — a nested read lock deadlocks once a writer
@@ -117,16 +124,75 @@ type Index struct {
 	gen atomic.Uint64
 	// prof caches the planning profile of one generation (Supports).
 	prof atomic.Pointer[profileAt]
+	// dur is the Durable whose log records every mutation, nil for a
+	// plain index; it is set under the write lock and read under mu.
+	dur *Durable
 }
 
 // mutate runs fn under the write lock and bumps the generation before
 // it unlocks, whether or not fn failed: a failed batch may have applied
-// a prefix.
+// a prefix. Once the index's Durable is closed it refuses.
 func (ix *Index) mutate(fn func() error) error {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
+	if ix.dur != nil && ix.dur.closed {
+		return errDurableClosed
+	}
 	defer ix.gen.Add(1)
 	return fn()
+}
+
+// insertSets is the one insert path, one mutation: each set applies to
+// the engine and then, with a log attached, is appended to it. A logged
+// batch is checked against the log's record size first: a set refused at
+// the log after its insert would leave the index and the log disagreeing.
+func (ix *Index) insertSets(sets [][]Item) ([]uint32, error) {
+	ids := make([]uint32, 0, len(sets))
+	var d *Durable
+	err := ix.mutate(func() error {
+		if d = ix.dur; d != nil {
+			for i, set := range sets {
+				if len(set) > wal.MaxInsertItems {
+					return fmt.Errorf("setcontain: inserting set %d: %w (%d items, max %d)",
+						i, wal.ErrRecordTooLarge, len(set), wal.MaxInsertItems)
+				}
+			}
+		}
+		for i, set := range sets {
+			id, err := ix.eng.Insert(set)
+			if err != nil {
+				return fmt.Errorf("setcontain: inserting set %d (after %d inserted): %w", i, len(ids), err)
+			}
+			if d != nil {
+				if _, err := d.log.Append(wal.Record{Op: wal.OpInsert, ID: id, Set: set}); err != nil {
+					return err
+				}
+			}
+			ids = append(ids, id)
+		}
+		return nil
+	})
+	return ids, d.commit(err)
+}
+
+// deleteIDs is the one delete path, with insertSets' shape.
+func (ix *Index) deleteIDs(ids []uint32) error {
+	var d *Durable
+	err := ix.mutate(func() error {
+		d = ix.dur
+		for i, id := range ids {
+			if err := ix.eng.Delete(id); err != nil {
+				return fmt.Errorf("setcontain: deleting id %d (after %d deleted): %w", id, i, err)
+			}
+			if d != nil {
+				if _, err := d.log.Append(wal.Record{Op: wal.OpDelete, ID: id}); err != nil {
+					return err
+				}
+			}
+		}
+		return nil
+	})
+	return d.commit(err)
 }
 
 // buildIndex indexes the collection with the engine selected by
@@ -191,12 +257,11 @@ var ErrNoUpdates = errors.New("setcontain: engine does not support updates")
 // InvertedFile, and Sharded; call MergeDelta to fold the delta into the
 // disk structures.
 func (ix *Index) Insert(set []Item) (uint32, error) {
-	var id uint32
-	err := ix.mutate(func() (err error) {
-		id, err = ix.eng.Insert(set)
-		return err
-	})
-	return id, err
+	ids, err := ix.insertSets([][]Item{set})
+	if err != nil {
+		return 0, err
+	}
+	return ids[0], nil
 }
 
 // Delete tombstones the record with the given id: it disappears from
@@ -204,9 +269,7 @@ func (ix *Index) Insert(set []Item) (uint32, error) {
 // removed from the disk lists by the next MergeDelta, and its id is
 // never reused. Supported by the engines that support Insert. Readers
 // created before the delete still serve their original snapshot.
-func (ix *Index) Delete(id uint32) error {
-	return ix.mutate(func() error { return ix.eng.Delete(id) })
-}
+func (ix *Index) Delete(id uint32) error { return ix.deleteIDs([]uint32{id}) }
 
 // Deleted returns the number of tombstoned records.
 func (ix *Index) Deleted() int {

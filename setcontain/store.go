@@ -3,7 +3,6 @@ package setcontain
 import (
 	"context"
 	"errors"
-	"fmt"
 	"sync"
 	"sync/atomic"
 )
@@ -24,6 +23,8 @@ import (
 // under one ctx — so a cancelled query stops all shard fan-outs mid-stream.
 // Each query runs on a reader of the Index's current generation (see
 // Index), so it sees every mutation that returned before it started.
+// Its batches take the Index's one mutation path, logged when a
+// Durable has adopted the index.
 type Store struct {
 	ix         *Index
 	cachePages int
@@ -87,55 +88,19 @@ func NewStore(ix *Index, cachePages int) *Store {
 	return &Store{ix: ix, cachePages: cachePages}
 }
 
-// Mutator is the batched mutation surface the serving layer writes
-// through, implemented by both Store (plain, in-memory only) and
-// Durable (write-ahead logged): the handlers stay identical whether the
-// deployment wants durability or not, and the ack-after-durable rule
-// lives in exactly one place (Durable) instead of being sprinkled
-// through HTTP code.
-type Mutator interface {
-	// InsertSets inserts the sets in order and returns the assigned ids.
-	// On a mid-batch failure the earlier inserts stick and their ids are
-	// returned alongside the error, which names the failing set.
-	InsertSets(sets [][]Item) ([]uint32, error)
-	// DeleteIDs tombstones the ids in order; a failure names the id.
-	DeleteIDs(ids []uint32) error
-	// MergeDelta folds pending inserts and tombstones into the disk
-	// structures.
-	MergeDelta() error
-}
+// InsertSets inserts the sets in order, as one mutation of the index,
+// and returns the assigned ids. On a mid-batch failure the earlier
+// inserts stick and their ids are returned alongside the error, which
+// names the failing set. Over a Durable's index the batch is logged and
+// committed before the call returns; otherwise it lives only in memory.
+func (s *Store) InsertSets(sets [][]Item) ([]uint32, error) { return s.ix.insertSets(sets) }
 
-// InsertSets implements Mutator over the plain store: the batch
-// applies to the index as one mutation and is acknowledged immediately
-// — it lives only in memory and dies with the process.
-func (s *Store) InsertSets(sets [][]Item) ([]uint32, error) {
-	ids := make([]uint32, 0, len(sets))
-	err := s.ix.mutate(func() error {
-		for i, set := range sets {
-			id, err := s.ix.eng.Insert(set)
-			if err != nil {
-				return fmt.Errorf("setcontain: inserting set %d (after %d inserted): %w", i, len(ids), err)
-			}
-			ids = append(ids, id)
-		}
-		return nil
-	})
-	return ids, err
-}
+// DeleteIDs tombstones the ids in order, as one mutation; a failure
+// names the id. It is logged like InsertSets.
+func (s *Store) DeleteIDs(ids []uint32) error { return s.ix.deleteIDs(ids) }
 
-// DeleteIDs implements Mutator over the plain store.
-func (s *Store) DeleteIDs(ids []uint32) error {
-	return s.ix.mutate(func() error {
-		for i, id := range ids {
-			if err := s.ix.eng.Delete(id); err != nil {
-				return fmt.Errorf("setcontain: deleting id %d (after %d deleted): %w", id, i, err)
-			}
-		}
-		return nil
-	})
-}
-
-// MergeDelta implements Mutator over the plain store.
+// MergeDelta folds pending inserts and tombstones into the disk
+// structures (Index.MergeDelta).
 func (s *Store) MergeDelta() error { return s.ix.MergeDelta() }
 
 // acquire returns a reader of the current generation, creating one when
