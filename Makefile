@@ -53,7 +53,8 @@ bench-module-check:
 
 # Short coverage-guided runs of every fuzz target (go allows one -fuzz
 # target per invocation): the model harness that holds every serving
-# stack to internal/naive over a seeded op sequence, the
+# stack to internal/naive over a seeded op sequence, its concurrent
+# mode that runs two readers beside the sequence's writes, the
 # expression-grammar round-trip fuzzer, the remote shard client's NDJSON
 # answer reader, the answer-line codec
 # against encoding/json, the snapshot container reader, the POST /query
@@ -74,9 +75,12 @@ bench-module-check:
 # replays its baseline — 32 seeds plus the cached corpus — before it
 # explores anything: in 15s on 2 vCPUs it got through 87 of 105 baseline
 # entries and found nothing new, so 10s re-ran what `make test` runs.
+# FuzzModelConcurrent runs 30s for the same reason: each input is a
+# whole sequence on five targets with readers beside every write.
 FUZZ_TIME ?= 10s
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzModel$$' -fuzztime 60s ./setcontain
+	$(GO) test -run '^$$' -fuzz '^FuzzModelConcurrent$$' -fuzztime 30s ./setcontain
 	$(GO) test -run '^$$' -fuzz '^FuzzParseExpr$$' -fuzztime $(FUZZ_TIME) ./setcontain
 	$(GO) test -run '^$$' -fuzz '^FuzzRemoteAnswerStream$$' -fuzztime $(FUZZ_TIME) -fuzzminimizetime 1s ./setcontain
 	$(GO) test -run '^$$' -fuzz '^FuzzResultLine$$' -fuzztime $(FUZZ_TIME) -fuzzminimizetime 1s ./internal/wire

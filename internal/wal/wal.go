@@ -180,7 +180,12 @@ type ReplayStats struct {
 // allowing further logged mutations would let the log diverge from the
 // index it journals. Every call after the first failure returns the
 // original error; the process must restart (and thereby recover from
-// the log prefix) to resume mutating. Queries are unaffected.
+// the log prefix) to resume mutating. Queries keep answering, but they
+// can see writes the log does not hold: the one write whose append or
+// fsync failed stays visible until the restart drops it, and a write
+// applied and appended but not yet committed (its fsync runs after the
+// index unlocks) is visible before it is durable, so a crash in that
+// window loses a write a reader saw.
 type Log struct {
 	dir  string
 	opts Options

@@ -1,8 +1,6 @@
 package setcontain
 
 import (
-	"fmt"
-	"sync"
 	"testing"
 )
 
@@ -39,70 +37,6 @@ func TestDeleteShrinksPostings(t *testing.T) {
 		if after := ix.Engine().Space().Bytes; after >= before {
 			t.Errorf("%s: space %d -> %d after deleting a third; want physical shrink", tc.name, before, after)
 		}
-	}
-}
-
-// TestStoreUpdateConcurrentWithQueries hammers a Store with queries
-// while the index mutates directly — insert, delete, merge — from
-// another goroutine. Under -race this is the regression test for
-// two bugs: the IF merge mutating counters in place through arrays
-// shared with live readers, and pooled-reader creation cloning the
-// Index mid-mutation.
-func TestStoreUpdateConcurrentWithQueries(t *testing.T) {
-	const domain = 40
-	queries := zipfWorkload(40, domain, 0.8, 141)
-	for _, tc := range deleteKinds {
-		t.Run(tc.name, func(t *testing.T) {
-			c := skewedCollection(t, 600, domain, 0.8, 142)
-			ix, err := New(c, tc.opts...)
-			if err != nil {
-				t.Fatal(err)
-			}
-			store := NewStore(ix, 4)
-			ctx := t.Context()
-			stop := make(chan struct{})
-			errc := make(chan error, 4)
-			var wg sync.WaitGroup
-			for g := 0; g < 4; g++ {
-				wg.Add(1)
-				go func(g int) {
-					defer wg.Done()
-					for i := 0; ; i++ {
-						select {
-						case <-stop:
-							return
-						default:
-						}
-						if _, err := store.Exec(ctx, queries[(g+i)%len(queries)]); err != nil {
-							errc <- fmt.Errorf("worker %d: %v", g, err)
-							return
-						}
-					}
-				}(g)
-			}
-			for round := 0; round < 15; round++ {
-				id, err := ix.Insert([]Item{1, 2, Item(round % domain)})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if round%2 == 0 {
-					if err := ix.Delete(id); err != nil {
-						t.Fatal(err)
-					}
-				}
-				if round%3 == 0 {
-					if err := ix.MergeDelta(); err != nil {
-						t.Fatal(err)
-					}
-				}
-			}
-			close(stop)
-			wg.Wait()
-			close(errc)
-			for err := range errc {
-				t.Error(err)
-			}
-		})
 	}
 }
 

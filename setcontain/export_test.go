@@ -23,3 +23,7 @@ var (
 	NewOptions = newOptions
 	IndexOver  = indexOver
 )
+
+// ErrDurableClosed is the error every write to a closed Durable's
+// index fails with.
+var ErrDurableClosed = errDurableClosed

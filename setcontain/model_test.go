@@ -1,14 +1,17 @@
 // FuzzModel is the one oracle every serving stack answers to. A seeded
 // generator draws a sequence of operations — queries, expressions and
-// limits, inserts, deletes, merges, Save→Open, crash→OpenDurable, and
-// faults armed at a shard call, a shard's HTTP answer or a filesystem
-// operation — and every target replays it: each engine kind built by
-// New, a coordinator over in-process shard clients, one over shard
-// daemons, and a Durable over a WAL in memory. After every step each
-// target is held to internal/naive over a mirror of the records it
-// acknowledged, through every public entry point. This file lives in
-// the external test package so it can stand daemons up with
-// setcontain/serve.
+// limits, inserts, deletes, merges, Save→Open, crash→OpenDurable,
+// Close→OpenDurable, and faults armed at a shard call, a shard's HTTP
+// answer or a filesystem operation — and every target replays it: each
+// engine kind built by New, a coordinator over in-process shard
+// clients, one over shard daemons, and a Durable over a WAL in memory.
+// After every step each target is held to internal/naive over a mirror
+// of the records it acknowledged, through every public entry point.
+// FuzzModelConcurrent replays the same sequence's writes on one
+// goroutine while two readers query and read state beside them, and
+// holds every answer to the model in some state of its window. This
+// file lives in the external test package so it can stand daemons up
+// with setcontain/serve.
 package setcontain_test
 
 import (
@@ -18,12 +21,16 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"maps"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"runtime"
 	"slices"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -112,6 +119,16 @@ func (m *model) answer(op *modelOp) ([]uint32, error) {
 	return ids, nil
 }
 
+// clone copies the model, so a later write leaves the copy as it was.
+func (m *model) clone() *model {
+	c := *m
+	c.d, c.dead = dataset.New(modelDomain), maps.Clone(m.dead)
+	for i := 0; i < m.d.Len(); i++ {
+		c.d.Add(m.d.Record(i).Set)
+	}
+	return &c
+}
+
 // all is the whole live set.
 func (m *model) all() []uint32 {
 	ids, _ := m.answer(&modelOp{expr: setcontain.ExprOf(setcontain.SubsetQuery(nil))})
@@ -169,6 +186,7 @@ const (
 	opMerge
 	opSave   // Save → Open; the Durable checkpoints first
 	opCrash  // the Durable crashes and recovers
+	opClose  // the Durable closes, beside one write, and reopens
 	opFault  // arm a shard fault for the next step
 	opFailFS // fail the Durable's filesystem operation skip+1 from now
 )
@@ -221,7 +239,7 @@ func (op *modelOp) String() string {
 	case opFailFS:
 		return fmt.Sprintf("fail fs op %d", op.fault.skip+1)
 	}
-	return [...]string{opMerge: "merge", opSave: "save", opCrash: "crash"}[op.kind]
+	return [...]string{opMerge: "merge", opSave: "save", opCrash: "crash", opClose: "close"}[op.kind]
 }
 
 // genOps draws the op sequence of seed. A fault is followed by an op
@@ -258,7 +276,7 @@ func genOps(seed int64) []modelOp {
 		case r < 72:
 			add(modelOp{kind: opSave})
 		case r < 75:
-			add(modelOp{kind: opCrash})
+			add(modelOp{kind: []opKind{opCrash, opClose}[rng.Intn(2)]})
 		case r < 85:
 			calls := []string{"Session", "AppendExpr", "POST /query", "Insert", "Delete", "MergeDelta", "Info", "Snapshot"}
 			f := shardFault{call: calls[rng.Intn(len(calls))], shard: rng.Intn(shardsOf(seed)), skip: rng.Intn(3)}
@@ -445,16 +463,19 @@ type target struct {
 	fs  *wal.FaultyFS
 }
 
-// harness is one replay: the targets over one collection and what to
-// close after them.
+// harness is one replay: the targets over the collection of seed and
+// what to close after them. The Durable checkpoints in the background
+// past checkpointBytes, as FuzzModelConcurrent's does; -1 never.
 type harness struct {
-	targets []*target
-	closers []func()
+	seed            int64
+	targets         []*target
+	closers         []func()
+	checkpointBytes int64
 }
 
 // newHarness builds the targets over the collection of seed, or only
-// the ones named. The Durable holds an OIF at even seeds and a sharded
-// index at odd ones.
+// the ones named. The Durable holds an OIF, an inverted file or a
+// sharded index as seed is 0, 1 or 2 modulo 3.
 func newHarness(tb testing.TB, seed int64, only ...string) *harness {
 	tb.Helper()
 	keep := func(name string) bool { return len(only) == 0 || slices.Contains(only, name) }
@@ -465,7 +486,7 @@ func newHarness(tb testing.TB, seed int64, only ...string) *harness {
 		c.Add(z.SampleDistinct(rng, rng.Intn(6)))
 	}
 	hc := &http.Client{Transport: &http.Transport{}}
-	h := &harness{closers: []func(){hc.CloseIdleConnections}}
+	h := &harness{seed: seed, closers: []func(){hc.CloseIdleConnections}, checkpointBytes: -1}
 	build := func(kind setcontain.Kind) *setcontain.Index {
 		idx, err := setcontain.New(c, setcontain.WithKind(kind), setcontain.WithShards(shardsOf(seed)),
 			setcontain.WithPageSize(512), setcontain.WithBlockPostings(8))
@@ -527,11 +548,11 @@ func newHarness(tb testing.TB, seed int64, only ...string) *harness {
 	if !keep("durable") {
 		return h
 	}
-	durable := &target{name: "durable", idx: build([]setcontain.Kind{setcontain.OIF, setcontain.Sharded}[seed&1]),
-		board: &faultBoard{}, mem: wal.NewMemFS()}
+	kinds := []setcontain.Kind{setcontain.OIF, setcontain.InvertedFile, setcontain.Sharded}
+	durable := &target{name: "durable", idx: build(kinds[uint64(seed)%3]), board: &faultBoard{}, mem: wal.NewMemFS()}
 	durable.fs = wal.NewFaultyFS(durable.mem, 0)
 	var err error
-	if durable.dur, err = setcontain.NewDurable("w", durable.idx, durableOptions(durable.fs)); err != nil {
+	if durable.dur, err = setcontain.NewDurable("w", durable.idx, h.durableOptions(durable.fs)); err != nil {
 		tb.Fatal(err)
 	}
 	add(durable)
@@ -539,8 +560,8 @@ func newHarness(tb testing.TB, seed int64, only ...string) *harness {
 	return h
 }
 
-func durableOptions(fs wal.FS) setcontain.DurableOptions {
-	return setcontain.DurableOptions{SegmentBytes: 512, Sync: wal.SyncAlways, CheckpointBytes: -1, FS: fs}
+func (h *harness) durableOptions(fs wal.FS) setcontain.DurableOptions {
+	return setcontain.DurableOptions{SegmentBytes: 512, Sync: wal.SyncAlways, CheckpointBytes: h.checkpointBytes, FS: fs}
 }
 
 // wrap decorates the shard clients of a sharded index the target owns.
@@ -586,24 +607,79 @@ func (h *harness) target(name string) *target {
 	return nil
 }
 
-// path returns the way op's mutation takes: the target's Store, or on
-// the Durable the one of durablePaths op draws. A merge draws the
-// Durable's own.
-func (tg *target) path(op *modelOp) mutationPath {
-	if tg.dur == nil {
-		return batchPath("Store", tg.store)
+// mutationPath is one public way to mutate an index, one record at a
+// time.
+type mutationPath struct {
+	name   string
+	insert func([]setcontain.Item) (uint32, error)
+	del    func(uint32) error
+	merge  func() error
+}
+
+// batchPath mutates through one-record batches of a Store or a Durable.
+func batchPath(name string, s interface {
+	InsertSets([][]setcontain.Item) ([]uint32, error)
+	DeleteIDs([]uint32) error
+	MergeDelta() error
+}) mutationPath {
+	return mutationPath{name,
+		func(set []setcontain.Item) (uint32, error) {
+			ids, err := s.InsertSets([][]setcontain.Item{set})
+			if err != nil {
+				return 0, err
+			}
+			return ids[0], nil
+		},
+		func(id uint32) error { return s.DeleteIDs([]uint32{id}) },
+		s.MergeDelta,
 	}
-	paths := durablePaths(tg.dur, tg.ts.URL, tg.hc)
+}
+
+func indexPath(idx *setcontain.Index) mutationPath {
+	return mutationPath{"Index", idx.Insert, idx.Delete, idx.MergeDelta}
+}
+
+// durablePaths lists every public way to mutate d's index, the
+// Durable's own batches first; url is a serve.Server's over the index,
+// built without Config.Durable, and hc the client to post to it with.
+// Every one of them must log what it applies.
+func durablePaths(d *setcontain.Durable, url string, hc *http.Client) []mutationPath {
+	// A coordinator's shard client posts to exactly the /admin routes.
+	admin, ctx := setcontain.NewRemoteShard(url, hc), context.Background()
+	return []mutationPath{
+		batchPath("Durable", d),
+		batchPath("Durable.Store", d.Store()),
+		batchPath("NewStore", setcontain.NewStore(d.Index(), 0)),
+		indexPath(d.Index()),
+		{"POST /admin",
+			func(set []setcontain.Item) (uint32, error) { return admin.Insert(ctx, set) },
+			func(id uint32) error { return admin.Delete(ctx, id) },
+			func() error { return admin.MergeDelta(ctx) }},
+	}
+}
+
+// path returns the way op's mutation takes: the one op draws of the
+// target's Store and its Index, or on the Durable of durablePaths.
+func (tg *target) path(op *modelOp) mutationPath {
+	paths := []mutationPath{batchPath("Store", tg.store), indexPath(tg.idx)}
+	if tg.dur != nil {
+		paths = durablePaths(tg.dur, tg.ts.URL, tg.hc)
+	}
 	return paths[op.via%len(paths)]
 }
 
-// crash power-cuts the Durable and recovers it from what its log made
-// durable, with a filesystem that no longer fails.
-func (h *harness) crash(tg *target) *modelFailure {
-	tg.dur.Close()
-	tg.mem.Crash()
+// reopen closes the Durable, power-cuts it too when cut, and recovers
+// it from what its log made durable, with a filesystem that no longer
+// fails.
+func (h *harness) reopen(tg *target, cut bool) *modelFailure {
+	err := tg.dur.Close()
+	if cut {
+		tg.mem.Crash()
+	} else if err != nil {
+		return &modelFailure{entry: "Close", got: show(nil, err), want: "closed"}
+	}
 	tg.fs = wal.NewFaultyFS(tg.mem, 0)
-	d, err := setcontain.OpenDurable("w", durableOptions(tg.fs))
+	d, err := setcontain.OpenDurable("w", h.durableOptions(tg.fs))
 	if err != nil {
 		return &modelFailure{entry: "OpenDurable", got: show(nil, err), want: "recovered"}
 	}
@@ -923,14 +999,8 @@ func (h *harness) step(tg *target, op *modelOp, armed *shardFault) *modelFailure
 	var f *modelFailure
 	switch op.kind {
 	case opQuery:
-		ctx, cancel := context.WithCancel(context.Background())
-		if op.ended == context.DeadlineExceeded {
-			ctx, cancel = context.WithDeadline(ctx, time.Now().Add(-time.Second))
-		}
+		ctx, cancel := op.context()
 		defer cancel()
-		if op.ended == context.Canceled {
-			cancel()
-		}
 		want, wantErr := tg.m.answer(op)
 		for _, ep := range entryPoints {
 			if ep.accepts(op) {
@@ -985,7 +1055,10 @@ func (h *harness) step(tg *target, op *modelOp, armed *shardFault) *modelFailure
 		if tg.m.frozen {
 			wantErr = setcontain.ErrNoSnapshots
 		}
+		// Save reads through no pool of the index's: its cache
+		// statistics stay where they were.
 		var buf bytes.Buffer
+		stats := tg.idx.CacheStats()
 		f = mutate("Save", wantErr, func() error {
 			if tg.dur == nil {
 				return tg.idx.Save(&buf)
@@ -994,20 +1067,90 @@ func (h *harness) step(tg *target, op *modelOp, armed *shardFault) *modelFailure
 			}
 			return tg.dur.Index().Save(&buf)
 		})
+		if after := tg.idx.CacheStats(); f == nil && after != stats {
+			return &modelFailure{entry: "CacheStats across Save", got: fmt.Sprintf("%+v", after), want: fmt.Sprintf("%+v", stats)}
+		}
 		if f == nil && err == nil {
 			f = h.restore(tg, &buf)
 		}
 	case opCrash:
 		if tg.dur != nil {
-			return h.crash(tg)
+			return h.reopen(tg, true)
+		}
+	case opClose:
+		if tg.dur != nil {
+			return h.shut(tg, op)
 		}
 	}
 	// A Durable whose filesystem failed under the step crashes: only what
-	// it acknowledged may survive.
+	// it acknowledged may survive. Before that, a wedged log refuses.
 	if f == nil && tg.fs != nil && tg.fs.Tripped() {
-		f = h.crash(tg)
+		if tg.dur.Stats().Log.Wedged {
+			f = refused(tg, op)
+		}
+		if f == nil {
+			f = h.reopen(tg, true)
+		}
 	}
 	return f
+}
+
+// context is the context op is asked under: live, or ended as op asks.
+func (op *modelOp) context() (context.Context, context.CancelFunc) {
+	ctx, cancel := context.WithCancel(context.Background())
+	if op.ended == context.DeadlineExceeded {
+		ctx, cancel = context.WithDeadline(ctx, time.Now().Add(-time.Second))
+	}
+	if op.ended == context.Canceled {
+		cancel()
+	}
+	return ctx, cancel
+}
+
+// shut closes the Durable while one insert through op's path runs
+// beside it: acknowledged, the model takes it; refused, only as closed,
+// or by a filesystem fault that fired under it. A write begun after
+// Close returned is refused as closed. Then the Durable reopens from
+// its directory, as after a crash if the filesystem failed.
+func (h *harness) shut(tg *target, op *modelOp) *modelFailure {
+	p, set := tg.path(op), []setcontain.Item{setcontain.Item(op.at % modelDomain)}
+	tripped := tg.fs.Tripped()
+	closed := make(chan error, 1)
+	go func() { closed <- tg.dur.Close() }()
+	next := uint32(tg.m.d.Len() + 1)
+	got, err := guard(func() ([]uint32, error) { id, err := p.insert(set); return []uint32{id}, err })
+	switch {
+	case err == nil && got[0] == next:
+		tg.m.d.Add(set) // the reopen leaves the pending count the index's
+	case explains(setcontain.ErrDurableClosed, err), !tripped && tg.fs.Tripped() && blames(err, -1):
+	default:
+		return mismatch("Insert via "+p.name+" beside Close", got, err, []uint32{next}, nil)
+	}
+	if err := <-closed; err != nil && !tg.fs.Tripped() {
+		return &modelFailure{entry: "Close", got: show(nil, err), want: "closed"}
+	}
+	if _, err := guard(func() ([]uint32, error) { return nil, p.del(1) }); !explains(setcontain.ErrDurableClosed, err) {
+		return mismatch("Delete(1) via "+p.name+" after Close", nil, err, nil, setcontain.ErrDurableClosed)
+	}
+	return h.reopen(tg, tg.fs.Tripped())
+}
+
+// refused holds a Durable whose log has wedged to refusing before it
+// applies: one more insert through op's path fails with wal.ErrWedged
+// and leaves the counts and the live set as they were.
+func refused(tg *target, op *modelOp) *modelFailure {
+	state := func() string {
+		ids, err := tg.idx.Subset(nil)
+		return fmt.Sprintf("records %d deleted %d live %v %v", tg.idx.NumRecords(), tg.idx.Deleted(), ids, err)
+	}
+	before, p := state(), tg.path(op)
+	entry := "Insert via " + p.name + " after the wedge"
+	if _, err := guard(func() ([]uint32, error) { _, err := p.insert([]setcontain.Item{0}); return nil, err }); !explains(wal.ErrWedged, err) {
+		return mismatch(entry, nil, err, nil, wal.ErrWedged)
+	} else if after := state(); after != before {
+		return &modelFailure{entry: entry, got: after, want: before}
+	}
+	return nil
 }
 
 // restore opens a saved snapshot and holds it to the model; a target
@@ -1043,7 +1186,7 @@ func (h *harness) check(tg *target) *modelFailure {
 }
 
 // checkIndex holds idx's record, tombstone and pending counts and its
-// whole live set to m.
+// whole live set, through a Store of its own, to m.
 func checkIndex(m *model, idx *setcontain.Index, entry string) *modelFailure {
 	pending := m.pending
 	if pending < 0 {
@@ -1054,9 +1197,11 @@ func checkIndex(m *model, idx *setcontain.Index, entry string) *modelFailure {
 	if got != want {
 		return &modelFailure{entry: entry + " counts", got: got, want: want}
 	}
-	ids, err := guard(func() ([]uint32, error) { return idx.Subset(nil) })
+	ids, err := guard(func() ([]uint32, error) {
+		return setcontain.NewStore(idx, 8).Exec(context.Background(), setcontain.SubsetQuery(nil))
+	})
 	if all := m.all(); err != nil || !slices.Equal(ids, all) {
-		return mismatch(entry+".Subset(nil)", ids, err, all, nil)
+		return mismatch(entry+" NewStore.Exec(subset{})", ids, err, all, nil)
 	}
 	return nil
 }
@@ -1106,4 +1251,246 @@ func FuzzModel(f *testing.F) {
 		}
 		t.Fatalf("FuzzModel seed=%d %v (replayed steps %v)", seed, fail, kept)
 	})
+}
+
+// FuzzModelConcurrent replays the writes of a seed's op sequence —
+// inserts, deletes, merges, Save→Open, crash and Close→OpenDurable —
+// on one goroutine, holding each target to the model after every
+// write, while two readers run beside them. The readers ask the
+// sequence's queries, trees and limits among them, through Store.Exec
+// and Store.ExecExprLimitAppend, and in turn read NumRecords, Deleted,
+// PendingInserts and ShardPlans and Save→Open the index, collecting
+// garbage between looks so pooled readers are made anew beside the
+// writes. Every look must be the model's in some state k, with k at
+// least the writes acknowledged before the look began and at most the
+// writes begun before it returned (inWindow). At every fourth seed the
+// coordinator over shard daemons runs too; it makes one call per
+// shard, so its answers are held to that rule shard by shard. Under
+// -race a read outside the Index's lock is a data race.
+func FuzzModelConcurrent(f *testing.F) {
+	seeds := int64(24)
+	if raceEnabled {
+		seeds = 6
+	}
+	for seed := int64(1); seed <= seeds; seed++ {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, seed int64) {
+		var writes, queries []modelOp
+		for _, op := range genOps(seed) {
+			switch op.kind {
+			case opQuery:
+				queries = append(queries, op)
+			case opInsert, opDelete, opMerge, opSave, opCrash, opClose:
+				writes = append(writes, op)
+			}
+		}
+		queries = append(queries, modelOp{kind: opQuery, expr: setcontain.ExprOf(setcontain.SubsetQuery(nil))})
+		targets := []string{"OIF", "IF", "Sharded", "durable"}
+		if seed%4 == 0 { // the daemons cost as much as the rest together
+			targets = append(targets, "http")
+		}
+		h := newHarness(t, seed, targets...)
+		defer h.close()
+		h.checkpointBytes = 256
+		for _, tg := range h.targets {
+			if tg.dur != nil {
+				if f := h.reopen(tg, false); f != nil {
+					t.Fatalf("FuzzModelConcurrent seed=%d %v", seed, f)
+				}
+			}
+			if f := h.beside(tg, writes, queries); f != nil {
+				t.Fatalf("FuzzModelConcurrent seed=%d %v", seed, f)
+			}
+		}
+	})
+}
+
+// sighting is one thing a reader saw, judged once the run is over: it
+// was seen after write lo was acknowledged and before write hi+1 began,
+// and fits returns "" for a state that explains it, else what that
+// state wants instead.
+type sighting struct {
+	lo, hi         int64
+	entry, op, got string
+	fits           func(*model) string
+}
+
+// inWindow returns the first state k in [lo, hi] that fits, or -1.
+func inWindow(states []*model, lo, hi int64, fits func(*model) string) int64 {
+	for k := lo; k <= hi; k++ {
+		if fits(states[k]) == "" {
+			return k
+		}
+	}
+	return -1
+}
+
+// beside replays writes on tg while two readers look at it, waiting
+// for one look to end between any two writes, and returns the first
+// failure: a write's, or a look that no state in its window explains.
+func (h *harness) beside(tg *target, writes, queries []modelOp) *modelFailure {
+	states := make([]*model, len(writes)+1) // states[k]: the model after k writes
+	states[0] = tg.m.clone()
+	var cur atomic.Pointer[target] // what the readers look at: a copy
+	publish := func() { v := *tg; cur.Store(&v) }
+	publish()
+	var begun, acked atomic.Int64
+	var stop atomic.Bool
+	looked := make(chan struct{}, 1)
+	var seen [2][]sighting
+	var wg sync.WaitGroup
+	for g := range seen {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for n := 0; !stop.Load(); n++ {
+				i := n + g // the readers' kinds of look out of step
+				lo := acked.Load()
+				got := h.look(cur.Load(), &queries[(2*n+g)%len(queries)], i)
+				hi := begun.Load()
+				for _, s := range got {
+					s.lo, s.hi = lo, hi
+					seen[g] = append(seen[g], s)
+				}
+				select {
+				case looked <- struct{}{}:
+				default:
+				}
+				if i%8 == 1 {
+					runtime.GC()
+				}
+			}
+		}()
+	}
+	var f *modelFailure
+	for k := range writes {
+		select { // a look that ended before the last write was acknowledged
+		case <-looked:
+		default:
+		}
+		<-looked
+		op := &writes[k]
+		begun.Store(int64(k + 1))
+		if f = h.step(tg, op, nil); f == nil {
+			f = h.check(tg)
+		}
+		if f != nil {
+			f.step, f.target, f.op = op.at, tg.name, op.String()
+			break
+		}
+		states[k+1] = tg.m.clone()
+		publish()
+		acked.Store(int64(k + 1))
+	}
+	stop.Store(true)
+	wg.Wait()
+	if f != nil {
+		return f
+	}
+	for _, s := range slices.Concat(seen[:]...) {
+		if inWindow(states, s.lo, s.hi, s.fits) < 0 {
+			f := &modelFailure{step: -1, target: tg.name, entry: s.entry, op: s.op, got: s.got,
+				want: fmt.Sprintf("%s, or another state's after writes %d to %d", s.fits(states[s.hi]), s.lo, s.hi)}
+			if s.lo > 0 {
+				f.step = writes[s.lo-1].at
+			}
+			return f
+		}
+	}
+	return nil
+}
+
+// look is a reader's i-th look at v, a copy of a target: op through
+// Store.Exec when it is plain and i even, else through
+// Store.ExecExprLimitAppend; and at every eighth look the counts, the
+// shard plans, and a Save Opened and held to the model.
+func (h *harness) look(v *target, op *modelOp, i int) []sighting {
+	ctx, cancel := op.context()
+	defer cancel()
+	entry, run := "Store.ExecExprLimitAppend", func() ([]uint32, error) {
+		return prefixed(func(dst []uint32) ([]uint32, error) { return v.store.ExecExprLimitAppend(ctx, dst, op.expr, op.limit) })
+	}
+	if plain(op) && i%2 == 0 {
+		entry, run = "Store.Exec", func() ([]uint32, error) { return v.store.Exec(ctx, leafOf(op)) }
+	}
+	got, err := guard(run)
+	seen := h.sightAnswer(v, entry, op, got, err)
+	if i%8 != 0 {
+		return seen
+	}
+	// A count the model does not know (-1) fits any.
+	count := func(entry string, got int, want func(m *model) int) {
+		seen = append(seen, sighting{entry: entry, got: fmt.Sprint(got), fits: func(m *model) string {
+			if w := want(m); w != got && w >= 0 {
+				return fmt.Sprint(w)
+			}
+			return ""
+		}})
+	}
+	count("NumRecords", v.idx.NumRecords(), func(m *model) int { return m.d.Len() })
+	count("Deleted", v.idx.Deleted(), func(m *model) int { return len(m.dead) })
+	count("PendingInserts", v.idx.PendingInserts(), func(m *model) int { return m.pending })
+	plans, planned, shards := v.idx.ShardPlans(), 0, 0
+	for _, p := range plans {
+		planned += p.Records
+	}
+	if v.idx.Kind() == setcontain.Sharded {
+		shards = shardsOf(h.seed)
+		count("ShardPlans records", planned, func(m *model) int { return m.d.Len() })
+	}
+	count("len(ShardPlans)", len(plans), func(*model) int { return shards })
+	if v.clients != nil {
+		return seen // a coordinator's Save is one call per shard
+	}
+	var buf bytes.Buffer
+	restored, err := v.idx, v.idx.Save(&buf)
+	if err == nil {
+		restored, err = setcontain.Open(&buf)
+	}
+	return append(seen, sighting{entry: "Save → Open", got: show(nil, err), fits: func(m *model) string {
+		if err != nil {
+			return "a snapshot"
+		} else if f := checkIndex(m, restored, "Open"); f != nil {
+			return f.entry + ": " + f.got + " want " + f.want
+		}
+		return ""
+	}})
+}
+
+// sightAnswer is what a reader saw answered to op: each shard's ids —
+// placed by the round-robin map — the model's in one state of its own.
+// Only a coordinator over shard daemons answers from more than one
+// shard's state; the rest are one shard here.
+func (h *harness) sightAnswer(tg *target, entry string, op *modelOp, got []uint32, err error) []sighting {
+	n, all := uint32(1), *op
+	if tg.name == "http" {
+		n = uint32(shardsOf(h.seed))
+	}
+	// Cut to its limit, the answer holds each shard's ids up to its last.
+	cut := uint32(1<<32 - 1)
+	if op.limit > 0 && len(got) == op.limit {
+		cut = got[len(got)-1]
+	}
+	all.limit = 0
+	var seen []sighting
+	for s := range n {
+		on := func(ids []uint32) []uint32 {
+			return slices.DeleteFunc(slices.Clone(ids), func(id uint32) bool { return (id-1)%n != s || id > cut })
+		}
+		seen = append(seen, sighting{entry: fmt.Sprintf("%s, shard %d of %d", entry, s, n), op: op.String(), got: show(got, err), fits: func(m *model) string {
+			want, wantErr := m.answer(op)
+			switch {
+			case explains(wantErr, err):
+				return ""
+			case err != nil || wantErr != nil || op.limit > 0 && len(got) > op.limit || !slices.IsSorted(got):
+				return show(want, wantErr)
+			}
+			if want, _ = m.answer(&all); !slices.Equal(on(got), on(want)) {
+				return show(on(want), nil)
+			}
+			return ""
+		}})
+	}
+	return seen
 }

@@ -167,8 +167,8 @@ func TestDurableRecoveryProperty(t *testing.T) {
 	}
 	for _, tc := range []struct {
 		name string
-		seed int64 // the Durable holds an OIF at even seeds
-	}{{"OIF", 6}, {"Sharded", 3}} {
+		seed int64 // the Durable's kind is seed's modulo 3
+	}{{"OIF", 6}, {"IF", 4}, {"Sharded", 11}} {
 		t.Run(tc.name, func(t *testing.T) {
 			// A dry run counts the script's filesystem operations.
 			h := newHarness(t, tc.seed, "durable")

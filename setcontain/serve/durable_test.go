@@ -222,9 +222,9 @@ func TestInsertPartialFailureReportsIDs(t *testing.T) {
 
 // TestMutationStatusClassifiesError: the 503-vs-400 split must follow
 // the request's own error, not the log's global state — a wedged log
-// answers 503 for the requests that hit the wedge, while a request
-// failing on its own engine error still gets 400 even though the log
-// is wedged.
+// answers 503 for every mutation that reaches the index, which refuses
+// it before the engine sees it, while a request refused on its own
+// grounds still gets 400 even though the log is wedged.
 func TestMutationStatusClassifiesError(t *testing.T) {
 	c := serveCollection(t)
 	idx, err := setcontain.New(c,
@@ -256,11 +256,15 @@ func TestMutationStatusClassifiesError(t *testing.T) {
 		Sets: [][]setcontain.Item{{2, 5}},
 	}, nil, http.StatusServiceUnavailable)
 
-	// The log is now wedged, but a delete of an unknown id fails in the
-	// engine before reaching it: still the client's own 400.
+	// The log is now wedged. A delete with no ids is refused before it
+	// reaches the index: still the client's own 400.
+	postJSON(t, ts.URL+"/admin/delete", serve.DeleteRequest{}, nil, http.StatusBadRequest)
+
+	// A delete of an unknown id reaches the index, which refuses it with
+	// the wedge before its engine could: 503.
 	postJSON(t, ts.URL+"/admin/delete", serve.DeleteRequest{
 		IDs: []uint32{4000000000},
-	}, nil, http.StatusBadRequest)
+	}, nil, http.StatusServiceUnavailable)
 
 	// A mutation that does reach the wedged log keeps answering 503.
 	postJSON(t, ts.URL+"/admin/insert", serve.InsertRequest{

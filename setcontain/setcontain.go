@@ -131,12 +131,18 @@ type Index struct {
 
 // mutate runs fn under the write lock and bumps the generation before
 // it unlocks, whether or not fn failed: a failed batch may have applied
-// a prefix. Once the index's Durable is closed it refuses.
+// a prefix. Once the index's Durable is closed, or its log has wedged,
+// it refuses before fn touches the engine.
 func (ix *Index) mutate(fn func() error) error {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
-	if ix.dur != nil && ix.dur.closed {
-		return errDurableClosed
+	if d := ix.dur; d != nil {
+		if d.closed {
+			return errDurableClosed
+		}
+		if err := d.log.Err(); err != nil {
+			return err
+		}
 	}
 	defer ix.gen.Add(1)
 	return fn()

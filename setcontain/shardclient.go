@@ -186,7 +186,9 @@ func (s *inprocSession) Close() error      { return nil }
 // assembleSharded; a violation comes back as a ShardError naming the
 // first offending shard). The resulting Index is the one a sharded
 // build or Open returns — Store, serve, and snapshots work unchanged —
-// with each shard call going through its client's transport.
+// with each shard call going through its client's transport. A query
+// makes one call per shard, so over remote shards one answer can
+// combine shard states from different moments while writes flow.
 func ShardedOverClients(ctx context.Context, clients []ShardClient) (*Index, error) {
 	if len(clients) == 0 {
 		return nil, fmt.Errorf("setcontain: sharded index needs at least one shard client")
